@@ -10,7 +10,7 @@ GO ?= go
 # path.
 BENCH_OUT ?= BENCH_$(PR).json
 
-.PHONY: build test race bench bench-quick alloc-guard api apicheck
+.PHONY: build test race bench bench-quick alloc-guard api apicheck loc bench-build
 
 # require-pr guards the bench targets: refuse to guess which snapshot
 # file to write.
@@ -63,3 +63,17 @@ api:
 
 apicheck:
 	scripts/apicheck.sh check
+
+# loc prints the non-test Go lines per package directory and their
+# total, benchmark/ (its own module) excluded — the size figure every
+# PR reports next to its perf numbers.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
+		-exec wc -l {} + | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
+
+# bench-build compiles and vets the nested benchmark module against the
+# working tree, so an internal/... refactor cannot silently break it
+# (the root module's ./... does not reach it).
+bench-build:
+	cd benchmark && $(GO) build -o /dev/null ./... && $(GO) vet ./...

@@ -11,6 +11,7 @@
 package greta_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -300,8 +301,13 @@ func BenchmarkParallelPartitions(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				eng := stmt.NewEngine()
-				eng.RunParallel(greta.NewSliceStream(evs), workers)
+				rt := greta.NewRuntime()
+				if _, err := rt.Register(stmt, greta.WithSharing(false)); err != nil {
+					b.Fatal(err)
+				}
+				if err := rt.RunParallel(context.Background(), greta.NewSliceStream(evs), workers); err != nil {
+					b.Fatal(err)
+				}
 			}
 			reportThroughput(b, len(evs))
 		})
@@ -440,9 +446,12 @@ func BenchmarkIngestion(b *testing.B) {
 	cfgIngest := gen.DefaultStock(200000)
 	cfgIngest.Rate = 1000
 	evs := gen.Stock(cfgIngest)
+	rt := greta.NewRuntime()
+	if _, err := rt.Register(stmt); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
-	eng := stmt.NewEngine()
 	for i := 0; i < b.N; i++ {
-		eng.Process(evs[i%len(evs)])
+		_ = rt.Process(evs[i%len(evs)]) // the wrap-around's late events are dropped
 	}
 }

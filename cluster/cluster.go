@@ -4,17 +4,21 @@
 // hosting one or more worker slots — the distributed analogue of
 // RunParallel's N workers.
 //
-// The placement and merge contract is RunParallel's, verbatim. The
-// coordinator computes the per-route-group FNV-1a partition hash once
-// per event (core.HashRoute — shards never rehash) and forwards the
-// event to the slot hash % N0, where N0 is the worker-slot count fixed
-// at Connect. Statement registrations fan out to every slot under the
-// watermark contract: the coordinator's global watermark rides the
-// registration frame, so every slot cuts the new statement at the same
-// instant. Per-statement window barriers precede the event that closes
-// the window, exactly as feedWorkers orders them; slots release their
-// partial windows and acknowledge over TCP, and the coordinator merges
-// partials in slot order — float results stay bit-identical to a
+// The worker and the merger are RunParallel's, not copies of them: a
+// shard session hosts the same core.ShardHost worker slots RunParallel
+// runs in-process, and the coordinator merges their partials through
+// the same core.SlotMerge and folds their counters through the same
+// Stmt.FoldRemoteStats — only the transport (netstream frames instead
+// of channels) differs. The coordinator computes the per-route-group
+// FNV-1a partition hash once per event (core.HashRoute — shards never
+// rehash) and forwards the event to the slot hash % N0, where N0 is the
+// worker-slot count fixed at Connect. Statement registrations fan out
+// to every slot under the watermark contract: the coordinator's global
+// watermark rides the registration frame, so every slot cuts the new
+// statement at the same instant. Per-statement window barriers precede
+// the event that closes the window, as in RunParallel's feed loop;
+// slots release their partial windows and acknowledge over TCP, and the
+// merger emits in slot order — float results are bit-identical to a
 // single-process RunParallel with the same worker count.
 //
 // Events travel as columnar batch frames (one frame-level sequence
@@ -29,10 +33,10 @@
 // notices the migration.
 //
 // Deliberately not distributed: the shared sub-plan network (cluster
-// statements register exclusively), transactional statements, reorder
-// slack, and unpartitioned or composite statements — the latter run
-// inline on the coordinator, preserving sequential semantics, just as
-// RunParallel keeps them on its feed goroutine.
+// statements register exclusively), reorder slack, and unpartitioned
+// or composite statements — the latter run inline on the coordinator,
+// preserving sequential semantics, just as RunParallel keeps them on
+// its feed goroutine.
 package cluster
 
 import (
@@ -166,18 +170,16 @@ type routeGroup struct {
 	refs int
 }
 
-// unit is one live partitioned statement: its barrier cursor and the
-// merge state mirroring RunParallel's mergeLoop (pending partials per
-// window, per-slot release frontiers).
+// unit is one live partitioned statement: its barrier cursor, its
+// slot-order merger (the one RunParallel uses), and the per-slot stats
+// fold bookkeeping.
 type unit struct {
 	si, gi  int
 	st      *core.Stmt
 	win     window.Spec
-	def     *aggregate.Def
 	parPrev int64
 
-	pending   map[int64]map[string][]*aggregate.Payload // wid → group → per-slot partial
-	released  []int64                                   // per-slot highest released wid
+	merge     *core.SlotMerge
 	statsSeen []bool
 	statsLeft int
 	regPend   map[*link]bool
@@ -440,17 +442,13 @@ func (co *Coordinator) Register(src string, opts ...RegisterOption) (*Handle, er
 	co.groups[gi].refs++
 	u := &unit{
 		si: co.nextSI, gi: gi, st: st,
-		win: st.WindowSpec(), def: st.MergeDef(), parPrev: co.wm,
-		pending:   map[int64]map[string][]*aggregate.Payload{},
-		released:  make([]int64, co.n0),
+		win: st.WindowSpec(), parPrev: co.wm,
+		merge:     core.NewSlotMerge(st, co.n0),
 		statsSeen: make([]bool, co.n0),
 		statsLeft: co.n0,
 		regPend:   map[*link]bool{},
 	}
 	co.nextSI++
-	for w := range u.released {
-		u.released[w] = math.MinInt64
-	}
 	h.u = u
 	co.units[u.si] = u
 	co.unitID[st.ID()] = u
@@ -474,11 +472,12 @@ func (co *Coordinator) Register(src string, opts ...RegisterOption) (*Handle, er
 }
 
 // Process offers one event to the cluster: barriers for every window
-// the event's time closes fan out first (feedWorkers' ordering), then
+// the event's time closes fan out first (RunParallel's ordering), then
 // inline statements process it, then it is routed — one hash per live
 // route group — into the owning slots' batch frames. Late events are
-// dropped and charged to every statement's OutOfOrder, as the
-// single-process paths do.
+// dropped, charged to every statement's OutOfOrder, and reported as a
+// *greta.OrderError (errors.Is ErrOutOfOrder), as the single-process
+// paths do.
 func (co *Coordinator) Process(ev *greta.Event) error {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -503,7 +502,7 @@ func (co *Coordinator) Process(ev *greta.Event) error {
 		for _, st := range co.inline {
 			st.AddOutOfOrder(1)
 		}
-		return greta.ErrOutOfOrder
+		return &greta.OrderError{EventTime: ev.Time, Watermark: co.wm}
 	}
 	co.wm = ev.Time
 	co.rt.ObserveTime(ev.Time)
@@ -589,17 +588,7 @@ func (co *Coordinator) closeUnitLocked(u *unit) error {
 
 // done reports whether every slot has fully released and folded the
 // unit.
-func (u *unit) done() bool {
-	if u.statsLeft > 0 || len(u.pending) > 0 {
-		return false
-	}
-	for _, r := range u.released {
-		if r != math.MaxInt64 {
-			return false
-		}
-	}
-	return true
-}
+func (u *unit) done() bool { return u.statsLeft == 0 && u.merge.Done() }
 
 // dropUnitLocked removes a fully-closed unit from the live set.
 func (co *Coordinator) dropUnitLocked(u *unit) {

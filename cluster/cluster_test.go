@@ -4,15 +4,18 @@ import (
 	"cmp"
 	"context"
 	"errors"
+	"io"
 	"net"
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/greta-cep/greta"
 	"github.com/greta-cep/greta/cluster"
+	"github.com/greta-cep/greta/internal/faultnet"
 	"github.com/greta-cep/greta/netstream"
 )
 
@@ -237,10 +240,110 @@ func TestClusterMidStreamRegisterClose(t *testing.T) {
 	}
 }
 
-// TestClusterKillResume severs shard links mid-stream: the links
-// redial, resume their sessions, and replay unacknowledged frames in
-// both directions. Bit-identical results and stats against RunParallel
-// prove no frame applied twice (and none was lost).
+// TestClusterLateEvent pins the ingest error contract shared with
+// Runtime.Process: a late event is dropped with a *greta.OrderError
+// carrying the coordinator's watermark, and every statement —
+// partitioned or inline — counts the drop once.
+func TestClusterLateEvent(t *testing.T) {
+	co := connect(t, startShards(t, 2))
+	var hs []*cluster.Handle
+	for _, q := range diffQueries {
+		h, err := co.Register(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs = append(hs, h)
+	}
+	events := greta.ClusterStream(greta.DefaultCluster(200))
+	for _, ev := range events {
+		if err := co.Process(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wm := co.Watermark()
+	late := *events[0]
+	late.Time = wm - 1
+	err := co.Process(&late)
+	var oe *greta.OrderError
+	if !errors.As(err, &oe) || !errors.Is(err, greta.ErrOutOfOrder) {
+		t.Fatalf("late event: err = %v, want a *greta.OrderError matching ErrOutOfOrder", err)
+	}
+	if oe.EventTime != late.Time || oe.Watermark != wm {
+		t.Errorf("OrderError = %+v, want event time %d against watermark %d", oe, late.Time, wm)
+	}
+	for _, h := range hs {
+		if got := h.Stats().OutOfOrder; got != 1 {
+			t.Errorf("%s: OutOfOrder = %d after one late event, want 1", h.ID(), got)
+		}
+	}
+	if err := co.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// tornRelay fronts one shard with a TCP relay whose coordinator→shard
+// direction runs under a faultnet plan, fresh per connection, so a test
+// can tear a coordinator frame mid-line — the write-side fault
+// BreakLink's clean close between frames cannot produce.
+type tornRelay struct {
+	addr string
+	mu   sync.Mutex
+	cur  *faultnet.Faults
+}
+
+func startTornRelay(t *testing.T, shard string) *tornRelay {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	r := &tornRelay{addr: ln.Addr().String()}
+	pipe := func(dst, src net.Conn) {
+		_, _ = io.Copy(dst, src)
+		_ = dst.Close()
+		_ = src.Close()
+	}
+	go func() {
+		for {
+			down, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			up, err := net.Dial("tcp", shard)
+			if err != nil {
+				_ = down.Close()
+				continue
+			}
+			f := faultnet.New()
+			r.mu.Lock()
+			r.cur = f
+			r.mu.Unlock()
+			fup := f.Conn(up)
+			go pipe(fup, down)
+			go pipe(down, fup)
+		}
+	}()
+	return r
+}
+
+// tear severs the live connection once n more coordinator→shard bytes
+// have been relayed: the shard reads a torn line, the coordinator a
+// reset.
+func (r *tornRelay) tear(n int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.cur != nil {
+		r.cur.CutAfterWrites(n)
+	}
+}
+
+// TestClusterKillResume severs shard links mid-stream — cleanly between
+// frames (BreakLink) and mid-frame on the coordinator's write side (a
+// faultnet write budget on the relay) — the links redial, resume their
+// sessions, and replay unacknowledged frames in both directions.
+// Bit-identical results and stats against RunParallel prove no frame
+// applied twice (and none was lost).
 func TestClusterKillResume(t *testing.T) {
 	events := greta.ClusterStream(greta.DefaultCluster(6000))
 	q := diffQueries[0]
@@ -257,17 +360,42 @@ func TestClusterKillResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	co := connect(t, startShards(t, 2))
+	var relays []*tornRelay
+	var addrs []string
+	for _, shard := range startShards(t, 2) {
+		r := startTornRelay(t, shard)
+		relays, addrs = append(relays, r), append(addrs, r.addr)
+	}
+	co := connect(t, addrs)
 	h, err := co.Register(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	kills := map[int]int{len(events) / 4: 0, len(events) / 2: 1, 3 * len(events) / 4: 0}
+	tears := map[int]int{len(events) / 8: 1, 5 * len(events) / 8: 0, 7 * len(events) / 8: 1}
+	faults := uint64(0)
+	// settle waits until every earlier break has healed: a connection
+	// lost during the resume handshake itself is fatal by design.
+	settle := func() {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); co.Metrics().Resumes < faults; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d link faults injected, %d resumes", faults, co.Metrics().Resumes)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		faults++
+	}
 	for i, ev := range events {
 		if link, ok := kills[i]; ok {
+			settle()
 			if err := co.BreakLink(link); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if link, ok := tears[i]; ok {
+			settle()
+			relays[link].tear(37) // inside the next frame
 		}
 		if err := co.Process(ev); err != nil && !errors.Is(err, greta.ErrOutOfOrder) {
 			t.Fatal(err)
@@ -275,6 +403,9 @@ func TestClusterKillResume(t *testing.T) {
 	}
 	if err := co.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if got := co.Metrics().Resumes; got != faults {
+		t.Errorf("%d link faults injected, %d resumes", faults, got)
 	}
 	compareResults(t, "kill-resume", collect(ref), h.Results())
 	if ws, cs := ref.Stats(), h.Stats(); ws != cs {

@@ -9,7 +9,6 @@ import (
 	"net"
 	"time"
 
-	"github.com/greta-cep/greta/internal/aggregate"
 	"github.com/greta-cep/greta/internal/core"
 	"github.com/greta-cep/greta/netstream"
 )
@@ -93,9 +92,9 @@ func (co *Coordinator) dialLink(ctx context.Context, idx int, addr string, slots
 	return l, nil
 }
 
-// send stamps, rings, and writes one sequenced frame. co.mu held. A
-// write error is ignored here: the reader notices the break and the
-// resume replays the ring tail.
+// send stamps, rings, and writes one sequenced frame. co.mu held. The
+// ring, not the write, is what guarantees delivery: a frame that never
+// reached the socket is replayed by the resume.
 func (l *link) send(we netstream.WireEvent) {
 	l.seq++
 	we.Seq = l.seq
@@ -105,17 +104,24 @@ func (l *link) send(we netstream.WireEvent) {
 	}
 	if l.enc != nil {
 		t0 := time.Now()
-		_ = l.enc.Encode(we)
+		l.sendRaw(we)
 		l.co.met.encDur.Observe(time.Since(t0))
 	}
 	l.co.met.frames.Inc()
 }
 
-// sendRaw writes one unsequenced control line (session, resume,
-// flush). co.mu held.
+// sendRaw writes one frame as is — the unsequenced control lines
+// (session, resume, flush) and send's stamped frames. co.mu held. The
+// first failed write closes the connection, so the reader's reattach
+// starts immediately, and drops the encoder, so later frames are
+// ringed without being encoded into a dead socket.
 func (l *link) sendRaw(we netstream.WireEvent) {
-	if l.enc != nil {
-		_ = l.enc.Encode(we)
+	if l.enc == nil {
+		return
+	}
+	if err := l.enc.Encode(we); err != nil {
+		l.enc = nil
+		_ = l.conn.Close()
 	}
 }
 
@@ -283,10 +289,10 @@ func (co *Coordinator) handleLine(l *link, o *serverLine) {
 }
 
 // onPartialLocked files one slot's released window into the unit's
-// pending merge state — mergeLoop's partial bookkeeping.
+// merger.
 func (co *Coordinator) onPartialLocked(l *link, p *netstream.WirePartial) {
 	u := co.units[p.SI]
-	if u == nil || p.W < 0 || p.W >= co.n0 {
+	if u == nil {
 		return
 	}
 	raw, err := base64.StdEncoding.DecodeString(p.Payload)
@@ -299,21 +305,11 @@ func (co *Coordinator) onPartialLocked(l *link, p *netstream.WirePartial) {
 		co.fail(fmt.Errorf("cluster: shard %d: partial decode: %w", l.idx, err))
 		return
 	}
-	wmap := u.pending[p.Wid]
-	if wmap == nil {
-		wmap = map[string][]*aggregate.Payload{}
-		u.pending[p.Wid] = wmap
-	}
-	slot := wmap[p.Group]
-	if slot == nil {
-		slot = make([]*aggregate.Payload, co.n0)
-		wmap[p.Group] = slot
-	}
-	slot[p.W] = pl
+	u.merge.Add(p.W, p.Group, p.Wid, pl)
 }
 
-// onAckLocked advances one slot's release frontier and emits every
-// window now acknowledged by all slots — mergeLoop's release path.
+// onAckLocked advances one slot's release frontier; the unit's merger
+// emits every window now acknowledged by all slots.
 func (co *Coordinator) onAckLocked(a *netstream.WireAck) {
 	if a.W < 0 || a.W >= co.n0 {
 		return
@@ -322,17 +318,14 @@ func (co *Coordinator) onAckLocked(a *netstream.WireAck) {
 		co.slotAck[a.W] = a.T
 	}
 	co.ackBarrierLocked(a.SI, a.W, a.Hi)
-	u := co.units[a.SI]
-	if u == nil || a.Hi <= u.released[a.W] {
-		return
+	if u := co.units[a.SI]; u != nil {
+		u.merge.Ack(a.W, a.Hi)
+		co.cond.Broadcast()
 	}
-	u.released[a.W] = a.Hi
-	co.drainUnitPendingLocked(u)
-	co.cond.Broadcast()
 }
 
 // onUnitStatsLocked folds one slot's final engine counters into the
-// statement — RunParallel's per-worker stats fold.
+// statement.
 func (co *Coordinator) onUnitStatsLocked(s *netstream.WireUnitStats) {
 	u := co.units[s.SI]
 	if u == nil || s.W < 0 || s.W >= co.n0 || u.statsSeen[s.W] {

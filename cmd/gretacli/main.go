@@ -156,12 +156,16 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		eng := stmt.NewEngine()
-		for _, ev := range evs {
-			eng.Process(ev)
+		rt := greta.NewRuntime()
+		h, err := rt.Register(stmt)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
-		fmt.Print(eng.DOT())
-		eng.Flush()
+		for _, ev := range evs {
+			_ = rt.Process(ev) // late events are dropped, as in a normal run
+		}
+		fmt.Print(h.DOT())
 		return
 	}
 

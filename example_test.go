@@ -1,6 +1,7 @@
 package greta_test
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/greta-cep/greta"
@@ -23,9 +24,11 @@ func ExampleCompile() {
 	b.Add("A", 4, map[string]float64{"attr": 4})
 	b.Add("B", 7, nil)
 
-	eng := stmt.NewEngine()
-	eng.Run(b.Stream())
-	r := eng.Results()[0]
+	rt := greta.NewRuntime()
+	h, _ := rt.Register(stmt)
+	rt.Run(context.Background(), b.Stream())
+	rt.Close() // flush the open window
+	r := h.Delivered()[0]
 	fmt.Printf("COUNT(*)=%g COUNT(A)=%g MIN=%g MAX=%g SUM=%g AVG=%g\n",
 		r.Values[0], r.Values[1], r.Values[2], r.Values[3], r.Values[4], r.Values[5])
 	// Output: COUNT(*)=11 COUNT(A)=20 MIN=4 MAX=6 SUM=100 AVG=5
@@ -41,24 +44,27 @@ func ExampleCompile_negation() {
 	b.Add("Position", 2, nil)
 	b.Add("Accident", 3, nil)
 	b.Add("Position", 4, nil) // invalidated
-	eng := stmt.NewEngine()
-	eng.Run(b.Stream())
-	fmt.Println(eng.Results()[0].Values[0])
+	rt := greta.NewRuntime()
+	h, _ := rt.Register(stmt)
+	rt.Run(context.Background(), b.Stream())
+	rt.Close()
+	fmt.Println(h.Delivered()[0].Values[0])
 	// Output: 3
 }
 
 // Sliding windows: results stream out per window as it closes.
-func ExampleEngine_OnResult() {
-	stmt := greta.MustCompile(`RETURN COUNT(*) PATTERN A+ WITHIN 10 SLIDE 10`)
-	eng := stmt.NewEngine()
-	eng.OnResult(func(r greta.Result) {
+func ExampleHandle_OnResult() {
+	rt := greta.NewRuntime()
+	h, _ := rt.Register(greta.MustCompile(`RETURN COUNT(*) PATTERN A+ WITHIN 10 SLIDE 10`))
+	h.OnResult(func(r greta.Result) {
 		fmt.Printf("window %d: %g trends\n", r.Wid, r.Values[0])
 	})
 	var b greta.Builder
 	b.Add("A", 1, nil)
 	b.Add("A", 5, nil)
 	b.Add("A", 12, nil)
-	eng.Run(b.Stream())
+	rt.Run(context.Background(), b.Stream())
+	rt.Close()
 	// Output:
 	// window 0: 3 trends
 	// window 1: 1 trends
@@ -143,8 +149,10 @@ func ExampleWithExactArithmetic() {
 	for i := 1; i <= 70; i++ {
 		b.Add("A", greta.Time(i), nil)
 	}
-	eng := stmt.NewEngine()
-	eng.Run(b.Stream())
-	fmt.Printf("%.6g\n", eng.Results()[0].Values[0]) // 2^70 - 1
+	rt := greta.NewRuntime()
+	h, _ := rt.Register(stmt)
+	rt.Run(context.Background(), b.Stream())
+	rt.Close()
+	fmt.Printf("%.6g\n", h.Delivered()[0].Values[0]) // 2^70 - 1
 	// Output: 1.18059e+21
 }

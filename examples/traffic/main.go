@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,20 +31,28 @@ func main() {
 	cfg.AccidentProb = 0.0005
 	events := greta.LinearRoadStream(cfg)
 
-	eng := stmt.NewEngine()
-	eng.Run(greta.NewSliceStream(events))
+	rt := greta.NewRuntime()
+	h, err := rt.Register(stmt)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := rt.Run(context.Background(), greta.NewSliceStream(events)); err != nil {
+		log.Fatal(err)
+	}
+	if err := rt.Close(); err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("slow-down trajectories per window and segment (accident-free):")
-	shown := 0
-	for _, r := range eng.Results() {
-		fmt.Printf("  window %3d segment=%-6s trajectories=%-12g avg speed=%.1f\n",
-			r.Wid, r.Group, r.Values[0], r.Values[1])
-		shown++
-		if shown >= 25 {
-			fmt.Printf("  ... (%d more results)\n", len(eng.Results())-shown)
+	results := h.Delivered()
+	for i, r := range results {
+		if i == 25 {
+			fmt.Printf("  ... (%d more results)\n", len(results)-i)
 			break
 		}
+		fmt.Printf("  window %3d segment=%-6s trajectories=%-12g avg speed=%.1f\n",
+			r.Wid, r.Group, r.Values[0], r.Values[1])
 	}
-	st := eng.Stats()
+	st := h.Stats()
 	fmt.Printf("\nprocessed %d events across %d partitions\n", st.Events, st.Partitions)
 }

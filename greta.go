@@ -39,9 +39,9 @@
 //	}()
 //
 // Runtime.Run consumes a whole Stream under a context;
-// Runtime.RunParallel partitions it across workers with a streaming
-// per-window merge. The single-statement Engine (Statement.NewEngine)
-// remains as a deprecated shim over a one-statement Runtime.
+// Runtime.RunParallel partitions it across in-process worker slots with
+// a streaming per-window merge — the same worker slots and slot-order
+// merger the cluster package drives across processes.
 //
 // The query language follows the paper's grammar (Fig. 2): RETURN with
 // COUNT/MIN/MAX/SUM/AVG, PATTERN with event types, SEQ, Kleene plus,
@@ -51,10 +51,6 @@
 package greta
 
 import (
-	"cmp"
-	"context"
-	"slices"
-
 	"github.com/greta-cep/greta/internal/aggregate"
 	"github.com/greta-cep/greta/internal/core"
 	"github.com/greta-cep/greta/internal/event"
@@ -171,102 +167,3 @@ func MustCompile(src string, opts ...Option) *Statement {
 
 // Query returns the canonical text of the compiled query.
 func (s *Statement) Query() string { return s.query.String() }
-
-// NewEngine instantiates a single-statement runtime for the statement.
-// Engines are single-use: create one per stream pass.
-//
-// Deprecated: Engine is a thin shim over a one-statement Runtime. New
-// code should use NewRuntime and Register, which share one ingest path
-// across many concurrent statements and support mid-stream lifecycle.
-func (s *Statement) NewEngine() *Engine {
-	rt := NewRuntime()
-	// Sharing is off for the shim: SetTransactional mutates the engine
-	// after registration, which a shared graph must never absorb.
-	h, err := rt.Register(s, WithSharing(false))
-	if err != nil {
-		// A fresh runtime cannot be closed or running.
-		panic(err)
-	}
-	return &Engine{rt: rt, h: h, inner: h.st.Engine()}
-}
-
-// Engine is the single-statement GRETA runtime: it consumes an
-// in-order event stream, maintains the GRETA graph(s), and emits
-// per-group, per-window aggregates as windows close.
-//
-// Deprecated: Engine wraps a one-statement Runtime; use Runtime and
-// Handle directly for shared ingest across statements, mid-stream
-// registration, error-returning Process, and streaming results.
-type Engine struct {
-	rt    *Runtime
-	h     *Handle
-	inner *core.Engine
-}
-
-// Runtime exposes the Engine's underlying one-statement Runtime (a
-// migration bridge: netstream, for example, attaches further
-// statements to it).
-func (e *Engine) Runtime() *Runtime { return e.rt }
-
-// Handle exposes the Engine's statement handle (streaming results,
-// statement id).
-func (e *Engine) Handle() *Handle { return e.h }
-
-// OnResult registers a callback invoked when a window's final
-// aggregate is emitted (incrementally maintained, so emission is
-// immediate at window close).
-func (e *Engine) OnResult(f func(Result)) { e.h.OnResult(f) }
-
-// Process offers one event. Events must arrive in non-decreasing time
-// order; a late event is counted and dropped (see Stats.OutOfOrder).
-func (e *Engine) Process(ev *Event) { _ = e.rt.Process(ev) }
-
-// Run consumes a whole stream and flushes.
-func (e *Engine) Run(s Stream) {
-	_ = e.rt.Run(context.Background(), s)
-	_ = e.rt.Close()
-}
-
-// RunParallel consumes the stream with parallel workers, partitioning
-// by grouping/equivalence attributes (paper §7), merging results per
-// window as they close. Falls back to Run for ungrouped queries.
-func (e *Engine) RunParallel(s Stream, workers int) {
-	_ = e.rt.RunParallel(context.Background(), s, workers)
-}
-
-// SetTransactional switches to the paper's §7 stream-transaction
-// scheduler: events sharing a timestamp execute as one transaction per
-// partition, with independent dependency levels (e.g., several negative
-// sub-pattern graphs) processed concurrently. Results are identical to
-// the default sequential mode. Call before the first Process.
-func (e *Engine) SetTransactional(on bool) { e.inner.SetTransactional(on) }
-
-// Flush closes all open windows; call at end of stream. Flush closes
-// the backing one-statement Runtime, so events offered afterwards are
-// rejected and dropped (engines were always documented single-use;
-// drive the Runtime directly if you need explicit end-of-life control).
-func (e *Engine) Flush() { _ = e.rt.Close() }
-
-// Results returns all emitted results sorted by (group, window),
-// served from the handle's delivery buffer — the engine itself may run
-// without retention.
-func (e *Engine) Results() []Result {
-	rs := e.h.bufferedResults()
-	slices.SortFunc(rs, func(a, b Result) int {
-		if c := cmp.Compare(a.Group, b.Group); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Wid, b.Wid)
-	})
-	return rs
-}
-
-// Stats returns runtime statistics.
-func (e *Engine) Stats() Stats { return e.inner.Stats() }
-
-// DOT renders the engine's live GRETA graph(s) in Graphviz DOT format
-// — one box per vertex labeled "type+time : count" as in the paper's
-// figures, with edges between adjacent trend events. Intended for
-// debugging and teaching on small streams; call before Flush expires
-// the graph.
-func (e *Engine) DOT() string { return e.inner.DOT() }

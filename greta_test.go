@@ -1,12 +1,40 @@
 package greta_test
 
 import (
+	"cmp"
+	"context"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/greta-cep/greta"
 )
+
+// runOne registers stmt alone on a fresh Runtime, drives the stream to
+// the end (on parallel workers when workers > 1), closes the runtime,
+// and returns the handle with its results sorted by (group, window).
+func runOne(t *testing.T, stmt *greta.Statement, s greta.Stream, workers int) (*greta.Handle, []greta.Result) {
+	t.Helper()
+	rt := greta.NewRuntime()
+	h, err := rt.Register(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if workers > 1 {
+		err = rt.RunParallel(context.Background(), s, workers)
+	} else if err = rt.Run(context.Background(), s); err == nil {
+		err = rt.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := h.Delivered()
+	slices.SortFunc(rs, func(a, b greta.Result) int {
+		return cmp.Or(cmp.Compare(a.Group, b.Group), cmp.Compare(a.Wid, b.Wid))
+	})
+	return h, rs
+}
 
 func TestCompileAndRunQ1(t *testing.T) {
 	stmt, err := greta.Compile(`
@@ -19,11 +47,20 @@ func TestCompileAndRunQ1(t *testing.T) {
 		t.Fatal(err)
 	}
 	events := greta.StockStream(greta.DefaultStock(5000))
-	eng := stmt.NewEngine()
+	rt := greta.NewRuntime()
+	h, err := rt.Register(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var streamed int
-	eng.OnResult(func(greta.Result) { streamed++ })
-	eng.Run(greta.NewSliceStream(events))
-	rs := eng.Results()
+	h.OnResult(func(greta.Result) { streamed++ })
+	if err := rt.Run(context.Background(), greta.NewSliceStream(events)); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rs := h.Delivered()
 	if len(rs) == 0 {
 		t.Fatal("no results")
 	}
@@ -75,9 +112,7 @@ func TestExactArithmetic(t *testing.T) {
 		b.Add("A", greta.Time(i), nil)
 	}
 	stmt := greta.MustCompile("RETURN COUNT(*) PATTERN A+", greta.WithExactArithmetic())
-	eng := stmt.NewEngine()
-	eng.Run(b.Stream())
-	rs := eng.Results()
+	_, rs := runOne(t, stmt, b.Stream(), 1)
 	if len(rs) != 1 {
 		t.Fatal("no result")
 	}
@@ -96,12 +131,8 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 		WITHIN 20 seconds SLIDE 10 seconds`)
 	events := greta.ClusterStream(greta.DefaultCluster(20000))
 
-	seq := stmt.NewEngine()
-	seq.Run(greta.NewSliceStream(events))
-	par := stmt.NewEngine()
-	par.RunParallel(greta.NewSliceStream(events), 4)
-
-	a, b := seq.Results(), par.Results()
+	_, a := runOne(t, stmt, greta.NewSliceStream(events), 1)
+	_, b := runOne(t, stmt, greta.NewSliceStream(events), 4)
 	if len(a) != len(b) {
 		t.Fatalf("results: seq %d, par %d", len(a), len(b))
 	}
@@ -119,15 +150,14 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 
 func TestOutOfOrderDropped(t *testing.T) {
 	stmt := greta.MustCompile("RETURN COUNT(*) PATTERN A+")
-	eng := stmt.NewEngine()
-	eng.Process(&greta.Event{ID: 1, Type: "A", Time: 5})
-	eng.Process(&greta.Event{ID: 2, Type: "A", Time: 3}) // late: dropped
-	eng.Process(&greta.Event{ID: 3, Type: "A", Time: 6})
-	eng.Flush()
-	if got := eng.Stats().OutOfOrder; got != 1 {
+	var b greta.Builder
+	b.Add("A", 5, nil)
+	b.Add("A", 3, nil) // late: dropped
+	b.Add("A", 6, nil)
+	h, rs := runOne(t, stmt, b.Stream(), 1)
+	if got := h.Stats().OutOfOrder; got != 1 {
 		t.Errorf("OutOfOrder = %d, want 1", got)
 	}
-	rs := eng.Results()
 	if len(rs) != 1 || rs[0].Values[0] != 3 { // trends over {a5, a6}
 		t.Errorf("results = %+v, want count 3", rs)
 	}
@@ -166,12 +196,20 @@ func TestChannelIngestion(t *testing.T) {
 		}
 		close(ch)
 	}()
-	eng := stmt.NewEngine()
-	for ev := range ch {
-		eng.Process(ev)
+	rt := greta.NewRuntime()
+	h, err := rt.Register(stmt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	eng.Flush()
-	if len(eng.Results()) != 1 {
-		t.Fatalf("results = %d", len(eng.Results()))
+	for ev := range ch {
+		if err := rt.Process(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(h.Delivered()); n != 1 {
+		t.Fatalf("results = %d", n)
 	}
 }

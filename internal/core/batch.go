@@ -367,16 +367,6 @@ func (e *Engine) processSegment(b *event.Batch, rows []*event.Event, lo, hi int)
 	if lo >= hi {
 		return
 	}
-	if e.transactional {
-		// The §7 scheduler batches by timestamp internally; feed it
-		// row by row. ProcessRouted ignores the forwarded hash in
-		// transactional mode (runBatch hashes per batch), so no
-		// routing hash is computed here.
-		for i := lo; i < hi; i++ {
-			e.ProcessRouted(rows[i], 0)
-		}
-		return
-	}
 	pf := e.prefilterFor(b, lo, hi)
 	if e.partCache == nil {
 		e.partCache = make([]partCacheEnt, partCacheSize)
@@ -615,7 +605,7 @@ func (e *Engine) prefilterFor(b *event.Batch, lo, hi int) *batchPrefilter {
 // provably-equivalent column form — anything else is pass-through.
 func (e *Engine) buildPrefilter(sch *event.Schema) *batchPrefilter {
 	pf := &batchPrefilter{sch: sch, mode: pfPass}
-	if e.transactional || !e.plan.Simple() || len(e.plan.Subs) != 1 {
+	if !e.plan.Simple() || len(e.plan.Subs) != 1 {
 		return pf
 	}
 	spec := e.plan.Subs[0]

@@ -268,44 +268,6 @@ func TestBatchIngestDifferential(t *testing.T) {
 	}
 }
 
-// TestBatchIngestTransactionalDifferential covers the §7 transactional
-// scheduler: batches degrade to the per-row transactional discipline
-// and must stay bit-identical.
-func TestBatchIngestTransactionalDifferential(t *testing.T) {
-	queries := []string{
-		batchDiffQueries[0],
-		"RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ WHERE [company] AND S.price <= S.vol GROUP-BY company WITHIN 20 SLIDE 5",
-	}
-	evs := batchDiffStream(rand.New(rand.NewSource(4)), 300, 15, 0)
-
-	refRt := core.NewRuntime()
-	refStmts := registerAll(t, refRt, queries, aggregate.ModeNative)
-	for _, st := range refStmts {
-		st.Engine().SetTransactional(true)
-	}
-	feedEach(t, refRt, evs)
-	if err := refRt.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	rt := core.NewRuntime()
-	stmts := registerAll(t, rt, queries, aggregate.ModeNative)
-	for _, st := range stmts {
-		st.Engine().SetTransactional(true)
-	}
-	feedBatches(t, rt, evs, 64, nil)
-	if err := rt.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range stmts {
-		compareResults(t, 4, stmts[i].Results(), refStmts[i].Results())
-		compareStmtStats(t, "transactional", i, stmts[i].Stats(), refStmts[i].Stats())
-		if n := stmts[i].Stats().PrefilterSkips; n != 0 {
-			t.Errorf("transactional statement %d took the pre-filter skip path (%d rows)", i, n)
-		}
-	}
-}
-
 // TestBatchIngestMidBatchClose closes a statement at a stream position
 // that lands inside a would-be batch: the feeder must flush, close,
 // and continue, reproducing the per-event run for both the closed and

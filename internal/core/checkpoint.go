@@ -45,8 +45,10 @@ import (
 // Version 2 added the session-meta blob to the header and the reorder
 // buffer section (slack, watermarks, pending in-flight events) to the
 // body, so a restored runtime rehydrates its disorder window instead
-// of silently flushing it.
-const ckVersion = 2
+// of silently flushing it. Version 3 dropped the per-statement
+// stream-transaction flag and the engines' pending same-timestamp
+// batch, which only the deleted §7 scheduler fork used.
+const ckVersion = 3
 
 // SaveFunc persists one snapshot. replayFrom is the inclusive
 // event-time lower bound the feeder must replay after a restore;
@@ -110,9 +112,8 @@ func (rt *Runtime) checkpointAtBoundary(t event.Time) {
 	ck := rt.ck
 	b := t / ck.every * ck.every
 	// Advance every engine to the boundary: closes the same windows
-	// the triggering event would close, flushes transactional batches
-	// (their time is < b), and is idempotent for engines shared by
-	// several statements.
+	// the triggering event would close, and is idempotent for engines
+	// shared by several statements.
 	for _, st := range rt.stmts {
 		st.eng.AdvanceTo(b)
 	}
@@ -218,7 +219,7 @@ func (st *Stmt) NoRetain() bool { return st.noRetain }
 // ---------------------------------------------------------------------
 
 // evTable interns the events referenced by serialized state (vertices,
-// transactional batches). The runtime shares one *Event across all
+// reorder-buffer pending events). The runtime shares one *Event across all
 // engines, so deduplication is by pointer; references are assigned in
 // first-encounter order while the body is encoded, and the table
 // itself is written before the body in the file.
@@ -1038,11 +1039,6 @@ func encodeEngine(enc *checkpoint.Encoder, tab *evTable, e *Engine) {
 	enc.I64(int64(s.Partitions))
 	enc.U64(uint64(e.emitted))
 	encodeResults(enc, e.results)
-	enc.I64(e.batchTime)
-	enc.U32(uint32(len(e.batch)))
-	for _, ev := range e.batch {
-		enc.U32(tab.ref(ev))
-	}
 	if simple {
 		enc.U32(uint32(len(e.partList)))
 		for _, p := range e.partList {
@@ -1086,18 +1082,6 @@ func decodeEngine(d *checkpoint.Decoder, events []*event.Event, e *Engine) error
 	s.Partitions = int(d.I64())
 	e.emitted = int(d.U64())
 	e.results = decodeResults(d)
-	e.batchTime = d.I64()
-	nb := d.Len(4)
-	for i := 0; i < nb; i++ {
-		ref := int(d.U32())
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if ref >= len(events) {
-			return d.Corrupt("batch event ref %d out of range", ref)
-		}
-		e.batch = append(e.batch, events[ref])
-	}
 	if simple {
 		np := d.Len(8)
 		for i := 0; i < np && d.Err() == nil; i++ {
@@ -1169,15 +1153,11 @@ func (rt *Runtime) encodeLocked(w io.Writer, replayFrom event.Time) error {
 		be.String(st.srcPlan.Query.String())
 		be.U8(uint8(st.srcPlan.Mode))
 		ref := int64(-1)
-		transactional, force := false, false
+		force := st.eng.forceScan
 		if st.entry != nil {
 			ref = int64(entryRef[st.entry])
 			force = st.entry.force
-		} else {
-			transactional = st.eng.transactional
-			force = st.eng.forceScan
 		}
-		be.Bool(transactional)
 		be.Bool(force)
 		be.Bool(st.entry != nil || st.shareNode != nil)
 		be.Bool(st.noRetain)
@@ -1311,7 +1291,6 @@ func RestoreRuntime(data []byte) (*Runtime, RestoreInfo, error) {
 		id := d.String()
 		qtext := d.String()
 		mode := aggregate.Mode(d.U8())
-		transactional := d.Bool()
 		force := d.Bool()
 		shared := d.Bool()
 		noRetain := d.Bool()
@@ -1329,14 +1308,14 @@ func RestoreRuntime(data []byte) (*Runtime, RestoreInfo, error) {
 		if err != nil {
 			return nil, RestoreInfo{}, fmt.Errorf("checkpoint: statement %q: %w", id, err)
 		}
-		cfg := StmtConfig{ID: id, Transactional: transactional, ForceVertexScan: force, Share: shared, NoRetain: noRetain}
+		cfg := StmtConfig{ID: id, ForceVertexScan: force, Share: shared, NoRetain: noRetain}
 		if ref < 0 {
 			st := rt.adoptLocked(newStmtEngine(plan, cfg), id)
 			st.srcPlan = plan
 			st.noRetain = noRetain
 			st.results = results
 			st.resultCount = int(resultCount)
-			if shared && shareable(plan, cfg) {
+			if shared && shareable(plan) {
 				st.shareNode = rt.shareIdx.Put(shareKeyOf(plan, cfg), &shareRec{cand: st})
 			}
 			if err := decodeEngine(d, events, st.eng); err != nil {

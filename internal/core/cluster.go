@@ -13,15 +13,12 @@ import (
 	"github.com/greta-cep/greta/internal/window"
 )
 
-// This file is the distribution seam: the exported hooks a cluster
-// coordinator and its shards need to replicate RunParallel's
-// coordinator/worker/merger roles across process boundaries. The
-// in-process topology keys everything on worker index and merges
-// partial payloads in that order (parallel.go); these hooks expose
-// exactly that contract — per-statement window barriers, partial
-// export, shard-index-ordered merge, worker stats folding — so a
-// multi-process run stays bit-identical to RunParallel with the same
-// worker count.
+// This file is the partitioned-execution seam: the worker slot
+// (ShardHost) and the statement-side hooks that RunParallel drives over
+// channels and a cluster coordinator drives over netstream sessions.
+// Worker, merger (SlotMerge, parallel.go), and stats fold are the same
+// code on both transports, so a multi-process run is bit-identical to
+// RunParallel with the same slot count by construction.
 
 // MarshalPayload serializes a partial (or final) aggregate payload
 // with the checkpoint codec: float slots travel as IEEE bit patterns
@@ -82,27 +79,11 @@ func (st *Stmt) RouteAccessors() []event.Accessor {
 // to the per-statement barrier schedule (window.Spec.ClosedBy).
 func (st *Stmt) WindowSpec() window.Spec { return st.eng.plan.Window }
 
-// MergeDef returns the aggregation definition partial payloads merge
-// under (aggregate.Def.Merge, in shard-index order).
-func (st *Stmt) MergeDef() *aggregate.Def { return st.eng.plan.Def() }
-
-// ForcedVertexScan reports whether the statement's engine runs with
-// the summary fast path disabled, so a registration fan-out replicates
-// the flag on every shard.
-func (st *Stmt) ForcedVertexScan() bool { return st.eng.forceScan }
-
-// EmitWindow materializes and delivers one merged window through the
-// statement's own engine — the cluster equivalent of mergeLoop's
-// st.eng.emit call. The caller must hold no runtime locks and must
-// present windows in the merge order (wid ascending, groups sorted).
-func (st *Stmt) EmitWindow(group string, wid int64, p *aggregate.Payload) {
-	st.eng.emit(group, wid, p)
-}
-
-// FoldRemoteStats folds one remote worker engine's counters into the
-// statement's stats, exactly as RunParallel folds its worker engines:
-// Events and the graph-cost counters sum; peaks sum as an upper bound
-// (workers peak at different instants); OutOfOrder and Results are
+// FoldRemoteStats folds one worker slot's engine counters into the
+// statement's stats: Events and the graph-cost counters sum; peaks sum
+// as an upper bound on the true concurrent peak (slots run
+// concurrently but peak at different instants — read parallel-run
+// peaks as a bound, not an exact maximum); OutOfOrder and Results are
 // coordinator-side and excluded.
 func (st *Stmt) FoldRemoteStats(s Stats) {
 	es := &st.eng.stats
@@ -137,26 +118,32 @@ func (rt *Runtime) ObserveTime(t event.Time) {
 }
 
 // ---------------------------------------------------------------------
-// ShardHost: one cluster worker slot
+// ShardHost: one worker slot
 // ---------------------------------------------------------------------
 
-// ShardHost hosts the worker engines of one cluster worker slot (one
-// of RunParallel's N workers, pinned to a home index that never
-// changes even when the slot migrates between shard processes). It
-// owns an ordinary Runtime as the registry, but drives engines
-// directly with coordinator-routed (group, hash) pairs — the hash
-// arrives over the wire, computed once at the coordinator.
+// ShardHost is one worker slot of a partitioned run: one of
+// RunParallel's N workers, or a cluster slot pinned to a home index
+// that never changes even when the slot migrates between shard
+// processes. It owns an ordinary Runtime as the registry, but drives
+// engines directly with coordinator-routed (group, hash) pairs — the
+// hash is computed once at the coordinator.
 //
-// A ShardHost is single-goroutine: the serving session calls every
-// method under its own lock.
+// A ShardHost is single-goroutine: the worker goroutine, or the
+// serving session under its own lock, calls every method.
 type ShardHost struct {
 	rt        *Runtime
 	w         int
-	units     map[int]*Stmt // unit index → statement
-	groups    map[int][]int // route-group index → unit indices
-	gi        map[int]int   // unit index → route-group index
+	units     []*Stmt // unit index → statement (nil: not registered)
+	gi        []int   // unit index → route-group index
+	groups    [][]int // route-group index → unit indices, ascending
 	onPartial func(w, si int, r Result)
 }
+
+// maxShardIndex bounds the unit and route-group indices a slot accepts:
+// they arrive over the wire and size the slot's tables. A coordinator
+// numbers units consecutively and never reuses an index, so this is
+// also how many registrations one cluster lifetime admits.
+const maxShardIndex = 1 << 20
 
 // shardHostMeta is the opaque blob embedded in a host snapshot so an
 // adopting shard can rebind the restored statements to their cluster
@@ -168,16 +155,10 @@ type shardHostMeta struct {
 
 // NewShardHost creates an empty worker slot. onPartial receives every
 // partial window the slot's engines release (barrier, flush, close);
-// the caller ships them to the coordinator's merger tagged with the
-// slot's home index w.
+// the caller ships them to the merger tagged with the slot's home
+// index w.
 func NewShardHost(w int, onPartial func(w, si int, r Result)) *ShardHost {
-	h := &ShardHost{
-		rt: NewRuntime(), w: w,
-		units: map[int]*Stmt{}, groups: map[int][]int{}, gi: map[int]int{},
-		onPartial: onPartial,
-	}
-	h.rt.SetCheckpointMeta(h.metaBytes)
-	return h
+	return &ShardHost{rt: newRuntime(), w: w, onPartial: onPartial}
 }
 
 // W returns the slot's home worker index.
@@ -200,35 +181,58 @@ func (h *ShardHost) Watermark() event.Time {
 }
 
 func (h *ShardHost) metaBytes() []byte {
-	m := shardHostMeta{W: h.w, Units: make(map[string][2]int, len(h.units))}
+	m := shardHostMeta{W: h.w, Units: map[string][2]int{}}
 	for si, st := range h.units {
-		m.Units[st.id] = [2]int{si, h.gi[si]}
+		if st != nil {
+			m.Units[st.id] = [2]int{si, h.gi[si]}
+		}
 	}
 	b, _ := json.Marshal(m)
 	return b
 }
 
-// bindUnit flips a registered statement into worker mode — retention
-// off, results delivered as partials tagged with the slot's home index
-// — exactly how RunParallel configures its worker engines.
-func (h *ShardHost) bindUnit(st *Stmt, si, gi int) {
-	st.eng.setRetainResults(false)
-	st.eng.OnResult(func(r Result) { h.onPartial(h.w, si, r) })
-	h.units[si] = st
-	h.groups[gi] = append(h.groups[gi], si)
-	slices.Sort(h.groups[gi])
-	h.gi[si] = gi
+// unit returns the statement registered as unit si, or nil.
+func (h *ShardHost) unit(si int) *Stmt {
+	if si < 0 || si >= len(h.units) {
+		return nil
+	}
+	return h.units[si]
 }
 
-// Register compiles and registers one fanned-out parallel unit.
-// The canonical query text, arithmetic mode, and force-scan flag come
-// from the coordinator so every slot builds an identical engine;
-// sharing is deliberately off — cluster statements register
-// exclusively (the shared sub-plan network is not distributed).
-func (h *ShardHost) Register(si, gi int, src, id string, exact, force bool) error {
-	if _, dup := h.units[si]; dup {
+// checkUnit rejects unit / route-group indices the slot cannot bind:
+// out of range, or a unit index already taken.
+func (h *ShardHost) checkUnit(si, gi int) error {
+	if si < 0 || si >= maxShardIndex || gi < 0 || gi >= maxShardIndex {
+		return fmt.Errorf("unit %d / route group %d out of range [0,%d)", si, gi, maxShardIndex)
+	}
+	if h.unit(si) != nil {
 		return fmt.Errorf("unit %d already registered", si)
 	}
+	return nil
+}
+
+// bindUnit flips a registered statement into worker mode: retention
+// off, results delivered as partials tagged with the slot's home index.
+// The indices have passed checkUnit.
+func (h *ShardHost) bindUnit(st *Stmt, si, gi int) {
+	if si >= len(h.units) {
+		h.units = append(h.units, make([]*Stmt, si+1-len(h.units))...)
+		h.gi = append(h.gi, make([]int, si+1-len(h.gi))...)
+	}
+	if gi >= len(h.groups) {
+		h.groups = append(h.groups, make([][]int, gi+1-len(h.groups))...)
+	}
+	st.eng.setRetainResults(false)
+	st.eng.OnResult(func(r Result) { h.onPartial(h.w, si, r) })
+	h.units[si], h.gi[si] = st, gi
+	h.groups[gi] = append(h.groups[gi], si)
+	slices.Sort(h.groups[gi])
+}
+
+// Register compiles and registers one fanned-out parallel unit from
+// its canonical query text and arithmetic mode, which come from the
+// coordinator so every slot builds an identical engine.
+func (h *ShardHost) Register(si, gi int, src, id string, exact, force bool) error {
 	q, err := query.Parse(src)
 	if err != nil {
 		return err
@@ -241,6 +245,17 @@ func (h *ShardHost) Register(si, gi int, src, id string, exact, force bool) erro
 	if err != nil {
 		return err
 	}
+	return h.RegisterPlan(si, gi, plan, id, force)
+}
+
+// RegisterPlan registers plan as unit si of route group gi. Sharing is
+// deliberately off — a unit is one engine per slot (RunParallel hands a
+// shared graph's union plan in as one unit; cluster statements register
+// exclusively). Out-of-range or already-taken indices are rejected.
+func (h *ShardHost) RegisterPlan(si, gi int, plan *Plan, id string, force bool) error {
+	if err := h.checkUnit(si, gi); err != nil {
+		return err
+	}
 	st, err := h.rt.Register(plan, StmtConfig{ID: id, ForceVertexScan: force})
 	if err != nil {
 		return err
@@ -251,11 +266,14 @@ func (h *ShardHost) Register(si, gi int, src, id string, exact, force bool) erro
 
 // Apply offers one coordinator-routed event: for each targeted route
 // group, every unit of that group processes the event under the
-// pre-computed hash (ProcessRouted — the slot never rehashes). The
-// watermark advances so mid-stream registrations and snapshots cut at
-// the right instant.
+// pre-computed hash (ProcessRouted — the slot never rehashes). Route
+// groups the slot does not know are skipped. The watermark advances so
+// mid-stream registrations and snapshots cut at the right instant.
 func (h *ShardHost) Apply(ev *event.Event, gis []int, hs []uint64) {
 	for k, gi := range gis {
+		if gi < 0 || gi >= len(h.groups) {
+			continue
+		}
 		for _, si := range h.groups[gi] {
 			h.units[si].eng.ProcessRouted(ev, hs[k])
 		}
@@ -266,10 +284,9 @@ func (h *ShardHost) Apply(ev *event.Event, gis []int, hs []uint64) {
 }
 
 // Barrier releases unit si's windows up to t (exclusive of windows
-// still open at t), emitting their partials through onPartial — the
-// worker half of RunParallel's pmBarrier.
+// still open at t), emitting their partials through onPartial.
 func (h *ShardHost) Barrier(si int, t event.Time) {
-	if st := h.units[si]; st != nil {
+	if st := h.unit(si); st != nil {
 		st.eng.AdvanceTo(t)
 	}
 	if t > h.rt.watermark {
@@ -277,19 +294,20 @@ func (h *ShardHost) Barrier(si int, t event.Time) {
 	}
 }
 
-// Units returns the registered unit indices, sorted.
+// Units returns the registered unit indices, ascending.
 func (h *ShardHost) Units() []int {
-	sis := make([]int, 0, len(h.units))
-	for si := range h.units {
-		sis = append(sis, si)
+	var sis []int
+	for si, st := range h.units {
+		if st != nil {
+			sis = append(sis, si)
+		}
 	}
-	slices.Sort(sis)
 	return sis
 }
 
 // FlushUnit releases every open window of unit si (end of stream).
 func (h *ShardHost) FlushUnit(si int) {
-	if st := h.units[si]; st != nil {
+	if st := h.unit(si); st != nil {
 		st.eng.Flush()
 	}
 }
@@ -297,7 +315,7 @@ func (h *ShardHost) FlushUnit(si int) {
 // UnitStats returns unit si's engine counters for the coordinator's
 // stats fold.
 func (h *ShardHost) UnitStats(si int) (Stats, bool) {
-	st := h.units[si]
+	st := h.unit(si)
 	if st == nil {
 		return Stats{}, false
 	}
@@ -308,25 +326,17 @@ func (h *ShardHost) UnitStats(si int) (Stats, bool) {
 // partials through onPartial, its final stats are returned for the
 // coordinator's fold, and the statement leaves the slot's runtime.
 func (h *ShardHost) CloseUnit(si int) (Stats, error) {
-	st := h.units[si]
+	st := h.unit(si)
 	if st == nil {
 		return Stats{}, fmt.Errorf("unit %d not registered", si)
 	}
 	if err := st.Close(); err != nil {
 		return Stats{}, err
 	}
-	s := st.eng.Stats()
 	gi := h.gi[si]
-	sis := h.groups[gi]
-	for i, x := range sis {
-		if x == si {
-			h.groups[gi] = append(sis[:i], sis[i+1:]...)
-			break
-		}
-	}
-	delete(h.units, si)
-	delete(h.gi, si)
-	return s, nil
+	h.groups[gi] = slices.DeleteFunc(h.groups[gi], func(x int) bool { return x == si })
+	h.units[si] = nil
+	return st.eng.Stats(), nil
 }
 
 // Snapshot serializes the slot's full engine state (open windows,
@@ -336,6 +346,7 @@ func (h *ShardHost) CloseUnit(si int) (Stats, error) {
 func (h *ShardHost) Snapshot() ([]byte, error) {
 	var buf bytes.Buffer
 	h.rt.mu.Lock()
+	h.rt.ckMeta = h.metaBytes
 	err := h.rt.encodeLocked(&buf, h.rt.watermark+1)
 	h.rt.mu.Unlock()
 	if err != nil {
@@ -350,7 +361,9 @@ func (h *ShardHost) Snapshot() ([]byte, error) {
 // teardown.
 func (h *ShardHost) Discard() {
 	for _, st := range h.units {
-		st.eng.OnResult(nil)
+		if st != nil {
+			st.eng.OnResult(nil)
+		}
 	}
 	_ = h.rt.Close()
 }
@@ -373,18 +386,16 @@ func AdoptShardHost(data []byte, onPartial func(w, si int, r Result)) (*ShardHos
 	if err := json.Unmarshal(info.Meta, &m); err != nil {
 		return nil, fmt.Errorf("greta: bad shard-host meta: %w", err)
 	}
-	h := &ShardHost{
-		rt: rt, w: m.W,
-		units: map[int]*Stmt{}, groups: map[int][]int{}, gi: map[int]int{},
-		onPartial: onPartial,
-	}
+	h := &ShardHost{rt: rt, w: m.W, onPartial: onPartial}
 	for _, st := range rt.Statements() {
 		bind, ok := m.Units[st.ID()]
 		if !ok {
 			return nil, fmt.Errorf("greta: restored statement %q missing from shard-host meta", st.ID())
 		}
+		if err := h.checkUnit(bind[0], bind[1]); err != nil {
+			return nil, fmt.Errorf("greta: bad shard-host meta: %w", err)
+		}
 		h.bindUnit(st, bind[0], bind[1])
 	}
-	h.rt.SetCheckpointMeta(h.metaBytes)
 	return h, nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -92,9 +91,6 @@ type partition struct {
 	// verification: routing is hash-first, so two distinct keys landing
 	// on the same 64-bit hash are told apart by comparing against pk.
 	pk partKey
-	// sched executes stream transactions concurrently when the engine
-	// runs in transactional mode (paper §7); nil otherwise.
-	sched *Scheduler
 }
 
 // partKey is the typed identity of a partition: one entry per
@@ -159,13 +155,6 @@ type Engine struct {
 
 	prevTime event.Time // window-close cursor
 
-	// transactional enables the §7 stream-transaction scheduler: events
-	// sharing a timestamp are batched and executed as one transaction
-	// per partition, with dependency levels processed concurrently.
-	transactional bool
-	batch         []*event.Event
-	batchTime     event.Time
-
 	// forceScan disables the summary fast path in all graphs (see
 	// SetForceVertexScan).
 	forceScan bool
@@ -204,8 +193,8 @@ func NewEngine(plan *Plan) *Engine {
 	}
 	// Dependency order: deeper (negative) graphs first. Split appends
 	// children after parents, so descending index order processes every
-	// negative graph before the graphs that depend on it — the static
-	// equivalent of the time-driven scheduler of §7.
+	// negative graph before the graphs that depend on it — the §7
+	// stream-transaction ordering guarantee, fixed at plan time.
 	for i := len(plan.Subs) - 1; i >= 0; i-- {
 		e.order = append(e.order, i)
 	}
@@ -235,21 +224,6 @@ func (e *Engine) SetForceVertexScan(on bool) {
 // OnResult registers a callback invoked for every emitted result (as
 // soon as the window closes). Results are also collected for Results().
 func (e *Engine) OnResult(f func(Result)) { e.onResult = f }
-
-// SetTransactional switches the engine to the stream-transaction
-// scheduler of paper §7: same-timestamp events execute as one
-// transaction per partition with concurrent dependency levels. Call
-// before the first Process. Results are identical to the sequential
-// mode; only the execution strategy differs.
-func (e *Engine) SetTransactional(on bool) {
-	e.transactional = on
-	for _, be := range e.branchEngines {
-		be.SetTransactional(on)
-	}
-	for _, pe := range e.productEngines {
-		pe.SetTransactional(on)
-	}
-}
 
 // attrKey concatenates the named attribute values of an event. Map
 // probes come first (legacy rendering, including its NaN form); a
@@ -490,36 +464,19 @@ func (e *Engine) Process(ev *event.Event) {
 		e.prevTime = ev.Time
 		return
 	}
-	var h uint64
-	if !e.transactional {
-		// The transactional path batches first and hashes in runBatch.
-		h = e.routeHash(ev)
-	}
-	e.ProcessRouted(ev, h)
+	e.ProcessRouted(ev, e.routeHash(ev))
 }
 
 // ProcessRouted is Process with the partition-routing hash already
 // computed (RunParallel hashes once to pick a worker and forwards the
 // hash with the event, so workers do not recompute it). Only valid for
-// simple plans; the hash must equal routeHash(ev) (it is ignored in
-// transactional mode, where runBatch hashes per batch).
+// simple plans; the hash must equal routeHash(ev).
 func (e *Engine) ProcessRouted(ev *event.Event, h uint64) {
 	if ev.Time < e.prevTime {
 		e.stats.OutOfOrder++
 		return
 	}
 	e.stats.Events++
-	if e.transactional {
-		// Seal and execute the previous same-timestamp transaction before
-		// the clock advances.
-		if len(e.batch) > 0 && ev.Time != e.batchTime {
-			e.runBatch()
-		}
-		e.closeUpTo(ev.Time)
-		e.batch = append(e.batch, ev)
-		e.batchTime = ev.Time
-		return
-	}
 	e.closeUpTo(ev.Time)
 	e.dispatch(ev, h)
 }
@@ -571,28 +528,6 @@ func (e *Engine) samplePeaks() {
 	}
 	if pays > e.stats.PeakPayloads {
 		e.stats.PeakPayloads = pays
-	}
-}
-
-// runBatch executes the pending stream transaction: the batch is split
-// per partition (preserving order) and each partition's scheduler runs
-// it with concurrent dependency levels.
-func (e *Engine) runBatch() {
-	byPart := map[*partition][]*event.Event{}
-	var order []*partition
-	for _, ev := range e.batch {
-		p := e.partitionFor(e.routeHash(ev), ev)
-		if p.sched == nil {
-			p.sched = NewScheduler(p.graphs, e.plan.Subs)
-		}
-		if _, seen := byPart[p]; !seen {
-			order = append(order, p)
-		}
-		byPart[p] = append(byPart[p], ev)
-	}
-	e.batch = e.batch[:0]
-	for _, p := range order {
-		p.sched.RunBatch(byPart[p])
 	}
 }
 
@@ -673,8 +608,7 @@ func (e *Engine) setWatermark(t event.Time) {
 }
 
 // AdvanceTo advances the engine's clock to t without offering an
-// event: pending stream transactions older than t are executed and
-// windows that ended at or before t close and emit. RunParallel
+// event: windows that ended at or before t close and emit. RunParallel
 // workers run it on window barriers so partitions that received no
 // recent events still release their windows to the streaming merge.
 func (e *Engine) AdvanceTo(t event.Time) {
@@ -691,9 +625,6 @@ func (e *Engine) AdvanceTo(t event.Time) {
 		e.prevTime = t
 		return
 	}
-	if e.transactional && len(e.batch) > 0 && e.batchTime < t {
-		e.runBatch()
-	}
 	e.closeUpTo(t)
 }
 
@@ -703,23 +634,6 @@ func (e *Engine) Run(s event.Stream) {
 		e.Process(ev)
 	}
 	e.Flush()
-}
-
-// RunParallel consumes the stream with the given number of workers,
-// hashing partitions onto workers (paper §7, "Parallel Processing":
-// sub-streams are processed in parallel independently from each other).
-// Results stream out as windows close (per-window barrier merge in the
-// Runtime). Only valid for grouped queries.
-//
-// Deprecated: RunParallel is a shim over a one-statement Runtime; use
-// Runtime.RunParallel, which shares the parallel workers across every
-// registered statement.
-func (e *Engine) RunParallel(s event.Stream, workers int) {
-	rt := NewRuntime()
-	if _, err := rt.adopt(e, ""); err != nil {
-		panic(err) // fresh runtime: cannot be closed or running
-	}
-	_ = rt.RunParallel(context.Background(), s, workers)
 }
 
 // Flush closes all open windows in all partitions.
@@ -733,9 +647,6 @@ func (e *Engine) Flush() {
 		}
 		e.composeResults()
 		return
-	}
-	if e.transactional && len(e.batch) > 0 {
-		e.runBatch()
 	}
 	e.samplePeaks()
 	widSet := map[int64]bool{}
@@ -849,10 +760,9 @@ func (e *Engine) Stats() Stats {
 		s.Results = e.emitted
 		return s
 	}
-	// Live partitions plus any folded in from worker engines
-	// (RunParallel's mergeStats, the cluster's remote stats fold) —
-	// each partition lives on exactly one worker, so the sum is the
-	// true total.
+	// Live partitions plus any folded in from worker slots
+	// (Stmt.FoldRemoteStats) — each partition lives on exactly one
+	// slot, so the sum is the true total.
 	s.Partitions = e.stats.Partitions + len(e.partList)
 	// Engine-level peaks are sampled at window boundaries (samplePeaks);
 	// fold in the current totals so an engine that never closed a window
@@ -878,22 +788,4 @@ func (e *Engine) Stats() Stats {
 	}
 	s.Results = e.emitted
 	return s
-}
-
-// mergeStats folds a RunParallel worker's stats into the parent.
-// Workers run concurrently, so the sum of their sampled peaks is an
-// upper bound on the true concurrent peak (the workers' individual
-// peaks need not coincide in time); it is not the per-partition-sum
-// overstatement the sequential engine avoids, but callers should read
-// parallel-run peaks as a bound, not an exact maximum.
-func (e *Engine) mergeStats(se *Engine) {
-	ss := se.Stats()
-	e.stats.Inserted += ss.Inserted
-	e.stats.Edges += ss.Edges
-	e.stats.ScanVisits += ss.ScanVisits
-	e.stats.SummaryFolds += ss.SummaryFolds
-	e.stats.SummaryRebuilds += ss.SummaryRebuilds
-	e.stats.PeakVertices += ss.PeakVertices
-	e.stats.PeakPayloads += ss.PeakPayloads
-	e.stats.Partitions += ss.Partitions
 }

@@ -17,32 +17,31 @@ var fuzzShapes = []struct {
 	name    string
 	queries []string
 	mode    aggregate.Mode
-	txn     bool
 	share   bool
 	slack   int64 // > 0 arms the reorder buffer (and a session-meta blob)
 }{
 	{"minmax-nan", []string{ // NaN sort keys in MIN/MAX summary trees
 		"RETURN MIN(S.price), MAX(S.price), AVG(S.price) PATTERN Stock S+ WHERE [company] WITHIN 20 SLIDE 5",
-	}, aggregate.ModeNative, false, false, 0},
+	}, aggregate.ModeNative, false, 0},
 	{"shared-pair", []string{ // one shared graph, union payload slots
 		"RETURN COUNT(*) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5",
 		"RETURN SUM(S.price), MIN(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5",
-	}, aggregate.ModeNative, false, true, 0},
+	}, aggregate.ModeNative, true, 0},
 	{"negation", []string{ // invalidation cursors, wmVer summaries
 		"RETURN COUNT(*), SUM(S.price) PATTERN SEQ(Stock S+, NOT Halt H) WHERE [company] AND S.price > NEXT(S).price WITHIN 30 SLIDE 10",
 		"RETURN COUNT(*) PATTERN SEQ(NOT Halt H, Stock S+) WHERE [company] WITHIN 24 SLIDE 8",
-	}, aggregate.ModeNative, false, false, 0},
+	}, aggregate.ModeNative, false, 0},
 	{"exact", []string{ // big.Int counters, big.Float sums
 		"RETURN COUNT(*), SUM(S.price), AVG(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5",
-	}, aggregate.ModeExact, false, false, 0},
-	{"txn-disjunction", []string{ // batch buffers + composite engines
+	}, aggregate.ModeExact, false, 0},
+	{"disjunction", []string{ // composite engines
 		"RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5",
 		"RETURN COUNT(*) PATTERN Stock S+ OR Halt H+ WITHIN 20 SLIDE 5",
-	}, aggregate.ModeNative, true, false, 0},
+	}, aggregate.ModeNative, false, 0},
 	{"reorder-meta", []string{ // disorder window + session-meta blob (v2 frame)
 		"RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5",
 		"RETURN COUNT(*) PATTERN Stock S+ OR Halt H+ WITHIN 20 SLIDE 5",
-	}, aggregate.ModeNative, false, false, 4},
+	}, aggregate.ModeNative, false, 4},
 }
 
 // fuzzBuild feeds a randomized workload into a runtime of the given
@@ -58,12 +57,8 @@ func fuzzBuild(t testing.TB, shape int, seed int64, nEv int, every event.Time) [
 		}
 		rt.SetCheckpointMeta(func() []byte { return []byte(`{"sess":"fuzz","cursor":7}`) })
 	}
-	for i, q := range sh.queries {
-		cfg := StmtConfig{Share: sh.share}
-		if sh.txn && i == 0 {
-			cfg.Transactional = true
-		}
-		rcRegister(t, rt, "", q, sh.mode, cfg)
+	for _, q := range sh.queries {
+		rcRegister(t, rt, "", q, sh.mode, StmtConfig{Share: sh.share})
 	}
 	var snaps []rcSnap
 	rcCapture(t, rt, every, -1, &snaps)

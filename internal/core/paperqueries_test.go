@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -157,18 +158,21 @@ func TestPaperQueriesScale(t *testing.T) {
 			if len(seq.Results()) == 0 {
 				t.Fatal("no results at scale")
 			}
-			txn := core.NewEngine(plan)
-			txn.SetTransactional(true)
-			txn.Run(event.NewSliceStream(c.evs))
-			par := core.NewEngine(plan)
-			par.RunParallel(event.NewSliceStream(c.evs), 4)
-			a, b, p := seq.Results(), txn.Results(), par.Results()
-			if len(a) != len(b) || len(a) != len(p) {
-				t.Fatalf("result counts: seq=%d txn=%d par=%d", len(a), len(b), len(p))
+			rt := core.NewRuntime()
+			par, err := rt.Register(plan, core.StmtConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rt.RunParallel(context.Background(), event.NewSliceStream(c.evs), 4); err != nil {
+				t.Fatal(err)
+			}
+			a, p := seq.Results(), par.Results()
+			if len(a) != len(p) {
+				t.Fatalf("result counts: seq=%d par=%d", len(a), len(p))
 			}
 			for i := range a {
 				for j := range a[i].Values {
-					if !feq(a[i].Values[j], b[i].Values[j]) || !feq(a[i].Values[j], p[i].Values[j]) {
+					if !feq(a[i].Values[j], p[i].Values[j]) {
 						t.Fatalf("mode disagreement at result %d agg %d", i, j)
 					}
 				}

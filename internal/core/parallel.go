@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -86,52 +85,51 @@ func (rt *Runtime) RunParallel(ctx context.Context, s event.Stream, workers int)
 	return err
 }
 
-const (
-	pmEvent uint8 = iota
-	pmBarrier
-)
+// pairInline is how many (route group, hash) pairs ride inside a
+// parMsg; a worker owning more of one event's route groups gets them in
+// a pooled pairSpill. Two keeps the message (and the 1024-deep worker
+// channels) small: an event's groups spread over the workers, so even
+// a four-signature fleet mostly sends one or two pairs per message.
+const pairInline = 2
 
-// parMsg is one coordinator→worker message: a routed event (mask
-// selects which route groups this worker processes it for) or a
-// per-statement window barrier. Per-group routing hashes ride in the
-// inline hsArr for up to len(hsArr) groups — the common case, kept
-// allocation-free — and spill to a pooled, refcounted hash array
-// beyond (shared read-only by every targeted worker, recycled when the
-// last one is done — no per-event heap allocation either way). Beyond
-// 64 route groups the single mask word no longer covers the fleet and
-// the spill additionally carries one group bitset per worker (see
-// hashSpill.masks); mask is unused then.
+// parMsg is one coordinator→worker message: a routed event carrying
+// exactly the (route group, hash) pairs this worker owns — the form
+// ShardHost.Apply takes — or, when ev is nil, a per-statement window
+// barrier.
 type parMsg struct {
-	kind  uint8
 	ev    *event.Event
-	hsArr [4]uint64
-	spill *hashSpill // per-group hashes when len(groups) > len(hsArr)
-	mask  uint64     // bit per route group (runs with <= 64 groups)
+	n     int // event: pair count
+	gis   [pairInline]int
+	hs    [pairInline]uint64
+	spill *pairSpill // event: all n pairs, when n > pairInline
 	si    int        // barrier: statement index
 	t     event.Time
 	hi    int64 // barrier: highest window id closed by t
 }
 
-// hashSpill is a pooled per-event hash array for runs with more route
-// groups than parMsg's inline array holds. The coordinator fills it,
-// sets refs to the number of targeted workers, and every worker
-// releases once after processing; the last release recycles it.
-type hashSpill struct {
-	hs []uint64
-	// masks holds, per worker, the event's route-group bitset
-	// (ceil(groups/64) words) for runs with more than 64 groups —
-	// parMsg.mask cannot carry them. Each worker reads only its own
-	// row, so the shared spill stays write-once per event. nil for
-	// <= 64 groups.
-	masks [][]uint64
-	refs  atomic.Int32
+// pairSpill holds one message's pairs past the inline capacity. The
+// feed loop fills it from the pool, the one worker the message targets
+// applies it and puts it back — no per-event allocation once the pool
+// has warmed up.
+type pairSpill struct {
+	gis []int
+	hs  []uint64
 }
 
-// release returns the spill to its pool when the last worker is done.
-func (sp *hashSpill) release(pool *sync.Pool) {
-	if sp != nil && sp.refs.Add(-1) == 0 {
-		pool.Put(sp)
+// add appends one pair to the message under construction.
+func (m *parMsg) add(gi int, h uint64, spills *sync.Pool) {
+	switch {
+	case m.n < pairInline:
+		m.gis[m.n], m.hs[m.n] = gi, h
+	case m.n == pairInline:
+		m.spill = spills.Get().(*pairSpill)
+		m.spill.gis = append(append(m.spill.gis[:0], m.gis[:]...), gi)
+		m.spill.hs = append(append(m.spill.hs[:0], m.hs[:]...), h)
+	default:
+		m.spill.gis = append(m.spill.gis, gi)
+		m.spill.hs = append(m.spill.hs, h)
 	}
+	m.n++
 }
 
 // mergeMsg is one worker→merger message: a per-window partial result,
@@ -157,84 +155,40 @@ type parallelDebug struct {
 
 func (rt *Runtime) runParallel(ctx context.Context, s event.Stream, workers int,
 	parStmts, inline []*Stmt, groups []*routeGroup, groupIdx map[*routeGroup]int) error {
-	// Statement index sets per group, and each statement's group bit.
-	stmtsOfGroup := make([][]int, len(groups))
-	for si, st := range parStmts {
-		gi := groupIdx[st.grp]
-		stmtsOfGroup[gi] = append(stmtsOfGroup[gi], si)
-	}
-
+	// Workers are in-process ShardHosts — the same worker slots a cluster
+	// shard session hosts — each owning a private engine per statement.
+	// Buffers this deep let a worker lag a few windows behind the feed
+	// loop without stalling it.
 	mergeCh := make(chan mergeMsg, 1024)
+	partial := func(w, si int, r Result) { mergeCh <- mergeMsg{w: w, si: si, r: r} }
+	hosts := make([]*ShardHost, workers)
 	chans := make([]chan parMsg, workers)
-	engines := make([][]*Engine, workers) // [worker][statement]
-	// spills recycles the per-event hash arrays of >len(hsArr)-group
-	// runs between the coordinator and the workers; fleets past 64
-	// groups also carry their per-worker group bitsets here.
-	maskWords := (len(groups) + 63) / 64
-	spills := &sync.Pool{New: func() any {
-		sp := &hashSpill{hs: make([]uint64, len(groups))}
-		if len(groups) > 64 {
-			sp.masks = make([][]uint64, workers)
-			for w := range sp.masks {
-				sp.masks[w] = make([]uint64, maskWords)
+	for w := range hosts {
+		hosts[w] = NewShardHost(w, partial)
+		for si, st := range parStmts {
+			if err := hosts[w].RegisterPlan(si, groupIdx[st.grp], st.eng.plan, st.id, st.eng.forceScan); err != nil {
+				return err
 			}
 		}
-		return sp
-	}}
+		chans[w] = make(chan parMsg, 1024)
+	}
+	spills := &sync.Pool{New: func() any { return new(pairSpill) }}
 	var abort atomic.Bool
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		engines[w] = make([]*Engine, len(parStmts))
-		for si, st := range parStmts {
-			we := NewEngine(st.eng.plan)
-			we.SetForceVertexScan(st.eng.forceScan)
-			we.setRetainResults(false)
-			w, si := w, si
-			we.OnResult(func(r Result) { mergeCh <- mergeMsg{w: w, si: si, r: r} })
-			engines[w][si] = we
-		}
-		chans[w] = make(chan parMsg, 1024)
+	for w, h := range hosts {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for m := range chans[w] {
-				switch m.kind {
-				case pmEvent:
-					if m.spill != nil && m.spill.masks != nil {
-						// > 64 route groups: walk this worker's bitset words,
-						// peeling set bits with trailing-zero counts.
-						for wi, word := range m.spill.masks[w] {
-							for word != 0 {
-								bit := bits.TrailingZeros64(word)
-								word &^= 1 << uint(bit)
-								gi := wi<<6 | bit
-								h := m.spill.hs[gi]
-								for _, si := range stmtsOfGroup[gi] {
-									engines[w][si].ProcessRouted(m.ev, h)
-								}
-							}
-						}
-						m.spill.release(spills)
-						continue
-					}
-					for gi := range groups {
-						if m.mask&(1<<uint(gi)) == 0 {
-							continue
-						}
-						var h uint64
-						if m.spill != nil { // spilled: more groups than hsArr holds
-							h = m.spill.hs[gi]
-						} else {
-							h = m.hsArr[gi]
-						}
-						for _, si := range stmtsOfGroup[gi] {
-							engines[w][si].ProcessRouted(m.ev, h)
-						}
-					}
-					m.spill.release(spills)
-				case pmBarrier:
-					engines[w][m.si].AdvanceTo(m.t)
+				switch {
+				case m.ev == nil:
+					h.Barrier(m.si, m.t)
 					mergeCh <- mergeMsg{w: w, si: m.si, ack: true, hi: m.hi}
+				case m.spill != nil:
+					h.Apply(m.ev, m.spill.gis, m.spill.hs)
+					spills.Put(m.spill)
+				default:
+					h.Apply(m.ev, m.gis[:m.n], m.hs[:m.n])
 				}
 			}
 			if abort.Load() {
@@ -242,15 +196,34 @@ func (rt *Runtime) runParallel(ctx context.Context, s event.Stream, workers int,
 			}
 			// End of stream: release every open window, then a final ack.
 			for si := range parStmts {
-				engines[w][si].Flush()
+				h.FlushUnit(si)
 				mergeCh <- mergeMsg{w: w, si: si, ack: true, hi: math.MaxInt64}
 			}
-		}(w)
+		}()
 	}
 
+	// The merger: one SlotMerge per statement, fed in channel order.
 	mergerDone := make(chan struct{})
 	var debug parallelDebug
-	go mergeLoop(mergeCh, mergerDone, parStmts, workers, &abort, &debug)
+	go func() {
+		defer close(mergerDone)
+		merges := make([]*SlotMerge, len(parStmts))
+		for si, st := range parStmts {
+			merges[si] = NewSlotMerge(st, workers)
+		}
+		pending := 0
+		for m := range mergeCh {
+			sm := merges[m.si]
+			pending -= sm.Pending()
+			if !m.ack {
+				sm.Add(m.w, m.r.Group, m.r.Wid, m.r.Payload)
+			} else if !abort.Load() {
+				sm.Ack(m.w, m.hi)
+			}
+			pending += sm.Pending()
+			debug.maxPending = max(debug.maxPending, pending)
+		}
+	}()
 
 	err := feedWorkers(ctx, s, workers, parStmts, inline, groups, chans, spills, &abort, rt.met)
 
@@ -263,13 +236,12 @@ func (rt *Runtime) runParallel(ctx context.Context, s event.Stream, workers int,
 
 	// Fold worker stats into the statements' engines; the sum of
 	// sampled worker peaks is an upper bound on the concurrent peak
-	// (see mergeStats).
+	// (see FoldRemoteStats).
 	for si, st := range parStmts {
-		for w := 0; w < workers; w++ {
-			we := engines[w][si]
-			st.eng.stats.Events += we.stats.Events
-			st.eng.mergeStats(we)
-			debug.workerRetained += len(we.results)
+		for _, h := range hosts {
+			ws, _ := h.UnitStats(si)
+			st.FoldRemoteStats(ws)
+			debug.workerRetained += len(h.units[si].eng.results)
 		}
 	}
 	rt.parDebug = &debug
@@ -279,12 +251,13 @@ func (rt *Runtime) runParallel(ctx context.Context, s event.Stream, workers int,
 // feedWorkers drives the stream: per event it computes one routing
 // hash per distinct partition-attribute signature, broadcasts window
 // barriers for statements whose windows the event closes, and sends
-// the event to the workers owning the targeted partitions.
+// the event — once, with that worker's (group, hash) pairs — to each
+// worker owning a targeted partition.
 func feedWorkers(ctx context.Context, s event.Stream, workers int,
 	parStmts, inline []*Stmt, groups []*routeGroup, chans []chan parMsg,
 	spills *sync.Pool, abort *atomic.Bool, met *rtMetrics) error {
 	done := ctx.Done()
-	masks := make([]uint64, workers)
+	msgs := make([]parMsg, workers) // per-worker message under construction
 	touched := make([]int, 0, workers)
 	var watermark event.Time = -1
 	var ooo uint64
@@ -293,10 +266,10 @@ func feedWorkers(ctx context.Context, s event.Stream, workers int,
 		// not forwarded); charge them to every statement's stats, as the
 		// sequential path does.
 		for _, st := range parStmts {
-			st.eng.stats.OutOfOrder += ooo
+			st.AddOutOfOrder(ooo)
 		}
 		for _, st := range inline {
-			st.eng.stats.OutOfOrder += ooo
+			st.AddOutOfOrder(ooo)
 		}
 	}()
 	for ev := s.Next(); ev != nil; ev = s.Next() {
@@ -332,7 +305,7 @@ func feedWorkers(ctx context.Context, s event.Stream, workers int,
 		for si, st := range parStmts {
 			if _, hi, ok := st.eng.plan.Window.ClosedBy(st.parPrev, ev.Time); ok {
 				for w := 0; w < workers; w++ {
-					chans[w] <- parMsg{kind: pmBarrier, si: si, t: ev.Time, hi: hi}
+					chans[w] <- parMsg{si: si, t: ev.Time, hi: hi}
 				}
 			}
 			st.parPrev = ev.Time
@@ -342,167 +315,118 @@ func feedWorkers(ctx context.Context, s event.Stream, workers int,
 		for _, st := range inline {
 			st.eng.Process(ev)
 		}
-		if len(groups) == 1 {
-			h := hashRoute(groups[0].acc, ev)
-			msg := parMsg{kind: pmEvent, ev: ev, mask: 1}
-			msg.hsArr[0] = h
-			chans[int(h%uint64(workers))] <- msg
-			continue
-		}
-		if len(groups) > 64 {
-			// Wide fan-out: the single mask word cannot carry the fleet,
-			// so the spill doubles as the routing bitmap — one
-			// ceil(groups/64)-word row per worker, zeroed lazily on the
-			// worker's first touch this event (masks[w] is repurposed as
-			// the touch flag). Still no per-event allocation: the spill
-			// rows are pooled alongside the hash array.
-			spill := spills.Get().(*hashSpill)
-			touched = touched[:0]
-			for gi, g := range groups {
-				h := hashRoute(g.acc, ev)
-				spill.hs[gi] = h
-				w := int(h % uint64(workers))
-				if masks[w] == 0 {
-					touched = append(touched, w)
-					masks[w] = 1
-					row := spill.masks[w]
-					for i := range row {
-						row[i] = 0
-					}
-				}
-				spill.masks[w][gi>>6] |= 1 << uint(gi&63)
-			}
-			spill.refs.Store(int32(len(touched)))
-			for _, w := range touched {
-				chans[w] <- parMsg{kind: pmEvent, ev: ev, spill: spill}
-				masks[w] = 0
-			}
-			continue
-		}
-		// Multi-signature fan-out: one hash per group, one message per
-		// distinct target worker. Up to len(hsArr) groups ride inline;
-		// larger fleets share one pooled, refcounted spill array —
-		// neither path allocates per event.
-		var hsArr [4]uint64
-		var spill *hashSpill
-		if len(groups) > len(hsArr) {
-			spill = spills.Get().(*hashSpill)
-		}
+		// One hash per group, one message per distinct target worker.
 		touched = touched[:0]
 		for gi, g := range groups {
 			h := hashRoute(g.acc, ev)
-			if spill != nil {
-				spill.hs[gi] = h
-			} else {
-				hsArr[gi] = h
-			}
 			w := int(h % uint64(workers))
-			if masks[w] == 0 {
+			if msgs[w].n == 0 {
 				touched = append(touched, w)
 			}
-			masks[w] |= 1 << uint(gi)
-		}
-		if spill != nil {
-			spill.refs.Store(int32(len(touched)))
+			msgs[w].add(gi, h, spills)
 		}
 		for _, w := range touched {
-			chans[w] <- parMsg{kind: pmEvent, ev: ev, hsArr: hsArr, spill: spill, mask: masks[w]}
-			masks[w] = 0
+			msgs[w].ev = ev
+			chans[w] <- msgs[w]
+			msgs[w] = parMsg{}
 		}
 	}
 	return nil
 }
 
-// mergeLoop is the streaming merger: it holds, per statement, the
-// per-window partial payloads of each worker, and emits a window the
-// moment every worker has released it. Partials are merged in worker
-// index order, keeping float aggregation deterministic.
-func mergeLoop(mergeCh <-chan mergeMsg, done chan<- struct{},
-	parStmts []*Stmt, workers int, abort *atomic.Bool, debug *parallelDebug) {
-	defer close(done)
-	type widPartial struct {
-		groups map[string][]*aggregate.Payload // group → per-worker payloads
+// SlotMerge is the barrier merger of one partitioned statement: it
+// holds the per-window, per-group partial payloads of each worker slot
+// and every slot's release frontier, and emits a window — through the
+// statement's own engine — once every slot has released it. Windows
+// leave in ascending wid order, groups sorted by name, each group's
+// partials folded in slot-index order, so float aggregates are
+// bit-identical however the slots are scheduled or placed. Both
+// partitioned drivers merge through it: RunParallel's merger goroutine
+// and the cluster coordinator. Not safe for concurrent use.
+type SlotMerge struct {
+	st       *Stmt
+	pending  map[int64]map[string][]*aggregate.Payload // wid → group → per-slot partial
+	released []int64                                   // per slot: highest released wid
+}
+
+// NewSlotMerge builds the merger of st over the given slot count.
+func NewSlotMerge(st *Stmt, slots int) *SlotMerge {
+	m := &SlotMerge{st: st, pending: map[int64]map[string][]*aggregate.Payload{}, released: make([]int64, slots)}
+	for w := range m.released {
+		m.released[w] = math.MinInt64
 	}
-	type stMerge struct {
-		pending  map[int64]*widPartial
-		released []int64 // per worker: highest released wid
+	return m
+}
+
+// Add files one slot's partial for (wid, group). Slots outside the
+// merger's range are ignored.
+func (m *SlotMerge) Add(slot int, group string, wid int64, p *aggregate.Payload) {
+	if slot < 0 || slot >= len(m.released) {
+		return
 	}
-	states := make([]*stMerge, len(parStmts))
-	for si := range states {
-		rel := make([]int64, workers)
-		for w := range rel {
-			rel[w] = math.MinInt64
+	groups := m.pending[wid]
+	if groups == nil {
+		groups = map[string][]*aggregate.Payload{}
+		m.pending[wid] = groups
+	}
+	parts := groups[group]
+	if parts == nil {
+		parts = make([]*aggregate.Payload, len(m.released))
+		groups[group] = parts
+	}
+	parts[slot] = p
+}
+
+// Ack records that slot has released every window up to hi
+// (math.MaxInt64 after its final flush) and emits each pending window
+// now released by all slots. Stale, duplicate, and out-of-range acks
+// are ignored.
+func (m *SlotMerge) Ack(slot int, hi int64) {
+	if slot < 0 || slot >= len(m.released) || hi <= m.released[slot] {
+		return
+	}
+	m.released[slot] = hi
+	frontier := slices.Min(m.released)
+	var ready []int64
+	for wid := range m.pending {
+		if wid <= frontier {
+			ready = append(ready, wid)
 		}
-		states[si] = &stMerge{pending: map[int64]*widPartial{}, released: rel}
 	}
-	pendingTotal := 0
-	for m := range mergeCh {
-		ms := states[m.si]
-		if !m.ack {
-			wp := ms.pending[m.r.Wid]
-			if wp == nil {
-				wp = &widPartial{groups: map[string][]*aggregate.Payload{}}
-				ms.pending[m.r.Wid] = wp
-				pendingTotal++
-				if pendingTotal > debug.maxPending {
-					debug.maxPending = pendingTotal
+	slices.Sort(ready)
+	def := m.st.eng.plan.Def()
+	for _, wid := range ready {
+		groups := m.pending[wid]
+		delete(m.pending, wid)
+		names := make([]string, 0, len(groups))
+		for g := range groups {
+			names = append(names, g)
+		}
+		slices.Sort(names)
+		for _, g := range names {
+			// The first partial present is the fold base.
+			var merged *aggregate.Payload
+			for _, pl := range groups[g] {
+				switch {
+				case pl == nil:
+				case merged == nil:
+					merged = pl
+				default:
+					def.Merge(merged, pl)
 				}
 			}
-			slot := wp.groups[m.r.Group]
-			if slot == nil {
-				slot = make([]*aggregate.Payload, workers)
-				wp.groups[m.r.Group] = slot
-			}
-			slot[m.w] = m.r.Payload
-			continue
-		}
-		if m.hi <= ms.released[m.w] {
-			continue
-		}
-		ms.released[m.w] = m.hi
-		minRel := ms.released[0]
-		for _, r := range ms.released[1:] {
-			if r < minRel {
-				minRel = r
-			}
-		}
-		if len(ms.pending) == 0 || abort.Load() {
-			continue
-		}
-		var ready []int64
-		for wid := range ms.pending {
-			if wid <= minRel {
-				ready = append(ready, wid)
-			}
-		}
-		slices.Sort(ready)
-		st := parStmts[m.si]
-		def := st.eng.plan.Def()
-		for _, wid := range ready {
-			wp := ms.pending[wid]
-			delete(ms.pending, wid)
-			pendingTotal--
-			groups := make([]string, 0, len(wp.groups))
-			for g := range wp.groups {
-				groups = append(groups, g)
-			}
-			slices.Sort(groups)
-			for _, g := range groups {
-				var merged *aggregate.Payload
-				for _, pl := range wp.groups[g] {
-					if pl == nil {
-						continue
-					}
-					if merged == nil {
-						merged = pl
-					} else {
-						def.Merge(merged, pl)
-					}
-				}
-				if merged != nil {
-					st.eng.emit(g, wid, merged)
-				}
+			if merged != nil {
+				m.st.eng.emit(g, wid, merged)
 			}
 		}
 	}
+}
+
+// Pending returns the number of windows holding unmerged partials.
+func (m *SlotMerge) Pending() int { return len(m.pending) }
+
+// Done reports whether every slot sent its final ack and nothing is
+// left to merge.
+func (m *SlotMerge) Done() bool {
+	return len(m.pending) == 0 && slices.Min(m.released) == math.MaxInt64
 }

@@ -263,9 +263,6 @@ func TestRecoveryDifferential(t *testing.T) {
 		{"disjunction",
 			"RETURN COUNT(*) PATTERN Stock S+ OR Halt H+ WITHIN 20 SLIDE 5",
 			aggregate.ModeNative, 8, 0},
-		{"transactional",
-			"RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5",
-			aggregate.ModeNative, 0, 0},
 	}
 	const every = event.Time(16)
 	for _, tc := range cases {
@@ -275,7 +272,7 @@ func TestRecoveryDifferential(t *testing.T) {
 			if haltDiv == 0 {
 				haltDiv = 40
 			}
-			cfg := StmtConfig{Transactional: tc.name == "transactional"}
+			cfg := StmtConfig{}
 			for seed := int64(1); seed <= 2; seed++ {
 				evs := rcStream(rand.New(rand.NewSource(seed)), 300,
 					tc.mode != aggregate.ModeExact, haltDiv, tc.newsDiv)
@@ -502,7 +499,7 @@ func TestReorderRecoveryDifferential(t *testing.T) {
 // TestRecoveryTopology restores a runtime whose statement topology
 // exercises every registration shape at once: a shared entry that
 // shrank to one subscriber, a later same-signature candidate from a
-// newer epoch, a lone candidate, a transactional exclusive statement,
+// newer epoch, a lone candidate, an ungrouped exclusive statement,
 // and a composite (disjunction) statement. Restores at post-action
 // boundaries must reproduce the interrupted run bit for bit, and the
 // restored share index must not admit new subscribers into warm graphs.
@@ -530,8 +527,8 @@ func TestRecoveryTopology(t *testing.T) {
 		}
 		reg("sharedA", sharedQ, StmtConfig{Share: true})
 		reg("sharedB", sharedQ, StmtConfig{Share: true})
-		reg("txn", "RETURN COUNT(*) PATTERN Stock S+ WHERE S.price > NEXT(S).price WITHIN 16 SLIDE 4",
-			StmtConfig{Transactional: true})
+		reg("solo", "RETURN COUNT(*) PATTERN Stock S+ WHERE S.price > NEXT(S).price WITHIN 16 SLIDE 4",
+			StmtConfig{})
 		reg("comp", "RETURN COUNT(*) PATTERN Stock S+ OR Halt H+ WITHIN 20 SLIDE 5", StmtConfig{})
 		for _, ev := range evs[:80] {
 			rt.Process(ev)

@@ -110,7 +110,7 @@ type Runtime struct {
 	ckMeta func() []byte
 
 	// parDebug captures streaming-merge instrumentation from the last
-	// RunParallel (test hook).
+	// RunParallel, read from its merger (test hook).
 	parDebug *parallelDebug
 
 	// met holds the hot-path metric cells (armed by default; nil after
@@ -168,11 +168,18 @@ type Stmt struct {
 	onClose func()
 }
 
+// newRuntime builds an empty runtime without metric cells — all a
+// ShardHost needs: events bypass its runtime's ingest path, so nothing
+// would ever move or scrape them.
+func newRuntime() *Runtime {
+	return &Runtime{watermark: -1, shareIdx: share.NewIndex[*shareRec]()}
+}
+
 // NewRuntime builds an empty runtime. Metrics are armed from birth:
 // the cells exist before the first event, so arming costs nothing on
 // the hot path beyond the atomics themselves.
 func NewRuntime() *Runtime {
-	rt := &Runtime{watermark: -1, shareIdx: share.NewIndex[*shareRec]()}
+	rt := newRuntime()
 	rt.obsReg = obs.NewRegistry()
 	rt.met = newRTMetrics(rt.obsReg)
 	rt.registerCollector()
@@ -183,9 +190,6 @@ func NewRuntime() *Runtime {
 type StmtConfig struct {
 	// ID names the statement (result tagging); empty picks "q<n>".
 	ID string
-	// Transactional enables the §7 stream-transaction scheduler for
-	// this statement's engine (and disqualifies it from sharing).
-	Transactional bool
 	// ForceVertexScan disables the summary fast path (differential
 	// tests and debugging). Part of the sharing signature: forced and
 	// folding statements never share a graph.
@@ -221,7 +225,7 @@ func (rt *Runtime) Register(plan *Plan, cfg StmtConfig) (*Stmt, error) {
 	// first, so the new statement's watermark cut lands after every
 	// event that arrived before the registration.
 	rt.reorderBarrierLocked()
-	if cfg.Share && shareable(plan, cfg) {
+	if cfg.Share && shareable(plan) {
 		st, err := rt.registerShared(plan, cfg, shareKeyOf(plan, cfg))
 		if err == nil {
 			rt.fireTrace(TraceEvent{Kind: TraceStatementRegister, Stmt: st.id, Watermark: rt.watermark})
@@ -231,24 +235,6 @@ func (rt *Runtime) Register(plan *Plan, cfg StmtConfig) (*Stmt, error) {
 	st := rt.adoptLocked(newStmtEngine(plan, cfg), cfg.ID)
 	st.srcPlan = plan
 	st.noRetain = cfg.NoRetain
-	rt.fireTrace(TraceEvent{Kind: TraceStatementRegister, Stmt: st.id, Watermark: rt.watermark})
-	return st, nil
-}
-
-// adopt attaches an existing (fresh, never-processed) engine as a
-// statement. Engine.RunParallel uses it to run its own engine under
-// the runtime's streaming merge.
-func (rt *Runtime) adopt(eng *Engine, id string) (*Stmt, error) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if err := rt.registrable(); err != nil {
-		return nil, err
-	}
-	if id != "" && rt.hasID(id) {
-		return nil, fmt.Errorf("greta: statement id %q already registered", id)
-	}
-	rt.reorderBarrierLocked()
-	st := rt.adoptLocked(eng, id)
 	rt.fireTrace(TraceEvent{Kind: TraceStatementRegister, Stmt: st.id, Watermark: rt.watermark})
 	return st, nil
 }
@@ -501,8 +487,8 @@ func (rt *Runtime) reorderBarrierLocked() {
 }
 
 // Run consumes the stream until it is exhausted or ctx is cancelled.
-// Out-of-order events are counted and dropped (as Engine.Run always
-// did); any other Process error aborts. Run does not close the
+// Out-of-order events are counted and dropped; any other Process error
+// aborts. Run does not close the
 // runtime — more statements or streams may follow; call Close to
 // flush open windows at end of life.
 func (rt *Runtime) Run(ctx context.Context, s event.Stream) error {

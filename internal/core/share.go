@@ -34,9 +34,7 @@ import (
 // compose results at flush, not through the per-window emit path),
 // negative sub-patterns (a detaching subscriber's flush would have to
 // fold invalidation watermarks the surviving subscribers must not see
-// yet), and the transactional scheduler (a detaching subscriber's
-// flush would run the pending same-timestamp batch early). Those
-// statements register exclusively, exactly as before.
+// yet). Those statements register exclusively, exactly as before.
 
 // shareRec is the share-index entry: a cold candidate statement, or
 // the promoted shared graph it turned into.
@@ -64,10 +62,10 @@ type sharedEntry struct {
 	flushed bool
 }
 
-// shareable reports whether a plan may enter the shared network under
-// the given registration config (see the disqualifier list above).
-func shareable(plan *Plan, cfg StmtConfig) bool {
-	return plan.Simple() && len(plan.Subs) == 1 && !cfg.Transactional
+// shareable reports whether a plan may enter the shared network (see
+// the disqualifier list above).
+func shareable(plan *Plan) bool {
+	return plan.Simple() && len(plan.Subs) == 1
 }
 
 // shareKeyOf renders the sharing signature of a registration.
@@ -98,7 +96,6 @@ func (rt *Runtime) registerShared(plan *Plan, cfg StmtConfig, key string) (*Stmt
 // newStmtEngine builds a statement's private engine from its config.
 func newStmtEngine(plan *Plan, cfg StmtConfig) *Engine {
 	eng := NewEngine(plan)
-	eng.SetTransactional(cfg.Transactional)
 	eng.SetForceVertexScan(cfg.ForceVertexScan)
 	eng.setRetainResults(!cfg.NoRetain)
 	return eng

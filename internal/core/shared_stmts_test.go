@@ -131,13 +131,12 @@ func TestSharedStatementsDifferential(t *testing.T) {
 	}
 }
 
-// TestSharedStatementsDisqualified pins the sharing disqualifiers:
-// negation and transactional statements register exclusively (the
-// network must not absorb them) and still match solo engines.
+// TestSharedStatementsDisqualified pins the sharing disqualifier:
+// negation statements register exclusively (the network must not
+// absorb them) and still match solo engines.
 func TestSharedStatementsDisqualified(t *testing.T) {
 	evs := diffStreamHalts(rand.New(rand.NewSource(5)), 400, true, 12, 0)
 	negQ := "RETURN COUNT(*), SUM(S.price) PATTERN SEQ(Stock S+, NOT Halt H) WHERE [company] AND S.price > NEXT(S).price WITHIN 30 SLIDE 10"
-	txnQ := "RETURN COUNT(*) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5"
 
 	rt := core.NewRuntime()
 	var stmts []*core.Stmt
@@ -147,17 +146,6 @@ func TestSharedStatementsDisqualified(t *testing.T) {
 			t.Fatal(err)
 		}
 		st, err := rt.Register(plan, core.StmtConfig{Share: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		stmts = append(stmts, st)
-	}
-	for _, src := range []string{txnQ, txnQ} {
-		plan, err := core.NewPlan(query.MustParse(src), aggregate.ModeNative)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := rt.Register(plan, core.StmtConfig{Share: true, Transactional: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,10 +162,9 @@ func TestSharedStatementsDisqualified(t *testing.T) {
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for i, st := range stmts[:2] {
+	for _, st := range stmts {
 		solo := runDiffEngine(t, query.MustParse(negQ), aggregate.ModeNative, evs, false)
-		compareSharedToSolo(t, 5, "negation", stmts[i], solo, 0)
-		_ = st
+		compareSharedToSolo(t, 5, "negation", st, solo, 0)
 	}
 }
 

@@ -297,12 +297,6 @@ type wireOut struct {
 	Handoff   *WireHandoff   `json:"handoff,omitempty"`
 }
 
-// EngineFactory builds a fresh engine per connection.
-//
-// Deprecated: set Statements (and AllowRegister) instead; NewEngine
-// serves single-statement sessions through the Engine shim.
-type EngineFactory func() *greta.Engine
-
 // defaultResumeWindow bounds the durable output lines a session
 // retains for resume replay when ResumeWindow is unset.
 const defaultResumeWindow = 4096
@@ -311,12 +305,6 @@ const defaultResumeWindow = 4096
 // Runtime (its own stream) hosting the configured statements, plus any
 // the client registers mid-stream.
 type Server struct {
-	// NewEngine, when set, supplies each session's initial statement as
-	// a single-statement Engine (its Runtime hosts client
-	// registrations too, when AllowRegister is set).
-	//
-	// Deprecated: use Statements.
-	NewEngine EngineFactory
 	// Statements are registered into every session's Runtime at accept,
 	// with ids "q0", "q1", ... in order.
 	Statements []*greta.Statement
@@ -339,8 +327,7 @@ type Server struct {
 	// sessions sharing one directory would interleave generations).
 	// Called once per accepted connection. The server always routes
 	// checkpoint-write failures to {"warn":...} lines, overriding any
-	// WithCheckpointErrors in the returned slice. Ignored on the
-	// deprecated NewEngine path.
+	// WithCheckpointErrors in the returned slice.
 	RuntimeOptions func() []greta.RuntimeOption
 	// ReadTimeout bounds each read from the connection; IdleTimeout
 	// bounds the gap since the last byte of client activity. When either
@@ -974,33 +961,24 @@ func (sess *session) attachLocked(conn net.Conn, w *bufio.Writer, enc *json.Enco
 	sess.startHeartbeatLocked()
 }
 
-// newSession builds the per-connection session state: a fresh Runtime
-// (or the deprecated engine shim), reorder slack, and the configured
-// statements. Runs before the session is shared, so no locking.
+// newSession builds the per-connection session state: a fresh Runtime,
+// reorder slack, and the configured statements. Runs before the session is shared, so no locking.
 func (s *Server) newSession(conn net.Conn, w *bufio.Writer, enc *json.Encoder) *session {
 	sess := &session{srv: s, conn: conn, w: w, enc: enc, handles: map[string]*greta.Handle{}}
-	if s.NewEngine != nil {
-		// Legacy factory path: the session runtime is the engine's
-		// backing one-statement runtime, so client registrations join it.
-		eng := s.NewEngine()
-		sess.rt = eng.Runtime()
-		sess.wire(eng.Handle())
-	} else {
-		var opts []greta.RuntimeOption
-		if s.RuntimeOptions != nil {
-			opts = s.RuntimeOptions()
-		}
-		// Scheduled checkpoint-write failures degrade to warn lines
-		// instead of killing the session: the previous generation stays
-		// valid and ingestion continues.
-		opts = append(opts, greta.WithCheckpointErrors(func(err error) {
-			_ = sess.sendLocked(wireOut{Warn: fmt.Sprintf("checkpoint: %v", err)}, false)
-		}))
-		if s.TraceHook != nil {
-			opts = append(opts, greta.WithTraceHook(s.TraceHook))
-		}
-		sess.rt = greta.NewRuntime(opts...)
+	var opts []greta.RuntimeOption
+	if s.RuntimeOptions != nil {
+		opts = s.RuntimeOptions()
 	}
+	// Scheduled checkpoint-write failures degrade to warn lines
+	// instead of killing the session: the previous generation stays
+	// valid and ingestion continues.
+	opts = append(opts, greta.WithCheckpointErrors(func(err error) {
+		_ = sess.sendLocked(wireOut{Warn: fmt.Sprintf("checkpoint: %v", err)}, false)
+	}))
+	if s.TraceHook != nil {
+		opts = append(opts, greta.WithTraceHook(s.TraceHook))
+	}
+	sess.rt = greta.NewRuntime(opts...)
 	fail := func(err error) *session {
 		_ = sess.sendLocked(wireOut{Error: err.Error()}, false)
 		_ = sess.rt.Close()

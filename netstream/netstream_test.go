@@ -20,8 +20,8 @@ func startServer(t *testing.T, qsrc string, slack greta.Time) (addr string, srv 
 		t.Fatal(err)
 	}
 	srv = &Server{
-		NewEngine: func() *greta.Engine { return stmt.NewEngine() },
-		Slack:     slack,
+		Statements: []*greta.Statement{stmt},
+		Slack:      slack,
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -315,7 +315,7 @@ func TestRegisterRejected(t *testing.T) {
 	}
 	defer c.Close()
 	if _, err := c.Register("RETURN COUNT(*) PATTERN B+"); err == nil {
-		t.Error("register on a NewEngine-only server must be rejected")
+		t.Error("register on a server without AllowRegister must be rejected")
 	}
 
 	addr2 := startRuntimeServer(t, "RETURN COUNT(*) PATTERN A+")

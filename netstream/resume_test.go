@@ -563,6 +563,43 @@ func TestSessionProtocolErrors(t *testing.T) {
 		}
 	})
 
+	t.Run("shard-index-out-of-range", func(t *testing.T) {
+		srv := &Server{Linger: time.Minute, AllowShard: true}
+		addr := startResumeServer(t, srv, "RETURN COUNT(*) PATTERN Stock S+")
+		c, err := DialContext(ctx, addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.EnableResume(ctx); err != nil {
+			t.Fatal(err)
+		}
+		// The unit and route-group indices of shard frames size the
+		// slot's tables, so wire-supplied ones are bounded: an event
+		// routed to a group the slot never registered is skipped, and a
+		// registration under an out-of-range index is refused.
+		const q = "RETURN COUNT(*) PATTERN Stock S+ WHERE [company] WITHIN 10 SLIDE 5"
+		for i, we := range []WireEvent{
+			{Cmd: "shard", Count: 1, Workers: []int{0}},
+			{Cmd: "sreg", SI: 0, GI: 0, Query: q, ID: "u0"},
+			{Type: "Stock", Time: 1, RG: []int{99, -1}, RH: []string{"0", "0"}},
+			{Cmd: "sreg", SI: 1, GI: 1 << 40, Query: q, ID: "u1"},
+			{Cmd: "sreg", SI: -1, GI: 0, Query: q, ID: "u2"},
+		} {
+			we.Seq = uint64(i + 1)
+			if err := c.enc.Encode(we); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, id := range []string{"u1", "u2"} {
+			if err := c.Checkpoint(); err == nil {
+				t.Fatalf("sreg %s: expected the out-of-range error to surface", id)
+			} else if want := "sreg " + id; !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "out of range") {
+				t.Fatalf("error = %v, want %q ... out of range", err, want)
+			}
+		}
+	})
+
 	t.Run("heartbeat-interleave", func(t *testing.T) {
 		srv := &Server{Linger: time.Minute, Heartbeat: 5 * time.Millisecond}
 		addr := startResumeServer(t, srv, "RETURN COUNT(*) PATTERN Stock S+ WITHIN 10 SLIDE 5")

@@ -136,21 +136,13 @@ func WithID(id string) RegisterOption {
 	return func(c *core.StmtConfig) { c.ID = id }
 }
 
-// WithTransactional runs the statement under the paper's §7
-// stream-transaction scheduler (same results, concurrent dependency
-// levels inside each partition). Transactional statements do not enter
-// the shared sub-plan network.
-func WithTransactional() RegisterOption {
-	return func(c *core.StmtConfig) { c.Transactional = true }
-}
-
 // WithSharing controls the statement's participation in the shared
 // sub-plan network (default on): statements whose trend formation
 // coincides — everything but the RETURN aggregates — are served by one
 // shared graph, each receiving its own aggregates at window close.
 // Results, stats, and lifecycle are bit-identical either way; sharing
-// only collapses the work. Composite (OR/AND), negation, and
-// transactional statements always run exclusively.
+// only collapses the work. Composite (OR/AND) and negation statements
+// always run exclusively.
 func WithSharing(on bool) RegisterOption {
 	return func(c *core.StmtConfig) { c.Share = on }
 }
@@ -400,7 +392,7 @@ func (h *Handle) OnResult(f func(Result)) {
 // consume it from its own goroutine while the stream is being fed, or
 // after Close to drain everything. Multiple iterators each see the
 // full result sequence: results are retained for the statement's
-// lifetime (as Engine.Results always did), so close statements you are
+// lifetime, so close statements you are
 // done with on unbounded streams — or register them WithoutRetention,
 // in which case nothing is replayed or retained: the iterator receives
 // the results emitted from the moment Results is called (the
@@ -478,11 +470,7 @@ func (h *Handle) unsubscribe(q *liveTail) {
 // registered WithoutRetention return nil — nothing is retained to
 // snapshot. netstream uses it to re-deliver a session's retained
 // results when a resuming client has fallen behind the replay window.
-func (h *Handle) Delivered() []Result { return h.bufferedResults() }
-
-// bufferedResults snapshots the handle's delivered results in emission
-// order (the deprecated Engine shim serves Results from it).
-func (h *Handle) bufferedResults() []Result {
+func (h *Handle) Delivered() []Result {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return append([]Result(nil), h.buf...)
@@ -495,6 +483,13 @@ func (h *Handle) bufferedResults() []Result {
 // statement's deliveries, and SharedStatements reports how many
 // statements share the graph.
 func (h *Handle) Stats() Stats { return h.st.Stats() }
+
+// DOT renders the statement's live GRETA graph(s) in Graphviz DOT
+// format — one box per vertex labeled "type+time : count" as in the
+// paper's figures, with edges between adjacent trend events. Intended
+// for debugging and teaching on small streams; call before Close
+// expires the graph.
+func (h *Handle) DOT() string { return h.st.Engine().DOT() }
 
 // Close detaches the statement from the shared ingest mid-stream,
 // flushing its open windows (their results are delivered before Close

@@ -59,8 +59,7 @@ func TestRuntimeStreamingResults(t *testing.T) {
 	}
 }
 
-// TestRuntimeRegisterOptions covers WithID and WithTransactional, and
-// default id assignment.
+// TestRuntimeRegisterOptions covers WithID and default id assignment.
 func TestRuntimeRegisterOptions(t *testing.T) {
 	rt := greta.NewRuntime()
 	defer rt.Close()
@@ -72,7 +71,7 @@ func TestRuntimeRegisterOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := rt.Register(greta.MustCompile("RETURN COUNT(*) PATTERN SEQ(A, B)"), greta.WithTransactional())
+	c, err := rt.Register(greta.MustCompile("RETURN COUNT(*) PATTERN SEQ(A, B)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,30 +177,6 @@ func TestRuntimeProcessOutOfOrder(t *testing.T) {
 	}
 	if got := h.Stats().OutOfOrder; got != 1 {
 		t.Errorf("OutOfOrder = %d, want 1", got)
-	}
-}
-
-// TestEngineShimBridges checks the deprecated Engine exposes its
-// backing Runtime and Handle (the migration path netstream uses).
-func TestEngineShimBridges(t *testing.T) {
-	eng := greta.MustCompile("RETURN COUNT(*) PATTERN A+").NewEngine()
-	if eng.Runtime() == nil || eng.Handle() == nil {
-		t.Fatal("engine shim lost its runtime/handle")
-	}
-	if eng.Handle().ID() != "q0" {
-		t.Errorf("shim handle id = %q", eng.Handle().ID())
-	}
-	eng.Process(&greta.Event{ID: 1, Type: "A", Time: 1})
-	eng.Flush()
-	if len(eng.Results()) != 1 {
-		t.Fatalf("results = %+v", eng.Results())
-	}
-	n := 0
-	for range eng.Handle().Results() {
-		n++
-	}
-	if n != 1 {
-		t.Errorf("handle iterator saw %d results, want 1", n)
 	}
 }
 
