@@ -40,12 +40,17 @@ bench: require-pr
 bench-quick: require-pr
 	scripts/bench.sh $(BENCH_OUT) 1x
 
-# alloc-guard runs the zero-allocation hot-path guard and the routing /
-# pool micro-benchmarks. Metrics cells are armed by default, so the
-# guard exercises the instrumented hot path; the overhead bench pins
-# the armed-vs-disarmed cost at the public layer with -benchmem.
+# alloc-guard runs the zero-allocation hot-path guards — the engine's
+# and the wire's (resumable Client.Send 0 allocs, server event-line
+# parse + dispatch <= 3, a full resend ring no dearer than an empty
+# one) — and the routing / pool / wire micro-benchmarks. Metrics cells
+# are armed by default, so the guard exercises the instrumented hot
+# path; the overhead bench pins the armed-vs-disarmed cost at the
+# public layer with -benchmem.
 alloc-guard:
 	$(GO) test -run TestNoHotPathAllocs -count=1 ./internal/core
+	$(GO) test -run 'TestWireHotPathAllocs|TestFullRingSendCostsNoMore' -count=1 ./netstream
+	$(GO) test -run '^$$' -bench 'BenchmarkClientSend|BenchmarkEventLineDecode' -benchmem ./netstream
 	$(GO) test -run '^$$' -bench 'BenchmarkPartitionRouting|BenchmarkPayloadPool' -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkMetricsOverhead' -benchtime 1x -benchmem .
 

@@ -131,9 +131,11 @@ func (b *batchBuf) add(l *link, r *row, pairs []pair) {
 		b.flush(l)
 	}
 	if len(b.times) == 0 {
-		b.shape = r.shape
-		b.cols = make([][]float64, len(r.shape.nums))
-		b.scols = make([][]string, len(r.shape.strs))
+		if b.shape == nil || b.shape.key != r.shape.key {
+			b.shape = r.shape
+			b.cols = make([][]float64, len(r.shape.nums))
+			b.scols = make([][]string, len(r.shape.strs))
+		}
 		b.single = true
 		b.gi = -1
 	}
@@ -175,9 +177,9 @@ func (b *batchBuf) promote() {
 	b.rh = nil
 }
 
-// flush sends the pending frame, if any, and resets the buffer. The
-// frame's slices are handed off (the resend ring retains them), so the
-// buffer starts fresh. co.mu held.
+// flush sends the pending frame, if any, and empties the buffer. The
+// resend ring retains the frame's encoded bytes, not its slices, so the
+// columns are reused by the next frame of the same shape. co.mu held.
 func (b *batchBuf) flush(l *link) {
 	n := len(b.times)
 	if n == 0 {
@@ -203,6 +205,13 @@ func (b *batchBuf) flush(l *link) {
 		we.RGs = b.rgs
 		we.RHs = b.rhs
 	}
-	*b = batchBuf{}
 	l.send(we)
+	b.times = b.times[:0]
+	for i := range b.cols {
+		b.cols[i] = b.cols[i][:0]
+	}
+	for i := range b.scols {
+		b.scols[i] = b.scols[i][:0]
+	}
+	b.rh, b.rgs, b.rhs = b.rh[:0], nil, nil
 }

@@ -69,7 +69,13 @@ type Config struct {
 	// later redistributes existing slots rather than re-hashing keys.
 	Shards []string
 	// SendWindow bounds the per-link resend ring for resume replay
-	// (frames, not events; default 65536).
+	// (frames, not events; default 65536). The ring keeps each frame's
+	// encoded bytes and overwrites the oldest in place, so a full ring
+	// costs a frame no more than a filling one. It retains at most
+	// SendWindow frames: with full batch frames that is about
+	// SendWindow x BatchRows x the encoded bytes of one row (tens of
+	// bytes; Metrics.FrameBytes / Metrics.Events measures it) per link —
+	// size it to the longest outage a link must survive, not larger.
 	SendWindow int
 	// ResumeTimeout bounds how long a broken link keeps redialing
 	// before the cluster fails (default 10s).

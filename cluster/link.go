@@ -6,10 +6,12 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"time"
 
 	"github.com/greta-cep/greta/internal/core"
+	"github.com/greta-cep/greta/internal/ring"
 	"github.com/greta-cep/greta/netstream"
 )
 
@@ -42,13 +44,12 @@ type link struct {
 	addr string
 
 	conn net.Conn
-	enc  *json.Encoder
+	w    io.Writer // byte-counting writer over conn; nil while the link is down
 	dec  *json.Decoder
 
 	session  string
-	seq      uint64 // last stamped client seq
-	lastRecv uint64 // last consumed durable server seq
-	ring     []netstream.WireEvent
+	lastRecv uint64    // last consumed durable server seq
+	ring     ring.Ring // sequenced frames as sent; Last is the client seq cursor
 
 	count       int               // shard handshake ack: slot modulus (0 = not yet)
 	adopts      int               // count of shard-info acks (handshake + adopts)
@@ -74,10 +75,11 @@ func (co *Coordinator) dialLink(ctx context.Context, idx int, addr string, slots
 		return nil, err
 	}
 	l := &link{co: co, idx: idx, addr: addr, conn: conn,
-		enc:        json.NewEncoder(&countingConnWriter{w: conn, n: co.met.frameBytes}),
+		w:          &countingConnWriter{w: conn, n: co.met.frameBytes},
 		dec:        json.NewDecoder(bufio.NewReader(conn)),
 		readerDone: make(chan struct{}),
 	}
+	l.ring.Init(co.sendWin, 0)
 	go l.run()
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -92,35 +94,42 @@ func (co *Coordinator) dialLink(ctx context.Context, idx int, addr string, slots
 	return l, nil
 }
 
-// send stamps, rings, and writes one sequenced frame. co.mu held. The
-// ring, not the write, is what guarantees delivery: a frame that never
-// reached the socket is replayed by the resume.
+// send stamps one sequenced frame, encodes it into the resend ring,
+// and writes the ringed bytes. co.mu held. The ring, not the write, is
+// what guarantees delivery: a frame that never reached the socket is
+// replayed by the resume. A frame that cannot be encoded at all (a NaN
+// or infinite attribute) has no replay either, so it fails the cluster.
 func (l *link) send(we netstream.WireEvent) {
-	l.seq++
-	we.Seq = l.seq
-	l.ring = append(l.ring, we)
-	if w := l.co.sendWin; len(l.ring) > w {
-		l.ring = append(l.ring[:0], l.ring[len(l.ring)-w:]...)
+	t0 := time.Now()
+	we.Seq = l.ring.Next()
+	line, err := l.ring.PushJSON(we)
+	if err != nil {
+		l.co.fail(fmt.Errorf("cluster: shard %d: encode %q frame: %w", l.idx, we.Cmd, err))
+		return
 	}
-	if l.enc != nil {
-		t0 := time.Now()
-		l.sendRaw(we)
-		l.co.met.encDur.Observe(time.Since(t0))
-	}
+	l.write(line)
+	l.co.met.encDur.Observe(time.Since(t0))
 	l.co.met.frames.Inc()
 }
 
-// sendRaw writes one frame as is — the unsequenced control lines
-// (session, resume, flush) and send's stamped frames. co.mu held. The
-// first failed write closes the connection, so the reader's reattach
-// starts immediately, and drops the encoder, so later frames are
-// ringed without being encoded into a dead socket.
+// sendRaw writes one unsequenced control line (session, flush). co.mu
+// held.
 func (l *link) sendRaw(we netstream.WireEvent) {
-	if l.enc == nil {
+	if line, err := json.Marshal(we); err == nil {
+		l.write(append(line, '\n'))
+	}
+}
+
+// write puts one encoded line on the wire. co.mu held. The first
+// failed write closes the connection, so the reader's reattach starts
+// immediately, and drops the writer, so later frames are ringed
+// without being written into a dead socket.
+func (l *link) write(line []byte) {
+	if l.w == nil {
 		return
 	}
-	if err := l.enc.Encode(we); err != nil {
-		l.enc = nil
+	if _, err := l.w.Write(line); err != nil {
+		l.w = nil
 		_ = l.conn.Close()
 	}
 }
@@ -138,7 +147,7 @@ func (l *link) run() {
 			co.mu.Unlock()
 			return
 		}
-		l.enc, l.dec = nil, nil
+		l.w, l.dec = nil, nil
 		_ = l.conn.Close()
 		co.mu.Unlock()
 		if err := l.reattach(); err != nil {
@@ -183,13 +192,13 @@ func (l *link) reattach() error {
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(&countingConnWriter{w: conn, n: co.met.frameBytes})
+	w := &countingConnWriter{w: conn, n: co.met.frameBytes}
 	dec := json.NewDecoder(bufio.NewReader(conn))
 
 	co.mu.Lock()
 	sess, recv := l.session, l.lastRecv
 	co.mu.Unlock()
-	if err := enc.Encode(netstream.WireEvent{Cmd: "resume", Session: sess, Recv: recv}); err != nil {
+	if err := json.NewEncoder(w).Encode(netstream.WireEvent{Cmd: "resume", Session: sess, Recv: recv}); err != nil {
 		_ = conn.Close()
 		return err
 	}
@@ -217,20 +226,15 @@ func (l *link) reattach() error {
 
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	if ack < l.seq {
-		need := l.seq - ack
-		if uint64(len(l.ring)) < need || l.ring[len(l.ring)-int(need)].Seq != ack+1 {
-			_ = conn.Close()
-			return fmt.Errorf("resume window exceeded (server applied through seq %d)", ack)
-		}
-		for _, we := range l.ring[len(l.ring)-int(need):] {
-			if err := enc.Encode(we); err != nil {
-				_ = conn.Close()
-				return err
-			}
-		}
+	if !l.ring.Covers(ack) {
+		_ = conn.Close()
+		return fmt.Errorf("resume window exceeded (server applied through seq %d)", ack)
 	}
-	l.conn, l.enc, l.dec = conn, enc, dec
+	if err := l.ring.WriteAfter(w, ack); err != nil {
+		_ = conn.Close()
+		return err
+	}
+	l.conn, l.w, l.dec = conn, w, dec
 	co.met.resumes.Inc()
 	return nil
 }

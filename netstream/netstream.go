@@ -134,6 +134,7 @@ import (
 	"time"
 
 	"github.com/greta-cep/greta"
+	"github.com/greta-cep/greta/internal/ring"
 )
 
 // WireEvent is the JSON representation of one client→server line: an
@@ -572,13 +573,6 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// outLine is one retained durable output line (marshalled, newline
-// included) awaiting possible resume replay.
-type outLine struct {
-	seq  uint64
-	data []byte
-}
-
 // sessionMeta is the opaque blob embedded in each checkpoint via
 // WithCheckpointMeta: the session identity and cursors that must stay
 // atomic with the engine state they describe.
@@ -624,10 +618,10 @@ type session struct {
 	handles map[string]*greta.Handle
 	order   []string // handle registration order, for rebase re-delivery
 
-	outSeq   uint64 // seq of the newest durable line emitted
-	outBuf   []outLine
-	outFloor uint64 // seq of the newest discarded retained line
-	lastSeq  uint64 // last client event seq applied
+	// out retains the durable output lines for resume replay; its seqs
+	// are the server-side ones (out.Last is the newest emitted).
+	out     ring.Ring
+	lastSeq uint64 // last client event seq applied
 
 	processed uint64
 	dropped   uint64
@@ -646,46 +640,44 @@ type session struct {
 	// shard holds the cluster worker slots once the session flipped
 	// into shard mode (Server.AllowShard + {"cmd":"shard"}).
 	shard *shardState
-	// schemas caches the per-(type, column-set) schemas batch frames
-	// bind their rows to, so repeated frames of one shape reuse one
+	// schemas caches the per-(type, attribute-set) schemas batch frames
+	// and event lines bind to, so repeated input of one shape reuses one
 	// schema pointer (the runtime's columnar pre-filter caches per
-	// schema identity).
-	schemas map[string]*greta.Schema
+	// schema identity). shapeKey is the lookup-key scratch and interned
+	// the string-value table of the event-line path (bindLocked).
+	schemas  map[string]*greta.Schema
+	shapeKey []byte
+	interned map[string]string
 }
 
 // sendLocked emits one output line (mu held). Durable lines in a
 // resumable session get a server seq and are retained for resume
-// replay; everything else is fire-and-forget. Returns the flush error
-// so heartbeats can detect a dead peer; other callers ignore it (a
-// broken conn parks the session via the reader).
+// replay; everything else is fire-and-forget. The line lands in the
+// connection's write buffer: whoever handled the input that caused it
+// flushes once when done (flushLocked), so a closed window's results
+// share one write. Callers ignore the error — a broken conn parks the
+// session via the reader.
 func (sess *session) sendLocked(o wireOut, durable bool) error {
 	if durable && sess.resumable {
-		sess.outSeq++
-		o.Seq = sess.outSeq
-		b, err := json.Marshal(o)
-		if err != nil {
+		o.Seq = sess.out.Next()
+		line, err := sess.out.PushJSON(o)
+		if err != nil || sess.conn == nil {
 			return err
 		}
-		b = append(b, '\n')
-		sess.outBuf = append(sess.outBuf, outLine{seq: o.Seq, data: b})
-		if max := sess.srv.resumeWindow(); len(sess.outBuf) > max {
-			drop := len(sess.outBuf) - max
-			sess.outFloor = sess.outBuf[drop-1].seq
-			sess.outBuf = append(sess.outBuf[:0], sess.outBuf[drop:]...)
-		}
-		if sess.conn == nil {
-			return nil
-		}
-		if _, err := sess.w.Write(b); err != nil {
-			return err
-		}
-		return sess.w.Flush()
+		_, err = sess.w.Write(line)
+		return err
 	}
 	if sess.conn == nil {
 		return nil
 	}
-	if err := sess.enc.Encode(o); err != nil {
-		return err
+	return sess.enc.Encode(o)
+}
+
+// flushLocked pushes the buffered output lines to the peer (mu held).
+// The error is the heartbeat's dead-peer signal.
+func (sess *session) flushLocked() error {
+	if sess.conn == nil {
+		return nil
 	}
 	return sess.w.Flush()
 }
@@ -695,7 +687,7 @@ func (sess *session) sendLocked(o wireOut, durable bool) error {
 // reading the cursors directly is safe and it must not lock.
 func (sess *session) metaBytes() []byte {
 	b, _ := json.Marshal(sessionMeta{
-		ID: sess.id, LastSeq: sess.lastSeq, OutSeq: sess.outSeq,
+		ID: sess.id, LastSeq: sess.lastSeq, OutSeq: sess.out.Last(),
 		Processed: sess.processed, Dropped: sess.dropped,
 		V: 2, EvID: sess.evID, FrameRows: sess.frameRows,
 	})
@@ -753,7 +745,11 @@ func (sess *session) startHeartbeatLocked() {
 				return
 			}
 			sess.pings++
-			if err := sess.sendLocked(wireOut{Ping: sess.pings}, false); err != nil {
+			err := sess.sendLocked(wireOut{Ping: sess.pings}, false)
+			if err == nil {
+				err = sess.flushLocked()
+			}
+			if err != nil {
 				_ = myConn.Close() // wake the blocked reader; it parks the session
 				sess.mu.Unlock()
 				return
@@ -763,11 +759,12 @@ func (sess *session) startHeartbeatLocked() {
 	}()
 }
 
-// detachLocked drops the connection (stolen or broken) without
-// touching runtime state.
+// detachLocked drops the connection (stolen, broken, or finished)
+// without touching runtime state; lines still buffered go out first.
 func (sess *session) detachLocked() {
 	sess.stopHeartbeatLocked()
 	if sess.conn != nil {
+		_ = sess.w.Flush()
 		_ = sess.conn.Close()
 		sess.conn = nil
 		sess.w = nil
@@ -894,9 +891,9 @@ func (sess *session) statsLocked() *WireSessStats {
 	m := sess.rt.Metrics()
 	st := &WireSessStats{
 		Session: sess.id, Processed: sess.processed, Dropped: sess.dropped,
-		LastSeq: sess.lastSeq, OutSeq: sess.outSeq,
+		LastSeq: sess.lastSeq, OutSeq: sess.out.Last(),
 		Resumes: sess.resumes, Pings: sess.pings,
-		Retained: len(sess.outBuf), ResumeWindow: sess.srv.resumeWindow(),
+		Retained: sess.out.Len(), ResumeWindow: sess.srv.resumeWindow(),
 		Statements:     len(sess.handles),
 		Watermark:      int64(m.Watermark),
 		EventTimeMax:   int64(m.MaxEventTime),
@@ -925,13 +922,12 @@ func (sess *session) attachLocked(conn net.Conn, w *bufio.Writer, enc *json.Enco
 	sess.conn = conn
 	sess.w = w
 	sess.enc = enc
-	if recv < sess.outFloor {
+	if !sess.out.Covers(recv) {
 		// The client's cursor fell behind the replay window: rebase.
 		// Acknowledge first, then re-deliver every retained result with
 		// fresh seqs; the client discards its collected set on the ack.
 		_ = sess.sendLocked(wireOut{Resumed: &WireResumed{ID: sess.id, Seq: sess.lastSeq, Rebase: true}}, false)
-		sess.outBuf = sess.outBuf[:0]
-		sess.outFloor = sess.outSeq
+		sess.out.Clear()
 		for _, id := range sess.order {
 			h, ok := sess.handles[id]
 			if !ok {
@@ -948,16 +944,9 @@ func (sess *session) attachLocked(conn net.Conn, w *bufio.Writer, enc *json.Enco
 		}
 	} else {
 		_ = sess.sendLocked(wireOut{Resumed: &WireResumed{ID: sess.id, Seq: sess.lastSeq}}, false)
-		for _, l := range sess.outBuf {
-			if l.seq <= recv {
-				continue
-			}
-			if _, err := sess.w.Write(l.data); err != nil {
-				break
-			}
-		}
-		_ = sess.w.Flush()
+		_ = sess.out.WriteAfter(sess.w, recv)
 	}
+	_ = sess.flushLocked()
 	sess.startHeartbeatLocked()
 }
 
@@ -981,6 +970,7 @@ func (s *Server) newSession(conn net.Conn, w *bufio.Writer, enc *json.Encoder) *
 	sess.rt = greta.NewRuntime(opts...)
 	fail := func(err error) *session {
 		_ = sess.sendLocked(wireOut{Error: err.Error()}, false)
+		_ = sess.flushLocked()
 		_ = sess.rt.Close()
 		return nil
 	}
@@ -1040,6 +1030,7 @@ func (sess *session) reportBadLine(myConn net.Conn, err error) (stop bool) {
 		return true
 	}
 	_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("bad event: %v", err)}, false)
+	_ = sess.flushLocked()
 	return false
 }
 
@@ -1052,6 +1043,7 @@ func (sess *session) handleLine(myConn net.Conn, we *WireEvent) (stop bool) {
 	if sess.ended || sess.conn != myConn {
 		return true
 	}
+	defer sess.flushLocked()
 	// Shard mode intercepts its own commands plus event/batch lines
 	// (they carry coordinator route info); everything else — flush,
 	// checkpoint, session, resume — keeps its ordinary meaning.
@@ -1136,33 +1128,68 @@ func (sess *session) handleLine(myConn net.Conn, we *WireEvent) (stop bool) {
 		_ = sess.sendLocked(wireOut{Error: "event missing type"}, false)
 		return false
 	}
-	var id uint64
-	if sess.resumable {
-		switch {
-		case we.Seq == 0:
-			_ = sess.sendLocked(wireOut{Error: "event missing seq (session mode)"}, false)
-			return false
-		case we.Seq <= sess.lastSeq:
-			return false // duplicate from a resume replay: already applied
-		case we.Seq != sess.lastSeq+1:
-			_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("sequence gap: got %d, want %d", we.Seq, sess.lastSeq+1)}, false)
-			return false
-		}
-		// One engine id per event, committed after Process with the seq
-		// cursor. Ids equal seqs until the first batch frame, which
-		// consumes one seq but an id per row.
-		id = sess.evID + 1
-	} else {
-		sess.nextID++
-		id = sess.nextID
+	if id, ok := sess.admitEventLocked(we.Seq); ok {
+		sess.applyEventLocked(we.Seq, &greta.Event{
+			ID:    id,
+			Type:  greta.Type(we.Type),
+			Time:  we.Time,
+			Attrs: we.Attrs,
+			Str:   we.Str,
+		})
 	}
-	err := sess.rt.Process(&greta.Event{
-		ID:    id,
-		Type:  greta.Type(we.Type),
-		Time:  we.Time,
-		Attrs: we.Attrs,
-		Str:   we.Str,
-	})
+	return false
+}
+
+// handleEventLine is handleLine for a line the event-line parser read:
+// the same admission and apply steps, with the event bound to a cached
+// schema instead of carrying attribute maps. handled is false when the
+// session is in shard mode, where event lines carry route info only the
+// generic decoder reads.
+func (sess *session) handleEventLine(myConn net.Conn, el *eventLine) (stop, handled bool) {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if sess.ended || sess.conn != myConn {
+		return true, true
+	}
+	if sess.shard != nil {
+		return false, false
+	}
+	defer sess.flushLocked()
+	if id, ok := sess.admitEventLocked(el.seq); ok {
+		sess.applyEventLocked(el.seq, sess.bindLocked(el, id))
+	}
+	return false, true
+}
+
+// admitEventLocked decides whether an event line is applied and under
+// which engine id. In a resumable session the seq must be the next one:
+// a duplicate from a resume replay is skipped silently, a gap or a
+// missing seq is reported.
+func (sess *session) admitEventLocked(seq uint64) (id uint64, ok bool) {
+	if !sess.resumable {
+		sess.nextID++
+		return sess.nextID, true
+	}
+	switch {
+	case seq == 0:
+		_ = sess.sendLocked(wireOut{Error: "event missing seq (session mode)"}, false)
+		return 0, false
+	case seq <= sess.lastSeq:
+		return 0, false // duplicate from a resume replay: already applied
+	case seq != sess.lastSeq+1:
+		_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("sequence gap: got %d, want %d", seq, sess.lastSeq+1)}, false)
+		return 0, false
+	}
+	// One engine id per event, committed after Process with the seq
+	// cursor. Ids equal seqs until the first batch frame, which
+	// consumes one seq but an id per row.
+	return sess.evID + 1, true
+}
+
+// applyEventLocked feeds one admitted event to the runtime and commits
+// the session cursors.
+func (sess *session) applyEventLocked(seq uint64, ev *greta.Event) {
+	err := sess.rt.Process(ev)
 	// Advance the cursor only after Process returns: a boundary
 	// checkpoint fires inside Process BEFORE the trigger event is
 	// applied, so the snapshot's meta must still point at the previous
@@ -1170,7 +1197,7 @@ func (sess *session) handleLine(myConn net.Conn, we *WireEvent) (stop bool) {
 	// trigger is silently lost. The seq is consumed even when the event
 	// is dropped for disorder (the drop is deterministic on replay).
 	if sess.resumable {
-		sess.lastSeq = we.Seq
+		sess.lastSeq = seq
 		sess.evID++
 	}
 	if err != nil {
@@ -1180,13 +1207,12 @@ func (sess *session) handleLine(myConn net.Conn, we *WireEvent) (stop bool) {
 			// OrderError carries the event time and violated watermark.
 			sess.dropped++
 			_ = sess.sendLocked(wireOut{Warn: err.Error()}, false)
-			return false
+			return
 		}
 		_ = sess.sendLocked(wireOut{Error: err.Error()}, false)
-		return false
+		return
 	}
 	sess.processed++
-	return false
 }
 
 // handleBatchLocked ingests one columnar batch frame through the
@@ -1345,6 +1371,7 @@ func (sess *session) schemaFor(we *WireEvent) *greta.Schema {
 		strs = append(strs, a)
 	}
 	slices.Sort(strs)
+	// bindLocked builds the same key from an event line's names.
 	key := we.Type + "\x00" + strings.Join(nums, "\x01") + "\x00" + strings.Join(strs, "\x01")
 	if s := sess.schemas[key]; s != nil {
 		return s
@@ -1381,6 +1408,7 @@ func (sess *session) enableLocked() {
 	}
 	sess.id = id
 	sess.resumable = true
+	sess.out.Init(srv.resumeWindow(), 0)
 	sess.rt.SetCheckpointMeta(sess.metaBytes)
 	_ = sess.sendLocked(wireOut{Session: &WireSession{ID: id, LingerMS: srv.Linger.Milliseconds()}}, false)
 	sess.startHeartbeatLocked()
@@ -1423,11 +1451,10 @@ func (s *Server) RestoreSession(dir string) (string, error) {
 	sess.rt = res.Runtime
 	sess.id = m.ID
 	sess.lastSeq = m.LastSeq
-	sess.outSeq = m.OutSeq
 	// Every durable line before the snapshot is gone from the replay
 	// window; a client that consumed less than that is rebased onto the
 	// retained result set.
-	sess.outFloor = m.OutSeq
+	sess.out.Init(s.resumeWindow(), m.OutSeq)
 	sess.processed = m.Processed
 	sess.dropped = m.Dropped
 	if m.V >= 2 {
@@ -1493,10 +1520,23 @@ func (s *Server) ServeConn(conn net.Conn) {
 		maxLine = 1024 * 1024
 	}
 	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
+	var el eventLine
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
+		}
+		if el.parse(line) {
+			if sess == nil {
+				if sess = s.newSession(conn, w, enc); sess == nil {
+					return
+				}
+			}
+			if stop, handled := sess.handleEventLine(conn, &el); stop {
+				return
+			} else if handled {
+				continue
+			}
 		}
 		var we WireEvent
 		if err := json.Unmarshal(line, &we); err != nil {
@@ -1538,13 +1578,16 @@ func (s *Server) ServeConn(conn net.Conn) {
 
 // Client streams events to a netstream server and receives results.
 type Client struct {
-	// SendWindow bounds the resend buffer of a resumable session: the
-	// newest SendWindow unacknowledged events are retained for replay
-	// after Resume (default 1024). Set it before EnableResume.
+	// SendWindow bounds the resend ring of a resumable session: the
+	// newest SendWindow sequenced frames (events and batch frames) are
+	// retained, as the bytes that were sent, for replay after Resume
+	// (default 1024). The ring recycles its line storage, so it holds at
+	// most SendWindow times the longest frame sent (capacity above
+	// 64 KiB is not recycled), and a full ring costs a Send no more than
+	// an empty one. Set it before EnableResume.
 	SendWindow int
 
 	conn net.Conn
-	enc  *json.Encoder
 	dec  *json.Decoder
 	// addr is remembered by Dial/DialContext/LazyDial so Resume (and a
 	// lazily-created client's first use) can establish a connection.
@@ -1556,14 +1599,16 @@ type Client struct {
 	// out-of-order drops) observed while reading replies.
 	warnings []string
 
-	// session resilience state: the server-issued id, the event seq
-	// cursor, the last consumed durable server seq, the bounded resend
-	// ring, and the retained final summary.
+	// session resilience state: the server-issued id, the last consumed
+	// durable server seq, the bounded resend ring (its Last is the event
+	// seq cursor), and the retained final summary.
 	session  string
-	seq      uint64
 	lastRecv uint64
-	ring     []WireEvent
+	ring     ring.Ring
 	summary  *WireDone
+
+	evEnc eventEncoder
+	line  []byte // encode scratch of unsequenced event lines
 }
 
 // Warnings returns the non-fatal server diagnostics collected so far
@@ -1658,9 +1703,33 @@ func (c *Client) ensure(ctx context.Context) error {
 		return err
 	}
 	c.conn = conn
-	c.enc = json.NewEncoder(conn)
 	c.dec = json.NewDecoder(bufio.NewReader(conn))
 	return nil
+}
+
+// writeFrame is the one path every generic client line takes: dial a
+// lazily-created client, encode we — stamped with the next seq and
+// retained in the resend ring first when it is a sequenced frame of a
+// resumable session, so a frame lost to the write error that reveals
+// a break is still replayable — and write it. (Send does the same
+// steps with the event-line encoder.)
+func (c *Client) writeFrame(ctx context.Context, we *WireEvent, sequenced bool) error {
+	if err := c.ensure(ctx); err != nil {
+		return err
+	}
+	var line []byte
+	var err error
+	if sequenced && c.session != "" {
+		we.Seq = c.ring.Next()
+		line, err = c.ring.PushJSON(we)
+	} else if line, err = json.Marshal(we); err == nil {
+		line = append(line, '\n')
+	}
+	if err != nil {
+		return err
+	}
+	_, err = c.conn.Write(line)
+	return err
 }
 
 // note applies the session-resilience bookkeeping every reply loop
@@ -1688,24 +1757,61 @@ func (c *Client) note(o *wireOut) bool {
 // establishes the connection (retrying transient dial failures with
 // backoff under ctx), then registers the statement.
 func (c *Client) RegisterContext(ctx context.Context, query string) (string, error) {
-	if err := c.ensure(ctx); err != nil {
+	if err := c.writeFrame(ctx, &WireEvent{Cmd: "register", Query: query}, false); err != nil {
 		return "", err
 	}
-	return c.Register(query)
+	for {
+		var o wireOut
+		if err := c.dec.Decode(&o); err != nil {
+			return "", err
+		}
+		if c.note(&o) {
+			continue
+		}
+		switch {
+		case o.Error != "":
+			return "", fmt.Errorf("server: %s", o.Error)
+		case o.Registered != nil:
+			return o.Registered.ID, nil
+		case o.Result != nil:
+			c.pending = append(c.pending, *o.Result)
+		case o.Done:
+			return "", fmt.Errorf("server ended session before acknowledging register")
+		}
+	}
 }
 
 // SendContext is Send for lazily-dialed clients, establishing the
-// connection under ctx first if needed.
+// connection under ctx first if needed. In a resumable session the
+// event is stamped with the next sequence number and its encoded line
+// retained (bounded by SendWindow) for replay after Resume — retained
+// first, so an event lost to the write error that reveals the break is
+// still replayable. An event that cannot be encoded (a NaN or infinite
+// attribute) is rejected without consuming a sequence number.
 func (c *Client) SendContext(ctx context.Context, typ string, t int64, attrs map[string]float64, strs map[string]string) error {
 	if err := c.ensure(ctx); err != nil {
 		return err
 	}
-	return c.Send(typ, t, attrs, strs)
+	buf, seq := c.line[:0], uint64(0)
+	if c.session != "" {
+		buf, seq = c.ring.Buf(), c.ring.Next()
+	}
+	line, err := c.evEnc.appendLine(buf, seq, typ, t, attrs, strs)
+	if err != nil {
+		return err
+	}
+	if c.session != "" {
+		c.ring.Push(line)
+	} else {
+		c.line = line
+	}
+	_, err = c.conn.Write(line)
+	return err
 }
 
 // NewClient wraps an established connection.
 func NewClient(conn net.Conn) *Client {
-	return &Client{conn: conn, enc: json.NewEncoder(conn), dec: json.NewDecoder(bufio.NewReader(conn))}
+	return &Client{conn: conn, dec: json.NewDecoder(bufio.NewReader(conn))}
 }
 
 // EnableResume asks the server for a resumable session; it must be
@@ -1715,13 +1821,10 @@ func NewClient(conn net.Conn) *Client {
 // losing the stream. Returns the server-issued session id. Requires
 // the server to arm Linger.
 func (c *Client) EnableResume(ctx context.Context) (string, error) {
-	if err := c.ensure(ctx); err != nil {
-		return "", err
-	}
 	if c.session != "" {
 		return c.session, nil
 	}
-	if err := c.enc.Encode(WireEvent{Cmd: "session"}); err != nil {
+	if err := c.writeFrame(ctx, &WireEvent{Cmd: "session"}, false); err != nil {
 		return "", err
 	}
 	for {
@@ -1737,9 +1840,10 @@ func (c *Client) EnableResume(ctx context.Context) (string, error) {
 			return "", fmt.Errorf("server: %s", o.Error)
 		case o.Session != nil:
 			c.session = o.Session.ID
-			if c.SendWindow == 0 {
+			if c.SendWindow <= 0 {
 				c.SendWindow = 1024
 			}
+			c.ring.Init(c.SendWindow, 0)
 			return c.session, nil
 		case o.Result != nil:
 			c.pending = append(c.pending, *o.Result)
@@ -1774,9 +1878,8 @@ func (c *Client) Resume(ctx context.Context) error {
 		return err
 	}
 	c.conn = conn
-	c.enc = json.NewEncoder(conn)
 	c.dec = json.NewDecoder(bufio.NewReader(conn))
-	if err := c.enc.Encode(WireEvent{Cmd: "resume", Session: c.session, Recv: c.lastRecv}); err != nil {
+	if err := c.writeFrame(ctx, &WireEvent{Cmd: "resume", Session: c.session, Recv: c.lastRecv}, false); err != nil {
 		return err
 	}
 	for {
@@ -1795,55 +1898,28 @@ func (c *Client) Resume(ctx context.Context) error {
 			c.pending = nil
 		}
 		ack := o.Resumed.Seq
-		if ack < c.seq {
-			need := c.seq - ack
-			if uint64(len(c.ring)) < need || c.ring[len(c.ring)-int(need)].Seq != ack+1 {
-				return fmt.Errorf("netstream: resume window exceeded (server applied through seq %d, oldest buffered is %d)",
-					ack, c.oldestBuffered())
-			}
-			for _, we := range c.ring[len(c.ring)-int(need):] {
-				if err := c.enc.Encode(we); err != nil {
-					return err
-				}
-			}
+		if !c.ring.Covers(ack) {
+			return fmt.Errorf("netstream: resume window exceeded (server applied through seq %d, oldest buffered is %d)",
+				ack, c.ring.Oldest())
 		}
-		return nil
+		return c.ring.WriteAfter(c.conn, ack)
 	}
 }
 
-func (c *Client) oldestBuffered() uint64 {
-	if len(c.ring) == 0 {
-		return 0
-	}
-	return c.ring[0].Seq
-}
-
-// Send streams one event. In a resumable session it is stamped with
-// the next sequence number and retained (bounded by SendWindow) for
-// replay after Resume — buffer first, so an event lost to the write
-// error that reveals the break is still replayable.
+// Send streams one event (SendContext without a dial deadline).
 func (c *Client) Send(typ string, t int64, attrs map[string]float64, strs map[string]string) error {
-	we := WireEvent{Type: typ, Time: t, Attrs: attrs, Str: strs}
-	if c.session != "" {
-		c.seq++
-		we.Seq = c.seq
-		c.ring = append(c.ring, we)
-		if w := c.SendWindow; w > 0 && len(c.ring) > w {
-			c.ring = append(c.ring[:0], c.ring[len(c.ring)-w:]...)
-		}
-	}
-	return c.enc.Encode(we)
+	return c.SendContext(context.Background(), typ, t, attrs, strs)
 }
 
 // SendBatch streams a columnar batch frame: n rows of one type, times
 // in non-decreasing order, cols/scols mapping each attribute to one
 // value per row. The server decodes the arrays straight into its
 // columnar ingest path. In a resumable session the frame carries one
-// frame-level sequence number and is retained whole in the resend
-// buffer — the server dedups duplicate frames by seq after a Resume —
-// so batches stay columnar end to end instead of degrading to
-// per-event sends. The retained copy is deep: the caller may reuse its
-// arrays after SendBatch returns.
+// frame-level sequence number and its encoded line is retained whole
+// in the resend ring — the server dedups duplicate frames by seq after
+// a Resume — so batches stay columnar end to end instead of degrading
+// to per-event sends. The caller may reuse its arrays after SendBatch
+// returns.
 func (c *Client) SendBatch(typ string, times []int64, cols map[string][]float64, scols map[string][]string) error {
 	for a, col := range cols {
 		if len(col) != len(times) {
@@ -1855,64 +1931,19 @@ func (c *Client) SendBatch(typ string, times []int64, cols map[string][]float64,
 			return fmt.Errorf("netstream: batch column %q has %d values, want %d", a, len(col), len(times))
 		}
 	}
-	we := WireEvent{Cmd: "batch", Type: typ, Times: times, Cols: cols, SCols: scols}
-	if c.session != "" {
-		we.Times = slices.Clone(times)
-		if len(cols) > 0 {
-			cp := make(map[string][]float64, len(cols))
-			for a, col := range cols {
-				cp[a] = slices.Clone(col)
-			}
-			we.Cols = cp
-		}
-		if len(scols) > 0 {
-			cp := make(map[string][]string, len(scols))
-			for a, col := range scols {
-				cp[a] = slices.Clone(col)
-			}
-			we.SCols = cp
-		}
-		c.seq++
-		we.Seq = c.seq
-		c.ring = append(c.ring, we)
-		if w := c.SendWindow; w > 0 && len(c.ring) > w {
-			c.ring = append(c.ring[:0], c.ring[len(c.ring)-w:]...)
-		}
-	}
-	return c.enc.Encode(we)
+	return c.writeFrame(context.Background(), &WireEvent{Cmd: "batch", Type: typ, Times: times, Cols: cols, SCols: scols}, true)
 }
 
 // Register attaches a new statement mid-stream and returns its id.
 // Results already in flight are buffered for Flush.
 func (c *Client) Register(query string) (string, error) {
-	if err := c.enc.Encode(WireEvent{Cmd: "register", Query: query}); err != nil {
-		return "", err
-	}
-	for {
-		var o wireOut
-		if err := c.dec.Decode(&o); err != nil {
-			return "", err
-		}
-		if c.note(&o) {
-			continue
-		}
-		switch {
-		case o.Error != "":
-			return "", fmt.Errorf("server: %s", o.Error)
-		case o.Registered != nil:
-			return o.Registered.ID, nil
-		case o.Result != nil:
-			c.pending = append(c.pending, *o.Result)
-		case o.Done:
-			return "", fmt.Errorf("server ended session before acknowledging register")
-		}
-	}
+	return c.RegisterContext(context.Background(), query)
 }
 
 // CloseStatement closes one statement mid-stream; its open windows
 // flush first (those results are buffered for Flush).
 func (c *Client) CloseStatement(id string) error {
-	if err := c.enc.Encode(WireEvent{Cmd: "close", ID: id}); err != nil {
+	if err := c.writeFrame(context.Background(), &WireEvent{Cmd: "close", ID: id}, false); err != nil {
 		return err
 	}
 	for {
@@ -1942,7 +1973,7 @@ func (c *Client) CloseStatement(id string) error {
 // an error carrying the server's diagnostic; the session itself keeps
 // serving, so the caller may continue sending events either way.
 func (c *Client) Checkpoint() error {
-	if err := c.enc.Encode(WireEvent{Cmd: "checkpoint"}); err != nil {
+	if err := c.writeFrame(context.Background(), &WireEvent{Cmd: "checkpoint"}, false); err != nil {
 		return err
 	}
 	var lastWarn string
@@ -1984,10 +2015,7 @@ func (c *Client) Checkpoint() error {
 // Results arriving interleaved with the reply are buffered for the
 // next Flush.
 func (c *Client) Stats() (*WireSessStats, error) {
-	if err := c.ensure(context.Background()); err != nil {
-		return nil, err
-	}
-	if err := c.enc.Encode(WireEvent{Cmd: "stats"}); err != nil {
+	if err := c.writeFrame(context.Background(), &WireEvent{Cmd: "stats"}, false); err != nil {
 		return nil, err
 	}
 	for {
@@ -2014,7 +2042,7 @@ func (c *Client) Stats() (*WireSessStats, error) {
 // Flush ends the stream and collects all remaining results plus the
 // session summary (Summary retains the full set of counters).
 func (c *Client) Flush() ([]WireResult, uint64, error) {
-	if err := c.enc.Encode(WireEvent{Cmd: "flush"}); err != nil {
+	if err := c.writeFrame(context.Background(), &WireEvent{Cmd: "flush"}, false); err != nil {
 		return nil, 0, err
 	}
 	results := c.pending

@@ -553,7 +553,7 @@ func TestSessionProtocolErrors(t *testing.T) {
 		}
 		// Bypass Send's stamping: a session event without a seq is a
 		// protocol error the server must report.
-		if err := c.enc.Encode(WireEvent{Type: "Stock", Time: 1}); err != nil {
+		if err := c.writeFrame(ctx, &WireEvent{Type: "Stock", Time: 1}, false); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.Checkpoint(); err == nil {
@@ -587,7 +587,7 @@ func TestSessionProtocolErrors(t *testing.T) {
 			{Cmd: "sreg", SI: -1, GI: 0, Query: q, ID: "u2"},
 		} {
 			we.Seq = uint64(i + 1)
-			if err := c.enc.Encode(we); err != nil {
+			if err := c.writeFrame(ctx, &we, false); err != nil {
 				t.Fatal(err)
 			}
 		}
