@@ -688,8 +688,7 @@ func (co *Coordinator) Close() error {
 	_ = co.rt.Close()
 	for _, l := range co.links {
 		if !l.closing {
-			l.closing = true
-			l.sendRaw(netstream.WireEvent{Cmd: "flush"})
+			l.finish()
 		}
 	}
 	co.closed = true
@@ -700,10 +699,8 @@ func (co *Coordinator) Close() error {
 	co.mu.Unlock()
 
 	for _, l := range links {
-		if l.conn != nil {
-			<-l.readerDone
-			_ = l.conn.Close()
-		}
+		<-l.readerDone
+		_ = l.c.Close()
 	}
 	if co.metLn != nil {
 		_ = co.metLn.Close()
@@ -784,8 +781,7 @@ func (co *Coordinator) Drain(from, to int) error {
 		co.slotLink[w] = to
 	}
 	lf.drained = true
-	lf.closing = true
-	lf.sendRaw(netstream.WireEvent{Cmd: "flush"})
+	lf.finish()
 	d := time.Since(t0)
 	co.met.handoffs.Inc()
 	co.met.handoffDur.Observe(d)
@@ -805,32 +801,8 @@ func (co *Coordinator) BreakLink(i int) error {
 	if i < 0 || i >= len(co.links) {
 		return fmt.Errorf("cluster: no shard link %d", i)
 	}
-	l := co.links[i]
-	if l.conn == nil {
-		return fmt.Errorf("cluster: link %d not connected", i)
-	}
 	// Already-closed is fine: the link is broken either way (a kill can
-	// land while a previous break's reattach is still in flight).
-	_ = l.conn.Close()
+	// land while a previous break's resume is still in flight).
+	_ = co.links[i].c.Close()
 	return nil
-}
-
-// dialRetry dials addr, retrying until ctx expires.
-func dialRetry(ctx context.Context, addr string) (net.Conn, error) {
-	var d net.Dialer
-	backoff := 10 * time.Millisecond
-	for {
-		conn, err := d.DialContext(ctx, "tcp", addr)
-		if err == nil {
-			return conn, nil
-		}
-		select {
-		case <-ctx.Done():
-			return nil, fmt.Errorf("cluster: dial %s: %w (last: %v)", addr, ctx.Err(), err)
-		case <-time.After(backoff):
-		}
-		if backoff *= 2; backoff > 500*time.Millisecond {
-			backoff = 500 * time.Millisecond
-		}
-	}
 }

@@ -413,6 +413,87 @@ func TestClusterKillResume(t *testing.T) {
 	}
 }
 
+// planListener puts every connection a shard accepts under its own
+// fault plan, so the shard→coordinator direction can be faulted and the
+// link can still redial.
+type planListener struct {
+	net.Listener
+	mu  sync.Mutex
+	cur *faultnet.Faults
+}
+
+func (l *planListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	f := faultnet.New()
+	l.mu.Lock()
+	l.cur = f
+	l.mu.Unlock()
+	return f.Conn(c), nil
+}
+
+func (l *planListener) plan() *faultnet.Faults {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.cur
+}
+
+// TestClusterLinkRebaseFatal: a link that resumes after the shard's
+// replay window moved past its cursor has lost partials and acks for
+// good — the shard rebases the session, and the coordinator must fail
+// the cluster instead of merging around the gap.
+func TestClusterLinkRebaseFatal(t *testing.T) {
+	tcp, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &planListener{Listener: tcp}
+	srv := cluster.ServeShard()
+	srv.ResumeWindow = 1
+	go func() { _ = srv.Serve(ln) }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+	})
+	co := connect(t, []string{tcp.Addr().String()})
+	if _, err := co.Register(diffQueries[1]); err != nil {
+		t.Fatal(err)
+	}
+	// The shard's lines now vanish on their way out while the stream
+	// closes windows: partials and acks pile up past the one-line
+	// window, unseen by the coordinator.
+	f := ln.plan()
+	f.SetBlackhole(true)
+	lost := f.BytesWritten()
+	cfg := greta.DefaultCluster(3000)
+	cfg.Rate = 50 // 60 seconds of stream: several windows close
+	for _, ev := range greta.ClusterStream(cfg) {
+		if err := co.Process(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for f.BytesWritten() < lost+200 { // a few acks' worth
+		if time.Now().After(deadline) {
+			t.Fatalf("shard wrote %d bytes into the blackhole, want its partials and acks", f.BytesWritten()-lost)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	f.Cut()
+	for co.Err() == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("link resumed across a rebase and the cluster carried on")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := co.Close(); err == nil || !strings.Contains(err.Error(), "rebased") {
+		t.Fatalf("cluster error = %v, want the rebase", err)
+	}
+}
+
 // TestClusterDrainHandoff rebalances mid-stream: a cold shard joins,
 // a loaded shard drains its slots onto it (barrier + snapshot +
 // adopt), and the stream continues. Slots keep their home indices, so
@@ -539,6 +620,26 @@ func TestClusterDrainLargeSnapshot(t *testing.T) {
 	}
 	if ws, cs := r2.Stats(), c2.Stats(); ws != cs {
 		t.Errorf("volume stats:\nref     %+v\ncluster %+v", ws, cs)
+	}
+}
+
+// TestConnectBadAddress: a shard address that can never be dialed fails
+// Connect with the dial error at once — only a refused, reset or timed
+// out dial (a shard still coming up) is worth retrying until the
+// context ends.
+func TestConnectBadAddress(t *testing.T) {
+	for _, addr := range []string{"127.0.0.1:notaport", "no-colon"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		t0 := time.Now()
+		co, err := cluster.Connect(ctx, cluster.Config{Shards: []string{addr}})
+		cancel()
+		if err == nil {
+			_ = co.Close()
+			t.Fatalf("Connect to %q succeeded", addr)
+		}
+		if d := time.Since(t0); d > 2*time.Second || errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("Connect to %q took %v to fail with %v; a permanent dial error must not be retried until the deadline", addr, d, err)
+		}
 	}
 }
 

@@ -1,55 +1,26 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
 	"encoding/base64"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net"
 	"time"
 
 	"github.com/greta-cep/greta/internal/core"
-	"github.com/greta-cep/greta/internal/ring"
 	"github.com/greta-cep/greta/netstream"
 )
 
-// serverLine mirrors the server's output line shape (netstream's
-// unexported wireOut): the subset of fields a shard link produces.
-type serverLine struct {
-	Registered *netstream.WireRegistered `json:"registered"`
-	Session    *netstream.WireSession    `json:"session"`
-	Resumed    *netstream.WireResumed    `json:"resumed"`
-	Seq        uint64                    `json:"seq"`
-	Ping       uint64                    `json:"ping"`
-	Done       bool                      `json:"done"`
-	Error      string                    `json:"error"`
-	Warn       string                    `json:"warn"`
-	Partial    *netstream.WirePartial    `json:"partial"`
-	Ack        *netstream.WireAck        `json:"ack"`
-	UnitStats  *netstream.WireUnitStats  `json:"unit_stats"`
-	Shard      *netstream.WireShardInfo  `json:"shard"`
-	Handoff    *netstream.WireHandoff    `json:"handoff"`
-}
-
 // link is one shard connection: a resumable netstream session in shard
-// mode, with the client half of the resume protocol (sequence-stamped
-// frames, bounded resend ring, durable-input dedup by server seq).
-// All fields are guarded by co.mu; the reader goroutine takes it per
-// line.
+// mode. The client half of the resume protocol — sequence-stamped
+// frames, the bounded resend ring, redial and replay, dedup of durable
+// lines by server seq — is netstream.Client's; the link adds the shard
+// bookkeeping. The coordinator (under co.mu) is the client's sender,
+// the link's run goroutine its reader. Every other field is guarded by
+// co.mu; the reader takes it per line.
 type link struct {
-	co   *Coordinator
-	idx  int
-	addr string
-
-	conn net.Conn
-	w    io.Writer // byte-counting writer over conn; nil while the link is down
-	dec  *json.Decoder
-
-	session  string
-	lastRecv uint64    // last consumed durable server seq
-	ring     ring.Ring // sequenced frames as sent; Last is the client seq cursor
+	co  *Coordinator
+	idx int
+	c   *netstream.Client
 
 	count       int               // shard handshake ack: slot modulus (0 = not yet)
 	adopts      int               // count of shard-info acks (handshake + adopts)
@@ -65,205 +36,107 @@ type link struct {
 	readerDone chan struct{}
 }
 
-// dialLink connects one shard, establishes a resumable session, and —
-// when slots is non-nil or the cluster is fresh — performs the shard
-// handshake hosting the given worker slots. Returns after the server
-// acknowledges.
+// dialLink connects one shard, establishes a resumable session, and
+// performs the shard handshake hosting the given worker slots (none for
+// a shard joining cold). Returns after the server acknowledges.
 func (co *Coordinator) dialLink(ctx context.Context, idx int, addr string, slots []int) (*link, error) {
-	conn, err := dialRetry(ctx, addr)
+	c, err := netstream.DialContext(ctx, addr)
 	if err != nil {
 		return nil, err
 	}
-	l := &link{co: co, idx: idx, addr: addr, conn: conn,
-		w:          &countingConnWriter{w: conn, n: co.met.frameBytes},
-		dec:        json.NewDecoder(bufio.NewReader(conn)),
-		readerDone: make(chan struct{}),
+	c.SendWindow = co.sendWin
+	if _, err := c.EnableResume(ctx); err != nil {
+		_ = c.Close()
+		return nil, fmt.Errorf("cluster: shard %d: %w", idx, err)
 	}
-	l.ring.Init(co.sendWin, 0)
+	l := &link{co: co, idx: idx, c: c, readerDone: make(chan struct{})}
 	go l.run()
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	l.sendRaw(netstream.WireEvent{Cmd: "session"})
-	if err := co.waitLocked(func() bool { return l.session != "" }); err != nil {
-		return nil, err
-	}
 	l.send(netstream.WireEvent{Cmd: "shard", Count: co.n0, Workers: slots})
 	if err := co.waitLocked(func() bool { return l.count != 0 }); err != nil {
+		_ = c.Close() // the reader exits on the closed connection
 		return nil, err
 	}
 	return l, nil
 }
 
-// send stamps one sequenced frame, encodes it into the resend ring,
-// and writes the ringed bytes. co.mu held. The ring, not the write, is
-// what guarantees delivery: a frame that never reached the socket is
-// replayed by the resume. A frame that cannot be encoded at all (a NaN
-// or infinite attribute) has no replay either, so it fails the cluster.
+// send ships one sequenced frame. co.mu held. The client's resend ring,
+// not the write, is what guarantees delivery: a frame that never
+// reached the socket is replayed by the resume. A frame that cannot be
+// encoded at all (a NaN or infinite attribute) has no replay either, so
+// it fails the cluster.
 func (l *link) send(we netstream.WireEvent) {
 	t0 := time.Now()
-	we.Seq = l.ring.Next()
-	line, err := l.ring.PushJSON(we)
+	n, err := l.c.SendFrame(&we)
 	if err != nil {
-		l.co.fail(fmt.Errorf("cluster: shard %d: encode %q frame: %w", l.idx, we.Cmd, err))
+		l.co.fail(fmt.Errorf("cluster: shard %d: %q frame: %w", l.idx, we.Cmd, err))
 		return
 	}
-	l.write(line)
 	l.co.met.encDur.Observe(time.Since(t0))
+	l.co.met.frameBytes.Add(uint64(n))
 	l.co.met.frames.Inc()
 }
 
-// sendRaw writes one unsequenced control line (session, flush). co.mu
+// finish ends the link's session with the unsequenced flush command:
+// the reader exits on the server's summary, or on the disconnect. co.mu
 // held.
-func (l *link) sendRaw(we netstream.WireEvent) {
-	if line, err := json.Marshal(we); err == nil {
-		l.write(append(line, '\n'))
-	}
+func (l *link) finish() {
+	l.closing = true
+	n, _ := l.c.SendFrame(&netstream.WireEvent{Cmd: "flush"})
+	l.co.met.frameBytes.Add(uint64(n))
 }
 
-// write puts one encoded line on the wire. co.mu held. The first
-// failed write closes the connection, so the reader's reattach starts
-// immediately, and drops the writer, so later frames are ringed
-// without being written into a dead socket.
-func (l *link) write(line []byte) {
-	if l.w == nil {
-		return
-	}
-	if _, err := l.w.Write(line); err != nil {
-		l.w = nil
-		_ = l.conn.Close()
-	}
-}
-
-// run is the link's reader goroutine: it decodes server lines for the
-// life of the cluster, transparently redialing and resuming the
-// session when the connection breaks.
+// run is the link's reader goroutine: it applies server lines for the
+// life of the cluster, transparently resuming the session (redial,
+// handshake, replay — under the resume timeout) when the connection
+// breaks.
 func (l *link) run() {
 	defer close(l.readerDone)
+	co := l.co
 	for {
-		l.readLoop()
-		co := l.co
+		o, err := l.c.ReadLine()
 		co.mu.Lock()
-		if l.done || l.closing || co.closed || co.err != nil {
-			co.mu.Unlock()
+		if err == nil {
+			co.handleLineLocked(l, o)
+		}
+		stop := l.done || (err != nil && (l.closing || co.closed || co.err != nil))
+		co.mu.Unlock()
+		if stop {
 			return
 		}
-		l.w, l.dec = nil, nil
-		_ = l.conn.Close()
-		co.mu.Unlock()
-		if err := l.reattach(); err != nil {
+		if err == nil {
+			continue
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), co.resumeT)
+		err = l.c.Resume(ctx)
+		cancel()
+		if err != nil {
 			co.mu.Lock()
 			co.fail(fmt.Errorf("cluster: shard %d: %w", l.idx, err))
 			co.mu.Unlock()
 			return
 		}
+		co.met.resumes.Inc()
 	}
 }
 
-// readLoop decodes lines until the connection breaks.
-func (l *link) readLoop() {
-	dec := l.dec
-	if dec == nil {
-		return
-	}
-	for {
-		var o serverLine
-		if err := dec.Decode(&o); err != nil {
-			return
-		}
-		l.co.handleLine(l, &o)
-		l.co.mu.Lock()
-		stop := l.done
-		l.co.mu.Unlock()
-		if stop {
-			return
-		}
-	}
-}
-
-// reattach heals a broken link: redial under the resume timeout,
-// identify the session and the last durable line consumed, and replay
-// the unacknowledged frame tail. A rebase (the server lost our replay
-// window) is fatal — the merge state cannot be rebuilt.
-func (l *link) reattach() error {
-	co := l.co
-	ctx, cancel := context.WithTimeout(context.Background(), co.resumeT)
-	defer cancel()
-	conn, err := dialRetry(ctx, l.addr)
-	if err != nil {
-		return err
-	}
-	w := &countingConnWriter{w: conn, n: co.met.frameBytes}
-	dec := json.NewDecoder(bufio.NewReader(conn))
-
-	co.mu.Lock()
-	sess, recv := l.session, l.lastRecv
-	co.mu.Unlock()
-	if err := json.NewEncoder(w).Encode(netstream.WireEvent{Cmd: "resume", Session: sess, Recv: recv}); err != nil {
-		_ = conn.Close()
-		return err
-	}
-	var ack uint64
-	for {
-		var o serverLine
-		if err := dec.Decode(&o); err != nil {
-			_ = conn.Close()
-			return err
-		}
-		if o.Resumed == nil {
-			if o.Error != "" {
-				_ = conn.Close()
-				return fmt.Errorf("resume: %s", o.Error)
-			}
-			continue // pings; durable lines only follow the ack
-		}
-		if o.Resumed.Rebase {
-			_ = conn.Close()
-			return fmt.Errorf("resume: session rebased (replay window exceeded)")
-		}
-		ack = o.Resumed.Seq
-		break
-	}
-
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if !l.ring.Covers(ack) {
-		_ = conn.Close()
-		return fmt.Errorf("resume window exceeded (server applied through seq %d)", ack)
-	}
-	if err := l.ring.WriteAfter(w, ack); err != nil {
-		_ = conn.Close()
-		return err
-	}
-	l.conn, l.w, l.dec = conn, w, dec
-	co.met.resumes.Inc()
-	return nil
-}
-
-// handleLine applies one server line under co.mu: resume bookkeeping
-// (heartbeats swallowed, duplicate durable lines skipped by seq), then
-// the shard-link payloads — partial windows into the merger, barrier
-// acks into the release frontiers, stats folds, handshake and handoff
-// acknowledgements.
-func (co *Coordinator) handleLine(l *link, o *serverLine) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if o.Ping != 0 {
-		return
-	}
-	if o.Seq != 0 {
-		if o.Seq <= l.lastRecv {
-			return // duplicate replay of a line already consumed
-		}
-		l.lastRecv = o.Seq
-	}
+// handleLineLocked applies one server line (co.mu held; the client has
+// already swallowed heartbeats and skipped replayed durable lines):
+// partial windows into the merger, barrier acks into the release
+// frontiers, stats folds, handshake and handoff acknowledgements.
+func (co *Coordinator) handleLineLocked(l *link, o *netstream.WireLine) {
 	switch {
 	case o.Warn != "":
 		co.warnings = append(co.warnings, fmt.Sprintf("shard %d: %s", l.idx, o.Warn))
 	case o.Error != "":
 		co.fail(fmt.Errorf("cluster: shard %d: %s", l.idx, o.Error))
-	case o.Session != nil:
-		l.session = o.Session.ID
-		co.cond.Broadcast()
+	case o.Resumed != nil:
+		// The server lost our replay window: the durable lines in the gap
+		// are gone and the merge state cannot be rebuilt.
+		if o.Resumed.Rebase {
+			co.fail(fmt.Errorf("cluster: shard %d: resume: session rebased (replay window exceeded)", l.idx))
+		}
 	case o.Shard != nil:
 		l.count = o.Shard.Count
 		l.adopts++

@@ -7,7 +7,6 @@
 package cluster
 
 import (
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -21,7 +20,7 @@ type coMetrics struct {
 	events     *obs.Counter // events offered to Process
 	drops      *obs.Counter // out-of-order drops
 	frames     *obs.Counter // sequenced frames sent across all links
-	frameBytes *obs.Counter // bytes written to shard links
+	frameBytes *obs.Counter // bytes written to shard links: each frame once, as encoded (a resume's handshake and replay are not recounted)
 	barriers   *obs.Counter // barrier fan-outs
 	resumes    *obs.Counter // successful link reattaches
 	handoffs   *obs.Counter // completed drains
@@ -90,18 +89,6 @@ func (co *Coordinator) ackBarrierLocked(si int, w int, hi int64) {
 			delete(co.barPend, k)
 		}
 	}
-}
-
-// countingConnWriter counts bytes flowing to a shard link.
-type countingConnWriter struct {
-	w io.Writer
-	n *obs.Counter
-}
-
-func (c *countingConnWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n.Add(uint64(n))
-	return n, err
 }
 
 // Metrics is a consistent snapshot of the coordinator's observability

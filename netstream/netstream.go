@@ -115,9 +115,17 @@
 // and the shard's partial windows, barrier acks, and unit stats travel
 // back as durable seq-numbered lines, so a dropped link replays its
 // unacked tail in both directions and the coordinator's merge applies
-// every frame exactly once. Events arrive with coordinator-computed
-// route hashes (shards never rehash), normally packed in columnar
-// batch frames.
+// every frame exactly once. Events arrive in columnar batch frames
+// only, each row with its coordinator-computed route hashes (shards
+// never rehash); a plain event line on a shard session is refused with
+// an error line and consumes no seq.
+//
+// The coordinator's end of a shard link is this package's Client, the
+// one client half of the protocol: Client.SendFrame stamps and rings
+// the shard frames, Client.ReadLine hands over the server's lines
+// (WireLine) with heartbeats swallowed and replayed lines skipped, and
+// Client.Resume heals the link — the same dial backoff, handshake,
+// ring replay and dedup an ordinary producer's session runs on.
 package netstream
 
 import (
@@ -163,8 +171,8 @@ type WireEvent struct {
 	// commands — "shard" (handshake: Count is the cluster's worker-slot
 	// modulus, Workers the slots hosted here), "sreg"/"sclose" (unit
 	// fan-out), "barrier" (window release), "eos" (end of stream),
-	// "handoff"/"adopt" (slot migration) — and its event/batch lines
-	// carry pre-computed route hashes so shards never rehash.
+	// "handoff"/"adopt" (slot migration) — and its batch frames carry
+	// pre-computed route hashes so shards never rehash.
 	Count   int   `json:"count,omitempty"`
 	Workers []int `json:"workers,omitempty"`
 	SI      int   `json:"si,omitempty"`    // sreg/sclose/barrier: unit index
@@ -172,16 +180,22 @@ type WireEvent struct {
 	Exact   bool  `json:"exact,omitempty"` // sreg: exact arithmetic mode
 	Force   bool  `json:"force,omitempty"` // sreg: forced vertex scan
 	Hi      int64 `json:"hi,omitempty"`    // barrier: highest window id closed
-	// RG/RH route a single event line: targeted route groups and their
-	// FNV-1a hashes (hex). A batch frame uses GI+RH (one hash per row,
-	// all rows in group GI) or RGs/RHs (per-row group lists) instead.
-	RG    []int             `json:"rg,omitempty"`
+	// A shard batch frame routes its rows by FNV-1a hash (hex): GI+RH
+	// (one hash per row, all rows in route group GI) or RGs/RHs (per-row
+	// group lists).
 	RH    []string          `json:"rh,omitempty"`
 	RGs   [][]int           `json:"rgs,omitempty"`
 	RHs   [][]string        `json:"rhs,omitempty"`
 	Blobs map[string]string `json:"blobs,omitempty"` // adopt: worker slot → base64 snapshot
 	EvID  uint64            `json:"evid,omitempty"`  // adopt: donor session's event-ID counter
 }
+
+// sequencedFrame reports whether a client line of this kind rides the
+// seq discipline of a resumable session — stamped and retained by the
+// client, admitted by seq on the server: event lines, batch frames and
+// every shard-link frame. The other commands are requests answered in
+// line, neither numbered nor replayed.
+func sequencedFrame(cmd string) bool { return cmd == "" || cmd == "shard" || shardFrame(cmd) }
 
 // WireResult is the JSON representation of one emitted result, tagged
 // with the id of the statement that produced it.
@@ -262,7 +276,11 @@ type WireSessStats struct {
 	CheckpointAgeMS  int64  `json:"checkpoint_age_ms,omitempty"`
 }
 
-type wireOut struct {
+// WireLine is the JSON representation of one server→client line; a
+// line sets exactly one of its payload fields. Client.ReadLine hands
+// them to callers that drive the protocol themselves (a cluster
+// coordinator's shard links).
+type WireLine struct {
 	Result     *WireResult     `json:"result,omitempty"`
 	Registered *WireRegistered `json:"registered,omitempty"`
 	Closed     string          `json:"closed,omitempty"`
@@ -625,12 +643,11 @@ type session struct {
 
 	processed uint64
 	dropped   uint64
-	nextID    uint64 // event ids on the non-resumable path
-	// evID allocates engine event ids on the resumable path. It is
-	// committed only after the runtime call returns (alongside
-	// lastSeq), so a snapshot firing inside the call still describes
-	// the state before the in-flight event; batch frames commit it per
-	// row together with frameRows, the mid-frame progress counter the
+	// evID allocates engine event ids. It is committed only after the
+	// runtime call returns (in a resumable session alongside lastSeq),
+	// so a snapshot firing inside the call still describes the state
+	// before the in-flight event; batch frames commit it per row
+	// together with frameRows, the mid-frame progress counter the
 	// checkpoint meta persists. frameSkip is the restore-side
 	// counterpart: rows of the next replayed frame already contained in
 	// the snapshot.
@@ -655,22 +672,29 @@ type session struct {
 // replay; everything else is fire-and-forget. The line lands in the
 // connection's write buffer: whoever handled the input that caused it
 // flushes once when done (flushLocked), so a closed window's results
-// share one write. Callers ignore the error — a broken conn parks the
-// session via the reader.
-func (sess *session) sendLocked(o wireOut, durable bool) error {
+// share one write. Write errors are sticky in that buffer — flushLocked
+// reports them, and a broken conn parks the session via the reader. A
+// line that cannot be encoded (a non-finite result value) must not
+// vanish: the client gets an error line saying what was lost instead,
+// and no durable seq is consumed.
+func (sess *session) sendLocked(o WireLine, durable bool) {
+	var err error
 	if durable && sess.resumable {
 		o.Seq = sess.out.Next()
-		line, err := sess.out.PushJSON(o)
-		if err != nil || sess.conn == nil {
-			return err
+		var line []byte
+		if line, err = sess.out.PushJSON(o); err == nil && sess.conn != nil {
+			_, _ = sess.w.Write(line)
 		}
-		_, err = sess.w.Write(line)
-		return err
+	} else if sess.conn != nil {
+		err = sess.enc.Encode(o)
 	}
-	if sess.conn == nil {
-		return nil
+	if err != nil && sess.conn != nil {
+		what := "line"
+		if r := o.Result; r != nil {
+			what = fmt.Sprintf("result of statement %s, window %d, group %q", r.Stmt, r.Wid, r.Group)
+		}
+		_ = sess.enc.Encode(WireLine{Error: fmt.Sprintf("%s not delivered: %v", what, err)})
 	}
-	return sess.enc.Encode(o)
 }
 
 // flushLocked pushes the buffered output lines to the peer (mu held).
@@ -700,14 +724,17 @@ func (sess *session) wire(h *greta.Handle) {
 	id := h.ID()
 	sess.handles[id] = h
 	sess.order = append(sess.order, id)
-	h.OnResult(func(r greta.Result) {
-		_ = sess.sendLocked(wireOut{Result: &WireResult{
-			Stmt:  id,
-			Group: r.Group, Wid: r.Wid,
-			Start: r.WindowStart, End: r.WindowEnd,
-			Values: r.Values,
-		}}, true)
-	})
+	h.OnResult(func(r greta.Result) { sess.sendLocked(resultLine(id, r), true) })
+}
+
+// resultLine is the wire form of one result of statement id.
+func resultLine(id string, r greta.Result) WireLine {
+	return WireLine{Result: &WireResult{
+		Stmt:  id,
+		Group: r.Group, Wid: r.Wid,
+		Start: r.WindowStart, End: r.WindowEnd,
+		Values: r.Values,
+	}}
 }
 
 func (sess *session) stopHeartbeatLocked() {
@@ -745,11 +772,8 @@ func (sess *session) startHeartbeatLocked() {
 				return
 			}
 			sess.pings++
-			err := sess.sendLocked(wireOut{Ping: sess.pings}, false)
-			if err == nil {
-				err = sess.flushLocked()
-			}
-			if err != nil {
+			sess.sendLocked(WireLine{Ping: sess.pings}, false)
+			if err := sess.flushLocked(); err != nil {
 				_ = myConn.Close() // wake the blocked reader; it parks the session
 				sess.mu.Unlock()
 				return
@@ -814,7 +838,7 @@ func (sess *session) finishLocked() {
 		stats[id] = h.Stats()
 	}
 	sess.ended = true
-	_ = sess.sendLocked(wireOut{Done: true, Events: sess.processed, Drop: sess.dropped,
+	sess.sendLocked(WireLine{Done: true, Events: sess.processed, Drop: sess.dropped,
 		SharedStmts: rs.SharedStatements, SharedGraphs: rs.SharedGraphs, Stats: stats}, false)
 	sess.detachLocked()
 	sess.srv.removeSession(sess)
@@ -832,7 +856,7 @@ func (sess *session) park(myConn net.Conn, timedOut bool) {
 	if timedOut {
 		// Report the deadline cleanly before dropping the conn; open
 		// windows are not flushed on a stalled client's behalf.
-		_ = sess.sendLocked(wireOut{Error: "timeout"}, false)
+		sess.sendLocked(WireLine{Error: "timeout"}, false)
 	}
 	sess.detachLocked()
 	if !sess.resumable || sess.srv.Linger <= 0 || sess.srv.isClosed() {
@@ -865,8 +889,8 @@ func (sess *session) fail(myConn net.Conn) {
 }
 
 // drain is Shutdown's per-session step: barrier the reorder buffer,
-// checkpoint if armed (unconfigured is fine; failed writes warn), then
-// finish with the terminal summary.
+// checkpoint if armed (failed writes warn), then finish with the
+// terminal summary.
 func (sess *session) drain() {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
@@ -878,8 +902,10 @@ func (sess *session) drain() {
 		sess.lingerT = nil
 	}
 	_ = sess.rt.Barrier()
-	if err := sess.rt.Checkpoint(); err != nil && !strings.Contains(err.Error(), "not configured") {
-		_ = sess.sendLocked(wireOut{Warn: fmt.Sprintf("checkpoint: %v", err)}, false)
+	if sess.rt.CheckpointArmed() {
+		if err := sess.rt.Checkpoint(); err != nil {
+			sess.sendLocked(WireLine{Warn: fmt.Sprintf("checkpoint: %v", err)}, false)
+		}
 	}
 	sess.finishLocked()
 }
@@ -926,7 +952,7 @@ func (sess *session) attachLocked(conn net.Conn, w *bufio.Writer, enc *json.Enco
 		// The client's cursor fell behind the replay window: rebase.
 		// Acknowledge first, then re-deliver every retained result with
 		// fresh seqs; the client discards its collected set on the ack.
-		_ = sess.sendLocked(wireOut{Resumed: &WireResumed{ID: sess.id, Seq: sess.lastSeq, Rebase: true}}, false)
+		sess.sendLocked(WireLine{Resumed: &WireResumed{ID: sess.id, Seq: sess.lastSeq, Rebase: true}}, false)
 		sess.out.Clear()
 		for _, id := range sess.order {
 			h, ok := sess.handles[id]
@@ -934,16 +960,11 @@ func (sess *session) attachLocked(conn net.Conn, w *bufio.Writer, enc *json.Enco
 				continue
 			}
 			for _, r := range h.Delivered() {
-				_ = sess.sendLocked(wireOut{Result: &WireResult{
-					Stmt:  id,
-					Group: r.Group, Wid: r.Wid,
-					Start: r.WindowStart, End: r.WindowEnd,
-					Values: r.Values,
-				}}, true)
+				sess.sendLocked(resultLine(id, r), true)
 			}
 		}
 	} else {
-		_ = sess.sendLocked(wireOut{Resumed: &WireResumed{ID: sess.id, Seq: sess.lastSeq}}, false)
+		sess.sendLocked(WireLine{Resumed: &WireResumed{ID: sess.id, Seq: sess.lastSeq}}, false)
 		_ = sess.out.WriteAfter(sess.w, recv)
 	}
 	_ = sess.flushLocked()
@@ -962,14 +983,14 @@ func (s *Server) newSession(conn net.Conn, w *bufio.Writer, enc *json.Encoder) *
 	// instead of killing the session: the previous generation stays
 	// valid and ingestion continues.
 	opts = append(opts, greta.WithCheckpointErrors(func(err error) {
-		_ = sess.sendLocked(wireOut{Warn: fmt.Sprintf("checkpoint: %v", err)}, false)
+		sess.sendLocked(WireLine{Warn: fmt.Sprintf("checkpoint: %v", err)}, false)
 	}))
 	if s.TraceHook != nil {
 		opts = append(opts, greta.WithTraceHook(s.TraceHook))
 	}
 	sess.rt = greta.NewRuntime(opts...)
 	fail := func(err error) *session {
-		_ = sess.sendLocked(wireOut{Error: err.Error()}, false)
+		sess.sendLocked(WireLine{Error: err.Error()}, false)
 		_ = sess.flushLocked()
 		_ = sess.rt.Close()
 		return nil
@@ -999,7 +1020,7 @@ func (s *Server) newSession(conn net.Conn, w *bufio.Writer, enc *json.Encoder) *
 // error line was sent).
 func (s *Server) resume(conn net.Conn, w *bufio.Writer, enc *json.Encoder, we *WireEvent) *session {
 	reject := func(msg string) *session {
-		_ = enc.Encode(wireOut{Error: msg})
+		_ = enc.Encode(WireLine{Error: msg})
 		_ = w.Flush()
 		return nil
 	}
@@ -1029,7 +1050,7 @@ func (sess *session) reportBadLine(myConn net.Conn, err error) (stop bool) {
 	if sess.ended || sess.conn != myConn {
 		return true
 	}
-	_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("bad event: %v", err)}, false)
+	sess.sendLocked(WireLine{Error: fmt.Sprintf("bad event: %v", err)}, false)
 	_ = sess.flushLocked()
 	return false
 }
@@ -1058,11 +1079,11 @@ func (sess *session) handleLine(myConn net.Conn, we *WireEvent) (stop bool) {
 		sess.enableLocked()
 		return false
 	case "resume":
-		_ = sess.sendLocked(wireOut{Error: "resume: already in a session (resume must be the first line of a new connection)"}, false)
+		sess.sendLocked(WireLine{Error: "resume: already in a session (resume must be the first line of a new connection)"}, false)
 		return false
 	case "register":
 		if !sess.srv.AllowRegister {
-			_ = sess.sendLocked(wireOut{Error: "register: disabled on this server"}, false)
+			sess.sendLocked(WireLine{Error: "register: disabled on this server"}, false)
 			return false
 		}
 		// Lifecycle operations are reorder barriers inside the runtime:
@@ -1071,7 +1092,7 @@ func (sess *session) handleLine(myConn net.Conn, we *WireEvent) (stop bool) {
 		// a closing statement's final windows count every prior event.
 		stmt, err := greta.Compile(we.Query, sess.srv.CompileOptions...)
 		if err != nil {
-			_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("register: %v", err)}, false)
+			sess.sendLocked(WireLine{Error: fmt.Sprintf("register: %v", err)}, false)
 			return false
 		}
 		var opts []greta.RegisterOption
@@ -1080,30 +1101,30 @@ func (sess *session) handleLine(myConn net.Conn, we *WireEvent) (stop bool) {
 		}
 		h, err := sess.rt.Register(stmt, opts...)
 		if err != nil {
-			_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("register: %v", err)}, false)
+			sess.sendLocked(WireLine{Error: fmt.Sprintf("register: %v", err)}, false)
 			return false
 		}
 		sess.wire(h)
-		_ = sess.sendLocked(wireOut{Registered: &WireRegistered{ID: h.ID(), Query: h.Query()}}, false)
+		sess.sendLocked(WireLine{Registered: &WireRegistered{ID: h.ID(), Query: h.Query()}}, false)
 		return false
 	case "close":
 		h, ok := sess.handles[we.ID]
 		if !ok {
-			_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("close: unknown statement %q", we.ID)}, false)
+			sess.sendLocked(WireLine{Error: fmt.Sprintf("close: unknown statement %q", we.ID)}, false)
 			return false
 		}
 		delete(sess.handles, we.ID)
 		if err := h.Close(); err != nil {
-			_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("close %s: %v", we.ID, err)}, false)
+			sess.sendLocked(WireLine{Error: fmt.Sprintf("close %s: %v", we.ID, err)}, false)
 			return false
 		}
-		_ = sess.sendLocked(wireOut{Closed: we.ID}, false)
+		sess.sendLocked(WireLine{Closed: we.ID}, false)
 		return false
 	case "batch":
 		sess.handleBatchLocked(we)
 		return false
 	case "stats":
-		_ = sess.sendLocked(wireOut{SessStats: sess.statsLocked()}, false)
+		sess.sendLocked(WireLine{SessStats: sess.statsLocked()}, false)
 		return false
 	case "checkpoint":
 		// No barrier: with slack armed the snapshot carries the pending
@@ -1113,24 +1134,29 @@ func (sess *session) handleLine(myConn net.Conn, we *WireEvent) (stop bool) {
 		if err := sess.rt.Checkpoint(); err != nil {
 			// Degrade loudly but keep serving: the previous generation
 			// (if any) is still valid and ingestion continues.
-			_ = sess.sendLocked(wireOut{Warn: fmt.Sprintf("checkpoint: %v", err)}, false)
+			sess.sendLocked(WireLine{Warn: fmt.Sprintf("checkpoint: %v", err)}, false)
 			ok = false
 		}
-		_ = sess.sendLocked(wireOut{Checkpointed: &ok}, false)
+		sess.sendLocked(WireLine{Checkpointed: &ok}, false)
 		return false
 	case "":
 		// An event line.
 	default:
-		_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("unknown command %q", we.Cmd)}, false)
+		sess.sendLocked(WireLine{Error: fmt.Sprintf("unknown command %q", we.Cmd)}, false)
+		return false
+	}
+	if sess.shard != nil {
+		// Refused before admission: the line consumes no seq.
+		sess.sendLocked(WireLine{Error: "event: a shard session takes batch frames only"}, false)
 		return false
 	}
 	if we.Type == "" {
-		_ = sess.sendLocked(wireOut{Error: "event missing type"}, false)
+		sess.sendLocked(WireLine{Error: "event missing type"}, false)
 		return false
 	}
-	if id, ok := sess.admitEventLocked(we.Seq); ok {
+	if sess.admitLocked("event", we.Seq) {
 		sess.applyEventLocked(we.Seq, &greta.Event{
-			ID:    id,
+			ID:    sess.evID + 1,
 			Type:  greta.Type(we.Type),
 			Time:  we.Time,
 			Attrs: we.Attrs,
@@ -1143,8 +1169,7 @@ func (sess *session) handleLine(myConn net.Conn, we *WireEvent) (stop bool) {
 // handleEventLine is handleLine for a line the event-line parser read:
 // the same admission and apply steps, with the event bound to a cached
 // schema instead of carrying attribute maps. handled is false when the
-// session is in shard mode, where event lines carry route info only the
-// generic decoder reads.
+// session is in shard mode: the generic path refuses the line.
 func (sess *session) handleEventLine(myConn net.Conn, el *eventLine) (stop, handled bool) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
@@ -1155,50 +1180,49 @@ func (sess *session) handleEventLine(myConn net.Conn, el *eventLine) (stop, hand
 		return false, false
 	}
 	defer sess.flushLocked()
-	if id, ok := sess.admitEventLocked(el.seq); ok {
-		sess.applyEventLocked(el.seq, sess.bindLocked(el, id))
+	if sess.admitLocked("event", el.seq) {
+		sess.applyEventLocked(el.seq, sess.bindLocked(el, sess.evID+1))
 	}
 	return false, true
 }
 
-// admitEventLocked decides whether an event line is applied and under
-// which engine id. In a resumable session the seq must be the next one:
-// a duplicate from a resume replay is skipped silently, a gap or a
-// missing seq is reported.
-func (sess *session) admitEventLocked(seq uint64) (id uint64, ok bool) {
+// admitLocked is the seq admission every sequenced frame — event line,
+// batch frame, shard frame — passes before it is applied. In a
+// resumable session the seq must be the next one: a duplicate from a
+// resume replay is skipped silently, a gap or a missing seq is
+// reported. The caller commits lastSeq once the frame is applied.
+func (sess *session) admitLocked(what string, seq uint64) bool {
 	if !sess.resumable {
-		sess.nextID++
-		return sess.nextID, true
+		return true
 	}
 	switch {
 	case seq == 0:
-		_ = sess.sendLocked(wireOut{Error: "event missing seq (session mode)"}, false)
-		return 0, false
+		sess.sendLocked(WireLine{Error: what + " missing seq (session mode)"}, false)
 	case seq <= sess.lastSeq:
-		return 0, false // duplicate from a resume replay: already applied
+		// duplicate from a resume replay: already applied
 	case seq != sess.lastSeq+1:
-		_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("sequence gap: got %d, want %d", seq, sess.lastSeq+1)}, false)
-		return 0, false
+		sess.sendLocked(WireLine{Error: fmt.Sprintf("sequence gap: got %d, want %d", seq, sess.lastSeq+1)}, false)
+	default:
+		return true
 	}
-	// One engine id per event, committed after Process with the seq
-	// cursor. Ids equal seqs until the first batch frame, which
-	// consumes one seq but an id per row.
-	return sess.evID + 1, true
+	return false
 }
 
-// applyEventLocked feeds one admitted event to the runtime and commits
-// the session cursors.
+// applyEventLocked feeds one admitted event (engine id evID+1) to the
+// runtime and commits the session cursors.
 func (sess *session) applyEventLocked(seq uint64, ev *greta.Event) {
 	err := sess.rt.Process(ev)
-	// Advance the cursor only after Process returns: a boundary
+	// Advance the cursors only after Process returns: a boundary
 	// checkpoint fires inside Process BEFORE the trigger event is
 	// applied, so the snapshot's meta must still point at the previous
 	// seq — otherwise a restore replays from one event too far and the
 	// trigger is silently lost. The seq is consumed even when the event
 	// is dropped for disorder (the drop is deterministic on replay).
+	// Ids equal seqs until the first batch frame, which consumes one seq
+	// but an id per row.
+	sess.evID++
 	if sess.resumable {
 		sess.lastSeq = seq
-		sess.evID++
 	}
 	if err != nil {
 		if errors.Is(err, greta.ErrOutOfOrder) {
@@ -1206,13 +1230,54 @@ func (sess *session) applyEventLocked(seq uint64, ev *greta.Event) {
 			// session or any in-flight command acknowledgement. The
 			// OrderError carries the event time and violated watermark.
 			sess.dropped++
-			_ = sess.sendLocked(wireOut{Warn: err.Error()}, false)
+			sess.sendLocked(WireLine{Warn: err.Error()}, false)
 			return
 		}
-		_ = sess.sendLocked(wireOut{Error: err.Error()}, false)
+		sess.sendLocked(WireLine{Error: err.Error()}, false)
 		return
 	}
 	sess.processed++
+}
+
+// checkBatch validates a batch frame's shape — the one check the
+// client makes before sending and both server paths make before
+// applying: a type, and one value per row in every column.
+func checkBatch(we *WireEvent) error {
+	if we.Type == "" {
+		return errors.New("missing type")
+	}
+	n := len(we.Times)
+	for a, col := range we.Cols {
+		if len(col) != n {
+			return fmt.Errorf("column %q has %d values, want %d", a, len(col), n)
+		}
+	}
+	for a, col := range we.SCols {
+		if len(col) != n {
+			return fmt.Errorf("column %q has %d values, want %d", a, len(col), n)
+		}
+	}
+	return nil
+}
+
+// batchRow reads row i of a checked batch frame into num and strs, in
+// sch's slot order.
+func batchRow(we *WireEvent, sch *greta.Schema, i int, num []float64, strs []string) {
+	for j, a := range sch.Numeric {
+		num[j] = we.Cols[a][i]
+	}
+	for j, a := range sch.Strings {
+		strs[j] = we.SCols[a][i]
+	}
+}
+
+// batchEvent materialises row i as a schema-bound event owning its
+// value slices (engines retain event pointers).
+func batchEvent(we *WireEvent, sch *greta.Schema, i int, id uint64) *greta.Event {
+	ev := &greta.Event{ID: id, Type: greta.Type(we.Type), Time: we.Times[i], Sch: sch,
+		Num: make([]float64, len(sch.Numeric)), StrV: make([]string, len(sch.Strings))}
+	batchRow(we, sch, i, ev.Num, ev.StrV)
+	return ev
 }
 
 // handleBatchLocked ingests one columnar batch frame through the
@@ -1228,35 +1293,14 @@ func (sess *session) applyEventLocked(seq uint64, ev *greta.Event) {
 // contains (sessionMeta.FrameRows) and a restore-side replay of the
 // frame skips precisely that prefix: exactly-once either way.
 func (sess *session) handleBatchLocked(we *WireEvent) {
-	if sess.resumable {
-		switch {
-		case we.Seq == 0:
-			_ = sess.sendLocked(wireOut{Error: "batch missing seq (session mode)"}, false)
-			return
-		case we.Seq <= sess.lastSeq:
-			return // duplicate frame from a resume replay: already applied
-		case we.Seq != sess.lastSeq+1:
-			_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("sequence gap: got %d, want %d", we.Seq, sess.lastSeq+1)}, false)
-			return
-		}
+	if !sess.admitLocked("batch", we.Seq) {
+		return
 	}
-	if we.Type == "" {
-		_ = sess.sendLocked(wireOut{Error: "batch missing type"}, false)
+	if err := checkBatch(we); err != nil {
+		sess.sendLocked(WireLine{Error: fmt.Sprintf("batch: %v", err)}, false)
 		return
 	}
 	n := len(we.Times)
-	for a, col := range we.Cols {
-		if len(col) != n {
-			_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("batch: column %q has %d values, want %d", a, len(col), n)}, false)
-			return
-		}
-	}
-	for a, col := range we.SCols {
-		if len(col) != n {
-			_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("batch: column %q has %d values, want %d", a, len(col), n)}, false)
-			return
-		}
-	}
 	if n == 0 {
 		if sess.resumable {
 			sess.lastSeq = we.Seq
@@ -1288,33 +1332,21 @@ func (sess *session) handleBatchLocked(we *WireEvent) {
 	num := make([]float64, len(sch.Numeric))
 	strs := make([]string, len(sch.Strings))
 	for i := skip; i < n; i++ {
-		for j, a := range sch.Numeric {
-			num[j] = we.Cols[a][i]
-		}
-		for j, a := range sch.Strings {
-			strs[j] = we.SCols[a][i]
-		}
-		var id uint64
-		if sess.resumable {
-			sess.evID++
-			id = sess.evID
-		} else {
-			sess.nextID++
-			id = sess.nextID
-		}
-		b.Append(id, we.Times[i], num, strs)
+		batchRow(we, sch, i, num, strs)
+		sess.evID++
+		b.Append(sess.evID, we.Times[i], num, strs)
 	}
 	acc, err := sess.rt.ProcessBatch(b)
 	sess.processed += uint64(acc)
 	if d := (n - skip) - acc; d > 0 {
 		sess.dropped += uint64(d)
-		_ = sess.sendLocked(wireOut{Warn: fmt.Sprintf("batch: %d of %d rows dropped for disorder", d, n-skip)}, false)
+		sess.sendLocked(WireLine{Warn: fmt.Sprintf("batch: %d of %d rows dropped for disorder", d, n-skip)}, false)
 	}
 	if sess.resumable {
 		sess.lastSeq = we.Seq
 	}
 	if err != nil {
-		_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("batch: %v", err)}, false)
+		sess.sendLocked(WireLine{Error: fmt.Sprintf("batch: %v", err)}, false)
 	}
 }
 
@@ -1326,18 +1358,7 @@ func (sess *session) handleBatchLocked(we *WireEvent) {
 func (sess *session) applyBatchRowsLocked(we *WireEvent, sch *greta.Schema, n, skip int) {
 	dropped := 0
 	for i := skip; i < n; i++ {
-		num := make([]float64, len(sch.Numeric))
-		for j, a := range sch.Numeric {
-			num[j] = we.Cols[a][i]
-		}
-		strs := make([]string, len(sch.Strings))
-		for j, a := range sch.Strings {
-			strs[j] = we.SCols[a][i]
-		}
-		err := sess.rt.Process(&greta.Event{
-			ID: sess.evID + 1, Type: greta.Type(we.Type), Time: we.Times[i],
-			Sch: sch, Num: num, StrV: strs,
-		})
+		err := sess.rt.Process(batchEvent(we, sch, i, sess.evID+1))
 		sess.evID++
 		sess.frameRows++
 		if err != nil {
@@ -1345,14 +1366,14 @@ func (sess *session) applyBatchRowsLocked(we *WireEvent, sch *greta.Schema, n, s
 				dropped++
 				continue
 			}
-			_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("batch: %v", err)}, false)
+			sess.sendLocked(WireLine{Error: fmt.Sprintf("batch: %v", err)}, false)
 			return
 		}
 		sess.processed++
 	}
 	if dropped > 0 {
 		sess.dropped += uint64(dropped)
-		_ = sess.sendLocked(wireOut{Warn: fmt.Sprintf("batch: %d of %d rows dropped for disorder", dropped, n-skip)}, false)
+		sess.sendLocked(WireLine{Warn: fmt.Sprintf("batch: %d of %d rows dropped for disorder", dropped, n-skip)}, false)
 	}
 }
 
@@ -1388,29 +1409,29 @@ func (sess *session) schemaFor(we *WireEvent) *greta.Schema {
 func (sess *session) enableLocked() {
 	srv := sess.srv
 	if srv.Linger <= 0 {
-		_ = sess.sendLocked(wireOut{Error: "session: resume disabled on this server (set Server.Linger)"}, false)
+		sess.sendLocked(WireLine{Error: "session: resume disabled on this server (set Server.Linger)"}, false)
 		return
 	}
 	if sess.resumable {
-		_ = sess.sendLocked(wireOut{Error: "session: already enabled"}, false)
+		sess.sendLocked(WireLine{Error: "session: already enabled"}, false)
 		return
 	}
-	if sess.lastSeq > 0 || sess.processed > 0 || sess.dropped > 0 || sess.nextID > 0 {
+	if sess.evID > 0 {
 		// Event ids must equal seqs for the dedup/replay contract; a
 		// late enable would leave a prefix without them.
-		_ = sess.sendLocked(wireOut{Error: "session: must precede all events"}, false)
+		sess.sendLocked(WireLine{Error: "session: must precede all events"}, false)
 		return
 	}
 	id, err := srv.addSession(sess, "")
 	if err != nil {
-		_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("session: %v", err)}, false)
+		sess.sendLocked(WireLine{Error: fmt.Sprintf("session: %v", err)}, false)
 		return
 	}
 	sess.id = id
 	sess.resumable = true
 	sess.out.Init(srv.resumeWindow(), 0)
 	sess.rt.SetCheckpointMeta(sess.metaBytes)
-	_ = sess.sendLocked(wireOut{Session: &WireSession{ID: id, LingerMS: srv.Linger.Milliseconds()}}, false)
+	sess.sendLocked(WireLine{Session: &WireSession{ID: id, LingerMS: srv.Linger.Milliseconds()}}, false)
 	sess.startHeartbeatLocked()
 }
 
@@ -1429,7 +1450,7 @@ func (s *Server) RestoreSession(dir string) (string, error) {
 	}
 	sess := &session{srv: s, resumable: true, handles: map[string]*greta.Handle{}}
 	res, err := greta.Restore(dir, greta.WithCheckpointErrors(func(err error) {
-		_ = sess.sendLocked(wireOut{Warn: fmt.Sprintf("checkpoint: %v", err)}, false)
+		sess.sendLocked(WireLine{Warn: fmt.Sprintf("checkpoint: %v", err)}, false)
 	}))
 	if err != nil {
 		return "", err
@@ -1506,7 +1527,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 	// a silently dropped connection; the session is unrecoverable.
 	defer func() {
 		if r := recover(); r != nil {
-			_ = enc.Encode(wireOut{Error: fmt.Sprintf("internal error: %v", r)})
+			_ = enc.Encode(WireLine{Error: fmt.Sprintf("internal error: %v", r)})
 			_ = w.Flush()
 			if sess != nil {
 				sess.fail(conn)
@@ -1545,7 +1566,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 					return
 				}
 			} else {
-				_ = enc.Encode(wireOut{Error: fmt.Sprintf("bad event: %v", err)})
+				_ = enc.Encode(WireLine{Error: fmt.Sprintf("bad event: %v", err)})
 				_ = w.Flush()
 			}
 			continue
@@ -1568,7 +1589,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 	timedOut := isTimeout(sc.Err())
 	if sess == nil {
 		if timedOut {
-			_ = enc.Encode(wireOut{Error: "timeout"})
+			_ = enc.Encode(WireLine{Error: "timeout"})
 			_ = w.Flush()
 		}
 		return
@@ -1576,39 +1597,56 @@ func (s *Server) ServeConn(conn net.Conn) {
 	sess.park(conn, timedOut)
 }
 
-// Client streams events to a netstream server and receives results.
+// Client streams events to a netstream server and receives results. It
+// is the one client half of the session protocol: ordinary producers
+// and the cluster coordinator's shard links both run on it.
+//
+// A Client may be shared by one sending goroutine (Send, SendBatch,
+// SendFrame) and one reading goroutine (ReadLine, Resume): a Resume
+// replays the resend ring and swaps the connection in as one step no
+// send can interleave with. The command calls (Register, Checkpoint,
+// Stats, Flush, ...) write a request and read its reply, so they belong
+// to a Client driven from a single goroutine. Close is safe from any.
 type Client struct {
 	// SendWindow bounds the resend ring of a resumable session: the
-	// newest SendWindow sequenced frames (events and batch frames) are
-	// retained, as the bytes that were sent, for replay after Resume
-	// (default 1024). The ring recycles its line storage, so it holds at
-	// most SendWindow times the longest frame sent (capacity above
-	// 64 KiB is not recycled), and a full ring costs a Send no more than
-	// an empty one. Set it before EnableResume.
+	// newest SendWindow sequenced frames (events, batch frames, shard
+	// frames) are retained, as the bytes that were sent, for replay
+	// after Resume (default 1024). The ring recycles its line storage,
+	// so it holds at most SendWindow times the longest frame sent
+	// (capacity above 64 KiB is not recycled), and a full ring costs a
+	// Send no more than an empty one. Set it before EnableResume.
 	SendWindow int
 
-	conn net.Conn
-	dec  *json.Decoder
 	// addr is remembered by Dial/DialContext/LazyDial so Resume (and a
 	// lazily-created client's first use) can establish a connection.
 	addr string
-	// pending buffers results that arrive interleaved with command
-	// acknowledgements; Flush prepends them.
-	pending []WireResult
-	// warnings collects non-fatal {"warn":...} diagnostics (e.g.
-	// out-of-order drops) observed while reading replies.
-	warnings []string
 
-	// session resilience state: the server-issued id, the last consumed
-	// durable server seq, the bounded resend ring (its Last is the event
-	// seq cursor), and the retained final summary.
-	session  string
+	// mu guards the send half: the connection as writers see it, the
+	// resend ring (its Last is the event seq cursor) and the encode
+	// scratch. down means a write failed (or a Resume is under way):
+	// the connection is closed and frames are ringed, not written,
+	// until Resume swaps a healed connection in.
+	mu      sync.Mutex
+	conn    net.Conn
+	down    bool
+	session string // server-issued id; set once, before any concurrent use
+	ring    ring.Ring
+	evEnc   eventEncoder
+	line    []byte // encode scratch of unsequenced event lines
+
+	// The receive half belongs to the reading goroutine: the decoder
+	// and its reusable line, the last consumed durable server seq, the
+	// acknowledgement of the latest Resume (ReadLine's next line), the
+	// results that arrived interleaved with command acknowledgements
+	// (Flush prepends them), the non-fatal {"warn":...} diagnostics
+	// seen while awaiting replies, and the retained final summary.
+	dec      *json.Decoder
+	in       WireLine
 	lastRecv uint64
-	ring     ring.Ring
+	resumed  *WireResumed
+	pending  []WireResult
+	warnings []string
 	summary  *WireDone
-
-	evEnc eventEncoder
-	line  []byte // encode scratch of unsequenced event lines
 }
 
 // Warnings returns the non-fatal server diagnostics collected so far
@@ -1655,6 +1693,11 @@ func DialContext(ctx context.Context, addr string) (*Client, error) {
 // producer starts before the server is reachable.
 func LazyDial(addr string) *Client { return &Client{addr: addr} }
 
+// NewClient wraps an established connection.
+func NewClient(conn net.Conn) *Client {
+	return &Client{conn: conn, dec: json.NewDecoder(bufio.NewReader(conn))}
+}
+
 func dialBackoff(ctx context.Context, addr string) (net.Conn, error) {
 	var d net.Dialer
 	backoff := 10 * time.Millisecond
@@ -1690,8 +1733,9 @@ func transientDial(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// ensure establishes a lazily-dialed client's connection.
-func (c *Client) ensure(ctx context.Context) error {
+// ensureLocked establishes a lazily-dialed client's connection (mu
+// held; nothing else can be using a client that never connected).
+func (c *Client) ensureLocked(ctx context.Context) error {
 	if c.conn != nil {
 		return nil
 	}
@@ -1707,50 +1751,141 @@ func (c *Client) ensure(ctx context.Context) error {
 	return nil
 }
 
-// writeFrame is the one path every generic client line takes: dial a
-// lazily-created client, encode we — stamped with the next seq and
-// retained in the resend ring first when it is a sequenced frame of a
-// resumable session, so a frame lost to the write error that reveals
-// a break is still replayable — and write it. (Send does the same
-// steps with the event-line encoder.)
-func (c *Client) writeFrame(ctx context.Context, we *WireEvent, sequenced bool) error {
-	if err := c.ensure(ctx); err != nil {
+// errDown is what a write returns while the connection is known to be
+// broken: the frame, if sequenced, waits in the resend ring.
+var errDown = errors.New("netstream: connection down (sequenced frames are retained for Resume)")
+
+// writeLocked puts one encoded line on the wire (mu held). The first
+// failed write closes the connection, so the peer and this client's
+// reader see the break at once, and later lines are not written into
+// the dead socket: sequenced ones wait in the ring for Resume.
+func (c *Client) writeLocked(line []byte) error {
+	if c.down {
+		return errDown
+	}
+	if _, err := c.conn.Write(line); err != nil {
+		c.down = true
+		_ = c.conn.Close()
 		return err
 	}
-	var line []byte
-	var err error
+	return nil
+}
+
+// encodeLocked is the first half of the one path every generic client
+// line takes (mu held; writeLocked is the second): dial a
+// lazily-created client and encode we — stamped with the next seq and
+// retained in the resend ring when it is a sequenced frame of a
+// resumable session, before any write, so a frame lost to the write
+// error that reveals a break is still replayable. An error leaves the
+// ring untouched. (Send does the same steps with the event-line
+// encoder.)
+func (c *Client) encodeLocked(ctx context.Context, we *WireEvent, sequenced bool) ([]byte, error) {
+	if err := c.ensureLocked(ctx); err != nil {
+		return nil, err
+	}
 	if sequenced && c.session != "" {
 		we.Seq = c.ring.Next()
-		line, err = c.ring.PushJSON(we)
-	} else if line, err = json.Marshal(we); err == nil {
-		line = append(line, '\n')
+		return c.ring.PushJSON(we)
 	}
+	line, err := json.Marshal(we)
+	if err != nil {
+		return nil, err
+	}
+	return append(line, '\n'), nil
+}
+
+// writeFrame sends one generic line.
+func (c *Client) writeFrame(ctx context.Context, we *WireEvent, sequenced bool) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	line, err := c.encodeLocked(ctx, we, sequenced)
 	if err != nil {
 		return err
 	}
-	_, err = c.conn.Write(line)
-	return err
+	return c.writeLocked(line)
 }
 
-// note applies the session-resilience bookkeeping every reply loop
-// shares: heartbeats are swallowed, duplicate durable lines (replayed
-// after a resume) are skipped by seq, warnings are collected. Returns
-// true when the line is fully consumed.
-func (c *Client) note(o *wireOut) bool {
-	if o.Ping != 0 {
-		return true
+// SendFrame sends one arbitrary protocol frame — what a caller driving
+// the protocol itself (a coordinator's shard link) uses for everything
+// that is not a plain event. A frame of a kind the server admits by seq
+// (an event, a batch, any shard-link frame) is stamped with the next
+// sequence number and retained in the resend ring before it is written;
+// the other commands (flush, ...) go out as they are. It returns the
+// frame's encoded length. A failed write is not an error: it closes the
+// connection, which ReadLine's caller sees and heals with Resume, and
+// the ring replays this and every later sequenced frame. The error is
+// for a frame that could not be sent at all — not encodable, or no
+// connection to send it on — and then no sequence number is consumed.
+func (c *Client) SendFrame(we *WireEvent) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	line, err := c.encodeLocked(context.Background(), we, sequencedFrame(we.Cmd))
+	if err != nil {
+		return 0, err
 	}
-	if o.Seq != 0 {
-		if o.Seq <= c.lastRecv {
-			return true // duplicate replay of a line already consumed
+	_ = c.writeLocked(line) // the reader's Resume heals a break; the ring has the frame
+	return len(line), nil
+}
+
+// ReadLine returns the next server line, with the session-resilience
+// bookkeeping every reader shares already applied: heartbeats are
+// swallowed and durable lines replayed after a resume (seq at or below
+// the last one consumed) are skipped. The line is valid until the next
+// ReadLine. After a Resume the first line is the server's "resumed"
+// acknowledgement — a caller that cannot absorb a rebase checks its
+// Rebase flag there. An error means the connection broke (or the
+// stream is malformed); in a resumable session Resume heals it.
+func (c *Client) ReadLine() (*WireLine, error) {
+	o := &c.in
+	if c.resumed != nil {
+		*o = WireLine{Resumed: c.resumed}
+		c.resumed = nil
+		return o, nil
+	}
+	if c.dec == nil {
+		return nil, errors.New("netstream: client has no connection")
+	}
+	for {
+		*o = WireLine{}
+		if err := c.dec.Decode(o); err != nil {
+			return nil, err
 		}
-		c.lastRecv = o.Seq
+		if o.Ping != 0 {
+			continue
+		}
+		if o.Seq != 0 {
+			if o.Seq <= c.lastRecv {
+				continue // duplicate replay of a line already consumed
+			}
+			c.lastRecv = o.Seq
+		}
+		return o, nil
 	}
-	if o.Warn != "" {
-		c.warnings = append(c.warnings, o.Warn)
-		return true
+}
+
+// await reads until the line accept recognises — the acknowledgement
+// of the command just written — and returns it. On the way warnings
+// are collected, results are buffered for Flush, and an error line or
+// a session that ends first fails the command.
+func (c *Client) await(what string, accept func(*WireLine) bool) (*WireLine, error) {
+	for {
+		o, err := c.ReadLine()
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case o.Warn != "":
+			c.warnings = append(c.warnings, o.Warn)
+		case o.Error != "":
+			return nil, fmt.Errorf("server: %s", o.Error)
+		case accept(o):
+			return o, nil
+		case o.Result != nil:
+			c.pending = append(c.pending, *o.Result)
+		case o.Done:
+			return nil, fmt.Errorf("server ended session before acknowledging %s", what)
+		}
 	}
-	return false
 }
 
 // RegisterContext is Register for lazily-dialed clients: it first
@@ -1760,25 +1895,11 @@ func (c *Client) RegisterContext(ctx context.Context, query string) (string, err
 	if err := c.writeFrame(ctx, &WireEvent{Cmd: "register", Query: query}, false); err != nil {
 		return "", err
 	}
-	for {
-		var o wireOut
-		if err := c.dec.Decode(&o); err != nil {
-			return "", err
-		}
-		if c.note(&o) {
-			continue
-		}
-		switch {
-		case o.Error != "":
-			return "", fmt.Errorf("server: %s", o.Error)
-		case o.Registered != nil:
-			return o.Registered.ID, nil
-		case o.Result != nil:
-			c.pending = append(c.pending, *o.Result)
-		case o.Done:
-			return "", fmt.Errorf("server ended session before acknowledging register")
-		}
+	o, err := c.await("register", func(o *WireLine) bool { return o.Registered != nil })
+	if err != nil {
+		return "", err
 	}
+	return o.Registered.ID, nil
 }
 
 // SendContext is Send for lazily-dialed clients, establishing the
@@ -1789,7 +1910,9 @@ func (c *Client) RegisterContext(ctx context.Context, query string) (string, err
 // still replayable. An event that cannot be encoded (a NaN or infinite
 // attribute) is rejected without consuming a sequence number.
 func (c *Client) SendContext(ctx context.Context, typ string, t int64, attrs map[string]float64, strs map[string]string) error {
-	if err := c.ensure(ctx); err != nil {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.ensureLocked(ctx); err != nil {
 		return err
 	}
 	buf, seq := c.line[:0], uint64(0)
@@ -1805,13 +1928,7 @@ func (c *Client) SendContext(ctx context.Context, typ string, t int64, attrs map
 	} else {
 		c.line = line
 	}
-	_, err = c.conn.Write(line)
-	return err
-}
-
-// NewClient wraps an established connection.
-func NewClient(conn net.Conn) *Client {
-	return &Client{conn: conn, dec: json.NewDecoder(bufio.NewReader(conn))}
+	return c.writeLocked(line)
 }
 
 // EnableResume asks the server for a resumable session; it must be
@@ -1827,30 +1944,18 @@ func (c *Client) EnableResume(ctx context.Context) (string, error) {
 	if err := c.writeFrame(ctx, &WireEvent{Cmd: "session"}, false); err != nil {
 		return "", err
 	}
-	for {
-		var o wireOut
-		if err := c.dec.Decode(&o); err != nil {
-			return "", err
-		}
-		if c.note(&o) {
-			continue
-		}
-		switch {
-		case o.Error != "":
-			return "", fmt.Errorf("server: %s", o.Error)
-		case o.Session != nil:
-			c.session = o.Session.ID
-			if c.SendWindow <= 0 {
-				c.SendWindow = 1024
-			}
-			c.ring.Init(c.SendWindow, 0)
-			return c.session, nil
-		case o.Result != nil:
-			c.pending = append(c.pending, *o.Result)
-		case o.Done:
-			return "", errors.New("server ended session before acknowledging session")
-		}
+	o, err := c.await("session", func(o *WireLine) bool { return o.Session != nil })
+	if err != nil {
+		return "", err
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.session = o.Session.ID
+	if c.SendWindow <= 0 {
+		c.SendWindow = 1024
+	}
+	c.ring.Init(c.SendWindow, 0)
+	return c.session, nil
 }
 
 // Resume reconnects a resumable session after a connection failure:
@@ -1862,7 +1967,8 @@ func (c *Client) EnableResume(ctx context.Context) (string, error) {
 // window), previously collected results are discarded and the full
 // retained set is re-delivered. Fails when the session expired, the
 // server is gone past the dial deadline, or the gap exceeds the send
-// window.
+// window. Frames sent from another goroutine meanwhile are ringed and
+// go out with the replay; the dial and the handshake hold no lock.
 func (c *Client) Resume(ctx context.Context) error {
 	if c.session == "" {
 		return errors.New("netstream: no resumable session (call EnableResume first)")
@@ -1870,39 +1976,70 @@ func (c *Client) Resume(ctx context.Context) error {
 	if c.addr == "" {
 		return errors.New("netstream: client has no address to redial")
 	}
+	c.mu.Lock()
+	c.down = true
 	if c.conn != nil {
 		_ = c.conn.Close()
 	}
+	c.mu.Unlock()
 	conn, err := dialBackoff(ctx, c.addr)
 	if err != nil {
 		return err
 	}
-	c.conn = conn
-	c.dec = json.NewDecoder(bufio.NewReader(conn))
-	if err := c.writeFrame(ctx, &WireEvent{Cmd: "resume", Session: c.session, Recv: c.lastRecv}, false); err != nil {
+	ack, err := c.reattach(conn)
+	if err != nil {
+		_ = conn.Close()
 		return err
 	}
+	// Replay and swap under the send lock: a frame sent concurrently
+	// lands in the ring either before the replay (and rides it) or
+	// after the swap (and is written behind it) — never ahead of an
+	// older frame.
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.ring.Covers(ack) {
+		_ = conn.Close()
+		return fmt.Errorf("netstream: resume window exceeded (server applied through seq %d, oldest buffered is %d)",
+			ack, c.ring.Oldest())
+	}
+	c.conn, c.down = conn, false
+	if err := c.ring.WriteAfter(conn, ack); err != nil {
+		c.down = true // down again, for the next Resume
+		_ = conn.Close()
+		return err
+	}
+	return nil
+}
+
+// reattach runs the resume handshake on a fresh connection and returns
+// the last client seq the server applied.
+func (c *Client) reattach(conn net.Conn) (ack uint64, err error) {
+	line, err := json.Marshal(&WireEvent{Cmd: "resume", Session: c.session, Recv: c.lastRecv})
+	if err != nil {
+		return 0, err
+	}
+	if _, err := conn.Write(append(line, '\n')); err != nil {
+		return 0, err
+	}
+	c.dec = json.NewDecoder(bufio.NewReader(conn))
 	for {
-		var o wireOut
+		var o WireLine
 		if err := c.dec.Decode(&o); err != nil {
-			return err
+			return 0, err
 		}
-		if o.Resumed == nil {
-			if o.Error != "" {
-				return fmt.Errorf("server: %s", o.Error)
+		switch {
+		case o.Resumed != nil:
+			if o.Resumed.Rebase {
+				c.pending = nil
 			}
-			c.note(&o) // pings/warns; durable lines only follow the ack
-			continue
+			c.resumed = o.Resumed
+			return o.Resumed.Seq, nil
+		case o.Error != "":
+			return 0, fmt.Errorf("server: %s", o.Error)
+		case o.Warn != "":
+			c.warnings = append(c.warnings, o.Warn)
 		}
-		if o.Resumed.Rebase {
-			c.pending = nil
-		}
-		ack := o.Resumed.Seq
-		if !c.ring.Covers(ack) {
-			return fmt.Errorf("netstream: resume window exceeded (server applied through seq %d, oldest buffered is %d)",
-				ack, c.ring.Oldest())
-		}
-		return c.ring.WriteAfter(c.conn, ack)
+		// pings; durable lines only follow the ack
 	}
 }
 
@@ -1921,17 +2058,11 @@ func (c *Client) Send(typ string, t int64, attrs map[string]float64, strs map[st
 // to per-event sends. The caller may reuse its arrays after SendBatch
 // returns.
 func (c *Client) SendBatch(typ string, times []int64, cols map[string][]float64, scols map[string][]string) error {
-	for a, col := range cols {
-		if len(col) != len(times) {
-			return fmt.Errorf("netstream: batch column %q has %d values, want %d", a, len(col), len(times))
-		}
+	we := &WireEvent{Cmd: "batch", Type: typ, Times: times, Cols: cols, SCols: scols}
+	if err := checkBatch(we); err != nil {
+		return fmt.Errorf("netstream: batch: %w", err)
 	}
-	for a, col := range scols {
-		if len(col) != len(times) {
-			return fmt.Errorf("netstream: batch column %q has %d values, want %d", a, len(col), len(times))
-		}
-	}
-	return c.writeFrame(context.Background(), &WireEvent{Cmd: "batch", Type: typ, Times: times, Cols: cols, SCols: scols}, true)
+	return c.writeFrame(context.Background(), we, true)
 }
 
 // Register attaches a new statement mid-stream and returns its id.
@@ -1946,25 +2077,8 @@ func (c *Client) CloseStatement(id string) error {
 	if err := c.writeFrame(context.Background(), &WireEvent{Cmd: "close", ID: id}, false); err != nil {
 		return err
 	}
-	for {
-		var o wireOut
-		if err := c.dec.Decode(&o); err != nil {
-			return err
-		}
-		if c.note(&o) {
-			continue
-		}
-		switch {
-		case o.Error != "":
-			return fmt.Errorf("server: %s", o.Error)
-		case o.Closed == id:
-			return nil
-		case o.Result != nil:
-			c.pending = append(c.pending, *o.Result)
-		case o.Done:
-			return fmt.Errorf("server ended session before acknowledging close")
-		}
-	}
+	_, err := c.await("close", func(o *WireLine) bool { return o.Closed == id })
+	return err
 }
 
 // Checkpoint asks the server to durably snapshot this session's
@@ -1976,37 +2090,18 @@ func (c *Client) Checkpoint() error {
 	if err := c.writeFrame(context.Background(), &WireEvent{Cmd: "checkpoint"}, false); err != nil {
 		return err
 	}
-	var lastWarn string
-	for {
-		var o wireOut
-		if err := c.dec.Decode(&o); err != nil {
-			return err
-		}
-		if o.Warn != "" {
-			c.warnings = append(c.warnings, o.Warn)
-			lastWarn = o.Warn
-			continue
-		}
-		if c.note(&o) {
-			continue
-		}
-		switch {
-		case o.Error != "":
-			return fmt.Errorf("server: %s", o.Error)
-		case o.Checkpointed != nil:
-			if *o.Checkpointed {
-				return nil
-			}
-			if lastWarn != "" {
-				return fmt.Errorf("server: %s", lastWarn)
-			}
-			return errors.New("server: checkpoint failed")
-		case o.Result != nil:
-			c.pending = append(c.pending, *o.Result)
-		case o.Done:
-			return errors.New("server ended session before acknowledging checkpoint")
-		}
+	warned := len(c.warnings)
+	o, err := c.await("checkpoint", func(o *WireLine) bool { return o.Checkpointed != nil })
+	switch {
+	case err != nil:
+		return err
+	case *o.Checkpointed:
+		return nil
+	case len(c.warnings) > warned:
+		// The warn line preceding a false acknowledgement says why.
+		return fmt.Errorf("server: %s", c.warnings[len(c.warnings)-1])
 	}
+	return errors.New("server: checkpoint failed")
 }
 
 // Stats asks the server for a live session snapshot ({"cmd":"stats"}):
@@ -2018,25 +2113,11 @@ func (c *Client) Stats() (*WireSessStats, error) {
 	if err := c.writeFrame(context.Background(), &WireEvent{Cmd: "stats"}, false); err != nil {
 		return nil, err
 	}
-	for {
-		var o wireOut
-		if err := c.dec.Decode(&o); err != nil {
-			return nil, err
-		}
-		if c.note(&o) {
-			continue
-		}
-		switch {
-		case o.Error != "":
-			return nil, fmt.Errorf("server: %s", o.Error)
-		case o.SessStats != nil:
-			return o.SessStats, nil
-		case o.Result != nil:
-			c.pending = append(c.pending, *o.Result)
-		case o.Done:
-			return nil, errors.New("server ended session before stats reply")
-		}
+	o, err := c.await("stats", func(o *WireLine) bool { return o.SessStats != nil })
+	if err != nil {
+		return nil, err
 	}
+	return o.SessStats, nil
 }
 
 // Flush ends the stream and collects all remaining results plus the
@@ -2045,36 +2126,25 @@ func (c *Client) Flush() ([]WireResult, uint64, error) {
 	if err := c.writeFrame(context.Background(), &WireEvent{Cmd: "flush"}, false); err != nil {
 		return nil, 0, err
 	}
+	o, err := c.await("flush", func(o *WireLine) bool { return o.Done })
 	results := c.pending
 	c.pending = nil
-	for {
-		var o wireOut
-		if err := c.dec.Decode(&o); err != nil {
-			return results, 0, err
-		}
-		if c.note(&o) {
-			continue
-		}
-		if o.Error != "" {
-			return results, 0, fmt.Errorf("server: %s", o.Error)
-		}
-		if o.Result != nil {
-			results = append(results, *o.Result)
-		}
-		if o.Done {
-			c.summary = &WireDone{
-				Events: o.Events, Dropped: o.Drop,
-				SharedStmts: o.SharedStmts, SharedGraphs: o.SharedGraphs,
-				Stats: o.Stats,
-			}
-			return results, o.Events, nil
-		}
+	if err != nil {
+		return results, 0, err
 	}
+	c.summary = &WireDone{
+		Events: o.Events, Dropped: o.Drop,
+		SharedStmts: o.SharedStmts, SharedGraphs: o.SharedGraphs,
+		Stats: o.Stats,
+	}
+	return results, o.Events, nil
 }
 
 // Close closes the connection (a no-op on a lazily-dialed client that
 // never connected).
 func (c *Client) Close() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.conn == nil {
 		return nil
 	}

@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -66,6 +67,47 @@ func TestEndToEndSession(t *testing.T) {
 	}
 	if results[0].Values[0] != 11 || results[0].Values[1] != 100 {
 		t.Errorf("values = %v, want [11 100]", results[0].Values)
+	}
+}
+
+// TestNonFiniteResultReported: a result whose value JSON cannot carry
+// (here COUNT(*) and SUM over 1,100 Kleene events overflow to +Inf) must
+// not vanish — the client gets an error naming the statement and the
+// window, in plain and in resumable sessions alike, and in the latter
+// the lost line consumes no durable seq.
+func TestNonFiniteResultReported(t *testing.T) {
+	for _, resumable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("resumable=%v", resumable), func(t *testing.T) {
+			addr := startOptServer(t, &Server{Linger: time.Minute},
+				"RETURN COUNT(*), SUM(A.x), AVG(A.x) PATTERN A+ WITHIN 5000 SLIDE 5000")
+			c, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if resumable {
+				if _, err := c.EnableResume(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 1; i <= 1100; i++ {
+				if err := c.Send("A", int64(i), map[string]float64{"x": 2}, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			results, _, err := c.Flush()
+			if err == nil {
+				t.Fatalf("Flush = %v, nil: the overflowed window vanished without a word", results)
+			}
+			for _, want := range []string{"q0", "window 0", "+Inf"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("Flush error %q does not name %q", err, want)
+				}
+			}
+			if c.lastRecv != 0 { // the session's only durable line
+				t.Errorf("the undeliverable result consumed durable seq %d", c.lastRecv)
+			}
+		})
 	}
 }
 

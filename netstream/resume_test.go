@@ -449,17 +449,14 @@ func TestShutdownDrains(t *testing.T) {
 	}
 
 	// Session 1's client receives the terminal summary.
-	var done *wireOut
+	var done *WireLine
 	for done == nil {
-		var o wireOut
-		if err := c1.dec.Decode(&o); err != nil {
+		o, err := c1.ReadLine()
+		if err != nil {
 			t.Fatalf("reading drain output: %v", err)
 		}
-		if c1.note(&o) {
-			continue
-		}
 		if o.Done {
-			done = &o
+			done = o
 		}
 	}
 	if done.Events != 3 {
@@ -575,14 +572,14 @@ func TestSessionProtocolErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The unit and route-group indices of shard frames size the
-		// slot's tables, so wire-supplied ones are bounded: an event
+		// slot's tables, so wire-supplied ones are bounded: a batch row
 		// routed to a group the slot never registered is skipped, and a
 		// registration under an out-of-range index is refused.
 		const q = "RETURN COUNT(*) PATTERN Stock S+ WHERE [company] WITHIN 10 SLIDE 5"
 		for i, we := range []WireEvent{
 			{Cmd: "shard", Count: 1, Workers: []int{0}},
 			{Cmd: "sreg", SI: 0, GI: 0, Query: q, ID: "u0"},
-			{Type: "Stock", Time: 1, RG: []int{99, -1}, RH: []string{"0", "0"}},
+			{Cmd: "batch", Type: "Stock", Times: []int64{1}, RGs: [][]int{{99, -1}}, RHs: [][]string{{"0", "0"}}},
 			{Cmd: "sreg", SI: 1, GI: 1 << 40, Query: q, ID: "u1"},
 			{Cmd: "sreg", SI: -1, GI: 0, Query: q, ID: "u2"},
 		} {
@@ -597,6 +594,42 @@ func TestSessionProtocolErrors(t *testing.T) {
 			} else if want := "sreg " + id; !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "out of range") {
 				t.Fatalf("error = %v, want %q ... out of range", err, want)
 			}
+		}
+	})
+
+	t.Run("shard-event-line-refused", func(t *testing.T) {
+		srv := &Server{Linger: time.Minute, AllowShard: true}
+		addr := startResumeServer(t, srv)
+		c, err := DialContext(ctx, addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.EnableResume(ctx); err != nil {
+			t.Fatal(err)
+		}
+		send := func(we WireEvent) {
+			t.Helper()
+			if err := c.writeFrame(ctx, &we, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Coordinators ship batch frames only: an event line on a shard
+		// session is refused with an error line and consumes no seq — the
+		// next frame is still seq 2 (were it a gap or a duplicate, a
+		// second error would follow or the cursor would stay at 1).
+		send(WireEvent{Cmd: "shard", Count: 1, Workers: []int{0}, Seq: 1})
+		send(WireEvent{Type: "Stock", Time: 1, Seq: 2})
+		send(WireEvent{Cmd: "sreg", Query: "RETURN COUNT(*) PATTERN Stock S+ WHERE [company] WITHIN 10 SLIDE 5", ID: "u0", Seq: 2})
+		if _, err := c.Stats(); err == nil || !strings.Contains(err.Error(), "batch frames only") {
+			t.Fatalf("event line on a shard session: error = %v, want a refusal", err)
+		}
+		st, err := c.Stats() // the reply the refusal cut short, taken after the sreg
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.LastSeq != 2 || st.Processed != 0 {
+			t.Fatalf("after the refused event line: last_seq=%d processed=%d, want 2 and 0", st.LastSeq, st.Processed)
 		}
 	})
 

@@ -102,11 +102,12 @@ func (sh *shardState) discardLocked() {
 }
 
 // shardFrame reports whether cmd is routed to the shard handler once
-// shard mode is on. Event ("") and batch lines are included — they
-// carry coordinator route info instead of feeding the session runtime.
+// shard mode is on. Batch frames are included — they carry coordinator
+// route info instead of feeding the session runtime. Event lines are
+// not: no coordinator sends one, and a shard session refuses them.
 func shardFrame(cmd string) bool {
 	switch cmd {
-	case "", "batch", "sreg", "sclose", "barrier", "eos", "handoff", "adopt":
+	case "batch", "sreg", "sclose", "barrier", "eos", "handoff", "adopt":
 		return true
 	}
 	return false
@@ -120,31 +121,23 @@ func (sess *session) handleShardLine(we *WireEvent) (stop bool) {
 	if we.Cmd == "shard" {
 		switch {
 		case !sess.srv.AllowShard:
-			_ = sess.sendLocked(wireOut{Error: "shard: disabled on this server"}, false)
+			sess.sendLocked(WireLine{Error: "shard: disabled on this server"}, false)
 			return false
 		case !sess.resumable:
-			_ = sess.sendLocked(wireOut{Error: `shard: requires a resumable session (send {"cmd":"session"} first)`}, false)
+			sess.sendLocked(WireLine{Error: `shard: requires a resumable session (send {"cmd":"session"} first)`}, false)
 			return false
 		case sess.shard != nil:
-			_ = sess.sendLocked(wireOut{Error: "shard: already enabled"}, false)
+			sess.sendLocked(WireLine{Error: "shard: already enabled"}, false)
 			return false
 		}
 	} else if sess.shard == nil {
-		_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("%q: not a shard session", we.Cmd)}, false)
+		sess.sendLocked(WireLine{Error: fmt.Sprintf("%q: not a shard session", we.Cmd)}, false)
 		return false
 	}
-	switch {
-	case we.Seq == 0:
-		_ = sess.sendLocked(wireOut{Error: "shard frame missing seq"}, false)
-		return false
-	case we.Seq <= sess.lastSeq:
-		return false // duplicate from a resume replay: already applied
-	case we.Seq != sess.lastSeq+1:
-		_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("sequence gap: got %d, want %d", we.Seq, sess.lastSeq+1)}, false)
-		return false
+	if sess.admitLocked("shard frame", we.Seq) {
+		sess.applyShardFrameLocked(we)
+		sess.lastSeq = we.Seq
 	}
-	sess.applyShardFrameLocked(we)
-	sess.lastSeq = we.Seq
 	return false
 }
 
@@ -156,23 +149,23 @@ func (sess *session) applyShardFrameLocked(we *WireEvent) {
 	switch we.Cmd {
 	case "shard":
 		if we.Count <= 0 {
-			_ = sess.sendLocked(wireOut{Error: "shard: count must be positive"}, false)
+			sess.sendLocked(WireLine{Error: "shard: count must be positive"}, false)
 			return
 		}
 		sh := &shardState{n0: we.Count, hosts: map[int]*core.ShardHost{}}
 		for _, w := range we.Workers {
 			if w < 0 || w >= we.Count {
-				_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("shard: worker slot %d out of range [0,%d)", w, we.Count)}, false)
+				sess.sendLocked(WireLine{Error: fmt.Sprintf("shard: worker slot %d out of range [0,%d)", w, we.Count)}, false)
 				return
 			}
 			if _, dup := sh.hosts[w]; dup {
-				_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("shard: duplicate worker slot %d", w)}, false)
+				sess.sendLocked(WireLine{Error: fmt.Sprintf("shard: duplicate worker slot %d", w)}, false)
 				return
 			}
 			sh.hosts[w] = core.NewShardHost(w, sess.emitPartial)
 		}
 		sess.shard = sh
-		_ = sess.sendLocked(wireOut{Shard: &WireShardInfo{Count: sh.n0, Workers: sh.slots()}}, true)
+		sess.sendLocked(WireLine{Shard: &WireShardInfo{Count: sh.n0, Workers: sh.slots()}}, true)
 	case "sreg":
 		// Fan the unit out to every hosted slot, stamping the
 		// coordinator's watermark (we.Time) first so a mid-stream
@@ -181,28 +174,28 @@ func (sess *session) applyShardFrameLocked(we *WireEvent) {
 			h := sess.shard.hosts[w]
 			h.ObserveTime(we.Time)
 			if err := h.Register(we.SI, we.GI, we.Query, we.ID, we.Exact, we.Force); err != nil {
-				_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("sreg %s: %v", we.ID, err)}, false)
+				sess.sendLocked(WireLine{Error: fmt.Sprintf("sreg %s: %v", we.ID, err)}, false)
 				return
 			}
 		}
-		_ = sess.sendLocked(wireOut{Registered: &WireRegistered{ID: we.ID, Query: we.Query}}, true)
+		sess.sendLocked(WireLine{Registered: &WireRegistered{ID: we.ID, Query: we.Query}}, true)
 	case "sclose":
 		for _, w := range sess.shard.slots() {
 			h := sess.shard.hosts[w]
 			st, err := h.CloseUnit(we.SI)
 			if err != nil {
-				_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("sclose %d: %v", we.SI, err)}, false)
+				sess.sendLocked(WireLine{Error: fmt.Sprintf("sclose %d: %v", we.SI, err)}, false)
 				return
 			}
 			// Open windows flushed as partials above; the MaxInt64 ack
 			// releases them all, then the final counters fold.
-			_ = sess.sendLocked(wireOut{Ack: &WireAck{SI: we.SI, W: w, Hi: math.MaxInt64}}, true)
-			_ = sess.sendLocked(wireOut{UnitStats: &WireUnitStats{SI: we.SI, W: w, Stats: st}}, true)
+			sess.sendLocked(WireLine{Ack: &WireAck{SI: we.SI, W: w, Hi: math.MaxInt64}}, true)
+			sess.sendLocked(WireLine{UnitStats: &WireUnitStats{SI: we.SI, W: w, Stats: st}}, true)
 		}
 	case "barrier":
 		for _, w := range sess.shard.slots() {
 			sess.shard.hosts[w].Barrier(we.SI, we.Time)
-			_ = sess.sendLocked(wireOut{Ack: &WireAck{SI: we.SI, W: w, Hi: we.Hi, T: we.Time}}, true)
+			sess.sendLocked(WireLine{Ack: &WireAck{SI: we.SI, W: w, Hi: we.Hi, T: we.Time}}, true)
 		}
 	case "eos":
 		for _, w := range sess.shard.slots() {
@@ -210,8 +203,8 @@ func (sess *session) applyShardFrameLocked(we *WireEvent) {
 			for _, si := range h.Units() {
 				h.FlushUnit(si)
 				st, _ := h.UnitStats(si)
-				_ = sess.sendLocked(wireOut{Ack: &WireAck{SI: si, W: w, Hi: math.MaxInt64}}, true)
-				_ = sess.sendLocked(wireOut{UnitStats: &WireUnitStats{SI: si, W: w, Stats: st}}, true)
+				sess.sendLocked(WireLine{Ack: &WireAck{SI: si, W: w, Hi: math.MaxInt64}}, true)
+				sess.sendLocked(WireLine{UnitStats: &WireUnitStats{SI: si, W: w, Stats: st}}, true)
 			}
 		}
 	case "handoff":
@@ -220,7 +213,7 @@ func (sess *session) applyShardFrameLocked(we *WireEvent) {
 		for _, w := range sh.slots() {
 			b, err := sh.hosts[w].Snapshot()
 			if err != nil {
-				_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("handoff: slot %d: %v", w, err)}, false)
+				sess.sendLocked(WireLine{Error: fmt.Sprintf("handoff: slot %d: %v", w, err)}, false)
 				return
 			}
 			blobs[strconv.Itoa(w)] = base64.StdEncoding.EncodeToString(b)
@@ -232,7 +225,7 @@ func (sess *session) applyShardFrameLocked(we *WireEvent) {
 			h.Discard()
 		}
 		sh.hosts = map[int]*core.ShardHost{}
-		_ = sess.sendLocked(wireOut{Handoff: &WireHandoff{Blobs: blobs, EvID: sess.evID}}, true)
+		sess.sendLocked(WireLine{Handoff: &WireHandoff{Blobs: blobs, EvID: sess.evID}}, true)
 	case "adopt":
 		sh := sess.shard
 		if we.EvID > sess.evID {
@@ -241,35 +234,33 @@ func (sess *session) applyShardFrameLocked(we *WireEvent) {
 		for ws, blob := range we.Blobs {
 			w, err := strconv.Atoi(ws)
 			if err != nil || w < 0 || w >= sh.n0 {
-				_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("adopt: bad worker slot %q", ws)}, false)
+				sess.sendLocked(WireLine{Error: fmt.Sprintf("adopt: bad worker slot %q", ws)}, false)
 				return
 			}
 			if _, dup := sh.hosts[w]; dup {
-				_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("adopt: slot %d already hosted", w)}, false)
+				sess.sendLocked(WireLine{Error: fmt.Sprintf("adopt: slot %d already hosted", w)}, false)
 				return
 			}
 			raw, err := base64.StdEncoding.DecodeString(blob)
 			if err != nil {
-				_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("adopt: slot %d: %v", w, err)}, false)
+				sess.sendLocked(WireLine{Error: fmt.Sprintf("adopt: slot %d: %v", w, err)}, false)
 				return
 			}
 			h, err := core.AdoptShardHost(raw, sess.emitPartial)
 			if err != nil {
-				_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("adopt: slot %d: %v", w, err)}, false)
+				sess.sendLocked(WireLine{Error: fmt.Sprintf("adopt: slot %d: %v", w, err)}, false)
 				return
 			}
 			if h.W() != w {
 				h.Discard()
-				_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("adopt: blob for slot %d keyed as %d", h.W(), w)}, false)
+				sess.sendLocked(WireLine{Error: fmt.Sprintf("adopt: blob for slot %d keyed as %d", h.W(), w)}, false)
 				return
 			}
 			sh.hosts[w] = h
 		}
-		_ = sess.sendLocked(wireOut{Shard: &WireShardInfo{Count: sh.n0, Workers: sh.slots()}}, true)
+		sess.sendLocked(WireLine{Shard: &WireShardInfo{Count: sh.n0, Workers: sh.slots()}}, true)
 	case "batch":
 		sess.applyShardBatchLocked(we)
-	case "":
-		sess.applyShardEventLocked(we)
 	}
 }
 
@@ -280,80 +271,37 @@ func (sess *session) applyShardFrameLocked(we *WireEvent) {
 func (sess *session) emitPartial(w, si int, r greta.Result) {
 	b, err := core.MarshalPayload(r.Payload)
 	if err != nil {
-		_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("partial encode: %v", err)}, false)
+		sess.sendLocked(WireLine{Error: fmt.Sprintf("partial encode: %v", err)}, false)
 		return
 	}
-	_ = sess.sendLocked(wireOut{Partial: &WirePartial{
+	sess.sendLocked(WireLine{Partial: &WirePartial{
 		SI: si, W: w, Group: r.Group, Wid: r.Wid,
 		Payload: base64.StdEncoding.EncodeToString(b),
 	}}, true)
 }
 
-// applyShardEventLocked applies one pre-routed single event: each
-// (group, hash) pair targets the hosted slot hash%n0 — the same
-// placement RunParallel's feedWorkers computes, so an N-shard cluster
-// partitions identically to an N-worker single-process run.
-func (sess *session) applyShardEventLocked(we *WireEvent) {
-	if we.Type == "" {
-		_ = sess.sendLocked(wireOut{Error: "event missing type"}, false)
-		return
-	}
-	if len(we.RH) != len(we.RG) {
-		_ = sess.sendLocked(wireOut{Error: "event: rg/rh length mismatch"}, false)
-		return
-	}
-	sess.evID++
-	ev := &greta.Event{ID: sess.evID, Type: greta.Type(we.Type), Time: we.Time, Attrs: we.Attrs, Str: we.Str}
-	for k, gi := range we.RG {
-		h, err := strconv.ParseUint(we.RH[k], 16, 64)
-		if err != nil {
-			_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("event: bad route hash %q", we.RH[k])}, false)
-			return
-		}
-		host := sess.shard.hosts[int(h%uint64(sess.shard.n0))]
-		if host == nil {
-			_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("event: slot %d not hosted here", int(h%uint64(sess.shard.n0)))}, false)
-			return
-		}
-		var gis [1]int
-		var hs [1]uint64
-		gis[0], hs[0] = gi, h
-		host.Apply(ev, gis[:], hs[:])
-	}
-	sess.processed++
-}
-
-// applyShardBatchLocked applies one pre-routed columnar batch frame.
+// applyShardBatchLocked applies one pre-routed columnar batch frame:
+// each (group, hash) pair of a row targets the hosted slot hash%n0 —
+// the same placement RunParallel's feedWorkers computes, so an N-shard
+// cluster partitions identically to an N-worker single-process run.
 // Route info comes per row: either GI+RH (every row in route group GI,
 // one hash per row — the common single-signature case) or RGs/RHs
 // (per-row group lists). Rows bind to a cached schema and keep their
 // own value slices — the slots' graphs retain event pointers.
 func (sess *session) applyShardBatchLocked(we *WireEvent) {
-	if we.Type == "" {
-		_ = sess.sendLocked(wireOut{Error: "batch missing type"}, false)
+	if err := checkBatch(we); err != nil {
+		sess.sendLocked(WireLine{Error: fmt.Sprintf("batch: %v", err)}, false)
 		return
 	}
 	n := len(we.Times)
-	for a, col := range we.Cols {
-		if len(col) != n {
-			_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("batch: column %q has %d values, want %d", a, len(col), n)}, false)
-			return
-		}
-	}
-	for a, col := range we.SCols {
-		if len(col) != n {
-			_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("batch: column %q has %d values, want %d", a, len(col), n)}, false)
-			return
-		}
-	}
 	multi := we.RGs != nil
 	if multi {
 		if len(we.RGs) != n || len(we.RHs) != n {
-			_ = sess.sendLocked(wireOut{Error: "batch: rgs/rhs length mismatch"}, false)
+			sess.sendLocked(WireLine{Error: "batch: rgs/rhs length mismatch"}, false)
 			return
 		}
 	} else if len(we.RH) != n {
-		_ = sess.sendLocked(wireOut{Error: "batch: rh length mismatch"}, false)
+		sess.sendLocked(WireLine{Error: "batch: rh length mismatch"}, false)
 		return
 	}
 	if n == 0 {
@@ -362,25 +310,17 @@ func (sess *session) applyShardBatchLocked(we *WireEvent) {
 	sch := sess.schemaFor(we)
 	sh := sess.shard
 	for i := 0; i < n; i++ {
-		num := make([]float64, len(sch.Numeric))
-		for j, a := range sch.Numeric {
-			num[j] = we.Cols[a][i]
-		}
-		strs := make([]string, len(sch.Strings))
-		for j, a := range sch.Strings {
-			strs[j] = we.SCols[a][i]
-		}
 		sess.evID++
-		ev := &greta.Event{ID: sess.evID, Type: greta.Type(we.Type), Time: we.Times[i], Sch: sch, Num: num, StrV: strs}
+		ev := batchEvent(we, sch, i, sess.evID)
 		apply := func(gi int, hx string) bool {
 			h, err := strconv.ParseUint(hx, 16, 64)
 			if err != nil {
-				_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("batch: bad route hash %q", hx)}, false)
+				sess.sendLocked(WireLine{Error: fmt.Sprintf("batch: bad route hash %q", hx)}, false)
 				return false
 			}
 			host := sh.hosts[int(h%uint64(sh.n0))]
 			if host == nil {
-				_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("batch: slot %d not hosted here", int(h%uint64(sh.n0)))}, false)
+				sess.sendLocked(WireLine{Error: fmt.Sprintf("batch: slot %d not hosted here", int(h%uint64(sh.n0)))}, false)
 				return false
 			}
 			var gis [1]int
@@ -391,7 +331,7 @@ func (sess *session) applyShardBatchLocked(we *WireEvent) {
 		}
 		if multi {
 			if len(we.RHs[i]) != len(we.RGs[i]) {
-				_ = sess.sendLocked(wireOut{Error: fmt.Sprintf("batch: row %d rg/rh length mismatch", i)}, false)
+				sess.sendLocked(WireLine{Error: fmt.Sprintf("batch: row %d rg/rh length mismatch", i)}, false)
 				return
 			}
 			for k, gi := range we.RGs[i] {
