@@ -230,7 +230,6 @@ func (c *conn) Read(p []byte) (int, error) {
 		f.mu.Unlock()
 		return 0, errReset()
 	}
-	torn := false
 	if f.cutReadLeft >= 0 {
 		if f.cutReadLeft == 0 {
 			f.tripLocked()
@@ -238,8 +237,7 @@ func (c *conn) Read(p []byte) (int, error) {
 			return 0, errReset()
 		}
 		if int64(len(p)) > f.cutReadLeft {
-			p = p[:f.cutReadLeft]
-			torn = true // this read may exhaust the budget
+			p = p[:f.cutReadLeft] // this read may exhaust the budget
 		}
 	}
 	f.mu.Unlock()
@@ -249,8 +247,10 @@ func (c *conn) Read(p []byte) (int, error) {
 	f.mu.Lock()
 	f.bytesRead += int64(n)
 	if f.cutReadLeft >= 0 {
-		f.cutReadLeft -= int64(n)
-		if torn && f.cutReadLeft == 0 {
+		// A read already in flight when the budget was armed can overrun
+		// it; the cut happens all the same.
+		if f.cutReadLeft -= int64(n); f.cutReadLeft <= 0 {
+			f.cutReadLeft = 0
 			f.tripLocked()
 		}
 	}
