@@ -43,7 +43,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"slices"
 	"strconv"
@@ -283,19 +282,22 @@ func Connect(ctx context.Context, cfg Config) (*Coordinator, error) {
 	return co, nil
 }
 
-// begin acquires the multi-step-operation slot under co.mu.
-func (co *Coordinator) begin() error {
-	for co.busy {
-		if co.closed {
-			return greta.ErrClosed
-		}
+// waitIdleLocked blocks while a multi-step operation holds the busy
+// slot, then reports whether the cluster still takes work. co.mu held.
+func (co *Coordinator) waitIdleLocked() error {
+	for co.busy && !co.closed {
 		co.cond.Wait()
 	}
 	if co.closed {
 		return greta.ErrClosed
 	}
-	if co.err != nil {
-		return co.err
+	return co.err
+}
+
+// begin acquires the multi-step-operation slot under co.mu.
+func (co *Coordinator) begin() error {
+	if err := co.waitIdleLocked(); err != nil {
+		return err
 	}
 	co.busy = true
 	return nil
@@ -370,20 +372,7 @@ func (co *Coordinator) Watermark() greta.Time {
 // barrier time every worker slot has acknowledged (-1 before the
 // first acknowledged barrier). Windows at or below it are fully
 // merged and emitted.
-func (co *Coordinator) LowWatermark() greta.Time {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	low := int64(math.MaxInt64)
-	for _, t := range co.slotAck {
-		if t < low {
-			low = t
-		}
-	}
-	if low == math.MaxInt64 {
-		return -1
-	}
-	return low
-}
+func (co *Coordinator) LowWatermark() greta.Time { return co.Metrics().LowWatermark }
 
 // activeLinks returns the links that still host (or may come to host)
 // worker slots — every command fan-out targets exactly these.
@@ -487,17 +476,8 @@ func (co *Coordinator) Register(src string, opts ...RegisterOption) (*Handle, er
 func (co *Coordinator) Process(ev *greta.Event) error {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	for co.busy {
-		if co.closed {
-			return greta.ErrClosed
-		}
-		co.cond.Wait()
-	}
-	if co.closed {
-		return greta.ErrClosed
-	}
-	if co.err != nil {
-		return co.err
+	if err := co.waitIdleLocked(); err != nil {
+		return err
 	}
 	co.met.events.Inc()
 	if ev.Time < co.wm {
@@ -658,18 +638,13 @@ func (h *Handle) Close() error {
 // gracefully, and every link goroutine exits. Safe to call twice.
 func (co *Coordinator) Close() error {
 	co.mu.Lock()
+	for co.busy && !co.closed {
+		co.cond.Wait()
+	}
 	if co.closed {
 		err := co.err
 		co.mu.Unlock()
 		return err
-	}
-	for co.busy {
-		co.cond.Wait()
-		if co.closed {
-			err := co.err
-			co.mu.Unlock()
-			return err
-		}
 	}
 	co.busy = true
 	if co.err == nil {

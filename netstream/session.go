@@ -220,6 +220,15 @@ func (sess *session) detachLocked() {
 	}
 }
 
+// stopLingerLocked disarms the expiry timer of a parked session that
+// is being re-attached, drained or ended.
+func (sess *session) stopLingerLocked() {
+	if sess.lingerT != nil {
+		sess.lingerT.Stop()
+		sess.lingerT = nil
+	}
+}
+
 // teardownLocked ends the session without a summary: the runtime is
 // closed (remaining windows flush to the attached conn, if any) and
 // the session forgotten.
@@ -228,10 +237,7 @@ func (sess *session) teardownLocked() {
 		return
 	}
 	sess.ended = true
-	if sess.lingerT != nil {
-		sess.lingerT.Stop()
-		sess.lingerT = nil
-	}
+	sess.stopLingerLocked()
 	if sess.shard != nil {
 		sess.shard.discardLocked()
 	}
@@ -247,10 +253,7 @@ func (sess *session) finishLocked() {
 	if sess.ended {
 		return
 	}
-	if sess.lingerT != nil {
-		sess.lingerT.Stop()
-		sess.lingerT = nil
-	}
+	sess.stopLingerLocked()
 	if sess.shard != nil {
 		sess.shard.discardLocked()
 	}
@@ -321,10 +324,7 @@ func (sess *session) drain() {
 	if sess.ended {
 		return
 	}
-	if sess.lingerT != nil {
-		sess.lingerT.Stop()
-		sess.lingerT = nil
-	}
+	sess.stopLingerLocked()
 	_ = sess.rt.Barrier()
 	if sess.rt.CheckpointArmed() {
 		if err := sess.rt.Checkpoint(); err != nil {
@@ -365,10 +365,7 @@ func (sess *session) attachLocked(conn net.Conn, w *bufio.Writer, enc *json.Enco
 		hook(greta.TraceEvent{Kind: greta.TraceSessionResume, Session: sess.id,
 			Watermark: sess.rt.Watermark()})
 	}
-	if sess.lingerT != nil {
-		sess.lingerT.Stop()
-		sess.lingerT = nil
-	}
+	sess.stopLingerLocked()
 	sess.conn = conn
 	sess.w = w
 	sess.enc = enc

@@ -221,10 +221,7 @@ func (sess *session) applyShardFrameLocked(we *WireEvent) {
 		// The snapshots are on the durable output path (replayed on
 		// resume) before the slots are dropped, so the state survives a
 		// link break mid-handoff.
-		for _, h := range sh.hosts {
-			h.Discard()
-		}
-		sh.hosts = map[int]*core.ShardHost{}
+		sh.discardLocked()
 		sess.sendLocked(WireLine{Handoff: &WireHandoff{Blobs: blobs, EvID: sess.evID}}, true)
 	case "adopt":
 		sh := sess.shard
