@@ -413,33 +413,6 @@ func TestClusterKillResume(t *testing.T) {
 	}
 }
 
-// planListener puts every connection a shard accepts under its own
-// fault plan, so the shard→coordinator direction can be faulted and the
-// link can still redial.
-type planListener struct {
-	net.Listener
-	mu  sync.Mutex
-	cur *faultnet.Faults
-}
-
-func (l *planListener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	f := faultnet.New()
-	l.mu.Lock()
-	l.cur = f
-	l.mu.Unlock()
-	return f.Conn(c), nil
-}
-
-func (l *planListener) plan() *faultnet.Faults {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.cur
-}
-
 // TestClusterLinkRebaseFatal: a link that resumes after the shard's
 // replay window moved past its cursor has lost partials and acks for
 // good — the shard rebases the session, and the coordinator must fail
@@ -449,7 +422,7 @@ func TestClusterLinkRebaseFatal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln := &planListener{Listener: tcp}
+	ln := &faultnet.PerConn{Listener: tcp} // the shard→coordinator direction is faultable per connection
 	srv := cluster.ServeShard()
 	srv.ResumeWindow = 1
 	go func() { _ = srv.Serve(ln) }()
@@ -465,7 +438,7 @@ func TestClusterLinkRebaseFatal(t *testing.T) {
 	// The shard's lines now vanish on their way out while the stream
 	// closes windows: partials and acks pile up past the one-line
 	// window, unseen by the coordinator.
-	f := ln.plan()
+	f := ln.Plan()
 	f.SetBlackhole(true)
 	lost := f.BytesWritten()
 	cfg := greta.DefaultCluster(3000)

@@ -83,7 +83,7 @@ func (l *link) send(we netstream.WireEvent) {
 // held.
 func (l *link) finish() {
 	l.closing = true
-	n, _ := l.c.SendFrame(&netstream.WireEvent{Cmd: "flush"})
+	n, _ := l.c.SendFrame(&netstream.WireEvent{Cmd: "flush"}) // a bare command always encodes
 	l.co.met.frameBytes.Add(uint64(n))
 }
 

@@ -147,6 +147,36 @@ type listener struct {
 	f *Faults
 }
 
+// PerConn wraps a listener so that every accepted connection runs
+// under a fault plan of its own. A shared plan stays cut once cut; with
+// one plan per connection a test can sever the live connection, let the
+// peer reconnect, and fault the new one.
+type PerConn struct {
+	net.Listener
+	mu  sync.Mutex
+	cur *Faults
+}
+
+func (l *PerConn) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	f := New()
+	l.mu.Lock()
+	l.cur = f
+	l.mu.Unlock()
+	return f.Conn(c), nil
+}
+
+// Plan returns the plan of the newest accepted connection (nil before
+// the first).
+func (l *PerConn) Plan() *Faults {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.cur
+}
+
 func (l *listener) Accept() (net.Conn, error) {
 	c, err := l.Listener.Accept()
 	if err != nil {

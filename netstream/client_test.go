@@ -62,32 +62,6 @@ func TestClientWriteFailure(t *testing.T) {
 	}
 }
 
-// cutListener puts every accepted connection under its own fault plan,
-// so a test can sever the live connection again after each resume.
-type cutListener struct {
-	net.Listener
-	mu  sync.Mutex
-	cur *faultnet.Faults
-}
-
-func (l *cutListener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	f := faultnet.New()
-	l.mu.Lock()
-	l.cur = f
-	l.mu.Unlock()
-	return f.Conn(c), nil
-}
-
-func (l *cutListener) fault(arm func(*faultnet.Faults)) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	arm(l.cur)
-}
-
 // TestClientConcurrentSendResume drives one Client the way a cluster
 // link does — one goroutine sending sequenced frames, another reading
 // lines and healing breaks with Resume — while the server side of the
@@ -109,7 +83,7 @@ func TestClientConcurrentSendResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln := &cutListener{Listener: tcp}
+	ln := &faultnet.PerConn{Listener: tcp}
 	go srv.Serve(ln) //nolint:errcheck
 	t.Cleanup(func() { srv.Close() })
 
@@ -145,7 +119,7 @@ func TestClientConcurrentSendResume(t *testing.T) {
 					time.Sleep(time.Millisecond)
 				}
 				injected.Add(1)
-				ln.fault(arm)
+				arm(ln.Plan())
 			}
 			if _, err := c.SendFrame(&WireEvent{Type: "A", Time: int64(i)}); err != nil {
 				t.Errorf("SendFrame %d: %v", i, err)
