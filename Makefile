@@ -2,24 +2,7 @@
 
 GO ?= go
 
-# PR selects the perf-snapshot file benchmarks write: `make bench PR=3`
-# emits BENCH_3.json next to the earlier snapshots, preserving the
-# trajectory. There is no default on purpose — a snapshot written to
-# the wrong PR file silently corrupts the trajectory, so bench targets
-# fail loudly when PR is unset. Override BENCH_OUT for an arbitrary
-# path.
-BENCH_OUT ?= BENCH_$(PR).json
-
-.PHONY: build test race bench bench-quick alloc-guard api apicheck loc bench-build
-
-# require-pr guards the bench targets: refuse to guess which snapshot
-# file to write.
-.PHONY: require-pr
-require-pr:
-	@test -n "$(PR)" || { \
-		echo "error: PR is not set - run 'make bench PR=<n>' so the snapshot lands in BENCH_<n>.json" >&2; \
-		exit 2; \
-	}
+.PHONY: build test race alloc-guard api apicheck loc bench-build
 
 build:
 	$(GO) build ./...
@@ -29,16 +12,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# bench regenerates the paper-figure benchmarks (Fig. 14-17 + parallel
-# partitions) with allocation stats and writes $(BENCH_OUT), the perf
-# snapshot future changes are compared against.
-bench: require-pr
-	scripts/bench.sh $(BENCH_OUT) 2s
-
-# bench-quick is the fast variant for local iteration (1 run per bench).
-bench-quick: require-pr
-	scripts/bench.sh $(BENCH_OUT) 1x
 
 # alloc-guard runs the zero-allocation hot-path guards — the engine's
 # and the wire's (resumable Client.Send 0 allocs, server event-line

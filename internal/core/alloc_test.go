@@ -699,8 +699,8 @@ func BenchmarkPartitionRouting(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ev := evs[i%companies]
-		h := eng.routeHash(ev)
-		if eng.lookupPartition(h, ev) == nil {
+		k := eng.parts.read(ev)
+		if eng.parts.lookup(k.hash(), k) == nil {
 			b.Fatal("partition missing")
 		}
 	}

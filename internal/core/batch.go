@@ -1,8 +1,9 @@
 // Columnar batch ingest: Runtime.ProcessBatch applies a whole
 // event.Batch with per-event overhead amortized three ways —
 //
-//   - one routing hash per maximal run of adjacent rows sharing a
-//     partition key (instead of one per row per route group),
+//   - one partition lookup per maximal run of adjacent rows sharing a
+//     partition key, answered by the partition memo without hashing
+//     (instead of one hash and one chain probe per row per engine),
 //   - a vectorized predicate pre-filter evaluating the vectorizable
 //     vertex predicates (predicate.Column) over the batch's dense
 //     numeric columns into a pooled selection bitmap, so rows that
@@ -13,14 +14,13 @@
 // the new PrefilterSkips), checkpoint boundary placement, and summary
 // fold order are bit-identical to feeding the same rows through
 // Process one at a time. Everything that cannot be proven invisible
-// falls back to the per-event path row by row — unsorted batches,
-// replay deduplication after a restore, and a slack-armed runtime with
-// checkpointing on.
+// falls back to the per-event path row by row — unsorted batches and
+// any batch into a runtime with reorder slack armed (the reorder
+// buffer's release rule exists once, in internal/reorder).
 package core
 
 import (
 	"errors"
-	"math"
 	"math/bits"
 
 	"github.com/greta-cep/greta/internal/event"
@@ -40,13 +40,8 @@ import (
 // event.Batch): the caller must not Reset or reuse the batch while any
 // window that saw its rows is open.
 //
-// With reorder slack armed, the batch splits: the in-order prefix at
-// or below the reorder horizon is applied columnar, interleaved in
-// (time, arrival) order with pending buffered releases, and the
-// straggler tail enters the reorder buffer to be released by later
-// arrivals. A runtime with both slack and a checkpoint schedule armed
-// feeds rows individually (a mid-batch snapshot must capture the exact
-// per-arrival buffer state).
+// With reorder slack armed, every row is offered to the reorder buffer
+// individually, exactly as Process would offer it.
 func (rt *Runtime) ProcessBatch(b *event.Batch) (int, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -65,16 +60,13 @@ func (rt *Runtime) ProcessBatch(b *event.Batch) (int, error) {
 		m.batchRows.Add(uint64(n))
 	}
 	rows := b.Rows()
+	if rt.reorder != nil {
+		return rt.processBatchFallback(rows)
+	}
 	for i := 1; i < n; i++ {
 		if rows[i].Time < rows[i-1].Time {
 			return rt.processBatchFallback(rows)
 		}
-	}
-	if rt.reorder != nil {
-		if rt.ck != nil || len(rt.replayDedup) > 0 {
-			return rt.processBatchFallback(rows)
-		}
-		return rt.processBatchReorder(b, rows)
 	}
 	// Sorted, no reorder: rows behind the initial watermark form a
 	// prefix (each is still forwarded so every engine counts the drop,
@@ -86,7 +78,7 @@ func (rt *Runtime) ProcessBatch(b *event.Batch) (int, error) {
 		}
 		accepted--
 	}
-	rt.applyBatch(b, rows, 0, n)
+	rt.applyBatch(b, rows)
 	if last := rows[n-1].Time; last > rt.watermark {
 		rt.watermark = last
 	}
@@ -118,12 +110,12 @@ func (rt *Runtime) processBatchFallback(rows []*event.Event) (int, error) {
 	return accepted, nil
 }
 
-// applyBatch applies sorted rows [lo, hi) to the engines, splitting
-// into segments at scheduled checkpoint boundaries: the snapshot fires
+// applyBatch applies b's sorted rows to the engines, splitting into
+// segments at scheduled checkpoint boundaries: the snapshot fires
 // before the first row at or past ck.next, exactly where the per-event
 // path fires it; rt.mu held.
-func (rt *Runtime) applyBatch(b *event.Batch, rows []*event.Event, lo, hi int) {
-	for lo < hi {
+func (rt *Runtime) applyBatch(b *event.Batch, rows []*event.Event) {
+	for lo, hi := 0, len(rows); lo < hi; {
 		ck := rt.ck
 		if ck == nil {
 			rt.applySegment(b, rows, lo, hi)
@@ -169,365 +161,82 @@ func (rt *Runtime) applySegment(b *event.Batch, rows []*event.Event, lo, hi int)
 	}
 }
 
-// routeSlot is one partition-key attribute resolved against a batch
-// schema: dense slot indexes (or -1), mirroring Accessor's reads.
-type routeSlot struct{ ns, ss int }
-
-// sameKeyAt reports whether batch row i carries the same partition key
-// as row i-1 — kind and value, in Accessor precedence order (string
-// presence wins over numeric, ""/NaN mark absence, exactly as
-// hashRoute reads a row).
-func sameKeyAt(slots []routeSlot, num []float64, nw int, strv []string, sw, i int) bool {
-	for _, s := range slots {
-		var v, pv string
-		if s.ss >= 0 {
-			v, pv = strv[i*sw+s.ss], strv[(i-1)*sw+s.ss]
-		}
-		if v != "" || pv != "" {
-			if v != pv {
-				return false
-			}
-			continue
-		}
-		if s.ns >= 0 {
-			f, g := num[i*nw+s.ns], num[(i-1)*nw+s.ns]
-			if math.IsNaN(f) != math.IsNaN(g) {
-				return false
-			}
-			if !math.IsNaN(f) && math.Float64bits(f) != math.Float64bits(g) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// keyWordsAt reads batch row i's partition key into at most two packed
-// slot words plus a memo fingerprint folded over every slot. Words are
-// prefix-faithful — equal keys always produce equal words, so a word
-// mismatch is a definitive key mismatch. When exact is true (at most
-// two slots, each a string of six or fewer bytes or absent) the words
-// are also injective: equal words of two exact rows PROVE equal keys,
-// and the memo and run tracking skip value verification entirely.
-// Longer strings, numeric slots, and wider keys clear exact and fall
-// back to the exact compares (sameKeyAt, matchKeyAt). A string slot
-// word packs length<<56 | kind<<48 | up to six leading bytes; numeric
-// slots use the raw float bits XOR a kind marker (fingerprint-only —
-// float bits can mimic any pattern, hence inexact); absent slots use
-// the bare kind marker (top byte zero, disjoint from every string).
-func keyWordsAt(slots []routeSlot, num []float64, nw int, strv []string, sw, i int) (fp, w0, w1 uint64, exact bool) {
-	const mix = 0x9E3779B97F4A7C15
-	fp = 0x2545F4914F6CDD1D
-	exact = len(slots) <= 2
-	for k, s := range slots {
-		w := uint64(pkMissing)
-		if s.ss >= 0 && strv[i*sw+s.ss] != "" {
-			v := strv[i*sw+s.ss]
-			w = uint64(len(v))<<56 | uint64(pkStr)<<48
-			for j := 0; j < len(v) && j < 6; j++ {
-				w |= uint64(v[j]) << (8 * j)
-			}
-			if len(v) > 6 {
-				exact = false
-			}
-		} else if s.ns >= 0 && !math.IsNaN(num[i*nw+s.ns]) {
-			w = math.Float64bits(num[i*nw+s.ns]) ^ uint64(pkNum)<<48
-			exact = false
-		}
-		fp = (fp ^ w) * mix
-		if k == 0 {
-			w0 = w
-		} else if k == 1 {
-			w1 = w
-		}
-	}
-	// Fold the high half down: multiplication only carries differences
-	// upward, and the memo indexes by the low bits.
-	return fp ^ fp>>32, w0, w1, exact
-}
-
-// hashRowAt is hashRoute for batch row i read straight off the dense
-// columns; must hash exactly the bytes hashRoute hashes. The batch
-// path only needs it on a partition-memo miss (partition chains are
-// keyed by this hash, shared with the per-event path).
-func hashRowAt(slots []routeSlot, num []float64, nw int, strv []string, sw, i int) uint64 {
-	h := uint64(14695981039346656037)
-	for _, s := range slots {
-		if s.ss >= 0 {
-			if v := strv[i*sw+s.ss]; v != "" {
-				h = hashByte(h, pkStr)
-				for j := 0; j < len(v); j++ {
-					h = hashByte(h, v[j])
-				}
-				continue
-			}
-		}
-		if s.ns >= 0 {
-			if f := num[i*nw+s.ns]; !math.IsNaN(f) {
-				h = hashByte(h, pkNum)
-				h = hashU64(h, math.Float64bits(f))
-				continue
-			}
-		}
-		h = hashByte(h, pkMissing)
-	}
-	return h
-}
-
-// processBatchReorder merges a sorted batch into a slack-armed
-// runtime: everything at or below the final horizon (the horizon after
-// the whole batch has arrived) releases during this call, interleaved
-// with pending buffered events in (time, arrival) order — pending
-// events win timestamp ties, their arrival stamps predate every batch
-// row — and the straggler tail enters the buffer. Checkpointing is
-// off on this path (ProcessBatch falls back per-row otherwise), so no
-// mid-merge snapshot can observe the shortcut; rt.mu held.
-func (rt *Runtime) processBatchReorder(b *event.Batch, rows []*event.Event) (int, error) {
-	buf := rt.reorder
-	// Apply a restored in-flight release first, as process does.
-	buf.Settle()
-	n := len(rows)
-	// Rows behind the horizon drop without touching any engine. For a
-	// sorted batch the horizon the per-event feed would test each row
-	// against can only be the initial one (later rows only raise it by
-	// at most their own timestamp), so the drops form a prefix.
-	lo := 0
-	for lo < n && rows[lo].Time < buf.Horizon() {
-		lo++
-	}
-	if lo > 0 {
-		buf.NoteDropped(uint64(lo))
-	}
-	finalHorizon := buf.Horizon()
-	if h := rows[n-1].Time - buf.Slack(); h > finalHorizon {
-		finalHorizon = h
-	}
-	i := lo
-	for i < n && rows[i].Time <= finalHorizon {
-		pt, pending := buf.PeekTime()
-		if pending && pt <= rows[i].Time {
-			// Pending event first: pt <= rows[i].Time <= finalHorizon.
-			rt.applyReleased(buf.PopRelease())
-			continue
-		}
-		// Maximal chunk of batch rows strictly ahead of the next pending
-		// event, applied columnar.
-		limit := finalHorizon
-		if pending && pt-1 < limit {
-			limit = pt - 1
-		}
-		j := i + 1
-		for j < n && rows[j].Time <= limit {
-			j++
-		}
-		rt.applyBatch(b, rows, i, j)
-		if t := rows[j-1].Time; t > rt.watermark {
-			rt.watermark = t
-		}
-		buf.Bypass(rows[j-1].Time)
-		i = j
-	}
-	// Pending events at or below the final horizon outlasting the batch
-	// rows release now — per-event they'd release as the straggler tail
-	// raised maxSeen.
-	for {
-		pt, ok := buf.PeekTime()
-		if !ok || pt > finalHorizon {
-			break
-		}
-		rt.applyReleased(buf.PopRelease())
-	}
-	// The tail stays inside the disorder window: every time is above
-	// the final horizon, so the pushes drop nothing and release nothing.
-	for ; i < n; i++ {
-		buf.Push(rows[i])
-	}
-	if m := rt.met; m != nil {
-		// The buffered tail stays ahead of the released frontier, so only
-		// the offered high-water cell moves; the released watermark is
-		// rt.watermark under rt.mu.
-		m.events.Add(uint64(n))
-		m.drops.Add(uint64(lo))
-		m.maxSeen.SetMax(rows[n-1].Time)
-	}
-	return n - lo, nil
-}
-
-// processSegment sweeps one segment of sorted rows through the engine
-// in a single columnar pass: per row the packed key words both track
-// partition-key runs (a word change breaks the run; exact words prove
-// continuation without a compare) and resolve the partition through
-// the direct-mapped memo (the FNV-1a routing hash is computed only on
-// a memo miss), and rows the pre-filter proves unable to match any
-// state take the skip path — the same clock advances and Events
-// counts as a full Graph.Process whose insertAt fails every vertex
-// predicate, with no graph work. Only called for simple plans
-// (route-group members).
+// processSegment sweeps one segment of sorted rows through the engine:
+// the partition is looked up once per run of rows sharing a key, through
+// the memo (the routing hash is computed only on a memo miss), and rows
+// the pre-filter proves unable to match any state take the skip path —
+// the same clock advances and Events counts as a full Graph.Process
+// whose insertAt fails every vertex predicate, with no graph work. Only
+// called for simple plans (route-group members).
 func (e *Engine) processSegment(b *event.Batch, rows []*event.Event, lo, hi int) {
 	if lo >= hi {
 		return
 	}
 	pf := e.prefilterFor(b, lo, hi)
-	if e.partCache == nil {
-		e.partCache = make([]partCacheEnt, partCacheSize)
-	}
-	slots := e.routeSlotsFor(b.Schema())
-	num, nw := b.NumColumn()
-	strv, sw := b.StrColumn()
-	var p *partition
-	var pw0, pw1 uint64
-	pexact := false
+	t := &e.parts
+	var p *partition // the previous row's, nil at a run break
 	for i := lo; i < hi; i++ {
-		fp, w0, w1, exact := keyWordsAt(slots, num, nw, strv, sw, i)
-		if p != nil && (w0 != pw0 || w1 != pw1 ||
-			!(exact && pexact) && !sameKeyAt(slots, num, nw, strv, sw, i)) {
-			p = nil // run break: the key provably changed
-		}
-		pw0, pw1, pexact = w0, w1, exact
 		ev := rows[i]
-		if ev.Time < e.prevTime {
-			e.stats.OutOfOrder++
+		k := t.read(ev)
+		w := k.words()
+		if p != nil && !p.has(k, w) {
+			p = nil
+		}
+		if !e.admit(ev) {
 			continue
 		}
-		e.stats.Events++
-		e.closeUpTo(ev.Time)
 		if p == nil {
-			// One lookup per run; created even when every row of the
-			// run is filtered, as the per-event dispatch would. The
-			// direct-mapped memo front-runs the chain probe —
-			// partitions are never removed, so a hit (two exact words,
-			// or word-verified against the stored key off the columns)
-			// is always the partition the probe would return; only a
-			// miss pays the routing hash.
-			ent := &e.partCache[fp&(partCacheSize-1)]
-			if ent.p != nil && ent.w0 == w0 && ent.w1 == w1 &&
-				(exact && ent.exact || matchKeyAt(&ent.p.pk, slots, num, nw, strv, sw, i)) {
-				p = ent.p
-			} else {
-				p = e.partitionFor(hashRowAt(slots, num, nw, strv, sw, i), ev)
-				ent.w0, ent.w1, ent.exact, ent.p = w0, w1, exact, p
-			}
+			// Created even when every row of the run is filtered, as the
+			// per-event path would.
+			p = t.resolve(k, w)
 		}
-		if pf != nil && pf.skip(i-lo) {
-			// Mirror the effects of a Graph.Process whose predicates
-			// all fail: the event is counted and both graph clocks
-			// advance (prevTime for ordering, lastEventID for
-			// contiguous semantics), nothing else moves. Pre-filter
-			// eligibility guarantees a single dependency-free graph,
-			// whose foldPending/expire are no-ops between the window
-			// closes closeUpTo just handled.
-			g := p.graphs[0]
-			g.stats.Events++
-			g.prevTime = ev.Time
-			g.lastEventID = ev.ID
-			e.stats.PrefilterSkips++
-			// Bulk the rest of the skip span: while consecutive rows
-			// stay pre-filtered and their runs' partitions are memo
-			// hits (pure reads — nothing is created), the per-row
-			// engine work collapses to one counter add and one close
-			// at the span tail. Sorted rows guarantee no span row is
-			// late, and window closes never read the graph clocks, so
-			// the interleaving is unobservable; a memo miss or a
-			// passing row ends the span and resumes per-row handling.
-			spanEnd := lo + pf.passEnd(i+1-lo, hi-lo)
-			j := i + 1
-			for j < spanEnd {
-				fpj, w0j, w1j, exj := keyWordsAt(slots, num, nw, strv, sw, j)
-				if w0j != pw0 || w1j != pw1 ||
-					!(exj && pexact) && !sameKeyAt(slots, num, nw, strv, sw, j) {
-					ent := &e.partCache[fpj&(partCacheSize-1)]
-					if ent.p == nil || ent.w0 != w0j || ent.w1 != w1j ||
-						!(exj && ent.exact) && !matchKeyAt(&ent.p.pk, slots, num, nw, strv, sw, j) {
-						break
-					}
-					p = ent.p
-					g = p.graphs[0]
-				}
-				pw0, pw1, pexact = w0j, w1j, exj
-				rj := rows[j]
-				g.stats.Events++
-				g.prevTime = rj.Time
-				g.lastEventID = rj.ID
-				j++
-			}
-			if n := uint64(j - i - 1); n > 0 {
-				e.stats.Events += n
-				e.stats.PrefilterSkips += n
-				e.closeUpTo(rows[j-1].Time)
-			}
-			i = j - 1
+		if pf == nil || !pf.skip(i-lo) {
+			e.applyRow(ev, p)
 			continue
 		}
-		for _, idx := range e.order {
-			p.graphs[idx].Process(ev)
-		}
-	}
-}
-
-// partCacheSize is the direct-mapped partition-memo size (power of
-// two; 32KB per engine that has seen batch ingest — sized so the
-// Linear Road shapes' ~1k live partitions mostly stay resident).
-const partCacheSize = 1024
-
-// partCacheEnt is one (key words → partition) memo entry, indexed by
-// the fingerprint's low bits. exact records whether the filling row's
-// words were injective (see keyWordsAt): a probe whose words match an
-// exact entry exactly is a proven hit, no key compare needed.
-type partCacheEnt struct {
-	w0, w1 uint64
-	exact  bool
-	p      *partition
-}
-
-// routeSlotCache is the engine's partition-key slot resolution for one
-// batch schema (one entry per distinct schema seen, like prefilters).
-type routeSlotCache struct {
-	sch   *event.Schema
-	slots []routeSlot
-}
-
-// routeSlotsFor resolves (caching per schema) the engine's routing
-// accessors against a batch schema.
-func (e *Engine) routeSlotsFor(sch *event.Schema) []routeSlot {
-	for _, c := range e.routeSlotCaches {
-		if c.sch == sch {
-			return c.slots
-		}
-	}
-	slots := make([]routeSlot, len(e.routeAcc))
-	for i := range e.routeAcc {
-		a := e.routeAcc[i].Attr()
-		slots[i] = routeSlot{ns: sch.NumSlot(a), ss: sch.StrSlot(a)}
-	}
-	e.routeSlotCaches = append(e.routeSlotCaches, routeSlotCache{sch: sch, slots: slots})
-	return slots
-}
-
-// matchKeyAt is keyMatches for batch row i read straight off the dense
-// columns — same kind precedence, same absence markers.
-func matchKeyAt(pk *partKey, slots []routeSlot, num []float64, nw int, strv []string, sw, i int) bool {
-	for k, s := range slots {
-		if s.ss >= 0 {
-			if v := strv[i*sw+s.ss]; v != "" {
-				if pk.kinds[k] != pkStr || pk.strs[k] != v {
-					return false
+		// Pre-filter eligibility guarantees a single dependency-free
+		// graph, whose foldPending/expire are no-ops between the window
+		// closes admit just handled.
+		g := p.graphs[0]
+		g.skipRow(ev)
+		e.stats.PrefilterSkips++
+		// Bulk the rest of the skip span: while consecutive rows stay
+		// pre-filtered and their partitions are memo hits (pure reads —
+		// nothing is created), the per-row engine work collapses to one
+		// counter add and one close at the span tail. Sorted rows
+		// guarantee no span row is late, and window closes never read the
+		// graph clocks, so the interleaving is unobservable; a memo miss
+		// or a passing row ends the span and resumes per-row handling.
+		spanEnd := lo + pf.passEnd(i+1-lo, hi-lo)
+		j := i + 1
+		for ; j < spanEnd; j++ {
+			k := t.read(rows[j])
+			if w := k.words(); !p.has(k, w) {
+				q := t.cached(k, w)
+				if q == nil {
+					break
 				}
-				continue
+				p, g = q, q.graphs[0]
 			}
+			g.skipRow(rows[j])
 		}
-		if s.ns >= 0 {
-			if f := num[i*nw+s.ns]; !math.IsNaN(f) {
-				if pk.kinds[k] != pkNum || pk.nums[k] != math.Float64bits(f) {
-					return false
-				}
-				continue
-			}
+		if n := uint64(j - i - 1); n > 0 {
+			e.stats.Events += n
+			e.stats.PrefilterSkips += n
+			e.closeUpTo(rows[j-1].Time)
 		}
-		if pk.kinds[k] != pkMissing {
-			return false
-		}
+		i = j - 1
 	}
-	return true
+}
+
+// skipRow mirrors the effects of a Process whose vertex predicates all
+// fail: the event is counted and both graph clocks advance (prevTime
+// for ordering, lastEventID for contiguous semantics), nothing else
+// moves.
+func (g *Graph) skipRow(ev *event.Event) {
+	g.stats.Events++
+	g.prevTime = ev.Time
+	g.lastEventID = ev.ID
 }
 
 // Batch pre-filter

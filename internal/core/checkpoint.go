@@ -29,7 +29,6 @@ import (
 	"math"
 	"math/big"
 	"sort"
-	"strings"
 	"time"
 
 	"github.com/greta-cep/greta/internal/aggregate"
@@ -974,15 +973,16 @@ func decodeGraph(d *checkpoint.Decoder, events []*event.Event, g *Graph) error {
 	return d.Err()
 }
 
-func encodePartKey(enc *checkpoint.Encoder, pk *partKey) {
-	enc.U32(uint32(len(pk.kinds)))
-	for i, kind := range pk.kinds {
-		enc.U8(kind)
-		switch kind {
+func encodePartKey(enc *checkpoint.Encoder, pk partKey) {
+	enc.U32(uint32(len(pk)))
+	for i := range pk {
+		a := &pk[i]
+		enc.U8(a.kind)
+		switch a.kind {
 		case pkNum:
-			enc.U64(pk.nums[i])
+			enc.U64(a.num)
 		case pkStr:
-			enc.String(pk.strs[i])
+			enc.String(a.str)
 		}
 	}
 }
@@ -990,30 +990,21 @@ func encodePartKey(enc *checkpoint.Encoder, pk *partKey) {
 func decodePartKey(d *checkpoint.Decoder, want int) (partKey, error) {
 	n := d.Len(1)
 	if d.Err() == nil && n != want {
-		return partKey{}, d.Corrupt("partition key has %d attributes, plan has %d", n, want)
+		return nil, d.Corrupt("partition key has %d attributes, plan has %d", n, want)
 	}
-	pk := partKey{}
-	if n > 0 {
-		pk.kinds = make([]uint8, n)
-	}
+	pk := make(partKey, 0, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
-		kind := d.U8()
-		pk.kinds[i] = kind
-		switch kind {
+		a := keyAttr{kind: d.U8()}
+		switch a.kind {
 		case pkMissing:
 		case pkNum:
-			if pk.nums == nil {
-				pk.nums = make([]uint64, n)
-			}
-			pk.nums[i] = d.U64()
+			a.num = d.U64()
 		case pkStr:
-			if pk.strs == nil {
-				pk.strs = make([]string, n)
-			}
-			pk.strs[i] = d.String()
+			a.str = d.String()
 		default:
-			return partKey{}, d.Corrupt("invalid partition key kind %d", kind)
+			return nil, d.Corrupt("invalid partition key kind %d", a.kind)
 		}
+		pk = append(pk, a)
 	}
 	return pk, d.Err()
 }
@@ -1040,10 +1031,10 @@ func encodeEngine(enc *checkpoint.Encoder, tab *evTable, e *Engine) {
 	enc.U64(uint64(e.emitted))
 	encodeResults(enc, e.results)
 	if simple {
-		enc.U32(uint32(len(e.partList)))
-		for _, p := range e.partList {
+		enc.U32(uint32(len(e.parts.all())))
+		for _, p := range e.parts.all() {
 			enc.String(p.key)
-			encodePartKey(enc, &p.pk)
+			encodePartKey(enc, p.pk)
 			for _, g := range p.graphs {
 				encodeGraph(enc, tab, g)
 			}
@@ -1086,15 +1077,11 @@ func decodeEngine(d *checkpoint.Decoder, events []*event.Event, e *Engine) error
 		np := d.Len(8)
 		for i := 0; i < np && d.Err() == nil; i++ {
 			key := d.String()
-			pk, err := decodePartKey(d, len(e.routeAcc))
+			pk, err := decodePartKey(d, len(e.partAttrs))
 			if err != nil {
 				return err
 			}
-			p := e.newPartitionFromKey(key, pk)
-			h := p.pk.hash()
-			e.parts[h] = append(e.parts[h], p)
-			e.partList = append(e.partList, p)
-			for _, g := range p.graphs {
+			for _, g := range e.parts.add(pk.hash(), key, pk).graphs {
 				if err := decodeGraph(d, events, g); err != nil {
 					return err
 				}
@@ -1360,23 +1347,8 @@ func RestoreRuntime(data []byte) (*Runtime, RestoreInfo, error) {
 			return nil, RestoreInfo{}, fmt.Errorf("checkpoint: rebuild shared entry: %w", err)
 		}
 		host := &Stmt{rt: rt, id: "~" + pe.e.node.Key(), parPrev: -1}
-		sig := strings.Join(eng.partAttrs, "\x1f")
-		var grp *routeGroup
-		for _, g := range rt.groups {
-			if g.sig == sig {
-				grp = g
-				break
-			}
-		}
-		if grp == nil {
-			grp = &routeGroup{sig: sig, acc: make([]event.Accessor, len(eng.partAttrs))}
-			for i, a := range eng.partAttrs {
-				grp.acc[i] = event.NewAccessor(a)
-			}
-			rt.groups = append(rt.groups, grp)
-		}
-		grp.members = append(grp.members, host)
-		host.grp = grp
+		host.grp = rt.routeGroupFor(eng)
+		host.grp.members = append(host.grp.members, host)
 		host.eng = eng
 		pe.e.host = host
 		pe.e.subs = pe.subs

@@ -44,13 +44,6 @@ func UnmarshalPayload(b []byte) (*aggregate.Payload, error) {
 	return p, nil
 }
 
-// HashRoute exposes the per-route-group FNV-1a partition hash so a
-// cluster coordinator computes it once and ships it; shards never
-// rehash.
-func HashRoute(acc []event.Accessor, ev *event.Event) uint64 {
-	return hashRoute(acc, ev)
-}
-
 // Partitioned reports whether the statement is a parallel unit: a
 // simple plan with at least one partition attribute. RunParallel (and
 // the cluster coordinator) distributes exactly these; everything else
@@ -80,22 +73,14 @@ func (st *Stmt) RouteAccessors() []event.Accessor {
 func (st *Stmt) WindowSpec() window.Spec { return st.eng.plan.Window }
 
 // FoldRemoteStats folds one worker slot's engine counters into the
-// statement's stats: Events and the graph-cost counters sum; peaks sum
-// as an upper bound on the true concurrent peak (slots run
-// concurrently but peak at different instants — read parallel-run
+// statement's stats (Stats.add): Events and the graph-cost counters
+// sum; peaks sum as an upper bound on the true concurrent peak (slots
+// run concurrently but peak at different instants — read parallel-run
 // peaks as a bound, not an exact maximum); OutOfOrder and Results are
 // coordinator-side and excluded.
 func (st *Stmt) FoldRemoteStats(s Stats) {
-	es := &st.eng.stats
-	es.Events += s.Events
-	es.Inserted += s.Inserted
-	es.Edges += s.Edges
-	es.ScanVisits += s.ScanVisits
-	es.SummaryFolds += s.SummaryFolds
-	es.SummaryRebuilds += s.SummaryRebuilds
-	es.PeakVertices += s.PeakVertices
-	es.PeakPayloads += s.PeakPayloads
-	es.Partitions += s.Partitions
+	s.OutOfOrder, s.Results = 0, 0
+	st.eng.stats.add(s)
 }
 
 // AddOutOfOrder charges n coordinator-side out-of-order drops to the

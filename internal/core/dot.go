@@ -28,7 +28,7 @@ func (e *Engine) DOT() string {
 		b.WriteString("}\n")
 		return b.String()
 	}
-	parts := append([]*partition{}, e.partList...)
+	parts := slices.Clone(e.parts.all())
 	slices.SortFunc(parts, func(a, b *partition) int { return cmp.Compare(a.key, b.key) })
 	for pi, part := range parts {
 		for gi, g := range part.graphs {
@@ -120,7 +120,7 @@ type GraphSnapshot struct {
 // Snapshot lists the live graphs of the engine.
 func (e *Engine) Snapshot() []GraphSnapshot {
 	var out []GraphSnapshot
-	parts := append([]*partition{}, e.partList...)
+	parts := slices.Clone(e.parts.all())
 	slices.SortFunc(parts, func(a, b *partition) int { return cmp.Compare(a.key, b.key) })
 	for _, part := range parts {
 		for _, g := range part.graphs {

@@ -2,10 +2,7 @@ package core
 
 import (
 	"cmp"
-	"fmt"
-	"math"
 	"slices"
-	"strings"
 	"time"
 
 	"github.com/greta-cep/greta/internal/aggregate"
@@ -78,51 +75,15 @@ type Stats struct {
 	SharedStatements int
 }
 
-// partition holds the dependent GRETA graphs of one stream partition
-// (one combination of grouping and equivalence attribute values).
-type partition struct {
-	graphs []*Graph
-	// group is the output grouping key (GROUP-BY attributes only).
-	group string
-	// key is the interned display form of the partition key, built once
-	// at creation (debug rendering and deterministic iteration order).
-	key string
-	// pk holds the typed partition-key values for hash-collision
-	// verification: routing is hash-first, so two distinct keys landing
-	// on the same 64-bit hash are told apart by comparing against pk.
-	pk partKey
-}
-
-// partKey is the typed identity of a partition: one entry per
-// partitioning attribute, tagged by kind. Numbers compare by bit
-// pattern (matching the hash), strings by value.
-type partKey struct {
-	kinds []uint8 // pkMissing, pkNum, or pkStr per attribute
-	nums  []uint64
-	strs  []string
-}
-
-const (
-	pkMissing uint8 = iota
-	pkNum
-	pkStr
-)
-
 // Engine executes a compiled Plan over an in-order event stream
 // (the GRETA Runtime, paper Fig. 4).
 type Engine struct {
 	plan *Plan
 
-	// simple plan state: hash-first partition routing. parts maps the
-	// 64-bit partition-key hash to its (almost always singleton)
-	// collision chain; partList keeps creation order for iteration.
-	parts    map[uint64][]*partition
-	partList []*partition
-	order    []int // graph processing order: negatives before parents
-
-	// routeAcc reads the partitioning attributes (schema-compiled when
-	// events carry schemas); single-owner per engine.
-	routeAcc []event.Accessor
+	// simple plan state: the partitions (see partition.go) and the graph
+	// processing order, negatives before parents.
+	parts partTable
+	order []int
 
 	// cspecs holds the per-engine compiled form of each plan sub-spec,
 	// shared by that spec's graphs across all partitions.
@@ -133,19 +94,6 @@ type Engine struct {
 	// (one entry per distinct batch schema seen; linear scan — batch
 	// sources use a handful of schemas at most). See batch.go.
 	prefilters []*batchPrefilter
-
-	// partCache is the batch path's direct-mapped memo in front of the
-	// e.parts probe, exploiting partition-key locality within a batch.
-	// Partitions are never removed, so entries stay valid for the
-	// engine's lifetime; a hit is proven by exact key words or verified
-	// value-for-value, so fingerprint collisions fall through to the
-	// chain probe. Lazily allocated on the first processSegment; never
-	// serialized (pure cache).
-	partCache []partCacheEnt
-
-	// routeSlotCaches resolves routeAcc against each batch schema seen
-	// (see routeSlotsFor; linear scan like prefilters).
-	routeSlotCaches []routeSlotCache
 
 	// composite plan state (disjunction / conjunction, §9)
 	branchEngines  []*Engine
@@ -176,12 +124,9 @@ type Engine struct {
 
 // NewEngine builds an engine for plan.
 func NewEngine(plan *Plan) *Engine {
-	e := &Engine{plan: plan, parts: map[uint64][]*partition{}, prevTime: -1}
+	e := &Engine{plan: plan, prevTime: -1}
 	e.partAttrs = append(append([]string{}, plan.GroupBy...), plan.Query.Equivalence...)
-	e.routeAcc = make([]event.Accessor, len(e.partAttrs))
-	for i, a := range e.partAttrs {
-		e.routeAcc[i] = event.NewAccessor(a)
-	}
+	e.parts = newPartTable(e.partAttrs, e.wirePartition)
 	if !plan.Simple() {
 		for _, bp := range plan.Branches {
 			e.branchEngines = append(e.branchEngines, NewEngine(bp))
@@ -225,53 +170,11 @@ func (e *Engine) SetForceVertexScan(on bool) {
 // soon as the window closes). Results are also collected for Results().
 func (e *Engine) OnResult(f func(Result)) { e.onResult = f }
 
-// attrKey concatenates the named attribute values of an event. Map
-// probes come first (legacy rendering, including its NaN form); a
-// map-free batch row falls through to its dense schema slots, which
-// render identically for every value a batch can represent (AppendEvent
-// rejects the NaN/"" collisions), so a partition keyed by a batch row
-// interns the same display key a map-carried event would.
-func attrKey(ev *event.Event, attrs []string) string {
-	if len(attrs) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	for i, a := range attrs {
-		if i > 0 {
-			b.WriteByte('\x1f')
-		}
-		if s, ok := ev.Str[a]; ok {
-			b.WriteString(s)
-		} else if v, ok := ev.Attrs[a]; ok {
-			fmt.Fprintf(&b, "%g", v)
-		} else if ev.Sch != nil {
-			if si := ev.Sch.StrSlot(a); si >= 0 && si < len(ev.StrV) && ev.StrV[si] != "" {
-				b.WriteString(ev.StrV[si])
-			} else if ni := ev.Sch.NumSlot(a); ni >= 0 && ni < len(ev.Num) && !math.IsNaN(ev.Num[ni]) {
-				fmt.Fprintf(&b, "%g", ev.Num[ni])
-			}
-		}
-	}
-	return b.String()
-}
-
-// newPartition instantiates the graphs of one partition and wires
-// dependencies. The display key and group strings are interned here,
-// once per partition — never on the per-event path.
-func (e *Engine) newPartition(ev *event.Event) *partition {
-	return e.newPartitionFromKey(attrKey(ev, e.partAttrs), e.buildPartKey(ev))
-}
-
-// newPartitionFromKey builds a partition from an already-materialized
-// key (checkpoint restore rebuilds partitions from serialized keys, no
-// event in hand; newPartition derives both from the triggering event).
-func (e *Engine) newPartitionFromKey(key string, pk partKey) *partition {
-	p := &partition{
-		graphs: make([]*Graph, len(e.plan.Subs)),
-		group:  groupPrefix(key, len(e.plan.GroupBy), len(e.partAttrs)),
-		key:    key,
-		pk:     pk,
-	}
+// wirePartition instantiates the graphs of a new partition, wires
+// their dependencies and derives its output group (partTable.wire).
+func (e *Engine) wirePartition(p *partition) {
+	p.group = groupPrefix(p.key, len(e.plan.GroupBy), len(e.partAttrs))
+	p.graphs = make([]*Graph, len(e.plan.Subs))
 	for i, spec := range e.plan.Subs {
 		p.graphs[i] = newGraph(spec, e.cspecs[i], e.plan.Window, e.plan.Sem)
 		p.graphs[i].forceScan = e.forceScan
@@ -281,167 +184,6 @@ func (e *Engine) newPartitionFromKey(key string, pk partKey) *partition {
 			p.graphs[i].addDep(p.graphs[dep], dep)
 		}
 	}
-	return p
-}
-
-// groupPrefix returns the prefix of the interned partition key that
-// covers its first n of total \x1f-separated segments — the GROUP-BY
-// attributes lead the partition-attribute list, so the group string is
-// a substring of the key (no extra interning).
-func groupPrefix(key string, n, total int) string {
-	if n == 0 {
-		return ""
-	}
-	if n >= total {
-		return key
-	}
-	seen := 0
-	for i := 0; i < len(key); i++ {
-		if key[i] == '\x1f' {
-			seen++
-			if seen == n {
-				return key[:i]
-			}
-		}
-	}
-	return key
-}
-
-// routeHash computes the 64-bit partition-routing hash of an event
-// directly from its attribute values (FNV-1a over kind-tagged values) —
-// no key string is built. Events bound to a schema are read by dense
-// slot; schemaless events fall back to map probes.
-//
-// Partition identity is typed (see partKey): a missing attribute, an
-// empty-string value, and a numeric value are three distinct keys.
-// This is deliberately stricter than the legacy string rendering,
-// which conflated missing with "" and Str "5" with Attrs 5 — those
-// degenerate keys no longer share a partition
-// (TestTypedPartitionIdentity locks this in).
-func (e *Engine) routeHash(ev *event.Event) uint64 {
-	return hashRoute(e.routeAcc, ev)
-}
-
-// hashRoute is routeHash over an explicit accessor set: the Runtime
-// computes it once per distinct partition-attribute signature and
-// forwards the hash to every engine sharing that signature.
-func hashRoute(acc []event.Accessor, ev *event.Event) uint64 {
-	h := uint64(14695981039346656037)
-	for i := range acc {
-		a := &acc[i]
-		if s, ok := a.Str(ev); ok {
-			h = hashByte(h, pkStr)
-			for j := 0; j < len(s); j++ {
-				h = hashByte(h, s[j])
-			}
-		} else if f, ok := a.Float(ev); ok {
-			h = hashByte(h, pkNum)
-			h = hashU64(h, math.Float64bits(f))
-		} else {
-			h = hashByte(h, pkMissing)
-		}
-	}
-	return h
-}
-
-// hash recomputes the routing hash of an already-captured partition
-// key. It must stay byte-for-byte equivalent to hashRoute so restored
-// partitions land in the same chain a live event would probe.
-func (pk *partKey) hash() uint64 {
-	h := uint64(14695981039346656037)
-	for i, kind := range pk.kinds {
-		switch kind {
-		case pkStr:
-			h = hashByte(h, pkStr)
-			s := pk.strs[i]
-			for j := 0; j < len(s); j++ {
-				h = hashByte(h, s[j])
-			}
-		case pkNum:
-			h = hashByte(h, pkNum)
-			h = hashU64(h, pk.nums[i])
-		default:
-			h = hashByte(h, pkMissing)
-		}
-	}
-	return h
-}
-
-func hashByte(h uint64, b uint8) uint64 {
-	h ^= uint64(b)
-	h *= 1099511628211
-	return h
-}
-
-func hashU64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = hashByte(h, uint8(v))
-		v >>= 8
-	}
-	return h
-}
-
-// buildPartKey captures the typed partition-key values of ev (partition
-// creation only).
-func (e *Engine) buildPartKey(ev *event.Event) partKey {
-	k := partKey{kinds: make([]uint8, len(e.routeAcc))}
-	for i := range e.routeAcc {
-		a := &e.routeAcc[i]
-		if s, ok := a.Str(ev); ok {
-			if k.strs == nil {
-				k.strs = make([]string, len(e.routeAcc))
-			}
-			k.kinds[i], k.strs[i] = pkStr, s
-		} else if f, ok := a.Float(ev); ok {
-			if k.nums == nil {
-				k.nums = make([]uint64, len(e.routeAcc))
-			}
-			k.kinds[i], k.nums[i] = pkNum, math.Float64bits(f)
-		}
-	}
-	return k
-}
-
-// keyMatches verifies that ev carries exactly the partition-key values
-// of pk (collision check after the hash lookup). Allocation-free.
-func (e *Engine) keyMatches(pk *partKey, ev *event.Event) bool {
-	for i := range e.routeAcc {
-		a := &e.routeAcc[i]
-		if s, ok := a.Str(ev); ok {
-			if pk.kinds[i] != pkStr || pk.strs[i] != s {
-				return false
-			}
-		} else if f, ok := a.Float(ev); ok {
-			if pk.kinds[i] != pkNum || pk.nums[i] != math.Float64bits(f) {
-				return false
-			}
-		} else if pk.kinds[i] != pkMissing {
-			return false
-		}
-	}
-	return true
-}
-
-// lookupPartition resolves the partition of ev given its routing hash,
-// or nil when it does not exist yet.
-func (e *Engine) lookupPartition(h uint64, ev *event.Event) *partition {
-	for _, p := range e.parts[h] {
-		if e.keyMatches(&p.pk, ev) {
-			return p
-		}
-	}
-	return nil
-}
-
-// partitionFor returns (creating if needed) the partition of ev.
-func (e *Engine) partitionFor(h uint64, ev *event.Event) *partition {
-	p := e.lookupPartition(h, ev)
-	if p == nil {
-		p = e.newPartition(ev)
-		e.parts[h] = append(e.parts[h], p)
-		e.partList = append(e.partList, p)
-	}
-	return p
 }
 
 // Process offers one event to the engine. Events must arrive in
@@ -464,28 +206,39 @@ func (e *Engine) Process(ev *event.Event) {
 		e.prevTime = ev.Time
 		return
 	}
-	e.ProcessRouted(ev, e.routeHash(ev))
+	if e.admit(ev) {
+		k := e.parts.read(ev)
+		e.applyRow(ev, e.parts.get(k.hash(), k))
+	}
 }
 
 // ProcessRouted is Process with the partition-routing hash already
-// computed (RunParallel hashes once to pick a worker and forwards the
-// hash with the event, so workers do not recompute it). Only valid for
-// simple plans; the hash must equal routeHash(ev).
+// computed (the Runtime, RunParallel and the cluster coordinator hash
+// once per route group and forward the hash with the event). Only
+// valid for simple plans; h must equal HashRoute of the event.
 func (e *Engine) ProcessRouted(ev *event.Event, h uint64) {
+	if e.admit(ev) {
+		e.applyRow(ev, e.parts.get(h, e.parts.read(ev)))
+	}
+}
+
+// admit counts ev and closes the windows it ends, or counts it dropped
+// as late and returns false.
+func (e *Engine) admit(ev *event.Event) bool {
 	if ev.Time < e.prevTime {
 		e.stats.OutOfOrder++
-		return
+		return false
 	}
 	e.stats.Events++
 	e.closeUpTo(ev.Time)
-	e.dispatch(ev, h)
+	return true
 }
 
-// dispatch routes one event into its partition's graphs.
-func (e *Engine) dispatch(ev *event.Event, h uint64) {
-	p := e.partitionFor(h, ev)
-	// Dependency-ordered processing: all graphs a graph depends on see
-	// the event first (stream-transaction ordering, §7).
+// applyRow inserts ev into partition p's graphs, dependency-ordered:
+// all graphs a graph depends on see the event first
+// (stream-transaction ordering, §7). Every entry point — Process,
+// ProcessRouted, a batch segment's row — ends here.
+func (e *Engine) applyRow(ev *event.Event, p *partition) {
 	for _, idx := range e.order {
 		p.graphs[idx].Process(ev)
 	}
@@ -502,7 +255,7 @@ func (e *Engine) closeUpTo(t event.Time) {
 			e.closeWindow(wid)
 		}
 		// Let idle partitions reclaim expired panes.
-		for _, p := range e.partList {
+		for _, p := range e.parts.all() {
 			for _, g := range p.graphs {
 				g.Advance(t)
 			}
@@ -517,7 +270,7 @@ func (e *Engine) closeUpTo(t event.Time) {
 // the actual concurrent totals at window boundaries.
 func (e *Engine) samplePeaks() {
 	var verts, pays uint64
-	for _, p := range e.partList {
+	for _, p := range e.parts.all() {
 		for _, g := range p.graphs {
 			verts += g.stats.Vertices
 			pays += g.stats.Payloads
@@ -534,20 +287,31 @@ func (e *Engine) samplePeaks() {
 // closeWindow collects window wid from every partition, merges per
 // output group, and emits.
 func (e *Engine) closeWindow(wid int64) {
+	e.mergeWindow(wid, (*Graph).CollectWindow, true, e.emit)
+}
+
+// mergeWindow takes window wid's payload from every partition, merges
+// the payloads per output group and hands each group's to sink, groups
+// in sorted order. The first payload taken for a group becomes the
+// merge target directly (no clone), so take must yield payloads the
+// caller owns: CollectWindow transfers ownership — release then returns
+// the merged-away ones to their pool — and PeekWindow clones.
+func (e *Engine) mergeWindow(wid int64, take func(*Graph, int64) *aggregate.Payload, release bool,
+	sink func(group string, wid int64, payload *aggregate.Payload)) {
 	def := e.plan.Def()
 	merged := map[string]*aggregate.Payload{}
-	for _, p := range e.partList {
-		pl := p.graphs[0].CollectWindow(wid)
+	for _, p := range e.parts.all() {
+		pl := take(p.graphs[0], wid)
 		if pl == nil {
 			continue
 		}
 		if cur := merged[p.group]; cur == nil {
-			// CollectWindow transfers ownership, so the first payload of a
-			// group becomes the merge target directly (no clone).
 			merged[p.group] = pl
 		} else {
 			def.Merge(cur, pl)
-			p.graphs[0].Release(pl)
+			if release {
+				p.graphs[0].Release(pl)
+			}
 		}
 	}
 	groups := make([]string, 0, len(merged))
@@ -556,8 +320,25 @@ func (e *Engine) closeWindow(wid int64) {
 	}
 	slices.Sort(groups)
 	for _, g := range groups {
-		e.emit(g, wid, merged[g])
+		sink(g, wid, merged[g])
 	}
+}
+
+// openWids returns the ids of the windows open in any partition,
+// ascending.
+func (e *Engine) openWids() []int64 {
+	widSet := map[int64]bool{}
+	for _, p := range e.parts.all() {
+		for _, wid := range p.graphs[0].OpenWids() {
+			widSet[wid] = true
+		}
+	}
+	wids := make([]int64, 0, len(widSet))
+	for wid := range widSet {
+		wids = append(wids, wid)
+	}
+	slices.Sort(wids)
+	return wids
 }
 
 // emit materializes a Result from a final payload.
@@ -649,21 +430,12 @@ func (e *Engine) Flush() {
 		return
 	}
 	e.samplePeaks()
-	widSet := map[int64]bool{}
-	for _, p := range e.partList {
+	for _, p := range e.parts.all() {
 		for _, g := range p.graphs {
 			g.FoldAll()
 		}
-		for _, wid := range p.graphs[0].OpenWids() {
-			widSet[wid] = true
-		}
 	}
-	wids := make([]int64, 0, len(widSet))
-	for wid := range widSet {
-		wids = append(wids, wid)
-	}
-	slices.Sort(wids)
-	for _, wid := range wids {
+	for _, wid := range e.openWids() {
 		e.closeWindow(wid)
 	}
 	sortResults(e.results)
@@ -682,39 +454,8 @@ func (e *Engine) peekFlushInto(fan func(group string, wid int64, payload *aggreg
 	if !e.plan.Simple() {
 		return
 	}
-	def := e.plan.Def()
-	widSet := map[int64]bool{}
-	for _, p := range e.partList {
-		for _, wid := range p.graphs[0].OpenWids() {
-			widSet[wid] = true
-		}
-	}
-	wids := make([]int64, 0, len(widSet))
-	for wid := range widSet {
-		wids = append(wids, wid)
-	}
-	slices.Sort(wids)
-	for _, wid := range wids {
-		merged := map[string]*aggregate.Payload{}
-		for _, p := range e.partList {
-			pl := p.graphs[0].PeekWindow(wid)
-			if pl == nil {
-				continue
-			}
-			if cur := merged[p.group]; cur == nil {
-				merged[p.group] = pl
-			} else {
-				def.Merge(cur, pl)
-			}
-		}
-		groups := make([]string, 0, len(merged))
-		for g := range merged {
-			groups = append(groups, g)
-		}
-		slices.Sort(groups)
-		for _, g := range groups {
-			fan(g, wid, merged[g])
-		}
+	for _, wid := range e.openWids() {
+		e.mergeWindow(wid, (*Graph).PeekWindow, false, fan)
 	}
 }
 
@@ -732,30 +473,40 @@ func sortResults(rs []Result) {
 	})
 }
 
+// add folds o's counters into s. It is the one field list a new counter
+// joins; a caller leaves a counter out by zeroing it on o first.
+// SharedStatements is a topology figure, not a counter, and stays s's.
+func (s *Stats) add(o Stats) {
+	s.Events += o.Events
+	s.OutOfOrder += o.OutOfOrder
+	s.Inserted += o.Inserted
+	s.Edges += o.Edges
+	s.ScanVisits += o.ScanVisits
+	s.SummaryFolds += o.SummaryFolds
+	s.SummaryRebuilds += o.SummaryRebuilds
+	s.PeakVertices += o.PeakVertices
+	s.PeakPayloads += o.PeakPayloads
+	s.PrefilterSkips += o.PrefilterSkips
+	s.Partitions += o.Partitions
+	s.Results += o.Results
+}
+
 // Stats returns accumulated runtime statistics.
 func (e *Engine) Stats() Stats {
 	s := e.stats
 	if !e.plan.Simple() {
+		// The composite counted each event and each drop once itself, and
+		// the products (inclusion–exclusion intersections of the branches)
+		// partition the stream exactly as the branches already do.
 		for _, be := range e.branchEngines {
 			bs := be.Stats()
-			s.Inserted += bs.Inserted
-			s.Edges += bs.Edges
-			s.ScanVisits += bs.ScanVisits
-			s.SummaryFolds += bs.SummaryFolds
-			s.SummaryRebuilds += bs.SummaryRebuilds
-			s.PeakVertices += bs.PeakVertices
-			s.PeakPayloads += bs.PeakPayloads
-			s.Partitions += bs.Partitions
+			bs.Events, bs.OutOfOrder = 0, 0
+			s.add(bs)
 		}
 		for _, pe := range e.productEngines {
 			ps := pe.Stats()
-			s.Inserted += ps.Inserted
-			s.Edges += ps.Edges
-			s.ScanVisits += ps.ScanVisits
-			s.SummaryFolds += ps.SummaryFolds
-			s.SummaryRebuilds += ps.SummaryRebuilds
-			s.PeakVertices += ps.PeakVertices
-			s.PeakPayloads += ps.PeakPayloads
+			ps.Events, ps.OutOfOrder, ps.Partitions = 0, 0, 0
+			s.add(ps)
 		}
 		s.Results = e.emitted
 		return s
@@ -763,19 +514,16 @@ func (e *Engine) Stats() Stats {
 	// Live partitions plus any folded in from worker slots
 	// (Stmt.FoldRemoteStats) — each partition lives on exactly one
 	// slot, so the sum is the true total.
-	s.Partitions = e.stats.Partitions + len(e.partList)
+	s.Partitions = e.stats.Partitions + len(e.parts.all())
 	// Engine-level peaks are sampled at window boundaries (samplePeaks);
 	// fold in the current totals so an engine that never closed a window
 	// still reports its live state.
 	var verts, pays uint64
-	for _, p := range e.partList {
+	for _, p := range e.parts.all() {
 		for _, g := range p.graphs {
 			gs := g.Stats()
-			s.Inserted += gs.Inserted
-			s.Edges += gs.Edges
-			s.ScanVisits += gs.ScanVisits
-			s.SummaryFolds += gs.SummaryFolds
-			s.SummaryRebuilds += gs.SummaryRebuilds
+			s.add(Stats{Inserted: gs.Inserted, Edges: gs.Edges, ScanVisits: gs.ScanVisits,
+				SummaryFolds: gs.SummaryFolds, SummaryRebuilds: gs.SummaryRebuilds})
 			verts += gs.Vertices
 			pays += gs.Payloads
 		}

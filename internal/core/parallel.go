@@ -318,7 +318,7 @@ func feedWorkers(ctx context.Context, s event.Stream, workers int,
 		// One hash per group, one message per distinct target worker.
 		touched = touched[:0]
 		for gi, g := range groups {
-			h := hashRoute(g.acc, ev)
+			h := HashRoute(g.acc, ev)
 			w := int(h % uint64(workers))
 			if msgs[w].n == 0 {
 				touched = append(touched, w)

@@ -279,28 +279,27 @@ func (rt *Runtime) adoptLocked(eng *Engine, id string) *Stmt {
 	}
 	st := &Stmt{rt: rt, eng: eng, parPrev: rt.watermark}
 	if plan := eng.plan; plan.Simple() {
-		sig := strings.Join(eng.partAttrs, "\x1f")
-		var grp *routeGroup
-		for _, g := range rt.groups {
-			if g.sig == sig {
-				grp = g
-				break
-			}
-		}
-		if grp == nil {
-			grp = &routeGroup{sig: sig, acc: make([]event.Accessor, len(eng.partAttrs))}
-			for i, a := range eng.partAttrs {
-				grp.acc[i] = event.NewAccessor(a)
-			}
-			rt.groups = append(rt.groups, grp)
-		}
-		grp.members = append(grp.members, st)
-		st.grp = grp
+		st.grp = rt.routeGroupFor(eng)
+		st.grp.members = append(st.grp.members, st)
 	} else {
 		rt.direct = append(rt.direct, st)
 	}
 	rt.enrollLocked(st, id)
 	return st
+}
+
+// routeGroupFor returns (creating if needed) the route group of eng's
+// partition-attribute signature; rt.mu held.
+func (rt *Runtime) routeGroupFor(eng *Engine) *routeGroup {
+	sig := strings.Join(eng.partAttrs, "\x1f")
+	for _, g := range rt.groups {
+		if g.sig == sig {
+			return g
+		}
+	}
+	g := &routeGroup{sig: sig, acc: keyAccessors(eng.partAttrs)}
+	rt.groups = append(rt.groups, g)
+	return g
 }
 
 // Process offers one event to every registered statement. The routing
@@ -381,7 +380,7 @@ func (rt *Runtime) applyLocked(ev *event.Event) error {
 		if len(g.members) == 0 {
 			continue
 		}
-		h := hashRoute(g.acc, ev)
+		h := HashRoute(g.acc, ev)
 		for _, st := range g.members {
 			st.eng.ProcessRouted(ev, h)
 		}

@@ -13,6 +13,10 @@
 // reported as dropped. Both decisions are pure functions of the arrival
 // prefix — never of drain timing — so a buffer rebuilt from a Snapshot
 // accepts, drops, and releases exactly as the original would have.
+//
+// Push is the only way in and the out callback the only way out: the
+// release rule exists here once, and a runtime with slack armed offers
+// the rows of a columnar batch to Push one at a time.
 package reorder
 
 import (
@@ -89,47 +93,6 @@ func (b *Buffer) Flush() {
 func (b *Buffer) Settle() {
 	b.drain(b.maxSeen - b.slack)
 }
-
-// PeekTime returns the timestamp of the next event the buffer would
-// release, without releasing it. ok is false when nothing is pending.
-// The batch ingest path merges a sorted batch against the pending heap
-// by peeking here: pending events win timestamp ties (their arrival
-// stamps are older than any batch row's).
-func (b *Buffer) PeekTime() (event.Time, bool) {
-	if len(b.h) == 0 {
-		return 0, false
-	}
-	return b.h[0].ev.Time, true
-}
-
-// PopRelease removes and returns the next pending event in release
-// order, advancing the released watermark exactly as drain would — but
-// without invoking the out callback, so a caller interleaving releases
-// with directly-applied batch rows controls the application itself.
-// Only valid when Pending() > 0.
-func (b *Buffer) PopRelease() *event.Event {
-	e := b.pop()
-	if e.Time > b.released {
-		b.released = e.Time
-	}
-	return e
-}
-
-// Bypass records that events up to time t were applied directly,
-// without passing through the buffer: the released watermark advances
-// so a later Snapshot is byte-identical to one taken after the same
-// events had been pushed and drained. maxSeen is untouched — it only
-// tracks arrivals that were actually offered to Push.
-func (b *Buffer) Bypass(t event.Time) {
-	if t > b.released {
-		b.released = t
-	}
-}
-
-// NoteDropped charges n events dropped outside the buffer (a batch
-// prefix already behind the horizon is rejected without pushing each
-// row) so Dropped() matches the per-event feed.
-func (b *Buffer) NoteDropped(n uint64) { b.dropped += n }
 
 // Pending returns the number of buffered events.
 func (b *Buffer) Pending() int { return len(b.h) }

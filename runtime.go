@@ -187,10 +187,10 @@ func (rt *Runtime) Register(stmt *Statement, opts ...RegisterOption) (*Handle, e
 func (rt *Runtime) Process(ev *Event) error { return rt.inner.Process(ev) }
 
 // ProcessBatch offers a columnar batch to every registered statement,
-// amortizing the per-event ingest overhead: the runtime hashes each
+// amortizing the per-event ingest overhead: the runtime looks up each
 // partition-key run (consecutive rows with equal routing attributes)
-// once instead of once per event, advances the watermark once at the
-// batch tail, and — for eligible statements — pre-filters whole
+// once instead of hashing every event, advances the watermark once at
+// the batch tail, and — for eligible statements — pre-filters whole
 // predicate columns so rows that cannot match any automaton state skip
 // graph insertion entirely. Results, statistics, and checkpoint
 // placement are bit-identical to feeding the same rows through Process
@@ -204,16 +204,11 @@ func (rt *Runtime) Process(ev *Event) error { return rt.inner.Process(ev) }
 // reports only the accepted count — no error, matching a per-event
 // feed that skips ErrOutOfOrder drops and continues.
 //
-// With WithReorderSlack armed the batch is split against the reorder
-// horizon: the in-order prefix of rows at or beyond every pending
-// buffered event is applied columnar, rows that interleave with
-// buffered stragglers are merged through the reorder buffer in
-// timestamp order (equal timestamps keep arrival order, so a buffered
-// straggler precedes a later-arriving batch row of the same time), and
-// rows inside the slack window at the batch tail are themselves
-// buffered as potential stragglers — counted as accepted, applied when
-// the horizon passes them. Rows already behind the horizon are dropped
-// exactly as Process would drop them. After Close it returns (0,
+// With WithReorderSlack armed the rows enter the reorder buffer one at
+// a time, exactly as Process would offer them (same semantics, no
+// speedup): rows inside the slack window are buffered — counted as
+// accepted, applied when the horizon passes them — and rows already
+// behind the horizon are dropped. After Close it returns (0,
 // ErrClosed); while RunParallel owns the runtime, (0, ErrRunning).
 func (rt *Runtime) ProcessBatch(b *Batch) (int, error) { return rt.inner.ProcessBatch(b) }
 
