@@ -13,17 +13,20 @@ test:
 race:
 	$(GO) test -race ./...
 
-# alloc-guard runs the zero-allocation hot-path guards — the engine's
-# and the wire's (resumable Client.Send 0 allocs, server event-line
-# parse + dispatch <= 3, a full resend ring no dearer than an empty
-# one) — and the routing / pool / wire micro-benchmarks. Metrics cells
+# alloc-guard runs the zero-allocation hot-path guards — the engine's,
+# the wire's (resumable Client.Send 0 allocs, server event-line parse +
+# dispatch <= 3, a batch frame 0 to encode and <= 5 to parse + apply
+# whatever its rows, a full resend ring no dearer than an empty one) and
+# the coordinator's (Process 0 allocs an event, flushes included) — and
+# the routing / pool / wire micro-benchmarks. Metrics cells
 # are armed by default, so the guard exercises the instrumented hot
 # path; the overhead bench pins the armed-vs-disarmed cost at the
 # public layer with -benchmem.
 alloc-guard:
 	$(GO) test -run TestNoHotPathAllocs -count=1 ./internal/core
 	$(GO) test -run 'TestWireHotPathAllocs|TestFullRingSendCostsNoMore' -count=1 ./netstream
-	$(GO) test -run '^$$' -bench 'BenchmarkClientSend|BenchmarkEventLineDecode' -benchmem ./netstream
+	$(GO) test -run TestCoordinatorHotPathAllocs -count=1 ./cluster
+	$(GO) test -run '^$$' -bench 'BenchmarkClientSend|BenchmarkEventLineDecode|BenchmarkBatchFrameDecode' -benchmem ./netstream
 	$(GO) test -run '^$$' -bench 'BenchmarkPartitionRouting|BenchmarkPayloadPool' -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkMetricsOverhead' -benchtime 1x -benchmem .
 

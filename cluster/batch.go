@@ -1,9 +1,9 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"slices"
-	"strconv"
-	"strings"
+	"time"
 
 	"github.com/greta-cep/greta"
 	"github.com/greta-cep/greta/netstream"
@@ -16,202 +16,157 @@ type pair struct {
 	h  uint64
 }
 
-// rowShape is a batch frame's column layout: an event type plus its
-// sorted numeric and string attribute names. Events of the same shape
-// ride the same frame.
+// rowShape is a batch frame's column layout: an event type plus the
+// sorted names of the numeric and string attributes a row has. Events
+// of the same shape ride the same frame; shapes are cached by name set
+// (Coordinator.mapShapes), so one shape is one pointer.
 type rowShape struct {
 	typ  string
-	key  string
 	nums []string
 	strs []string
 }
 
-// schView caches the shape and slot permutation of one schema, so
-// schema-bound events convert to shape order without re-sorting.
-type schView struct {
-	shape  *rowShape
-	numIdx []int // shape.nums[i] == Sch.Numeric[numIdx[i]]
-	strIdx []int
-}
-
-// row is one event converted to shape-ordered column values.
-type row struct {
-	shape *rowShape
-	t     int64
-	num   []float64
-	strs  []string
-}
-
-func shapeKey(typ string, nums, strs []string) string {
-	return typ + "\x00" + strings.Join(nums, "\x01") + "\x00" + strings.Join(strs, "\x01")
-}
-
-// rowOf converts ev into shape-ordered column values, caching shapes
-// per schema pointer (schema-bound events) and per key (map events).
-// co.mu held.
-func (co *Coordinator) rowOf(ev *greta.Event) *row {
-	if ev.Sch != nil {
-		v := co.schShapes[ev.Sch]
-		if v == nil {
-			nums := slices.Clone(ev.Sch.Numeric)
-			slices.Sort(nums)
-			strs := slices.Clone(ev.Sch.Strings)
-			slices.Sort(strs)
-			v = &schView{
-				shape:  &rowShape{typ: string(ev.Sch.Type), key: shapeKey(string(ev.Sch.Type), nums, strs), nums: nums, strs: strs},
-				numIdx: make([]int, len(nums)),
-				strIdx: make([]int, len(strs)),
-			}
-			for i, a := range nums {
-				v.numIdx[i] = slices.Index(ev.Sch.Numeric, a)
-			}
-			for i, a := range strs {
-				v.strIdx[i] = slices.Index(ev.Sch.Strings, a)
-			}
-			co.schShapes[ev.Sch] = v
+// shapeOf returns ev's shape — its type and the attributes it has; a
+// slot Schema.Bind left absent (NaN, "") is not one of them, exactly as
+// an attribute missing from a map-carried event's maps is not.
+// Schema-bound events with every slot filled, the common kind, find it
+// by schema pointer; for the rest the cache's lookup key is built in
+// scratch from the sorted names, length-prefixed so no two shapes share
+// one. co.mu held.
+func (co *Coordinator) shapeOf(ev *greta.Event) *rowShape {
+	sch, typ := ev.Sch, ev.Type
+	full := sch != nil && len(ev.Num) == len(sch.Numeric) && len(ev.StrV) == len(sch.Strings) &&
+		!slices.ContainsFunc(ev.Num, func(v float64) bool { return v != v }) && !slices.Contains(ev.StrV, "")
+	if full {
+		if shape := co.schShapes[sch]; shape != nil {
+			return shape
 		}
-		r := &row{shape: v.shape, t: ev.Time,
-			num: make([]float64, len(v.numIdx)), strs: make([]string, len(v.strIdx))}
-		for i, j := range v.numIdx {
-			r.num[i] = ev.Num[j]
-		}
-		for i, j := range v.strIdx {
-			r.strs[i] = ev.StrV[j]
-		}
-		return r
 	}
-	nums := make([]string, 0, len(ev.Attrs))
-	for a := range ev.Attrs {
-		nums = append(nums, a)
+	nums, strs := co.names[0][:0], co.names[1][:0]
+	if sch == nil {
+		for a := range ev.Attrs {
+			nums = append(nums, a)
+		}
+		for a := range ev.Str {
+			strs = append(strs, a)
+		}
+	} else {
+		// A marked slot is absent unless the maps, the source of truth the
+		// slots cache, hold the marker as a value.
+		typ = sch.Type
+		for j, a := range sch.Numeric {
+			if _, ok := ev.Attrs[a]; ok || (j < len(ev.Num) && ev.Num[j] == ev.Num[j]) {
+				nums = append(nums, a)
+			}
+		}
+		for j, a := range sch.Strings {
+			if _, ok := ev.Str[a]; ok || (j < len(ev.StrV) && ev.StrV[j] != "") {
+				strs = append(strs, a)
+			}
+		}
 	}
 	slices.Sort(nums)
-	strs := make([]string, 0, len(ev.Str))
-	for a := range ev.Str {
-		strs = append(strs, a)
-	}
 	slices.Sort(strs)
-	key := shapeKey(string(ev.Type), nums, strs)
-	shape := co.mapShapes[key]
+	co.names = [2][]string{nums, strs}
+
+	key := binary.AppendUvarint(co.shapeKey[:0], uint64(len(typ)))
+	key = append(key, typ...)
+	key = binary.AppendUvarint(key, uint64(len(nums)))
+	for _, names := range co.names {
+		for _, a := range names {
+			key = binary.AppendUvarint(key, uint64(len(a)))
+			key = append(key, a...)
+		}
+	}
+	co.shapeKey = key
+	shape := co.mapShapes[string(key)]
 	if shape == nil {
-		shape = &rowShape{typ: string(ev.Type), key: key, nums: nums, strs: strs}
-		co.mapShapes[key] = shape
+		shape = &rowShape{typ: string(typ), nums: slices.Clone(nums), strs: slices.Clone(strs)}
+		co.mapShapes[string(key)] = shape
 	}
-	r := &row{shape: shape, t: ev.Time,
-		num: make([]float64, len(shape.nums)), strs: make([]string, len(shape.strs))}
-	for i, a := range shape.nums {
-		r.num[i] = ev.Attrs[a]
+	if full {
+		co.schShapes[sch] = shape
 	}
-	for i, a := range shape.strs {
-		r.strs[i] = ev.Str[a]
-	}
-	return r
+	return shape
 }
 
-// batchBuf accumulates one link's pending columnar frame. Route info
-// stays in the compact single-group form (frame-level GI, one hash per
-// row) until a row with a different group — or several — promotes the
-// frame to per-row group lists.
+// numAttr and strAttr read an attribute the shape says ev has: the
+// schema slot when it holds a value, else the map.
+func numAttr(ev *greta.Event, a string) float64 {
+	if ev.Sch != nil {
+		if j := ev.Sch.NumSlot(a); j >= 0 && j < len(ev.Num) && ev.Num[j] == ev.Num[j] {
+			return ev.Num[j]
+		}
+	}
+	return ev.Attrs[a]
+}
+
+func strAttr(ev *greta.Event, a string) string {
+	if ev.Sch != nil {
+		if j := ev.Sch.StrSlot(a); j >= 0 && j < len(ev.StrV) && ev.StrV[j] != "" {
+			return ev.StrV[j]
+		}
+	}
+	return ev.Str[a]
+}
+
+// batchBuf accumulates one link's pending columnar frame, in the form
+// the link's client encodes from; every slice is reused from frame to
+// frame (cols and scols keep the columns a narrower shape leaves idle).
 type batchBuf struct {
 	shape *rowShape
-	times []int64
+	f     netstream.BatchFrame
 	cols  [][]float64
 	scols [][]string
-
-	single bool
-	gi     int
-	rh     []string
-	rgs    [][]int
-	rhs    [][]string
 }
 
 // add appends one routed row. A shape change flushes the pending
 // frame first; the caller flushes on the row cap. co.mu held.
-func (b *batchBuf) add(l *link, r *row, pairs []pair) {
-	if len(b.times) > 0 && b.shape.key != r.shape.key {
+func (b *batchBuf) add(l *link, shape *rowShape, ev *greta.Event, pairs []pair) {
+	f := &b.f
+	if len(f.Times) > 0 && b.shape != shape {
 		b.flush(l)
 	}
-	if len(b.times) == 0 {
-		if b.shape == nil || b.shape.key != r.shape.key {
-			b.shape = r.shape
-			b.cols = make([][]float64, len(r.shape.nums))
-			b.scols = make([][]string, len(r.shape.strs))
+	if len(f.Times) == 0 {
+		b.shape, f.Type, f.Nums, f.Strs = shape, shape.typ, shape.nums, shape.strs
+		for len(b.cols) < len(shape.nums) {
+			b.cols = append(b.cols, nil)
 		}
-		b.single = true
-		b.gi = -1
+		for len(b.scols) < len(shape.strs) {
+			b.scols = append(b.scols, nil)
+		}
+		f.Cols, f.SCols = b.cols[:len(shape.nums)], b.scols[:len(shape.strs)]
 	}
-	b.times = append(b.times, r.t)
-	for i, v := range r.num {
-		b.cols[i] = append(b.cols[i], v)
+	f.Times = append(f.Times, ev.Time)
+	for i, a := range shape.nums {
+		f.Cols[i] = append(f.Cols[i], numAttr(ev, a))
 	}
-	for i, v := range r.strs {
-		b.scols[i] = append(b.scols[i], v)
+	for i, a := range shape.strs {
+		f.SCols[i] = append(f.SCols[i], strAttr(ev, a))
 	}
-	if b.single && len(pairs) == 1 && (b.gi < 0 || b.gi == pairs[0].gi) {
-		b.gi = pairs[0].gi
-		b.rh = append(b.rh, strconv.FormatUint(pairs[0].h, 16))
-		return
+	for _, p := range pairs {
+		f.RGs, f.RHs = append(f.RGs, p.gi), append(f.RHs, p.h)
 	}
-	if b.single {
-		b.promote()
-	}
-	rg := make([]int, len(pairs))
-	rh := make([]string, len(pairs))
-	for i, p := range pairs {
-		rg[i] = p.gi
-		rh[i] = strconv.FormatUint(p.h, 16)
-	}
-	b.rgs = append(b.rgs, rg)
-	b.rhs = append(b.rhs, rh)
-}
-
-// promote rewrites the single-group route info into per-row lists
-// (called before appending the row that broke the single form).
-func (b *batchBuf) promote() {
-	b.single = false
-	b.rgs = make([][]int, len(b.rh))
-	b.rhs = make([][]string, len(b.rh))
-	for i, hx := range b.rh {
-		b.rgs[i] = []int{b.gi}
-		b.rhs[i] = []string{hx}
-	}
-	b.rh = nil
+	f.RowEnd = append(f.RowEnd, len(f.RGs))
 }
 
 // flush sends the pending frame, if any, and empties the buffer. The
-// resend ring retains the frame's encoded bytes, not its slices, so the
-// columns are reused by the next frame of the same shape. co.mu held.
+// resend ring retains the frame's encoded bytes, not its slices. A
+// frame that cannot be encoded (a NaN or infinite attribute) has no
+// replay, so it fails the cluster. co.mu held.
 func (b *batchBuf) flush(l *link) {
-	n := len(b.times)
-	if n == 0 {
+	f := &b.f
+	if len(f.Times) == 0 {
 		return
 	}
-	we := netstream.WireEvent{Cmd: "batch", Type: b.shape.typ, Times: b.times}
-	if len(b.cols) > 0 {
-		we.Cols = make(map[string][]float64, len(b.cols))
-		for i, a := range b.shape.nums {
-			we.Cols[a] = b.cols[i]
-		}
+	t0 := time.Now()
+	n, err := l.c.SendBatchFrame(f)
+	l.sent("batch", t0, n, err)
+	f.Times, f.RowEnd, f.RGs, f.RHs = f.Times[:0], f.RowEnd[:0], f.RGs[:0], f.RHs[:0]
+	for i := range f.Cols {
+		f.Cols[i] = f.Cols[i][:0]
 	}
-	if len(b.scols) > 0 {
-		we.SCols = make(map[string][]string, len(b.scols))
-		for i, a := range b.shape.strs {
-			we.SCols[a] = b.scols[i]
-		}
+	for i := range f.SCols {
+		f.SCols[i] = f.SCols[i][:0]
 	}
-	if b.single {
-		we.GI = b.gi
-		we.RH = b.rh
-	} else {
-		we.RGs = b.rgs
-		we.RHs = b.rhs
-	}
-	l.send(we)
-	b.times = b.times[:0]
-	for i := range b.cols {
-		b.cols[i] = b.cols[i][:0]
-	}
-	for i := range b.scols {
-		b.scols[i] = b.scols[i][:0]
-	}
-	b.rh, b.rgs, b.rhs = b.rh[:0], nil, nil
 }

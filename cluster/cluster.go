@@ -149,7 +149,9 @@ type Coordinator struct {
 
 	// routing scratch and shape caches (see batch.go).
 	touched   []int
-	schShapes map[*greta.Schema]*schView
+	names     [2][]string
+	shapeKey  []byte
+	schShapes map[*greta.Schema]*rowShape
 	mapShapes map[string]*rowShape
 
 	warnings []string
@@ -238,7 +240,7 @@ func Connect(ctx context.Context, cfg Config) (*Coordinator, error) {
 		rowCap:    cfg.BatchRows,
 		sendWin:   cfg.SendWindow,
 		resumeT:   cfg.ResumeTimeout,
-		schShapes: map[*greta.Schema]*schView{},
+		schShapes: map[*greta.Schema]*rowShape{},
 		mapShapes: map[string]*rowShape{},
 		trace:     cfg.TraceHook,
 	}
@@ -518,8 +520,9 @@ func (co *Coordinator) Process(ev *greta.Event) error {
 }
 
 // routeLocked hashes ev once per live route group, gathers each
-// target link's (group, hash) pairs, and appends the event — once per
-// link — to the owning links' batch frames. co.mu held.
+// target link's (group, hash) pairs, and copies the event's values —
+// once per link — into the columns of the owning links' pending batch
+// frames. co.mu held.
 func (co *Coordinator) routeLocked(ev *greta.Event) {
 	co.touched = co.touched[:0]
 	for gi, g := range co.groups {
@@ -537,12 +540,12 @@ func (co *Coordinator) routeLocked(ev *greta.Event) {
 	if len(co.touched) == 0 {
 		return
 	}
-	r := co.rowOf(ev)
+	shape := co.shapeOf(ev)
 	for _, li := range co.touched {
 		l := co.links[li]
-		l.buf.add(l, r, l.pairs)
+		l.buf.add(l, shape, ev, l.pairs)
 		l.pairs = l.pairs[:0]
-		if len(l.buf.times) >= co.rowCap {
+		if len(l.buf.f.Times) >= co.rowCap {
 			l.buf.flush(l)
 		}
 	}

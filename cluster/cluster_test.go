@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"runtime"
 	"slices"
@@ -670,4 +671,76 @@ func TestClusterShutdownLeak(t *testing.T) {
 	buf := make([]byte, 1<<17)
 	n := runtime.Stack(buf, true)
 	t.Errorf("goroutines leaked: %d, baseline %d\n%s", runtime.NumGoroutine(), base, buf[:n])
+}
+
+// TestClusterAbsentSlot: a schema-bound event's shape is the attributes
+// it has. A slot Schema.Bind marked absent (NaN, "") used to ride the
+// frame as a value — NaN, which no frame can carry, so the flush failed
+// the cluster. Bound events with gaps must give what the same events
+// give map-carried, and what RunParallel gives; a value that really is
+// non-finite still fails the cluster, as documented.
+func TestClusterAbsentSlot(t *testing.T) {
+	q := diffQueries[0]
+	var bound, mapped []*greta.Event
+	for i, src := range greta.ClusterStream(greta.DefaultCluster(3000)) {
+		ev := *src
+		ev.Attrs = map[string]float64{}
+		for a, v := range src.Attrs {
+			if (a == "memory" && i%4 == 1) || (a == "cpu" && i%7 == 3) {
+				continue // absent from this event
+			}
+			ev.Attrs[a] = v
+		}
+		ev.Num = nil
+		src.Sch.Bind(&ev)
+		m := ev
+		m.Sch, m.Num, m.StrV = nil, nil, nil
+		bound, mapped = append(bound, &ev), append(mapped, &m)
+	}
+
+	refRt := greta.NewRuntime()
+	ref, err := refRt.Register(greta.MustCompile(q), greta.WithSharing(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := refRt.RunParallel(context.Background(), greta.NewSliceStream(bound), 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := refRt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for label, events := range map[string][]*greta.Event{"bound-with-gaps": bound, "map-carried": mapped} {
+		co := connect(t, startShards(t, 2))
+		h, err := co.Register(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range events {
+			if err := co.Process(ev); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+		}
+		if err := co.Close(); err != nil {
+			t.Fatalf("%s: close: %v", label, err)
+		}
+		compareResults(t, label, collect(ref), h.Results())
+		if ws, cs := ref.Stats(), h.Stats(); ws != cs {
+			t.Errorf("%s stats:\nref     %+v\ncluster %+v", label, ws, cs)
+		}
+	}
+
+	co := connect(t, startShards(t, 2))
+	if _, err := co.Register(q); err != nil {
+		t.Fatal(err)
+	}
+	nan := *bound[0]
+	nan.Attrs = map[string]float64{"cpu": math.NaN(), "load": 1}
+	nan.Num = nil
+	nan.Sch.Bind(&nan)
+	if err := co.Process(&nan); err != nil {
+		t.Fatal(err)
+	}
+	if err := co.Close(); err == nil || !strings.Contains(err.Error(), "unsupported value: NaN") {
+		t.Fatalf("a NaN attribute value: close = %v, want the frame's encoding error", err)
+	}
 }

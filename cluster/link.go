@@ -69,8 +69,13 @@ func (co *Coordinator) dialLink(ctx context.Context, idx int, addr string, slots
 func (l *link) send(we netstream.WireEvent) {
 	t0 := time.Now()
 	n, err := l.c.SendFrame(&we)
+	l.sent(we.Cmd, t0, n, err)
+}
+
+// sent books one frame's send (batchBuf.flush books its own).
+func (l *link) sent(cmd string, t0 time.Time, n int, err error) {
 	if err != nil {
-		l.co.fail(fmt.Errorf("cluster: shard %d: %q frame: %w", l.idx, we.Cmd, err))
+		l.co.fail(fmt.Errorf("cluster: shard %d: %q frame: %w", l.idx, cmd, err))
 		return
 	}
 	l.co.met.encDur.Observe(time.Since(t0))

@@ -107,6 +107,19 @@ func (r *Ring) PushJSON(v any) ([]byte, error) {
 	return line, nil
 }
 
+// PushCopy pushes a copy of line (newline included), which the caller
+// built in storage of its own because its size is not known until it
+// is encoded: the copy gets PushJSON's storage rule, so a link whose
+// frames differ in size by orders of magnitude keeps snug slots. It
+// returns the retained copy.
+func (r *Ring) PushCopy(line []byte) []byte {
+	r.spare = r.spare[:0]
+	_, _ = (*stage)(r).Write(line) // cannot fail
+	line = r.spare
+	r.Push(line)
+	return line
+}
+
 // stage is the io.Writer PushJSON's encoder hands the finished line
 // to, in one Write. Frames of one ring differ in size by orders of
 // magnitude (a cluster link carries 512-row batches and 40-byte

@@ -161,3 +161,39 @@ func TestRingPushJSON(t *testing.T) {
 		}
 	}
 }
+
+// TestRingPushCopy: a line built in the caller's own storage is
+// retained as a copy (the caller may reuse its buffer at once) under
+// PushJSON's storage rule — snug slots whatever the mix of sizes — and
+// a recycled slot of fitting size costs no allocation.
+func TestRingPushCopy(t *testing.T) {
+	var r Ring
+	r.Init(3, 0)
+	scratch := []byte(strings.Repeat("b", 4096) + "\n")
+	for i := 0; i < 4; i++ { // big, small, big, small
+		line := scratch
+		if i%2 == 1 {
+			line = scratch[len(scratch)-8:]
+		}
+		got := r.PushCopy(line)
+		if string(got) != string(line) || &got[0] == &line[0] {
+			t.Fatalf("push %d: retained %d bytes (aliasing the caller's: %v), pushed %d", i, len(got), &got[0] == &line[0], len(line))
+		}
+	}
+	scratch[len(scratch)-2] = 'X' // the caller reuses its buffer
+	if got := replay(t, &r, 3); got != "bbbbbbb\n" {
+		t.Fatalf("replay after 3 = %q", got)
+	}
+	for _, sl := range r.slots {
+		if cap(sl) > 2*len(sl) {
+			t.Fatalf("a %d-byte line sits in %d bytes of recycled storage", len(sl), cap(sl))
+		}
+	}
+	line := scratch[:100]
+	for i := 0; i < 3; i++ {
+		r.PushCopy(line)
+	}
+	if n := testing.AllocsPerRun(100, func() { r.PushCopy(line) }); n != 0 {
+		t.Fatalf("PushCopy into a recycled slot of the same size allocates %v, want 0", n)
+	}
+}

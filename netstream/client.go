@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
+	"slices"
 	"sync"
 	"syscall"
 	"time"
@@ -19,9 +21,9 @@ import (
 // and the cluster coordinator's shard links both run on it.
 //
 // A Client may be shared by one sending goroutine (Send, SendBatch,
-// SendFrame) and one reading goroutine (ReadLine, Resume): a Resume
-// replays the resend ring and swaps the connection in as one step no
-// send can interleave with. The command calls (Register, Checkpoint,
+// SendBatchFrame, SendFrame) and one reading goroutine (ReadLine,
+// Resume): a Resume replays the resend ring and swaps the connection in
+// as one step no send can interleave with. The command calls (Register, Checkpoint,
 // Stats, Flush, ...) write a request and read its reply, so they belong
 // to a Client driven from a single goroutine. Close is safe from any.
 type Client struct {
@@ -49,7 +51,7 @@ type Client struct {
 	session string // server-issued id; set once, before any concurrent use
 	ring    ring.Ring
 	evEnc   eventEncoder
-	line    []byte // encode scratch of unsequenced event lines
+	line    []byte // encode scratch: unsequenced event lines, batch frames
 
 	// The receive half belongs to the reading goroutine: the decoder
 	// and its reusable line, the last consumed durable server seq, the
@@ -475,11 +477,54 @@ func (c *Client) Send(typ string, t int64, attrs map[string]float64, strs map[st
 // to per-event sends. The caller may reuse its arrays after SendBatch
 // returns.
 func (c *Client) SendBatch(typ string, times []int64, cols map[string][]float64, scols map[string][]string) error {
-	we := &WireEvent{Cmd: "batch", Type: typ, Times: times, Cols: cols, SCols: scols}
-	if err := checkBatch(we); err != nil {
-		return fmt.Errorf("netstream: batch: %w", err)
+	f := BatchFrame{Type: typ, Times: times, Nums: slices.Sorted(maps.Keys(cols)), Strs: slices.Sorted(maps.Keys(scols))}
+	for _, a := range f.Nums {
+		f.Cols = append(f.Cols, cols[a])
 	}
-	return c.writeFrame(context.Background(), we, true)
+	for _, a := range f.Strs {
+		f.SCols = append(f.SCols, scols[a])
+	}
+	_, wrote, err := c.sendBatch(&f)
+	if err != nil {
+		return err
+	}
+	return wrote
+}
+
+// SendBatchFrame is SendBatch for a frame the caller holds as columns,
+// route info included, under SendFrame's contract: it returns the
+// encoded length, a failed write is not an error (Resume replays the
+// frame), and a frame that could not be sent at all — malformed, a NaN
+// or infinite value, no connection — consumes no sequence number.
+func (c *Client) SendBatchFrame(f *BatchFrame) (int, error) {
+	n, _, err := c.sendBatch(f)
+	return n, err
+}
+
+// sendBatch encodes f and writes it. The line is built in the client's
+// scratch — a link's frames differ in size by orders of magnitude — and
+// the resend ring retains a snug copy of it before the write.
+func (c *Client) sendBatch(f *BatchFrame) (n int, wrote, err error) {
+	if err := f.check(); err != nil {
+		return 0, nil, fmt.Errorf("netstream: batch: %w", err)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.ensureLocked(context.Background()); err != nil {
+		return 0, nil, err
+	}
+	seq := uint64(0)
+	if c.session != "" {
+		seq = c.ring.Next()
+	}
+	if c.line, err = appendBatchFrame(c.line[:0], seq, f); err != nil {
+		return 0, nil, err
+	}
+	line := c.line
+	if c.session != "" {
+		line = c.ring.PushCopy(line)
+	}
+	return len(line), c.writeLocked(line), nil
 }
 
 // Register attaches a new statement mid-stream and returns its id.

@@ -2,7 +2,9 @@ package netstream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"math"
 	"slices"
 	"strconv"
 	"unicode/utf8"
@@ -48,41 +50,27 @@ func (e *eventEncoder) appendLine(dst []byte, seq uint64, typ string, t int64, a
 	}
 	dst = append(dst, `"time":`...)
 	dst = strconv.AppendInt(dst, t, 10)
-	if len(attrs) > 0 {
-		dst = append(dst, `,"attrs":{`...)
-		e.keys = e.keys[:0]
-		for k := range attrs {
-			e.keys = append(e.keys, k)
-		}
-		slices.Sort(e.keys)
-		for i, k := range e.keys {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = appendJSONString(dst, k)
-			dst = append(dst, ':')
-			dst = appendJSONFloat(dst, attrs[k])
-		}
-		dst = append(dst, '}')
-	}
-	if len(strs) > 0 {
-		dst = append(dst, `,"str":{`...)
-		e.keys = e.keys[:0]
-		for k := range strs {
-			e.keys = append(e.keys, k)
-		}
-		slices.Sort(e.keys)
-		for i, k := range e.keys {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = appendJSONString(dst, k)
-			dst = append(dst, ':')
-			dst = appendJSONString(dst, strs[k])
-		}
-		dst = append(dst, '}')
-	}
+	dst = appendMap(dst, `,"attrs":{`, &e.keys, attrs, appendJSONFloat)
+	dst = appendMap(dst, `,"str":{`, &e.keys, strs, appendJSONString)
 	return append(dst, '}', '\n'), nil
+}
+
+// appendMap appends a non-empty map as the JSON object encoding/json
+// makes of it, keys sorted (in the scratch keys), behind open.
+func appendMap[V any](dst []byte, open string, keys *[]string, m map[string]V, elem func([]byte, V) []byte) []byte {
+	if len(m) == 0 {
+		return dst
+	}
+	*keys = (*keys)[:0]
+	for k := range m {
+		*keys = append(*keys, k)
+	}
+	slices.Sort(*keys)
+	for _, k := range *keys {
+		dst = append(appendJSONString(append(dst, open...), k), ':')
+		dst, open = elem(dst, m[k]), ","
+	}
+	return append(dst, '}')
 }
 
 // appendJSONString quotes s as encoding/json does. Printable ASCII
@@ -104,6 +92,11 @@ func appendJSONString(dst []byte, s string) []byte {
 // shortest round-trip digits, exponent form below 1e-6 and from 1e21,
 // with a two-digit negative exponent trimmed (e-07 → e-7).
 func appendJSONFloat(dst []byte, f float64) []byte {
+	// An integer below 2^53 is its own shortest decimal (counts, sizes and
+	// ids are most of what streams carry): no float formatting needed.
+	if i := int64(f); float64(i) == f && i > -1<<53 && i < 1<<53 && (i != 0 || !math.Signbit(f)) {
+		return strconv.AppendInt(dst, i, 10)
+	}
 	format := byte('f')
 	if abs := max(f, -f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -120,19 +113,14 @@ func appendJSONFloat(dst []byte, f float64) []byte {
 // and string spans pointing into the line (valid until the reader's
 // next Scan). One is reused for a connection's whole life.
 type eventLine struct {
-	seq  uint64
-	time int64
-	typ  []byte
-	nums []numSpan
-	strs []strSpan
+	seq   uint64
+	time  int64
+	typ   []byte
+	nums  [][]byte // numeric attribute names, with their values in vals
+	vals  []float64
+	strs  [][]byte // string attribute names, with their values in svals
+	svals [][]byte
 }
-
-type numSpan struct {
-	name []byte
-	val  float64
-}
-
-type strSpan struct{ name, val []byte }
 
 // parse reads b as an event line. It reports false — leaving the line
 // to json.Unmarshal — unless b is certain to decode to the same event
@@ -144,27 +132,11 @@ type strSpan struct{ name, val []byte }
 // of the bytes alone.
 func (el *eventLine) parse(b []byte) bool {
 	el.seq, el.time, el.typ = 0, 0, nil
-	el.nums, el.strs = el.nums[:0], el.strs[:0]
-	i := skipSpace(b, 0)
-	if i == len(b) || b[i] != '{' {
-		return false
-	}
-	i = skipSpace(b, i+1)
-	const (
-		kSeq = 1 << iota
-		kType
-		kTime
-		kAttrs
-		kStr
-	)
+	el.nums, el.vals, el.strs, el.svals = el.nums[:0], el.vals[:0], el.strs[:0], el.svals[:0]
+	const kSeq, kType, kTime, kAttrs, kStr = 1, 2, 4, 8, 16
 	seen := 0
-	for more := true; more; {
-		key, j, ok := scanKey(b, i)
-		if !ok {
-			return false
-		}
-		i = j
-		var bit int
+	i, ok := scanObject(b, skipSpace(b, 0), false, func(key []byte, i int) (int, bool) {
+		bit, ok := 0, false
 		switch string(key) {
 		case "seq":
 			bit = kSeq
@@ -177,38 +149,32 @@ func (el *eventLine) parse(b []byte) bool {
 			ok = ok && len(el.typ) > 0
 		case "time":
 			bit = kTime
-			var u uint64
-			var neg bool
-			u, neg, i, ok = scanInteger(b, i)
-			switch {
-			case !neg && u <= 1<<63-1:
-				el.time = int64(u)
-			case neg && u <= 1<<63:
-				el.time = -int64(u)
-			default:
-				ok = false
-			}
+			el.time, i, ok = scanInt64(b, i)
 		case "attrs":
 			bit = kAttrs
-			i, ok = el.scanMap(b, i, true)
+			i, ok = scanObject(b, i, true, func(name []byte, i int) (int, bool) {
+				v, end, ok := scanFloat(b, i)
+				el.nums, el.vals = append(el.nums, name), append(el.vals, v)
+				return end, ok && len(name) > 0
+			})
 		case "str":
 			bit = kStr
-			i, ok = el.scanMap(b, i, false)
+			i, ok = scanObject(b, i, true, func(name []byte, i int) (int, bool) {
+				val, end, ok := scanString(b, i)
+				el.strs, el.svals = append(el.strs, name), append(el.svals, val)
+				return end, ok && len(name) > 0 && len(val) > 0
+			})
 		}
-		if !ok || bit == 0 || seen&bit != 0 {
-			return false
-		}
+		ok = ok && seen&bit == 0
 		seen |= bit
-		if i, more, ok = scanSep(b, i); !ok {
-			return false
-		}
-	}
-	if seen&kType == 0 || skipSpace(b, i) != len(b) {
+		return i, ok
+	})
+	if !ok || seen&kType == 0 || skipSpace(b, i) != len(b) {
 		return false
 	}
 	for _, n := range el.nums {
 		for _, s := range el.strs {
-			if bytes.Equal(n.name, s.name) {
+			if bytes.Equal(n, s) {
 				return false
 			}
 		}
@@ -216,45 +182,48 @@ func (el *eventLine) parse(b []byte) bool {
 	return true
 }
 
-// scanMap reads {"name":value,...} at b[i] — numbers into el.nums,
-// or non-empty strings into el.strs — with the names non-empty and
-// strictly ascending.
-func (el *eventLine) scanMap(b []byte, i int, numeric bool) (int, bool) {
-	if i == len(b) || b[i] != '{' {
+// scanObject reads a JSON object at b[i], handing each member's key and
+// the index its value starts at to member, which returns where the value
+// ends. With sorted set the keys must be strictly ascending.
+func scanObject(b []byte, i int, sorted bool, member func(key []byte, val int) (end int, ok bool)) (int, bool) {
+	if i >= len(b) || b[i] != '{' {
 		return i, false
 	}
 	if i = skipSpace(b, i+1); i < len(b) && b[i] == '}' {
 		return i + 1, true
 	}
 	var prev []byte
-	for more := true; more; {
-		name, j, ok := scanKey(b, i)
-		if !ok || len(name) == 0 || (prev != nil && bytes.Compare(prev, name) >= 0) {
+	for first, more := true, true; more; first = false {
+		key, val, ok := scanKey(b, i)
+		if !ok || (sorted && !first && bytes.Compare(prev, key) >= 0) {
 			return i, false
 		}
-		prev = name
-		if numeric {
-			end, ok := scanNumber(b, j)
-			if !ok {
-				return j, false
-			}
-			// The literal is at most a few dozen bytes, so the conversion
-			// stays on the stack; ParseFloat is what encoding/json calls.
-			v, err := strconv.ParseFloat(string(b[j:end]), 64)
-			if err != nil {
-				return j, false
-			}
-			el.nums = append(el.nums, numSpan{name: name, val: v})
-			i = end
-		} else {
-			val, end, ok := scanString(b, j)
-			if !ok || len(val) == 0 {
-				return j, false
-			}
-			el.strs = append(el.strs, strSpan{name: name, val: val})
-			i = end
+		prev = key
+		if i, ok = member(key, val); !ok {
+			return i, false
 		}
-		if i, more, ok = scanSep(b, i); !ok {
+		if i, more, ok = scanSep(b, i, '}'); !ok {
+			return i, false
+		}
+	}
+	return i, true
+}
+
+// scanArray reads a JSON array at b[i], handing each element's start to
+// elem, which returns where the element ends.
+func scanArray(b []byte, i int, elem func(i int) (end int, ok bool)) (int, bool) {
+	if i >= len(b) || b[i] != '[' {
+		return i, false
+	}
+	if i = skipSpace(b, i+1); i < len(b) && b[i] == ']' {
+		return i + 1, true
+	}
+	for more := true; more; {
+		var ok bool
+		if i, ok = elem(i); !ok {
+			return i, false
+		}
+		if i, more, ok = scanSep(b, i, ']'); !ok {
 			return i, false
 		}
 	}
@@ -271,17 +240,17 @@ func scanKey(b []byte, i int) (key []byte, val int, ok bool) {
 	return key, skipSpace(b, i+1), true
 }
 
-// scanSep reads what follows an object member: a comma (more is true,
-// next is where the following key starts) or the closing brace (next is
-// just past it).
-func scanSep(b []byte, i int) (next int, more, ok bool) {
+// scanSep reads what follows a member of an object (end is '}') or an
+// element of an array (end is ']'): a comma (more is true, next is where
+// the following one starts) or the closing byte (next is just past it).
+func scanSep(b []byte, i int, end byte) (next int, more, ok bool) {
 	if i = skipSpace(b, i); i == len(b) {
 		return i, false, false
 	}
 	switch b[i] {
 	case ',':
 		return skipSpace(b, i+1), true, true
-	case '}':
+	case end:
 		return i + 1, false, true
 	}
 	return i, false, false
@@ -341,6 +310,26 @@ func scanInteger(b []byte, i int) (u uint64, neg bool, end int, ok bool) {
 	return u, neg, i, true
 }
 
+// scanInt64 reads a plain JSON integer at b[i] that fits an int64.
+func scanInt64(b []byte, i int) (v int64, end int, ok bool) {
+	u, neg, end, ok := scanInteger(b, i)
+	if neg {
+		return -int64(u), end, ok && u <= 1<<63
+	}
+	return int64(u), end, ok && u <= 1<<63-1
+}
+
+// scanFloat reads a JSON number at b[i] as encoding/json does, with
+// strconv.ParseFloat (the literal is at most a few dozen bytes, so the
+// conversion stays on the stack).
+func scanFloat(b []byte, i int) (v float64, end int, ok bool) {
+	if end, ok = scanNumber(b, i); !ok {
+		return 0, end, false
+	}
+	v, err := strconv.ParseFloat(string(b[i:end]), 64)
+	return v, end, err == nil
+}
+
 // scanNumber returns the end of the JSON number literal at b[i]:
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
 func scanNumber(b []byte, i int) (end int, ok bool) {
@@ -375,67 +364,84 @@ func scanNumber(b []byte, i int) (end int, ok bool) {
 	return i, true
 }
 
-// maxInterned bounds a session's string-value intern table; values
-// past it are still correct, they just cost their own allocation.
-const maxInterned = 4096
+// maxInterned bounds a session's string-value intern table and
+// maxSchemas its schema cache; values and shapes past them are still
+// correct, they just cost their own allocations.
+const (
+	maxInterned = 4096
+	maxSchemas  = 4096
+)
+
+// internLocked returns val as a string the session has seen before, if
+// it has. sess.mu held.
+func (sess *session) internLocked(val []byte) string {
+	s, ok := sess.interned[string(val)]
+	if !ok {
+		s = string(val)
+		if sess.interned == nil {
+			sess.interned = map[string]string{}
+		}
+		if len(sess.interned) < maxInterned {
+			sess.interned[s] = s
+		}
+	}
+	return s
+}
+
+// schemaLocked returns the session's schema for a (type, attribute
+// names) shape, creating it on first sight: both codecs bind to it, so
+// repeated input of one shape reuses one schema pointer. The lookup key
+// is built in scratch from the name spans (length-prefixed, so no two
+// shapes share one) and no string is made on a hit. Past maxSchemas a
+// new shape's schema is built for the frame at hand and not kept.
+// sess.mu held.
+func (sess *session) schemaLocked(typ []byte, nums, strs [][]byte) *greta.Schema {
+	key := binary.AppendUvarint(sess.shapeKey[:0], uint64(len(typ)))
+	key = append(key, typ...)
+	key = binary.AppendUvarint(key, uint64(len(nums)))
+	for _, names := range [2][][]byte{nums, strs} {
+		for _, a := range names {
+			key = binary.AppendUvarint(key, uint64(len(a)))
+			key = append(key, a...)
+		}
+	}
+	sess.shapeKey = key
+	if sch := sess.schemas[string(key)]; sch != nil {
+		return sch
+	}
+	sch := &greta.Schema{Type: greta.Type(typ)}
+	for _, a := range nums {
+		sch.Numeric = append(sch.Numeric, string(a))
+	}
+	for _, a := range strs {
+		sch.Strings = append(sch.Strings, string(a))
+	}
+	if len(sess.schemas) >= maxSchemas {
+		sess.schemasUncached++
+		return sch
+	}
+	if sess.schemas == nil {
+		sess.schemas = map[string]*greta.Schema{}
+	}
+	sess.schemas[string(key)] = sch
+	return sch
+}
 
 // bindLocked turns a parsed event line into the schema-bound event the
 // runtime keeps: the schema comes from the session's shape cache (the
-// one batch frames use, same key), attribute names live in the schema,
-// and string values are interned, so the event, its numeric slots and
-// its string slots are the only allocations. sess.mu held.
+// one batch frames use), attribute names live in the schema, and string
+// values are interned, so the event, its numeric slots and its string
+// slots are the only allocations. sess.mu held.
 func (sess *session) bindLocked(el *eventLine, id uint64) *greta.Event {
-	key := append(sess.shapeKey[:0], el.typ...)
-	key = append(key, 0)
-	for i, a := range el.nums {
-		if i > 0 {
-			key = append(key, 1)
-		}
-		key = append(key, a.name...)
-	}
-	key = append(key, 0)
-	for i, a := range el.strs {
-		if i > 0 {
-			key = append(key, 1)
-		}
-		key = append(key, a.name...)
-	}
-	sess.shapeKey = key
-	sch := sess.schemas[string(key)]
-	if sch == nil {
-		sch = &greta.Schema{Type: greta.Type(el.typ)}
-		for _, a := range el.nums {
-			sch.Numeric = append(sch.Numeric, string(a.name))
-		}
-		for _, a := range el.strs {
-			sch.Strings = append(sch.Strings, string(a.name))
-		}
-		if sess.schemas == nil {
-			sess.schemas = map[string]*greta.Schema{}
-		}
-		sess.schemas[string(key)] = sch
-	}
+	sch := sess.schemaLocked(el.typ, el.nums, el.strs)
 	ev := &greta.Event{ID: id, Type: sch.Type, Time: el.time, Sch: sch}
-	if len(el.nums) > 0 {
-		ev.Num = make([]float64, len(el.nums))
-		for i, a := range el.nums {
-			ev.Num[i] = a.val
-		}
+	if len(el.vals) > 0 {
+		ev.Num = slices.Clone(el.vals)
 	}
-	if len(el.strs) > 0 {
-		ev.StrV = make([]string, len(el.strs))
-		for i, a := range el.strs {
-			s, ok := sess.interned[string(a.val)]
-			if !ok {
-				s = string(a.val)
-				if sess.interned == nil {
-					sess.interned = map[string]string{}
-				}
-				if len(sess.interned) < maxInterned {
-					sess.interned[s] = s
-				}
-			}
-			ev.StrV[i] = s
+	if len(el.svals) > 0 {
+		ev.StrV = make([]string, len(el.svals))
+		for i, v := range el.svals {
+			ev.StrV[i] = sess.internLocked(v)
 		}
 	}
 	return ev

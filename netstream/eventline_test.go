@@ -141,7 +141,8 @@ func TestEventLineFastPathTaken(t *testing.T) {
 // wire_bytes_per_event cannot move and old peers interoperate.
 func TestEventLineEncoderMatchesJSON(t *testing.T) {
 	floats := []float64{0, math.Copysign(0, -1), 1, -1, 99.5, 0.1, 1e21, 1e21 - 65536, 1e20, 999999999999999868928, 1e-6, 1e-7, 9.999999e-7,
-		1.5e-10, 1e-300, 5e-324, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, 123456789.123456789, 1 << 53, 3.0e100}
+		1.5e-10, 1e-300, 5e-324, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, 123456789.123456789, 1 << 53, 3.0e100,
+		1<<53 - 1, -(1<<53 - 1), -(1 << 53), 1<<53 + 2, 1 << 52, 1<<52 + 1, 1e15, 999999999999999, -1000, 1 << 62, -(1 << 63), 1 << 63, 0.5, 4503599627370495.5}
 	strs := []string{"", "co01", "Stock", "a b", "日本語", "Ünï", "a<b>c&d", "q\"uote", "back\\slash", "tab\tnl\ncr\r", "\b\f\x00\x1f\x7f",
 		"\u2028\u2029", "bad\xffutf8", "\xc3", "e\u0301"}
 	rng := rand.New(rand.NewSource(15))

@@ -75,6 +75,16 @@
 //	                                                the shared sub-plan network collapsed
 //	                                                the statement set
 //
+// The event line and the batch frame are the lines sent per event and
+// per block of events, and each has a hand-written codec (eventline.go,
+// batchframe.go) whose bytes are encoding/json's for a WireEvent. The
+// server's one-pass parsers take exactly what this package's client
+// writes: the event line's five keys, and the batch frame's cmd, seq,
+// type, time, times, cols, scols, gi, rh, rgs, rhs with "times" ahead of
+// the columns and route lists — any order otherwise, strings without
+// escapes. Any other line is as valid, but is decoded by encoding/json:
+// a peer that wants the fast path keeps to that shape.
+//
 // Events must arrive in non-decreasing time order per connection; an
 // optional reorder slack buffers and re-sorts bounded disorder (the
 // out-of-order handling the paper delegates upstream, §2). Events that
@@ -180,7 +190,9 @@ type WireEvent struct {
 // client, admitted by seq on the server: event lines, batch frames and
 // every shard-link frame. The other commands are requests answered in
 // line, neither numbered nor replayed.
-func sequencedFrame(cmd string) bool { return cmd == "" || cmd == "shard" || shardFrame(cmd) }
+func sequencedFrame(cmd string) bool {
+	return cmd == "" || cmd == "batch" || cmd == "shard" || shardFrame(cmd)
+}
 
 // WireResult is the JSON representation of one emitted result, tagged
 // with the id of the statement that produced it.

@@ -464,18 +464,25 @@ func (s *Server) ServeConn(conn net.Conn) {
 	}
 	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
 	var el eventLine
+	var bl batchLine
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
-		if el.parse(line) {
+		if event := el.parse(line); event || bl.parse(line) {
 			if sess == nil {
 				if sess = s.newSession(conn, w, enc); sess == nil {
 					return
 				}
 			}
-			if stop, handled := sess.handleEventLine(conn, &el); stop {
+			stop, handled := false, true
+			if event {
+				stop, handled = sess.handleEventLine(conn, &el)
+			} else {
+				stop = sess.handleBatchLine(conn, &bl)
+			}
+			if stop {
 				return
 			} else if handled {
 				continue

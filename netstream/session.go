@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -82,13 +80,15 @@ type session struct {
 	// into shard mode (Server.AllowShard + {"cmd":"shard"}).
 	shard *shardState
 	// schemas caches the per-(type, attribute-set) schemas batch frames
-	// and event lines bind to, so repeated input of one shape reuses one
-	// schema pointer (the runtime's columnar pre-filter caches per
-	// schema identity). shapeKey is the lookup-key scratch and interned
-	// the string-value table of the event-line path (bindLocked).
-	schemas  map[string]*greta.Schema
-	shapeKey []byte
-	interned map[string]string
+	// and event lines bind to (schemaLocked: at most maxSchemas, with
+	// schemasUncached counting those built past it), so repeated input of
+	// one shape reuses one schema pointer (the runtime's columnar
+	// pre-filter caches per schema identity). shapeKey is the lookup-key
+	// scratch and interned the bounded string-value table.
+	schemas         map[string]*greta.Schema
+	schemasUncached uint64
+	shapeKey        []byte
+	interned        map[string]string
 }
 
 // sendLocked emits one output line (mu held). Durable lines in a
@@ -417,8 +417,12 @@ func (sess *session) handleLine(myConn net.Conn, we *WireEvent) (stop bool) {
 		return true
 	}
 	defer sess.flushLocked()
-	// Shard mode intercepts its own commands plus event/batch lines
-	// (they carry coordinator route info); everything else — flush,
+	if we.Cmd == "batch" {
+		var bl batchLine
+		sess.handleBatchLocked(&bl, bl.fromWire(we, sess.shard != nil))
+		return false
+	}
+	// Shard mode intercepts its own commands; everything else — flush,
 	// checkpoint, session, resume — keeps its ordinary meaning.
 	if we.Cmd == "shard" || (sess.shard != nil && shardFrame(we.Cmd)) {
 		return sess.handleShardLine(we)
@@ -471,9 +475,6 @@ func (sess *session) handleLine(myConn net.Conn, we *WireEvent) (stop bool) {
 			return false
 		}
 		sess.sendLocked(WireLine{Closed: we.ID}, false)
-		return false
-	case "batch":
-		sess.handleBatchLocked(we)
 		return false
 	case "stats":
 		sess.sendLocked(WireLine{SessStats: sess.statsLocked()}, false)
@@ -591,71 +592,56 @@ func (sess *session) applyEventLocked(seq uint64, ev *greta.Event) {
 	sess.processed++
 }
 
-// checkBatch validates a batch frame's shape — the one check the
-// client makes before sending and both server paths make before
-// applying: a type, and one value per row in every column.
-func checkBatch(we *WireEvent) error {
-	if we.Type == "" {
-		return errors.New("missing type")
+// handleBatchLine is handleLine for a frame the batch-frame parser read.
+func (sess *session) handleBatchLine(myConn net.Conn, bl *batchLine) (stop bool) {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if sess.ended || sess.conn != myConn {
+		return true
 	}
-	n := len(we.Times)
-	for a, col := range we.Cols {
-		if len(col) != n {
-			return fmt.Errorf("column %q has %d values, want %d", a, len(col), n)
-		}
-	}
-	for a, col := range we.SCols {
-		if len(col) != n {
-			return fmt.Errorf("column %q has %d values, want %d", a, len(col), n)
-		}
-	}
-	return nil
+	defer sess.flushLocked()
+	sess.handleBatchLocked(bl, nil)
+	return false
 }
 
-// batchRow reads row i of a checked batch frame into num and strs, in
-// sch's slot order.
-func batchRow(we *WireEvent, sch *greta.Schema, i int, num []float64, strs []string) {
-	for j, a := range sch.Numeric {
-		num[j] = we.Cols[a][i]
+// handleBatchLocked admits and applies one decoded batch frame; err is
+// what the generic path's conversion found wrong with it. A shard
+// session routes the rows to its slots, the seq consumed whatever comes
+// of it. An ordinary session ingests them through the runtime's batch
+// path as one event batch, so the runtime hashes each partition-key run
+// once and pre-filters predicate columns. In a resumable session the
+// frame carries one frame-level seq — resume dedup skips whole duplicate
+// frames — and its rows consume engine ids from the evID cursor. With a
+// scheduled checkpoint armed the rows feed the per-event path one at a
+// time instead, committing the cursor and frame progress per row, so a
+// snapshot firing mid-frame records how much of the frame it contains
+// (sessionMeta.FrameRows) and a restore-side replay of the frame skips
+// precisely that prefix: exactly-once either way.
+func (sess *session) handleBatchLocked(bl *batchLine, err error) {
+	what := "batch"
+	if sess.shard != nil {
+		what = "shard frame"
 	}
-	for j, a := range sch.Strings {
-		strs[j] = we.SCols[a][i]
-	}
-}
-
-// batchEvent materialises row i as a schema-bound event owning its
-// value slices (engines retain event pointers).
-func batchEvent(we *WireEvent, sch *greta.Schema, i int, id uint64) *greta.Event {
-	ev := &greta.Event{ID: id, Type: greta.Type(we.Type), Time: we.Times[i], Sch: sch,
-		Num: make([]float64, len(sch.Numeric)), StrV: make([]string, len(sch.Strings))}
-	batchRow(we, sch, i, ev.Num, ev.StrV)
-	return ev
-}
-
-// handleBatchLocked ingests one columnar batch frame through the
-// runtime's batch path: the per-attribute arrays are decoded straight
-// into an event batch (no per-row attribute maps), so the runtime
-// hashes each partition-key run once and pre-filters predicate
-// columns. In a resumable session the frame carries one frame-level
-// seq — resume dedup skips whole duplicate frames — and its rows
-// consume engine ids from the session's evID cursor. With a scheduled
-// checkpoint armed the rows feed the per-event path one at a time
-// instead, committing the cursor and frame progress per row, so a
-// snapshot firing mid-frame records exactly how much of the frame it
-// contains (sessionMeta.FrameRows) and a restore-side replay of the
-// frame skips precisely that prefix: exactly-once either way.
-func (sess *session) handleBatchLocked(we *WireEvent) {
-	if !sess.admitLocked("batch", we.Seq) {
+	if !sess.admitLocked(what, bl.seq) {
 		return
 	}
-	if err := checkBatch(we); err != nil {
+	if err != nil {
 		sess.sendLocked(WireLine{Error: fmt.Sprintf("batch: %v", err)}, false)
+	}
+	if sess.shard != nil {
+		if err == nil {
+			sess.applyShardBatchLocked(bl)
+		}
+		sess.lastSeq = bl.seq
 		return
 	}
-	n := len(we.Times)
+	if err != nil {
+		return
+	}
+	n := len(bl.times)
 	if n == 0 {
 		if sess.resumable {
-			sess.lastSeq = we.Seq
+			sess.lastSeq = bl.seq
 		}
 		return
 	}
@@ -664,53 +650,43 @@ func (sess *session) handleBatchLocked(we *WireEvent) {
 		// Restored mid-frame: the snapshot already contains this frame's
 		// first frameSkip rows (their ids are committed in evID); apply
 		// only the tail.
-		skip = int(sess.frameSkip)
+		skip = int(min(sess.frameSkip, uint64(n)))
 		sess.frameSkip = 0
-		if skip > n {
-			skip = n
-		}
 	}
-	sch := sess.schemaFor(we)
+	b := sess.batchLocked(bl, skip)
 	if sess.resumable && sess.rt.CheckpointArmed() {
-		sess.applyBatchRowsLocked(we, sch, n, skip)
+		sess.applyBatchRowsLocked(b)
 		sess.frameRows = 0
-		sess.lastSeq = we.Seq
+		sess.lastSeq = bl.seq
 		return
 	}
 	// Columnar path: no scheduled snapshot can fire inside ProcessBatch
 	// (an explicit checkpoint command is its own line, between frames),
 	// so the whole frame is cursor-atomic.
-	b := greta.NewBatch(sch, n-skip)
-	num := make([]float64, len(sch.Numeric))
-	strs := make([]string, len(sch.Strings))
-	for i := skip; i < n; i++ {
-		batchRow(we, sch, i, num, strs)
-		sess.evID++
-		b.Append(sess.evID, we.Times[i], num, strs)
-	}
+	sess.evID += uint64(b.Len())
 	acc, err := sess.rt.ProcessBatch(b)
 	sess.processed += uint64(acc)
-	if d := (n - skip) - acc; d > 0 {
+	if d := b.Len() - acc; d > 0 {
 		sess.dropped += uint64(d)
-		sess.sendLocked(WireLine{Warn: fmt.Sprintf("batch: %d of %d rows dropped for disorder", d, n-skip)}, false)
+		sess.sendLocked(WireLine{Warn: fmt.Sprintf("batch: %d of %d rows dropped for disorder", d, b.Len())}, false)
 	}
 	if sess.resumable {
-		sess.lastSeq = we.Seq
+		sess.lastSeq = bl.seq
 	}
 	if err != nil {
 		sess.sendLocked(WireLine{Error: fmt.Sprintf("batch: %v", err)}, false)
 	}
 }
 
-// applyBatchRowsLocked feeds a batch frame's rows through the
-// per-event path one at a time, committing the session's id cursor and
-// frame progress after every row: the checkpoint meta provider (which
-// can run inside any of the Process calls, before the in-flight row is
-// applied) then always describes a row-exact prefix of the frame.
-func (sess *session) applyBatchRowsLocked(we *WireEvent, sch *greta.Schema, n, skip int) {
+// applyBatchRowsLocked feeds a batch's rows through the per-event path
+// one at a time, committing the session's id cursor and frame progress
+// after every row: the checkpoint meta provider (which can run inside
+// any of the Process calls, before the in-flight row is applied) then
+// always describes a row-exact prefix of the frame.
+func (sess *session) applyBatchRowsLocked(b *greta.Batch) {
 	dropped := 0
-	for i := skip; i < n; i++ {
-		err := sess.rt.Process(batchEvent(we, sch, i, sess.evID+1))
+	for _, ev := range b.Rows() {
+		err := sess.rt.Process(ev)
 		sess.evID++
 		sess.frameRows++
 		if err != nil {
@@ -725,36 +701,8 @@ func (sess *session) applyBatchRowsLocked(we *WireEvent, sch *greta.Schema, n, s
 	}
 	if dropped > 0 {
 		sess.dropped += uint64(dropped)
-		sess.sendLocked(WireLine{Warn: fmt.Sprintf("batch: %d of %d rows dropped for disorder", dropped, n-skip)}, false)
+		sess.sendLocked(WireLine{Warn: fmt.Sprintf("batch: %d of %d rows dropped for disorder", dropped, b.Len())}, false)
 	}
-}
-
-// schemaFor returns the cached schema for a batch frame's (type,
-// column-set) shape, creating it on first sight. Slot order is the
-// sorted attribute names, so the same shape always maps to the same
-// schema regardless of JSON map iteration order.
-func (sess *session) schemaFor(we *WireEvent) *greta.Schema {
-	nums := make([]string, 0, len(we.Cols))
-	for a := range we.Cols {
-		nums = append(nums, a)
-	}
-	slices.Sort(nums)
-	strs := make([]string, 0, len(we.SCols))
-	for a := range we.SCols {
-		strs = append(strs, a)
-	}
-	slices.Sort(strs)
-	// bindLocked builds the same key from an event line's names.
-	key := we.Type + "\x00" + strings.Join(nums, "\x01") + "\x00" + strings.Join(strs, "\x01")
-	if s := sess.schemas[key]; s != nil {
-		return s
-	}
-	s := &greta.Schema{Type: greta.Type(we.Type), Numeric: nums, Strings: strs}
-	if sess.schemas == nil {
-		sess.schemas = map[string]*greta.Schema{}
-	}
-	sess.schemas[key] = s
-	return s
 }
 
 // enableLocked turns the session resumable ({"cmd":"session"}).

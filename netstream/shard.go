@@ -102,12 +102,12 @@ func (sh *shardState) discardLocked() {
 }
 
 // shardFrame reports whether cmd is routed to the shard handler once
-// shard mode is on. Batch frames are included — they carry coordinator
-// route info instead of feeding the session runtime. Event lines are
-// not: no coordinator sends one, and a shard session refuses them.
+// shard mode is on. Batch frames have a handler of their own
+// (handleBatchLocked), which reads their route info in a shard session;
+// event lines a shard session refuses: no coordinator sends one.
 func shardFrame(cmd string) bool {
 	switch cmd {
-	case "batch", "sreg", "sclose", "barrier", "eos", "handoff", "adopt":
+	case "sreg", "sclose", "barrier", "eos", "handoff", "adopt":
 		return true
 	}
 	return false
@@ -256,8 +256,6 @@ func (sess *session) applyShardFrameLocked(we *WireEvent) {
 			sh.hosts[w] = h
 		}
 		sess.sendLocked(WireLine{Shard: &WireShardInfo{Count: sh.n0, Workers: sh.slots()}}, true)
-	case "batch":
-		sess.applyShardBatchLocked(we)
 	}
 }
 
@@ -281,65 +279,36 @@ func (sess *session) emitPartial(w, si int, r greta.Result) {
 // each (group, hash) pair of a row targets the hosted slot hash%n0 —
 // the same placement RunParallel's feedWorkers computes, so an N-shard
 // cluster partitions identically to an N-worker single-process run.
-// Route info comes per row: either GI+RH (every row in route group GI,
-// one hash per row — the common single-signature case) or RGs/RHs
-// (per-row group lists). Rows bind to a cached schema and keep their
-// own value slices — the slots' graphs retain event pointers.
-func (sess *session) applyShardBatchLocked(we *WireEvent) {
-	if err := checkBatch(we); err != nil {
-		sess.sendLocked(WireLine{Error: fmt.Sprintf("batch: %v", err)}, false)
+// Rows bind to a cached schema; the slots' graphs retain pointers to
+// them.
+func (sess *session) applyShardBatchLocked(bl *batchLine) {
+	n := len(bl.times)
+	if len(bl.rowEnd) != n {
+		sess.sendLocked(WireLine{Error: fmt.Sprintf("batch: route info for %d of %d rows", len(bl.rowEnd), n)}, false)
 		return
 	}
-	n := len(we.Times)
-	multi := we.RGs != nil
-	if multi {
-		if len(we.RGs) != n || len(we.RHs) != n {
-			sess.sendLocked(WireLine{Error: "batch: rgs/rhs length mismatch"}, false)
-			return
-		}
-	} else if len(we.RH) != n {
-		sess.sendLocked(WireLine{Error: "batch: rh length mismatch"}, false)
-		return
-	}
-	if n == 0 {
-		return
-	}
-	sch := sess.schemaFor(we)
 	sh := sess.shard
-	for i := 0; i < n; i++ {
+	sch := sess.schemaLocked(bl.typ, bl.nums, bl.strs)
+	// The frame's rows share three slabs of exactly their size: a link's
+	// frames change shape every few rows (half carry one), and an event
+	// batch, 16 rows at the least, would pin several times the memory the
+	// slots' graphs refer to.
+	nw, sw := len(sch.Numeric), len(sch.Strings)
+	evs, num, strv := make([]greta.Event, n), make([]float64, n*nw), make([]string, n*sw)
+	k := 0
+	for i, t := range bl.times {
 		sess.evID++
-		ev := batchEvent(we, sch, i, sess.evID)
-		apply := func(gi int, hx string) bool {
-			h, err := strconv.ParseUint(hx, 16, 64)
-			if err != nil {
-				sess.sendLocked(WireLine{Error: fmt.Sprintf("batch: bad route hash %q", hx)}, false)
-				return false
-			}
-			host := sh.hosts[int(h%uint64(sh.n0))]
+		ev := &evs[i]
+		*ev = greta.Event{ID: sess.evID, Type: sch.Type, Time: t, Sch: sch, Num: num[i*nw : (i+1)*nw : (i+1)*nw], StrV: strv[i*sw : (i+1)*sw : (i+1)*sw]}
+		sess.fillRowLocked(bl, i, ev)
+		for ; k < bl.rowEnd[i]; k++ {
+			slot := int(bl.rhs[k] % uint64(sh.n0))
+			host := sh.hosts[slot]
 			if host == nil {
-				sess.sendLocked(WireLine{Error: fmt.Sprintf("batch: slot %d not hosted here", int(h%uint64(sh.n0)))}, false)
-				return false
-			}
-			var gis [1]int
-			var hs [1]uint64
-			gis[0], hs[0] = gi, h
-			host.Apply(ev, gis[:], hs[:])
-			return true
-		}
-		if multi {
-			if len(we.RHs[i]) != len(we.RGs[i]) {
-				sess.sendLocked(WireLine{Error: fmt.Sprintf("batch: row %d rg/rh length mismatch", i)}, false)
+				sess.sendLocked(WireLine{Error: fmt.Sprintf("batch: slot %d not hosted here", slot)}, false)
 				return
 			}
-			for k, gi := range we.RGs[i] {
-				if !apply(gi, we.RHs[i][k]) {
-					return
-				}
-			}
-		} else {
-			if !apply(we.GI, we.RH[i]) {
-				return
-			}
+			host.Apply(ev, bl.rgs[k:k+1], bl.rhs[k:k+1])
 		}
 		sess.processed++
 	}

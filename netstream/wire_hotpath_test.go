@@ -56,7 +56,7 @@ func hotSession(tb testing.TB) (*session, net.Conn) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	srv := &Server{Statements: []*greta.Statement{stmt}, Linger: time.Minute}
+	srv := &Server{Statements: []*greta.Statement{stmt}, Linger: time.Minute, AllowShard: true}
 	conn := discardConn{}
 	w := bufio.NewWriter(conn)
 	sess := srv.newSession(conn, w, json.NewEncoder(w))
@@ -89,13 +89,95 @@ func hotLines(tb testing.TB, from, n int) [][]byte {
 	return lines
 }
 
+// hotFrame is a batch frame of the net_durable shape as a client's
+// encoder writes it, newline stripped: rows rows of type typ under seq,
+// routed (route group 0, one hash per row) when it is for a shard link.
+func hotFrame(tb testing.TB, seq uint64, typ string, rows int, routed bool) (*BatchFrame, []byte) {
+	f := &BatchFrame{Type: typ, Nums: []string{"price", "volume"}, Cols: make([][]float64, 2), Strs: []string{"company", "sector"}, SCols: make([][]string, 2)}
+	for i := 0; i < rows; i++ {
+		_, _, attrs, strs := hotEvent(i)
+		f.Times = append(f.Times, int64(seq))
+		f.Cols[0], f.Cols[1] = append(f.Cols[0], attrs["price"]), append(f.Cols[1], attrs["volume"])
+		f.SCols[0], f.SCols[1] = append(f.SCols[0], strs["company"]), append(f.SCols[1], strs["sector"])
+		if routed {
+			f.RGs, f.RHs, f.RowEnd = append(f.RGs, 0), append(f.RHs, uint64(i%50)+1), append(f.RowEnd, i+1)
+		}
+	}
+	line, err := appendBatchFrame(nil, seq, f)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return f, line[:len(line)-1]
+}
+
 // TestWireHotPathAllocs is the wire's allocation guard (make
 // alloc-guard): a steady-state resumable Send allocates nothing — the
 // line is built in the slot the ring recycles — and the server's
 // event-line parse plus dispatch allocates the event the engine keeps
 // and its two slot arrays, nothing else: no WireEvent, no attribute
-// maps, no name or value strings.
+// maps, no name or value strings. The batch frame likewise: encoding
+// one into a warm ring allocates nothing, and parse plus apply allocates
+// per frame — an ordinary session's event batch (header and four
+// slabs), a shard session's row slabs — and nothing per row.
 func TestWireHotPathAllocs(t *testing.T) {
+	t.Run("batch-frame/encode", func(t *testing.T) {
+		c := resumableClient(64)
+		f, _ := hotFrame(t, 1, "Stock", 64, true)
+		send := func() {
+			if _, err := c.SendBatchFrame(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 1100; i++ { // wrap the ring, past the last seq that adds a digit
+			send()
+		}
+		if n := testing.AllocsPerRun(500, send); n != 0 {
+			t.Errorf("steady-state SendBatchFrame allocates %v per frame, want 0", n)
+		}
+	})
+	for _, rows := range []int{64, 512} {
+		t.Run(fmt.Sprintf("batch-frame/decode+apply/rows=%d", rows), func(t *testing.T) {
+			for _, shard := range []bool{false, true} {
+				// The rows are of a type no statement reads (and the shard hosts
+				// no unit): what is measured is the wire's share of the apply.
+				sess, conn := hotSession(t)
+				seq := uint64(0)
+				if shard {
+					seq++
+					if sess.handleLine(conn, &WireEvent{Cmd: "shard", Seq: seq, Count: 1, Workers: []int{0}}) || sess.shard == nil {
+						t.Fatal("shard handshake refused")
+					}
+				}
+				const warm, runs = 20, 20
+				var lines [][]byte
+				for k := 1; k <= warm+runs+1; k++ {
+					_, line := hotFrame(t, seq+uint64(k), "Quote", rows, shard)
+					lines = append(lines, line)
+				}
+				var bl batchLine
+				k := 0
+				feed := func() {
+					if !bl.parse(lines[k]) {
+						t.Fatalf("fast parser declined %q", lines[k])
+					}
+					if sess.handleBatchLine(conn, &bl) {
+						t.Fatal("session stopped")
+					}
+					k++
+				}
+				for k < warm {
+					feed()
+				}
+				if n := testing.AllocsPerRun(runs, feed); n > 5 {
+					t.Errorf("shard=%v: batch-frame parse + apply allocates %v per %d-row frame, want <= 5", shard, n, rows)
+				}
+				if sess.lastSeq != seq+uint64(k) || sess.processed != uint64(k*rows) {
+					t.Fatalf("shard=%v: session applied %d rows through seq %d, fed %d frames through %d", shard, sess.processed, sess.lastSeq, k, seq+uint64(k))
+				}
+			}
+		})
+	}
+
 	c := resumableClient(1024)
 	sendN(t, c, 0, 4096) // wrap the ring: every slot has its capacity
 	i := 4096
@@ -201,6 +283,42 @@ func BenchmarkEventLineDecode(b *testing.B) {
 }
 
 var sinkEvent *greta.Event
+
+// BenchmarkBatchFrameDecode measures the server half of the batch
+// frame: one routed 64-row frame to an event batch the runtime can
+// take, by the one-pass parser, and by encoding/json into a WireEvent
+// plus the generic path's conversion.
+func BenchmarkBatchFrameDecode(b *testing.B) {
+	_, line := hotFrame(b, 7, "Stock", 64, true)
+	b.Run("fast", func(b *testing.B) {
+		sess := &session{}
+		var bl batchLine
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if !bl.parse(line) {
+				b.Fatal("declined")
+			}
+			sinkBatch = sess.batchLocked(&bl, 0)
+		}
+	})
+	b.Run("encoding-json", func(b *testing.B) {
+		sess := &session{}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var we WireEvent
+			var bl batchLine
+			if err := json.Unmarshal(line, &we); err != nil {
+				b.Fatal(err)
+			}
+			if err := bl.fromWire(&we, true); err != nil {
+				b.Fatal(err)
+			}
+			sinkBatch = sess.batchLocked(&bl, 0)
+		}
+	})
+}
+
+var sinkBatch *greta.Batch
 
 // TestLazyClientDialsOnEveryCall: each client call reaches the
 // connection through the one write path, so a LazyDial client that
