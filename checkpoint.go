@@ -45,7 +45,7 @@ func WithCheckpointErrors(f func(error)) RuntimeOption {
 	return func(c *runtimeConfig) { c.ckErr = f }
 }
 
-// WithCheckpointMeta registers an opaque session-meta provider: f runs
+// SetCheckpointMeta registers an opaque session-meta provider: f runs
 // at snapshot-encode time (on the ingest path, runtime lock held — it
 // must not call back into the Runtime) and its bytes are embedded in
 // the checkpoint header, surfacing again as Restored.Meta. Serving
@@ -53,13 +53,7 @@ func WithCheckpointErrors(f func(error)) RuntimeOption {
 // atomically with the engine state they describe (netstream stores the
 // session id and last-applied event sequence this way). nil clears the
 // provider; a restored runtime re-encodes the snapshot's blob until a
-// new provider is set (SetCheckpointMeta).
-func WithCheckpointMeta(f func() []byte) RuntimeOption {
-	return func(c *runtimeConfig) { c.ckMeta = f }
-}
-
-// SetCheckpointMeta replaces the session-meta provider after
-// construction or restore (see WithCheckpointMeta).
+// new provider is set.
 func (rt *Runtime) SetCheckpointMeta(f func() []byte) { rt.inner.SetCheckpointMeta(f) }
 
 // armCheckpoint wires a generational Store under dir into the core
@@ -111,7 +105,7 @@ type Restored struct {
 	Handles    []*Handle
 	ReplayFrom Time
 	// Meta is the opaque session-meta blob the snapshot carried
-	// (WithCheckpointMeta); nil when none was set.
+	// (SetCheckpointMeta); nil when none was set.
 	Meta []byte
 	// ReorderPending reports how many in-flight events were rehydrated
 	// into the reorder buffer (the snapshot's disorder window). With
@@ -174,9 +168,6 @@ func Restore(dir string, opts ...RuntimeOption) (*Restored, error) {
 		if err := rt.armCheckpoint(ckDir, every, info.ReplayFrom, cfg.ckErr); err != nil {
 			return nil, err
 		}
-	}
-	if cfg.ckMeta != nil {
-		rt.inner.SetCheckpointMeta(cfg.ckMeta)
 	}
 	if err := rt.armObs(&cfg); err != nil {
 		return nil, err

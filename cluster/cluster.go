@@ -84,10 +84,9 @@ type Config struct {
 	// commands always flush first — frames never straddle them.
 	BatchRows int
 	// MetricsAddr, when set, serves the coordinator's observability
-	// surface (/metrics, /metrics.json, /debug/vars, /debug/pprof/) on
-	// this address for the cluster's lifetime; Connect fails if it
-	// cannot be bound. ":0" picks a free port — read it back from
-	// Coordinator.MetricsAddr.
+	// surface (/metrics, /metrics.json, /debug/pprof/) on this address
+	// for the cluster's lifetime; Connect fails if it cannot be bound.
+	// ":0" picks a free port — read it back from Coordinator.MetricsAddr.
 	MetricsAddr string
 	// TraceHook, when set, receives the coordinator's lifecycle trace
 	// events: greta.TraceBarrierEmit on every window-close fan-out,
@@ -147,12 +146,9 @@ type Coordinator struct {
 	sendWin int
 	resumeT time.Duration
 
-	// routing scratch and shape caches (see batch.go).
-	touched   []int
-	names     [2][]string
-	shapeKey  []byte
-	schShapes map[*greta.Schema]*rowShape
-	mapShapes map[string]*rowShape
+	// routing scratch and the bounded cache of row shapes (batch.go).
+	touched []int
+	shapes  event.ShapeCache
 
 	warnings []string
 	busy     bool // serializes multi-step operations that wait mid-flight
@@ -231,18 +227,16 @@ func Connect(ctx context.Context, cfg Config) (*Coordinator, error) {
 		return nil, errors.New("cluster: no shards")
 	}
 	co := &Coordinator{
-		rt:        core.NewRuntime(),
-		n0:        len(cfg.Shards),
-		units:     map[int]*unit{},
-		unitID:    map[string]*unit{},
-		grpSig:    map[string]int{},
-		wm:        -1,
-		rowCap:    cfg.BatchRows,
-		sendWin:   cfg.SendWindow,
-		resumeT:   cfg.ResumeTimeout,
-		schShapes: map[*greta.Schema]*rowShape{},
-		mapShapes: map[string]*rowShape{},
-		trace:     cfg.TraceHook,
+		rt:      core.NewRuntime(),
+		n0:      len(cfg.Shards),
+		units:   map[int]*unit{},
+		unitID:  map[string]*unit{},
+		grpSig:  map[string]int{},
+		wm:      -1,
+		rowCap:  cfg.BatchRows,
+		sendWin: cfg.SendWindow,
+		resumeT: cfg.ResumeTimeout,
+		trace:   cfg.TraceHook,
 	}
 	co.reg = obs.NewRegistry()
 	co.met = newCoMetrics(co.reg)
@@ -540,7 +534,7 @@ func (co *Coordinator) routeLocked(ev *greta.Event) {
 	if len(co.touched) == 0 {
 		return
 	}
-	shape := co.shapeOf(ev)
+	shape := co.shapes.Of(ev)
 	for _, li := range co.touched {
 		l := co.links[li]
 		l.buf.add(l, shape, ev, l.pairs)

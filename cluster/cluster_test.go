@@ -9,6 +9,7 @@ import (
 	"net"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +17,7 @@ import (
 
 	"github.com/greta-cep/greta"
 	"github.com/greta-cep/greta/cluster"
+	"github.com/greta-cep/greta/internal/event"
 	"github.com/greta-cep/greta/internal/faultnet"
 	"github.com/greta-cep/greta/netstream"
 )
@@ -90,6 +92,35 @@ func compareResults(t *testing.T, label string, want, got []greta.Result) {
 	}
 }
 
+// compareAtLeast is compareResults behind a floor on the reference's
+// result count, so a differential cannot pass by comparing nothing.
+func compareAtLeast(t *testing.T, label string, floor int, want, got []greta.Result) {
+	t.Helper()
+	if len(want) < floor {
+		t.Fatalf("%s: the reference yields %d results, fewer than the %d this test is meant to compare", label, len(want), floor)
+	}
+	compareResults(t, label, want, got)
+}
+
+// reference runs q alone over events on RunParallel with the given
+// worker count (sharing off, as cluster registrations are) and returns
+// its closed handle.
+func reference(t *testing.T, q string, events []*greta.Event, workers int) *greta.Handle {
+	t.Helper()
+	rt := greta.NewRuntime()
+	h, err := rt.Register(greta.MustCompile(q), greta.WithSharing(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.RunParallel(context.Background(), greta.NewSliceStream(events), workers); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 func collect(h *greta.Handle) []greta.Result {
 	var rs []greta.Result
 	for r := range h.Results() {
@@ -101,7 +132,8 @@ func collect(h *greta.Handle) []greta.Result {
 // The differential workload: two partitioned fastpath shapes (one
 // Kleene SEQ with an equivalence attribute splitting groups across
 // slots, one summary-foldable count) and one unpartitioned statement
-// that must run inline on the coordinator.
+// that must run inline on the coordinator. diffFloors are the results
+// each yields, at the least, over diffEvents(3000).
 var diffQueries = []string{
 	`RETURN mapper, SUM(M.cpu) PATTERN SEQ(Start S, Measurement M+, End E)
 	 WHERE [job, mapper] AND M.load < NEXT(M).load GROUP-BY mapper
@@ -110,11 +142,25 @@ var diffQueries = []string{
 	`RETURN COUNT(*) PATTERN SEQ(Start S, End E) WITHIN 30 seconds SLIDE 30 seconds`,
 }
 
+var diffFloors = []int{10, 6, 2}
+
+// diffEvents is the differentials' stream: n cluster-monitoring events
+// at 40 a second, so 3 000 of them span 75 s of event time and every
+// statement's windows close mid-stream, several times. (DefaultCluster's
+// 3 000 ev/s puts a few thousand events on one or two timestamps: no
+// window closes before the stream ends and the SEQ query matches
+// nothing.)
+func diffEvents(n int) []*greta.Event {
+	cfg := greta.DefaultCluster(n)
+	cfg.Rate = 40
+	return greta.ClusterStream(cfg)
+}
+
 // TestClusterDifferential pins the tentpole contract: an N-shard
 // cluster produces bit-identical results and Stats to a single-process
 // RunParallel with N workers, across shard counts.
 func TestClusterDifferential(t *testing.T) {
-	events := greta.ClusterStream(greta.DefaultCluster(6000))
+	events := diffEvents(3000)
 	for _, shards := range []int{1, 2, 4} {
 		// Reference: single-process parallel run, sharing disabled to
 		// match the cluster's exclusive registrations.
@@ -154,7 +200,7 @@ func TestClusterDifferential(t *testing.T) {
 
 		for i := range diffQueries {
 			label := t.Name() + "/" + hs[i].ID()
-			compareResults(t, label, collect(ref[i]), hs[i].Results())
+			compareAtLeast(t, label, diffFloors[i], collect(ref[i]), hs[i].Results())
 			if ws, cs := ref[i].Stats(), hs[i].Stats(); ws != cs {
 				t.Errorf("shards=%d query %d stats:\nref     %+v\ncluster %+v", shards, i, ws, cs)
 			}
@@ -168,7 +214,7 @@ func TestClusterDifferential(t *testing.T) {
 // single-process reference. Results must be bit-identical; the graph
 // counters must match (peak gauges are per-slot sums and excluded).
 func TestClusterMidStreamRegisterClose(t *testing.T) {
-	events := greta.ClusterStream(greta.DefaultCluster(6000))
+	events := diffEvents(3000)
 	q1 := `RETURN COUNT(*) PATTERN Measurement M+ WHERE [mapper] WITHIN 20 seconds SLIDE 10 seconds`
 	q2 := `RETURN mapper, SUM(M.cpu) PATTERN Measurement M+ WHERE [mapper] GROUP-BY mapper WITHIN 30 seconds SLIDE 15 seconds`
 	third, twoThird := len(events)/3, 2*len(events)/3
@@ -223,8 +269,8 @@ func TestClusterMidStreamRegisterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	compareResults(t, "q1", collect(s1), c1.Results())
-	compareResults(t, "q2", collect(s2), c2.Results())
+	compareAtLeast(t, "q1", 5, collect(s1), c1.Results())
+	compareAtLeast(t, "q2", 40, collect(s2), c2.Results())
 	for i, pair := range []struct {
 		ref greta.Stats
 		got greta.Stats
@@ -346,20 +392,10 @@ func (r *tornRelay) tear(n int64) {
 // Bit-identical results and stats against RunParallel prove no frame
 // applied twice (and none was lost).
 func TestClusterKillResume(t *testing.T) {
-	events := greta.ClusterStream(greta.DefaultCluster(6000))
+	events := diffEvents(3000)
 	q := diffQueries[0]
 
-	refRt := greta.NewRuntime()
-	ref, err := refRt.Register(greta.MustCompile(q), greta.WithSharing(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := refRt.RunParallel(context.Background(), greta.NewSliceStream(events), 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := refRt.Close(); err != nil {
-		t.Fatal(err)
-	}
+	ref := reference(t, q, events, 2)
 
 	var relays []*tornRelay
 	var addrs []string
@@ -408,7 +444,7 @@ func TestClusterKillResume(t *testing.T) {
 	if got := co.Metrics().Resumes; got != faults {
 		t.Errorf("%d link faults injected, %d resumes", faults, got)
 	}
-	compareResults(t, "kill-resume", collect(ref), h.Results())
+	compareAtLeast(t, "kill-resume", diffFloors[0], collect(ref), h.Results())
 	if ws, cs := ref.Stats(), h.Stats(); ws != cs {
 		t.Errorf("stats after kill/resume:\nref     %+v\ncluster %+v", ws, cs)
 	}
@@ -473,20 +509,10 @@ func TestClusterLinkRebaseFatal(t *testing.T) {
 // adopt), and the stream continues. Slots keep their home indices, so
 // results and stats stay bit-identical to the 2-worker reference.
 func TestClusterDrainHandoff(t *testing.T) {
-	events := greta.ClusterStream(greta.DefaultCluster(6000))
+	events := diffEvents(3000)
 	q := diffQueries[0]
 
-	refRt := greta.NewRuntime()
-	ref, err := refRt.Register(greta.MustCompile(q), greta.WithSharing(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := refRt.RunParallel(context.Background(), greta.NewSliceStream(events), 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := refRt.Close(); err != nil {
-		t.Fatal(err)
-	}
+	ref := reference(t, q, events, 2)
 
 	addrs := startShards(t, 3)
 	co := connect(t, addrs[:2])
@@ -517,7 +543,7 @@ func TestClusterDrainHandoff(t *testing.T) {
 	if co.Shards() != 3 || co.Slots() != 2 {
 		t.Fatalf("topology after drain: %d shards, %d slots", co.Shards(), co.Slots())
 	}
-	compareResults(t, "drain", collect(ref), h.Results())
+	compareAtLeast(t, "drain", diffFloors[0], collect(ref), h.Results())
 	if ws, cs := ref.Stats(), h.Stats(); ws != cs {
 		t.Errorf("stats after drain:\nref     %+v\ncluster %+v", ws, cs)
 	}
@@ -673,43 +699,36 @@ func TestClusterShutdownLeak(t *testing.T) {
 	t.Errorf("goroutines leaked: %d, baseline %d\n%s", runtime.NumGoroutine(), base, buf[:n])
 }
 
-// TestClusterAbsentSlot: a schema-bound event's shape is the attributes
-// it has. A slot Schema.Bind marked absent (NaN, "") used to ride the
-// frame as a value — NaN, which no frame can carry, so the flush failed
-// the cluster. Bound events with gaps must give what the same events
-// give map-carried, and what RunParallel gives; a value that really is
-// non-finite still fails the cluster, as documented.
-func TestClusterAbsentSlot(t *testing.T) {
-	q := diffQueries[0]
-	var bound, mapped []*greta.Event
-	for i, src := range greta.ClusterStream(greta.DefaultCluster(3000)) {
-		ev := *src
+// carriers rebuilds a stream twice over: bound — each event's maps
+// without the attributes absent drops, bound to the schema schemaOf gives
+// its type, whose slots Bind fills from those maps (what the schema omits
+// stays in the maps alone) — and mapped, the same events carried in maps
+// only.
+func carriers(src []*greta.Event, schemaOf func(*greta.Event) *greta.Schema, absent func(i int, attr string) bool) (bound, mapped []*greta.Event) {
+	for i, s := range src {
+		ev := *s
 		ev.Attrs = map[string]float64{}
-		for a, v := range src.Attrs {
-			if (a == "memory" && i%4 == 1) || (a == "cpu" && i%7 == 3) {
-				continue // absent from this event
+		for a, v := range s.Attrs {
+			if !absent(i, a) {
+				ev.Attrs[a] = v
 			}
-			ev.Attrs[a] = v
 		}
-		ev.Num = nil
-		src.Sch.Bind(&ev)
+		ev.Num, ev.StrV = nil, nil
+		schemaOf(s).Bind(&ev)
 		m := ev
 		m.Sch, m.Num, m.StrV = nil, nil, nil
 		bound, mapped = append(bound, &ev), append(mapped, &m)
 	}
+	return bound, mapped
+}
 
-	refRt := greta.NewRuntime()
-	ref, err := refRt.Register(greta.MustCompile(q), greta.WithSharing(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := refRt.RunParallel(context.Background(), greta.NewSliceStream(bound), 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := refRt.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for label, events := range map[string][]*greta.Event{"bound-with-gaps": bound, "map-carried": mapped} {
+// carrierDifferential holds a 2-shard cluster fed each of streams — one
+// logical stream, carried differently — to RunParallel over ref with two
+// workers: results bit-identical, at least floor of them, Stats equal.
+func carrierDifferential(t *testing.T, q string, floor int, ref []*greta.Event, streams map[string][]*greta.Event) {
+	t.Helper()
+	want := reference(t, q, ref, 2)
+	for label, events := range streams {
 		co := connect(t, startShards(t, 2))
 		h, err := co.Register(q)
 		if err != nil {
@@ -723,11 +742,24 @@ func TestClusterAbsentSlot(t *testing.T) {
 		if err := co.Close(); err != nil {
 			t.Fatalf("%s: close: %v", label, err)
 		}
-		compareResults(t, label, collect(ref), h.Results())
-		if ws, cs := ref.Stats(), h.Stats(); ws != cs {
+		compareAtLeast(t, label, floor, collect(want), h.Results())
+		if ws, cs := want.Stats(), h.Stats(); ws != cs {
 			t.Errorf("%s stats:\nref     %+v\ncluster %+v", label, ws, cs)
 		}
 	}
+}
+
+// TestClusterAbsentSlot: a schema-bound event's shape is the attributes
+// it has. A slot Schema.Bind marked absent (NaN, "") used to ride the
+// frame as a value — NaN, which no frame can carry, so the flush failed
+// the cluster. Bound events with gaps must give what the same events
+// give map-carried, and what RunParallel gives; a value that really is
+// non-finite still fails the cluster, as documented.
+func TestClusterAbsentSlot(t *testing.T) {
+	q := diffQueries[0]
+	bound, mapped := carriers(diffEvents(3000), func(ev *greta.Event) *greta.Schema { return ev.Sch },
+		func(i int, a string) bool { return (a == "memory" && i%4 == 1) || (a == "cpu" && i%7 == 3) })
+	carrierDifferential(t, q, diffFloors[0], bound, map[string][]*greta.Event{"bound-with-gaps": bound, "map-carried": mapped})
 
 	co := connect(t, startShards(t, 2))
 	if _, err := co.Register(q); err != nil {
@@ -742,5 +774,88 @@ func TestClusterAbsentSlot(t *testing.T) {
 	}
 	if err := co.Close(); err == nil || !strings.Contains(err.Error(), "unsupported value: NaN") {
 		t.Fatalf("a NaN attribute value: close = %v, want the frame's encoding error", err)
+	}
+}
+
+// TestClusterPartialSchema: a schema need not list every attribute —
+// Bind leaves the rest in the maps and every reader falls back to them.
+// Events bound to a schema that omits an attribute the query reads, its
+// predicate's (load) or its aggregate's (cpu), with every listed slot
+// filled and with gaps, must give the cluster what they give it
+// map-carried and what they give RunParallel. (The coordinator used to
+// take a bound event's shape from its schema's names alone and dropped
+// the rest: SUM(M.cpu) over the load-less schema came to a third.)
+func TestClusterPartialSchema(t *testing.T) {
+	src := diffEvents(3000)
+	for _, tc := range []struct {
+		name string
+		nums []string
+		gaps bool
+	}{
+		{"omits-predicate-input", []string{"cpu", "memory"}, false},
+		{"omits-aggregate-input", []string{"memory", "load"}, false},
+		{"omits-predicate-input-with-gaps", []string{"cpu", "memory"}, true},
+		{"omits-aggregate-input-with-gaps", []string{"memory", "load"}, true},
+	} {
+		schemas := map[greta.Type]*greta.Schema{}
+		bound, mapped := carriers(src, func(ev *greta.Event) *greta.Schema {
+			if schemas[ev.Type] == nil {
+				schemas[ev.Type] = &greta.Schema{Type: ev.Type, Numeric: tc.nums, Strings: ev.Sch.Strings}
+			}
+			return schemas[ev.Type]
+		}, func(i int, a string) bool {
+			return tc.gaps && ((a == "memory" && i%4 == 1) || (a == "cpu" && i%7 == 3))
+		})
+		carrierDifferential(t, diffQueries[0], diffFloors[0], bound, map[string][]*greta.Event{
+			tc.name + "/partially-bound": bound, tc.name + "/map-carried": mapped})
+	}
+}
+
+// TestCoordinatorShapeCacheBounded is netstream's TestSchemaCacheBounded
+// for the coordinator: a producer that binds every event to a fresh
+// schema, and one that never repeats an attribute-name set, leave the
+// shape cache at its cap with the overflow counted, and the cluster
+// still answers as RunParallel does.
+func TestCoordinatorShapeCacheBounded(t *testing.T) {
+	const extra = 50
+	q := `RETURN COUNT(*), SUM(S.v) PATTERN Stock S+ WHERE [k] WITHIN 1000 SLIDE 1000`
+	for name, tc := range map[string]struct {
+		event          func(i int) *greta.Event
+		held, uncached int
+	}{
+		"fresh-schema": {func(i int) *greta.Event {
+			ev := &greta.Event{Attrs: map[string]float64{"v": float64(i)}, Str: map[string]string{"k": "a"}}
+			(&greta.Schema{Type: "Stock", Numeric: []string{"v"}, Strings: []string{"k"}}).Bind(ev)
+			return ev
+		}, 1, extra},
+		"fresh-names": {func(i int) *greta.Event {
+			return &greta.Event{Attrs: map[string]float64{"v": float64(i), "x" + strconv.Itoa(i): 1}, Str: map[string]string{"k": "a"}}
+		}, event.MaxShapes, extra},
+	} {
+		var events []*greta.Event
+		for i := 0; i < event.MaxShapes+extra; i++ {
+			ev := tc.event(i)
+			ev.ID, ev.Type, ev.Time = uint64(i+1), "Stock", int64(i)
+			events = append(events, ev)
+		}
+		ref := reference(t, q, events, 2)
+		co := connect(t, startShards(t, 2))
+		h, err := co.Register(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range events {
+			if err := co.Process(ev); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		if held, uncached := co.ShapeCache(); held != tc.held || uncached != uint64(tc.uncached) {
+			t.Errorf("%s: cache holds %d shapes (cap %d) with %d lookups uncached, want %d and %d",
+				name, held, event.MaxShapes, uncached, tc.held, tc.uncached)
+		}
+		if err := co.Close(); err != nil {
+			t.Fatalf("%s: close: %v", name, err)
+		}
+		compareAtLeast(t, name, 4, collect(ref), h.Results())
 	}
 }

@@ -193,7 +193,7 @@ func (co *Coordinator) MetricsAddr() string {
 }
 
 // MetricsHandler returns the coordinator's observability HTTP surface
-// (/metrics, /metrics.json, /debug/vars, /debug/pprof/) for mounting
+// (/metrics, /metrics.json, /debug/pprof/) for mounting
 // on a caller-owned server — the embeddable form of Config.MetricsAddr.
 func (co *Coordinator) MetricsHandler() http.Handler { return obs.NewMux(co.reg) }
 

@@ -29,7 +29,7 @@
 // with a diagnostic on stderr (event time vs the violated watermark).
 //
 // Observability: -metrics ADDR serves /metrics (Prometheus text),
-// /metrics.json, /debug/vars, and /debug/pprof/ for the run's
+// /metrics.json, and /debug/pprof/ for the run's
 // lifetime (the bound address is echoed on stderr; ":0" picks a free
 // port). -stats-interval D prints a one-line metrics summary to
 // stderr every D. -linger D holds the stream open that long after the

@@ -198,27 +198,6 @@ func (d *Def) OnStart(dst *Payload, t event.Time) {
 
 var bigOne = big.NewInt(1)
 
-// OnEvent applies the self-contribution of the new event e to each slot
-// whose Type matches (Theorem 9.1):
-// countE += count; sum += attr*count; min/max fold in attr.
-// Must be called after all AddPred calls and after OnStart, because the
-// self terms use the event's final trend count.
-func (d *Def) OnEvent(dst *Payload, e *event.Event) {
-	for i, s := range d.Slots {
-		if s.Type != e.Type {
-			continue
-		}
-		attr, ok := e.Attrs[s.Attr]
-		if s.Kind == SlotCountE {
-			attr, ok = 0, true
-		}
-		if !ok {
-			continue
-		}
-		d.applySelf(dst, i, s.Kind, attr)
-	}
-}
-
 // applySelf folds the self-contribution of one event into slot i.
 func (d *Def) applySelf(dst *Payload, i int, kind SlotKind, attr float64) {
 	dv := &dst.Slots[i]

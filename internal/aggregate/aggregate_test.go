@@ -45,24 +45,24 @@ func TestTheorem91Hand(t *testing.T) {
 
 		a1 := d.New()
 		d.OnStart(a1, 1)
-		d.OnEvent(a1, evA(1, 5))
+		d.OnEventAcc(a1, evA(1, 5), d.NewAccessors())
 
 		b2 := d.New()
 		d.AddPred(b2, a1)
-		d.OnEvent(b2, evB(2))
+		d.OnEventAcc(b2, evB(2), d.NewAccessors())
 
 		a3 := d.New()
 		d.AddPred(a3, a1)
 		d.AddPred(a3, b2)
 		d.OnStart(a3, 3)
-		d.OnEvent(a3, evA(3, 6))
+		d.OnEventAcc(a3, evA(3, 6), d.NewAccessors())
 
 		a4 := d.New()
 		for _, p := range []*Payload{a1, b2, a3} {
 			d.AddPred(a4, p)
 		}
 		d.OnStart(a4, 4)
-		d.OnEvent(a4, evA(4, 4))
+		d.OnEventAcc(a4, evA(4, 4), d.NewAccessors())
 
 		if a4.Count != 6 {
 			t.Fatalf("mode %v: a4.count = %d, want 6", mode, a4.Count)
@@ -72,7 +72,7 @@ func TestTheorem91Hand(t *testing.T) {
 		for _, p := range []*Payload{a1, a3, a4} {
 			d.AddPred(b7, p)
 		}
-		d.OnEvent(b7, evB(7))
+		d.OnEventAcc(b7, evB(7), d.NewAccessors())
 		if b7.Count != 10 {
 			t.Fatalf("mode %v: b7.count = %d, want 10", mode, b7.Count)
 		}
@@ -143,10 +143,10 @@ func TestAddSigned(t *testing.T) {
 	mslot, _ := d.Plan(Spec{Kind: Min, Type: "A", Attr: "x"})
 	a := d.New()
 	d.OnStart(a, 1)
-	d.OnEvent(a, &event.Event{Type: "A", Time: 1, Attrs: map[string]float64{"x": 5}})
+	d.OnEventAcc(a, &event.Event{Type: "A", Time: 1, Attrs: map[string]float64{"x": 5}}, d.NewAccessors())
 	b := d.New()
 	d.OnStart(b, 2)
-	d.OnEvent(b, &event.Event{Type: "A", Time: 2, Attrs: map[string]float64{"x": 3}})
+	d.OnEventAcc(b, &event.Event{Type: "A", Time: 2, Attrs: map[string]float64{"x": 3}}, d.NewAccessors())
 
 	u := d.New()
 	d.AddSigned(u, a, 1)
@@ -187,7 +187,7 @@ func TestValueExtractionBothModes(t *testing.T) {
 		d, slots := defWithAll(mode)
 		p := d.New()
 		d.OnStart(p, 1)
-		d.OnEvent(p, &event.Event{Type: "A", Time: 1, Attrs: map[string]float64{"x": 7}})
+		d.OnEventAcc(p, &event.Event{Type: "A", Time: 1, Attrs: map[string]float64{"x": 7}}, d.NewAccessors())
 		cases := []struct {
 			kind SpecKind
 			want float64
@@ -216,10 +216,10 @@ func TestCloneIndependence(t *testing.T) {
 	d, slots := defWithAll(ModeExact)
 	p := d.New()
 	d.OnStart(p, 1)
-	d.OnEvent(p, &event.Event{Type: "A", Time: 1, Attrs: map[string]float64{"x": 2}})
+	d.OnEventAcc(p, &event.Event{Type: "A", Time: 1, Attrs: map[string]float64{"x": 2}}, d.NewAccessors())
 	c := d.Clone(p)
 	d.OnStart(p, 2)
-	d.OnEvent(p, &event.Event{Type: "A", Time: 2, Attrs: map[string]float64{"x": 9}})
+	d.OnEventAcc(p, &event.Event{Type: "A", Time: 2, Attrs: map[string]float64{"x": 9}}, d.NewAccessors())
 	if got := d.Value(c, Spec{Kind: CountStar}, -1, -1); got != 1 {
 		t.Errorf("clone count = %v, want 1", got)
 	}
@@ -238,7 +238,7 @@ func TestAddSignedExact(t *testing.T) {
 	cslot, _ := d.Plan(Spec{Kind: CountType, Type: "A"})
 	a := d.New()
 	d.OnStart(a, 1)
-	d.OnEvent(a, &event.Event{Type: "A", Time: 1, Attrs: map[string]float64{"x": 5}})
+	d.OnEventAcc(a, &event.Event{Type: "A", Time: 1, Attrs: map[string]float64{"x": 5}}, d.NewAccessors())
 	u := d.New()
 	d.AddSigned(u, a, 1)
 	d.AddSigned(u, a, 1)
@@ -302,8 +302,8 @@ func TestQuickNativeMatchesExact(t *testing.T) {
 				dx.OnStart(px, tm)
 			case 1:
 				e := &event.Event{Type: "A", Time: tm, Attrs: map[string]float64{"x": float64(op % 7)}}
-				dn.OnEvent(pn, e)
-				dx.OnEvent(px, e)
+				dn.OnEventAcc(pn, e, dn.NewAccessors())
+				dx.OnEventAcc(px, e, dx.NewAccessors())
 			case 2:
 				npool = append(npool, dn.Clone(pn))
 				xpool = append(xpool, dx.Clone(px))

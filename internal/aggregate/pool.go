@@ -92,8 +92,12 @@ func (d *Def) NewAccessors() []event.Accessor {
 	return acc
 }
 
-// OnEventAcc is OnEvent reading slot attributes through the accessors
-// returned by NewAccessors (dense schema slots instead of map probes).
+// OnEventAcc applies the self-contribution of the new event e to each
+// slot whose Type matches (Theorem 9.1):
+// countE += count; sum += attr*count; min/max fold in attr.
+// Must be called after all AddPred calls and after OnStart, because the
+// self terms use the event's final trend count. Slot attributes are read
+// through the accessors returned by NewAccessors.
 func (d *Def) OnEventAcc(dst *Payload, e *event.Event, acc []event.Accessor) {
 	for i, s := range d.Slots {
 		if s.Type != e.Type {

@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/big"
 	"sort"
 	"time"
@@ -263,40 +262,26 @@ func (t *evTable) encode(enc *checkpoint.Encoder) {
 		}
 	}
 	enc.U32(uint32(len(t.list)))
+	var nums, strs []string
 	for _, ev := range t.list {
 		enc.U64(ev.ID)
 		enc.String(string(ev.Type))
 		enc.I64(ev.Time)
-		if ev.Sch != nil && ev.Attrs == nil && ev.Str == nil {
-			// Map-free batch row: its dense slots are the only attribute
-			// storage. Encode the present slots as the sorted map entries
-			// an equivalent map-carried bound event would write — batch
-			// rows cannot hold the NaN/"" absence markers as values, so
-			// the rendering (and therefore the snapshot bytes) matches
-			// the per-event feed exactly, and decode's Bind rebuilds the
-			// slots from the maps as usual.
-			encodeRowAttrs(enc, ev)
-		} else {
-			keys := make([]string, 0, len(ev.Attrs))
-			for k := range ev.Attrs {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			enc.U32(uint32(len(keys)))
-			for _, k := range keys {
-				enc.String(k)
-				enc.F64(ev.Attrs[k])
-			}
-			keys = keys[:0]
-			for k := range ev.Str {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			enc.U32(uint32(len(keys)))
-			for _, k := range keys {
-				enc.String(k)
-				enc.String(ev.Str[k])
-			}
+		// The attributes the event has, sorted by name, however it carries
+		// them: a map-free batch row writes the bytes its map-carried twin
+		// does, and decode's Bind rebuilds the slots from the maps.
+		nums, strs = ev.AttrNames(nums, strs)
+		enc.U32(uint32(len(nums)))
+		for _, k := range nums {
+			v, _ := ev.Attr(k)
+			enc.String(k)
+			enc.F64(v)
+		}
+		enc.U32(uint32(len(strs)))
+		for _, k := range strs {
+			v, _ := ev.StrAttr(k)
+			enc.String(k)
+			enc.String(v)
 		}
 		if ev.Sch != nil {
 			enc.Bool(true)
@@ -304,36 +289,6 @@ func (t *evTable) encode(enc *checkpoint.Encoder) {
 		} else {
 			enc.Bool(false)
 		}
-	}
-}
-
-// encodeRowAttrs writes a map-free schema-bound row's attributes in
-// the exact wire form of a map-carried event: present numeric slots
-// (non-NaN) then present string slots (non-""), each sorted by name.
-func encodeRowAttrs(enc *checkpoint.Encoder, ev *event.Event) {
-	keys := make([]string, 0, len(ev.Num))
-	for i, a := range ev.Sch.Numeric {
-		if i < len(ev.Num) && !math.IsNaN(ev.Num[i]) {
-			keys = append(keys, a)
-		}
-	}
-	sort.Strings(keys)
-	enc.U32(uint32(len(keys)))
-	for _, k := range keys {
-		enc.String(k)
-		enc.F64(ev.Num[ev.Sch.NumSlot(k)])
-	}
-	keys = keys[:0]
-	for i, a := range ev.Sch.Strings {
-		if i < len(ev.StrV) && ev.StrV[i] != "" {
-			keys = append(keys, a)
-		}
-	}
-	sort.Strings(keys)
-	enc.U32(uint32(len(keys)))
-	for _, k := range keys {
-		enc.String(k)
-		enc.String(ev.StrV[ev.Sch.StrSlot(k)])
 	}
 }
 

@@ -200,3 +200,54 @@ func TestRestoreCorruptErrors(t *testing.T) {
 		})
 	}
 }
+
+// TestEvTableEncodeCarriers: the checkpoint writes an event's attributes
+// the same way however the event carries them — in maps only, bound to a
+// schema listing all of them, bound to one listing a few (the rest left
+// in the maps), or as a map-free batch row. Only the schema table and
+// the event's reference into it may differ.
+func TestEvTableEncodeCarriers(t *testing.T) {
+	full := &event.Schema{Type: "T", Numeric: []string{"c", "a", "b"}, Strings: []string{"s", "r"}}
+	partial := &event.Schema{Type: "T", Numeric: []string{"b", "zz"}, Strings: []string{"r"}}
+	// record returns the bytes of ev's entry between the event count and
+	// the schema reference.
+	record := func(ev *event.Event) []byte {
+		tab := newEvTable()
+		tab.ref(ev)
+		var buf bytes.Buffer
+		enc := checkpoint.NewEncoder(&buf)
+		tab.encode(enc)
+		if err := enc.Err(); err != nil {
+			t.Fatal(err)
+		}
+		d := checkpoint.NewDecoder(buf.Bytes())
+		decodeSchemas(d)
+		rec := buf.Bytes()[buf.Len()-d.Remaining()+4:]
+		if ev.Sch != nil {
+			return rec[:len(rec)-5]
+		}
+		return rec[:len(rec)-1]
+	}
+	for i, ev := range []*event.Event{
+		{ID: 7, Type: "T", Time: 3, Attrs: map[string]float64{"a": 1, "b": 2.5, "c": -3}, Str: map[string]string{"r": "x", "s": "y"}},
+		{ID: 8, Type: "T", Time: 4, Attrs: map[string]float64{"b": 2}, Str: map[string]string{"s": "y"}},
+		{ID: 9, Type: "T", Time: 5, Attrs: map[string]float64{"a": 1, "c": 0}},
+		{ID: 10, Type: "T", Time: 6},
+	} {
+		want := record(ev)
+		for _, sch := range []*event.Schema{full, partial} {
+			bound := *ev
+			sch.Bind(&bound)
+			if got := record(&bound); !bytes.Equal(got, want) {
+				t.Errorf("event %d bound to %v encodes\n%x\nmap-carried\n%x", i, sch.Numeric, got, want)
+			}
+		}
+		b := event.NewBatch(full, 1)
+		if err := b.AppendEvent(ev); err != nil {
+			t.Fatal(err)
+		}
+		if got := record(b.Row(0)); !bytes.Equal(got, want) {
+			t.Errorf("event %d as a batch row encodes\n%x\nmap-carried\n%x", i, got, want)
+		}
+	}
+}

@@ -56,11 +56,8 @@ func (a *Accessor) Float(e *Event) (float64, bool) {
 	return v, ok
 }
 
-// Str returns the string value of the attribute and whether it is
-// present. An empty dense slot marks absence at Bind; both that case
-// and attributes outside the schema re-check the map, so a stored
-// empty string or a partial schema read the same as the schemaless
-// fallback.
+// Str is Float for a string attribute: an empty dense slot marks
+// absence, and the map is re-checked as there.
 func (a *Accessor) Str(e *Event) (string, bool) {
 	if a.resolve(e) && a.str >= 0 && a.str < len(e.StrV) {
 		if s := e.StrV[a.str]; s != "" {

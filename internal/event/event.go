@@ -54,14 +54,14 @@ type Event struct {
 
 // Attr returns the numeric attribute named name and whether it exists.
 func (e *Event) Attr(name string) (float64, bool) {
-	v, ok := e.Attrs[name]
-	return v, ok
+	a := NewAccessor(name)
+	return a.Float(e)
 }
 
 // StrAttr returns the string attribute named name and whether it exists.
 func (e *Event) StrAttr(name string) (string, bool) {
-	v, ok := e.Str[name]
-	return v, ok
+	a := NewAccessor(name)
+	return a.Str(e)
 }
 
 // String renders the event as "a1", "b7" style when the type is a single

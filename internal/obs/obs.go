@@ -16,9 +16,8 @@
 //     where allocation is fine.
 //
 // A Registry owns the declared metric families and renders them in
-// Prometheus text exposition format and as JSON (the latter doubles as
-// the expvar view). Collectors let an owner publish values that live
-// in existing structures (engine Stats, reorder depth, slot ack
+// Prometheus text exposition format and as JSON. Collectors let an
+// owner publish values that live in existing structures (engine Stats, reorder depth, slot ack
 // frontiers) without mirroring them into cells on the hot path.
 package obs
 
@@ -395,15 +394,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	b.WriteString("}\n")
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// String implements expvar.Var: the JSON view as one value.
-func (r *Registry) String() string {
-	var b strings.Builder
-	if err := r.WriteJSON(&b); err != nil {
-		return "{}"
-	}
-	return strings.TrimSpace(b.String())
 }
 
 // Handler serves the Prometheus text view.

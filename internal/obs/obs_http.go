@@ -1,41 +1,24 @@
 package obs
 
 import (
-	"expvar"
-	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync/atomic"
 )
-
-// muxSeq numbers expvar publications: expvar.Publish panics on a
-// duplicate name and offers no unpublish, so each mux registers its
-// registry under a fresh "greta.metrics.<n>" name. The canonical name
-// maps to the first registry published in the process.
-var muxSeq atomic.Uint64
 
 // NewMux builds the observability HTTP surface for one registry:
 //
 //	/metrics       Prometheus text exposition (0.0.4)
 //	/metrics.json  flat JSON view of the same series
-//	/debug/vars    expvar (the registry is published as an expvar.Var)
 //	/debug/pprof/  the standard runtime profiles
 //
-// The registry is also published to the process-global expvar table so
-// any expvar consumer sees it; the first mux claims "greta.metrics",
-// later ones get numbered names.
+// The mux holds the only reference it makes to the registry: nothing
+// is published process-wide, so a runtime whose handler is dropped can
+// be collected.
 func NewMux(reg *Registry) *http.ServeMux {
-	name := "greta.metrics"
-	if n := muxSeq.Add(1); n > 1 {
-		name = fmt.Sprintf("greta.metrics.%d", n)
-	}
-	expvar.Publish(name, reg)
-
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", reg.Handler())
 	mux.Handle("/metrics.json", reg.JSONHandler())
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

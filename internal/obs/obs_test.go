@@ -172,9 +172,6 @@ func TestJSONViewStable(t *testing.T) {
 			t.Fatalf("JSON view unstable:\n%s\nvs\n%s", first, b.String())
 		}
 	}
-	if s := r.String(); !strings.HasPrefix(s, "{") || !strings.HasSuffix(s, "}") {
-		t.Fatalf("expvar String() not a JSON object: %q", s)
-	}
 }
 
 func TestConcurrentCells(t *testing.T) {

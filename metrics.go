@@ -58,7 +58,6 @@ const (
 //
 //	/metrics       Prometheus text exposition (0.0.4)
 //	/metrics.json  the same series as flat JSON
-//	/debug/vars    expvar
 //	/debug/pprof/  the standard runtime profiles
 //
 // The endpoint is live for the Runtime's lifetime and closed by Close.
@@ -110,7 +109,7 @@ func (rt *Runtime) MetricsAddr() string {
 }
 
 // MetricsHandler returns the runtime's observability HTTP surface
-// (/metrics, /metrics.json, /debug/vars, /debug/pprof/) for mounting
+// (/metrics, /metrics.json, /debug/pprof/) for mounting
 // on a caller-owned server — the embeddable form of WithMetricsAddr.
 // Rendering samples runtime state under its lock; do not call the
 // handler from a trace hook or result callback.

@@ -236,7 +236,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	// The JSON view and pprof mounts serve on the same listener.
-	for _, path := range []string{"/metrics.json", "/debug/vars", "/debug/pprof/cmdline"} {
+	for _, path := range []string{"/metrics.json", "/debug/pprof/cmdline"} {
 		r2, err := http.Get("http://" + addr + path)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)

@@ -10,6 +10,7 @@ import (
 	"strconv"
 
 	"github.com/greta-cep/greta"
+	"github.com/greta-cep/greta/internal/event"
 )
 
 // The batch frame — {"cmd":"batch","seq":…,"type":…,"time":0,
@@ -382,7 +383,7 @@ func (sess *session) fillRowLocked(bl *batchLine, i int, ev *greta.Event) {
 // slabs are the only allocations — with the engine ids after sess.evID,
 // which the caller commits as it applies the rows. sess.mu held.
 func (sess *session) batchLocked(bl *batchLine, skip int) *greta.Batch {
-	sch := sess.schemaLocked(bl.typ, bl.nums, bl.strs)
+	sch := event.InternShape(&sess.shapes, bl.typ, bl.nums, bl.strs)
 	size := 0
 	if rows := len(bl.times) - skip; rows > 0 {
 		// Batch.Append grows by doubling from 16 rows: starting at the size

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"github.com/greta-cep/greta"
+	"github.com/greta-cep/greta/internal/event"
 )
 
 // wireOf is the WireEvent whose json.Marshal a BatchFrame's encoding
@@ -356,7 +357,7 @@ type recordConn struct {
 func (c recordConn) Write(p []byte) (int, error) { return c.w.Write(p) }
 
 // TestSchemaCacheBounded: a client that never repeats a shape cannot
-// grow the session without limit. Past maxSchemas a new shape's schema
+// grow the session without limit. Past event.MaxShapes a new shape's schema
 // is built for the frame (or event line) at hand alone — counted — and
 // the results are those of a runtime fed the same events.
 func TestSchemaCacheBounded(t *testing.T) {
@@ -382,14 +383,14 @@ func TestSchemaCacheBounded(t *testing.T) {
 	var el eventLine
 	var bl batchLine
 	const extra = 50
-	for i := 0; i < maxSchemas+extra; i++ {
+	for i := 0; i < event.MaxShapes+extra; i++ {
 		line := fmt.Sprintf(`{"cmd":"batch","type":"Stock","time":0,"times":[%d,%d],"cols":{"a%d":[1,2]}}`, i, i, i)
 		if !bl.parse([]byte(line)) || sess.handleBatchLine(conn, &bl) {
 			t.Fatalf("frame %d not applied", i)
 		}
 		feedRef(int64(i), fmt.Sprintf("a%d", i), 1)
 		feedRef(int64(i), fmt.Sprintf("a%d", i), 2)
-		if i >= maxSchemas { // the event line binds through the same cache, under the same bound
+		if i >= event.MaxShapes { // the event line binds through the same cache, under the same bound
 			line = fmt.Sprintf(`{"type":"Stock","time":%d,"attrs":{"b%d":3}}`, i, i)
 			if !el.parse([]byte(line)) {
 				t.Fatalf("event line %d declined", i)
@@ -400,8 +401,8 @@ func TestSchemaCacheBounded(t *testing.T) {
 			feedRef(int64(i), fmt.Sprintf("b%d", i), 3)
 		}
 	}
-	if len(sess.schemas) != maxSchemas || sess.schemasUncached != 2*extra {
-		t.Errorf("schema cache holds %d shapes (cap %d) with %d built uncached, want %d", len(sess.schemas), maxSchemas, sess.schemasUncached, 2*extra)
+	if sess.shapes.Len() != event.MaxShapes || sess.shapes.Uncached() != 2*extra {
+		t.Errorf("schema cache holds %d shapes (cap %d) with %d built uncached, want %d", sess.shapes.Len(), event.MaxShapes, sess.shapes.Uncached(), 2*extra)
 	}
 	if sess.processed != id || sess.dropped != 0 {
 		t.Errorf("applied %d rows, dropped %d, sent %d", sess.processed, sess.dropped, id)

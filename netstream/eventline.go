@@ -2,7 +2,6 @@ package netstream
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"math"
 	"slices"
@@ -10,6 +9,7 @@ import (
 	"unicode/utf8"
 
 	"github.com/greta-cep/greta"
+	"github.com/greta-cep/greta/internal/event"
 )
 
 // The event line — {"seq":…,"type":…,"time":…,"attrs":{…},"str":{…}} —
@@ -364,13 +364,9 @@ func scanNumber(b []byte, i int) (end int, ok bool) {
 	return i, true
 }
 
-// maxInterned bounds a session's string-value intern table and
-// maxSchemas its schema cache; values and shapes past them are still
-// correct, they just cost their own allocations.
-const (
-	maxInterned = 4096
-	maxSchemas  = 4096
-)
+// maxInterned bounds a session's string-value intern table; values
+// past it are still correct, they just cost their own allocations.
+const maxInterned = 4096
 
 // internLocked returns val as a string the session has seen before, if
 // it has. sess.mu held.
@@ -388,52 +384,13 @@ func (sess *session) internLocked(val []byte) string {
 	return s
 }
 
-// schemaLocked returns the session's schema for a (type, attribute
-// names) shape, creating it on first sight: both codecs bind to it, so
-// repeated input of one shape reuses one schema pointer. The lookup key
-// is built in scratch from the name spans (length-prefixed, so no two
-// shapes share one) and no string is made on a hit. Past maxSchemas a
-// new shape's schema is built for the frame at hand and not kept.
-// sess.mu held.
-func (sess *session) schemaLocked(typ []byte, nums, strs [][]byte) *greta.Schema {
-	key := binary.AppendUvarint(sess.shapeKey[:0], uint64(len(typ)))
-	key = append(key, typ...)
-	key = binary.AppendUvarint(key, uint64(len(nums)))
-	for _, names := range [2][][]byte{nums, strs} {
-		for _, a := range names {
-			key = binary.AppendUvarint(key, uint64(len(a)))
-			key = append(key, a...)
-		}
-	}
-	sess.shapeKey = key
-	if sch := sess.schemas[string(key)]; sch != nil {
-		return sch
-	}
-	sch := &greta.Schema{Type: greta.Type(typ)}
-	for _, a := range nums {
-		sch.Numeric = append(sch.Numeric, string(a))
-	}
-	for _, a := range strs {
-		sch.Strings = append(sch.Strings, string(a))
-	}
-	if len(sess.schemas) >= maxSchemas {
-		sess.schemasUncached++
-		return sch
-	}
-	if sess.schemas == nil {
-		sess.schemas = map[string]*greta.Schema{}
-	}
-	sess.schemas[string(key)] = sch
-	return sch
-}
-
 // bindLocked turns a parsed event line into the schema-bound event the
 // runtime keeps: the schema comes from the session's shape cache (the
 // one batch frames use), attribute names live in the schema, and string
 // values are interned, so the event, its numeric slots and its string
 // slots are the only allocations. sess.mu held.
 func (sess *session) bindLocked(el *eventLine, id uint64) *greta.Event {
-	sch := sess.schemaLocked(el.typ, el.nums, el.strs)
+	sch := event.InternShape(&sess.shapes, el.typ, el.nums, el.strs)
 	ev := &greta.Event{ID: id, Type: sch.Type, Time: el.time, Sch: sch}
 	if len(el.vals) > 0 {
 		ev.Num = slices.Clone(el.vals)

@@ -109,7 +109,7 @@
 // by seq on the client: exactly-once delivery over an at-least-once
 // wire. If the server process itself restarted, RestoreSession
 // rebuilds the parked session from its checkpoint directory — the
-// snapshot embeds the session id and cursors (WithCheckpointMeta) and
+// snapshot embeds the session id and cursors (SetCheckpointMeta) and
 // rehydrates the reorder buffer's in-flight events — and the same
 // client resume proceeds against the recovered state.
 //

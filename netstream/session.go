@@ -10,11 +10,12 @@ import (
 	"time"
 
 	"github.com/greta-cep/greta"
+	"github.com/greta-cep/greta/internal/event"
 	"github.com/greta-cep/greta/internal/ring"
 )
 
 // sessionMeta is the opaque blob embedded in each checkpoint via
-// WithCheckpointMeta: the session identity and cursors that must stay
+// SetCheckpointMeta: the session identity and cursors that must stay
 // atomic with the engine state they describe.
 type sessionMeta struct {
 	ID        string `json:"id"`
@@ -79,16 +80,13 @@ type session struct {
 	// shard holds the cluster worker slots once the session flipped
 	// into shard mode (Server.AllowShard + {"cmd":"shard"}).
 	shard *shardState
-	// schemas caches the per-(type, attribute-set) schemas batch frames
-	// and event lines bind to (schemaLocked: at most maxSchemas, with
-	// schemasUncached counting those built past it), so repeated input of
-	// one shape reuses one schema pointer (the runtime's columnar
-	// pre-filter caches per schema identity). shapeKey is the lookup-key
-	// scratch and interned the bounded string-value table.
-	schemas         map[string]*greta.Schema
-	schemasUncached uint64
-	shapeKey        []byte
-	interned        map[string]string
+	// shapes interns the per-(type, attribute names) schemas batch frames
+	// and event lines bind to, bounded (event.MaxShapes), so repeated
+	// input of one shape reuses one schema pointer (the runtime's columnar
+	// pre-filter caches per schema identity). interned is the bounded
+	// string-value table.
+	shapes   event.ShapeCache
+	interned map[string]string
 }
 
 // sendLocked emits one output line (mu held). Durable lines in a
@@ -130,7 +128,7 @@ func (sess *session) flushLocked() error {
 	return sess.w.Flush()
 }
 
-// metaBytes is the WithCheckpointMeta provider: it runs on the ingest
+// metaBytes is the SetCheckpointMeta provider: it runs on the ingest
 // path inside rt.Process (which the session only calls under mu), so
 // reading the cursors directly is safe and it must not lock.
 func (sess *session) metaBytes() []byte {

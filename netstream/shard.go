@@ -9,6 +9,7 @@ import (
 
 	"github.com/greta-cep/greta"
 	"github.com/greta-cep/greta/internal/core"
+	"github.com/greta-cep/greta/internal/event"
 )
 
 // Shard sessions: the server side of a cluster worker link. A
@@ -288,7 +289,7 @@ func (sess *session) applyShardBatchLocked(bl *batchLine) {
 		return
 	}
 	sh := sess.shard
-	sch := sess.schemaLocked(bl.typ, bl.nums, bl.strs)
+	sch := event.InternShape(&sess.shapes, bl.typ, bl.nums, bl.strs)
 	// The frame's rows share three slabs of exactly their size: a link's
 	// frames change shape every few rows (half carry one), and an event
 	// batch, 16 rows at the least, would pin several times the memory the

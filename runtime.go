@@ -85,9 +85,6 @@ func NewRuntime(opts ...RuntimeOption) *Runtime {
 			panic(err)
 		}
 	}
-	if cfg.ckMeta != nil {
-		rt.inner.SetCheckpointMeta(cfg.ckMeta)
-	}
 	if err := rt.armObs(&cfg); err != nil {
 		panic(err)
 	}
@@ -103,7 +100,6 @@ type runtimeConfig struct {
 	ckDir       string
 	ckEvery     Time
 	ckErr       func(error)
-	ckMeta      func() []byte
 	slack       Time
 	metricsAddr string
 	trace       func(TraceEvent)

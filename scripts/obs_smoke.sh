@@ -48,7 +48,6 @@ curl -fsS "$url" >"$tmp/cli.prom"
     greta_checkpoint_age_seconds \
     <"$tmp/cli.prom"
 curl -fsS "${url%/metrics}/metrics.json" >/dev/null
-curl -fsS "${url%/metrics}/debug/vars" >/dev/null
 wait "$cli" || { echo "obs_smoke: gretacli failed" >&2; cat "$tmp/cli.err" >&2; exit 1; }
 grep -q '^stats: events=' "$tmp/cli.err" || { echo "obs_smoke: -stats-interval never printed" >&2; exit 1; }
 
