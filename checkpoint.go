@@ -93,13 +93,13 @@ func (rt *Runtime) Checkpoint() error { return rt.inner.CheckpointNow() }
 // run bit for bit.
 //
 // Restored handles deliver replayed and future results through the
-// usual OnResult/Results surfaces; for statements registered with
-// retention the results emitted before the checkpoint are available
-// again through Results (in group/window order — emission order is not
-// recorded). Result callbacks are not persisted: re-register them via
-// Handle.OnResult before feeding the replay. Undelivered live-iterator
-// tails (WithoutRetention) are intentionally not checkpointed — their
-// contract is bounded memory, not durability.
+// usual OnResult/Results surfaces; with retention (composite statements
+// included: they emit per window too) the results emitted before the
+// checkpoint are available again through Results (in group/window
+// order — emission order is not recorded). Result callbacks are not
+// persisted: re-register them via Handle.OnResult before the replay.
+// Undelivered live-iterator tails (WithoutRetention) are intentionally
+// not checkpointed — their contract is bounded memory, not durability.
 type Restored struct {
 	*Runtime
 	Handles    []*Handle

@@ -34,9 +34,9 @@
 //
 // Deliberately not distributed: the shared sub-plan network (cluster
 // statements register exclusively), reorder slack, and unpartitioned
-// or composite statements — the latter run inline on the coordinator,
-// preserving sequential semantics, just as RunParallel keeps them on
-// its feed goroutine.
+// or composite statements — the latter run inline on the coordinator
+// (sequential semantics, results emitted inside Process as each window
+// closes), just as RunParallel keeps them on its feed goroutine.
 package cluster
 
 import (
@@ -117,9 +117,9 @@ func ServeShard() *netstream.Server {
 //
 // A Coordinator is safe for concurrent use; operations that span a
 // network round trip (Register, Handle.Close, Drain, Close) serialize.
-// Result callbacks fire on link reader goroutines with the
-// coordinator's lock held — they must not call back into the
-// Coordinator.
+// Result callbacks fire with the coordinator's lock held — on link
+// reader goroutines, or inside Process for inline statements — and
+// must not call back into the Coordinator.
 type Coordinator struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -434,7 +434,7 @@ func (co *Coordinator) Register(src string, opts ...RegisterOption) (*Handle, er
 	u := &unit{
 		si: co.nextSI, gi: gi, st: st,
 		win: st.WindowSpec(), parPrev: co.wm,
-		merge:     core.NewSlotMerge(st, co.n0),
+		merge:     core.NewSlotMerge(st.Engine(), co.n0, nil),
 		statsSeen: make([]bool, co.n0),
 		statsLeft: co.n0,
 		regPend:   map[*link]bool{},

@@ -995,13 +995,15 @@ func encodeEngine(enc *checkpoint.Encoder, tab *evTable, e *Engine) {
 			}
 		}
 	} else {
-		enc.U32(uint32(len(e.branchEngines)))
-		for _, be := range e.branchEngines {
-			encodeEngine(enc, tab, be)
-		}
-		enc.U32(uint32(len(e.productEngines)))
-		for _, pe := range e.productEngines {
-			encodeEngine(enc, tab, pe)
+		// Branches, then products (a composite plan has at least one), each
+		// run behind its count. The merger has no section: it is empty
+		// whenever a snapshot can be taken (Engine.release).
+		enc.U32(uint32(e.branches))
+		for slot, se := range e.subs {
+			if slot == e.branches {
+				enc.U32(uint32(len(e.subs) - e.branches))
+			}
+			encodeEngine(enc, tab, se)
 		}
 	}
 }
@@ -1043,23 +1045,27 @@ func decodeEngine(d *checkpoint.Decoder, events []*event.Event, e *Engine) error
 			}
 		}
 	} else {
-		nbr := d.Len(1)
-		if d.Err() == nil && nbr != len(e.branchEngines) {
-			return d.Corrupt("engine has %d branches, plan has %d", nbr, len(e.branchEngines))
+		if nbr := d.Len(1); d.Err() == nil && nbr != e.branches {
+			return d.Corrupt("engine has %d branches, plan has %d", nbr, e.branches)
 		}
-		for i := 0; i < nbr; i++ {
-			if err := decodeEngine(d, events, e.branchEngines[i]); err != nil {
+		for slot, se := range e.subs {
+			if slot == e.branches {
+				if n, npr := d.Len(1), len(e.subs)-e.branches; d.Err() == nil && n != npr {
+					return d.Corrupt("engine has %d products, plan has %d", n, npr)
+				}
+			}
+			if err := decodeEngine(d, events, se); err != nil {
 				return err
 			}
-		}
-		npr := d.Len(1)
-		if d.Err() == nil && npr != len(e.productEngines) {
-			return d.Corrupt("engine has %d products, plan has %d", npr, len(e.productEngines))
-		}
-		for i := 0; i < npr; i++ {
-			if err := decodeEngine(d, events, e.productEngines[i]); err != nil {
-				return err
+			// Sub-engines retain nothing, so their result lists are written
+			// empty. A body from before composite plans emitted per window
+			// lists every window the sub-engine had closed; those partials
+			// were never composed, so they go to the merger, which delivers
+			// them at the next window close.
+			for _, r := range se.results {
+				e.merge.Add(slot, r.Group, r.Wid, r.Payload)
 			}
+			se.results = nil
 		}
 	}
 	return d.Err()

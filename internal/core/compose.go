@@ -2,13 +2,14 @@ package core
 
 import (
 	"math/big"
-	"time"
 
 	"github.com/greta-cep/greta/internal/aggregate"
 )
 
-// composeResults combines branch and product-engine results into final
-// results for composite plans (paper §9):
+// compose is the composite engine's window fold: it combines one
+// (group, window)'s branch and product partials — parts is in slot
+// order, branches first — into the final payload (paper §9), or nil when
+// that payload is zero and the window has nothing to report:
 //
 //   - Disjunction (and Kleene star / optional, which expand into
 //     disjunctions of positive branches): inclusion–exclusion over
@@ -20,69 +21,28 @@ import (
 //   - Conjunction (Pi AND Pj): pairs of distinct trends. With exclusive
 //     counts Ci = COUNT(Pi)−Cij, Cj = COUNT(Pj)−Cij, and Cij the
 //     intersection count, COUNT = Ci·Cj + Ci·Cij + Cj·Cij + C(Cij, 2).
-func (e *Engine) composeResults() {
-	type key struct {
-		group string
-		wid   int64
-	}
+func (e *Engine) compose(parts []*aggregate.Payload) *aggregate.Payload {
 	def := e.plan.Def()
-	branchRes := make([]map[key]*aggregate.Payload, len(e.branchEngines))
-	keys := map[key]bool{}
-	for i, be := range e.branchEngines {
-		branchRes[i] = map[key]*aggregate.Payload{}
-		for _, r := range be.Results() {
-			k := key{r.Group, r.Wid}
-			branchRes[i][k] = r.Payload
-			keys[k] = true
+	var payload *aggregate.Payload
+	if e.plan.Conjunct {
+		payload = e.composeConjunction(def, parts[0], parts[1], parts[2])
+	} else {
+		payload = def.New()
+		for _, p := range parts[:e.branches] {
+			def.AddSigned(payload, p, 1)
 		}
-	}
-	prodRes := make([]map[key]*aggregate.Payload, len(e.productEngines))
-	for i, pe := range e.productEngines {
-		prodRes[i] = map[key]*aggregate.Payload{}
-		for _, r := range pe.Results() {
-			prodRes[i][key{r.Group, r.Wid}] = r.Payload
-		}
-	}
-	for k := range keys {
-		var payload *aggregate.Payload
-		if e.plan.Conjunct {
-			payload = e.composeConjunction(def, branchRes[0][k], branchRes[1][k], prodRes[0][k])
-		} else {
-			payload = def.New()
-			for i := range e.branchEngines {
-				def.AddSigned(payload, branchRes[i][k], 1)
+		for i, mask := range e.plan.Masks {
+			sign := 1
+			if popcount(mask)%2 == 0 {
+				sign = -1
 			}
-			for i, mask := range e.plan.Masks {
-				sign := 1
-				if popcount(mask)%2 == 0 {
-					sign = -1
-				}
-				def.AddSigned(payload, prodRes[i][k], sign)
-			}
-		}
-		if payload.Zero() {
-			continue
-		}
-		r := Result{
-			Group:       k.group,
-			Wid:         k.wid,
-			WindowStart: e.plan.Window.Start(k.wid),
-			WindowEnd:   e.plan.Window.End(k.wid),
-			Payload:     payload,
-			Emitted:     time.Now(),
-		}
-		for _, ss := range e.plan.Specs {
-			r.Values = append(r.Values, def.Value(payload, ss.Spec, ss.Slot, ss.Slot2))
-		}
-		e.emitted++
-		if !e.noRetain {
-			e.results = append(e.results, r)
-		}
-		if e.onResult != nil {
-			e.onResult(r)
+			def.AddSigned(payload, parts[e.branches+i], sign)
 		}
 	}
-	sortResults(e.results)
+	if payload.Zero() {
+		return nil
+	}
+	return payload
 }
 
 // composeConjunction applies the paper's conjunction count formula.

@@ -24,7 +24,7 @@ func (e *Engine) DOT() string {
 	b.WriteString("digraph greta {\n  rankdir=LR;\n  node [shape=box, fontname=\"monospace\"];\n")
 	if !e.plan.Simple() {
 		fmt.Fprintf(&b, "  // composite plan: %d branches, %d products — render branches individually\n",
-			len(e.branchEngines), len(e.productEngines))
+			e.branches, len(e.subs)-e.branches)
 		b.WriteString("}\n")
 		return b.String()
 	}

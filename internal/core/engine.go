@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"time"
 
@@ -95,9 +96,12 @@ type Engine struct {
 	// sources use a handful of schemas at most). See batch.go.
 	prefilters []*batchPrefilter
 
-	// composite plan state (disjunction / conjunction, §9)
-	branchEngines  []*Engine
-	productEngines []*Engine
+	// composite plan state (disjunction / conjunction, §9): the branch
+	// engines, then the product engines — the index is the engine's slot in
+	// merge, which folds each closed window's partials with compose.
+	subs     []*Engine
+	branches int
+	merge    *SlotMerge
 
 	partAttrs []string // partition key attributes (group-by + equivalence)
 
@@ -128,12 +132,14 @@ func NewEngine(plan *Plan) *Engine {
 	e.partAttrs = append(append([]string{}, plan.GroupBy...), plan.Query.Equivalence...)
 	e.parts = newPartTable(e.partAttrs, e.wirePartition)
 	if !plan.Simple() {
-		for _, bp := range plan.Branches {
-			e.branchEngines = append(e.branchEngines, NewEngine(bp))
+		e.branches = len(plan.Branches)
+		for slot, sp := range slices.Concat(plan.Branches, plan.Products) {
+			se := NewEngine(sp)
+			se.noRetain = true
+			se.onResult = func(r Result) { e.merge.Add(slot, r.Group, r.Wid, r.Payload) }
+			e.subs = append(e.subs, se)
 		}
-		for _, pp := range plan.Products {
-			e.productEngines = append(e.productEngines, NewEngine(pp))
-		}
+		e.merge = NewSlotMerge(e, len(e.subs), e.compose)
 		return e
 	}
 	// Dependency order: deeper (negative) graphs first. Split appends
@@ -158,11 +164,8 @@ func NewEngine(plan *Plan) *Engine {
 // debugging. Call before the first Process.
 func (e *Engine) SetForceVertexScan(on bool) {
 	e.forceScan = on
-	for _, be := range e.branchEngines {
-		be.SetForceVertexScan(on)
-	}
-	for _, pe := range e.productEngines {
-		pe.SetForceVertexScan(on)
+	for _, se := range e.subs {
+		se.SetForceVertexScan(on)
 	}
 }
 
@@ -197,13 +200,10 @@ func (e *Engine) Process(ev *event.Event) {
 			return
 		}
 		e.stats.Events++
-		for _, be := range e.branchEngines {
-			be.Process(ev)
+		for _, se := range e.subs {
+			se.Process(ev)
 		}
-		for _, pe := range e.productEngines {
-			pe.Process(ev)
-		}
-		e.prevTime = ev.Time
+		e.release(ev.Time)
 		return
 	}
 	if e.admit(ev) {
@@ -341,8 +341,28 @@ func (e *Engine) openWids() []int64 {
 	return wids
 }
 
-// emit materializes a Result from a final payload.
-func (e *Engine) emit(group string, wid int64, payload *aggregate.Payload) {
+// release ends every composite entry that moves the clock: the
+// sub-engines have closed the windows that ended by t and filed their
+// partials, so each slot acknowledges the highest of them and the merger
+// composes and emits those windows. All slots share this one clock,
+// which is why the merger is empty whenever control returns to the
+// caller.
+func (e *Engine) release(t event.Time) {
+	if _, hi, ok := e.plan.Window.ClosedBy(e.prevTime, t); ok {
+		e.ackAll(hi)
+	}
+	e.prevTime = t
+}
+
+// ackAll acknowledges windows up to hi on every slot of the merger.
+func (e *Engine) ackAll(hi int64) {
+	for slot := range e.subs {
+		e.merge.Ack(slot, hi)
+	}
+}
+
+// result materializes the Result of a window's final payload.
+func (e *Engine) result(group string, wid int64, payload *aggregate.Payload) Result {
 	def := e.plan.Def()
 	r := Result{
 		Group:       group,
@@ -358,6 +378,14 @@ func (e *Engine) emit(group string, wid int64, payload *aggregate.Payload) {
 	for _, ss := range e.plan.Specs {
 		r.Values = append(r.Values, def.Value(payload, ss.Spec, ss.Slot, ss.Slot2))
 	}
+	return r
+}
+
+// emit is the one way a window's result leaves an engine: counted,
+// retained unless the engine drops on delivery, and handed to the
+// callback.
+func (e *Engine) emit(group string, wid int64, payload *aggregate.Payload) {
+	r := e.result(group, wid, payload)
 	e.emitted++
 	if !e.noRetain {
 		e.results = append(e.results, r)
@@ -380,11 +408,8 @@ func (e *Engine) setRetainResults(on bool) { e.noRetain = !on }
 // registration watermark onward.
 func (e *Engine) setWatermark(t event.Time) {
 	e.prevTime = t
-	for _, be := range e.branchEngines {
-		be.setWatermark(t)
-	}
-	for _, pe := range e.productEngines {
-		pe.setWatermark(t)
+	for _, se := range e.subs {
+		se.setWatermark(t)
 	}
 }
 
@@ -397,13 +422,10 @@ func (e *Engine) AdvanceTo(t event.Time) {
 		return
 	}
 	if !e.plan.Simple() {
-		for _, be := range e.branchEngines {
-			be.AdvanceTo(t)
+		for _, se := range e.subs {
+			se.AdvanceTo(t)
 		}
-		for _, pe := range e.productEngines {
-			pe.AdvanceTo(t)
-		}
-		e.prevTime = t
+		e.release(t)
 		return
 	}
 	e.closeUpTo(t)
@@ -420,13 +442,11 @@ func (e *Engine) Run(s event.Stream) {
 // Flush closes all open windows in all partitions.
 func (e *Engine) Flush() {
 	if !e.plan.Simple() {
-		for _, be := range e.branchEngines {
-			be.Flush()
+		for _, se := range e.subs {
+			se.Flush()
 		}
-		for _, pe := range e.productEngines {
-			pe.Flush()
-		}
-		e.composeResults()
+		e.ackAll(math.MaxInt64)
+		sortResults(e.results)
 		return
 	}
 	e.samplePeaks()
@@ -498,15 +518,13 @@ func (e *Engine) Stats() Stats {
 		// The composite counted each event and each drop once itself, and
 		// the products (inclusion–exclusion intersections of the branches)
 		// partition the stream exactly as the branches already do.
-		for _, be := range e.branchEngines {
-			bs := be.Stats()
-			bs.Events, bs.OutOfOrder = 0, 0
-			s.add(bs)
-		}
-		for _, pe := range e.productEngines {
-			ps := pe.Stats()
-			ps.Events, ps.OutOfOrder, ps.Partitions = 0, 0, 0
-			s.add(ps)
+		for slot, se := range e.subs {
+			ss := se.Stats()
+			ss.Events, ss.OutOfOrder = 0, 0
+			if slot >= e.branches {
+				ss.Partitions = 0
+			}
+			s.add(ss)
 		}
 		s.Results = e.emitted
 		return s

@@ -209,7 +209,7 @@ func (rt *Runtime) runParallel(ctx context.Context, s event.Stream, workers int,
 		defer close(mergerDone)
 		merges := make([]*SlotMerge, len(parStmts))
 		for si, st := range parStmts {
-			merges[si] = NewSlotMerge(st, workers)
+			merges[si] = NewSlotMerge(st.eng, workers, nil)
 		}
 		pending := 0
 		for m := range mergeCh {
@@ -334,28 +334,52 @@ func feedWorkers(ctx context.Context, s event.Stream, workers int,
 	return nil
 }
 
-// SlotMerge is the barrier merger of one partitioned statement: it
-// holds the per-window, per-group partial payloads of each worker slot
-// and every slot's release frontier, and emits a window — through the
-// statement's own engine — once every slot has released it. Windows
-// leave in ascending wid order, groups sorted by name, each group's
-// partials folded in slot-index order, so float aggregates are
-// bit-identical however the slots are scheduled or placed. Both
-// partitioned drivers merge through it: RunParallel's merger goroutine
-// and the cluster coordinator. Not safe for concurrent use.
+// SlotMerge is the barrier merger: it holds the per-window, per-group
+// partial payloads of N slots and every slot's release frontier, and
+// emits a window — through the engine it merges for — once every slot
+// has released it. Windows leave in ascending wid order, groups sorted
+// by name, each group's partials folded by the merger's fold function —
+// by default Def.Merge in slot-index order, so float aggregates are
+// bit-identical however the slots are scheduled or placed. It has three
+// drivers: RunParallel's merger goroutine and the cluster coordinator
+// (slots are workers holding disjoint partitions of one plan), and a
+// composite Engine (slots are its branch and product engines, folded by
+// Engine.compose). Not safe for concurrent use.
 type SlotMerge struct {
-	st       *Stmt
-	pending  map[int64]map[string][]*aggregate.Payload // wid → group → per-slot partial
-	released []int64                                   // per slot: highest released wid
+	eng      *Engine
+	fold     func(parts []*aggregate.Payload) *aggregate.Payload // nil result: nothing to emit
+	pending  map[int64]map[string][]*aggregate.Payload           // wid → group → per-slot partial
+	released []int64                                             // per slot: highest released wid
 }
 
-// NewSlotMerge builds the merger of st over the given slot count.
-func NewSlotMerge(st *Stmt, slots int) *SlotMerge {
-	m := &SlotMerge{st: st, pending: map[int64]map[string][]*aggregate.Payload{}, released: make([]int64, slots)}
+// NewSlotMerge builds the merger emitting through eng over the given
+// slot count; a nil fold merges the slots' partials with eng's Def.Merge.
+func NewSlotMerge(eng *Engine, slots int, fold func([]*aggregate.Payload) *aggregate.Payload) *SlotMerge {
+	if fold == nil {
+		fold = eng.mergeSlots
+	}
+	m := &SlotMerge{eng: eng, fold: fold, pending: map[int64]map[string][]*aggregate.Payload{}, released: make([]int64, slots)}
 	for w := range m.released {
 		m.released[w] = math.MinInt64
 	}
 	return m
+}
+
+// mergeSlots is the default fold: the first partial present is the base
+// the others merge into, in slot order.
+func (e *Engine) mergeSlots(parts []*aggregate.Payload) *aggregate.Payload {
+	def := e.plan.Def()
+	var merged *aggregate.Payload
+	for _, pl := range parts {
+		switch {
+		case pl == nil:
+		case merged == nil:
+			merged = pl
+		default:
+			def.Merge(merged, pl)
+		}
+	}
+	return merged
 }
 
 // Add files one slot's partial for (wid, group). Slots outside the
@@ -394,7 +418,6 @@ func (m *SlotMerge) Ack(slot int, hi int64) {
 		}
 	}
 	slices.Sort(ready)
-	def := m.st.eng.plan.Def()
 	for _, wid := range ready {
 		groups := m.pending[wid]
 		delete(m.pending, wid)
@@ -404,19 +427,8 @@ func (m *SlotMerge) Ack(slot int, hi int64) {
 		}
 		slices.Sort(names)
 		for _, g := range names {
-			// The first partial present is the fold base.
-			var merged *aggregate.Payload
-			for _, pl := range groups[g] {
-				switch {
-				case pl == nil:
-				case merged == nil:
-					merged = pl
-				default:
-					def.Merge(merged, pl)
-				}
-			}
-			if merged != nil {
-				m.st.eng.emit(g, wid, merged)
+			if merged := m.fold(groups[g]); merged != nil {
+				m.eng.emit(g, wid, merged)
 			}
 		}
 	}

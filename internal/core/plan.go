@@ -199,9 +199,7 @@ func hasLabel(st *template.State, label string) bool {
 }
 
 // newDisjunctionPlan compiles a pattern whose expansion has several
-// branches: each branch gets its own sub-plan, and every subset of two
-// or more branches gets an intersection (product-template) sub-plan so
-// final counts can be combined by inclusion–exclusion (paper §9).
+// branches; final counts are combined by inclusion–exclusion (paper §9).
 func newDisjunctionPlan(q *query.Query, branches []*pattern.Node, mode aggregate.Mode) (*Plan, error) {
 	if len(branches) > maxBranches {
 		return nil, fmt.Errorf("core: disjunction with %d branches exceeds the supported maximum %d", len(branches), maxBranches)
@@ -211,53 +209,7 @@ func newDisjunctionPlan(q *query.Query, branches []*pattern.Node, mode aggregate
 			return nil, fmt.Errorf("core: disjunction/star/optional combined with negation is not supported (branch %s)", b)
 		}
 	}
-	p := &Plan{Query: q, Mode: mode, Window: q.Window, GroupBy: q.GroupBy, Sem: q.Semantics}
-	def := &aggregate.Def{Mode: mode}
-	for _, spec := range q.Aggs {
-		s1, s2 := def.Plan(spec)
-		p.Specs = append(p.Specs, SpecSlot{spec, s1, s2})
-	}
-	for _, b := range branches {
-		bp, err := newSimplePlan(q, b, mode)
-		if err != nil {
-			return nil, err
-		}
-		p.Branches = append(p.Branches, bp)
-	}
-	// Intersection plans for every subset of size >= 2, built by
-	// iterated template products.
-	tmpls := make([]*template.Template, len(branches))
-	for i := range branches {
-		tmpls[i] = p.Branches[i].Subs[0].Tmpl
-	}
-	aliases := patternAliases(q.Pattern)
-	cls, err := predicate.Classify(q.Where, aliases)
-	if err != nil {
-		return nil, err
-	}
-	for mask := uint(1); mask < 1<<uint(len(branches)); mask++ {
-		if popcount(mask) < 2 {
-			continue
-		}
-		var prod *template.Template
-		for i := 0; i < len(branches); i++ {
-			if mask&(1<<uint(i)) == 0 {
-				continue
-			}
-			if prod == nil {
-				prod = tmpls[i]
-			} else {
-				prod = template.Product(prod, tmpls[i])
-			}
-		}
-		sub := &Plan{Query: q, Mode: mode, Window: q.Window, GroupBy: q.GroupBy, Sem: q.Semantics, Specs: p.Specs}
-		gs := &GraphSpec{Idx: 0, Tmpl: prod, Def: def, Parent: -1}
-		attachPredicates(gs, cls)
-		sub.Subs = []*GraphSpec{gs}
-		p.Products = append(p.Products, sub)
-		p.Masks = append(p.Masks, mask)
-	}
-	return p, nil
+	return newCompositePlan(q, branches, mode)
 }
 
 // maxBranches bounds inclusion–exclusion blow-up (2^maxBranches plans).
@@ -273,8 +225,8 @@ func popcount(x uint) int {
 
 // newConjunctionPlan compiles a top-level AND of positive patterns
 // (paper §9). Counts are composed from the two branch counts and their
-// intersection count; only COUNT(*) is defined by the paper for
-// conjunction.
+// intersection count — the two-branch composite, whose one product has
+// mask 3; only COUNT(*) is defined by the paper for conjunction.
 func newConjunctionPlan(q *query.Query, mode aggregate.Mode) (*Plan, error) {
 	if len(q.Pattern.Children) != 2 {
 		return nil, fmt.Errorf("core: conjunction of %d patterns is not supported; use nested binary AND", len(q.Pattern.Children))
@@ -284,35 +236,62 @@ func newConjunctionPlan(q *query.Query, mode aggregate.Mode) (*Plan, error) {
 			return nil, fmt.Errorf("core: conjunction supports COUNT(*) only, got %s", spec)
 		}
 	}
-	branches := q.Pattern.Children
-	p := &Plan{Query: q, Mode: mode, Window: q.Window, GroupBy: q.GroupBy, Sem: q.Semantics, Conjunct: true}
+	for _, b := range q.Pattern.Children {
+		if !b.IsPositive() {
+			return nil, fmt.Errorf("core: conjunction with negation is not supported")
+		}
+	}
+	p, err := newCompositePlan(q, q.Pattern.Children, mode)
+	if err != nil {
+		return nil, err
+	}
+	p.Conjunct = true
+	return p, nil
+}
+
+// newCompositePlan gives each branch its own sub-plan and every subset
+// of two or more branches, in ascending mask order, an intersection
+// sub-plan over the iterated product of the subset's templates.
+func newCompositePlan(q *query.Query, branches []*pattern.Node, mode aggregate.Mode) (*Plan, error) {
+	p := &Plan{Query: q, Mode: mode, Window: q.Window, GroupBy: q.GroupBy, Sem: q.Semantics}
 	def := &aggregate.Def{Mode: mode}
 	for _, spec := range q.Aggs {
 		s1, s2 := def.Plan(spec)
 		p.Specs = append(p.Specs, SpecSlot{spec, s1, s2})
 	}
 	for _, b := range branches {
-		if !b.IsPositive() {
-			return nil, fmt.Errorf("core: conjunction with negation is not supported")
-		}
 		bp, err := newSimplePlan(q, b, mode)
 		if err != nil {
 			return nil, err
 		}
 		p.Branches = append(p.Branches, bp)
 	}
-	aliases := patternAliases(q.Pattern)
-	cls, err := predicate.Classify(q.Where, aliases)
+	cls, err := predicate.Classify(q.Where, patternAliases(q.Pattern))
 	if err != nil {
 		return nil, err
 	}
-	prod := template.Product(p.Branches[0].Subs[0].Tmpl, p.Branches[1].Subs[0].Tmpl)
-	sub := &Plan{Query: q, Mode: mode, Window: q.Window, GroupBy: q.GroupBy, Sem: q.Semantics, Specs: p.Specs}
-	gs := &GraphSpec{Idx: 0, Tmpl: prod, Def: def, Parent: -1}
-	attachPredicates(gs, cls)
-	sub.Subs = []*GraphSpec{gs}
-	p.Products = []*Plan{sub}
-	p.Masks = []uint{3}
+	for mask := uint(1); mask < 1<<uint(len(branches)); mask++ {
+		if popcount(mask) < 2 {
+			continue
+		}
+		var prod *template.Template
+		for i, bp := range p.Branches {
+			if mask&(1<<uint(i)) == 0 {
+				continue
+			}
+			if prod == nil {
+				prod = bp.Subs[0].Tmpl
+			} else {
+				prod = template.Product(prod, bp.Subs[0].Tmpl)
+			}
+		}
+		sub := &Plan{Query: q, Mode: mode, Window: q.Window, GroupBy: q.GroupBy, Sem: q.Semantics, Specs: p.Specs}
+		gs := &GraphSpec{Idx: 0, Tmpl: prod, Def: def, Parent: -1}
+		attachPredicates(gs, cls)
+		sub.Subs = []*GraphSpec{gs}
+		p.Products = append(p.Products, sub)
+		p.Masks = append(p.Masks, mask)
+	}
 	return p, nil
 }
 

@@ -263,6 +263,12 @@ func TestRecoveryDifferential(t *testing.T) {
 		{"disjunction",
 			"RETURN COUNT(*) PATTERN Stock S+ OR Halt H+ WITHIN 20 SLIDE 5",
 			aggregate.ModeNative, 8, 0},
+		{"conjunction",
+			"RETURN COUNT(*) PATTERN Stock S+ AND Halt H+ WITHIN 20 SLIDE 5",
+			aggregate.ModeNative, 8, 0},
+		{"kleene-star",
+			"RETURN COUNT(*) PATTERN SEQ(Stock S*, Halt H) WHERE [company] WITHIN 20 SLIDE 5",
+			aggregate.ModeNative, 8, 0},
 	}
 	const every = event.Time(16)
 	for _, tc := range cases {
@@ -361,6 +367,12 @@ func TestReorderRecoveryDifferential(t *testing.T) {
 			"RETURN SUM(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5",
 			"RETURN COUNT(*) PATTERN Stock S+ OR Halt H+ WITHIN 20 SLIDE 5",
 		}, 3, true},
+		{"conjunction", []string{
+			"RETURN COUNT(*) PATTERN Stock S+ AND Halt H+ WITHIN 20 SLIDE 5",
+		}, 4, false},
+		{"kleene-star", []string{
+			"RETURN COUNT(*) PATTERN SEQ(Stock S*, Halt H) WHERE [company] WITHIN 20 SLIDE 5",
+		}, 4, false},
 	}
 	const every = event.Time(16)
 	for _, tc := range cases {

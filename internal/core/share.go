@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/greta-cep/greta/internal/aggregate"
 	"github.com/greta-cep/greta/internal/query"
@@ -31,10 +30,12 @@ import (
 // watermark exactly like any other mid-stream statement.
 //
 // What disqualifies sharing: composite plans (disjunction/conjunction
-// compose results at flush, not through the per-window emit path),
-// negative sub-patterns (a detaching subscriber's flush would have to
-// fold invalidation watermarks the surviving subscribers must not see
-// yet). Those statements register exclusively, exactly as before.
+// are several engines behind one statement — branches and products
+// composed per window by the statement's own merger — not one graph a
+// second statement could subscribe to), negative sub-patterns (a
+// detaching subscriber's flush would have to fold invalidation
+// watermarks the surviving subscribers must not see yet). Those
+// statements register exclusively, exactly as before.
 
 // shareRec is the share-index entry: a cold candidate statement, or
 // the promoted shared graph it turned into.
@@ -231,15 +232,8 @@ func (e *sharedEntry) flushFinal() {
 // through the ordinary emit path.
 func (e *sharedEntry) detachFlush(st *Stmt) {
 	e.host.eng.peekFlushInto(func(group string, wid int64, pl *aggregate.Payload) {
-		r := Result{
-			Group:       group,
-			Wid:         wid,
-			WindowStart: e.host.eng.plan.Window.Start(wid),
-			WindowEnd:   e.host.eng.plan.Window.End(wid),
-			Payload:     pl,
-			Emitted:     time.Now(),
-			Values:      share.OutputValues(e.def, pl, st.outs),
-		}
+		r := e.host.eng.result(group, wid, pl)
+		r.Values = share.OutputValues(e.def, pl, st.outs)
 		st.deliver(r)
 	})
 }

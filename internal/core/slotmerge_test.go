@@ -137,7 +137,7 @@ func TestSlotMerge(t *testing.T) {
 
 			var got []core.Result
 			st.OnResult(func(r core.Result) { got = append(got, r) })
-			m := core.NewSlotMerge(st, tc.slots)
+			m := core.NewSlotMerge(st.Engine(), tc.slots, nil)
 			for i, o := range tc.ops {
 				if o.ack {
 					m.Ack(o.slot, o.wid)

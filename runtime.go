@@ -220,8 +220,8 @@ func (rt *Runtime) Run(ctx context.Context, s Stream) error { return rt.inner.Ru
 // coordinator broadcasts a per-window barrier, workers release their
 // partial aggregates, and the merged result is emitted once every
 // worker has passed the barrier — worker buffers stay bounded by the
-// number of open windows. Unpartitioned and composite statements are
-// processed inline with identical results.
+// number of open windows. Unpartitioned and composite statements run
+// inline: same results, callbacks on the feeding goroutine at each close.
 //
 // RunParallel must own the runtime from the start (no events processed
 // yet); otherwise it falls back to the sequential Run. It drives the

@@ -18,6 +18,10 @@ func TestRuntimeStreamingResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hc, err := rt.Register(greta.MustCompile("RETURN COUNT(*) PATTERN A+ OR B+ WITHIN 10 SLIDE 10"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	var got []greta.Result
 	wg.Add(1)
@@ -30,6 +34,17 @@ func TestRuntimeStreamingResults(t *testing.T) {
 	for i := 1; i <= 45; i++ {
 		if err := rt.Process(&greta.Event{ID: uint64(i), Type: "A", Time: greta.Time(i)}); err != nil {
 			t.Fatal(err)
+		}
+	}
+	// A composite statement streams too: event 40 closed its fourth
+	// window, so an iterator yields four results while the runtime is open.
+	closed := 0
+	for r := range hc.Results() {
+		if r.Wid != int64(closed) {
+			t.Errorf("composite result %d: wid %d (emission order)", closed, r.Wid)
+		}
+		if closed++; closed == 4 {
+			break
 		}
 	}
 	if err := rt.Close(); err != nil {
