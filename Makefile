@@ -16,14 +16,15 @@ race:
 # alloc-guard runs the zero-allocation hot-path guards — the engine's,
 # the wire's (resumable Client.Send 0 allocs, server event-line parse +
 # dispatch <= 3, a batch frame 0 to encode and <= 5 to parse + apply
-# whatever its rows, a full resend ring no dearer than an empty one) and
-# the coordinator's (Process 0 allocs an event, flushes included) — and
-# the routing / pool / wire micro-benchmarks. Metrics cells
-# are armed by default, so the guard exercises the instrumented hot
-# path; the overhead bench pins the armed-vs-disarmed cost at the
-# public layer with -benchmem.
+# whatever its rows, a full resend ring no dearer than an empty one),
+# the coordinator's (Process 0 allocs an event, flushes included) and
+# the snapshot encoder's (an event table costs the same few objects
+# whatever its size, a payload blob one) — and the routing / pool / wire
+# micro-benchmarks. Metrics cells are armed by default, so the guard
+# exercises the instrumented hot path; the overhead bench pins the
+# armed-vs-disarmed cost at the public layer with -benchmem.
 alloc-guard:
-	$(GO) test -run TestNoHotPathAllocs -count=1 ./internal/core
+	$(GO) test -run 'TestNoHotPathAllocs|TestSnapshotEncodeAllocs' -count=1 ./internal/core
 	$(GO) test -run 'TestWireHotPathAllocs|TestFullRingSendCostsNoMore' -count=1 ./netstream
 	$(GO) test -run TestCoordinatorHotPathAllocs -count=1 ./cluster
 	$(GO) test -run '^$$' -bench 'BenchmarkClientSend|BenchmarkEventLineDecode|BenchmarkBatchFrameDecode' -benchmem ./netstream

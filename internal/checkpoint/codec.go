@@ -1,8 +1,18 @@
-// Package checkpoint implements the durable-runtime on-disk format:
-// little-endian primitive codecs with sticky error handling, and an
-// atomic, checksummed, generational Store (temp file + fsync + rename)
-// with newest-valid-first recovery, per ROADMAP direction 3 and the
+// Package checkpoint implements the durable-runtime on-disk format: one
+// little-endian primitive codec, the Walker, and an atomic, checksummed,
+// generational Store (temp file + fsync + rename) with
+// newest-valid-first recovery, per ROADMAP direction 3 and the
 // partially-constrained-log recovery discipline (arXiv:1901.06491).
+//
+// A Walker runs over the format in a direction fixed when it is made —
+// Encode appends to a byte slice, Decode reads one — and every
+// primitive takes a pointer: encoding writes what it points at,
+// decoding fills it. A producing layer therefore describes each of its
+// structs once, as a function that walks the fields in file order, and
+// that one function is both the encoder and the decoder. The rule that
+// follows: a field is added in one place. Only what one direction alone
+// must do (allocate, validate a shape, intern a reference) sits behind
+// Encoding/Decoding inside the walk.
 //
 // Format invariants (see ROADMAP "Durability architecture"):
 //
@@ -20,213 +30,175 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 )
 
-// ErrCorrupt reports structurally invalid checkpoint bytes. Decoders
-// return it (wrapped) instead of panicking on any malformed input.
+// ErrCorrupt reports structurally invalid checkpoint bytes. Decoding
+// returns it (wrapped) instead of panicking on any malformed input.
 var ErrCorrupt = errors.New("checkpoint: corrupt data")
 
-// Encoder writes little-endian primitives to an io.Writer with sticky
-// error handling: after the first write error every later call is a
-// no-op and Err returns the failure.
-type Encoder struct {
-	w       io.Writer
-	scratch [8]byte
-	err     error
-}
-
-// NewEncoder returns an Encoder writing to w.
-func NewEncoder(w io.Writer) *Encoder { return &Encoder{w: w} }
-
-// Err returns the first write error, if any.
-func (e *Encoder) Err() error { return e.err }
-
-// Fail injects an error into the encoder (used when a value being
-// serialized fails to marshal); later writes become no-ops.
-func (e *Encoder) Fail(err error) {
-	if e.err == nil && err != nil {
-		e.err = err
-	}
-}
-
-func (e *Encoder) write(b []byte) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = e.w.Write(b)
-}
-
-// U8 writes one byte.
-func (e *Encoder) U8(v uint8) {
-	e.scratch[0] = v
-	e.write(e.scratch[:1])
-}
-
-// Bool writes a bool as one byte (0 or 1).
-func (e *Encoder) Bool(v bool) {
-	if v {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-}
-
-// U32 writes a little-endian uint32.
-func (e *Encoder) U32(v uint32) {
-	binary.LittleEndian.PutUint32(e.scratch[:4], v)
-	e.write(e.scratch[:4])
-}
-
-// U64 writes a little-endian uint64.
-func (e *Encoder) U64(v uint64) {
-	binary.LittleEndian.PutUint64(e.scratch[:8], v)
-	e.write(e.scratch[:8])
-}
-
-// I64 writes a little-endian int64.
-func (e *Encoder) I64(v int64) { e.U64(uint64(v)) }
-
-// F64 writes a float64 as its IEEE-754 bit pattern (NaN payloads and
-// signed zeros round-trip exactly).
-func (e *Encoder) F64(v float64) { e.U64(math.Float64bits(v)) }
-
-// String writes a length-prefixed string.
-func (e *Encoder) String(s string) {
-	e.U32(uint32(len(s)))
-	e.write([]byte(s))
-}
-
-// Bytes writes a length-prefixed byte slice.
-func (e *Encoder) Bytes(b []byte) {
-	e.U32(uint32(len(b)))
-	e.write(b)
-}
-
-// Decoder reads the Encoder's format from an in-memory buffer with
-// sticky error handling. All length prefixes are validated against the
-// remaining input, so corrupt data yields ErrCorrupt instead of a
-// panic or an attacker-controlled allocation.
-type Decoder struct {
+// Walker is the codec: little-endian primitives over a byte slice, in
+// one direction, with a sticky error — after the first failure every
+// later call is a no-op and Err returns it. Decoding validates every
+// length against the remaining input, so corrupt data yields ErrCorrupt
+// instead of a panic or an attacker-controlled allocation. A Walker is
+// a concrete type so the pointers handed to it do not escape.
+type Walker struct {
 	buf []byte
-	pos int
+	pos int // decoding: the read cursor
+	enc bool
 	err error
 }
 
-// NewDecoder returns a Decoder over buf.
-func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
+// Encode returns a Walker appending to dst.
+func Encode(dst []byte) Walker { return Walker{buf: dst, enc: true} }
 
-// Err returns the first decode error, if any.
-func (d *Decoder) Err() error { return d.err }
+// Decode returns a Walker reading src.
+func Decode(src []byte) Walker { return Walker{buf: src} }
 
-// Remaining returns the number of unread bytes.
-func (d *Decoder) Remaining() int { return len(d.buf) - d.pos }
+// Encoding reports the direction.
+func (w *Walker) Encoding() bool { return w.enc }
 
-// Corrupt records (and returns) a corruption error with context; later
-// reads become no-ops.
-func (d *Decoder) Corrupt(format string, args ...any) error {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s (offset %d)", ErrCorrupt, fmt.Sprintf(format, args...), d.pos)
+// Decoding reports whether values are being filled from the input and
+// none has failed to: the guard for decode-only validation.
+func (w *Walker) Decoding() bool { return !w.enc && w.err == nil }
+
+// Err returns the first failure, if any.
+func (w *Walker) Err() error { return w.err }
+
+// Out returns the bytes encoded so far (dst included).
+func (w *Walker) Out() []byte { return w.buf }
+
+// Remaining returns the number of unread input bytes.
+func (w *Walker) Remaining() int { return len(w.buf) - w.pos }
+
+// Fail records err (a value that would not marshal, a layer below that
+// refused the input) unless an earlier failure stands.
+func (w *Walker) Fail(err error) {
+	if w.err == nil {
+		w.err = err
 	}
-	return d.err
 }
 
-func (d *Decoder) take(n int) []byte {
-	if d.err != nil {
+// Corrupt records a corruption error with context.
+func (w *Walker) Corrupt(format string, args ...any) {
+	w.Fail(fmt.Errorf("%w: %s (offset %d)", ErrCorrupt, fmt.Sprintf(format, args...), w.pos))
+}
+
+// take returns the next n input bytes, or nil after a failure.
+func (w *Walker) take(n int) []byte {
+	if w.err != nil {
 		return nil
 	}
-	if n < 0 || d.Remaining() < n {
-		d.Corrupt("need %d bytes, have %d", n, d.Remaining())
+	if w.Remaining() < n {
+		w.Corrupt("need %d bytes, have %d", n, w.Remaining())
 		return nil
 	}
-	b := d.buf[d.pos : d.pos+n]
-	d.pos += n
+	b := w.buf[w.pos : w.pos+n]
+	w.pos += n
 	return b
 }
 
-// U8 reads one byte.
-func (d *Decoder) U8() uint8 {
-	b := d.take(1)
-	if b == nil {
+// U8 walks one byte.
+func (w *Walker) U8(v *uint8) {
+	if w.enc {
+		w.buf = append(w.buf, *v)
+	} else if b := w.take(1); b != nil {
+		*v = b[0]
+	}
+}
+
+// Bool walks a bool as one byte, 0 or 1; decoding rejects any other.
+func (w *Walker) Bool(v *bool) {
+	var b uint8
+	if *v {
+		b = 1
+	}
+	if w.U8(&b); b > 1 {
+		w.Corrupt("invalid bool byte")
+	} else if !w.enc {
+		*v = b == 1
+	}
+}
+
+// U32 walks a little-endian uint32.
+func (w *Walker) U32(v *uint32) {
+	if w.enc {
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, *v)
+	} else if b := w.take(4); b != nil {
+		*v = binary.LittleEndian.Uint32(b)
+	}
+}
+
+// U64 walks a little-endian uint64.
+func (w *Walker) U64(v *uint64) {
+	if w.enc {
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, *v)
+	} else if b := w.take(8); b != nil {
+		*v = binary.LittleEndian.Uint64(b)
+	}
+}
+
+// I64 walks a little-endian int64.
+func (w *Walker) I64(v *int64) {
+	u := uint64(*v)
+	if w.U64(&u); !w.enc {
+		*v = int64(u)
+	}
+}
+
+// Int walks an int as a little-endian int64.
+func (w *Walker) Int(v *int) {
+	u := uint64(*v)
+	if w.U64(&u); !w.enc {
+		*v = int(u)
+	}
+}
+
+// F64 walks a float64 as its IEEE-754 bit pattern (NaN payloads and
+// signed zeros round-trip exactly).
+func (w *Walker) F64(v *float64) {
+	u := math.Float64bits(*v)
+	if w.U64(&u); !w.enc {
+		*v = math.Float64frombits(u)
+	}
+}
+
+// Len walks a u32 element count: encoding writes n, decoding returns
+// the count read (0 after a failure). Each element occupies at least
+// elemSize bytes, which bounds the count by the remaining input so a
+// corrupt one cannot drive a huge allocation.
+func (w *Walker) Len(n, elemSize int) int {
+	u := uint32(n)
+	w.U32(&u)
+	if w.enc {
+		return n
+	}
+	if w.err != nil {
 		return 0
 	}
-	return b[0]
-}
-
-// Bool reads a bool, rejecting bytes other than 0 and 1.
-func (d *Decoder) Bool() bool {
-	switch d.U8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		d.Corrupt("invalid bool byte")
-		return false
-	}
-}
-
-// U32 reads a little-endian uint32.
-func (d *Decoder) U32() uint32 {
-	b := d.take(4)
-	if b == nil {
+	if int(u) > w.Remaining()/max(elemSize, 1) {
+		w.Corrupt("length %d exceeds remaining input", u)
 		return 0
 	}
-	return binary.LittleEndian.Uint32(b)
+	return int(u)
 }
 
-// U64 reads a little-endian uint64.
-func (d *Decoder) U64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
+// String walks a length-prefixed string.
+func (w *Walker) String(v *string) {
+	if n := w.Len(len(*v), 1); w.enc {
+		w.buf = append(w.buf, *v...)
+	} else if b := w.take(n); b != nil {
+		*v = string(b)
 	}
-	return binary.LittleEndian.Uint64(b)
 }
 
-// I64 reads a little-endian int64.
-func (d *Decoder) I64() int64 { return int64(d.U64()) }
-
-// F64 reads a float64 bit pattern.
-func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
-
-// Len reads a u32 length prefix for elements occupying at least
-// elemSize bytes each, validating it against the remaining input so a
-// corrupt count cannot drive a huge allocation.
-func (d *Decoder) Len(elemSize int) int {
-	n := int(d.U32())
-	if d.err != nil {
-		return 0
+// Bytes walks a length-prefixed byte slice; decoding copies, so the
+// value is safe to retain, and reads an empty one as nil.
+func (w *Walker) Bytes(v *[]byte) {
+	if n := w.Len(len(*v), 1); w.enc {
+		w.buf = append(w.buf, *v...)
+	} else if b := w.take(n); b != nil {
+		*v = append([]byte(nil), b...)
 	}
-	if elemSize < 1 {
-		elemSize = 1
-	}
-	if n < 0 || n > d.Remaining()/elemSize {
-		d.Corrupt("length %d exceeds remaining input", n)
-		return 0
-	}
-	return n
-}
-
-// String reads a length-prefixed string.
-func (d *Decoder) String() string {
-	n := d.Len(1)
-	b := d.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
-
-// Bytes reads a length-prefixed byte slice (a copy, safe to retain).
-func (d *Decoder) Bytes() []byte {
-	n := d.Len(1)
-	b := d.take(n)
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
 }

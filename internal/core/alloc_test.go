@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/greta-cep/greta/internal/aggregate"
+	"github.com/greta-cep/greta/internal/checkpoint"
 	"github.com/greta-cep/greta/internal/event"
 	"github.com/greta-cep/greta/internal/query"
 )
@@ -50,6 +51,48 @@ func TestNoHotPathAllocs(t *testing.T) {
 	t.Run("reorder-slack", testNoHotPathAllocsReorder)
 	t.Run("batch-ingest", testNoHotPathAllocsBatchIngest)
 	t.Run("batch-prefilter", testNoHotPathAllocsBatchPrefilter)
+}
+
+// TestSnapshotEncodeAllocs: encoding appends to one slice, so what a
+// snapshot allocates does not grow with the strings it writes — the
+// event table, half of a snapshot's bytes, costs the same few objects
+// (AttrNames' scratch) for 10 events as for 1 000, and a pooled
+// payload marshals into the one slice it returns.
+func TestSnapshotEncodeAllocs(t *testing.T) {
+	tableAllocs := func(n int) float64 {
+		tab := newEvTable()
+		for i := 0; i < n; i++ {
+			ev := allocStockEvent(uint64(i+1), event.Time(i), fmt.Sprintf("c%d", i%7), float64(i%9))
+			if i%2 == 0 {
+				ev.Sch, ev.Num, ev.StrV = nil, nil, nil // every other event carries maps only
+			}
+			tab.intern(ev)
+		}
+		buf := make([]byte, 0, 128*n+256)
+		return testing.AllocsPerRun(10, func() {
+			w := checkpoint.Encode(buf)
+			tab.walkSchemas(&w)
+			if tab.walkEvents(&w); w.Err() != nil || len(w.Out()) > cap(buf) {
+				t.Fatalf("event table of %d: %d bytes, err %v", n, len(w.Out()), w.Err())
+			}
+		})
+	}
+	if few, many := tableAllocs(10), tableAllocs(1000); many > few || many > 4 {
+		t.Fatalf("encoding an event table allocates %.0f objects for 1000 events, %.0f for 10; want the same, at most 4", many, few)
+	}
+
+	plan, err := NewPlan(query.MustParse("RETURN COUNT(*), SUM(S.price), MIN(S.price) PATTERN Stock S+"), aggregate.ModeNative)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := aggregate.NewPool(plan.Def()).Get()
+	if avg := testing.AllocsPerRun(100, func() {
+		if _, err := MarshalPayload(p); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > 1 {
+		t.Fatalf("MarshalPayload allocates %.0f objects, want 1 (the blob)", avg)
+	}
 }
 
 // allocBatchVolSchema adds a second numeric slot so a vertex predicate

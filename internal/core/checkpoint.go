@@ -22,12 +22,13 @@
 package core
 
 import (
-	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/big"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/greta-cep/greta/internal/aggregate"
@@ -122,18 +123,6 @@ func (rt *Runtime) checkpointAtBoundary(t event.Time) {
 	}
 }
 
-// countingWriter counts the snapshot bytes flowing to the store.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
 // runCheckpoint runs one snapshot write (scheduled boundary or manual)
 // with full instrumentation: write duration, snapshot bytes, trace
 // begin/commit/fail. rt.mu held. Timing and allocation here are fine —
@@ -141,11 +130,12 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 // measured windows avoid boundaries for exactly this reason).
 func (rt *Runtime) runCheckpoint(ck *ckState, replayFrom event.Time) error {
 	rt.fireTrace(TraceEvent{Kind: TraceCheckpointBegin, Boundary: replayFrom, Watermark: rt.watermark})
-	var cw countingWriter
+	var n int64 // stays 0 under a save that takes no snapshot
 	start := time.Now()
 	err := ck.save(replayFrom, func(w io.Writer) error {
-		cw.w, cw.n = w, 0
-		return rt.encodeLocked(&cw, replayFrom)
+		err := rt.encodeLocked(w, replayFrom)
+		n = int64(rt.ckSize)
+		return err
 	})
 	dur := time.Since(start)
 	if err != nil {
@@ -159,13 +149,13 @@ func (rt *Runtime) runCheckpoint(ck *ckState, replayFrom event.Time) error {
 	ck.lastUnix = nowNanos()
 	if m := rt.met; m != nil {
 		m.ckWrites.Inc()
-		m.ckBytes.Add(uint64(cw.n))
-		m.ckLastBytes.Set(cw.n)
+		m.ckBytes.Add(uint64(n))
+		m.ckLastBytes.Set(n)
 		m.ckLastBoundary.Set(replayFrom)
 		m.ckLastUnix.Set(ck.lastUnix)
 		m.ckDur.Observe(dur)
 	}
-	rt.fireTrace(TraceEvent{Kind: TraceCheckpointCommit, Boundary: replayFrom, Watermark: rt.watermark, Bytes: cw.n, Dur: dur})
+	rt.fireTrace(TraceEvent{Kind: TraceCheckpointCommit, Boundary: replayFrom, Watermark: rt.watermark, Bytes: n, Dur: dur})
 	return nil
 }
 
@@ -213,14 +203,31 @@ func (st *Stmt) Plan() *Plan { return st.srcPlan }
 func (st *Stmt) NoRetain() bool { return st.noRetain }
 
 // ---------------------------------------------------------------------
-// Event and schema tables
+// The walk
 // ---------------------------------------------------------------------
+//
+// Every struct below is described once, by a function that walks its
+// fields in file order over a checkpoint.Walker: encoding writes them,
+// decoding fills them. What one direction alone does — drawing from a
+// pool, validating a shape against the plan, interning an event — is a
+// guarded line inside the walk. A walk that is entered after a failure
+// does nothing (counts read as 0, presence flags as absent).
 
-// evTable interns the events referenced by serialized state (vertices,
-// reorder-buffer pending events). The runtime shares one *Event across all
-// engines, so deduplication is by pointer; references are assigned in
-// first-encounter order while the body is encoded, and the table
-// itself is written before the body in the file.
+// ckWalk is one pass over a snapshot: the codec, the table the event
+// references go through, and the sorted-key scratch.
+type ckWalk struct {
+	checkpoint.Walker
+	tab    evTable
+	wids   []int64
+	states []int
+}
+
+// evTable lists the events serialized state refers to (vertices, the
+// reorder buffer's pending events) and their schemas. The runtime
+// shares one *Event across all engines, so encoding interns by pointer,
+// in first-encounter order while the body is walked; the table itself
+// precedes the body in the file, so decoding has it when the body's
+// references arrive.
 type evTable struct {
 	refs    map[*event.Event]uint32
 	list    []*event.Event
@@ -228,11 +235,11 @@ type evTable struct {
 	schemas []*event.Schema
 }
 
-func newEvTable() *evTable {
-	return &evTable{refs: map[*event.Event]uint32{}, schRefs: map[*event.Schema]uint32{}}
+func newEvTable() evTable {
+	return evTable{refs: map[*event.Event]uint32{}, schRefs: map[*event.Schema]uint32{}}
 }
 
-func (t *evTable) ref(ev *event.Event) uint32 {
+func (t *evTable) intern(ev *event.Event) uint32 {
 	if r, ok := t.refs[ev]; ok {
 		return r
 	}
@@ -248,815 +255,586 @@ func (t *evTable) ref(ev *event.Event) uint32 {
 	return r
 }
 
-func (t *evTable) encode(enc *checkpoint.Encoder) {
-	enc.U32(uint32(len(t.schemas)))
-	for _, s := range t.schemas {
-		enc.String(string(s.Type))
-		enc.U32(uint32(len(s.Numeric)))
-		for _, a := range s.Numeric {
-			enc.String(a)
-		}
-		enc.U32(uint32(len(s.Strings)))
-		for _, a := range s.Strings {
-			enc.String(a)
-		}
+// ref walks a reference to an event of the table.
+func (t *evTable) ref(w *checkpoint.Walker, ev **event.Event) {
+	var r uint32
+	if w.Encoding() {
+		r = t.intern(*ev)
 	}
-	enc.U32(uint32(len(t.list)))
+	if w.U32(&r); w.Decoding() {
+		if int(r) >= len(t.list) {
+			w.Corrupt("event ref %d out of range", r)
+			return
+		}
+		*ev = t.list[r]
+	}
+}
+
+func walkNames(w *checkpoint.Walker, names *[]string) {
+	n := w.Len(len(*names), 4)
+	if w.Decoding() && n > 0 {
+		*names = make([]string, n)
+	}
+	for i := range *names {
+		w.String(&(*names)[i])
+	}
+}
+
+func (t *evTable) walkSchemas(w *checkpoint.Walker) {
+	n := w.Len(len(t.schemas), 12)
+	for i := 0; i < n && w.Err() == nil; i++ {
+		if w.Decoding() {
+			t.schemas = append(t.schemas, &event.Schema{})
+		}
+		s := t.schemas[i]
+		w.String((*string)(&s.Type))
+		walkNames(w, &s.Numeric)
+		walkNames(w, &s.Strings)
+	}
+}
+
+// walkEvents walks the attributes an event has, sorted by name, however
+// it carries them: a map-free batch row writes the bytes its map-carried
+// twin does, and decoding fills the maps and lets Bind rebuild the slots.
+func (t *evTable) walkEvents(w *checkpoint.Walker) {
+	n := w.Len(len(t.list), 26)
 	var nums, strs []string
-	for _, ev := range t.list {
-		enc.U64(ev.ID)
-		enc.String(string(ev.Type))
-		enc.I64(ev.Time)
-		// The attributes the event has, sorted by name, however it carries
-		// them: a map-free batch row writes the bytes its map-carried twin
-		// does, and decode's Bind rebuilds the slots from the maps.
-		nums, strs = ev.AttrNames(nums, strs)
-		enc.U32(uint32(len(nums)))
-		for _, k := range nums {
-			v, _ := ev.Attr(k)
-			enc.String(k)
-			enc.F64(v)
+	for i := 0; i < n && w.Err() == nil; i++ {
+		if w.Decoding() {
+			t.list = append(t.list, &event.Event{})
 		}
-		enc.U32(uint32(len(strs)))
-		for _, k := range strs {
-			v, _ := ev.StrAttr(k)
-			enc.String(k)
-			enc.String(v)
+		ev := t.list[i]
+		w.U64(&ev.ID)
+		w.String((*string)(&ev.Type))
+		w.I64(&ev.Time)
+		if w.Encoding() {
+			nums, strs = ev.AttrNames(nums, strs)
 		}
-		if ev.Sch != nil {
-			enc.Bool(true)
-			enc.U32(t.schRefs[ev.Sch])
-		} else {
-			enc.Bool(false)
+		nn := w.Len(len(nums), 13)
+		if w.Decoding() && nn > 0 {
+			ev.Attrs = make(map[string]float64, nn)
 		}
-	}
-}
-
-func decodeSchemas(d *checkpoint.Decoder) []*event.Schema {
-	n := d.Len(12)
-	out := make([]*event.Schema, 0, n)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		s := &event.Schema{Type: event.Type(d.String())}
-		nn := d.Len(4)
 		for j := 0; j < nn; j++ {
-			s.Numeric = append(s.Numeric, d.String())
+			var k string
+			var v float64
+			if w.Encoding() {
+				k = nums[j]
+				v, _ = ev.Attr(k)
+			}
+			w.String(&k)
+			if w.F64(&v); w.Decoding() {
+				ev.Attrs[k] = v
+			}
 		}
-		ns := d.Len(4)
-		for j := 0; j < ns; j++ {
-			s.Strings = append(s.Strings, d.String())
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
-func decodeEvents(d *checkpoint.Decoder, schemas []*event.Schema) ([]*event.Event, error) {
-	n := d.Len(26)
-	out := make([]*event.Event, 0, n)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		ev := &event.Event{ID: d.U64(), Type: event.Type(d.String()), Time: d.I64()}
-		na := d.Len(13)
-		if na > 0 {
-			ev.Attrs = make(map[string]float64, na)
-		}
-		for j := 0; j < na; j++ {
-			k := d.String()
-			ev.Attrs[k] = d.F64()
-		}
-		ns := d.Len(9)
-		if ns > 0 {
+		ns := w.Len(len(strs), 9)
+		if w.Decoding() && ns > 0 {
 			ev.Str = make(map[string]string, ns)
 		}
 		for j := 0; j < ns; j++ {
-			k := d.String()
-			ev.Str[k] = d.String()
-		}
-		if d.Bool() {
-			si := int(d.U32())
-			if d.Err() != nil {
-				return nil, d.Err()
+			var k, v string
+			if w.Encoding() {
+				k = strs[j]
+				v, _ = ev.StrAttr(k)
 			}
-			if si >= len(schemas) {
-				return nil, d.Corrupt("schema ref %d out of range", si)
+			w.String(&k)
+			if w.String(&v); w.Decoding() {
+				ev.Str[k] = v
 			}
-			schemas[si].Bind(ev)
 		}
-		out = append(out, ev)
-	}
-	return out, d.Err()
-}
-
-// ---------------------------------------------------------------------
-// Payloads, summaries, results
-// ---------------------------------------------------------------------
-
-func encodeBigInt(enc *checkpoint.Encoder, x *big.Int) {
-	switch x.Sign() {
-	case 0:
-		enc.U8(0)
-	case 1:
-		enc.U8(1)
-	default:
-		enc.U8(2)
-	}
-	enc.Bytes(x.Bytes())
-}
-
-func decodeBigInt(d *checkpoint.Decoder, x *big.Int) {
-	sign := d.U8()
-	b := d.Bytes()
-	switch sign {
-	case 0:
-		x.SetInt64(0)
-	case 1:
-		x.SetBytes(b)
-	case 2:
-		x.SetBytes(b)
-		x.Neg(x)
-	default:
-		d.Corrupt("invalid big.Int sign byte %d", sign)
-	}
-}
-
-func encodeBigFloat(enc *checkpoint.Encoder, x *big.Float) {
-	b, err := x.GobEncode()
-	if err != nil {
-		enc.Fail(err)
-		return
-	}
-	enc.Bytes(b)
-}
-
-func decodeBigFloat(d *checkpoint.Decoder, x *big.Float) {
-	b := d.Bytes()
-	if d.Err() != nil {
-		return
-	}
-	if err := x.GobDecode(b); err != nil {
-		d.Corrupt("big.Float: %v", err)
-	}
-}
-
-// encodePayload writes a payload self-describingly (exact-mode big
-// slots are flagged), so one codec serves pooled graph payloads and
-// standalone result payloads.
-func encodePayload(enc *checkpoint.Encoder, p *aggregate.Payload) {
-	enc.U64(p.Count)
-	enc.Bool(p.XCount != nil)
-	if p.XCount != nil {
-		encodeBigInt(enc, p.XCount)
-	}
-	enc.I64(p.MaxStart)
-	enc.U32(uint32(len(p.Slots)))
-	for i := range p.Slots {
-		s := &p.Slots[i]
-		enc.U64(s.N)
-		enc.F64(s.F)
-		enc.Bool(s.X != nil)
-		if s.X != nil {
-			encodeBigInt(enc, s.X)
-		}
-		enc.Bool(s.XF != nil)
-		if s.XF != nil {
-			encodeBigFloat(enc, s.XF)
+		bound := ev.Sch != nil
+		if w.Bool(&bound); bound {
+			var si uint32
+			if w.Encoding() {
+				si = t.schRefs[ev.Sch]
+			}
+			if w.U32(&si); w.Decoding() {
+				if int(si) >= len(t.schemas) {
+					w.Corrupt("schema ref %d out of range", si)
+					return
+				}
+				t.schemas[si].Bind(ev)
+			}
 		}
 	}
 }
 
-// decodePayloadInto fills a pool-shaped payload in place, validating
-// the blob against the definition's shape. No aggregation entry point
-// is called, so restore has no stats side effects (GraphStats are
-// restored wholesale).
-func decodePayloadInto(d *checkpoint.Decoder, p *aggregate.Payload) error {
-	p.Count = d.U64()
-	hasXC := d.Bool()
-	if d.Err() == nil && hasXC != (p.XCount != nil) {
-		return d.Corrupt("payload XCount shape mismatch")
-	}
-	if hasXC {
-		decodeBigInt(d, p.XCount)
-	}
-	p.MaxStart = d.I64()
-	n := d.Len(10)
-	if d.Err() == nil && n != len(p.Slots) {
-		return d.Corrupt("payload has %d slots, definition has %d", n, len(p.Slots))
-	}
-	for i := 0; i < n && d.Err() == nil; i++ {
-		s := &p.Slots[i]
-		s.N = d.U64()
-		s.F = d.F64()
-		hasX := d.Bool()
-		if d.Err() == nil && hasX != (s.X != nil) {
-			return d.Corrupt("slot %d exact-int shape mismatch", i)
+// opt walks the presence byte in front of an optional value and reports
+// whether the value follows. Decoding allocates a blob-shaped value; a
+// pool-shaped one already has its definition's shape, which the byte
+// must agree with.
+func opt[T any](w *checkpoint.Walker, p **T, shaped bool) bool {
+	has := *p != nil
+	if w.Bool(&has); w.Decoding() && has != (*p != nil) {
+		if shaped {
+			w.Corrupt("exact-value shape mismatch")
+			return false
 		}
-		if hasX {
-			decodeBigInt(d, s.X)
-		}
-		hasXF := d.Bool()
-		if d.Err() == nil && hasXF != (s.XF != nil) {
-			return d.Corrupt("slot %d exact-float shape mismatch", i)
-		}
-		if hasXF {
-			decodeBigFloat(d, s.XF)
-		}
+		*p = new(T)
 	}
-	return d.Err()
+	return has
 }
 
-// decodePayloadNew materializes a standalone payload shaped by the
-// blob itself (emitted results own their payloads; no pool or def is
-// in play).
-func decodePayloadNew(d *checkpoint.Decoder) *aggregate.Payload {
-	p := &aggregate.Payload{}
-	p.Count = d.U64()
-	if d.Bool() {
-		p.XCount = new(big.Int)
-		decodeBigInt(d, p.XCount)
+// walkPlanned walks a count the plan fixes, which a decoded one must
+// equal.
+func walkPlanned(w *checkpoint.Walker, want int, what string) {
+	if n := w.Len(want, 1); w.Decoding() && n != want {
+		w.Corrupt("snapshot has %d %s, the plan %d", n, what, want)
 	}
-	p.MaxStart = d.I64()
-	n := d.Len(10)
-	if n > 0 {
+}
+
+func walkBigInt(w *checkpoint.Walker, x *big.Int) {
+	sign := [3]uint8{2, 0, 1}[x.Sign()+1] // negative, zero, positive
+	var mag []byte
+	if w.Encoding() {
+		mag = x.Bytes()
+	}
+	w.U8(&sign)
+	if w.Bytes(&mag); w.Decoding() {
+		switch sign {
+		case 0:
+			x.SetInt64(0)
+		case 1:
+			x.SetBytes(mag)
+		case 2:
+			x.SetBytes(mag)
+			x.Neg(x)
+		default:
+			w.Corrupt("invalid big.Int sign byte %d", sign)
+		}
+	}
+}
+
+func walkBigFloat(w *checkpoint.Walker, x *big.Float) {
+	var b []byte
+	if w.Encoding() {
+		var err error
+		if b, err = x.GobEncode(); err != nil {
+			w.Fail(err)
+		}
+	}
+	if w.Bytes(&b); w.Decoding() {
+		if err := x.GobDecode(b); err != nil {
+			w.Corrupt("big.Float: %v", err)
+		}
+	}
+}
+
+// walkPayload walks a payload self-describingly (exact-mode big slots
+// are flagged), so one routine serves pooled graph payloads and
+// standalone ones. A shaped payload came from a pool and is filled in
+// place, the blob validated against the definition's shape; otherwise
+// the blob shapes it (emitted results and wire partials own their
+// payloads; no pool or def is in play). No aggregation entry point is
+// called, so restore has no stats side effects (GraphStats are restored
+// wholesale).
+func walkPayload(w *checkpoint.Walker, p *aggregate.Payload, shaped bool) {
+	w.U64(&p.Count)
+	if opt(w, &p.XCount, shaped) {
+		walkBigInt(w, p.XCount)
+	}
+	w.I64(&p.MaxStart)
+	n := w.Len(len(p.Slots), 10)
+	if w.Decoding() && n != len(p.Slots) {
+		if shaped {
+			w.Corrupt("payload has %d slots, definition has %d", n, len(p.Slots))
+			return
+		}
 		p.Slots = make([]aggregate.SlotVal, n)
 	}
-	for i := range p.Slots {
+	for i := 0; i < n && w.Err() == nil; i++ {
 		s := &p.Slots[i]
-		s.N = d.U64()
-		s.F = d.F64()
-		if d.Bool() {
-			s.X = new(big.Int)
-			decodeBigInt(d, s.X)
+		w.U64(&s.N)
+		w.F64(&s.F)
+		if opt(w, &s.X, shaped) {
+			walkBigInt(w, s.X)
 		}
-		if d.Bool() {
-			s.XF = new(big.Float)
-			decodeBigFloat(d, s.XF)
+		if opt(w, &s.XF, shaped) {
+			walkBigFloat(w, s.XF)
 		}
-	}
-	return p
-}
-
-func encodeResults(enc *checkpoint.Encoder, rs []Result) {
-	enc.U32(uint32(len(rs)))
-	for i := range rs {
-		r := &rs[i]
-		enc.String(r.Group)
-		enc.I64(r.Wid)
-		enc.I64(r.WindowStart)
-		enc.I64(r.WindowEnd)
-		enc.U32(uint32(len(r.Values)))
-		for _, v := range r.Values {
-			enc.F64(v)
-		}
-		enc.Bool(r.Payload != nil)
-		if r.Payload != nil {
-			encodePayload(enc, r.Payload)
-		}
-		enc.I64(r.Emitted.UnixNano())
 	}
 }
 
-func decodeResults(d *checkpoint.Decoder) []Result {
-	n := d.Len(41)
-	if n == 0 {
-		return nil
+func walkResults(w *checkpoint.Walker, rs *[]Result) {
+	n := w.Len(len(*rs), 41)
+	if w.Decoding() && n > 0 {
+		*rs = make([]Result, n)
 	}
-	out := make([]Result, 0, n)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		var r Result
-		r.Group = d.String()
-		r.Wid = d.I64()
-		r.WindowStart = d.I64()
-		r.WindowEnd = d.I64()
-		nv := d.Len(8)
-		if nv > 0 {
+	for i := 0; i < n && w.Err() == nil; i++ {
+		r := &(*rs)[i]
+		w.String(&r.Group)
+		w.I64(&r.Wid)
+		w.I64(&r.WindowStart)
+		w.I64(&r.WindowEnd)
+		nv := w.Len(len(r.Values), 8)
+		if w.Decoding() && nv > 0 {
 			r.Values = make([]float64, nv)
 		}
 		for j := range r.Values {
-			r.Values[j] = d.F64()
+			w.F64(&r.Values[j])
 		}
-		if d.Bool() {
-			r.Payload = decodePayloadNew(d)
+		if opt(w, &r.Payload, false) {
+			walkPayload(w, r.Payload, false)
 		}
-		r.Emitted = time.Unix(0, d.I64())
-		out = append(out, r)
+		at := r.Emitted.UnixNano()
+		if w.I64(&at); w.Decoding() {
+			r.Emitted = time.Unix(0, at)
+		}
 	}
-	return out
 }
 
-func encodeSum(enc *checkpoint.Encoder, s *vertexSum) {
-	enc.I64(s.agg.FirstWid)
-	enc.U32(uint32(len(s.agg.Sums)))
-	for _, p := range s.agg.Sums {
-		enc.Bool(p != nil)
-		if p != nil {
-			encodePayload(enc, p)
-		}
+// walkPooled walks an optional payload of g's definition; decoding
+// draws it from the pool.
+func (g *Graph) walkPooled(w *checkpoint.Walker, p **aggregate.Payload) {
+	has := *p != nil
+	if w.Bool(&has); !has {
+		return
 	}
-	enc.U32(uint32(len(s.agg.Last)))
-	for _, v := range s.agg.Last {
-		enc.U32(v)
+	if w.Decoding() {
+		*p = g.cs.pool.Get()
 	}
-	enc.U32(s.agg.N)
-	enc.F64(s.minKey)
-	enc.F64(s.maxKey)
-	enc.I64(s.minTime)
-	enc.I64(s.maxTime)
-	enc.U64(s.wmVer)
-	enc.U32(s.fallback)
-	enc.Bool(s.bad)
+	walkPayload(w, *p, true)
 }
 
-func decodeSum(d *checkpoint.Decoder, g *Graph) (*vertexSum, error) {
-	s := &vertexSum{}
-	s.agg.FirstWid = d.I64()
-	n := d.Len(1)
-	if n > 0 {
+func (g *Graph) walkSum(w *checkpoint.Walker, s *vertexSum) {
+	w.I64(&s.agg.FirstWid)
+	n := w.Len(len(s.agg.Sums), 1)
+	if w.Decoding() && n > 0 {
 		s.agg.Sums = make([]*aggregate.Payload, n)
 	}
-	for i := 0; i < n && d.Err() == nil; i++ {
-		if d.Bool() {
-			p := g.cs.pool.Get()
-			if err := decodePayloadInto(d, p); err != nil {
-				return nil, err
-			}
-			s.agg.Sums[i] = p
+	for i := 0; i < n && w.Err() == nil; i++ {
+		g.walkPooled(w, &s.agg.Sums[i])
+	}
+	nl := w.Len(len(s.agg.Last), 4)
+	if w.Decoding() {
+		if nl != n {
+			w.Corrupt("summary Last length %d != window count %d", nl, n)
+			return
 		}
-	}
-	nl := d.Len(4)
-	if d.Err() == nil && nl != n {
-		return nil, d.Corrupt("summary Last length %d != window count %d", nl, n)
-	}
-	if nl > 0 {
 		s.agg.Last = make([]uint32, nl)
 	}
-	for i := range s.agg.Last {
-		s.agg.Last[i] = d.U32()
+	for i := 0; i < nl; i++ {
+		w.U32(&s.agg.Last[i])
 	}
-	s.agg.N = d.U32()
-	s.minKey = d.F64()
-	s.maxKey = d.F64()
-	s.minTime = d.I64()
-	s.maxTime = d.I64()
-	s.wmVer = d.U64()
-	s.fallback = d.U32()
-	s.bad = d.Bool()
-	return s, d.Err()
+	w.U32(&s.agg.N)
+	w.F64(&s.minKey)
+	w.F64(&s.maxKey)
+	w.I64(&s.minTime)
+	w.I64(&s.maxTime)
+	w.U64(&s.wmVer)
+	w.U32(&s.fallback)
+	w.Bool(&s.bad)
 }
 
-// ---------------------------------------------------------------------
-// Vertices and trees
-// ---------------------------------------------------------------------
-
-func encodeVertex(enc *checkpoint.Encoder, tab *evTable, v *Vertex) {
-	enc.U32(tab.ref(v.Ev))
-	enc.I64(v.FirstWid)
-	enc.Bool(v.closed)
-	enc.U32(uint32(len(v.Aggs)))
-	for _, p := range v.Aggs {
-		enc.Bool(p != nil)
-		if p != nil {
-			encodePayload(enc, p)
+// walkVertex walks one vertex of state. Decoding draws it from the pool
+// once the fixed fields are read: the window count that sizes it is the
+// last of them.
+func (g *Graph) walkVertex(c *ckWalk, state int, pv **Vertex) {
+	var ev *event.Event
+	var firstWid int64
+	var closed bool
+	k := 0
+	if c.Encoding() {
+		v := *pv
+		ev, firstWid, closed, k = v.Ev, v.FirstWid, v.closed, len(v.Aggs)
+	}
+	c.tab.ref(&c.Walker, &ev)
+	c.I64(&firstWid)
+	c.Bool(&closed)
+	if k = c.Len(k, 1); c.Decoding() {
+		if k == 0 {
+			c.Corrupt("vertex with zero windows")
+			return
 		}
+		v := g.getVertex(k)
+		v.Ev, v.State, v.FirstWid, v.closed = ev, state, firstWid, closed
+		*pv = v
+	}
+	for i := 0; i < k && c.Err() == nil; i++ {
+		g.walkPooled(&c.Walker, &(*pv).Aggs[i])
 	}
 }
 
-func decodeVertex(d *checkpoint.Decoder, events []*event.Event, g *Graph, state int) (*Vertex, error) {
-	ref := int(d.U32())
-	firstWid := d.I64()
-	closed := d.Bool()
-	k := d.Len(1)
-	if err := d.Err(); err != nil {
-		return nil, err
+// walkNode walks one Vertex Tree node: its items, its child count and
+// (augmented trees only) its subtree summary. A decoded item's key must
+// be the one this plan sorts the state by, bit for bit: a snapshot
+// taken under another plan is refused, not folded over in the wrong
+// order.
+func (g *Graph) walkNode(c *ckWalk, state int, augmented bool, items *[]vitem, sum **vertexSum, children *int) {
+	n := c.Len(len(*items), 22)
+	if c.Decoding() {
+		*items = make([]vitem, n)
 	}
-	if ref >= len(events) {
-		return nil, d.Corrupt("event ref %d out of range", ref)
-	}
-	if k == 0 {
-		return nil, d.Corrupt("vertex with zero windows")
-	}
-	v := g.getVertex(k)
-	v.Ev = events[ref]
-	v.State = state
-	v.FirstWid = firstWid
-	v.closed = closed
-	for i := 0; i < k && d.Err() == nil; i++ {
-		if d.Bool() {
-			p := g.cs.pool.Get()
-			if err := decodePayloadInto(d, p); err != nil {
-				return nil, err
+	for i := 0; i < n && c.Err() == nil; i++ {
+		it := &(*items)[i]
+		c.F64(&it.Key)
+		if g.walkVertex(c, state, &it.Val); c.Decoding() {
+			it.ID = it.Val.Ev.ID
+			if want := g.sortKey(state, it.Val.Ev); math.Float64bits(it.Key) != math.Float64bits(want) {
+				c.Corrupt("plan mismatch: state %d item keyed %v, the plan's sort attribute reads %v", state, it.Key, want)
 			}
-			v.Aggs[i] = p
 		}
 	}
-	return v, d.Err()
+	nc := uint32(*children)
+	if c.U32(&nc); c.Decoding() {
+		*children = int(nc)
+	}
+	if augmented && opt(&c.Walker, sum, false) {
+		g.walkSum(&c.Walker, *sum)
+	}
 }
 
-// encodeTree writes the exact node structure pre-order: item count and
-// items, child count, and (augmented trees only) the node summary.
-// Serializing structure rather than re-inserting on restore is what
-// keeps summary float folds, tree shape, and rebuild counters
+// walkTree walks the exact node structure pre-order behind its node
+// count. Serializing structure rather than re-inserting on restore is
+// what keeps summary float folds, tree shape, and rebuild counters
 // bit-identical to the uninterrupted run.
-func encodeTree(enc *checkpoint.Encoder, tab *evTable, tr *vtree, augmented bool) {
+func (g *Graph) walkTree(c *ckWalk, state int, augmented bool, tr **vtree) {
 	nodes := 0
-	tr.DumpNodes(func([]vitem, *vertexSum, int) bool { nodes++; return true })
-	enc.U32(uint32(nodes))
-	tr.DumpNodes(func(items []vitem, sum *vertexSum, children int) bool {
-		enc.U32(uint32(len(items)))
-		for i := range items {
-			enc.F64(items[i].Key)
-			encodeVertex(enc, tab, items[i].Val)
-		}
-		enc.U32(uint32(children))
-		if augmented {
-			enc.Bool(sum != nil)
-			if sum != nil {
-				encodeSum(enc, sum)
-			}
-		}
-		return true
-	})
-}
-
-func decodeTree(d *checkpoint.Decoder, events []*event.Event, g *Graph, state int, augmented bool) (*vtree, error) {
-	nodeCount := int(d.U32())
-	if err := d.Err(); err != nil {
-		return nil, err
+	if c.Encoding() {
+		(*tr).DumpNodes(func([]vitem, *vertexSum, int) bool { nodes++; return true })
+	}
+	nodes = c.Len(nodes, 8)
+	if c.Encoding() {
+		(*tr).DumpNodes(func(items []vitem, sum *vertexSum, children int) bool {
+			g.walkNode(c, state, augmented, &items, &sum, &children)
+			return true
+		})
+		return
 	}
 	var aug btree.Summarizer[*Vertex, *vertexSum]
 	if augmented {
 		aug = g.cs.augs[state]
 	}
-	if nodeCount == 0 {
-		if augmented {
-			return btree.NewAugmented(&g.cs.nodeFree, aug), nil
-		}
-		return btree.NewWithFreeList(&g.cs.nodeFree), nil
+	if *tr = btree.NewAugmented(&g.cs.nodeFree, aug); nodes == 0 {
+		return
 	}
 	seen := 0
-	next := func() ([]vitem, *vertexSum, int, error) {
-		if err := d.Err(); err != nil {
-			return nil, nil, 0, err
+	t, err := btree.BuildNodes(&g.cs.nodeFree, aug, func() (items []vitem, sum *vertexSum, children int, _ error) {
+		if seen++; seen > nodes {
+			c.Corrupt("tree has more nodes than the %d declared", nodes)
 		}
-		if seen >= nodeCount {
-			return nil, nil, 0, d.Corrupt("tree has more nodes than the %d declared", nodeCount)
-		}
-		seen++
-		nItems := d.Len(22)
-		if err := d.Err(); err != nil {
-			return nil, nil, 0, err
-		}
-		items := make([]vitem, 0, nItems)
-		for i := 0; i < nItems; i++ {
-			key := d.F64()
-			v, err := decodeVertex(d, events, g, state)
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			items = append(items, vitem{Key: key, ID: v.Ev.ID, Val: v})
-		}
-		children := int(d.U32())
-		var sum *vertexSum
-		if augmented && d.Bool() {
-			var err error
-			if sum, err = decodeSum(d, g); err != nil {
-				return nil, nil, 0, err
-			}
-		}
-		return items, sum, children, d.Err()
+		g.walkNode(c, state, augmented, &items, &sum, &children)
+		return items, sum, children, c.Err()
+	})
+	if err == nil && seen != nodes {
+		c.Corrupt("tree has %d nodes, %d declared", seen, nodes)
+	} else if err != nil {
+		c.Corrupt("%v", err)
 	}
-	tr, err := btree.BuildNodes(&g.cs.nodeFree, aug, next)
-	if err != nil {
-		return nil, err
-	}
-	if seen != nodeCount {
-		return nil, d.Corrupt("tree has %d nodes, %d declared", seen, nodeCount)
-	}
-	return tr, nil
+	*tr = t
 }
 
-// ---------------------------------------------------------------------
-// Graphs and partitions
-// ---------------------------------------------------------------------
+// sortedKeys refills dst with m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](dst []K, m map[K]V) []K {
+	dst = dst[:0]
+	for k := range m {
+		dst = append(dst, k)
+	}
+	slices.Sort(dst)
+	return dst
+}
 
-func encodeGraph(enc *checkpoint.Encoder, tab *evTable, g *Graph) {
+// widCount walks the entry count of a wid-keyed map, whose entries
+// follow in ascending wid order (elemSize bounds one from below, key
+// included); wid walks the i'th entry's key.
+func widCount[V any](c *ckWalk, m *map[int64]V, elemSize int) int {
+	if c.Encoding() {
+		c.wids = sortedKeys(c.wids, *m)
+	}
+	n := c.Len(len(c.wids), elemSize)
+	if c.Decoding() && n > 0 && *m == nil {
+		*m = make(map[int64]V, n)
+	}
+	return n
+}
+
+func (c *ckWalk) wid(i int) (wid int64) {
+	if c.Encoding() {
+		wid = c.wids[i]
+	}
+	c.I64(&wid)
+	return wid
+}
+
+// walkWidTimes walks an invalidation watermark per window.
+func walkWidTimes(c *ckWalk, m *map[int64]int64) {
+	for i, n := 0, widCount(c, m, 16); i < n; i++ {
+		wid := c.wid(i)
+		t := (*m)[wid]
+		if c.I64(&t); c.Decoding() {
+			(*m)[wid] = t
+		}
+	}
+}
+
+func (g *Graph) walk(c *ckWalk) {
 	st := &g.stats
-	enc.U64(st.Events)
-	enc.U64(st.Vertices)
-	enc.U64(st.Inserted)
-	enc.U64(st.Edges)
-	enc.U64(st.Payloads)
-	enc.U64(st.ScanVisits)
-	enc.U64(st.SummaryFolds)
-	enc.U64(st.SummaryRebuilds)
-	enc.I64(g.prevTime)
-	enc.U64(g.lastEventID)
-	enc.U64(g.wmVer)
+	c.U64(&st.Events)
+	c.U64(&st.Vertices)
+	c.U64(&st.Inserted)
+	c.U64(&st.Edges)
+	c.U64(&st.Payloads)
+	c.U64(&st.ScanVisits)
+	c.U64(&st.SummaryFolds)
+	c.U64(&st.SummaryRebuilds)
+	c.I64(&g.prevTime)
+	c.U64(&g.lastEventID)
+	c.U64(&g.wmVer)
 
-	wids := make([]int64, 0, len(g.results))
-	for wid := range g.results {
-		wids = append(wids, wid)
+	for i, n := 0, widCount(c, &g.results, 9); i < n; i++ {
+		wid := c.wid(i)
+		if c.Decoding() {
+			g.results[wid] = g.cs.pool.Get()
+		}
+		if p := g.results[wid]; p != nil {
+			walkPayload(&c.Walker, p, true)
+		}
 	}
-	sort.Slice(wids, func(i, j int) bool { return wids[i] < wids[j] })
-	enc.U32(uint32(len(wids)))
-	for _, wid := range wids {
-		enc.I64(wid)
-		encodePayload(enc, g.results[wid])
-	}
-
-	wids = wids[:0]
-	for wid := range g.endWids {
-		wids = append(wids, wid)
-	}
-	sort.Slice(wids, func(i, j int) bool { return wids[i] < wids[j] })
-	enc.U32(uint32(len(wids)))
-	for _, wid := range wids {
-		enc.I64(wid)
+	for i, n := 0, widCount(c, &g.endWids, 8); i < n; i++ {
+		if wid := c.wid(i); c.Decoding() {
+			g.endWids[wid] = true
+		}
 	}
 
-	enc.U32(uint32(len(g.deps)))
+	walkPlanned(&c.Walker, len(g.deps), "dependency links")
 	for _, l := range g.deps {
-		enc.U32(uint32(len(l.pending)))
-		for i := range l.pending {
+		np := c.Len(len(l.pending), 16)
+		if c.Decoding() {
+			l.pending = make([]invalRecord, np)
+		}
+		for i := 0; i < np && c.Err() == nil; i++ {
 			rec := &l.pending[i]
-			enc.I64(rec.end)
-			enc.I64(rec.firstWid)
-			enc.U32(uint32(len(rec.starts)))
-			for _, s := range rec.starts {
-				enc.I64(s)
-			}
-		}
-		wids = wids[:0]
-		for wid := range l.maxStart {
-			wids = append(wids, wid)
-		}
-		sort.Slice(wids, func(i, j int) bool { return wids[i] < wids[j] })
-		enc.U32(uint32(len(wids)))
-		for _, wid := range wids {
-			enc.I64(wid)
-			enc.I64(l.maxStart[wid])
-		}
-		wids = wids[:0]
-		for wid := range l.minEnd {
-			wids = append(wids, wid)
-		}
-		sort.Slice(wids, func(i, j int) bool { return wids[i] < wids[j] })
-		enc.U32(uint32(len(wids)))
-		for _, wid := range wids {
-			enc.I64(wid)
-			enc.I64(l.minEnd[wid])
-		}
-	}
-
-	enc.U32(uint32(len(g.panes)))
-	for _, pn := range g.panes {
-		enc.I64(pn.idx)
-		states := make([]int, 0, len(pn.trees))
-		for s := range pn.trees {
-			states = append(states, s)
-		}
-		sort.Ints(states)
-		enc.U32(uint32(len(states)))
-		for _, s := range states {
-			tr := pn.trees[s]
-			enc.U32(uint32(s))
-			enc.Bool(tr.Augmented())
-			encodeTree(enc, tab, tr, tr.Augmented())
-		}
-	}
-}
-
-func decodeGraph(d *checkpoint.Decoder, events []*event.Event, g *Graph) error {
-	st := &g.stats
-	st.Events = d.U64()
-	st.Vertices = d.U64()
-	st.Inserted = d.U64()
-	st.Edges = d.U64()
-	st.Payloads = d.U64()
-	st.ScanVisits = d.U64()
-	st.SummaryFolds = d.U64()
-	st.SummaryRebuilds = d.U64()
-	g.prevTime = d.I64()
-	g.lastEventID = d.U64()
-	g.wmVer = d.U64()
-
-	nr := d.Len(9)
-	if nr > 0 {
-		g.results = make(map[int64]*aggregate.Payload, nr)
-	}
-	for i := 0; i < nr && d.Err() == nil; i++ {
-		wid := d.I64()
-		p := g.cs.pool.Get()
-		if err := decodePayloadInto(d, p); err != nil {
-			return err
-		}
-		g.results[wid] = p
-	}
-
-	ne := d.Len(8)
-	if ne > 0 {
-		g.endWids = make(map[int64]bool, ne)
-	}
-	for i := 0; i < ne; i++ {
-		g.endWids[d.I64()] = true
-	}
-
-	nd := d.Len(1)
-	if d.Err() == nil && nd != len(g.deps) {
-		return d.Corrupt("graph has %d dependency links, plan wires %d", nd, len(g.deps))
-	}
-	for i := 0; i < nd && d.Err() == nil; i++ {
-		l := g.deps[i]
-		np := d.Len(16)
-		for j := 0; j < np && d.Err() == nil; j++ {
-			var rec invalRecord
-			rec.end = d.I64()
-			rec.firstWid = d.I64()
-			ns := d.Len(8)
-			if ns > 0 {
+			c.I64(&rec.end)
+			c.I64(&rec.firstWid)
+			ns := c.Len(len(rec.starts), 8)
+			if c.Decoding() && ns > 0 {
 				rec.starts = make([]int64, ns)
 			}
-			for k := range rec.starts {
-				rec.starts[k] = d.I64()
+			for j := range rec.starts {
+				c.I64(&rec.starts[j])
 			}
-			l.pending = append(l.pending, rec)
 		}
-		nms := d.Len(16)
-		for j := 0; j < nms; j++ {
-			wid := d.I64()
-			l.maxStart[wid] = d.I64()
-		}
-		nme := d.Len(16)
-		for j := 0; j < nme; j++ {
-			wid := d.I64()
-			l.minEnd[wid] = d.I64()
-		}
+		walkWidTimes(c, &l.maxStart)
+		walkWidTimes(c, &l.minEnd)
 	}
 
-	np := d.Len(12)
-	prevIdx := int64(0)
-	for i := 0; i < np && d.Err() == nil; i++ {
-		idx := d.I64()
-		if i > 0 && idx <= prevIdx {
-			return d.Corrupt("pane indices not strictly increasing")
+	np := c.Len(len(g.panes), 12)
+	for i := 0; i < np && c.Err() == nil; i++ {
+		if c.Decoding() {
+			g.panes = append(g.panes, &pane{trees: map[int]*vtree{}})
 		}
-		prevIdx = idx
-		pn := &pane{idx: idx, start: idx * g.paneSize, end: (idx + 1) * g.paneSize, trees: map[int]*vtree{}}
-		nt := d.Len(6)
-		for j := 0; j < nt && d.Err() == nil; j++ {
-			state := int(d.U32())
-			augmented := d.Bool()
-			if err := d.Err(); err != nil {
-				return err
+		pn := g.panes[i]
+		if c.I64(&pn.idx); c.Decoding() {
+			if i > 0 && pn.idx <= g.panes[i-1].idx {
+				c.Corrupt("pane indices not strictly increasing")
+				return
 			}
-			if state < 0 || state >= len(g.cs.augs) {
-				return d.Corrupt("tree state %d out of range", state)
-			}
-			if _, dup := pn.trees[state]; dup {
-				return d.Corrupt("duplicate tree for state %d", state)
-			}
-			if want := g.cs.augs[state] != nil && !g.forceScan; augmented != want {
-				return d.Corrupt("tree augmentation mismatch for state %d", state)
-			}
-			tr, err := decodeTree(d, events, g, state, augmented)
-			if err != nil {
-				return err
-			}
-			pn.trees[state] = tr
-			pn.vertices += tr.Len()
+			pn.start, pn.end = pn.idx*g.paneSize, (pn.idx+1)*g.paneSize
 		}
-		g.panes = append(g.panes, pn)
-	}
-	return d.Err()
-}
-
-func encodePartKey(enc *checkpoint.Encoder, pk partKey) {
-	enc.U32(uint32(len(pk)))
-	for i := range pk {
-		a := &pk[i]
-		enc.U8(a.kind)
-		switch a.kind {
-		case pkNum:
-			enc.U64(a.num)
-		case pkStr:
-			enc.String(a.str)
+		if c.Encoding() {
+			c.states = sortedKeys(c.states, pn.trees)
+		}
+		nt := c.Len(len(c.states), 6)
+		for j := 0; j < nt && c.Err() == nil; j++ {
+			var state uint32
+			var tr *vtree
+			var augmented bool
+			if c.Encoding() {
+				state = uint32(c.states[j])
+				tr = pn.trees[c.states[j]]
+				augmented = tr.Augmented()
+			}
+			c.U32(&state)
+			if c.Bool(&augmented); c.Decoding() {
+				if int(state) >= len(g.cs.augs) {
+					c.Corrupt("tree state %d out of range", state)
+				} else if pn.trees[int(state)] != nil {
+					c.Corrupt("duplicate tree for state %d", state)
+				} else if want := g.cs.augs[state] != nil && !g.forceScan; augmented != want {
+					c.Corrupt("tree augmentation mismatch for state %d", state)
+				}
+			}
+			if c.Err() != nil {
+				return
+			}
+			if g.walkTree(c, int(state), augmented, &tr); c.Decoding() {
+				pn.trees[int(state)] = tr
+				pn.vertices += tr.Len()
+			}
 		}
 	}
 }
 
-func decodePartKey(d *checkpoint.Decoder, want int) (partKey, error) {
-	n := d.Len(1)
-	if d.Err() == nil && n != want {
-		return nil, d.Corrupt("partition key has %d attributes, plan has %d", n, want)
+// walkPartKey walks a partition key; a decoded one has want attributes.
+func walkPartKey(w *checkpoint.Walker, pk *partKey, want int) {
+	n := w.Len(len(*pk), 1)
+	if w.Decoding() {
+		if n != want {
+			w.Corrupt("partition key has %d attributes, plan has %d", n, want)
+			return
+		}
+		*pk = make(partKey, n)
 	}
-	pk := make(partKey, 0, n)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		a := keyAttr{kind: d.U8()}
-		switch a.kind {
+	for i := 0; i < n && w.Err() == nil; i++ {
+		a := &(*pk)[i]
+		switch w.U8(&a.kind); a.kind {
 		case pkMissing:
 		case pkNum:
-			a.num = d.U64()
+			w.U64(&a.num)
 		case pkStr:
-			a.str = d.String()
+			w.String(&a.str)
 		default:
-			return nil, d.Corrupt("invalid partition key kind %d", a.kind)
+			w.Corrupt("invalid partition key kind %d", a.kind)
 		}
-		pk = append(pk, a)
 	}
-	return pk, d.Err()
 }
 
-// ---------------------------------------------------------------------
-// Engines
-// ---------------------------------------------------------------------
-
-func encodeEngine(enc *checkpoint.Encoder, tab *evTable, e *Engine) {
+func (e *Engine) walk(c *ckWalk) {
 	simple := e.plan.Simple()
-	enc.Bool(simple)
-	enc.I64(e.prevTime)
+	if c.Bool(&simple); c.Decoding() && simple != e.plan.Simple() {
+		c.Corrupt("engine shape mismatch (checkpointed plan differs)")
+		return
+	}
+	c.I64(&e.prevTime)
 	s := &e.stats
-	enc.U64(s.Events)
-	enc.U64(s.OutOfOrder)
-	enc.U64(s.Inserted)
-	enc.U64(s.Edges)
-	enc.U64(s.ScanVisits)
-	enc.U64(s.SummaryFolds)
-	enc.U64(s.SummaryRebuilds)
-	enc.U64(s.PeakVertices)
-	enc.U64(s.PeakPayloads)
-	enc.I64(int64(s.Partitions))
-	enc.U64(uint64(e.emitted))
-	encodeResults(enc, e.results)
+	c.U64(&s.Events)
+	c.U64(&s.OutOfOrder)
+	c.U64(&s.Inserted)
+	c.U64(&s.Edges)
+	c.U64(&s.ScanVisits)
+	c.U64(&s.SummaryFolds)
+	c.U64(&s.SummaryRebuilds)
+	c.U64(&s.PeakVertices)
+	c.U64(&s.PeakPayloads)
+	c.Int(&s.Partitions)
+	c.Int(&e.emitted)
+	walkResults(&c.Walker, &e.results)
 	if simple {
-		enc.U32(uint32(len(e.parts.all())))
-		for _, p := range e.parts.all() {
-			enc.String(p.key)
-			encodePartKey(enc, p.pk)
+		parts := e.parts.all()
+		np := c.Len(len(parts), 8)
+		for i := 0; i < np && c.Err() == nil; i++ {
+			p := new(partition)
+			if c.Encoding() {
+				p = parts[i]
+			}
+			c.String(&p.key)
+			if walkPartKey(&c.Walker, &p.pk, len(e.partAttrs)); c.Decoding() {
+				p = e.parts.add(p.pk.hash(), p.key, p.pk)
+			}
 			for _, g := range p.graphs {
-				encodeGraph(enc, tab, g)
+				g.walk(c)
 			}
 		}
-	} else {
-		// Branches, then products (a composite plan has at least one), each
-		// run behind its count. The merger has no section: it is empty
-		// whenever a snapshot can be taken (Engine.release).
-		enc.U32(uint32(e.branches))
-		for slot, se := range e.subs {
-			if slot == e.branches {
-				enc.U32(uint32(len(e.subs) - e.branches))
-			}
-			encodeEngine(enc, tab, se)
-		}
+		return
 	}
-}
-
-func decodeEngine(d *checkpoint.Decoder, events []*event.Event, e *Engine) error {
-	simple := d.Bool()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if simple != e.plan.Simple() {
-		return d.Corrupt("engine shape mismatch (checkpointed plan differs)")
-	}
-	e.prevTime = d.I64()
-	s := &e.stats
-	s.Events = d.U64()
-	s.OutOfOrder = d.U64()
-	s.Inserted = d.U64()
-	s.Edges = d.U64()
-	s.ScanVisits = d.U64()
-	s.SummaryFolds = d.U64()
-	s.SummaryRebuilds = d.U64()
-	s.PeakVertices = d.U64()
-	s.PeakPayloads = d.U64()
-	s.Partitions = int(d.I64())
-	e.emitted = int(d.U64())
-	e.results = decodeResults(d)
-	if simple {
-		np := d.Len(8)
-		for i := 0; i < np && d.Err() == nil; i++ {
-			key := d.String()
-			pk, err := decodePartKey(d, len(e.partAttrs))
-			if err != nil {
-				return err
-			}
-			for _, g := range e.parts.add(pk.hash(), key, pk).graphs {
-				if err := decodeGraph(d, events, g); err != nil {
-					return err
-				}
-			}
+	// Branches, then products (a composite plan has at least one), each
+	// run behind its count. The merger has no section: it is empty
+	// whenever a snapshot can be taken (Engine.release).
+	walkPlanned(&c.Walker, e.branches, "branches")
+	for slot, se := range e.subs {
+		if slot == e.branches {
+			walkPlanned(&c.Walker, len(e.subs)-slot, "products")
 		}
-	} else {
-		if nbr := d.Len(1); d.Err() == nil && nbr != e.branches {
-			return d.Corrupt("engine has %d branches, plan has %d", nbr, e.branches)
-		}
-		for slot, se := range e.subs {
-			if slot == e.branches {
-				if n, npr := d.Len(1), len(e.subs)-e.branches; d.Err() == nil && n != npr {
-					return d.Corrupt("engine has %d products, plan has %d", n, npr)
-				}
-			}
-			if err := decodeEngine(d, events, se); err != nil {
-				return err
-			}
+		if se.walk(c); c.Decoding() {
 			// Sub-engines retain nothing, so their result lists are written
 			// empty. A body from before composite plans emitted per window
 			// lists every window the sub-engine had closed; those partials
@@ -1068,107 +846,146 @@ func decodeEngine(d *checkpoint.Decoder, events []*event.Event, e *Engine) error
 			se.results = nil
 		}
 	}
-	return d.Err()
 }
 
-// ---------------------------------------------------------------------
-// Runtime encode
-// ---------------------------------------------------------------------
+// ckHeader leads the file: the version word, the replay bound, the
+// armed interval (0 if none — e.g. a body encoded without a schedule),
+// the runtime's cursors and the opaque session-meta blob.
+type ckHeader struct {
+	replayFrom, every, watermark event.Time
+	nextID                       int
+	meta                         []byte
+}
+
+func (h *ckHeader) walk(w *checkpoint.Walker) {
+	v := uint32(ckVersion)
+	if w.U32(&v); w.Decoding() && v != ckVersion {
+		w.Corrupt("unsupported checkpoint version %d", v)
+	}
+	w.I64(&h.replayFrom)
+	w.I64(&h.every)
+	w.I64(&h.watermark)
+	w.Int(&h.nextID)
+	w.Bytes(&h.meta)
+}
+
+// stmtRec is one statement's record: how to register it again, and what
+// it has delivered. Its engine follows the record unless the statement
+// subscribes to a shared entry (entry >= 0, numbered in first-subscriber
+// order), whose one engine is written after the statements.
+type stmtRec struct {
+	id, query               string
+	mode                    uint8
+	force, shared, noRetain bool
+	entry                   int64
+	resultCount             int
+	results                 []Result
+}
+
+func (r *stmtRec) walk(w *checkpoint.Walker) {
+	w.String(&r.id)
+	w.String(&r.query)
+	w.U8(&r.mode)
+	w.Bool(&r.force)
+	w.Bool(&r.shared)
+	w.Bool(&r.noRetain)
+	w.I64(&r.entry)
+	w.Int(&r.resultCount)
+	walkResults(w, &r.results)
+}
+
+// walkReorder walks the reorder section: the disorder window travels
+// with the snapshot, its pending events interned in the event table
+// like any vertex reference, in canonical release order (time,
+// arrival). nil is a runtime without a buffer.
+func (c *ckWalk) walkReorder(s **reorder.Snapshot) {
+	if !opt(&c.Walker, s, false) {
+		return
+	}
+	sn := *s
+	c.I64(&sn.Slack)
+	c.I64(&sn.MaxSeen)
+	c.I64(&sn.Released)
+	c.U64(&sn.Dropped)
+	n := c.Len(len(sn.Pending), 4)
+	if c.Decoding() {
+		if sn.Slack <= 0 {
+			c.Corrupt("reorder section with non-positive slack %d", sn.Slack)
+		}
+		sn.Pending = make([]*event.Event, n)
+	}
+	for i := 0; i < n && c.Err() == nil; i++ {
+		c.tab.ref(&c.Walker, &sn.Pending[i])
+	}
+}
 
 // encodeLocked serializes the full recoverable runtime state; rt.mu
-// held. The statement/entry body is encoded into a scratch buffer
-// first so event references are assigned before the event table (which
-// precedes the body in the file) is written.
-func (rt *Runtime) encodeLocked(w io.Writer, replayFrom event.Time) error {
-	tab := newEvTable()
-	var body bytes.Buffer
-	be := checkpoint.NewEncoder(&body)
+// held. The statement/entry body is walked first, so event references
+// are assigned before the header and event table are walked behind it
+// in the same slice — sized once, from the previous snapshot — and the
+// two runs are written in file order: header and table, then body.
+func (rt *Runtime) encodeLocked(out io.Writer, replayFrom event.Time) error {
+	c := ckWalk{Walker: checkpoint.Encode(make([]byte, 0, rt.ckSize+rt.ckSize/8)), tab: newEvTable()}
 
 	var entries []*sharedEntry
-	entryRef := map[*sharedEntry]int{}
+	entryRef := map[*sharedEntry]int64{}
+	c.Len(len(rt.stmts), 1)
 	for _, st := range rt.stmts {
-		if st.entry != nil {
-			if _, ok := entryRef[st.entry]; !ok {
-				entryRef[st.entry] = len(entries)
-				entries = append(entries, st.entry)
+		rec := stmtRec{
+			id: st.id, query: st.srcPlan.Query.String(), mode: uint8(st.srcPlan.Mode),
+			force: st.eng.forceScan, shared: st.entry != nil || st.shareNode != nil, noRetain: st.noRetain,
+			entry: -1, resultCount: st.resultCount, results: st.results,
+		}
+		if e := st.entry; e != nil {
+			ref, ok := entryRef[e]
+			if !ok {
+				ref = int64(len(entries))
+				entryRef[e] = ref
+				entries = append(entries, e)
 			}
+			rec.entry, rec.force = ref, e.force
+		}
+		if rec.walk(&c.Walker); rec.entry < 0 {
+			st.eng.walk(&c)
 		}
 	}
-
-	be.U32(uint32(len(rt.stmts)))
-	for _, st := range rt.stmts {
-		be.String(st.id)
-		be.String(st.srcPlan.Query.String())
-		be.U8(uint8(st.srcPlan.Mode))
-		ref := int64(-1)
-		force := st.eng.forceScan
-		if st.entry != nil {
-			ref = int64(entryRef[st.entry])
-			force = st.entry.force
-		}
-		be.Bool(force)
-		be.Bool(st.entry != nil || st.shareNode != nil)
-		be.Bool(st.noRetain)
-		be.I64(ref)
-		be.U64(uint64(st.resultCount))
-		encodeResults(be, st.results)
-		if ref < 0 {
-			encodeEngine(be, tab, st.eng)
-		}
-	}
-	be.U32(uint32(len(entries)))
+	c.Len(len(entries), 5)
 	for _, e := range entries {
-		be.U32(uint32(len(e.subs)))
-		encodeEngine(be, tab, e.host.eng)
+		n := uint32(len(e.subs))
+		c.U32(&n)
+		e.host.eng.walk(&c)
 	}
-	// Reorder section: the disorder window travels with the snapshot.
-	// Pending events are interned in the event table like any vertex
-	// reference, listed in canonical release order (time, arrival). A
-	// release in flight (popped from the buffer, not yet applied — it
-	// is what fired this boundary) leads the list: it is first in
-	// release order and would otherwise vanish from both replay modes.
-	if b := rt.reorder; b != nil {
-		be.Bool(true)
-		s := b.Snapshot()
-		pend := s.Pending
-		if rt.inflight != nil {
-			pend = append([]*event.Event{rt.inflight}, pend...)
+	var snap *reorder.Snapshot
+	if rt.reorder != nil {
+		// A release in flight (popped from the buffer, not yet applied — it
+		// is what fired this boundary) leads the pending list: it is first
+		// in release order and would otherwise vanish from both replay modes.
+		if snap = rt.reorder.Snapshot(); rt.inflight != nil {
+			snap.Pending = append([]*event.Event{rt.inflight}, snap.Pending...)
 		}
-		be.I64(s.Slack)
-		be.I64(s.MaxSeen)
-		be.I64(s.Released)
-		be.U64(s.Dropped)
-		be.U32(uint32(len(pend)))
-		for _, ev := range pend {
-			be.U32(tab.ref(ev))
-		}
-	} else {
-		be.Bool(false)
 	}
-	if err := be.Err(); err != nil {
-		return err
-	}
+	c.walkReorder(&snap)
 
-	he := checkpoint.NewEncoder(w)
-	he.U32(ckVersion)
-	he.I64(replayFrom)
-	var every event.Time
+	body := len(c.Out())
+	h := ckHeader{replayFrom: replayFrom, watermark: rt.watermark, nextID: rt.nextID}
 	if rt.ck != nil {
-		every = rt.ck.every
+		h.every = rt.ck.every
 	}
-	he.I64(every)
-	he.I64(rt.watermark)
-	he.U64(uint64(rt.nextID))
-	var meta []byte
 	if rt.ckMeta != nil {
-		meta = rt.ckMeta()
+		h.meta = rt.ckMeta()
 	}
-	he.Bytes(meta)
-	tab.encode(he)
-	if err := he.Err(); err != nil {
+	h.walk(&c.Walker)
+	c.tab.walkSchemas(&c.Walker)
+	c.tab.walkEvents(&c.Walker)
+	if err := c.Err(); err != nil {
 		return err
 	}
-	_, err := w.Write(body.Bytes())
+	buf := c.Out()
+	rt.ckSize = len(buf)
+	if _, err := out.Write(buf[body:]); err != nil {
+		return err
+	}
+	_, err := out.Write(buf[:body])
 	return err
 }
 
@@ -1201,84 +1018,67 @@ type RestoreInfo struct {
 // shared entries are rebuilt with their original subscriber order so
 // union payload slot layouts match; result callbacks are not restored
 // (re-register them via Stmt.OnResult), and checkpointing is not
-// re-armed (call SetCheckpoint with info.Every). Corrupt input yields
-// an error wrapping checkpoint.ErrCorrupt, never a panic.
+// re-armed (call SetCheckpoint with info.Every). Corrupt input — a
+// snapshot taken under a plan this build would not choose included —
+// yields an error wrapping checkpoint.ErrCorrupt, never a panic.
 func RestoreRuntime(data []byte) (*Runtime, RestoreInfo, error) {
-	d := checkpoint.NewDecoder(data)
-	if v := d.U32(); d.Err() == nil && v != ckVersion {
-		return nil, RestoreInfo{}, d.Corrupt("unsupported checkpoint version %d", v)
-	}
-	replayFrom := d.I64()
-	every := d.I64()
-	wm := d.I64()
-	nextID := d.U64()
-	meta := d.Bytes()
-	if len(meta) == 0 {
-		meta = nil
-	} else {
-		meta = append([]byte(nil), meta...)
-	}
-	schemas := decodeSchemas(d)
-	events, err := decodeEvents(d, schemas)
-	if err != nil {
-		return nil, RestoreInfo{}, err
-	}
+	c := ckWalk{Walker: checkpoint.Decode(data)}
+	var h ckHeader
+	h.walk(&c.Walker)
+	c.tab.walkSchemas(&c.Walker)
+	c.tab.walkEvents(&c.Walker)
 
 	rt := NewRuntime()
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
+	info, err := rt.restoreLocked(&c, &h)
+	if err != nil {
+		return nil, RestoreInfo{}, err
+	}
+	return rt, info, nil
+}
 
+// restoreLocked rebuilds a fresh runtime's statements, shared entries
+// and reorder buffer from the body c stands at, behind header h; rt.mu
+// held.
+func (rt *Runtime) restoreLocked(c *ckWalk, h *ckHeader) (RestoreInfo, error) {
+	info := RestoreInfo{ReplayFrom: h.replayFrom, Every: h.every, Meta: h.meta}
 	type pendingEntry struct {
 		e    *sharedEntry
 		subs []*Stmt
 	}
 	var entries []*pendingEntry
-
-	nst := d.Len(1)
-	for i := 0; i < nst; i++ {
-		id := d.String()
-		qtext := d.String()
-		mode := aggregate.Mode(d.U8())
-		force := d.Bool()
-		shared := d.Bool()
-		noRetain := d.Bool()
-		ref := d.I64()
-		resultCount := d.U64()
-		results := decodeResults(d)
-		if err := d.Err(); err != nil {
-			return nil, RestoreInfo{}, err
+	for i, n := 0, c.Len(0, 1); i < n && c.Err() == nil; i++ {
+		var rec stmtRec
+		if rec.walk(&c.Walker); c.Err() != nil {
+			break
 		}
-		q, err := query.Parse(qtext)
+		q, err := query.Parse(rec.query)
 		if err != nil {
-			return nil, RestoreInfo{}, fmt.Errorf("checkpoint: statement %q: %w", id, err)
+			return info, fmt.Errorf("checkpoint: statement %q: %w", rec.id, err)
 		}
+		mode := aggregate.Mode(rec.mode)
 		plan, err := NewPlan(q, mode)
 		if err != nil {
-			return nil, RestoreInfo{}, fmt.Errorf("checkpoint: statement %q: %w", id, err)
+			return info, fmt.Errorf("checkpoint: statement %q: %w", rec.id, err)
 		}
-		cfg := StmtConfig{ID: id, ForceVertexScan: force, Share: shared, NoRetain: noRetain}
-		if ref < 0 {
-			st := rt.adoptLocked(newStmtEngine(plan, cfg), id)
-			st.srcPlan = plan
-			st.noRetain = noRetain
-			st.results = results
-			st.resultCount = int(resultCount)
-			if shared && shareable(plan) {
+		cfg := StmtConfig{ID: rec.id, ForceVertexScan: rec.force, Share: rec.shared, NoRetain: rec.noRetain}
+		var st *Stmt
+		switch ref := rec.entry; {
+		case ref < 0:
+			st = rt.adoptLocked(newStmtEngine(plan, cfg), rec.id)
+			if rec.shared && shareable(plan) {
 				st.shareNode = rt.shareIdx.Put(shareKeyOf(plan, cfg), &shareRec{cand: st})
 			}
-			if err := decodeEngine(d, events, st.eng); err != nil {
-				return nil, RestoreInfo{}, err
-			}
-		} else {
-			if ref > int64(len(entries)) {
-				return nil, RestoreInfo{}, d.Corrupt("entry ref %d out of order", ref)
-			}
-			st := &Stmt{rt: rt, srcPlan: plan, noRetain: noRetain, parPrev: -1}
-			st.results = results
-			st.resultCount = int(resultCount)
-			rt.enrollLocked(st, id)
+			st.eng.walk(c)
+		case ref > int64(len(entries)):
+			c.Corrupt("entry ref %d out of order", ref)
+			return info, c.Err()
+		default:
+			st = &Stmt{rt: rt, parPrev: -1}
+			rt.enrollLocked(st, rec.id)
 			if ref == int64(len(entries)) {
-				e := &sharedEntry{rt: rt, query: plan.Query, mode: mode, force: force}
+				e := &sharedEntry{rt: rt, query: plan.Query, mode: mode, force: rec.force}
 				e.node = rt.shareIdx.Put(shareKeyOf(plan, cfg), &shareRec{entry: e})
 				entries = append(entries, &pendingEntry{e: e})
 			}
@@ -1286,28 +1086,28 @@ func RestoreRuntime(data []byte) (*Runtime, RestoreInfo, error) {
 			st.entry = pe.e
 			pe.subs = append(pe.subs, st)
 		}
+		st.srcPlan, st.noRetain, st.results, st.resultCount = plan, rec.noRetain, rec.results, rec.resultCount
 	}
 
-	nent := d.Len(5)
-	if d.Err() == nil && nent != len(entries) {
-		return nil, RestoreInfo{}, d.Corrupt("entry count %d != %d referenced", nent, len(entries))
+	if n := c.Len(0, 5); c.Decoding() && n != len(entries) {
+		c.Corrupt("entry count %d != %d referenced", n, len(entries))
 	}
 	for _, pe := range entries {
-		nSubs := int(d.U32())
-		if err := d.Err(); err != nil {
-			return nil, RestoreInfo{}, err
+		var n uint32
+		if c.U32(&n); c.Decoding() && int(n) != len(pe.subs) {
+			c.Corrupt("entry has %d subscribers, %d statements reference it", n, len(pe.subs))
 		}
-		if nSubs != len(pe.subs) {
-			return nil, RestoreInfo{}, d.Corrupt("entry has %d subscribers, %d statements reference it", nSubs, len(pe.subs))
+		if c.Err() != nil {
+			break
 		}
 		// Rebuild the union engine with the original subscriber order,
 		// replicating attachShared's promote step: the host statement
 		// (never enrolled) carries the engine inside its route group.
 		eng, def, outs, err := pe.e.buildUnion(pe.subs)
 		if err != nil {
-			return nil, RestoreInfo{}, fmt.Errorf("checkpoint: rebuild shared entry: %w", err)
+			return info, fmt.Errorf("checkpoint: rebuild shared entry: %w", err)
 		}
-		host := &Stmt{rt: rt, id: "~" + pe.e.node.Key(), parPrev: -1}
+		host := &Stmt{rt: rt, id: "~" + pe.e.node.Key(), parPrev: h.watermark}
 		host.grp = rt.routeGroupFor(eng)
 		host.grp.members = append(host.grp.members, host)
 		host.eng = eng
@@ -1318,38 +1118,17 @@ func RestoreRuntime(data []byte) (*Runtime, RestoreInfo, error) {
 			sub.outs = outs[i]
 			sub.eng = eng
 		}
-		if err := decodeEngine(d, events, eng); err != nil {
-			return nil, RestoreInfo{}, err
-		}
+		eng.walk(c)
 	}
-	if err := d.Err(); err != nil {
-		return nil, RestoreInfo{}, err
+
+	var snap *reorder.Snapshot
+	if c.walkReorder(&snap); c.Decoding() && c.Remaining() != 0 {
+		c.Corrupt("%d trailing bytes after checkpoint body", c.Remaining())
 	}
-	info := RestoreInfo{ReplayFrom: replayFrom, Every: every, Meta: meta}
-	if d.Bool() {
-		snap := &reorder.Snapshot{
-			Slack:    d.I64(),
-			MaxSeen:  d.I64(),
-			Released: d.I64(),
-			Dropped:  d.U64(),
-		}
-		np := d.Len(4)
-		for i := 0; i < np && d.Err() == nil; i++ {
-			ref := int(d.U32())
-			if d.Err() != nil {
-				break
-			}
-			if ref >= len(events) {
-				return nil, RestoreInfo{}, d.Corrupt("reorder pending ref %d out of range", ref)
-			}
-			snap.Pending = append(snap.Pending, events[ref])
-		}
-		if err := d.Err(); err != nil {
-			return nil, RestoreInfo{}, err
-		}
-		if snap.Slack <= 0 {
-			return nil, RestoreInfo{}, d.Corrupt("reorder section with non-positive slack %d", snap.Slack)
-		}
+	if err := c.Err(); err != nil {
+		return info, err
+	}
+	if snap != nil {
 		rt.reorder = reorder.Restore(snap, rt.applyReleased)
 		if len(snap.Pending) > 0 {
 			rt.replayDedup = make(map[uint64]struct{}, len(snap.Pending))
@@ -1360,29 +1139,19 @@ func RestoreRuntime(data []byte) (*Runtime, RestoreInfo, error) {
 		info.ReorderSlack = snap.Slack
 		info.ReorderPending = len(snap.Pending)
 	}
-	if err := d.Err(); err != nil {
-		return nil, RestoreInfo{}, err
-	}
-	if d.Remaining() != 0 {
-		return nil, RestoreInfo{}, d.Corrupt("%d trailing bytes after checkpoint body", d.Remaining())
-	}
-
-	rt.watermark = wm
-	rt.nextID = int(nextID)
-	if meta != nil {
+	rt.watermark = h.watermark
+	rt.nextID = h.nextID
+	if meta := h.meta; meta != nil {
 		// Re-encoding a restored runtime without a fresh provider keeps
 		// the snapshot's blob (round-trip identity); the serving layer
 		// overwrites it via SetCheckpointMeta once the session rebinds.
 		rt.ckMeta = func() []byte { return meta }
 	}
 	for _, st := range rt.stmts {
-		st.parPrev = wm
-	}
-	for _, pe := range entries {
-		pe.e.host.parPrev = wm
+		st.parPrev = h.watermark
 	}
 	// Restored graphs are warm by definition: advance the share epoch
 	// so none of them accepts new subscribers.
 	rt.shareIdx.Advance()
-	return rt, info, nil
+	return info, nil
 }

@@ -25,21 +25,21 @@ import (
 // and exact-mode big values verbatim, so a merge over the wire is
 // bit-identical to an in-process one.
 func MarshalPayload(p *aggregate.Payload) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := checkpoint.NewEncoder(&buf)
-	encodePayload(enc, p)
-	if err := enc.Err(); err != nil {
-		return nil, err
+	// 21 bytes and 18 a slot is the whole blob unless exact-mode values
+	// follow their flags.
+	w := checkpoint.Encode(make([]byte, 0, 21+18*len(p.Slots)))
+	if walkPayload(&w, p, false); w.Err() != nil {
+		return nil, w.Err()
 	}
-	return buf.Bytes(), nil
+	return w.Out(), nil
 }
 
 // UnmarshalPayload reverses MarshalPayload.
 func UnmarshalPayload(b []byte) (*aggregate.Payload, error) {
-	d := checkpoint.NewDecoder(b)
-	p := decodePayloadNew(d)
-	if err := d.Err(); err != nil {
-		return nil, err
+	w := checkpoint.Decode(b)
+	p := &aggregate.Payload{}
+	if walkPayload(&w, p, false); w.Err() != nil {
+		return nil, w.Err()
 	}
 	return p, nil
 }

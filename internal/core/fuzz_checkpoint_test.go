@@ -2,8 +2,15 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
+	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/greta-cep/greta/internal/aggregate"
@@ -201,6 +208,72 @@ func TestRestoreCorruptErrors(t *testing.T) {
 	}
 }
 
+// TestRestorePlanMismatch: a Vertex Tree item carries the key the
+// writing plan sorted its state by. One whose key is not what this
+// build's plan reads from the item's event — here a key with one bit
+// flipped, in the field a body written under another sort attribute —
+// is refused as corrupt instead of being folded over in the wrong
+// order; on disk the same flip fails the checksum, and Load answers
+// with the generation before.
+func TestRestorePlanMismatch(t *testing.T) {
+	store := &checkpoint.Store{Dir: t.TempDir()}
+	rt := NewRuntime()
+	rcRegister(t, rt, "q", "RETURN COUNT(*) PATTERN Stock S+ WHERE S.price > NEXT(S).price WITHIN 20 SLIDE 5", aggregate.ModeNative, StmtConfig{})
+	err := rt.SetCheckpoint(8, -1, func(_ event.Time, snapshot func(io.Writer) error) error {
+		_, err := store.Write(snapshot)
+		return err
+	}, func(err error) { t.Errorf("checkpoint save: %v", err) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Prices no counter, window id or result value can be mistaken for.
+	price := func(i int) float64 { return 1000.25 + float64(i*5%7) }
+	for i := 0; i < 40; i++ {
+		rt.Process(&event.Event{ID: uint64(i + 1), Type: "Stock", Time: event.Time(i), Attrs: map[string]float64{"price": price(i)}})
+	}
+	body, gen, err := store.Load()
+	if err != nil || gen < 2 {
+		t.Fatalf("load: generation %d, %v", gen, err)
+	}
+	if _, _, err := RestoreRuntime(body); err != nil {
+		t.Fatalf("restore of the untouched body: %v", err)
+	}
+
+	// The first price after the header and the event table is the first
+	// item key of the first tree.
+	c := ckWalk{Walker: checkpoint.Decode(body)}
+	new(ckHeader).walk(&c.Walker)
+	c.tab.walkSchemas(&c.Walker)
+	c.tab.walkEvents(&c.Walker)
+	at := len(body) - c.Remaining()
+	for ; at+8 <= len(body); at++ {
+		if k := math.Float64frombits(binary.LittleEndian.Uint64(body[at:])) - price(0); k >= 0 && k < 7 && k == math.Trunc(k) {
+			break
+		}
+	}
+	if c.Err() != nil || at+8 > len(body) {
+		t.Fatalf("no item key found in the body (%v)", c.Err())
+	}
+	body[at] ^= 1
+	_, _, err = RestoreRuntime(body)
+	if !errors.Is(err, checkpoint.ErrCorrupt) || !strings.Contains(err.Error(), "plan mismatch") {
+		t.Fatalf("restore with a flipped item key: %v, want ErrCorrupt (plan mismatch)", err)
+	}
+
+	name := filepath.Join(store.Dir, fmt.Sprintf("ckpt-%08d.gck", gen))
+	file, err := os.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file[len(checkpoint.Magic)+at] ^= 1
+	if err := os.WriteFile(name, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, got, err := store.Load(); err != nil || got != gen-1 {
+		t.Fatalf("load after the flip: generation %d, %v; want %d", got, err, gen-1)
+	}
+}
+
 // TestEvTableEncodeCarriers: the checkpoint writes an event's attributes
 // the same way however the event carries them — in maps only, bound to a
 // schema listing all of them, bound to one listing a few (the rest left
@@ -213,16 +286,17 @@ func TestEvTableEncodeCarriers(t *testing.T) {
 	// the schema reference.
 	record := func(ev *event.Event) []byte {
 		tab := newEvTable()
-		tab.ref(ev)
-		var buf bytes.Buffer
-		enc := checkpoint.NewEncoder(&buf)
-		tab.encode(enc)
+		tab.intern(ev)
+		enc := checkpoint.Encode(nil)
+		tab.walkSchemas(&enc)
+		tab.walkEvents(&enc)
 		if err := enc.Err(); err != nil {
 			t.Fatal(err)
 		}
-		d := checkpoint.NewDecoder(buf.Bytes())
-		decodeSchemas(d)
-		rec := buf.Bytes()[buf.Len()-d.Remaining()+4:]
+		buf := enc.Out()
+		d := checkpoint.Decode(buf)
+		new(evTable).walkSchemas(&d)
+		rec := buf[len(buf)-d.Remaining()+4:]
 		if ev.Sch != nil {
 			return rec[:len(rec)-5]
 		}

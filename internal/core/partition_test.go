@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -268,14 +267,15 @@ func FuzzPartKey(f *testing.F) {
 			keyOf("batch row", b.Row(0))
 		}
 
-		var buf bytes.Buffer
-		enc := checkpoint.NewEncoder(&buf)
-		encodePartKey(enc, want)
+		enc := checkpoint.Encode(nil)
+		walkPartKey(&enc, &want, len(attrs))
 		if err := enc.Err(); err != nil {
 			t.Fatal(err)
 		}
-		back, err := decodePartKey(checkpoint.NewDecoder(buf.Bytes()), len(attrs))
-		if err != nil || !back.equal(want) || back.hash() != want.hash() {
+		var back partKey
+		dec := checkpoint.Decode(enc.Out())
+		walkPartKey(&dec, &back, len(attrs))
+		if err := dec.Err(); err != nil || !back.equal(want) || back.hash() != want.hash() {
 			t.Fatalf("codec round trip: %+v -> %+v (%v)", want, back, err)
 		}
 

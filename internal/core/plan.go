@@ -174,11 +174,13 @@ func attachPredicates(gs *GraphSpec, cls *predicate.Classified) {
 			}
 		}
 	}
-	// Sort attribute per source state: pick the attribute of a
-	// range-compilable edge predicate out of this state.
+	// Sort attribute per source state: pick the attribute of the first
+	// range-compilable edge predicate out of this state, destinations in
+	// state order — a state has one Vertex Tree order, and a restored
+	// snapshot must find the one it was taken under.
 	for _, from := range gs.Tmpl.States {
-		for _, eps := range gs.EdgePreds {
-			for _, ep := range eps {
+		for _, to := range gs.Tmpl.States {
+			for _, ep := range gs.EdgePreds[to.Idx] {
 				if ep.Range != nil && hasLabel(from, ep.From) {
 					if _, done := gs.SortAttr[from.Idx]; !done {
 						gs.SortAttr[from.Idx] = ep.Range.Attr

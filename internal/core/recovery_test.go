@@ -7,7 +7,9 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/greta-cep/greta/internal/aggregate"
@@ -211,6 +213,109 @@ func rcRegister(t testing.TB, rt *Runtime, id, q string, mode aggregate.Mode, cf
 	return st
 }
 
+// rcTwoAttr has two range predicates out of state S, on different
+// attributes: the plan must pick one Vertex Tree order for S and pick
+// it again when a snapshot is restored.
+const rcTwoAttr = "RETURN COUNT(*), SUM(S.price) PATTERN SEQ(Stock S+, Halt H) WHERE [company] AND S.price > NEXT(S).price AND S.vol < NEXT(H).vol WITHIN 40 SLIDE 10"
+
+// rcCases are the fastpath shapes the recovery differential runs.
+var rcCases = []struct {
+	name             string
+	q                string
+	mode             aggregate.Mode
+	haltDiv, newsDiv int
+}{
+	{"stam-range-windowed",
+		"RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5",
+		aggregate.ModeNative, 0, 0},
+	{"stam-range-unbounded",
+		"RETURN COUNT(*) PATTERN Stock S+ WHERE S.price >= NEXT(S).price",
+		aggregate.ModeNative, 0, 0},
+	{"stam-no-predicate",
+		"RETURN COUNT(*), MIN(S.price), MAX(S.price), AVG(S.price) PATTERN Stock S+ WITHIN 16 SLIDE 4",
+		aggregate.ModeNative, 0, 0},
+	{"stam-seq",
+		"RETURN COUNT(*) PATTERN SEQ(Halt H, Stock S+) WHERE [company] AND S.price < NEXT(S).price WITHIN 24 SLIDE 8",
+		aggregate.ModeNative, 0, 0},
+	{"skip-till-next-match",
+		"RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price SEMANTICS skip-till-next-match WITHIN 20 SLIDE 5",
+		aggregate.ModeNative, 0, 0},
+	{"contiguous",
+		"RETURN COUNT(*) PATTERN Stock S+ WHERE S.price > NEXT(S).price SEMANTICS contiguous WITHIN 20 SLIDE 5",
+		aggregate.ModeNative, 0, 0},
+	{"negation-case2",
+		"RETURN COUNT(*), SUM(S.price) PATTERN SEQ(Stock S+, NOT Halt H) WHERE [company] AND S.price > NEXT(S).price WITHIN 30 SLIDE 10",
+		aggregate.ModeNative, 0, 0},
+	{"negation-case3",
+		"RETURN COUNT(*) PATTERN SEQ(NOT Halt H, Stock S+) WHERE [company] AND S.price > NEXT(S).price WITHIN 30 SLIDE 10",
+		aggregate.ModeNative, 0, 0},
+	{"negation-case2-burst",
+		"RETURN COUNT(*), SUM(S.price) PATTERN SEQ(Stock S+, NOT Halt H) WHERE [company] AND S.price > NEXT(S).price WITHIN 24 SLIDE 8",
+		aggregate.ModeNative, 8, 0},
+	{"negation-case1-prunable",
+		"RETURN COUNT(*), SUM(B.price) PATTERN SEQ(Stock A, NOT Halt H, Stock B+) WHERE [company] AND B.price > NEXT(B).price WITHIN 24 SLIDE 8",
+		aggregate.ModeNative, 12, 0},
+	{"negation-nested",
+		"RETURN COUNT(*) PATTERN SEQ(NOT SEQ(Halt X, NOT News N, Halt Y), Stock S+) WHERE [company] AND S.price > NEXT(S).price WITHIN 24 SLIDE 8",
+		aggregate.ModeNative, 8, 20},
+	{"exact-mode",
+		"RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5",
+		aggregate.ModeExact, 0, 0},
+	{"disjunction",
+		"RETURN COUNT(*) PATTERN Stock S+ OR Halt H+ WITHIN 20 SLIDE 5",
+		aggregate.ModeNative, 8, 0},
+	{"conjunction",
+		"RETURN COUNT(*) PATTERN Stock S+ AND Halt H+ WITHIN 20 SLIDE 5",
+		aggregate.ModeNative, 8, 0},
+	{"kleene-star",
+		"RETURN COUNT(*) PATTERN SEQ(Stock S*, Halt H) WHERE [company] WITHIN 20 SLIDE 5",
+		aggregate.ModeNative, 8, 0},
+	{"two-attribute", rcTwoAttr, aggregate.ModeNative, 8, 0},
+}
+
+// rcVols gives every event a vol, a function of its ID alone: the
+// stream's random sequence, which other fixtures pin, is left as it is.
+func rcVols(evs []*event.Event) {
+	for _, ev := range evs {
+		ev.Attrs["vol"] = float64(1 + ev.ID*7%9)
+	}
+}
+
+// planSortAttrs renders every graph's Vertex Tree sort attributes,
+// composite plans' branches and products included.
+func planSortAttrs(p *Plan) string {
+	var b strings.Builder
+	for _, gs := range p.Subs {
+		fmt.Fprint(&b, gs.SortAttr)
+	}
+	for _, sub := range slices.Concat(p.Branches, p.Products) {
+		fmt.Fprintf(&b, "(%s)", planSortAttrs(sub))
+	}
+	return b.String()
+}
+
+// TestPlanDeterministic: compiling a query again yields the same
+// Vertex Tree order for every state — what a restore relies on. The
+// choice once followed map iteration order (177/23 over 200 compiles of
+// rcTwoAttr).
+func TestPlanDeterministic(t *testing.T) {
+	for _, tc := range rcCases {
+		q := query.MustParse(tc.q)
+		var want string
+		for i := 0; i < 1000; i++ {
+			plan, err := NewPlan(q, tc.mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := planSortAttrs(plan); i == 0 {
+				want = got
+			} else if got != want {
+				t.Fatalf("%s: compile %d sorts by %s, compile 0 by %s", tc.name, i, got, want)
+			}
+		}
+	}
+}
+
 // TestRecoveryDifferential kills and restores a checkpointed runtime at
 // every window boundary of each fastpath shape and asserts the restored
 // run is bit-identical to the uninterrupted one: same results (IEEE bit
@@ -218,60 +323,8 @@ func rcRegister(t testing.TB, rt *Runtime, id, q string, mode aggregate.Mode, cf
 // checkpoint-free run guards the guard: boundary advancement must not
 // change the emitted results either.
 func TestRecoveryDifferential(t *testing.T) {
-	cases := []struct {
-		name             string
-		q                string
-		mode             aggregate.Mode
-		haltDiv, newsDiv int
-	}{
-		{"stam-range-windowed",
-			"RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5",
-			aggregate.ModeNative, 0, 0},
-		{"stam-range-unbounded",
-			"RETURN COUNT(*) PATTERN Stock S+ WHERE S.price >= NEXT(S).price",
-			aggregate.ModeNative, 0, 0},
-		{"stam-no-predicate",
-			"RETURN COUNT(*), MIN(S.price), MAX(S.price), AVG(S.price) PATTERN Stock S+ WITHIN 16 SLIDE 4",
-			aggregate.ModeNative, 0, 0},
-		{"stam-seq",
-			"RETURN COUNT(*) PATTERN SEQ(Halt H, Stock S+) WHERE [company] AND S.price < NEXT(S).price WITHIN 24 SLIDE 8",
-			aggregate.ModeNative, 0, 0},
-		{"skip-till-next-match",
-			"RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price SEMANTICS skip-till-next-match WITHIN 20 SLIDE 5",
-			aggregate.ModeNative, 0, 0},
-		{"contiguous",
-			"RETURN COUNT(*) PATTERN Stock S+ WHERE S.price > NEXT(S).price SEMANTICS contiguous WITHIN 20 SLIDE 5",
-			aggregate.ModeNative, 0, 0},
-		{"negation-case2",
-			"RETURN COUNT(*), SUM(S.price) PATTERN SEQ(Stock S+, NOT Halt H) WHERE [company] AND S.price > NEXT(S).price WITHIN 30 SLIDE 10",
-			aggregate.ModeNative, 0, 0},
-		{"negation-case3",
-			"RETURN COUNT(*) PATTERN SEQ(NOT Halt H, Stock S+) WHERE [company] AND S.price > NEXT(S).price WITHIN 30 SLIDE 10",
-			aggregate.ModeNative, 0, 0},
-		{"negation-case2-burst",
-			"RETURN COUNT(*), SUM(S.price) PATTERN SEQ(Stock S+, NOT Halt H) WHERE [company] AND S.price > NEXT(S).price WITHIN 24 SLIDE 8",
-			aggregate.ModeNative, 8, 0},
-		{"negation-case1-prunable",
-			"RETURN COUNT(*), SUM(B.price) PATTERN SEQ(Stock A, NOT Halt H, Stock B+) WHERE [company] AND B.price > NEXT(B).price WITHIN 24 SLIDE 8",
-			aggregate.ModeNative, 12, 0},
-		{"negation-nested",
-			"RETURN COUNT(*) PATTERN SEQ(NOT SEQ(Halt X, NOT News N, Halt Y), Stock S+) WHERE [company] AND S.price > NEXT(S).price WITHIN 24 SLIDE 8",
-			aggregate.ModeNative, 8, 20},
-		{"exact-mode",
-			"RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5",
-			aggregate.ModeExact, 0, 0},
-		{"disjunction",
-			"RETURN COUNT(*) PATTERN Stock S+ OR Halt H+ WITHIN 20 SLIDE 5",
-			aggregate.ModeNative, 8, 0},
-		{"conjunction",
-			"RETURN COUNT(*) PATTERN Stock S+ AND Halt H+ WITHIN 20 SLIDE 5",
-			aggregate.ModeNative, 8, 0},
-		{"kleene-star",
-			"RETURN COUNT(*) PATTERN SEQ(Stock S*, Halt H) WHERE [company] WITHIN 20 SLIDE 5",
-			aggregate.ModeNative, 8, 0},
-	}
 	const every = event.Time(16)
-	for _, tc := range cases {
+	for _, tc := range rcCases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			haltDiv := tc.haltDiv
@@ -282,6 +335,7 @@ func TestRecoveryDifferential(t *testing.T) {
 			for seed := int64(1); seed <= 2; seed++ {
 				evs := rcStream(rand.New(rand.NewSource(seed)), 300,
 					tc.mode != aggregate.ModeExact, haltDiv, tc.newsDiv)
+				rcVols(evs)
 
 				// Run A: no checkpointing (results baseline).
 				rtA := NewRuntime()

@@ -108,6 +108,9 @@ type Runtime struct {
 	// ckMeta supplies the opaque session-meta blob embedded in each
 	// checkpoint header (SetCheckpointMeta); nil writes an empty blob.
 	ckMeta func() []byte
+	// ckSize is the last snapshot's length: it sizes the next one's slice
+	// once, and nothing snapshot-sized is held in between.
+	ckSize int
 
 	// parDebug captures streaming-merge instrumentation from the last
 	// RunParallel, read from its merger (test hook).
