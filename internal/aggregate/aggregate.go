@@ -368,6 +368,42 @@ func (d *Def) Plan(spec Spec) (int, int) {
 	return -1, -1
 }
 
+// SpecSlot links a RETURN aggregate to its payload slots (Slot2 carries
+// AVG's count slot).
+type SpecSlot struct {
+	Spec  Spec
+	Slot  int
+	Slot2 int
+}
+
+// PlanSpecs plans a RETURN clause into d and returns its slot mapping.
+// AddSlot deduplicates, so the statements of a shared graph, planned
+// into one union definition, reuse each other's slots. Must run before
+// an engine is compiled against d: compiled specs snapshot the layout.
+func (d *Def) PlanSpecs(specs []Spec) []SpecSlot {
+	var out []SpecSlot
+	for _, sp := range specs {
+		s1, s2 := d.Plan(sp)
+		out = append(out, SpecSlot{sp, s1, s2})
+	}
+	return out
+}
+
+// Values extracts a RETURN clause's final values from a result payload
+// through its slot mapping. Slot arithmetic is independent per slot, so
+// a subscriber reading a union payload gets bit-identical values to a
+// private engine carrying only its own slots.
+func (d *Def) Values(p *Payload, slots []SpecSlot) []float64 {
+	if len(slots) == 0 {
+		return nil
+	}
+	vals := make([]float64, len(slots))
+	for i, ss := range slots {
+		vals[i] = d.Value(p, ss.Spec, ss.Slot, ss.Slot2)
+	}
+	return vals
+}
+
 // Value extracts the final value of spec from a result payload given
 // the slot indices returned by Plan. Exact-mode counts that exceed
 // float64 range saturate; use ExactValue for full precision.

@@ -403,3 +403,34 @@ func TestSummaryFilteredFolds(t *testing.T) {
 		t.Fatalf("SummaryClear released %d, want 2", rel)
 	}
 }
+
+// TestOutputFanout pins the union-definition fan-out: subscribers with
+// divergent RETURN clauses read their own slots from one payload, and
+// overlapping slots are shared rather than duplicated.
+func TestOutputFanout(t *testing.T) {
+	def := &Def{Mode: ModeNative}
+	subA := def.PlanSpecs([]Spec{
+		{Kind: CountStar},
+		{Kind: Sum, Type: "Stock", Attr: "price"},
+	})
+	subB := def.PlanSpecs([]Spec{
+		{Kind: Sum, Type: "Stock", Attr: "price"},
+		{Kind: Min, Type: "Stock", Attr: "price"},
+	})
+	if len(def.Slots) != 2 {
+		t.Fatalf("union def has %d slots, want 2 (SUM shared, MIN added)", len(def.Slots))
+	}
+	if subA[1].Slot != subB[0].Slot {
+		t.Fatalf("overlapping SUM slot not shared: %d vs %d", subA[1].Slot, subB[0].Slot)
+	}
+	p := def.New()
+	p.Count = 7
+	p.Slots[subA[1].Slot].F = 42.5
+	p.Slots[subB[1].Slot].F = 3.25
+	if got := def.Values(p, subA); got[0] != 7 || got[1] != 42.5 {
+		t.Errorf("subscriber A values = %v, want [7 42.5]", got)
+	}
+	if got := def.Values(p, subB); got[0] != 42.5 || got[1] != 3.25 {
+		t.Errorf("subscriber B values = %v, want [42.5 3.25]", got)
+	}
+}

@@ -363,22 +363,15 @@ func (e *Engine) ackAll(hi int64) {
 
 // result materializes the Result of a window's final payload.
 func (e *Engine) result(group string, wid int64, payload *aggregate.Payload) Result {
-	def := e.plan.Def()
-	r := Result{
+	return Result{
 		Group:       group,
 		Wid:         wid,
 		WindowStart: e.plan.Window.Start(wid),
 		WindowEnd:   e.plan.Window.End(wid),
 		Payload:     payload,
 		Emitted:     time.Now(),
+		Values:      e.plan.Def().Values(payload, e.plan.Specs),
 	}
-	if len(e.plan.Specs) > 0 {
-		r.Values = make([]float64, 0, len(e.plan.Specs))
-	}
-	for _, ss := range e.plan.Specs {
-		r.Values = append(r.Values, def.Value(payload, ss.Spec, ss.Slot, ss.Slot2))
-	}
-	return r
 }
 
 // emit is the one way a window's result leaves an engine: counted,

@@ -46,13 +46,6 @@ type GraphSpec struct {
 	SortAttr map[int]string
 }
 
-// SpecSlot links a RETURN aggregate to its payload slots.
-type SpecSlot struct {
-	Spec  aggregate.Spec
-	Slot  int
-	Slot2 int
-}
-
 // Plan is the full GRETA configuration of a query: the output of the
 // static query analyzer (paper Fig. 4).
 type Plan struct {
@@ -60,7 +53,7 @@ type Plan struct {
 	Mode     aggregate.Mode
 	Window   window.Spec
 	GroupBy  []string
-	Specs    []SpecSlot
+	Specs    []aggregate.SpecSlot
 	Subs     []*GraphSpec // Subs[0] is the root positive graph
 	Branches []*Plan      // disjunction branches (Kleene star / optional / OR), nil for simple plans
 	Products []*Plan      // inclusion–exclusion intersection plans aligned with subset masks
@@ -110,10 +103,7 @@ func newSimplePlan(q *query.Query, branch *pattern.Node, mode aggregate.Mode) (*
 		return nil, err
 	}
 	rootDef := &aggregate.Def{Mode: mode}
-	for _, spec := range q.Aggs {
-		s1, s2 := rootDef.Plan(spec)
-		p.Specs = append(p.Specs, SpecSlot{spec, s1, s2})
-	}
+	p.Specs = rootDef.PlanSpecs(q.Aggs)
 	for i, sub := range subs {
 		tmpl, err := template.Build(sub.Pattern)
 		if err != nil {
@@ -257,10 +247,7 @@ func newConjunctionPlan(q *query.Query, mode aggregate.Mode) (*Plan, error) {
 func newCompositePlan(q *query.Query, branches []*pattern.Node, mode aggregate.Mode) (*Plan, error) {
 	p := &Plan{Query: q, Mode: mode, Window: q.Window, GroupBy: q.GroupBy, Sem: q.Semantics}
 	def := &aggregate.Def{Mode: mode}
-	for _, spec := range q.Aggs {
-		s1, s2 := def.Plan(spec)
-		p.Specs = append(p.Specs, SpecSlot{spec, s1, s2})
-	}
+	p.Specs = def.PlanSpecs(q.Aggs)
 	for _, b := range branches {
 		bp, err := newSimplePlan(q, b, mode)
 		if err != nil {

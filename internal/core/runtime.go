@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"github.com/greta-cep/greta/internal/aggregate"
 	"github.com/greta-cep/greta/internal/event"
 	"github.com/greta-cep/greta/internal/obs"
 	"github.com/greta-cep/greta/internal/reorder"
@@ -152,7 +153,7 @@ type Stmt struct {
 	// none), and the stats snapshot frozen when it detaches from a
 	// still-running shared graph.
 	entry       *sharedEntry
-	outs        []share.Output
+	outs        []aggregate.SpecSlot
 	results     []Result
 	resultCount int
 	frozen      *Stats

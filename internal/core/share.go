@@ -69,9 +69,9 @@ func shareable(plan *Plan) bool {
 	return plan.Simple() && len(plan.Subs) == 1
 }
 
-// shareKeyOf renders the sharing signature of a registration.
+// shareKeyOf renders the sharing key of a registration.
 func shareKeyOf(plan *Plan, cfg StmtConfig) string {
-	return share.SignatureOf(plan.Query, plan.Mode, cfg.ForceVertexScan).Key()
+	return share.Key(plan.Query, plan.Mode, cfg.ForceVertexScan)
 }
 
 // registerShared attaches plan through the shared network: it joins an
@@ -172,7 +172,7 @@ func (rt *Runtime) attachShared(node *share.Node[*shareRec], plan *Plan, cfg Stm
 // output mappings. Rebuilding from scratch is safe because attach only
 // happens while the previous engine is cold (same ingest epoch), and
 // cheap for the same reason registration itself is.
-func (e *sharedEntry) buildUnion(subs []*Stmt) (*Engine, *aggregate.Def, [][]share.Output, error) {
+func (e *sharedEntry) buildUnion(subs []*Stmt) (*Engine, *aggregate.Def, [][]aggregate.SpecSlot, error) {
 	plan, err := NewPlan(e.query, e.mode)
 	if err != nil {
 		return nil, nil, nil, err
@@ -184,13 +184,9 @@ func (e *sharedEntry) buildUnion(subs []*Stmt) (*Engine, *aggregate.Def, [][]sha
 	// The engine computes no values of its own: subscribers extract
 	// theirs from the emitted payload through their slot mappings.
 	plan.Specs = nil
-	outs := make([][]share.Output, len(subs))
+	outs := make([][]aggregate.SpecSlot, len(subs))
 	for i, sub := range subs {
-		specs := make([]aggregate.Spec, len(sub.srcPlan.Specs))
-		for j, ss := range sub.srcPlan.Specs {
-			specs[j] = ss.Spec
-		}
-		outs[i] = share.PlanOutputs(def, specs)
+		outs[i] = def.PlanSpecs(sub.srcPlan.Query.Aggs)
 	}
 	// Slots are final: compile the engine (its specs snapshot the slot
 	// layout) and wire delivery.
@@ -209,7 +205,7 @@ func (e *sharedEntry) buildUnion(subs []*Stmt) (*Engine, *aggregate.Def, [][]sha
 func (e *sharedEntry) fanout(r Result) {
 	for _, sub := range e.subs {
 		rs := r
-		rs.Values = share.OutputValues(e.def, r.Payload, sub.outs)
+		rs.Values = e.def.Values(r.Payload, sub.outs)
 		sub.deliver(rs)
 	}
 }
@@ -233,7 +229,7 @@ func (e *sharedEntry) flushFinal() {
 func (e *sharedEntry) detachFlush(st *Stmt) {
 	e.host.eng.peekFlushInto(func(group string, wid int64, pl *aggregate.Payload) {
 		r := e.host.eng.result(group, wid, pl)
-		r.Values = share.OutputValues(e.def, pl, st.outs)
+		r.Values = e.def.Values(pl, st.outs)
 		st.deliver(r)
 	})
 }

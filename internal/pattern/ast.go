@@ -8,6 +8,10 @@
 // Algorithm 3) that separates a pattern with nested negation into a
 // positive root sub-pattern and a forest of negative sub-patterns, each
 // annotated with its previous and following connection points.
+//
+// Parse reads the tokens of internal/lex, the one tokenizer of the query
+// language, and Node.String writes text that parses back to the same
+// pattern.
 package pattern
 
 import (
@@ -105,52 +109,61 @@ func Or(children ...*Node) *Node { return &Node{Kind: KindOr, Children: children
 // And returns (children[0] AND children[1] AND ...), §9 conjunction.
 func And(children ...*Node) *Node { return &Node{Kind: KindAnd, Children: children} }
 
-// String renders the pattern in the paper's surface syntax.
+var postfixText = map[Kind]string{KindPlus: "+", KindStar: "*", KindOpt: "?"}
+
+// String renders the pattern in the paper's surface syntax, as text
+// Parse reads back to the same pattern.
 func (n *Node) String() string {
-	if n == nil {
-		return "<nil>"
-	}
-	switch n.Kind {
-	case KindEvent:
-		if n.Alias != "" && n.Alias != string(n.Type) {
-			return fmt.Sprintf("%s %s", n.Type, n.Alias)
-		}
-		return string(n.Type)
-	case KindSeq:
-		parts := make([]string, len(n.Children))
-		for i, c := range n.Children {
-			parts[i] = c.String()
-		}
-		return "SEQ(" + strings.Join(parts, ", ") + ")"
-	case KindPlus:
-		return wrap(n.Children[0]) + "+"
-	case KindStar:
-		return wrap(n.Children[0]) + "*"
-	case KindOpt:
-		return wrap(n.Children[0]) + "?"
-	case KindNot:
-		return "NOT " + n.Children[0].String()
-	case KindOr:
-		parts := make([]string, len(n.Children))
-		for i, c := range n.Children {
-			parts[i] = c.String()
-		}
-		return "(" + strings.Join(parts, " OR ") + ")"
-	case KindAnd:
-		parts := make([]string, len(n.Children))
-		for i, c := range n.Children {
-			parts[i] = c.String()
-		}
-		return "(" + strings.Join(parts, " AND ") + ")"
-	}
-	return "?"
+	var b strings.Builder
+	n.write(&b)
+	return b.String()
 }
 
-func wrap(n *Node) string {
-	if n.Kind == KindEvent {
-		return n.String()
+func (n *Node) write(b *strings.Builder) {
+	if n == nil {
+		b.WriteString("<nil>")
+		return
 	}
-	return "(" + n.String() + ")"
+	open, sep := "(", ""
+	switch n.Kind {
+	case KindEvent:
+		b.WriteString(string(n.Type))
+		if n.Alias != "" && n.Alias != string(n.Type) {
+			b.WriteString(" " + n.Alias)
+		}
+		return
+	case KindNot:
+		b.WriteString("NOT ")
+		n.Children[0].write(b)
+		return
+	case KindPlus, KindStar, KindOpt:
+		if c := n.Children[0]; c.Kind == KindEvent {
+			c.write(b)
+		} else {
+			b.WriteString("(")
+			c.write(b)
+			b.WriteString(")")
+		}
+		b.WriteString(postfixText[n.Kind])
+		return
+	case KindSeq:
+		open, sep = "SEQ(", ", "
+	case KindOr:
+		sep = " OR "
+	case KindAnd:
+		sep = " AND "
+	default:
+		b.WriteString("?")
+		return
+	}
+	b.WriteString(open)
+	for i, c := range n.Children {
+		if i > 0 {
+			b.WriteString(sep)
+		}
+		c.write(b)
+	}
+	b.WriteString(")")
 }
 
 // Clone deep-copies the node.
@@ -327,7 +340,7 @@ func validate(n *Node) error {
 			return fmt.Errorf("pattern: %s requires exactly one sub-pattern", n.Kind)
 		}
 		if n.Children[0].Kind == KindNot {
-			return fmt.Errorf("pattern: (NOT P)%s is equivalent to NOT P and not allowed", map[Kind]string{KindPlus: "+", KindStar: "*", KindOpt: "?"}[n.Kind])
+			return fmt.Errorf("pattern: (NOT P)%s is equivalent to NOT P and not allowed", postfixText[n.Kind])
 		}
 		return validate(n.Children[0])
 	case KindNot:

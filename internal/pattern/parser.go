@@ -3,13 +3,13 @@ package pattern
 import (
 	"fmt"
 	"strings"
-	"unicode"
 
 	"github.com/greta-cep/greta/internal/event"
+	"github.com/greta-cep/greta/internal/lex"
 )
 
 // Parse parses the paper's PATTERN clause surface syntax (Fig. 2 plus
-// the §9 sugar):
+// the §9 sugar) from the tokens of internal/lex:
 //
 //	P := EventType [Alias] | P '+' | P '*' | P '?' | NOT P
 //	   | SEQ(P, P, ...) | (P) | P OR P | P AND P
@@ -21,16 +21,22 @@ import (
 //	SEQ(NOT Accident A, Position P+)
 //	(SEQ(A+, NOT SEQ(C, NOT E, D), B))+
 //
-// Parse assigns unique aliases (EnsureAliases) and validates the
-// structural rules of §2.
-func Parse(src string) (*Node, error) {
-	p := &parser{toks: lex(src), src: src}
-	n, err := p.parseOrAnd()
+// An event type or alias is an identifier or a dotted run of them; SEQ,
+// NOT, OR and AND are keywords in any letter case. Brackets and
+// operators may nest lex.MaxNesting deep. Parse assigns unique aliases
+// (EnsureAliases) and validates the structural rules of §2.
+func Parse(src string) (*Node, error) { return ParseTokens(lex.Scan(src)) }
+
+// ParseTokens is Parse over a token range, the PATTERN clause of a
+// query for one.
+func ParseTokens(toks []lex.Token) (*Node, error) {
+	p := parser{lex.NewCursor(toks)}
+	n, err := p.parseOrAnd(0)
 	if err != nil {
 		return nil, err
 	}
-	if !p.eof() {
-		return nil, fmt.Errorf("pattern: unexpected %q after pattern in %q", p.peek().text, src)
+	if t := p.Peek(); t.Kind != lex.EOF {
+		return nil, t.Unexpected("pattern")
 	}
 	EnsureAliases(n)
 	if err := Validate(n); err != nil {
@@ -48,206 +54,118 @@ func MustParse(src string) *Node {
 	return n
 }
 
-type tokKind uint8
-
-const (
-	tokIdent tokKind = iota
-	tokLParen
-	tokRParen
-	tokComma
-	tokPlus
-	tokStar
-	tokQuest
-	tokEOF
-)
-
-type token struct {
-	kind tokKind
-	text string
-}
-
-func lex(src string) []token {
-	var toks []token
-	i := 0
-	for i < len(src) {
-		c := src[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case c == '(':
-			toks = append(toks, token{tokLParen, "("})
-			i++
-		case c == ')':
-			toks = append(toks, token{tokRParen, ")"})
-			i++
-		case c == ',':
-			toks = append(toks, token{tokComma, ","})
-			i++
-		case c == '+':
-			toks = append(toks, token{tokPlus, "+"})
-			i++
-		case c == '*':
-			toks = append(toks, token{tokStar, "*"})
-			i++
-		case c == '?':
-			toks = append(toks, token{tokQuest, "?"})
-			i++
-		default:
-			j := i
-			for j < len(src) && (isIdentRune(rune(src[j]))) {
-				j++
-			}
-			if j == i {
-				toks = append(toks, token{tokEOF, string(c)})
-				return toks
-			}
-			toks = append(toks, token{tokIdent, src[i:j]})
-			i = j
-		}
-	}
-	toks = append(toks, token{tokEOF, ""})
-	return toks
-}
-
-func isIdentRune(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '.'
-}
-
-type parser struct {
-	toks []token
-	pos  int
-	src  string
-}
-
-func (p *parser) peek() token { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
-func (p *parser) eof() bool   { return p.peek().kind == tokEOF }
-func (p *parser) isKw(k string) bool {
-	t := p.peek()
-	return t.kind == tokIdent && strings.EqualFold(t.text, k)
-}
+type parser struct{ *lex.Cursor }
 
 // parseOrAnd handles the lowest-precedence binary operators OR and AND.
 // Mixing OR and AND without parentheses is rejected to avoid silent
-// precedence surprises.
-func (p *parser) parseOrAnd() (*Node, error) {
-	first, err := p.parseUnary()
+// precedence surprises. depth counts the brackets and operators the
+// pattern is nested in.
+func (p parser) parseOrAnd(depth int) (*Node, error) {
+	first, err := p.parseUnary(depth)
 	if err != nil {
 		return nil, err
 	}
-	var op string
+	kind := KindEvent
 	children := []*Node{first}
-	for p.isKw("OR") || p.isKw("AND") {
-		t := strings.ToUpper(p.next().text)
-		if op == "" {
-			op = t
-		} else if op != t {
-			return nil, fmt.Errorf("pattern: mixing OR and AND requires parentheses in %q", p.src)
+	for {
+		t, k := p.Peek(), KindOr
+		if t.Keyword("AND") {
+			k = KindAnd
+		} else if !t.Keyword("OR") {
+			break
 		}
-		n, err := p.parseUnary()
+		if kind != KindEvent && kind != k {
+			return nil, fmt.Errorf("pattern: mixing OR and AND requires parentheses at offset %d", t.Pos)
+		}
+		kind = k
+		p.Next()
+		n, err := p.parseUnary(depth)
 		if err != nil {
 			return nil, err
 		}
 		children = append(children, n)
 	}
-	if op == "" {
+	if kind == KindEvent {
 		return first, nil
 	}
-	if op == "OR" {
-		return Or(children...), nil
-	}
-	return And(children...), nil
+	return &Node{Kind: kind, Children: children}, nil
 }
 
+var postfix = map[string]Kind{"+": KindPlus, "*": KindStar, "?": KindOpt}
+
 // parseUnary parses a primary followed by any number of postfix +, *, ?.
-func (p *parser) parseUnary() (*Node, error) {
-	n, err := p.parsePrimary()
+func (p parser) parseUnary(depth int) (*Node, error) {
+	n, err := p.parsePrimary(depth)
 	if err != nil {
 		return nil, err
 	}
 	for {
-		switch p.peek().kind {
-		case tokPlus:
-			p.next()
-			n = Plus(n)
-		case tokStar:
-			p.next()
-			n = Star(n)
-		case tokQuest:
-			p.next()
-			n = Opt(n)
-		default:
+		kind, ok := postfix[p.Peek().Text]
+		if !ok || p.Peek().Kind != lex.Punct {
 			return n, nil
 		}
+		depth++
+		if err := p.Deep("pattern", depth); err != nil {
+			return nil, err
+		}
+		p.Next()
+		n = &Node{Kind: kind, Children: []*Node{n}}
 	}
 }
 
-func (p *parser) parsePrimary() (*Node, error) {
-	t := p.peek()
+func (p parser) parsePrimary(depth int) (*Node, error) {
+	if err := p.Deep("pattern", depth); err != nil {
+		return nil, err
+	}
 	switch {
-	case t.kind == tokLParen:
-		p.next()
-		n, err := p.parseOrAnd()
+	case p.Accept("("):
+		n, err := p.parseOrAnd(depth + 1)
 		if err != nil {
 			return nil, err
 		}
-		if p.peek().kind != tokRParen {
-			return nil, fmt.Errorf("pattern: missing ')' in %q", p.src)
+		if !p.Accept(")") {
+			return nil, p.Peek().Unexpected("pattern: missing ')'")
 		}
-		p.next()
 		return n, nil
-	case p.isKw("NOT"):
-		p.next()
-		n, err := p.parseUnary()
+	case p.AcceptKeyword("NOT"):
+		n, err := p.parseUnary(depth + 1)
 		if err != nil {
 			return nil, err
 		}
 		return Not(n), nil
-	case p.isKw("SEQ"):
-		p.next()
-		if p.peek().kind != tokLParen {
-			return nil, fmt.Errorf("pattern: SEQ requires '(' in %q", p.src)
+	case p.AcceptKeyword("SEQ"):
+		if !p.Accept("(") {
+			return nil, p.Peek().Unexpected("pattern: SEQ requires '('")
 		}
-		p.next()
 		var kids []*Node
 		for {
-			n, err := p.parseOrAnd()
+			n, err := p.parseOrAnd(depth + 1)
 			if err != nil {
 				return nil, err
 			}
 			kids = append(kids, n)
-			if p.peek().kind == tokComma {
-				p.next()
-				continue
+			if !p.Accept(",") {
+				break
 			}
-			break
 		}
-		if p.peek().kind != tokRParen {
-			return nil, fmt.Errorf("pattern: missing ')' closing SEQ in %q", p.src)
+		if !p.Accept(")") {
+			return nil, p.Peek().Unexpected("pattern: missing ')' closing SEQ")
 		}
-		p.next()
 		if len(kids) == 1 {
 			return kids[0], nil
 		}
 		return Seq(kids...), nil
-	case t.kind == tokIdent:
-		if !isNameStart(t.text) {
-			return nil, fmt.Errorf("pattern: event type %q must start with a letter or underscore", t.text)
-		}
-		p.next()
-		typ := event.Type(t.text)
-		// Optional alias: a following identifier that is not a keyword.
-		if nt := p.peek(); nt.kind == tokIdent && !isKeyword(nt.text) {
-			if !isNameStart(nt.text) {
-				return nil, fmt.Errorf("pattern: alias %q must start with a letter or underscore", nt.text)
-			}
-			p.next()
-			return EventAs(typ, nt.text), nil
-		}
-		return &Node{Kind: KindEvent, Type: typ}, nil
-	default:
-		return nil, fmt.Errorf("pattern: unexpected %q in %q", t.text, p.src)
 	}
+	if t := p.Peek(); t.Kind != lex.Ident || isKeyword(t.Text) {
+		return nil, t.Unexpected("pattern")
+	}
+	typ, _ := p.Name()
+	// Optional alias: a following name that is not a keyword.
+	if nt := p.Peek(); nt.Kind == lex.Ident && !isKeyword(nt.Text) {
+		alias, _ := p.Name()
+		return EventAs(event.Type(typ), alias), nil
+	}
+	return &Node{Kind: KindEvent, Type: event.Type(typ)}, nil
 }
 
 func isKeyword(s string) bool {
@@ -256,15 +174,4 @@ func isKeyword(s string) bool {
 		return true
 	}
 	return false
-}
-
-// isNameStart reports whether s is a valid type/alias name: it must
-// begin with a letter or underscore so names survive the predicate
-// grammar (a digit-leading name would lex as a number there).
-func isNameStart(s string) bool {
-	if s == "" {
-		return false
-	}
-	r := rune(s[0])
-	return unicode.IsLetter(r) || r == '_'
 }

@@ -8,6 +8,11 @@
 // equivalence) and edge predicates (paper §6). Edge predicates are
 // additionally compiled into range-query bounds so the runtime's Vertex
 // Tree can locate predecessor events in logarithmic time (paper §7).
+//
+// Parse reads the tokens of internal/lex, the one tokenizer of the query
+// language, and Expr.String writes text that parses back to the same
+// expression: a string constant goes out between the quote character it
+// does not contain, because a literal has no escapes.
 package predicate
 
 import (
@@ -15,6 +20,7 @@ import (
 	"math"
 
 	"github.com/greta-cep/greta/internal/event"
+	"github.com/greta-cep/greta/internal/lex"
 )
 
 // Op enumerates binary operators.
@@ -78,7 +84,7 @@ func (Ref) expr()      {}
 func (Binary) expr()   {}
 
 func (c Const) String() string    { return trimFloat(c.V) }
-func (s StrConst) String() string { return fmt.Sprintf("%q", s.V) }
+func (s StrConst) String() string { return lex.Quote(s.V) }
 func (r Ref) String() string {
 	if r.Next {
 		return fmt.Sprintf("NEXT(%s).%s", r.Alias, r.Attr)

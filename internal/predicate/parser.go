@@ -4,29 +4,37 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"unicode"
+
+	"github.com/greta-cep/greta/internal/lex"
 )
 
-// Parse parses a θ expression, e.g.
+// Parse parses a θ expression from the tokens of internal/lex, e.g.
 //
 //	S.price > NEXT(S).price
 //	M.load < NEXT(M).load AND M.cpu >= 10
 //	S.price * 1.05 < NEXT(S).price
 //	S.company = "IBM"
 //
-// Attribute references are written alias.attr; NEXT(alias).attr binds to
-// the later event of an adjacent pair. A bare identifier (no dot) is
+// Attribute references are written alias.attr (the attribute is the
+// last name when the alias is dotted); NEXT(alias).attr binds to the
+// later event of an adjacent pair. A bare identifier (no dot) is
 // shorthand for a reference to attribute attr of the contextual alias
 // and is resolved by the query planner; here it parses as Ref with an
-// empty alias.
-func Parse(src string) (Expr, error) {
-	p := &eparser{toks: elex(src), src: src}
-	e, err := p.parseOr()
+// empty alias. Operators bind, loosest first: OR, AND, one comparison,
+// + -, * / %, unary minus; brackets and operator chains may nest
+// lex.MaxNesting deep.
+func Parse(src string) (Expr, error) { return ParseTokens(lex.Scan(src)) }
+
+// ParseTokens is Parse over a token range, the WHERE clause of a query
+// for one.
+func ParseTokens(toks []lex.Token) (Expr, error) {
+	p := parser{lex.NewCursor(toks)}
+	e, err := p.parseBinary(precOr, 0)
 	if err != nil {
 		return nil, err
 	}
-	if !p.eof() {
-		return nil, fmt.Errorf("predicate: unexpected %q after expression in %q", p.peek().text, src)
+	if t := p.Peek(); t.Kind != lex.EOF {
+		return nil, t.Unexpected("predicate")
 	}
 	return e, nil
 }
@@ -40,329 +48,126 @@ func MustParse(src string) Expr {
 	return e
 }
 
-type etokKind uint8
+type parser struct{ *lex.Cursor }
 
+// Binding strengths of the binary operators.
 const (
-	etIdent etokKind = iota
-	etNumber
-	etString
-	etOp
-	etLParen
-	etRParen
-	etDot
-	etEOF
+	precOr = iota + 1
+	precAnd
+	precCmp
+	precAdd
+	precMul
+	precUnary
 )
 
-type etok struct {
-	kind etokKind
-	text string
+var precOf = [...]int{
+	OpOr: precOr, OpAnd: precAnd,
+	OpEq: precCmp, OpNeq: precCmp, OpGt: precCmp, OpGe: precCmp, OpLt: precCmp, OpLe: precCmp,
+	OpAdd: precAdd, OpSub: precAdd, OpMul: precMul, OpDiv: precMul, OpMod: precMul,
 }
 
-func elex(src string) []etok {
-	var toks []etok
-	i := 0
-	emit := func(k etokKind, s string) { toks = append(toks, etok{k, s}) }
-	for i < len(src) {
-		c := src[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case c == '(':
-			emit(etLParen, "(")
-			i++
-		case c == ')':
-			emit(etRParen, ")")
-			i++
-		case c == '.':
-			// distinguish attribute dot from a leading-dot number
-			if i+1 < len(src) && src[i+1] >= '0' && src[i+1] <= '9' {
-				j := i + 1
-				for j < len(src) && (src[j] >= '0' && src[j] <= '9') {
-					j++
-				}
-				emit(etNumber, src[i:j])
-				i = j
-			} else {
-				emit(etDot, ".")
-				i++
+// binaryOp reads t as a binary operator: AND and OR are identifiers,
+// the rest punctuation, all spelled as Op.String spells them.
+func binaryOp(t lex.Token) (Op, bool) {
+	if t.Kind == lex.Punct || t.Kind == lex.Ident {
+		for op, name := range opNames {
+			if strings.EqualFold(t.Text, name) {
+				return op, true
 			}
-		case c == '"' || c == '\'':
-			q := c
-			j := i + 1
-			for j < len(src) && src[j] != q {
-				j++
-			}
-			if j >= len(src) {
-				emit(etEOF, "unterminated string")
-				return toks
-			}
-			emit(etString, src[i+1:j])
-			i = j + 1
-		case strings.ContainsRune("+-*/%", rune(c)):
-			emit(etOp, string(c))
-			i++
-		case c == '=':
-			emit(etOp, "=")
-			i++
-		case c == '!':
-			if i+1 < len(src) && src[i+1] == '=' {
-				emit(etOp, "!=")
-				i += 2
-			} else {
-				emit(etEOF, "!")
-				return toks
-			}
-		case c == '<':
-			if i+1 < len(src) && src[i+1] == '=' {
-				emit(etOp, "<=")
-				i += 2
-			} else if i+1 < len(src) && src[i+1] == '>' {
-				emit(etOp, "!=")
-				i += 2
-			} else {
-				emit(etOp, "<")
-				i++
-			}
-		case c == '>':
-			if i+1 < len(src) && src[i+1] == '=' {
-				emit(etOp, ">=")
-				i += 2
-			} else {
-				emit(etOp, ">")
-				i++
-			}
-		case c >= '0' && c <= '9':
-			j := i
-			for j < len(src) && (src[j] >= '0' && src[j] <= '9' || src[j] == '.') {
-				j++
-			}
-			// Scientific notation: 1e9, 2.5E-3, 1e+22.
-			if j < len(src) && (src[j] == 'e' || src[j] == 'E') {
-				k := j + 1
-				if k < len(src) && (src[k] == '+' || src[k] == '-') {
-					k++
-				}
-				if k < len(src) && src[k] >= '0' && src[k] <= '9' {
-					for k < len(src) && src[k] >= '0' && src[k] <= '9' {
-						k++
-					}
-					j = k
-				}
-			}
-			emit(etNumber, src[i:j])
-			i = j
-		default:
-			j := i
-			for j < len(src) && (unicode.IsLetter(rune(src[j])) || unicode.IsDigit(rune(src[j])) || src[j] == '_') {
-				j++
-			}
-			if j == i {
-				emit(etEOF, string(c))
-				return toks
-			}
-			emit(etIdent, src[i:j])
-			i = j
 		}
 	}
-	emit(etEOF, "")
-	return toks
+	return 0, false
 }
 
-type eparser struct {
-	toks []etok
-	pos  int
-	src  string
-}
-
-func (p *eparser) peek() etok { return p.toks[p.pos] }
-func (p *eparser) next() etok { t := p.toks[p.pos]; p.pos++; return t }
-func (p *eparser) eof() bool  { return p.peek().kind == etEOF }
-func (p *eparser) isKw(k string) bool {
-	t := p.peek()
-	return t.kind == etIdent && strings.EqualFold(t.text, k)
-}
-
-func (p *eparser) parseOr() (Expr, error) {
-	l, err := p.parseAnd()
+// parseBinary parses operators binding at least as tightly as min,
+// left-associatively. A comparison takes arithmetic operands only, so
+// a < b < c is refused. depth counts the brackets and operators the
+// expression is nested in; every operator of a chain nests the tree one
+// deeper.
+func (p parser) parseBinary(min, depth int) (Expr, error) {
+	l, err := p.parseUnary(depth)
 	if err != nil {
 		return nil, err
 	}
-	for p.isKw("OR") {
-		p.next()
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = Binary{OpOr, l, r}
-	}
-	return l, nil
-}
-
-func (p *eparser) parseAnd() (Expr, error) {
-	l, err := p.parseCmp()
-	if err != nil {
-		return nil, err
-	}
-	for p.isKw("AND") {
-		p.next()
-		r, err := p.parseCmp()
-		if err != nil {
-			return nil, err
-		}
-		l = Binary{OpAnd, l, r}
-	}
-	return l, nil
-}
-
-var cmpOps = map[string]Op{"=": OpEq, "!=": OpNeq, ">": OpGt, ">=": OpGe, "<": OpLt, "<=": OpLe}
-
-func (p *eparser) parseCmp() (Expr, error) {
-	l, err := p.parseAdd()
-	if err != nil {
-		return nil, err
-	}
-	if t := p.peek(); t.kind == etOp {
-		if op, ok := cmpOps[t.text]; ok {
-			p.next()
-			r, err := p.parseAdd()
-			if err != nil {
-				return nil, err
-			}
-			return Binary{op, l, r}, nil
-		}
-	}
-	return l, nil
-}
-
-func (p *eparser) parseAdd() (Expr, error) {
-	l, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		if t.kind != etOp || (t.text != "+" && t.text != "-") {
+	for lprec := precUnary; ; {
+		op, ok := binaryOp(p.Peek())
+		prec := precOf[op]
+		if !ok || prec < min || prec == precCmp && lprec <= precCmp {
 			return l, nil
 		}
-		p.next()
-		r, err := p.parseMul()
+		p.Next()
+		depth++
+		r, err := p.parseBinary(prec+1, depth)
 		if err != nil {
 			return nil, err
 		}
-		if t.text == "+" {
-			l = Binary{OpAdd, l, r}
-		} else {
-			l = Binary{OpSub, l, r}
-		}
+		l, lprec = Binary{op, l, r}, prec
 	}
 }
 
-func (p *eparser) parseMul() (Expr, error) {
-	l, err := p.parseUnary()
-	if err != nil {
+func (p parser) parseUnary(depth int) (Expr, error) {
+	if err := p.Deep("predicate", depth); err != nil {
 		return nil, err
 	}
-	for {
-		t := p.peek()
-		if t.kind != etOp || (t.text != "*" && t.text != "/" && t.text != "%") {
-			return l, nil
-		}
-		p.next()
-		r, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		switch t.text {
-		case "*":
-			l = Binary{OpMul, l, r}
-		case "/":
-			l = Binary{OpDiv, l, r}
-		case "%":
-			l = Binary{OpMod, l, r}
-		}
+	if p.Peek().Kind == lex.Ident {
+		return p.parseName()
 	}
-}
-
-func (p *eparser) parseUnary() (Expr, error) {
-	if t := p.peek(); t.kind == etOp && t.text == "-" {
-		p.next()
-		e, err := p.parseUnary()
+	t := p.Next()
+	switch {
+	case t.Is("-"):
+		e, err := p.parseUnary(depth + 1)
 		if err != nil {
 			return nil, err
 		}
 		return Binary{OpSub, Const{0}, e}, nil
-	}
-	return p.parsePrimary()
-}
-
-func (p *eparser) parsePrimary() (Expr, error) {
-	t := p.peek()
-	switch t.kind {
-	case etNumber:
-		p.next()
-		v, err := strconv.ParseFloat(t.text, 64)
+	case t.Kind == lex.Number:
+		v, err := strconv.ParseFloat(t.Text, 64)
 		if err != nil {
-			return nil, fmt.Errorf("predicate: bad number %q in %q", t.text, p.src)
+			return nil, fmt.Errorf("predicate: bad number %q at offset %d", t.Text, t.Pos)
 		}
 		return Const{v}, nil
-	case etString:
-		p.next()
-		return StrConst{t.text}, nil
-	case etLParen:
-		p.next()
-		e, err := p.parseOr()
+	case t.Kind == lex.String:
+		return StrConst{t.Text}, nil
+	case t.Is("("):
+		e, err := p.parseBinary(precOr, depth+1)
 		if err != nil {
 			return nil, err
 		}
-		if p.peek().kind != etRParen {
-			return nil, fmt.Errorf("predicate: missing ')' in %q", p.src)
+		if !p.Accept(")") {
+			return nil, p.Peek().Unexpected("predicate: missing ')'")
 		}
-		p.next()
 		return e, nil
-	case etIdent:
-		if strings.EqualFold(t.text, "NEXT") {
-			p.next()
-			if p.peek().kind != etLParen {
-				return nil, fmt.Errorf("predicate: NEXT requires '(' in %q", p.src)
-			}
-			p.next()
-			al := p.next()
-			if al.kind != etIdent {
-				return nil, fmt.Errorf("predicate: NEXT requires an alias in %q", p.src)
-			}
-			if p.peek().kind != etRParen {
-				return nil, fmt.Errorf("predicate: missing ')' after NEXT(%s) in %q", al.text, p.src)
-			}
-			p.next()
-			if p.peek().kind != etDot {
-				return nil, fmt.Errorf("predicate: NEXT(%s) requires .attribute in %q", al.text, p.src)
-			}
-			p.next()
-			attr := p.next()
-			if attr.kind != etIdent {
-				return nil, fmt.Errorf("predicate: NEXT(%s). requires an attribute name in %q", al.text, p.src)
-			}
-			return Ref{Alias: al.text, Attr: attr.text, Next: true}, nil
-		}
-		if strings.EqualFold(t.text, "TRUE") {
-			p.next()
-			return Const{1}, nil
-		}
-		if strings.EqualFold(t.text, "FALSE") {
-			p.next()
-			return Const{0}, nil
-		}
-		p.next()
-		if p.peek().kind == etDot {
-			p.next()
-			attr := p.next()
-			if attr.kind != etIdent {
-				return nil, fmt.Errorf("predicate: %s. requires an attribute name in %q", t.text, p.src)
-			}
-			return Ref{Alias: t.text, Attr: attr.text}, nil
-		}
-		// Bare identifier: attribute of the contextual alias.
-		return Ref{Attr: t.text}, nil
 	}
-	return nil, fmt.Errorf("predicate: unexpected %q in %q", t.text, p.src)
+	return nil, t.Unexpected("predicate")
+}
+
+// parseName parses what starts with an identifier: alias.attr (in
+// a.b.c the alias is the dotted a.b, and it may be called anything),
+// NEXT(alias).attr, TRUE, FALSE, or a bare attribute of the contextual
+// alias.
+func (p parser) parseName() (Expr, error) {
+	alias, name, _ := p.Qualified()
+	switch {
+	case alias != "":
+		return Ref{Alias: alias, Attr: name}, nil
+	case strings.EqualFold(name, "NEXT"):
+		if !p.Accept("(") {
+			return nil, p.Peek().Unexpected("predicate: NEXT requires '('")
+		}
+		al, ok := p.Name()
+		if !ok {
+			return nil, p.Peek().Unexpected("predicate: NEXT requires an alias")
+		}
+		attr := Ref{Alias: al, Next: true}
+		if !p.Accept(")") || !p.Accept(".") || p.Peek().Kind != lex.Ident {
+			return nil, p.Peek().Unexpected("predicate: " + attr.String() + " requires an attribute name")
+		}
+		attr.Attr = p.Next().Text
+		return attr, nil
+	case strings.EqualFold(name, "TRUE"):
+		return Const{1}, nil
+	case strings.EqualFold(name, "FALSE"):
+		return Const{0}, nil
+	}
+	return Ref{Attr: name}, nil
 }

@@ -8,15 +8,24 @@
 // plus two documented extensions: an optional SEMANTICS clause choosing
 // the event selection semantics of Table 1, and equivalence predicates
 // in WHERE written with the paper's bracket notation [attr, attr, ...].
+//
+// The text is read once, by the tokenizer of internal/lex (see its
+// package doc for what an identifier, a number and a string literal
+// are); this package cuts the token stream into clauses and hands the
+// PATTERN and WHERE ranges to internal/pattern and internal/predicate.
+// Query.String writes the canonical text, which Parse reads back to the
+// same Query.
 package query
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
 	"github.com/greta-cep/greta/internal/aggregate"
 	"github.com/greta-cep/greta/internal/event"
+	"github.com/greta-cep/greta/internal/lex"
 	"github.com/greta-cep/greta/internal/pattern"
 	"github.com/greta-cep/greta/internal/predicate"
 	"github.com/greta-cep/greta/internal/window"
@@ -47,7 +56,6 @@ func (s Semantics) String() string {
 
 // Query is a parsed event trend aggregation query (Definition 2).
 type Query struct {
-	Raw         string
 	ReturnAttrs []string // non-aggregate RETURN items (grouping attributes)
 	Aggs        []aggregate.Spec
 	Pattern     *pattern.Node
@@ -62,42 +70,42 @@ type Query struct {
 	MinLen int
 }
 
-// Parse parses a query. Clauses may appear on one line or many; clause
-// keywords are case-insensitive.
+// Parse parses a query. It walks the one token stream of internal/lex:
+// clause keywords cut it into clauses, which may appear on one line or
+// many, and the PATTERN and WHERE ranges go to the pattern and predicate
+// parsers as tokens. Clause keywords are case-insensitive and reserved:
+// no name in a query may be spelled like one.
 func Parse(src string) (*Query, error) {
-	clauses, err := splitClauses(src)
+	clauses, err := cut(lex.Scan(src))
 	if err != nil {
 		return nil, err
 	}
-	q := &Query{Raw: src}
-	if txt, ok := clauses["RETURN"]; ok {
-		if err := q.parseReturn(txt); err != nil {
-			return nil, err
+	// text is the source text of a clause whose value is one word.
+	text := func(toks []lex.Token) string {
+		if len(toks) == 0 {
+			return ""
 		}
-	} else {
-		return nil, fmt.Errorf("query: missing RETURN clause")
+		return src[toks[0].Pos:toks[len(toks)-1].End]
 	}
-	txt, ok := clauses["PATTERN"]
+	q := &Query{}
+	if toks, ok := clauses["RETURN"]; !ok {
+		return nil, fmt.Errorf("query: missing RETURN clause")
+	} else if err := q.parseReturn(lex.NewCursor(toks)); err != nil {
+		return nil, err
+	}
+	toks, ok := clauses["PATTERN"]
 	if !ok {
 		return nil, fmt.Errorf("query: missing PATTERN clause")
 	}
-	p, err := pattern.Parse(txt)
-	if err != nil {
+	if q.Pattern, err = pattern.ParseTokens(toks); err != nil {
 		return nil, err
 	}
-	q.Pattern = p
-	if txt, ok := clauses["WHERE"]; ok {
-		if err := q.parseWhere(txt); err != nil {
-			return nil, err
-		}
+	if err := q.parseWhere(clauses["WHERE"]); err != nil {
+		return nil, err
 	}
-	if txt, ok := clauses["GROUP-BY"]; ok {
-		for _, a := range strings.Split(txt, ",") {
-			a = strings.TrimSpace(a)
-			if a == "" {
-				return nil, fmt.Errorf("query: empty GROUP-BY attribute")
-			}
-			q.GroupBy = append(q.GroupBy, a)
+	if toks, ok := clauses["GROUP-BY"]; ok {
+		if q.GroupBy, err = attrList(toks); err != nil {
+			return nil, err
 		}
 	}
 	within, hasWithin := clauses["WITHIN"]
@@ -106,28 +114,30 @@ func Parse(src string) (*Query, error) {
 		return nil, fmt.Errorf("query: WITHIN and SLIDE must be specified together")
 	}
 	if hasWithin {
-		w, err := parseDuration(within)
-		if err != nil {
+		if q.Window.Within, err = parseDuration(within); err != nil {
 			return nil, err
 		}
-		s, err := parseDuration(slide)
-		if err != nil {
+		if q.Window.Slide, err = parseDuration(slide); err != nil {
 			return nil, err
 		}
-		q.Window = window.Spec{Within: w, Slide: s}
 		if err := q.Window.Validate(); err != nil {
 			return nil, err
 		}
-	}
-	if txt, ok := clauses["MINLEN"]; ok {
-		n, err := strconv.Atoi(strings.TrimSpace(txt))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("query: MINLEN requires a positive integer, got %q", txt)
+		if q.Window.Unbounded() {
+			q.Window = window.Global // WITHIN 0: canonical text leaves it out
 		}
-		q.MinLen = n
 	}
-	if txt, ok := clauses["SEMANTICS"]; ok {
-		switch strings.ToLower(strings.TrimSpace(txt)) {
+	if toks, ok := clauses["MINLEN"]; ok {
+		q.MinLen, err = strconv.Atoi(text(toks))
+		if err != nil || q.MinLen < 1 {
+			return nil, fmt.Errorf("query: MINLEN requires a positive integer, got %q", text(toks))
+		}
+		if q.MinLen == 1 {
+			q.MinLen = 0 // no constraint: canonical text leaves it out
+		}
+	}
+	if toks, ok := clauses["SEMANTICS"]; ok {
+		switch strings.ToLower(text(toks)) {
 		case "skip-till-any-match", "any":
 			q.Semantics = SkipTillAnyMatch
 		case "skip-till-next-match", "next":
@@ -135,7 +145,7 @@ func Parse(src string) (*Query, error) {
 		case "contiguous":
 			q.Semantics = Contiguous
 		default:
-			return nil, fmt.Errorf("query: unknown semantics %q", txt)
+			return nil, fmt.Errorf("query: unknown semantics %q", text(toks))
 		}
 	}
 	if err := q.resolveAliases(); err != nil {
@@ -153,136 +163,94 @@ func MustParse(src string) *Query {
 	return q
 }
 
-var clauseKeywords = []string{"RETURN", "PATTERN", "WHERE", "GROUP-BY", "GROUPBY", "WITHIN", "SLIDE", "SEMANTICS", "MINLEN"}
+// clauseAt reports which clause keyword starts at toks[i] and how many
+// tokens spell it: GROUP-BY is three, written without a gap.
+func clauseAt(toks []lex.Token, i int) (string, int) {
+	if toks[i].Kind != lex.Ident {
+		return "", 0
+	}
+	switch up := strings.ToUpper(toks[i].Text); up {
+	case "RETURN", "PATTERN", "WHERE", "WITHIN", "SLIDE", "SEMANTICS", "MINLEN":
+		return up, 1
+	case "GROUPBY":
+		return "GROUP-BY", 1
+	case "GROUP":
+		if i+2 < len(toks) && toks[i+1].Is("-") && toks[i+2].Keyword("BY") &&
+			toks[i].End == toks[i+1].Pos && toks[i+1].End == toks[i+2].Pos {
+			return "GROUP-BY", 3
+		}
+	}
+	return "", 0
+}
 
-// splitClauses cuts the query text at clause keywords that appear at
-// the top level (outside parentheses, brackets, and strings).
-func splitClauses(src string) (map[string]string, error) {
-	type mark struct {
-		kw    string
-		start int // index after the keyword
-		kwPos int
+// cut splits a token stream into one token range per clause, keyed by
+// the clause's keyword.
+func cut(toks []lex.Token) (map[string][]lex.Token, error) {
+	if last := toks[len(toks)-1]; last.Kind == lex.Error {
+		return nil, last.Unexpected("query")
 	}
-	var marks []mark
-	depth := 0
-	inStr := byte(0)
-	for i := 0; i < len(src); i++ {
-		c := src[i]
+	out := map[string][]lex.Token{}
+	kw, start, depth := "", 0, 0
+	for i := 0; i < len(toks); i++ {
+		t := toks[i]
+		next, n := clauseAt(toks, i)
 		switch {
-		case inStr != 0:
-			if c == inStr {
-				inStr = 0
-			}
-		case c == '"' || c == '\'':
-			inStr = c
-		case c == '(' || c == '[':
+		case t.Is("(") || t.Is("["):
 			depth++
-		case c == ')' || c == ']':
-			depth--
-		case depth == 0 && (i == 0 || isSpace(src[i-1])):
-			for _, kw := range clauseKeywords {
-				if matchKeyword(src, i, kw) {
-					marks = append(marks, mark{kw, i + len(kw), i})
-					i += len(kw) - 1
-					break
-				}
+			continue
+		case t.Is(")") || t.Is("]"):
+			if depth--; depth < 0 {
+				return nil, t.Unexpected("query")
 			}
+			continue
+		case n == 0 && t.Kind != lex.EOF:
+			continue
+		case n > 0 && depth != 0:
+			return nil, fmt.Errorf("query: reserved word %q inside brackets at offset %d", t.Text, t.Pos)
 		}
-	}
-	if len(marks) == 0 {
-		return nil, fmt.Errorf("query: no clauses found in %q", src)
-	}
-	if strings.TrimSpace(src[:marks[0].kwPos]) != "" {
-		return nil, fmt.Errorf("query: unexpected text %q before first clause", strings.TrimSpace(src[:marks[0].kwPos]))
-	}
-	out := map[string]string{}
-	for i, m := range marks {
-		end := len(src)
-		if i+1 < len(marks) {
-			end = marks[i+1].kwPos
-		}
-		kw := m.kw
-		if kw == "GROUPBY" {
-			kw = "GROUP-BY"
-		}
+		// The clause kw, if any, ends before toks[i].
 		if _, dup := out[kw]; dup {
 			return nil, fmt.Errorf("query: duplicate %s clause", kw)
+		} else if kw != "" {
+			out[kw] = toks[start:i]
+		} else if i > 0 {
+			return nil, toks[0].Unexpected("query: before the first clause")
 		}
-		out[kw] = strings.TrimSpace(src[m.start:end])
+		kw, start = next, i+n
+		i = max(i, start-1)
 	}
 	return out, nil
 }
 
-func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
-
-func matchKeyword(src string, i int, kw string) bool {
-	if i+len(kw) > len(src) {
-		return false
-	}
-	if !strings.EqualFold(src[i:i+len(kw)], kw) {
-		return false
-	}
-	// keyword must end at a word boundary
-	j := i + len(kw)
-	return j == len(src) || isSpace(src[j]) || src[j] == '('
+var aggKinds = map[string]aggregate.SpecKind{
+	"COUNT": aggregate.CountStar, "MIN": aggregate.Min, "MAX": aggregate.Max,
+	"SUM": aggregate.Sum, "AVG": aggregate.Avg,
 }
 
 // parseReturn parses the RETURN item list: grouping attributes and
-// aggregate specifications.
-func (q *Query) parseReturn(txt string) error {
-	for _, item := range splitTop(txt, ',') {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			return fmt.Errorf("query: empty RETURN item")
+// aggregates.
+func (q *Query) parseReturn(c *lex.Cursor) error {
+	for {
+		first := c.Peek()
+		item, ok := c.Name()
+		if !ok {
+			return first.Unexpected("query: RETURN item")
 		}
-		up := strings.ToUpper(item)
-		var kind aggregate.SpecKind
-		var isAgg = true
-		switch {
-		case strings.HasPrefix(up, "COUNT("):
-			kind = aggregate.CountStar
-		case strings.HasPrefix(up, "MIN("):
-			kind = aggregate.Min
-		case strings.HasPrefix(up, "MAX("):
-			kind = aggregate.Max
-		case strings.HasPrefix(up, "SUM("):
-			kind = aggregate.Sum
-		case strings.HasPrefix(up, "AVG("):
-			kind = aggregate.Avg
-		default:
-			isAgg = false
-		}
-		if !isAgg {
+		if kind, isAgg := aggKinds[strings.ToUpper(item)]; isAgg && c.Accept("(") {
+			spec, err := parseAgg(c, kind)
+			if err != nil {
+				return err
+			}
+			q.Aggs = append(q.Aggs, spec)
+		} else {
 			q.ReturnAttrs = append(q.ReturnAttrs, item)
-			continue
 		}
-		open := strings.IndexByte(item, '(')
-		if !strings.HasSuffix(item, ")") {
-			return fmt.Errorf("query: malformed aggregate %q", item)
+		if !c.Accept(",") {
+			break
 		}
-		arg := strings.TrimSpace(item[open+1 : len(item)-1])
-		spec := aggregate.Spec{Kind: kind}
-		switch kind {
-		case aggregate.CountStar:
-			if arg != "*" {
-				if arg == "" {
-					return fmt.Errorf("query: COUNT requires * or an event type")
-				}
-				spec.Kind = aggregate.CountType
-				spec.Type = event.Type(arg)
-			}
-		default:
-			dot := strings.IndexByte(arg, '.')
-			if dot < 0 {
-				return fmt.Errorf("query: %s requires EventType.Attribute, got %q", kind, arg)
-			}
-			spec.Type = event.Type(strings.TrimSpace(arg[:dot]))
-			spec.Attr = strings.TrimSpace(arg[dot+1:])
-			if spec.Type == "" || spec.Attr == "" {
-				return fmt.Errorf("query: %s requires EventType.Attribute, got %q", kind, arg)
-			}
-		}
-		q.Aggs = append(q.Aggs, spec)
+	}
+	if c.Peek().Kind != lex.EOF {
+		return c.Peek().Unexpected("query: RETURN")
 	}
 	if len(q.Aggs) == 0 {
 		return fmt.Errorf("query: RETURN clause has no aggregation function")
@@ -290,101 +258,108 @@ func (q *Query) parseReturn(txt string) error {
 	return nil
 }
 
-// parseWhere parses the WHERE clause, separating bracketed equivalence
-// groups ([company, sector]) from ordinary predicate conjuncts.
-func (q *Query) parseWhere(txt string) error {
-	var conjuncts []string
-	for _, part := range splitTopAnd(txt) {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
+// parseAgg reads an aggregate's argument and closing bracket: * or an
+// event type for COUNT, EventType.Attribute for MIN, MAX, SUM and AVG.
+func parseAgg(c *lex.Cursor, kind aggregate.SpecKind) (aggregate.Spec, error) {
+	spec := aggregate.Spec{Kind: kind}
+	if kind != aggregate.CountStar {
+		typ, attr, _ := c.Qualified()
+		if typ == "" {
+			return spec, c.Peek().Unexpected("query: " + kind.String() + " requires EventType.Attribute")
 		}
-		if strings.HasPrefix(part, "[") && strings.HasSuffix(part, "]") {
-			for _, a := range strings.Split(part[1:len(part)-1], ",") {
-				a = strings.TrimSpace(a)
-				// Strip an alias qualifier: [P.vehicle, segment] means the
-				// attribute values are equal across all trend events, so
-				// the qualifier is informational.
-				if dot := strings.IndexByte(a, '.'); dot >= 0 {
-					a = a[dot+1:]
-				}
-				if a == "" {
-					return fmt.Errorf("query: empty attribute in equivalence predicate %q", part)
-				}
-				q.Equivalence = append(q.Equivalence, a)
-			}
-			continue
+		spec.Type, spec.Attr = event.Type(typ), attr
+	} else if !c.Accept("*") {
+		typ, ok := c.Name()
+		if !ok {
+			return spec, c.Peek().Unexpected("query: COUNT requires * or an event type")
 		}
-		conjuncts = append(conjuncts, part)
+		spec.Kind, spec.Type = aggregate.CountType, event.Type(typ)
 	}
-	if len(conjuncts) == 0 {
-		return nil
+	if !c.Accept(")") {
+		return spec, c.Peek().Unexpected("query: missing ')' of " + kind.String())
 	}
-	expr, err := predicate.Parse(strings.Join(conjuncts, " AND "))
-	if err != nil {
-		return err
-	}
-	q.Where = expr
-	return nil
+	return spec, nil
 }
 
-// splitTop splits s on sep at parenthesis depth zero.
-func splitTop(s string, sep byte) []string {
-	var out []string
-	depth, start := 0, 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '(', '[':
-			depth++
-		case ')', ']':
-			depth--
-		case sep:
-			if depth == 0 {
-				out = append(out, s[start:i])
-				start = i + 1
-			}
+// attrList reads the whole of toks as attr (',' attr)*. An alias
+// qualifier is dropped: in [P.vehicle, segment] the attribute values
+// are equal across all trend events, whichever alias reads them.
+func attrList(toks []lex.Token) (attrs []string, err error) {
+	for c := lex.NewCursor(toks); ; {
+		_, attr, ok := c.Qualified()
+		if !ok || c.Peek().Kind != lex.EOF && !c.Peek().Is(",") {
+			return nil, c.Peek().Unexpected("query: attribute list")
+		}
+		attrs = append(attrs, attr)
+		if !c.Accept(",") {
+			return attrs, nil
 		}
 	}
-	return append(out, s[start:])
 }
 
-// splitTopAnd splits on the keyword AND at depth zero.
-func splitTopAnd(s string) []string {
-	var out []string
-	depth, start := 0, 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '(', '[':
+// parseWhere parses the WHERE clause. A bracketed equivalence group
+// ([company, sector]) stands where a conjunct of the clause's top-level
+// AND chain stands; the groups are taken out with one of the ANDs
+// around them, and the tokens that remain are the predicate θ.
+func (q *Query) parseWhere(toks []lex.Token) (err error) {
+	var rest []lex.Token
+	depth, or := 0, false
+	for i := 0; i < len(toks); i++ {
+		t := toks[i]
+		switch {
+		case t.Is("("):
 			depth++
-		case ')', ']':
+		case t.Is(")"):
 			depth--
-		default:
-			if depth == 0 && (i == 0 || isSpace(s[i-1])) && matchKeyword(s, i, "AND") {
-				out = append(out, s[start:i])
-				start = i + 3
-				i += 2
+		case depth == 0 && t.Keyword("OR"):
+			or = true
+		case t.Is("["):
+			end := i + 1
+			for end < len(toks) && !toks[end].Is("]") {
+				end++
 			}
+			last := end+1 >= len(toks)
+			if depth != 0 || end == len(toks) || i > 0 && !toks[i-1].Keyword("AND") || !last && !toks[end+1].Keyword("AND") {
+				return fmt.Errorf("query: the equivalence group at offset %d is not a conjunct of WHERE's top-level AND", t.Pos)
+			}
+			attrs, err := attrList(toks[i+1 : end])
+			if err != nil {
+				return err
+			}
+			q.Equivalence = append(q.Equivalence, attrs...)
+			if !last {
+				end++
+			} else if len(rest) > 0 {
+				rest = rest[:len(rest)-1]
+			}
+			i = end
+			continue
 		}
+		rest = append(rest, t)
 	}
-	return append(out, s[start:])
+	if or && len(q.Equivalence) > 0 {
+		return fmt.Errorf("query: an equivalence group beside OR: AND binds tighter, so the group would hold for one alternative only; write it once, outside")
+	}
+	if len(rest) > 0 {
+		q.Where, err = predicate.ParseTokens(rest)
+	}
+	return err
 }
 
 // parseDuration parses "10 minutes", "30 seconds", "2 hours", or a bare
 // tick count, into time ticks (seconds in the paper's workloads).
-func parseDuration(txt string) (event.Time, error) {
-	fields := strings.Fields(txt)
-	if len(fields) == 0 {
-		return 0, fmt.Errorf("query: empty duration")
+func parseDuration(toks []lex.Token) (event.Time, error) {
+	if len(toks) == 0 || len(toks) > 2 || toks[0].Kind != lex.Number || toks[len(toks)-1].Kind == lex.String {
+		return 0, fmt.Errorf("query: a duration is a count and an optional unit")
 	}
-	n, err := strconv.ParseInt(fields[0], 10, 64)
+	n, err := strconv.ParseInt(toks[0].Text, 10, 64)
 	if err != nil {
-		return 0, fmt.Errorf("query: bad duration %q: %v", txt, err)
+		return 0, fmt.Errorf("query: bad duration %q: %v", toks[0].Text, err)
 	}
-	if len(fields) == 1 {
+	if len(toks) == 1 {
 		return n, nil
 	}
-	unit := strings.ToLower(strings.TrimSuffix(fields[1], "s"))
-	switch unit {
+	switch strings.TrimSuffix(strings.ToLower(toks[1].Text), "s") {
 	case "tick", "second", "sec":
 		return n, nil
 	case "minute", "min":
@@ -392,7 +367,7 @@ func parseDuration(txt string) (event.Time, error) {
 	case "hour", "hr":
 		return n * 3600, nil
 	}
-	return 0, fmt.Errorf("query: unknown duration unit %q", fields[1])
+	return 0, fmt.Errorf("query: unknown duration unit %q", toks[1].Text)
 }
 
 // resolveAliases maps alias names used in RETURN aggregates and WHERE
@@ -407,22 +382,19 @@ func (q *Query) resolveAliases() error {
 		aliasType[leaf.Alias] = leaf.Type
 		typeCount[leaf.Type]++
 	}
-	// RETURN aggregate targets may be written with the alias (SUM(M.cpu)
-	// where M aliases Measurement) or the type name.
+	// RETURN aggregate targets may be written with the type name, which
+	// is what canonical text carries and so wins when a name is both, or
+	// with the alias (SUM(M.cpu) where M aliases Measurement).
 	for i := range q.Aggs {
 		sp := &q.Aggs[i]
-		if sp.Kind == aggregate.CountStar {
+		if sp.Kind == aggregate.CountStar || typeCount[sp.Type] > 0 {
 			continue
 		}
-		name := string(sp.Type)
-		if t, ok := aliasType[name]; ok {
-			sp.Type = t
-			continue
+		t, ok := aliasType[string(sp.Type)]
+		if !ok {
+			return fmt.Errorf("query: aggregate %s references unknown type or alias %q", sp, sp.Type)
 		}
-		if typeCount[sp.Type] > 0 {
-			continue
-		}
-		return fmt.Errorf("query: aggregate %s references unknown type or alias %q", sp, name)
+		sp.Type = t
 	}
 	if q.Where != nil {
 		if len(aliases) == 1 {
@@ -469,28 +441,34 @@ func renameAlias(e predicate.Expr, from, to string) predicate.Expr {
 	return e
 }
 
-// String reconstructs a canonical query text.
+// String is the query's canonical text: what Parse reads back to this
+// query, and so what a checkpoint stores, a coordinator ships to its
+// shards and ShardHost.Register compiles.
 func (q *Query) String() string {
-	var b strings.Builder
-	b.WriteString("RETURN ")
-	var items []string
-	items = append(items, q.ReturnAttrs...)
+	items := slices.Clone(q.ReturnAttrs)
 	for _, a := range q.Aggs {
 		items = append(items, a.String())
 	}
-	b.WriteString(strings.Join(items, ", "))
-	b.WriteString(" PATTERN ")
-	b.WriteString(q.Pattern.String())
+	return "RETURN " + strings.Join(items, ", ") + " " + q.Formation()
+}
+
+// Formation is the canonical text of the clauses that decide which
+// trends form — every clause but RETURN. Statements with equal
+// Formation build identical graphs, which is what sharing keys on.
+func (q *Query) Formation() string {
+	var b strings.Builder
+	b.WriteString("PATTERN " + q.Pattern.String())
 	if q.Where != nil || len(q.Equivalence) > 0 {
 		b.WriteString(" WHERE ")
-		var parts []string
 		if len(q.Equivalence) > 0 {
-			parts = append(parts, "["+strings.Join(q.Equivalence, ", ")+"]")
+			b.WriteString("[" + strings.Join(q.Equivalence, ", ") + "]")
+			if q.Where != nil {
+				b.WriteString(" AND ")
+			}
 		}
 		if q.Where != nil {
-			parts = append(parts, q.Where.String())
+			b.WriteString(q.Where.String())
 		}
-		b.WriteString(strings.Join(parts, " AND "))
 	}
 	if len(q.GroupBy) > 0 {
 		b.WriteString(" GROUP-BY " + strings.Join(q.GroupBy, ", "))

@@ -4,119 +4,50 @@
 // trend-formation plans coincide reuse one alpha/beta network instead
 // of evaluating private copies).
 //
-// The package owns the three mechanisms that make sharing safe and
-// the runtime composes:
+// The package owns the two mechanisms that make sharing safe and the
+// runtime composes:
 //
-//   - Signature: the canonical trend-formation identity of a compiled
-//     statement — pattern shape, predicate set, window WITHIN/SLIDE,
-//     partition-by attributes, event selection semantics, arithmetic
-//     mode, and scan discipline. Two statements with equal signatures
-//     form bit-identical trend sets over any stream; only their RETURN
-//     aggregates may diverge.
+//   - Key: the canonical trend-formation identity of a compiled
+//     statement — the canonical text of every clause but RETURN
+//     (query.Formation: pattern shape, predicate set, partition-by
+//     attributes, window, minimal length, selection semantics) plus the
+//     arithmetic mode and the scan discipline. Two statements with equal
+//     keys form bit-identical trend sets over any stream; only their
+//     RETURN aggregates may diverge.
 //
-//   - Index: an epoch-gated intern table from signature keys to share
-//     nodes. A node is attachable only while the ingest epoch it was
-//     created in is still current (no event has been processed since):
-//     a statement registered mid-stream must never join a warm graph,
-//     because its PR-4 watermark contract says it sees only events
-//     from its registration watermark on — it opens a new node (a new
-//     shared graph seeded at that watermark) instead.
+//   - Index: an epoch-gated intern table from keys to share nodes. A
+//     node is attachable only while the ingest epoch it was created in
+//     is still current (no event has been processed since): a statement
+//     registered mid-stream must never join a warm graph, because its
+//     PR-4 watermark contract says it sees only events from its
+//     registration watermark on — it opens a new node (a new shared
+//     graph seeded at that watermark) instead.
 //
-//   - Output fan-out: per-subscriber RETURN aggregates planned into
-//     the shared graph's union aggregation definition. The shared
-//     graph maintains one payload per (vertex, window) covering the
-//     union of all subscribers' slots; at window close each
-//     subscriber's final values are extracted from the same payload
-//     through its own slot mapping.
-//
-// The package deliberately knows nothing about engines or graphs (the
-// core package instantiates Index with its own entry type), so the
+// The per-subscriber fan-out of a shared graph's union payload is
+// aggregate.Def's PlanSpecs and Values, the slot mapping every engine
+// uses. The package deliberately knows nothing about engines or graphs
+// (the core package instantiates Index with its own entry type), so the
 // sharing policy is testable in isolation.
 package share
 
 import (
-	"strconv"
-	"strings"
+	"fmt"
 
 	"github.com/greta-cep/greta/internal/aggregate"
 	"github.com/greta-cep/greta/internal/query"
 )
 
-// Signature is the canonical trend-formation identity of a statement:
-// everything that influences which trends form and how they are
-// scanned, and nothing that only influences what is returned per
-// trend set. Statements with equal signatures may share one graph;
-// their RETURN clauses fan out through Output mappings.
-type Signature struct {
-	// Pattern is the canonical pattern text (aliases included: two
-	// patterns spelled with different aliases conservatively do not
-	// share, since predicates reference aliases).
-	Pattern string
-	// Where is the canonical predicate conjunction, in query order
-	// (conservative: reordered conjuncts change the Vertex Tree sort
-	// attribute selection and therefore the scan stats).
-	Where string
-	// Equiv and GroupBy are the partition-by attribute lists, in query
-	// order (their concatenation is the routing signature).
-	Equiv   string
-	GroupBy string
-	// Within and Slide identify the window plan.
-	Within, Slide int64
-	// Semantics is the event selection semantics.
-	Semantics string
-	// MinLen is the minimal-trend-length constraint (unrolled into the
-	// pattern by the planner, so it shapes the template).
-	MinLen int
-	// Mode is the aggregation arithmetic (native or exact).
-	Mode uint8
-	// ForceScan pins the scan discipline: a forced per-vertex engine
-	// and a summary-folding engine produce identical results but
-	// different traversal stats, so they do not share.
-	ForceScan bool
-}
-
-// SignatureOf canonicalizes a parsed query (plus the per-registration
-// knobs that shape execution) into its sharing signature.
-func SignatureOf(q *query.Query, mode aggregate.Mode, forceScan bool) Signature {
-	sig := Signature{
-		Pattern:   q.Pattern.String(),
-		Equiv:     strings.Join(q.Equivalence, ","),
-		GroupBy:   strings.Join(q.GroupBy, ","),
-		Within:    int64(q.Window.Within),
-		Slide:     int64(q.Window.Slide),
-		Semantics: q.Semantics.String(),
-		MinLen:    q.MinLen,
-		Mode:      uint8(mode),
-		ForceScan: forceScan,
-	}
-	if q.Where != nil {
-		sig.Where = q.Where.String()
-	}
-	return sig
-}
-
-// Key renders the signature as an intern-table key.
-func (s Signature) Key() string {
-	var b strings.Builder
-	b.Grow(len(s.Pattern) + len(s.Where) + len(s.Equiv) + len(s.GroupBy) + 32)
-	for i, part := range []string{s.Pattern, s.Where, s.Equiv, s.GroupBy, s.Semantics} {
-		if i > 0 {
-			b.WriteByte('\x1f')
-		}
-		b.WriteString(part)
-	}
-	b.WriteByte('\x1f')
-	b.WriteString(strconv.FormatInt(s.Within, 10))
-	b.WriteByte('\x1f')
-	b.WriteString(strconv.FormatInt(s.Slide, 10))
-	b.WriteByte('\x1f')
-	b.WriteString(strconv.Itoa(s.MinLen))
-	b.WriteByte('\x1f')
-	b.WriteString(strconv.Itoa(int(s.Mode)))
-	if s.ForceScan {
-		b.WriteString("\x1fforce")
-	}
-	return b.String()
+// Key is the intern-table key of a registration: everything that
+// influences which trends form and how they are scanned, and nothing
+// that only influences what is returned per trend set. Aliases are
+// part of the text (patterns spelled with different aliases
+// conservatively do not share, since predicates reference them), and so
+// is conjunct order (it selects the Vertex Tree sort attribute and
+// therefore the scan stats). A forced per-vertex engine and a
+// summary-folding engine produce identical results but different
+// traversal stats, so they do not share either.
+func Key(q *query.Query, mode aggregate.Mode, forceScan bool) string {
+	return fmt.Sprintf("%s\x1f%d\x1f%t", q.Formation(), mode, forceScan)
 }
 
 // Node is one interned sub-plan: the shared network's handle on a
@@ -130,7 +61,7 @@ type Node[E any] struct {
 	Val E
 }
 
-// Key returns the node's signature key.
+// Key returns the key the node is interned under.
 func (n *Node[E]) Key() string { return n.key }
 
 // Index is the epoch-gated intern table of the shared sub-plan
@@ -193,42 +124,4 @@ func (ix *Index[E]) Retire(n *Node[E]) {
 	if ix.nodes[n.key] == n {
 		delete(ix.nodes, n.key)
 	}
-}
-
-// Output maps one RETURN aggregate of a subscriber onto the shared
-// graph's union aggregation definition: the aggregate spec plus its
-// slot indices in the union payload (Slot2 carries AVG's count slot).
-type Output struct {
-	Spec  aggregate.Spec
-	Slot  int
-	Slot2 int
-}
-
-// PlanOutputs plans a subscriber's RETURN aggregates into the shared
-// union definition, registering any slots the union does not carry yet
-// (AddSlot deduplicates, so overlapping subscribers reuse slots). Must
-// run before the shared engine is compiled against def: compiled specs
-// snapshot the slot layout.
-func PlanOutputs(def *aggregate.Def, specs []aggregate.Spec) []Output {
-	outs := make([]Output, len(specs))
-	for i, sp := range specs {
-		s1, s2 := def.Plan(sp)
-		outs[i] = Output{Spec: sp, Slot: s1, Slot2: s2}
-	}
-	return outs
-}
-
-// OutputValues extracts one subscriber's final values from a shared
-// union payload. Slot arithmetic is independent per slot, so the
-// values are bit-identical to what a private engine carrying only the
-// subscriber's slots would produce.
-func OutputValues(def *aggregate.Def, p *aggregate.Payload, outs []Output) []float64 {
-	if len(outs) == 0 {
-		return nil
-	}
-	vals := make([]float64, len(outs))
-	for i, o := range outs {
-		vals[i] = def.Value(p, o.Spec, o.Slot, o.Slot2)
-	}
-	return vals
 }

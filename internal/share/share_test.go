@@ -10,7 +10,7 @@ import (
 
 func key(t *testing.T, src string, mode aggregate.Mode, force bool) string {
 	t.Helper()
-	return share.SignatureOf(query.MustParse(src), mode, force).Key()
+	return share.Key(query.MustParse(src), mode, force)
 }
 
 // TestSignatureKeys pins the sharing policy: RETURN divergence shares,
@@ -86,36 +86,5 @@ func TestIndexEpochs(t *testing.T) {
 	ix.Retire(n1)
 	if got, ok := ix.Attachable("k"); !ok || got != n3 {
 		t.Fatal("retiring a stale node evicted the current one")
-	}
-}
-
-// TestOutputFanout pins the union-definition fan-out: subscribers with
-// divergent RETURN clauses read their own slots from one payload, and
-// overlapping slots are shared rather than duplicated.
-func TestOutputFanout(t *testing.T) {
-	def := &aggregate.Def{Mode: aggregate.ModeNative}
-	subA := share.PlanOutputs(def, []aggregate.Spec{
-		{Kind: aggregate.CountStar},
-		{Kind: aggregate.Sum, Type: "Stock", Attr: "price"},
-	})
-	subB := share.PlanOutputs(def, []aggregate.Spec{
-		{Kind: aggregate.Sum, Type: "Stock", Attr: "price"},
-		{Kind: aggregate.Min, Type: "Stock", Attr: "price"},
-	})
-	if len(def.Slots) != 2 {
-		t.Fatalf("union def has %d slots, want 2 (SUM shared, MIN added)", len(def.Slots))
-	}
-	if subA[1].Slot != subB[0].Slot {
-		t.Fatalf("overlapping SUM slot not shared: %d vs %d", subA[1].Slot, subB[0].Slot)
-	}
-	p := def.New()
-	p.Count = 7
-	p.Slots[subA[1].Slot].F = 42.5
-	p.Slots[subB[1].Slot].F = 3.25
-	if got := share.OutputValues(def, p, subA); got[0] != 7 || got[1] != 42.5 {
-		t.Errorf("subscriber A values = %v, want [7 42.5]", got)
-	}
-	if got := share.OutputValues(def, p, subB); got[0] != 42.5 || got[1] != 3.25 {
-		t.Errorf("subscriber B values = %v, want [42.5 3.25]", got)
 	}
 }
