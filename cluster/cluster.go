@@ -51,11 +51,9 @@ import (
 	"time"
 
 	"github.com/greta-cep/greta"
-	"github.com/greta-cep/greta/internal/aggregate"
 	"github.com/greta-cep/greta/internal/core"
 	"github.com/greta-cep/greta/internal/event"
 	"github.com/greta-cep/greta/internal/obs"
-	"github.com/greta-cep/greta/internal/query"
 	"github.com/greta-cep/greta/internal/window"
 	"github.com/greta-cep/greta/netstream"
 )
@@ -392,15 +390,7 @@ func (co *Coordinator) Register(src string, opts ...RegisterOption) (*Handle, er
 	for _, o := range opts {
 		o(&cfg)
 	}
-	q, err := query.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	mode := aggregate.ModeNative
-	if cfg.exact {
-		mode = aggregate.ModeExact
-	}
-	plan, err := core.NewPlan(q, mode)
+	_, plan, err := core.Compile(src, cfg.exact)
 	if err != nil {
 		return nil, err
 	}

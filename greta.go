@@ -51,7 +51,6 @@
 package greta
 
 import (
-	"github.com/greta-cep/greta/internal/aggregate"
 	"github.com/greta-cep/greta/internal/core"
 	"github.com/greta-cep/greta/internal/event"
 	"github.com/greta-cep/greta/internal/query"
@@ -119,7 +118,7 @@ type Stats = core.Stats
 type Option func(*options)
 
 type options struct {
-	mode aggregate.Mode
+	exact bool
 }
 
 // WithExactArithmetic switches aggregate arithmetic from native machine
@@ -128,7 +127,7 @@ type options struct {
 // native counters wrap on large windows; exact mode trades speed for
 // full precision.
 func WithExactArithmetic() Option {
-	return func(o *options) { o.mode = aggregate.ModeExact }
+	return func(o *options) { o.exact = true }
 }
 
 // Statement is a compiled event trend aggregation query: the GRETA
@@ -145,11 +144,7 @@ func Compile(src string, opts ...Option) (*Statement, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	q, err := query.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := core.NewPlan(q, o.mode)
+	q, plan, err := core.Compile(src, o.exact)
 	if err != nil {
 		return nil, err
 	}

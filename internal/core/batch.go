@@ -148,15 +148,15 @@ func (rt *Runtime) applyBatch(b *event.Batch, rows []*event.Event) {
 func (rt *Runtime) applySegment(b *event.Batch, rows []*event.Event, lo, hi int) {
 	// Every row is an ingest epoch, exactly as applyLocked advances
 	// once per event (registration cannot interleave: rt.mu is held).
-	rt.shareIdx.AdvanceN(uint64(hi - lo))
+	rt.epoch += uint64(hi - lo)
 	for _, g := range rt.groups {
-		for _, st := range g.members {
-			st.eng.processSegment(b, rows, lo, hi)
+		for _, src := range g.members {
+			src.eng.processSegment(b, rows, lo, hi)
 		}
 	}
-	for _, st := range rt.direct {
+	for _, src := range rt.direct {
 		for i := lo; i < hi; i++ {
-			st.eng.Process(rows[i])
+			src.eng.Process(rows[i])
 		}
 	}
 }

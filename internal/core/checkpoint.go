@@ -35,7 +35,6 @@ import (
 	"github.com/greta-cep/greta/internal/btree"
 	"github.com/greta-cep/greta/internal/checkpoint"
 	"github.com/greta-cep/greta/internal/event"
-	"github.com/greta-cep/greta/internal/query"
 	"github.com/greta-cep/greta/internal/reorder"
 )
 
@@ -114,7 +113,7 @@ func (rt *Runtime) checkpointAtBoundary(t event.Time) {
 	// the triggering event would close, and is idempotent for engines
 	// shared by several statements.
 	for _, st := range rt.stmts {
-		st.eng.AdvanceTo(b)
+		st.src.eng.AdvanceTo(b)
 	}
 	ck.next = b + ck.every
 	err := rt.runCheckpoint(ck, b)
@@ -870,9 +869,12 @@ func (h *ckHeader) walk(w *checkpoint.Walker) {
 }
 
 // stmtRec is one statement's record: how to register it again, and what
-// it has delivered. Its engine follows the record unless the statement
-// subscribes to a shared entry (entry >= 0, numbered in first-subscriber
-// order), whose one engine is written after the statements.
+// it has delivered. The subscribers of a union source say which (entry
+// >= 0, numbered in first-subscriber order), and the entries' engines are
+// written after the statements. Any other statement (entry -1) is
+// followed by its source's engine, and what it has delivered is written
+// there — where an engine's own emission count and retained results
+// go — not in the record.
 type stmtRec struct {
 	id, query               string
 	mode                    uint8
@@ -927,33 +929,35 @@ func (c *ckWalk) walkReorder(s **reorder.Snapshot) {
 func (rt *Runtime) encodeLocked(out io.Writer, replayFrom event.Time) error {
 	c := ckWalk{Walker: checkpoint.Encode(make([]byte, 0, rt.ckSize+rt.ckSize/8)), tab: newEvTable()}
 
-	var entries []*sharedEntry
-	entryRef := map[*sharedEntry]int64{}
+	var entries []*source
 	c.Len(len(rt.stmts), 1)
 	for _, st := range rt.stmts {
+		src := st.src
 		rec := stmtRec{
 			id: st.id, query: st.srcPlan.Query.String(), mode: uint8(st.srcPlan.Mode),
-			force: st.eng.forceScan, shared: st.entry != nil || st.shareNode != nil, noRetain: st.noRetain,
-			entry: -1, resultCount: st.resultCount, results: st.results,
+			force: src.force, shared: src.key != "", noRetain: st.noRetain, entry: -1,
 		}
-		if e := st.entry; e != nil {
-			ref, ok := entryRef[e]
-			if !ok {
-				ref = int64(len(entries))
-				entryRef[e] = ref
-				entries = append(entries, e)
-			}
-			rec.entry, rec.force = ref, e.force
+		if !src.union {
+			// Lend the engine what its one subscriber retains for the walk:
+			// eng.emitted already equals st.resultCount.
+			rec.walk(&c.Walker)
+			src.eng.results = st.results
+			src.eng.walk(&c)
+			src.eng.results = nil
+			continue
 		}
-		if rec.walk(&c.Walker); rec.entry < 0 {
-			st.eng.walk(&c)
+		if rec.entry = int64(slices.Index(entries, src)); rec.entry < 0 {
+			rec.entry = int64(len(entries))
+			entries = append(entries, src)
 		}
+		rec.resultCount, rec.results = st.resultCount, st.results
+		rec.walk(&c.Walker)
 	}
 	c.Len(len(entries), 5)
-	for _, e := range entries {
-		n := uint32(len(e.subs))
+	for _, src := range entries {
+		n := uint32(len(src.subs))
 		c.U32(&n)
-		e.host.eng.walk(&c)
+		src.eng.walk(&c)
 	}
 	var snap *reorder.Snapshot
 	if rt.reorder != nil {
@@ -1014,9 +1018,9 @@ type RestoreInfo struct {
 // returned by checkpoint.Store.Load). It returns the runtime and the
 // replay bound: feeding every original event with Time >=
 // info.ReplayFrom reproduces the uninterrupted run bit for bit.
-// Statement plans are recompiled from their canonical query text;
-// shared entries are rebuilt with their original subscriber order so
-// union payload slot layouts match; result callbacks are not restored
+// Statement plans are recompiled from their canonical query text and
+// subscribe in their original order, so union payload slot layouts
+// match; result callbacks are not restored
 // (re-register them via Stmt.OnResult), and checkpointing is not
 // re-armed (call SetCheckpoint with info.Every). Corrupt input — a
 // snapshot taken under a plan this build would not choose included —
@@ -1038,87 +1042,66 @@ func RestoreRuntime(data []byte) (*Runtime, RestoreInfo, error) {
 	return rt, info, nil
 }
 
-// restoreLocked rebuilds a fresh runtime's statements, shared entries
-// and reorder buffer from the body c stands at, behind header h; rt.mu
-// held.
+// restoreLocked rebuilds a fresh runtime's statements, sources and
+// reorder buffer from the body c stands at, behind header h; rt.mu held.
+// Statements subscribe through the routine Register uses, in recorded
+// order, so a union's slot layout is the one the snapshot was taken
+// under.
 func (rt *Runtime) restoreLocked(c *ckWalk, h *ckHeader) (RestoreInfo, error) {
 	info := RestoreInfo{ReplayFrom: h.replayFrom, Every: h.every, Meta: h.meta}
-	type pendingEntry struct {
-		e    *sharedEntry
-		subs []*Stmt
-	}
-	var entries []*pendingEntry
+	rt.watermark = h.watermark
+	var entries []*source
 	for i, n := 0, c.Len(0, 1); i < n && c.Err() == nil; i++ {
 		var rec stmtRec
 		if rec.walk(&c.Walker); c.Err() != nil {
 			break
 		}
-		q, err := query.Parse(rec.query)
-		if err != nil {
-			return info, fmt.Errorf("checkpoint: statement %q: %w", rec.id, err)
-		}
-		mode := aggregate.Mode(rec.mode)
-		plan, err := NewPlan(q, mode)
+		_, plan, err := Compile(rec.query, rec.mode == uint8(aggregate.ModeExact))
 		if err != nil {
 			return info, fmt.Errorf("checkpoint: statement %q: %w", rec.id, err)
 		}
 		cfg := StmtConfig{ID: rec.id, ForceVertexScan: rec.force, Share: rec.shared, NoRetain: rec.noRetain}
-		var st *Stmt
+		key := shareKey(plan, cfg)
+		var into *source
 		switch ref := rec.entry; {
-		case ref < 0:
-			st = rt.adoptLocked(newStmtEngine(plan, cfg), rec.id)
-			if rec.shared && shareable(plan) {
-				st.shareNode = rt.shareIdx.Put(shareKeyOf(plan, cfg), &shareRec{cand: st})
-			}
-			st.eng.walk(c)
 		case ref > int64(len(entries)):
 			c.Corrupt("entry ref %d out of order", ref)
-			return info, c.Err()
-		default:
-			st = &Stmt{rt: rt, parPrev: -1}
-			rt.enrollLocked(st, rec.id)
-			if ref == int64(len(entries)) {
-				e := &sharedEntry{rt: rt, query: plan.Query, mode: mode, force: rec.force}
-				e.node = rt.shareIdx.Put(shareKeyOf(plan, cfg), &shareRec{entry: e})
-				entries = append(entries, &pendingEntry{e: e})
+		case ref >= 0 && key == "":
+			c.Corrupt("statement %q subscribes to an entry and cannot share", rec.id)
+		case ref >= 0 && ref < int64(len(entries)):
+			if into = entries[ref]; into.key != key {
+				c.Corrupt("statement %q does not form the trends of entry %d", rec.id, ref)
 			}
-			pe := entries[ref]
-			st.entry = pe.e
-			pe.subs = append(pe.subs, st)
 		}
-		st.srcPlan, st.noRetain, st.results, st.resultCount = plan, rec.noRetain, rec.results, rec.resultCount
+		if c.Err() != nil {
+			break
+		}
+		st, err := rt.subscribe(into, key, plan, cfg)
+		if err == nil && rec.entry == int64(len(entries)) {
+			// The first recorded subscriber of a union, alone if it shrank.
+			entries = append(entries, st.src)
+			err = st.src.unite()
+		}
+		if err != nil {
+			return info, fmt.Errorf("checkpoint: statement %q: %w", rec.id, err)
+		}
+		if eng := st.src.eng; rec.entry < 0 {
+			eng.walk(c)
+			st.resultCount, st.results, eng.results = eng.emitted, eng.results, nil
+		} else {
+			st.resultCount, st.results = rec.resultCount, rec.results
+		}
 	}
 
 	if n := c.Len(0, 5); c.Decoding() && n != len(entries) {
 		c.Corrupt("entry count %d != %d referenced", n, len(entries))
 	}
-	for _, pe := range entries {
+	for _, src := range entries {
 		var n uint32
-		if c.U32(&n); c.Decoding() && int(n) != len(pe.subs) {
-			c.Corrupt("entry has %d subscribers, %d statements reference it", n, len(pe.subs))
+		if c.U32(&n); c.Decoding() && int(n) != len(src.subs) {
+			c.Corrupt("entry has %d subscribers, %d statements reference it", n, len(src.subs))
 		}
-		if c.Err() != nil {
-			break
-		}
-		// Rebuild the union engine with the original subscriber order,
-		// replicating attachShared's promote step: the host statement
-		// (never enrolled) carries the engine inside its route group.
-		eng, def, outs, err := pe.e.buildUnion(pe.subs)
-		if err != nil {
-			return info, fmt.Errorf("checkpoint: rebuild shared entry: %w", err)
-		}
-		host := &Stmt{rt: rt, id: "~" + pe.e.node.Key(), parPrev: h.watermark}
-		host.grp = rt.routeGroupFor(eng)
-		host.grp.members = append(host.grp.members, host)
-		host.eng = eng
-		pe.e.host = host
-		pe.e.subs = pe.subs
-		pe.e.def = def
-		for i, sub := range pe.subs {
-			sub.outs = outs[i]
-			sub.eng = eng
-		}
-		eng.walk(c)
+		src.eng.walk(c)
 	}
 
 	var snap *reorder.Snapshot
@@ -1139,7 +1122,6 @@ func (rt *Runtime) restoreLocked(c *ckWalk, h *ckHeader) (RestoreInfo, error) {
 		info.ReorderSlack = snap.Slack
 		info.ReorderPending = len(snap.Pending)
 	}
-	rt.watermark = h.watermark
 	rt.nextID = h.nextID
 	if meta := h.meta; meta != nil {
 		// Re-encoding a restored runtime without a fresh provider keeps
@@ -1147,11 +1129,8 @@ func (rt *Runtime) restoreLocked(c *ckWalk, h *ckHeader) (RestoreInfo, error) {
 		// overwrites it via SetCheckpointMeta once the session rebinds.
 		rt.ckMeta = func() []byte { return meta }
 	}
-	for _, st := range rt.stmts {
-		st.parPrev = h.watermark
-	}
-	// Restored graphs are warm by definition: advance the share epoch
-	// so none of them accepts new subscribers.
-	rt.shareIdx.Advance()
+	// Restored graphs are warm by definition: a new epoch, so none of
+	// them accepts new subscribers.
+	rt.epoch++
 	return info, nil
 }

@@ -129,9 +129,6 @@ func goldenZeroEmitted(rt *Runtime) {
 		for i := range st.results {
 			st.results[i].Emitted = time.Unix(0, 0)
 		}
-		for i := range st.eng.results {
-			st.eng.results[i].Emitted = time.Unix(0, 0)
-		}
 	}
 }
 

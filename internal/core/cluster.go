@@ -9,7 +9,6 @@ import (
 	"github.com/greta-cep/greta/internal/aggregate"
 	"github.com/greta-cep/greta/internal/checkpoint"
 	"github.com/greta-cep/greta/internal/event"
-	"github.com/greta-cep/greta/internal/query"
 	"github.com/greta-cep/greta/internal/window"
 )
 
@@ -49,28 +48,28 @@ func UnmarshalPayload(b []byte) (*aggregate.Payload, error) {
 // the cluster coordinator) distributes exactly these; everything else
 // runs inline on the coordinator.
 func (st *Stmt) Partitioned() bool {
-	return st.grp != nil && len(st.grp.acc) > 0
+	return len(st.RouteAccessors()) > 0
 }
 
 // RouteAttrs returns the statement's partition-attribute signature
 // (group-by + equivalence, in plan order).
 func (st *Stmt) RouteAttrs() []string {
-	return st.eng.partAttrs
+	return st.src.eng.partAttrs
 }
 
 // RouteAccessors returns the statement's route group's shared
 // accessors (nil for unpartitioned statements). The caller must treat
 // them as owned by the runtime: pass them to HashRoute, do not mutate.
 func (st *Stmt) RouteAccessors() []event.Accessor {
-	if st.grp == nil {
+	if st.src.grp == nil {
 		return nil
 	}
-	return st.grp.acc
+	return st.src.grp.acc
 }
 
 // WindowSpec returns the statement's window, the coordinator's input
 // to the per-statement barrier schedule (window.Spec.ClosedBy).
-func (st *Stmt) WindowSpec() window.Spec { return st.eng.plan.Window }
+func (st *Stmt) WindowSpec() window.Spec { return st.src.eng.plan.Window }
 
 // FoldRemoteStats folds one worker slot's engine counters into the
 // statement's stats (Stats.add): Events and the graph-cost counters
@@ -80,14 +79,14 @@ func (st *Stmt) WindowSpec() window.Spec { return st.eng.plan.Window }
 // coordinator-side and excluded.
 func (st *Stmt) FoldRemoteStats(s Stats) {
 	s.OutOfOrder, s.Results = 0, 0
-	st.eng.stats.add(s)
+	st.src.eng.stats.add(s)
 }
 
 // AddOutOfOrder charges n coordinator-side out-of-order drops to the
 // statement, mirroring the sequential path where every engine counts
 // its own late arrivals (the events themselves are not forwarded).
 func (st *Stmt) AddOutOfOrder(n uint64) {
-	st.eng.stats.OutOfOrder += n
+	st.src.eng.stats.OutOfOrder += n
 }
 
 // ObserveTime advances the runtime's watermark without offering an
@@ -196,9 +195,9 @@ func (h *ShardHost) checkUnit(si, gi int) error {
 	return nil
 }
 
-// bindUnit flips a registered statement into worker mode: retention
-// off, results delivered as partials tagged with the slot's home index.
-// The indices have passed checkUnit.
+// bindUnit flips a registered statement into worker mode: a NoRetain
+// subscriber whose results leave as partials tagged with the slot's home
+// index. The indices have passed checkUnit.
 func (h *ShardHost) bindUnit(st *Stmt, si, gi int) {
 	if si >= len(h.units) {
 		h.units = append(h.units, make([]*Stmt, si+1-len(h.units))...)
@@ -207,8 +206,8 @@ func (h *ShardHost) bindUnit(st *Stmt, si, gi int) {
 	if gi >= len(h.groups) {
 		h.groups = append(h.groups, make([][]int, gi+1-len(h.groups))...)
 	}
-	st.eng.setRetainResults(false)
-	st.eng.OnResult(func(r Result) { h.onPartial(h.w, si, r) })
+	st.noRetain = true
+	st.OnResult(func(r Result) { h.onPartial(h.w, si, r) })
 	h.units[si], h.gi[si] = st, gi
 	h.groups[gi] = append(h.groups[gi], si)
 	slices.Sort(h.groups[gi])
@@ -218,15 +217,7 @@ func (h *ShardHost) bindUnit(st *Stmt, si, gi int) {
 // its canonical query text and arithmetic mode, which come from the
 // coordinator so every slot builds an identical engine.
 func (h *ShardHost) Register(si, gi int, src, id string, exact, force bool) error {
-	q, err := query.Parse(src)
-	if err != nil {
-		return err
-	}
-	mode := aggregate.ModeNative
-	if exact {
-		mode = aggregate.ModeExact
-	}
-	plan, err := NewPlan(q, mode)
+	_, plan, err := Compile(src, exact)
 	if err != nil {
 		return err
 	}
@@ -260,7 +251,7 @@ func (h *ShardHost) Apply(ev *event.Event, gis []int, hs []uint64) {
 			continue
 		}
 		for _, si := range h.groups[gi] {
-			h.units[si].eng.ProcessRouted(ev, hs[k])
+			h.units[si].src.eng.ProcessRouted(ev, hs[k])
 		}
 	}
 	if ev.Time > h.rt.watermark {
@@ -272,7 +263,7 @@ func (h *ShardHost) Apply(ev *event.Event, gis []int, hs []uint64) {
 // still open at t), emitting their partials through onPartial.
 func (h *ShardHost) Barrier(si int, t event.Time) {
 	if st := h.unit(si); st != nil {
-		st.eng.AdvanceTo(t)
+		st.src.eng.AdvanceTo(t)
 	}
 	if t > h.rt.watermark {
 		h.rt.watermark = t
@@ -293,7 +284,7 @@ func (h *ShardHost) Units() []int {
 // FlushUnit releases every open window of unit si (end of stream).
 func (h *ShardHost) FlushUnit(si int) {
 	if st := h.unit(si); st != nil {
-		st.eng.Flush()
+		st.src.eng.Flush()
 	}
 }
 
@@ -304,7 +295,7 @@ func (h *ShardHost) UnitStats(si int) (Stats, bool) {
 	if st == nil {
 		return Stats{}, false
 	}
-	return st.eng.Stats(), true
+	return st.Stats(), true
 }
 
 // CloseUnit closes unit si mid-stream: its open windows flush as
@@ -321,7 +312,7 @@ func (h *ShardHost) CloseUnit(si int) (Stats, error) {
 	gi := h.gi[si]
 	h.groups[gi] = slices.DeleteFunc(h.groups[gi], func(x int) bool { return x == si })
 	h.units[si] = nil
-	return st.eng.Stats(), nil
+	return st.Stats(), nil
 }
 
 // Snapshot serializes the slot's full engine state (open windows,
@@ -347,7 +338,7 @@ func (h *ShardHost) Snapshot() ([]byte, error) {
 func (h *ShardHost) Discard() {
 	for _, st := range h.units {
 		if st != nil {
-			st.eng.OnResult(nil)
+			st.OnResult(nil)
 		}
 	}
 	_ = h.rt.Close()

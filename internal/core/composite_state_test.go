@@ -27,7 +27,7 @@ func TestCompositeBoundedState(t *testing.T) {
 
 	sizes := map[event.Time]int{} // boundary → body bytes
 	err := rt.SetCheckpoint(500, -1, func(b event.Time, snapshot func(io.Writer) error) error {
-		if p := st.eng.merge.Pending(); p != 0 {
+		if p := st.src.eng.merge.Pending(); p != 0 {
 			t.Errorf("boundary %d: merger holds %d windows at the snapshot", b, p)
 		}
 		var buf bytes.Buffer
@@ -51,7 +51,7 @@ func TestCompositeBoundedState(t *testing.T) {
 		if err := rt.Process(ev); err != nil {
 			t.Fatal(err)
 		}
-		for slot, se := range st.eng.subs {
+		for slot, se := range st.src.eng.subs {
 			if len(se.results) != 0 {
 				t.Fatalf("event %d: sub-engine %d retains %d results", i, slot, len(se.results))
 			}
@@ -60,8 +60,8 @@ func TestCompositeBoundedState(t *testing.T) {
 	if want := n/40 - 1; delivered != want {
 		t.Errorf("%d results delivered before Close, want %d", delivered, want)
 	}
-	if len(st.eng.results) != 0 {
-		t.Errorf("drop-on-delivery statement retains %d results", len(st.eng.results))
+	if len(st.results) != 0 {
+		t.Errorf("drop-on-delivery statement retains %d results", len(st.results))
 	}
 	early, late := sizes[event.Time(n/40)], sizes[event.Time(n/2-500)]
 	if early == 0 || late == 0 {
@@ -127,7 +127,7 @@ func TestCompositeLegacyBody(t *testing.T) {
 		seen[i] = map[key]int{}
 		st.OnResult(func(r Result) { seen[i][key{r.Group, r.Wid}]++ })
 		for _, r := range stU[i].Results() {
-			if st.eng.merge.pending[r.Wid][r.Group] != nil {
+			if st.src.eng.merge.pending[r.Wid][r.Group] != nil {
 				legacy[i] = append(legacy[i], key{r.Group, r.Wid})
 			}
 		}
@@ -144,7 +144,7 @@ func TestCompositeLegacyBody(t *testing.T) {
 			if len(seen[i]) == 0 {
 				continue // no window of this statement has closed since the restore
 			}
-			if p := st.eng.merge.Pending(); p != 0 {
+			if p := st.src.eng.merge.Pending(); p != 0 {
 				t.Fatalf("statement %q: %d windows in the merger after a close", st.id, p)
 			}
 			for _, k := range legacy[i] {

@@ -68,11 +68,12 @@ type Stats struct {
 	// a statement registered without retention still reports every
 	// emission here.
 	Results int
-	// SharedStatements is the number of statements served by this
-	// statement's graph through the shared sub-plan network, including
-	// itself; 0 for a statement owning its engine exclusively. Set at
-	// the statement level (Stmt.Stats) — engines do not know their
-	// subscribers.
+	// SharedStatements is the number of statements this statement's graph
+	// served when the statement left it — or serves now — itself
+	// included: 2 then 1 as a graph shared by two is closed one by one, 2
+	// and 2 when the runtime closes both at once. 0 only for a statement
+	// whose graph never had a second subscriber. Set at the statement
+	// level (Stmt.Stats) — engines do not know their subscribers.
 	SharedStatements int
 }
 
@@ -111,16 +112,14 @@ type Engine struct {
 	// SetForceVertexScan).
 	forceScan bool
 
-	// noRetain drops emitted results after the OnResult callback instead
-	// of collecting them in results — RunParallel workers stream their
-	// per-window partials to the merger and must not buffer the whole
-	// run (bounded worker buffers).
-	noRetain bool
-
+	// sink, set by whoever hosts the engine — a Runtime source, a
+	// composite engine for its sub-engines — takes every emitted result;
+	// the engine then retains nothing and has no callback of its own. A
+	// standalone engine (sink nil) retains its results and calls onResult.
+	sink     func(Result)
 	onResult func(Result)
 	results  []Result
-	// emitted counts emissions independently of retention (Stats.Results
-	// must not collapse to zero when noRetain drops the slice).
+	// emitted counts emissions independently of retention.
 	emitted int
 
 	stats Stats
@@ -135,8 +134,7 @@ func NewEngine(plan *Plan) *Engine {
 		e.branches = len(plan.Branches)
 		for slot, sp := range slices.Concat(plan.Branches, plan.Products) {
 			se := NewEngine(sp)
-			se.noRetain = true
-			se.onResult = func(r Result) { e.merge.Add(slot, r.Group, r.Wid, r.Payload) }
+			se.sink = func(r Result) { e.merge.Add(slot, r.Group, r.Wid, r.Payload) }
 			e.subs = append(e.subs, se)
 		}
 		e.merge = NewSlotMerge(e, len(e.subs), e.compose)
@@ -169,8 +167,10 @@ func (e *Engine) SetForceVertexScan(on bool) {
 	}
 }
 
-// OnResult registers a callback invoked for every emitted result (as
-// soon as the window closes). Results are also collected for Results().
+// OnResult registers a callback invoked for every result a standalone
+// engine emits (as soon as the window closes). Results are also
+// collected for Results(). An engine hosted by a Runtime delivers to its
+// source instead: use Stmt.OnResult there.
 func (e *Engine) OnResult(f func(Result)) { e.onResult = f }
 
 // wirePartition instantiates the graphs of a new partition, wires
@@ -374,25 +374,20 @@ func (e *Engine) result(group string, wid int64, payload *aggregate.Payload) Res
 	}
 }
 
-// emit is the one way a window's result leaves an engine: counted,
-// retained unless the engine drops on delivery, and handed to the
-// callback.
+// emit is the one way a window's result leaves an engine: counted, then
+// handed to the engine's host, or retained and handed to the callback.
 func (e *Engine) emit(group string, wid int64, payload *aggregate.Payload) {
 	r := e.result(group, wid, payload)
 	e.emitted++
-	if !e.noRetain {
-		e.results = append(e.results, r)
+	if e.sink != nil {
+		e.sink(r)
+		return
 	}
+	e.results = append(e.results, r)
 	if e.onResult != nil {
 		e.onResult(r)
 	}
 }
-
-// setRetainResults controls whether emitted results are collected for
-// Results() in addition to the OnResult callback. RunParallel workers
-// disable retention so their buffers stay bounded by the number of
-// open windows.
-func (e *Engine) setRetainResults(on bool) { e.noRetain = !on }
 
 // setWatermark seeds the engine's time cursor: events strictly older
 // than t are dropped as out-of-order, and windows that ended at or

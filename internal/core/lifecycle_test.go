@@ -279,3 +279,47 @@ func TestStmtLifecycleAttachWindow(t *testing.T) {
 		t.Fatal("same-epoch registration did not join the cold candidate")
 	}
 }
+
+// TestStmtCallbackOwner pins that a hosted engine's callback is its
+// source's alone: whatever one subscriber does with its own callback —
+// or with the Engine() it shares with the others — its siblings keep
+// receiving every result.
+func TestStmtCallbackOwner(t *testing.T) {
+	evs := rcStream(rand.New(rand.NewSource(13)), 300, true, 15, 0)
+	rt := NewRuntime()
+	got := make([]int, 3)
+	var stmts []*Stmt
+	for i, q := range []string{lcA, lcB, lcA} {
+		st := rcRegister(t, rt, fmt.Sprintf("s%d", i), q, aggregate.ModeNative, StmtConfig{Share: true, NoRetain: i == 2})
+		st.OnResult(func(Result) { got[i]++ })
+		stmts = append(stmts, st)
+	}
+	rcFeed(rt, evs[:100], 0)
+	stray := 0
+	stmts[1].Engine().OnResult(func(Result) { stray++ })
+	rcFeed(rt, evs[100:200], 0)
+	stmts[1].OnResult(nil)
+	before := got[1]
+	rcFeed(rt, evs[200:], 0)
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := len(lcSolo(t, lcA, evs))
+	if want == 0 || before == 0 || before == want {
+		t.Fatalf("scenario checks nothing: %d results, %d before the callback was cleared", want, before)
+	}
+	if got[0] != want || got[2] != want {
+		t.Errorf("siblings received %d and %d of %d results", got[0], got[2], want)
+	}
+	if got[1] != before {
+		t.Errorf("a cleared callback received %d more results", got[1]-before)
+	}
+	if stray != 0 {
+		t.Errorf("a callback set on the hosted engine received %d results; it belongs to the source", stray)
+	}
+	for i, st := range stmts {
+		if n := st.Stats().Results; n != want {
+			t.Errorf("statement %d counts %d of %d deliveries", i, n, want)
+		}
+	}
+}

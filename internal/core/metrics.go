@@ -196,7 +196,7 @@ func (rt *Runtime) metricsLocked() MetricsSnapshot {
 		snap.Statements = make([]StatementMetrics, 0, len(rt.stmts))
 		for _, st := range rt.stmts {
 			snap.Statements = append(snap.Statements,
-				StatementMetrics{ID: st.id, Shared: st.entry != nil, Stats: st.Stats()})
+				StatementMetrics{ID: st.id, Shared: st.src.union, Stats: st.Stats()})
 		}
 	}
 	return snap

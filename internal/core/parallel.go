@@ -33,39 +33,24 @@ func (rt *Runtime) RunParallel(ctx context.Context, s event.Stream, workers int)
 		rt.mu.Unlock()
 		return ErrClosed
 	}
-	// Snapshot the parallel units: simple partitioned plans, with the
-	// subscribers of a shared graph collapsed onto the graph's host
-	// statement (the engine runs once per graph, and the fan-out
-	// delivers per subscriber). Everything else (composite plans,
-	// ungrouped queries) is processed inline on the coordinator,
-	// exactly as sequentially.
-	var parStmts []*Stmt
-	var inline []*Stmt
-	groupIdx := map[*routeGroup]int{}
+	// Snapshot the parallel units: the sources of simple partitioned
+	// plans (a graph runs once, whoever subscribes to it). Everything
+	// else (composite plans, ungrouped queries) is processed inline on
+	// the coordinator, exactly as sequentially.
+	var par, inline []*source
 	var groups []*routeGroup
-	seenEntry := map[*sharedEntry]bool{}
-	for _, st := range rt.stmts {
-		unit := st
-		if st.entry != nil {
-			if seenEntry[st.entry] {
-				continue
-			}
-			seenEntry[st.entry] = true
-			unit = st.entry.host
+	for _, g := range rt.groups {
+		if len(g.acc) == 0 {
+			inline = append(inline, g.members...)
+			continue
 		}
-		if unit.grp != nil && len(unit.grp.acc) > 0 {
-			if _, ok := groupIdx[unit.grp]; !ok {
-				groupIdx[unit.grp] = len(groups)
-				groups = append(groups, unit.grp)
-			}
-			parStmts = append(parStmts, unit)
-		} else {
-			inline = append(inline, unit)
-		}
+		groups = append(groups, g)
+		par = append(par, g.members...)
 	}
+	inline = append(inline, rt.direct...)
 	// A runtime with reorder slack armed runs sequentially: the
 	// buffer's release order is defined over one arrival sequence.
-	if workers <= 1 || len(parStmts) == 0 || rt.watermark >= 0 || rt.reorder != nil {
+	if workers <= 1 || len(par) == 0 || rt.watermark >= 0 || rt.reorder != nil {
 		rt.mu.Unlock()
 		if err := rt.Run(ctx, s); err != nil {
 			_ = rt.Close()
@@ -75,7 +60,7 @@ func (rt *Runtime) RunParallel(ctx context.Context, s event.Stream, workers int)
 	}
 	rt.running = true
 	rt.mu.Unlock()
-	err := rt.runParallel(ctx, s, workers, parStmts, inline, groups, groupIdx)
+	err := rt.runParallel(ctx, s, workers, par, inline, groups)
 	rt.mu.Lock()
 	rt.running = false
 	rt.mu.Unlock()
@@ -102,7 +87,7 @@ type parMsg struct {
 	gis   [pairInline]int
 	hs    [pairInline]uint64
 	spill *pairSpill // event: all n pairs, when n > pairInline
-	si    int        // barrier: statement index
+	si    int        // barrier: unit index
 	t     event.Time
 	hi    int64 // barrier: highest window id closed by t
 }
@@ -134,7 +119,7 @@ func (m *parMsg) add(gi int, h uint64, spills *sync.Pool) {
 
 // mergeMsg is one worker→merger message: a per-window partial result,
 // or a barrier acknowledgement ("this worker has released every window
-// of statement si up to hi").
+// of unit si up to hi").
 type mergeMsg struct {
 	w   int
 	si  int
@@ -148,25 +133,25 @@ type parallelDebug struct {
 	// maxPending is the largest number of simultaneously pending
 	// (unmerged) windows across all statements — the merge buffer bound.
 	maxPending int
-	// workerRetained sums len(results) across worker engines at flush;
-	// the streaming merge keeps it at zero (workers do not buffer).
+	// workerRetained sums the results worker units retain at flush; the
+	// streaming merge keeps it at zero (workers do not buffer).
 	workerRetained int
 }
 
 func (rt *Runtime) runParallel(ctx context.Context, s event.Stream, workers int,
-	parStmts, inline []*Stmt, groups []*routeGroup, groupIdx map[*routeGroup]int) error {
+	par, inline []*source, groups []*routeGroup) error {
 	// Workers are in-process ShardHosts — the same worker slots a cluster
-	// shard session hosts — each owning a private engine per statement.
-	// Buffers this deep let a worker lag a few windows behind the feed
-	// loop without stalling it.
+	// shard session hosts — each owning a private engine per unit, named
+	// after the source's first subscriber. Buffers this deep let a worker
+	// lag a few windows behind the feed loop without stalling it.
 	mergeCh := make(chan mergeMsg, 1024)
 	partial := func(w, si int, r Result) { mergeCh <- mergeMsg{w: w, si: si, r: r} }
 	hosts := make([]*ShardHost, workers)
 	chans := make([]chan parMsg, workers)
 	for w := range hosts {
 		hosts[w] = NewShardHost(w, partial)
-		for si, st := range parStmts {
-			if err := hosts[w].RegisterPlan(si, groupIdx[st.grp], st.eng.plan, st.id, st.eng.forceScan); err != nil {
+		for si, src := range par {
+			if err := hosts[w].RegisterPlan(si, slices.Index(groups, src.grp), src.eng.plan, src.subs[0].id, src.force); err != nil {
 				return err
 			}
 		}
@@ -195,21 +180,21 @@ func (rt *Runtime) runParallel(ctx context.Context, s event.Stream, workers int,
 				return
 			}
 			// End of stream: release every open window, then a final ack.
-			for si := range parStmts {
+			for si := range par {
 				h.FlushUnit(si)
 				mergeCh <- mergeMsg{w: w, si: si, ack: true, hi: math.MaxInt64}
 			}
 		}()
 	}
 
-	// The merger: one SlotMerge per statement, fed in channel order.
+	// The merger: one SlotMerge per unit, fed in channel order.
 	mergerDone := make(chan struct{})
 	var debug parallelDebug
 	go func() {
 		defer close(mergerDone)
-		merges := make([]*SlotMerge, len(parStmts))
-		for si, st := range parStmts {
-			merges[si] = NewSlotMerge(st.eng, workers, nil)
+		merges := make([]*SlotMerge, len(par))
+		for si, src := range par {
+			merges[si] = NewSlotMerge(src.eng, workers, nil)
 		}
 		pending := 0
 		for m := range mergeCh {
@@ -225,7 +210,7 @@ func (rt *Runtime) runParallel(ctx context.Context, s event.Stream, workers int,
 		}
 	}()
 
-	err := feedWorkers(ctx, s, workers, parStmts, inline, groups, chans, spills, &abort, rt.met)
+	err := feedWorkers(ctx, s, workers, par, inline, groups, chans, spills, &abort, rt.met)
 
 	for _, c := range chans {
 		close(c)
@@ -234,14 +219,14 @@ func (rt *Runtime) runParallel(ctx context.Context, s event.Stream, workers int,
 	close(mergeCh)
 	<-mergerDone
 
-	// Fold worker stats into the statements' engines; the sum of
-	// sampled worker peaks is an upper bound on the concurrent peak
-	// (see FoldRemoteStats).
-	for si, st := range parStmts {
+	// Fold worker stats into the sources' engines; the sum of sampled
+	// worker peaks is an upper bound on the concurrent peak (see
+	// FoldRemoteStats).
+	for si, src := range par {
 		for _, h := range hosts {
 			ws, _ := h.UnitStats(si)
-			st.FoldRemoteStats(ws)
-			debug.workerRetained += len(h.units[si].eng.results)
+			src.subs[0].FoldRemoteStats(ws)
+			debug.workerRetained += len(h.units[si].results)
 		}
 	}
 	rt.parDebug = &debug
@@ -254,7 +239,7 @@ func (rt *Runtime) runParallel(ctx context.Context, s event.Stream, workers int,
 // the event — once, with that worker's (group, hash) pairs — to each
 // worker owning a targeted partition.
 func feedWorkers(ctx context.Context, s event.Stream, workers int,
-	parStmts, inline []*Stmt, groups []*routeGroup, chans []chan parMsg,
+	par, inline []*source, groups []*routeGroup, chans []chan parMsg,
 	spills *sync.Pool, abort *atomic.Bool, met *rtMetrics) error {
 	done := ctx.Done()
 	msgs := make([]parMsg, workers) // per-worker message under construction
@@ -263,13 +248,10 @@ func feedWorkers(ctx context.Context, s event.Stream, workers int,
 	var ooo uint64
 	defer func() {
 		// Out-of-order drops were counted at the coordinator (events are
-		// not forwarded); charge them to every statement's stats, as the
+		// not forwarded); charge them to every engine's stats, as the
 		// sequential path does.
-		for _, st := range parStmts {
-			st.AddOutOfOrder(ooo)
-		}
-		for _, st := range inline {
-			st.AddOutOfOrder(ooo)
+		for _, src := range slices.Concat(par, inline) {
+			src.eng.stats.OutOfOrder += ooo
 		}
 	}()
 	for ev := s.Next(); ev != nil; ev = s.Next() {
@@ -302,18 +284,18 @@ func feedWorkers(ctx context.Context, s event.Stream, workers int,
 		}
 		// Window barriers precede the event that closes the window, so
 		// every worker releases wid before any post-window event.
-		for si, st := range parStmts {
-			if _, hi, ok := st.eng.plan.Window.ClosedBy(st.parPrev, ev.Time); ok {
+		for si, src := range par {
+			if _, hi, ok := src.eng.plan.Window.ClosedBy(src.parPrev, ev.Time); ok {
 				for w := 0; w < workers; w++ {
 					chans[w] <- parMsg{si: si, t: ev.Time, hi: hi}
 				}
 			}
-			st.parPrev = ev.Time
+			src.parPrev = ev.Time
 		}
-		// Inline statements run on the coordinator, preserving sequential
+		// Inline sources run on the coordinator, preserving sequential
 		// semantics for unpartitioned and composite plans.
-		for _, st := range inline {
-			st.eng.Process(ev)
+		for _, src := range inline {
+			src.eng.Process(ev)
 		}
 		// One hash per group, one message per distinct target worker.
 		touched = touched[:0]

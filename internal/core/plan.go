@@ -1,9 +1,3 @@
-// Package core implements the GRETA runtime (paper §4.2, §5.2, §6, §7):
-// the GRETA graph that compactly encodes all event trends of a query
-// window, dynamic aggregate propagation along its edges, sliding-window
-// sharing of sub-graphs, negation through dependent graphs with
-// invalidation watermarks, stream partitioning for grouping, and the
-// time-driven scheduler for inter-dependent graphs.
 package core
 
 import (
@@ -60,6 +54,25 @@ type Plan struct {
 	Masks    []uint       // subset masks for Products (|mask| >= 2)
 	Conjunct bool         // top-level AND composition (paper §9)
 	Sem      query.Semantics
+}
+
+// Compile is the static query analyzer end to end: query text and
+// arithmetic mode in, the parsed query and its plan out. Everything that
+// turns text into a plan — the public Compile, a cluster registration, a
+// shard's side of it, a checkpoint restore — calls it, so they cannot
+// disagree about what a text means. The plan's Query differs from the
+// parsed one where NewPlan rewrote it (MINLEN unrolling).
+func Compile(src string, exact bool) (*query.Query, *Plan, error) {
+	q, err := query.Parse(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	mode := aggregate.ModeNative
+	if exact {
+		mode = aggregate.ModeExact
+	}
+	plan, err := NewPlan(q, mode)
+	return q, plan, err
 }
 
 // NewPlan compiles a parsed query into a GRETA configuration:

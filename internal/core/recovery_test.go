@@ -661,7 +661,7 @@ func TestRecoveryTopology(t *testing.T) {
 		// Restored graphs are warm: a new same-signature registration
 		// must become an exclusive candidate, not a subscriber.
 		st := rcRegister(t, rtR, "late", sharedQ, aggregate.ModeNative, StmtConfig{Share: true})
-		if st.entry != nil {
+		if st.src.union {
 			t.Fatalf("checkpoint %d: late registration attached to a restored warm graph", i)
 		}
 		if st.Stats().SharedStatements != 0 {

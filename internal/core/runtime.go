@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -11,7 +12,6 @@ import (
 	"github.com/greta-cep/greta/internal/event"
 	"github.com/greta-cep/greta/internal/obs"
 	"github.com/greta-cep/greta/internal/reorder"
-	"github.com/greta-cep/greta/internal/share"
 )
 
 // Sentinel errors returned by Runtime operations.
@@ -64,21 +64,22 @@ type Runtime struct {
 	running   bool // RunParallel owns the stream
 	watermark event.Time
 
-	// groups deduplicate the per-event routing hash: statements whose
+	// groups deduplicate the per-event routing hash: sources whose
 	// plans share a partition-attribute signature share one FNV-1a
 	// computation (the shared-node idiom of multi-query CEP engines,
-	// applied to the ingest path).
+	// applied to the ingest path). A group leaves with its last member.
 	groups []*routeGroup
-	// direct holds composite-plan statements (disjunction/conjunction,
-	// §9), whose sub-engines route internally.
-	direct []*Stmt
+	// direct holds the sources of composite plans
+	// (disjunction/conjunction, §9), whose sub-engines route internally.
+	direct []*source
 	stmts  []*Stmt // all live statements, registration order
 
-	// shareIdx is the shared sub-plan network: statements whose
-	// trend-formation signatures match are served by one engine (see
-	// share.go). Epochs advance once per processed event, so only
-	// provably cold graphs accept new subscribers.
-	shareIdx *share.Index[*shareRec]
+	// shared maps a sharing key to the source registered under it last,
+	// and epoch counts ingested events: a source takes new subscribers
+	// only in the epoch it was created in, while its graph is provably
+	// cold (see share.go).
+	shared map[string]*source
+	epoch  uint64
 
 	nextID int
 
@@ -128,45 +129,35 @@ type Runtime struct {
 }
 
 // routeGroup is one distinct partition-attribute signature and the
-// statements sharing it.
+// sources sharing it.
 type routeGroup struct {
 	sig     string
 	acc     []event.Accessor
-	members []*Stmt
+	members []*source
 }
 
-// Stmt is one registered statement: a plan, its engine (exclusive or
-// shared), and its lifecycle state inside a Runtime.
+// Stmt is one registered statement: a subscriber of the source whose
+// graph serves it (share.go), and its lifecycle state inside a Runtime.
 type Stmt struct {
 	rt  *Runtime
 	id  string
-	eng *Engine
-	grp *routeGroup // nil for composite plans and shared subscribers
+	src *source
 
-	// srcPlan is the plan the statement registered with; the shared
-	// network replans its RETURN slots into union definitions.
+	// srcPlan is the plan the statement registered with; outs maps its
+	// RETURN clause into the payload of a union source (nil otherwise).
 	srcPlan *Plan
+	outs    []aggregate.SpecSlot
 
-	// Shared-subscriber state: the entry whose engine serves this
-	// statement, the statement's RETURN slot mapping into the union
-	// payload, its own delivered results (the shared engine retains
-	// none), and the stats snapshot frozen when it detaches from a
-	// still-running shared graph.
-	entry       *sharedEntry
-	outs        []aggregate.SpecSlot
+	// What the source delivered: the results (unless noRetain), their
+	// count, the callback they went to.
 	results     []Result
 	resultCount int
-	frozen      *Stats
-	// shareNode records an exclusive statement as its signature's
-	// attachable candidate.
-	shareNode *share.Node[*shareRec]
+	noRetain    bool
+	onRes       func(Result)
 
-	noRetain bool
-	onRes    func(Result)
-
-	// parPrev is the coordinator's per-statement window-close cursor
-	// during RunParallel.
-	parPrev event.Time
+	// frozen is the stats snapshot taken when the statement detached from
+	// a source that runs on for its other subscribers.
+	frozen *Stats
 
 	closed  bool
 	onClose func()
@@ -176,7 +167,7 @@ type Stmt struct {
 // ShardHost needs: events bypass its runtime's ingest path, so nothing
 // would ever move or scrape them.
 func newRuntime() *Runtime {
-	return &Runtime{watermark: -1, shareIdx: share.NewIndex[*shareRec]()}
+	return &Runtime{watermark: -1, shared: map[string]*source{}}
 }
 
 // NewRuntime builds an empty runtime. Metrics are armed from birth:
@@ -210,12 +201,12 @@ type StmtConfig struct {
 	NoRetain bool
 }
 
-// Register instantiates an engine for plan and attaches it to the
-// shared ingest. The statement sees events from the current watermark
-// onward; windows that ended before registration are never emitted.
-// With cfg.Share set, the statement may attach to (or become the
-// candidate for) a shared graph serving every statement with the same
-// trend-formation signature.
+// Register subscribes a statement for plan to a graph on the shared
+// ingest. The statement sees events from the current watermark onward;
+// windows that ended before registration are never emitted. With
+// cfg.Share set, the statement joins the graph a statement with the same
+// trend-formation signature opened in this ingest epoch, if there is
+// one, and otherwise opens the graph the next such statement joins.
 func (rt *Runtime) Register(plan *Plan, cfg StmtConfig) (*Stmt, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -229,16 +220,15 @@ func (rt *Runtime) Register(plan *Plan, cfg StmtConfig) (*Stmt, error) {
 	// first, so the new statement's watermark cut lands after every
 	// event that arrived before the registration.
 	rt.reorderBarrierLocked()
-	if cfg.Share && shareable(plan) {
-		st, err := rt.registerShared(plan, cfg, shareKeyOf(plan, cfg))
-		if err == nil {
-			rt.fireTrace(TraceEvent{Kind: TraceStatementRegister, Stmt: st.id, Watermark: rt.watermark})
-		}
-		return st, err
+	key := shareKey(plan, cfg)
+	into := rt.shared[key]
+	if into != nil && into.epoch != rt.epoch {
+		into = nil // warm: it serves its subscribers and takes no more
 	}
-	st := rt.adoptLocked(newStmtEngine(plan, cfg), cfg.ID)
-	st.srcPlan = plan
-	st.noRetain = cfg.NoRetain
+	st, err := rt.subscribe(into, key, plan, cfg)
+	if err != nil {
+		return nil, err
+	}
 	rt.fireTrace(TraceEvent{Kind: TraceStatementRegister, Stmt: st.id, Watermark: rt.watermark})
 	return st, nil
 }
@@ -274,22 +264,6 @@ func (rt *Runtime) enrollLocked(st *Stmt, id string) {
 	}
 	st.id = id
 	rt.stmts = append(rt.stmts, st)
-}
-
-// adoptLocked wires an engine into the route groups; rt.mu held.
-func (rt *Runtime) adoptLocked(eng *Engine, id string) *Stmt {
-	if rt.watermark >= 0 {
-		eng.setWatermark(rt.watermark)
-	}
-	st := &Stmt{rt: rt, eng: eng, parPrev: rt.watermark}
-	if plan := eng.plan; plan.Simple() {
-		st.grp = rt.routeGroupFor(eng)
-		st.grp.members = append(st.grp.members, st)
-	} else {
-		rt.direct = append(rt.direct, st)
-	}
-	rt.enrollLocked(st, id)
-	return st
 }
 
 // routeGroupFor returns (creating if needed) the route group of eng's
@@ -374,23 +348,20 @@ func (rt *Runtime) applyLocked(ev *event.Event) error {
 	}
 	// A new ingest epoch: every engine sees this event (even a dropped
 	// one is counted), so no existing graph is cold any more and none
-	// may accept new shared subscribers.
-	rt.shareIdx.Advance()
+	// may accept new subscribers.
+	rt.epoch++
 	late := ev.Time < rt.watermark
 	// Forward even when late: each engine's own cursor rejects the
 	// event and counts the drop in its stats, exactly as the
 	// single-engine path always has.
 	for _, g := range rt.groups {
-		if len(g.members) == 0 {
-			continue
-		}
 		h := HashRoute(g.acc, ev)
-		for _, st := range g.members {
-			st.eng.ProcessRouted(ev, h)
+		for _, src := range g.members {
+			src.eng.ProcessRouted(ev, h)
 		}
 	}
-	for _, st := range rt.direct {
-		st.eng.Process(ev)
+	for _, src := range rt.direct {
+		src.eng.Process(ev)
 	}
 	if late {
 		if m := rt.met; m != nil {
@@ -527,20 +498,22 @@ func (rt *Runtime) Statements() []*Stmt {
 }
 
 // RouteGroups returns the number of distinct partition-attribute
-// signatures among the registered simple-plan statements — each costs
-// one routing hash per event, however many statements share it.
+// signatures among the live simple-plan statements — each costs one
+// routing hash per event, however many statements share it.
 func (rt *Runtime) RouteGroups() int {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	return len(rt.groups)
 }
 
-// RuntimeStats summarizes the runtime's multi-query topology: how many
-// statements are registered, how many distinct routing hashes the
-// ingest computes per event, and how far the shared sub-plan network
-// collapsed the statement set — SharedStatements statements are served
-// by SharedGraphs shared graphs (the remaining statements own private
-// engines). SharedGraphs < SharedStatements means sharing is engaged.
+// RuntimeStats summarizes the runtime's multi-query topology, live
+// statements only: how many are registered, how many distinct routing
+// hashes the ingest computes per event (a signature leaves the count
+// with its last statement), and how far sharing collapsed the statement
+// set — SharedStatements statements subscribe to SharedGraphs graphs
+// built for more than one subscriber (a graph that shrank to one still
+// counts; the remaining statements have a graph compiled from their own
+// plan). SharedGraphs < SharedStatements means sharing is engaged.
 type RuntimeStats struct {
 	Statements       int
 	RouteGroups      int
@@ -557,15 +530,12 @@ func (rt *Runtime) Stats() RuntimeStats {
 
 func (rt *Runtime) statsLocked() RuntimeStats {
 	rs := RuntimeStats{Statements: len(rt.stmts), RouteGroups: len(rt.groups)}
-	seen := map[*sharedEntry]bool{}
 	for _, st := range rt.stmts {
-		if st.entry == nil {
-			continue
-		}
-		rs.SharedStatements++
-		if !seen[st.entry] {
-			seen[st.entry] = true
-			rs.SharedGraphs++
+		if st.src.union {
+			rs.SharedStatements++
+			if st.src.subs[0] == st {
+				rs.SharedGraphs++
+			}
 		}
 	}
 	return rs
@@ -597,91 +567,68 @@ func (rt *Runtime) Close() error {
 	rt.reorderBarrierLocked()
 	rt.closed = true
 	for _, st := range rt.stmts {
-		st.finish()
+		st.finish(false)
 	}
 	rt.stmts = nil
-	rt.groups = nil
-	rt.direct = nil
 	return nil
 }
 
 // ID returns the statement's identifier.
 func (st *Stmt) ID() string { return st.id }
 
-// Engine exposes the statement's engine (stats, DOT). For a shared
-// subscriber this is the shared engine — it retains no results; use
-// Stmt.Results and Stmt.Stats for the per-statement view.
-func (st *Stmt) Engine() *Engine { return st.eng }
+// Engine exposes the engine of the statement's source (stats, DOT, the
+// merger a partitioned run emits through). It retains no results and
+// its callback is the source's: Stmt.OnResult, Stmt.Results and
+// Stmt.Stats are the per-statement view.
+func (st *Stmt) Engine() *Engine { return st.src.eng }
 
 // OnClose registers a hook invoked after the statement's final flush —
 // the greta layer uses it to terminate streaming result iterators.
 func (st *Stmt) OnClose(f func()) { st.onClose = f }
 
-// OnResult registers the statement's result callback. It survives
-// promotion into a shared graph, unlike a callback set directly on the
-// statement's (replaceable) engine — always prefer it over
-// Engine.OnResult when working through a Runtime.
-func (st *Stmt) OnResult(f func(Result)) {
-	st.onRes = f
-	if st.entry == nil {
-		st.eng.OnResult(st.fire)
-	}
-}
+// OnResult registers the statement's result callback; nil clears it.
+func (st *Stmt) OnResult(f func(Result)) { st.onRes = f }
 
-// fire forwards an exclusive engine's emission to the statement
+// deliver is how every result reaches every statement: counted,
+// retained unless the statement drops on delivery, handed to the
 // callback.
-func (st *Stmt) fire(r Result) {
-	if st.onRes != nil {
-		st.onRes(r)
-	}
-}
-
-// deliver records and forwards one result destined for this statement
-// (shared fan-out and detach flush).
 func (st *Stmt) deliver(r Result) {
+	st.resultCount++
 	if !st.noRetain {
 		st.results = append(st.results, r)
 	}
-	st.resultCount++
 	if st.onRes != nil {
 		st.onRes(r)
 	}
 }
 
-// Results returns the statement's emitted results sorted by
-// (group, wid): the engine's for an exclusive statement, the
-// statement's own fan-out buffer for a shared subscriber. Empty when
-// the statement registered with NoRetain.
-func (st *Stmt) Results() []Result {
-	if st.entry != nil {
-		return st.results
-	}
-	return st.eng.Results()
-}
+// Results returns the results delivered to the statement, sorted by
+// (group, wid) once it is closed. Empty when the statement registered
+// with NoRetain.
+func (st *Stmt) Results() []Result { return st.results }
 
-// Stats returns the statement's runtime statistics. A shared
-// subscriber reports the shared engine's counters — identical to what
-// a private engine over the same stream would have accumulated — plus
-// its own Results count and the number of statements sharing the
-// graph; a subscriber that detached mid-stream reports the snapshot
-// frozen at its close.
+// Stats returns the statement's runtime statistics: the counters of its
+// source's engine — identical to what a private engine over the same
+// stream would have accumulated — with Results its own delivery count
+// and SharedStatements as Stats documents it. A statement that left a
+// source still serving others reports the snapshot frozen at its close.
 func (st *Stmt) Stats() Stats {
 	if st.frozen != nil {
 		return *st.frozen
 	}
-	s := st.eng.Stats()
-	if st.entry != nil {
-		s.Results = st.resultCount
-		s.SharedStatements = len(st.entry.subs)
+	s := st.src.eng.Stats()
+	s.Results = st.resultCount
+	if st.src.union {
+		s.SharedStatements = len(st.src.subs)
 	}
 	return s
 }
 
 // Close detaches the statement from the shared ingest, flushing its
 // open windows (their results are emitted through the usual delivery
-// path). Other statements are not perturbed — a shared subscriber's
-// flush peeks the shared graph without consuming it. Idempotent;
-// returns ErrStatementClosed if already closed.
+// path). Other statements are not perturbed — a subscriber leaving
+// others behind flushes from a peek of their graph. Returns
+// ErrStatementClosed if already closed.
 func (st *Stmt) Close() error {
 	st.rt.mu.Lock()
 	defer st.rt.mu.Unlock()
@@ -694,77 +641,36 @@ func (st *Stmt) Close() error {
 	// Closing is a reorder barrier: the statement's final windows count
 	// every event that arrived before the close.
 	st.rt.reorderBarrierLocked()
-	if e := st.entry; e != nil {
-		if len(e.subs) == 1 {
-			// Last subscriber: the shared graph dies with it, so the
-			// destructive flush delivers through the ordinary fan-out.
-			e.flushFinal()
-			e.subs = nil
-			st.rt.shareIdx.Retire(e.node)
-			if e.host.grp != nil {
-				e.host.grp.members = deleteStmt(e.host.grp.members, e.host)
-			}
-		} else {
-			// Survivors remain: emit this subscriber's open windows from a
-			// non-destructive peek, then freeze its stats — the shared
-			// engine keeps evolving for the others.
-			e.detachFlush(st)
-			s := st.eng.Stats()
-			s.Results = st.resultCount
-			s.SharedStatements = len(e.subs)
-			st.frozen = &s
-			e.subs = deleteStmt(e.subs, st)
-		}
-		st.rt.stmts = deleteStmt(st.rt.stmts, st)
-		st.closed = true
-		sortResults(st.results)
-		st.rt.fireTrace(TraceEvent{Kind: TraceStatementClose, Stmt: st.id, Watermark: st.rt.watermark})
-		if st.onClose != nil {
-			st.onClose()
-		}
-		return nil
-	}
-	if st.shareNode != nil {
-		// The signature's candidate is gone; a later same-signature
-		// registration starts fresh.
-		st.rt.shareIdx.Retire(st.shareNode)
-	}
-	if st.grp != nil {
-		st.grp.members = deleteStmt(st.grp.members, st)
-	} else {
-		st.rt.direct = deleteStmt(st.rt.direct, st)
-	}
-	st.rt.stmts = deleteStmt(st.rt.stmts, st)
-	st.finish()
+	st.rt.stmts = deleteFrom(st.rt.stmts, st)
+	st.finish(true)
 	return nil
 }
 
-// finish flushes and marks the statement closed. Caller holds rt.mu
-// (or exclusive ownership during Close/RunParallel teardown). Shared
-// subscribers flush their entry's engine once — the fan-out delivers
-// the final windows to every subscriber still attached.
-func (st *Stmt) finish() {
-	if st.closed {
-		return
+// finish is the one way a statement ends; rt.mu held. A statement
+// leaving alone while its source serves others emits its open windows
+// from a peek and freezes its stats; otherwise — the last subscriber, or
+// every subscriber at once when the runtime closes — the source is
+// retired, its one destructive flush reaching whoever still subscribes.
+func (st *Stmt) finish(alone bool) {
+	if src := st.src; alone && len(src.subs) > 1 {
+		src.peekFlush(st)
+		s := st.Stats()
+		st.frozen = &s
+		src.subs = deleteFrom(src.subs, st)
+	} else {
+		src.retire()
 	}
 	st.closed = true
-	if st.entry != nil {
-		st.entry.flushFinal()
-		sortResults(st.results)
-	} else {
-		st.eng.Flush()
-	}
+	sortResults(st.results)
 	st.rt.fireTrace(TraceEvent{Kind: TraceStatementClose, Stmt: st.id, Watermark: st.rt.watermark})
 	if st.onClose != nil {
 		st.onClose()
 	}
 }
 
-func deleteStmt(list []*Stmt, st *Stmt) []*Stmt {
-	for i, s := range list {
-		if s == st {
-			return append(list[:i], list[i+1:]...)
-		}
+func deleteFrom[T comparable](list []T, x T) []T {
+	if i := slices.Index(list, x); i >= 0 {
+		return slices.Delete(list, i, i+1)
 	}
 	return list
 }

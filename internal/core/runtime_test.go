@@ -68,7 +68,7 @@ func TestRuntimeDifferential(t *testing.T) {
 
 		for i, src := range runtimeDiffQueries {
 			solo := runDiffEngine(t, query.MustParse(src), aggregate.ModeNative, evs, false)
-			shared := stmts[i].Engine()
+			shared := stmts[i]
 			compareResults(t, seed, shared.Results(), solo.Results())
 			ss, es := shared.Stats(), solo.Stats()
 			if ss != es {
@@ -132,14 +132,14 @@ func TestRuntimeMidStreamRegister(t *testing.T) {
 	if err := suffixRt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	compareResults(t, 7, late.Engine().Results(), ref.Engine().Results())
+	compareResults(t, 7, late.Results(), ref.Results())
 	if ls, rs := late.Engine().Stats(), ref.Engine().Stats(); ls != rs {
 		t.Fatalf("late stats %+v != suffix reference %+v", ls, rs)
 	}
 	if got := late.Engine().Stats().Events; got > uint64(len(evs)-cut) {
 		t.Fatalf("late statement saw %d events, more than the %d-event suffix", got, len(evs)-cut)
 	}
-	for _, r := range late.Engine().Results() {
+	for _, r := range late.Results() {
 		if r.WindowEnd <= wm {
 			t.Fatalf("late statement emitted window [%d,%d) that closed before its registration watermark %d",
 				r.WindowStart, r.WindowEnd, wm)
@@ -149,7 +149,7 @@ func TestRuntimeMidStreamRegister(t *testing.T) {
 	// The early statement must match a solo engine over the full stream
 	// (mid-stream registration of another statement is invisible to it).
 	solo := runDiffEngine(t, query.MustParse(q), aggregate.ModeNative, evs, false)
-	compareResults(t, 7, early.Engine().Results(), solo.Results())
+	compareResults(t, 7, early.Results(), solo.Results())
 }
 
 // TestRuntimeMidStreamClose asserts that closing one statement
@@ -169,12 +169,12 @@ func TestRuntimeMidStreamClose(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	closedResults := len(stmts[0].Engine().Results())
+	closedResults := len(stmts[0].Results())
 	if err := stmts[0].Close(); err != nil {
 		t.Fatal(err)
 	}
 	// Close flushes the statement's open windows.
-	if got := len(stmts[0].Engine().Results()); got < closedResults {
+	if got := len(stmts[0].Results()); got < closedResults {
 		t.Fatalf("close lost results: %d -> %d", closedResults, got)
 	}
 	if err := stmts[0].Close(); !errors.Is(err, core.ErrStatementClosed) {
@@ -194,7 +194,7 @@ func TestRuntimeMidStreamClose(t *testing.T) {
 	}
 	// ...and the survivor matches a solo engine over the full stream.
 	solo := runDiffEngine(t, query.MustParse(queries[1]), aggregate.ModeNative, evs, false)
-	compareResults(t, 11, stmts[1].Engine().Results(), solo.Results())
+	compareResults(t, 11, stmts[1].Results(), solo.Results())
 	if ss, es := stmts[1].Engine().Stats(), solo.Stats(); ss != es {
 		t.Fatalf("survivor stats %+v != solo %+v", ss, es)
 	}
@@ -286,16 +286,16 @@ func TestRuntimeParallelStreamingMerge(t *testing.T) {
 	parRt := core.NewRuntime()
 	parStmts := registerAll(t, parRt, queries, aggregate.ModeNative)
 	var streamed int
-	parStmts[0].Engine().OnResult(func(core.Result) { streamed++ })
+	parStmts[0].OnResult(func(core.Result) { streamed++ })
 	if err := parRt.RunParallel(context.Background(), event.NewSliceStream(evs), 4); err != nil {
 		t.Fatal(err)
 	}
 	for i := range queries {
-		compareResults(t, 3, parStmts[i].Engine().Results(), seqStmts[i].Engine().Results())
+		compareResults(t, 3, parStmts[i].Results(), seqStmts[i].Results())
 	}
-	if streamed != len(parStmts[0].Engine().Results()) {
+	if streamed != len(parStmts[0].Results()) {
 		t.Fatalf("streaming callback saw %d results, collected %d",
-			streamed, len(parStmts[0].Engine().Results()))
+			streamed, len(parStmts[0].Results()))
 	}
 
 	maxPending, retained := parRt.ParallelDebug()
@@ -310,7 +310,7 @@ func TestRuntimeParallelStreamingMerge(t *testing.T) {
 	totalWindows := 0
 	seenWids := map[[2]int64]bool{}
 	for i, st := range parStmts[:2] {
-		for _, r := range st.Engine().Results() {
+		for _, r := range st.Results() {
 			k := [2]int64{int64(i), r.Wid}
 			if !seenWids[k] {
 				seenWids[k] = true

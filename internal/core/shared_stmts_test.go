@@ -79,7 +79,10 @@ func registerSharing(t *testing.T, rt *core.Runtime, queries []string, mode aggr
 // compareSharedToSolo asserts a shared subscriber reproduces a solo
 // engine bit-for-bit: identical results and identical stats once the
 // sharing counters are masked out.
-func compareSharedToSolo(t *testing.T, seed int64, label string, st *core.Stmt, solo *core.Engine, wantShared int) {
+func compareSharedToSolo(t *testing.T, seed int64, label string, st *core.Stmt, solo interface {
+	Results() []core.Result
+	Stats() core.Stats
+}, wantShared int) {
 	t.Helper()
 	compareResults(t, seed, st.Results(), solo.Results())
 	ss, es := st.Stats(), solo.Stats()
@@ -253,7 +256,7 @@ func TestSharedStatementsMidStream(t *testing.T) {
 		if err := suffixRt.Close(); err != nil {
 			t.Fatal(err)
 		}
-		compareSharedToSolo(t, 9, "late "+src, late[i], ref.Engine(), 2)
+		compareSharedToSolo(t, 9, "late "+src, late[i], ref, 2)
 	}
 }
 

@@ -58,33 +58,3 @@ func TestSignatureKeys(t *testing.T) {
 		t.Error("forced-scan statement shares the folding key")
 	}
 }
-
-// TestIndexEpochs pins the attach window: nodes accept subscribers
-// only until the next event is processed; stale slots are replaced.
-func TestIndexEpochs(t *testing.T) {
-	ix := share.NewIndex[int]()
-	n1 := ix.Put("k", 1)
-	if got, ok := ix.Attachable("k"); !ok || got != n1 {
-		t.Fatal("fresh node must be attachable")
-	}
-	ix.Advance() // an event was processed: the graph is warm
-	if _, ok := ix.Attachable("k"); ok {
-		t.Fatal("warm node must not be attachable")
-	}
-	// A new registration interns a fresh node over the stale slot; the
-	// stale node keeps existing for its subscribers.
-	n2 := ix.Put("k", 2)
-	if got, ok := ix.Attachable("k"); !ok || got != n2 {
-		t.Fatal("replacement node must be attachable")
-	}
-	ix.Retire(n2)
-	if _, ok := ix.Attachable("k"); ok {
-		t.Fatal("retired node must not be attachable")
-	}
-	// Retiring the stale node must not disturb the slot's current owner.
-	n3 := ix.Put("k", 3)
-	ix.Retire(n1)
-	if got, ok := ix.Attachable("k"); !ok || got != n3 {
-		t.Fatal("retiring a stale node evicted the current one")
-	}
-}

@@ -256,10 +256,11 @@ func (rt *Runtime) SetReorderSlack(slack Time) error { return rt.inner.SetReorde
 // ReorderSlack reports the armed slack (0 when disarmed).
 func (rt *Runtime) ReorderSlack() Time { return rt.inner.ReorderSlack() }
 
-// RuntimeStats summarizes the runtime's multi-query topology:
-// registered statements, distinct routing hashes per event, and the
-// shared sub-plan network's collapse — SharedStatements statements
-// served by SharedGraphs shared graphs.
+// RuntimeStats summarizes the runtime's multi-query topology, live
+// statements only: how many are registered, how many distinct routing
+// hashes each event costs (back at 0 once the last statement closed),
+// and how far sharing collapsed them — SharedStatements statements
+// subscribe to SharedGraphs graphs built for more than one subscriber.
 type RuntimeStats = core.RuntimeStats
 
 // Stats reports the runtime's current multi-query topology (see
@@ -470,9 +471,11 @@ func (h *Handle) Delivered() []Result {
 // Stats returns the statement's runtime statistics. Call it between
 // Process calls or after Close; it reads live engine state. For a
 // statement served by a shared graph, the counters are identical to
-// what a private engine would have accumulated, Results counts this
-// statement's deliveries, and SharedStatements reports how many
-// statements share the graph.
+// what a private engine would have accumulated. Results counts this
+// statement's deliveries, and SharedStatements is how many statements
+// the graph served when this one left it (or serves now), itself
+// included — 1 for the last to leave, 0 only for a statement whose
+// graph never had a second subscriber.
 func (h *Handle) Stats() Stats { return h.st.Stats() }
 
 // DOT renders the statement's live GRETA graph(s) in Graphviz DOT
