@@ -350,3 +350,87 @@ func TestManualCheckpoint(t *testing.T) {
 	}
 	ckResultsEqual(t, "manual checkpoint", ckDrain(h), ckDrain(res.Handles[0]))
 }
+
+// TestRestoredDeliveryOrder pins what a restored handle holds: the
+// results delivered before the checkpoint, in the order they were
+// delivered — ascending (window, group), which is not (group, window)
+// order — for a statement with a graph of its own and for two that share
+// one. Replayed to the end, the restored handles hold the uninterrupted
+// run's deliveries element for element.
+func TestRestoredDeliveryOrder(t *testing.T) {
+	const every = greta.Time(16)
+	queries := []string{
+		"RETURN company, COUNT(*) PATTERN Stock S+ WHERE [company] GROUP-BY company WITHIN 10 SLIDE 5",
+		"RETURN company, SUM(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price GROUP-BY company WITHIN 20 SLIDE 5",
+		"RETURN company, MIN(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price GROUP-BY company WITHIN 20 SLIDE 5",
+	}
+	evs := ckStockStream(260)
+	start := func(dir string) (*greta.Runtime, []*greta.Handle) {
+		rt := greta.NewRuntime(greta.WithCheckpoint(dir, every),
+			greta.WithCheckpointErrors(func(err error) { t.Errorf("checkpoint: %v", err) }))
+		hs := make([]*greta.Handle, len(queries))
+		for i, q := range queries {
+			h, err := rt.Register(greta.MustCompile(q))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs[i] = h
+		}
+		return rt, hs
+	}
+	feed := func(rt *greta.Runtime, evs []*greta.Event, from greta.Time) {
+		for _, ev := range evs {
+			if ev.Time < from {
+				continue
+			}
+			if err := rt.Process(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	whole, wholeHs := start(t.TempDir())
+	if rs := whole.Stats(); rs.SharedGraphs != 1 || rs.SharedStatements != 2 {
+		t.Fatalf("statements 1 and 2 do not share a graph: %+v", rs)
+	}
+	feed(whole, evs, 0)
+	if err := whole.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	crashed, _ := start(dir)
+	feed(crashed, evs[:len(evs)*3/4], 0) // abandoned without Close
+	res, err := greta.Restore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byGroupWid := func(a, b greta.Result) int {
+		return cmp.Or(cmp.Compare(a.Group, b.Group), cmp.Compare(a.Wid, b.Wid))
+	}
+	for i, h := range res.Handles {
+		ctx := fmt.Sprintf("statement %d at restore", i)
+		got, want := h.Delivered(), wholeHs[i].Delivered()
+		groups, wids := map[string]bool{}, map[int64]bool{}
+		for _, r := range got {
+			groups[r.Group], wids[r.Wid] = true, true
+		}
+		if len(groups) < 3 || len(wids) < 3 || len(got) >= len(want) {
+			t.Fatalf("%s: %d of %d results over %d groups and %d windows checks nothing", ctx, len(got), len(want), len(groups), len(wids))
+		}
+		if slices.IsSortedFunc(got, byGroupWid) {
+			t.Errorf("%s: results are in (group, window) order; emission order is ascending (window, group)", ctx)
+		}
+		ckResultsEqual(t, ctx, want[:len(got)], got)
+		if n := h.Stats().Results; n != len(got) {
+			t.Errorf("%s: Stats counts %d results, the handle holds %d", ctx, n, len(got))
+		}
+	}
+	feed(res.Runtime, evs, res.ReplayFrom)
+	if err := res.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range res.Handles {
+		ckResultsEqual(t, fmt.Sprintf("statement %d replayed", i), wholeHs[i].Delivered(), h.Delivered())
+	}
+}

@@ -2,6 +2,7 @@ package netstream
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"net"
@@ -661,4 +662,94 @@ func TestSessionProtocolErrors(t *testing.T) {
 			t.Error("no results through heartbeat-interleaved session")
 		}
 	})
+}
+
+// TestSessionRebaseRedelivers resumes a session with a cursor the replay
+// window no longer covers: the server acknowledges with "rebase":true and
+// re-delivers every result its statements retain — the first statement's
+// in the order they were emitted, then the second's — once each, under
+// fresh contiguous seqs.
+func TestSessionRebaseRedelivers(t *testing.T) {
+	srv := &Server{ResumeWindow: 2, Linger: time.Minute}
+	addr := startResumeServer(t, srv,
+		"RETURN COUNT(*) PATTERN Stock S+ WHERE [company] GROUP-BY company WITHIN 10 SLIDE 5",
+		"RETURN SUM(S.price) PATTERN Stock S+ WITHIN 8 SLIDE 4")
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	c, err := DialContext(ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sid, err := c.EnableResume(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		err := c.Send("Stock", int64(i), map[string]float64{"price": float64(5 + i%7)}, map[string]string{"company": fmt.Sprintf("co%d", i%2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := c.Stats() // every event is applied and every result so far read
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []WireResult // registration, then emission order
+	for _, id := range []string{"q0", "q1"} {
+		n := len(want)
+		for _, r := range c.pending {
+			if r.Stmt == id {
+				want = append(want, r)
+			}
+		}
+		if len(want)-n < 5 {
+			t.Fatalf("statement %s delivered %d results before the cut, want at least 5", id, len(want)-n)
+		}
+	}
+	if len(want) != len(c.pending) || st.OutSeq != uint64(len(want)) {
+		t.Fatalf("%d results read, %d of them tagged q0 or q1, the server's output cursor at %d", len(c.pending), len(want), st.OutSeq)
+	}
+	c.Close()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := json.NewEncoder(conn).Encode(&WireEvent{Cmd: "resume", Session: sid, Recv: 1}); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	dec := json.NewDecoder(conn)
+	next := func() WireLine {
+		for {
+			var o WireLine
+			if err := dec.Decode(&o); err != nil {
+				t.Fatalf("reading the resumed session: %v", err)
+			}
+			if o.Ping == 0 {
+				return o
+			}
+		}
+	}
+	if o := next(); o.Resumed == nil || !o.Resumed.Rebase || o.Resumed.ID != sid {
+		t.Fatalf("first line after a resume behind the window = %+v, want a rebase of %s", o, sid)
+	}
+	for i, w := range want {
+		o := next()
+		if o.Result == nil || !reflect.DeepEqual(*o.Result, w) {
+			t.Fatalf("re-delivered line %d = %+v, want result %+v", i, o, w)
+		}
+		if o.Seq != st.OutSeq+1+uint64(i) {
+			t.Fatalf("re-delivered line %d has seq %d, want %d", i, o.Seq, st.OutSeq+1+uint64(i))
+		}
+	}
+	// Nothing follows the re-delivery: the next line answers the next command.
+	if err := json.NewEncoder(conn).Encode(&WireEvent{Cmd: "stats"}); err != nil {
+		t.Fatal(err)
+	}
+	if o := next(); o.SessStats == nil || o.SessStats.OutSeq != st.OutSeq+uint64(len(want)) {
+		t.Fatalf("line after the re-delivery = %+v, want the stats reply with the output cursor at %d", o, st.OutSeq+uint64(len(want)))
+	}
 }
