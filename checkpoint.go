@@ -2,7 +2,6 @@ package greta
 
 import (
 	"io"
-	"sync"
 
 	"github.com/greta-cep/greta/internal/checkpoint"
 	"github.com/greta-cep/greta/internal/core"
@@ -95,11 +94,12 @@ func (rt *Runtime) Checkpoint() error { return rt.inner.CheckpointNow() }
 // Restored handles deliver replayed and future results through the
 // usual OnResult/Results surfaces; with retention (composite statements
 // included: they emit per window too) the results emitted before the
-// checkpoint are available again through Results (in group/window
-// order — emission order is not recorded). Result callbacks are not
-// persisted: re-register them via Handle.OnResult before the replay.
-// Undelivered live-iterator tails (WithoutRetention) are intentionally
-// not checkpointed — their contract is bounded memory, not durability.
+// checkpoint are available again through Results and Delivered, in the
+// order they were emitted. Result callbacks are not persisted:
+// re-register them via Handle.OnResult before the replay. What a
+// WithoutRetention statement holds for its live iterators is
+// intentionally not checkpointed — the mode's contract is bounded
+// memory, not durability.
 type Restored struct {
 	*Runtime
 	Handles    []*Handle
@@ -145,18 +145,7 @@ func Restore(dir string, opts ...RuntimeOption) (*Restored, error) {
 	handles := make([]*Handle, 0, len(stmts))
 	for _, st := range stmts {
 		plan := st.Plan()
-		h := &Handle{
-			st:    st,
-			stmt:  &Statement{query: plan.Query, plan: plan},
-			noBuf: st.NoRetain(),
-		}
-		h.cond = sync.NewCond(&h.mu)
-		if !h.noBuf {
-			h.buf = append([]Result(nil), st.Results()...)
-		}
-		st.OnResult(h.deliver)
-		st.OnClose(h.markDone)
-		handles = append(handles, h)
+		handles = append(handles, &Handle{st: st, stmt: &Statement{query: plan.Query, plan: plan}})
 	}
 
 	ckDir, every := dir, info.Every

@@ -13,9 +13,9 @@ import (
 	"github.com/greta-cep/greta"
 )
 
-// ckDrain collects a closed handle's results sorted by (group, window)
-// — delivery order differs between a live run (emission order) and a
-// restored one (the pre-crash prefix is re-buffered in sorted order).
+// ckDrain collects a closed handle's results sorted by (group, window):
+// the tests that use it compare result sets. TestRestoredDeliveryOrder
+// compares delivery order, which a restore keeps.
 func ckDrain(h *greta.Handle) []greta.Result {
 	var out []greta.Result
 	for r := range h.Results() {

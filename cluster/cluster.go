@@ -188,7 +188,9 @@ type unit struct {
 
 // Handle is a registered statement's result surface, mirroring
 // greta.Handle: results accumulate for Results (sorted after Close),
-// OnResult streams them as windows merge.
+// OnResult streams them as windows merge. Both are views of the
+// statement's one delivery record and safe to call mid-stream, from any
+// goroutine, while the link readers deliver.
 type Handle struct {
 	co *Coordinator
 	st *core.Stmt
@@ -545,8 +547,7 @@ func (co *Coordinator) flushAllLocked() {
 
 // closeUnitLocked drives a partitioned unit's distributed close: fan
 // out, await every slot's final release and stats fold, then close the
-// local statement (which sorts its retained results). co.mu held with
-// the busy slot acquired.
+// local statement. co.mu held with the busy slot acquired.
 func (co *Coordinator) closeUnitLocked(u *unit) error {
 	co.flushAllLocked()
 	for _, l := range co.activeLinks() {
@@ -583,11 +584,13 @@ func (h *Handle) ID() string { return h.st.ID() }
 
 // OnResult streams merged windows to f as they are released. f runs
 // on a link reader goroutine with the coordinator locked — it must not
-// call back into the Coordinator or the Handle.
+// call back into the Coordinator or the Handle. Safe to call mid-stream:
+// a window goes to the callback installed when it is delivered.
 func (h *Handle) OnResult(f func(greta.Result)) { h.st.OnResult(f) }
 
-// Results returns the merged results so far (every emitted window; in
-// group/window order after Close).
+// Results returns a copy of the merged results so far: every emitted
+// window, in emission order mid-stream and in group/window order after
+// Close. Safe to call mid-stream.
 func (h *Handle) Results() []greta.Result { return h.st.Results() }
 
 // Stats returns the statement's counters. For partitioned statements

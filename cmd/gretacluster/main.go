@@ -21,7 +21,6 @@
 package main
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -29,7 +28,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -194,14 +192,7 @@ func runCoord(args []string) {
 			tag = fmt.Sprintf("[%s] ", h.ID())
 		}
 		fmt.Printf("\n%s%-20s%-10s%-14s%s\n", tag, "group", "window", "interval", "aggregates")
-		results := h.Results()
-		slices.SortFunc(results, func(a, b greta.Result) int {
-			if c := cmp.Compare(a.Group, b.Group); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.Wid, b.Wid)
-		})
-		for _, r := range results {
+		for _, r := range h.Results() { // closed: sorted by (group, window)
 			group := r.Group
 			if group == "" {
 				group = "(all)"

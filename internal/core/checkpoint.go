@@ -197,10 +197,6 @@ func (rt *Runtime) CheckpointNow() error {
 // Plan returns the plan the statement registered with.
 func (st *Stmt) Plan() *Plan { return st.srcPlan }
 
-// NoRetain reports whether the statement registered in
-// drop-on-delivery mode (StmtConfig.NoRetain).
-func (st *Stmt) NoRetain() bool { return st.noRetain }
-
 // ---------------------------------------------------------------------
 // The walk
 // ---------------------------------------------------------------------
@@ -787,7 +783,9 @@ func walkPartKey(w *checkpoint.Walker, pk *partKey, want int) {
 	}
 }
 
-func (e *Engine) walk(c *ckWalk) {
+// walk walks the engine behind its emission count and results: its own, or
+// — a source's engine outside a union — its one subscriber's delivery record.
+func (e *Engine) walk(c *ckWalk, count *int, results *[]Result) {
 	simple := e.plan.Simple()
 	if c.Bool(&simple); c.Decoding() && simple != e.plan.Simple() {
 		c.Corrupt("engine shape mismatch (checkpointed plan differs)")
@@ -805,8 +803,8 @@ func (e *Engine) walk(c *ckWalk) {
 	c.U64(&s.PeakVertices)
 	c.U64(&s.PeakPayloads)
 	c.Int(&s.Partitions)
-	c.Int(&e.emitted)
-	walkResults(&c.Walker, &e.results)
+	c.Int(count)
+	walkResults(&c.Walker, results)
 	if simple {
 		parts := e.parts.all()
 		np := c.Len(len(parts), 8)
@@ -833,7 +831,7 @@ func (e *Engine) walk(c *ckWalk) {
 		if slot == e.branches {
 			walkPlanned(&c.Walker, len(e.subs)-slot, "products")
 		}
-		if se.walk(c); c.Decoding() {
+		if se.walk(c, &se.emitted, &se.results); c.Decoding() {
 			// Sub-engines retain nothing, so their result lists are written
 			// empty. A body from before composite plans emitted per window
 			// lists every window the sub-engine had closed; those partials
@@ -937,27 +935,24 @@ func (rt *Runtime) encodeLocked(out io.Writer, replayFrom event.Time) error {
 			id: st.id, query: st.srcPlan.Query.String(), mode: uint8(st.srcPlan.Mode),
 			force: src.force, shared: src.key != "", noRetain: st.noRetain, entry: -1,
 		}
+		n, rs, _ := st.record()
 		if !src.union {
-			// Lend the engine what its one subscriber retains for the walk:
-			// eng.emitted already equals st.resultCount.
 			rec.walk(&c.Walker)
-			src.eng.results = st.results
-			src.eng.walk(&c)
-			src.eng.results = nil
+			src.eng.walk(&c, &n, &rs)
 			continue
 		}
 		if rec.entry = int64(slices.Index(entries, src)); rec.entry < 0 {
 			rec.entry = int64(len(entries))
 			entries = append(entries, src)
 		}
-		rec.resultCount, rec.results = st.resultCount, st.results
+		rec.resultCount, rec.results = n, rs
 		rec.walk(&c.Walker)
 	}
 	c.Len(len(entries), 5)
 	for _, src := range entries {
 		n := uint32(len(src.subs))
 		c.U32(&n)
-		src.eng.walk(&c)
+		src.eng.walk(&c, &src.eng.emitted, &src.eng.results)
 	}
 	var snap *reorder.Snapshot
 	if rt.reorder != nil {
@@ -1085,12 +1080,13 @@ func (rt *Runtime) restoreLocked(c *ckWalk, h *ckHeader) (RestoreInfo, error) {
 		if err != nil {
 			return info, fmt.Errorf("checkpoint: statement %q: %w", rec.id, err)
 		}
-		if eng := st.src.eng; rec.entry < 0 {
-			eng.walk(c)
-			st.resultCount, st.results, eng.results = eng.emitted, eng.results, nil
-		} else {
-			st.resultCount, st.results = rec.resultCount, rec.results
+		if rec.entry < 0 {
+			st.src.eng.walk(c, &rec.resultCount, &rec.results)
 		}
+		if rec.resultCount < len(rec.results) {
+			c.Corrupt("statement %q counts %d deliveries and lists %d", rec.id, rec.resultCount, len(rec.results))
+		}
+		st.base, st.results = rec.resultCount-len(rec.results), rec.results
 	}
 
 	if n := c.Len(0, 5); c.Decoding() && n != len(entries) {
@@ -1101,7 +1097,7 @@ func (rt *Runtime) restoreLocked(c *ckWalk, h *ckHeader) (RestoreInfo, error) {
 		if c.U32(&n); c.Decoding() && int(n) != len(src.subs) {
 			c.Corrupt("entry has %d subscribers, %d statements reference it", n, len(src.subs))
 		}
-		src.eng.walk(c)
+		src.eng.walk(c, &src.eng.emitted, &src.eng.results)
 	}
 
 	var snap *reorder.Snapshot

@@ -195,9 +195,9 @@ func (h *ShardHost) checkUnit(si, gi int) error {
 	return nil
 }
 
-// bindUnit flips a registered statement into worker mode: a NoRetain
-// subscriber whose results leave as partials tagged with the slot's home
-// index. The indices have passed checkUnit.
+// bindUnit puts a statement registered NoRetain (RegisterPlan, or the
+// snapshot one wrote) into worker mode: its results leave as partials
+// tagged with the slot's home index. The indices have passed checkUnit.
 func (h *ShardHost) bindUnit(st *Stmt, si, gi int) {
 	if si >= len(h.units) {
 		h.units = append(h.units, make([]*Stmt, si+1-len(h.units))...)
@@ -206,7 +206,6 @@ func (h *ShardHost) bindUnit(st *Stmt, si, gi int) {
 	if gi >= len(h.groups) {
 		h.groups = append(h.groups, make([][]int, gi+1-len(h.groups))...)
 	}
-	st.noRetain = true
 	st.OnResult(func(r Result) { h.onPartial(h.w, si, r) })
 	h.units[si], h.gi[si] = st, gi
 	h.groups[gi] = append(h.groups[gi], si)
@@ -232,7 +231,7 @@ func (h *ShardHost) RegisterPlan(si, gi int, plan *Plan, id string, force bool) 
 	if err := h.checkUnit(si, gi); err != nil {
 		return err
 	}
-	st, err := h.rt.Register(plan, StmtConfig{ID: id, ForceVertexScan: force})
+	st, err := h.rt.Register(plan, StmtConfig{ID: id, ForceVertexScan: force, NoRetain: true})
 	if err != nil {
 		return err
 	}

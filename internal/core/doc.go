@@ -12,8 +12,8 @@
 // # One statement shape
 //
 // A registered statement (Stmt) is a subscriber of a source: its id, the
-// plan it registered with, its RETURN slot mapping, the results delivered
-// to it, their count, its callback. A source is one hosted graph: it
+// plan it registered with, its RETURN slot mapping, and the record of
+// what was delivered to it. A source is one hosted graph: it
 // owns the engine, the engine's place in the ingest (a member of its
 // routeGroup, or rt.direct for a composite plan), the RunParallel
 // cursor, and the sharing key and epoch it opened under. There is no
@@ -27,14 +27,34 @@
 // Stats.SharedStatements is set, and where a checkpoint writes what was
 // delivered.
 //
-//   - One delivery path. Engine.emit hands each result of a hosted
-//     engine to its sink and nothing else — the engine retains nothing
-//     and calls no callback of its own — the sink is source.fanout, and
-//     fanout calls Stmt.deliver (count, retain unless NoRetain, callback)
-//     for each subscriber. A ShardHost unit is a NoRetain subscriber
-//     whose callback ships partials; a composite engine is the sink of
-//     its sub-engines. Nothing but source.setEngine sets a hosted
-//     engine's sink (TestStmtCallbackOwner).
+//   - One delivery path. Engine.emit hands each closed window of a
+//     hosted engine — group, wid, payload; no Result is built — to its
+//     sink and nothing else: the engine retains nothing and calls no
+//     callback of its own. A source's sink is source.fanout, which builds
+//     the Result once and calls Stmt.deliver for each subscriber; a
+//     composite engine is the sink of its sub-engines and files their
+//     partials straight into its merger. A ShardHost unit is a NoRetain
+//     subscriber whose callback ships partials. Nothing but
+//     source.setEngine sets a hosted engine's sink (TestStmtCallbackOwner).
+//   - One delivery record. Stmt.deliver appends to the only structure
+//     that knows what a statement was handed — results base, base+1, … in
+//     emission order, the callback slot, the closed flag — behind Stmt.mu,
+//     taken once per result; the callback runs outside it. Everything
+//     above is a view of it: greta.Handle and cluster.Handle hold a *Stmt
+//     and no results, lock or flag of their own, Restore copies nothing, a
+//     checkpoint writes the record where an engine's own emissions would
+//     go, the netstream session's rebase re-delivers Stmt.Delivered() —
+//     all safe while results are being delivered
+//     (TestClusterHandleConcurrent). A reader is a sequence cursor
+//     (Stmt.Stream): it yields results[pos-base], waits on the cond, and
+//     returns once the statement is closed and drained. Cursors index the
+//     record, so it is never reordered: Results() sorts a copy once the
+//     statement is closed. A retaining statement's base stays 0 and its
+//     cursors replay from 0. A NoRetain statement's record holds nothing —
+//     a delivery is base++, no allocation — unless a cursor is live: then
+//     the newest tailMax (4096) results at most, a cursor starting at the
+//     count when it was opened and skipping past what was dropped, and
+//     the last cursor to return takes the tail with it (TestStmtRecord).
 //   - One way to end. Stmt.finish: a statement leaving while its source
 //     serves others emits its open windows from a peek
 //     (Engine.peekFlushInto → Graph.PeekWindow: cloned incremental
@@ -43,7 +63,8 @@
 //     stats; the last subscriber, or all of them at once under
 //     Runtime.Close, retires the source: one destructive flush through
 //     the fan-out, the source leaves its route group, an emptied group
-//     leaves rt.groups, the key forgets the source.
+//     leaves rt.groups, the key forgets the source. Then closed is set
+//     under both rt.mu and Stmt.mu, which wakes the cursors.
 //   - Stats.SharedStatements is the number of statements the graph
 //     served when this one left (or serves now), itself included: 2 and
 //     then 1 as a two-subscriber union is closed one by one, 0 only for a
@@ -114,9 +135,10 @@
 //     statements share only with each other.
 //   - Checkpoints (format version 3) write a statement outside a union
 //     as the record followed by its source's engine, with what was
-//     delivered in the engine's emission count and result list; a
-//     union's subscribers carry their own and name the entry whose one
-//     engine follows the statements. restoreLocked rebuilds topology by
+//     delivered — count and retained results, in emission order — where
+//     the engine's emission count and result list go; a union's
+//     subscribers carry their own and name the entry whose one engine
+//     follows the statements. restoreLocked rebuilds topology by
 //     calling subscribe — the routine Register calls — in recorded order.
 //     Known defect, older than this layout: a union that shrank while
 //     warm keeps the departed subscriber's slots, the snapshot does not

@@ -113,10 +113,10 @@ type Engine struct {
 	forceScan bool
 
 	// sink, set by whoever hosts the engine — a Runtime source, a
-	// composite engine for its sub-engines — takes every emitted result;
-	// the engine then retains nothing and has no callback of its own. A
-	// standalone engine (sink nil) retains its results and calls onResult.
-	sink     func(Result)
+	// composite engine for its sub-engines — takes every closed window's
+	// payload; the engine then builds no Result, retains nothing and calls
+	// nothing else. A standalone engine (sink nil) retains and calls onResult.
+	sink     func(group string, wid int64, payload *aggregate.Payload)
 	onResult func(Result)
 	results  []Result
 	// emitted counts emissions independently of retention.
@@ -134,7 +134,7 @@ func NewEngine(plan *Plan) *Engine {
 		e.branches = len(plan.Branches)
 		for slot, sp := range slices.Concat(plan.Branches, plan.Products) {
 			se := NewEngine(sp)
-			se.sink = func(r Result) { e.merge.Add(slot, r.Group, r.Wid, r.Payload) }
+			se.sink = func(group string, wid int64, pl *aggregate.Payload) { e.merge.Add(slot, group, wid, pl) }
 			e.subs = append(e.subs, se)
 		}
 		e.merge = NewSlotMerge(e, len(e.subs), e.compose)
@@ -377,12 +377,12 @@ func (e *Engine) result(group string, wid int64, payload *aggregate.Payload) Res
 // emit is the one way a window's result leaves an engine: counted, then
 // handed to the engine's host, or retained and handed to the callback.
 func (e *Engine) emit(group string, wid int64, payload *aggregate.Payload) {
-	r := e.result(group, wid, payload)
 	e.emitted++
 	if e.sink != nil {
-		e.sink(r)
+		e.sink(group, wid, payload)
 		return
 	}
+	r := e.result(group, wid, payload)
 	e.results = append(e.results, r)
 	if e.onResult != nil {
 		e.onResult(r)

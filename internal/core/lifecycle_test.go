@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -321,5 +322,97 @@ func TestStmtCallbackOwner(t *testing.T) {
 		if n := st.Stats().Results; n != want {
 			t.Errorf("statement %d counts %d of %d deliveries", i, n, want)
 		}
+	}
+}
+
+// TestStmtRecord holds the delivery record to its bounds. A NoRetain
+// statement's holds nothing with no cursor live, the newest tailMax
+// deliveries at most while one is, and nothing again once the cursor
+// returned, a spent iterator run twice included. A retaining statement's
+// is never trimmed or reordered: Results() is a copy, sorted once the
+// statement closed, over a record that stays in emission order for the
+// cursors that index it.
+func TestStmtRecord(t *testing.T) {
+	tick := func(rt *Runtime, from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := rt.Process(&event.Event{ID: uint64(i + 1), Type: "A", Time: event.Time(i),
+				Str: map[string]string{"k": fmt.Sprint(i % 3)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	resultOrder := func(a, b Result) int {
+		return cmp.Or(cmp.Compare(a.Group, b.Group), cmp.Compare(a.Wid, b.Wid))
+	}
+	held := func(st *Stmt) (base, n, c int) {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		return st.base, len(st.results), cap(st.results)
+	}
+
+	rt := NewRuntime()
+	drop := rcRegister(t, rt, "drop", "RETURN COUNT(*) PATTERN A+ WITHIN 1 SLIDE 1", aggregate.ModeNative, StmtConfig{NoRetain: true})
+	tick(rt, 0, 10_001) // closes windows 0..9999
+	if base, n, c := held(drop); base != 10_000 || n != 0 || c != 0 {
+		t.Errorf("no cursor live: base %d, %d results held (cap %d), want 10000, 0 (0)", base, n, c)
+	}
+	seq := drop.Stream()
+	tick(rt, 10_001, 10_001+tailMax+500)
+	if base, n, _ := held(drop); n != tailMax || base+n != 10_000+tailMax+500 {
+		t.Errorf("a stalled cursor live: base %d, %d results held, want %d and %d", base, n, 10_000+500, tailMax)
+	}
+	for r := range seq {
+		if want := int64(10_000 + 500); r.Wid != want {
+			t.Errorf("the stalled cursor resumes at window %d, want %d", r.Wid, want)
+		}
+		break
+	}
+	emptied := func(when string) {
+		t.Helper()
+		if base, n, c := held(drop); n != 0 || c != 0 || base != drop.Stats().Results || drop.cursors != 0 {
+			t.Errorf("%s: base %d of %d deliveries, %d results held (cap %d), %d cursors", when, base, drop.Stats().Results, n, c, drop.cursors)
+		}
+	}
+	emptied("cursor returned")
+	if n := drop.Stats().Results; n != 10_000+tailMax+500 {
+		t.Errorf("Stats counts %d deliveries, want %d", n, 10_000+tailMax+500)
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for range seq { // spent: it has no tail to read, and none to give back
+		t.Error("a spent iterator yields")
+	}
+	emptied("spent iterator run again")
+
+	rt = NewRuntime()
+	keep := rcRegister(t, rt, "keep", "RETURN COUNT(*) PATTERN A+ WHERE [k] GROUP-BY k WITHIN 4 SLIDE 2", aggregate.ModeNative, StmtConfig{})
+	tick(rt, 0, 40)
+	live := keep.Results()
+	if len(live) < 30 || slices.IsSortedFunc(live, resultOrder) {
+		t.Fatalf("%d results mid-stream, (group, wid)-sorted %t: emission order is (wid, group)", len(live), slices.IsSortedFunc(live, resultOrder))
+	}
+	keep.Results()[0].Wid = -1 // a copy: the record does not see this
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed := keep.Results()
+	if !slices.IsSortedFunc(closed, resultOrder) {
+		t.Error("Results() of a closed statement is not (group, wid)-sorted")
+	}
+	base, n, _ := held(keep)
+	if base != 0 || n != len(closed) || n != keep.Stats().Results {
+		t.Errorf("record holds %d results from %d on, Results() %d, Stats %d", n, base, len(closed), keep.Stats().Results)
+	}
+	i := 0
+	for r := range keep.Stream() { // replays the record: emission order, the prefix seen mid-stream first
+		if i < len(live) && (r.Group != live[i].Group || r.Wid != live[i].Wid) {
+			t.Fatalf("delivery %d is (%q,%d) after close, was (%q,%d) mid-stream", i, r.Group, r.Wid, live[i].Group, live[i].Wid)
+		}
+		i++
+	}
+	if i != n {
+		t.Errorf("a cursor opened after close yields %d of %d deliveries", i, n)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -137,7 +139,8 @@ type routeGroup struct {
 }
 
 // Stmt is one registered statement: a subscriber of the source whose
-// graph serves it (share.go), and its lifecycle state inside a Runtime.
+// graph serves it (share.go), its lifecycle state inside a Runtime, and
+// the one record of what it was handed.
 type Stmt struct {
 	rt  *Runtime
 	id  string
@@ -148,20 +151,27 @@ type Stmt struct {
 	srcPlan *Plan
 	outs    []aggregate.SpecSlot
 
-	// What the source delivered: the results (unless noRetain), their
-	// count, the callback they went to.
-	results     []Result
-	resultCount int
-	noRetain    bool
-	onRes       func(Result)
+	// The delivery record (doc.go), behind mu: results holds deliveries
+	// base, base+1, … in emission order; cursors counts a noRetain
+	// statement's live readers. closed is written with rt.mu held too, so
+	// lifecycle code reads it under either lock.
+	mu       sync.Mutex
+	more     sync.Cond // a delivery, or the close; L is &mu
+	results  []Result
+	base     int
+	noRetain bool
+	cursors  int
+	onRes    func(Result)
+	closed   bool
 
 	// frozen is the stats snapshot taken when the statement detached from
 	// a source that runs on for its other subscribers.
 	frozen *Stats
-
-	closed  bool
-	onClose func()
 }
+
+// tailMax bounds what a NoRetain statement holds for its live cursors — the
+// mode's contract is bounded memory: a reader further behind loses the oldest.
+const tailMax = 4096
 
 // newRuntime builds an empty runtime without metric cells — all a
 // ShardHost needs: events bypass its runtime's ingest path, so nothing
@@ -582,30 +592,112 @@ func (st *Stmt) ID() string { return st.id }
 // Stmt.Stats are the per-statement view.
 func (st *Stmt) Engine() *Engine { return st.src.eng }
 
-// OnClose registers a hook invoked after the statement's final flush —
-// the greta layer uses it to terminate streaming result iterators.
-func (st *Stmt) OnClose(f func()) { st.onClose = f }
+// OnResult registers the statement's result callback; nil clears it. A
+// result goes to the callback installed when it is delivered.
+func (st *Stmt) OnResult(f func(Result)) {
+	st.mu.Lock()
+	st.onRes = f
+	st.mu.Unlock()
+}
 
-// OnResult registers the statement's result callback; nil clears it.
-func (st *Stmt) OnResult(f func(Result)) { st.onRes = f }
-
-// deliver is how every result reaches every statement: counted,
-// retained unless the statement drops on delivery, handed to the
-// callback.
+// deliver is how every result reaches every statement: appended to the
+// record — counted, and held unless the statement drops on delivery and
+// nothing is reading — then handed to the callback, outside the lock.
 func (st *Stmt) deliver(r Result) {
-	st.resultCount++
-	if !st.noRetain {
+	st.mu.Lock()
+	switch {
+	case st.noRetain && st.cursors == 0:
+		st.base++
+	case st.noRetain && len(st.results) >= tailMax: // a reader lags: the oldest goes
+		st.results[0] = Result{}
+		st.results, st.base = st.results[1:], st.base+1
+		fallthrough
+	default:
 		st.results = append(st.results, r)
 	}
-	if st.onRes != nil {
-		st.onRes(r)
+	f := st.onRes
+	st.more.Broadcast()
+	st.mu.Unlock()
+	if f != nil {
+		f(r)
 	}
 }
 
-// Results returns the results delivered to the statement, sorted by
-// (group, wid) once it is closed. Empty when the statement registered
-// with NoRetain.
-func (st *Stmt) Results() []Result { return st.results }
+// Stream returns a cursor over the record as a blocking iterator: it
+// yields deliveries in emission order, waits for more, and returns once
+// the statement is closed and drained. A retaining statement's replays
+// the record from the start; a NoRetain statement's starts at the next
+// delivery after this call — the record holds a tail from here until the
+// iterator returns — and skips what it fell more than tailMax behind.
+func (st *Stmt) Stream() iter.Seq[Result] {
+	st.mu.Lock()
+	start, tail := 0, st.noRetain
+	if tail {
+		start = st.base + len(st.results)
+		st.cursors++
+	}
+	st.mu.Unlock()
+	return func(yield func(Result) bool) {
+		pos := start
+		defer func() {
+			st.mu.Lock()
+			if tail { // give the tail back; run again, the iterator has nothing to read
+				tail, start = false, math.MaxInt
+				if st.cursors--; st.cursors == 0 {
+					st.base, st.results = st.base+len(st.results), nil
+				}
+			}
+			st.mu.Unlock()
+		}()
+		for {
+			st.mu.Lock()
+			for pos >= st.base+len(st.results) && !st.closed {
+				st.more.Wait()
+			}
+			if pos >= st.base+len(st.results) {
+				st.mu.Unlock()
+				return
+			}
+			pos = max(pos, st.base) // what fell off the tail is skipped
+			r := st.results[pos-st.base]
+			pos++
+			st.mu.Unlock()
+			if !yield(r) {
+				return
+			}
+		}
+	}
+}
+
+// record returns how many results were delivered, the ones the statement
+// retains — the record itself, append-only: read it freely, copy before
+// writing; nothing under NoRetain, whose tail belongs to its cursors —
+// and whether it is closed.
+func (st *Stmt) record() (n int, rs []Result, closed bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if n = st.base + len(st.results); !st.noRetain {
+		rs = st.results
+	}
+	return n, rs, st.closed
+}
+
+// Delivered returns a copy of the retained results in emission order.
+func (st *Stmt) Delivered() []Result {
+	_, rs, _ := st.record()
+	return slices.Clone(rs)
+}
+
+// Results returns a copy of the retained results: in emission order
+// while the statement is live, sorted by (group, wid) once it is closed.
+// Empty when it registered with NoRetain.
+func (st *Stmt) Results() []Result {
+	_, rs, closed := st.record()
+	if rs = slices.Clone(rs); closed {
+		sortResults(rs)
+	}
+	return rs
+}
 
 // Stats returns the statement's runtime statistics: the counters of its
 // source's engine — identical to what a private engine over the same
@@ -617,7 +709,7 @@ func (st *Stmt) Stats() Stats {
 		return *st.frozen
 	}
 	s := st.src.eng.Stats()
-	s.Results = st.resultCount
+	s.Results, _, _ = st.record()
 	if st.src.union {
 		s.SharedStatements = len(st.src.subs)
 	}
@@ -660,12 +752,11 @@ func (st *Stmt) finish(alone bool) {
 	} else {
 		src.retire()
 	}
+	st.mu.Lock()
 	st.closed = true
-	sortResults(st.results)
+	st.more.Broadcast()
+	st.mu.Unlock()
 	st.rt.fireTrace(TraceEvent{Kind: TraceStatementClose, Stmt: st.id, Watermark: st.rt.watermark})
-	if st.onClose != nil {
-		st.onClose()
-	}
 }
 
 func deleteFrom[T comparable](list []T, x T) []T {

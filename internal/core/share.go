@@ -55,6 +55,7 @@ func shareKey(plan *Plan, cfg StmtConfig) string {
 // opened under key. rt.mu held; the caller has dealt with cfg.ID.
 func (rt *Runtime) subscribe(into *source, key string, plan *Plan, cfg StmtConfig) (*Stmt, error) {
 	st := &Stmt{rt: rt, src: into, srcPlan: plan, noRetain: cfg.NoRetain}
+	st.more.L = &st.mu
 	if into != nil {
 		if err := into.attach(st); err != nil {
 			return nil, err
@@ -82,7 +83,7 @@ func (rt *Runtime) subscribe(into *source, key string, plan *Plan, cfg StmtConfi
 // watermark.
 func (s *source) setEngine(eng *Engine) {
 	eng.SetForceVertexScan(s.force)
-	eng.sink = s.fanout
+	eng.sink = func(group string, wid int64, pl *aggregate.Payload) { s.fanout(s.subs, group, wid, pl) }
 	if s.rt.watermark >= 0 {
 		eng.setWatermark(s.rt.watermark)
 	}
@@ -123,12 +124,15 @@ func (s *source) unite() error {
 	return nil
 }
 
-// fanout delivers one window result to every subscriber, a union's with
-// the subscriber's own RETURN values extracted from the shared payload.
-func (s *source) fanout(r Result) {
-	for _, sub := range s.subs {
+// fanout builds one window's Result and delivers it to subs — all of the
+// source's when a window closes (the engine's sink), the leaving one
+// under peekFlush — a union's with each subscriber's own RETURN values
+// extracted from the shared payload.
+func (s *source) fanout(subs []*Stmt, group string, wid int64, pl *aggregate.Payload) {
+	r := s.eng.result(group, wid, pl)
+	for _, sub := range subs {
 		if s.union {
-			r.Values = s.eng.plan.Def().Values(r.Payload, sub.outs)
+			r.Values = s.eng.plan.Def().Values(pl, sub.outs)
 		}
 		sub.deliver(r)
 	}
@@ -138,13 +142,10 @@ func (s *source) fanout(r Result) {
 // consuming the graph: every open window's final payload is peeked
 // (cloned), merged per group exactly as a window close would, and
 // delivered to st alone. The remaining subscribers later receive the
-// same windows — grown by the events in between — through fanout.
+// same windows — grown by the events in between — through the sink.
 func (s *source) peekFlush(st *Stmt) {
-	s.eng.peekFlushInto(func(group string, wid int64, pl *aggregate.Payload) {
-		r := s.eng.result(group, wid, pl)
-		r.Values = s.eng.plan.Def().Values(pl, st.outs)
-		st.deliver(r)
-	})
+	one := []*Stmt{st}
+	s.eng.peekFlushInto(func(group string, wid int64, pl *aggregate.Payload) { s.fanout(one, group, wid, pl) })
 }
 
 // retire ends the source: one destructive flush through the fan-out,

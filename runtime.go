@@ -4,7 +4,6 @@ import (
 	"context"
 	"iter"
 	"net"
-	"sync"
 
 	"github.com/greta-cep/greta/internal/core"
 )
@@ -144,11 +143,11 @@ func WithSharing(on bool) RegisterOption {
 }
 
 // WithoutRetention registers the statement in drop-on-delivery mode:
-// neither the engine nor the Handle retains emitted results, bounding
-// memory on unbounded streams whose consumers use the OnResult
-// callback or a live Results iterator. Stats().Results still counts
-// every emission; Results iterators yield only results emitted while
-// they are being consumed (no replay).
+// emitted results are not retained, bounding memory on unbounded
+// streams whose consumers use the OnResult callback or a live Results
+// iterator. Stats().Results still counts every emission; Results
+// iterators yield only results emitted while they are being consumed
+// (no replay).
 func WithoutRetention() RegisterOption {
 	return func(c *core.StmtConfig) { c.NoRetain = true }
 }
@@ -169,11 +168,7 @@ func (rt *Runtime) Register(stmt *Statement, opts ...RegisterOption) (*Handle, e
 	if err != nil {
 		return nil, err
 	}
-	h := &Handle{st: st, stmt: stmt, noBuf: cfg.NoRetain}
-	h.cond = sync.NewCond(&h.mu)
-	st.OnResult(h.deliver)
-	st.OnClose(h.markDone)
-	return h, nil
+	return &Handle{st: st, stmt: stmt}, nil
 }
 
 // Process offers one event to every registered statement. Events must
@@ -280,85 +275,12 @@ func (rt *Runtime) Close() error {
 
 // Handle is one registered statement's lifecycle and result surface:
 // close it to detach the statement mid-stream, consume results with
-// the OnResult callback or the streaming Results iterator.
+// the OnResult callback or the streaming Results iterator. It holds no
+// results itself: OnResult, Results and Delivered are views of the
+// statement's one delivery record, safe while results are delivered.
 type Handle struct {
 	st   *core.Stmt
 	stmt *Statement
-
-	mu   sync.Mutex
-	cond *sync.Cond
-	buf  []Result
-	// noBuf (WithoutRetention) drops results after delivery instead of
-	// buffering them; live holds the tails of currently subscribed
-	// Results iterators, which still receive what is emitted while they
-	// run.
-	noBuf bool
-	live  []*liveTail
-	done  bool
-	cb    func(Result)
-}
-
-// liveTail is one WithoutRetention iterator's pending-result queue: a
-// bounded ring over a slice (head index, amortized O(1) pop). When the
-// consumer lags more than liveTailMax results behind, the oldest
-// pending ones are dropped — the mode's contract is bounded memory,
-// and a tail that outgrew its consumer would void it.
-type liveTail struct {
-	rs   []Result
-	head int
-}
-
-// liveTailMax bounds each live iterator's pending results.
-const liveTailMax = 4096
-
-// push appends under the bound, compacting the consumed prefix.
-func (t *liveTail) push(r Result) {
-	if len(t.rs)-t.head >= liveTailMax {
-		t.head++ // lagging consumer: drop the oldest pending result
-	}
-	if t.head > 0 && (t.head == len(t.rs) || t.head >= liveTailMax) {
-		n := copy(t.rs, t.rs[t.head:])
-		t.rs = t.rs[:n]
-		t.head = 0
-	}
-	t.rs = append(t.rs, r)
-}
-
-// pop removes and returns the oldest pending result.
-func (t *liveTail) pop() Result {
-	r := t.rs[t.head]
-	t.rs[t.head] = Result{}
-	t.head++
-	return r
-}
-
-func (t *liveTail) empty() bool { return t.head >= len(t.rs) }
-
-// deliver is the statement's result sink: it records the result for
-// the Results iterators (or feeds the live iterator tails in
-// drop-on-delivery mode), then invokes the user callback.
-func (h *Handle) deliver(r Result) {
-	h.mu.Lock()
-	if !h.noBuf {
-		h.buf = append(h.buf, r)
-	}
-	for _, q := range h.live {
-		q.push(r)
-	}
-	cb := h.cb
-	h.cond.Broadcast()
-	h.mu.Unlock()
-	if cb != nil {
-		cb(r)
-	}
-}
-
-// markDone ends the result stream (statement closed and flushed).
-func (h *Handle) markDone() {
-	h.mu.Lock()
-	h.done = true
-	h.cond.Broadcast()
-	h.mu.Unlock()
 }
 
 // ID returns the statement's identifier ("q<n>" unless WithID chose
@@ -371,12 +293,9 @@ func (h *Handle) Query() string { return h.stmt.Query() }
 // OnResult registers a callback invoked for every emitted result, as
 // soon as its window closes. The callback runs on the ingest path
 // (or an internal goroutine under RunParallel) and must not call back
-// into the Runtime or Handle.
-func (h *Handle) OnResult(f func(Result)) {
-	h.mu.Lock()
-	h.cb = f
-	h.mu.Unlock()
-}
+// into the Runtime or Handle. A result goes to the callback installed
+// when it is delivered; nil clears it.
+func (h *Handle) OnResult(f func(Result)) { h.st.OnResult(f) }
 
 // Results streams the statement's results as windows close. The
 // iterator yields every result emitted so far and then blocks until
@@ -384,89 +303,22 @@ func (h *Handle) OnResult(f func(Result)) {
 // consume it from its own goroutine while the stream is being fed, or
 // after Close to drain everything. Multiple iterators each see the
 // full result sequence: results are retained for the statement's
-// lifetime, so close statements you are
-// done with on unbounded streams — or register them WithoutRetention,
-// in which case nothing is replayed or retained: the iterator receives
-// the results emitted from the moment Results is called (the
-// subscription starts at the call, so grab the iterator before feeding
-// the events it should observe), each result is dropped once consumed,
-// and a consumer lagging more than a few thousand results behind loses
-// the oldest pending ones (the pending tail is bounded).
-func (h *Handle) Results() iter.Seq[Result] {
-	h.mu.Lock()
-	var q *liveTail
-	if h.noBuf {
-		q = h.subscribeLocked()
-	}
-	h.mu.Unlock()
-	return func(yield func(Result) bool) {
-		if q != nil {
-			defer h.unsubscribe(q)
-			for {
-				h.mu.Lock()
-				for q.empty() && !h.done {
-					h.cond.Wait()
-				}
-				if q.empty() {
-					h.mu.Unlock()
-					return
-				}
-				r := q.pop()
-				h.mu.Unlock()
-				if !yield(r) {
-					return
-				}
-			}
-		}
-		idx := 0
-		for {
-			h.mu.Lock()
-			for idx >= len(h.buf) && !h.done {
-				h.cond.Wait()
-			}
-			if idx >= len(h.buf) {
-				h.mu.Unlock()
-				return
-			}
-			r := h.buf[idx]
-			idx++
-			h.mu.Unlock()
-			if !yield(r) {
-				return
-			}
-		}
-	}
-}
-
-// subscribeLocked registers a live iterator tail; h.mu held.
-func (h *Handle) subscribeLocked() *liveTail {
-	q := &liveTail{}
-	h.live = append(h.live, q)
-	return q
-}
-
-// unsubscribe detaches a live iterator tail.
-func (h *Handle) unsubscribe(q *liveTail) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i, x := range h.live {
-		if x == q {
-			h.live = append(h.live[:i], h.live[i+1:]...)
-			return
-		}
-	}
-}
+// lifetime, so close statements you are done with on unbounded streams —
+// or register them WithoutRetention, in which case nothing is replayed:
+// the iterator receives the results emitted from the moment Results is
+// called (the subscription starts at the call, so grab the iterator
+// before feeding the events it should observe), the statement holds the
+// last few thousand results while an iterator is live and nothing once
+// the last one has returned, and a consumer lagging further behind than
+// that loses the oldest.
+func (h *Handle) Results() iter.Seq[Result] { return h.st.Stream() }
 
 // Delivered snapshots the results delivered so far, in emission order,
 // without blocking (Results streams and waits for more). Statements
 // registered WithoutRetention return nil — nothing is retained to
 // snapshot. netstream uses it to re-deliver a session's retained
 // results when a resuming client has fallen behind the replay window.
-func (h *Handle) Delivered() []Result {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]Result(nil), h.buf...)
-}
+func (h *Handle) Delivered() []Result { return h.st.Delivered() }
 
 // Stats returns the statement's runtime statistics. Call it between
 // Process calls or after Close; it reads live engine state. For a
