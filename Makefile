@@ -13,8 +13,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# alloc-guard runs the zero-allocation hot-path guards — the engine's,
-# the wire's (resumable Client.Send 0 allocs, server event-line parse +
+# alloc-guard runs the zero-allocation hot-path guards — the engine's
+# (a window close allocates one object per result it emits), the
+# wire's (resumable Client.Send 0 allocs, server event-line parse +
 # dispatch <= 3, a batch frame 0 to encode and <= 5 to parse + apply
 # whatever its rows, a full resend ring no dearer than an empty one),
 # the coordinator's (Process 0 allocs an event, flushes included) and

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 
 	"github.com/greta-cep/greta/internal/aggregate"
@@ -51,6 +52,66 @@ func TestNoHotPathAllocs(t *testing.T) {
 	t.Run("reorder-slack", testNoHotPathAllocsReorder)
 	t.Run("batch-ingest", testNoHotPathAllocsBatchIngest)
 	t.Run("batch-prefilter", testNoHotPathAllocsBatchPrefilter)
+	t.Run("window-close", testNoHotPathAllocsWindowClose)
+}
+
+// testNoHotPathAllocsWindowClose guards the window close: over warm pools,
+// a steady-state close of a window with more groups than a map on the
+// stack holds (8) allocates no more objects than the Results it emits —
+// one Values slice each. The sweep's scratch (group maps per window, the
+// wid and name slices) lives on the engine and is reused close to close.
+func testNoHotPathAllocsWindowClose(t *testing.T) {
+	const groups, perGroup = 12, 5
+	src := "RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ " +
+		"WHERE [company] AND S.price > NEXT(S).price GROUP-BY company WITHIN 10 SLIDE 10"
+	plan, err := NewPlan(query.MustParse(src), aggregate.ModeNative)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRuntime()
+	st, err := rt.Register(plan, StmtConfig{NoRetain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	companies := make([]string, groups)
+	for i := range companies {
+		companies[i] = fmt.Sprintf("c%02d", i)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ms runtime.MemStats
+	var allocs, results uint64
+	id := uint64(0)
+	for w := 0; w < 30; w++ {
+		// Window w's events; the first one closes window w-1.
+		evs := make([]*event.Event, groups*perGroup)
+		for i := range evs {
+			id++
+			evs[i] = allocStockEvent(id, event.Time(w*10+i*10/len(evs)), companies[i%groups], float64(1000-id%7))
+		}
+		before := st.Stats().Results
+		runtime.ReadMemStats(&ms)
+		mallocs := ms.Mallocs
+		if err := rt.Process(evs[0]); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		if w >= 10 { // warm: pools charged, the sweep's scratch grown
+			allocs += ms.Mallocs - mallocs
+			results += uint64(st.Stats().Results - before)
+		}
+		for _, ev := range evs[1:] {
+			if err := rt.Process(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Guard against the guard: every close must have emitted every group.
+	if results != 20*groups {
+		t.Fatalf("20 closes emitted %d results, want %d", results, 20*groups)
+	}
+	if allocs > results {
+		t.Fatalf("20 steady-state closes allocated %d objects for %d results, want at most one per result", allocs, results)
+	}
 }
 
 // TestSnapshotEncodeAllocs: encoding appends to one slice, so what a

@@ -22,7 +22,6 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -618,22 +617,19 @@ func (g *Graph) walkTree(c *ckWalk, state int, augmented bool, tr **vtree) {
 	*tr = t
 }
 
-// sortedKeys refills dst with m's keys in ascending order.
-func sortedKeys[K cmp.Ordered, V any](dst []K, m map[K]V) []K {
-	dst = dst[:0]
-	for k := range m {
-		dst = append(dst, k)
-	}
-	slices.Sort(dst)
-	return dst
-}
-
-// widCount walks the entry count of a wid-keyed map, whose entries
-// follow in ascending wid order (elemSize bounds one from below, key
-// included); wid walks the i'th entry's key.
-func widCount[V any](c *ckWalk, m *map[int64]V, elemSize int) int {
+// widCount walks the entry count of a wid-keyed map, whose entries —
+// those keep accepts, all when keep is nil — follow in ascending wid
+// order (elemSize bounds one from below, key included); wid walks the
+// i'th entry's key.
+func widCount[V any](c *ckWalk, m *map[int64]V, elemSize int, keep func(V) bool) int {
 	if c.Encoding() {
-		c.wids = sortedKeys(c.wids, *m)
+		c.wids = c.wids[:0]
+		for wid, v := range *m {
+			if keep == nil || keep(v) {
+				c.wids = append(c.wids, wid)
+			}
+		}
+		slices.Sort(c.wids)
 	}
 	n := c.Len(len(c.wids), elemSize)
 	if c.Decoding() && n > 0 && *m == nil {
@@ -652,7 +648,7 @@ func (c *ckWalk) wid(i int) (wid int64) {
 
 // walkWidTimes walks an invalidation watermark per window.
 func walkWidTimes(c *ckWalk, m *map[int64]int64) {
-	for i, n := 0, widCount(c, m, 16); i < n; i++ {
+	for i, n := 0, widCount(c, m, 16, nil); i < n; i++ {
 		wid := c.wid(i)
 		t := (*m)[wid]
 		if c.I64(&t); c.Decoding() {
@@ -675,18 +671,22 @@ func (g *Graph) walk(c *ckWalk) {
 	c.U64(&g.lastEventID)
 	c.U64(&g.wmVer)
 
-	for i, n := 0, widCount(c, &g.results, 9); i < n; i++ {
+	// finals is written as two sections: the windows with an incremental
+	// final and each one's payload, then every window with an END vertex.
+	hasFinal := func(p *aggregate.Payload) bool { return p != nil }
+	for i, n := 0, widCount(c, &g.finals, 9, hasFinal); i < n; i++ {
 		wid := c.wid(i)
 		if c.Decoding() {
-			g.results[wid] = g.cs.pool.Get()
+			g.finals[wid] = g.cs.pool.Get()
 		}
-		if p := g.results[wid]; p != nil {
+		if p := g.finals[wid]; p != nil { // nil once a decode failed
 			walkPayload(&c.Walker, p, true)
 		}
 	}
-	for i, n := 0, widCount(c, &g.endWids, 8); i < n; i++ {
-		if wid := c.wid(i); c.Decoding() {
-			g.endWids[wid] = true
+	for i, n := 0, widCount(c, &g.finals, 8, nil); i < n; i++ {
+		wid := c.wid(i)
+		if _, ok := g.finals[wid]; c.Decoding() && !ok {
+			g.finals[wid] = nil
 		}
 	}
 
@@ -715,7 +715,7 @@ func (g *Graph) walk(c *ckWalk) {
 	np := c.Len(len(g.panes), 12)
 	for i := 0; i < np && c.Err() == nil; i++ {
 		if c.Decoding() {
-			g.panes = append(g.panes, &pane{trees: map[int]*vtree{}})
+			g.panes = append(g.panes, &pane{trees: make([]*vtree, len(g.spec.Tmpl.States))})
 		}
 		pn := g.panes[i]
 		if c.I64(&pn.idx); c.Decoding() {
@@ -726,7 +726,12 @@ func (g *Graph) walk(c *ckWalk) {
 			pn.start, pn.end = pn.idx*g.paneSize, (pn.idx+1)*g.paneSize
 		}
 		if c.Encoding() {
-			c.states = sortedKeys(c.states, pn.trees)
+			c.states = c.states[:0]
+			for state, tr := range pn.trees {
+				if tr != nil {
+					c.states = append(c.states, state)
+				}
+			}
 		}
 		nt := c.Len(len(c.states), 6)
 		for j := 0; j < nt && c.Err() == nil; j++ {
@@ -825,7 +830,7 @@ func (e *Engine) walk(c *ckWalk, count *int, results *[]Result) {
 	}
 	// Branches, then products (a composite plan has at least one), each
 	// run behind its count. The merger has no section: it is empty
-	// whenever a snapshot can be taken (Engine.release).
+	// whenever a snapshot can be taken (Engine.closeUpTo).
 	walkPlanned(&c.Walker, e.branches, "branches")
 	for slot, se := range e.subs {
 		if slot == e.branches {

@@ -56,11 +56,9 @@
 //     count when it was opened and skipping past what was dropped, and
 //     the last cursor to return takes the tail with it (TestStmtRecord).
 //   - One way to end. Stmt.finish: a statement leaving while its source
-//     serves others emits its open windows from a peek
-//     (Engine.peekFlushInto → Graph.PeekWindow: cloned incremental
-//     finals; no FoldAll, no window consumption, no peak sampling — the
-//     graph is bit-for-bit undisturbed for the others) and freezes its
-//     stats; the last subscriber, or all of them at once under
+//     serves others emits its open windows from a peek (the window sweep
+//     below; the graph is bit-for-bit undisturbed for the others) and
+//     freezes its stats; the last subscriber, or all of them at once under
 //     Runtime.Close, retires the source: one destructive flush through
 //     the fan-out, the source leaves its route group, an emptied group
 //     leaves rt.groups, the key forgets the source. Then closed is set
@@ -94,11 +92,36 @@
 //     and the cluster coordinator (slots are workers over disjoint
 //     partitions, fold is Def.Merge in slot order) and a composite Engine
 //     (slots are its branch then product engines, fold is
-//     Engine.compose). Every entry that moves a composite's clock ends in
-//     Engine.release, so its merger is empty whenever control returns to
-//     the caller — which is why the checkpoint has no merger section.
-//     Every statement delivers in ascending (wid, group) order as windows
-//     close; Results() is (group, wid)-sorted once closed.
+//     Engine.compose). Every statement delivers in ascending (wid, group)
+//     order as windows close; Results() is (group, wid)-sorted once closed.
+//   - One window clock. Engine.closeUpTo(t) is the only place either plan
+//     kind closes windows: Process and every batch row reach it through
+//     admit (a pre-filtered skip span once, at its tail), AdvanceTo is
+//     "if t > prevTime, closeUpTo(t)". A simple plan
+//     sweeps its partitions; a composite advances its sub-engines to t —
+//     they file their closed windows' partials into the merger — and acks
+//     the closed windows on every slot, so its merger is empty whenever
+//     control returns to the caller, which is why the checkpoint has no
+//     merger section.
+//   - One window sweep. Engine.sweep is the only routine that walks the
+//     partitions to close (closeUpTo), flush (Flush) or peek (a subscriber
+//     leaving a shared graph). One pass, partitions in creation order; per
+//     partition it samples the footprint into the engine-level peaks
+//     (close, flush), folds every pending invalidation (flush), takes
+//     graph 0's windows up to the bound in ascending wid order through
+//     Graph.take — consumed, or for a peek a clone of the incremental
+//     final, no window consumed and nothing folded — and advances every
+//     graph to t (close). The windows taken are the keys of the graph's
+//     finals map, so a time gap costs the windows that hold a final, not
+//     one walk per window it spans. A window's payloads merge per group in
+//     partition order, the first one taken being the merge target and the
+//     rest going back to the pool: the order every earlier close merged
+//     in, so native float sums keep their bits. Windows go to the sink
+//     ascending, groups sorted within each. The scratch — a wid → group →
+//     payload map, spare group maps, a wid and a name slice — lives on the
+//     Engine and is reused close to close, because a close that built it
+//     afresh allocated per window and per group on the path every window
+//     takes (TestNoHotPathAllocs/window-close; ROADMAP item 2(a)).
 //   - One partitioned-execution core. RunParallel's workers are
 //     in-process ShardHosts, the worker slot a cluster shard session
 //     hosts; its parallel units are the sources of partitioned simple

@@ -95,16 +95,13 @@ func (g *Graph) dotEdges(b *strings.Builder, prefix string) {
 // forEachVertex visits all stored vertices in (pane, state, key) order.
 func (g *Graph) forEachVertex(visit func(*Vertex)) {
 	for _, pn := range g.panes {
-		states := make([]int, 0, len(pn.trees))
-		for s := range pn.trees {
-			states = append(states, s)
-		}
-		slices.Sort(states)
-		for _, s := range states {
-			pn.trees[s].Ascend(func(it btree.Item[*Vertex]) bool {
-				visit(it.Val)
-				return true
-			})
+		for _, tree := range pn.trees {
+			if tree != nil {
+				tree.Ascend(func(it btree.Item[*Vertex]) bool {
+					visit(it.Val)
+					return true
+				})
+			}
 		}
 	}
 }

@@ -122,12 +122,20 @@ type Engine struct {
 	// emitted counts emissions independently of retention.
 	emitted int
 
+	// sweep's scratch, reused from close to close: the payloads taken so
+	// far per window and output group, spare group maps, and a wid and a
+	// name slice.
+	swWins  map[int64]map[string]*aggregate.Payload
+	swSpare []map[string]*aggregate.Payload
+	swWids  []int64
+	swNames []string
+
 	stats Stats
 }
 
 // NewEngine builds an engine for plan.
 func NewEngine(plan *Plan) *Engine {
-	e := &Engine{plan: plan, prevTime: -1}
+	e := &Engine{plan: plan, prevTime: -1, swWins: map[int64]map[string]*aggregate.Payload{}}
 	e.partAttrs = append(append([]string{}, plan.GroupBy...), plan.Query.Equivalence...)
 	e.parts = newPartTable(e.partAttrs, e.wirePartition)
 	if !plan.Simple() {
@@ -194,22 +202,17 @@ func (e *Engine) wirePartition(p *partition) {
 // delegated to upstream mechanisms); a late event would corrupt
 // already-propagated aggregates, so it is counted and dropped.
 func (e *Engine) Process(ev *event.Event) {
+	if !e.admit(ev) {
+		return
+	}
 	if !e.plan.Simple() {
-		if ev.Time < e.prevTime {
-			e.stats.OutOfOrder++
-			return
-		}
-		e.stats.Events++
 		for _, se := range e.subs {
 			se.Process(ev)
 		}
-		e.release(ev.Time)
 		return
 	}
-	if e.admit(ev) {
-		k := e.parts.read(ev)
-		e.applyRow(ev, e.parts.get(k.hash(), k))
-	}
+	k := e.parts.read(ev)
+	e.applyRow(ev, e.parts.get(k.hash(), k))
 }
 
 // ProcessRouted is Process with the partition-routing hash already
@@ -244,114 +247,123 @@ func (e *Engine) applyRow(ev *event.Event, p *partition) {
 	}
 }
 
-// closeUpTo closes windows that ended before t, across all partitions,
-// merging partition payloads per output group.
+// closeUpTo is the engine's one clock step: the windows that ended by t
+// close. A simple plan sweeps its partitions. A composite moves its
+// sub-engines' clocks — each files its closed windows' partials into the
+// merger — then acknowledges those windows on every slot, so the merger
+// composes and emits them; all slots share this one clock, which is why
+// the merger is empty whenever control returns to the caller.
 func (e *Engine) closeUpTo(t event.Time) {
-	if lo, hi, ok := e.plan.Window.ClosedBy(e.prevTime, t); ok {
-		// Window boundaries are the natural sampling points for the
-		// engine-level memory peak: state is maximal just before expiry.
-		e.samplePeaks()
-		for wid := lo; wid <= hi; wid++ {
-			e.closeWindow(wid)
+	_, hi, ok := e.plan.Window.ClosedBy(e.prevTime, t)
+	for _, se := range e.subs {
+		se.AdvanceTo(t)
+	}
+	switch {
+	case !ok:
+	case e.plan.Simple():
+		e.sweep(sweepClose, hi, t, e.emit)
+	default:
+		e.ackAll(hi)
+	}
+	e.prevTime = t
+}
+
+// sweepKind is what one pass over the partitions does to them.
+type sweepKind uint8
+
+const (
+	sweepClose sweepKind = iota // the windows up to hi ended at t
+	sweepFlush                  // the stream ended
+	sweepPeek                   // a subscriber leaves; the graph stays as it is
+)
+
+// sweep is the one pass over the partitions, in creation order, that
+// closes, flushes or peeks windows up to hi. For each partition it
+//
+//  1. samples the footprint (close, flush): the engine-level concurrent
+//     peak — summing per-graph peaks would overstate it, since partitions
+//     peak at different times, and state is largest just before expiry;
+//  2. folds every pending invalidation (flush);
+//  3. takes graph 0's windows up to hi in ascending wid order — consumed,
+//     or cloned by a peek;
+//  4. advances every graph to t, expiring its panes (close).
+//
+// The payloads of one (window, group) merge in partition order into the
+// first one taken, and the rest go back to the pool. Then sink receives
+// the windows in ascending order, groups sorted within each.
+func (e *Engine) sweep(kind sweepKind, hi int64, t event.Time, sink func(group string, wid int64, payload *aggregate.Payload)) {
+	def := e.plan.Def()
+	var verts, pays uint64
+	for _, p := range e.parts.all() {
+		for _, g := range p.graphs {
+			if kind != sweepPeek {
+				verts += g.stats.Vertices
+				pays += g.stats.Payloads
+			}
+			if kind == sweepFlush {
+				g.FoldAll()
+			}
 		}
-		// Let idle partitions reclaim expired panes.
-		for _, p := range e.parts.all() {
+		root := p.graphs[0]
+		wids := e.swWids[:0]
+		for wid := range root.finals {
+			if wid <= hi {
+				wids = append(wids, wid)
+			}
+		}
+		slices.Sort(wids)
+		for _, wid := range wids {
+			pl := root.take(wid, kind == sweepPeek)
+			if pl == nil {
+				continue
+			}
+			groups := e.swWins[wid]
+			if groups == nil {
+				if n := len(e.swSpare); n > 0 {
+					groups, e.swSpare = e.swSpare[n-1], e.swSpare[:n-1]
+				} else {
+					groups = map[string]*aggregate.Payload{}
+				}
+				e.swWins[wid] = groups
+			}
+			if cur := groups[p.group]; cur == nil {
+				groups[p.group] = pl
+			} else {
+				def.Merge(cur, pl)
+				root.cs.pool.Put(pl)
+			}
+		}
+		e.swWids = wids
+		if kind == sweepClose {
 			for _, g := range p.graphs {
 				g.Advance(t)
 			}
 		}
 	}
-	e.prevTime = t
-}
+	e.stats.PeakVertices = max(e.stats.PeakVertices, verts)
+	e.stats.PeakPayloads = max(e.stats.PeakPayloads, pays)
 
-// samplePeaks updates the engine-level concurrent peak of stored
-// vertices and payloads. Summing per-graph peaks would overstate the
-// true peak (partitions peak at different times), so the engine samples
-// the actual concurrent totals at window boundaries.
-func (e *Engine) samplePeaks() {
-	var verts, pays uint64
-	for _, p := range e.parts.all() {
-		for _, g := range p.graphs {
-			verts += g.stats.Vertices
-			pays += g.stats.Payloads
-		}
-	}
-	if verts > e.stats.PeakVertices {
-		e.stats.PeakVertices = verts
-	}
-	if pays > e.stats.PeakPayloads {
-		e.stats.PeakPayloads = pays
-	}
-}
-
-// closeWindow collects window wid from every partition, merges per
-// output group, and emits.
-func (e *Engine) closeWindow(wid int64) {
-	e.mergeWindow(wid, (*Graph).CollectWindow, true, e.emit)
-}
-
-// mergeWindow takes window wid's payload from every partition, merges
-// the payloads per output group and hands each group's to sink, groups
-// in sorted order. The first payload taken for a group becomes the
-// merge target directly (no clone), so take must yield payloads the
-// caller owns: CollectWindow transfers ownership — release then returns
-// the merged-away ones to their pool — and PeekWindow clones.
-func (e *Engine) mergeWindow(wid int64, take func(*Graph, int64) *aggregate.Payload, release bool,
-	sink func(group string, wid int64, payload *aggregate.Payload)) {
-	def := e.plan.Def()
-	merged := map[string]*aggregate.Payload{}
-	for _, p := range e.parts.all() {
-		pl := take(p.graphs[0], wid)
-		if pl == nil {
-			continue
-		}
-		if cur := merged[p.group]; cur == nil {
-			merged[p.group] = pl
-		} else {
-			def.Merge(cur, pl)
-			if release {
-				p.graphs[0].Release(pl)
-			}
-		}
-	}
-	groups := make([]string, 0, len(merged))
-	for g := range merged {
-		groups = append(groups, g)
-	}
-	slices.Sort(groups)
-	for _, g := range groups {
-		sink(g, wid, merged[g])
-	}
-}
-
-// openWids returns the ids of the windows open in any partition,
-// ascending.
-func (e *Engine) openWids() []int64 {
-	widSet := map[int64]bool{}
-	for _, p := range e.parts.all() {
-		for _, wid := range p.graphs[0].OpenWids() {
-			widSet[wid] = true
-		}
-	}
-	wids := make([]int64, 0, len(widSet))
-	for wid := range widSet {
+	wids := e.swWids[:0]
+	for wid := range e.swWins {
 		wids = append(wids, wid)
 	}
 	slices.Sort(wids)
-	return wids
-}
-
-// release ends every composite entry that moves the clock: the
-// sub-engines have closed the windows that ended by t and filed their
-// partials, so each slot acknowledges the highest of them and the merger
-// composes and emits those windows. All slots share this one clock,
-// which is why the merger is empty whenever control returns to the
-// caller.
-func (e *Engine) release(t event.Time) {
-	if _, hi, ok := e.plan.Window.ClosedBy(e.prevTime, t); ok {
-		e.ackAll(hi)
+	for _, wid := range wids {
+		groups := e.swWins[wid]
+		names := e.swNames[:0]
+		for name := range groups {
+			names = append(names, name)
+		}
+		slices.Sort(names)
+		for _, name := range names {
+			sink(name, wid, groups[name])
+		}
+		clear(groups)
+		e.swSpare = append(e.swSpare, groups)
+		e.swNames = names
 	}
-	e.prevTime = t
+	clear(e.swWins)
+	e.swWids = wids
 }
 
 // ackAll acknowledges windows up to hi on every slot of the merger.
@@ -406,17 +418,9 @@ func (e *Engine) setWatermark(t event.Time) {
 // workers run it on window barriers so partitions that received no
 // recent events still release their windows to the streaming merge.
 func (e *Engine) AdvanceTo(t event.Time) {
-	if t <= e.prevTime {
-		return
+	if t > e.prevTime {
+		e.closeUpTo(t)
 	}
-	if !e.plan.Simple() {
-		for _, se := range e.subs {
-			se.AdvanceTo(t)
-		}
-		e.release(t)
-		return
-	}
-	e.closeUpTo(t)
 }
 
 // Run consumes an entire stream and flushes.
@@ -429,42 +433,15 @@ func (e *Engine) Run(s event.Stream) {
 
 // Flush closes all open windows in all partitions.
 func (e *Engine) Flush() {
-	if !e.plan.Simple() {
-		for _, se := range e.subs {
-			se.Flush()
-		}
+	for _, se := range e.subs {
+		se.Flush()
+	}
+	if e.plan.Simple() {
+		e.sweep(sweepFlush, math.MaxInt64, 0, e.emit)
+	} else {
 		e.ackAll(math.MaxInt64)
-		sortResults(e.results)
-		return
-	}
-	e.samplePeaks()
-	for _, p := range e.parts.all() {
-		for _, g := range p.graphs {
-			g.FoldAll()
-		}
-	}
-	for _, wid := range e.openWids() {
-		e.closeWindow(wid)
 	}
 	sortResults(e.results)
-}
-
-// peekFlushInto visits every open window's final aggregate without
-// consuming engine state: window payloads are peeked (cloned) per
-// partition, merged per output group exactly as closeWindow would, and
-// handed to fan in (wid, group) order. A shared subscriber detaching
-// mid-stream flushes through it, so the surviving subscribers see the
-// graph — open windows, pane state, watermarks — completely untouched.
-// Only valid for simple dependency-free plans (the only ones the
-// shared network admits): those have no pending invalidation records
-// to fold and no lazy finals to compute, so the peek is exact.
-func (e *Engine) peekFlushInto(fan func(group string, wid int64, payload *aggregate.Payload)) {
-	if !e.plan.Simple() {
-		return
-	}
-	for _, wid := range e.openWids() {
-		e.mergeWindow(wid, (*Graph).PeekWindow, false, fan)
-	}
 }
 
 // Results returns all emitted results sorted by (group, wid).
@@ -521,7 +498,7 @@ func (e *Engine) Stats() Stats {
 	// (Stmt.FoldRemoteStats) — each partition lives on exactly one
 	// slot, so the sum is the true total.
 	s.Partitions = e.stats.Partitions + len(e.parts.all())
-	// Engine-level peaks are sampled at window boundaries (samplePeaks);
+	// Engine-level peaks are sampled at window boundaries (sweep);
 	// fold in the current totals so an engine that never closed a window
 	// still reports its live state.
 	var verts, pays uint64

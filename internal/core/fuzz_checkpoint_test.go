@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -206,6 +207,26 @@ func TestRestoreCorruptErrors(t *testing.T) {
 			}
 		})
 	}
+	// A decode that fails midway must stop touching state it did not
+	// build: seeded truncations and bit flips of every fuzz shape's bodies
+	// restore or fail, never panic.
+	t.Run("seeded-mutations", func(t *testing.T) {
+		var bodies [][]byte
+		for shape := range fuzzShapes {
+			snaps := fuzzBuild(t, shape, 1, 120, 16)
+			bodies = append(bodies, snaps[0].data, snaps[len(snaps)-1].data)
+		}
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 2000; i++ {
+			b := slices.Clone(bodies[rng.Intn(len(bodies))])
+			if rng.Intn(3) == 0 {
+				b = b[:rng.Intn(len(b))]
+			} else {
+				b[rng.Intn(len(b))] ^= 1 << rng.Intn(8)
+			}
+			_, _, _ = RestoreRuntime(b) // restored or refused are both fine; a panic fails the test
+		}
+	})
 }
 
 // TestRestorePlanMismatch: a Vertex Tree item carries the key the

@@ -36,7 +36,7 @@ type Vertex struct {
 type pane struct {
 	idx        int64
 	start, end event.Time
-	trees      map[int]*vtree
+	trees      []*vtree // per template state; nil until the state's first vertex
 	vertices   int
 }
 
@@ -105,7 +105,7 @@ func (d *depLink) putStarts(s []int64) {
 }
 
 // GraphStats tracks runtime costs for the evaluation harness. Peaks
-// are tracked at the engine level (Engine.samplePeaks), not per graph:
+// are tracked at the engine level (Engine.sweep), not per graph:
 // per-graph peaks occur at different times, so their sum overstates
 // the concurrent footprint.
 type GraphStats struct {
@@ -143,18 +143,15 @@ type Graph struct {
 
 	panes []*pane
 
-	// results accumulates final aggregates per window incrementally
-	// (Theorem 4.3(2)); graphs with a Case-2 dependency compute finals
-	// lazily at window close instead (see closeWindow). Created on first
-	// END vertex: most graphs of a heavily partitioned stream never see
-	// one between window closes, so creation is deferred off the
-	// partition-creation path.
-	results   map[int64]*aggregate.Payload
+	// finals has a key for each open window that received an END vertex.
+	// Its value is the window's final aggregate, accumulated incrementally
+	// (Theorem 4.3(2)) — or nil in a graph with a Case-2 dependency, which
+	// computes its finals lazily when the window is taken (lazyResult).
+	// Created on the first END vertex: most graphs of a heavily
+	// partitioned stream never see one between window closes, so creation
+	// is deferred off the partition-creation path.
+	finals    map[int64]*aggregate.Payload
 	lazyFinal bool
-	// endWids records windows that received at least one END vertex, so
-	// lazy finalization knows which windows may have results. Lazily
-	// created like results.
-	endWids map[int64]bool
 
 	deps       []*depLink // dependencies where this graph is the parent
 	parentLink *depLink   // for negative graphs: the parent's depLink
@@ -258,7 +255,7 @@ type compiledSpec struct {
 
 	// cur is the graph currently operating on this spec's trees and
 	// pools, published by the graph entry points (Process, Advance,
-	// FoldAll, CollectWindow) so the shared vertexAug can read the
+	// FoldAll, take) so the shared vertexAug can read the
 	// graph's invalidation watermarks and charge its payload stats.
 	// Single-owner like the pools: within one engine, graphs of one spec
 	// run sequentially (see the sharing argument above).
@@ -552,12 +549,6 @@ func (g *Graph) putVertex(v *Vertex) {
 	g.cs.vfree = append(g.cs.vfree, v)
 }
 
-// Release returns a payload obtained from CollectWindow to the graph's
-// pool once the engine has folded it into the merged result.
-func (g *Graph) Release(p *aggregate.Payload) {
-	g.cs.pool.Put(p)
-}
-
 // addDep wires the negative child graph (spec index childIdx) into the
 // parent. The link's immutable classification comes from the shared
 // linkProto; only the per-partition watermark state is allocated here.
@@ -579,8 +570,8 @@ func (g *Graph) addDep(child *Graph, childIdx int) {
 }
 
 // Process offers one stream event to the graph. Events must arrive in
-// non-decreasing time order. Window results are collected by the
-// engine through CollectWindow; the graph only maintains state.
+// non-decreasing time order. Window results are taken by the engine's
+// sweep; the graph only maintains state.
 func (g *Graph) Process(e *event.Event) {
 	g.cs.cur = g
 	g.stats.Events++
@@ -753,22 +744,17 @@ func (g *Graph) onEndVertex(v *Vertex, lo, hi int64) {
 			continue
 		}
 		wid := lo + int64(i)
-		if g.endWids == nil {
-			g.endWids = map[int64]bool{}
+		if g.finals == nil {
+			g.finals = map[int64]*aggregate.Payload{}
 		}
-		g.endWids[wid] = true
-		if g.lazyFinal {
-			continue
-		}
-		r := g.results[wid]
-		if r == nil {
-			r = g.cs.pool.Get()
-			if g.results == nil {
-				g.results = map[int64]*aggregate.Payload{}
+		r := g.finals[wid]
+		if !g.lazyFinal {
+			if r == nil {
+				r = g.cs.pool.Get()
 			}
-			g.results[wid] = r
+			g.def.Merge(r, p)
 		}
-		g.def.Merge(r, p)
+		g.finals[wid] = r
 	}
 	_ = hi // window range is implicit in v.Aggs
 }
@@ -1158,7 +1144,7 @@ func (g *Graph) paneFor(t event.Time) *pane {
 			idx:   idx,
 			start: idx * g.paneSize,
 			end:   (idx + 1) * g.paneSize,
-			trees: map[int]*vtree{},
+			trees: make([]*vtree, len(g.spec.Tmpl.States)),
 		}
 	}
 	g.panes = append(g.panes, pn)
@@ -1177,8 +1163,10 @@ func (g *Graph) expire(t event.Time) {
 		if pn.end <= oldest {
 			g.stats.Vertices -= uint64(pn.vertices)
 			for _, tree := range pn.trees {
-				tree.Ascend(g.expireFn)
-				tree.Release()
+				if tree != nil {
+					tree.Ascend(g.expireFn)
+					tree.Release()
+				}
 			}
 			pn.vertices = 0
 			g.cs.pfree = append(g.cs.pfree, pn)
@@ -1202,55 +1190,28 @@ func (g *Graph) expireVisit(it vitem) bool {
 	return true
 }
 
-// CollectWindow computes, removes, and returns the final aggregate of
-// one window, or nil when the window holds no finished trends. The
-// engine calls it once per window when the stream time passes the
-// window's end (or at flush).
-func (g *Graph) CollectWindow(wid int64) *aggregate.Payload {
-	g.cs.cur = g
-	if g.spec.Negative || !g.endWids[wid] {
-		return nil
+// take returns the final aggregate of window wid, one of finals' keys,
+// or nil when the window holds no finished trend. It consumes the window
+// unless peek: a peek returns a clone of the incremental final and leaves
+// the graph as it was, so it is exact only without a Case-2 dependency.
+func (g *Graph) take(wid int64, peek bool) *aggregate.Payload {
+	r := g.finals[wid]
+	if peek {
+		if r == nil || r.Zero() {
+			return nil
+		}
+		return g.def.Clone(r)
 	}
-	delete(g.endWids, wid)
-	var r *aggregate.Payload
+	g.cs.cur = g
+	delete(g.finals, wid)
 	if g.lazyFinal {
 		r = g.lazyResult(wid)
-	} else {
-		r = g.results[wid]
-		delete(g.results, wid)
 	}
-	if r == nil || r.Zero() {
+	if r != nil && r.Zero() {
+		g.cs.pool.Put(r)
 		return nil
 	}
 	return r
-}
-
-// PeekWindow returns a clone of the window's final aggregate as
-// CollectWindow would compute it, without consuming any graph state —
-// the window stays open and later events keep extending it. Only valid
-// for graphs whose finals are maintained incrementally (no Case-2
-// dependency): the shared sub-plan network, its only caller, admits no
-// dependency links at all, so the incremental map is always current.
-// Returns nil when the window holds no finished trends.
-func (g *Graph) PeekWindow(wid int64) *aggregate.Payload {
-	if g.spec.Negative || g.lazyFinal || !g.endWids[wid] {
-		return nil
-	}
-	r := g.results[wid]
-	if r == nil || r.Zero() {
-		return nil
-	}
-	return g.def.Clone(r)
-}
-
-// OpenWids lists windows that still hold uncollected results.
-func (g *Graph) OpenWids() []int64 {
-	wids := make([]int64, 0, len(g.endWids))
-	for wid := range g.endWids {
-		wids = append(wids, wid)
-	}
-	slices.Sort(wids)
-	return wids
 }
 
 // Advance folds pending invalidations and expires panes as if an event
@@ -1278,7 +1239,7 @@ func (g *Graph) lazyResult(wid int64) *aggregate.Payload {
 			continue
 		}
 		for sIdx, tree := range pn.trees {
-			if !g.spec.Tmpl.States[sIdx].End {
+			if tree == nil || !g.spec.Tmpl.States[sIdx].End {
 				continue
 			}
 			tree.Ascend(func(it btree.Item[*Vertex]) bool {

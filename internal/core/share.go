@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"github.com/greta-cep/greta/internal/aggregate"
 	"github.com/greta-cep/greta/internal/event"
 	"github.com/greta-cep/greta/internal/share"
@@ -143,9 +145,12 @@ func (s *source) fanout(subs []*Stmt, group string, wid int64, pl *aggregate.Pay
 // (cloned), merged per group exactly as a window close would, and
 // delivered to st alone. The remaining subscribers later receive the
 // same windows — grown by the events in between — through the sink.
+// Only sources that take a second subscriber get here: simple,
+// dependency-free plans, which have no pending invalidation to fold and no
+// lazy final to compute, so the peek is exact.
 func (s *source) peekFlush(st *Stmt) {
 	one := []*Stmt{st}
-	s.eng.peekFlushInto(func(group string, wid int64, pl *aggregate.Payload) { s.fanout(one, group, wid, pl) })
+	s.eng.sweep(sweepPeek, math.MaxInt64, 0, func(group string, wid int64, pl *aggregate.Payload) { s.fanout(one, group, wid, pl) })
 }
 
 // retire ends the source: one destructive flush through the fan-out,

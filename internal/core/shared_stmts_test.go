@@ -269,12 +269,12 @@ func TestSharedStatementsMidStream(t *testing.T) {
 func TestRuntimeParallelManySignatures(t *testing.T) {
 	evs := diffStreamHalts(rand.New(rand.NewSource(6)), 8000, false, 40, 0)
 	queries := []string{
-		"RETURN COUNT(*) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5",                  // [company]
+		"RETURN COUNT(*) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5",                                // [company]
 		"RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price GROUP-BY company WITHIN 20 SLIDE 5", // [company company]
-		"RETURN COUNT(*) PATTERN Stock S+ WHERE [price] AND S.price >= NEXT(S).price WITHIN 20 SLIDE 5",                   // [price]
-		"RETURN COUNT(*) PATTERN Stock S+ WHERE [price] AND S.price >= NEXT(S).price GROUP-BY price WITHIN 20 SLIDE 5",    // [price price]
-		"RETURN COUNT(*) PATTERN Stock S+ WHERE [price] AND S.price >= NEXT(S).price GROUP-BY company WITHIN 20 SLIDE 5",  // [company price]
-		"RETURN MIN(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price GROUP-BY price WITHIN 20 SLIDE 5", // [price company]
+		"RETURN COUNT(*) PATTERN Stock S+ WHERE [price] AND S.price >= NEXT(S).price WITHIN 20 SLIDE 5",                                 // [price]
+		"RETURN COUNT(*) PATTERN Stock S+ WHERE [price] AND S.price >= NEXT(S).price GROUP-BY price WITHIN 20 SLIDE 5",                  // [price price]
+		"RETURN COUNT(*) PATTERN Stock S+ WHERE [price] AND S.price >= NEXT(S).price GROUP-BY company WITHIN 20 SLIDE 5",                // [company price]
+		"RETURN MIN(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price GROUP-BY price WITHIN 20 SLIDE 5",             // [price company]
 	}
 
 	seqRt := core.NewRuntime()
