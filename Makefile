@@ -16,8 +16,10 @@ race:
 # alloc-guard runs the zero-allocation hot-path guards — the engine's
 # (a window close allocates one object per result it emits), the
 # wire's (resumable Client.Send 0 allocs, server event-line parse +
-# dispatch <= 3, a batch frame 0 to encode and <= 5 to parse + apply
-# whatever its rows, a full resend ring no dearer than an empty one),
+# dispatch <= 0.1 an event amortized over the session's event slabs, a
+# batch frame 0 to encode and <= 5 to parse + apply whatever its rows,
+# a one-row shard frame <= 0.1, a full resend ring no dearer than an
+# empty one),
 # the coordinator's (Process 0 allocs an event, flushes included) and
 # the snapshot encoder's (an event table costs the same few objects
 # whatever its size, a payload blob one) — and the routing / pool / wire

@@ -384,22 +384,50 @@ func (sess *session) internLocked(val []byte) string {
 	return s
 }
 
+// slabEvents is the fewest events a slab the carver replaces holds.
+const slabEvents = 64
+
+// newEventLocked carves an event with nw numeric and sw string slots
+// off the session's slabs; rows counts the events the caller is about
+// to carve, this one included. A slab is replaced only when exhausted,
+// by one for max(rows, slabEvents) events, so a frame's rows cost about
+// three allocations however many there are, and a lone event about
+// 3/slabEvents. sess.mu held.
+func (sess *session) newEventLocked(nw, sw, rows int) *greta.Event {
+	ev := &carve(&sess.evSlab, 1, rows)[0]
+	ev.Num, ev.StrV = carve(&sess.numSlab, nw, rows), carve(&sess.strSlab, sw, rows)
+	return ev
+}
+
+// carve cuts n elements off the spare capacity of *slab (its length is
+// what has been carved), replacing the slab when fewer than n are left.
+// The piece's capacity is its length, so an append to it copies instead
+// of reaching the next piece. n == 0 carves nil.
+func carve[T any](slab *[]T, n, rows int) []T {
+	if n == 0 {
+		return nil
+	}
+	s := *slab
+	if cap(s)-len(s) < n {
+		s = make([]T, 0, max(rows, slabEvents)*n)
+	}
+	*slab = s[:len(s)+n]
+	return s[len(s) : len(s)+n : len(s)+n]
+}
+
 // bindLocked turns a parsed event line into the schema-bound event the
 // runtime keeps: the schema comes from the session's shape cache (the
-// one batch frames use), attribute names live in the schema, and string
-// values are interned, so the event, its numeric slots and its string
-// slots are the only allocations. sess.mu held.
+// one batch frames use), attribute names live in the schema, string
+// values are interned, and the event and its slots are carved off the
+// session's slabs, so in the steady state a line allocates nothing but
+// its share of a slab. sess.mu held.
 func (sess *session) bindLocked(el *eventLine, id uint64) *greta.Event {
 	sch := event.InternShape(&sess.shapes, el.typ, el.nums, el.strs)
-	ev := &greta.Event{ID: id, Type: sch.Type, Time: el.time, Sch: sch}
-	if len(el.vals) > 0 {
-		ev.Num = slices.Clone(el.vals)
-	}
-	if len(el.svals) > 0 {
-		ev.StrV = make([]string, len(el.svals))
-		for i, v := range el.svals {
-			ev.StrV[i] = sess.internLocked(v)
-		}
+	ev := sess.newEventLocked(len(el.vals), len(el.svals), 1)
+	ev.ID, ev.Type, ev.Time, ev.Sch = id, sch.Type, el.time, sch
+	copy(ev.Num, el.vals)
+	for i, v := range el.svals {
+		ev.StrV[i] = sess.internLocked(v)
 	}
 	return ev
 }

@@ -87,6 +87,13 @@ type session struct {
 	// string-value table.
 	shapes   event.ShapeCache
 	interned map[string]string
+	// evSlab, numSlab and strSlab are the event carver's slabs
+	// (newEventLocked): the events the session builds, their numeric
+	// slots and their string slots, each carved off a slab's spare
+	// capacity until it is exhausted. The runtime keeps the events.
+	evSlab  []greta.Event
+	numSlab []float64
+	strSlab []string
 }
 
 // sendLocked emits one output line (mu held). Durable lines in a

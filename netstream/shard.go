@@ -281,7 +281,11 @@ func (sess *session) emitPartial(w, si int, r greta.Result) {
 // the same placement RunParallel's feedWorkers computes, so an N-shard
 // cluster partitions identically to an N-worker single-process run.
 // Rows bind to a cached schema; the slots' graphs retain pointers to
-// them.
+// them. A row is carved off the session's slabs like an event line's
+// event (newEventLocked). A link's frames change shape every few rows
+// and half of them carry one row: laid out as an event batch (16 rows
+// at the least) or in slabs of the frame's exact size, such a frame
+// costs three to five allocations, off the shared slabs 3/64.
 func (sess *session) applyShardBatchLocked(bl *batchLine) {
 	n := len(bl.times)
 	if len(bl.rowEnd) != n {
@@ -290,17 +294,11 @@ func (sess *session) applyShardBatchLocked(bl *batchLine) {
 	}
 	sh := sess.shard
 	sch := event.InternShape(&sess.shapes, bl.typ, bl.nums, bl.strs)
-	// The frame's rows share three slabs of exactly their size: a link's
-	// frames change shape every few rows (half carry one), and an event
-	// batch, 16 rows at the least, would pin several times the memory the
-	// slots' graphs refer to.
-	nw, sw := len(sch.Numeric), len(sch.Strings)
-	evs, num, strv := make([]greta.Event, n), make([]float64, n*nw), make([]string, n*sw)
 	k := 0
 	for i, t := range bl.times {
 		sess.evID++
-		ev := &evs[i]
-		*ev = greta.Event{ID: sess.evID, Type: sch.Type, Time: t, Sch: sch, Num: num[i*nw : (i+1)*nw : (i+1)*nw], StrV: strv[i*sw : (i+1)*sw : (i+1)*sw]}
+		ev := sess.newEventLocked(len(sch.Numeric), len(sch.Strings), n-i)
+		ev.ID, ev.Type, ev.Time, ev.Sch = sess.evID, sch.Type, t, sch
 		sess.fillRowLocked(bl, i, ev)
 		for ; k < bl.rowEnd[i]; k++ {
 			slot := int(bl.rhs[k] % uint64(sh.n0))

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -74,12 +75,13 @@ func hotSession(tb testing.TB) (*session, net.Conn) {
 	return sess, conn
 }
 
-// hotLines are the lines a client would send for events from..from+n.
-func hotLines(tb testing.TB, from, n int) [][]byte {
+// hotLines are the lines a client would send for events from..from+n,
+// of type typ.
+func hotLines(tb testing.TB, typ string, from, n int) [][]byte {
 	var enc eventEncoder
 	lines := make([][]byte, n)
 	for i := range lines {
-		typ, t, attrs, strs := hotEvent(from + i)
+		_, t, attrs, strs := hotEvent(from + i)
 		line, err := enc.appendLine(nil, uint64(from+i+1), typ, t, attrs, strs)
 		if err != nil {
 			tb.Fatal(err)
@@ -110,15 +112,32 @@ func hotFrame(tb testing.TB, seq uint64, typ string, rows int, routed bool) (*Ba
 	return f, line[:len(line)-1]
 }
 
+// amortizedAllocs is testing.AllocsPerRun without its truncation to an
+// integer: the heap objects f allocates a call, averaged over runs calls
+// after one warm-up call, for costs that are a fraction of one.
+func amortizedAllocs(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+}
+
 // TestWireHotPathAllocs is the wire's allocation guard (make
 // alloc-guard): a steady-state resumable Send allocates nothing — the
 // line is built in the slot the ring recycles — and the server's
-// event-line parse plus dispatch allocates the event the engine keeps
-// and its two slot arrays, nothing else: no WireEvent, no attribute
-// maps, no name or value strings. The batch frame likewise: encoding
-// one into a warm ring allocates nothing, and parse plus apply allocates
-// per frame — an ordinary session's event batch (header and four
-// slabs), a shard session's row slabs — and nothing per row.
+// event-line parse plus dispatch allocates nothing but the event's share
+// of the session's slabs (about 3/slabEvents): no WireEvent, no
+// attribute maps, no name or value strings. The batch frame likewise:
+// encoding one into a warm ring allocates nothing, and parse plus apply
+// allocates per frame — an ordinary session's event batch (header and
+// four slabs), a shard session's rows their share of the slabs, which
+// is about three for a large frame and a fraction of one for a one-row
+// frame — and nothing per row.
 func TestWireHotPathAllocs(t *testing.T) {
 	t.Run("batch-frame/encode", func(t *testing.T) {
 		c := resumableClient(64)
@@ -135,7 +154,7 @@ func TestWireHotPathAllocs(t *testing.T) {
 			t.Errorf("steady-state SendBatchFrame allocates %v per frame, want 0", n)
 		}
 	})
-	for _, rows := range []int{64, 512} {
+	for _, rows := range []int{1, 64, 512} {
 		t.Run(fmt.Sprintf("batch-frame/decode+apply/rows=%d", rows), func(t *testing.T) {
 			for _, shard := range []bool{false, true} {
 				// The rows are of a type no statement reads (and the shard hosts
@@ -148,7 +167,13 @@ func TestWireHotPathAllocs(t *testing.T) {
 						t.Fatal("shard handshake refused")
 					}
 				}
-				const warm, runs = 20, 20
+				// One-row shard frames share a slab 64 at a time: their cost
+				// is a fraction of an allocation, which AllocsPerRun would
+				// truncate to 0, and takes many frames to read.
+				warm, runs, want, allocs := 20, 20, 5.0, testing.AllocsPerRun
+				if shard && rows == 1 {
+					warm, runs, want, allocs = 64, 640, 0.1, amortizedAllocs
+				}
 				var lines [][]byte
 				for k := 1; k <= warm+runs+1; k++ {
 					_, line := hotFrame(t, seq+uint64(k), "Quote", rows, shard)
@@ -168,8 +193,8 @@ func TestWireHotPathAllocs(t *testing.T) {
 				for k < warm {
 					feed()
 				}
-				if n := testing.AllocsPerRun(runs, feed); n > 5 {
-					t.Errorf("shard=%v: batch-frame parse + apply allocates %v per %d-row frame, want <= 5", shard, n, rows)
+				if n := allocs(runs, feed); n > want {
+					t.Errorf("shard=%v: batch-frame parse + apply allocates %v per %d-row frame, want <= %v", shard, n, rows, want)
 				}
 				if sess.lastSeq != seq+uint64(k) || sess.processed != uint64(k*rows) {
 					t.Fatalf("shard=%v: session applied %d rows through seq %d, fed %d frames through %d", shard, sess.processed, sess.lastSeq, k, seq+uint64(k))
@@ -185,8 +210,12 @@ func TestWireHotPathAllocs(t *testing.T) {
 		t.Errorf("steady-state resumable Client.Send allocates %v per event, want 0", n)
 	}
 
+	// Of a type no statement reads, like the frames above: on Stock lines
+	// the results the stream closes (four objects each: values, result
+	// line, ring stage, send) and the engine's payload-pool misses add
+	// about 0.37 an event, none of it the event line's.
 	sess, conn := hotSession(t)
-	lines := hotLines(t, 0, 8000)
+	lines := hotLines(t, "Quote", 0, 8000)
 	var el eventLine
 	feed := func(line []byte) {
 		if !el.parse(line) {
@@ -196,13 +225,12 @@ func TestWireHotPathAllocs(t *testing.T) {
 			t.Fatalf("event line not handled: stop=%v handled=%v", stop, handled)
 		}
 	}
-	for _, l := range lines[:4000] { // warm partitions, panes, pools, schema and intern tables
+	for _, l := range lines[:4000] { // warm the schema and intern tables
 		feed(l)
 	}
 	k := 4000
-	n := testing.AllocsPerRun(3000, func() { feed(lines[k]); k++ })
-	if n > 3 {
-		t.Errorf("server event-line parse + dispatch allocates %v per event, want <= 3 (event, numeric slots, string slots)", n)
+	if n := amortizedAllocs(3000, func() { feed(lines[k]); k++ }); n > 0.1 {
+		t.Errorf("server event-line parse + dispatch allocates %v per event, want <= 0.1 (its share of the session's slabs)", n)
 	}
 	if sess.processed != uint64(k) || sess.lastSeq != uint64(k) {
 		t.Fatalf("session applied %d events through seq %d, fed %d", sess.processed, sess.lastSeq, k)
@@ -258,7 +286,7 @@ func BenchmarkClientSend(b *testing.B) {
 // an event the runtime can take, by the one-pass parser and schema
 // binding, and by encoding/json into a WireEvent with attribute maps.
 func BenchmarkEventLineDecode(b *testing.B) {
-	lines := hotLines(b, 0, 1024)
+	lines := hotLines(b, "Stock", 0, 1024)
 	b.Run("fast", func(b *testing.B) {
 		sess := &session{}
 		var el eventLine
