@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -53,6 +54,63 @@ func TestNoHotPathAllocs(t *testing.T) {
 	t.Run("batch-ingest", testNoHotPathAllocsBatchIngest)
 	t.Run("batch-prefilter", testNoHotPathAllocsBatchPrefilter)
 	t.Run("window-close", testNoHotPathAllocsWindowClose)
+	t.Run("boundary-visit", testNoHotPathAllocsBoundaryVisit)
+}
+
+// testNoHotPathAllocsBoundaryVisit guards the per-item visits of a
+// fold path. Random-walk prices put each event's key range through the
+// middle of a pane tree of ~1 000 vertices (ten an event tick over the
+// pane's first 100 ticks, then one a tick), so every scan folds the
+// interior subtrees and visits the items of the leaves the range
+// bounds cut through — with zero allocations.
+func testNoHotPathAllocsBoundaryVisit(t *testing.T) {
+	q := query.MustParse("RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ " +
+		"WHERE [company] AND S.price > NEXT(S).price GROUP-BY company WITHIN 1000 SLIDE 1000")
+	plan, err := NewPlan(q, aggregate.ModeNative)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(plan)
+	rng := rand.New(rand.NewSource(1))
+	price := 1000.0
+	walk := func() float64 {
+		price += float64(rng.Intn(3) - 1)
+		return price
+	}
+	id := uint64(0)
+	for i := 0; i < 21000; i++ {
+		id++
+		eng.Process(allocStockEvent(id, event.Time(i/10), "c0", walk()))
+	}
+	const runs = 300
+	evs := make([]*event.Event, runs)
+	for i := range evs {
+		id++
+		evs[i] = allocStockEvent(id, event.Time(2100+i), "c0", walk())
+	}
+	before := eng.Stats()
+	i := 0
+	avg := testing.AllocsPerRun(runs-1, func() {
+		eng.Process(evs[i])
+		i++
+	})
+	if avg != 0 {
+		t.Fatalf("steady-state Process with boundary visits allocates %.2f objects/op, want 0", avg)
+	}
+	// Guard against the guard: each event must fold and visit.
+	after := eng.Stats()
+	if got := after.Inserted - before.Inserted; got < runs {
+		t.Fatalf("measured loop inserted %d vertices, want >= %d", got, runs)
+	}
+	if visits := after.ScanVisits - before.ScanVisits; visits < runs {
+		t.Fatalf("measured loop took %d per-item visits, want >= %d (ranges no longer cut through leaves)", visits, runs)
+	}
+	if folds := after.SummaryFolds - before.SummaryFolds; folds < runs {
+		t.Fatalf("measured loop took %d summary folds, want >= %d", folds, runs)
+	}
+	if after.Edges == before.Edges {
+		t.Fatal("measured loop traversed no edges")
+	}
 }
 
 // testNoHotPathAllocsWindowClose guards the window close: over warm pools,

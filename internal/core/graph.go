@@ -121,7 +121,9 @@ type GraphStats struct {
 	Payloads uint64
 	// The three counters below split the cost of maintaining Edges:
 	//   - ScanVisits counts materialized per-vertex candidate visits
-	//     (the per-vertex scan and fold-path boundary descents).
+	//     (the per-vertex scan and fold-path boundary descents), whether
+	//     the visit re-checks the edge predicates or, for a key inside
+	//     the fold range, only time adjacency (Graph.scanVisit).
 	//   - SummaryFolds counts pane/subtree summary folds that each cover
 	//     any number of logical edges in O(1).
 	//   - SummaryRebuilds counts in-place pane-summary rebuilds after an
@@ -225,16 +227,19 @@ type compiledSpec struct {
 	// candidate: skip-till-any-match semantics and every edge predicate
 	// of the transition range-compiled on the Vertex Tree's sort
 	// attribute (bit-exact ranges fold directly; inexact linear ranges
-	// fold interior subtrees via interval-arithmetic inner bounds and
-	// re-check only the boundary band per vertex). Strict time adjacency
-	// and degenerate keys are re-checked per fold through vertexSum
-	// (maxTime/fallback). Dependency links no longer force per-vertex
-	// scans: Case-3 invalidation is handled per insertion (window
-	// validity suffix), and Case-1/2 maxStart invalidation through
-	// watermark-versioned summaries — but all fast transitions out of
-	// one state must agree on the gating dependency set (augDeps), since
-	// the state's trees carry one filtered summary; disagreeing states
-	// fall back to the per-vertex scan entirely.
+	// fold interior subtrees via interval-arithmetic inner bounds). Strict
+	// time adjacency and degenerate keys are re-checked per fold through
+	// vertexSum (maxTime/fallback). Items of subtrees that do not fold
+	// are visited one by one; a visit re-evaluates the edge predicates
+	// only for keys outside the fold range or degenerate (the boundary
+	// band of an inexact range, key 0, NaN) — inside it the range is the
+	// proof, as for a fold (Graph.scanVisit). Dependency links no longer
+	// force per-vertex scans: Case-3 invalidation is handled per
+	// insertion (window validity suffix), and Case-1/2 maxStart
+	// invalidation through watermark-versioned summaries — but all fast
+	// transitions out of one state must agree on the gating dependency
+	// set (augDeps), since the state's trees carry one filtered summary;
+	// disagreeing states fall back to the per-vertex scan entirely.
 	fastScan [][]bool
 	// augDeps[fromState] lists the indices (into GraphSpec.Deps order,
 	// which matches Graph.deps) of the dependency links whose maxStart
@@ -497,6 +502,14 @@ type insertState struct {
 	// histogram can account edges exactly only against a window suffix.
 	validFrom int64
 	suffixOK  bool
+}
+
+// inFold reports whether the key span [lo, hi] lies inside the fold
+// range [flo, fhi] under its inclusive/exclusive bounds. A NaN bound of
+// the span fails every comparison and so is never inside.
+func (ins *insertState) inFold(lo, hi float64) bool {
+	return (lo > ins.flo || (ins.floIncl && lo == ins.flo)) &&
+		(hi < ins.fhi || (ins.fhiIncl && hi == ins.fhi))
 }
 
 // newGraph builds the runtime graph for spec using the engine's
@@ -990,10 +1003,11 @@ func (g *Graph) scanBounds(psIdx int, eps []*edgePred, e *event.Event, fold bool
 	return true
 }
 
-// candidateOK applies the per-candidate adjacency filter shared by the
-// runtime scan and the DOT renderer: strictly increasing time
-// (Definition 1), the event selection semantics, and all edge
-// predicates of the transition.
+// candidateOK applies the full per-candidate adjacency filter: strictly
+// increasing time (Definition 1), the event selection semantics, and
+// all edge predicates of the transition. The DOT renderer applies it to
+// every candidate; the runtime scan to every one but the lean visits of
+// a fold path (scanVisit).
 func (g *Graph) candidateOK(p *Vertex, e *event.Event, eps []*edgePred) bool {
 	if p.Ev.Time >= e.Time {
 		return false
@@ -1014,26 +1028,43 @@ func (g *Graph) candidateOK(p *Vertex, e *event.Event, eps []*edgePred) bool {
 
 // scanVisit processes one candidate predecessor during scanCandidates
 // (installed once as g.scanFn so per-event scans allocate no closure).
+//
+// On a fold-eligible scan (ins.foldable) an item whose key lies inside
+// the fold range is a lean visit: the range already proves every edge
+// predicate of the transition, exactly as it does for a folded subtree,
+// so only strict time adjacency is checked (the fold path is
+// skip-till-any-match only: no closed mark, no contiguity). Key 0 is
+// sortKey's stand-in for a missing or non-numeric attribute and takes
+// the full check (a NaN key is never inside the range). The fast path
+// also fixed the remaining window checks per insertion: Case-3 validity
+// is the suffix from ins.validFrom (widValidity), and maxStart
+// invalidation can only apply when the transition has gating
+// dependencies (ins.augDeps).
 func (g *Graph) scanVisit(it vitem) bool {
 	ins := &g.ins
 	p := it.Val
 	e := ins.e
 	g.stats.ScanVisits++
-	if !g.candidateOK(p, e, ins.eps) {
+	lean := ins.foldable && it.Key != 0 && ins.inFold(it.Key, it.Key)
+	if lean {
+		if p.Ev.Time >= e.Time {
+			return true
+		}
+	} else if !g.candidateOK(p, e, ins.eps) {
 		return true
 	}
 	connected := false
-	pHi := p.FirstWid + int64(len(p.Aggs)) - 1
-	shLo, shHi := ins.lo, pHi
-	if shHi > ins.hi {
-		shHi = ins.hi
+	shLo, shHi := ins.lo, min(p.FirstWid+int64(len(p.Aggs))-1, ins.hi)
+	if lean {
+		shLo = max(shLo, ins.validFrom)
 	}
+	gated := !lean || len(ins.augDeps) > 0
 	for wid := shLo; wid <= shHi; wid++ {
 		pp := p.Aggs[wid-p.FirstWid]
-		if pp == nil || !g.validWid(wid, e.Time) {
+		if pp == nil || (!lean && !g.validWid(wid, e.Time)) {
 			continue
 		}
-		if g.invalidPred(p, ins.sIdx, wid, e.Time) {
+		if gated && g.invalidPred(p, ins.sIdx, wid, e.Time) {
 			continue
 		}
 		i := int(wid - ins.lo)
@@ -1054,10 +1085,13 @@ func (g *Graph) scanVisit(it vitem) bool {
 }
 
 // forEachCandidate visits predecessors of an arbitrary stored event
-// for the DOT debug renderer. It shares scanBounds and candidateOK
-// with the runtime scan (scanCandidates/scanVisit), so the rendered
-// edges cannot drift from what the engine matches; only the closure
-// and the lack of payload folding differ.
+// for the DOT debug renderer. It shares scanBounds with the runtime
+// scan and applies candidateOK to every candidate. The runtime skips
+// the edge predicates where a genuine key lies inside the fold range —
+// a folded subtree, a lean visit (scanVisit) — because the range
+// proves them there, and still enforces strict time adjacency, so both
+// pass the same candidates. The fold-vs-forced-scan differentials hold
+// the runtime to candidateOK applied everywhere.
 func (g *Graph) forEachCandidate(e *event.Event, psIdx, sIdx int, loWid int64, visit func(*Vertex)) {
 	eps := g.cs.epsBySrc[sIdx][psIdx]
 	// Shares the insertion scratch's bound fields; only runs between

@@ -268,12 +268,10 @@ func (g *Graph) foldVisit(s *vertexSum) bool {
 	// The subtree's key span must lie fully inside the compiled fold
 	// range: for exact keys that range is the scan range itself, and for
 	// inexact linear predicates it is the inward-rounded interval on
-	// which the predicate provably holds (predicate.Range.FoldBoundsOf);
-	// boundary-band vertices descend to per-item re-checks.
-	if !(s.minKey > ins.flo || (ins.floIncl && s.minKey == ins.flo)) {
-		return false
-	}
-	if !(s.maxKey < ins.fhi || (ins.fhiIncl && s.maxKey == ins.fhi)) {
+	// which the predicate provably holds (predicate.Range.FoldBoundsOf).
+	// A subtree straddling it descends to per-item visits (scanVisit),
+	// which re-check the edge predicates only for keys outside it.
+	if !ins.inFold(s.minKey, s.maxKey) {
 		return false
 	}
 	first := s.agg.FirstWid
