@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"math/bits"
 
 	"github.com/greta-cep/greta/internal/event"
 )
@@ -117,10 +118,96 @@ type Payload struct {
 
 // New returns a zero payload for the definition.
 func (d *Def) New() *Payload {
-	p := &Payload{MaxStart: NoStart}
+	p := &Payload{}
 	if len(d.Slots) > 0 {
 		p.Slots = make([]SlotVal, len(d.Slots))
 	}
+	d.prepare(p)
+	return p
+}
+
+// NewBlock returns k zero payloads of the definition as values in one
+// slice — a graph vertex's per-window block — their Slots cut from one
+// backing array.
+func (d *Def) NewBlock(k int) []Payload {
+	b := make([]Payload, k)
+	n := len(d.Slots)
+	var slots []SlotVal
+	if n > 0 {
+		slots = make([]SlotVal, k*n)
+	}
+	for i := range b {
+		if n > 0 {
+			b[i].Slots = slots[i*n : (i+1)*n : (i+1)*n]
+		}
+		d.prepare(&b[i])
+	}
+	return b
+}
+
+// Presence marks the entries of a payload block that hold a payload: bit
+// i%64 of word i/64 stands for entry i. Word 0 — all a block of up to 64
+// entries has — is held in the value itself, so a graph vertex carries it
+// on its own cache line; the words after it, made for wider blocks only,
+// sit behind more (a pointer, not a slice, keeps a Presence at 16 bytes
+// and a vertex in one 64-byte size class). The value of an entry whose
+// bit is clear means nothing.
+type Presence struct {
+	w0   uint64
+	more *[]uint64
+}
+
+// NewPresence returns a clear Presence for a block of k entries.
+func NewPresence(k int) Presence {
+	var p Presence
+	if k > 64 {
+		more := make([]uint64, (k-1)/64)
+		p.more = &more
+	}
+	return p
+}
+
+// word returns the word holding entry i's bit.
+func (p *Presence) word(i int) *uint64 {
+	if i < 64 {
+		return &p.w0
+	}
+	return &(*p.more)[i/64-1]
+}
+
+// Has reports whether entry i holds a payload.
+func (p *Presence) Has(i int) bool { return *p.word(i)&(1<<(uint(i)&63)) != 0 }
+
+// Set marks entry i as holding a payload.
+func (p *Presence) Set(i int) { *p.word(i) |= 1 << (uint(i) & 63) }
+
+// Unset marks entry i as holding none.
+func (p *Presence) Unset(i int) { *p.word(i) &^= 1 << (uint(i) & 63) }
+
+// Count returns the number of entries holding a payload.
+func (p *Presence) Count() int {
+	n := bits.OnesCount64(p.w0)
+	if p.more != nil {
+		for _, w := range *p.more {
+			n += bits.OnesCount64(w)
+		}
+	}
+	return n
+}
+
+// Clear marks every entry as holding none.
+func (p *Presence) Clear() {
+	p.w0 = 0
+	if p.more != nil {
+		clear(*p.more)
+	}
+}
+
+// prepare makes p, whose Slots already have the definition's length, a
+// zero payload: min/max at their identities, exact-mode numbers
+// allocated.
+func (d *Def) prepare(p *Payload) {
+	p.MaxStart = NoStart
 	for i, s := range d.Slots {
 		switch s.Kind {
 		case SlotMin:
@@ -140,7 +227,6 @@ func (d *Def) New() *Payload {
 			}
 		}
 	}
-	return p
 }
 
 // sumPrec is the mantissa precision of exact-mode sums. 256 bits keep

@@ -3,6 +3,7 @@ package aggregate
 import (
 	"math"
 	"math/big"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -335,29 +336,39 @@ func TestSummaryFilteredFolds(t *testing.T) {
 	d := &Def{Mode: ModeNative}
 	slot := d.AddSlot(Slot{SlotSum, "A", "v"})
 	pool := NewPool(d)
-	mk := func(count uint64, sum float64) *Payload {
-		p := pool.Get()
-		p.Count = count
-		p.Slots[slot].F = sum
-		return p
+	// vertex builds one vertex's block, a window per (count, sum) pair; a
+	// negative count leaves the window without a payload.
+	vertex := func(windows ...[2]float64) ([]Payload, *Presence) {
+		b, pres := d.NewBlock(len(windows)), NewPresence(len(windows))
+		for i, w := range windows {
+			if w[0] >= 0 {
+				b[i].Count, b[i].Slots[slot].F = uint64(w[0]), w[1]
+				pres.Set(i)
+			}
+		}
+		return b, &pres
 	}
 
 	var s Summary
 	created := 0
 	// Vertex 1 contributes to windows 0 and 1; window 1 filtered out.
-	c, ok := d.SummaryAdd(pool, &s, 0, []*Payload{mk(2, 10), mk(3, 30)}, []bool{true, false})
+	b, pres := vertex([2]float64{2, 10}, [2]float64{3, 30})
+	c, ok := d.SummaryAdd(pool, &s, 0, b, pres, []bool{true, false})
 	if !ok {
 		t.Fatal("SummaryAdd rejected matching shape")
 	}
 	created += c
 	// Vertex 2 contributes to both windows unfiltered.
-	c, ok = d.SummaryAdd(pool, &s, 0, []*Payload{mk(1, 1), mk(5, 50)}, nil)
+	b, pres = vertex([2]float64{1, 1}, [2]float64{5, 50})
+	c, ok = d.SummaryAdd(pool, &s, 0, b, pres, nil)
 	if !ok {
 		t.Fatal("SummaryAdd rejected matching shape")
 	}
 	created += c
-	// Vertex 3 is fully filtered: it must not count toward Last/N.
-	c, ok = d.SummaryAdd(pool, &s, 0, []*Payload{mk(7, 70), nil}, []bool{false, true})
+	// Vertex 3 is fully filtered: it must not count toward Last/N (its
+	// second window holds no payload).
+	b, pres = vertex([2]float64{7, 70}, [2]float64{-1, 0})
+	c, ok = d.SummaryAdd(pool, &s, 0, b, pres, []bool{false, true})
 	if !ok {
 		t.Fatal("SummaryAdd rejected matching shape")
 	}
@@ -393,7 +404,8 @@ func TestSummaryFilteredFolds(t *testing.T) {
 	}
 
 	// Shape mismatch is rejected, releases balance creations.
-	if _, ok := d.SummaryAdd(pool, &s, 1, []*Payload{mk(1, 1)}, nil); ok {
+	b, pres = vertex([2]float64{1, 1})
+	if _, ok := d.SummaryAdd(pool, &s, 1, b, pres, nil); ok {
 		t.Fatal("SummaryAdd accepted mismatched window range")
 	}
 	if rel := d.SummaryClear(pool, &s); rel != 2 {
@@ -401,6 +413,40 @@ func TestSummaryFilteredFolds(t *testing.T) {
 	}
 	if rel := d.SummaryClear(pool, &dst); rel != 2 {
 		t.Fatalf("SummaryClear released %d, want 2", rel)
+	}
+}
+
+// TestBlockPresence: a block's entries are independent payloads — an
+// append to one entry's Slots reaches no neighbour — and its presence
+// bits work across word boundaries (a vertex may fall into more than 64
+// windows).
+func TestBlockPresence(t *testing.T) {
+	d := &Def{Mode: ModeNative}
+	d.AddSlot(Slot{SlotMin, "A", "v"})
+	b := d.NewBlock(150)
+	if len(b) != 150 || b[149].Slots[0].F != math.Inf(1) || b[0].MaxStart != NoStart {
+		t.Fatalf("NewBlock(150): %d entries, last min %v, first MaxStart %d", len(b), b[149].Slots[0].F, b[0].MaxStart)
+	}
+	_ = append(b[0].Slots, SlotVal{F: -1})
+	if b[1].Slots[0].F != math.Inf(1) {
+		t.Fatal("an append to entry 0's slots overwrote entry 1")
+	}
+	p := NewPresence(150)
+	set := []int{0, 63, 64, 127, 128, 149}
+	for _, i := range set {
+		p.Set(i)
+	}
+	for i := 0; i < 150; i++ {
+		if want := slices.Contains(set, i); p.Has(i) != want {
+			t.Fatalf("Has(%d) = %v, want %v", i, p.Has(i), want)
+		}
+	}
+	p.Unset(64)
+	if p.Has(64) || !p.Has(63) || p.Count() != len(set)-1 {
+		t.Fatalf("after Unset(64): Has(63)=%v Has(64)=%v Count=%d", p.Has(63), p.Has(64), p.Count())
+	}
+	if p.Clear(); p.Count() != 0 || p.Has(149) {
+		t.Fatalf("after Clear: Count=%d Has(149)=%v", p.Count(), p.Has(149))
 	}
 }
 

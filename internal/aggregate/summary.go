@@ -66,21 +66,22 @@ func (s *Summary) shape(firstWid int64, k int) bool {
 }
 
 // SummaryAdd folds one vertex's per-window payloads into s, drawing
-// payload storage from pool. valid, when non-nil, masks the vertex's
-// windows: payloads of windows with valid[i] == false are skipped (the
-// vertex is invalidated there by a watermark), and Last/N account only
-// the windows that were folded. It reports ok == false when the
-// vertex's window range does not match the summary's (the caller must
-// then treat the summary as unusable); created is the number of
-// payloads newly drawn from pool, so callers can account summary
-// storage.
-func (d *Def) SummaryAdd(pool *Pool, s *Summary, firstWid int64, aggs []*Payload, valid []bool) (created int, ok bool) {
-	if !s.shape(firstWid, len(aggs)) {
+// payload storage from pool: block[i] is the payload of window
+// firstWid+i, folded when pres has entry i. valid, when non-nil, masks
+// the vertex's windows: payloads of windows with valid[i] == false are
+// skipped (the vertex is invalidated there by a watermark), and Last/N
+// account only the windows that were folded. It reports ok == false
+// when the vertex's window range does not match the summary's (the
+// caller must then treat the summary as unusable); created is the
+// number of payloads newly drawn from pool, so callers can account
+// summary storage.
+func (d *Def) SummaryAdd(pool *Pool, s *Summary, firstWid int64, block []Payload, pres *Presence, valid []bool) (created int, ok bool) {
+	if !s.shape(firstWid, len(block)) {
 		return 0, false
 	}
 	last := -1
-	for i, p := range aggs {
-		if p == nil || (valid != nil && !valid[i]) {
+	for i := range block {
+		if !pres.Has(i) || (valid != nil && !valid[i]) {
 			continue
 		}
 		sp := s.Sums[i]
@@ -89,7 +90,7 @@ func (d *Def) SummaryAdd(pool *Pool, s *Summary, firstWid int64, aggs []*Payload
 			s.Sums[i] = sp
 			created++
 		}
-		d.AddPred(sp, p)
+		d.AddPred(sp, &block[i])
 		last = i
 	}
 	if last >= 0 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -55,6 +56,83 @@ func TestNoHotPathAllocs(t *testing.T) {
 	t.Run("batch-prefilter", testNoHotPathAllocsBatchPrefilter)
 	t.Run("window-close", testNoHotPathAllocsWindowClose)
 	t.Run("boundary-visit", testNoHotPathAllocsBoundaryVisit)
+	t.Run("vertex-blocks", testNoHotPathAllocsVertexBlocks)
+}
+
+// testNoHotPathAllocsVertexBlocks guards the vertex record: a vertex is
+// one 64-byte allocation that keeps its payload block when recycled, and
+// the block, sized to the most windows an event falls into, fits every
+// window count. Under WITHIN 10 SLIDE 4 an event falls into 2 or 3
+// windows depending on its time, so the vertices 64 partitions take from
+// the free list — returned by the close just before the measured ticks —
+// change window count, with zero allocations.
+func testNoHotPathAllocsVertexBlocks(t *testing.T) {
+	if size := reflect.TypeFor[Vertex]().Size(); size > 64 {
+		t.Fatalf("a Vertex is %d bytes, want at most 64 (one size class, one cache line)", size)
+	}
+	const parts = 64
+	q := query.MustParse("RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ " +
+		"WHERE [company] AND S.price > NEXT(S).price GROUP-BY company WITHIN 10 SLIDE 4")
+	plan, err := NewPlan(q, aggregate.ModeNative)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(plan)
+	companies := make([]string, parts)
+	for i := range companies {
+		companies[i] = fmt.Sprintf("c%02d", i)
+	}
+	id := uint64(0)
+	price := func(i uint64) float64 { return float64(1000 - i%7) }
+	tick := func(tm event.Time) []*event.Event {
+		evs := make([]*event.Event, parts)
+		for i := range evs {
+			id++
+			evs[i] = allocStockEvent(id, tm, companies[i], price(id))
+		}
+		return evs
+	}
+	// Windows close, and panes expire, when time reaches 2 mod 4. Warm up
+	// through tick 402, which closes a window: ticks 403..405 then close
+	// nothing and take their vertices from the free list.
+	for tm := event.Time(0); tm <= 402; tm++ {
+		for _, ev := range tick(tm) {
+			eng.Process(ev)
+		}
+	}
+	var evs []*event.Event
+	counts := map[int64]bool{}
+	for tm := event.Time(403); tm <= 405; tm++ {
+		evs = append(evs, tick(tm)...)
+		lo, hi := plan.Window.Wids(tm)
+		counts[hi-lo+1] = true
+	}
+	if !counts[2] || !counts[3] {
+		t.Fatalf("measured ticks fall into %v windows, want both 2 and 3", counts)
+	}
+	free := len(eng.cspecs[0].vfree)
+	before := eng.Stats()
+	i := 0
+	avg := testing.AllocsPerRun(len(evs)-1, func() {
+		eng.Process(evs[i])
+		i++
+	})
+	if avg != 0 {
+		t.Fatalf("steady-state Process over recycled vertex blocks allocates %.2f objects/op, want 0", avg)
+	}
+	// Guard against the guard: every event is a vertex taken from the
+	// free list, and no window closed.
+	after := eng.Stats()
+	if got := after.Inserted - before.Inserted; got != uint64(len(evs)) {
+		t.Fatalf("measured loop inserted %d vertices, want %d", got, len(evs))
+	}
+	if got := free - len(eng.cspecs[0].vfree); got != len(evs) {
+		t.Fatalf("measured loop took %d vertices from the free list, want %d", got, len(evs))
+	}
+	if after.Results != before.Results || after.SummaryFolds == before.SummaryFolds {
+		t.Fatalf("measured loop emitted %d results and took %d folds, want none and some",
+			after.Results-before.Results, after.SummaryFolds-before.SummaryFolds)
+	}
 }
 
 // testNoHotPathAllocsBoundaryVisit guards the per-item visits of a

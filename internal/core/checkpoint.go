@@ -208,12 +208,14 @@ func (st *Stmt) Plan() *Plan { return st.srcPlan }
 // does nothing (counts read as 0, presence flags as absent).
 
 // ckWalk is one pass over a snapshot: the codec, the table the event
-// references go through, and the sorted-key scratch.
+// references go through, the sorted-key scratch and the pane being
+// walked.
 type ckWalk struct {
 	checkpoint.Walker
 	tab    evTable
 	wids   []int64
 	states []int
+	pn     *pane // the pane whose trees are walked
 }
 
 // evTable lists the events serialized state refers to (vertices, the
@@ -519,9 +521,11 @@ func (g *Graph) walkSum(w *checkpoint.Walker, s *vertexSum) {
 	w.Bool(&s.bad)
 }
 
-// walkVertex walks one vertex of state. Decoding draws it from the pool
-// once the fixed fields are read: the window count that sizes it is the
-// last of them.
+// walkVertex walks one vertex of state in pane c.pn. Decoding draws it
+// from the pool once the fixed fields are read: the window count that
+// sizes it is the last of them. The event's time must lie in the pane,
+// and the first window and the count must be the ones the time falls
+// into — what insertAt gives every vertex.
 func (g *Graph) walkVertex(c *ckWalk, state int, pv **Vertex) {
 	var ev *event.Event
 	var firstWid int64
@@ -529,22 +533,34 @@ func (g *Graph) walkVertex(c *ckWalk, state int, pv **Vertex) {
 	k := 0
 	if c.Encoding() {
 		v := *pv
-		ev, firstWid, closed, k = v.Ev, v.FirstWid, v.closed, len(v.Aggs)
+		ev, firstWid, closed, k = v.Ev, c.pn.firstWid, v.closed, len(v.Aggs)
 	}
 	c.tab.ref(&c.Walker, &ev)
 	c.I64(&firstWid)
 	c.Bool(&closed)
 	if k = c.Len(k, 1); c.Decoding() {
-		if k == 0 {
-			c.Corrupt("vertex with zero windows")
+		if ev.Time < c.pn.start || ev.Time >= c.pn.end {
+			c.Corrupt("vertex at time %d in pane [%d, %d)", ev.Time, c.pn.start, c.pn.end)
+			return
+		}
+		if lo, hi := g.win.Wids(ev.Time); firstWid != lo || int64(k) != hi-lo+1 {
+			c.Corrupt("vertex at time %d has windows %d+%d, its time falls into %d+%d", ev.Time, firstWid, k, lo, hi-lo+1)
 			return
 		}
 		v := g.getVertex(k)
-		v.Ev, v.State, v.FirstWid, v.closed = ev, state, firstWid, closed
+		v.Ev, v.Time, v.State, v.closed = ev, ev.Time, int32(state), closed
 		*pv = v
 	}
 	for i := 0; i < k && c.Err() == nil; i++ {
-		g.walkPooled(&c.Walker, &(*pv).Aggs[i])
+		v := *pv
+		has := v.Present.Has(i)
+		if c.Bool(&has); !has {
+			continue
+		}
+		if c.Decoding() {
+			v.Present.Set(i)
+		}
+		walkPayload(&c.Walker, &v.Aggs[i], true)
 	}
 }
 
@@ -563,7 +579,9 @@ func (g *Graph) walkNode(c *ckWalk, state int, augmented bool, items *[]vitem, s
 		c.F64(&it.Key)
 		if g.walkVertex(c, state, &it.Val); c.Decoding() {
 			it.ID = it.Val.Ev.ID
-			if want := g.sortKey(state, it.Val.Ev); math.Float64bits(it.Key) != math.Float64bits(want) {
+			want, genuine := g.sortKey(state, it.Val.Ev)
+			it.Val.fallback = !genuine
+			if math.Float64bits(it.Key) != math.Float64bits(want) {
 				c.Corrupt("plan mismatch: state %d item keyed %v, the plan's sort attribute reads %v", state, it.Key, want)
 			}
 		}
@@ -617,43 +635,81 @@ func (g *Graph) walkTree(c *ckWalk, state int, augmented bool, tr **vtree) {
 	*tr = t
 }
 
-// widCount walks the entry count of a wid-keyed map, whose entries —
-// those keep accepts, all when keep is nil — follow in ascending wid
-// order (elemSize bounds one from below, key included); wid walks the
-// i'th entry's key.
-func widCount[V any](c *ckWalk, m *map[int64]V, elemSize int, keep func(V) bool) int {
+// walkWidTimes walks an invalidation watermark per window, in ascending
+// wid order.
+func walkWidTimes(c *ckWalk, m map[int64]int64) {
 	if c.Encoding() {
 		c.wids = c.wids[:0]
-		for wid, v := range *m {
-			if keep == nil || keep(v) {
-				c.wids = append(c.wids, wid)
-			}
+		for wid := range m {
+			c.wids = append(c.wids, wid)
 		}
 		slices.Sort(c.wids)
 	}
-	n := c.Len(len(c.wids), elemSize)
-	if c.Decoding() && n > 0 && *m == nil {
-		*m = make(map[int64]V, n)
-	}
-	return n
-}
-
-func (c *ckWalk) wid(i int) (wid int64) {
-	if c.Encoding() {
-		wid = c.wids[i]
-	}
-	c.I64(&wid)
-	return wid
-}
-
-// walkWidTimes walks an invalidation watermark per window.
-func walkWidTimes(c *ckWalk, m *map[int64]int64) {
-	for i, n := 0, widCount(c, m, 16, nil); i < n; i++ {
-		wid := c.wid(i)
-		t := (*m)[wid]
-		if c.I64(&t); c.Decoding() {
-			(*m)[wid] = t
+	for i, n := 0, c.Len(len(c.wids), 16); i < n; i++ {
+		var wid, t int64
+		if c.Encoding() {
+			wid = c.wids[i]
+			t = m[wid]
 		}
+		c.I64(&wid)
+		if c.I64(&t); c.Decoding() {
+			m[wid] = t
+		}
+	}
+}
+
+// walkFinals walks finals as two sections: the windows with an
+// incremental final and each one's payload, then every window with an END
+// vertex. Both list wids strictly ascending, and a decoded section must
+// too.
+func (g *Graph) walkFinals(c *ckWalk) {
+	incremental := 0
+	for _, f := range g.finals {
+		if f.p != nil {
+			incremental++
+		}
+	}
+	j := 0
+	for i, n := 0, c.Len(incremental, 9); i < n && c.Err() == nil; i++ {
+		var f final
+		if c.Encoding() {
+			for g.finals[j].p == nil {
+				j++
+			}
+			f, j = g.finals[j], j+1
+		}
+		if c.I64(&f.wid); c.Decoding() {
+			if k := len(g.finals); k > 0 && f.wid <= g.finals[k-1].wid {
+				c.Corrupt("final of window %d follows window %d", f.wid, g.finals[k-1].wid)
+				return
+			}
+			f.p = g.cs.pool.Get()
+			g.finals = append(g.finals, f)
+		}
+		if f.p != nil { // nil once a decode failed
+			walkPayload(&c.Walker, f.p, true)
+		}
+	}
+	j = 0
+	for i, n := 0, c.Len(len(g.finals), 8); i < n && c.Err() == nil; i++ {
+		var wid int64
+		if c.Encoding() {
+			wid = g.finals[i].wid
+		}
+		if c.I64(&wid); !c.Decoding() {
+			continue
+		}
+		if i > 0 && wid <= g.finals[j-1].wid { // j-1: the previous wid's entry
+			c.Corrupt("window %d with an END vertex follows window %d", wid, g.finals[j-1].wid)
+			return
+		}
+		for j < len(g.finals) && g.finals[j].wid < wid {
+			j++
+		}
+		if j == len(g.finals) || g.finals[j].wid != wid {
+			g.finals = slices.Insert(g.finals, j, final{wid: wid})
+		}
+		j++
 	}
 }
 
@@ -671,24 +727,7 @@ func (g *Graph) walk(c *ckWalk) {
 	c.U64(&g.lastEventID)
 	c.U64(&g.wmVer)
 
-	// finals is written as two sections: the windows with an incremental
-	// final and each one's payload, then every window with an END vertex.
-	hasFinal := func(p *aggregate.Payload) bool { return p != nil }
-	for i, n := 0, widCount(c, &g.finals, 9, hasFinal); i < n; i++ {
-		wid := c.wid(i)
-		if c.Decoding() {
-			g.finals[wid] = g.cs.pool.Get()
-		}
-		if p := g.finals[wid]; p != nil { // nil once a decode failed
-			walkPayload(&c.Walker, p, true)
-		}
-	}
-	for i, n := 0, widCount(c, &g.finals, 8, nil); i < n; i++ {
-		wid := c.wid(i)
-		if _, ok := g.finals[wid]; c.Decoding() && !ok {
-			g.finals[wid] = nil
-		}
-	}
+	g.walkFinals(c)
 
 	walkPlanned(&c.Walker, len(g.deps), "dependency links")
 	for _, l := range g.deps {
@@ -708,8 +747,8 @@ func (g *Graph) walk(c *ckWalk) {
 				c.I64(&rec.starts[j])
 			}
 		}
-		walkWidTimes(c, &l.maxStart)
-		walkWidTimes(c, &l.minEnd)
+		walkWidTimes(c, l.maxStart)
+		walkWidTimes(c, l.minEnd)
 	}
 
 	np := c.Len(len(g.panes), 12)
@@ -723,8 +762,9 @@ func (g *Graph) walk(c *ckWalk) {
 				c.Corrupt("pane indices not strictly increasing")
 				return
 			}
-			pn.start, pn.end = pn.idx*g.paneSize, (pn.idx+1)*g.paneSize
+			g.place(pn, pn.idx)
 		}
+		c.pn = pn
 		if c.Encoding() {
 			c.states = c.states[:0]
 			for state, tr := range pn.trees {

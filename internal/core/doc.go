@@ -108,20 +108,23 @@
 //     leaving a shared graph). One pass, partitions in creation order; per
 //     partition it samples the footprint into the engine-level peaks
 //     (close, flush), folds every pending invalidation (flush), takes
-//     graph 0's windows up to the bound in ascending wid order through
-//     Graph.take — consumed, or for a peek a clone of the incremental
-//     final, no window consumed and nothing folded — and advances every
-//     graph to t (close). The windows taken are the keys of the graph's
-//     finals map, so a time gap costs the windows that hold a final, not
-//     one walk per window it spans. A window's payloads merge per group in
-//     partition order, the first one taken being the merge target and the
-//     rest going back to the pool: the order every earlier close merged
-//     in, so native float sums keep their bits. Windows go to the sink
-//     ascending, groups sorted within each. The scratch — a wid → group →
-//     payload map, spare group maps, a wid and a name slice — lives on the
-//     Engine and is reused close to close, because a close that built it
-//     afresh allocated per window and per group on the path every window
-//     takes (TestNoHotPathAllocs/window-close; ROADMAP item 2(a)).
+//     graph 0's windows up to the bound through Graph.take — consumed, or
+//     for a peek a clone of the incremental final, no window consumed and
+//     nothing folded — and advances every graph to t (close). The windows
+//     taken are a prefix of the graph's finals, a slice of (wid, final)
+//     kept in ascending wid order (an END vertex finds or inserts its
+//     windows' entries from the tail; at most ⌈WITHIN/SLIDE⌉ are open), so
+//     a time gap costs the windows that hold a final, not one walk per
+//     window it spans, and no partition sorts its wids. A window's
+//     payloads merge per group in partition order, the first one taken
+//     being the merge target and the rest going back to the pool: the
+//     order every earlier close merged in, so native float sums keep their
+//     bits. Windows go to the sink ascending, groups sorted within each.
+//     The scratch — a wid → group → payload map, spare group maps, a wid
+//     and a name slice for that last ordering — lives on the Engine and is
+//     reused close to close, because a close that built it afresh
+//     allocated per window and per group on the path every window takes
+//     (TestNoHotPathAllocs/window-close; ROADMAP item 2(a)).
 //   - One partitioned-execution core. RunParallel's workers are
 //     in-process ShardHosts, the worker slot a cluster shard session
 //     hosts; its parallel units are the sources of partitioned simple

@@ -61,8 +61,8 @@ func (g *Graph) dotVertices(b *strings.Builder, prefix string) {
 	g.forEachVertex(func(v *Vertex) {
 		st := g.spec.Tmpl.States[v.State]
 		count := "-"
-		if len(v.Aggs) > 0 && v.Aggs[0] != nil {
-			p := v.Aggs[0]
+		if len(v.Aggs) > 0 && v.Present.Has(0) {
+			p := &v.Aggs[0]
 			if g.def.Mode == aggregate.ModeExact {
 				count = g.def.ExactCount(p).String()
 			} else {
@@ -74,7 +74,7 @@ func (g *Graph) dotVertices(b *strings.Builder, prefix string) {
 			peri = 2
 		}
 		fmt.Fprintf(b, "    %s [label=\"%s%d : %s\", peripheries=%d];\n",
-			dotID(prefix, v), strings.ToLower(string(st.Type)), v.Ev.Time, count, peri)
+			dotID(prefix, v), strings.ToLower(string(st.Type)), v.Time, count, peri)
 	})
 }
 
@@ -83,9 +83,9 @@ func (g *Graph) dotVertices(b *strings.Builder, prefix string) {
 func (g *Graph) dotEdges(b *strings.Builder, prefix string) {
 	g.forEachVertex(func(v *Vertex) {
 		st := g.spec.Tmpl.States[v.State]
-		lo, _ := g.win.Wids(v.Ev.Time)
+		lo, _ := g.win.Wids(v.Time)
 		for _, psIdx := range st.Preds {
-			g.forEachCandidate(v.Ev, psIdx, v.State, lo, func(p *Vertex) {
+			g.forEachCandidate(v.Ev, psIdx, int(v.State), lo, func(p *Vertex) {
 				fmt.Fprintf(b, "  %s -> %s;\n", dotID(prefix, p), dotID(prefix, v))
 			})
 		}

@@ -284,8 +284,8 @@ const (
 //     peak — summing per-graph peaks would overstate it, since partitions
 //     peak at different times, and state is largest just before expiry;
 //  2. folds every pending invalidation (flush);
-//  3. takes graph 0's windows up to hi in ascending wid order — consumed,
-//     or cloned by a peek;
+//  3. takes graph 0's windows up to hi — the prefix of its finals, in
+//     ascending wid order — consumed, or cloned by a peek;
 //  4. advances every graph to t, expiring its panes (close).
 //
 // The payloads of one (window, group) merge in partition order into the
@@ -305,26 +305,23 @@ func (e *Engine) sweep(kind sweepKind, hi int64, t event.Time, sink func(group s
 			}
 		}
 		root := p.graphs[0]
-		wids := e.swWids[:0]
-		for wid := range root.finals {
-			if wid <= hi {
-				wids = append(wids, wid)
-			}
+		upTo := 0
+		for upTo < len(root.finals) && root.finals[upTo].wid <= hi {
+			upTo++
 		}
-		slices.Sort(wids)
-		for _, wid := range wids {
-			pl := root.take(wid, kind == sweepPeek)
+		for _, f := range root.finals[:upTo] {
+			pl := root.take(f, kind == sweepPeek)
 			if pl == nil {
 				continue
 			}
-			groups := e.swWins[wid]
+			groups := e.swWins[f.wid]
 			if groups == nil {
 				if n := len(e.swSpare); n > 0 {
 					groups, e.swSpare = e.swSpare[n-1], e.swSpare[:n-1]
 				} else {
 					groups = map[string]*aggregate.Payload{}
 				}
-				e.swWins[wid] = groups
+				e.swWins[f.wid] = groups
 			}
 			if cur := groups[p.group]; cur == nil {
 				groups[p.group] = pl
@@ -333,7 +330,9 @@ func (e *Engine) sweep(kind sweepKind, hi int64, t event.Time, sink func(group s
 				root.cs.pool.Put(pl)
 			}
 		}
-		e.swWids = wids
+		if kind != sweepPeek {
+			root.finals = slices.Delete(root.finals, 0, upTo)
+		}
 		if kind == sweepClose {
 			for _, g := range p.graphs {
 				g.Advance(t)

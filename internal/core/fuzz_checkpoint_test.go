@@ -227,6 +227,54 @@ func TestRestoreCorruptErrors(t *testing.T) {
 			_, _, _ = RestoreRuntime(b) // restored or refused are both fine; a panic fails the test
 		}
 	})
+	// State no run can make — a vertex whose windows are not the ones its
+	// time falls into (a seeded flip once decoded one with 513), finals out
+	// of wid order — is written from a live runtime changed by hand, and
+	// the restore must refuse it as corrupt.
+	const (
+		incremental = "RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5"
+		lazy        = "RETURN COUNT(*), SUM(S.price) PATTERN SEQ(Stock S+, NOT Halt H) WHERE [company] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5"
+	)
+	for _, tc := range []struct {
+		name, query, want string
+		change            func(g *Graph)
+	}{
+		{"vertex-first-window", incremental, "its time falls into", func(g *Graph) { g.panes[0].firstWid++ }},
+		{"vertex-window-count", incremental, "its time falls into", func(g *Graph) {
+			g.panes[0].trees[0].Ascend(func(it vitem) bool {
+				it.Val.Aggs, it.Val.Present = g.def.NewBlock(513), aggregate.NewPresence(513)
+				return false
+			})
+		}},
+		{"vertex-outside-pane", incremental, "in pane", func(g *Graph) { g.panes[len(g.panes)-1].idx++ }},
+		{"finals-descending", incremental, "final of window", func(g *Graph) { g.finals[0], g.finals[1] = g.finals[1], g.finals[0] }},
+		{"finals-duplicate", lazy, "with an END vertex follows", func(g *Graph) { g.finals[1].wid = g.finals[0].wid }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := NewRuntime()
+			st := rcRegister(t, rt, "q", tc.query, aggregate.ModeNative, StmtConfig{})
+			rcFeed(rt, rcStream(rand.New(rand.NewSource(1)), 120, false, 8, 0), 0)
+			encode := func() []byte {
+				var buf bytes.Buffer
+				if err := rt.encodeLocked(&buf, rt.watermark+1); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes()
+			}
+			if _, _, err := RestoreRuntime(encode()); err != nil {
+				t.Fatalf("restore of the unchanged runtime: %v", err)
+			}
+			g := st.src.eng.parts.all()[0].graphs[0]
+			if len(g.finals) < 2 {
+				t.Fatalf("root graph holds %d finals, want at least 2", len(g.finals))
+			}
+			tc.change(g)
+			_, _, err := RestoreRuntime(encode())
+			if !errors.Is(err, checkpoint.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("restore: %v, want ErrCorrupt (%s)", err, tc.want)
+			}
+		})
+	}
 }
 
 // TestRestorePlanMismatch: a Vertex Tree item carries the key the

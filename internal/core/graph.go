@@ -14,18 +14,29 @@ import (
 
 // Vertex is a GRETA graph vertex: one matched event in one state, with
 // one aggregate payload per window the event falls into (paper
-// Definition 3 extended with sub-graph sharing, §6).
+// Definition 3 extended with sub-graph sharing, §6). It is one cache
+// line (64 bytes), and what a candidate visit reads — the time, the
+// presence bits and the payloads — is at most one hop from it: the event
+// itself is loaded only to evaluate edge predicates.
 type Vertex struct {
-	Ev       *event.Event
-	State    int
-	FirstWid int64
-	// Aggs[i] is the payload for window FirstWid+i; nil when the vertex
-	// carries no trends in that window (or is invalid there).
-	Aggs []*aggregate.Payload
+	Ev   *event.Event
+	Time event.Time // Ev.Time
+	// Aggs[i] is the payload of window pane.firstWid+i — the vertex's
+	// windows are its pane's, the ones Time falls into — when Present has
+	// entry i; otherwise the vertex carries no trends in that window (or
+	// is invalid there). The block is the vertex's own: sized to the
+	// window spec's K on first use and kept when the vertex is recycled.
+	Aggs    []aggregate.Payload
+	Present aggregate.Presence
+	State   int32
 	// closed marks vertices that already have an outgoing edge, used by
 	// skip-till-next-match semantics (§9): an event extends the first
 	// matchable continuation only.
 	closed bool
+	// fallback marks a tree key that is not the sort attribute's value
+	// (sortKey): a subtree holding the vertex is visited per vertex
+	// (vertexSum.fallback).
+	fallback bool
 }
 
 // pane is one Time Pane (paper §7): all vertices of a fixed time
@@ -33,11 +44,25 @@ type Vertex struct {
 // path the trees are augmented (see vertexAug): each tree's root
 // summary is the pane's per-(state, window) payload summary, and its
 // interior nodes support range-bounded subtree folds.
+//
+// A pane never straddles a window boundary (its size divides
+// gcd(Within, Slide)), so every event in it falls into the same windows,
+// [firstWid, firstWid+k): its vertices store no window range of their own.
 type pane struct {
 	idx        int64
 	start, end event.Time
+	firstWid   int64
 	trees      []*vtree // per template state; nil until the state's first vertex
 	vertices   int
+}
+
+// final is one window's entry in Graph.finals: the window's final
+// aggregate, accumulated incrementally (Theorem 4.3(2)) — or nil in a
+// graph with a Case-2 dependency, which computes its finals lazily when
+// the window is taken (lazyResult).
+type final struct {
+	wid int64
+	p   *aggregate.Payload
 }
 
 // depKind classifies a graph dependency per paper §5.1.
@@ -145,14 +170,10 @@ type Graph struct {
 
 	panes []*pane
 
-	// finals has a key for each open window that received an END vertex.
-	// Its value is the window's final aggregate, accumulated incrementally
-	// (Theorem 4.3(2)) — or nil in a graph with a Case-2 dependency, which
-	// computes its finals lazily when the window is taken (lazyResult).
-	// Created on the first END vertex: most graphs of a heavily
-	// partitioned stream never see one between window closes, so creation
-	// is deferred off the partition-creation path.
-	finals    map[int64]*aggregate.Payload
+	// finals has an entry for each open window that received an END
+	// vertex, in ascending wid order — at most ⌈WITHIN/SLIDE⌉ of them, since
+	// a window leaves it when it closes (Engine.sweep takes the prefix).
+	finals    []final
 	lazyFinal bool
 
 	deps       []*depLink // dependencies where this graph is the parent
@@ -268,11 +289,12 @@ type compiledSpec struct {
 
 	// Recycling pools, shared by the spec's graphs across partitions of
 	// one engine (sequential access, same argument as above): expired
-	// panes return payloads, vertices, panes, and tree nodes here so
-	// the steady-state per-event path allocates nothing — and a
-	// partition warms up from state another partition expired. Subtree
-	// summaries recycle implicitly: they stay attached (emptied) to
-	// free-listed tree nodes, their payloads returning to pool.
+	// panes return vertices (each with its payload block), panes, and
+	// tree nodes here so the steady-state per-event path allocates
+	// nothing — and a partition warms up from state another partition
+	// expired. The payload pool serves what is not a vertex's: subtree
+	// summaries, which stay attached (emptied) to free-listed tree nodes,
+	// their payloads returning to pool, window finals and results.
 	pool     aggregate.Pool
 	vfree    []*Vertex
 	pfree    []*pane
@@ -467,12 +489,15 @@ func buildLinkProto(spec, childSpec *GraphSpec) *linkProto {
 
 // insertState carries one insertion through the candidate scan.
 type insertState struct {
-	e        *event.Event
-	sIdx     int
-	lo, hi   int64
-	payloads []*aggregate.Payload // aliases the vertex's Aggs
-	eps      []*edgePred          // edge predicates of the current transition
-	gotPred  bool
+	e      *event.Event
+	sIdx   int
+	lo, hi int64
+	v      *Vertex // the vertex being built: scans fold into its block
+	// pn is the pane whose tree is being scanned or changed: its firstWid
+	// is the first window of every vertex in it (scanVisit, vertexAug.Add).
+	pn      *pane
+	eps     []*edgePred // edge predicates of the current transition
+	gotPred bool
 	// rlo/rhi are the current scan's outer key-range bounds (tree range;
 	// outward-rounded for inexact linear predicates so no true match is
 	// missed). useRange reports whether any compiled range narrowed
@@ -530,8 +555,10 @@ func newGraph(spec *GraphSpec, cs *compiledSpec, win window.Spec, sem query.Sema
 	return g
 }
 
-// getVertex returns a recycled (or new) vertex with a nil-cleared Aggs
-// slice of length k.
+// getVertex returns a recycled (or new) vertex for k windows, none of
+// them holding a payload. Its block is sized on first use to the most
+// windows an event can fall into, so a recycled vertex fits any window
+// count of the spec.
 func (g *Graph) getVertex(k int) *Vertex {
 	var v *Vertex
 	if n := len(g.cs.vfree); n > 0 {
@@ -541,25 +568,31 @@ func (g *Graph) getVertex(k int) *Vertex {
 	} else {
 		v = &Vertex{}
 	}
-	if cap(v.Aggs) >= k {
-		v.Aggs = v.Aggs[:k]
-	} else {
-		v.Aggs = make([]*aggregate.Payload, k)
+	if cap(v.Aggs) < k {
+		n := max(k, g.win.K())
+		v.Aggs, v.Present = g.def.NewBlock(n), aggregate.NewPresence(n)
 	}
+	v.Aggs = v.Aggs[:k]
+	v.Present.Clear()
 	v.closed = false
 	return v
 }
 
-// putVertex recycles v, returning its remaining payloads to the pool.
+// putVertex recycles v; its block goes with it.
 func (g *Graph) putVertex(v *Vertex) {
-	for i, p := range v.Aggs {
-		if p != nil {
-			g.cs.pool.Put(p)
-			v.Aggs[i] = nil
-		}
-	}
 	v.Ev = nil
 	g.cs.vfree = append(g.cs.vfree, v)
+}
+
+// payload returns window i's payload of v, marking it present — reset
+// to zero — if it was not.
+func (g *Graph) payload(v *Vertex, i int) *aggregate.Payload {
+	p := &v.Aggs[i]
+	if !v.Present.Has(i) {
+		v.Present.Set(i)
+		g.def.Reset(p)
+	}
+	return p
 }
 
 // addDep wires the negative child graph (spec index childIdx) into the
@@ -604,9 +637,9 @@ func (g *Graph) Process(e *event.Event) {
 
 // insertAt attempts to insert event e as a vertex of state sIdx
 // (Algorithm 2 generalized: per-state, per-window, all aggregates).
-// The steady-state path allocates nothing: the vertex, its payloads,
-// and its Aggs array come from the graph's recycling pools, and the
-// candidate scan runs through the preallocated scanFn closure.
+// The steady-state path allocates nothing: the vertex and its payload
+// block come from the graph's recycling pools, and the candidate scan
+// runs through the preallocated scanFn closure.
 func (g *Graph) insertAt(e *event.Event, sIdx int, lo, hi int64) {
 	st := g.spec.Tmpl.States[sIdx]
 	for _, cv := range g.cs.cVert[sIdx] {
@@ -617,14 +650,13 @@ func (g *Graph) insertAt(e *event.Event, sIdx int, lo, hi int64) {
 	k := int(hi - lo + 1)
 	v := g.getVertex(k)
 	ins := &g.ins
-	ins.e, ins.sIdx, ins.lo, ins.hi = e, sIdx, lo, hi
-	ins.payloads = v.Aggs
+	ins.e, ins.sIdx, ins.lo, ins.hi, ins.v = e, sIdx, lo, hi, v
 	ins.gotPred = false
 	ins.validFrom, ins.suffixOK = g.widValidity(e.Time, lo, hi)
 	for _, psIdx := range st.Preds {
 		g.scanCandidates(psIdx, sIdx)
 	}
-	ins.e = nil
+	ins.e, ins.v = nil, nil
 	if !st.Start && !ins.gotPred {
 		// A MID or END event without predecessor events extends no trend
 		// and is not inserted (Algorithm 2 line 5).
@@ -633,22 +665,15 @@ func (g *Graph) insertAt(e *event.Event, sIdx int, lo, hi int64) {
 	}
 	hasPayload := false
 	for i := 0; i < k; i++ {
-		wid := lo + int64(i)
-		if !g.validWid(wid, e.Time) {
-			if v.Aggs[i] != nil {
-				g.cs.pool.Put(v.Aggs[i])
-				v.Aggs[i] = nil
-			}
+		if !g.valid(lo+int64(i), e.Time) {
+			v.Present.Unset(i)
 			continue
 		}
 		if st.Start {
-			if v.Aggs[i] == nil {
-				v.Aggs[i] = g.cs.pool.Get()
-			}
-			g.def.OnStart(v.Aggs[i], e.Time)
+			g.def.OnStart(g.payload(v, i), e.Time)
 		}
-		if v.Aggs[i] != nil {
-			g.def.OnEventAcc(v.Aggs[i], e, g.cs.slotAcc)
+		if v.Present.Has(i) {
+			g.def.OnEventAcc(&v.Aggs[i], e, g.cs.slotAcc)
 			hasPayload = true
 		}
 	}
@@ -656,9 +681,9 @@ func (g *Graph) insertAt(e *event.Event, sIdx int, lo, hi int64) {
 		g.putVertex(v)
 		return
 	}
-	v.Ev, v.State, v.FirstWid = e, sIdx, lo
+	v.Ev, v.Time, v.State = e, e.Time, int32(sIdx)
 	if st.End {
-		g.onEndVertex(v, lo, hi)
+		g.onEndVertex(v, lo)
 	}
 	// Finished trend pruning (paper §5.2): an END vertex of a negative
 	// graph whose state has no outgoing transitions can never extend a
@@ -684,6 +709,16 @@ func (g *Graph) validWid(wid int64, t event.Time) bool {
 		}
 	}
 	return true
+}
+
+// valid is validWid for the event being inserted, at time t. widValidity
+// has already probed every window of the insertion: for a valid suffix
+// a comparison answers, and only another shape probes minEnd again.
+func (g *Graph) valid(wid int64, t event.Time) bool {
+	if g.ins.suffixOK {
+		return wid >= g.ins.validFrom
+	}
+	return g.validWid(wid, t)
 }
 
 // widValidity computes, once per insertion, the Case-3 validity shape
@@ -727,22 +762,22 @@ func (g *Graph) invalThreshold(deps []int, wid int64) int64 {
 	return thr
 }
 
-// onEndVertex folds an END vertex into final aggregates (positive
-// graphs, Theorem 4.3(2)) or pushes an invalidation record to the
-// parent (negative graphs, Definition 5).
-func (g *Graph) onEndVertex(v *Vertex, lo, hi int64) {
+// onEndVertex folds an END vertex, whose first window is lo, into final
+// aggregates (positive graphs, Theorem 4.3(2)) or pushes an invalidation
+// record to the parent (negative graphs, Definition 5).
+func (g *Graph) onEndVertex(v *Vertex, lo int64) {
 	if g.spec.Negative {
 		if g.parentLink == nil {
 			return
 		}
-		rec := invalRecord{end: v.Ev.Time, firstWid: lo, starts: g.parentLink.getStarts(len(v.Aggs))}
+		rec := invalRecord{end: v.Time, firstWid: lo, starts: g.parentLink.getStarts(len(v.Aggs))}
 		any := false
-		for i, p := range v.Aggs {
-			if p == nil || p.Zero() {
+		for i := range v.Aggs {
+			if !v.Present.Has(i) || v.Aggs[i].Zero() {
 				rec.starts[i] = aggregate.NoStart
 				continue
 			}
-			rec.starts[i] = p.MaxStart
+			rec.starts[i] = v.Aggs[i].MaxStart
 			any = true
 		}
 		if any {
@@ -752,24 +787,30 @@ func (g *Graph) onEndVertex(v *Vertex, lo, hi int64) {
 		}
 		return
 	}
-	for i, p := range v.Aggs {
-		if p == nil {
+	// The vertex's windows are the newest open ones, so their entries are
+	// found — or inserted, in order — from the tail.
+	j := len(g.finals)
+	for j > 0 && g.finals[j-1].wid >= lo {
+		j--
+	}
+	for i := range v.Aggs {
+		if !v.Present.Has(i) {
 			continue
 		}
 		wid := lo + int64(i)
-		if g.finals == nil {
-			g.finals = map[int64]*aggregate.Payload{}
+		for j < len(g.finals) && g.finals[j].wid < wid {
+			j++
 		}
-		r := g.finals[wid]
-		if !g.lazyFinal {
-			if r == nil {
-				r = g.cs.pool.Get()
+		if j == len(g.finals) || g.finals[j].wid != wid {
+			g.finals = slices.Insert(g.finals, j, final{wid: wid})
+		}
+		if f := &g.finals[j]; !g.lazyFinal {
+			if f.p == nil {
+				f.p = g.cs.pool.Get()
 			}
-			g.def.Merge(r, p)
+			g.def.Merge(f.p, &v.Aggs[i])
 		}
-		g.finals[wid] = r
 	}
-	_ = hi // window range is implicit in v.Aggs
 }
 
 // invalidPred reports whether predecessor p may not contribute to a new
@@ -778,13 +819,13 @@ func (g *Graph) invalidPred(p *Vertex, sIdx int, wid int64, t event.Time) bool {
 	for _, d := range g.deps {
 		switch d.kind {
 		case depCase1:
-			if d.prevStates[p.State] && d.follStates[sIdx] {
-				if ws, ok := d.maxStart[wid]; ok && int64(p.Ev.Time) < ws {
+			if d.prevStates[int(p.State)] && d.follStates[sIdx] {
+				if ws, ok := d.maxStart[wid]; ok && int64(p.Time) < ws {
 					return true
 				}
 			}
 		case depCase2:
-			if ws, ok := d.maxStart[wid]; ok && int64(p.Ev.Time) < ws {
+			if ws, ok := d.maxStart[wid]; ok && int64(p.Time) < ws {
 				return true
 			}
 		case depCase3:
@@ -854,12 +895,12 @@ func (g *Graph) pruneInvalid(d *depLink) {
 				v := it.Val
 				dead := true
 				for i := range v.Aggs {
-					if v.Aggs[i] == nil {
+					if !v.Present.Has(i) {
 						continue
 					}
-					wid := v.FirstWid + int64(i)
+					wid := pn.firstWid + int64(i)
 					ws, ok := d.maxStart[wid]
-					if !ok || int64(v.Ev.Time) >= ws {
+					if !ok || int64(v.Time) >= ws {
 						dead = false
 						break
 					}
@@ -869,11 +910,12 @@ func (g *Graph) pruneInvalid(d *depLink) {
 				}
 				return true
 			})
+			g.ins.pn = pn
 			for i, v := range doomed {
-				if tree.Delete(g.sortKey(v.State, v.Ev), v.Ev.ID) {
+				if key, _ := g.sortKey(sIdx, v.Ev); tree.Delete(key, v.Ev.ID) {
 					pn.vertices--
 					g.stats.Vertices--
-					g.stats.Payloads -= uint64(countPayloads(v))
+					g.stats.Payloads -= uint64(v.Present.Count())
 					g.putVertex(v)
 				}
 				doomed[i] = nil
@@ -881,16 +923,6 @@ func (g *Graph) pruneInvalid(d *depLink) {
 			g.doomed = doomed[:0]
 		}
 	}
-}
-
-func countPayloads(v *Vertex) int {
-	n := 0
-	for _, p := range v.Aggs {
-		if p != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // scanCandidates aggregates stored vertices of state psIdx that may
@@ -927,6 +959,7 @@ func (g *Graph) scanCandidates(psIdx, sIdx int) {
 		if tree == nil {
 			continue
 		}
+		ins.pn = pn
 		switch {
 		case fast && tree.Augmented():
 			if len(ins.augDeps) > 0 {
@@ -1009,7 +1042,7 @@ func (g *Graph) scanBounds(psIdx int, eps []*edgePred, e *event.Event, fold bool
 // every candidate; the runtime scan to every one but the lean visits of
 // a fold path (scanVisit).
 func (g *Graph) candidateOK(p *Vertex, e *event.Event, eps []*edgePred) bool {
-	if p.Ev.Time >= e.Time {
+	if p.Time >= e.Time {
 		return false
 	}
 	if g.sem == query.Contiguous && p.Ev.ID != g.lastEventID {
@@ -1036,10 +1069,9 @@ func (g *Graph) candidateOK(p *Vertex, e *event.Event, eps []*edgePred) bool {
 // skip-till-any-match only: no closed mark, no contiguity). Key 0 is
 // sortKey's stand-in for a missing or non-numeric attribute and takes
 // the full check (a NaN key is never inside the range). The fast path
-// also fixed the remaining window checks per insertion: Case-3 validity
-// is the suffix from ins.validFrom (widValidity), and maxStart
-// invalidation can only apply when the transition has gating
-// dependencies (ins.augDeps).
+// also fixed a window check per insertion: maxStart invalidation can
+// only apply when the transition has gating dependencies (ins.augDeps).
+// Case-3 validity is fixed per insertion for every visit (valid).
 func (g *Graph) scanVisit(it vitem) bool {
 	ins := &g.ins
 	p := it.Val
@@ -1047,31 +1079,25 @@ func (g *Graph) scanVisit(it vitem) bool {
 	g.stats.ScanVisits++
 	lean := ins.foldable && it.Key != 0 && ins.inFold(it.Key, it.Key)
 	if lean {
-		if p.Ev.Time >= e.Time {
+		if p.Time >= e.Time {
 			return true
 		}
 	} else if !g.candidateOK(p, e, ins.eps) {
 		return true
 	}
 	connected := false
-	shLo, shHi := ins.lo, min(p.FirstWid+int64(len(p.Aggs))-1, ins.hi)
-	if lean {
-		shLo = max(shLo, ins.validFrom)
-	}
+	first := ins.pn.firstWid
+	last := min(first+int64(len(p.Aggs))-1, ins.hi)
 	gated := !lean || len(ins.augDeps) > 0
-	for wid := shLo; wid <= shHi; wid++ {
-		pp := p.Aggs[wid-p.FirstWid]
-		if pp == nil || (!lean && !g.validWid(wid, e.Time)) {
+	for wid := ins.lo; wid <= last; wid++ {
+		j := int(wid - first)
+		if !p.Present.Has(j) || !g.valid(wid, e.Time) {
 			continue
 		}
 		if gated && g.invalidPred(p, ins.sIdx, wid, e.Time) {
 			continue
 		}
-		i := int(wid - ins.lo)
-		if ins.payloads[i] == nil {
-			ins.payloads[i] = g.cs.pool.Get()
-		}
-		g.def.AddPred(ins.payloads[i], pp)
+		g.def.AddPred(g.payload(ins.v, int(wid-ins.lo)), &p.Aggs[j])
 		connected = true
 	}
 	if connected {
@@ -1128,7 +1154,7 @@ func (g *Graph) forEachCandidate(e *event.Event, psIdx, sIdx int, loWid int64, v
 // happens inside the insert (and forceScan graphs opt out entirely,
 // behaving exactly like the per-vertex engine).
 func (g *Graph) store(v *Vertex) {
-	pn := g.paneFor(v.Ev.Time)
+	pn := g.paneFor(v.Time)
 	tree := pn.trees[v.State]
 	if tree == nil {
 		if aug := g.cs.augs[v.State]; aug != nil && !g.forceScan {
@@ -1138,24 +1164,30 @@ func (g *Graph) store(v *Vertex) {
 		}
 		pn.trees[v.State] = tree
 	}
-	tree.Insert(g.sortKey(v.State, v.Ev), v.Ev.ID, v)
+	key, genuine := g.sortKey(int(v.State), v.Ev)
+	v.fallback = !genuine
+	g.ins.pn = pn
+	tree.Insert(key, v.Ev.ID, v)
 	pn.vertices++
 	g.stats.Vertices++
 	g.stats.Inserted++
-	g.stats.Payloads += uint64(countPayloads(v))
+	g.stats.Payloads += uint64(v.Present.Count())
 }
 
 // sortKey computes the Vertex Tree key of an event in a state: the
 // compiled edge-predicate attribute when one exists, time otherwise.
-func (g *Graph) sortKey(sIdx int, e *event.Event) float64 {
+// genuine is false for a key that is not the attribute's value — 0
+// standing in for a missing or non-numeric one, or NaN — on which a key
+// range proves nothing.
+func (g *Graph) sortKey(sIdx int, e *event.Event) (key float64, genuine bool) {
 	acc := &g.cs.sortAcc[sIdx]
 	if acc.Attr() == "" {
-		return float64(e.Time)
+		return float64(e.Time), true
 	}
 	if v, ok := acc.Float(e); ok {
-		return v
+		return v, !math.IsNaN(v)
 	}
-	return 0
+	return 0, false
 }
 
 // paneFor returns (creating or recycling) the pane containing time t.
@@ -1172,17 +1204,18 @@ func (g *Graph) paneFor(t event.Time) *pane {
 		pn = g.cs.pfree[n-1]
 		g.cs.pfree[n-1] = nil
 		g.cs.pfree = g.cs.pfree[:n-1]
-		pn.idx, pn.start, pn.end = idx, idx*g.paneSize, (idx+1)*g.paneSize
 	} else {
-		pn = &pane{
-			idx:   idx,
-			start: idx * g.paneSize,
-			end:   (idx + 1) * g.paneSize,
-			trees: make([]*vtree, len(g.spec.Tmpl.States)),
-		}
+		pn = &pane{trees: make([]*vtree, len(g.spec.Tmpl.States))}
 	}
+	g.place(pn, idx)
 	g.panes = append(g.panes, pn)
 	return pn
+}
+
+// place sets pn's bounds to those of pane idx.
+func (g *Graph) place(pn *pane, idx int64) {
+	pn.idx, pn.start, pn.end = idx, idx*g.paneSize, (idx+1)*g.paneSize
+	pn.firstWid, _ = g.win.Wids(pn.start)
 }
 
 // expire drops panes that can no longer contribute to any open window
@@ -1219,17 +1252,18 @@ func (g *Graph) expire(t event.Time) {
 // as g.expireFn).
 func (g *Graph) expireVisit(it vitem) bool {
 	v := it.Val
-	g.stats.Payloads -= uint64(countPayloads(v))
+	g.stats.Payloads -= uint64(v.Present.Count())
 	g.putVertex(v)
 	return true
 }
 
-// take returns the final aggregate of window wid, one of finals' keys,
-// or nil when the window holds no finished trend. It consumes the window
-// unless peek: a peek returns a clone of the incremental final and leaves
-// the graph as it was, so it is exact only without a Case-2 dependency.
-func (g *Graph) take(wid int64, peek bool) *aggregate.Payload {
-	r := g.finals[wid]
+// take returns the final aggregate of f, an entry of finals, or nil when
+// the window holds no finished trend. It consumes the window — the
+// caller drops the entry — unless peek: a peek returns a clone of the
+// incremental final and leaves the graph as it was, so it is exact only
+// without a Case-2 dependency.
+func (g *Graph) take(f final, peek bool) *aggregate.Payload {
+	r := f.p
 	if peek {
 		if r == nil || r.Zero() {
 			return nil
@@ -1237,9 +1271,8 @@ func (g *Graph) take(wid int64, peek bool) *aggregate.Payload {
 		return g.def.Clone(r)
 	}
 	g.cs.cur = g
-	delete(g.finals, wid)
 	if g.lazyFinal {
-		r = g.lazyResult(wid)
+		r = g.lazyResult(f.wid)
 	}
 	if r != nil && r.Zero() {
 		g.cs.pool.Put(r)
@@ -1278,25 +1311,22 @@ func (g *Graph) lazyResult(wid int64) *aggregate.Payload {
 			}
 			tree.Ascend(func(it btree.Item[*Vertex]) bool {
 				v := it.Val
-				if wid < v.FirstWid || wid >= v.FirstWid+int64(len(v.Aggs)) {
-					return true
-				}
-				p := v.Aggs[wid-v.FirstWid]
-				if p == nil {
+				i := int(wid - pn.firstWid)
+				if i < 0 || i >= len(v.Aggs) || !v.Present.Has(i) {
 					return true
 				}
 				for _, d := range g.deps {
 					if d.kind != depCase2 {
 						continue
 					}
-					if ws, ok := d.maxStart[wid]; ok && int64(v.Ev.Time) < ws {
+					if ws, ok := d.maxStart[wid]; ok && int64(v.Time) < ws {
 						return true
 					}
 				}
 				if r == nil {
 					r = g.cs.pool.Get()
 				}
-				g.def.Merge(r, p)
+				g.def.Merge(r, &v.Aggs[i])
 				return true
 			})
 		}

@@ -72,7 +72,8 @@ type vertexSum struct {
 // for the same reason the pools are (sequential access; see
 // compiledSpec). The graph currently operating is published in
 // compiledSpec.cur so Add/Merge/Clear can read its invalidation
-// watermarks and charge its payload stats.
+// watermarks and charge its payload stats, and Add the pane whose tree
+// it is changing.
 type vertexAug struct {
 	cs   *compiledSpec
 	def  *aggregate.Def
@@ -92,16 +93,14 @@ func (a *vertexAug) newSum() *vertexSum {
 	return &vertexSum{minKey: math.Inf(1), maxKey: math.Inf(-1), minTime: maxTimeSentinel, maxTime: minTime}
 }
 
-// validWindows computes the per-window validity mask of v under g's
-// current maxStart watermarks for this state's gating dependency set
-// (compiledSpec.augDeps). It returns nil when every window is valid —
-// always the case for states without maxStart-gated transitions, and
-// for freshly inserted vertices (watermarks are strictly below the
-// current event time), so the mask only materializes during rebuilds.
-func (a *vertexAug) validWindows(g *Graph, v *Vertex) []bool {
-	if g == nil {
-		return nil
-	}
+// validWindows computes the per-window validity mask of v, whose first
+// window is first, under g's current maxStart watermarks for this
+// state's gating dependency set (compiledSpec.augDeps). It returns nil
+// when every window is valid — always the case for states without
+// maxStart-gated transitions, and for freshly inserted vertices
+// (watermarks are strictly below the current event time), so the mask
+// only materializes during rebuilds.
+func (a *vertexAug) validWindows(g *Graph, v *Vertex, first int64) []bool {
 	deps := a.cs.augDeps[a.sIdx]
 	if len(deps) == 0 || len(g.deps) == 0 {
 		return nil
@@ -112,7 +111,7 @@ func (a *vertexAug) validWindows(g *Graph, v *Vertex) []bool {
 	}
 	mask := a.validScratch[:len(v.Aggs)]
 	for i := range v.Aggs {
-		ok := int64(v.Ev.Time) >= g.invalThreshold(deps, v.FirstWid+int64(i))
+		ok := int64(v.Time) >= g.invalThreshold(deps, first+int64(i))
 		mask[i] = ok
 		if !ok {
 			all = false
@@ -124,7 +123,9 @@ func (a *vertexAug) validWindows(g *Graph, v *Vertex) []bool {
 	return mask
 }
 
-// Add folds one stored vertex into s (s may be nil: first use).
+// Add folds one stored vertex into s (s may be nil: first use). The
+// vertex is in the pane whose tree the current graph is changing
+// (insertState.pn), which gives its window range.
 func (a *vertexAug) Add(s *vertexSum, it vitem) *vertexSum {
 	if s == nil {
 		s = a.newSum()
@@ -136,29 +137,26 @@ func (a *vertexAug) Add(s *vertexSum, it vitem) *vertexSum {
 	if it.Key > s.maxKey {
 		s.maxKey = it.Key
 	}
-	if v.Ev.Time > s.maxTime {
-		s.maxTime = v.Ev.Time
+	if v.Time > s.maxTime {
+		s.maxTime = v.Time
 	}
-	if v.Ev.Time < s.minTime {
-		s.minTime = v.Ev.Time
+	if v.Time < s.minTime {
+		s.minTime = v.Time
 	}
-	if acc := &a.cs.sortAcc[a.sIdx]; acc.Attr() != "" {
-		if f, ok := acc.Float(v.Ev); !ok || math.IsNaN(f) {
-			s.fallback++
-		}
+	if v.fallback {
+		s.fallback++
 	}
 	g := a.cs.cur
 	wasEmpty := s.agg.Empty()
-	created, ok := a.def.SummaryAdd(&a.cs.pool, &s.agg, v.FirstWid, v.Aggs, a.validWindows(g, v))
+	first := g.ins.pn.firstWid
+	created, ok := a.def.SummaryAdd(&a.cs.pool, &s.agg, first, v.Aggs, &v.Present, a.validWindows(g, v, first))
 	if !ok {
 		s.bad = true
 	}
-	if g != nil {
-		if wasEmpty {
-			s.wmVer = g.wmVer
-		}
-		g.stats.Payloads += uint64(created)
+	if wasEmpty {
+		s.wmVer = g.wmVer
 	}
+	g.stats.Payloads += uint64(created)
 	return s
 }
 
@@ -318,11 +316,7 @@ func (g *Graph) foldVisit(s *vertexSum) bool {
 		if sp == nil {
 			continue
 		}
-		i := int(wid - ins.lo)
-		if ins.payloads[i] == nil {
-			ins.payloads[i] = g.cs.pool.Get()
-		}
-		g.def.AddPred(ins.payloads[i], sp)
+		g.def.AddPred(g.payload(ins.v, int(wid-ins.lo)), sp)
 	}
 	if edges := s.agg.EdgesFrom(start); edges > 0 {
 		g.stats.Edges += edges
