@@ -54,6 +54,7 @@ func TestNoHotPathAllocs(t *testing.T) {
 	t.Run("reorder-slack", testNoHotPathAllocsReorder)
 	t.Run("batch-ingest", testNoHotPathAllocsBatchIngest)
 	t.Run("batch-prefilter", testNoHotPathAllocsBatchPrefilter)
+	t.Run("batch-fanout", testNoHotPathAllocsBatchFanout)
 	t.Run("window-close", testNoHotPathAllocsWindowClose)
 	t.Run("boundary-visit", testNoHotPathAllocsBoundaryVisit)
 	t.Run("vertex-blocks", testNoHotPathAllocsVertexBlocks)
@@ -430,6 +431,135 @@ func testNoHotPathAllocsBatch(t *testing.T, prefilter bool) {
 	}
 	if after.SummaryFolds == before.SummaryFolds {
 		t.Fatal("measured loop took no summary folds")
+	}
+}
+
+// testNoHotPathAllocsBatchFanout guards the batch fan-out: three
+// statements in two route groups — two of them one shared union graph —
+// take steady-state 1 024-row batches on the caller and a helper
+// goroutine with fewer than one allocation a batch. The dearest-first
+// order and the parked results reuse what the batches before them left,
+// and the fan-out's own code allocates nothing; what remains is the Go
+// runtime's: a goroutine start usually reuses an exited goroutine and a
+// wait on the helpers a cached sudog, but a start or a wait after a
+// collection emptied those caches allocates one (in about one measured
+// run in seven, 1 to 7 objects over the 12 batches, read from the
+// allocation profile). AllocsPerRun runs at GOMAXPROCS 1, which starts no
+// helper, so the mallocs are read around the measured batches at
+// GOMAXPROCS 2 or more instead. Batches that close a window allocate one
+// Values slice per result they deliver and nothing else: the parked
+// slices are reused too. A thousand partitions of twenty rows a window
+// keep every vertex tree one leaf, so the engines' own node recycling
+// is at its steady state from the first window on.
+func testNoHotPathAllocsBatchFanout(t *testing.T) {
+	rest := "PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price "
+	srcs := []struct {
+		q     string
+		share bool
+	}{
+		{"RETURN COUNT(*), SUM(S.price) " + rest + "GROUP-BY company WITHIN 1000 SLIDE 1000", true}, // [company company]
+		{"RETURN MAX(S.price) " + rest + "GROUP-BY company WITHIN 1000 SLIDE 1000", true},
+		{"RETURN COUNT(*) " + rest + "WITHIN 1000 SLIDE 1000", false}, // [company]
+	}
+	rt := NewRuntime()
+	var stmts []*Stmt
+	for _, s := range srcs {
+		plan, err := NewPlan(query.MustParse(s.q), aggregate.ModeNative)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := rt.Register(plan, StmtConfig{Share: s.share, NoRetain: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stmts = append(stmts, st)
+	}
+	if rs := rt.Stats(); rs.RouteGroups != 2 || rs.SharedGraphs != 1 {
+		t.Fatalf("topology %+v, want two route groups and one shared graph", rs)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	helperSweeps := CountHelperSweeps(t)
+
+	const parts, perTick, size = 1000, 20, 1024
+	companies := make([]string, parts)
+	for i := range companies {
+		companies[i] = fmt.Sprintf("c%03d", i)
+	}
+	id := uint64(0)
+	batches := func(n int, from event.Time) []*event.Batch {
+		bs := make([]*event.Batch, n)
+		for i := range bs {
+			bs[i] = event.NewBatch(allocStockSchema, size)
+			for j := 0; j < size; j++ {
+				r := i*size + j
+				id++
+				bs[i].Append(id, from+event.Time(r/perTick), []float64{1000 - float64(id%7)}, []string{companies[r%parts]})
+			}
+		}
+		return bs
+	}
+	ingest := func(bs []*event.Batch) {
+		for _, b := range bs {
+			if _, err := rt.ProcessBatch(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var ms runtime.MemStats
+	measure := func(bs []*event.Batch) (mallocs uint64, results int) {
+		before := 0
+		for _, st := range stmts {
+			before += st.Stats().Results
+		}
+		sweeps := helperSweeps.Load()
+		runtime.GC() // no collection starts inside the measured batches
+		runtime.ReadMemStats(&ms)
+		m := ms.Mallocs
+		ingest(bs)
+		runtime.ReadMemStats(&ms)
+		if helperSweeps.Load() == sweeps {
+			t.Fatal("no measured batch swept a source on a helper goroutine")
+		}
+		for _, st := range stmts {
+			results += st.Stats().Results
+		}
+		return ms.Mallocs - m, results - before
+	}
+
+	// Warm-up through ten window closes (ticks 0–10099) charges the pools,
+	// the sweep's scratch and the parked slices, and its ~200 helper starts
+	// leave the scheduler enough exited goroutines to start the next ones
+	// from.
+	ingest(batches(10100*perTick/size+1, 0))
+	// Ticks 10100–10714, inside the open window [10000, 11000): no close.
+	const runs = 12
+	if mallocs, results := measure(batches(runs, 10100)); mallocs >= runs || results != 0 {
+		t.Fatalf("%d steady-state batches allocated %d objects and delivered %d results, want fewer than one a batch and none",
+			runs, mallocs, results)
+	}
+	// Ticks 10715–11124 close window 10000: one result per company for each
+	// subscriber of the union and one for the ungrouped statement, each
+	// with its own Values slice. The emitted finals leave the pools, which
+	// the new window's first rows refill (one payload per partition and
+	// engine), so the batches allocate up to twice per result; the parked
+	// slices, parked for the caller and emptied after delivery, keep the
+	// capacity the warm-up closes gave them.
+	caps := make([]int, len(stmts))
+	for i, st := range stmts {
+		caps[i] = cap(st.src.parked)
+	}
+	mallocs, results := measure(batches(8, 10715))
+	if want := 2*parts + 1; results != want {
+		t.Fatalf("a close delivered %d results, want %d", results, want)
+	}
+	for i, st := range stmts {
+		if len(st.src.parked) != 0 || cap(st.src.parked) != caps[i] || caps[i] == 0 {
+			t.Fatalf("statement %d: parked %d results of capacity %d after the close, want none of capacity %d (> 0)",
+				i, len(st.src.parked), cap(st.src.parked), caps[i])
+		}
+	}
+	if mallocs > 2*uint64(results)+parts/100 {
+		t.Fatalf("batches closing a window allocated %d objects for %d results, want at most two each", mallocs, results)
 	}
 }
 

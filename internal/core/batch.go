@@ -8,7 +8,11 @@
 //     vertex predicates (predicate.Column) over the batch's dense
 //     numeric columns into a pooled selection bitmap, so rows that
 //     cannot match any state skip graph insertion entirely,
-//   - the runtime watermark advanced once per batch tail.
+//   - the runtime watermark advanced once per batch tail,
+//
+// and a segment's independent graphs sweep it on every processor
+// (segFan), their results delivered afterwards in the order one
+// goroutine would have delivered them.
 //
 // The path is semantically invisible: results, Stats counters (modulo
 // the new PrefilterSkips), checkpoint boundary placement, and summary
@@ -20,8 +24,18 @@
 package core
 
 import (
+	"cmp"
 	"errors"
+	"fmt"
+	"io"
 	"math/bits"
+	"os"
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"github.com/greta-cep/greta/internal/event"
 	"github.com/greta-cep/greta/internal/predicate"
@@ -140,25 +154,205 @@ func (rt *Runtime) applyBatch(b *event.Batch, rows []*event.Event) {
 }
 
 // applySegment applies boundary-free sorted rows [lo, hi): every
-// member engine sweeps the segment in one columnar pass (run tracking,
-// partition memo, pre-filter skips fused); rt.mu held. Engines are
+// route-group source sweeps the segment in one columnar pass (run
+// tracking, partition memo, pre-filter skips fused), then every
+// composite source takes the rows one by one; rt.mu held. Engines are
 // independent, so the engine-major order (all rows for one engine,
 // then the next) emits the same per-statement results as the
-// per-event row-major order.
+// per-event row-major order — and the route-group sweeps may run on
+// several goroutines (segFan), whose results the caller delivers in
+// that same order after the join.
 func (rt *Runtime) applySegment(b *event.Batch, rows []*event.Event, lo, hi int) {
 	// Every row is an ingest epoch, exactly as applyLocked advances
 	// once per event (registration cannot interleave: rt.mu is held).
 	rt.epoch += uint64(hi - lo)
-	for _, g := range rt.groups {
-		for _, src := range g.members {
-			src.eng.processSegment(b, rows, lo, hi)
-		}
-	}
+	rt.fan.run(rt.groups, b, rows, lo, hi)
 	for _, src := range rt.direct {
 		for i := lo; i < hi; i++ {
 			src.eng.Process(rows[i])
 		}
 	}
+}
+
+// fanMinRows is the shortest segment that takes helper goroutines;
+// shorter ones the caller sweeps alone, through the same code. Measured
+// on lr_multi_batch's four queries (three engines, 100 000 rows, 2 vCPUs
+// Intel Xeon, 10 alternating pairs a size, two seeds), helpers on every
+// segment against none: the wall time per row broke even at about 40
+// rows (1.05–1.18× at 8–32 rows, 0.98× at 40), won narrowly at 48–56
+// rows (0.90–0.94×, 8–9 of 10) for 28–31 % more CPU, and at 64 rows by
+// 0.79–0.82× (9–10 of 10) for 10–21 % more CPU; 128 rows read 0.72×,
+// 1 024 rows 0.56×.
+const fanMinRows = 64
+
+// segFan sweeps a segment's route-group sources on the ProcessBatch
+// caller plus min(GOMAXPROCS, sources) − 1 helper goroutines. Each
+// goroutine claims, dearest first by each source's previous sweep, the
+// sources whose previous sweep ran on the processor it runs on, then
+// any left. A source thus stays on one processor, with its engine's
+// memory in that processor's cache, although the caller resumes after
+// the join on whichever thread woke it. Taking any unclaimed source
+// instead moved 43–88 % of the sweeps to another processor from one
+// segment to the next, against 1–2 %, and cost 8 % more CPU than
+// sweeping every source on the caller, against 1 % (lr_multi_batch,
+// 2 vCPUs Intel Xeon, medians over 576 rounds of laps alternating the
+// two ways and no helpers in one process; the wall time per lap read
+// 0.65× and 0.61× no helpers'). While inFlight is set,
+// source.fanout parks what the sweeps emit, and the caller delivers it
+// after the join ("One segment, every processor" in doc.go says what is
+// shared and what is not). Between segments the caller owns every
+// field.
+type segFan struct {
+	srcs     []*source // the segment's sources, dearest first
+	claims   []fanClaim
+	wg       sync.WaitGroup
+	help     func() // a helper's body, built once: a start allocates no closure
+	inFlight bool
+
+	// the segment in flight
+	b      *event.Batch
+	rows   []*event.Event
+	lo, hi int
+}
+
+// fanClaim is srcs[i]'s entry in a segment: where its previous sweep
+// ran, read while other goroutines sweep, and whether a goroutine has
+// taken it.
+type fanClaim struct {
+	cpu   int
+	taken atomic.Bool
+}
+
+// segmentHook, set by tests only, runs before each source's sweep,
+// told whether a helper goroutine runs it.
+var segmentHook func(onHelper bool)
+
+// run sweeps rows [lo, hi) through the sources of groups and delivers
+// what they emitted, in groups / members order.
+func (f *segFan) run(groups []*routeGroup, b *event.Batch, rows []*event.Event, lo, hi int) {
+	f.srcs = f.srcs[:0]
+	for _, g := range groups {
+		f.srcs = append(f.srcs, g.members...)
+	}
+	// Dearest first, so the source taken last is a cheap one; ties keep
+	// registration order.
+	slices.SortStableFunc(f.srcs, func(x, y *source) int { return cmp.Compare(y.cost, x.cost) })
+	helpers := 0
+	if hi-lo >= fanMinRows && len(f.srcs) > 1 {
+		helpers = min(runtime.GOMAXPROCS(0), len(f.srcs)) - 1
+	}
+	if f.help == nil {
+		f.help = func() {
+			defer f.wg.Done()
+			f.drain(true)
+		}
+	}
+	f.b, f.rows, f.lo, f.hi = b, rows, lo, hi
+	if cap(f.claims) < len(f.srcs) {
+		f.claims = make([]fanClaim, len(f.srcs))
+	}
+	f.claims = f.claims[:len(f.srcs)]
+	for i, s := range f.srcs {
+		f.claims[i].cpu = s.cpu
+		f.claims[i].taken.Store(false)
+	}
+	f.inFlight = true
+	defer f.end()
+	f.wg.Add(helpers)
+	for range helpers {
+		go f.help()
+	}
+	f.drain(false)
+	f.wg.Wait()
+	f.inFlight = false
+
+	for _, s := range f.srcs {
+		if s.panicked != nil {
+			raise(s)
+		}
+	}
+	for _, g := range groups {
+		for _, s := range g.members {
+			for i := range s.parked {
+				s.parked[i].st.deliver(s.parked[i].r)
+			}
+		}
+	}
+}
+
+// end leaves the sources as a segment found them, however run returns:
+// after a panic in the caller's own sweep it first joins the helpers, and
+// after a panic in a callback it drops what is still parked, so a later
+// segment delivers nothing twice or late.
+func (f *segFan) end() {
+	if f.inFlight {
+		f.wg.Wait()
+		f.inFlight = false
+	}
+	for _, s := range f.srcs {
+		clear(s.parked)
+		s.parked = s.parked[:0]
+		s.panicked, s.panicStack = nil, nil
+	}
+}
+
+// sweepPanicLog receives the stack of a panic a helper recovered; tests
+// replace it.
+var sweepPanicLog io.Writer = os.Stderr
+
+// raise re-raises on the caller the panic a helper recovered from s's
+// sweep, with its own value. The helper's goroutine, and with it the
+// frame that failed, is gone by now, so its stack is written out first.
+func raise(s *source) {
+	fmt.Fprintf(sweepPanicLog, "core: batch segment sweep panicked on a helper goroutine: %v\n\n%s\n", s.panicked, s.panicStack)
+	panic(s.panicked)
+}
+
+// drain sweeps sources until none is left to take.
+func (f *segFan) drain(onHelper bool) {
+	for {
+		cpu := currentCPU()
+		i := f.claim(cpu)
+		if i < 0 {
+			return
+		}
+		f.srcs[i].cpu = cpu
+		f.sweep(f.srcs[i], onHelper)
+	}
+}
+
+// claim takes the dearest source whose previous sweep ran on cpu, else
+// the dearest left, and returns its index; -1 when all are taken.
+func (f *segFan) claim(cpu int) int {
+	for _, anywhere := range [2]bool{false, true} {
+		for i := range f.claims {
+			c := &f.claims[i]
+			if (anywhere || c.cpu == cpu) && c.taken.CompareAndSwap(false, true) {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// sweep runs one source's engine over the segment, timing it for the
+// next segment's order. A panic on the caller unwinds through run as it
+// would without helpers; one on a helper, which would end the process,
+// is kept with its stack for the caller to raise.
+func (f *segFan) sweep(s *source, onHelper bool) {
+	if onHelper {
+		defer func() {
+			if r := recover(); r != nil {
+				s.panicked, s.panicStack = r, debug.Stack()
+			}
+		}()
+	}
+	if segmentHook != nil {
+		segmentHook(onHelper)
+	}
+	start := time.Now()
+	s.eng.processSegment(f.b, f.rows, f.lo, f.hi)
+	s.cost = time.Since(start)
 }
 
 // processSegment sweeps one segment of sorted rows through the engine:

@@ -176,7 +176,12 @@ func registerCollect(t *testing.T, rt *core.Runtime, queries []string) ([]*core.
 // snapshot's bytes.
 func armSnapshots(t *testing.T, rt *core.Runtime, snaps *[][]byte) {
 	t.Helper()
-	err := rt.SetCheckpoint(25, -1, func(_ event.Time, snapshot func(io.Writer) error) error {
+	armSnapshotsEvery(t, rt, 25, snaps)
+}
+
+func armSnapshotsEvery(t *testing.T, rt *core.Runtime, every event.Time, snaps *[][]byte) {
+	t.Helper()
+	err := rt.SetCheckpoint(every, -1, func(_ event.Time, snapshot func(io.Writer) error) error {
 		var buf bytes.Buffer
 		if err := snapshot(&buf); err != nil {
 			return err

@@ -125,6 +125,39 @@
 //     reused close to close, because a close that built it afresh
 //     allocated per window and per group on the path every window takes
 //     (TestNoHotPathAllocs/window-close; ROADMAP item 2(a)).
+//   - One segment, every processor. A batch segment's route-group sources
+//     sweep it on the ProcessBatch caller plus min(GOMAXPROCS, sources) −
+//     1 helper goroutines; each claims, dearest first by each source's
+//     previous sweep, the sources whose previous sweep ran on its
+//     processor, then any left (segFan, TestSegFanClaim), so an engine's
+//     memory stays in one processor's cache from segment to segment;
+//     below fanMinRows (64) rows there are no helpers and the caller runs
+//     the same code alone — no option, no env var. A sweep only reads what
+//     engines share: the batch, its rows and columns, their event.Schema
+//     (safe for concurrent reads), the plans. Everything it writes is per
+//     engine — payload, vertex and node pools, compiled specs with their
+//     accessor caches, the partition table and memo, the pre-filter cache,
+//     the sweep scratch, Stats — or per source: the sweep's cost and
+//     processor, the parked results, a recovered panic. Delivery is
+//     deferred to the join: source.fanout builds a window's Result where
+//     the window closes but parks it on the source while a segment is in
+//     flight, and after the join the caller delivers the parked results in
+//     rt.groups / members
+//     order, the engine-major order one goroutine delivers in, then runs
+//     rt.direct row by row. Stmt.deliver, callbacks and Stream cursors run
+//     on the caller only, no delivery order changes, and checkpoints fire
+//     between segments (TestBatchFanoutDifferential, with one processor
+//     and several). A panic on a helper is recovered with its stack, and
+//     the caller writes the stack to stderr and re-raises the panic's own
+//     value after the join, so a netstream connection still reports it; a
+//     panic in the caller's own sweep unwinds with its own frames once the
+//     helpers are joined (TestBatchFanoutHelperPanic). A panic in a
+//     callback drops the segment's undelivered results: none is delivered
+//     twice or late (TestBatchFanoutCallbackPanic). Process,
+//     ShardHost, RunParallel and the cluster never fan out. The fan-out
+//     allocates nothing of its own on a steady 1 024-row batch; the Go
+//     runtime's goroutine starts and waits come to fewer than one
+//     allocation a batch (TestNoHotPathAllocs/batch-fanout).
 //   - One partitioned-execution core. RunParallel's workers are
 //     in-process ShardHosts, the worker slot a cluster shard session
 //     hosts; its parallel units are the sources of partitioned simple

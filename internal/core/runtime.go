@@ -85,6 +85,10 @@ type Runtime struct {
 
 	nextID int
 
+	// fan sweeps a batch segment's route-group sources on several
+	// goroutines (batch.go); between segments it holds only scratch.
+	fan segFan
+
 	// ck is the armed checkpoint schedule, nil when checkpointing is
 	// off (see checkpoint.go). The trigger in process is two loads and
 	// a compare — nothing on the steady path allocates or syscalls.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"time"
 
 	"github.com/greta-cep/greta/internal/aggregate"
 	"github.com/greta-cep/greta/internal/event"
@@ -36,7 +37,25 @@ type source struct {
 	// parPrev is the coordinator's window-close cursor during RunParallel.
 	parPrev event.Time
 
+	// A batch segment's sweep (segFan) writes these on whichever
+	// goroutine runs it: what the sweep took and the processor it ran on
+	// (they order and place the next segment's sweep), the results its
+	// closes built, held for the caller to deliver after the join, and a
+	// panic a helper recovered, with the stack that raised it.
+	cost       time.Duration
+	cpu        int
+	parked     []parkedResult
+	panicked   any
+	panicStack []byte
+
 	retired bool
+}
+
+// parkedResult is one delivery a segment sweep built and left to the
+// caller.
+type parkedResult struct {
+	st *Stmt
+	r  Result
 }
 
 // shareKey renders the sharing key of a registration, "" for one that
@@ -129,12 +148,17 @@ func (s *source) unite() error {
 // fanout builds one window's Result and delivers it to subs — all of the
 // source's when a window closes (the engine's sink), the leaving one
 // under peekFlush — a union's with each subscriber's own RETURN values
-// extracted from the shared payload.
+// extracted from the shared payload. While a batch segment is in flight
+// the deliveries are parked for the caller instead.
 func (s *source) fanout(subs []*Stmt, group string, wid int64, pl *aggregate.Payload) {
 	r := s.eng.result(group, wid, pl)
 	for _, sub := range subs {
 		if s.union {
 			r.Values = s.eng.plan.Def().Values(pl, sub.outs)
+		}
+		if s.rt.fan.inFlight {
+			s.parked = append(s.parked, parkedResult{sub, r})
+			continue
 		}
 		sub.deliver(r)
 	}
