@@ -144,8 +144,7 @@ func Restore(dir string, opts ...RuntimeOption) (*Restored, error) {
 	stmts := inner.Statements()
 	handles := make([]*Handle, 0, len(stmts))
 	for _, st := range stmts {
-		plan := st.Plan()
-		handles = append(handles, &Handle{st: st, stmt: &Statement{query: plan.Query, plan: plan}})
+		handles = append(handles, handleOf(st))
 	}
 
 	ckDir, every := dir, info.Every

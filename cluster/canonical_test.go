@@ -87,6 +87,6 @@ func TestCanonicalTextConsumers(t *testing.T) {
 		if err := co.Close(); err != nil {
 			t.Fatal(err)
 		}
-		compareAtLeast(t, fmt.Sprintf("%s cluster", lit), 15, want, h.Results())
+		compareAtLeast(t, fmt.Sprintf("%s cluster", lit), 15, want, collect(h))
 	}
 }

@@ -40,6 +40,7 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -186,37 +187,17 @@ type unit struct {
 	regPend   map[*link]bool
 }
 
-// Handle is a registered statement's result surface, mirroring
-// greta.Handle: results accumulate for Results (sorted after Close),
-// OnResult streams them as windows merge. Both are views of the
-// statement's one delivery record and safe to call mid-stream, from any
-// goroutine, while the link readers deliver.
-type Handle struct {
-	co *Coordinator
-	st *core.Stmt
-	u  *unit // nil for inline statements
+// Handle is the statement handle Register returns.
+//
+// Deprecated: use greta.Handle, which this names.
+type Handle = greta.Handle
+
+// WithExactArithmetic compiles the statement in exact (math/big)
+// arithmetic on the coordinator and every slot: greta.WithExactArithmetic
+// as a RegisterOption, which a greta.Runtime refuses for a native statement.
+func WithExactArithmetic() greta.RegisterOption {
+	return func(c *core.StmtConfig) { c.Exact = true }
 }
-
-// regCfg collects RegisterOption state.
-type regCfg struct {
-	id    string
-	exact bool
-	force bool
-}
-
-// RegisterOption customizes one Register call.
-type RegisterOption func(*regCfg)
-
-// WithID names the statement (default "q<n>").
-func WithID(id string) RegisterOption { return func(c *regCfg) { c.id = id } }
-
-// WithExactArithmetic aggregates in exact (big-rational) arithmetic
-// on every slot instead of native floats.
-func WithExactArithmetic() RegisterOption { return func(c *regCfg) { c.exact = true } }
-
-// WithForceVertexScan disables the summary fast path on every slot
-// (differential testing and debugging).
-func WithForceVertexScan() RegisterOption { return func(c *regCfg) { c.force = true } }
 
 // Connect dials every shard, establishes resumable sessions, and fixes
 // the cluster's worker-slot topology: len(cfg.Shards) slots, slot i on
@@ -387,12 +368,17 @@ func (co *Coordinator) activeLinks() []*link {
 // every worker slot stamped with the current watermark and are
 // processed cluster-wide; anything else runs inline on the
 // coordinator. Registration returns after every shard acknowledges.
-func (co *Coordinator) Register(src string, opts ...RegisterOption) (*Handle, error) {
-	var cfg regCfg
+// The options are greta's; WithSharing(true) is refused with
+// greta.ErrUnsupportedOption, as cluster statements register exclusively.
+func (co *Coordinator) Register(src string, opts ...greta.RegisterOption) (*greta.Handle, error) {
+	var cfg core.StmtConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-	_, plan, err := core.Compile(src, cfg.exact)
+	if cfg.Share {
+		return nil, fmt.Errorf("%w: WithSharing(true) on a cluster statement", greta.ErrUnsupportedOption)
+	}
+	_, plan, err := core.Compile(src, cfg.Exact)
 	if err != nil {
 		return nil, err
 	}
@@ -403,13 +389,12 @@ func (co *Coordinator) Register(src string, opts ...RegisterOption) (*Handle, er
 		return nil, err
 	}
 	defer co.end()
-	// Sharing is deliberately off: cluster statements register
-	// exclusively (the shared sub-plan network is not distributed).
-	st, err := co.rt.Register(plan, core.StmtConfig{ID: cfg.id, ForceVertexScan: cfg.force})
+	st, err := co.rt.Register(plan, cfg)
 	if err != nil {
 		return nil, err
 	}
-	h := &Handle{co: co, st: st}
+	h := core.NewHandle(st).(*greta.Handle)
+	st.SetCloseHook(co.closeHook(st))
 	if !st.Partitioned() {
 		co.inline = append(co.inline, st)
 		return h, nil
@@ -432,7 +417,6 @@ func (co *Coordinator) Register(src string, opts ...RegisterOption) (*Handle, er
 		regPend:   map[*link]bool{},
 	}
 	co.nextSI++
-	h.u = u
 	co.units[u.si] = u
 	co.unitID[st.ID()] = u
 	co.order = append(co.order, u.si)
@@ -445,7 +429,7 @@ func (co *Coordinator) Register(src string, opts ...RegisterOption) (*Handle, er
 		u.regPend[l] = true
 		l.send(netstream.WireEvent{
 			Cmd: "sreg", SI: u.si, GI: u.gi, Query: plan.Query.String(), ID: st.ID(),
-			Exact: cfg.exact, Force: cfg.force, Time: co.wm,
+			Exact: cfg.Exact, Time: co.wm,
 		})
 	}
 	if err := co.waitLocked(func() bool { return len(u.regPend) == 0 }); err != nil {
@@ -545,19 +529,32 @@ func (co *Coordinator) flushAllLocked() {
 	}
 }
 
-// closeUnitLocked drives a partitioned unit's distributed close: fan
-// out, await every slot's final release and stats fold, then close the
-// local statement. co.mu held with the busy slot acquired.
-func (co *Coordinator) closeUnitLocked(u *unit) error {
-	co.flushAllLocked()
-	for _, l := range co.activeLinks() {
-		l.send(netstream.WireEvent{Cmd: "sclose", SI: u.si})
+// closeHook is st's Close: an inline statement leaves the feed; a live
+// unit is closed on every slot (rows flushed, sclose fanned out, every
+// slot's release merged and stats folded) before the local close.
+func (co *Coordinator) closeHook(st *core.Stmt) func(func() error) error {
+	return func(closeLocal func() error) error {
+		co.mu.Lock()
+		defer co.mu.Unlock()
+		if err := co.begin(); err != nil {
+			return err
+		}
+		defer co.end()
+		if i := slices.Index(co.inline, st); i >= 0 {
+			co.inline = slices.Delete(co.inline, i, i+1)
+		}
+		if u := co.unitID[st.ID()]; u != nil && u.st == st {
+			co.flushAllLocked()
+			for _, l := range co.activeLinks() {
+				l.send(netstream.WireEvent{Cmd: "sclose", SI: u.si})
+			}
+			if err := co.waitLocked(u.done); err != nil {
+				return err
+			}
+			co.dropUnitLocked(u)
+		}
+		return closeLocal()
 	}
-	if err := co.waitLocked(u.done); err != nil {
-		return err
-	}
-	co.dropUnitLocked(u)
-	return u.st.Close()
 }
 
 // done reports whether every slot has fully released and folded the
@@ -577,50 +574,6 @@ func (co *Coordinator) dropUnitLocked(u *unit) {
 			delete(co.barPend, k)
 		}
 	}
-}
-
-// ID returns the statement id.
-func (h *Handle) ID() string { return h.st.ID() }
-
-// OnResult streams merged windows to f as they are released. f runs
-// on a link reader goroutine with the coordinator locked — it must not
-// call back into the Coordinator or the Handle. Safe to call mid-stream:
-// a window goes to the callback installed when it is delivered.
-func (h *Handle) OnResult(f func(greta.Result)) { h.st.OnResult(f) }
-
-// Results returns a copy of the merged results so far: every emitted
-// window, in emission order mid-stream and in group/window order after
-// Close. Safe to call mid-stream.
-func (h *Handle) Results() []greta.Result { return h.st.Results() }
-
-// Stats returns the statement's counters. For partitioned statements
-// the slot engines' counters fold in when the unit closes (Handle.Close
-// or Coordinator.Close); before that only coordinator-side counters
-// (OutOfOrder, Results) are populated.
-func (h *Handle) Stats() greta.Stats { return h.st.Stats() }
-
-// Close closes the statement mid-stream. Partitioned units flush
-// their open windows on every slot as partials; the merged windows
-// emit before Close returns, and the slots' engine counters fold into
-// Stats.
-func (h *Handle) Close() error {
-	co := h.co
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if err := co.begin(); err != nil {
-		return err
-	}
-	defer co.end()
-	if h.u == nil {
-		if i := slices.Index(co.inline, h.st); i >= 0 {
-			co.inline = slices.Delete(co.inline, i, i+1)
-		}
-		return h.st.Close()
-	}
-	if _, live := co.units[h.u.si]; !live {
-		return nil
-	}
-	return co.closeUnitLocked(h.u)
 }
 
 // Close ends the stream: every unit's open windows flush on every
@@ -650,7 +603,7 @@ func (co *Coordinator) Close() error {
 			co.dropUnitLocked(u)
 		}
 	}
-	_ = co.rt.Close()
+	rtErr := co.rt.Close()
 	for _, l := range co.links {
 		if !l.closing {
 			l.finish()
@@ -658,17 +611,17 @@ func (co *Coordinator) Close() error {
 	}
 	co.closed = true
 	co.busy = false
-	err := co.err
+	err := cmp.Or(co.err, rtErr)
 	co.cond.Broadcast()
 	links := slices.Clone(co.links)
 	co.mu.Unlock()
 
 	for _, l := range links {
 		<-l.readerDone
-		_ = l.c.Close()
+		_ = l.c.Close() // the session is over (co.err says if it failed); a break may have closed it
 	}
 	if co.metLn != nil {
-		_ = co.metLn.Close()
+		err = cmp.Or(err, co.metLn.Close())
 	}
 	return err
 }
@@ -696,10 +649,9 @@ func (co *Coordinator) AddShard(ctx context.Context, addr string) (int, error) {
 	}
 	co.links = append(co.links, l)
 	co.fireTrace(greta.TraceEvent{Kind: greta.TraceShardAdd, Shard: idx, Watermark: co.wm})
-	// Replay the live units onto the empty shard's session so slots
-	// adopted later keep receiving sreg/sclose consistently. (The
-	// adopted snapshots carry the statements themselves; this keeps the
-	// session's barrier fan-out valid for units registered afterwards.)
+	// Nothing is replayed onto the cold shard: from here on activeLinks
+	// sends it every sreg, barrier and sclose, and the snapshots it adopts
+	// bring the statements registered before it joined.
 	return idx, nil
 }
 

@@ -181,7 +181,7 @@ func TestClusterDifferential(t *testing.T) {
 		}
 
 		co := connect(t, startShards(t, shards))
-		hs := make([]*cluster.Handle, len(diffQueries))
+		hs := make([]*greta.Handle, len(diffQueries))
 		for i, q := range diffQueries {
 			var err error
 			hs[i], err = co.Register(q)
@@ -200,7 +200,7 @@ func TestClusterDifferential(t *testing.T) {
 
 		for i := range diffQueries {
 			label := t.Name() + "/" + hs[i].ID()
-			compareAtLeast(t, label, diffFloors[i], collect(ref[i]), hs[i].Results())
+			compareAtLeast(t, label, diffFloors[i], collect(ref[i]), collect(hs[i]))
 			if ws, cs := ref[i].Stats(), hs[i].Stats(); ws != cs {
 				t.Errorf("shards=%d query %d stats:\nref     %+v\ncluster %+v", shards, i, ws, cs)
 			}
@@ -249,7 +249,7 @@ func TestClusterMidStreamRegisterClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c2 *cluster.Handle
+	var c2 *greta.Handle
 	for i, ev := range events {
 		if i == third {
 			if c2, err = co.Register(q2); err != nil {
@@ -269,8 +269,8 @@ func TestClusterMidStreamRegisterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	compareAtLeast(t, "q1", 5, collect(s1), c1.Results())
-	compareAtLeast(t, "q2", 40, collect(s2), c2.Results())
+	compareAtLeast(t, "q1", 5, collect(s1), collect(c1))
+	compareAtLeast(t, "q2", 40, collect(s2), collect(c2))
 	for i, pair := range []struct {
 		ref greta.Stats
 		got greta.Stats
@@ -293,7 +293,7 @@ func TestClusterMidStreamRegisterClose(t *testing.T) {
 // partitioned or inline — counts the drop once.
 func TestClusterLateEvent(t *testing.T) {
 	co := connect(t, startShards(t, 2))
-	var hs []*cluster.Handle
+	var hs []*greta.Handle
 	for _, q := range diffQueries {
 		h, err := co.Register(q)
 		if err != nil {
@@ -444,7 +444,7 @@ func TestClusterKillResume(t *testing.T) {
 	if got := co.Metrics().Resumes; got != faults {
 		t.Errorf("%d link faults injected, %d resumes", faults, got)
 	}
-	compareAtLeast(t, "kill-resume", diffFloors[0], collect(ref), h.Results())
+	compareAtLeast(t, "kill-resume", diffFloors[0], collect(ref), collect(h))
 	if ws, cs := ref.Stats(), h.Stats(); ws != cs {
 		t.Errorf("stats after kill/resume:\nref     %+v\ncluster %+v", ws, cs)
 	}
@@ -543,7 +543,7 @@ func TestClusterDrainHandoff(t *testing.T) {
 	if co.Shards() != 3 || co.Slots() != 2 {
 		t.Fatalf("topology after drain: %d shards, %d slots", co.Shards(), co.Slots())
 	}
-	compareAtLeast(t, "drain", diffFloors[0], collect(ref), h.Results())
+	compareAtLeast(t, "drain", diffFloors[0], collect(ref), collect(h))
 	if ws, cs := ref.Stats(), h.Stats(); ws != cs {
 		t.Errorf("stats after drain:\nref     %+v\ncluster %+v", ws, cs)
 	}
@@ -613,8 +613,8 @@ func TestClusterDrainLargeSnapshot(t *testing.T) {
 	if err := co.Close(); err != nil {
 		t.Fatal(err)
 	}
-	compareResults(t, "q2", collect(r1), c1.Results())
-	compareResults(t, "volume", collect(r2), c2.Results())
+	compareResults(t, "q2", collect(r1), collect(c1))
+	compareResults(t, "volume", collect(r2), collect(c2))
 	if ws, cs := r1.Stats(), c1.Stats(); ws != cs {
 		t.Errorf("q2 stats:\nref     %+v\ncluster %+v", ws, cs)
 	}
@@ -675,7 +675,7 @@ func TestClusterShutdownLeak(t *testing.T) {
 		if err := co.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if len(h.Results()) == 0 {
+		if len(collect(h)) == 0 {
 			t.Fatal("no results before shutdown")
 		}
 		for i, srv := range srvs {
@@ -742,7 +742,7 @@ func carrierDifferential(t *testing.T, q string, floor int, ref []*greta.Event, 
 		if err := co.Close(); err != nil {
 			t.Fatalf("%s: close: %v", label, err)
 		}
-		compareAtLeast(t, label, floor, collect(want), h.Results())
+		compareAtLeast(t, label, floor, collect(want), collect(h))
 		if ws, cs := want.Stats(), h.Stats(); ws != cs {
 			t.Errorf("%s stats:\nref     %+v\ncluster %+v", label, ws, cs)
 		}
@@ -856,6 +856,6 @@ func TestCoordinatorShapeCacheBounded(t *testing.T) {
 		if err := co.Close(); err != nil {
 			t.Fatalf("%s: close: %v", name, err)
 		}
-		compareAtLeast(t, name, 4, collect(ref), h.Results())
+		compareAtLeast(t, name, 4, collect(ref), collect(h))
 	}
 }

@@ -81,7 +81,7 @@ func TestClusterHandleConcurrent(t *testing.T) {
 		}
 		gens++
 		install(gens)
-		snap := h.Results()
+		snap := h.Delivered()
 		select {
 		case <-fedAll: // Close may have sorted what this snapshot copied
 			live = false
@@ -105,7 +105,7 @@ func TestClusterHandleConcurrent(t *testing.T) {
 		prev = snap
 	}
 
-	final := h.Results()
+	final := h.Delivered()
 	if len(final) < 40 || len(prev) == 0 {
 		t.Fatalf("scenario checks nothing: %d results, %d of them in a mid-stream snapshot", len(final), len(prev))
 	}

@@ -21,6 +21,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -28,6 +29,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -146,9 +148,9 @@ func runCoord(args []string) {
 	if *metricsAddr != "" {
 		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics\n", co.MetricsAddr())
 	}
-	handles := make([]*cluster.Handle, 0, len(queries))
+	handles := make([]*greta.Handle, 0, len(queries))
 	for _, src := range queries {
-		var opts []cluster.RegisterOption
+		var opts []greta.RegisterOption
 		if *exact {
 			opts = append(opts, cluster.WithExactArithmetic())
 		}
@@ -192,7 +194,11 @@ func runCoord(args []string) {
 			tag = fmt.Sprintf("[%s] ", h.ID())
 		}
 		fmt.Printf("\n%s%-20s%-10s%-14s%s\n", tag, "group", "window", "interval", "aggregates")
-		for _, r := range h.Results() { // closed: sorted by (group, window)
+		rs := h.Delivered()
+		slices.SortFunc(rs, func(a, b greta.Result) int {
+			return cmp.Or(strings.Compare(a.Group, b.Group), cmp.Compare(a.Wid, b.Wid))
+		})
+		for _, r := range rs {
 			group := r.Group
 			if group == "" {
 				group = "(all)"

@@ -59,7 +59,7 @@ func main() {
 		PATTERN SEQ(Start S, Measurement M+, End E)
 		WHERE [job, mapper] AND M.load < NEXT(M).load
 		GROUP-BY mapper
-		WITHIN 60 seconds SLIDE 30 seconds`, cluster.WithID("q2"))
+		WITHIN 60 seconds SLIDE 30 seconds`, greta.WithID("q2"))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func main() {
 		PATTERN Measurement M+
 		WHERE [job]
 		GROUP-BY job
-		WITHIN 60 seconds SLIDE 30 seconds`, cluster.WithID("volume"))
+		WITHIN 60 seconds SLIDE 30 seconds`, greta.WithID("volume"))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func main() {
 
 	// Aggregate total CPU per mapper across windows for a compact report.
 	perMapper := map[string]float64{}
-	for _, r := range q2.Results() {
+	for r := range q2.Results() {
 		perMapper[r.Group] += r.Values[0]
 	}
 	keys := make([]string, 0, len(perMapper))
@@ -117,7 +117,7 @@ func main() {
 	}
 	st := q2.Stats()
 	fmt.Printf("\nprocessed %d events across %d shard processes; %d Q2 results, %d volume windows emitted\n",
-		st.Events, co.Shards(), st.Results, len(vol.Results()))
+		st.Events, co.Shards(), st.Results, len(vol.Delivered()))
 }
 
 // runShard is the child role: serve shard sessions on a kernel-picked

@@ -107,7 +107,7 @@ func TestBatchPrefilterEngagement(t *testing.T) {
 			stats.PrefilterSkips, len(evs), min)
 	}
 
-	a, b := st.Results(), refSt.Results()
+	a, b := st.Delivered(), refSt.Delivered()
 	if len(a) != len(b) {
 		t.Fatalf("%d batch results vs %d per-event", len(a), len(b))
 	}

@@ -119,7 +119,7 @@ func TestSharingEngagement(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range sharedStmts {
-		a, b := sharedStmts[i].Results(), soloStmts[i].Results()
+		a, b := sharedStmts[i].Delivered(), soloStmts[i].Delivered()
 		if len(a) != len(b) {
 			t.Fatalf("statement %d: %d shared vs %d unshared results", i, len(a), len(b))
 		}

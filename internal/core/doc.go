@@ -40,16 +40,16 @@
 //     that knows what a statement was handed — results base, base+1, … in
 //     emission order, the callback slot, the closed flag — behind Stmt.mu,
 //     taken once per result; the callback runs outside it. Everything
-//     above is a view of it: greta.Handle and cluster.Handle hold a *Stmt
-//     and no results, lock or flag of their own, Restore copies nothing, a
+//     above is a view of it: greta.Handle holds a *Stmt (on a cluster too)
+//     and no results, lock or flag of its own, Restore copies nothing, a
 //     checkpoint writes the record where an engine's own emissions would
 //     go, the netstream session's rebase re-delivers Stmt.Delivered() —
 //     all safe while results are being delivered
 //     (TestClusterHandleConcurrent). A reader is a sequence cursor
 //     (Stmt.Stream): it yields results[pos-base], waits on the cond, and
 //     returns once the statement is closed and drained. Cursors index the
-//     record, so it is never reordered: Results() sorts a copy once the
-//     statement is closed. A retaining statement's base stays 0 and its
+//     record, so it is never reordered: whoever wants (group, window) order
+//     sorts a copy. A retaining statement's base stays 0 and its
 //     cursors replay from 0. A NoRetain statement's record holds nothing —
 //     a delivery is base++, no allocation — unless a cursor is live: then
 //     the newest tailMax (4096) results at most, a cursor starting at the
@@ -62,7 +62,9 @@
 //     Runtime.Close, retires the source: one destructive flush through
 //     the fan-out, the source leaves its route group, an emptied group
 //     leaves rt.groups, the key forgets the source. Then closed is set
-//     under both rt.mu and Stmt.mu, which wakes the cursors.
+//     under both rt.mu and Stmt.mu, which wakes the cursors. A cluster
+//     statement's Close runs its coordinator's hook (SetCloseHook) first:
+//     every slot's release and stats fold, then this local close.
 //   - Stats.SharedStatements is the number of statements the graph
 //     served when this one left (or serves now), itself included: 2 and
 //     then 1 as a two-subscriber union is closed one by one, 0 only for a
@@ -93,7 +95,7 @@
 //     partitions, fold is Def.Merge in slot order) and a composite Engine
 //     (slots are its branch then product engines, fold is
 //     Engine.compose). Every statement delivers in ascending (wid, group)
-//     order as windows close; Results() is (group, wid)-sorted once closed.
+//     order as windows close.
 //   - One window clock. Engine.closeUpTo(t) is the only place either plan
 //     kind closes windows: Process and every batch row reach it through
 //     admit (a pre-filtered skip span once, at its tail), AdvanceTo is

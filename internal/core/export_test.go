@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -74,6 +75,17 @@ func (l lockedWriter) Write(p []byte) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.w.Write(p)
+}
+
+// Results returns a copy of the retained results: in emission order
+// while the statement is live, sorted by (group, wid) once it is closed.
+// Empty when it registered with NoRetain.
+func (st *Stmt) Results() []Result {
+	_, rs, closed := st.record()
+	if rs = slices.Clone(rs); closed {
+		sortResults(rs)
+	}
+	return rs
 }
 
 func setSegmentHook(t testing.TB, hook func(onHelper bool)) {

@@ -31,6 +31,10 @@ var (
 	ErrRunning = errors.New("greta: runtime is running in parallel mode")
 )
 
+// NewHandle wraps a statement in greta's Handle. Package greta sets it at
+// init, so the cluster coordinator hands out the type a Runtime does.
+var NewHandle func(*Stmt) any
+
 // OrderError is the structured form of an out-of-order drop: the
 // offending event's timestamp and the watermark it violated (the
 // runtime watermark, or the reorder horizon when slack is armed).
@@ -171,6 +175,9 @@ type Stmt struct {
 	// frozen is the stats snapshot taken when the statement detached from
 	// a source that runs on for its other subscribers.
 	frozen *Stats
+
+	// onClose, when set, is Close: it is handed the local close.
+	onClose func(closeLocal func() error) error
 }
 
 // tailMax bounds what a NoRetain statement holds for its live cursors — the
@@ -209,10 +216,13 @@ type StmtConfig struct {
 	// but the RETURN aggregates) are served by one shared graph.
 	Share bool
 	// NoRetain drops results after delivery (OnResult callback and the
-	// per-statement fan-out) instead of retaining them for Results(),
+	// per-statement fan-out) instead of retaining them for Delivered(),
 	// bounding memory on unbounded streams. Stats.Results still counts
 	// every emission.
 	NoRetain bool
+	// Exact asks for exact arithmetic: the cluster coordinator compiles
+	// with it, and greta's Runtime refuses it for a native plan.
+	Exact bool
 }
 
 // Register subscribes a statement for plan to a graph on the shared
@@ -592,7 +602,7 @@ func (st *Stmt) ID() string { return st.id }
 
 // Engine exposes the engine of the statement's source (stats, DOT, the
 // merger a partitioned run emits through). It retains no results and
-// its callback is the source's: Stmt.OnResult, Stmt.Results and
+// its callback is the source's: Stmt.OnResult, Stmt.Delivered and
 // Stmt.Stats are the per-statement view.
 func (st *Stmt) Engine() *Engine { return st.src.eng }
 
@@ -692,17 +702,6 @@ func (st *Stmt) Delivered() []Result {
 	return slices.Clone(rs)
 }
 
-// Results returns a copy of the retained results: in emission order
-// while the statement is live, sorted by (group, wid) once it is closed.
-// Empty when it registered with NoRetain.
-func (st *Stmt) Results() []Result {
-	_, rs, closed := st.record()
-	if rs = slices.Clone(rs); closed {
-		sortResults(rs)
-	}
-	return rs
-}
-
 // Stats returns the statement's runtime statistics: the counters of its
 // source's engine — identical to what a private engine over the same
 // stream would have accumulated — with Results its own delivery count
@@ -724,8 +723,21 @@ func (st *Stmt) Stats() Stats {
 // open windows (their results are emitted through the usual delivery
 // path). Other statements are not perturbed — a subscriber leaving
 // others behind flushes from a peek of their graph. Returns
-// ErrStatementClosed if already closed.
+// ErrStatementClosed if already closed. A close hook (SetCloseHook) runs
+// instead and calls the local close itself.
 func (st *Stmt) Close() error {
+	if st.onClose != nil {
+		return st.onClose(st.closeLocal)
+	}
+	return st.closeLocal()
+}
+
+// SetCloseHook makes Close run f with the local close: a cluster
+// coordinator's statement closes on its host first. Set it before the
+// statement's handle escapes.
+func (st *Stmt) SetCloseHook(f func(closeLocal func() error) error) { st.onClose = f }
+
+func (st *Stmt) closeLocal() error {
 	st.rt.mu.Lock()
 	defer st.rt.mu.Unlock()
 	if st.closed {

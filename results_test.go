@@ -3,9 +3,14 @@ package greta_test
 import (
 	"context"
 	"fmt"
+	"net"
+	"strconv"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/greta-cep/greta"
+	"github.com/greta-cep/greta/cluster"
 )
 
 // everyTick is a statement that closes one window, with one result, per
@@ -55,35 +60,95 @@ func TestLiveIteratorDropsOldest(t *testing.T) {
 
 // TestWithoutRetentionHoldsNothing: with no iterator live a
 // WithoutRetention statement has nothing to snapshot however much was
-// delivered, and an iterator that left takes its tail with it.
+// delivered, and an iterator that left takes its tail with it — on a
+// Runtime, and for a statement partitioned over a 2-shard cluster.
 func TestWithoutRetentionHoldsNothing(t *testing.T) {
-	rt := greta.NewRuntime()
-	h, err := rt.Register(greta.MustCompile(everyTick), greta.WithoutRetention())
+	t.Run("runtime", func(t *testing.T) {
+		rt := greta.NewRuntime()
+		h, err := rt.Register(greta.MustCompile(everyTick), greta.WithoutRetention())
+		if err != nil {
+			t.Fatal(err)
+		}
+		feedTicks(t, rt, 0, 10000)
+		if rs := h.Delivered(); rs != nil {
+			t.Errorf("Delivered() holds %d results with no iterator live", len(rs))
+		}
+		seq := h.Results()
+		feedTicks(t, rt, 10001, 10010)
+		for r := range seq {
+			if r.Wid != 10000 {
+				t.Errorf("iterator opened after window 9999 closed starts at window %d", r.Wid)
+			}
+			break
+		}
+		feedTicks(t, rt, 10011, 10020)
+		if rs := h.Delivered(); rs != nil {
+			t.Errorf("Delivered() holds %d results while and after an iterator ran", len(rs))
+		}
+		if n := h.Stats().Results; n != 10020 {
+			t.Errorf("Stats counts %d results, want 10020", n)
+		}
+		if err := rt.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("cluster", func(t *testing.T) {
+		const n = 2000
+		co := connectShards(t, 2)
+		h, err := co.Register("RETURN COUNT(*) PATTERN A+ WHERE [k] WITHIN 1 SLIDE 1", greta.WithoutRetention())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var calls atomic.Int64 // the link readers deliver
+		h.OnResult(func(greta.Result) { calls.Add(1) })
+		for i := 0; i < n; i++ {
+			ev := &greta.Event{ID: uint64(i + 1), Type: "A", Time: greta.Time(i), Str: map[string]string{"k": strconv.Itoa(i % 4)}}
+			if err := co.Process(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if rs := h.Delivered(); rs != nil {
+			t.Errorf("Delivered() holds %d results mid-stream", len(rs))
+		}
+		if err := co.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if rs := h.Delivered(); rs != nil {
+			t.Errorf("Delivered() holds %d results after Close", len(rs))
+		}
+		if got, cb := h.Stats().Results, calls.Load(); got != n || cb != n {
+			t.Errorf("Stats counts %d results and the callback saw %d, want %d windows each", got, cb, n)
+		}
+	})
+}
+
+// connectShards serves n cluster shards on loopback and connects a
+// coordinator to them; both end with the test.
+func connectShards(t *testing.T, n int) *cluster.Coordinator {
+	t.Helper()
+	var addrs []string
+	for range n {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := cluster.ServeShard()
+		go func() { _ = srv.Serve(ln) }()
+		t.Cleanup(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			_ = srv.Shutdown(ctx)
+		})
+		addrs = append(addrs, ln.Addr().String())
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	co, err := cluster.Connect(ctx, cluster.Config{Shards: addrs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	feedTicks(t, rt, 0, 10000)
-	if rs := h.Delivered(); rs != nil {
-		t.Errorf("Delivered() holds %d results with no iterator live", len(rs))
-	}
-	seq := h.Results()
-	feedTicks(t, rt, 10001, 10010)
-	for r := range seq {
-		if r.Wid != 10000 {
-			t.Errorf("iterator opened after window 9999 closed starts at window %d", r.Wid)
-		}
-		break
-	}
-	feedTicks(t, rt, 10011, 10020)
-	if rs := h.Delivered(); rs != nil {
-		t.Errorf("Delivered() holds %d results while and after an iterator ran", len(rs))
-	}
-	if n := h.Stats().Results; n != 10020 {
-		t.Errorf("Stats counts %d results, want 10020", n)
-	}
-	if err := rt.Close(); err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(func() { _ = co.Close() })
+	return co
 }
 
 // TestResultsUnblocksOnClose: an iterator blocked in Results on another

@@ -2,11 +2,17 @@ package greta
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"iter"
 	"net"
 
+	"github.com/greta-cep/greta/internal/aggregate"
 	"github.com/greta-cep/greta/internal/core"
 )
+
+// The cluster coordinator builds its handles through core.
+func init() { core.NewHandle = func(st *core.Stmt) any { return handleOf(st) } }
 
 // Sentinel errors returned by Runtime and Handle operations.
 var (
@@ -22,6 +28,9 @@ var (
 	// ErrRunning reports Register/Close attempts while RunParallel owns
 	// the runtime.
 	ErrRunning = core.ErrRunning
+	// ErrUnsupportedOption reports a RegisterOption the host cannot honour
+	// (see WithSharing and cluster.WithExactArithmetic).
+	ErrUnsupportedOption = errors.New("greta: registration option not supported here")
 )
 
 // OrderError is the structured form of an out-of-order drop: the
@@ -120,7 +129,8 @@ func WithReorderSlack(slack Time) RuntimeOption {
 	return func(c *runtimeConfig) { c.slack = slack }
 }
 
-// RegisterOption configures one statement registration.
+// RegisterOption configures one statement registration, on a Runtime or
+// a cluster Coordinator; a host refuses one it cannot honour.
 type RegisterOption func(*core.StmtConfig)
 
 // WithID names the statement; results and netstream tags carry it.
@@ -137,7 +147,8 @@ func WithID(id string) RegisterOption {
 // shared graph, each receiving its own aggregates at window close.
 // Results, stats, and lifecycle are bit-identical either way; sharing
 // only collapses the work. Composite (OR/AND) and negation statements
-// always run exclusively.
+// always run exclusively, and so does every cluster statement: a
+// Coordinator refuses WithSharing(true).
 func WithSharing(on bool) RegisterOption {
 	return func(c *core.StmtConfig) { c.Share = on }
 }
@@ -163,6 +174,9 @@ func (rt *Runtime) Register(stmt *Statement, opts ...RegisterOption) (*Handle, e
 	cfg := core.StmtConfig{Share: true}
 	for _, opt := range opts {
 		opt(&cfg)
+	}
+	if cfg.Exact && stmt.plan.Mode != aggregate.ModeExact {
+		return nil, fmt.Errorf("%w: exact arithmetic on a natively compiled statement (compile it WithExactArithmetic)", ErrUnsupportedOption)
 	}
 	st, err := rt.inner.Register(stmt.plan, cfg)
 	if err != nil {
@@ -268,7 +282,8 @@ func (rt *Runtime) Stats() RuntimeStats { return rt.inner.Stats() }
 // listener if one is armed. Idempotent.
 func (rt *Runtime) Close() error {
 	if rt.metLn != nil {
-		rt.metLn.Close()
+		// It only serves scrapes: a failed close loses nothing.
+		_ = rt.metLn.Close()
 	}
 	return rt.inner.Close()
 }
@@ -277,10 +292,18 @@ func (rt *Runtime) Close() error {
 // close it to detach the statement mid-stream, consume results with
 // the OnResult callback or the streaming Results iterator. It holds no
 // results itself: OnResult, Results and Delivered are views of the
-// statement's one delivery record, safe while results are delivered.
+// statement's one delivery record, safe while results are delivered. A
+// cluster Coordinator returns the same Handle; OnResult, Stats, DOT and
+// Close say what differs there.
 type Handle struct {
 	st   *core.Stmt
 	stmt *Statement
+}
+
+// handleOf is the Handle of a statement known by its plan alone (restored,
+// or registered on a cluster): the plan's canonical text is its Query.
+func handleOf(st *core.Stmt) *Handle {
+	return &Handle{st: st, stmt: &Statement{query: st.Plan().Query, plan: st.Plan()}}
 }
 
 // ID returns the statement's identifier ("q<n>" unless WithID chose
@@ -291,10 +314,10 @@ func (h *Handle) ID() string { return h.st.ID() }
 func (h *Handle) Query() string { return h.stmt.Query() }
 
 // OnResult registers a callback invoked for every emitted result, as
-// soon as its window closes. The callback runs on the ingest path
-// (or an internal goroutine under RunParallel) and must not call back
-// into the Runtime or Handle. A result goes to the callback installed
-// when it is delivered; nil clears it.
+// soon as its window closes. The callback runs on the ingest path (an
+// internal goroutine under RunParallel, a link reader on a cluster) and
+// must not call back into the Runtime, Coordinator or Handle. A result
+// goes to the callback installed when it is delivered; nil clears it.
 func (h *Handle) OnResult(f func(Result)) { h.st.OnResult(f) }
 
 // Results streams the statement's results as windows close. The
@@ -327,18 +350,22 @@ func (h *Handle) Delivered() []Result { return h.st.Delivered() }
 // statement's deliveries, and SharedStatements is how many statements
 // the graph served when this one left it (or serves now), itself
 // included — 1 for the last to leave, 0 only for a statement whose
-// graph never had a second subscriber.
+// graph never had a second subscriber. On a cluster a partitioned
+// statement's slot counters fold in when it closes; until then only
+// OutOfOrder and Results move.
 func (h *Handle) Stats() Stats { return h.st.Stats() }
 
 // DOT renders the statement's live GRETA graph(s) in Graphviz DOT
 // format — one box per vertex labeled "type+time : count" as in the
 // paper's figures, with edges between adjacent trend events. Intended
 // for debugging and teaching on small streams; call before Close
-// expires the graph.
+// expires the graph. On a cluster it renders the coordinator's graph,
+// which is empty for a partitioned statement.
 func (h *Handle) DOT() string { return h.st.Engine().DOT() }
 
 // Close detaches the statement from the shared ingest mid-stream,
 // flushing its open windows (their results are delivered before Close
 // returns, and Results iterators then terminate). Other statements are
-// not perturbed. Returns ErrStatementClosed if already closed.
+// not perturbed. Returns ErrStatementClosed if already closed. On a
+// cluster the statement first closes on every shard.
 func (h *Handle) Close() error { return h.st.Close() }
