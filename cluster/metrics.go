@@ -25,7 +25,7 @@ type coMetrics struct {
 	resumes    *obs.Counter // successful link reattaches
 	handoffs   *obs.Counter // completed drains
 
-	encDur     *obs.Histogram // per-frame JSON encode latency
+	encDur     *obs.Histogram // per-frame send: encode, resend-ring copy and socket write
 	barRTT     *obs.Histogram // barrier fan-out → all-slots-acked round trip
 	handoffDur *obs.Histogram // Drain duration (handoff + adopt)
 }
@@ -56,7 +56,7 @@ func newCoMetrics(reg *obs.Registry) *coMetrics {
 		barriers:   reg.Counter("greta_cluster_barriers_total", "window-close barrier fan-outs", ""),
 		resumes:    reg.Counter("greta_cluster_link_resumes_total", "successful shard-link session resumes", ""),
 		handoffs:   reg.Counter("greta_cluster_handoffs_total", "completed slot drains (handoff + adopt)", ""),
-		encDur:     reg.Histogram("greta_cluster_frame_encode_seconds", "per-frame JSON encode latency", ""),
+		encDur:     reg.Histogram("greta_cluster_frame_encode_seconds", "per-frame send latency: encode, resend-ring copy and socket write", ""),
 		barRTT:     reg.Histogram("greta_cluster_barrier_rtt_seconds", "barrier fan-out to all-slots-acknowledged round trip", ""),
 		handoffDur: reg.Histogram("greta_cluster_handoff_seconds", "drain duration (handoff request through adopt ack)", ""),
 	}
@@ -110,6 +110,9 @@ type Metrics struct {
 	FrameBytes uint64 // bytes written to shard links
 	Barriers   uint64 // barrier fan-outs
 
+	// Barrier round trips, and frame sends: EncodeTotal sums what
+	// greta_cluster_frame_encode_seconds observes, each frame's whole
+	// send — encode, resend-ring copy and socket write.
 	BarrierRTTCount uint64        // barriers with all slot acks measured
 	BarrierRTTTotal time.Duration // summed fan-out→all-acked round trips
 	BarrierRTTMax   time.Duration

@@ -119,9 +119,10 @@ func main() {
 			t -= int64(jitter)
 		}
 		if err := client.Send(string(ev.Type), t, ev.Attrs, ev.Str); err != nil {
-			// A break the stall did not surface: heal it and keep going —
-			// the failed event was buffered before the write, so the
-			// resume replay covers it.
+			// A break the stall did not surface: heal it and keep going.
+			// Sends coalesce, so the failed write may have carried earlier
+			// events too; every one of them is in the resend ring, so the
+			// resume replay covers them.
 			if rerr := client.Resume(ctx); rerr != nil {
 				log.Fatal(rerr)
 			}

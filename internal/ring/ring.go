@@ -49,6 +49,9 @@ func (r *Ring) Last() uint64 { return r.last }
 // Next returns the seq the next Push assigns.
 func (r *Ring) Next() uint64 { return r.last + 1 }
 
+// Window returns how many lines the ring retains.
+func (r *Ring) Window() int { return r.window }
+
 // Len returns the number of retained lines.
 func (r *Ring) Len() int { return r.n }
 

@@ -20,6 +20,17 @@ import (
 // is the one client half of the session protocol: ordinary producers
 // and the cluster coordinator's shard links both run on it.
 //
+// Send coalesces: event lines collect in a pending buffer that goes out
+// in one write when it reaches sendChunk bytes, ahead of (and in the
+// same write as) any command, SendFrame, SendBatch or SendBatchFrame,
+// on Close, and at most sendLinger after its first line when no call
+// comes. The wire carries the same lines, concatenated. A write error
+// is returned by the call that performs the write — a later Send, a
+// command, or the first call after a linger write — and in a resumable
+// session every event not yet written is still in the resend ring (the
+// buffer never holds more than SendWindow lines), so Resume drops the
+// buffer and the ring replays it.
+//
 // A Client may be shared by one sending goroutine (Send, SendBatch,
 // SendBatchFrame, SendFrame) and one reading goroutine (ReadLine,
 // Resume): a Resume replays the resend ring and swaps the connection in
@@ -33,7 +44,8 @@ type Client struct {
 	// after Resume (default 1024). The ring recycles its line storage,
 	// so it holds at most SendWindow times the longest frame sent
 	// (capacity above 64 KiB is not recycled), and a full ring costs a
-	// Send no more than an empty one. Set it before EnableResume.
+	// Send no more than an empty one. Send holds at most SendWindow
+	// events unwritten. Set it before EnableResume.
 	SendWindow int
 
 	// addr is remembered by Dial/DialContext/LazyDial so Resume (and a
@@ -51,7 +63,17 @@ type Client struct {
 	session string // server-issued id; set once, before any concurrent use
 	ring    ring.Ring
 	evEnc   eventEncoder
-	line    []byte // encode scratch: unsequenced event lines, batch frames
+	line    []byte // encode scratch: batch frames
+
+	// out holds the event lines Send has not written yet (outN of them;
+	// none while down): the next write carries them ahead of its own
+	// line. linger is the one timer that writes them when no call does,
+	// armed by the line that finds out empty; lingerErr is its failed
+	// write's error, which the next call returns.
+	out       []byte
+	outN      int
+	linger    *time.Timer
+	lingerErr error
 
 	// The receive half belongs to the reading goroutine: the decoder
 	// and its reusable line, the last consumed durable server seq, the
@@ -174,20 +196,86 @@ func (c *Client) ensureLocked(ctx context.Context) error {
 // broken: the frame, if sequenced, waits in the resend ring.
 var errDown = errors.New("netstream: connection down (sequenced frames are retained for Resume)")
 
-// writeLocked puts one encoded line on the wire (mu held). The first
-// failed write closes the connection, so the peer and this client's
-// reader see the break at once, and later lines are not written into
-// the dead socket: sequenced ones wait in the ring for Resume.
+// sendChunk is the pending size at which Send writes its coalesced
+// lines: about 65 event lines of the net_durable benchmark. Measured on
+// that benchmark over 4–64 KiB in alternating runs: 8 KiB read the best
+// median throughput and CPU per event, and a larger chunk added to the
+// live heap (+2.4 % at 64 KiB) without saving CPU.
+const sendChunk = 8 << 10
+
+// sendLinger bounds how long a sent event may wait in the pending
+// buffer when no further call comes to write it.
+const sendLinger = time.Millisecond
+
+// writeLocked puts the pending event lines and then line (nil for none)
+// on the wire in one write (mu held). The first failed write closes the
+// connection, so the peer and this client's reader see the break at
+// once, and later lines are not written into the dead socket:
+// sequenced ones wait in the ring for Resume.
 func (c *Client) writeLocked(line []byte) error {
 	if c.down {
-		return errDown
+		return c.downErrLocked()
 	}
-	if _, err := c.conn.Write(line); err != nil {
+	p := line
+	if c.outN > 0 {
+		c.out = append(c.out, line...)
+		p = c.out
+	}
+	_, err := c.conn.Write(p)
+	c.dropOutLocked()
+	if err != nil {
 		c.down = true
-		_ = c.conn.Close()
+		_ = c.conn.Close() // the write error is the one to report; this only wakes the peer and the reader
 		return err
 	}
 	return nil
+}
+
+// downErrLocked is what a call that finds the connection down returns:
+// the error of the linger write that took it down, once, else errDown.
+func (c *Client) downErrLocked() error {
+	if err := c.lingerErr; err != nil {
+		c.lingerErr = nil
+		return err
+	}
+	return errDown
+}
+
+// dropOutLocked empties the pending buffer, giving up storage that a
+// large frame written behind it grew.
+func (c *Client) dropOutLocked() {
+	c.out, c.outN = c.out[:0], 0
+	if cap(c.out) > 4*sendChunk {
+		c.out = nil
+	}
+}
+
+// queueLocked counts the line just appended to out and writes out once
+// it holds a chunk — or, in a resumable session, as many lines as the
+// ring retains, so a pending line is never one the ring has evicted.
+// The line that finds out empty arms the linger timer.
+func (c *Client) queueLocked() error {
+	if c.outN++; len(c.out) >= sendChunk || c.session != "" && c.outN >= c.ring.Window() {
+		return c.writeLocked(nil)
+	}
+	if c.outN == 1 {
+		if c.linger == nil {
+			c.linger = time.AfterFunc(sendLinger, c.lingerWrite)
+		} else {
+			c.linger.Reset(sendLinger)
+		}
+	}
+	return nil
+}
+
+// lingerWrite is the linger timer's write of the lines no call has
+// written. Its error waits for the next call to return it.
+func (c *Client) lingerWrite() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.outN > 0 {
+		c.lingerErr = c.writeLocked(nil)
+	}
 }
 
 // encodeLocked is the first half of the one path every generic client
@@ -328,26 +416,38 @@ func (c *Client) RegisterContext(ctx context.Context, query string) (string, err
 // first, so an event lost to the write error that reveals the break is
 // still replayable. An event that cannot be encoded (a NaN or infinite
 // attribute) is rejected without consuming a sequence number.
+//
+// The line joins the pending buffer (see Client), so a nil error means
+// the event was queued, and an error may be that of a write carrying
+// earlier events. Outside a resumable session events pending at a
+// failed write are lost with it.
 func (c *Client) SendContext(ctx context.Context, typ string, t int64, attrs map[string]float64, strs map[string]string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.ensureLocked(ctx); err != nil {
 		return err
 	}
-	buf, seq := c.line[:0], uint64(0)
-	if c.session != "" {
-		buf, seq = c.ring.Buf(), c.ring.Next()
+	if c.session == "" {
+		line, err := c.evEnc.appendLine(c.out, 0, typ, t, attrs, strs)
+		switch {
+		case err != nil:
+			return err
+		case c.down:
+			return c.downErrLocked()
+		}
+		c.out = line
+		return c.queueLocked()
 	}
-	line, err := c.evEnc.appendLine(buf, seq, typ, t, attrs, strs)
+	line, err := c.evEnc.appendLine(c.ring.Buf(), c.ring.Next(), typ, t, attrs, strs)
 	if err != nil {
 		return err
 	}
-	if c.session != "" {
-		c.ring.Push(line)
-	} else {
-		c.line = line
+	c.ring.Push(line)
+	if c.down {
+		return c.downErrLocked() // the ring holds the line for Resume
 	}
-	return c.writeLocked(line)
+	c.out = append(c.out, line...)
+	return c.queueLocked()
 }
 
 // EnableResume asks the server for a resumable session; it must be
@@ -396,9 +496,10 @@ func (c *Client) Resume(ctx context.Context) error {
 		return errors.New("netstream: client has no address to redial")
 	}
 	c.mu.Lock()
-	c.down = true
+	c.down, c.lingerErr = true, nil // the break Resume heals
+	c.dropOutLocked()               // every pending line is in the ring, which replays it
 	if c.conn != nil {
-		_ = c.conn.Close()
+		_ = c.conn.Close() // the connection being replaced; already broken, or abandoned by design
 	}
 	c.mu.Unlock()
 	conn, err := dialBackoff(ctx, c.addr)
@@ -407,7 +508,7 @@ func (c *Client) Resume(ctx context.Context) error {
 	}
 	ack, err := c.reattach(conn)
 	if err != nil {
-		_ = conn.Close()
+		_ = conn.Close() // the handshake's error is the one to report
 		return err
 	}
 	// Replay and swap under the send lock: a frame sent concurrently
@@ -417,14 +518,14 @@ func (c *Client) Resume(ctx context.Context) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.ring.Covers(ack) {
-		_ = conn.Close()
+		_ = conn.Close() // the session cannot be healed; the window error says why
 		return fmt.Errorf("netstream: resume window exceeded (server applied through seq %d, oldest buffered is %d)",
 			ack, c.ring.Oldest())
 	}
 	c.conn, c.down = conn, false
 	if err := c.ring.WriteAfter(conn, ack); err != nil {
-		c.down = true // down again, for the next Resume
-		_ = conn.Close()
+		c.down = true    // down again, for the next Resume
+		_ = conn.Close() // the replay's write error is the one to report
 		return err
 	}
 	return nil
@@ -602,13 +703,22 @@ func (c *Client) Flush() ([]WireResult, uint64, error) {
 	return results, o.Events, nil
 }
 
-// Close closes the connection (a no-op on a lazily-dialed client that
-// never connected).
+// Close writes the pending event lines and closes the connection (a
+// no-op on a lazily-dialed client that never connected). A failed write
+// is returned; it has closed the connection already.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.linger != nil {
+		c.linger.Stop()
+	}
 	if c.conn == nil {
 		return nil
+	}
+	if c.outN > 0 {
+		if err := c.writeLocked(nil); err != nil {
+			return err
+		}
 	}
 	return c.conn.Close()
 }

@@ -1,11 +1,14 @@
 package netstream
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -68,8 +71,10 @@ func TestClientWriteFailure(t *testing.T) {
 // connection is severed between frames, mid-frame and mid-result. Every
 // frame must be applied exactly once: each window holds exactly its four
 // events (COUNT(*) of A+ = 15), each window's result arrives once, and
-// the summary counts every event. Run under -race it also checks the
-// sender/reader split of the Client's state.
+// the summary counts every event. Every other event goes through Send,
+// so coalesced lines, linger writes and a Resume that drops the pending
+// buffer meet too. Run under -race it also checks the sender/reader
+// split of the Client's state.
 func TestClientConcurrentSendResume(t *testing.T) {
 	const n = 4000 // one event per tick, four ticks per window
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -121,7 +126,11 @@ func TestClientConcurrentSendResume(t *testing.T) {
 				injected.Add(1)
 				arm(ln.Plan())
 			}
-			if _, err := c.SendFrame(&WireEvent{Type: "A", Time: int64(i)}); err != nil {
+			if i%2 == 0 {
+				// A write error here is the break the reader heals; the
+				// event is in the ring either way.
+				_ = c.Send("A", int64(i), nil, nil)
+			} else if _, err := c.SendFrame(&WireEvent{Type: "A", Time: int64(i)}); err != nil {
 				t.Errorf("SendFrame %d: %v", i, err)
 				return
 			}
@@ -169,4 +178,270 @@ func TestClientConcurrentSendResume(t *testing.T) {
 	if got := resumes.Load(); got < int64(len(faults)) {
 		t.Errorf("%d breaks injected, %d resumes", len(faults), got)
 	}
+}
+
+// writeLog is a connection that records each write it passes on, so a
+// test can count the client's write(2) calls and read what each carried.
+type writeLog struct {
+	net.Conn
+	mu     sync.Mutex
+	writes [][]byte
+}
+
+func (w *writeLog) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	w.writes = append(w.writes, bytes.Clone(p))
+	w.mu.Unlock()
+	return w.Conn.Write(p)
+}
+
+// take returns the writes recorded since the last take.
+func (w *writeLog) take() [][]byte {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	out := w.writes
+	w.writes = nil
+	return out
+}
+
+// withoutLinger gives c a linger timer whose firing writes nothing:
+// queueLocked re-arms it instead of making its own, so every write the
+// test sees is a chunk's or a call's.
+func withoutLinger(c *Client) *Client {
+	c.linger = time.AfterFunc(time.Hour, func() {})
+	return c
+}
+
+// jsonLine is encoding/json's line for we: what the client's encoders
+// must write for it, byte for byte.
+func jsonLine(t *testing.T, we WireEvent) []byte {
+	b, err := json.Marshal(we)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(b, '\n')
+}
+
+// TestSendCoalescing pins the write contract of Send: event lines are
+// written a chunk at a time, as the lines concatenated; a command, a
+// frame and Close write the pending lines first, in the same write; a
+// lone event goes out after the linger with no further call; and a cut
+// that tears a coalesced write mid-chunk is healed by Resume with every
+// event applied exactly once.
+func TestSendCoalescing(t *testing.T) {
+	// padded is the i-th 64-byte event line: 64 divides the chunk, so
+	// the sends' writes are exactly chunk-sized.
+	const lineLen = 64
+	padded := func(i int) WireEvent {
+		we := WireEvent{Type: "A", Time: 100000 + int64(i), Str: map[string]string{"p": ""}}
+		we.Str["p"] = strings.Repeat("x", lineLen-len(jsonLine(t, we)))
+		return we
+	}
+	send := func(t *testing.T, c *Client, we WireEvent) []byte {
+		t.Helper()
+		if err := c.Send(we.Type, we.Time, we.Attrs, we.Str); err != nil {
+			t.Fatal(err)
+		}
+		return jsonLine(t, we)
+	}
+	dial := func(t *testing.T, addr string) (*Client, *writeLog) {
+		raw, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &writeLog{Conn: raw}
+		c := NewClient(w)
+		t.Cleanup(func() { c.Close() })
+		return c, w
+	}
+	addr := startOptServer(t, &Server{}, "RETURN COUNT(*) PATTERN B+")
+
+	t.Run("chunks", func(t *testing.T) {
+		perChunk := sendChunk / lineLen
+		for _, n := range []int{3 * perChunk, 3*perChunk + 17} {
+			c, w := dial(t, addr)
+			withoutLinger(c)
+			var lines []byte
+			for i := 0; i < n; i++ {
+				lines = append(lines, send(t, c, padded(i))...)
+			}
+			writes := w.take()
+			if want := n * lineLen / sendChunk; len(writes) != want {
+				t.Fatalf("%d sends of %d bytes took %d writes, want %d", n, len(lines), len(writes), want)
+			}
+			for k, p := range writes {
+				if len(p) != sendChunk {
+					t.Fatalf("write %d carried %d bytes, want one chunk (%d)", k, len(p), sendChunk)
+				}
+			}
+			st, err := c.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Processed != uint64(n) {
+				t.Fatalf("server applied %d events, sent %d", st.Processed, n)
+			}
+			cmd := w.take()
+			if len(cmd) != 1 {
+				t.Fatalf("the stats command took %d writes, want 1 carrying the %d pending bytes", len(cmd), len(lines)%sendChunk)
+			}
+			got := bytes.Join(append(writes, cmd...), nil)
+			if want := append(lines, jsonLine(t, WireEvent{Cmd: "stats"})...); !bytes.Equal(got, want) {
+				t.Fatalf("the wire carried %d bytes that are not the %d of the event lines and the command, concatenated", len(got), len(want))
+			}
+		}
+	})
+
+	t.Run("order", func(t *testing.T) {
+		c, w := dial(t, addr)
+		withoutLinger(c)
+		batch, err := appendBatchFrame(nil, 0, &BatchFrame{Type: "A", Times: []int64{7, 8}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls := []struct {
+			name string
+			call func() error
+			line []byte
+		}{
+			{"SendFrame", func() error { _, err := c.SendFrame(&WireEvent{Type: "A", Time: 3}); return err }, jsonLine(t, WireEvent{Type: "A", Time: 3})},
+			{"Stats", func() error { _, err := c.Stats(); return err }, jsonLine(t, WireEvent{Cmd: "stats"})},
+			{"SendBatch", func() error { return c.SendBatch("A", []int64{7, 8}, nil, nil) }, batch},
+			{"Close", c.Close, nil},
+		}
+		for k, call := range calls {
+			want := append(send(t, c, padded(2*k)), send(t, c, padded(2*k+1))...)
+			if got := w.take(); len(got) != 0 {
+				t.Fatalf("%s: two sends wrote %d times before the call", call.name, len(got))
+			}
+			if err := call.call(); err != nil {
+				t.Fatalf("%s: %v", call.name, err)
+			}
+			want = append(want, call.line...)
+			if got := w.take(); len(got) != 1 || !bytes.Equal(got[0], want) {
+				t.Fatalf("%s wrote %q, want one write of the pending lines then its own: %q", call.name, got, want)
+			}
+		}
+	})
+
+	t.Run("window", func(t *testing.T) {
+		// A resumable session never holds more lines pending than its ring
+		// retains: a pending line is always one Resume can replay.
+		c := withoutLinger(resumableClient(8))
+		w := &writeLog{Conn: c.conn}
+		c.conn = w
+		for i := 0; i < 20; i++ {
+			send(t, c, padded(i))
+		}
+		writes := w.take()
+		if len(writes) != 2 || bytes.Count(writes[0], []byte("\n")) != 8 || bytes.Count(writes[1], []byte("\n")) != 8 {
+			t.Fatalf("20 sends into an 8-line ring wrote %d times, want 2 writes of 8 lines", len(writes))
+		}
+	})
+
+	t.Run("linger", func(t *testing.T) {
+		near, far := net.Pipe()
+		c := NewClient(near)
+		defer c.Close()
+		defer far.Close() // first, so a Close with lines pending fails instead of blocking
+		r := bufio.NewReader(far)
+		for i := 0; i < 2; i++ { // the second re-arms the timer the first fired
+			t0 := time.Now()
+			want := send(t, c, padded(i))
+			_ = far.SetReadDeadline(t0.Add(5 * time.Second))
+			got, err := r.ReadBytes('\n')
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("event %d: peer read %q, %v; want %q", i, got, err, want)
+			}
+			// The linger is 1 ms; the bound leaves room for a loaded runner.
+			if d := time.Since(t0); d > sendLinger+500*time.Millisecond {
+				t.Fatalf("event %d reached the peer after %v (linger %v)", i, d, sendLinger)
+			}
+		}
+	})
+
+	t.Run("linger-error", func(t *testing.T) {
+		// A failed linger write is returned by the next call, once; the
+		// calls after it find the connection down.
+		near, far := net.Pipe()
+		defer far.Close()
+		c := NewClient(failingConn{near})
+		send(t, c, padded(0))
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			c.mu.Lock()
+			down := c.down
+			c.mu.Unlock()
+			if down {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("the linger write never ran")
+			}
+		}
+		if err := c.Send("A", 1, nil, nil); err == nil || errors.Is(err, errDown) {
+			t.Fatalf("the call after a failed linger write = %v, want the write's error", err)
+		}
+		if err := c.Send("A", 2, nil, nil); !errors.Is(err, errDown) {
+			t.Fatalf("the next call = %v, want errDown", err)
+		}
+	})
+
+	t.Run("resume", func(t *testing.T) {
+		const n = 4000 // one event per tick, four ticks per window
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		addr := startResumeServer(t, &Server{Linger: time.Minute}, "RETURN COUNT(*) PATTERN A+ WITHIN 4 SLIDE 4")
+		raw, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := faultnet.New()
+		c := NewClient(f.Conn(raw))
+		c.addr = addr
+		defer c.Close()
+		// The ring must outlast what the server has not applied when the
+		// cut discards the socket's backlog.
+		c.SendWindow = n
+		if _, err := c.EnableResume(ctx); err != nil {
+			t.Fatal(err)
+		}
+		f.CutAfterWrites(sendChunk * 5 / 2) // inside the third write, a chunk or a linger write
+		resumes := 0
+		for i := 0; i < n; i++ {
+			if err := c.Send("A", int64(i), nil, nil); err != nil {
+				if err := c.Resume(ctx); err != nil {
+					t.Fatalf("Resume after send %d: %v", i, err)
+				}
+				resumes++
+			}
+		}
+		results, events, err := c.Flush()
+		if err != nil { // the cut may surface at the flush's write instead
+			if err := c.Resume(ctx); err != nil {
+				t.Fatalf("Resume at flush: %v", err)
+			}
+			resumes++
+			if results, events, err = c.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if resumes != 1 {
+			t.Fatalf("%d resumes, want 1: the cut must tear one write", resumes)
+		}
+		if events != n {
+			t.Errorf("summary counts %d events, sent %d", events, n)
+		}
+		seen := map[int64]int{}
+		for _, r := range results {
+			seen[r.Wid]++
+			if len(r.Values) != 1 || r.Values[0] != 15 {
+				t.Errorf("window %d = %v, want COUNT(*) = 15 (four events, each applied once)", r.Wid, r.Values)
+			}
+		}
+		for wid := int64(0); wid < n/4; wid++ {
+			if seen[wid] != 1 {
+				t.Errorf("window %d delivered %d times, want once", wid, seen[wid])
+			}
+		}
+	})
 }

@@ -83,7 +83,10 @@ func startResumeServer(t *testing.T, srv *Server, queries ...string) string {
 // connection: events are sent in order, the connection is severed at
 // event boundary killAt (or mid-line once writeBudget bytes have gone
 // out), Resume heals it, and the session is flushed. killAt < 0 and
-// writeBudget <= 0 run uninterrupted.
+// writeBudget <= 0 run uninterrupted. Sends coalesce, so a torn write
+// surfaces at whichever call performs it — a later Send, or the Flush
+// that writes the pending events ahead of its command — and either is
+// healed the same way: Resume, then carry on.
 func runResumable(t *testing.T, addr string, evs []testEvt, killAt int, writeBudget int64) ([]WireResult, *WireDone) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -125,9 +128,33 @@ func runResumable(t *testing.T, addr string, evs []testEvt, killAt int, writeBud
 	}
 	results, _, err := c.Flush()
 	if err != nil {
-		t.Fatalf("Flush: %v", err)
+		// The torn write carried the flush command (and the events still
+		// pending); the ring replays the events, and the flush goes again.
+		if err := c.Resume(ctx); err != nil {
+			t.Fatalf("Resume after torn flush: %v", err)
+		}
+		more, _, err := c.Flush()
+		if err != nil {
+			t.Fatalf("Flush after resume: %v", err)
+		}
+		results = append(results, more...)
 	}
 	return results, c.Summary()
+}
+
+// flushTearBudget is a write budget that tears the flush command of a
+// session sending evs: every event line lands, then half the command.
+func flushTearBudget(t *testing.T, evs []testEvt) int64 {
+	var enc eventEncoder
+	n := int64(len(`{"cmd":"flush"}`) / 2)
+	for i, e := range evs {
+		line, err := enc.appendLine(nil, uint64(i+1), e.typ, e.tm, map[string]float64{"price": e.price}, map[string]string{"company": e.co})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += int64(len(line))
+	}
+	return n
 }
 
 // sortResults orders results by identity: flush-time emission order
@@ -231,8 +258,10 @@ func TestSessionResumeDifferential(t *testing.T) {
 				sameSummary(t, label, gotSum, wantSum)
 			}
 			// Torn mid-line kills: sever after a byte budget that lands
-			// inside a JSON event line, well before the flush command.
-			for _, budget := range []int64{60, 500, 1100} {
+			// inside a JSON event line, well before the flush command — and
+			// one inside the flush command, the tail of the last coalesced
+			// write.
+			for _, budget := range []int64{60, 500, 1100, flushTearBudget(t, evs)} {
 				label := fmt.Sprintf("torn@%d", budget)
 				gotRes, gotSum := runResumable(t, addr, evs, -1, budget)
 				sameResults(t, label, gotRes, wantRes)

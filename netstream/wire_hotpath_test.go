@@ -129,7 +129,8 @@ func amortizedAllocs(runs int, f func()) float64 {
 
 // TestWireHotPathAllocs is the wire's allocation guard (make
 // alloc-guard): a steady-state resumable Send allocates nothing — the
-// line is built in the slot the ring recycles — and the server's
+// line is built in the slot the ring recycles and copied into the
+// reused pending buffer, whose writes re-arm one linger timer — and the server's
 // event-line parse plus dispatch allocates nothing but the event's share
 // of the session's slabs (about 3/slabEvents): no WireEvent, no
 // attribute maps, no name or value strings. The batch frame likewise:
@@ -208,6 +209,16 @@ func TestWireHotPathAllocs(t *testing.T) {
 	i := 4096
 	if n := testing.AllocsPerRun(2000, func() { sendN(t, c, i, 1); i++ }); n != 0 {
 		t.Errorf("steady-state resumable Client.Send allocates %v per event, want 0", n)
+	}
+	// AllocsPerRun truncates: read the mallocs themselves across a few
+	// hundred chunk writes, each followed by a line that re-arms the
+	// linger timer, and across sends that each wait out the linger, so
+	// the timer fires, writes, and is re-armed by the next line.
+	if n := amortizedAllocs(40000, func() { sendN(t, c, i, 1); i++ }); n != 0 {
+		t.Errorf("resumable Client.Send allocates %v per event across chunk writes, want 0", n)
+	}
+	if n := amortizedAllocs(50, func() { sendN(t, c, i, 1); i++; time.Sleep(3 * sendLinger) }); n != 0 {
+		t.Errorf("resumable Client.Send allocates %v per event across linger writes, want 0", n)
 	}
 
 	// Of a type no statement reads, like the frames above: on Stock lines
