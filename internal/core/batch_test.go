@@ -445,9 +445,10 @@ func TestBatchUnsortedFallback(t *testing.T) {
 	compareStmtStats(t, "unsorted", 0, stmts[0].Stats(), refStmts[0].Stats())
 }
 
-// TestRuntimeParallelWideRouteGroups registers more partition-attribute
-// signatures than a 64-bit mask holds, forcing RunParallel's per-event
-// fan-out through the spilled bitset path. Results must match the
+// TestRuntimeParallelWideRouteGroups registers 68 partition-attribute
+// signatures, so one event carries dozens of (route group, hash) pairs
+// for each worker, every worker's in one chunk op — and a chunk fills
+// with pairs long before it fills with ops. Results must match the
 // sequential runtime bit-for-bit.
 func TestRuntimeParallelWideRouteGroups(t *testing.T) {
 	const nSig = 68
@@ -484,7 +485,7 @@ func TestRuntimeParallelWideRouteGroups(t *testing.T) {
 	parRt := core.NewRuntime()
 	parStmts := registerAll(t, parRt, queries, aggregate.ModeNative)
 	if got := parRt.RouteGroups(); got != nSig {
-		t.Fatalf("route groups = %d, want %d (> 64 to exercise the wide bitset)", got, nSig)
+		t.Fatalf("route groups = %d, want %d", got, nSig)
 	}
 	if err := parRt.RunParallel(context.Background(), event.NewSliceStream(evs), 4); err != nil {
 		t.Fatal(err)

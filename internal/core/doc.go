@@ -15,8 +15,8 @@
 // plan it registered with, its RETURN slot mapping, and the record of
 // what was delivered to it. A source is one hosted graph: it
 // owns the engine, the engine's place in the ingest (a member of its
-// routeGroup, or rt.direct for a composite plan), the RunParallel
-// cursor, and the sharing key and epoch it opened under. There is no
+// routeGroup, or rt.direct for a composite plan), and the sharing key
+// and epoch it opened under. There is no
 // other kind of statement. A statement registered alone is a source
 // with one subscriber whose engine is compiled from the statement's own
 // plan; a second statement with the same key registered in the same
@@ -164,12 +164,21 @@
 //     in-process ShardHosts, the worker slot a cluster shard session
 //     hosts; its parallel units are the sources of partitioned simple
 //     plans (a graph runs once per slot, whoever subscribes), everything
-//     else runs inline. The feed loop broadcasts a per-unit window
-//     barrier before the event that closes the window, workers release
-//     and ack, one SlotMerge per unit emits through the source's engine,
+//     else runs inline on the caller. The feed loop, on the caller, files
+//     a per-unit window barrier before the event that closes the window
+//     (its cursor is the feed's own watermark) and hands each worker
+//     chunks of ops — events with their (route group, hash) pairs, and
+//     barriers — sending every worker's chunk after a barrier, so no
+//     window's merge waits on a later event. Workers release, and file
+//     their partials and acks straight into one SlotMerge per unit under
+//     one merge lock for the run; the merge emits through the source's
+//     engine on whichever worker completes the window, so a partitioned
+//     statement's callbacks run there, one at a time. Late events are
+//     dropped at the feed and charged through Stmt.AddOutOfOrder, and
 //     Stmt.FoldRemoteStats folds the slots' counters. The cluster
-//     coordinator drives the same three pieces over TCP, so
-//     cluster≡RunParallel holds by construction.
+//     coordinator drives the same pieces over TCP under its own lock, so
+//     cluster≡RunParallel holds by construction
+//     (TestRuntimeParallelLateEvents, TestClusterDifferential).
 //
 // # Sharing
 //

@@ -10,6 +10,10 @@ import (
 	"time"
 )
 
+// ParChanDepth is how many chunks a RunParallel worker's channel
+// buffers.
+const ParChanDepth = parChanDepth
+
 // CountHelperSweeps counts, until t ends, the route-group sources a batch
 // segment swept on a helper goroutine rather than on the ProcessBatch
 // caller: a count above zero shows the fan-out engaged.

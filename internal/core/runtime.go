@@ -124,10 +124,6 @@ type Runtime struct {
 	// once, and nothing snapshot-sized is held in between.
 	ckSize int
 
-	// parDebug captures streaming-merge instrumentation from the last
-	// RunParallel, read from its merger (test hook).
-	parDebug *parallelDebug
-
 	// met holds the hot-path metric cells (armed by default; nil after
 	// DisableMetrics). Every touch on the ingest path is a nil-check
 	// plus a plain atomic — see metrics.go for the 0-alloc contract.
@@ -563,19 +559,6 @@ func (rt *Runtime) statsLocked() RuntimeStats {
 		}
 	}
 	return rs
-}
-
-// ParallelDebug reports streaming-merge instrumentation from the last
-// RunParallel: the peak number of simultaneously pending (unmerged)
-// windows in the merger, and the total results still buffered in
-// worker engines at flush (zero when streaming delivery works).
-func (rt *Runtime) ParallelDebug() (maxPendingWindows, workerRetainedResults int) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.parDebug == nil {
-		return 0, 0
-	}
-	return rt.parDebug.maxPending, rt.parDebug.workerRetained
 }
 
 // Close flushes every registered statement (emitting all open

@@ -1,9 +1,12 @@
 package core_test
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"github.com/greta-cep/greta/internal/aggregate"
@@ -260,15 +263,16 @@ func TestRuntimeSharedHash(t *testing.T) {
 
 // TestRuntimeParallelStreamingMerge asserts the per-window barrier
 // merge: a multi-statement RunParallel matches the sequential runtime
-// bit-for-bit, workers retain no results (bounded buffers), and the
-// merger's pending-window buffer stays bounded by the number of
-// concurrently open windows instead of growing with the stream.
+// bit-for-bit, every merged window reaches the streaming callback, and
+// results stream while the feed still pulls the stream instead of
+// waiting for its end.
 func TestRuntimeParallelStreamingMerge(t *testing.T) {
+	const workers = 4
 	evs := diffStreamHalts(rand.New(rand.NewSource(3)), 12000, false, 25, 0)
 	queries := []string{
 		"RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5",
 		"RETURN COUNT(*) PATTERN SEQ(Stock S+, NOT Halt H) WHERE [company] AND S.price > NEXT(S).price WITHIN 30 SLIDE 10",
-		// Ungrouped: processed inline on the coordinator.
+		// Ungrouped: processed inline on the feeding goroutine.
 		"RETURN COUNT(*) PATTERN Stock S+ WITHIN 16 SLIDE 4",
 	}
 
@@ -283,11 +287,25 @@ func TestRuntimeParallelStreamingMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The stream counts what the feed pulled; statement 0's callbacks
+	// run on the workers, so the count is shared atomically.
+	var pulled atomic.Int64
+	s := event.FuncStream(func() *event.Event {
+		if n := pulled.Add(1); n <= int64(len(evs)) {
+			return evs[n-1]
+		}
+		return nil
+	})
 	parRt := core.NewRuntime()
 	parStmts := registerAll(t, parRt, queries, aggregate.ModeNative)
 	var streamed int
-	parStmts[0].OnResult(func(core.Result) { streamed++ })
-	if err := parRt.RunParallel(context.Background(), event.NewSliceStream(evs), 4); err != nil {
+	firstAt := int64(-1)
+	parStmts[0].OnResult(func(core.Result) {
+		if streamed++; streamed == 1 {
+			firstAt = pulled.Load()
+		}
+	})
+	if err := parRt.RunParallel(context.Background(), s, workers); err != nil {
 		t.Fatal(err)
 	}
 	for i := range queries {
@@ -298,37 +316,92 @@ func TestRuntimeParallelStreamingMerge(t *testing.T) {
 			streamed, len(parStmts[0].Results()))
 	}
 
-	maxPending, retained := parRt.ParallelDebug()
-	if retained != 0 {
-		t.Fatalf("workers retained %d results at flush; streaming merge requires 0", retained)
-	}
-	// Boundedness: the merger may hold at most the windows a lagging
-	// worker's bounded channel can span (a scheduling-dependent
-	// constant), while an end-of-stream merge would hold every window
-	// of the stream at once. Assert the peak stays well below the
-	// stream's window count.
-	totalWindows := 0
-	seenWids := map[[2]int64]bool{}
-	for i, st := range parStmts[:2] {
-		for _, r := range st.Results() {
-			k := [2]int64{int64(i), r.Wid}
-			if !seenWids[k] {
-				seenWids[k] = true
-				totalWindows++
+	// Statement 0's first result closes with the first event at or past
+	// its window's end, whose barrier every worker must pass. Until the
+	// last one does, the feed can send it ParChanDepth more chunks and
+	// then waits on the next. An event that closes a window of either
+	// partitioned statement sends every worker a chunk, so the feed
+	// cannot have pulled past the (ParChanDepth+1)-th such event after
+	// the closing one, however the workers are scheduled.
+	end := slices.MinFunc(seqStmts[0].Results(), func(a, b core.Result) int {
+		return cmp.Compare(a.WindowEnd, b.WindowEnd)
+	}).WindowEnd
+	closing := slices.IndexFunc(evs, func(ev *event.Event) bool { return ev.Time >= end })
+	limit, closes := len(evs), 0
+	for i := closing + 1; i < len(evs) && closes <= core.ParChanDepth; i++ {
+		for _, st := range parStmts[:2] {
+			if _, _, ok := st.WindowSpec().ClosedBy(evs[i-1].Time, evs[i].Time); ok {
+				closes, limit = closes+1, i+1
+				break
 			}
 		}
 	}
-	if maxPending == 0 {
-		t.Fatal("merger never held a pending window; barrier path not exercised")
-	}
-	if maxPending > totalWindows/3 {
-		t.Fatalf("merger held %d of %d windows pending at peak; merge is not streaming",
-			maxPending, totalWindows)
+	if firstAt < 0 || firstAt > int64(limit) {
+		t.Fatalf("statement 0's first result arrived with %d of %d events pulled; its window closed at event %d, so the feed may run to event %d",
+			firstAt, len(evs), closing+1, limit)
 	}
 
 	// Registration is rejected while closed (RunParallel closed it).
 	if _, err := parRt.Register(nil, core.StmtConfig{}); !errors.Is(err, core.ErrClosed) {
 		t.Fatalf("Register after RunParallel: err = %v, want ErrClosed", err)
+	}
+}
+
+// TestRuntimeParallelLateEvents feeds RunParallel a stream with late
+// copies of recent events: the feed drops them before routing, and
+// each statement — partitioned, inline, composite — must still match
+// the sequential runtime bit-for-bit and count the same drops, events
+// and results.
+func TestRuntimeParallelLateEvents(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var evs []*event.Event
+	for _, ev := range diffStreamHalts(rng, 6000, false, 25, 0) {
+		evs = append(evs, ev)
+		if rng.Intn(40) != 0 {
+			continue
+		}
+		// A copy of one of the last 30 events, placed after an event
+		// strictly later than it.
+		back := evs[max(0, len(evs)-1-rng.Intn(30))]
+		if back.Time < ev.Time {
+			late := *back
+			late.ID = uint64(100000 + len(evs))
+			evs = append(evs, &late)
+		}
+	}
+	queries := []string{
+		"RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price GROUP-BY company WITHIN 20 SLIDE 5",
+		// Ungrouped and composite: processed inline on the feeding goroutine.
+		"RETURN COUNT(*) PATTERN Stock S+ WITHIN 16 SLIDE 4",
+		"RETURN COUNT(*) PATTERN Stock S+ OR Halt H+ WITHIN 20 SLIDE 5",
+	}
+
+	seqRt := core.NewRuntime()
+	seqStmts := registerAll(t, seqRt, queries, aggregate.ModeNative)
+	for _, ev := range evs {
+		if err := seqRt.Process(ev); err != nil && !errors.Is(err, core.ErrOutOfOrder) {
+			t.Fatal(err)
+		}
+	}
+	if err := seqRt.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	parRt := core.NewRuntime()
+	parStmts := registerAll(t, parRt, queries, aggregate.ModeNative)
+	if err := parRt.RunParallel(context.Background(), event.NewSliceStream(evs), 4); err != nil {
+		t.Fatal(err)
+	}
+	for i := range queries {
+		compareResults(t, 5, parStmts[i].Results(), seqStmts[i].Results())
+		got, want := parStmts[i].Stats(), seqStmts[i].Stats()
+		if want.OutOfOrder == 0 {
+			t.Fatalf("statement %d: the stream dropped no late event", i)
+		}
+		if got.OutOfOrder != want.OutOfOrder || got.Events != want.Events || got.Results != want.Results {
+			t.Fatalf("statement %d: parallel OutOfOrder/Events/Results = %d/%d/%d, sequential %d/%d/%d", i,
+				got.OutOfOrder, got.Events, got.Results, want.OutOfOrder, want.Events, want.Results)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/greta-cep/greta/internal/aggregate"
-	"github.com/greta-cep/greta/internal/event"
 	"github.com/greta-cep/greta/internal/share"
 )
 
@@ -33,9 +32,6 @@ type source struct {
 	// from the one subscriber's own plan and its values are the
 	// statement's. The bit stays set when a union shrinks to one.
 	union bool
-
-	// parPrev is the coordinator's window-close cursor during RunParallel.
-	parPrev event.Time
 
 	// A batch segment's sweep (segFan) writes these on whichever
 	// goroutine runs it: what the sweep took and the processor it ran on
@@ -82,7 +78,7 @@ func (rt *Runtime) subscribe(into *source, key string, plan *Plan, cfg StmtConfi
 			return nil, err
 		}
 	} else {
-		s := &source{rt: rt, subs: []*Stmt{st}, key: key, epoch: rt.epoch, force: cfg.ForceVertexScan, parPrev: rt.watermark}
+		s := &source{rt: rt, subs: []*Stmt{st}, key: key, epoch: rt.epoch, force: cfg.ForceVertexScan}
 		st.src = s
 		s.setEngine(NewEngine(plan))
 		if plan.Simple() {

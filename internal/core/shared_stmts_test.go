@@ -261,11 +261,12 @@ func TestSharedStatementsMidStream(t *testing.T) {
 }
 
 // TestRuntimeParallelManySignatures drives RunParallel with six
-// distinct partition-attribute signatures — more than parMsg's inline
-// hash array holds — so every event's routing hashes travel through
-// the pooled, refcounted spill (hashSpill). Results must match the
-// sequential runtime bit-for-bit: a recycled spill handed to workers
-// too early would route events into the wrong partitions.
+// distinct partition-attribute signatures, so one event carries many
+// (route group, hash) pairs for one worker — all of them in one chunk
+// op, read off the chunk's pair columns. Results must match the
+// sequential runtime bit-for-bit: pairs read at the wrong offset, or a
+// recycled chunk handed out too early, would route events into the
+// wrong partitions.
 func TestRuntimeParallelManySignatures(t *testing.T) {
 	evs := diffStreamHalts(rand.New(rand.NewSource(6)), 8000, false, 40, 0)
 	queries := []string{
@@ -291,7 +292,7 @@ func TestRuntimeParallelManySignatures(t *testing.T) {
 	parRt := core.NewRuntime()
 	parStmts := registerAll(t, parRt, queries, aggregate.ModeNative)
 	if got := parRt.RouteGroups(); got != len(queries) {
-		t.Fatalf("route groups = %d, want %d (spill path needs > 4)", got, len(queries))
+		t.Fatalf("route groups = %d, want %d", got, len(queries))
 	}
 	if err := parRt.RunParallel(context.Background(), event.NewSliceStream(evs), 4); err != nil {
 		t.Fatal(err)

@@ -461,6 +461,32 @@ func TestIdleTimeout(t *testing.T) {
 	}
 }
 
+// TestWriteTimeoutEndsSession checks WriteTimeout's contract against a
+// client that keeps sending but never reads: the first write past the
+// deadline closes the connection, so the client's sends start failing,
+// instead of the session serving on with every later result line lost
+// to the broken writer.
+func TestWriteTimeoutEndsSession(t *testing.T) {
+	stmt, err := greta.Compile("RETURN COUNT(*) PATTERN A+ WITHIN 1 SLIDE 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &Server{Statements: []*greta.Statement{stmt}, WriteTimeout: 20 * time.Millisecond}
+	defer srv.Close()
+	near, far := net.Pipe() // synchronous: a result line waits for a reader
+	defer near.Close()
+	go srv.ServeConn(far)
+	deadline := time.Now().Add(5 * time.Second)
+	for tm := 1; time.Now().Before(deadline); tm++ {
+		// Each event closes a window, so the server writes a result line
+		// the client never reads.
+		if _, err := fmt.Fprintf(near, "{\"type\":\"A\",\"time\":%d}\n", tm); err != nil {
+			return
+		}
+	}
+	t.Fatal("the server still read events 5s after its result writes timed out")
+}
+
 // TestCheckpointCommand drives {"cmd":"checkpoint"}: the acknowledged
 // snapshot must be restorable offline, and the session keeps serving.
 func TestCheckpointCommand(t *testing.T) {

@@ -131,7 +131,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
 	if s.ln != nil {
-		_ = s.ln.Close()
+		_ = s.ln.Close() // Serve's Accept returns on it; a failed close leaves nothing to undo
 	}
 	sessions := make([]*session, 0, len(s.all))
 	for sess := range s.all {
@@ -145,7 +145,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// teardown) are cut; their readers exit on the closed conn.
 	s.mu.Lock()
 	for conn := range s.conns {
-		_ = conn.Close()
+		_ = conn.Close() // cutting it is the point; its reader exits either way
 	}
 	s.mu.Unlock()
 	done := make(chan struct{})
@@ -260,7 +260,7 @@ func (r *timeoutReader) Read(p []byte) (int, error) {
 		}
 	}
 	if !dl.IsZero() {
-		_ = r.conn.SetReadDeadline(dl)
+		_ = r.conn.SetReadDeadline(dl) // a closed conn fails the Read below; one without deadlines reads without them
 	}
 	n, err := r.conn.Read(p)
 	if n > 0 {
@@ -278,7 +278,7 @@ type deadlineWriter struct {
 
 func (w *deadlineWriter) Write(p []byte) (int, error) {
 	if w.d > 0 {
-		_ = w.conn.SetWriteDeadline(time.Now().Add(w.d))
+		_ = w.conn.SetWriteDeadline(time.Now().Add(w.d)) // a closed conn fails the Write below; one without deadlines writes without them
 	}
 	return w.conn.Write(p)
 }
@@ -308,8 +308,8 @@ func (s *Server) newSession(conn net.Conn, w *bufio.Writer, enc *json.Encoder) *
 	sess.rt = greta.NewRuntime(opts...)
 	fail := func(err error) *session {
 		sess.sendLocked(WireLine{Error: err.Error()}, false)
-		_ = sess.flushLocked()
-		_ = sess.rt.Close()
+		_ = sess.flushLocked() // the refusal is best effort: the caller closes the conn next
+		_ = sess.rt.Close()    // it never served; Close returns no error
 		return nil
 	}
 	if s.Slack > 0 {
@@ -337,8 +337,8 @@ func (s *Server) newSession(conn net.Conn, w *bufio.Writer, enc *json.Encoder) *
 // error line was sent).
 func (s *Server) resume(conn net.Conn, w *bufio.Writer, enc *json.Encoder, we *WireEvent) *session {
 	reject := func(msg string) *session {
-		_ = enc.Encode(WireLine{Error: msg})
-		_ = w.Flush()
+		_ = enc.Encode(WireLine{Error: msg}) // best effort: the caller closes the conn next
+		_ = w.Flush()                        // likewise
 		return nil
 	}
 	if s.isClosed() {
@@ -378,7 +378,7 @@ func (s *Server) RestoreSession(dir string) (string, error) {
 		return "", err
 	}
 	fail := func(err error) (string, error) {
-		_ = res.Close()
+		_ = res.Close() // the restore's error is the one to report; Close returns none
 		return "", err
 	}
 	if res.Meta == nil {
@@ -425,7 +425,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		_ = conn.Close()
+		_ = conn.Close() // refusing it is the point
 		return
 	}
 	if s.conns == nil {
@@ -449,8 +449,8 @@ func (s *Server) ServeConn(conn net.Conn) {
 	// a silently dropped connection; the session is unrecoverable.
 	defer func() {
 		if r := recover(); r != nil {
-			_ = enc.Encode(WireLine{Error: fmt.Sprintf("internal error: %v", r)})
-			_ = w.Flush()
+			_ = enc.Encode(WireLine{Error: fmt.Sprintf("internal error: %v", r)}) // best effort: the conn closes on return
+			_ = w.Flush()                                                         // likewise
 			if sess != nil {
 				sess.fail(conn)
 			}
@@ -495,8 +495,8 @@ func (s *Server) ServeConn(conn net.Conn) {
 					return
 				}
 			} else {
-				_ = enc.Encode(WireLine{Error: fmt.Sprintf("bad event: %v", err)})
-				_ = w.Flush()
+				_ = enc.Encode(WireLine{Error: fmt.Sprintf("bad event: %v", err)}) // best effort: a dead conn fails the next read
+				_ = w.Flush()                                                      // likewise
 			}
 			continue
 		}
@@ -518,8 +518,8 @@ func (s *Server) ServeConn(conn net.Conn) {
 	timedOut := isTimeout(sc.Err())
 	if sess == nil {
 		if timedOut {
-			_ = enc.Encode(WireLine{Error: "timeout"})
-			_ = w.Flush()
+			_ = enc.Encode(WireLine{Error: "timeout"}) // best effort: the conn closes on return
+			_ = w.Flush()                              // likewise
 		}
 		return
 	}

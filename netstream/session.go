@@ -112,7 +112,7 @@ func (sess *session) sendLocked(o WireLine, durable bool) {
 		o.Seq = sess.out.Next()
 		var line []byte
 		if line, err = sess.out.PushJSON(o); err == nil && sess.conn != nil {
-			_, _ = sess.w.Write(line)
+			_, _ = sess.w.Write(line) // sticky in the writer: flushLocked reports it, and the ring has the line
 		}
 	} else if sess.conn != nil {
 		err = sess.enc.Encode(o)
@@ -122,24 +122,31 @@ func (sess *session) sendLocked(o WireLine, durable bool) {
 		if r := o.Result; r != nil {
 			what = fmt.Sprintf("result of statement %s, window %d, group %q", r.Stmt, r.Wid, r.Group)
 		}
-		_ = sess.enc.Encode(WireLine{Error: fmt.Sprintf("%s not delivered: %v", what, err)})
+		_ = sess.enc.Encode(WireLine{Error: fmt.Sprintf("%s not delivered: %v", what, err)}) // a write error is sticky: flushLocked reports it
 	}
 }
 
 // flushLocked pushes the buffered output lines to the peer (mu held).
-// The error is the heartbeat's dead-peer signal.
+// A failed flush — a dead peer, or WriteTimeout on one that stopped
+// reading — closes the connection: the writer's error is sticky, so no
+// later line would arrive, and the close wakes the reader, which parks
+// or ends the session. The error is the heartbeat's dead-peer signal.
 func (sess *session) flushLocked() error {
 	if sess.conn == nil {
 		return nil
 	}
-	return sess.w.Flush()
+	err := sess.w.Flush()
+	if err != nil {
+		_ = sess.conn.Close() // the flush error is the one that counts
+	}
+	return err
 }
 
 // metaBytes is the SetCheckpointMeta provider: it runs on the ingest
 // path inside rt.Process (which the session only calls under mu), so
 // reading the cursors directly is safe and it must not lock.
 func (sess *session) metaBytes() []byte {
-	b, _ := json.Marshal(sessionMeta{
+	b, _ := json.Marshal(sessionMeta{ // strings and integers: it cannot fail
 		ID: sess.id, LastSeq: sess.lastSeq, OutSeq: sess.out.Last(),
 		Processed: sess.processed, Dropped: sess.dropped,
 		V: 2, EvID: sess.evID, FrameRows: sess.frameRows,
@@ -202,8 +209,7 @@ func (sess *session) startHeartbeatLocked() {
 			}
 			sess.pings++
 			sess.sendLocked(WireLine{Ping: sess.pings}, false)
-			if err := sess.flushLocked(); err != nil {
-				_ = myConn.Close() // wake the blocked reader; it parks the session
+			if sess.flushLocked() != nil { // it closed myConn: the reader parks the session
 				sess.mu.Unlock()
 				return
 			}
@@ -217,8 +223,8 @@ func (sess *session) startHeartbeatLocked() {
 func (sess *session) detachLocked() {
 	sess.stopHeartbeatLocked()
 	if sess.conn != nil {
-		_ = sess.w.Flush()
-		_ = sess.conn.Close()
+		_ = sess.w.Flush()    // best effort on a dropped peer; a resumable session's ring keeps its durable lines
+		_ = sess.conn.Close() // the conn is being dropped; a failed close leaves nothing to undo
 		sess.conn = nil
 		sess.w = nil
 		sess.enc = nil
@@ -246,7 +252,7 @@ func (sess *session) teardownLocked() {
 	if sess.shard != nil {
 		sess.shard.discardLocked()
 	}
-	_ = sess.rt.Close()
+	_ = sess.rt.Close() // Close returns no error
 	sess.detachLocked()
 	sess.srv.removeSession(sess)
 }
@@ -262,9 +268,9 @@ func (sess *session) finishLocked() {
 	if sess.shard != nil {
 		sess.shard.discardLocked()
 	}
-	_ = sess.rt.Barrier()
+	_ = sess.rt.Barrier() // errs only on a closed or RunParallel runtime: ended guards the one, sessions never run the other
 	rs := sess.rt.Stats()
-	_ = sess.rt.Close()
+	_ = sess.rt.Close() // Close returns no error
 	stats := make(map[string]greta.Stats, len(sess.handles))
 	for id, h := range sess.handles {
 		stats[id] = h.Stats()
@@ -330,7 +336,7 @@ func (sess *session) drain() {
 		return
 	}
 	sess.stopLingerLocked()
-	_ = sess.rt.Barrier()
+	_ = sess.rt.Barrier() // errs only on a closed or RunParallel runtime: ended guards the one, sessions never run the other
 	if sess.rt.CheckpointArmed() {
 		if err := sess.rt.Checkpoint(); err != nil {
 			sess.sendLocked(WireLine{Warn: fmt.Sprintf("checkpoint: %v", err)}, false)
@@ -391,9 +397,9 @@ func (sess *session) attachLocked(conn net.Conn, w *bufio.Writer, enc *json.Enco
 		}
 	} else {
 		sess.sendLocked(WireLine{Resumed: &WireResumed{ID: sess.id, Seq: sess.lastSeq}}, false)
-		_ = sess.out.WriteAfter(sess.w, recv)
+		_ = sess.out.WriteAfter(sess.w, recv) // a write error is sticky: the flush below reports it
 	}
-	_ = sess.flushLocked()
+	_ = sess.flushLocked() // a failed flush closes the conn, and its reader parks the session again
 	sess.startHeartbeatLocked()
 }
 
@@ -408,7 +414,7 @@ func (sess *session) reportBadLine(myConn net.Conn, err error) (stop bool) {
 		return true
 	}
 	sess.sendLocked(WireLine{Error: fmt.Sprintf("bad event: %v", err)}, false)
-	_ = sess.flushLocked()
+	_ = sess.flushLocked() // a failed flush closes the conn, and the reader parks the session
 	return false
 }
 
@@ -421,7 +427,7 @@ func (sess *session) handleLine(myConn net.Conn, we *WireEvent) (stop bool) {
 	if sess.ended || sess.conn != myConn {
 		return true
 	}
-	defer sess.flushLocked()
+	defer sess.flushLocked() // a failed flush closes the conn, and this reader parks the session
 	if we.Cmd == "batch" {
 		var bl batchLine
 		sess.handleBatchLocked(&bl, bl.fromWire(we, sess.shard != nil))
@@ -537,7 +543,7 @@ func (sess *session) handleEventLine(myConn net.Conn, el *eventLine) (stop, hand
 	if sess.shard != nil {
 		return false, false
 	}
-	defer sess.flushLocked()
+	defer sess.flushLocked() // a failed flush closes the conn, and this reader parks the session
 	if sess.admitLocked("event", el.seq) {
 		sess.applyEventLocked(el.seq, sess.bindLocked(el, sess.evID+1))
 	}
@@ -604,7 +610,7 @@ func (sess *session) handleBatchLine(myConn net.Conn, bl *batchLine) (stop bool)
 	if sess.ended || sess.conn != myConn {
 		return true
 	}
-	defer sess.flushLocked()
+	defer sess.flushLocked() // a failed flush closes the conn, and this reader parks the session
 	sess.handleBatchLocked(bl, nil)
 	return false
 }

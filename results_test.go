@@ -154,7 +154,7 @@ func connectShards(t *testing.T, n int) *cluster.Coordinator {
 // TestResultsUnblocksOnClose: an iterator blocked in Results on another
 // goroutine has seen every delivery, and returns, once the statement
 // ends — by Handle.Close, by Runtime.Close, or under RunParallel, where
-// deliveries come from the merger goroutine — with and without
+// deliveries come from the worker goroutines — with and without
 // retention. Run under -race.
 func TestResultsUnblocksOnClose(t *testing.T) {
 	const q = "RETURN COUNT(*) PATTERN Measurement M+ WHERE [job] WITHIN 30 seconds SLIDE 10 seconds"

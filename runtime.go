@@ -226,18 +226,20 @@ func (rt *Runtime) Run(ctx context.Context, s Stream) error { return rt.inner.Ru
 // RunParallel consumes the whole stream with parallel workers shared
 // by every registered statement, partitioning by grouping/equivalence
 // attributes (paper §7). Results stream out as windows close: the
-// coordinator broadcasts a per-window barrier, workers release their
+// feeding goroutine files a per-window barrier, workers release their
 // partial aggregates, and the merged result is emitted once every
 // worker has passed the barrier — worker buffers stay bounded by the
-// number of open windows. Unpartitioned and composite statements run
-// inline: same results, callbacks on the feeding goroutine at each close.
+// number of open windows. A partitioned statement's callbacks run on
+// the worker goroutine that completes a window, under the run's merge
+// lock, so one at a time, as a cluster coordinator's do under its own
+// lock. Unpartitioned and composite statements run inline: same
+// results, callbacks on the calling goroutine at each close.
 //
 // RunParallel must own the runtime from the start (no events processed
 // yet); otherwise it falls back to the sequential Run. It drives the
 // stream to completion (or ctx cancellation) and closes the runtime.
-// Result callbacks may fire from internal goroutines. While it runs,
-// Register, Handle.Close, Process, and Checkpoint return ErrRunning
-// eagerly instead of racing the workers.
+// While it runs, Register, Handle.Close, Process, and Checkpoint return
+// ErrRunning eagerly instead of racing the workers.
 func (rt *Runtime) RunParallel(ctx context.Context, s Stream, workers int) error {
 	return rt.inner.RunParallel(ctx, s, workers)
 }
