@@ -25,7 +25,8 @@ race:
 # whatever its size, a payload blob one) — and the routing / pool / wire
 # micro-benchmarks. Metrics cells are armed by default, so the guard
 # exercises the instrumented hot path; the overhead bench pins the
-# armed-vs-disarmed cost at the public layer with -benchmem.
+# armed-vs-disarmed cost at the public layer with -benchmem, and one
+# checkpoint write prints what a snapshot costs (bytes, allocations).
 alloc-guard:
 	$(GO) test -run 'TestNoHotPathAllocs|TestSnapshotEncodeAllocs' -count=1 ./internal/core
 	$(GO) test -run 'TestWireHotPathAllocs|TestFullRingSendCostsNoMore' -count=1 ./netstream
@@ -33,6 +34,7 @@ alloc-guard:
 	$(GO) test -run '^$$' -bench 'BenchmarkClientSend|BenchmarkEventLineDecode|BenchmarkBatchFrameDecode' -benchmem ./netstream
 	$(GO) test -run '^$$' -bench 'BenchmarkPartitionRouting|BenchmarkPayloadPool' -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkMetricsOverhead' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkCheckpointWrite' -benchtime 1x -benchmem .
 
 # obs-smoke runs a metrics-armed workload and a live 2-shard cluster,
 # scrapes both /metrics endpoints, and asserts the key series families

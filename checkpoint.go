@@ -1,11 +1,8 @@
 package greta
 
 import (
-	"io"
-
 	"github.com/greta-cep/greta/internal/checkpoint"
 	"github.com/greta-cep/greta/internal/core"
-	"github.com/greta-cep/greta/internal/event"
 )
 
 // ErrNoCheckpoint reports a Restore from a directory holding no valid
@@ -14,21 +11,25 @@ var ErrNoCheckpoint = checkpoint.ErrNoCheckpoint
 
 // WithCheckpoint arms watermark-aligned durability: before applying
 // the first event at or past each multiple of every, the runtime
-// advances all statements to that boundary and atomically writes a
-// checksummed snapshot of its full recoverable state into dir (temp
-// file + fsync + rename; the two most recent generations are kept).
-// After a crash, Restore(dir) rebuilds the runtime; replaying every
-// event with Time >= the returned ReplayFrom reproduces the
-// uninterrupted run bit for bit — results, Stats counters, and summary
-// folds. every must be positive (NewRuntime panics otherwise); pick a
-// multiple of the statements' SLIDE so boundaries fall where pane
-// state is minimal. Snapshot writes happen on the ingest path but
-// only at boundaries — the steady per-event path stays allocation-
-// and syscall-free. A failed write is reported to the
-// WithCheckpointErrors callback and does not stop ingestion: the
-// previous generation remains valid, so a fault costs at most the
-// events since the last successful checkpoint — which the feeder was
-// replaying anyway.
+// advances all statements to that boundary and encodes a snapshot of
+// its full recoverable state, then writes it atomically and
+// checksummed into dir (temp file + fsync + rename; the two most
+// recent generations are kept). The encode runs on the ingest path,
+// the write on a goroutine of its own: ingestion continues while it
+// runs, and the snapshot is durable by the next boundary, Checkpoint or
+// Close, each of which waits for it (one write is in flight at most).
+// After a crash, Restore(dir) rebuilds the runtime from the newest
+// durable snapshot — the last boundary's or, if its write was still in
+// flight, the one before; replaying every event with Time >= the
+// returned ReplayFrom reproduces the uninterrupted run bit for bit —
+// results, Stats counters, and summary folds. every must be positive
+// (NewRuntime panics otherwise); pick a multiple of the statements'
+// SLIDE so boundaries fall where pane state is minimal. The steady
+// per-event path stays allocation- and syscall-free. A failed write is
+// reported to the WithCheckpointErrors callback and does not stop
+// ingestion: the previous generation remains valid, so a fault costs
+// at most the events since the last durable checkpoint — which the
+// feeder was replaying anyway.
 func WithCheckpoint(dir string, every Time) RuntimeOption {
 	return func(c *runtimeConfig) {
 		c.ckDir = dir
@@ -38,8 +39,10 @@ func WithCheckpoint(dir string, every Time) RuntimeOption {
 
 // WithCheckpointErrors routes checkpoint-write failures to f (they are
 // otherwise silent: ingestion continues on the previous generation).
-// f runs on the ingest path with the runtime lock held — it must not
-// call back into the Runtime or its Handles.
+// A boundary's failure is reported where its write is waited for — the
+// next boundary, Checkpoint or Close — and f runs there, on the ingest
+// path with the runtime lock held: it must not call back into the
+// Runtime or its Handles.
 func WithCheckpointErrors(f func(error)) RuntimeOption {
 	return func(c *runtimeConfig) { c.ckErr = f }
 }
@@ -55,16 +58,17 @@ func WithCheckpointErrors(f func(error)) RuntimeOption {
 // new provider is set.
 func (rt *Runtime) SetCheckpointMeta(f func() []byte) { rt.inner.SetCheckpointMeta(f) }
 
+// checkpointFS is the filesystem checkpoint stores write and read; nil
+// is the real one. Tests swap in a fault-injecting one.
+var checkpointFS checkpoint.FS
+
 // armCheckpoint wires a generational Store under dir into the core
-// checkpoint schedule. from < 0 starts a fresh schedule; a restored
-// runtime passes its replay bound so the cadence resumes unchanged.
+// checkpoint schedule, which writes through it off the ingest path.
+// from < 0 starts a fresh schedule; a restored runtime passes its
+// replay bound so the cadence resumes unchanged.
 func (rt *Runtime) armCheckpoint(dir string, every, from Time, onErr func(error)) error {
-	store := &checkpoint.Store{Dir: dir}
-	save := func(_ event.Time, snapshot func(io.Writer) error) error {
-		_, err := store.Write(snapshot)
-		return err
-	}
-	return rt.inner.SetCheckpoint(every, from, save, onErr)
+	store := &checkpoint.Store{Dir: dir, FS: checkpointFS}
+	return rt.inner.SetCheckpointStore(every, from, store, onErr)
 }
 
 // CheckpointArmed reports whether a scheduled checkpoint cadence is
@@ -74,8 +78,10 @@ func (rt *Runtime) armCheckpoint(dir string, every, from Time, onErr func(error)
 func (rt *Runtime) CheckpointArmed() bool { return rt.inner.CheckpointArmed() }
 
 // Checkpoint writes an immediate snapshot (outside the boundary
-// schedule) to the directory configured by WithCheckpoint, returning
-// an error if checkpointing is not configured or the write fails.
+// schedule) to the directory configured by WithCheckpoint and returns
+// once it is durable, after the boundary snapshot still in flight, if
+// any; it returns an error if checkpointing is not configured or its
+// write fails (a failed boundary write goes to WithCheckpointErrors).
 // Unlike scheduled boundary snapshots, replay after restoring a manual
 // checkpoint is exact only when event timestamps strictly increase or
 // the stream is quiescent at the call; with ties at the current
@@ -130,7 +136,7 @@ func Restore(dir string, opts ...RuntimeOption) (*Restored, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	store := &checkpoint.Store{Dir: dir}
+	store := &checkpoint.Store{Dir: dir, FS: checkpointFS}
 	body, _, err := store.Load()
 	if err != nil {
 		return nil, err

@@ -183,8 +183,12 @@ func TestRestoreErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Corrupt every checkpoint file: Restore must refuse loudly rather
-	// than resurrect bad state.
+	// Close waits for the last boundary's write, so every generation is
+	// on disk. Corrupt every checkpoint file: Restore must refuse loudly
+	// rather than resurrect bad state.
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
 	files, err := filepath.Glob(filepath.Join(dir, "ckpt-*.gck"))
 	if err != nil || len(files) == 0 {
 		t.Fatalf("glob: %v (%d files)", err, len(files))

@@ -94,9 +94,6 @@ type Caps struct {
 	FlatMaxLen int    // Flink flattening length
 }
 
-// DefaultCaps keeps exponential engines finite at laptop scale.
-var DefaultCaps = Caps{MaxTrends: 3_000_000, FlatMaxLen: 10}
-
 // RunEngine executes the query with one engine over evs and measures.
 func RunEngine(kind EngineKind, q *query.Query, evs []*event.Event, caps Caps) (Metric, error) {
 	var m Metric

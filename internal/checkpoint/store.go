@@ -2,15 +2,17 @@ package checkpoint
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // Magic opens every checkpoint file: "GRETACK" plus the format
@@ -32,6 +34,12 @@ var ErrNoCheckpoint = errors.New("checkpoint: no checkpoint found")
 // checksum verifies, falling back to earlier generations so a corrupt
 // or truncated newest file degrades to the previous checkpoint rather
 // than to nothing.
+//
+// Write runs on the caller; Start hands the same work to a goroutine of
+// the store's own and Wait collects its outcome. A store runs one write
+// at a time: call Wait before the next Start or Write. The first write
+// reads the directory; later ones number and prune generations from
+// memory, so the directory belongs to the store while it writes.
 type Store struct {
 	// Dir is the checkpoint directory (created on first Write).
 	Dir string
@@ -40,6 +48,21 @@ type Store struct {
 	// Keep bounds how many generations survive a Write's pruning;
 	// values < 1 mean the default of 2 (current + one fallback).
 	Keep int
+
+	// gens lists the generations on disk, ascending, once scanned is
+	// set by the first write that created the directory and read it.
+	gens    []uint64
+	scanned bool
+	// done receives the outcome of the write Start began; busy is set
+	// from Start until Wait.
+	done chan flight
+	busy bool
+}
+
+// flight is the outcome of one write on the store's goroutine.
+type flight struct {
+	dur time.Duration
+	err error
 }
 
 func (s *Store) fs() FS {
@@ -75,10 +98,10 @@ func parseGen(name string) (uint64, bool) {
 
 // generations lists the existing checkpoint generations in ascending
 // order. A missing directory is an empty store.
-func (s *Store) generations() ([]uint64, error) {
+func (s *Store) generations() []uint64 {
 	names, err := s.fs().ReadDir(s.Dir)
 	if err != nil {
-		return nil, nil
+		return nil
 	}
 	var gens []uint64
 	for _, name := range names {
@@ -86,19 +109,19 @@ func (s *Store) generations() ([]uint64, error) {
 			gens = append(gens, gen)
 		}
 	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
-	return gens, nil
+	slices.Sort(gens)
+	return gens
 }
 
 // crcWriter tees writes into a running CRC.
 type crcWriter struct {
-	w io.Writer
-	h hash.Hash32
+	w   io.Writer
+	sum uint32
 }
 
 func (cw *crcWriter) Write(p []byte) (int, error) {
 	n, err := cw.w.Write(p)
-	cw.h.Write(p[:n])
+	cw.sum = crc32.Update(cw.sum, crcTable, p[:n])
 	return n, err
 }
 
@@ -108,14 +131,67 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 // is removed and the previous generation remains the newest valid one.
 // Returns the generation number written.
 func (s *Store) Write(write func(io.Writer) error) (uint64, error) {
-	fsys := s.fs()
-	if err := fsys.MkdirAll(s.Dir); err != nil {
-		return 0, fmt.Errorf("checkpoint: mkdir: %w", err)
+	return s.write(func(w io.Writer) error {
+		buf := bufio.NewWriterSize(w, 1<<16)
+		if err := write(buf); err != nil {
+			return err
+		}
+		return buf.Flush()
+	})
+}
+
+// Start begins writing the concatenation of parts as the next
+// generation on a goroutine of the store's own and returns at once.
+// The parts are the store's until Wait returns. A write a process
+// abandons in flight ends as Write would have; the files it leaves are
+// the previous generation or the new one, never a torn one.
+func (s *Store) Start(parts ...[]byte) {
+	if s.busy {
+		panic("checkpoint: Start with a write in flight")
 	}
-	gens, _ := s.generations()
+	if s.done == nil {
+		s.done = make(chan flight, 1)
+	}
+	s.busy = true
+	go func() {
+		start := time.Now()
+		_, err := s.write(func(w io.Writer) error {
+			for _, p := range parts {
+				if _, err := w.Write(p); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		s.done <- flight{dur: time.Since(start), err: err}
+	}()
+}
+
+// Wait blocks until the write Start began is durable or has failed and
+// returns how long it took and its error; with no write in flight it
+// returns at once.
+func (s *Store) Wait() (time.Duration, error) {
+	if !s.busy {
+		return 0, nil
+	}
+	s.busy = false
+	f := <-s.done
+	return f.dur, f.err
+}
+
+// write frames the body fill produces with magic and checksum and
+// makes it the next generation.
+func (s *Store) write(fill func(io.Writer) error) (uint64, error) {
+	fsys := s.fs()
+	if !s.scanned {
+		if err := fsys.MkdirAll(s.Dir); err != nil {
+			return 0, fmt.Errorf("checkpoint: mkdir: %w", err)
+		}
+		s.gens, s.scanned = s.generations(), true
+	}
 	gen := uint64(1)
-	if len(gens) > 0 {
-		gen = gens[len(gens)-1] + 1
+	if len(s.gens) > 0 {
+		gen = s.gens[len(s.gens)-1] + 1
 	}
 	final := filepath.Join(s.Dir, genName(gen))
 	tmp := final + ".tmp"
@@ -129,25 +205,17 @@ func (s *Store) Write(write func(io.Writer) error) (uint64, error) {
 		fsys.Remove(tmp)
 		return 0, err
 	}
-	buf := bufio.NewWriterSize(f, 1<<16)
-	cw := &crcWriter{w: buf, h: crc32.New(crcTable)}
+	cw := &crcWriter{w: f}
 	if _, err := io.WriteString(cw, Magic); err != nil {
 		return cleanup(fmt.Errorf("checkpoint: write header: %w", err))
 	}
-	if err := write(cw); err != nil {
+	if err := fill(cw); err != nil {
 		return cleanup(fmt.Errorf("checkpoint: write body: %w", err))
 	}
 	var trailer [4]byte
-	sum := cw.h.Sum32()
-	trailer[0] = byte(sum)
-	trailer[1] = byte(sum >> 8)
-	trailer[2] = byte(sum >> 16)
-	trailer[3] = byte(sum >> 24)
-	if _, err := buf.Write(trailer[:]); err != nil {
+	binary.LittleEndian.PutUint32(trailer[:], cw.sum)
+	if _, err := f.Write(trailer[:]); err != nil {
 		return cleanup(fmt.Errorf("checkpoint: write checksum: %w", err))
-	}
-	if err := buf.Flush(); err != nil {
-		return cleanup(fmt.Errorf("checkpoint: flush: %w", err))
 	}
 	if err := f.Sync(); err != nil {
 		return cleanup(fmt.Errorf("checkpoint: fsync: %w", err))
@@ -160,21 +228,32 @@ func (s *Store) Write(write func(io.Writer) error) (uint64, error) {
 		fsys.Remove(tmp)
 		return 0, fmt.Errorf("checkpoint: rename: %w", err)
 	}
+	// The file is in place under its final name: it holds its generation
+	// whether or not the directory sync below succeeds.
+	s.gens = append(s.gens, gen)
 	if err := fsys.SyncDir(s.Dir); err != nil {
 		return 0, fmt.Errorf("checkpoint: sync dir: %w", err)
 	}
-	s.prune(gens)
+	s.prune()
 	return gen, nil
 }
 
-// prune removes the oldest generations beyond Keep-1 of the ones that
-// existed before this Write (the new generation is the Keep'th).
-// Removal failures are ignored: stale files only cost disk.
-func (s *Store) prune(prior []uint64) {
-	excess := len(prior) - (s.keep() - 1)
-	for i := 0; i < excess; i++ {
-		s.fs().Remove(filepath.Join(s.Dir, genName(prior[i])))
+// prune removes the oldest generations beyond Keep. A removal that
+// fails keeps its generation listed, to be retried by the next write:
+// stale files only cost disk.
+func (s *Store) prune() {
+	excess := len(s.gens) - s.keep()
+	kept := s.gens[:0]
+	for i, gen := range s.gens {
+		if i < excess {
+			err := s.fs().Remove(filepath.Join(s.Dir, genName(gen)))
+			if err == nil || errors.Is(err, fs.ErrNotExist) {
+				continue
+			}
+		}
+		kept = append(kept, gen)
 	}
+	s.gens = kept
 }
 
 // Verify frames-checks one checkpoint file's bytes and returns the
@@ -201,7 +280,7 @@ func Verify(data []byte) ([]byte, error) {
 // ErrNoCheckpoint when no checkpoint files exist at all; if files
 // exist but none verifies, the last corruption error is returned.
 func (s *Store) Load() ([]byte, uint64, error) {
-	gens, _ := s.generations()
+	gens := s.generations()
 	if len(gens) == 0 {
 		return nil, 0, ErrNoCheckpoint
 	}

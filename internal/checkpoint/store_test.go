@@ -265,3 +265,40 @@ func TestVerify(t *testing.T) {
 		t.Fatalf("Verify(bad magic) = %v", err)
 	}
 }
+
+// TestStoreStartWait writes through the store's own goroutine: the
+// parts land as one body, a second store over the same directory
+// numbers on from what it finds there, a failed write consumes no
+// generation, and pruning keeps the newest two.
+func TestStoreStartWait(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := (&checkpoint.Store{Dir: dir}).Write(body("first")); err != nil {
+		t.Fatal(err)
+	}
+	ffs := faultfs.New()
+	s := &checkpoint.Store{Dir: dir, FS: ffs}
+	if _, err := s.Wait(); err != nil {
+		t.Fatalf("Wait with nothing in flight = %v", err)
+	}
+	s.Start([]byte("sec"), []byte("ond"))
+	if _, err := s.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	mustLoad(t, s, "second", 2)
+
+	ffs.FailSync = true
+	s.Start([]byte("doomed"))
+	if _, err := s.Wait(); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("faulted write error = %v, want ErrInjected", err)
+	}
+	ffs.FailSync = false
+	s.Start([]byte("third"))
+	if _, err := s.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	mustLoad(t, s, "third", 3)
+	want := []string{"ckpt-00000002.gck", "ckpt-00000003.gck"}
+	if got := listDir(t, dir); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("dir = %v, want %v", got, want)
+	}
+}

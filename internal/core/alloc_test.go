@@ -254,11 +254,11 @@ func testNoHotPathAllocsWindowClose(t *testing.T) {
 // TestSnapshotEncodeAllocs: encoding appends to one slice, so what a
 // snapshot allocates does not grow with the strings it writes — the
 // event table, half of a snapshot's bytes, costs the same few objects
-// (AttrNames' scratch) for 10 events as for 1 000, and a pooled
+// (the per-schema slot order) for 10 events as for 1 000, and a pooled
 // payload marshals into the one slice it returns.
 func TestSnapshotEncodeAllocs(t *testing.T) {
 	tableAllocs := func(n int) float64 {
-		tab := newEvTable()
+		tab := newEvTable(0)
 		for i := 0; i < n; i++ {
 			ev := allocStockEvent(uint64(i+1), event.Time(i), fmt.Sprintf("c%d", i%7), float64(i%9))
 			if i%2 == 0 {

@@ -28,6 +28,7 @@ import (
 	"math"
 	"math/big"
 	"slices"
+	"strings"
 	"time"
 
 	"github.com/greta-cep/greta/internal/aggregate"
@@ -55,10 +56,18 @@ type SaveFunc func(replayFrom event.Time, snapshot func(io.Writer) error) error
 
 // ckState is the armed checkpoint schedule.
 type ckState struct {
-	every event.Time // boundary interval, > 0
-	next  event.Time // first event time that triggers a checkpoint
-	save  SaveFunc
-	onErr func(error) // scheduled-save failures degrade loudly here
+	every event.Time        // boundary interval, > 0
+	next  event.Time        // first event time that triggers a checkpoint
+	save  SaveFunc          // writes on the ingest path, or nil
+	store *checkpoint.Store // writes off it, when save is nil
+	onErr func(error)       // scheduled-save failures degrade loudly here
+
+	// The snapshot store is writing, reported when it settles: its replay
+	// bound, size and encode time. busy is false when none is in flight.
+	busy    bool
+	flight  event.Time
+	fBytes  int64
+	fEncode time.Duration
 
 	// Observability of the last successful write (runCheckpoint): the
 	// fields live here rather than in cells because they are read under
@@ -69,25 +78,44 @@ type ckState struct {
 
 // SetCheckpoint arms watermark-aligned checkpointing: before applying
 // the first event with Time >= the next multiple of every, the runtime
-// advances all engines to that boundary and hands a snapshot to save.
-// from < 0 means a fresh runtime (first boundary at every); a restored
-// runtime passes its replayFrom so the schedule resumes where it left
-// off. Save failures are reported to onErr (may be nil) and do not
-// stop ingestion — the previous checkpoint generation remains valid.
+// advances all engines to that boundary and hands a snapshot to save,
+// on the ingest path. from < 0 means a fresh runtime (first boundary at
+// every); a restored runtime passes its replayFrom so the schedule
+// resumes where it left off. Save failures are reported to onErr (may
+// be nil) and do not stop ingestion — the previous checkpoint
+// generation remains valid.
 func (rt *Runtime) SetCheckpoint(every, from event.Time, save SaveFunc, onErr func(error)) error {
-	if every <= 0 {
-		return errors.New("greta: checkpoint interval must be positive")
-	}
 	if save == nil {
 		return errors.New("greta: checkpoint save function is nil")
 	}
+	return rt.armCheckpoint(every, from, &ckState{save: save, onErr: onErr})
+}
+
+// SetCheckpointStore is SetCheckpoint with the write taken off the
+// ingest path: at a boundary the snapshot is encoded and handed to
+// store.Start, and the write is waited for at the next boundary,
+// CheckpointNow or Close — where its trace, metrics and any onErr call
+// are delivered, rt.mu held, as SetCheckpoint delivers them at the
+// boundary itself. One write is in flight at most.
+func (rt *Runtime) SetCheckpointStore(every, from event.Time, store *checkpoint.Store, onErr func(error)) error {
+	if store == nil {
+		return errors.New("greta: checkpoint store is nil")
+	}
+	return rt.armCheckpoint(every, from, &ckState{store: store, onErr: onErr})
+}
+
+func (rt *Runtime) armCheckpoint(every, from event.Time, ck *ckState) error {
+	if every <= 0 {
+		return errors.New("greta: checkpoint interval must be positive")
+	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	next := every
+	rt.settleCheckpoint()
+	ck.every, ck.next = every, every
 	if from >= 0 {
-		next = from/every*every + every
+		ck.next = from/every*every + every
 	}
-	rt.ck = &ckState{every: every, next: next, save: save, onErr: onErr}
+	rt.ck = ck
 	return nil
 }
 
@@ -106,6 +134,7 @@ func (rt *Runtime) SetCheckpointMeta(f func() []byte) {
 // checkpointAtBoundary runs a scheduled checkpoint; rt.mu held, t is
 // the triggering (not yet applied) event time.
 func (rt *Runtime) checkpointAtBoundary(t event.Time) {
+	rt.settleCheckpoint()
 	ck := rt.ck
 	b := t / ck.every * ck.every
 	// Advance every engine to the boundary: closes the same windows
@@ -115,27 +144,64 @@ func (rt *Runtime) checkpointAtBoundary(t event.Time) {
 		st.src.eng.AdvanceTo(b)
 	}
 	ck.next = b + ck.every
-	err := rt.runCheckpoint(ck, b)
-	if err != nil && ck.onErr != nil {
+	if err := rt.runCheckpoint(ck, b); err != nil && ck.onErr != nil {
 		ck.onErr(err)
 	}
 }
 
-// runCheckpoint runs one snapshot write (scheduled boundary or manual)
-// with full instrumentation: write duration, snapshot bytes, trace
-// begin/commit/fail. rt.mu held. Timing and allocation here are fine —
-// this is a boundary, not the steady per-event path (the alloc guard's
-// measured windows avoid boundaries for exactly this reason).
+// settleCheckpoint waits for the scheduled write in flight, if any, and
+// reports a failure to onErr; rt.mu held.
+func (rt *Runtime) settleCheckpoint() {
+	if ck := rt.ck; ck != nil {
+		if err := rt.awaitCheckpoint(ck); err != nil && ck.onErr != nil {
+			ck.onErr(err)
+		}
+	}
+}
+
+// runCheckpoint takes one snapshot (scheduled boundary or manual) with
+// full instrumentation: write duration, snapshot bytes, trace
+// begin/commit/fail. rt.mu held. With a store it returns once the write
+// is started (or failed to encode), and awaitCheckpoint reports the
+// rest. Timing and allocation here are fine — this is a
+// boundary, not the steady per-event path (the alloc guard's measured
+// windows avoid boundaries for exactly this reason).
 func (rt *Runtime) runCheckpoint(ck *ckState, replayFrom event.Time) error {
 	rt.fireTrace(TraceEvent{Kind: TraceCheckpointBegin, Boundary: replayFrom, Watermark: rt.watermark})
-	var n int64 // stays 0 under a save that takes no snapshot
 	start := time.Now()
+	if ck.store != nil {
+		parts, err := rt.snapshotLocked(replayFrom)
+		if err != nil {
+			return rt.endCheckpoint(ck, replayFrom, 0, time.Since(start), err)
+		}
+		ck.store.Start(parts[:]...)
+		ck.busy, ck.flight, ck.fBytes, ck.fEncode = true, replayFrom, int64(rt.ckSize), time.Since(start)
+		return nil
+	}
+	var n int64 // stays 0 under a save that takes no snapshot
 	err := ck.save(replayFrom, func(w io.Writer) error {
 		err := rt.encodeLocked(w, replayFrom)
 		n = int64(rt.ckSize)
 		return err
 	})
-	dur := time.Since(start)
+	return rt.endCheckpoint(ck, replayFrom, n, time.Since(start), err)
+}
+
+// awaitCheckpoint waits for the write in flight, if any, and reports it
+// as runCheckpoint reports a write on the ingest path; rt.mu held. The
+// duration is the encode's plus the writer's.
+func (rt *Runtime) awaitCheckpoint(ck *ckState) error {
+	if !ck.busy {
+		return nil
+	}
+	ck.busy = false
+	dur, err := ck.store.Wait()
+	return rt.endCheckpoint(ck, ck.flight, ck.fBytes, ck.fEncode+dur, err)
+}
+
+// endCheckpoint reports a finished write: metrics, the last-success
+// fields and the commit or fail trace; it returns err.
+func (rt *Runtime) endCheckpoint(ck *ckState, replayFrom event.Time, n int64, dur time.Duration, err error) error {
 	if err != nil {
 		if m := rt.met; m != nil {
 			m.ckFails.Inc()
@@ -169,12 +235,13 @@ func (rt *Runtime) CheckpointArmed() bool {
 }
 
 // CheckpointNow persists an immediate snapshot with replayFrom =
-// watermark+1. Unlike boundary checkpoints it does not advance
-// engines, so the exactness contract is weaker: replay is exact when
-// event timestamps strictly increase (or the caller quiesced at a
-// timestamp boundary); otherwise events sharing the watermark
-// timestamp that arrive after the snapshot are replayed into state
-// that already contains their predecessors' windows closed. The
+// watermark+1 and returns once it is durable (or has failed), after the
+// scheduled write in flight, if any. Unlike boundary checkpoints it
+// does not advance engines, so the exactness contract is weaker: replay
+// is exact when event timestamps strictly increase (or the caller
+// quiesced at a timestamp boundary); otherwise events sharing the
+// watermark timestamp that arrive after the snapshot are replayed into
+// state that already contains their predecessors' windows closed. The
 // scheduled path has no such caveat.
 func (rt *Runtime) CheckpointNow() error {
 	rt.mu.Lock()
@@ -189,8 +256,11 @@ func (rt *Runtime) CheckpointNow() error {
 	if ck == nil {
 		return errors.New("greta: checkpointing is not configured")
 	}
-	replay := rt.watermark + 1
-	return rt.runCheckpoint(ck, replay)
+	rt.settleCheckpoint()
+	if err := rt.runCheckpoint(ck, rt.watermark+1); err != nil {
+		return err
+	}
+	return rt.awaitCheckpoint(ck)
 }
 
 // Plan returns the plan the statement registered with.
@@ -231,8 +301,12 @@ type evTable struct {
 	schemas []*event.Schema
 }
 
-func newEvTable() evTable {
-	return evTable{refs: map[*event.Event]uint32{}, schRefs: map[*event.Schema]uint32{}}
+// newEvTable returns an encoding table presized for n events.
+func newEvTable(n int) evTable {
+	return evTable{
+		refs: make(map[*event.Event]uint32, n), list: make([]*event.Event, 0, n),
+		schRefs: map[*event.Schema]uint32{},
+	}
 }
 
 func (t *evTable) intern(ev *event.Event) uint32 {
@@ -292,9 +366,17 @@ func (t *evTable) walkSchemas(w *checkpoint.Walker) {
 // walkEvents walks the attributes an event has, sorted by name, however
 // it carries them: a map-free batch row writes the bytes its map-carried
 // twin does, and decoding fills the maps and lets Bind rebuild the slots.
+// A map-free bound event — every netstream event and batch row — is
+// written straight from its slots in its schema's name order; one that
+// carries maps asks AttrNames.
 func (t *evTable) walkEvents(w *checkpoint.Walker) {
 	n := w.Len(len(t.list), 26)
-	var nums, strs []string
+	var numBuf, strBuf [8]string // AttrNames' scratch, for events with few attributes
+	nums, strs := numBuf[:0], strBuf[:0]
+	var ord []int32
+	if w.Encoding() {
+		ord = t.slotOrders()
+	}
 	for i := 0; i < n && w.Err() == nil; i++ {
 		if w.Decoding() {
 			t.list = append(t.list, &event.Event{})
@@ -303,46 +385,17 @@ func (t *evTable) walkEvents(w *checkpoint.Walker) {
 		w.U64(&ev.ID)
 		w.String((*string)(&ev.Type))
 		w.I64(&ev.Time)
-		if w.Encoding() {
-			nums, strs = ev.AttrNames(nums, strs)
+		var si uint32
+		if ev.Sch != nil && w.Encoding() {
+			si = t.schRefs[ev.Sch]
 		}
-		nn := w.Len(len(nums), 13)
-		if w.Decoding() && nn > 0 {
-			ev.Attrs = make(map[string]float64, nn)
-		}
-		for j := 0; j < nn; j++ {
-			var k string
-			var v float64
-			if w.Encoding() {
-				k = nums[j]
-				v, _ = ev.Attr(k)
-			}
-			w.String(&k)
-			if w.F64(&v); w.Decoding() {
-				ev.Attrs[k] = v
-			}
-		}
-		ns := w.Len(len(strs), 9)
-		if w.Decoding() && ns > 0 {
-			ev.Str = make(map[string]string, ns)
-		}
-		for j := 0; j < ns; j++ {
-			var k, v string
-			if w.Encoding() {
-				k = strs[j]
-				v, _ = ev.StrAttr(k)
-			}
-			w.String(&k)
-			if w.String(&v); w.Decoding() {
-				ev.Str[k] = v
-			}
+		if w.Encoding() && len(ev.Attrs) == 0 && len(ev.Str) == 0 && ev.Sch != nil && ord[si] >= 0 {
+			writeSlots(w, ev, ord[ord[si]:])
+		} else {
+			nums, strs = walkAttrs(w, ev, nums, strs)
 		}
 		bound := ev.Sch != nil
 		if w.Bool(&bound); bound {
-			var si uint32
-			if w.Encoding() {
-				si = t.schRefs[ev.Sch]
-			}
 			if w.U32(&si); w.Decoding() {
 				if int(si) >= len(t.schemas) {
 					w.Corrupt("schema ref %d out of range", si)
@@ -352,6 +405,129 @@ func (t *evTable) walkEvents(w *checkpoint.Walker) {
 			}
 		}
 	}
+}
+
+// walkAttrs walks the attributes of an event that carries maps, or of
+// any event being decoded: the names AttrNames lists (nums and strs are
+// its scratch, returned for reuse), each read with Attr / StrAttr.
+func walkAttrs(w *checkpoint.Walker, ev *event.Event, nums, strs []string) ([]string, []string) {
+	if w.Encoding() {
+		nums, strs = ev.AttrNames(nums, strs)
+	}
+	nn := w.Len(len(nums), 13)
+	if w.Decoding() && nn > 0 {
+		ev.Attrs = make(map[string]float64, nn)
+	}
+	for j := 0; j < nn; j++ {
+		var k string
+		var v float64
+		if w.Encoding() {
+			k = nums[j]
+			v, _ = ev.Attr(k)
+		}
+		w.String(&k)
+		if w.F64(&v); w.Decoding() {
+			ev.Attrs[k] = v
+		}
+	}
+	ns := w.Len(len(strs), 9)
+	if w.Decoding() && ns > 0 {
+		ev.Str = make(map[string]string, ns)
+	}
+	for j := 0; j < ns; j++ {
+		var k, v string
+		if w.Encoding() {
+			k = strs[j]
+			v, _ = ev.StrAttr(k)
+		}
+		w.String(&k)
+		if w.String(&v); w.Decoding() {
+			ev.Str[k] = v
+		}
+	}
+	return nums, strs
+}
+
+// writeSlots encodes a map-free bound event's attributes as walkAttrs
+// would, straight from its slots: run lists its schema's numeric, then
+// string slot indexes in name order (slotOrders), and absent slots are
+// skipped.
+func writeSlots(w *checkpoint.Walker, ev *event.Event, run []int32) {
+	sch := ev.Sch
+	num, str := run[:len(sch.Numeric)], run[len(sch.Numeric):len(sch.Numeric)+len(sch.Strings)]
+	n := 0
+	for _, j := range num {
+		if _, ok := slotNum(ev, j); ok {
+			n++
+		}
+	}
+	w.Len(n, 0)
+	for _, j := range num {
+		if v, ok := slotNum(ev, j); ok {
+			w.String(&sch.Numeric[j])
+			w.F64(&v)
+		}
+	}
+	n = 0
+	for _, j := range str {
+		if _, ok := slotStr(ev, j); ok {
+			n++
+		}
+	}
+	w.Len(n, 0)
+	for _, j := range str {
+		if v, ok := slotStr(ev, j); ok {
+			w.String(&sch.Strings[j])
+			w.String(&v)
+		}
+	}
+}
+
+// slotNum returns numeric slot j of ev and whether it holds a value
+// (not the NaN marker).
+func slotNum(ev *event.Event, j int32) (float64, bool) {
+	if int(j) < len(ev.Num) && !math.IsNaN(ev.Num[j]) {
+		return ev.Num[j], true
+	}
+	return 0, false
+}
+
+// slotStr is slotNum for string slot j ("" marks absence).
+func slotStr(ev *event.Event, j int32) (string, bool) {
+	if int(j) < len(ev.StrV) && ev.StrV[j] != "" {
+		return ev.StrV[j], true
+	}
+	return "", false
+}
+
+// slotOrders computes, once per snapshot, the order walkEvents writes a
+// map-free event's slots in: for each schema of the table its numeric,
+// then its string slot indexes, each sorted by name. ord[i] is where
+// schema i's run starts, or -1 when the schema lists a name twice (its
+// events take the AttrNames path, which merges the two).
+func (t *evTable) slotOrders() []int32 {
+	size := len(t.schemas)
+	for _, sch := range t.schemas {
+		size += len(sch.Numeric) + len(sch.Strings)
+	}
+	ord := make([]int32, len(t.schemas), size)
+	for i, sch := range t.schemas {
+		ord[i] = int32(len(ord))
+		for _, names := range [2][]string{sch.Numeric, sch.Strings} {
+			run := len(ord)
+			for j := range names {
+				ord = append(ord, int32(j))
+			}
+			idx := ord[run:]
+			slices.SortFunc(idx, func(a, b int32) int { return strings.Compare(names[a], names[b]) })
+			for k := 1; k < len(idx); k++ {
+				if names[idx[k]] == names[idx[k-1]] {
+					ord[i] = -1
+				}
+			}
+		}
+	}
+	return ord
 }
 
 // opt walks the presence byte in front of an optional value and reports
@@ -964,13 +1140,28 @@ func (c *ckWalk) walkReorder(s **reorder.Snapshot) {
 	}
 }
 
-// encodeLocked serializes the full recoverable runtime state; rt.mu
+// encodeLocked writes the snapshot snapshotLocked encodes to out;
+// rt.mu held.
+func (rt *Runtime) encodeLocked(out io.Writer, replayFrom event.Time) error {
+	parts, err := rt.snapshotLocked(replayFrom)
+	if err != nil {
+		return err
+	}
+	if _, err := out.Write(parts[0]); err != nil {
+		return err
+	}
+	_, err = out.Write(parts[1])
+	return err
+}
+
+// snapshotLocked serializes the full recoverable runtime state; rt.mu
 // held. The statement/entry body is walked first, so event references
 // are assigned before the header and event table are walked behind it
-// in the same slice — sized once, from the previous snapshot — and the
-// two runs are written in file order: header and table, then body.
-func (rt *Runtime) encodeLocked(out io.Writer, replayFrom event.Time) error {
-	c := ckWalk{Walker: checkpoint.Encode(make([]byte, 0, rt.ckSize+rt.ckSize/8)), tab: newEvTable()}
+// in the same slice — a fresh one, sized from the previous snapshot, as
+// is the event table — and the two runs are returned in file order:
+// header and table, then body.
+func (rt *Runtime) snapshotLocked(replayFrom event.Time) ([2][]byte, error) {
+	c := ckWalk{Walker: checkpoint.Encode(make([]byte, 0, rt.ckSize+rt.ckSize/8)), tab: newEvTable(rt.ckEvents)}
 
 	var entries []*source
 	c.Len(len(rt.stmts), 1)
@@ -1022,15 +1213,11 @@ func (rt *Runtime) encodeLocked(out io.Writer, replayFrom event.Time) error {
 	c.tab.walkSchemas(&c.Walker)
 	c.tab.walkEvents(&c.Walker)
 	if err := c.Err(); err != nil {
-		return err
+		return [2][]byte{}, err
 	}
 	buf := c.Out()
-	rt.ckSize = len(buf)
-	if _, err := out.Write(buf[body:]); err != nil {
-		return err
-	}
-	_, err := out.Write(buf[:body])
-	return err
+	rt.ckSize, rt.ckEvents = len(buf), len(c.tab.list)
+	return [2][]byte{buf[body:], buf[:body]}, nil
 }
 
 // ---------------------------------------------------------------------

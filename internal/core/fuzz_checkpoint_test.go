@@ -354,7 +354,7 @@ func TestEvTableEncodeCarriers(t *testing.T) {
 	// record returns the bytes of ev's entry between the event count and
 	// the schema reference.
 	record := func(ev *event.Event) []byte {
-		tab := newEvTable()
+		tab := newEvTable(0)
 		tab.intern(ev)
 		enc := checkpoint.Encode(nil)
 		tab.walkSchemas(&enc)
@@ -387,6 +387,45 @@ func TestEvTableEncodeCarriers(t *testing.T) {
 		}
 		b := event.NewBatch(full, 1)
 		if err := b.AppendEvent(ev); err != nil {
+			t.Fatal(err)
+		}
+		if got := record(b.Row(0)); !bytes.Equal(got, want) {
+			t.Errorf("event %d as a batch row encodes\n%x\nmap-carried\n%x", i, got, want)
+		}
+	}
+
+	// Map-free events are written from their slots in their schema's name
+	// order: a schema far from sorted, absent slots (NaN / ""), and a slot
+	// array shorter than its schema must still read as the map twin does,
+	// bound to that schema, to one listing a few of the names, or to none.
+	wide := &event.Schema{Type: "T", Numeric: []string{"z", "m", "a", "q"}, Strings: []string{"y", "b", "x"}}
+	nan := math.NaN()
+	for i, tc := range []struct {
+		num   []float64
+		strv  []string
+		attrs map[string]float64
+		str   map[string]string
+	}{
+		{[]float64{nan, 2, nan, -4}, []string{"", "v", ""}, map[string]float64{"m": 2, "q": -4}, map[string]string{"b": "v"}},
+		{[]float64{1, 2, 3, 4}, []string{"p", "q", "r"}, map[string]float64{"z": 1, "m": 2, "a": 3, "q": 4}, map[string]string{"y": "p", "b": "q", "x": "r"}},
+		{[]float64{nan, nan, nan, nan}, []string{"", "", ""}, nil, nil},
+		{[]float64{5}, []string{"", "w"}, map[string]float64{"z": 5}, map[string]string{"b": "w"}},
+	} {
+		twin := &event.Event{ID: uint64(20 + i), Type: "T", Time: 9, Attrs: tc.attrs, Str: tc.str}
+		want := record(twin)
+		free := &event.Event{ID: twin.ID, Type: "T", Time: 9, Sch: wide, Num: tc.num, StrV: tc.strv}
+		if got := record(free); !bytes.Equal(got, want) {
+			t.Errorf("map-free event %d encodes\n%x\nmap-carried\n%x", i, got, want)
+		}
+		for _, sch := range []*event.Schema{wide, partial, full} {
+			bound := *twin
+			sch.Bind(&bound)
+			if got := record(&bound); !bytes.Equal(got, want) {
+				t.Errorf("event %d bound to %v encodes\n%x\nmap-carried\n%x", i, sch.Numeric, got, want)
+			}
+		}
+		b := event.NewBatch(wide, 1)
+		if err := b.AppendEvent(twin); err != nil {
 			t.Fatal(err)
 		}
 		if got := record(b.Row(0)); !bytes.Equal(got, want) {

@@ -120,9 +120,10 @@ type Runtime struct {
 	// ckMeta supplies the opaque session-meta blob embedded in each
 	// checkpoint header (SetCheckpointMeta); nil writes an empty blob.
 	ckMeta func() []byte
-	// ckSize is the last snapshot's length: it sizes the next one's slice
-	// once, and nothing snapshot-sized is held in between.
-	ckSize int
+	// ckSize and ckEvents are the last snapshot's length and event count:
+	// they size the next one's slice and event table once, and nothing
+	// snapshot-sized is held in between.
+	ckSize, ckEvents int
 
 	// met holds the hot-path metric cells (armed by default; nil after
 	// DisableMetrics). Every touch on the ingest path is a nil-check
@@ -562,7 +563,8 @@ func (rt *Runtime) statsLocked() RuntimeStats {
 }
 
 // Close flushes every registered statement (emitting all open
-// windows) and rejects further events. Idempotent.
+// windows), waits for the snapshot write in flight and rejects further
+// events. Idempotent.
 func (rt *Runtime) Close() error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -570,8 +572,10 @@ func (rt *Runtime) Close() error {
 		return nil
 	}
 	// End-of-stream barrier: apply the disorder window before the final
-	// flush, then reject further events.
+	// flush, then reject further events. The last snapshot write settles
+	// here, after any the barrier's boundaries started.
 	rt.reorderBarrierLocked()
+	rt.settleCheckpoint()
 	rt.closed = true
 	for _, st := range rt.stmts {
 		st.finish(false)

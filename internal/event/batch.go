@@ -186,13 +186,6 @@ func (b *Batch) NumColumn() (col []float64, stride int) {
 	return b.num, len(b.sch.Numeric)
 }
 
-// StrColumn returns a strided accessor for the string attribute in
-// slot s: the value of row i is col[i*stride + s]. It returns the
-// backing array and stride rather than copying a column out.
-func (b *Batch) StrColumn() (col []string, stride int) {
-	return b.strv, len(b.sch.Strings)
-}
-
 // Reset empties the batch for reuse. Only safe once no engine retains
 // the previous rows (see the ownership note on Batch).
 func (b *Batch) Reset() { b.n = 0 }

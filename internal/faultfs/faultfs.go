@@ -22,7 +22,9 @@ var ErrInjected = errors.New("faultfs: injected fault")
 
 // FS wraps an inner checkpoint.FS with programmable faults. The zero
 // fault configuration passes everything through. Not safe for
-// concurrent mutation of the fault fields while a Store call runs.
+// concurrent mutation of the fault fields while a Store call runs —
+// including a write Store.Start left in flight: a test that times a
+// fault against such a write does it in SyncHook.
 type FS struct {
 	Inner checkpoint.FS
 
@@ -37,6 +39,11 @@ type FS struct {
 	FailRename bool
 	// FailSyncDir makes SyncDir fail.
 	FailSyncDir bool
+	// SyncHook, when set, runs at the start of every File.Sync, on the
+	// goroutine writing the file; an error it returns fails the sync. It
+	// holds a write in flight (block until released) or fails a chosen
+	// one. Set it before the store is used.
+	SyncHook func() error
 
 	written int64
 	// Writes counts File.Write calls (diagnostics).
@@ -107,6 +114,11 @@ func (w *file) Write(p []byte) (int, error) {
 }
 
 func (w *file) Sync() error {
+	if hook := w.fs.SyncHook; hook != nil {
+		if err := hook(); err != nil {
+			return err
+		}
+	}
 	if w.fs.FailSync {
 		return errors.Join(ErrInjected, syscall.EIO)
 	}

@@ -36,7 +36,6 @@ type Faults struct {
 	latency      time.Duration
 	blackhole    bool
 	cut          bool
-	bytesRead    int64
 	bytesWritten int64
 	conns        []net.Conn
 }
@@ -115,13 +114,6 @@ func (f *Faults) BytesWritten() int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.bytesWritten
-}
-
-// BytesRead reports the bytes read through wrapped connections.
-func (f *Faults) BytesRead() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.bytesRead
 }
 
 // Conn wraps one established connection under the plan.
@@ -275,7 +267,6 @@ func (c *conn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
 
 	f.mu.Lock()
-	f.bytesRead += int64(n)
 	if f.cutReadLeft >= 0 {
 		// A read already in flight when the budget was armed can overrun
 		// it; the cut happens all the same.

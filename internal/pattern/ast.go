@@ -94,20 +94,11 @@ func Seq(children ...*Node) *Node { return &Node{Kind: KindSeq, Children: childr
 // Plus returns p+.
 func Plus(p *Node) *Node { return &Node{Kind: KindPlus, Children: []*Node{p}} }
 
-// Star returns p* (syntactic sugar, §9).
-func Star(p *Node) *Node { return &Node{Kind: KindStar, Children: []*Node{p}} }
-
-// Opt returns p? (syntactic sugar, §9).
-func Opt(p *Node) *Node { return &Node{Kind: KindOpt, Children: []*Node{p}} }
-
 // Not returns NOT p.
 func Not(p *Node) *Node { return &Node{Kind: KindNot, Children: []*Node{p}} }
 
 // Or returns (children[0] OR children[1] OR ...), §9 disjunction.
 func Or(children ...*Node) *Node { return &Node{Kind: KindOr, Children: children} }
-
-// And returns (children[0] AND children[1] AND ...), §9 conjunction.
-func And(children ...*Node) *Node { return &Node{Kind: KindAnd, Children: children} }
 
 var postfixText = map[Kind]string{KindPlus: "+", KindStar: "*", KindOpt: "?"}
 

@@ -121,6 +121,28 @@
 // rehydrates the reorder buffer's in-flight events — and the same
 // client resume proceeds against the recovered state.
 //
+// # The exactly-once constraint
+//
+// Across a server restart, exactly-once holds while four things agree:
+//
+//   - the client's resend ring still holds every event after the seq
+//     the restored session applied (ring.Covers; Client.SendWindow
+//     bounds it, and Resume fails loudly when it does not);
+//   - the session's ring of durable output lines (ResumeWindow) covers
+//     the results the client had not consumed, or the resume rebases
+//     onto the retained result set;
+//   - the newest durable checkpoint generation is the state restored;
+//   - the session cursors its meta carries — LastSeq, OutSeq and the
+//     mid-frame row count (frameRows) — describe exactly that state,
+//     because they are encoded in the same snapshot.
+//
+// A boundary snapshot is encoded on the session goroutine and written
+// on the checkpoint store's own, one write in flight at most, and is
+// durable by the next boundary, {"cmd":"checkpoint"} ack or Shutdown.
+// The durable generation may therefore trail the last boundary by one
+// interval: a restart may replay up to two intervals of events from
+// the client's ring, which SendWindow must cover.
+//
 // # Shard links
 //
 // With Server.AllowShard a resumable session can flip into shard mode

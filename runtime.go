@@ -279,9 +279,10 @@ type RuntimeStats = core.RuntimeStats
 func (rt *Runtime) Stats() RuntimeStats { return rt.inner.Stats() }
 
 // Close flushes every registered statement — their remaining open
-// windows emit through the usual delivery paths — rejects further
-// events and registrations, and shuts down the WithMetricsAddr
-// listener if one is armed. Idempotent.
+// windows emit through the usual delivery paths — waits for the
+// WithCheckpoint snapshot write in flight, reporting a failure to
+// WithCheckpointErrors, rejects further events and registrations, and
+// shuts down the WithMetricsAddr listener if one is armed. Idempotent.
 func (rt *Runtime) Close() error {
 	if rt.metLn != nil {
 		// It only serves scrapes: a failed close loses nothing.
