@@ -68,7 +68,7 @@ var checkpointFS checkpoint.FS
 // replay bound so the cadence resumes unchanged.
 func (rt *Runtime) armCheckpoint(dir string, every, from Time, onErr func(error)) error {
 	store := &checkpoint.Store{Dir: dir, FS: checkpointFS}
-	return rt.inner.SetCheckpointStore(every, from, store, onErr)
+	return rt.inner.SetCheckpoint(every, from, store, onErr)
 }
 
 // CheckpointArmed reports whether a scheduled checkpoint cadence is

@@ -248,7 +248,7 @@ func Connect(ctx context.Context, cfg Config) (*Coordinator, error) {
 	for i, addr := range cfg.Shards {
 		l, err := co.dialLink(ctx, i, addr, []int{i})
 		if err != nil {
-			_ = co.Close()
+			_ = co.Close() // the dial's error is the one to report; this only tears down the links already up
 			return nil, err
 		}
 		co.links = append(co.links, l)

@@ -46,7 +46,7 @@ func (co *Coordinator) dialLink(ctx context.Context, idx int, addr string, slots
 	}
 	c.SendWindow = co.sendWin
 	if _, err := c.EnableResume(ctx); err != nil {
-		_ = c.Close()
+		_ = c.Close() // the handshake's error is the one to report
 		return nil, fmt.Errorf("cluster: shard %d: %w", idx, err)
 	}
 	l := &link{co: co, idx: idx, c: c, readerDone: make(chan struct{})}

@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -35,17 +34,17 @@ var ErrNoCheckpoint = errors.New("checkpoint: no checkpoint found")
 // or truncated newest file degrades to the previous checkpoint rather
 // than to nothing.
 //
-// Write runs on the caller; Start hands the same work to a goroutine of
-// the store's own and Wait collects its outcome. A store runs one write
-// at a time: call Wait before the next Start or Write. The first write
-// reads the directory; later ones number and prune generations from
-// memory, so the directory belongs to the store while it writes.
+// Start hands a write to a goroutine of the store's own and Wait
+// collects its outcome. A store runs one write at a time: call Wait
+// before the next Start. The first write reads the directory; later
+// ones number and prune generations from memory, so the directory
+// belongs to the store while it writes.
 type Store struct {
-	// Dir is the checkpoint directory (created on first Write).
+	// Dir is the checkpoint directory (created by the first write).
 	Dir string
 	// FS is the filesystem; nil means the real one.
 	FS FS
-	// Keep bounds how many generations survive a Write's pruning;
+	// Keep bounds how many generations survive a write's pruning;
 	// values < 1 mean the default of 2 (current + one fallback).
 	Keep int
 
@@ -113,38 +112,12 @@ func (s *Store) generations() []uint64 {
 	return gens
 }
 
-// crcWriter tees writes into a running CRC.
-type crcWriter struct {
-	w   io.Writer
-	sum uint32
-}
-
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.sum = crc32.Update(cw.sum, crcTable, p[:n])
-	return n, err
-}
-
-// Write persists one checkpoint as the next generation. write receives
-// the body writer (buffered; the Store frames it with magic and
-// checksum) and produces the body bytes. On any failure the temp file
-// is removed and the previous generation remains the newest valid one.
-// Returns the generation number written.
-func (s *Store) Write(write func(io.Writer) error) (uint64, error) {
-	return s.write(func(w io.Writer) error {
-		buf := bufio.NewWriterSize(w, 1<<16)
-		if err := write(buf); err != nil {
-			return err
-		}
-		return buf.Flush()
-	})
-}
-
 // Start begins writing the concatenation of parts as the next
 // generation on a goroutine of the store's own and returns at once.
 // The parts are the store's until Wait returns. A write a process
-// abandons in flight ends as Write would have; the files it leaves are
-// the previous generation or the new one, never a torn one.
+// abandons in flight leaves the previous generation or the new one,
+// never a torn one. On any failure the temp file is removed and the
+// previous generation remains the newest valid one.
 func (s *Store) Start(parts ...[]byte) {
 	if s.busy {
 		panic("checkpoint: Start with a write in flight")
@@ -155,14 +128,7 @@ func (s *Store) Start(parts ...[]byte) {
 	s.busy = true
 	go func() {
 		start := time.Now()
-		_, err := s.write(func(w io.Writer) error {
-			for _, p := range parts {
-				if _, err := w.Write(p); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+		err := s.write(parts)
 		s.done <- flight{dur: time.Since(start), err: err}
 	}()
 }
@@ -179,13 +145,13 @@ func (s *Store) Wait() (time.Duration, error) {
 	return f.dur, f.err
 }
 
-// write frames the body fill produces with magic and checksum and
+// write frames the concatenation of parts with magic and checksum and
 // makes it the next generation.
-func (s *Store) write(fill func(io.Writer) error) (uint64, error) {
+func (s *Store) write(parts [][]byte) error {
 	fsys := s.fs()
 	if !s.scanned {
 		if err := fsys.MkdirAll(s.Dir); err != nil {
-			return 0, fmt.Errorf("checkpoint: mkdir: %w", err)
+			return fmt.Errorf("checkpoint: mkdir: %w", err)
 		}
 		s.gens, s.scanned = s.generations(), true
 	}
@@ -198,22 +164,25 @@ func (s *Store) write(fill func(io.Writer) error) (uint64, error) {
 
 	f, err := fsys.Create(tmp)
 	if err != nil {
-		return 0, fmt.Errorf("checkpoint: create temp: %w", err)
+		return fmt.Errorf("checkpoint: create temp: %w", err)
 	}
-	cleanup := func(err error) (uint64, error) {
+	cleanup := func(err error) error {
 		f.Close()
 		fsys.Remove(tmp)
-		return 0, err
+		return err
 	}
-	cw := &crcWriter{w: f}
-	if _, err := io.WriteString(cw, Magic); err != nil {
+	if _, err := io.WriteString(f, Magic); err != nil {
 		return cleanup(fmt.Errorf("checkpoint: write header: %w", err))
 	}
-	if err := fill(cw); err != nil {
-		return cleanup(fmt.Errorf("checkpoint: write body: %w", err))
+	sum := crc32.Checksum([]byte(Magic), crcTable)
+	for _, p := range parts {
+		if _, err := f.Write(p); err != nil {
+			return cleanup(fmt.Errorf("checkpoint: write body: %w", err))
+		}
+		sum = crc32.Update(sum, crcTable, p)
 	}
 	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], cw.sum)
+	binary.LittleEndian.PutUint32(trailer[:], sum)
 	if _, err := f.Write(trailer[:]); err != nil {
 		return cleanup(fmt.Errorf("checkpoint: write checksum: %w", err))
 	}
@@ -222,20 +191,20 @@ func (s *Store) write(fill func(io.Writer) error) (uint64, error) {
 	}
 	if err := f.Close(); err != nil {
 		fsys.Remove(tmp)
-		return 0, fmt.Errorf("checkpoint: close: %w", err)
+		return fmt.Errorf("checkpoint: close: %w", err)
 	}
 	if err := fsys.Rename(tmp, final); err != nil {
 		fsys.Remove(tmp)
-		return 0, fmt.Errorf("checkpoint: rename: %w", err)
+		return fmt.Errorf("checkpoint: rename: %w", err)
 	}
 	// The file is in place under its final name: it holds its generation
 	// whether or not the directory sync below succeeds.
 	s.gens = append(s.gens, gen)
 	if err := fsys.SyncDir(s.Dir); err != nil {
-		return 0, fmt.Errorf("checkpoint: sync dir: %w", err)
+		return fmt.Errorf("checkpoint: sync dir: %w", err)
 	}
 	s.prune()
-	return gen, nil
+	return nil
 }
 
 // prune removes the oldest generations beyond Keep. A removal that

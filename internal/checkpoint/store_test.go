@@ -3,7 +3,6 @@ package checkpoint_test
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,11 +12,11 @@ import (
 	"github.com/greta-cep/greta/internal/faultfs"
 )
 
-func body(s string) func(io.Writer) error {
-	return func(w io.Writer) error {
-		_, err := io.WriteString(w, s)
-		return err
-	}
+// write persists body as the store's next generation and waits for it.
+func write(s *checkpoint.Store, body string) error {
+	s.Start([]byte(body))
+	_, err := s.Wait()
+	return err
 }
 
 func genPath(dir string, gen uint64) string {
@@ -55,14 +54,10 @@ func TestStoreWriteLoadPrune(t *testing.T) {
 	s := &checkpoint.Store{Dir: dir}
 
 	for i, b := range []string{"alpha", "beta", "gamma"} {
-		gen, err := s.Write(body(b))
-		if err != nil {
+		if err := write(s, b); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
-		if gen != uint64(i+1) {
-			t.Fatalf("write %d assigned generation %d, want %d", i, gen, i+1)
-		}
-		mustLoad(t, s, b, gen)
+		mustLoad(t, s, b, uint64(i+1))
 	}
 	// Default Keep is 2: generation 1 was pruned, 2 and 3 survive.
 	want := []string{"ckpt-00000002.gck", "ckpt-00000003.gck"}
@@ -75,7 +70,7 @@ func TestStoreKeep(t *testing.T) {
 	dir := t.TempDir()
 	s := &checkpoint.Store{Dir: dir, Keep: 3}
 	for i := 0; i < 5; i++ {
-		if _, err := s.Write(body(fmt.Sprintf("b%d", i))); err != nil {
+		if err := write(s, fmt.Sprintf("b%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,13 +98,13 @@ func TestStoreTornWrite(t *testing.T) {
 	dir := t.TempDir()
 	ffs := faultfs.New()
 	s := &checkpoint.Store{Dir: dir, FS: ffs}
-	if _, err := s.Write(body("good")); err != nil {
+	if err := write(s, "good"); err != nil {
 		t.Fatal(err)
 	}
 
 	ffs.Reset()
 	ffs.FailWriteAfter = 10 // tears inside the body (magic is 8 bytes)
-	_, err := s.Write(body(strings.Repeat("x", 4096)))
+	err := write(s, strings.Repeat("x", 4096))
 	if !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("torn write error = %v, want ErrInjected", err)
 	}
@@ -137,19 +132,19 @@ func TestStoreWriteFaults(t *testing.T) {
 			dir := t.TempDir()
 			ffs := faultfs.New()
 			s := &checkpoint.Store{Dir: dir, FS: ffs}
-			if _, err := s.Write(body("good")); err != nil {
+			if err := write(s, "good"); err != nil {
 				t.Fatal(err)
 			}
 			ffs.Reset()
 			tc.arm(ffs)
-			if _, err := s.Write(body("doomed")); !errors.Is(err, faultfs.ErrInjected) {
+			if err := write(s, "doomed"); !errors.Is(err, faultfs.ErrInjected) {
 				t.Fatalf("faulted write error = %v, want ErrInjected", err)
 			}
 			*ffs = *faultfs.New()
 			mustLoad(t, s, "good", 1)
 			// The store recovers on the next write; the aborted write
 			// consumed no generation number.
-			if _, err := s.Write(body("after")); err != nil {
+			if err := write(s, "after"); err != nil {
 				t.Fatal(err)
 			}
 			mustLoad(t, s, "after", 2)
@@ -166,7 +161,7 @@ func TestStoreSyncDirFault(t *testing.T) {
 	ffs := faultfs.New()
 	ffs.FailSyncDir = true
 	s := &checkpoint.Store{Dir: dir, FS: ffs}
-	if _, err := s.Write(body("racy")); !errors.Is(err, faultfs.ErrInjected) {
+	if err := write(s, "racy"); !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatal("sync-dir failure did not surface")
 	}
 	mustLoad(t, s, "racy", 1)
@@ -174,11 +169,11 @@ func TestStoreSyncDirFault(t *testing.T) {
 
 // TestStoreCrashDuringRename simulates the crash the atomic protocol
 // defends against: a stray temp file left under the final name's
-// sibling. Load must ignore it and Write must proceed past it.
+// sibling. Load must ignore it and the next write must proceed past it.
 func TestStoreCrashDuringRename(t *testing.T) {
 	dir := t.TempDir()
 	s := &checkpoint.Store{Dir: dir}
-	if _, err := s.Write(body("good")); err != nil {
+	if err := write(s, "good"); err != nil {
 		t.Fatal(err)
 	}
 	stray := genPath(dir, 2) + ".tmp"
@@ -186,8 +181,8 @@ func TestStoreCrashDuringRename(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustLoad(t, s, "good", 1)
-	if gen, err := s.Write(body("next")); err != nil || gen != 2 {
-		t.Fatalf("Write past stray temp = gen %d, %v", gen, err)
+	if err := write(s, "next"); err != nil {
+		t.Fatalf("write past stray temp: %v", err)
 	}
 	mustLoad(t, s, "next", 2)
 }
@@ -199,10 +194,10 @@ func TestStoreCrashDuringRename(t *testing.T) {
 func TestStoreCorruptFallback(t *testing.T) {
 	dir := t.TempDir()
 	s := &checkpoint.Store{Dir: dir}
-	if _, err := s.Write(body("old")); err != nil {
+	if err := write(s, "old"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Write(body("new")); err != nil {
+	if err := write(s, "new"); err != nil {
 		t.Fatal(err)
 	}
 	if err := faultfs.Corrupt(genPath(dir, 2), -5); err != nil {
@@ -229,10 +224,10 @@ func TestStoreTruncatedFallback(t *testing.T) {
 		t.Run(fmt.Sprintf("cut_%d", cut), func(t *testing.T) {
 			dir := t.TempDir()
 			s := &checkpoint.Store{Dir: dir}
-			if _, err := s.Write(body("old")); err != nil {
+			if err := write(s, "old"); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.Write(body("new")); err != nil {
+			if err := write(s, "new"); err != nil {
 				t.Fatal(err)
 			}
 			if err := faultfs.Truncate(genPath(dir, 2), cut); err != nil {
@@ -246,7 +241,7 @@ func TestStoreTruncatedFallback(t *testing.T) {
 func TestVerify(t *testing.T) {
 	dir := t.TempDir()
 	s := &checkpoint.Store{Dir: dir}
-	if _, err := s.Write(body("payload")); err != nil {
+	if err := write(s, "payload"); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(genPath(dir, 1))
@@ -272,7 +267,7 @@ func TestVerify(t *testing.T) {
 // generation, and pruning keeps the newest two.
 func TestStoreStartWait(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := (&checkpoint.Store{Dir: dir}).Write(body("first")); err != nil {
+	if err := write(&checkpoint.Store{Dir: dir}, "first"); err != nil {
 		t.Fatal(err)
 	}
 	ffs := faultfs.New()

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -680,15 +678,10 @@ func testNoHotPathAllocsCheckpoint(t *testing.T) {
 	rt, stmts := newRT()
 	var snap []byte
 	saves := 0
-	err := rt.SetCheckpoint(1000, -1, func(_ event.Time, write func(io.Writer) error) error {
+	err := rt.SetCheckpoint(1000, -1, NewTestSink(t, func(body []byte) {
 		saves++
-		var buf bytes.Buffer
-		if err := write(&buf); err != nil {
-			return err
-		}
-		snap = buf.Bytes()
-		return nil
-	}, func(err error) { t.Errorf("checkpoint save: %v", err) })
+		snap = body
+	}), func(err error) { t.Errorf("checkpoint save: %v", err) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -723,8 +716,7 @@ func testNoHotPathAllocsCheckpoint(t *testing.T) {
 	if info.ReplayFrom != 2000 {
 		t.Fatalf("replay bound %d, want 2000", info.ReplayFrom)
 	}
-	err = rtR.SetCheckpoint(1000, info.ReplayFrom,
-		func(_ event.Time, write func(io.Writer) error) error { return write(io.Discard) }, nil)
+	err = rtR.SetCheckpoint(1000, info.ReplayFrom, NewTestSink(t, nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

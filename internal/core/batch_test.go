@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"sort"
 	"testing"
@@ -181,14 +180,9 @@ func armSnapshots(t *testing.T, rt *core.Runtime, snaps *[][]byte) {
 
 func armSnapshotsEvery(t *testing.T, rt *core.Runtime, every event.Time, snaps *[][]byte) {
 	t.Helper()
-	err := rt.SetCheckpoint(every, -1, func(_ event.Time, snapshot func(io.Writer) error) error {
-		var buf bytes.Buffer
-		if err := snapshot(&buf); err != nil {
-			return err
-		}
-		*snaps = append(*snaps, buf.Bytes())
-		return nil
-	}, func(err error) { t.Errorf("checkpoint: %v", err) })
+	err := rt.SetCheckpoint(every, -1, core.NewTestSink(t, func(body []byte) {
+		*snaps = append(*snaps, body)
+	}), func(err error) { t.Errorf("checkpoint: %v", err) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/big"
 	"slices"
@@ -48,28 +47,31 @@ import (
 // batch, which only the deleted §7 scheduler fork used.
 const ckVersion = 3
 
-// SaveFunc persists one snapshot. replayFrom is the inclusive
-// event-time lower bound the feeder must replay after a restore;
-// snapshot writes the body bytes. The callback runs with the runtime
-// lock held — it must not call back into the Runtime.
-type SaveFunc func(replayFrom event.Time, snapshot func(io.Writer) error) error
+// SnapshotSink is where a snapshot leaves the runtime: Start takes the
+// snapshot's parts in file order and returns at once, and Wait reports
+// the write they began — how long it took, and its error. The parts are
+// the sink's until Wait returns, and at most one write is in flight.
+// *checkpoint.Store is the sink; tests substitute their own.
+type SnapshotSink interface {
+	Start(parts ...[]byte)
+	Wait() (time.Duration, error)
+}
 
 // ckState is the armed checkpoint schedule.
 type ckState struct {
-	every event.Time        // boundary interval, > 0
-	next  event.Time        // first event time that triggers a checkpoint
-	save  SaveFunc          // writes on the ingest path, or nil
-	store *checkpoint.Store // writes off it, when save is nil
-	onErr func(error)       // scheduled-save failures degrade loudly here
+	every event.Time   // boundary interval, > 0
+	next  event.Time   // first event time that triggers a checkpoint
+	sink  SnapshotSink // takes each snapshot off the ingest path
+	onErr func(error)  // scheduled-save failures degrade loudly here
 
-	// The snapshot store is writing, reported when it settles: its replay
+	// The snapshot sink is writing, reported when it settles: its replay
 	// bound, size and encode time. busy is false when none is in flight.
 	busy    bool
 	flight  event.Time
 	fBytes  int64
 	fEncode time.Duration
 
-	// Observability of the last successful write (runCheckpoint): the
+	// Observability of the last successful write (endCheckpoint): the
 	// fields live here rather than in cells because they are read under
 	// rt.mu at snapshot time only.
 	lastDur  time.Duration
@@ -78,40 +80,25 @@ type ckState struct {
 
 // SetCheckpoint arms watermark-aligned checkpointing: before applying
 // the first event with Time >= the next multiple of every, the runtime
-// advances all engines to that boundary and hands a snapshot to save,
-// on the ingest path. from < 0 means a fresh runtime (first boundary at
+// advances all engines to that boundary, encodes a snapshot and hands
+// it to sink.Start. The write is waited for at the next boundary,
+// CheckpointNow, Close or re-arm, where its trace, metrics and any onErr
+// call (onErr may be nil) are delivered, rt.mu held; one write is in
+// flight at most. from < 0 means a fresh runtime (first boundary at
 // every); a restored runtime passes its replayFrom so the schedule
-// resumes where it left off. Save failures are reported to onErr (may
-// be nil) and do not stop ingestion — the previous checkpoint
-// generation remains valid.
-func (rt *Runtime) SetCheckpoint(every, from event.Time, save SaveFunc, onErr func(error)) error {
-	if save == nil {
-		return errors.New("greta: checkpoint save function is nil")
+// resumes where it left off. Failures do not stop ingestion — the
+// previous checkpoint generation remains valid.
+func (rt *Runtime) SetCheckpoint(every, from event.Time, sink SnapshotSink, onErr func(error)) error {
+	if sink == nil {
+		return errors.New("greta: checkpoint sink is nil")
 	}
-	return rt.armCheckpoint(every, from, &ckState{save: save, onErr: onErr})
-}
-
-// SetCheckpointStore is SetCheckpoint with the write taken off the
-// ingest path: at a boundary the snapshot is encoded and handed to
-// store.Start, and the write is waited for at the next boundary,
-// CheckpointNow or Close — where its trace, metrics and any onErr call
-// are delivered, rt.mu held, as SetCheckpoint delivers them at the
-// boundary itself. One write is in flight at most.
-func (rt *Runtime) SetCheckpointStore(every, from event.Time, store *checkpoint.Store, onErr func(error)) error {
-	if store == nil {
-		return errors.New("greta: checkpoint store is nil")
-	}
-	return rt.armCheckpoint(every, from, &ckState{store: store, onErr: onErr})
-}
-
-func (rt *Runtime) armCheckpoint(every, from event.Time, ck *ckState) error {
 	if every <= 0 {
 		return errors.New("greta: checkpoint interval must be positive")
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.settleCheckpoint()
-	ck.every, ck.next = every, every
+	ck := &ckState{every: every, next: every, sink: sink, onErr: onErr}
 	if from >= 0 {
 		ck.next = from/every*every + every
 	}
@@ -159,43 +146,33 @@ func (rt *Runtime) settleCheckpoint() {
 	}
 }
 
-// runCheckpoint takes one snapshot (scheduled boundary or manual) with
-// full instrumentation: write duration, snapshot bytes, trace
-// begin/commit/fail. rt.mu held. With a store it returns once the write
-// is started (or failed to encode), and awaitCheckpoint reports the
-// rest. Timing and allocation here are fine — this is a
-// boundary, not the steady per-event path (the alloc guard's measured
-// windows avoid boundaries for exactly this reason).
+// runCheckpoint takes one snapshot (scheduled boundary or manual) and
+// hands it to the sink; rt.mu held. It returns once the write is
+// started, or with the encode's error, and awaitCheckpoint reports the
+// rest: write duration, snapshot bytes, the commit or fail trace.
+// Timing and allocation here are fine — this is a boundary, not the
+// steady per-event path (the alloc guard's measured windows avoid
+// boundaries for exactly this reason).
 func (rt *Runtime) runCheckpoint(ck *ckState, replayFrom event.Time) error {
 	rt.fireTrace(TraceEvent{Kind: TraceCheckpointBegin, Boundary: replayFrom, Watermark: rt.watermark})
 	start := time.Now()
-	if ck.store != nil {
-		parts, err := rt.snapshotLocked(replayFrom)
-		if err != nil {
-			return rt.endCheckpoint(ck, replayFrom, 0, time.Since(start), err)
-		}
-		ck.store.Start(parts[:]...)
-		ck.busy, ck.flight, ck.fBytes, ck.fEncode = true, replayFrom, int64(rt.ckSize), time.Since(start)
-		return nil
+	parts, err := rt.snapshotLocked(replayFrom)
+	if err != nil {
+		return rt.endCheckpoint(ck, replayFrom, 0, time.Since(start), err)
 	}
-	var n int64 // stays 0 under a save that takes no snapshot
-	err := ck.save(replayFrom, func(w io.Writer) error {
-		err := rt.encodeLocked(w, replayFrom)
-		n = int64(rt.ckSize)
-		return err
-	})
-	return rt.endCheckpoint(ck, replayFrom, n, time.Since(start), err)
+	ck.sink.Start(parts[:]...)
+	ck.busy, ck.flight, ck.fBytes, ck.fEncode = true, replayFrom, int64(rt.ckSize), time.Since(start)
+	return nil
 }
 
-// awaitCheckpoint waits for the write in flight, if any, and reports it
-// as runCheckpoint reports a write on the ingest path; rt.mu held. The
-// duration is the encode's plus the writer's.
+// awaitCheckpoint waits for the write in flight, if any, and reports it;
+// rt.mu held. The duration is the encode's plus the sink's.
 func (rt *Runtime) awaitCheckpoint(ck *ckState) error {
 	if !ck.busy {
 		return nil
 	}
 	ck.busy = false
-	dur, err := ck.store.Wait()
+	dur, err := ck.sink.Wait()
 	return rt.endCheckpoint(ck, ck.flight, ck.fBytes, ck.fEncode+dur, err)
 }
 
@@ -224,10 +201,11 @@ func (rt *Runtime) endCheckpoint(ck *ckState, replayFrom event.Time, n int64, du
 }
 
 // CheckpointArmed reports whether a scheduled checkpoint cadence is
-// armed (SetCheckpoint). Serving layers with frame-granular ingest
-// cursors (netstream batch frames) use it to decide whether a snapshot
-// can fire mid-frame — in which case they must track per-row progress
-// so replay after restore stays exactly-once.
+// armed: SetCheckpoint gave the runtime a sink. Serving layers with
+// frame-granular ingest cursors (netstream batch frames) use it to
+// decide whether a snapshot can fire mid-frame — in which case they
+// must track per-row progress so replay after restore stays
+// exactly-once.
 func (rt *Runtime) CheckpointArmed() bool {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -1140,20 +1118,6 @@ func (c *ckWalk) walkReorder(s **reorder.Snapshot) {
 	}
 }
 
-// encodeLocked writes the snapshot snapshotLocked encodes to out;
-// rt.mu held.
-func (rt *Runtime) encodeLocked(out io.Writer, replayFrom event.Time) error {
-	parts, err := rt.snapshotLocked(replayFrom)
-	if err != nil {
-		return err
-	}
-	if _, err := out.Write(parts[0]); err != nil {
-		return err
-	}
-	_, err = out.Write(parts[1])
-	return err
-}
-
 // snapshotLocked serializes the full recoverable runtime state; rt.mu
 // held. The statement/entry body is walked first, so event references
 // are assigned before the header and event table are walked behind it
@@ -1249,7 +1213,8 @@ type RestoreInfo struct {
 // subscribe in their original order, so union payload slot layouts
 // match; result callbacks are not restored
 // (re-register them via Stmt.OnResult), and checkpointing is not
-// re-armed (call SetCheckpoint with info.Every). Corrupt input — a
+// re-armed (call SetCheckpoint with info.Every, info.ReplayFrom and a
+// sink). Corrupt input — a
 // snapshot taken under a plan this build would not choose included —
 // yields an error wrapping checkpoint.ErrCorrupt, never a panic.
 func RestoreRuntime(data []byte) (*Runtime, RestoreInfo, error) {

@@ -2,13 +2,13 @@ package core
 
 import (
 	"bytes"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"github.com/greta-cep/greta/internal/aggregate"
+	"github.com/greta-cep/greta/internal/checkpoint"
 	"github.com/greta-cep/greta/internal/event"
 )
 
@@ -83,10 +83,11 @@ func goldenEvents() []*event.Event {
 
 // goldenRun plays the scenario — a grouped Kleene statement, a
 // negation statement and two shared statements behind an armed reorder
-// buffer — and returns the last scheduled snapshot. Result emission
-// stamps (wall clock) are zeroed before each encode; everything else in
-// the body is a pure function of the arrival sequence.
-func goldenRun(t *testing.T) []byte {
+// buffer — with its scheduled snapshots handed to sink, and returns
+// the runtime. Result emission stamps (wall clock) are zeroed before
+// each encode; everything else in the body is a pure function of the
+// arrival sequence.
+func goldenRun(t *testing.T, sink SnapshotSink) *Runtime {
 	t.Helper()
 	rt := NewRuntime()
 	if err := rt.SetReorderSlack(goldenSlack); err != nil {
@@ -101,29 +102,21 @@ func goldenRun(t *testing.T) []byte {
 	if s := rt.Stats(); s.SharedStatements != 2 || s.SharedGraphs != 1 {
 		t.Fatalf("scenario lost its shared graph: %+v", s)
 	}
-	var last []byte
-	err := rt.SetCheckpoint(goldenEvery, -1, func(_ event.Time, snapshot func(io.Writer) error) error {
-		goldenZeroEmitted(rt)
-		var buf bytes.Buffer
-		if err := snapshot(&buf); err != nil {
-			return err
+	rt.SetTraceHook(func(te TraceEvent) {
+		if te.Kind == TraceCheckpointBegin {
+			goldenZeroEmitted(rt)
 		}
-		last = buf.Bytes()
-		return nil
-	}, func(err error) { t.Errorf("checkpoint save: %v", err) })
-	if err != nil {
+	})
+	if err := rt.SetCheckpoint(goldenEvery, -1, sink, func(err error) { t.Errorf("checkpoint save: %v", err) }); err != nil {
 		t.Fatal(err)
 	}
 	rcFeed(rt, goldenEvents(), 0)
-	if last == nil {
-		t.Fatal("scenario fired no scheduled checkpoint")
-	}
-	return last
+	return rt
 }
 
 // goldenZeroEmitted overwrites the wall-clock stamp of every retained
-// result; rt.mu held (called from inside a save callback) or rt
-// quiescent.
+// result; rt.mu held (called from the trace hook at a snapshot's
+// begin) or rt quiescent.
 func goldenZeroEmitted(rt *Runtime) {
 	for _, st := range rt.stmts {
 		for i := range st.results {
@@ -143,7 +136,11 @@ func goldenZeroEmitted(rt *Runtime) {
 // delete it and run the test once — a missing file is written, and
 // the run fails so the new bytes get reviewed.
 func TestCheckpointGolden(t *testing.T) {
-	fresh := goldenRun(t)
+	var fresh []byte
+	goldenRun(t, NewTestSink(t, func(body []byte) { fresh = body }))
+	if fresh == nil {
+		t.Fatal("scenario fired no scheduled checkpoint")
+	}
 	want, err := os.ReadFile(goldenPath)
 	if os.IsNotExist(err) {
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
@@ -174,13 +171,24 @@ func TestCheckpointGolden(t *testing.T) {
 		t.Fatalf("golden restored %d statements, want 4", n)
 	}
 	rcDiscard(t, rt, info.Every, info.ReplayFrom)
-	var buf bytes.Buffer
-	if err := rt.encodeLocked(&buf, info.ReplayFrom); err != nil {
-		t.Fatalf("re-encode golden: %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
+	if re := ckEncode(t, rt, info.ReplayFrom); !bytes.Equal(re, want) {
 		t.Fatalf("restore + re-encode yields %d bytes that differ from the %d golden ones (first difference at byte %d)",
-			buf.Len(), len(want), firstDiff(buf.Bytes(), want))
+			len(re), len(want), firstDiff(re, want))
+	}
+
+	// The store frames exactly what the runtime handed it: the scenario
+	// written through a real one loads back as the golden body. Re-arming
+	// settles the last boundary's write; Close would release the
+	// disorder window first, across one more boundary.
+	store := &checkpoint.Store{Dir: t.TempDir()}
+	rcDiscard(t, goldenRun(t, store), goldenEvery, -1)
+	body, _, err := store.Load()
+	if err != nil {
+		t.Fatalf("load the scenario's store: %v", err)
+	}
+	if !bytes.Equal(body, want) {
+		t.Fatalf("the store's newest generation holds %d bytes that differ from the %d golden ones (first difference at byte %d)",
+			len(body), len(want), firstDiff(body, want))
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"slices"
@@ -319,15 +318,14 @@ func (h *ShardHost) CloseUnit(si int) (Stats, error) {
 // rebalance handoff. The caller must have quiesced the slot (no
 // events in flight past the snapshot's watermark).
 func (h *ShardHost) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
 	h.rt.mu.Lock()
 	h.rt.ckMeta = h.metaBytes
-	err := h.rt.encodeLocked(&buf, h.rt.watermark+1)
+	parts, err := h.rt.snapshotLocked(h.rt.watermark + 1)
 	h.rt.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return slices.Concat(parts[:]...), nil
 }
 
 // Discard drops the slot without emitting anything: callbacks are

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"io"
 	"math/rand"
 	"os"
 	"testing"
@@ -26,20 +24,15 @@ func TestCompositeBoundedState(t *testing.T) {
 	st.OnResult(func(Result) { delivered++ })
 
 	sizes := map[event.Time]int{} // boundary → body bytes
-	err := rt.SetCheckpoint(500, -1, func(b event.Time, snapshot func(io.Writer) error) error {
+	rt.SetTraceHook(func(te TraceEvent) {
+		if te.Kind != TraceCheckpointBegin {
+			return
+		}
 		if p := st.src.eng.merge.Pending(); p != 0 {
-			t.Errorf("boundary %d: merger holds %d windows at the snapshot", b, p)
+			t.Errorf("boundary %d: merger holds %d windows at the snapshot", te.Boundary, p)
 		}
-		var buf bytes.Buffer
-		if err := snapshot(&buf); err != nil {
-			return err
-		}
-		sizes[b] = buf.Len()
-		return nil
-	}, func(err error) { t.Errorf("checkpoint save: %v", err) })
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
+	rcArm(t, rt, 500, -1, func(body []byte) { sizes[ckReplayFrom(body)] = len(body) })
 
 	// Two events a tick, every tenth a Halt: event i has time i/2.
 	for i := 0; i < n; i++ {

@@ -10,6 +10,42 @@ import (
 	"time"
 )
 
+// NewTestSink returns the SnapshotSink the core tests arm where a
+// checkpoint.Store would be: each snapshot's bytes are copied at Start
+// and handed to keep (nil discards them), and Wait fails t if a part
+// changed since Start — the parts are the sink's until Wait returns.
+func NewTestSink(t testing.TB, keep func(body []byte)) SnapshotSink {
+	return &testSink{t: t, keep: keep}
+}
+
+type testSink struct {
+	t     testing.TB
+	keep  func(body []byte)
+	parts [][]byte // handed over at Start, the sink's until Wait
+	body  []byte   // their concatenation, copied at Start
+}
+
+func (s *testSink) Start(parts ...[]byte) {
+	if s.parts != nil {
+		s.t.Errorf("checkpoint sink: Start with a write in flight")
+	}
+	s.parts, s.body = parts, slices.Concat(parts...)
+	if s.keep != nil {
+		s.keep(s.body)
+	}
+}
+
+func (s *testSink) Wait() (time.Duration, error) {
+	if s.parts == nil {
+		return 0, nil
+	}
+	if !bytes.Equal(slices.Concat(s.parts...), s.body) {
+		s.t.Errorf("checkpoint sink: the runtime wrote into a snapshot part before Wait")
+	}
+	s.parts = nil
+	return 0, nil
+}
+
 // ParChanDepth is how many chunks a RunParallel worker's channel
 // buffers.
 const ParChanDepth = parChanDepth

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -115,13 +114,10 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 			// Arm the same schedule so the re-encoded header carries the
 			// same interval, then re-serialize with the original bound.
 			rcDiscard(t, rtR, every, info.ReplayFrom)
-			var buf bytes.Buffer
-			if err := rtR.encodeLocked(&buf, sn.replayFrom); err != nil {
-				t.Fatalf("snapshot %d: re-encode: %v", i, err)
-			}
-			if !bytes.Equal(sn.data, buf.Bytes()) {
+			re := ckEncode(t, rtR, sn.replayFrom)
+			if !bytes.Equal(sn.data, re) {
 				t.Fatalf("snapshot %d: round trip diverges (%d bytes vs %d)",
-					i, len(sn.data), len(buf.Bytes()))
+					i, len(sn.data), len(re))
 			}
 		}
 	})
@@ -254,13 +250,7 @@ func TestRestoreCorruptErrors(t *testing.T) {
 			rt := NewRuntime()
 			st := rcRegister(t, rt, "q", tc.query, aggregate.ModeNative, StmtConfig{})
 			rcFeed(rt, rcStream(rand.New(rand.NewSource(1)), 120, false, 8, 0), 0)
-			encode := func() []byte {
-				var buf bytes.Buffer
-				if err := rt.encodeLocked(&buf, rt.watermark+1); err != nil {
-					t.Fatal(err)
-				}
-				return buf.Bytes()
-			}
+			encode := func() []byte { return ckEncode(t, rt, rt.Watermark()+1) }
 			if _, _, err := RestoreRuntime(encode()); err != nil {
 				t.Fatalf("restore of the unchanged runtime: %v", err)
 			}
@@ -288,10 +278,7 @@ func TestRestorePlanMismatch(t *testing.T) {
 	store := &checkpoint.Store{Dir: t.TempDir()}
 	rt := NewRuntime()
 	rcRegister(t, rt, "q", "RETURN COUNT(*) PATTERN Stock S+ WHERE S.price > NEXT(S).price WITHIN 20 SLIDE 5", aggregate.ModeNative, StmtConfig{})
-	err := rt.SetCheckpoint(8, -1, func(_ event.Time, snapshot func(io.Writer) error) error {
-		_, err := store.Write(snapshot)
-		return err
-	}, func(err error) { t.Errorf("checkpoint save: %v", err) })
+	err := rt.SetCheckpoint(8, -1, store, func(err error) { t.Errorf("checkpoint save: %v", err) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,6 +286,9 @@ func TestRestorePlanMismatch(t *testing.T) {
 	price := func(i int) float64 { return 1000.25 + float64(i*5%7) }
 	for i := 0; i < 40; i++ {
 		rt.Process(&event.Event{ID: uint64(i + 1), Type: "Stock", Time: event.Time(i), Attrs: map[string]float64{"price": price(i)}})
+	}
+	if err := rt.Close(); err != nil { // settles the last boundary's write
+		t.Fatal(err)
 	}
 	body, gen, err := store.Load()
 	if err != nil || gen < 2 {

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"slices"
@@ -13,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/greta-cep/greta/internal/aggregate"
+	"github.com/greta-cep/greta/internal/checkpoint"
 	"github.com/greta-cep/greta/internal/event"
 	"github.com/greta-cep/greta/internal/query"
 )
@@ -92,17 +91,9 @@ type rcSnap struct {
 // rcCapture arms rt to capture every scheduled checkpoint in memory.
 func rcCapture(t testing.TB, rt *Runtime, every, from event.Time, snaps *[]rcSnap) {
 	t.Helper()
-	err := rt.SetCheckpoint(every, from, func(replayFrom event.Time, snapshot func(io.Writer) error) error {
-		var buf bytes.Buffer
-		if err := snapshot(&buf); err != nil {
-			return err
-		}
-		*snaps = append(*snaps, rcSnap{replayFrom: replayFrom, data: buf.Bytes()})
-		return nil
-	}, func(err error) { t.Errorf("checkpoint save: %v", err) })
-	if err != nil {
-		t.Fatal(err)
-	}
+	rcArm(t, rt, every, from, func(body []byte) {
+		*snaps = append(*snaps, rcSnap{replayFrom: ckReplayFrom(body), data: body})
+	})
 }
 
 // rcDiscard arms rt with the same boundary schedule but discards the
@@ -110,11 +101,38 @@ func rcCapture(t testing.TB, rt *Runtime, every, from event.Time, snaps *[]rcSna
 // matches the interrupted run's.
 func rcDiscard(t testing.TB, rt *Runtime, every, from event.Time) {
 	t.Helper()
-	err := rt.SetCheckpoint(every, from,
-		func(event.Time, func(io.Writer) error) error { return nil }, nil)
+	rcArm(t, rt, every, from, nil)
+}
+
+// rcArm arms rt's checkpoint schedule with a test sink handing each
+// snapshot to keep.
+func rcArm(t testing.TB, rt *Runtime, every, from event.Time, keep func(body []byte)) {
+	t.Helper()
+	err := rt.SetCheckpoint(every, from, NewTestSink(t, keep), func(err error) { t.Errorf("checkpoint save: %v", err) })
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// ckReplayFrom reads the replay bound from a snapshot's header.
+func ckReplayFrom(body []byte) event.Time {
+	w := checkpoint.Decode(body)
+	var h ckHeader
+	h.walk(&w)
+	return h.replayFrom
+}
+
+// ckEncode is the snapshot of rt with replay bound replayFrom, as a
+// sink would receive it.
+func ckEncode(t testing.TB, rt *Runtime, replayFrom event.Time) []byte {
+	t.Helper()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	parts, err := rt.snapshotLocked(replayFrom)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	return slices.Concat(parts[:]...)
 }
 
 func rcFeed(rt *Runtime, evs []*event.Event, from event.Time) {
@@ -281,23 +299,27 @@ func rcVols(evs []*event.Event) {
 	}
 }
 
-// planSortAttrs renders every graph's Vertex Tree sort attributes,
-// composite plans' branches and products included.
-func planSortAttrs(p *Plan) string {
+// planChoice renders what compiling chose for every graph: its Vertex
+// Tree sort attributes, which transitions fold summaries (fastScan) and
+// under which gating dependencies (augDeps), and the pane size.
+func planChoice(p *Plan) string {
 	var b strings.Builder
+	fmt.Fprintf(&b, "pane %d;", p.Window.PaneSize())
 	for _, gs := range p.Subs {
-		fmt.Fprint(&b, gs.SortAttr)
+		cs := newCompiledSpec(gs, p.Subs, p.Sem)
+		fmt.Fprint(&b, gs.SortAttr, cs.fastScan, cs.augDeps, ";")
 	}
 	for _, sub := range slices.Concat(p.Branches, p.Products) {
-		fmt.Fprintf(&b, "(%s)", planSortAttrs(sub))
+		fmt.Fprintf(&b, "(%s)", planChoice(sub))
 	}
 	return b.String()
 }
 
-// TestPlanDeterministic: compiling a query again yields the same
-// Vertex Tree order for every state — what a restore relies on. The
-// choice once followed map iteration order (177/23 over 200 compiles of
-// rcTwoAttr).
+// TestPlanDeterministic: compiling a query again yields the same plan
+// choice for every state — Vertex Tree order, summary fast paths, their
+// gating dependencies, pane size — what a restore relies on. The sort
+// attribute choice once followed map iteration order (177/23 over 200
+// compiles of rcTwoAttr).
 func TestPlanDeterministic(t *testing.T) {
 	for _, tc := range rcCases {
 		q := query.MustParse(tc.q)
@@ -307,10 +329,10 @@ func TestPlanDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := planSortAttrs(plan); i == 0 {
+			if got := planChoice(plan); i == 0 {
 				want = got
 			} else if got != want {
-				t.Fatalf("%s: compile %d sorts by %s, compile 0 by %s", tc.name, i, got, want)
+				t.Fatalf("%s: compile %d chose %s, compile 0 %s", tc.name, i, got, want)
 			}
 		}
 	}

@@ -156,12 +156,9 @@ func windowCountRoundTrip(t *testing.T, src string, evs []*event.Event) {
 			t.Fatalf("%s: snapshot %d: restore: %v", src, i, err)
 		}
 		rcDiscard(t, rtR, every, info.ReplayFrom)
-		var buf bytes.Buffer
-		if err := rtR.encodeLocked(&buf, sn.replayFrom); err != nil {
-			t.Fatalf("%s: snapshot %d: re-encode: %v", src, i, err)
-		}
-		if !bytes.Equal(sn.data, buf.Bytes()) {
-			t.Fatalf("%s: snapshot %d: round trip diverges (%d bytes vs %d)", src, i, len(sn.data), buf.Len())
+		re := ckEncode(t, rtR, sn.replayFrom)
+		if !bytes.Equal(sn.data, re) {
+			t.Fatalf("%s: snapshot %d: round trip diverges (%d bytes vs %d)", src, i, len(sn.data), len(re))
 		}
 	}
 }
