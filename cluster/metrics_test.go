@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"context"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -142,6 +143,52 @@ func TestClusterMetrics(t *testing.T) {
 	}
 	if traced[greta.TraceShardAdd] != 2 {
 		t.Errorf("TraceShardAdd fired %d times, want 2", traced[greta.TraceShardAdd])
+	}
+}
+
+// TestCoordinatorMetricsHandler mounts the embeddable surface on a
+// caller-owned server: it serves the series the coordinator's snapshot
+// reports.
+func TestCoordinatorMetricsHandler(t *testing.T) {
+	addrs := startShards(t, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	co, err := cluster.Connect(ctx, cluster.Config{Shards: addrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	if _, err := co.Register(diffQueries[1]); err != nil {
+		t.Fatal(err)
+	}
+	events := greta.ClusterStream(greta.DefaultCluster(2000))
+	for _, ev := range events {
+		if err := co.Process(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	srv := httptest.NewServer(co.MetricsHandler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	series, err := obs.ParseProm(resp.Body)
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v", err)
+	}
+	m := co.Metrics()
+	for name, want := range map[string]float64{
+		"greta_cluster_events_total": float64(len(events)),
+		"greta_cluster_watermark":    float64(m.Watermark),
+		"greta_cluster_shards":       2,
+		"greta_cluster_slots":        2,
+	} {
+		if v, ok := series[name]; !ok || v != want {
+			t.Errorf("%s = %v (present %v), want %v", name, v, ok, want)
+		}
 	}
 }
 

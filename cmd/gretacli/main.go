@@ -102,8 +102,8 @@ func main() {
 		os.Exit(2)
 	}
 	if *ckDir != "" && *workers > 1 {
-		// Checkpoints ride the sequential ingest path; RunParallel owns
-		// the stream without boundary hooks.
+		// Checkpoints ride the sequential ingest path: RunParallel on a
+		// checkpointed runtime runs sequentially, so say so up front.
 		fmt.Fprintln(os.Stderr, "-checkpoint-dir requires -workers 1")
 		os.Exit(2)
 	}

@@ -72,15 +72,11 @@ type Type = event.Type
 type Stream = event.Stream
 
 // Schema describes an event type's attributes. Binding events to a
-// schema (Schema.Bind or BindSchemas) populates dense slot arrays that
-// the runtime reads by precompiled index — the steady-state per-event
-// path then runs without map probes or allocation. Events without a
-// schema are processed through the equivalent map fallback.
+// schema (Schema.Bind) populates dense slot arrays that the runtime
+// reads by precompiled index — the steady-state per-event path then
+// runs without map probes or allocation. Events without a schema are
+// processed through the equivalent map fallback.
 type Schema = event.Schema
-
-// BindSchemas binds each event whose type has a schema in schemas;
-// call once at ingest. Events of other types stay schemaless.
-func BindSchemas(evs []*Event, schemas []*Schema) { event.BindAll(evs, schemas) }
 
 // Batch is a columnar block of schema-bound events of one type: dense
 // per-attribute arrays in schema slot order, materialized as Event rows

@@ -69,10 +69,8 @@ func (rt *Runtime) ProcessBatch(b *event.Batch) (int, error) {
 	if n == 0 {
 		return 0, nil
 	}
-	if m := rt.met; m != nil {
-		m.batches.Inc()
-		m.batchRows.Add(uint64(n))
-	}
+	rt.met.batches.Inc()
+	rt.met.batchRows.Add(uint64(n))
 	rows := b.Rows()
 	if rt.reorder != nil {
 		return rt.processBatchFallback(rows)
@@ -96,13 +94,8 @@ func (rt *Runtime) ProcessBatch(b *event.Batch) (int, error) {
 	if last := rows[n-1].Time; last > rt.watermark {
 		rt.watermark = last
 	}
-	if m := rt.met; m != nil {
-		// rt.watermark now covers the batch maximum (rows are sorted), so
-		// the frontier cells stay untouched — the snapshot derives both
-		// series from rt.watermark under rt.mu.
-		m.events.Add(uint64(n))
-		m.drops.Add(uint64(n - accepted))
-	}
+	rt.met.events.Add(uint64(n))
+	rt.met.drops.Add(uint64(n - accepted))
 	return accepted, nil
 }
 

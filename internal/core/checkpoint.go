@@ -71,11 +71,9 @@ type ckState struct {
 	fBytes  int64
 	fEncode time.Duration
 
-	// Observability of the last successful write (endCheckpoint): the
-	// fields live here rather than in cells because they are read under
-	// rt.mu at snapshot time only.
-	lastDur  time.Duration
-	lastUnix int64 // wall clock (ns); 0 before the first success
+	// lastDur is the last successful write's latency (endCheckpoint):
+	// read under rt.mu at snapshot time only, so it needs no cell.
+	lastDur time.Duration
 }
 
 // SetCheckpoint arms watermark-aligned checkpointing: before applying
@@ -179,23 +177,19 @@ func (rt *Runtime) awaitCheckpoint(ck *ckState) error {
 // endCheckpoint reports a finished write: metrics, the last-success
 // fields and the commit or fail trace; it returns err.
 func (rt *Runtime) endCheckpoint(ck *ckState, replayFrom event.Time, n int64, dur time.Duration, err error) error {
+	m := rt.met
 	if err != nil {
-		if m := rt.met; m != nil {
-			m.ckFails.Inc()
-		}
+		m.ckFails.Inc()
 		rt.fireTrace(TraceEvent{Kind: TraceCheckpointFail, Boundary: replayFrom, Watermark: rt.watermark, Dur: dur, Err: err})
 		return err
 	}
 	ck.lastDur = dur
-	ck.lastUnix = nowNanos()
-	if m := rt.met; m != nil {
-		m.ckWrites.Inc()
-		m.ckBytes.Add(uint64(n))
-		m.ckLastBytes.Set(n)
-		m.ckLastBoundary.Set(replayFrom)
-		m.ckLastUnix.Set(ck.lastUnix)
-		m.ckDur.Observe(dur)
-	}
+	m.ckWrites.Inc()
+	m.ckBytes.Add(uint64(n))
+	m.ckLastBytes.Set(n)
+	m.ckLastBoundary.Set(replayFrom)
+	m.ckLastUnix.Set(nowNanos())
+	m.ckDur.Observe(dur)
 	rt.fireTrace(TraceEvent{Kind: TraceCheckpointCommit, Boundary: replayFrom, Watermark: rt.watermark, Bytes: n, Dur: dur})
 	return nil
 }

@@ -141,7 +141,7 @@ type shardHostMeta struct {
 // the caller ships them to the merger tagged with the slot's home
 // index w.
 func NewShardHost(w int, onPartial func(w, si int, r Result)) *ShardHost {
-	return &ShardHost{rt: newRuntime(), w: w, onPartial: onPartial}
+	return &ShardHost{rt: NewRuntime(), w: w, onPartial: onPartial}
 }
 
 // W returns the slot's home worker index.

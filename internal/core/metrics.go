@@ -2,15 +2,16 @@
 // path, sampled snapshots and collectors off it.
 //
 // The hot-path contract mirrors the engine's own 0-alloc discipline
-// (TestNoHotPathAllocs runs with metrics armed): every per-event
-// metric update is a nil-check plus a plain atomic on a cell that was
+// (TestNoHotPathAllocs runs with the cells armed, as every runtime is):
+// every per-event metric update is a plain atomic on a cell that was
 // allocated when the runtime was built. Durations (checkpoint writes)
 // are measured only at watermark boundaries — the same places the
 // engine already pays for snapshot encoding, which the alloc guard's
 // measured windows deliberately avoid. Everything derivable from
-// existing structures (engine Stats, reorder depth, topology) is not
-// mirrored into cells at all: a render-time collector samples it under
-// rt.mu, so the hot path pays nothing for it.
+// existing structures (the watermark, the reorder buffer's maximum and
+// depth, engine Stats, topology) is not mirrored into cells at all: a
+// render-time collector samples it under rt.mu, so each series has one
+// source and the hot path pays nothing for it.
 package core
 
 import (
@@ -21,7 +22,8 @@ import (
 	"github.com/greta-cep/greta/internal/obs"
 )
 
-// rtMetrics are the runtime's hot-path cells. All counters count
+// rtMetrics are the runtime's hot-path cells, every one registered:
+// what the runtime counts and keeps nowhere else. All counters count
 // offered events (before engine-level drop accounting), so they are
 // meaningful during RunParallel too, when per-engine stats are owned
 // by worker goroutines.
@@ -30,17 +32,6 @@ type rtMetrics struct {
 	drops     *obs.Counter // out-of-order drops (watermark or reorder horizon)
 	batches   *obs.Counter // ProcessBatch calls
 	batchRows *obs.Counter // rows offered through ProcessBatch
-
-	// watermark and maxSeen are unregistered cells, written only where
-	// rt.mu cannot cover the frontier: the RunParallel feed loop (which
-	// owns the stream with the lock free) and the reorder offer path
-	// (where offered time runs ahead of the released frontier). The
-	// sequential direct path pays nothing for them — rt.watermark under
-	// rt.mu is the truth there, and the snapshot/collector derive the
-	// greta_watermark / greta_event_time_max series from whichever
-	// source is current.
-	watermark *obs.Gauge // parallel-feed accepted frontier (-1 before the first)
-	maxSeen   *obs.Gauge // max offered time ahead of rt.watermark (-1 when unused)
 
 	ckWrites       *obs.Counter   // successful checkpoint writes
 	ckFails        *obs.Counter   // failed checkpoint writes
@@ -58,8 +49,6 @@ func newRTMetrics(reg *obs.Registry) *rtMetrics {
 		drops:          reg.Counter("greta_events_dropped_total", "events dropped out of order (behind the watermark or reorder horizon)", ""),
 		batches:        reg.Counter("greta_batches_total", "columnar batches offered via ProcessBatch", ""),
 		batchRows:      reg.Counter("greta_batch_rows_total", "rows offered via ProcessBatch", ""),
-		watermark:      &obs.Gauge{},
-		maxSeen:        &obs.Gauge{},
 		ckWrites:       reg.Counter("greta_checkpoint_writes_total", "successful checkpoint snapshots", ""),
 		ckFails:        reg.Counter("greta_checkpoint_failures_total", "failed checkpoint snapshots", ""),
 		ckBytes:        reg.Counter("greta_checkpoint_bytes_total", "total checkpoint snapshot bytes written", ""),
@@ -68,8 +57,6 @@ func newRTMetrics(reg *obs.Registry) *rtMetrics {
 		ckLastUnix:     reg.Gauge("greta_checkpoint_last_unix_nanos", "wall-clock time of the most recent checkpoint (unix ns)", ""),
 		ckDur:          reg.Histogram("greta_checkpoint_write_seconds", "checkpoint write latency", ""),
 	}
-	m.watermark.Set(-1)
-	m.maxSeen.Set(-1)
 	m.ckLastBoundary.Set(-1)
 	return m
 }
@@ -79,16 +66,6 @@ func newRTMetrics(reg *obs.Registry) *rtMetrics {
 // Rendering takes rt.mu — never call it while holding the lock (e.g.
 // from a trace hook or checkpoint error callback).
 func (rt *Runtime) MetricsRegistry() *obs.Registry { return rt.obsReg }
-
-// DisableMetrics detaches the hot-path cells: subsequent events skip
-// every metric update (the benchmark baseline for measuring armed
-// overhead). Must be called before the first event; the sampled
-// collector keeps working, cell-backed series simply stop moving.
-func (rt *Runtime) DisableMetrics() {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.met = nil
-}
 
 // CheckpointMetrics is the checkpoint section of a metrics snapshot.
 type CheckpointMetrics struct {
@@ -115,7 +92,7 @@ type StatementMetrics struct {
 // observability counters, taken under the runtime lock. Per-statement
 // engine stats are omitted while RunParallel owns the stream (worker
 // goroutines own the engines then) and after Close (the statement set
-// is torn down); every cell-backed counter remains live in both cases.
+// is torn down); the counters and the frontier remain live in both.
 type MetricsSnapshot struct {
 	Events    uint64 // events offered through any ingest path
 	Dropped   uint64 // out-of-order drops
@@ -145,51 +122,37 @@ func (rt *Runtime) Metrics() MetricsSnapshot {
 }
 
 func (rt *Runtime) metricsLocked() MetricsSnapshot {
-	snap := MetricsSnapshot{Watermark: rt.watermark, MaxEventTime: rt.watermark}
-	if m := rt.met; m != nil {
-		snap.Events = m.events.Load()
-		snap.Dropped = m.drops.Load()
-		snap.Batches = m.batches.Load()
-		snap.BatchRows = m.batchRows.Load()
-		// During RunParallel the feed goroutine owns the stream and syncs
-		// rt.watermark only at the end, so its cell is what a concurrent
-		// scrape observes; everywhere else rt.watermark (read under
-		// rt.mu) is the truth. maxSeen only ever runs ahead of the
-		// released frontier (reorder offers, parallel feed), so the
-		// larger of the two sources is the offered maximum.
-		if rt.running {
-			snap.Watermark = m.watermark.Load()
-		}
-		if t := m.maxSeen.Load(); t > snap.MaxEventTime {
-			snap.MaxEventTime = t
-		}
-		if snap.Watermark > snap.MaxEventTime {
-			snap.MaxEventTime = snap.Watermark
-		}
-		snap.Checkpoint.Writes = m.ckWrites.Load()
-		snap.Checkpoint.Failures = m.ckFails.Load()
-		snap.Checkpoint.TotalBytes = m.ckBytes.Load()
-		snap.Checkpoint.LastBytes = uint64(m.ckLastBytes.Load())
-		snap.Checkpoint.LastBoundary = m.ckLastBoundary.Load()
+	m := rt.met
+	snap := MetricsSnapshot{
+		Events:       m.events.Load(),
+		Dropped:      m.drops.Load(),
+		Batches:      m.batches.Load(),
+		BatchRows:    m.batchRows.Load(),
+		Watermark:    rt.watermark,
+		MaxEventTime: rt.watermark,
 	}
-	if snap.MaxEventTime > snap.Watermark {
-		snap.WatermarkLag = snap.MaxEventTime - snap.Watermark
-	}
+	// The offered maximum runs ahead of the released frontier only inside
+	// the reorder buffer, which keeps it (restored with its snapshot).
 	if b := rt.reorder; b != nil {
+		snap.MaxEventTime = max(snap.MaxEventTime, b.Max())
 		snap.ReorderSlack = b.Slack()
 		snap.ReorderPending = b.Pending()
 		snap.ReorderDropped = b.Dropped()
 	}
+	snap.WatermarkLag = snap.MaxEventTime - snap.Watermark
 	if ck := rt.ck; ck != nil {
 		snap.Checkpoint.Armed = true
 		snap.Checkpoint.Every = ck.every
 		snap.Checkpoint.NextBoundary = ck.next
 		snap.Checkpoint.LastDuration = ck.lastDur
-		if ck.lastUnix > 0 {
-			snap.Checkpoint.Age = time.Duration(nowNanos() - ck.lastUnix)
-		}
-	} else if m := rt.met; m != nil && m.ckLastUnix.Load() > 0 {
-		snap.Checkpoint.Age = time.Duration(nowNanos() - m.ckLastUnix.Load())
+	}
+	snap.Checkpoint.Writes = m.ckWrites.Load()
+	snap.Checkpoint.Failures = m.ckFails.Load()
+	snap.Checkpoint.TotalBytes = m.ckBytes.Load()
+	snap.Checkpoint.LastBytes = uint64(m.ckLastBytes.Load())
+	snap.Checkpoint.LastBoundary = m.ckLastBoundary.Load()
+	if u := m.ckLastUnix.Load(); u > 0 {
+		snap.Checkpoint.Age = time.Duration(nowNanos() - u)
 	}
 	snap.Runtime = rt.statsLocked()
 	if !rt.running && !rt.closed {
@@ -206,9 +169,10 @@ func (rt *Runtime) metricsLocked() MetricsSnapshot {
 var nowNanos = func() int64 { return time.Now().UnixNano() }
 
 // registerCollector wires the render-time sampler: everything the
-// snapshot derives from live structures (lag, reorder depth, topology,
-// per-statement engine stats, checkpoint age) is published as series
-// without any hot-path mirroring. Runs under rt.mu at scrape time.
+// snapshot derives from live structures (frontier and lag, reorder
+// depth, topology, per-statement engine stats, checkpoint age) is
+// published as series without any hot-path mirroring. Runs under rt.mu
+// at scrape time.
 func (rt *Runtime) registerCollector() {
 	rt.obsReg.Collect(func(e obs.Emitter) {
 		snap := rt.Metrics()

@@ -21,17 +21,20 @@ import (
 //
 // RunParallel drives the whole stream and closes the runtime at the
 // end. It must own the runtime from the start: if events were already
-// processed, or no statement is partitioned, or workers <= 1, it falls
-// back to the sequential Run followed by Close. Statements cannot be
+// processed, or no statement is partitioned, or workers <= 1, or
+// reorder slack or checkpointing is armed, it falls back to the
+// sequential Run followed by Close. Statements cannot be
 // registered or closed while it runs. A partitioned statement's
 // callbacks run on the workers, one at a time under the run's merge
 // lock, as the cluster coordinator's run under its own; every other
-// statement's run on the caller.
+// statement's run on the caller. The feed publishes its watermark to
+// Watermark and Metrics each time it sends chunks, so a concurrent
+// reader sees it live to within one chunk.
 func (rt *Runtime) RunParallel(ctx context.Context, s event.Stream, workers int) error {
 	rt.mu.Lock()
-	if rt.closed {
+	if err := rt.registrable(); err != nil {
 		rt.mu.Unlock()
-		return ErrClosed
+		return err
 	}
 	// Snapshot the parallel units: the sources of simple partitioned
 	// plans (a graph runs once, whoever subscribes to it). Everything
@@ -49,8 +52,10 @@ func (rt *Runtime) RunParallel(ctx context.Context, s event.Stream, workers int)
 	}
 	inline = append(inline, rt.direct...)
 	// A runtime with reorder slack armed runs sequentially: the
-	// buffer's release order is defined over one arrival sequence.
-	if workers <= 1 || len(par) == 0 || rt.watermark >= 0 || rt.reorder != nil {
+	// buffer's release order is defined over one arrival sequence. So
+	// does a checkpointed one: its boundaries snapshot the engines the
+	// sequential path feeds.
+	if workers <= 1 || len(par) == 0 || rt.watermark >= 0 || rt.reorder != nil || rt.ck != nil {
 		rt.mu.Unlock()
 		if err := rt.Run(ctx, s); err != nil {
 			_ = rt.Close()
@@ -60,7 +65,7 @@ func (rt *Runtime) RunParallel(ctx context.Context, s event.Stream, workers int)
 	}
 	rt.running = true
 	rt.mu.Unlock()
-	err := runParallel(ctx, s, workers, par, inline, groups, rt.met)
+	err := rt.runParallel(ctx, s, workers, par, inline, groups)
 	rt.mu.Lock()
 	rt.running = false
 	rt.mu.Unlock()
@@ -108,8 +113,8 @@ type parChunk struct {
 // partials and acks file straight into the unit's SlotMerge under one
 // lock for the run, and the merge emits on the worker that completes a
 // window, as the cluster coordinator's does under its own lock.
-func runParallel(ctx context.Context, s event.Stream, workers int,
-	par, inline []*source, groups []*routeGroup, met *rtMetrics) error {
+func (rt *Runtime) runParallel(ctx context.Context, s event.Stream, workers int,
+	par, inline []*source, groups []*routeGroup) error {
 	var mu sync.Mutex
 	merges := make([]*SlotMerge, len(par))
 	for si, src := range par {
@@ -169,7 +174,7 @@ func runParallel(ctx context.Context, s event.Stream, workers int,
 		}()
 	}
 
-	err := feedWorkers(ctx, s, par, inline, groups, chans, chunks, met)
+	err := rt.feedWorkers(ctx, s, par, inline, groups, chans, chunks)
 	aborted = err != nil
 	for _, c := range chans {
 		close(c)
@@ -194,20 +199,29 @@ func runParallel(ctx context.Context, s event.Stream, workers int,
 // its (route group, hash) pairs to the chunks of the workers owning
 // them. A chunk goes out full, at end of stream, and — every worker's
 // at once — after a barrier, so no window's merge waits on a later event.
-func feedWorkers(ctx context.Context, s event.Stream, par, inline []*source,
-	groups []*routeGroup, chans []chan *parChunk, chunks *sync.Pool, met *rtMetrics) error {
+// The feed owns the stream with rt.mu free; each send stores its
+// watermark into rt.watermark under the lock, and so does the end.
+func (rt *Runtime) feedWorkers(ctx context.Context, s event.Stream, par, inline []*source,
+	groups []*routeGroup, chans []chan *parChunk, chunks *sync.Pool) error {
 	done := ctx.Done()
+	var watermark event.Time = -1
+	publish := func() {
+		rt.mu.Lock()
+		rt.watermark = watermark
+		rt.mu.Unlock()
+	}
 	cur := make([]*parChunk, len(chans)) // per worker: the chunk under construction
 	send := func(w int) {
 		chans[w] <- cur[w]
 		cur[w] = chunks.Get().(*parChunk)
+		publish()
 	}
 	for w := range cur {
 		cur[w] = chunks.Get().(*parChunk)
 	}
-	var watermark event.Time = -1
 	var ooo uint64
 	defer func() {
+		publish()
 		// Out-of-order drops were counted at the coordinator (events are
 		// not forwarded); charge them to every engine's stats, as the
 		// sequential path does.
@@ -223,19 +237,10 @@ func feedWorkers(ctx context.Context, s event.Stream, par, inline []*source,
 			default:
 			}
 		}
-		// Live gauges: the feed goroutine owns the stream while rt.mu is
-		// free, so the cells (not rt.watermark) are what a concurrent
-		// scrape observes mid-run. Atomics only — the feed loop shares
-		// the hot path's 0-alloc discipline.
-		if met != nil {
-			met.events.Inc()
-			met.maxSeen.SetMax(ev.Time)
-		}
+		rt.met.events.Inc()
 		if ev.Time < watermark {
 			ooo++
-			if met != nil {
-				met.drops.Inc()
-			}
+			rt.met.drops.Inc()
 			continue
 		}
 		// Window barriers precede the event that closes the window, so
@@ -255,9 +260,6 @@ func feedWorkers(ctx context.Context, s event.Stream, par, inline []*source,
 			}
 		}
 		watermark = ev.Time
-		if met != nil {
-			met.watermark.Set(ev.Time)
-		}
 		// Inline sources run on the caller, preserving sequential
 		// semantics for unpartitioned and composite plans.
 		for _, src := range inline {

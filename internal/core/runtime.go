@@ -125,9 +125,9 @@ type Runtime struct {
 	// snapshot-sized is held in between.
 	ckSize, ckEvents int
 
-	// met holds the hot-path metric cells (armed by default; nil after
-	// DisableMetrics). Every touch on the ingest path is a nil-check
-	// plus a plain atomic — see metrics.go for the 0-alloc contract.
+	// met holds the hot-path metric cells, armed from NewRuntime on and
+	// never nil. Every touch on the ingest path is a plain atomic — see
+	// metrics.go for the 0-alloc contract.
 	met    *rtMetrics
 	obsReg *obs.Registry
 	// trace is the lifecycle hook (SetTraceHook); fires under rt.mu on
@@ -181,19 +181,11 @@ type Stmt struct {
 // mode's contract is bounded memory: a reader further behind loses the oldest.
 const tailMax = 4096
 
-// newRuntime builds an empty runtime without metric cells — all a
-// ShardHost needs: events bypass its runtime's ingest path, so nothing
-// would ever move or scrape them.
-func newRuntime() *Runtime {
-	return &Runtime{watermark: -1, shared: map[string]*source{}}
-}
-
 // NewRuntime builds an empty runtime. Metrics are armed from birth:
 // the cells exist before the first event, so arming costs nothing on
 // the hot path beyond the atomics themselves.
 func NewRuntime() *Runtime {
-	rt := newRuntime()
-	rt.obsReg = obs.NewRegistry()
+	rt := &Runtime{watermark: -1, shared: map[string]*source{}, obsReg: obs.NewRegistry()}
 	rt.met = newRTMetrics(rt.obsReg)
 	rt.registerCollector()
 	return rt
@@ -320,16 +312,8 @@ func (rt *Runtime) process(ev *event.Event) error {
 	if rt.running {
 		return ErrRunning
 	}
-	if m := rt.met; m != nil {
-		m.events.Inc()
-	}
+	rt.met.events.Inc()
 	if b := rt.reorder; b != nil {
-		// Offered time runs ahead of the released frontier here, so the
-		// high-water cell needs the RMW; the direct path below derives
-		// the offered maximum from rt.watermark instead.
-		if m := rt.met; m != nil {
-			m.maxSeen.SetMax(ev.Time)
-		}
 		// Apply a restored in-flight release (pending at or below the
 		// horizon) before considering the incoming event — exactly where
 		// the interrupted run left off. A no-op on live buffers.
@@ -346,9 +330,7 @@ func (rt *Runtime) process(ev *event.Event) error {
 			// (engines only ever see the released, in-order stream), so
 			// per-statement OutOfOrder counters do not move — the caller
 			// accounts for slack drops, as the netstream layer always has.
-			if m := rt.met; m != nil {
-				m.drops.Inc()
-			}
+			rt.met.drops.Inc()
 			return &OrderError{EventTime: ev.Time, Watermark: b.Horizon()}
 		}
 		return nil
@@ -385,9 +367,7 @@ func (rt *Runtime) applyLocked(ev *event.Event) error {
 		src.eng.Process(ev)
 	}
 	if late {
-		if m := rt.met; m != nil {
-			m.drops.Inc()
-		}
+		rt.met.drops.Inc()
 		return &OrderError{EventTime: ev.Time, Watermark: rt.watermark}
 	}
 	rt.watermark = ev.Time

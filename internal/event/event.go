@@ -138,20 +138,6 @@ func (s *Schema) Bind(e *Event) {
 	}
 }
 
-// BindAll binds each event whose type has a schema in schemas; events
-// of other types are left schemaless (the runtime falls back to map
-// access for them).
-func BindAll(evs []*Event, schemas []*Schema) {
-	for _, ev := range evs {
-		for _, s := range schemas {
-			if s.Type == ev.Type {
-				s.Bind(ev)
-				break
-			}
-		}
-	}
-}
-
 // Stream is a finite, in-order sequence of events. The runtime consumes
 // streams through iteration so that channel-fed, generator-fed, and
 // slice-backed streams share one interface.

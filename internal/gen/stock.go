@@ -117,8 +117,9 @@ var (
 )
 
 // StockSchemas describes the generated event types. The pointers are
-// stable package-level schemas (the same ones Bind attaches), so they
-// feed greta.BindSchemas directly and keep accessor slot caches warm.
+// stable package-level schemas (the same ones Bind attaches), so
+// batches built over them (greta.NewBatch) keep accessor slot caches
+// warm.
 func StockSchemas() []*event.Schema {
 	return []*event.Schema{stockSchema, haltSchema}
 }

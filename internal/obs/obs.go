@@ -50,9 +50,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
 
-// Store overwrites the value (restore/rebase only — not for the hot path).
-func (c *Counter) Store(n uint64) { c.v.Store(n) }
-
 // Gauge is a cell holding a signed instantaneous value.
 type Gauge struct {
 	v atomic.Int64

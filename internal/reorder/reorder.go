@@ -105,6 +105,10 @@ func (b *Buffer) Dropped() uint64 { return b.dropped }
 // rejected. It only advances as larger timestamps arrive.
 func (b *Buffer) Horizon() event.Time { return b.maxSeen - b.slack }
 
+// Max returns the largest timestamp accepted so far (-1 before the
+// first). Drops never raise it: a dropped arrival is behind the horizon.
+func (b *Buffer) Max() event.Time { return b.maxSeen }
+
 // Slack returns the configured slack.
 func (b *Buffer) Slack() event.Time { return b.slack }
 

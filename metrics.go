@@ -10,14 +10,15 @@ import (
 // Metrics is a consistent point-in-time snapshot of a Runtime's
 // observability counters: ingest totals, watermark/lag gauges, reorder
 // buffer depth, checkpoint durability state, multi-query topology, and
-// per-statement engine statistics. Cell-backed counters (events,
-// drops, watermark, checkpoint totals) are updated by lock-free atomics
-// on the ingest path and stay live in every mode, including while
-// RunParallel owns the stream; per-statement engine stats are omitted
-// while workers own the engines and after Close. At end of run the
-// snapshot's Runtime and Statements sections equal Stats() and
-// Handle.Stats() exactly — the snapshot is a view, not a second set of
-// books.
+// per-statement engine statistics. Counters (events, drops, checkpoint
+// totals) are lock-free atomics on the ingest path; the watermark, the
+// maximum event time and their lag are read from the runtime's own
+// state. Both stay live in every mode, including while RunParallel owns
+// the stream (its feed publishes the watermark with each chunk it
+// sends); per-statement engine stats are omitted while workers own the
+// engines and after Close. At end of run the snapshot's Runtime and
+// Statements sections equal Stats() and Handle.Stats() exactly — the
+// snapshot is a view, not a second set of books.
 type Metrics = core.MetricsSnapshot
 
 // StatementMetrics is one live statement's identity and counters
@@ -80,18 +81,6 @@ func WithTraceHook(fn func(TraceEvent)) RuntimeOption {
 	return func(c *runtimeConfig) { c.trace = fn }
 }
 
-// WithMetricsDisabled detaches the hot-path metric cells: per-event
-// counter and gauge updates are skipped entirely. The snapshot and
-// /metrics surfaces keep working from sampled state; cell-backed
-// series simply stop moving. This exists to measure the armed cost
-// (BenchmarkMetricsOverhead) and for callers who want the last word in
-// hot-path hygiene; the armed path is itself allocation-free and
-// branch-predictable (a nil check plus a handful of uncontended
-// atomics).
-func WithMetricsDisabled() RuntimeOption {
-	return func(c *runtimeConfig) { c.metricsOff = true }
-}
-
 // Metrics returns a consistent snapshot of the runtime's counters.
 // Safe to call concurrently with ingestion, including during
 // RunParallel and after Close; see Metrics (the type) for what each
@@ -122,13 +111,10 @@ func (rt *Runtime) MetricsHandler() http.Handler {
 func (rt *Runtime) SetTraceHook(fn func(TraceEvent)) { rt.inner.SetTraceHook(fn) }
 
 // armObs applies the observability options (trace hook, metrics
-// disarm, metrics listener) to a built runtime.
+// listener) to a built runtime.
 func (rt *Runtime) armObs(cfg *runtimeConfig) error {
 	if cfg.trace != nil {
 		rt.inner.SetTraceHook(cfg.trace)
-	}
-	if cfg.metricsOff {
-		rt.inner.DisableMetrics()
 	}
 	if cfg.metricsAddr != "" {
 		ln, err := obs.Serve(cfg.metricsAddr, rt.inner.MetricsRegistry())

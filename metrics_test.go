@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"sync"
 	"testing"
@@ -365,73 +366,76 @@ func TestTraceHook(t *testing.T) {
 	}
 }
 
-// TestMetricsDisabled pins WithMetricsDisabled: cell-backed series
-// stop moving, the runtime keeps working.
-func TestMetricsDisabled(t *testing.T) {
-	rt := greta.NewRuntime(greta.WithMetricsDisabled())
-	h, err := rt.Register(greta.MustCompile(`RETURN COUNT(*) PATTERN Stock S+ WHERE [company] WITHIN 60 seconds SLIDE 20 seconds`))
-	if err != nil {
+// TestMetricsRestoredFrontier restores a slack-armed runtime with five
+// events pending and reads its frontier before any new event: the
+// snapshot, and the series MetricsHandler serves, carry the live
+// runtime's maximum event time and lag — the restored reorder buffer's.
+func TestMetricsRestoredFrontier(t *testing.T) {
+	dir := t.TempDir()
+	rt := greta.NewRuntime(greta.WithReorderSlack(5), greta.WithCheckpoint(dir, 1000))
+	if _, err := rt.Register(greta.MustCompile(`RETURN COUNT(*) PATTERN Stock S+ WHERE [company] WITHIN 60 SLIDE 20`)); err != nil {
 		t.Fatal(err)
 	}
-	events := greta.StockStream(greta.DefaultStock(1000))
-	for _, ev := range events {
+	b := &greta.Builder{}
+	for tm := greta.Time(1); tm <= 40; tm++ {
+		b.AddStr("Stock", tm, map[string]float64{"price": float64(100 - tm)}, map[string]string{"company": "c0"})
+	}
+	for _, ev := range b.Events() {
 		if err := rt.Process(ev); err != nil {
 			t.Fatal(err)
 		}
 	}
-	m := rt.Metrics()
-	if m.Events != 0 {
-		t.Errorf("disarmed Events = %d, want 0", m.Events)
+	if err := rt.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
-	// The sampled sections still work from live structures.
-	if m.Runtime != rt.Stats() {
-		t.Errorf("Runtime section %+v != Stats() %+v", m.Runtime, rt.Stats())
-	}
-	if got := m.Statements[0].Stats; got != h.Stats() {
-		t.Errorf("statement stats %+v != %+v", got, h.Stats())
+	live := rt.Metrics()
+	if live.Watermark != 35 || live.MaxEventTime != 40 || live.WatermarkLag != 5 || live.ReorderPending != 5 {
+		t.Fatalf("live watermark/max/lag/pending = %d/%d/%d/%d, want 35/40/5/5",
+			live.Watermark, live.MaxEventTime, live.WatermarkLag, live.ReorderPending)
 	}
 	_ = rt.Close()
-}
 
-// BenchmarkMetricsOverhead measures the armed hot-path cost against
-// the WithMetricsDisabled baseline on the summary-fold fastpath; the
-// acceptance budget is <=3%.
-func BenchmarkMetricsOverhead(b *testing.B) {
-	events := greta.StockStream(greta.DefaultStock(20000))
-	for _, leg := range []struct {
-		name  string
-		armed bool
-	}{{"armed", true}, {"disarmed", false}} {
-		b.Run(leg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var opts []greta.RuntimeOption
-				if !leg.armed {
-					opts = append(opts, greta.WithMetricsDisabled())
-				}
-				rt := greta.NewRuntime(opts...)
-				if _, err := rt.Register(greta.MustCompile(
-					`RETURN COUNT(*) PATTERN Stock S+ WHERE [company] WITHIN 60 seconds SLIDE 20 seconds`)); err != nil {
-					b.Fatal(err)
-				}
-				for _, ev := range events {
-					if err := rt.Process(ev); err != nil {
-						b.Fatal(err)
-					}
-				}
-				_ = rt.Close()
-			}
-			if b.Elapsed() > 0 {
-				b.ReportMetric(float64(len(events))*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-			}
-		})
+	res, err := greta.Restore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Close()
+	m := res.Metrics()
+	if m.Watermark != live.Watermark || m.MaxEventTime != live.MaxEventTime ||
+		m.WatermarkLag != live.WatermarkLag || m.ReorderPending != live.ReorderPending {
+		t.Errorf("restored watermark/max/lag/pending = %d/%d/%d/%d, live %d/%d/%d/%d",
+			m.Watermark, m.MaxEventTime, m.WatermarkLag, m.ReorderPending,
+			live.Watermark, live.MaxEventTime, live.WatermarkLag, live.ReorderPending)
+	}
+
+	srv := httptest.NewServer(res.MetricsHandler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	series, err := obs.ParseProm(resp.Body)
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v", err)
+	}
+	for name, want := range map[string]float64{
+		"greta_watermark":       35,
+		"greta_event_time_max":  40,
+		"greta_watermark_lag":   5,
+		"greta_reorder_pending": 5,
+		"greta_reorder_slack":   5,
+	} {
+		if v, ok := series[name]; !ok || v != want {
+			t.Errorf("%s = %v (present %v), want %v", name, v, ok, want)
+		}
 	}
 }
 
 // Compile-time check: the example in the README ("Observability")
 // uses these exact symbols.
 var _ = []any{
-	greta.WithMetricsAddr, greta.WithTraceHook, greta.WithMetricsDisabled,
+	greta.WithMetricsAddr, greta.WithTraceHook,
 	(*greta.Runtime).Metrics, (*greta.Runtime).MetricsAddr, (*greta.Runtime).MetricsHandler,
 	fmt.Sprintf, time.Since,
 }

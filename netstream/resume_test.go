@@ -782,3 +782,54 @@ func TestSessionRebaseRedelivers(t *testing.T) {
 		t.Fatalf("line after the re-delivery = %+v, want the stats reply with the output cursor at %d", o, st.OutSeq+uint64(len(want)))
 	}
 }
+
+// TestRestoreSessionErrors pins what RestoreSession refuses: a server
+// that cannot park the session, and a checkpoint whose session meta is
+// missing, unreadable, anonymous or of a version this server does not
+// write.
+func TestRestoreSessionErrors(t *testing.T) {
+	ckptWith := func(t *testing.T, meta []byte) string {
+		dir := t.TempDir()
+		rt := greta.NewRuntime(greta.WithCheckpoint(dir, 1<<40))
+		if _, err := rt.Register(greta.MustCompile("RETURN COUNT(*) PATTERN A+ WITHIN 10 SLIDE 10")); err != nil {
+			t.Fatal(err)
+		}
+		if meta != nil {
+			rt.SetCheckpointMeta(func() []byte { return meta })
+		}
+		if err := rt.Process(&greta.Event{ID: 1, Type: "A", Time: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		_ = rt.Close()
+		return dir
+	}
+	for _, tc := range []struct {
+		name   string
+		linger time.Duration
+		meta   string // "" writes none
+		want   string
+	}{
+		{"no-linger", 0, `{"id":"s","v":2}`, "requires Server.Linger > 0"},
+		{"no-meta", time.Second, "", "carries no session meta"},
+		{"bad-meta", time.Second, `{"id":`, "bad session meta"},
+		{"no-id", time.Second, `{"v":2}`, "session meta has no id"},
+		{"meta-v1", time.Second, `{"id":"s","last_seq":3}`, errMetaVersion.Error()},
+		{"meta-v3", time.Second, `{"id":"s","v":3}`, errMetaVersion.Error()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var meta []byte
+			if tc.meta != "" {
+				meta = []byte(tc.meta)
+			}
+			srv := &Server{Linger: tc.linger}
+			defer srv.Close()
+			id, err := srv.RestoreSession(ckptWith(t, meta))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("RestoreSession = %q, %v; want an error containing %q", id, err, tc.want)
+			}
+		})
+	}
+}

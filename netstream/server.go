@@ -357,6 +357,10 @@ func (s *Server) resume(conn net.Conn, w *bufio.Writer, enc *json.Encoder, we *W
 	return sess
 }
 
+// errMetaVersion refuses a checkpoint whose session meta is not the
+// version this server writes.
+var errMetaVersion = errors.New("netstream: unsupported session meta version")
+
 // RestoreSession rebuilds a parked resumable session from the
 // checkpoint directory a crashed server left behind: the snapshot's
 // meta blob supplies the session id and cursors, the engine state
@@ -388,6 +392,9 @@ func (s *Server) RestoreSession(dir string) (string, error) {
 	if err := json.Unmarshal(res.Meta, &m); err != nil {
 		return fail(fmt.Errorf("netstream: bad session meta: %w", err))
 	}
+	if m.V != 2 {
+		return fail(fmt.Errorf("%w: v%d", errMetaVersion, m.V))
+	}
 	if m.ID == "" {
 		return fail(errors.New("netstream: session meta has no id"))
 	}
@@ -400,13 +407,8 @@ func (s *Server) RestoreSession(dir string) (string, error) {
 	sess.out.Init(s.resumeWindow(), m.OutSeq)
 	sess.processed = m.Processed
 	sess.dropped = m.Dropped
-	if m.V >= 2 {
-		sess.evID = m.EvID
-		sess.frameSkip = m.FrameRows
-	} else {
-		// v1 meta (before batch frames over sessions): ids equal seqs.
-		sess.evID = m.LastSeq
-	}
+	sess.evID = m.EvID
+	sess.frameSkip = m.FrameRows
 	for _, h := range res.Handles {
 		sess.wire(h)
 	}

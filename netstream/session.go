@@ -23,9 +23,9 @@ type sessionMeta struct {
 	OutSeq    uint64 `json:"out_seq"`
 	Processed uint64 `json:"processed"`
 	Dropped   uint64 `json:"dropped"`
-	// V distinguishes meta generations: v2 adds the engine event-id
-	// cursor and mid-frame progress (batch frames over resumable
-	// sessions). A v1 meta implies ids equal seqs.
+	// V is the meta generation, 2 since the engine event-id cursor and
+	// mid-frame progress (batch frames over resumable sessions) joined
+	// it; RestoreSession refuses any other.
 	V int `json:"v,omitempty"`
 	// EvID is the id of the last engine event whose application the
 	// snapshot contains; FrameRows counts how many of those belong to a

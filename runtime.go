@@ -76,7 +76,8 @@ type Runtime struct {
 // Register and feed events with Process or Run. Options configure
 // runtime-wide behavior (see WithCheckpoint); NewRuntime panics on an
 // invalid option combination (e.g. a non-positive checkpoint
-// interval), which is a programming error, not a runtime condition.
+// interval or a negative reorder slack), which is a programming error,
+// not a runtime condition.
 func NewRuntime(opts ...RuntimeOption) *Runtime {
 	var cfg runtimeConfig
 	for _, opt := range opts {
@@ -88,7 +89,7 @@ func NewRuntime(opts ...RuntimeOption) *Runtime {
 			panic(err)
 		}
 	}
-	if cfg.slack > 0 {
+	if cfg.slack != 0 {
 		if err := rt.inner.SetReorderSlack(cfg.slack); err != nil {
 			panic(err)
 		}
@@ -111,7 +112,6 @@ type runtimeConfig struct {
 	slack       Time
 	metricsAddr string
 	trace       func(TraceEvent)
-	metricsOff  bool
 }
 
 // WithReorderSlack arms a bounded reorder buffer in front of the
@@ -124,7 +124,7 @@ type runtimeConfig struct {
 // scheduled checkpoints persist the pending events inside the
 // snapshot, so a restored runtime rehydrates its disorder window. A
 // runtime with slack armed runs RunParallel sequentially. Slack 0 is
-// the default direct path.
+// the default direct path; NewRuntime panics on a negative slack.
 func WithReorderSlack(slack Time) RuntimeOption {
 	return func(c *runtimeConfig) { c.slack = slack }
 }
@@ -236,10 +236,12 @@ func (rt *Runtime) Run(ctx context.Context, s Stream) error { return rt.inner.Ru
 // results, callbacks on the calling goroutine at each close.
 //
 // RunParallel must own the runtime from the start (no events processed
-// yet); otherwise it falls back to the sequential Run. It drives the
-// stream to completion (or ctx cancellation) and closes the runtime.
-// While it runs, Register, Handle.Close, Process, and Checkpoint return
-// ErrRunning eagerly instead of racing the workers.
+// yet) with neither reorder slack nor checkpointing armed — both are
+// defined over one sequential ingest; otherwise it falls back to the
+// sequential Run. It drives the stream to completion (or ctx
+// cancellation) and closes the runtime. While it runs, Register,
+// Handle.Close, Process, Checkpoint, and RunParallel return ErrRunning
+// eagerly instead of racing the workers.
 func (rt *Runtime) RunParallel(ctx context.Context, s Stream, workers int) error {
 	return rt.inner.RunParallel(ctx, s, workers)
 }

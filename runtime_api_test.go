@@ -1,12 +1,15 @@
 package greta_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
 	"github.com/greta-cep/greta"
+	"github.com/greta-cep/greta/internal/checkpoint"
 )
 
 // TestRuntimeStreamingResults consumes Handle.Results concurrently
@@ -254,6 +257,108 @@ func TestRuntimeParallelPublic(t *testing.T) {
 	}
 }
 
+// TestNewRuntimeInvalidOptions pins NewRuntime's contract: an invalid
+// option is a programming error and panics.
+func TestNewRuntimeInvalidOptions(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opt  func(t *testing.T) greta.RuntimeOption
+	}{
+		{"negative-slack", func(*testing.T) greta.RuntimeOption { return greta.WithReorderSlack(-1) }},
+		{"zero-checkpoint-interval", func(t *testing.T) greta.RuntimeOption { return greta.WithCheckpoint(t.TempDir(), 0) }},
+		{"negative-checkpoint-interval", func(t *testing.T) greta.RuntimeOption { return greta.WithCheckpoint(t.TempDir(), -5) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := tc.opt(t)
+			defer func() {
+				if recover() == nil {
+					t.Error("NewRuntime accepted the option")
+				}
+			}()
+			greta.NewRuntime(opt).Close()
+		})
+	}
+}
+
+// TestRunParallelFrontier reads the frontier after RunParallel: the
+// feed published its watermark, so Watermark and the snapshot's
+// Watermark, MaxEventTime and WatermarkLag equal Run + Close's on the
+// same stream, late events included. The stream ends on a lone
+// timestamp, which only the feed's final publish covers.
+func TestRunParallelFrontier(t *testing.T) {
+	events := greta.ClusterStream(greta.DefaultCluster(20000))
+	late, last := *events[len(events)/2], *events[len(events)-1]
+	late.Time = events[0].Time // behind the watermark: dropped by both runs
+	last.Time++
+	events = append(slices.Insert(events, len(events)/2+1, &late), &last)
+	run := func(workers int) (greta.Time, greta.Metrics) {
+		rt := greta.NewRuntime()
+		if _, err := rt.Register(greta.MustCompile(
+			`RETURN COUNT(*) PATTERN Measurement M+ WHERE [job] WITHIN 30 seconds SLIDE 10 seconds`)); err != nil {
+			t.Fatal(err)
+		}
+		s := greta.NewSliceStream(events)
+		var err error
+		if workers > 1 {
+			err = rt.RunParallel(context.Background(), s, workers)
+		} else if err = rt.Run(context.Background(), s); err == nil {
+			err = rt.Close()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rt.Watermark(), rt.Metrics()
+	}
+	wSeq, mSeq := run(1)
+	wPar, mPar := run(4)
+	if wPar != wSeq {
+		t.Errorf("Watermark() = %d after RunParallel, %d after Run + Close", wPar, wSeq)
+	}
+	seq := [4]greta.Time{mSeq.Watermark, mSeq.MaxEventTime, mSeq.WatermarkLag, greta.Time(mSeq.Dropped)}
+	par := [4]greta.Time{mPar.Watermark, mPar.MaxEventTime, mPar.WatermarkLag, greta.Time(mPar.Dropped)}
+	if par != seq || seq[3] != 1 {
+		t.Errorf("watermark/max/lag/dropped = %v after RunParallel, %v after Run + Close (one drop)", par, seq)
+	}
+}
+
+// TestRunParallelCheckpointed pins RunParallel's sequential fallback on
+// a checkpoint-armed runtime: its boundaries write the checkpoints Run +
+// Close writes, so the newest generations are byte-identical (no
+// retained results: a body holds their wall-clock emission stamps).
+func TestRunParallelCheckpointed(t *testing.T) {
+	events := greta.StockStream(greta.DefaultStock(20000))
+	newest := func(workers int) []byte {
+		dir := t.TempDir()
+		rt := greta.NewRuntime(greta.WithCheckpoint(dir, 20))
+		if _, err := rt.Register(greta.MustCompile(`RETURN sector, COUNT(*) PATTERN Stock S+
+			WHERE [company, sector] AND S.price > NEXT(S).price
+			GROUP-BY sector WITHIN 60 seconds SLIDE 20 seconds`), greta.WithoutRetention()); err != nil {
+			t.Fatal(err)
+		}
+		s := greta.NewSliceStream(events)
+		var err error
+		if workers > 1 {
+			err = rt.RunParallel(context.Background(), s, workers)
+		} else if err = rt.Run(context.Background(), s); err == nil {
+			err = rt.Close()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := rt.Metrics().Checkpoint.Writes; w == 0 {
+			t.Fatalf("workers %d: no checkpoint written", workers)
+		}
+		body, _, err := (&checkpoint.Store{Dir: dir}).Load()
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		return body
+	}
+	if seq, par := newest(1), newest(4); !bytes.Equal(par, seq) {
+		t.Errorf("RunParallel's newest checkpoint (%d bytes) differs from Run + Close's (%d bytes)", len(par), len(seq))
+	}
+}
+
 // gateStream feeds a prefix, then holds mid-stream until released —
 // keeping RunParallel in flight while the test races registrations
 // against it.
@@ -313,6 +418,9 @@ func TestRegisterDuringRunParallel(t *testing.T) {
 				t.Errorf("Handle.Close during RunParallel: err = %v, want ErrRunning", err)
 			}
 		}()
+	}
+	if err := rt.RunParallel(context.Background(), greta.NewSliceStream(events), 4); !errors.Is(err, greta.ErrRunning) {
+		t.Errorf("RunParallel during RunParallel: err = %v, want ErrRunning", err)
 	}
 	// The rejections are eager: every goroutine returns while the stream
 	// is still held open mid-run (a lazy check would deadlock here).
