@@ -19,8 +19,9 @@ race:
 # dispatch <= 0.1 an event amortized over the session's event slabs, a
 # batch frame 0 to encode and <= 5 to parse + apply whatever its rows,
 # a one-row shard frame <= 0.1, a full resend ring no dearer than an
-# empty one),
-# the coordinator's (Process 0 allocs an event, flushes included) and
+# empty one and 0 allocs a line for lines of 40 B to 4 KiB mixed),
+# the coordinator's (Process 0 allocs an event, flushes included, for
+# frames of one shape and for frames cut at every shape change) and
 # the snapshot encoder's (an event table costs the same few objects
 # whatever its size, a payload blob one) — and the routing / pool / wire
 # micro-benchmarks. Metrics cells are always armed, so the guard

@@ -67,8 +67,8 @@ type Config struct {
 	// later redistributes existing slots rather than re-hashing keys.
 	Shards []string
 	// SendWindow bounds the per-link resend ring for resume replay
-	// (frames, not events; default 65536). The ring keeps each frame's
-	// encoded bytes and overwrites the oldest in place, so a full ring
+	// (frames, not events; default 65536). The ring keeps the frames'
+	// encoded bytes back to back in recycled segments, so a full ring
 	// costs a frame no more than a filling one. It retains at most
 	// SendWindow frames: with full batch frames that is about
 	// SendWindow x BatchRows x the encoded bytes of one row (tens of

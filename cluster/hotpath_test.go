@@ -68,27 +68,32 @@ func startStubShard(t *testing.T) string {
 // columns, and, a frame's worth of events later, encoding the frame into
 // the resend ring and writing it — allocates nothing, for schema-bound
 // and map-carried events, with one route group (gi/rh frames) and with
-// two (rgs/rhs frames).
+// two (rgs/rhs frames), and for a stream of every type, whose frames are
+// cut at each change of shape and run from one row to the row cap.
 func TestCoordinatorHotPathAllocs(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	// A small prime window: the ring wraps during the warm-up and every
-	// slot gets to hold the longest frame.
+	// A small prime window: the ring wraps during the warm-up, and laps of
+	// the ring and of the stream do not line up.
 	co, err := cluster.Connect(ctx, cluster.Config{Shards: []string{startStubShard(t), startStubShard(t)},
 		SendWindow: 13, BatchRows: 32, ResumeTimeout: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer co.Close()
-	// One type and one time: frames cut at the row cap only, and no window
-	// closes (a barrier's bookkeeping is per window, not per event).
-	var bound, mapped []*greta.Event
+	// One time, so no window closes (a barrier's bookkeeping is per
+	// window, not per event). One type: frames cut at the row cap only;
+	// every type: frames cut at shape changes too.
+	var bound, mapped, mixed []*greta.Event
 	for _, src := range greta.ClusterStream(greta.DefaultCluster(2000)) {
+		ev := *src
+		ev.Time = 1
+		if len(mixed) < 640 {
+			mixed = append(mixed, &ev)
+		}
 		if src.Type != "Measurement" || len(bound) == 640 {
 			continue
 		}
-		ev := *src
-		ev.Time = 1
 		m := ev
 		m.Sch, m.Num, m.StrV = nil, nil, nil
 		bound, mapped = append(bound, &ev), append(mapped, &m)
@@ -106,7 +111,7 @@ func TestCoordinatorHotPathAllocs(t *testing.T) {
 		if _, err := co.Register(q); err != nil {
 			t.Fatal(err)
 		}
-		for label, events := range map[string][]*greta.Event{"schema-bound": bound, "map-carried": mapped} {
+		for label, events := range map[string][]*greta.Event{"schema-bound": bound, "map-carried": mapped, "mixed-shape": mixed} {
 			for i := 0; i < 30; i++ {
 				feed(events)()
 			}

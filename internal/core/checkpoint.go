@@ -156,7 +156,7 @@ func (rt *Runtime) runCheckpoint(ck *ckState, replayFrom event.Time) error {
 	start := time.Now()
 	parts, err := rt.snapshotLocked(replayFrom)
 	if err != nil {
-		return rt.endCheckpoint(ck, replayFrom, 0, time.Since(start), err)
+		return rt.endCheckpoint(ck, replayFrom, 0, time.Since(start), 0, err)
 	}
 	ck.sink.Start(parts[:]...)
 	ck.busy, ck.flight, ck.fBytes, ck.fEncode = true, replayFrom, int64(rt.ckSize), time.Since(start)
@@ -164,23 +164,25 @@ func (rt *Runtime) runCheckpoint(ck *ckState, replayFrom event.Time) error {
 }
 
 // awaitCheckpoint waits for the write in flight, if any, and reports it;
-// rt.mu held. The duration is the encode's plus the sink's.
+// rt.mu held.
 func (rt *Runtime) awaitCheckpoint(ck *ckState) error {
 	if !ck.busy {
 		return nil
 	}
 	ck.busy = false
-	dur, err := ck.sink.Wait()
-	return rt.endCheckpoint(ck, ck.flight, ck.fBytes, ck.fEncode+dur, err)
+	write, err := ck.sink.Wait()
+	return rt.endCheckpoint(ck, ck.flight, ck.fBytes, ck.fEncode, write, err)
 }
 
 // endCheckpoint reports a finished write: metrics, the last-success
-// fields and the commit or fail trace; it returns err.
-func (rt *Runtime) endCheckpoint(ck *ckState, replayFrom event.Time, n int64, dur time.Duration, err error) error {
+// fields and the commit or fail trace; it returns err. The write's
+// duration is the encode's plus the sink's.
+func (rt *Runtime) endCheckpoint(ck *ckState, replayFrom event.Time, n int64, encode, write time.Duration, err error) error {
 	m := rt.met
+	dur := encode + write
 	if err != nil {
 		m.ckFails.Inc()
-		rt.fireTrace(TraceEvent{Kind: TraceCheckpointFail, Boundary: replayFrom, Watermark: rt.watermark, Dur: dur, Err: err})
+		rt.fireTrace(TraceEvent{Kind: TraceCheckpointFail, Boundary: replayFrom, Watermark: rt.watermark, Dur: dur, Encode: encode, Err: err})
 		return err
 	}
 	ck.lastDur = dur
@@ -190,7 +192,7 @@ func (rt *Runtime) endCheckpoint(ck *ckState, replayFrom event.Time, n int64, du
 	m.ckLastBoundary.Set(replayFrom)
 	m.ckLastUnix.Set(nowNanos())
 	m.ckDur.Observe(dur)
-	rt.fireTrace(TraceEvent{Kind: TraceCheckpointCommit, Boundary: replayFrom, Watermark: rt.watermark, Bytes: n, Dur: dur})
+	rt.fireTrace(TraceEvent{Kind: TraceCheckpointCommit, Boundary: replayFrom, Watermark: rt.watermark, Bytes: n, Dur: dur, Encode: encode})
 	return nil
 }
 

@@ -263,8 +263,10 @@ func (k TraceKind) String() string {
 
 // TraceEvent is one structured lifecycle event. Fields beyond Kind are
 // populated where they make sense: Stmt for statement events, Boundary
-// Bytes/Dur for checkpoints, Session for serving-layer session events,
-// Shard for cluster membership events.
+// Bytes/Dur/Encode for checkpoints, Session for serving-layer session
+// events, Shard for cluster membership events. A checkpoint's Dur is
+// the whole write, the snapshot's encode on the ingest goroutine
+// (Encode) plus the sink's write off it.
 type TraceEvent struct {
 	Kind      TraceKind
 	Stmt      string
@@ -274,6 +276,7 @@ type TraceEvent struct {
 	Watermark event.Time
 	Bytes     int64
 	Dur       time.Duration
+	Encode    time.Duration
 	Err       error
 }
 

@@ -6,9 +6,24 @@
 // line after an acknowledged seq is either still retained or known to
 // be gone (Covers) — never silently skipped.
 //
-// A push overwrites the oldest slot in O(1) and recycles its byte
-// capacity into the next line, so a full ring costs no more per line
-// than an empty one and allocates nothing in steady state.
+// Storage is one byte log. Push copies a line onto the end of the
+// current segment (segSize bytes), back to back with the lines pushed
+// before it, whatever their sizes; a segment counts its retained lines
+// and, when the last of them is evicted, goes to a free list of at
+// most two segments that the next segment is taken from. A full ring
+// therefore costs no more per line than an empty one and allocates
+// nothing in steady state, however much consecutive lines differ in
+// size (a cluster link alternates 40-byte barriers and 512-row batch
+// frames). A line longer than ownMin — a quarter of a segment — gets
+// storage of its own instead, allocated for it and dropped with its
+// eviction, so a rare large frame (a cluster adopt blob runs to
+// megabytes) neither wastes a segment's tail nor pins its size in the
+// ring. Lines that sit next to each other in one segment go to
+// WriteAfter's writer in one Write.
+//
+// A line Push or PushJSON returns is the retained copy: it stays valid,
+// and unchanged, until the line is evicted — window pushes later — or
+// the ring is cleared or re-initialised.
 package ring
 
 import (
@@ -16,21 +31,47 @@ import (
 	"io"
 )
 
-// maxKeep bounds the capacity a recycled slot may carry into the next
-// line: one oversized frame (a cluster adopt blob runs to megabytes)
-// must not pin its allocation in the ring forever.
-const maxKeep = 64 << 10
+// segSize is the byte size of a segment, header included, and ownMin
+// the longest line a segment takes. Measured on cluster_2shard and
+// net_durable (see CHANGES.md): a smaller segment moves more lines to
+// own storage, a larger one adds live heap to every ring, the nearly
+// empty ones of short sessions included.
+const (
+	segSize = 16 << 10
+	ownMin  = segSize / 4
+)
+
+// segment holds lines back to back in b[:n]; live counts the retained
+// ones. It is exactly segSize bytes, an allocation size class of its
+// own: a header on top of segSize bytes of lines would round up to the
+// next class and waste an eighth of every segment.
+type segment struct {
+	n, live int32
+	b       [segSize - 8]byte
+}
+
+// slot is one retained line. A line in a segment is cut from seg.b at
+// its offset with the capacity running to the segment's end, so
+// cap(line) tells where it starts and whether the next line follows it
+// directly.
+type slot struct {
+	line []byte
+	seg  *segment // nil: the line has storage of its own
+}
 
 // Ring is a circular log of encoded lines. The zero value retains
 // nothing until Init; it is not safe for concurrent use.
 type Ring struct {
 	window int
-	slots  [][]byte // grows lazily to window, then wraps
-	head   int      // index of the oldest retained line
-	n      int      // retained lines
-	last   uint64   // seq of the newest line pushed (the floor while empty)
-	spare  []byte   // recycled storage the next line is built in
+	slots  []slot // grows lazily to window, then wraps
+	head   int    // index of the oldest retained line
+	n      int    // retained lines
+	last   uint64 // seq of the newest line pushed (the floor while empty)
+
+	cur    *segment   // the segment lines are appended to
+	free   []*segment // empty segments, at most two
 	enc    *json.Encoder
+	pushed []byte // the line PushJSON's encoder pushed
 }
 
 // Init empties the ring, sets how many lines it retains, and positions
@@ -39,9 +80,16 @@ func (r *Ring) Init(window int, floor uint64) {
 	*r = Ring{window: max(window, 1), last: floor}
 }
 
-// Clear forgets every retained line (their storage is kept for reuse);
-// sequence numbering continues after Last.
-func (r *Ring) Clear() { r.head, r.n = 0, 0 }
+// Clear forgets every retained line (the current segment and up to two
+// more are kept for reuse); sequence numbering continues after Last.
+func (r *Ring) Clear() {
+	for k := 0; k < r.n; k++ {
+		i := r.index(k)
+		r.release(r.slots[i])
+		r.slots[i] = slot{}
+	}
+	r.head, r.n = 0, 0
+}
 
 // Last returns the seq of the newest line pushed.
 func (r *Ring) Last() uint64 { return r.last }
@@ -68,92 +116,130 @@ func (r *Ring) Oldest() uint64 {
 // be caught up by WriteAfter. False means the window was exceeded.
 func (r *Ring) Covers(after uint64) bool { return after >= r.last-uint64(r.n) }
 
-// Buf returns an empty slice over recycled storage to append the next
-// line into. It never aliases a retained line, so an encoder that gives
-// up halfway leaves the ring intact.
-func (r *Ring) Buf() []byte { return r.spare[:0] }
-
-// Push retains line (newline included) as seq Next, evicting the oldest
-// line once the window is full. The ring owns line from here on.
-func (r *Ring) Push(line []byte) {
+// Push retains a copy of line (newline included), which the caller
+// built in storage of its own and may reuse at once, as seq Next,
+// evicting the oldest line once the window is full. It returns the
+// retained copy.
+func (r *Ring) Push(line []byte) []byte {
 	i := r.head // full: overwrite the oldest
 	if r.n < r.window {
 		// Still filling, so never wrapped since Init or Clear: head is 0.
 		if i = r.n; i == len(r.slots) {
-			r.slots = append(r.slots, nil)
+			r.slots = append(r.slots, slot{})
 		}
 		r.n++
-	} else if r.head++; r.head == r.window {
-		r.head = 0
+	} else {
+		r.release(r.slots[i])
+		if r.head++; r.head == r.window {
+			r.head = 0
+		}
 	}
-	r.spare = r.slots[i]
-	if cap(r.spare) > maxKeep {
-		r.spare = nil
-	}
-	r.slots[i] = line
+	s := r.store(line)
+	r.slots[i] = s
 	r.last++
+	return s.line[:len(line):len(line)]
+}
+
+// store copies line into the current segment, starting the next one
+// when it does not fit, or into storage of its own when it is longer
+// than ownMin.
+func (r *Ring) store(line []byte) slot {
+	if len(line) > ownMin {
+		return slot{line: append([]byte(nil), line...)}
+	}
+	g := r.cur
+	if g == nil || int(g.n)+len(line) > len(g.b) {
+		if k := len(r.free); k > 0 {
+			g, r.free = r.free[k-1], r.free[:k-1]
+		} else {
+			g = new(segment)
+		}
+		r.cur = g
+	}
+	off := int(g.n)
+	g.n += int32(copy(g.b[off:], line))
+	g.live++
+	return slot{line: g.b[off:g.n], seg: g}
+}
+
+// release drops an evicted line's hold on its segment. The segment the
+// last one leaves is rewound: the current one in place, any other onto
+// the free list while it holds fewer than two.
+func (r *Ring) release(s slot) {
+	g := s.seg
+	if g == nil {
+		return
+	}
+	if g.live--; g.live > 0 {
+		return
+	}
+	g.n = 0
+	if g != r.cur && len(r.free) < 2 {
+		r.free = append(r.free, g)
+	}
 }
 
 // PushJSON encodes v as one JSON line (as json.Encoder does, newline
-// included) into recycled storage and pushes it. The caller stamps
-// Next into v first. On an encoding error nothing is pushed.
+// included) and pushes it, returning the retained copy. The caller
+// stamps Next into v first. On an encoding error nothing is pushed.
 func (r *Ring) PushJSON(v any) ([]byte, error) {
 	if r.enc == nil {
 		r.enc = json.NewEncoder((*stage)(r))
 	}
-	r.spare = r.spare[:0]
 	if err := r.enc.Encode(v); err != nil {
 		return nil, err
 	}
-	line := r.spare
-	r.Push(line)
+	line := r.pushed
+	r.pushed = nil
 	return line, nil
 }
 
-// PushCopy pushes a copy of line (newline included), which the caller
-// built in storage of its own because its size is not known until it
-// is encoded: the copy gets PushJSON's storage rule, so a link whose
-// frames differ in size by orders of magnitude keeps snug slots. It
-// returns the retained copy.
-func (r *Ring) PushCopy(line []byte) []byte {
-	r.spare = r.spare[:0]
-	_, _ = (*stage)(r).Write(line) // cannot fail
-	line = r.spare
-	r.Push(line)
-	return line
-}
-
 // stage is the io.Writer PushJSON's encoder hands the finished line
-// to, in one Write. Frames of one ring differ in size by orders of
-// magnitude (a cluster link carries 512-row batches and 40-byte
-// barriers), so recycled storage is used only when it fits the line
-// snugly; otherwise every slot would grow to the largest frame.
+// to, in one Write, and only once the value encoded.
 type stage Ring
 
 func (s *stage) Write(p []byte) (int, error) {
-	if c := cap(s.spare); c < len(p) || c > 2*len(p) {
-		s.spare = make([]byte, 0, len(p))
-	}
-	s.spare = append(s.spare, p...)
+	s.pushed = (*Ring)(s).Push(p)
 	return len(p), nil
 }
 
+// index returns the slot of the k-th oldest retained line.
+func (r *Ring) index(k int) int {
+	if i := r.head + k; i < r.window {
+		return i
+	}
+	return r.head + k - r.window
+}
+
 // WriteAfter writes every retained line with a seq greater than after
-// to w, oldest first, as the bytes that were pushed. The caller checks
-// Covers first; lines already evicted are simply not written.
+// to w, oldest first, as the bytes that were pushed: lines that sit
+// next to each other in one segment go out in one Write. The caller
+// checks Covers first; lines already evicted are simply not written.
 func (r *Ring) WriteAfter(w io.Writer, after uint64) error {
 	skip := 0
 	if old := r.Oldest(); after >= old {
 		skip = int(min(after-old+1, uint64(r.n)))
 	}
+	var run []byte
+	var seg *segment
 	for k := skip; k < r.n; k++ {
-		i := r.head + k
-		if i >= r.window {
-			i -= r.window
+		s := r.slots[r.index(k)]
+		if s.seg != nil && s.seg == seg && cap(run)-len(run) == cap(s.line) {
+			run = run[:len(run)+len(s.line)]
+			continue
 		}
-		if _, err := w.Write(r.slots[i]); err != nil {
+		if err := writeRun(w, run); err != nil {
 			return err
 		}
+		run, seg = s.line, s.seg
 	}
-	return nil
+	return writeRun(w, run)
+}
+
+func writeRun(w io.Writer, run []byte) error {
+	if len(run) == 0 {
+		return nil
+	}
+	_, err := w.Write(run)
+	return err
 }

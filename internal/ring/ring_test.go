@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func line(seq uint64) []byte { return []byte(fmt.Sprintf("line-%d\n", seq)) }
@@ -47,7 +48,7 @@ func TestRingReplayEveryOffset(t *testing.T) {
 		if r.Next() != seq {
 			t.Fatalf("Next = %d, want %d", r.Next(), seq)
 		}
-		r.Push(append(r.Buf(), line(seq)...))
+		r.Push(line(seq))
 		n := min(seq-floor, window)
 		oldest := seq - n + 1
 		if r.Last() != seq || uint64(r.Len()) != n || r.Oldest() != oldest {
@@ -90,40 +91,73 @@ func TestRingClear(t *testing.T) {
 }
 
 // TestRingRecyclesStorage pins the steady state: once the ring has
-// wrapped, Buf hands out the evicted line's storage, so uniform lines
-// are retained without allocating, and a line built in Buf never
-// aliases a retained one.
+// wrapped, its segments are recycled, so a push allocates nothing —
+// for uniform lines and for lines that cycle through 40 B to 4 KiB, the
+// mix a cluster link's frames make — and the retained line is a copy
+// that the caller's buffer does not reach and that reaches no
+// neighbour. A line longer than ownMin gets storage of its own, which
+// goes with its eviction.
 func TestRingRecyclesStorage(t *testing.T) {
+	if n := unsafe.Sizeof(segment{}); n != segSize {
+		t.Fatalf("a segment is %d bytes, want segSize (%d): a segment size class of its own", n, segSize)
+	}
+	for _, tc := range []struct {
+		name  string
+		sizes []int
+	}{
+		{"uniform", []int{101}},
+		{"40B-4KiB", []int{40, 4096, 100, 1500, 40, 4000, 700, 2600, 256}},
+	} {
+		var r Ring
+		r.Init(13, 0) // a prime window: laps of sizes and of the ring do not line up
+		scratch := bytes.Repeat([]byte("x"), 4096)
+		k := 0
+		push := func() {
+			n := tc.sizes[k%len(tc.sizes)]
+			k++
+			r.Push(scratch[:n])
+		}
+		for i := 0; i < 100; i++ {
+			push()
+		}
+		if n := testing.AllocsPerRun(1, func() {
+			for i := 0; i < 1000; i++ {
+				push()
+			}
+		}); n != 0 {
+			t.Errorf("%s: 1000 pushes into a full ring allocate %v, want 0", tc.name, n)
+		}
+	}
+
 	var r Ring
-	r.Init(8, 0)
-	src := []byte(strings.Repeat("x", 100) + "\n")
-	push := func() { r.Push(append(r.Buf(), src...)) }
-	for i := 0; i < 16; i++ {
-		push()
+	r.Init(2, 0)
+	scratch := []byte("first line\n")
+	got := r.Push(scratch)
+	next := r.Push([]byte("second line\n"))
+	scratch[0] = 'X' // the caller reuses its buffer
+	if string(got) != "first line\n" || cap(got) != len(got) {
+		t.Fatalf("retained %q (cap %d): not a copy cut to its length", got, cap(got))
 	}
-	if n := testing.AllocsPerRun(100, push); n != 0 {
-		t.Fatalf("a full ring allocates %v per push, want 0", n)
+	_ = append(got, "garbage"...) // reaches no neighbour
+	if string(next) != "second line\n" || replay(t, &r, 0) != "first line\nsecond line\n" {
+		t.Fatal("appending to a retained line changed its neighbour")
 	}
-	// An abandoned encode into Buf must leave every retained line intact.
-	b := r.Buf()
-	b = append(b, "garbage garbage garbage"...)
-	_ = b
-	if got, w := replay(t, &r, 0), strings.Repeat(string(src), 8); got != w {
-		t.Fatal("writing into Buf without Push corrupted a retained line")
+
+	big := make([]byte, ownMin+1)
+	r.Push(big)
+	if s := r.slots[r.index(1)]; s.seg != nil || len(s.line) != len(big) {
+		t.Fatalf("a %d-byte line sits in a segment", len(big))
 	}
-	// Oversized storage is not carried forward.
-	var big Ring
-	big.Init(1, 0)
-	big.Push(make([]byte, maxKeep+1))
-	big.Push([]byte("small\n"))
-	if c := cap(big.Buf()); c > maxKeep {
-		t.Fatalf("recycled capacity %d exceeds maxKeep", c)
+	seg := r.cur
+	r.Push(big)
+	r.Push([]byte("small\n"))
+	if r.slots[r.index(0)].seg != nil || r.slots[r.index(1)].seg != seg {
+		t.Fatal("a small line after two own-storage lines is not back in the current segment")
 	}
 }
 
 // TestRingPushJSON pins the generic-frame path: json.Encoder's bytes,
-// nothing pushed on an encoding error, and storage recycled only when
-// it fits the line snugly.
+// the retained copy returned, and nothing pushed on an encoding error.
 func TestRingPushJSON(t *testing.T) {
 	type frame struct {
 		Seq uint64  `json:"seq"`
@@ -142,58 +176,182 @@ func TestRingPushJSON(t *testing.T) {
 	if r.Last() != 1 || r.Len() != 1 {
 		t.Fatalf("a failed encode moved the ring: last=%d len=%d", r.Last(), r.Len())
 	}
-	pad := strings.Repeat("p", 4096)
-	for i := 0; i < 4; i++ { // big, small, big, small: in a window of 3 each of the last two evicts the other kind
+	pad := strings.Repeat("p", 2*ownMin)
+	var lines []string
+	for i := 0; i < 4; i++ { // big, small, big, small: own storage and segment in turn
 		p := pad
 		if i%2 == 1 {
 			p = ""
 		}
-		if _, err := r.PushJSON(frame{Seq: r.Next(), Pad: p}); err != nil {
+		line, err := r.PushJSON(frame{Seq: r.Next(), Pad: p})
+		if err != nil {
 			t.Fatal(err)
 		}
+		lines = append(lines, string(line))
 	}
-	if got := replay(t, &r, 4); got != `{"seq":5,"v":0}`+"\n" {
-		t.Fatalf("replay after 4 = %q", got)
-	}
-	for _, sl := range r.slots {
-		if cap(sl) > 2*len(sl) {
-			t.Fatalf("a %d-byte line sits in %d bytes of recycled storage", len(sl), cap(sl))
-		}
+	if got, w := replay(t, &r, 2), strings.Join(lines[1:], ""); got != w {
+		t.Fatalf("replay after 2 = %d bytes, want the %d of the last three lines", len(got), len(w))
 	}
 }
 
-// TestRingPushCopy: a line built in the caller's own storage is
-// retained as a copy (the caller may reuse its buffer at once) under
-// PushJSON's storage rule — snug slots whatever the mix of sizes — and
-// a recycled slot of fitting size costs no allocation.
-func TestRingPushCopy(t *testing.T) {
+// countWriter counts the writes it receives and keeps their bytes.
+type countWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestRingWriteAfterRuns: lines that sit next to each other in one
+// segment are replayed in one write, so a replay costs a write per
+// segment, not per line; a line with storage of its own is a write of
+// its own between the runs around it.
+func TestRingWriteAfterRuns(t *testing.T) {
+	const n, size = 1000, 64
 	var r Ring
-	r.Init(3, 0)
-	scratch := []byte(strings.Repeat("b", 4096) + "\n")
-	for i := 0; i < 4; i++ { // big, small, big, small
-		line := scratch
-		if i%2 == 1 {
-			line = scratch[len(scratch)-8:]
-		}
-		got := r.PushCopy(line)
-		if string(got) != string(line) || &got[0] == &line[0] {
-			t.Fatalf("push %d: retained %d bytes (aliasing the caller's: %v), pushed %d", i, len(got), &got[0] == &line[0], len(line))
+	r.Init(n, 0)
+	var all bytes.Buffer
+	for i := 0; i < 2*n; i++ {
+		l := fmt.Appendf(nil, "%0*d\n", size-1, i)
+		r.Push(l)
+		if i >= n {
+			all.Write(l)
 		}
 	}
-	scratch[len(scratch)-2] = 'X' // the caller reuses its buffer
-	if got := replay(t, &r, 3); got != "bbbbbbb\n" {
-		t.Fatalf("replay after 3 = %q", got)
+	var w countWriter
+	if err := r.WriteAfter(&w, 0); err != nil {
+		t.Fatal(err)
 	}
-	for _, sl := range r.slots {
-		if cap(sl) > 2*len(sl) {
-			t.Fatalf("a %d-byte line sits in %d bytes of recycled storage", len(sl), cap(sl))
+	if most := (n*size+segSize-1)/segSize + 1; w.writes > most || !bytes.Equal(w.Bytes(), all.Bytes()) {
+		t.Fatalf("replaying %d %d-byte lines took %d writes (want <= %d), bytes equal: %v", n, size, w.writes, most, bytes.Equal(w.Bytes(), all.Bytes()))
+	}
+
+	r.Init(8, 0)
+	big := bytes.Repeat([]byte("b"), ownMin+1)
+	for _, l := range [][]byte{[]byte("a\n"), []byte("b\n"), big, []byte("c\n"), []byte("d\n")} {
+		r.Push(l)
+	}
+	w = countWriter{}
+	if err := r.WriteAfter(&w, 0); err != nil {
+		t.Fatal(err)
+	}
+	if want := "a\nb\n" + string(big) + "c\nd\n"; w.writes != 3 || w.String() != want {
+		t.Fatalf("a, b, own-storage line, c, d: %d writes, want 3", w.writes)
+	}
+}
+
+// FuzzRing drives a ring with pushes of every size class, clears and
+// replays, against a plain model: the retained lines as slices of their
+// own. After every operation each line the ring returned that is still
+// retained must read as pushed, Covers must be true exactly from the
+// oldest retained seq's predecessor on, and WriteAfter from every
+// acknowledged seq must replay the model's tail.
+func FuzzRing(f *testing.F) {
+	f.Add(uint8(0), uint16(0), []byte{0, 1, 2, 3, 4, 5, 6, 7})
+	f.Add(uint8(7), uint16(3), []byte("\x10\x50\x90\xd0\x11\x51\x91\xd1\x05\x45\x85\xc5\x06\x46\x86\xc6"))
+	f.Add(uint8(63), uint16(9), bytes.Repeat([]byte{0x3f, 0x7f, 0x40, 0x80, 0xbf, 0x07}, 20))
+	f.Add(uint8(12), uint16(0), bytes.Repeat([]byte{0x48, 0x88, 0x0e, 0xc8, 0x30, 0x70}, 16))
+	f.Add(uint8(2), uint16(1), []byte{0xf9, 0xf8, 0xff, 0xfd, 0xfc, 0x01, 0xc9, 0xfe, 0xff, 0xfd, 0x7a})
+	// 3.5 KiB, 1.5 KiB, 49 B and ~4 KiB lines in a window of 6: segments
+	// turn over every few pushes (found rewinding a segment early).
+	f.Add(uint8(5), uint16(4), []byte("x0000000X00Xx00X\x850\x96\x96\x960"))
+	// 3.5 KiB lines in a window of 4, cleared, then enough to fill the
+	// segment the clear emptied and the next.
+	f.Add(uint8(3), uint16(0), []byte("xxx\xfexxxxxxxxxxxx\xff"))
+	f.Fuzz(func(t *testing.T, win uint8, floor uint16, ops []byte) {
+		if len(ops) > 256 {
+			ops = ops[:256]
 		}
+		window := 1 + int(win)%64
+		var r Ring
+		r.Init(window, uint64(floor))
+		last := uint64(floor)
+		var model, held [][]byte // retained lines oldest first: as pushed, and as Push returned them
+		var scratch []byte
+		check := func(op int) {
+			t.Helper()
+			if r.Last() != last || r.Len() != len(model) {
+				t.Fatalf("op %d: last=%d len=%d, model %d and %d", op, r.Last(), r.Len(), last, len(model))
+			}
+			for k := range model {
+				if !bytes.Equal(held[k], model[k]) {
+					t.Fatalf("op %d: retained seq %d changed under a later push", op, last-uint64(len(model)-k)+1)
+				}
+			}
+		}
+		replayAll := func(op int) {
+			t.Helper()
+			oldest := last - uint64(len(model)) + 1
+			for after := uint64(max(int(floor)-1, 0)); after <= last+1; after++ {
+				if got, want := r.Covers(after), after+1 >= oldest; got != want {
+					t.Fatalf("op %d: Covers(%d) = %v, want %v", op, after, got, want)
+				}
+				var w countWriter
+				if err := r.WriteAfter(&w, after); err != nil {
+					t.Fatal(err)
+				}
+				var tail [][]byte
+				if after+1 >= oldest {
+					tail = model[min(after+1-oldest, uint64(len(model))):]
+				} else {
+					tail = model
+				}
+				if want := bytes.Join(tail, nil); !bytes.Equal(w.Bytes(), want) {
+					t.Fatalf("op %d: WriteAfter(%d) wrote %d bytes, want the %d of %d lines", op, after, w.Len(), len(want), len(tail))
+				}
+				if w.writes > len(tail) {
+					t.Fatalf("op %d: WriteAfter(%d) took %d writes for %d lines", op, after, w.writes, len(tail))
+				}
+			}
+		}
+		for op, b := range ops {
+			switch {
+			case b == 0xfe:
+				r.Clear()
+				model, held = model[:0], held[:0]
+			case b == 0xff:
+				replayAll(op)
+			default:
+				// Every line is built in the same scratch, which the next
+				// push overwrites: the ring must have kept a copy.
+				scratch = scratch[:0]
+				for i := range lineSize(b) {
+					scratch = append(scratch, byte(int(last)*31+i))
+				}
+				got := r.Push(scratch)
+				last++
+				if !bytes.Equal(got, scratch) || cap(got) != len(got) {
+					t.Fatalf("op %d: Push of %d bytes returned %d (cap %d)", op, len(scratch), len(got), cap(got))
+				}
+				if len(model) == window {
+					model, held = model[1:], held[1:]
+				}
+				model, held = append(model, bytes.Clone(scratch)), append(held, got)
+			}
+			check(op)
+		}
+		replayAll(len(ops))
+	})
+}
+
+// lineSize maps a fuzz byte to a line size: short lines, lines of up to
+// a few KiB, lines around ownMin, and lines past the 64 KiB that one
+// large frame runs to.
+func lineSize(b byte) int {
+	v := int(b & 0x3f)
+	switch b >> 6 {
+	case 0:
+		return 1 + v
+	case 1:
+		return 1 + v*64
+	case 2:
+		return ownMin - 31 + v
 	}
-	line := scratch[:100]
-	for i := 0; i < 3; i++ {
-		r.PushCopy(line)
+	if b == 0xfd { // 0xfe and 0xff are Clear and replay
+		return 64<<10 + 1
 	}
-	if n := testing.AllocsPerRun(100, func() { r.PushCopy(line) }); n != 0 {
-		t.Fatalf("PushCopy into a recycled slot of the same size allocates %v, want 0", n)
-	}
+	return ownMin + 1 + v*v
 }

@@ -352,6 +352,9 @@ func TestTraceHook(t *testing.T) {
 			if te.Bytes <= 0 || te.Dur <= 0 {
 				t.Errorf("checkpoint-commit without payload: %+v", te)
 			}
+			if te.Encode <= 0 || te.Encode > te.Dur {
+				t.Errorf("checkpoint-commit encode %v, want 0 < encode <= dur %v", te.Encode, te.Dur)
+			}
 		}
 	}
 	if counts[greta.TraceStatementRegister] != 1 || counts[greta.TraceStatementClose] != 1 {

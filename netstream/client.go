@@ -41,11 +41,11 @@ type Client struct {
 	// SendWindow bounds the resend ring of a resumable session: the
 	// newest SendWindow sequenced frames (events, batch frames, shard
 	// frames) are retained, as the bytes that were sent, for replay
-	// after Resume (default 1024). The ring recycles its line storage,
-	// so it holds at most SendWindow times the longest frame sent
-	// (capacity above 64 KiB is not recycled), and a full ring costs a
-	// Send no more than an empty one. Send holds at most SendWindow
-	// events unwritten. Set it before EnableResume.
+	// after Resume (default 1024). The ring keeps the frames back to
+	// back in recycled segments, so it holds the bytes of the newest
+	// SendWindow frames and a segment or two besides, and a full ring
+	// costs a Send no more than an empty one. Send holds at most
+	// SendWindow events unwritten. Set it before EnableResume.
 	SendWindow int
 
 	// addr is remembered by Dial/DialContext/LazyDial so Resume (and a
@@ -427,26 +427,21 @@ func (c *Client) SendContext(ctx context.Context, typ string, t int64, attrs map
 	if err := c.ensureLocked(ctx); err != nil {
 		return err
 	}
-	if c.session == "" {
-		line, err := c.evEnc.appendLine(c.out, 0, typ, t, attrs, strs)
-		switch {
-		case err != nil:
-			return err
-		case c.down:
-			return c.downErrLocked()
-		}
-		c.out = line
-		return c.queueLocked()
+	seq := uint64(0)
+	if c.session != "" {
+		seq = c.ring.Next()
 	}
-	line, err := c.evEnc.appendLine(c.ring.Buf(), c.ring.Next(), typ, t, attrs, strs)
+	out, err := c.evEnc.appendLine(c.out, seq, typ, t, attrs, strs)
 	if err != nil {
 		return err
 	}
-	c.ring.Push(line)
-	if c.down {
-		return c.downErrLocked() // the ring holds the line for Resume
+	if c.session != "" {
+		c.ring.Push(out[len(c.out):])
 	}
-	c.out = append(c.out, line...)
+	if c.down {
+		return c.downErrLocked() // a sequenced line waits in the ring for Resume
+	}
+	c.out = out
 	return c.queueLocked()
 }
 
@@ -506,7 +501,15 @@ func (c *Client) Resume(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	ack, err := c.reattach(conn)
+	return c.reattach(conn)
+}
+
+// reattach heals the session on a fresh connection: it runs the resume
+// handshake, replays the ring's tail after what the server applied —
+// lines that sit next to each other in one of the ring's segments in
+// one write — and swaps the connection in. On an error conn is closed.
+func (c *Client) reattach(conn net.Conn) error {
+	ack, err := c.handshake(conn)
 	if err != nil {
 		_ = conn.Close() // the handshake's error is the one to report
 		return err
@@ -531,9 +534,9 @@ func (c *Client) Resume(ctx context.Context) error {
 	return nil
 }
 
-// reattach runs the resume handshake on a fresh connection and returns
+// handshake runs the resume handshake on a fresh connection and returns
 // the last client seq the server applied.
-func (c *Client) reattach(conn net.Conn) (ack uint64, err error) {
+func (c *Client) handshake(conn net.Conn) (ack uint64, err error) {
 	line, err := json.Marshal(&WireEvent{Cmd: "resume", Session: c.session, Recv: c.lastRecv})
 	if err != nil {
 		return 0, err
@@ -603,8 +606,7 @@ func (c *Client) SendBatchFrame(f *BatchFrame) (int, error) {
 }
 
 // sendBatch encodes f and writes it. The line is built in the client's
-// scratch — a link's frames differ in size by orders of magnitude — and
-// the resend ring retains a snug copy of it before the write.
+// scratch, and the resend ring retains a copy of it before the write.
 func (c *Client) sendBatch(f *BatchFrame) (n int, wrote, err error) {
 	if err := f.check(); err != nil {
 		return 0, nil, fmt.Errorf("netstream: batch: %w", err)
@@ -623,7 +625,7 @@ func (c *Client) sendBatch(f *BatchFrame) (n int, wrote, err error) {
 	}
 	line := c.line
 	if c.session != "" {
-		line = c.ring.PushCopy(line)
+		line = c.ring.Push(line)
 	}
 	return len(line), c.writeLocked(line), nil
 }

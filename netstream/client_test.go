@@ -445,3 +445,65 @@ func TestSendCoalescing(t *testing.T) {
 		}
 	})
 }
+
+// TestResumeReplaysInRuns: Resume replays the ring's tail in runs — the
+// lines that sit next to each other in one of the ring's segments
+// (16 KiB) go out in one write — not one write per line, and the server
+// applies every replayed event once.
+func TestResumeReplaysInRuns(t *testing.T) {
+	const n, lineLen, segment = 1000, 64, 16 << 10
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	addr := startResumeServer(t, &Server{Linger: time.Minute}, "RETURN COUNT(*) PATTERN A+ WITHIN 4 SLIDE 4")
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SendWindow = n
+	if _, err := c.EnableResume(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// The break comes before the first event: all n are ringed unsent.
+	c.mu.Lock()
+	c.down = true
+	_ = c.conn.Close()
+	c.mu.Unlock()
+	var lines []byte
+	for i := 0; i < n; i++ {
+		we := WireEvent{Seq: uint64(i + 1), Type: "A", Time: int64(i), Str: map[string]string{"p": ""}}
+		we.Str["p"] = strings.Repeat("x", lineLen-len(jsonLine(t, we)))
+		if err := c.Send(we.Type, we.Time, nil, we.Str); !errors.Is(err, errDown) {
+			t.Fatalf("Send %d on a down client = %v, want errDown", i, err)
+		}
+		lines = append(lines, jsonLine(t, we)...)
+	}
+	if len(lines) != n*lineLen {
+		t.Fatalf("%d lines of %d bytes", n, len(lines)/n)
+	}
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &writeLog{Conn: raw}
+	if err := c.reattach(w); err != nil {
+		t.Fatal(err)
+	}
+	writes := w.take()
+	if len(writes) == 0 || !bytes.Contains(writes[0], []byte(`"cmd":"resume"`)) {
+		t.Fatalf("the first write is not the resume handshake: %d writes", len(writes))
+	}
+	if most := (len(lines)+segment-1)/segment + 2; len(writes) > most {
+		t.Fatalf("the handshake and a replay of %d %d-byte lines took %d writes, want at most %d", n, lineLen, len(writes), most)
+	}
+	if got := bytes.Join(writes[1:], nil); !bytes.Equal(got, lines) {
+		t.Fatalf("the replay wrote %d bytes that are not the %d of the ringed lines", len(got), len(lines))
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Processed != n {
+		t.Fatalf("server applied %d events, ringed %d", st.Processed, n)
+	}
+}

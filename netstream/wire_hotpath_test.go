@@ -251,8 +251,36 @@ func TestWireHotPathAllocs(t *testing.T) {
 // TestFullRingSendCostsNoMore pins the cliff shut: with the resend ring
 // full, a Send allocates nothing and costs no more than a Send into a
 // ring that is still filling — at the cluster's 65 536 default window,
-// where shifting the ring per frame once cost milliseconds per Send.
+// where shifting the ring per frame once cost milliseconds per Send —
+// and lines that cycle through 40 B to 4 KiB allocate nothing either.
 func TestFullRingSendCostsNoMore(t *testing.T) {
+	pads := []int{0, 4000, 60, 1400, 10, 3900, 700, 2500, 200}
+	var mixed []map[string]string
+	for _, n := range pads {
+		mixed = append(mixed, map[string]string{"p": strings.Repeat("x", n)})
+	}
+	if n := len(jsonLine(t, WireEvent{Seq: 1, Type: "A", Time: 1, Str: mixed[0]})); n < 40 {
+		t.Fatalf("the shortest line is %d bytes", n)
+	}
+	if n := len(jsonLine(t, WireEvent{Seq: 1 << 20, Type: "A", Time: 1, Str: mixed[1]})); n > 4<<10 {
+		t.Fatalf("the longest line is %d bytes", n)
+	}
+	cycled := resumableClient(1021)
+	k := 0
+	sendMixed := func() {
+		for i := 0; i < 1000; i++ {
+			if err := cycled.Send("A", 1, nil, mixed[k%len(mixed)]); err != nil {
+				t.Fatal(err)
+			}
+			k++
+		}
+	}
+	sendMixed()
+	sendMixed()
+	if a := testing.AllocsPerRun(1, sendMixed); a != 0 {
+		t.Errorf("1000 Sends of 40 B to 4 KiB lines into a full ring allocate %v, want 0", a)
+	}
+
 	const window, n = 1 << 16, 20000
 	perSend := func(c *Client, from int) time.Duration {
 		best := time.Duration(1 << 62)
