@@ -17,9 +17,9 @@ race:
 # (a window close allocates one object per result it emits), the
 # wire's (resumable Client.Send 0 allocs, server event-line parse +
 # dispatch <= 0.1 an event amortized over the session's event slabs, a
-# batch frame 0 to encode and <= 5 to parse + apply whatever its rows,
-# a one-row shard frame <= 0.1, a full resend ring no dearer than an
-# empty one and 0 allocs a line for lines of 40 B to 4 KiB mixed),
+# batch frame 0 to encode and queue and <= 5 to parse + apply whatever
+# its rows, a one-row shard frame <= 0.1, a full resend ring no dearer
+# than an empty one and 0 allocs a line for lines of 40 B to 4 KiB mixed),
 # the coordinator's (Process 0 allocs an event, flushes included, for
 # frames of one shape and for frames cut at every shape change) and
 # the snapshot encoder's (an event table costs the same few objects

@@ -20,12 +20,12 @@ type coMetrics struct {
 	events     *obs.Counter // events offered to Process
 	drops      *obs.Counter // out-of-order drops
 	frames     *obs.Counter // sequenced frames sent across all links
-	frameBytes *obs.Counter // bytes written to shard links: each frame once, as encoded (a resume's handshake and replay are not recounted)
+	frameBytes *obs.Counter // bytes sent to shard links (queued or written): each frame once, as encoded (a resume's handshake and replay are not recounted)
 	barriers   *obs.Counter // barrier fan-outs
 	resumes    *obs.Counter // successful link reattaches
 	handoffs   *obs.Counter // completed drains
 
-	encDur     *obs.Histogram // per-frame send: encode, resend-ring copy and socket write
+	encDur     *obs.Histogram // per-frame send: encode, resend-ring copy, and enqueue (batch frames) or write (any other frame), plus any write the enqueue triggers
 	barRTT     *obs.Histogram // barrier fan-out → all-slots-acked round trip
 	handoffDur *obs.Histogram // Drain duration (handoff + adopt)
 }
@@ -52,11 +52,11 @@ func newCoMetrics(reg *obs.Registry) *coMetrics {
 		events:     reg.Counter("greta_cluster_events_total", "events offered to the coordinator", ""),
 		drops:      reg.Counter("greta_cluster_events_dropped_total", "events dropped out of order by the coordinator", ""),
 		frames:     reg.Counter("greta_cluster_frames_total", "sequenced frames sent to shard links", ""),
-		frameBytes: reg.Counter("greta_cluster_frame_bytes_total", "bytes written to shard links", ""),
+		frameBytes: reg.Counter("greta_cluster_frame_bytes_total", "bytes sent to shard links (queued or written)", ""),
 		barriers:   reg.Counter("greta_cluster_barriers_total", "window-close barrier fan-outs", ""),
 		resumes:    reg.Counter("greta_cluster_link_resumes_total", "successful shard-link session resumes", ""),
 		handoffs:   reg.Counter("greta_cluster_handoffs_total", "completed slot drains (handoff + adopt)", ""),
-		encDur:     reg.Histogram("greta_cluster_frame_encode_seconds", "per-frame send latency: encode, resend-ring copy and socket write", ""),
+		encDur:     reg.Histogram("greta_cluster_frame_encode_seconds", "per-frame send latency: encode, resend-ring copy, and enqueue (batch frames) or write (any other frame), plus any write the enqueue triggers", ""),
 		barRTT:     reg.Histogram("greta_cluster_barrier_rtt_seconds", "barrier fan-out to all-slots-acknowledged round trip", ""),
 		handoffDur: reg.Histogram("greta_cluster_handoff_seconds", "drain duration (handoff request through adopt ack)", ""),
 	}
@@ -107,16 +107,16 @@ type Metrics struct {
 	Events     uint64 // events offered to Process
 	Dropped    uint64 // out-of-order drops
 	Frames     uint64 // sequenced frames sent across all links
-	FrameBytes uint64 // bytes written to shard links
+	FrameBytes uint64 // bytes sent to shard links (queued or written)
 	Barriers   uint64 // barrier fan-outs
 
 	// Barrier round trips, and frame sends: EncodeTotal sums what
-	// greta_cluster_frame_encode_seconds observes, each frame's whole
-	// send — encode, resend-ring copy and socket write.
+	// greta_cluster_frame_encode_seconds observes: encode, ring copy, then
+	// enqueue (batch frames) or write (others), and any write it triggers.
 	BarrierRTTCount uint64        // barriers with all slot acks measured
 	BarrierRTTTotal time.Duration // summed fan-out→all-acked round trips
 	BarrierRTTMax   time.Duration
-	EncodeTotal     time.Duration // summed per-frame encode latency
+	EncodeTotal     time.Duration // summed per-frame send latency
 
 	Resumes  uint64 // successful link reattaches
 	Handoffs uint64 // completed drains

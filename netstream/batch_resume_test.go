@@ -46,7 +46,10 @@ func sendFrame(c *Client, fr batchFrame) error {
 // frames on a fault-injected connection: the link is severed at frame
 // boundary killAt (or mid-line once writeBudget bytes have gone out),
 // Resume heals it, and the session is flushed. killAt < 0 and
-// writeBudget <= 0 run uninterrupted.
+// writeBudget <= 0 run uninterrupted. Frames queue like event lines, so
+// a torn write surfaces at whichever call performs it — a later
+// SendBatch, or the Flush that writes the pending frames ahead of its
+// command — and either is healed the same way: Resume, then carry on.
 func runBatchResumable(t *testing.T, addr string, frames []batchFrame, killAt int, writeBudget int64) ([]WireResult, *WireDone) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -88,7 +91,14 @@ func runBatchResumable(t *testing.T, addr string, frames []batchFrame, killAt in
 	}
 	results, _, err := c.Flush()
 	if err != nil {
-		t.Fatalf("Flush: %v", err)
+		// The torn write carried the flush command (and the frames still
+		// pending); the ring replays the frames, and the flush goes again.
+		if err := c.Resume(ctx); err != nil {
+			t.Fatalf("Resume after torn flush: %v", err)
+		}
+		if results, _, err = c.Flush(); err != nil {
+			t.Fatalf("Flush after resume: %v", err)
+		}
 	}
 	return results, c.Summary()
 }
@@ -180,6 +190,9 @@ func TestBatchCheckpointMidFrameRestore(t *testing.T) {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 	}
+	// The frames wait in the pending buffer until the linger writes them;
+	// the snapshot below must have seen them before the crash.
+	awaitWritten(t, c)
 	// Crash: sever the connection and abandon the first server entirely.
 	f.Cut()
 

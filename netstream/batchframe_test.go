@@ -328,7 +328,8 @@ func TestBatchFrameEncoderMatchesJSON(t *testing.T) {
 
 // TestSendBatchBytes: SendBatch goes through the batch-frame encoder and
 // still writes what json.Marshal writes for its arguments, nil columns
-// and the empty frame included.
+// and the empty frame included. The frame is queued, so the wire is read
+// after Close, which writes it.
 func TestSendBatchBytes(t *testing.T) {
 	for _, we := range []WireEvent{
 		{Type: "Stock", Times: []int64{1, 2}, Cols: map[string][]float64{"volume": {3, 4}, "price": {99.5, 1e-7}}, SCols: map[string][]string{"co": {"a<b", "c"}}},
@@ -338,6 +339,9 @@ func TestSendBatchBytes(t *testing.T) {
 		var sent strings.Builder
 		c := NewClient(recordConn{w: &sent})
 		if err := c.SendBatch(we.Type, we.Times, we.Cols, we.SCols); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}
 		we.Cmd = "batch"
@@ -355,6 +359,7 @@ type recordConn struct {
 }
 
 func (c recordConn) Write(p []byte) (int, error) { return c.w.Write(p) }
+func (recordConn) Close() error                  { return nil }
 
 // TestSchemaCacheBounded: a client that never repeats a shape cannot
 // grow the session without limit. Past event.MaxShapes a new shape's schema

@@ -2,6 +2,7 @@ package netstream
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -20,14 +21,15 @@ import (
 // is the one client half of the session protocol: ordinary producers
 // and the cluster coordinator's shard links both run on it.
 //
-// Send coalesces: event lines collect in a pending buffer that goes out
-// in one write when it reaches sendChunk bytes, ahead of (and in the
-// same write as) any command, SendFrame, SendBatch or SendBatchFrame,
-// on Close, and at most sendLinger after its first line when no call
-// comes. The wire carries the same lines, concatenated. A write error
-// is returned by the call that performs the write — a later Send, a
+// One write rule: Send's event lines and SendBatch's and
+// SendBatchFrame's batch frames collect in a pending buffer that goes
+// out in one write when it reaches sendChunk bytes, ahead of (and in
+// the same write as) any command or SendFrame line, on Close, and at
+// most sendLinger after its first line when no call comes. The wire
+// carries the same lines, concatenated. A write error is returned by
+// the call that performs the write — a later Send or SendBatch, a
 // command, or the first call after a linger write — and in a resumable
-// session every event not yet written is still in the resend ring (the
+// session every line not yet written is still in the resend ring (the
 // buffer never holds more than SendWindow lines), so Resume drops the
 // buffer and the ring replays it.
 //
@@ -53,8 +55,8 @@ type Client struct {
 	addr string
 
 	// mu guards the send half: the connection as writers see it, the
-	// resend ring (its Last is the event seq cursor) and the encode
-	// scratch. down means a write failed (or a Resume is under way):
+	// resend ring (its Last is the event seq cursor) and the pending
+	// buffer. down means a write failed (or a Resume is under way):
 	// the connection is closed and frames are ringed, not written,
 	// until Resume swaps a healed connection in.
 	mu      sync.Mutex
@@ -63,13 +65,12 @@ type Client struct {
 	session string // server-issued id; set once, before any concurrent use
 	ring    ring.Ring
 	evEnc   eventEncoder
-	line    []byte // encode scratch: batch frames
 
-	// out holds the event lines Send has not written yet (outN of them;
-	// none while down): the next write carries them ahead of its own
-	// line. linger is the one timer that writes them when no call does,
-	// armed by the line that finds out empty; lingerErr is its failed
-	// write's error, which the next call returns.
+	// out holds the event lines and batch frames not written yet (outN
+	// of them; none while down): the next write carries them first.
+	// linger is the one timer that writes them when no call does, armed
+	// by the line that finds out empty; lingerErr is its failed write's
+	// error, which the next call returns.
 	out       []byte
 	outN      int
 	linger    *time.Timer
@@ -203,12 +204,12 @@ var errDown = errors.New("netstream: connection down (sequenced frames are retai
 // live heap (+2.4 % at 64 KiB) without saving CPU.
 const sendChunk = 8 << 10
 
-// sendLinger bounds how long a sent event may wait in the pending
-// buffer when no further call comes to write it.
+// sendLinger bounds how long a sent event or batch frame may wait in
+// the pending buffer when no further call comes to write it.
 const sendLinger = time.Millisecond
 
-// writeLocked puts the pending event lines and then line (nil for none)
-// on the wire in one write (mu held). The first failed write closes the
+// writeLocked puts the pending lines and then line (nil for none) on
+// the wire in one write (mu held). The first failed write closes the
 // connection, so the peer and this client's reader see the break at
 // once, and later lines are not written into the dead socket:
 // sequenced ones wait in the ring for Resume.
@@ -284,8 +285,7 @@ func (c *Client) lingerWrite() {
 // retained in the resend ring when it is a sequenced frame of a
 // resumable session, before any write, so a frame lost to the write
 // error that reveals a break is still replayable. An error leaves the
-// ring untouched. (Send does the same steps with the event-line
-// encoder.)
+// ring untouched. (queue does the same steps for the pending buffer.)
 func (c *Client) encodeLocked(ctx context.Context, we *WireEvent, sequenced bool) ([]byte, error) {
 	if err := c.ensureLocked(ctx); err != nil {
 		return nil, err
@@ -419,30 +419,43 @@ func (c *Client) RegisterContext(ctx context.Context, query string) (string, err
 //
 // The line joins the pending buffer (see Client), so a nil error means
 // the event was queued, and an error may be that of a write carrying
-// earlier events. Outside a resumable session events pending at a
-// failed write are lost with it.
+// earlier lines. Outside a resumable session lines pending at a failed
+// write are lost with it.
 func (c *Client) SendContext(ctx context.Context, typ string, t int64, attrs map[string]float64, strs map[string]string) error {
+	_, queued, err := c.queue(ctx, func(out []byte, seq uint64) ([]byte, error) {
+		return c.evEnc.appendLine(out, seq, typ, t, attrs, strs)
+	})
+	return cmp.Or(err, queued)
+}
+
+// queue is the one path of event lines and batch frames: dial a lazily
+// created client, encode onto the pending buffer — stamped with the next
+// seq and ringed first in a resumable session — and queueLocked. It
+// returns the line's length and the error of a write it performed or
+// found (queued); an encode error leaves buffer and ring untouched.
+func (c *Client) queue(ctx context.Context, encode func(out []byte, seq uint64) ([]byte, error)) (n int, queued, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.ensureLocked(ctx); err != nil {
-		return err
+		return 0, nil, err
 	}
 	seq := uint64(0)
 	if c.session != "" {
 		seq = c.ring.Next()
 	}
-	out, err := c.evEnc.appendLine(c.out, seq, typ, t, attrs, strs)
+	out, err := encode(c.out, seq)
 	if err != nil {
-		return err
+		return 0, nil, err
 	}
+	line := out[len(c.out):]
 	if c.session != "" {
-		c.ring.Push(out[len(c.out):])
+		c.ring.Push(line)
 	}
 	if c.down {
-		return c.downErrLocked() // a sequenced line waits in the ring for Resume
+		return len(line), c.downErrLocked(), nil // a sequenced line waits in the ring for Resume
 	}
 	c.out = out
-	return c.queueLocked()
+	return len(line), c.queueLocked(), nil
 }
 
 // EnableResume asks the server for a resumable session; it must be
@@ -578,7 +591,9 @@ func (c *Client) Send(typ string, t int64, attrs map[string]float64, strs map[st
 // frame-level sequence number and its encoded line is retained whole
 // in the resend ring — the server dedups duplicate frames by seq after
 // a Resume — so batches stay columnar end to end instead of degrading
-// to per-event sends. The caller may reuse its arrays after SendBatch
+// to per-event sends. The frame joins the pending buffer as an event
+// line does, so an error may be that of a write carrying earlier lines
+// (see SendContext). The caller may reuse its arrays after SendBatch
 // returns.
 func (c *Client) SendBatch(typ string, times []int64, cols map[string][]float64, scols map[string][]string) error {
 	f := BatchFrame{Type: typ, Times: times, Nums: slices.Sorted(maps.Keys(cols)), Strs: slices.Sorted(maps.Keys(scols))}
@@ -588,46 +603,29 @@ func (c *Client) SendBatch(typ string, times []int64, cols map[string][]float64,
 	for _, a := range f.Strs {
 		f.SCols = append(f.SCols, scols[a])
 	}
-	_, wrote, err := c.sendBatch(&f)
-	if err != nil {
-		return err
-	}
-	return wrote
+	_, queued, err := c.sendBatch(&f)
+	return cmp.Or(err, queued)
 }
 
 // SendBatchFrame is SendBatch for a frame the caller holds as columns,
 // route info included, under SendFrame's contract: it returns the
 // encoded length, a failed write is not an error (Resume replays the
 // frame), and a frame that could not be sent at all — malformed, a NaN
-// or infinite value, no connection — consumes no sequence number.
+// or infinite value, no connection — consumes no sequence number. The
+// frame is queued (see Client), not written.
 func (c *Client) SendBatchFrame(f *BatchFrame) (int, error) {
 	n, _, err := c.sendBatch(f)
 	return n, err
 }
 
-// sendBatch encodes f and writes it. The line is built in the client's
-// scratch, and the resend ring retains a copy of it before the write.
-func (c *Client) sendBatch(f *BatchFrame) (n int, wrote, err error) {
+// sendBatch checks f and queues its encoded line.
+func (c *Client) sendBatch(f *BatchFrame) (n int, queued, err error) {
 	if err := f.check(); err != nil {
 		return 0, nil, fmt.Errorf("netstream: batch: %w", err)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.ensureLocked(context.Background()); err != nil {
-		return 0, nil, err
-	}
-	seq := uint64(0)
-	if c.session != "" {
-		seq = c.ring.Next()
-	}
-	if c.line, err = appendBatchFrame(c.line[:0], seq, f); err != nil {
-		return 0, nil, err
-	}
-	line := c.line
-	if c.session != "" {
-		line = c.ring.Push(line)
-	}
-	return len(line), c.writeLocked(line), nil
+	return c.queue(context.Background(), func(out []byte, seq uint64) ([]byte, error) {
+		return appendBatchFrame(out, seq, f)
+	})
 }
 
 // Register attaches a new statement mid-stream and returns its id.
@@ -705,7 +703,7 @@ func (c *Client) Flush() ([]WireResult, uint64, error) {
 	return results, o.Events, nil
 }
 
-// Close writes the pending event lines and closes the connection (a
+// Close writes the pending lines and closes the connection (a
 // no-op on a lazily-dialed client that never connected). A failed write
 // is returned; it has closed the connection already.
 func (c *Client) Close() error {

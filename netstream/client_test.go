@@ -212,6 +212,23 @@ func withoutLinger(c *Client) *Client {
 	return c
 }
 
+// awaitWritten waits until c's pending buffer is empty: the linger timer
+// (or another call) has put every queued line on the wire.
+func awaitWritten(t *testing.T, c *Client) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		c.mu.Lock()
+		pending := c.outN
+		c.mu.Unlock()
+		if pending == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d queued lines never written", pending)
+		}
+	}
+}
+
 // jsonLine is encoding/json's line for we: what the client's encoders
 // must write for it, byte for byte.
 func jsonLine(t *testing.T, we WireEvent) []byte {
@@ -222,12 +239,13 @@ func jsonLine(t *testing.T, we WireEvent) []byte {
 	return append(b, '\n')
 }
 
-// TestSendCoalescing pins the write contract of Send: event lines are
-// written a chunk at a time, as the lines concatenated; a command, a
-// frame and Close write the pending lines first, in the same write; a
-// lone event goes out after the linger with no further call; and a cut
-// that tears a coalesced write mid-chunk is healed by Resume with every
-// event applied exactly once.
+// TestSendCoalescing pins the one write rule of Send's event lines and
+// SendBatch's frames: they are written a chunk at a time, as the lines
+// concatenated; a command, a SendFrame line and Close write the pending
+// lines first, in the same write; a lone event or frame goes out after
+// the linger with no further call; and a cut that tears a coalesced
+// write mid-chunk is healed by Resume with every event and frame
+// applied exactly once.
 func TestSendCoalescing(t *testing.T) {
 	// padded is the i-th 64-byte event line: 64 divides the chunk, so
 	// the sends' writes are exactly chunk-sized.
@@ -243,6 +261,22 @@ func TestSendCoalescing(t *testing.T) {
 			t.Fatal(err)
 		}
 		return jsonLine(t, we)
+	}
+	// frame is the i-th one-row batch frame, 2·lineLen bytes, of the
+	// type and time of padded(i); sendFrame queues one.
+	frame := func(i int) *BatchFrame {
+		f := &BatchFrame{Type: "A", Times: []int64{100000 + int64(i)}, Strs: []string{"p"}, SCols: [][]string{{""}}}
+		line, _ := appendBatchFrame(nil, 0, f)
+		f.SCols[0][0] = strings.Repeat("x", 2*lineLen-len(line))
+		return f
+	}
+	sendFrame := func(t *testing.T, c *Client, f *BatchFrame) []byte {
+		t.Helper()
+		if _, err := c.SendBatchFrame(f); err != nil {
+			t.Fatal(err)
+		}
+		line, _ := appendBatchFrame(nil, 0, f)
+		return line
 	}
 	dial := func(t *testing.T, addr string) (*Client, *writeLog) {
 		raw, err := net.Dial("tcp", addr)
@@ -292,6 +326,39 @@ func TestSendCoalescing(t *testing.T) {
 		}
 	})
 
+	t.Run("mixed", func(t *testing.T) {
+		// Event lines and batch frames share the pending buffer: with every
+		// third line a frame (64 + 64 + 128 bytes divide the chunk), the
+		// writes are still exactly chunk-sized and carry the lines in the
+		// order they were sent.
+		const n = 400
+		c, w := dial(t, addr)
+		withoutLinger(c)
+		var lines []byte
+		for i := 0; i < n; i++ {
+			if i%3 == 2 {
+				lines = append(lines, sendFrame(t, c, frame(i))...)
+			} else {
+				lines = append(lines, send(t, c, padded(i))...)
+			}
+		}
+		writes := w.take()
+		if want := len(lines) / sendChunk; len(writes) != want {
+			t.Fatalf("%d lines and frames of %d bytes took %d writes, want %d", n, len(lines), len(writes), want)
+		}
+		for k, p := range writes {
+			if len(p) != sendChunk {
+				t.Fatalf("write %d carried %d bytes, want one chunk (%d)", k, len(p), sendChunk)
+			}
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := bytes.Join(append(writes, w.take()...), nil); !bytes.Equal(got, lines) {
+			t.Fatalf("the wire carried %d bytes that are not the %d of the lines and frames, concatenated", len(got), len(lines))
+		}
+	})
+
 	t.Run("order", func(t *testing.T) {
 		c, w := dial(t, addr)
 		withoutLinger(c)
@@ -299,18 +366,24 @@ func TestSendCoalescing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// A batch frame queues behind the pending lines; the next call
+		// that writes carries it.
 		calls := []struct {
-			name string
-			call func() error
-			line []byte
+			name   string
+			call   func() error
+			line   []byte
+			queues bool
 		}{
-			{"SendFrame", func() error { _, err := c.SendFrame(&WireEvent{Type: "A", Time: 3}); return err }, jsonLine(t, WireEvent{Type: "A", Time: 3})},
-			{"Stats", func() error { _, err := c.Stats(); return err }, jsonLine(t, WireEvent{Cmd: "stats"})},
-			{"SendBatch", func() error { return c.SendBatch("A", []int64{7, 8}, nil, nil) }, batch},
-			{"Close", c.Close, nil},
+			{"SendBatch", func() error { return c.SendBatch("A", []int64{7, 8}, nil, nil) }, batch, true},
+			{"SendFrame", func() error { _, err := c.SendFrame(&WireEvent{Type: "A", Time: 3}); return err }, jsonLine(t, WireEvent{Type: "A", Time: 3}), false},
+			{"Stats", func() error { _, err := c.Stats(); return err }, jsonLine(t, WireEvent{Cmd: "stats"}), false},
+			{"SendBatch", func() error { return c.SendBatch("A", []int64{7, 8}, nil, nil) }, batch, true},
+			{"Close", c.Close, nil, false},
 		}
+		var want []byte
 		for k, call := range calls {
-			want := append(send(t, c, padded(2*k)), send(t, c, padded(2*k+1))...)
+			want = append(want, send(t, c, padded(2*k))...)
+			want = append(want, send(t, c, padded(2*k+1))...)
 			if got := w.take(); len(got) != 0 {
 				t.Fatalf("%s: two sends wrote %d times before the call", call.name, len(got))
 			}
@@ -318,20 +391,33 @@ func TestSendCoalescing(t *testing.T) {
 				t.Fatalf("%s: %v", call.name, err)
 			}
 			want = append(want, call.line...)
-			if got := w.take(); len(got) != 1 || !bytes.Equal(got[0], want) {
-				t.Fatalf("%s wrote %q, want one write of the pending lines then its own: %q", call.name, got, want)
+			got := w.take()
+			if call.queues {
+				if len(got) != 0 {
+					t.Fatalf("%s wrote %q, want its frame queued behind the pending lines", call.name, got)
+				}
+				continue
 			}
+			if len(got) != 1 || !bytes.Equal(got[0], want) {
+				t.Fatalf("%s wrote %q, want one write of the pending lines and frames then its own: %q", call.name, got, want)
+			}
+			want = nil
 		}
 	})
 
 	t.Run("window", func(t *testing.T) {
-		// A resumable session never holds more lines pending than its ring
-		// retains: a pending line is always one Resume can replay.
+		// A resumable session never holds more lines and frames pending
+		// than its ring retains: a pending line is always one Resume can
+		// replay.
 		c := withoutLinger(resumableClient(8))
 		w := &writeLog{Conn: c.conn}
 		c.conn = w
 		for i := 0; i < 20; i++ {
-			send(t, c, padded(i))
+			if i%2 == 1 {
+				sendFrame(t, c, frame(i))
+			} else {
+				send(t, c, padded(i))
+			}
 		}
 		writes := w.take()
 		if len(writes) != 2 || bytes.Count(writes[0], []byte("\n")) != 8 || bytes.Count(writes[1], []byte("\n")) != 8 {
@@ -339,8 +425,29 @@ func TestSendCoalescing(t *testing.T) {
 		}
 	})
 
+	t.Run("linger-frame", func(t *testing.T) {
+		near, far := net.Pipe()
+		// A send that wrote at once would block on the pipe until this
+		// test reads: the deadline turns that into a failed read.
+		_ = near.SetWriteDeadline(time.Now().Add(5 * time.Second))
+		c := NewClient(near)
+		defer c.Close()
+		defer far.Close() // first, so a Close with lines pending fails instead of blocking
+		t0 := time.Now()
+		want := sendFrame(t, c, frame(0))
+		_ = far.SetReadDeadline(t0.Add(5 * time.Second))
+		got, err := bufio.NewReader(far).ReadBytes('\n')
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("peer read %q, %v; want %q", got, err, want)
+		}
+		if d := time.Since(t0); d > sendLinger+500*time.Millisecond {
+			t.Fatalf("the frame reached the peer after %v (linger %v)", d, sendLinger)
+		}
+	})
+
 	t.Run("linger", func(t *testing.T) {
 		near, far := net.Pipe()
+		_ = near.SetWriteDeadline(time.Now().Add(5 * time.Second)) // as in linger-frame
 		c := NewClient(near)
 		defer c.Close()
 		defer far.Close() // first, so a Close with lines pending fails instead of blocking
@@ -386,64 +493,76 @@ func TestSendCoalescing(t *testing.T) {
 		}
 	})
 
-	t.Run("resume", func(t *testing.T) {
-		const n = 4000 // one event per tick, four ticks per window
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		addr := startResumeServer(t, &Server{Linger: time.Minute}, "RETURN COUNT(*) PATTERN A+ WITHIN 4 SLIDE 4")
-		raw, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
+	for _, frames := range []bool{false, true} {
+		name := "resume"
+		if frames {
+			name = "resume-frames" // every other event a one-row batch frame
 		}
-		f := faultnet.New()
-		c := NewClient(f.Conn(raw))
-		c.addr = addr
-		defer c.Close()
-		// The ring must outlast what the server has not applied when the
-		// cut discards the socket's backlog.
-		c.SendWindow = n
-		if _, err := c.EnableResume(ctx); err != nil {
-			t.Fatal(err)
-		}
-		f.CutAfterWrites(sendChunk * 5 / 2) // inside the third write, a chunk or a linger write
-		resumes := 0
-		for i := 0; i < n; i++ {
-			if err := c.Send("A", int64(i), nil, nil); err != nil {
-				if err := c.Resume(ctx); err != nil {
-					t.Fatalf("Resume after send %d: %v", i, err)
-				}
-				resumes++
-			}
-		}
-		results, events, err := c.Flush()
-		if err != nil { // the cut may surface at the flush's write instead
-			if err := c.Resume(ctx); err != nil {
-				t.Fatalf("Resume at flush: %v", err)
-			}
-			resumes++
-			if results, events, err = c.Flush(); err != nil {
+		t.Run(name, func(t *testing.T) {
+			const n = 4000 // one event per tick, four ticks per window
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			addr := startResumeServer(t, &Server{Linger: time.Minute}, "RETURN COUNT(*) PATTERN A+ WITHIN 4 SLIDE 4")
+			raw, err := net.Dial("tcp", addr)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		if resumes != 1 {
-			t.Fatalf("%d resumes, want 1: the cut must tear one write", resumes)
-		}
-		if events != n {
-			t.Errorf("summary counts %d events, sent %d", events, n)
-		}
-		seen := map[int64]int{}
-		for _, r := range results {
-			seen[r.Wid]++
-			if len(r.Values) != 1 || r.Values[0] != 15 {
-				t.Errorf("window %d = %v, want COUNT(*) = 15 (four events, each applied once)", r.Wid, r.Values)
+			f := faultnet.New()
+			c := NewClient(f.Conn(raw))
+			c.addr = addr
+			defer c.Close()
+			// The ring must outlast what the server has not applied when the
+			// cut discards the socket's backlog.
+			c.SendWindow = n
+			if _, err := c.EnableResume(ctx); err != nil {
+				t.Fatal(err)
 			}
-		}
-		for wid := int64(0); wid < n/4; wid++ {
-			if seen[wid] != 1 {
-				t.Errorf("window %d delivered %d times, want once", wid, seen[wid])
+			f.CutAfterWrites(sendChunk * 5 / 2) // inside the third write, a chunk or a linger write
+			resumes := 0
+			for i := 0; i < n; i++ {
+				var err error
+				if frames && i%2 == 1 {
+					err = c.SendBatch("A", []int64{int64(i)}, nil, nil)
+				} else {
+					err = c.Send("A", int64(i), nil, nil)
+				}
+				if err != nil {
+					if err := c.Resume(ctx); err != nil {
+						t.Fatalf("Resume after send %d: %v", i, err)
+					}
+					resumes++
+				}
 			}
-		}
-	})
+			results, events, err := c.Flush()
+			if err != nil { // the cut may surface at the flush's write instead
+				if err := c.Resume(ctx); err != nil {
+					t.Fatalf("Resume at flush: %v", err)
+				}
+				resumes++
+				if results, events, err = c.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if resumes != 1 {
+				t.Fatalf("%d resumes, want 1: the cut must tear one write", resumes)
+			}
+			if events != n {
+				t.Errorf("summary counts %d events, sent %d", events, n)
+			}
+			seen := map[int64]int{}
+			for _, r := range results {
+				seen[r.Wid]++
+				if len(r.Values) != 1 || r.Values[0] != 15 {
+					t.Errorf("window %d = %v, want COUNT(*) = 15 (four events, each applied once)", r.Wid, r.Values)
+				}
+			}
+			for wid := int64(0); wid < n/4; wid++ {
+				if seen[wid] != 1 {
+					t.Errorf("window %d delivered %d times, want once", wid, seen[wid])
+				}
+			}
+		})
+	}
 }
 
 // TestResumeReplaysInRuns: Resume replays the ring's tail in runs — the

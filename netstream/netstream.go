@@ -92,13 +92,14 @@
 // via a {"warn":...} line (warn, not error, so in-flight command
 // acknowledgements are not misattributed as failures).
 //
-// Lines are what the protocol frames, not writes: Client.Send coalesces
-// event lines into one write of up to a chunk (8 KiB), written ahead of
-// the next command or frame in the same write, on Close, or a linger
-// (1 ms) after its first line when no call comes. A write error surfaces
-// at the call that performed the write — possibly a later Send or
-// command — and in a resumable session the lines of a failed write are
-// still in the resend ring, which Resume replays.
+// Lines are what the protocol frames, not writes: the lines the server
+// applies unanswered — Client.Send's event lines and SendBatch's batch
+// frames — coalesce into one write of about a chunk (8 KiB), written
+// ahead of the next command or SendFrame line in the same write, on
+// Close, or a linger (1 ms) after the first when no call comes. A write
+// error surfaces at the call that performed the write — possibly a later
+// send or command — and in a resumable session the lines of a failed
+// write are still in the resend ring, which Resume replays.
 //
 // # Session resilience
 //

@@ -129,12 +129,13 @@ func amortizedAllocs(runs int, f func()) float64 {
 
 // TestWireHotPathAllocs is the wire's allocation guard (make
 // alloc-guard): a steady-state resumable Send allocates nothing — the
-// line is built in the slot the ring recycles and copied into the
-// reused pending buffer, whose writes re-arm one linger timer — and the server's
-// event-line parse plus dispatch allocates nothing but the event's share
-// of the session's slabs (about 3/slabEvents): no WireEvent, no
-// attribute maps, no name or value strings. The batch frame likewise:
-// encoding one into a warm ring allocates nothing, and parse plus apply
+// line is encoded onto the reused pending buffer and copied into the
+// ring's recycled segments, and the buffer's writes re-arm one linger
+// timer — and the server's event-line parse plus dispatch allocates
+// nothing but the event's share of the session's slabs (about
+// 3/slabEvents): no WireEvent, no attribute maps, no name or value
+// strings. The batch frame likewise: encoding one onto the pending
+// buffer and into a warm ring allocates nothing, and parse plus apply
 // allocates per frame — an ordinary session's event batch (header and
 // four slabs), a shard session's rows their share of the slabs, which
 // is about three for a large frame and a fraction of one for a one-row
