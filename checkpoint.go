@@ -53,10 +53,17 @@ func WithCheckpointErrors(f func(error)) RuntimeOption {
 // the checkpoint header, surfacing again as Restored.Meta. Serving
 // layers use it to persist session identity and sequence cursors
 // atomically with the engine state they describe (netstream stores the
-// session id and last-applied event sequence this way). nil clears the
+// session id and last-applied event sequence this way). A snapshot
+// that fires inside a ProcessBatch call contains the batch's first
+// batchRows rows, those offered before the row being applied, of which
+// batchAccepted were accepted and the rest dropped as late; inside
+// Process and between calls both are 0. A caller that commits its
+// cursors after each call adds them to those cursors. nil clears the
 // provider; a restored runtime re-encodes the snapshot's blob until a
 // new provider is set.
-func (rt *Runtime) SetCheckpointMeta(f func() []byte) { rt.inner.SetCheckpointMeta(f) }
+func (rt *Runtime) SetCheckpointMeta(f func(batchRows, batchAccepted int) []byte) {
+	rt.inner.SetCheckpointMeta(f)
+}
 
 // checkpointFS is the filesystem checkpoint stores write and read; nil
 // is the real one. Tests swap in a fault-injecting one.
@@ -70,12 +77,6 @@ func (rt *Runtime) armCheckpoint(dir string, every, from Time, onErr func(error)
 	store := &checkpoint.Store{Dir: dir, FS: checkpointFS}
 	return rt.inner.SetCheckpoint(every, from, store, onErr)
 }
-
-// CheckpointArmed reports whether a scheduled checkpoint cadence is
-// armed on this runtime (WithCheckpoint, or a Restore that re-armed
-// the snapshot's interval). Serving layers use it to decide whether a
-// snapshot can fire mid-way through a multi-row ingest frame.
-func (rt *Runtime) CheckpointArmed() bool { return rt.inner.CheckpointArmed() }
 
 // Checkpoint writes an immediate snapshot (outside the boundary
 // schedule) to the directory configured by WithCheckpoint and returns

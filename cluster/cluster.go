@@ -26,7 +26,7 @@
 // redials, resumes, and replays its unacknowledged tail in both
 // directions, so every frame — events, barriers, registrations —
 // applies exactly once. Per-slot barrier acknowledgements roll up into
-// a global low-watermark (LowWatermark). Shards can be added cold
+// a global low-watermark (Metrics().LowWatermark). Shards can be added cold
 // (AddShard) and populated by draining another shard (Drain): the
 // donor snapshots its slots behind a barrier and the destination
 // adopts them, home indices intact, so the merge protocol never
@@ -344,12 +344,6 @@ func (co *Coordinator) Watermark() greta.Time {
 	defer co.mu.Unlock()
 	return co.wm
 }
-
-// LowWatermark returns the cluster's merge frontier: the smallest
-// barrier time every worker slot has acknowledged (-1 before the
-// first acknowledged barrier). Windows at or below it are fully
-// merged and emitted.
-func (co *Coordinator) LowWatermark() greta.Time { return co.Metrics().LowWatermark }
 
 // activeLinks returns the links that still host (or may come to host)
 // worker slots — every command fan-out targets exactly these.

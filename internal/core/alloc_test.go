@@ -613,7 +613,7 @@ func testNoHotPathAllocsReorder(t *testing.T) {
 	}
 	// Guard against the guard: events must really route through an
 	// occupied buffer (slack path, not pass-through) into the engine.
-	if rt.ReorderPending() == 0 {
+	if rt.Metrics().ReorderPending == 0 {
 		t.Fatal("reorder buffer empty after measured loop (slack path not exercised)")
 	}
 	after := st.Stats()

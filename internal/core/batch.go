@@ -72,13 +72,12 @@ func (rt *Runtime) ProcessBatch(b *event.Batch) (int, error) {
 	rt.met.batches.Inc()
 	rt.met.batchRows.Add(uint64(n))
 	rows := b.Rows()
-	if rt.reorder != nil {
-		return rt.processBatchFallback(rows)
+	sorted := rt.reorder == nil
+	for i := 1; sorted && i < n; i++ {
+		sorted = rows[i].Time >= rows[i-1].Time
 	}
-	for i := 1; i < n; i++ {
-		if rows[i].Time < rows[i-1].Time {
-			return rt.processBatchFallback(rows)
-		}
+	if !sorted {
+		return rt.processBatchFallback(rows)
 	}
 	// Sorted, no reorder: rows behind the initial watermark form a
 	// prefix (each is still forwarded so every engine counts the drop,
@@ -90,7 +89,7 @@ func (rt *Runtime) ProcessBatch(b *event.Batch) (int, error) {
 		}
 		accepted--
 	}
-	rt.applyBatch(b, rows)
+	rt.applyBatch(b, rows, n-accepted)
 	if last := rows[n-1].Time; last > rt.watermark {
 		rt.watermark = last
 	}
@@ -99,12 +98,20 @@ func (rt *Runtime) ProcessBatch(b *event.Batch) (int, error) {
 	return accepted, nil
 }
 
+// batchPos is how far a ProcessBatch call has got: rows of the batch
+// come before the row being applied, and accepted of those were
+// accepted. A snapshot firing inside the call hands it to the meta
+// provider (SetCheckpointMeta).
+type batchPos struct{ rows, accepted int }
+
 // processBatchFallback feeds rows through the per-event path one at a
 // time — the landing spot for every batch shape the columnar path
 // cannot reproduce bit for bit; rt.mu held.
 func (rt *Runtime) processBatchFallback(rows []*event.Event) (int, error) {
+	defer func() { rt.batch = batchPos{} }()
 	accepted := 0
-	for _, ev := range rows {
+	for i, ev := range rows {
+		rt.batch = batchPos{i, accepted}
 		err := rt.process(ev)
 		switch {
 		case err == nil:
@@ -120,8 +127,9 @@ func (rt *Runtime) processBatchFallback(rows []*event.Event) (int, error) {
 // applyBatch applies b's sorted rows to the engines, splitting into
 // segments at scheduled checkpoint boundaries: the snapshot fires
 // before the first row at or past ck.next, exactly where the per-event
-// path fires it; rt.mu held.
-func (rt *Runtime) applyBatch(b *event.Batch, rows []*event.Event) {
+// path fires it; rt.mu held. The first late rows are behind the
+// watermark and dropped.
+func (rt *Runtime) applyBatch(b *event.Batch, rows []*event.Event, late int) {
 	for lo, hi := 0, len(rows); lo < hi; {
 		ck := rt.ck
 		if ck == nil {
@@ -129,7 +137,9 @@ func (rt *Runtime) applyBatch(b *event.Batch, rows []*event.Event) {
 			return
 		}
 		if rows[lo].Time >= ck.next {
+			rt.batch = batchPos{lo, lo - min(lo, late)}
 			rt.checkpointAtBoundary(rows[lo].Time)
+			rt.batch = batchPos{}
 		}
 		end := lo + 1
 		for end < hi && rows[end].Time < ck.next {

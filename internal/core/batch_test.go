@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -73,22 +74,43 @@ var batchDiffQueries = append(append([]string{}, runtimeDiffQueries...),
 	"RETURN COUNT(*) PATTERN Stock S+ WHERE S.price < 5 WITHIN 16 SLIDE 4",
 )
 
+// feedCursor is how far a feed has got: the events it has offered and
+// how many of them the runtime accepted, committed after each runtime
+// call returns.
+type feedCursor struct{ pos, accepted int }
+
+// cursorMeta has each snapshot of rt record the stream position of its
+// trigger: the feed's committed cursor plus, inside a ProcessBatch
+// call, the batch rows the runtime reports the snapshot holds. A
+// per-event feed's trigger is the first event at or past the boundary,
+// so equal snapshot bytes pin a batch feed's count to the index of the
+// first batch row at or past it.
+func cursorMeta(rt *core.Runtime, cur *feedCursor) {
+	rt.SetCheckpointMeta(func(rows, accepted int) []byte {
+		return fmt.Appendf(nil, "%d/%d", cur.pos+rows, cur.accepted+accepted)
+	})
+}
+
 // feedEach offers events one at a time, counting accepted events and
 // swallowing out-of-order drops (the batch path accounts them the same
-// way).
-func feedEach(t *testing.T, rt *core.Runtime, evs []*event.Event) int {
+// way). cur, if not nil, is advanced as the feed goes.
+func feedEach(t *testing.T, rt *core.Runtime, evs []*event.Event, cur *feedCursor) int {
 	t.Helper()
-	accepted := 0
+	if cur == nil {
+		cur = &feedCursor{}
+	}
+	start := cur.accepted
 	for _, ev := range evs {
 		switch err := rt.Process(ev); {
 		case err == nil:
-			accepted++
+			cur.accepted++
 		case errors.Is(err, core.ErrOutOfOrder):
 		default:
 			t.Fatal(err)
 		}
+		cur.pos++
 	}
-	return accepted
+	return cur.accepted - start
 }
 
 // feedBatches replays evs through ProcessBatch in columnar blocks of up
@@ -97,9 +119,13 @@ func feedEach(t *testing.T, rt *core.Runtime, evs []*event.Event) int {
 // A hook at index i runs after all rows < i are flushed and before row
 // i is buffered — the stream position a per-event caller would see.
 // Rows AppendEvent rejects fall back to Process, as ingest layers do.
-func feedBatches(t *testing.T, rt *core.Runtime, evs []*event.Event, size int, hooks map[int]func()) int {
+// fc, if not nil, is advanced after each runtime call.
+func feedBatches(t *testing.T, rt *core.Runtime, evs []*event.Event, size int, hooks map[int]func(), fc *feedCursor) int {
 	t.Helper()
-	accepted := 0
+	if fc == nil {
+		fc = &feedCursor{}
+	}
+	start := fc.accepted
 	var cur *event.Batch
 	var last event.Time
 	flush := func() {
@@ -110,7 +136,8 @@ func feedBatches(t *testing.T, rt *core.Runtime, evs []*event.Event, size int, h
 		if err != nil {
 			t.Fatal(err)
 		}
-		accepted += acc
+		fc.pos += cur.Len()
+		fc.accepted += acc
 		cur = nil
 	}
 	for i, ev := range evs {
@@ -130,19 +157,13 @@ func feedBatches(t *testing.T, rt *core.Runtime, evs []*event.Event, size int, h
 		}
 		if err := cur.AppendEvent(ev); err != nil {
 			flush()
-			switch perr := rt.Process(ev); {
-			case perr == nil:
-				accepted++
-			case errors.Is(perr, core.ErrOutOfOrder):
-			default:
-				t.Fatal(perr)
-			}
+			feedEach(t, rt, evs[i:i+1], fc)
 			continue
 		}
 		last = ev.Time
 	}
 	flush()
-	return accepted
+	return fc.accepted - start
 }
 
 // registerCollect registers queries in drop-on-delivery mode
@@ -216,7 +237,8 @@ func compareStmtStats(t *testing.T, label string, i int, got, want core.Stats) {
 // Runtime fed through ProcessBatch — any batch size, mixed with
 // per-event fallback rows — produces bit-identical results, statement
 // stats, and checkpoint bytes at every boundary to the same statements
-// fed one event at a time. The vertex-predicate shapes must also
+// fed one event at a time, the stream cursor in each snapshot's meta
+// included (cursorMeta). The vertex-predicate shapes must also
 // actually engage the column pre-filter.
 func TestBatchIngestDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
@@ -225,8 +247,10 @@ func TestBatchIngestDifferential(t *testing.T) {
 		refRt := core.NewRuntime()
 		var refSnaps [][]byte
 		armSnapshots(t, refRt, &refSnaps)
+		var refCur feedCursor
+		cursorMeta(refRt, &refCur)
 		refStmts, refResults := registerCollect(t, refRt, batchDiffQueries)
-		refAccepted := feedEach(t, refRt, evs)
+		refAccepted := feedEach(t, refRt, evs, &refCur)
 		if err := refRt.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -239,8 +263,10 @@ func TestBatchIngestDifferential(t *testing.T) {
 			rt := core.NewRuntime()
 			var snaps [][]byte
 			armSnapshots(t, rt, &snaps)
+			var cur feedCursor
+			cursorMeta(rt, &cur)
 			stmts, results := registerCollect(t, rt, batchDiffQueries)
-			accepted := feedBatches(t, rt, evs, size, nil)
+			accepted := feedBatches(t, rt, evs, size, nil, &cur)
 			if err := rt.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -282,11 +308,11 @@ func TestBatchIngestMidBatchClose(t *testing.T) {
 
 	refRt := core.NewRuntime()
 	refStmts := registerAll(t, refRt, queries, aggregate.ModeNative)
-	feedEach(t, refRt, evs[:cut])
+	feedEach(t, refRt, evs[:cut], nil)
 	if err := refStmts[1].Close(); err != nil {
 		t.Fatal(err)
 	}
-	feedEach(t, refRt, evs[cut:])
+	feedEach(t, refRt, evs[cut:], nil)
 	if err := refRt.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +323,7 @@ func TestBatchIngestMidBatchClose(t *testing.T) {
 		if err := stmts[1].Close(); err != nil {
 			t.Fatal(err)
 		}
-	}})
+	}}, nil)
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -307,12 +333,15 @@ func TestBatchIngestMidBatchClose(t *testing.T) {
 	}
 }
 
-// TestBatchReorderDifferential drives a slack-armed runtime with a
-// disordered arrival sequence through both ingest paths. Without a
-// checkpoint schedule the batch path takes the columnar merge (sorted
-// prefix applied in bulk, stragglers through the buffer); with one it
-// degrades to per-row. Both must reproduce the per-event run exactly —
-// results, stats, drop counts, and snapshot bytes.
+// TestBatchReorderDifferential drives a runtime with a disordered
+// arrival sequence through both ingest paths: with slack armed the
+// batch path offers the rows to the reorder buffer one at a time, with
+// or without a checkpoint schedule; without slack (late-prefix) the
+// sorted batches feedBatches cuts at each inversion start behind the
+// watermark and take the columnar path. Every run must reproduce the
+// per-event run exactly — results, stats, drop counts, and snapshot
+// bytes, the stream cursor in each snapshot's meta included
+// (cursorMeta).
 func TestBatchReorderDifferential(t *testing.T) {
 	const slack = 6
 	base := batchDiffStream(rand.New(rand.NewSource(5)), 500, 15, 0)
@@ -338,22 +367,29 @@ func TestBatchReorderDifferential(t *testing.T) {
 		batchDiffQueries[2],
 		"RETURN COUNT(*) PATTERN Stock S+ WHERE S.price < 5 WITHIN 16 SLIDE 4",
 	}
-	for _, withCk := range []bool{false, true} {
-		name := "columnar-merge"
-		if withCk {
-			name = "checkpoint-fallback"
-		}
+	for _, tc := range []struct {
+		name   string
+		slack  event.Time
+		withCk bool
+	}{
+		{"columnar-merge", slack, false},
+		{"checkpoint-fallback", slack, true},
+		{"late-prefix", 0, true},
+	} {
+		name, withCk := tc.name, tc.withCk
 		t.Run(name, func(t *testing.T) {
 			refRt := core.NewRuntime()
 			var refSnaps [][]byte
+			var refCur feedCursor
 			if withCk {
 				armSnapshots(t, refRt, &refSnaps)
+				cursorMeta(refRt, &refCur)
 			}
-			if err := refRt.SetReorderSlack(slack); err != nil {
+			if err := refRt.SetReorderSlack(tc.slack); err != nil {
 				t.Fatal(err)
 			}
 			refStmts, refResults := registerCollect(t, refRt, queries)
-			refAccepted := feedEach(t, refRt, arr)
+			refAccepted := feedEach(t, refRt, arr, &refCur)
 			if err := refRt.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -363,14 +399,16 @@ func TestBatchReorderDifferential(t *testing.T) {
 
 			rt := core.NewRuntime()
 			var snaps [][]byte
+			var cur feedCursor
 			if withCk {
 				armSnapshots(t, rt, &snaps)
+				cursorMeta(rt, &cur)
 			}
-			if err := rt.SetReorderSlack(slack); err != nil {
+			if err := rt.SetReorderSlack(tc.slack); err != nil {
 				t.Fatal(err)
 			}
 			stmts, results := registerCollect(t, rt, queries)
-			accepted := feedBatches(t, rt, arr, 16, nil)
+			accepted := feedBatches(t, rt, arr, 16, nil, &cur)
 			if err := rt.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -390,14 +428,13 @@ func TestBatchReorderDifferential(t *testing.T) {
 
 // TestBatchUnsortedFallback feeds a batch whose rows are internally
 // out of order: ProcessBatch must degrade to per-row semantics (late
-// rows dropped against the watermark), not reject or reorder.
+// rows dropped against the watermark), not reject or reorder. The
+// checkpoint boundaries at 4, 8 and 12 fall inside the batch, the last
+// two after late rows: the meta provider must be told the index of the
+// first row at or past each boundary, and how many rows before it were
+// accepted.
 func TestBatchUnsortedFallback(t *testing.T) {
 	queries := []string{batchDiffQueries[0]}
-
-	mk := func() (*core.Runtime, []*core.Stmt) {
-		rt := core.NewRuntime()
-		return rt, registerAll(t, rt, queries, aggregate.ModeNative)
-	}
 	times := []event.Time{5, 7, 6, 9, 8, 8, 12}
 	evs := make([]*event.Event, len(times))
 	for i, tm := range times {
@@ -409,8 +446,13 @@ func TestBatchUnsortedFallback(t *testing.T) {
 		batchStockSchema.Bind(evs[i])
 	}
 
-	refRt, refStmts := mk()
-	refAccepted := feedEach(t, refRt, evs)
+	refRt := core.NewRuntime()
+	var refSnaps [][]byte
+	armSnapshotsEvery(t, refRt, 4, &refSnaps)
+	var refCur feedCursor
+	cursorMeta(refRt, &refCur)
+	refStmts, refResults := registerCollect(t, refRt, queries)
+	refAccepted := feedEach(t, refRt, evs, &refCur)
 	if err := refRt.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +460,15 @@ func TestBatchUnsortedFallback(t *testing.T) {
 		t.Fatal("fixture has no late rows")
 	}
 
-	rt, stmts := mk()
+	rt := core.NewRuntime()
+	var snaps [][]byte
+	armSnapshotsEvery(t, rt, 4, &snaps)
+	var at []string
+	rt.SetCheckpointMeta(func(rows, accepted int) []byte {
+		at = append(at, fmt.Sprintf("%d/%d", rows, accepted))
+		return []byte(at[len(at)-1])
+	})
+	stmts, results := registerCollect(t, rt, queries)
 	b := event.NewBatch(batchStockSchema, len(evs))
 	for _, ev := range evs {
 		if err := b.AppendEvent(ev); err != nil {
@@ -429,14 +479,20 @@ func TestBatchUnsortedFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// No row comes before boundary 4, rows 0–2 before boundary 8 (row 2
+	// late), rows 0–5 before boundary 12 (rows 2, 4 and 5 late).
+	if want := []string{"0/0", "3/2", "6/3"}; !slices.Equal(at, want) {
+		t.Fatalf("meta provider told rows/accepted %v, want %v", at, want)
+	}
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if accepted != refAccepted {
 		t.Fatalf("unsorted batch accepted %d rows, per-event accepted %d", accepted, refAccepted)
 	}
-	compareResults(t, 0, stmts[0].Results(), refStmts[0].Results())
+	compareResults(t, 0, *results[0], *refResults[0])
 	compareStmtStats(t, "unsorted", 0, stmts[0].Stats(), refStmts[0].Stats())
+	compareSnaps(t, "unsorted", snaps, refSnaps)
 }
 
 // TestRuntimeParallelWideRouteGroups registers 68 partition-attribute

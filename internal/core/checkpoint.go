@@ -109,8 +109,11 @@ func (rt *Runtime) SetCheckpoint(every, from event.Time, sink SnapshotSink, onEr
 // call back into the Runtime) and its bytes travel inside the
 // checkpoint header, surfacing again as RestoreInfo.Meta. The serving
 // layer uses it to persist session identity and sequence cursors next
-// to the engine state they describe. nil clears the provider.
-func (rt *Runtime) SetCheckpointMeta(f func() []byte) {
+// to the engine state they describe. A snapshot that fires inside a
+// ProcessBatch call holds the batch's first batchRows rows, of which
+// it accepted batchAccepted (the rest were dropped as late); both are
+// 0 inside Process and between calls. nil clears the provider.
+func (rt *Runtime) SetCheckpointMeta(f func(batchRows, batchAccepted int) []byte) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.ckMeta = f
@@ -194,18 +197,6 @@ func (rt *Runtime) endCheckpoint(ck *ckState, replayFrom event.Time, n int64, en
 	m.ckDur.Observe(dur)
 	rt.fireTrace(TraceEvent{Kind: TraceCheckpointCommit, Boundary: replayFrom, Watermark: rt.watermark, Bytes: n, Dur: dur, Encode: encode})
 	return nil
-}
-
-// CheckpointArmed reports whether a scheduled checkpoint cadence is
-// armed: SetCheckpoint gave the runtime a sink. Serving layers with
-// frame-granular ingest cursors (netstream batch frames) use it to
-// decide whether a snapshot can fire mid-frame — in which case they
-// must track per-row progress so replay after restore stays
-// exactly-once.
-func (rt *Runtime) CheckpointArmed() bool {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.ck != nil
 }
 
 // CheckpointNow persists an immediate snapshot with replayFrom =
@@ -1167,7 +1158,7 @@ func (rt *Runtime) snapshotLocked(replayFrom event.Time) ([2][]byte, error) {
 		h.every = rt.ck.every
 	}
 	if rt.ckMeta != nil {
-		h.meta = rt.ckMeta()
+		h.meta = rt.ckMeta(rt.batch.rows, rt.batch.accepted)
 	}
 	h.walk(&c.Walker)
 	c.tab.walkSchemas(&c.Walker)
@@ -1316,7 +1307,7 @@ func (rt *Runtime) restoreLocked(c *ckWalk, h *ckHeader) (RestoreInfo, error) {
 		// Re-encoding a restored runtime without a fresh provider keeps
 		// the snapshot's blob (round-trip identity); the serving layer
 		// overwrites it via SetCheckpointMeta once the session rebinds.
-		rt.ckMeta = func() []byte { return meta }
+		rt.ckMeta = func(int, int) []byte { return meta }
 	}
 	// Restored graphs are warm by definition: a new epoch, so none of
 	// them accepts new subscribers.

@@ -93,7 +93,7 @@ func goldenRun(t *testing.T, sink SnapshotSink) *Runtime {
 	if err := rt.SetReorderSlack(goldenSlack); err != nil {
 		t.Fatal(err)
 	}
-	rt.SetCheckpointMeta(func() []byte { return []byte(`{"sess":"golden","cursor":41}`) })
+	rt.SetCheckpointMeta(func(int, int) []byte { return []byte(`{"sess":"golden","cursor":41}`) })
 	const trend = "PATTERN Stock S+ WHERE [desk] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5"
 	rcRegister(t, rt, "kleene", "RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price GROUP-BY sector WITHIN 20 SLIDE 5", aggregate.ModeNative, StmtConfig{})
 	rcRegister(t, rt, "neg", "RETURN COUNT(*), SUM(S.price) PATTERN SEQ(Stock S+, NOT Halt H) WHERE [company] AND S.price > NEXT(S).price WITHIN 30 SLIDE 10", aggregate.ModeNative, StmtConfig{})

@@ -163,7 +163,7 @@ func (h *ShardHost) Watermark() event.Time {
 	return h.rt.watermark
 }
 
-func (h *ShardHost) metaBytes() []byte {
+func (h *ShardHost) metaBytes(int, int) []byte {
 	m := shardHostMeta{W: h.w, Units: map[string][2]int{}}
 	for si, st := range h.units {
 		if st != nil {

@@ -100,7 +100,7 @@ func TestCompositeStreams(t *testing.T) {
 					}
 					return n
 				}
-				feedEach(t, rt, evs)
+				feedEach(t, rt, evs, nil)
 				early := len(*ref)
 				if err := rt.Close(); err != nil {
 					t.Fatal(err)
@@ -141,7 +141,7 @@ func TestCompositeStreams(t *testing.T) {
 						}
 					}
 				}
-				feedBatches(t, rt, evs, 7, hooks)
+				feedBatches(t, rt, evs, 7, hooks, nil)
 				if err := rt.Close(); err != nil {
 					t.Fatal(err)
 				}
@@ -150,7 +150,7 @@ func TestCompositeStreams(t *testing.T) {
 				// The enumerator, on a stream it can afford.
 				q := query.MustParse(src)
 				rt, got = compositeRun(t, src)
-				feedEach(t, rt, small)
+				feedEach(t, rt, small, nil)
 				if err := rt.Close(); err != nil {
 					t.Fatal(err)
 				}

@@ -23,6 +23,12 @@ var costSizes = []int{2000, 8000, 32000}
 // reads 1.01 and is still "linear"; a fold reads below 0.2.
 var growthBound = map[string]float64{"log": 0.25, "linear": 1}
 
+// rebuildBound is the largest log–log slope of 1 + SummaryRebuilds / n
+// across costSizes, read to one decimal like the work's, whatever the
+// row's class: a rebuild walks a whole tree, so rebuilds an event that
+// grow with n would cost time the work does not count.
+const rebuildBound = 0.25
+
 // costRows are the shapes TestCostGrowth gates: every
 // TestFastPathDifferential shape, the three selection semantics, and the
 // shapes the summary fold does not reach yet. {W} is a tumbling window
@@ -161,7 +167,8 @@ func growthSlope(xs []int, ys []float64) float64 {
 // visits plus summary folds an event (the engine's work), and fails
 // when the work grows faster than the shape's class allows. The counts
 // are exact, so the gate does not depend on the host. Summary rebuilds
-// are logged beside them; they are not in the work.
+// an event are not in the work; they are gated on their own, at
+// rebuildBound.
 func TestCostGrowth(t *testing.T) {
 	for _, row := range costRows {
 		t.Run(row.name, func(t *testing.T) {
@@ -171,7 +178,7 @@ func TestCostGrowth(t *testing.T) {
 				t.Fatalf("unknown class %q", row.class)
 			}
 			haltDiv := cmp.Or(row.haltDiv, 40)
-			var works []float64
+			var works, rebuilds []float64
 			var b strings.Builder
 			for _, n := range costSizes {
 				span := n
@@ -181,13 +188,17 @@ func TestCostGrowth(t *testing.T) {
 				s := costCounts(t, row.qs, row.mode, span, costStream(n, haltDiv, row.newsDiv))
 				work := float64(s.ScanVisits+s.SummaryFolds) / float64(n)
 				works = append(works, work)
+				rebuilds = append(rebuilds, float64(s.SummaryRebuilds)/float64(n))
 				fmt.Fprintf(&b, "\n  n=%-6d edges/ev %8.1f  work/ev %7.1f  rebuilds/kev %6.1f",
 					n, float64(s.Edges)/float64(n), work, 1000*float64(s.SummaryRebuilds)/float64(n))
 			}
-			slope := growthSlope(costSizes, works)
-			t.Logf("class %s, slope %.3f:%s", row.class, slope, b.String())
+			slope, rslope := growthSlope(costSizes, works), growthSlope(costSizes, rebuilds)
+			t.Logf("class %s, slope %.3f, rebuild slope %.3f:%s", row.class, slope, rslope, b.String())
 			if math.Round(10*slope)/10 > bound {
 				t.Errorf("work an event grows with slope %.2f across n = %v; class %q allows %.2f", slope, costSizes, row.class, bound)
+			}
+			if math.Round(10*rslope)/10 > rebuildBound {
+				t.Errorf("summary rebuilds an event grow with slope %.2f across n = %v; %.2f allowed", rslope, costSizes, rebuildBound)
 			}
 		})
 	}

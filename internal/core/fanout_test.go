@@ -92,14 +92,14 @@ func TestBatchFanoutDifferential(t *testing.T) {
 	evs := batchDiffStream(rand.New(rand.NewSource(29)), 4000, 400, 700)
 	for _, ck := range []bool{false, true} {
 		t.Run(fmt.Sprintf("checkpoints=%v", ck), func(t *testing.T) {
-			ref := runFanout(t, ck, func(rt *core.Runtime) int { return feedEach(t, rt, evs) })
+			ref := runFanout(t, ck, func(rt *core.Runtime) int { return feedEach(t, rt, evs, nil) })
 			if ck && len(ref.snaps) == 0 {
 				t.Fatal("reference run produced no snapshots; checkpoint comparison is vacuous")
 			}
 			batched := func(procs int) (run *fanoutRun, helperSweeps int64) {
 				withProcs(procs, func() {
 					n := core.CountHelperSweeps(t)
-					run = runFanout(t, ck, func(rt *core.Runtime) int { return feedBatches(t, rt, evs, 1024, nil) })
+					run = runFanout(t, ck, func(rt *core.Runtime) int { return feedBatches(t, rt, evs, 1024, nil, nil) })
 					helperSweeps = n.Load()
 				})
 				return run, helperSweeps

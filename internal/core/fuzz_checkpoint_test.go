@@ -62,7 +62,7 @@ func fuzzBuild(t testing.TB, shape int, seed int64, nEv int, every event.Time) [
 		if err := rt.SetReorderSlack(event.Time(sh.slack)); err != nil {
 			t.Fatal(err)
 		}
-		rt.SetCheckpointMeta(func() []byte { return []byte(`{"sess":"fuzz","cursor":7}`) })
+		rt.SetCheckpointMeta(func(int, int) []byte { return []byte(`{"sess":"fuzz","cursor":7}`) })
 	}
 	for _, q := range sh.queries {
 		rcRegister(t, rt, "", q, sh.mode, StmtConfig{Share: sh.share})

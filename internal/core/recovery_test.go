@@ -498,7 +498,7 @@ func TestReorderRecoveryDifferential(t *testing.T) {
 				var snaps []rcSnap
 				rtB, stB := build()
 				cur := 0
-				rtB.SetCheckpointMeta(func() []byte { return []byte(strconv.Itoa(cur)) })
+				rtB.SetCheckpointMeta(func(int, int) []byte { return []byte(strconv.Itoa(cur)) })
 				rcCapture(t, rtB, every, -1, &snaps)
 				dropsB := feed(rtB, evs, func(i int) { cur = i + 1 })
 				nFeed := len(snaps) // Close's barrier below may emit more
@@ -511,7 +511,7 @@ func TestReorderRecoveryDifferential(t *testing.T) {
 				preA := rcCaptureState(stA)
 				preB := rcCaptureState(stB)
 				rcStatesEqual(t, fmt.Sprintf("seed %d: plain vs checkpointed", seed), preA, preB, false)
-				pendB := rtB.ReorderPending()
+				pendB := rtB.Metrics().ReorderPending
 				droppedB := rtB.reorder.Dropped()
 				wmB := rtB.watermark
 
@@ -563,7 +563,7 @@ func TestReorderRecoveryDifferential(t *testing.T) {
 					stmts := append([]*Stmt(nil), rtR.stmts...)
 					preR := rcCaptureState(stmts)
 					rcStatesEqual(t, fmt.Sprintf("seed %d: snapshot %d restored", seed, i), preB, preR, true)
-					if got := rtR.ReorderPending(); got != pendB {
+					if got := rtR.Metrics().ReorderPending; got != pendB {
 						t.Fatalf("seed %d: snapshot %d: pending %d after replay, want %d", seed, i, got, pendB)
 					}
 					if got := rtR.reorder.Dropped(); got != droppedB {

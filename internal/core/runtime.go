@@ -119,7 +119,11 @@ type Runtime struct {
 
 	// ckMeta supplies the opaque session-meta blob embedded in each
 	// checkpoint header (SetCheckpointMeta); nil writes an empty blob.
-	ckMeta func() []byte
+	ckMeta func(batchRows, batchAccepted int) []byte
+	// batch is how far the ProcessBatch call in progress has got, for a
+	// snapshot that fires inside it; zero inside Process and between
+	// calls.
+	batch batchPos
 	// ckSize and ckEvents are the last snapshot's length and event count:
 	// they size the next one's slice and event table once, and nothing
 	// snapshot-sized is held in between.
@@ -415,27 +419,6 @@ func (rt *Runtime) SetReorderSlack(slack event.Time) error {
 	}
 	rt.reorder = reorder.New(slack, rt.applyReleased)
 	return nil
-}
-
-// ReorderSlack returns the armed slack (0 when off).
-func (rt *Runtime) ReorderSlack() event.Time {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.reorder == nil {
-		return 0
-	}
-	return rt.reorder.Slack()
-}
-
-// ReorderPending returns the number of events currently held in the
-// reorder buffer.
-func (rt *Runtime) ReorderPending() int {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.reorder == nil {
-		return 0
-	}
-	return rt.reorder.Pending()
 }
 
 // Barrier flushes the reorder buffer, applying every pending event in

@@ -134,8 +134,10 @@
 //     onto the retained result set;
 //   - the newest durable checkpoint generation is the state restored;
 //   - the session cursors its meta carries — LastSeq, OutSeq and the
-//     mid-frame row count (frameRows) — describe exactly that state,
-//     because they are encoded in the same snapshot.
+//     mid-frame row count (FrameRows: the frame rows the runtime
+//     reports a snapshot inside a batch frame's ProcessBatch holds,
+//     plus the prefix a restore already skipped) — describe exactly
+//     that state, because they are encoded in the same snapshot.
 //
 // A boundary snapshot is encoded on the session goroutine and written
 // on the checkpoint store's own, one write in flight at most, and is

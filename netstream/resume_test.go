@@ -3,7 +3,9 @@ package netstream
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"net"
 	"os"
@@ -399,6 +401,9 @@ func copyDir(t *testing.T, dir string) string {
 			continue
 		}
 		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if errors.Is(err, fs.ErrNotExist) {
+			continue // a write in flight renamed or pruned it since the listing
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -795,7 +800,7 @@ func TestRestoreSessionErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 		if meta != nil {
-			rt.SetCheckpointMeta(func() []byte { return meta })
+			rt.SetCheckpointMeta(func(int, int) []byte { return meta })
 		}
 		if err := rt.Process(&greta.Event{ID: 1, Type: "A", Time: 1}); err != nil {
 			t.Fatal(err)

@@ -16,7 +16,9 @@ import (
 
 // sessionMeta is the opaque blob embedded in each checkpoint via
 // SetCheckpointMeta: the session identity and cursors that must stay
-// atomic with the engine state they describe.
+// atomic with the engine state they describe. metaBytes writes it from
+// the committed cursors plus, for a snapshot that fired inside a batch
+// frame's ProcessBatch call, the frame rows the runtime says it holds.
 type sessionMeta struct {
 	ID        string `json:"id"`
 	LastSeq   uint64 `json:"last_seq"`
@@ -68,14 +70,13 @@ type session struct {
 	dropped   uint64
 	// evID allocates engine event ids. It is committed only after the
 	// runtime call returns (in a resumable session alongside lastSeq),
-	// so a snapshot firing inside the call still describes the state
-	// before the in-flight event; batch frames commit it per row
-	// together with frameRows, the mid-frame progress counter the
-	// checkpoint meta persists. frameSkip is the restore-side
-	// counterpart: rows of the next replayed frame already contained in
-	// the snapshot.
+	// so a snapshot firing inside the call describes the state before
+	// the in-flight event, or — inside a batch frame's ProcessBatch —
+	// before the frame plus the rows the runtime reports (metaBytes).
+	// frameSkip is the restore-side prefix: rows of the next replayed
+	// frame already contained in the snapshot, kept until that frame is
+	// applied.
 	evID      uint64
-	frameRows uint64
 	frameSkip uint64
 	// shard holds the cluster worker slots once the session flipped
 	// into shard mode (Server.AllowShard + {"cmd":"shard"}).
@@ -143,13 +144,16 @@ func (sess *session) flushLocked() error {
 }
 
 // metaBytes is the SetCheckpointMeta provider: it runs on the ingest
-// path inside rt.Process (which the session only calls under mu), so
-// reading the cursors directly is safe and it must not lock.
-func (sess *session) metaBytes() []byte {
+// path inside a runtime call (which the session only makes under mu),
+// so reading the cursors directly is safe and it must not lock. Inside
+// a batch frame's ProcessBatch the snapshot holds the frame's restored
+// prefix plus its next rows rows, accepted of them applied and the rest
+// dropped: the cursors, committed after the call, count them here.
+func (sess *session) metaBytes(rows, accepted int) []byte {
 	b, _ := json.Marshal(sessionMeta{ // strings and integers: it cannot fail
 		ID: sess.id, LastSeq: sess.lastSeq, OutSeq: sess.out.Last(),
-		Processed: sess.processed, Dropped: sess.dropped,
-		V: 2, EvID: sess.evID, FrameRows: sess.frameRows,
+		Processed: sess.processed + uint64(accepted), Dropped: sess.dropped + uint64(rows-accepted),
+		V: 2, EvID: sess.evID + uint64(rows), FrameRows: sess.frameSkip + uint64(rows),
 	})
 	return b
 }
@@ -337,7 +341,7 @@ func (sess *session) drain() {
 	}
 	sess.stopLingerLocked()
 	_ = sess.rt.Barrier() // errs only on a closed or RunParallel runtime: ended guards the one, sessions never run the other
-	if sess.rt.CheckpointArmed() {
+	if sess.rt.Metrics().Checkpoint.Armed {
 		if err := sess.rt.Checkpoint(); err != nil {
 			sess.sendLocked(WireLine{Warn: fmt.Sprintf("checkpoint: %v", err)}, false)
 		}
@@ -618,16 +622,16 @@ func (sess *session) handleBatchLine(myConn net.Conn, bl *batchLine) (stop bool)
 // handleBatchLocked admits and applies one decoded batch frame; err is
 // what the generic path's conversion found wrong with it. A shard
 // session routes the rows to its slots, the seq consumed whatever comes
-// of it. An ordinary session ingests them through the runtime's batch
-// path as one event batch, so the runtime hashes each partition-key run
-// once and pre-filters predicate columns. In a resumable session the
-// frame carries one frame-level seq — resume dedup skips whole duplicate
-// frames — and its rows consume engine ids from the evID cursor. With a
-// scheduled checkpoint armed the rows feed the per-event path one at a
-// time instead, committing the cursor and frame progress per row, so a
-// snapshot firing mid-frame records how much of the frame it contains
-// (sessionMeta.FrameRows) and a restore-side replay of the frame skips
-// precisely that prefix: exactly-once either way.
+// of it. An ordinary session ingests them with one ProcessBatch call,
+// so the runtime hashes each partition-key run once and pre-filters
+// predicate columns. In a resumable session the frame carries one
+// frame-level seq — resume dedup skips whole duplicate frames — and its
+// rows consume engine ids from the evID cursor, committed with lastSeq
+// after the call. A scheduled snapshot can fire inside the call; the
+// runtime then tells metaBytes how many of the frame's rows it holds,
+// the snapshot records them (sessionMeta.FrameRows), and a restored
+// session's replay of the frame skips precisely that prefix:
+// exactly-once either way.
 func (sess *session) handleBatchLocked(bl *batchLine, err error) {
 	what := "batch"
 	if sess.shard != nil {
@@ -649,33 +653,13 @@ func (sess *session) handleBatchLocked(bl *batchLine, err error) {
 	if err != nil {
 		return
 	}
-	n := len(bl.times)
-	if n == 0 {
-		if sess.resumable {
-			sess.lastSeq = bl.seq
-		}
-		return
-	}
-	skip := 0
-	if sess.resumable && sess.frameSkip > 0 {
-		// Restored mid-frame: the snapshot already contains this frame's
-		// first frameSkip rows (their ids are committed in evID); apply
-		// only the tail.
-		skip = int(min(sess.frameSkip, uint64(n)))
-		sess.frameSkip = 0
-	}
-	b := sess.batchLocked(bl, skip)
-	if sess.resumable && sess.rt.CheckpointArmed() {
-		sess.applyBatchRowsLocked(b)
-		sess.frameRows = 0
-		sess.lastSeq = bl.seq
-		return
-	}
-	// Columnar path: no scheduled snapshot can fire inside ProcessBatch
-	// (an explicit checkpoint command is its own line, between frames),
-	// so the whole frame is cursor-atomic.
-	sess.evID += uint64(b.Len())
+	// Restored mid-frame: the snapshot already contains this frame's
+	// first frameSkip rows (their ids are committed in evID); apply only
+	// the tail.
+	b := sess.batchLocked(bl, int(min(sess.frameSkip, uint64(len(bl.times)))))
 	acc, err := sess.rt.ProcessBatch(b)
+	sess.evID += uint64(b.Len())
+	sess.frameSkip = 0
 	sess.processed += uint64(acc)
 	if d := b.Len() - acc; d > 0 {
 		sess.dropped += uint64(d)
@@ -686,33 +670,6 @@ func (sess *session) handleBatchLocked(bl *batchLine, err error) {
 	}
 	if err != nil {
 		sess.sendLocked(WireLine{Error: fmt.Sprintf("batch: %v", err)}, false)
-	}
-}
-
-// applyBatchRowsLocked feeds a batch's rows through the per-event path
-// one at a time, committing the session's id cursor and frame progress
-// after every row: the checkpoint meta provider (which can run inside
-// any of the Process calls, before the in-flight row is applied) then
-// always describes a row-exact prefix of the frame.
-func (sess *session) applyBatchRowsLocked(b *greta.Batch) {
-	dropped := 0
-	for _, ev := range b.Rows() {
-		err := sess.rt.Process(ev)
-		sess.evID++
-		sess.frameRows++
-		if err != nil {
-			if errors.Is(err, greta.ErrOutOfOrder) {
-				dropped++
-				continue
-			}
-			sess.sendLocked(WireLine{Error: fmt.Sprintf("batch: %v", err)}, false)
-			return
-		}
-		sess.processed++
-	}
-	if dropped > 0 {
-		sess.dropped += uint64(dropped)
-		sess.sendLocked(WireLine{Warn: fmt.Sprintf("batch: %d of %d rows dropped for disorder", dropped, b.Len())}, false)
 	}
 }
 

@@ -256,18 +256,11 @@ func (rt *Runtime) Watermark() Time { return rt.inner.Watermark() }
 // operations (Register, Handle.Close, Close) barrier implicitly.
 func (rt *Runtime) Barrier() error { return rt.inner.Barrier() }
 
-// ReorderPending returns the number of events currently held in the
-// reorder buffer (0 without slack).
-func (rt *Runtime) ReorderPending() int { return rt.inner.ReorderPending() }
-
 // SetReorderSlack arms (or, with 0, disarms) the reorder buffer after
 // construction — the imperative form of WithReorderSlack for callers
 // handed an already-built Runtime. It must run before the first event
 // is processed and fails once ingestion has started.
 func (rt *Runtime) SetReorderSlack(slack Time) error { return rt.inner.SetReorderSlack(slack) }
-
-// ReorderSlack reports the armed slack (0 when disarmed).
-func (rt *Runtime) ReorderSlack() Time { return rt.inner.ReorderSlack() }
 
 // RuntimeStats summarizes the runtime's multi-query topology, live
 // statements only: how many are registered, how many distinct routing
