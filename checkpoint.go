@@ -109,19 +109,17 @@ func (rt *Runtime) Checkpoint() error { return rt.inner.CheckpointNow() }
 // memory, not durability.
 type Restored struct {
 	*Runtime
-	Handles    []*Handle
+	Handles []*Handle
+	// ReplayFrom is the replay bound. With slack armed it covers the
+	// disorder window the snapshot rehydrated into the reorder buffer
+	// (Metrics().ReorderPending counts it): replayed events that were
+	// already pending are deduplicated by event ID, so feeding Time >=
+	// ReplayFrom neither loses nor doubles the window — sequence-based
+	// replay (netstream sessions) needs no dedup at all.
 	ReplayFrom Time
 	// Meta is the opaque session-meta blob the snapshot carried
 	// (SetCheckpointMeta); nil when none was set.
 	Meta []byte
-	// ReorderPending reports how many in-flight events were rehydrated
-	// into the reorder buffer (the snapshot's disorder window). With
-	// slack armed, the time-based ReplayFrom contract extends to them:
-	// replayed events that were already pending are deduplicated by
-	// event ID, so feeding Time >= ReplayFrom neither loses nor doubles
-	// the window — sequence-based replay (netstream sessions) needs no
-	// dedup at all.
-	ReorderPending int
 }
 
 // Restore rebuilds a Runtime from the newest valid checkpoint in dir,
@@ -169,6 +167,6 @@ func Restore(dir string, opts ...RuntimeOption) (*Restored, error) {
 	}
 	return &Restored{
 		Runtime: rt, Handles: handles, ReplayFrom: info.ReplayFrom,
-		Meta: info.Meta, ReorderPending: info.ReorderPending,
+		Meta: info.Meta,
 	}, nil
 }

@@ -8,6 +8,11 @@ import (
 	"github.com/greta-cep/greta/netstream"
 )
 
+// batchRows caps the rows buffered per link before a frame is flushed.
+// Barriers, registrations, and lifecycle commands always flush first —
+// frames never straddle them.
+const batchRows = 512
+
 // pair is one routed (route group, partition hash) target for an
 // event.
 type pair struct {

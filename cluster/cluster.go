@@ -71,17 +71,13 @@ type Config struct {
 	// encoded bytes back to back in recycled segments, so a full ring
 	// costs a frame no more than a filling one. It retains at most
 	// SendWindow frames: with full batch frames that is about
-	// SendWindow x BatchRows x the encoded bytes of one row (tens of
+	// SendWindow x 512 rows x the encoded bytes of one row (tens of
 	// bytes; Metrics.FrameBytes / Metrics.Events measures it) per link —
 	// size it to the longest outage a link must survive, not larger.
 	SendWindow int
 	// ResumeTimeout bounds how long a broken link keeps redialing
 	// before the cluster fails (default 10s).
 	ResumeTimeout time.Duration
-	// BatchRows caps the rows buffered per link before a frame is
-	// flushed (default 512). Barriers, registrations, and lifecycle
-	// commands always flush first — frames never straddle them.
-	BatchRows int
 	// MetricsAddr, when set, serves the coordinator's observability
 	// surface (/metrics, /metrics.json, /debug/pprof/) on this address
 	// for the cluster's lifetime; Connect fails if it cannot be bound.
@@ -141,7 +137,6 @@ type Coordinator struct {
 	grpSig  map[string]int
 	nextSI  int
 	wm      int64 // global watermark (-1 before the first event)
-	rowCap  int
 	sendWin int
 	resumeT time.Duration
 
@@ -176,10 +171,9 @@ type routeGroup struct {
 // slot-order merger (the one RunParallel uses), and the per-slot stats
 // fold bookkeeping.
 type unit struct {
-	si, gi  int
-	st      *core.Stmt
-	win     window.Spec
-	parPrev int64
+	si, gi int
+	st     *core.Stmt
+	win    window.Spec
 
 	merge     *core.SlotMerge
 	statsSeen []bool
@@ -214,7 +208,6 @@ func Connect(ctx context.Context, cfg Config) (*Coordinator, error) {
 		unitID:  map[string]*unit{},
 		grpSig:  map[string]int{},
 		wm:      -1,
-		rowCap:  cfg.BatchRows,
 		sendWin: cfg.SendWindow,
 		resumeT: cfg.ResumeTimeout,
 		trace:   cfg.TraceHook,
@@ -230,9 +223,6 @@ func Connect(ctx context.Context, cfg Config) (*Coordinator, error) {
 		co.metLn = ln
 	}
 	co.cond = sync.NewCond(&co.mu)
-	if co.rowCap <= 0 {
-		co.rowCap = 512
-	}
 	if co.sendWin <= 0 {
 		co.sendWin = 1 << 16
 	}
@@ -337,14 +327,6 @@ func (co *Coordinator) Shards() int {
 	return len(co.links)
 }
 
-// Watermark returns the global event-time frontier (-1 before the
-// first event).
-func (co *Coordinator) Watermark() greta.Time {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return co.wm
-}
-
 // activeLinks returns the links that still host (or may come to host)
 // worker slots — every command fan-out targets exactly these.
 func (co *Coordinator) activeLinks() []*link {
@@ -383,6 +365,7 @@ func (co *Coordinator) Register(src string, opts ...greta.RegisterOption) (*gret
 		return nil, err
 	}
 	defer co.end()
+	co.rt.ObserveTime(co.wm) // the local registration cuts at the global watermark
 	st, err := co.rt.Register(plan, cfg)
 	if err != nil {
 		return nil, err
@@ -404,7 +387,7 @@ func (co *Coordinator) Register(src string, opts ...greta.RegisterOption) (*gret
 	co.groups[gi].refs++
 	u := &unit{
 		si: co.nextSI, gi: gi, st: st,
-		win: st.WindowSpec(), parPrev: co.wm,
+		win:       st.WindowSpec(),
 		merge:     core.NewSlotMerge(st.Engine(), co.n0, nil),
 		statsSeen: make([]bool, co.n0),
 		statsLeft: co.n0,
@@ -456,14 +439,14 @@ func (co *Coordinator) Process(ev *greta.Event) error {
 		}
 		return &greta.OrderError{EventTime: ev.Time, Watermark: co.wm}
 	}
+	prev := co.wm
 	co.wm = ev.Time
-	co.rt.ObserveTime(ev.Time)
 
 	// Window barriers precede the event that closes the window, so
 	// every slot releases wid before any post-window event.
 	for _, si := range co.order {
 		u := co.units[si]
-		if _, hi, ok := u.win.ClosedBy(u.parPrev, ev.Time); ok {
+		if _, hi, ok := u.win.ClosedBy(prev, ev.Time); ok {
 			co.flushAllLocked()
 			co.trackBarrierLocked(u.si, hi)
 			co.fireTrace(greta.TraceEvent{Kind: greta.TraceBarrierEmit,
@@ -472,7 +455,6 @@ func (co *Coordinator) Process(ev *greta.Event) error {
 				l.send(netstream.WireEvent{Cmd: "barrier", SI: u.si, Time: ev.Time, Hi: hi})
 			}
 		}
-		u.parPrev = ev.Time
 	}
 	for _, st := range co.inline {
 		st.Engine().Process(ev)
@@ -509,7 +491,7 @@ func (co *Coordinator) routeLocked(ev *greta.Event) {
 		l := co.links[li]
 		l.buf.add(l, shape, ev, l.pairs)
 		l.pairs = l.pairs[:0]
-		if len(l.buf.f.Times) >= co.rowCap {
+		if len(l.buf.f.Times) >= batchRows {
 			l.buf.flush(l)
 		}
 	}

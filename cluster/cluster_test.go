@@ -307,7 +307,7 @@ func TestClusterLateEvent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wm := co.Watermark()
+	wm := co.Metrics().Watermark
 	late := *events[0]
 	late.Time = wm - 1
 	err := co.Process(&late)

@@ -76,7 +76,7 @@ func TestCoordinatorHotPathAllocs(t *testing.T) {
 	// A small prime window: the ring wraps during the warm-up, and laps of
 	// the ring and of the stream do not line up.
 	co, err := cluster.Connect(ctx, cluster.Config{Shards: []string{startStubShard(t), startStubShard(t)},
-		SendWindow: 13, BatchRows: 32, ResumeTimeout: 50 * time.Millisecond})
+		SendWindow: 13, ResumeTimeout: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,9 @@ func TestCoordinatorHotPathAllocs(t *testing.T) {
 			}
 			frames := co.Metrics().Frames
 			n := testing.AllocsPerRun(10, feed(events))
-			if frames = co.Metrics().Frames - frames; frames < 11*uint64(len(events))/32-2 {
+			// 512 is the coordinator's row cap: every cap's worth of rows
+			// flushes a frame, whatever the shapes do besides.
+			if frames = co.Metrics().Frames - frames; frames < 11*uint64(len(events))/512-2 {
 				t.Fatalf("%d frames for %d events: the guard measures no flush", frames, 11*len(events))
 			}
 			if n != 0 {

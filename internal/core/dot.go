@@ -105,31 +105,3 @@ func (g *Graph) forEachVertex(visit func(*Vertex)) {
 		}
 	}
 }
-
-// GraphSnapshot summarizes the live graph state for inspection.
-type GraphSnapshot struct {
-	Partition string
-	Negative  bool
-	Vertices  int
-	Panes     int
-}
-
-// Snapshot lists the live graphs of the engine.
-func (e *Engine) Snapshot() []GraphSnapshot {
-	var out []GraphSnapshot
-	parts := slices.Clone(e.parts.all())
-	slices.SortFunc(parts, func(a, b *partition) int { return cmp.Compare(a.key, b.key) })
-	for _, part := range parts {
-		for _, g := range part.graphs {
-			n := 0
-			g.forEachVertex(func(*Vertex) { n++ })
-			out = append(out, GraphSnapshot{
-				Partition: part.key,
-				Negative:  g.spec.Negative,
-				Vertices:  n,
-				Panes:     len(g.panes),
-			})
-		}
-	}
-	return out
-}

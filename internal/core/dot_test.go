@@ -46,38 +46,6 @@ func TestDOTFig6c(t *testing.T) {
 	}
 }
 
-func TestSnapshot(t *testing.T) {
-	q := query.MustParse("RETURN COUNT(*) PATTERN SEQ(A+, NOT C, B) WHERE [g]")
-	plan, err := core.NewPlan(q, aggregate.ModeNative)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := core.NewEngine(plan)
-	var b event.Builder
-	b.AddStr("A", 1, nil, map[string]string{"g": "x"})
-	b.AddStr("A", 2, nil, map[string]string{"g": "y"})
-	for _, ev := range b.Events() {
-		eng.Process(ev)
-	}
-	snaps := eng.Snapshot()
-	// Two partitions x two graphs (positive + negative).
-	if len(snaps) != 4 {
-		t.Fatalf("snapshots = %d, want 4: %+v", len(snaps), snaps)
-	}
-	positives := 0
-	for _, s := range snaps {
-		if !s.Negative {
-			positives++
-			if s.Vertices != 1 {
-				t.Errorf("positive graph of %q has %d vertices, want 1", s.Partition, s.Vertices)
-			}
-		}
-	}
-	if positives != 2 {
-		t.Errorf("positives = %d", positives)
-	}
-}
-
 func TestDOTComposite(t *testing.T) {
 	q := query.MustParse("RETURN COUNT(*) PATTERN SEQ(A?, B)")
 	plan, err := core.NewPlan(q, aggregate.ModeNative)

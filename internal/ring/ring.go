@@ -15,11 +15,14 @@
 // nothing in steady state, however much consecutive lines differ in
 // size (a cluster link alternates 40-byte barriers and 512-row batch
 // frames). A line longer than ownMin — a quarter of a segment — gets
-// storage of its own instead, allocated for it and dropped with its
-// eviction, so a rare large frame (a cluster adopt blob runs to
-// megabytes) neither wastes a segment's tail nor pins its size in the
-// ring. Lines that sit next to each other in one segment go to
-// WriteAfter's writer in one Write.
+// storage of its own instead, so a large frame neither wastes a
+// segment's tail nor pins its size in the ring. An evicted long line's
+// storage is kept as the spare the next long line that fits is copied
+// into — one at a time, the largest up to spareMax — so a link that
+// sends frames of tens of KiB at the row cap allocates none in steady
+// state, while a rare huge one (a cluster adopt blob runs to megabytes)
+// is dropped with its eviction. Lines that sit next to each other in
+// one segment go to WriteAfter's writer in one Write.
 //
 // A line Push or PushJSON returns is the retained copy: it stays valid,
 // and unchanged, until the line is evicted — window pushes later — or
@@ -35,10 +38,12 @@ import (
 // the longest line a segment takes. Measured on cluster_2shard and
 // net_durable (see CHANGES.md): a smaller segment moves more lines to
 // own storage, a larger one adds live heap to every ring, the nearly
-// empty ones of short sessions included.
+// empty ones of short sessions included. spareMax is the most a spare
+// holds: a 512-row cluster frame is 20–45 KiB.
 const (
-	segSize = 16 << 10
-	ownMin  = segSize / 4
+	segSize  = 16 << 10
+	ownMin   = segSize / 4
+	spareMax = 256 << 10
 )
 
 // segment holds lines back to back in b[:n]; live counts the retained
@@ -69,6 +74,7 @@ type Ring struct {
 	last   uint64 // seq of the newest line pushed (the floor while empty)
 
 	cur    *segment   // the segment lines are appended to
+	spare  []byte     // an evicted long line's storage, for the next that fits
 	free   []*segment // empty segments, at most two
 	enc    *json.Encoder
 	pushed []byte // the line PushJSON's encoder pushed
@@ -141,11 +147,17 @@ func (r *Ring) Push(line []byte) []byte {
 }
 
 // store copies line into the current segment, starting the next one
-// when it does not fit, or into storage of its own when it is longer
-// than ownMin.
+// when it does not fit, or into storage of its own — the spare, when it
+// is large enough — when it is longer than ownMin.
 func (r *Ring) store(line []byte) slot {
 	if len(line) > ownMin {
-		return slot{line: append([]byte(nil), line...)}
+		b := r.spare
+		if cap(b) < len(line) {
+			b = nil
+		} else {
+			r.spare = nil
+		}
+		return slot{line: append(b[:0], line...)}
 	}
 	g := r.cur
 	if g == nil || int(g.n)+len(line) > len(g.b) {
@@ -164,10 +176,15 @@ func (r *Ring) store(line []byte) slot {
 
 // release drops an evicted line's hold on its segment. The segment the
 // last one leaves is rewound: the current one in place, any other onto
-// the free list while it holds fewer than two.
+// the free list while it holds fewer than two. A line with storage of
+// its own leaves it as the spare when it is larger than the spare and
+// no more than spareMax.
 func (r *Ring) release(s slot) {
 	g := s.seg
 	if g == nil {
+		if c := cap(s.line); c > cap(r.spare) && c <= spareMax {
+			r.spare = s.line[:0]
+		}
 		return
 	}
 	if g.live--; g.live > 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -96,7 +97,8 @@ func TestRingClear(t *testing.T) {
 // mix a cluster link's frames make — and the retained line is a copy
 // that the caller's buffer does not reach and that reaches no
 // neighbour. A line longer than ownMin gets storage of its own, which
-// goes with its eviction.
+// its eviction leaves to the next long line that fits: frames of tens
+// of KiB (a cluster link's at the row cap) allocate nothing either.
 func TestRingRecyclesStorage(t *testing.T) {
 	if n := unsafe.Sizeof(segment{}); n != segSize {
 		t.Fatalf("a segment is %d bytes, want segSize (%d): a segment size class of its own", n, segSize)
@@ -107,10 +109,11 @@ func TestRingRecyclesStorage(t *testing.T) {
 	}{
 		{"uniform", []int{101}},
 		{"40B-4KiB", []int{40, 4096, 100, 1500, 40, 4000, 700, 2600, 256}},
+		{"cap-frames", []int{20000, 40, 44000, 40, 21000, 3000}},
 	} {
 		var r Ring
 		r.Init(13, 0) // a prime window: laps of sizes and of the ring do not line up
-		scratch := bytes.Repeat([]byte("x"), 4096)
+		scratch := bytes.Repeat([]byte("x"), slices.Max(tc.sizes))
 		k := 0
 		push := func() {
 			n := tc.sizes[k%len(tc.sizes)]

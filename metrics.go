@@ -106,10 +106,6 @@ func (rt *Runtime) MetricsHandler() http.Handler {
 	return obs.NewMux(rt.inner.MetricsRegistry())
 }
 
-// SetTraceHook replaces the lifecycle trace hook after construction or
-// restore (nil clears it); see WithTraceHook for the contract.
-func (rt *Runtime) SetTraceHook(fn func(TraceEvent)) { rt.inner.SetTraceHook(fn) }
-
 // armObs applies the observability options (trace hook, metrics
 // listener) to a built runtime.
 func (rt *Runtime) armObs(cfg *runtimeConfig) error {

@@ -385,22 +385,21 @@ func TestSchemaCacheBounded(t *testing.T) {
 	conn := discardConn{}
 	w := bufio.NewWriter(conn)
 	sess := (&Server{Statements: []*greta.Statement{stmt}}).newSession(conn, w, json.NewEncoder(w))
-	var el eventLine
-	var bl batchLine
+	var rec record
 	const extra = 50
 	for i := 0; i < event.MaxShapes+extra; i++ {
 		line := fmt.Sprintf(`{"cmd":"batch","type":"Stock","time":0,"times":[%d,%d],"cols":{"a%d":[1,2]}}`, i, i, i)
-		if !bl.parse([]byte(line)) || sess.handleBatchLine(conn, &bl) {
+		if rec.decode([]byte(line)); rec.kind != recBatch || sess.handle(conn, &rec) {
 			t.Fatalf("frame %d not applied", i)
 		}
 		feedRef(int64(i), fmt.Sprintf("a%d", i), 1)
 		feedRef(int64(i), fmt.Sprintf("a%d", i), 2)
 		if i >= event.MaxShapes { // the event line binds through the same cache, under the same bound
 			line = fmt.Sprintf(`{"type":"Stock","time":%d,"attrs":{"b%d":3}}`, i, i)
-			if !el.parse([]byte(line)) {
+			if rec.decode([]byte(line)); rec.kind != recEvent {
 				t.Fatalf("event line %d declined", i)
 			}
-			if stop, handled := sess.handleEventLine(conn, &el); stop || !handled {
+			if sess.handle(conn, &rec) {
 				t.Fatalf("event line %d not applied", i)
 			}
 			feedRef(int64(i), fmt.Sprintf("b%d", i), 3)

@@ -243,10 +243,11 @@ func (c *Client) downErrLocked() error {
 }
 
 // dropOutLocked empties the pending buffer, giving up storage that a
-// large frame written behind it grew.
+// huge frame written behind it grew; a cluster link's frames at the row
+// cap run to tens of KiB and keep theirs.
 func (c *Client) dropOutLocked() {
 	c.out, c.outN = c.out[:0], 0
-	if cap(c.out) > 4*sendChunk {
+	if cap(c.out) > 32*sendChunk {
 		c.out = nil
 	}
 }

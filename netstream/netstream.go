@@ -83,7 +83,12 @@
 // type, time, times, cols, scols, gi, rh, rgs, rhs with "times" ahead of
 // the columns and route lists — any order otherwise, strings without
 // escapes. Any other line is as valid, but is decoded by encoding/json:
-// a peer that wants the fast path keeps to that shape.
+// a peer that wants the fast path keeps to that shape. Each line is
+// decoded once — the event-line parser, then the batch-frame parser,
+// then encoding/json for a line both refuse — and whichever decoded it,
+// it goes through one session entry: the lock taken, the session and
+// connection checked, the line applied and its output flushed in one
+// write.
 //
 // Events must arrive in non-decreasing time order per connection; an
 // optional reorder slack buffers and re-sorts bounded disorder (the
@@ -137,7 +142,11 @@
 //     mid-frame row count (FrameRows: the frame rows the runtime
 //     reports a snapshot inside a batch frame's ProcessBatch holds,
 //     plus the prefix a restore already skipped) — describe exactly
-//     that state, because they are encoded in the same snapshot.
+//     that state, because they are encoded in the same snapshot. So do
+//     the summary's counters, but for one: a restored session's summary
+//     counts only the pre-filter skips (Stats.PrefilterSkips) made
+//     since the restore, because checkpoint bytes must not depend on
+//     how a replay is split into batches.
 //
 // A boundary snapshot is encoded on the session goroutine and written
 // on the checkpoint store's own, one write in flight at most, and is
@@ -269,7 +278,12 @@ type WireDone struct {
 	Dropped      uint64
 	SharedStmts  int
 	SharedGraphs int
-	Stats        map[string]greta.Stats
+	// Stats are the per-statement engine counters. After a
+	// RestoreSession they carry on from the snapshot, except that a
+	// restored session's summary counts only the pre-filter skips
+	// (PrefilterSkips) made since the restore: checkpoint bytes must not
+	// depend on how a replay is split into batches.
+	Stats map[string]greta.Stats
 }
 
 // WireSessStats is the reply to {"cmd":"stats"}: a live snapshot of

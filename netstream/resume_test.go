@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -286,21 +287,33 @@ func maxI64(a, b int64) int64 {
 // resumes the same client against it: results, Stats, and drop counts
 // must match an uninterrupted run bit for bit, and the reorder
 // buffer's in-flight events must survive the restart (no silent
-// flush).
+// flush). The restored session reports to the new server's TraceHook as
+// a session the server built does: the boundary checkpoints it writes
+// once resumed reach the hook, not only the resume itself.
 func TestSessionRestartFromCheckpoint(t *testing.T) {
 	const q = "RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5"
 	const slack = 5
 	evs := genStream(40, slack, 42)
 	ckAt, crashAt := 20, 28 // checkpoint mid-stream, crash a few events later
 
+	var mu sync.Mutex
+	commits := map[*Server]int{}
 	mkServer := func(dir string) *Server {
-		return &Server{
+		srv := &Server{
 			Slack:  slack,
 			Linger: time.Minute,
 			RuntimeOptions: func() []greta.RuntimeOption {
 				return []greta.RuntimeOption{greta.WithCheckpoint(dir, 10)}
 			},
 		}
+		srv.TraceHook = func(te greta.TraceEvent) {
+			if te.Kind == greta.TraceCheckpointCommit {
+				mu.Lock()
+				commits[srv]++
+				mu.Unlock()
+			}
+		}
+		return srv
 	}
 
 	// Reference: identical configuration (checkpointing armed at the
@@ -354,7 +367,7 @@ func TestSessionRestartFromCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("probe restore: %v", err)
 	}
-	if probe.ReorderPending == 0 {
+	if probe.Metrics().ReorderPending == 0 {
 		t.Fatalf("checkpoint carries no pending reorder events; pick a checkpoint spot mid-disorder")
 	}
 	if probe.Meta == nil {
@@ -386,6 +399,11 @@ func TestSessionRestartFromCheckpoint(t *testing.T) {
 	}
 	sameResults(t, "restart", gotRes, wantRes)
 	sameSummary(t, "restart", c.Summary(), wantSum)
+	mu.Lock()
+	defer mu.Unlock()
+	if commits[srv2] == 0 {
+		t.Error("the restored session's checkpoint commits did not reach the server's TraceHook")
+	}
 }
 
 // copyDir copies a flat checkpoint directory into a fresh temp dir.

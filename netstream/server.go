@@ -288,6 +288,21 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
+// runtimeOptions appends what every session runtime, built or restored,
+// takes from the server: scheduled checkpoint-write failures degrade to
+// warn lines instead of killing the session (the previous generation
+// stays valid and ingestion continues), and TraceHook. Appended last,
+// they override the same options in RuntimeOptions.
+func (sess *session) runtimeOptions(opts []greta.RuntimeOption) []greta.RuntimeOption {
+	opts = append(opts, greta.WithCheckpointErrors(func(err error) {
+		sess.sendLocked(WireLine{Warn: fmt.Sprintf("checkpoint: %v", err)}, false)
+	}))
+	if hook := sess.srv.TraceHook; hook != nil {
+		opts = append(opts, greta.WithTraceHook(hook))
+	}
+	return opts
+}
+
 // newSession builds the per-connection session state: a fresh Runtime,
 // reorder slack, and the configured statements. Runs before the session is shared, so no locking.
 func (s *Server) newSession(conn net.Conn, w *bufio.Writer, enc *json.Encoder) *session {
@@ -296,26 +311,15 @@ func (s *Server) newSession(conn net.Conn, w *bufio.Writer, enc *json.Encoder) *
 	if s.RuntimeOptions != nil {
 		opts = s.RuntimeOptions()
 	}
-	// Scheduled checkpoint-write failures degrade to warn lines
-	// instead of killing the session: the previous generation stays
-	// valid and ingestion continues.
-	opts = append(opts, greta.WithCheckpointErrors(func(err error) {
-		sess.sendLocked(WireLine{Warn: fmt.Sprintf("checkpoint: %v", err)}, false)
-	}))
-	if s.TraceHook != nil {
-		opts = append(opts, greta.WithTraceHook(s.TraceHook))
+	if s.Slack > 0 {
+		opts = append(opts, greta.WithReorderSlack(s.Slack))
 	}
-	sess.rt = greta.NewRuntime(opts...)
+	sess.rt = greta.NewRuntime(sess.runtimeOptions(opts)...)
 	fail := func(err error) *session {
 		sess.sendLocked(WireLine{Error: err.Error()}, false)
 		_ = sess.flushLocked() // the refusal is best effort: the caller closes the conn next
 		_ = sess.rt.Close()    // it never served; Close returns no error
 		return nil
-	}
-	if s.Slack > 0 {
-		if err := sess.rt.SetReorderSlack(s.Slack); err != nil {
-			return fail(fmt.Errorf("slack: %v", err))
-		}
 	}
 	for _, stmt := range s.Statements {
 		h, err := sess.rt.Register(stmt)
@@ -375,9 +379,7 @@ func (s *Server) RestoreSession(dir string) (string, error) {
 		return "", errors.New("netstream: RestoreSession requires Server.Linger > 0")
 	}
 	sess := &session{srv: s, resumable: true, handles: map[string]*greta.Handle{}}
-	res, err := greta.Restore(dir, greta.WithCheckpointErrors(func(err error) {
-		sess.sendLocked(WireLine{Warn: fmt.Sprintf("checkpoint: %v", err)}, false)
-	}))
+	res, err := greta.Restore(dir, sess.runtimeOptions(nil)...)
 	if err != nil {
 		return "", err
 	}
@@ -417,7 +419,7 @@ func (s *Server) RestoreSession(dir string) (string, error) {
 		return fail(fmt.Errorf("netstream: %v", err))
 	}
 	sess.mu.Lock()
-	sess.lingerT = time.AfterFunc(s.Linger, sess.expire)
+	sess.lingerLocked()
 	sess.mu.Unlock()
 	return m.ID, nil
 }
@@ -465,46 +467,21 @@ func (s *Server) ServeConn(conn net.Conn) {
 		maxLine = 1024 * 1024
 	}
 	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
-	var el eventLine
-	var bl batchLine
+	var rec record
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
-		if event := el.parse(line); event || bl.parse(line) {
-			if sess == nil {
-				if sess = s.newSession(conn, w, enc); sess == nil {
-					return
-				}
-			}
-			stop, handled := false, true
-			if event {
-				stop, handled = sess.handleEventLine(conn, &el)
-			} else {
-				stop = sess.handleBatchLine(conn, &bl)
-			}
-			if stop {
-				return
-			} else if handled {
-				continue
-			}
-		}
-		var we WireEvent
-		if err := json.Unmarshal(line, &we); err != nil {
-			if sess != nil {
-				if sess.reportBadLine(conn, err) {
-					return
-				}
-			} else {
-				_ = enc.Encode(WireLine{Error: fmt.Sprintf("bad event: %v", err)}) // best effort: a dead conn fails the next read
-				_ = w.Flush()                                                      // likewise
-			}
-			continue
-		}
+		rec.decode(line)
 		if sess == nil {
-			if we.Cmd == "resume" {
-				if sess = s.resume(conn, w, enc, &we); sess == nil {
+			switch {
+			case rec.kind == recBad:
+				_ = enc.Encode(WireLine{Error: fmt.Sprintf("bad event: %v", rec.err)}) // best effort: a dead conn fails the next read
+				_ = w.Flush()                                                          // likewise
+				continue
+			case rec.kind == recWire && rec.we.Cmd == "resume":
+				if sess = s.resume(conn, w, enc, &rec.we); sess == nil {
 					return
 				}
 				continue
@@ -513,7 +490,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 				return
 			}
 		}
-		if sess.handleLine(conn, &we) {
+		if sess.handle(conn, &rec) {
 			return
 		}
 	}

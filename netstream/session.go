@@ -261,29 +261,23 @@ func (sess *session) teardownLocked() {
 	sess.srv.removeSession(sess)
 }
 
-// finishLocked ends the session gracefully: barrier + close the
-// runtime (flushing every open window through the result path), then
-// send the {"done":...} summary with per-statement Stats.
+// finishLocked ends the session gracefully: close the runtime (its
+// end-of-stream barrier flushes every open window through the result
+// path), send the {"done":...} summary with per-statement Stats, then
+// tear down, whose close of the closed runtime is a no-op.
 func (sess *session) finishLocked() {
 	if sess.ended {
 		return
 	}
-	sess.stopLingerLocked()
-	if sess.shard != nil {
-		sess.shard.discardLocked()
-	}
-	_ = sess.rt.Barrier() // errs only on a closed or RunParallel runtime: ended guards the one, sessions never run the other
-	rs := sess.rt.Stats()
-	_ = sess.rt.Close() // Close returns no error
+	rs := sess.rt.Stats() // live statements only: read before the close
+	_ = sess.rt.Close()   // Close returns no error
 	stats := make(map[string]greta.Stats, len(sess.handles))
 	for id, h := range sess.handles {
 		stats[id] = h.Stats()
 	}
-	sess.ended = true
 	sess.sendLocked(WireLine{Done: true, Events: sess.processed, Drop: sess.dropped,
 		SharedStmts: rs.SharedStatements, SharedGraphs: rs.SharedGraphs, Stats: stats}, false)
-	sess.detachLocked()
-	sess.srv.removeSession(sess)
+	sess.teardownLocked()
 }
 
 // park handles a reader's exit: a resumable session lingers awaiting a
@@ -305,22 +299,19 @@ func (sess *session) park(myConn net.Conn, timedOut bool) {
 		sess.teardownLocked()
 		return
 	}
-	sess.lingerT = time.AfterFunc(sess.srv.Linger, sess.expire)
+	sess.lingerLocked()
 }
 
-// expire tears down a session whose linger window elapsed without a
-// resume.
-func (sess *session) expire() {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if sess.ended || sess.conn != nil {
-		return
-	}
-	sess.teardownLocked()
+// lingerLocked arms the expiry of a parked session: once the linger
+// window elapses without a resume, fail(nil) tears it down.
+func (sess *session) lingerLocked() {
+	sess.lingerT = time.AfterFunc(sess.srv.Linger, func() { sess.fail(nil) })
 }
 
-// fail tears the session down after an internal panic surfaced to the
-// client as an error line.
+// fail tears the session down unless it ended or another connection
+// holds it: after an internal panic surfaced to the client on myConn as
+// an error line, or with myConn nil when a parked session's linger
+// expired.
 func (sess *session) fail(myConn net.Conn) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
@@ -407,40 +398,97 @@ func (sess *session) attachLocked(conn net.Conn, w *bufio.Writer, enc *json.Enco
 	sess.startHeartbeatLocked()
 }
 
-// reportBadLine surfaces an unparseable line as an error, unless this
-// reader's connection was stolen by a resume (a line torn by the very
-// break being resumed must not fault the healed session) — then the
-// reader just exits.
-func (sess *session) reportBadLine(myConn net.Conn, err error) (stop bool) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if sess.ended || sess.conn != myConn {
-		return true
-	}
-	sess.sendLocked(WireLine{Error: fmt.Sprintf("bad event: %v", err)}, false)
-	_ = sess.flushLocked() // a failed flush closes the conn, and the reader parks the session
-	return false
+// record is one client line as ServeConn decoded it. One serves a
+// connection for life: the fast parsers' buffers are reused, and only a
+// line both refuse reaches encoding/json, which decodes it into a zeroed
+// WireEvent — the maps and slices it makes are the line's own, so a
+// map-carried event may keep them.
+type record struct {
+	kind recordKind
+	el   eventLine
+	bl   batchLine
+	we   WireEvent
+	err  error
 }
 
-// handleLine processes one decoded client line under the session lock.
+type recordKind uint8
+
+const (
+	recEvent recordKind = iota // el holds an event line
+	recBatch                   // bl holds a batch frame
+	recWire                    // we holds what encoding/json decoded
+	recBad                     // err says why encoding/json refused it
+)
+
+// decode parses line into r: the event-line parser, then the batch-frame
+// parser, then encoding/json.
+func (r *record) decode(line []byte) {
+	switch {
+	case r.el.parse(line):
+		r.kind = recEvent
+	case r.bl.parse(line):
+		r.kind = recBatch
+	default:
+		r.we = WireEvent{}
+		if r.err = json.Unmarshal(line, &r.we); r.err != nil {
+			r.kind = recBad
+		} else {
+			r.kind = recWire
+		}
+	}
+}
+
+// handle applies one decoded client line: the one place a reader takes
+// the session lock, and the one flush of the output the line caused.
 // stop reports that this reader is done: the session finished, ended
-// underneath it, or its connection was stolen by a resume.
-func (sess *session) handleLine(myConn net.Conn, we *WireEvent) (stop bool) {
+// underneath it, or its connection was stolen by a resume (a line torn
+// by the very break being resumed must not fault the healed session).
+func (sess *session) handle(myConn net.Conn, rec *record) (stop bool) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if sess.ended || sess.conn != myConn {
 		return true
 	}
 	defer sess.flushLocked() // a failed flush closes the conn, and this reader parks the session
-	if we.Cmd == "batch" {
-		var bl batchLine
-		sess.handleBatchLocked(&bl, bl.fromWire(we, sess.shard != nil))
-		return false
+	switch {
+	case rec.kind == recBatch:
+		sess.handleBatchLocked(&rec.bl, nil)
+	case rec.kind == recBad:
+		sess.sendLocked(WireLine{Error: fmt.Sprintf("bad event: %v", rec.err)}, false)
+	case rec.kind == recWire && rec.we.Cmd == "batch":
+		sess.handleBatchLocked(&rec.bl, rec.bl.fromWire(&rec.we, sess.shard != nil))
+	case rec.kind == recWire && rec.we.Cmd != "":
+		return sess.commandLocked(&rec.we)
+	case sess.shard != nil:
+		// An event, refused before admission: the line consumes no seq.
+		sess.sendLocked(WireLine{Error: "event: a shard session takes batch frames only"}, false)
+	case rec.kind == recEvent:
+		// Bound to a cached schema instead of carrying attribute maps.
+		if sess.admitLocked("event", rec.el.seq) {
+			sess.applyEventLocked(rec.el.seq, sess.bindLocked(&rec.el, sess.evID+1))
+		}
+	case rec.we.Type == "":
+		sess.sendLocked(WireLine{Error: "event missing type"}, false)
+	case sess.admitLocked("event", rec.we.Seq):
+		sess.applyEventLocked(rec.we.Seq, &greta.Event{
+			ID:    sess.evID + 1,
+			Type:  greta.Type(rec.we.Type),
+			Time:  rec.we.Time,
+			Attrs: rec.we.Attrs,
+			Str:   rec.we.Str,
+		})
 	}
+	return false
+}
+
+// commandLocked processes one command line (a WireEvent with a cmd other
+// than "batch").
+func (sess *session) commandLocked(we *WireEvent) (stop bool) {
 	// Shard mode intercepts its own commands; everything else — flush,
 	// checkpoint, session, resume — keeps its ordinary meaning.
 	if we.Cmd == "shard" || (sess.shard != nil && shardFrame(we.Cmd)) {
-		return sess.handleShardLine(we)
+		sess.handleShardLine(we)
+		return false
 	}
 	switch we.Cmd {
 	case "flush":
@@ -448,52 +496,24 @@ func (sess *session) handleLine(myConn net.Conn, we *WireEvent) (stop bool) {
 		return true
 	case "session":
 		sess.enableLocked()
-		return false
 	case "resume":
 		sess.sendLocked(WireLine{Error: "resume: already in a session (resume must be the first line of a new connection)"}, false)
-		return false
 	case "register":
-		if !sess.srv.AllowRegister {
-			sess.sendLocked(WireLine{Error: "register: disabled on this server"}, false)
-			return false
-		}
-		// Lifecycle operations are reorder barriers inside the runtime:
-		// events sent before the command pass through the slack buffer
-		// first, so the registration watermark cuts at the command, and
-		// a closing statement's final windows count every prior event.
-		stmt, err := greta.Compile(we.Query, sess.srv.CompileOptions...)
-		if err != nil {
-			sess.sendLocked(WireLine{Error: fmt.Sprintf("register: %v", err)}, false)
-			return false
-		}
-		var opts []greta.RegisterOption
-		if we.ID != "" {
-			opts = append(opts, greta.WithID(we.ID))
-		}
-		h, err := sess.rt.Register(stmt, opts...)
-		if err != nil {
-			sess.sendLocked(WireLine{Error: fmt.Sprintf("register: %v", err)}, false)
-			return false
-		}
-		sess.wire(h)
-		sess.sendLocked(WireLine{Registered: &WireRegistered{ID: h.ID(), Query: h.Query()}}, false)
-		return false
+		sess.registerLocked(we)
 	case "close":
 		h, ok := sess.handles[we.ID]
 		if !ok {
 			sess.sendLocked(WireLine{Error: fmt.Sprintf("close: unknown statement %q", we.ID)}, false)
-			return false
+			break
 		}
 		delete(sess.handles, we.ID)
 		if err := h.Close(); err != nil {
 			sess.sendLocked(WireLine{Error: fmt.Sprintf("close %s: %v", we.ID, err)}, false)
-			return false
+		} else {
+			sess.sendLocked(WireLine{Closed: we.ID}, false)
 		}
-		sess.sendLocked(WireLine{Closed: we.ID}, false)
-		return false
 	case "stats":
 		sess.sendLocked(WireLine{SessStats: sess.statsLocked()}, false)
-		return false
 	case "checkpoint":
 		// No barrier: with slack armed the snapshot carries the pending
 		// disorder window, and a restore rehydrates it — flushing here
@@ -506,52 +526,38 @@ func (sess *session) handleLine(myConn net.Conn, we *WireEvent) (stop bool) {
 			ok = false
 		}
 		sess.sendLocked(WireLine{Checkpointed: &ok}, false)
-		return false
-	case "":
-		// An event line.
 	default:
 		sess.sendLocked(WireLine{Error: fmt.Sprintf("unknown command %q", we.Cmd)}, false)
-		return false
-	}
-	if sess.shard != nil {
-		// Refused before admission: the line consumes no seq.
-		sess.sendLocked(WireLine{Error: "event: a shard session takes batch frames only"}, false)
-		return false
-	}
-	if we.Type == "" {
-		sess.sendLocked(WireLine{Error: "event missing type"}, false)
-		return false
-	}
-	if sess.admitLocked("event", we.Seq) {
-		sess.applyEventLocked(we.Seq, &greta.Event{
-			ID:    sess.evID + 1,
-			Type:  greta.Type(we.Type),
-			Time:  we.Time,
-			Attrs: we.Attrs,
-			Str:   we.Str,
-		})
 	}
 	return false
 }
 
-// handleEventLine is handleLine for a line the event-line parser read:
-// the same admission and apply steps, with the event bound to a cached
-// schema instead of carrying attribute maps. handled is false when the
-// session is in shard mode: the generic path refuses the line.
-func (sess *session) handleEventLine(myConn net.Conn, el *eventLine) (stop, handled bool) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if sess.ended || sess.conn != myConn {
-		return true, true
+// registerLocked compiles and attaches a client-registered statement.
+// Lifecycle operations are reorder barriers inside the runtime: events
+// sent before the command pass through the slack buffer first, so the
+// registration watermark cuts at the command, and a closing statement's
+// final windows count every prior event.
+func (sess *session) registerLocked(we *WireEvent) {
+	if !sess.srv.AllowRegister {
+		sess.sendLocked(WireLine{Error: "register: disabled on this server"}, false)
+		return
 	}
-	if sess.shard != nil {
-		return false, false
+	stmt, err := greta.Compile(we.Query, sess.srv.CompileOptions...)
+	if err != nil {
+		sess.sendLocked(WireLine{Error: fmt.Sprintf("register: %v", err)}, false)
+		return
 	}
-	defer sess.flushLocked() // a failed flush closes the conn, and this reader parks the session
-	if sess.admitLocked("event", el.seq) {
-		sess.applyEventLocked(el.seq, sess.bindLocked(el, sess.evID+1))
+	var opts []greta.RegisterOption
+	if we.ID != "" {
+		opts = append(opts, greta.WithID(we.ID))
 	}
-	return false, true
+	h, err := sess.rt.Register(stmt, opts...)
+	if err != nil {
+		sess.sendLocked(WireLine{Error: fmt.Sprintf("register: %v", err)}, false)
+		return
+	}
+	sess.wire(h)
+	sess.sendLocked(WireLine{Registered: &WireRegistered{ID: h.ID(), Query: h.Query()}}, false)
 }
 
 // admitLocked is the seq admission every sequenced frame — event line,
@@ -605,18 +611,6 @@ func (sess *session) applyEventLocked(seq uint64, ev *greta.Event) {
 		return
 	}
 	sess.processed++
-}
-
-// handleBatchLine is handleLine for a frame the batch-frame parser read.
-func (sess *session) handleBatchLine(myConn net.Conn, bl *batchLine) (stop bool) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if sess.ended || sess.conn != myConn {
-		return true
-	}
-	defer sess.flushLocked() // a failed flush closes the conn, and this reader parks the session
-	sess.handleBatchLocked(bl, nil)
-	return false
 }
 
 // handleBatchLocked admits and applies one decoded batch frame; err is

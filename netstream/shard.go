@@ -118,28 +118,27 @@ func shardFrame(cmd string) bool {
 // shard frame — lifecycle commands included — rides the client-seq
 // discipline, so a resumed link replays its unacked tail and each
 // frame applies exactly once.
-func (sess *session) handleShardLine(we *WireEvent) (stop bool) {
+func (sess *session) handleShardLine(we *WireEvent) {
 	if we.Cmd == "shard" {
 		switch {
 		case !sess.srv.AllowShard:
 			sess.sendLocked(WireLine{Error: "shard: disabled on this server"}, false)
-			return false
+			return
 		case !sess.resumable:
 			sess.sendLocked(WireLine{Error: `shard: requires a resumable session (send {"cmd":"session"} first)`}, false)
-			return false
+			return
 		case sess.shard != nil:
 			sess.sendLocked(WireLine{Error: "shard: already enabled"}, false)
-			return false
+			return
 		}
 	} else if sess.shard == nil {
 		sess.sendLocked(WireLine{Error: fmt.Sprintf("%q: not a shard session", we.Cmd)}, false)
-		return false
+		return
 	}
 	if sess.admitLocked("shard frame", we.Seq) {
 		sess.applyShardFrameLocked(we)
 		sess.lastSeq = we.Seq
 	}
-	return false
 }
 
 // applyShardFrameLocked dispatches one admitted (in-sequence, not

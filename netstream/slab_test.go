@@ -65,13 +65,13 @@ func checkSlabEvent(t *testing.T, ev *greta.Event, w slabWant) {
 // times and values are what encoding/json reads off the same lines.
 func TestSessionSlabEvents(t *testing.T) {
 	sess, conn := hotSession(t)
-	if sess.handleLine(conn, &WireEvent{Cmd: "shard", Seq: 1, Count: 1, Workers: []int{0}}) || sess.shard == nil {
+	if sess.handle(conn, &record{kind: recWire, we: WireEvent{Cmd: "shard", Seq: 1, Count: 1, Workers: []int{0}}}) || sess.shard == nil {
 		t.Fatal("shard handshake refused")
 	}
 	var (
 		enc      eventEncoder
 		el       eventLine
-		bl       batchLine
+		rec      record
 		evs      []*greta.Event
 		wants    []slabWant
 		refills  int
@@ -117,11 +117,14 @@ func TestSessionSlabEvents(t *testing.T) {
 		seq++
 		_, line := hotFrame(t, seq, "Quote", rows, true)
 		var we WireEvent
-		if err := json.Unmarshal(line, &we); err != nil || !bl.parse(line) {
-			t.Fatalf("%d-row frame: encoding/json %v, fast parser declined", rows, err)
+		if err := json.Unmarshal(line, &we); err != nil {
+			t.Fatalf("%d-row frame: encoding/json %v", rows, err)
+		}
+		if rec.decode(line); rec.kind != recBatch {
+			t.Fatalf("%d-row frame: fast parser declined", rows)
 		}
 		prev, id := sess.evSlab, sess.evID
-		if sess.handleBatchLine(conn, &bl) || sess.lastSeq != seq {
+		if sess.handle(conn, &rec) || sess.lastSeq != seq {
 			t.Fatalf("%d-row frame %d not applied", rows, seq)
 		}
 		carved(prev, rows)

@@ -69,7 +69,7 @@ func hotSession(tb testing.TB) (*session, net.Conn) {
 		sess.teardownLocked()
 		sess.mu.Unlock()
 	})
-	if sess.handleLine(conn, &WireEvent{Cmd: "session"}) || !sess.resumable {
+	if sess.handle(conn, &record{kind: recWire, we: WireEvent{Cmd: "session"}}) || !sess.resumable {
 		tb.Fatal("session command refused")
 	}
 	return sess, conn
@@ -165,7 +165,7 @@ func TestWireHotPathAllocs(t *testing.T) {
 				seq := uint64(0)
 				if shard {
 					seq++
-					if sess.handleLine(conn, &WireEvent{Cmd: "shard", Seq: seq, Count: 1, Workers: []int{0}}) || sess.shard == nil {
+					if sess.handle(conn, &record{kind: recWire, we: WireEvent{Cmd: "shard", Seq: seq, Count: 1, Workers: []int{0}}}) || sess.shard == nil {
 						t.Fatal("shard handshake refused")
 					}
 				}
@@ -181,13 +181,13 @@ func TestWireHotPathAllocs(t *testing.T) {
 					_, line := hotFrame(t, seq+uint64(k), "Quote", rows, shard)
 					lines = append(lines, line)
 				}
-				var bl batchLine
+				var rec record
 				k := 0
 				feed := func() {
-					if !bl.parse(lines[k]) {
+					if rec.decode(lines[k]); rec.kind != recBatch {
 						t.Fatalf("fast parser declined %q", lines[k])
 					}
-					if sess.handleBatchLine(conn, &bl) {
+					if sess.handle(conn, &rec) {
 						t.Fatal("session stopped")
 					}
 					k++
@@ -228,13 +228,13 @@ func TestWireHotPathAllocs(t *testing.T) {
 	// about 0.37 an event, none of it the event line's.
 	sess, conn := hotSession(t)
 	lines := hotLines(t, "Quote", 0, 8000)
-	var el eventLine
+	var rec record
 	feed := func(line []byte) {
-		if !el.parse(line) {
+		if rec.decode(line); rec.kind != recEvent {
 			t.Fatalf("fast parser declined %q", line)
 		}
-		if stop, handled := sess.handleEventLine(conn, &el); stop || !handled {
-			t.Fatalf("event line not handled: stop=%v handled=%v", stop, handled)
+		if sess.handle(conn, &rec) {
+			t.Fatal("session stopped")
 		}
 	}
 	for _, l := range lines[:4000] { // warm the schema and intern tables

@@ -256,12 +256,6 @@ func (rt *Runtime) Watermark() Time { return rt.inner.Watermark() }
 // operations (Register, Handle.Close, Close) barrier implicitly.
 func (rt *Runtime) Barrier() error { return rt.inner.Barrier() }
 
-// SetReorderSlack arms (or, with 0, disarms) the reorder buffer after
-// construction — the imperative form of WithReorderSlack for callers
-// handed an already-built Runtime. It must run before the first event
-// is processed and fails once ingestion has started.
-func (rt *Runtime) SetReorderSlack(slack Time) error { return rt.inner.SetReorderSlack(slack) }
-
 // RuntimeStats summarizes the runtime's multi-query topology, live
 // statements only: how many are registered, how many distinct routing
 // hashes each event costs (back at 0 once the last statement closed),
