@@ -287,33 +287,21 @@ func maxI64(a, b int64) int64 {
 // resumes the same client against it: results, Stats, and drop counts
 // must match an uninterrupted run bit for bit, and the reorder
 // buffer's in-flight events must survive the restart (no silent
-// flush). The restored session reports to the new server's TraceHook as
-// a session the server built does: the boundary checkpoints it writes
-// once resumed reach the hook, not only the resume itself.
+// flush).
 func TestSessionRestartFromCheckpoint(t *testing.T) {
 	const q = "RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5"
 	const slack = 5
 	evs := genStream(40, slack, 42)
 	ckAt, crashAt := 20, 28 // checkpoint mid-stream, crash a few events later
 
-	var mu sync.Mutex
-	commits := map[*Server]int{}
 	mkServer := func(dir string) *Server {
-		srv := &Server{
+		return &Server{
 			Slack:  slack,
 			Linger: time.Minute,
 			RuntimeOptions: func() []greta.RuntimeOption {
 				return []greta.RuntimeOption{greta.WithCheckpoint(dir, 10)}
 			},
 		}
-		srv.TraceHook = func(te greta.TraceEvent) {
-			if te.Kind == greta.TraceCheckpointCommit {
-				mu.Lock()
-				commits[srv]++
-				mu.Unlock()
-			}
-		}
-		return srv
 	}
 
 	// Reference: identical configuration (checkpointing armed at the
@@ -399,9 +387,105 @@ func TestSessionRestartFromCheckpoint(t *testing.T) {
 	}
 	sameResults(t, "restart", gotRes, wantRes)
 	sameSummary(t, "restart", c.Summary(), wantSum)
-	mu.Lock()
-	defer mu.Unlock()
-	if commits[srv2] == 0 {
+}
+
+// TestRestoredSessionTraces crashes a resumable session after a
+// checkpoint boundary, restores it onto a second server and resumes it
+// past the next boundary. The restored session reports to the second
+// server's TraceHook as a session that server built does: its boundary
+// checkpoint commits reach the hook, not only the resume, which the
+// server fires itself.
+func TestRestoredSessionTraces(t *testing.T) {
+	const q = "RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5"
+	const every = 10
+	evs := genStream(60, 0, 7)
+	crashAt := 0
+	for crashAt < len(evs) && evs[crashAt].tm < every+2 {
+		crashAt++
+	}
+	if crashAt == len(evs) || evs[len(evs)-1].tm < 2*every+2 {
+		t.Fatalf("stream does not cross two boundaries of %d", every)
+	}
+
+	var mu sync.Mutex
+	seen := map[*Server]map[greta.TraceKind]int{}
+	dir := t.TempDir()
+	mkServer := func() *Server {
+		srv := &Server{
+			Linger: time.Minute,
+			RuntimeOptions: func() []greta.RuntimeOption {
+				return []greta.RuntimeOption{greta.WithCheckpoint(dir, every)}
+			},
+		}
+		mu.Lock()
+		seen[srv] = map[greta.TraceKind]int{}
+		mu.Unlock()
+		srv.TraceHook = func(te greta.TraceEvent) {
+			mu.Lock()
+			seen[srv][te.Kind]++
+			mu.Unlock()
+		}
+		return srv
+	}
+	count := func(srv *Server, k greta.TraceKind) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return seen[srv][k]
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	srv1 := mkServer()
+	addr1 := startResumeServer(t, srv1, q)
+	raw, err := net.Dial("tcp", addr1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := faultnet.New()
+	c := NewClient(f.Conn(raw))
+	c.addr = addr1
+	defer c.Close()
+	if _, err := c.EnableResume(ctx); err != nil {
+		t.Fatal(err)
+	}
+	send := func(e testEvt) error {
+		return c.Send(e.typ, e.tm, map[string]float64{"price": e.price}, map[string]string{"company": e.co})
+	}
+	for _, e := range evs[:crashAt] {
+		if err := send(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The round trip makes the boundary's write durable before the crash.
+	if err := c.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	if count(srv1, greta.TraceCheckpointCommit) == 0 {
+		t.Fatal("the first server's session reported no checkpoint commit")
+	}
+	f.Cut()
+
+	srv2 := mkServer()
+	addr2 := startResumeServer(t, srv2)
+	if _, err := srv2.RestoreSession(dir); err != nil {
+		t.Fatalf("RestoreSession: %v", err)
+	}
+	c.addr = addr2
+	if err := c.Resume(ctx); err != nil {
+		t.Fatalf("Resume onto restored server: %v", err)
+	}
+	for _, e := range evs[crashAt:] {
+		if err := send(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := c.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	if n := count(srv2, greta.TraceSessionResume); n != 1 {
+		t.Errorf("second server saw %d session resumes, want 1", n)
+	}
+	if count(srv2, greta.TraceCheckpointCommit) == 0 {
 		t.Error("the restored session's checkpoint commits did not reach the server's TraceHook")
 	}
 }
