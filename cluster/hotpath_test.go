@@ -98,11 +98,17 @@ func TestCoordinatorHotPathAllocs(t *testing.T) {
 		m.Sch, m.Num, m.StrV = nil, nil, nil
 		bound, mapped = append(bound, &ev), append(mapped, &m)
 	}
+	// A run feeds the events laps times over: about 20 frames at the
+	// coordinator's 512-row cap, so an allocation on one frame in twenty
+	// still reads 1 a run (AllocsPerRun divides as integers).
+	const laps = 16
 	feed := func(events []*greta.Event) func() {
 		return func() {
-			for _, ev := range events {
-				if err := co.Process(ev); err != nil {
-					t.Fatal(err)
+			for range laps {
+				for _, ev := range events {
+					if err := co.Process(ev); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 		}
@@ -112,19 +118,19 @@ func TestCoordinatorHotPathAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for label, events := range map[string][]*greta.Event{"schema-bound": bound, "map-carried": mapped, "mixed-shape": mixed} {
-			for i := 0; i < 30; i++ {
+			for i := 0; i < 2; i++ { // 32 laps
 				feed(events)()
 			}
 			frames := co.Metrics().Frames
 			n := testing.AllocsPerRun(10, feed(events))
-			// 512 is the coordinator's row cap: every cap's worth of rows
-			// flushes a frame, whatever the shapes do besides.
-			if frames = co.Metrics().Frames - frames; frames < 11*uint64(len(events))/512-2 {
-				t.Fatalf("%d frames for %d events: the guard measures no flush", frames, 11*len(events))
+			// Every cap's worth of rows flushes a frame, whatever the
+			// shapes do besides.
+			if frames = co.Metrics().Frames - frames; frames < 11*laps*uint64(len(events))/512-2 {
+				t.Fatalf("%d frames for %d events: the guard measures no flush", frames, 11*laps*len(events))
 			}
 			if n != 0 {
 				t.Errorf("%d route group(s), %s events: Coordinator.Process allocates %v per %d events (%d frames), want 0",
-					groups+1, label, n, len(events), frames/11)
+					groups+1, label, n, laps*len(events), frames/11)
 			}
 		}
 	}

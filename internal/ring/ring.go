@@ -18,7 +18,7 @@
 // storage of its own instead, so a large frame neither wastes a
 // segment's tail nor pins its size in the ring. An evicted long line's
 // storage is kept as the spare the next long line that fits is copied
-// into — one at a time, the largest up to spareMax — so a link that
+// into — one at a time, the largest up to KeepMax — so a link that
 // sends frames of tens of KiB at the row cap allocates none in steady
 // state, while a rare huge one (a cluster adopt blob runs to megabytes)
 // is dropped with its eviction. Lines that sit next to each other in
@@ -38,13 +38,20 @@ import (
 // the longest line a segment takes. Measured on cluster_2shard and
 // net_durable (see CHANGES.md): a smaller segment moves more lines to
 // own storage, a larger one adds live heap to every ring, the nearly
-// empty ones of short sessions included. spareMax is the most a spare
-// holds: a 512-row cluster frame is 20–45 KiB.
+// empty ones of short sessions included.
 const (
-	segSize  = 16 << 10
-	ownMin   = segSize / 4
-	spareMax = 256 << 10
+	segSize = 16 << 10
+	ownMin  = segSize / 4
 )
+
+// KeepMax is the most storage a wire keeps for reuse once a long line
+// is gone: the ring's spare, and the netstream client's pending buffer
+// that carried the line to the connection. A coordinator frame at the
+// 512-row cap measured up to 37 KiB on the cluster stream, and the
+// pending buffer carrying it behind a chunk of lines 56 KiB; on
+// cluster_2shard 2.4 % of the frames are longer than ownMin, 19 % of the
+// frame bytes, and none longer than 16 KiB (see CHANGES.md).
+const KeepMax = 64 << 10
 
 // segment holds lines back to back in b[:n]; live counts the retained
 // ones. It is exactly segSize bytes, an allocation size class of its
@@ -178,11 +185,11 @@ func (r *Ring) store(line []byte) slot {
 // last one leaves is rewound: the current one in place, any other onto
 // the free list while it holds fewer than two. A line with storage of
 // its own leaves it as the spare when it is larger than the spare and
-// no more than spareMax.
+// no more than KeepMax.
 func (r *Ring) release(s slot) {
 	g := s.seg
 	if g == nil {
-		if c := cap(s.line); c > cap(r.spare) && c <= spareMax {
+		if c := cap(s.line); c > cap(r.spare) && c <= KeepMax {
 			r.spare = s.line[:0]
 		}
 		return

@@ -187,9 +187,7 @@ type batchLine struct {
 // a list per row and as many hashes as groups in each — every hash 1 to
 // 16 lower-case hex digits. The decision is a function of the bytes alone.
 func (bl *batchLine) parse(b []byte) bool {
-	bl.seq, bl.typ = 0, nil
-	bl.times, bl.nums, bl.vals, bl.strs, bl.svals = bl.times[:0], bl.nums[:0], bl.vals[:0], bl.strs[:0], bl.svals[:0]
-	bl.rowEnd, bl.rgs, bl.rhs = bl.rowEnd[:0], bl.rgs[:0], bl.rhs[:0]
+	bl.reset()
 	gi := 0
 	const kCmd, kSeq, kType, kTime, kTimes, kCols, kSCols, kGI, kRH, kRGs, kRHs = 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024
 	seen := 0
@@ -313,11 +311,20 @@ func scanHashes(b []byte, i int, dst []uint64) ([]uint64, int, bool) {
 	return dst, end, ok
 }
 
+// reset empties bl, keeping the storage its slices grew.
+func (bl *batchLine) reset() {
+	bl.seq, bl.typ = 0, nil
+	bl.times, bl.nums, bl.vals, bl.strs, bl.svals = bl.times[:0], bl.nums[:0], bl.vals[:0], bl.strs[:0], bl.svals[:0]
+	bl.rowEnd, bl.rgs, bl.rhs = bl.rowEnd[:0], bl.rgs[:0], bl.rhs[:0]
+}
+
 // fromWire converts a batch frame the generic path decoded, with the
 // shape checks the parser makes; route adds the route info, which only a
-// shard session looks at.
+// shard session looks at. It fills the storage the parser grew, so a
+// connection's frames keep one set of buffers whichever path decodes them.
 func (bl *batchLine) fromWire(we *WireEvent, route bool) error {
-	*bl = batchLine{seq: we.Seq, typ: []byte(we.Type), times: we.Times}
+	bl.reset()
+	bl.seq, bl.typ, bl.times = we.Seq, []byte(we.Type), append(bl.times, we.Times...)
 	if we.Type == "" {
 		return errors.New("missing type")
 	}

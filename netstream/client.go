@@ -242,12 +242,11 @@ func (c *Client) downErrLocked() error {
 	return errDown
 }
 
-// dropOutLocked empties the pending buffer, giving up storage that a
-// huge frame written behind it grew; a cluster link's frames at the row
-// cap run to tens of KiB and keep theirs.
+// dropOutLocked empties the pending buffer, giving up storage beyond
+// ring.KeepMax that a huge frame written behind it grew.
 func (c *Client) dropOutLocked() {
 	c.out, c.outN = c.out[:0], 0
-	if cap(c.out) > 32*sendChunk {
+	if cap(c.out) > ring.KeepMax {
 		c.out = nil
 	}
 }
