@@ -16,9 +16,10 @@ race:
 # alloc-guard runs the zero-allocation hot-path guards — the engine's
 # (a window close allocates one object per result it emits), the
 # wire's (resumable Client.Send 0 allocs, server event-line parse +
-# dispatch <= 0.1 an event amortized over the session's event slabs, a
-# batch frame 0 to encode and queue and <= 5 to parse + apply whatever
-# its rows, a one-row shard frame <= 0.1, a full resend ring no dearer
+# dispatch 0 an event — the session's event slabs are reused once its
+# horizon passes them — a batch frame 0 to encode and queue and <= 5 to
+# parse + apply on an ordinary session whatever its rows, a shard frame
+# of 1 to 512 rows 0 (amortized over 640 frames), a full resend ring no dearer
 # than an empty one and 0 allocs a line for lines of 40 B to 4 KiB mixed),
 # the coordinator's (Process 0 allocs an event, flushes included, for
 # frames of one shape and for frames cut at every shape change) and

@@ -978,6 +978,9 @@ func (e *Engine) walk(c *ckWalk, count *int, results *[]Result) {
 		return
 	}
 	c.I64(&e.prevTime)
+	if c.Decoding() {
+		e.floor = math.MinInt64 // restored vertices may predate the restore's watermark
+	}
 	s := &e.stats
 	c.U64(&s.Events)
 	c.U64(&s.OutOfOrder)

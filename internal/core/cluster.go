@@ -163,6 +163,12 @@ func (h *ShardHost) Watermark() event.Time {
 	return h.rt.watermark
 }
 
+// Horizon returns the earliest event time the slot's state can still
+// refer to (Runtime.Horizon).
+func (h *ShardHost) Horizon() event.Time {
+	return h.rt.Horizon()
+}
+
 func (h *ShardHost) metaBytes(int, int) []byte {
 	m := shardHostMeta{W: h.w, Units: map[string][2]int{}}
 	for si, st := range h.units {

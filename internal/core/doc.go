@@ -160,6 +160,27 @@
 //     allocates nothing of its own on a steady 1 024-row batch; the Go
 //     runtime's goroutine starts and waits come to fewer than one
 //     allocation a batch (TestNoHotPathAllocs/batch-fanout).
+//   - One horizon. Runtime.Horizon (ShardHost.Horizon for a slot) is the
+//     earliest event time any state the runtime holds can still refer
+//     to: the minimum over the live sources' engines, the oldest event
+//     pending in the reorder buffer — and that buffer's drop threshold,
+//     so an arrival within the slack behind it does not pull the horizon
+//     back — and the in-flight event. An engine's bound is
+//     Window.OldestNeeded(prevTime), raised to its floor (the watermark a
+//     mid-stream registration seeded; −∞ for an engine that started with
+//     the stream or was restored); a composite's is its sub-engines'. An
+//     engine that has admitted no event holds none and is bound by its
+//     floor alone, an unbounded window (OldestNeeded 0 is not a bound)
+//     by its floor too, and a runtime in which no engine has admitted an
+//     event and none is pending or in flight holds none: +∞. The bound is
+//     safe because every close sweeps every partition and expires each
+//     pane that ends at or before OldestNeeded(t) (One window sweep),
+//     panes being aligned to it, so nothing older survives a close; a
+//     later lazy sweep (a time wheel that visits only some partitions)
+//     must keep that, or move the horizon with it. Between two reads at
+//     which the runtime holds an event the horizon does not decrease.
+//     TestHorizonProperty checks both after every event. A netstream
+//     session reuses the storage of events older than its horizon.
 //   - One partitioned-execution core. RunParallel's workers are
 //     in-process ShardHosts, the worker slot a cluster shard session
 //     hosts; its parallel units are the sources of partitioned simple

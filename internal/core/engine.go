@@ -107,6 +107,10 @@ type Engine struct {
 	partAttrs []string // partition key attributes (group-by + equivalence)
 
 	prevTime event.Time // window-close cursor
+	// floor is the earliest time the engine can admit: the watermark it
+	// was seeded with (setWatermark), −∞ for one that started with the
+	// stream or was restored (horizon).
+	floor event.Time
 
 	// forceScan disables the summary fast path in all graphs (see
 	// SetForceVertexScan).
@@ -135,7 +139,7 @@ type Engine struct {
 
 // NewEngine builds an engine for plan.
 func NewEngine(plan *Plan) *Engine {
-	e := &Engine{plan: plan, prevTime: -1, swWins: map[int64]map[string]*aggregate.Payload{}}
+	e := &Engine{plan: plan, prevTime: -1, floor: math.MinInt64, swWins: map[int64]map[string]*aggregate.Payload{}}
 	e.partAttrs = append(append([]string{}, plan.GroupBy...), plan.Query.Equivalence...)
 	e.parts = newPartTable(e.partAttrs, e.wirePartition)
 	if !plan.Simple() {
@@ -406,10 +410,35 @@ func (e *Engine) emit(group string, wid int64, payload *aggregate.Payload) {
 // registers mid-stream, so the statement sees only events from its
 // registration watermark onward.
 func (e *Engine) setWatermark(t event.Time) {
-	e.prevTime = t
+	e.prevTime, e.floor = t, t
 	for _, se := range e.subs {
 		se.setWatermark(t)
 	}
+}
+
+// horizon is the earliest event time the engine's state can refer to,
+// and whether the engine has admitted an event at all; one that has not
+// holds none, and nothing it admits will be older than its floor. A
+// simple plan's vertices live in panes, and every close expires the
+// panes that end at or before OldestNeeded(prevTime) in every partition
+// (sweep), so the rest start no earlier. An unbounded window expires
+// nothing (its OldestNeeded is 0, not a bound), and a composite's
+// vertices are its sub-engines'. See "One horizon" in doc.go.
+func (e *Engine) horizon() (event.Time, bool) {
+	switch {
+	case e.stats.Events == 0:
+		return e.floor, false
+	case !e.plan.Simple():
+		h := event.Time(math.MaxInt64)
+		for _, se := range e.subs {
+			sh, _ := se.horizon()
+			h = min(h, sh)
+		}
+		return h, true
+	case e.plan.Window.Unbounded():
+		return e.floor, true
+	}
+	return max(e.floor, e.plan.Window.OldestNeeded(e.prevTime)), true
 }
 
 // AdvanceTo advances the engine's clock to t without offering an

@@ -2,12 +2,15 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/greta-cep/greta/internal/event"
 )
 
 // NewTestSink returns the SnapshotSink the core tests arm where a
@@ -131,4 +134,52 @@ func (st *Stmt) Results() []Result {
 func setSegmentHook(t testing.TB, hook func(onHelper bool)) {
 	segmentHook = hook
 	t.Cleanup(func() { segmentHook = nil })
+}
+
+// OldestHeld returns the oldest event time the runtime's state refers
+// to — the event of a vertex in any pane of a live source's graphs
+// (composite sub-engines included), an event pending in the reorder
+// buffer, the in-flight event — math.MaxInt64 when it refers to none,
+// and how many vertices it walked.
+func (rt *Runtime) OldestHeld() (oldest event.Time, vertices int) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	oldest = math.MaxInt64
+	var walk func(e *Engine)
+	walk = func(e *Engine) {
+		for _, se := range e.subs {
+			walk(se)
+		}
+		for _, p := range e.parts.all() {
+			for _, g := range p.graphs {
+				for _, pn := range g.panes {
+					for _, tree := range pn.trees {
+						if tree != nil {
+							tree.Ascend(func(it vitem) bool {
+								oldest, vertices = min(oldest, it.Val.Ev.Time), vertices+1
+								return true
+							})
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, g := range rt.groups {
+		for _, s := range g.members {
+			walk(s.eng)
+		}
+	}
+	for _, s := range rt.direct {
+		walk(s.eng)
+	}
+	if b := rt.reorder; b != nil {
+		for _, ev := range b.Snapshot().Pending {
+			oldest = min(oldest, ev.Time)
+		}
+	}
+	if rt.inflight != nil {
+		oldest = min(oldest, rt.inflight.Time)
+	}
+	return oldest, vertices
 }

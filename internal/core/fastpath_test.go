@@ -84,84 +84,7 @@ func diffStreamHalts(rng *rand.Rand, n int, allowNaN bool, haltDiv, newsDiv int)
 // negation, exact and inexact compiled ranges, multi-window sliding,
 // equivalence partitioning, and schemaless events.
 func TestFastPathDifferential(t *testing.T) {
-	cases := []struct {
-		name string
-		q    string
-		mode aggregate.Mode
-		// fast reports whether the summary path must actually engage
-		// (guards against the fast path silently dying).
-		fast bool
-		// haltDiv/newsDiv override the stream's Halt and News frequencies
-		// (0 = defaults: 1-in-40 halts, no News).
-		haltDiv, newsDiv int
-	}{
-		{"stam-range-windowed",
-			"RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5",
-			aggregate.ModeNative, true, 0, 0},
-		{"stam-range-unbounded",
-			"RETURN COUNT(*) PATTERN Stock S+ WHERE S.price >= NEXT(S).price",
-			aggregate.ModeNative, true, 0, 0},
-		{"stam-no-predicate",
-			"RETURN COUNT(*), MIN(S.price), MAX(S.price), AVG(S.price) PATTERN Stock S+ WITHIN 16 SLIDE 4",
-			aggregate.ModeNative, true, 0, 0},
-		{"stam-seq",
-			"RETURN COUNT(*) PATTERN SEQ(Halt H, Stock S+) WHERE [company] AND S.price < NEXT(S).price WITHIN 24 SLIDE 8",
-			aggregate.ModeNative, true, 0, 0},
-		{"stam-inexact-range", // 2*price folds via interval-arithmetic inner bounds
-			"RETURN COUNT(*) PATTERN Stock S+ WHERE [company] AND 2 * S.price > NEXT(S).price WITHIN 20 SLIDE 5",
-			aggregate.ModeNative, true, 0, 0},
-		{"skip-till-next-match",
-			"RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price SEMANTICS skip-till-next-match WITHIN 20 SLIDE 5",
-			aggregate.ModeNative, false, 0, 0},
-		{"contiguous",
-			"RETURN COUNT(*) PATTERN Stock S+ WHERE S.price > NEXT(S).price SEMANTICS contiguous WITHIN 20 SLIDE 5",
-			aggregate.ModeNative, false, 0, 0},
-		{"negation-case3", // SEQ(NOT N, Pj): per-insert window-validity suffix
-			"RETURN COUNT(*) PATTERN SEQ(NOT Halt H, Stock S+) WHERE [company] AND S.price > NEXT(S).price WITHIN 30 SLIDE 10",
-			aggregate.ModeNative, true, 0, 0},
-		{"negation-case2", // SEQ(Pi, NOT N): maxStart watermark-versioned summaries
-			"RETURN COUNT(*), SUM(S.price) PATTERN SEQ(Stock S+, NOT Halt H) WHERE [company] AND S.price > NEXT(S).price WITHIN 30 SLIDE 10",
-			aggregate.ModeNative, true, 0, 0},
-		{"negation-case2-unwindowed",
-			"RETURN COUNT(*) PATTERN SEQ(Stock S+, NOT Halt H) WHERE [company] AND S.price >= NEXT(S).price",
-			aggregate.ModeNative, true, 0, 0},
-		{"negation-case3-unwindowed",
-			"RETURN COUNT(*) PATTERN SEQ(NOT Halt H, Stock S+) WHERE [company] AND S.price > NEXT(S).price",
-			aggregate.ModeNative, true, 0, 0},
-		// Dense halts: watermark advances land mid-pane and in
-		// same-timestamp bursts, exercising lazy revalidation and
-		// in-place rebuilds between folds.
-		{"negation-case2-burst",
-			"RETURN COUNT(*), SUM(S.price) PATTERN SEQ(Stock S+, NOT Halt H) WHERE [company] AND S.price > NEXT(S).price WITHIN 24 SLIDE 8",
-			aggregate.ModeNative, true, 8, 0},
-		{"negation-case3-burst",
-			"RETURN COUNT(*) PATTERN SEQ(NOT Halt H, Stock S+) WHERE [company] AND S.price > NEXT(S).price WITHIN 24 SLIDE 8",
-			aggregate.ModeNative, true, 8, 0},
-		// Case 1 with a Kleene previous state: A→A is ungated while A→B
-		// is maxStart-gated, so state A's trees opt out (inconsistent
-		// gating) and only B→B folds — the differential still covers the
-		// mixed discipline.
-		{"negation-case1-mixed",
-			"RETURN COUNT(*) PATTERN SEQ(Stock A+, NOT Halt H, Stock B+) WHERE [company] AND A.price > NEXT(A).price AND B.price > NEXT(B).price WITHIN 24 SLIDE 8",
-			aggregate.ModeNative, true, 12, 0},
-		// Case 1 with a single previous event: every fast transition out
-		// of A is gated by the same link, so A's trees stay augmented,
-		// fold under watermark versions, and prune invalid events
-		// (Theorem 5.1 — the link is prunable).
-		{"negation-case1-prunable",
-			"RETURN COUNT(*), SUM(B.price) PATTERN SEQ(Stock A, NOT Halt H, Stock B+) WHERE [company] AND B.price > NEXT(B).price WITHIN 24 SLIDE 8",
-			aggregate.ModeNative, true, 12, 0},
-		// Nested negation: the root's Case-3 guard is itself guarded by a
-		// Case-1 link inside the negative graph (News invalidates the
-		// halt pair).
-		{"negation-nested",
-			"RETURN COUNT(*) PATTERN SEQ(NOT SEQ(Halt X, NOT News N, Halt Y), Stock S+) WHERE [company] AND S.price > NEXT(S).price WITHIN 24 SLIDE 8",
-			aggregate.ModeNative, true, 8, 20},
-		{"exact-mode",
-			"RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5",
-			aggregate.ModeExact, true, 0, 0},
-	}
-	for _, tc := range cases {
+	for _, tc := range fastPathCases {
 		t.Run(tc.name, func(t *testing.T) {
 			q := query.MustParse(tc.q)
 			haltDiv := tc.haltDiv
@@ -195,6 +118,86 @@ func TestFastPathDifferential(t *testing.T) {
 			}
 		})
 	}
+}
+
+// fastPathCases are TestFastPathDifferential's shapes; TestHorizonProperty
+// runs them too.
+var fastPathCases = []struct {
+	name string
+	q    string
+	mode aggregate.Mode
+	// fast reports whether the summary path must actually engage
+	// (guards against the fast path silently dying).
+	fast bool
+	// haltDiv/newsDiv override the stream's Halt and News frequencies
+	// (0 = defaults: 1-in-40 halts, no News).
+	haltDiv, newsDiv int
+}{
+	{"stam-range-windowed",
+		"RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5",
+		aggregate.ModeNative, true, 0, 0},
+	{"stam-range-unbounded",
+		"RETURN COUNT(*) PATTERN Stock S+ WHERE S.price >= NEXT(S).price",
+		aggregate.ModeNative, true, 0, 0},
+	{"stam-no-predicate",
+		"RETURN COUNT(*), MIN(S.price), MAX(S.price), AVG(S.price) PATTERN Stock S+ WITHIN 16 SLIDE 4",
+		aggregate.ModeNative, true, 0, 0},
+	{"stam-seq",
+		"RETURN COUNT(*) PATTERN SEQ(Halt H, Stock S+) WHERE [company] AND S.price < NEXT(S).price WITHIN 24 SLIDE 8",
+		aggregate.ModeNative, true, 0, 0},
+	{"stam-inexact-range", // 2*price folds via interval-arithmetic inner bounds
+		"RETURN COUNT(*) PATTERN Stock S+ WHERE [company] AND 2 * S.price > NEXT(S).price WITHIN 20 SLIDE 5",
+		aggregate.ModeNative, true, 0, 0},
+	{"skip-till-next-match",
+		"RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price SEMANTICS skip-till-next-match WITHIN 20 SLIDE 5",
+		aggregate.ModeNative, false, 0, 0},
+	{"contiguous",
+		"RETURN COUNT(*) PATTERN Stock S+ WHERE S.price > NEXT(S).price SEMANTICS contiguous WITHIN 20 SLIDE 5",
+		aggregate.ModeNative, false, 0, 0},
+	{"negation-case3", // SEQ(NOT N, Pj): per-insert window-validity suffix
+		"RETURN COUNT(*) PATTERN SEQ(NOT Halt H, Stock S+) WHERE [company] AND S.price > NEXT(S).price WITHIN 30 SLIDE 10",
+		aggregate.ModeNative, true, 0, 0},
+	{"negation-case2", // SEQ(Pi, NOT N): maxStart watermark-versioned summaries
+		"RETURN COUNT(*), SUM(S.price) PATTERN SEQ(Stock S+, NOT Halt H) WHERE [company] AND S.price > NEXT(S).price WITHIN 30 SLIDE 10",
+		aggregate.ModeNative, true, 0, 0},
+	{"negation-case2-unwindowed",
+		"RETURN COUNT(*) PATTERN SEQ(Stock S+, NOT Halt H) WHERE [company] AND S.price >= NEXT(S).price",
+		aggregate.ModeNative, true, 0, 0},
+	{"negation-case3-unwindowed",
+		"RETURN COUNT(*) PATTERN SEQ(NOT Halt H, Stock S+) WHERE [company] AND S.price > NEXT(S).price",
+		aggregate.ModeNative, true, 0, 0},
+	// Dense halts: watermark advances land mid-pane and in
+	// same-timestamp bursts, exercising lazy revalidation and
+	// in-place rebuilds between folds.
+	{"negation-case2-burst",
+		"RETURN COUNT(*), SUM(S.price) PATTERN SEQ(Stock S+, NOT Halt H) WHERE [company] AND S.price > NEXT(S).price WITHIN 24 SLIDE 8",
+		aggregate.ModeNative, true, 8, 0},
+	{"negation-case3-burst",
+		"RETURN COUNT(*) PATTERN SEQ(NOT Halt H, Stock S+) WHERE [company] AND S.price > NEXT(S).price WITHIN 24 SLIDE 8",
+		aggregate.ModeNative, true, 8, 0},
+	// Case 1 with a Kleene previous state: A→A is ungated while A→B
+	// is maxStart-gated, so state A's trees opt out (inconsistent
+	// gating) and only B→B folds — the differential still covers the
+	// mixed discipline.
+	{"negation-case1-mixed",
+		"RETURN COUNT(*) PATTERN SEQ(Stock A+, NOT Halt H, Stock B+) WHERE [company] AND A.price > NEXT(A).price AND B.price > NEXT(B).price WITHIN 24 SLIDE 8",
+		aggregate.ModeNative, true, 12, 0},
+	// Case 1 with a single previous event: every fast transition out
+	// of A is gated by the same link, so A's trees stay augmented,
+	// fold under watermark versions, and prune invalid events
+	// (Theorem 5.1 — the link is prunable).
+	{"negation-case1-prunable",
+		"RETURN COUNT(*), SUM(B.price) PATTERN SEQ(Stock A, NOT Halt H, Stock B+) WHERE [company] AND B.price > NEXT(B).price WITHIN 24 SLIDE 8",
+		aggregate.ModeNative, true, 12, 0},
+	// Nested negation: the root's Case-3 guard is itself guarded by a
+	// Case-1 link inside the negative graph (News invalidates the
+	// halt pair).
+	{"negation-nested",
+		"RETURN COUNT(*) PATTERN SEQ(NOT SEQ(Halt X, NOT News N, Halt Y), Stock S+) WHERE [company] AND S.price > NEXT(S).price WITHIN 24 SLIDE 8",
+		aggregate.ModeNative, true, 8, 20},
+	{"exact-mode",
+		"RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5",
+		aggregate.ModeExact, true, 0, 0},
 }
 
 func runDiffEngine(t *testing.T, q *query.Query, mode aggregate.Mode, evs []*event.Event, forceScan bool) *core.Engine {

@@ -474,6 +474,54 @@ func (rt *Runtime) Watermark() event.Time {
 	return rt.watermark
 }
 
+// Horizon returns the earliest event time any state the runtime holds
+// can still refer to: no vertex of a live statement's graphs, no event
+// pending in the reorder buffer and no in-flight event is older. It is
+// math.MaxInt64 while the runtime holds no event, math.MinInt64 while a
+// statement with an unbounded window (or one that has yet to admit an
+// event) could refer to any. See "One horizon" in doc.go.
+func (rt *Runtime) Horizon() event.Time {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.horizonLocked()
+}
+
+// horizonLocked is Horizon with rt.mu held: the minimum over the live
+// sources' engines, the oldest pending event (and the reorder buffer's
+// drop threshold) and the in-flight one. An engine that has admitted no
+// event holds none; while no engine has and nothing is pending or in
+// flight, the runtime holds nothing.
+func (rt *Runtime) horizonLocked() event.Time {
+	h, held := event.Time(math.MaxInt64), false
+	bound := func(s *source) {
+		eh, admitted := s.eng.horizon()
+		h, held = min(h, eh), held || admitted
+	}
+	for _, g := range rt.groups {
+		for _, s := range g.members {
+			bound(s)
+		}
+	}
+	for _, s := range rt.direct {
+		bound(s)
+	}
+	if b := rt.reorder; b != nil {
+		// Bounded by the drop threshold too: an event that arrives behind
+		// the oldest pending one, within the slack, must not pull the
+		// horizon back.
+		if t, ok := b.Oldest(); ok {
+			h, held = min(h, t, b.Horizon()), true
+		}
+	}
+	if ev := rt.inflight; ev != nil {
+		h, held = min(h, ev.Time), true
+	}
+	if !held {
+		return math.MaxInt64
+	}
+	return h
+}
+
 // Statements returns the live statements in registration order.
 func (rt *Runtime) Statements() []*Stmt {
 	rt.mu.Lock()

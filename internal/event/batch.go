@@ -2,7 +2,9 @@ package event
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 )
 
 // Batch is a columnar block of schema-bound events of one type: dense
@@ -134,19 +136,13 @@ func (b *Batch) AppendEvent(ev *Event) error {
 		return fmt.Errorf("event: batch type %q cannot hold %q", b.sch.Type, ev.Type)
 	}
 	for a, v := range ev.Attrs {
-		if b.sch.NumSlot(a) < 0 {
-			return fmt.Errorf("event: attribute %q not in batch schema", a)
-		}
-		if math.IsNaN(v) {
-			return fmt.Errorf("event: NaN value for %q collides with the absence marker", a)
+		if b.sch.NumSlot(a) < 0 || math.IsNaN(v) {
+			return b.refusal(ev)
 		}
 	}
 	for a, v := range ev.Str {
-		if b.sch.StrSlot(a) < 0 {
-			return fmt.Errorf("event: string attribute %q not in batch schema", a)
-		}
-		if v == "" {
-			return fmt.Errorf("event: empty string for %q collides with the absence marker", a)
+		if b.sch.StrSlot(a) < 0 || v == "" {
+			return b.refusal(ev)
 		}
 	}
 	i := b.n
@@ -159,6 +155,29 @@ func (b *Batch) AppendEvent(ev *Event) error {
 	}
 	for j, a := range b.sch.Strings {
 		row.StrV[j] = ev.Str[a]
+	}
+	return nil
+}
+
+// refusal says why AppendEvent refuses ev, naming the first offending
+// attribute in name order, numeric ones first: with several, the error
+// does not follow map order.
+func (b *Batch) refusal(ev *Event) error {
+	for _, a := range slices.Sorted(maps.Keys(ev.Attrs)) {
+		if b.sch.NumSlot(a) < 0 {
+			return fmt.Errorf("event: attribute %q not in batch schema", a)
+		}
+		if math.IsNaN(ev.Attrs[a]) {
+			return fmt.Errorf("event: NaN value for %q collides with the absence marker", a)
+		}
+	}
+	for _, a := range slices.Sorted(maps.Keys(ev.Str)) {
+		if b.sch.StrSlot(a) < 0 {
+			return fmt.Errorf("event: string attribute %q not in batch schema", a)
+		}
+		if ev.Str[a] == "" {
+			return fmt.Errorf("event: empty string for %q collides with the absence marker", a)
+		}
 	}
 	return nil
 }

@@ -97,6 +97,15 @@ func (b *Buffer) Settle() {
 // Pending returns the number of buffered events.
 func (b *Buffer) Pending() int { return len(b.h) }
 
+// Oldest returns the time of the oldest buffered event, and false when
+// none is buffered.
+func (b *Buffer) Oldest() (event.Time, bool) {
+	if len(b.h) == 0 {
+		return 0, false
+	}
+	return b.h[0].ev.Time, true
+}
+
 // Dropped returns the number of events that arrived too late (beyond
 // the slack) and were discarded.
 func (b *Buffer) Dropped() uint64 { return b.dropped }

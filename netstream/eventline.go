@@ -7,6 +7,8 @@ import (
 	"slices"
 	"strconv"
 	"unicode/utf8"
+	"unsafe"
+	"weak"
 
 	"github.com/greta-cep/greta"
 	"github.com/greta-cep/greta/internal/event"
@@ -384,47 +386,143 @@ func (sess *session) internLocked(val []byte) string {
 	return s
 }
 
-// slabEvents is the fewest events a slab the carver replaces holds.
+// slabEvents is the fewest events a slab the carver allocates holds.
 const slabEvents = 64
 
-// newEventLocked carves an event with nw numeric and sw string slots
-// off the session's slabs; rows counts the events the caller is about
-// to carve, this one included. A slab is replaced only when exhausted,
-// by one for max(rows, slabEvents) events, so a frame's rows cost about
-// three allocations however many there are, and a lone event about
-// 3/slabEvents. sess.mu held.
-func (sess *session) newEventLocked(nw, sw, rows int) *greta.Event {
-	ev := &carve(&sess.evSlab, 1, rows)[0]
-	ev.Num, ev.StrV = carve(&sess.numSlab, nw, rows), carve(&sess.strSlab, sw, rows)
+// slabs is one kind of a session's event storage — the events it
+// builds, their numeric slots or their string slots: the slab being
+// carved, the time of the newest event carved off it, and the slabs
+// retired before it, oldest first.
+type slabs[T any] struct {
+	cur     []T // its length is what has been carved
+	newest  event.Time
+	retired slabQueue[T]
+}
+
+// retiredSlab is a slab the carver is done with: its first element,
+// held weakly so the collector can still reclaim the slab, its capacity,
+// and the time of the newest event carved off it.
+type retiredSlab[T any] struct {
+	first  weak.Pointer[T]
+	n      int
+	newest event.Time
+}
+
+// slabQueue is a ring of retired slabs. It allocates only when it grows
+// (doubling), never per slab: a slid slice would.
+type slabQueue[T any] struct {
+	buf     []retiredSlab[T]
+	head, n int
+}
+
+func (q *slabQueue[T]) push(r retiredSlab[T]) {
+	if q.n == len(q.buf) {
+		buf := make([]retiredSlab[T], max(8, 2*len(q.buf)))
+		for i := range q.n {
+			buf[i] = q.buf[(q.head+i)%len(q.buf)]
+		}
+		q.buf, q.head = buf, 0
+	}
+	q.buf[(q.head+q.n)%len(q.buf)] = r
+	q.n++
+}
+
+func (q *slabQueue[T]) pop() {
+	q.buf[q.head] = retiredSlab[T]{}
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+}
+
+// newEventLocked carves an event at time t with nw numeric and sw
+// string slots off the session's slabs; rows counts the events the
+// caller is about to carve, this one included. A slab lives as long as
+// the runtime may refer to an event on it: when one is exhausted it is
+// retired with the time of its newest event, and the slab that replaces
+// it is the oldest retired one whose newest event is older than the
+// session's horizon (horizonLocked), cleared in full — so a reference
+// the horizon missed would read a zeroed event, never another event's
+// values — or, when none qualifies, a new one for max(rows, slabEvents)
+// events. In the steady state the events the open windows hold sit on a
+// few slabs that take turns, and carving allocates nothing. sess.mu
+// held.
+func (sess *session) newEventLocked(t event.Time, nw, sw, rows int) *greta.Event {
+	ev := &carve(sess, &sess.evs, 1, rows, t)[0]
+	ev.Time = t
+	ev.Num, ev.StrV = carve(sess, &sess.nums, nw, rows, t), carve(sess, &sess.strs, sw, rows, t)
 	return ev
 }
 
-// carve cuts n elements off the spare capacity of *slab (its length is
-// what has been carved), replacing the slab when fewer than n are left.
-// The piece's capacity is its length, so an append to it copies instead
-// of reaching the next piece. n == 0 carves nil.
-func carve[T any](slab *[]T, n, rows int) []T {
+// carve cuts n elements for an event at time t off the spare capacity
+// of sl's slab, moving to the next slab (sl.next) when fewer than n are
+// left. The piece's capacity is its length, so an append to it copies
+// instead of reaching the next piece. n == 0 carves nil.
+func carve[T any](sess *session, sl *slabs[T], n, rows int, t event.Time) []T {
 	if n == 0 {
 		return nil
 	}
-	s := *slab
+	s := sl.cur
 	if cap(s)-len(s) < n {
-		s = make([]T, 0, max(rows, slabEvents)*n)
+		s = sl.next(sess, n, max(rows, slabEvents)*n)
 	}
-	*slab = s[:len(s)+n]
+	sl.cur, sl.newest = s[:len(s)+n], max(sl.newest, t)
 	return s[len(s) : len(s)+n : len(s)+n]
+}
+
+// next retires the slab being carved and returns an empty slab with
+// room for at least n elements: the oldest retired slab, cleared, if the
+// session's horizon has passed its newest event, or else a new one of
+// size elements. Retired slabs the collector reclaimed, and any too
+// small for n, leave the queue on the way.
+func (sl *slabs[T]) next(sess *session, n, size int) []T {
+	if cap(sl.cur) > 0 {
+		sl.retired.push(retiredSlab[T]{weak.Make(&sl.cur[:1][0]), cap(sl.cur), sl.newest})
+	}
+	sl.cur, sl.newest = nil, math.MinInt64
+	horizon, known := event.Time(0), false
+	for q := &sl.retired; q.n > 0; q.pop() {
+		r := q.buf[q.head]
+		first := r.first.Value()
+		if first == nil || r.n < n {
+			continue
+		}
+		if !known {
+			horizon, known = sess.horizonLocked(), true
+		}
+		if r.newest >= horizon {
+			break
+		}
+		q.pop()
+		s := unsafe.Slice(first, r.n)
+		clear(s)
+		return s[:0]
+	}
+	return make([]T, 0, size)
+}
+
+// horizonLocked is the earliest event time anything the session's
+// runtime or its hosted worker slots hold can refer to (Runtime.Horizon):
+// events older than it are nobody's. sess.mu held, outside any runtime
+// call.
+func (sess *session) horizonLocked() event.Time {
+	h := sess.rt.Horizon()
+	if sess.shard != nil {
+		for _, host := range sess.shard.hosts {
+			h = min(h, host.Horizon())
+		}
+	}
+	return h
 }
 
 // bindLocked turns a parsed event line into the schema-bound event the
 // runtime keeps: the schema comes from the session's shape cache (the
 // one batch frames use), attribute names live in the schema, string
 // values are interned, and the event and its slots are carved off the
-// session's slabs, so in the steady state a line allocates nothing but
-// its share of a slab. sess.mu held.
+// session's slabs, so in the steady state a line allocates nothing.
+// sess.mu held.
 func (sess *session) bindLocked(el *eventLine, id uint64) *greta.Event {
 	sch := event.InternShape(&sess.shapes, el.typ, el.nums, el.strs)
-	ev := sess.newEventLocked(len(el.vals), len(el.svals), 1)
-	ev.ID, ev.Type, ev.Time, ev.Sch = id, sch.Type, el.time, sch
+	ev := sess.newEventLocked(el.time, len(el.vals), len(el.svals), 1)
+	ev.ID, ev.Type, ev.Sch = id, sch.Type, sch
 	copy(ev.Num, el.vals)
 	for i, v := range el.svals {
 		ev.StrV[i] = sess.internLocked(v)

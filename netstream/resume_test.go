@@ -389,6 +389,81 @@ func TestSessionRestartFromCheckpoint(t *testing.T) {
 	sameSummary(t, "restart", c.Summary(), wantSum)
 }
 
+// TestSessionTraceIDs runs two resumable, checkpointed sessions on one
+// server, in turns: every checkpoint commit the server's TraceHook sees
+// while one session ingests names that session — the runtime's own
+// trace events carry the session id, as TraceSessionResume does.
+func TestSessionTraceIDs(t *testing.T) {
+	const q = "RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5"
+	const every = 10
+	var (
+		mu      sync.Mutex
+		dirs    int
+		commits []string // the session each commit named, in order
+	)
+	base := t.TempDir()
+	srv := &Server{
+		Linger: time.Minute,
+		RuntimeOptions: func() []greta.RuntimeOption {
+			mu.Lock()
+			defer mu.Unlock()
+			dirs++
+			return []greta.RuntimeOption{greta.WithCheckpoint(filepath.Join(base, fmt.Sprint(dirs)), every)}
+		},
+		TraceHook: func(te greta.TraceEvent) {
+			if te.Kind == greta.TraceCheckpointCommit {
+				mu.Lock()
+				commits = append(commits, te.Session)
+				mu.Unlock()
+			}
+		},
+	}
+	addr := startResumeServer(t, srv, q)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var clients [2]*Client
+	for i := range clients {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.EnableResume(ctx); err != nil {
+			t.Fatal(err)
+		}
+		clients[i] = c
+	}
+	if clients[0].SessionID() == clients[1].SessionID() {
+		t.Fatalf("both sessions are %q", clients[0].SessionID())
+	}
+	evs := genStream(120, 0, 11)
+	seen := 0
+	for part := 0; part < 4; part++ {
+		c := clients[part%2]
+		for _, e := range evs[part/2*60 : part/2*60+60] {
+			if err := c.Send(e.typ, e.tm, map[string]float64{"price": e.price}, map[string]string{"company": e.co}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The round trip settles every commit of this session's boundaries.
+		if err := c.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		got := commits[seen:]
+		seen = len(commits)
+		mu.Unlock()
+		if len(got) == 0 {
+			t.Fatalf("part %d: session %s reported no checkpoint commit", part, c.SessionID())
+		}
+		for _, id := range got {
+			if id != c.SessionID() {
+				t.Fatalf("part %d: a checkpoint commit of session %s names session %q", part, c.SessionID(), id)
+			}
+		}
+	}
+}
+
 // TestRestoredSessionTraces crashes a resumable session after a
 // checkpoint boundary, restores it onto a second server and resumes it
 // past the next boundary. The restored session reports to the second

@@ -291,14 +291,20 @@ func isTimeout(err error) bool {
 // runtimeOptions appends what every session runtime, built or restored,
 // takes from the server: scheduled checkpoint-write failures degrade to
 // warn lines instead of killing the session (the previous generation
-// stays valid and ingestion continues), and TraceHook. Appended last,
-// they override the same options in RuntimeOptions.
+// stays valid and ingestion continues), and TraceHook, with the session
+// id on every event. The id is read when the event fires: a new session
+// gets its id only when it turns resumable. The hook runs inside
+// runtime calls the session makes under sess.mu, so reading it is safe.
+// Appended last, they override the same options in RuntimeOptions.
 func (sess *session) runtimeOptions(opts []greta.RuntimeOption) []greta.RuntimeOption {
 	opts = append(opts, greta.WithCheckpointErrors(func(err error) {
 		sess.sendLocked(WireLine{Warn: fmt.Sprintf("checkpoint: %v", err)}, false)
 	}))
 	if hook := sess.srv.TraceHook; hook != nil {
-		opts = append(opts, greta.WithTraceHook(hook))
+		opts = append(opts, greta.WithTraceHook(func(ev greta.TraceEvent) {
+			ev.Session = sess.id
+			hook(ev)
+		}))
 	}
 	return opts
 }

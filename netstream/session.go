@@ -88,13 +88,14 @@ type session struct {
 	// string-value table.
 	shapes   event.ShapeCache
 	interned map[string]string
-	// evSlab, numSlab and strSlab are the event carver's slabs
-	// (newEventLocked): the events the session builds, their numeric
-	// slots and their string slots, each carved off a slab's spare
-	// capacity until it is exhausted. The runtime keeps the events.
-	evSlab  []greta.Event
-	numSlab []float64
-	strSlab []string
+	// evs, nums and strs are the event carver's slabs (newEventLocked):
+	// the events event lines and shard frames make, their numeric slots
+	// and their string slots. The runtime keeps the events; a slab is
+	// retired when exhausted and carved again, cleared, once the
+	// session's horizon has passed its newest event.
+	evs  slabs[greta.Event]
+	nums slabs[float64]
+	strs slabs[string]
 }
 
 // sendLocked emits one output line (mu held). Durable lines in a

@@ -3,6 +3,7 @@ package netstream
 import (
 	"encoding/base64"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"strconv"
@@ -228,7 +229,10 @@ func (sess *session) applyShardFrameLocked(we *WireEvent) {
 		if we.EvID > sess.evID {
 			sess.evID = we.EvID
 		}
-		for ws, blob := range we.Blobs {
+		// In slot-key order: a refusal names the same slot, and leaves the
+		// same slots adopted, whatever the map's order.
+		for _, ws := range slices.Sorted(maps.Keys(we.Blobs)) {
+			blob := we.Blobs[ws]
 			w, err := strconv.Atoi(ws)
 			if err != nil || w < 0 || w >= sh.n0 {
 				sess.sendLocked(WireLine{Error: fmt.Sprintf("adopt: bad worker slot %q", ws)}, false)
@@ -281,10 +285,13 @@ func (sess *session) emitPartial(w, si int, r greta.Result) {
 // cluster partitions identically to an N-worker single-process run.
 // Rows bind to a cached schema; the slots' graphs retain pointers to
 // them. A row is carved off the session's slabs like an event line's
-// event (newEventLocked). A link's frames change shape every few rows
-// and half of them carry one row: laid out as an event batch (16 rows
-// at the least) or in slabs of the frame's exact size, such a frame
-// costs three to five allocations, off the shared slabs 3/64.
+// event (newEventLocked), and its slab comes back to the carver once
+// every hosted slot's horizon has passed it: the slots' windows are
+// what holds a row. A link's frames change shape every few rows and
+// half of them carry one row: laid out as an event batch (16 rows at
+// the least) or in slabs of the frame's exact size, such a frame costs
+// three to five allocations; off the session's slabs, nothing in the
+// steady state.
 func (sess *session) applyShardBatchLocked(bl *batchLine) {
 	n := len(bl.times)
 	if len(bl.rowEnd) != n {
@@ -296,8 +303,8 @@ func (sess *session) applyShardBatchLocked(bl *batchLine) {
 	k := 0
 	for i, t := range bl.times {
 		sess.evID++
-		ev := sess.newEventLocked(len(sch.Numeric), len(sch.Strings), n-i)
-		ev.ID, ev.Type, ev.Time, ev.Sch = sess.evID, sch.Type, t, sch
+		ev := sess.newEventLocked(t, len(sch.Numeric), len(sch.Strings), n-i)
+		ev.ID, ev.Type, ev.Sch = sess.evID, sch.Type, sch
 		sess.fillRowLocked(bl, i, ev)
 		for ; k < bl.rowEnd[i]; k++ {
 			slot := int(bl.rhs[k] % uint64(sh.n0))

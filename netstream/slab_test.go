@@ -3,6 +3,8 @@ package netstream
 import (
 	"encoding/json"
 	"math"
+	"net"
+	"runtime/debug"
 	"testing"
 
 	"github.com/greta-cep/greta"
@@ -57,28 +59,51 @@ func checkSlabEvent(t *testing.T, ev *greta.Event, w slabWant) {
 	}
 }
 
+// shardSession is hotSession in shard mode hosting worker slot 0, with
+// unit 0 registered for query on route group 0 when query is not empty.
+// The frames' rows are Quote events at their frame's seq.
+func shardSession(t *testing.T, query string) (*session, net.Conn, uint64) {
+	t.Helper()
+	sess, conn := hotSession(t)
+	if sess.handle(conn, &record{kind: recWire, we: WireEvent{Cmd: "shard", Seq: 1, Count: 1, Workers: []int{0}}}) || sess.shard == nil {
+		t.Fatal("shard handshake refused")
+	}
+	if query == "" {
+		return sess, conn, 1
+	}
+	if sess.handle(conn, &record{kind: recWire, we: WireEvent{Cmd: "sreg", Seq: 2, Query: query, ID: "u0"}}) || len(sess.shard.hosts[0].Units()) != 1 {
+		t.Fatalf("unit %q not registered", query)
+	}
+	return sess, conn, 2
+}
+
 // TestSessionSlabEvents: event lines of two shapes (two numeric and two
 // string slots; three numeric and none) interleaved with shard frames of
 // 1, 63, 64, 65 and 512 rows carve their events off one session's slabs,
 // across several slab replacements. Every event's slots are cut to their
 // length, so an append to one cannot reach its neighbours, and ids,
-// times and values are what encoding/json reads off the same lines.
+// times and values are what encoding/json reads off the same lines. The
+// slot's unit has an unbounded window, so the session's horizon never
+// passes an event and no slab is reused: every event stays checkable to
+// the end. The reused row moves the horizon past retired slabs.
 func TestSessionSlabEvents(t *testing.T) {
-	sess, conn := hotSession(t)
-	if sess.handle(conn, &record{kind: recWire, we: WireEvent{Cmd: "shard", Seq: 1, Count: 1, Workers: []int{0}}}) || sess.shard == nil {
-		t.Fatal("shard handshake refused")
-	}
+	t.Run("held", testSlabsHeld)
+	t.Run("reused", testSlabsReused)
+}
+
+func testSlabsHeld(t *testing.T) {
+	sess, conn, seq := shardSession(t, "RETURN COUNT(*) PATTERN Quote Q WHERE [company]")
 	var (
-		enc      eventEncoder
-		el       eventLine
-		rec      record
-		evs      []*greta.Event
-		wants    []slabWant
-		refills  int
-		seq, nth uint64 = 1, 0
+		enc     eventEncoder
+		el      eventLine
+		rec     record
+		evs     []*greta.Event
+		wants   []slabWant
+		refills int
+		nth     uint64
 	)
 	carved := func(prev []greta.Event, n int) []*greta.Event {
-		got, refilled := carvedSince(prev, sess.evSlab)
+		got, refilled := carvedSince(prev, sess.evs.cur)
 		if len(got) != n {
 			t.Fatalf("carved %d events, want %d", len(got), n)
 		}
@@ -103,7 +128,7 @@ func TestSessionSlabEvents(t *testing.T) {
 		if err := json.Unmarshal(line, &we); err != nil || !el.parse(line) {
 			t.Fatalf("%q: encoding/json %v, fast parser declined", line, err)
 		}
-		prev := sess.evSlab
+		prev := sess.evs.cur
 		sess.mu.Lock()
 		sess.evID++
 		ev := sess.bindLocked(&el, sess.evID)
@@ -123,7 +148,7 @@ func TestSessionSlabEvents(t *testing.T) {
 		if rec.decode(line); rec.kind != recBatch {
 			t.Fatalf("%d-row frame: fast parser declined", rows)
 		}
-		prev, id := sess.evSlab, sess.evID
+		prev, id := sess.evs.cur, sess.evID
 		if sess.handle(conn, &rec) || sess.lastSeq != seq {
 			t.Fatalf("%d-row frame %d not applied", rows, seq)
 		}
@@ -167,4 +192,85 @@ func TestSessionSlabEvents(t *testing.T) {
 		}
 	}
 	checkAll("after an append to every event")
+}
+
+// testSlabsReused feeds 32-row frames, each at its seq's time, to a unit
+// whose window (WITHIN 4 SLIDE 2) moves the session's horizon past them:
+// after a few frames every slab the carver moves to is a retired one,
+// and each comes back cleared in full — the part no row has been carved
+// off yet is zero — while every event still at or past the horizon keeps
+// its values. The collector is held off, so no retired slab is reclaimed
+// under the count.
+func testSlabsReused(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	sess, conn, seq := shardSession(t, "RETURN COUNT(*) PATTERN Quote Q WHERE [company] WITHIN 4 SLIDE 2")
+	var (
+		rec          record
+		evs          []*greta.Event
+		wants        []slabWant
+		bases        = map[*greta.Event]bool{}
+		fresh, again int
+	)
+	const frames, rows = 60, 32
+	for f := 0; f < frames; f++ {
+		seq++
+		_, line := hotFrame(t, seq, "Quote", rows, true)
+		var we WireEvent
+		if err := json.Unmarshal(line, &we); err != nil {
+			t.Fatal(err)
+		}
+		if rec.decode(line); rec.kind != recBatch {
+			t.Fatal("fast parser declined a frame")
+		}
+		prev, id := sess.evs.cur, sess.evID
+		if sess.handle(conn, &rec) || sess.lastSeq != seq {
+			t.Fatalf("frame %d not applied", seq)
+		}
+		got, refilled := carvedSince(prev, sess.evs.cur)
+		if len(got) != rows {
+			t.Fatalf("frame %d: carved %d events, want %d", seq, len(got), rows)
+		}
+		for i, tm := range we.Times {
+			w := slabWant{id + uint64(i) + 1, we.Type, tm, map[string]float64{}, map[string]string{}}
+			for a, col := range we.Cols {
+				w.attrs[a] = col[i]
+			}
+			for a, col := range we.SCols {
+				w.strs[a] = col[i]
+			}
+			evs, wants = append(evs, got[i]), append(wants, w)
+		}
+		cur := sess.evs.cur
+		for i, ev := range cur[len(cur):cap(cur)] {
+			if ev.ID != 0 || ev.Time != 0 || ev.Sch != nil || ev.Num != nil || ev.StrV != nil {
+				t.Fatalf("frame %d: slab element %d past the carved ones is not cleared: %+v", seq, len(cur)+i, ev)
+			}
+		}
+		if refilled {
+			if base := &cur[:1][0]; bases[base] {
+				again++
+			} else {
+				bases[base] = true
+				if f >= frames/2 {
+					t.Errorf("frame %d: a new event slab in the steady state", seq)
+				}
+				fresh++
+			}
+		}
+		sess.mu.Lock()
+		h := sess.horizonLocked()
+		sess.mu.Unlock()
+		if h <= int64(seq)-8 || h > int64(seq) {
+			t.Fatalf("frame %d: horizon %d, want it within the unit's open windows", seq, h)
+		}
+		for i, ev := range evs {
+			if wants[i].time >= h {
+				checkSlabEvent(t, ev, wants[i])
+			}
+		}
+	}
+	t.Logf("%d new event slabs, %d reused, over %d frames", fresh, again, frames)
+	if again == 0 || fresh > 6 {
+		t.Fatalf("%d new event slabs and %d reused over %d frames, want a few new and the rest reused", fresh, again, frames)
+	}
 }

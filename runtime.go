@@ -251,6 +251,16 @@ func (rt *Runtime) RunParallel(ctx context.Context, s Stream, workers int) error
 // from this watermark onward.
 func (rt *Runtime) Watermark() Time { return rt.inner.Watermark() }
 
+// Horizon returns the earliest event time any state the runtime holds
+// can still refer to: no open window's graph vertex, no event pending
+// in the reorder buffer (WithReorderSlack) and no event being applied
+// is older, so an event older than the horizon that was handed to
+// Process is no longer referenced and its storage may be reused. It
+// does not decrease between two reads at which the runtime holds an
+// event; it is math.MaxInt64 while the runtime holds none, and
+// math.MinInt64 while an unbounded window could refer to any.
+func (rt *Runtime) Horizon() Time { return rt.inner.Horizon() }
+
 // Barrier flushes the reorder buffer (WithReorderSlack), applying
 // every pending event in order; a no-op without slack. Lifecycle
 // operations (Register, Handle.Close, Close) barrier implicitly.
