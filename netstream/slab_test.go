@@ -1,10 +1,14 @@
 package netstream
 
 import (
+	"bufio"
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
 	"net"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"github.com/greta-cep/greta"
@@ -85,10 +89,13 @@ func shardSession(t *testing.T, query string) (*session, net.Conn, uint64) {
 // times and values are what encoding/json reads off the same lines. The
 // slot's unit has an unbounded window, so the session's horizon never
 // passes an event and no slab is reused: every event stays checkable to
-// the end. The reused row moves the horizon past retired slabs.
+// the end. The reused row moves the horizon past retired slabs, and the
+// lines row holds an ordinary session's results to an in-process
+// runtime's while its slabs are reused.
 func TestSessionSlabEvents(t *testing.T) {
 	t.Run("held", testSlabsHeld)
 	t.Run("reused", testSlabsReused)
+	t.Run("lines", testSlabsLines)
 }
 
 func testSlabsHeld(t *testing.T) {
@@ -272,5 +279,89 @@ func testSlabsReused(t *testing.T) {
 	t.Logf("%d new event slabs, %d reused, over %d frames", fresh, again, frames)
 	if again == 0 || fresh > 6 {
 		t.Fatalf("%d new event slabs and %d reused over %d frames, want a few new and the rest reused", fresh, again, frames)
+	}
+}
+
+// testSlabsLines feeds event lines to an ordinary session whose
+// statement is on the scan path (an inequality is no range, so nothing
+// folds: each event reads every candidate predecessor's event off the
+// slabs) and holds
+// its results to an in-process runtime fed the same events with their
+// own storage: a slab reused while a window still held one of its
+// events would change them. The stream fills dozens of slabs, and the
+// carver must have reused some.
+func testSlabsLines(t *testing.T) {
+	const q = "RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ WHERE [company] AND S.price != NEXT(S).price WITHIN 20 SLIDE 10"
+	stmt, err := greta.Compile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &Server{Statements: []*greta.Statement{stmt}}
+	conn := discardConn{}
+	w := bufio.NewWriter(conn)
+	sess := srv.newSession(conn, w, json.NewEncoder(w))
+	if sess == nil {
+		t.Fatal("no session")
+	}
+	ref := greta.NewRuntime()
+	h, err := ref.Register(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		enc   eventEncoder
+		rec   record
+		bases = map[*greta.Event]bool{}
+		slabs int
+	)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 3000; i++ {
+		// Three companies, small random prices, four events a time unit:
+		// every window holds unclosed vertices a later event can extend.
+		typ, tm := "Stock", int64(i/4)
+		attrs := map[string]float64{"price": float64(1 + rng.Intn(8))}
+		strs := map[string]string{"company": fmt.Sprintf("c%d", rng.Intn(3))}
+		line, err := enc.appendLine(nil, 0, typ, tm, attrs, strs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.decode(line[:len(line)-1]); rec.kind != recEvent {
+			t.Fatalf("fast parser declined %q", line)
+		}
+		if sess.handle(conn, &rec) {
+			t.Fatal("session stopped")
+		}
+		if cur := sess.evs.cur; len(cur) == 1 {
+			slabs++
+			bases[&cur[0]] = true
+		}
+		if err := ref.Process(&greta.Event{ID: uint64(i + 1), Type: greta.Type(typ), Time: tm, Attrs: attrs, Str: strs}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reused := slabs - len(bases)
+	t.Logf("%d event slabs carved, %d of them reused", slabs, reused)
+	if reused == 0 || slabs < 40 {
+		t.Fatalf("%d slabs carved, %d of them reused: the stream must fill many and reuse some", slabs, reused)
+	}
+	sess.mu.Lock()
+	hs := sess.handles[sess.order[0]]
+	sess.teardownLocked() // closes the runtime: the open windows flush, as ref's do
+	sess.mu.Unlock()
+	got := hs.Delivered()
+	if err := ref.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := h.Delivered()
+	if len(want) < 20 {
+		t.Fatalf("the reference emitted %d results: too few to compare", len(want))
+	}
+	if len(got) != len(want) {
+		t.Fatalf("session emitted %d results, the in-process runtime %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Group != want[i].Group || got[i].Wid != want[i].Wid || !slices.Equal(got[i].Values, want[i].Values) {
+			t.Fatalf("result %d: session %+v, in-process runtime %+v", i, got[i], want[i])
+		}
 	}
 }
