@@ -7,7 +7,9 @@ package baseline
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 
 	"github.com/greta-cep/greta/internal/aggregate"
 	"github.com/greta-cep/greta/internal/event"
@@ -156,10 +158,12 @@ func trendKey(tr []*event.Event) string {
 }
 
 // Partition splits events by grouping and equivalence attributes in
-// stream order (shared by all two-step engines).
-func Partition(q *query.Query, evs []*event.Event) map[string][]*event.Event {
+// stream order (shared by all two-step engines) and lists the
+// partitions in key order, so the engines merge a group's partitions in
+// the same order on every run and a float SUM reads the same bits.
+func Partition(q *query.Query, evs []*event.Event) [][]*event.Event {
 	attrs := append(append([]string{}, q.GroupBy...), q.Equivalence...)
-	out := map[string][]*event.Event{}
+	parts := map[string][]*event.Event{}
 	for _, e := range evs {
 		key := ""
 		for i, a := range attrs {
@@ -172,7 +176,11 @@ func Partition(q *query.Query, evs []*event.Event) map[string][]*event.Event {
 				key += formatNum(v)
 			}
 		}
-		out[key] = append(out[key], e)
+		parts[key] = append(parts[key], e)
+	}
+	out := make([][]*event.Event, 0, len(parts))
+	for _, k := range slices.Sorted(maps.Keys(parts)) {
+		out = append(out, parts[k])
 	}
 	return out
 }

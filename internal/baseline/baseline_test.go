@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/greta-cep/greta/internal/aggregate"
@@ -226,4 +227,69 @@ func TestBaselineStatsMonotone(t *testing.T) {
 		t.Errorf("trends decreased: %d -> %d", s1.Trends, s2.Trends)
 	}
 	_ = baseline.Stats{}
+}
+
+// TestOraclesBitStable: each oracle sums the trends of a group's
+// partitions and of a window in a fixed order, so a fractional SUM
+// reads the same bits on every run — the partitions of one group are
+// merged in key order, and the enumerator folds its trends in key order.
+func TestOraclesBitStable(t *testing.T) {
+	const qsrc = "RETURN COUNT(*), SUM(A.x), AVG(A.x) PATTERN A+ WHERE [h] GROUP-BY g WITHIN 12 SLIDE 4"
+	q := query.MustParse(qsrc)
+	rng := rand.New(rand.NewSource(3))
+	var b event.Builder
+	for i := 0; i < 80; i++ {
+		b.AddStr("A", event.Time(1+i/2),
+			map[string]float64{"x": float64(rng.Intn(1000)) / 7},
+			map[string]string{"g": fmt.Sprintf("g%d", rng.Intn(2)), "h": fmt.Sprintf("h%d", rng.Intn(3))})
+	}
+	evs := b.Events()
+	bits := func(group string, wid int64, vals []float64) string {
+		s := key(group, wid)
+		for _, v := range vals {
+			s += fmt.Sprintf(" %016x", math.Float64bits(v))
+		}
+		return s + "\n"
+	}
+	fromBaseline := func(rs []baseline.Result, _ baseline.Stats, err error) string {
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := ""
+		for _, r := range rs {
+			s += bits(r.Group, r.Wid, r.Values)
+		}
+		return s
+	}
+	oracles := []struct {
+		name string
+		run  func() string
+	}{
+		{"flat", func() string { return fromBaseline(flat.Run(q, evs, flat.Options{MaxLen: 64})) }},
+		{"cet", func() string { return fromBaseline(cet.Run(q, evs, cet.Options{})) }},
+		{"sase", func() string { return fromBaseline(sase.Run(q, evs, sase.Options{})) }},
+		{"enum", func() string {
+			rs, err := enum.Run(q, evs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := ""
+			for _, r := range rs {
+				s += bits(r.Group, r.Wid, r.Values)
+			}
+			return s
+		}},
+	}
+	for _, o := range oracles {
+		first := o.run()
+		if strings.Count(first, "\n") < 10 {
+			t.Fatalf("%s: %d results, want at least 10", o.name, strings.Count(first, "\n"))
+		}
+		for i := 1; i < 20; i++ {
+			if again := o.run(); again != first {
+				t.Errorf("%s: run %d differs from run 0 in its bits:\n%s\nvs\n%s", o.name, i, again, first)
+				break
+			}
+		}
+	}
 }

@@ -8,6 +8,7 @@ package enum
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 
@@ -118,8 +119,7 @@ func Trends(q *query.Query, evs []*event.Event) ([]Trend, error) {
 		return nil, err
 	}
 	seen := map[string]Trend{}
-	for group, part := range partition(q, evs) {
-		_ = group
+	for _, part := range partition(q, evs) {
 		for _, b := range branches {
 			trends, err := EnumerateBranch(q, b, part, part)
 			if err != nil {
@@ -143,10 +143,11 @@ func Trends(q *query.Query, evs []*event.Event) ([]Trend, error) {
 }
 
 // partition splits events by grouping and equivalence attributes, in
-// stream order (the oracle twin of the runtime partitioner).
-func partition(q *query.Query, evs []*event.Event) map[string][]*event.Event {
+// stream order (the oracle twin of the runtime partitioner), and lists
+// the partitions in key order.
+func partition(q *query.Query, evs []*event.Event) [][]*event.Event {
 	attrs := append(append([]string{}, q.GroupBy...), q.Equivalence...)
-	out := map[string][]*event.Event{}
+	parts := map[string][]*event.Event{}
 	for _, e := range evs {
 		var b strings.Builder
 		for i, a := range attrs {
@@ -159,7 +160,11 @@ func partition(q *query.Query, evs []*event.Event) map[string][]*event.Event {
 				fmt.Fprintf(&b, "%g", v)
 			}
 		}
-		out[b.String()] = append(out[b.String()], e)
+		parts[b.String()] = append(parts[b.String()], e)
+	}
+	out := make([][]*event.Event, 0, len(parts))
+	for _, k := range slices.Sorted(maps.Keys(parts)) {
+		out = append(out, parts[k])
 	}
 	return out
 }

@@ -1,7 +1,9 @@
 package enum
 
 import (
+	"maps"
 	"math"
+	"slices"
 
 	"github.com/greta-cep/greta/internal/aggregate"
 	"github.com/greta-cep/greta/internal/baseline/matchgraph"
@@ -40,9 +42,13 @@ func aggregateResults(q *query.Query, results map[string]map[int64]map[string]Tr
 			r := Result{Group: group, Wid: wid}
 			r.Count = uint64(len(trends))
 			r.Trends = len(trends)
+			list := make([]Trend, 0, len(trends))
+			for _, k := range slices.Sorted(maps.Keys(trends)) {
+				list = append(list, trends[k])
+			}
 			vals := make([]float64, len(q.Aggs))
 			for vi, spec := range q.Aggs {
-				vals[vi] = aggregateTrends(spec, trends)
+				vals[vi] = aggregateTrends(spec, list)
 			}
 			r.Values = vals
 			out = append(out, r)
@@ -65,8 +71,10 @@ func sortResults(rs []Result) {
 }
 
 // aggregateTrends computes one RETURN aggregate over materialized
-// trends — the "aggregation step" of the two-step approach.
-func aggregateTrends(spec aggregate.Spec, trends map[string]Trend) float64 {
+// trends — the "aggregation step" of the two-step approach — folding
+// them in the order given (aggregateResults sorts them by key), so a
+// float SUM reads the same bits on every run.
+func aggregateTrends(spec aggregate.Spec, trends []Trend) float64 {
 	switch spec.Kind {
 	case aggregate.CountStar:
 		return float64(len(trends))

@@ -114,7 +114,9 @@ func (s *Store) generations() []uint64 {
 
 // Start begins writing the concatenation of parts as the next
 // generation on a goroutine of the store's own and returns at once.
-// The parts are the store's until Wait returns. A write a process
+// The parts are the store's until Wait returns, and it keeps no
+// reference to them after the write: the caller may reuse their storage
+// once Wait has returned. A write a process
 // abandons in flight leaves the previous generation or the new one,
 // never a torn one. On any failure the temp file is removed and the
 // previous generation remains the newest valid one.

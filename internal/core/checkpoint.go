@@ -29,6 +29,7 @@ import (
 	"slices"
 	"strings"
 	"time"
+	"weak"
 
 	"github.com/greta-cep/greta/internal/aggregate"
 	"github.com/greta-cep/greta/internal/btree"
@@ -51,6 +52,8 @@ const ckVersion = 3
 // snapshot's parts in file order and returns at once, and Wait reports
 // the write they began — how long it took, and its error. The parts are
 // the sink's until Wait returns, and at most one write is in flight.
+// After Wait the runtime encodes the next snapshot into the same
+// storage, so a sink keeps no reference to the parts past it.
 // *checkpoint.Store is the sink; tests substitute their own.
 type SnapshotSink interface {
 	Start(parts ...[]byte)
@@ -1108,14 +1111,50 @@ func (c *ckWalk) walkReorder(s **reorder.Snapshot) {
 	}
 }
 
+// ckSpare is the storage a snapshot encodes into: the body's slice, the
+// event table and the reorder section's pending list. The runtime holds
+// the last one only weakly (Runtime.spare), so it costs nothing once a
+// collection has reclaimed it.
+type ckSpare struct {
+	buf     []byte
+	tab     evTable
+	pending []*event.Event
+}
+
+// takeSpare returns the storage the next snapshot encodes into: the last
+// snapshot's, unless the collector has reclaimed it or a write still
+// holds its bytes (the parts are the sink's until Wait), and otherwise
+// new storage sized from the last snapshot; rt.mu held.
+func (rt *Runtime) takeSpare() *ckSpare {
+	if sp := rt.spare.Value(); sp != nil && (rt.ck == nil || !rt.ck.busy) {
+		return sp
+	}
+	return &ckSpare{buf: make([]byte, 0, rt.ckSize+rt.ckSize/8), tab: newEvTable(rt.ckEvents)}
+}
+
+// keepSpare hands the storage a snapshot encoded into back for the next
+// one, its table and pending list cleared so that it refers to no event;
+// rt.mu held.
+func (rt *Runtime) keepSpare(sp *ckSpare) {
+	t := &sp.tab
+	clear(t.refs)
+	clear(t.schRefs)
+	clear(t.list)
+	clear(t.schemas)
+	clear(sp.pending)
+	sp.buf, sp.pending, t.list, t.schemas = sp.buf[:0], sp.pending[:0], t.list[:0], t.schemas[:0]
+	rt.spare = weak.Make(sp)
+}
+
 // snapshotLocked serializes the full recoverable runtime state; rt.mu
 // held. The statement/entry body is walked first, so event references
 // are assigned before the header and event table are walked behind it
-// in the same slice — a fresh one, sized from the previous snapshot, as
-// is the event table — and the two runs are returned in file order:
+// in the same slice — the spare's (takeSpare), as are the event table
+// and pending list — and the two runs are returned in file order:
 // header and table, then body.
 func (rt *Runtime) snapshotLocked(replayFrom event.Time) ([2][]byte, error) {
-	c := ckWalk{Walker: checkpoint.Encode(make([]byte, 0, rt.ckSize+rt.ckSize/8)), tab: newEvTable(rt.ckEvents)}
+	sp := rt.takeSpare()
+	c := ckWalk{Walker: checkpoint.Encode(sp.buf), tab: sp.tab}
 
 	var entries []*source
 	c.Len(len(rt.stmts), 1)
@@ -1145,13 +1184,16 @@ func (rt *Runtime) snapshotLocked(replayFrom event.Time) ([2][]byte, error) {
 		src.eng.walk(&c, &src.eng.emitted, &src.eng.results)
 	}
 	var snap *reorder.Snapshot
+	pending := sp.pending
 	if rt.reorder != nil {
 		// A release in flight (popped from the buffer, not yet applied — it
 		// is what fired this boundary) leads the pending list: it is first
 		// in release order and would otherwise vanish from both replay modes.
-		if snap = rt.reorder.Snapshot(); rt.inflight != nil {
-			snap.Pending = append([]*event.Event{rt.inflight}, snap.Pending...)
+		if rt.inflight != nil {
+			pending = append(pending, rt.inflight)
 		}
+		snap = rt.reorder.Snapshot(pending)
+		pending = snap.Pending
 	}
 	c.walkReorder(&snap)
 
@@ -1166,11 +1208,13 @@ func (rt *Runtime) snapshotLocked(replayFrom event.Time) ([2][]byte, error) {
 	h.walk(&c.Walker)
 	c.tab.walkSchemas(&c.Walker)
 	c.tab.walkEvents(&c.Walker)
+	buf, events := c.Out(), len(c.tab.list)
+	sp.buf, sp.tab, sp.pending = buf, c.tab, pending
+	rt.keepSpare(sp)
 	if err := c.Err(); err != nil {
 		return [2][]byte{}, err
 	}
-	buf := c.Out()
-	rt.ckSize, rt.ckEvents = len(buf), len(c.tab.list)
+	rt.ckSize, rt.ckEvents = len(buf), events
 	return [2][]byte{buf[body:], buf[:body]}, nil
 }
 

@@ -16,6 +16,7 @@ import (
 	"github.com/greta-cep/greta/internal/aggregate"
 	"github.com/greta-cep/greta/internal/checkpoint"
 	"github.com/greta-cep/greta/internal/event"
+	"github.com/greta-cep/greta/internal/query"
 )
 
 // fuzzShapes are the statement mixes the round-trip fuzzer builds
@@ -167,6 +168,86 @@ func FuzzRestoreCorrupt(f *testing.F) {
 		// A successful decode must at least produce a coherent topology.
 		if rt.Stats().Statements != len(rt.Statements()) {
 			t.Fatal("restored runtime is incoherent")
+		}
+	})
+}
+
+// fuzzShardHostBlobs are handoff blobs of one worker slot hosting three
+// units in two route groups (a Kleene trend, a negation, an exact-mode
+// trend), taken back to back at three points of a randomized stream
+// with barriers between them: every blob after the first is encoded
+// into the storage the one before it left.
+func fuzzShardHostBlobs(t testing.TB) [][]byte {
+	t.Helper()
+	h := NewShardHost(1, func(int, int, Result) {})
+	units := []struct {
+		q     string
+		exact bool
+		gi    int
+	}{{lcA, false, 0}, {lcNeg, false, 1}, {lcB, true, 0}}
+	for si, u := range units {
+		mode := aggregate.ModeNative
+		if u.exact {
+			mode = aggregate.ModeExact
+		}
+		plan, err := NewPlan(query.MustParse(u.q), mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.RegisterPlan(si, u.gi, plan, fmt.Sprintf("u%d", si), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	acc := [][]event.Accessor{h.unit(0).RouteAccessors(), h.unit(1).RouteAccessors()}
+	var blobs [][]byte
+	for i, ev := range rcStream(rand.New(rand.NewSource(5)), 360, false, 8, 20) {
+		h.Apply(ev, []int{0, 1}, []uint64{HashRoute(acc[0], ev), HashRoute(acc[1], ev)})
+		if i%40 == 39 {
+			for si := range units {
+				h.Barrier(si, ev.Time-5)
+			}
+		}
+		if i%120 == 119 {
+			blob, err := h.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			blobs = append(blobs, blob)
+		}
+	}
+	h.Discard()
+	return blobs
+}
+
+// FuzzAdoptShardHost asserts that AdoptShardHost never panics on a
+// handoff blob: it returns a host or an error. A host it returns encodes
+// the same blob twice in a row (the second time into the storage the
+// first left), and an unmutated seed comes back byte for byte.
+func FuzzAdoptShardHost(f *testing.F) {
+	seeds := map[string]bool{}
+	for _, blob := range fuzzShardHostBlobs(f) {
+		seeds[string(blob)] = true
+		f.Add(blob)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, err := AdoptShardHost(data, func(int, int, Result) {})
+		if err != nil {
+			if h != nil {
+				t.Fatal("error with a non-nil host")
+			}
+			return
+		}
+		once, err := h.Snapshot()
+		if err != nil {
+			t.Fatalf("an adopted host does not snapshot: %v", err)
+		}
+		twice, err := h.Snapshot()
+		if err != nil || !bytes.Equal(once, twice) {
+			t.Fatalf("a second snapshot differs from the first (%d and %d bytes, err %v)", len(once), len(twice), err)
+		}
+		if seeds[string(data)] && !bytes.Equal(once, data) {
+			t.Fatalf("a seed blob of %d bytes re-encodes to %d different bytes", len(data), len(once))
 		}
 	})
 }

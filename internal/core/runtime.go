@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"weak"
 
 	"github.com/greta-cep/greta/internal/aggregate"
 	"github.com/greta-cep/greta/internal/event"
@@ -125,9 +126,13 @@ type Runtime struct {
 	// calls.
 	batch batchPos
 	// ckSize and ckEvents are the last snapshot's length and event count:
-	// they size the next one's slice and event table once, and nothing
-	// snapshot-sized is held in between.
+	// they size a snapshot's slice and event table when the spare is gone.
+	// spare is the storage the last snapshot encoded into, held only
+	// weakly: the next boundary reuses it, unless a collection reclaimed
+	// it in between, so nothing snapshot-sized is strongly held between
+	// boundaries (takeSpare).
 	ckSize, ckEvents int
+	spare            weak.Pointer[ckSpare]
 
 	// met holds the hot-path metric cells, armed from NewRuntime on and
 	// never nil. Every touch on the ingest path is a plain atomic — see

@@ -20,7 +20,8 @@
 package reorder
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/greta-cep/greta/internal/event"
 )
@@ -134,24 +135,21 @@ type Snapshot struct {
 	Pending  []*event.Event
 }
 
-// Snapshot captures the buffer state; the buffer is not perturbed.
-func (b *Buffer) Snapshot() *Snapshot {
-	s := &Snapshot{Slack: b.slack, MaxSeen: b.maxSeen, Released: b.released, Dropped: b.dropped}
-	if len(b.h) == 0 {
-		return s
-	}
-	ents := append([]entry(nil), b.h...)
-	sort.Slice(ents, func(i, j int) bool {
-		if ents[i].ev.Time != ents[j].ev.Time {
-			return ents[i].ev.Time < ents[j].ev.Time
+// Snapshot captures the buffer state, appending the pending events to
+// pending (which may be nil) in release order. The buffer's behaviour
+// is not perturbed: its heap is left sorted in that order, and a sorted
+// array is a heap.
+func (b *Buffer) Snapshot(pending []*event.Event) *Snapshot {
+	slices.SortFunc(b.h, func(x, y entry) int {
+		if c := cmp.Compare(x.ev.Time, y.ev.Time); c != 0 {
+			return c
 		}
-		return ents[i].arr < ents[j].arr
+		return cmp.Compare(x.arr, y.arr)
 	})
-	s.Pending = make([]*event.Event, len(ents))
-	for i, e := range ents {
-		s.Pending[i] = e.ev
+	for _, e := range b.h {
+		pending = append(pending, e.ev)
 	}
-	return s
+	return &Snapshot{Slack: b.slack, MaxSeen: b.maxSeen, Released: b.released, Dropped: b.dropped, Pending: pending}
 }
 
 // Restore rebuilds a buffer from a snapshot, delivering to out. The

@@ -307,14 +307,14 @@ func TestSnapshotRestore(t *testing.T) {
 	orig := New(8, func(e *event.Event) { ref = append(ref, e.Time) })
 	feedPrefix(orig)
 
-	snap := orig.Snapshot()
+	snap := orig.Snapshot(nil)
 	if snap.MaxSeen != 20 || snap.Slack != 8 {
 		t.Fatalf("snapshot watermarks: %+v", snap)
 	}
 	if len(snap.Pending) == 0 {
 		t.Fatal("expected pending events in snapshot")
 	}
-	resnap := Restore(snap, func(*event.Event) {}).Snapshot()
+	resnap := Restore(snap, func(*event.Event) {}).Snapshot(nil)
 	if len(resnap.Pending) != len(snap.Pending) {
 		t.Fatalf("round-trip pending %d != %d", len(resnap.Pending), len(snap.Pending))
 	}
