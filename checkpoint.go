@@ -69,15 +69,6 @@ func (rt *Runtime) SetCheckpointMeta(f func(batchRows, batchAccepted int) []byte
 // is the real one. Tests swap in a fault-injecting one.
 var checkpointFS checkpoint.FS
 
-// armCheckpoint wires a generational Store under dir into the core
-// checkpoint schedule, which writes through it off the ingest path.
-// from < 0 starts a fresh schedule; a restored runtime passes its
-// replay bound so the cadence resumes unchanged.
-func (rt *Runtime) armCheckpoint(dir string, every, from Time, onErr func(error)) error {
-	store := &checkpoint.Store{Dir: dir, FS: checkpointFS}
-	return rt.inner.SetCheckpoint(every, from, store, onErr)
-}
-
 // Checkpoint writes an immediate snapshot (outside the boundary
 // schedule) to the directory configured by WithCheckpoint and returns
 // once it is durable, after the boundary snapshot still in flight, if
@@ -125,9 +116,10 @@ type Restored struct {
 // Restore rebuilds a Runtime from the newest valid checkpoint in dir,
 // verifying checksums and falling back to the previous generation if
 // the newest file is torn or corrupt (ErrNoCheckpoint when none
-// survives). Checkpointing is re-armed automatically with the interval
-// the snapshot was written under, into the same dir — pass
-// WithCheckpoint to override either. Statement ids, options, shared
+// survives). The checkpoint schedule resumes at ReplayFrom with the
+// interval the snapshot was written under, into the same dir — pass
+// WithCheckpoint to override both (a non-positive interval turns it
+// off). Statement ids, options, shared
 // sub-plan topology, partition state, and watermarks are restored;
 // feeding events with Time >= ReplayFrom resumes the run exactly.
 func Restore(dir string, opts ...RuntimeOption) (*Restored, error) {
@@ -135,12 +127,20 @@ func Restore(dir string, opts ...RuntimeOption) (*Restored, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	store := &checkpoint.Store{Dir: dir, FS: checkpointFS}
-	body, _, err := store.Load()
+	body, _, err := (&checkpoint.Store{Dir: dir, FS: checkpointFS}).Load()
 	if err != nil {
 		return nil, err
 	}
-	inner, info, err := core.RestoreRuntime(body)
+	// The schedule resumes into dir at the snapshot's interval (core's
+	// 0), unless WithCheckpoint names both; a non-positive one leaves it off.
+	copts := []core.Option{core.WithTraceHook(cfg.trace)}
+	switch {
+	case cfg.ckDir == "":
+		copts = append(copts, core.WithCheckpoint(0, &checkpoint.Store{Dir: dir, FS: checkpointFS}, cfg.ckErr))
+	case cfg.ckEvery > 0:
+		copts = append(copts, core.WithCheckpoint(cfg.ckEvery, &checkpoint.Store{Dir: cfg.ckDir, FS: checkpointFS}, cfg.ckErr))
+	}
+	inner, info, err := core.RestoreRuntime(body, copts...)
 	if err != nil {
 		return nil, err
 	}
@@ -152,17 +152,7 @@ func Restore(dir string, opts ...RuntimeOption) (*Restored, error) {
 		handles = append(handles, handleOf(st))
 	}
 
-	ckDir, every := dir, info.Every
-	if cfg.ckDir != "" {
-		ckDir = cfg.ckDir
-		every = cfg.ckEvery
-	}
-	if every > 0 {
-		if err := rt.armCheckpoint(ckDir, every, info.ReplayFrom, cfg.ckErr); err != nil {
-			return nil, err
-		}
-	}
-	if err := rt.armObs(&cfg); err != nil {
+	if err := rt.serveMetrics(cfg.metricsAddr); err != nil {
 		return nil, err
 	}
 	return &Restored{

@@ -176,15 +176,13 @@ func (s *Store) write(parts [][]byte) error {
 	if _, err := io.WriteString(f, Magic); err != nil {
 		return cleanup(fmt.Errorf("checkpoint: write header: %w", err))
 	}
-	sum := crc32.Checksum([]byte(Magic), crcTable)
 	for _, p := range parts {
 		if _, err := f.Write(p); err != nil {
 			return cleanup(fmt.Errorf("checkpoint: write body: %w", err))
 		}
-		sum = crc32.Update(sum, crcTable, p)
 	}
 	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], sum)
+	binary.LittleEndian.PutUint32(trailer[:], Sum(parts...))
 	if _, err := f.Write(trailer[:]); err != nil {
 		return cleanup(fmt.Errorf("checkpoint: write checksum: %w", err))
 	}
@@ -227,8 +225,33 @@ func (s *Store) prune() {
 	s.gens = kept
 }
 
-// Verify frames-checks one checkpoint file's bytes and returns the
-// body on success.
+// Sum is the checksum a checkpoint frame ends with: CRC32-C over Magic
+// and the concatenation of parts, the body.
+func Sum(parts ...[]byte) uint32 {
+	sum := crc32.Checksum([]byte(Magic), crcTable)
+	for _, p := range parts {
+		sum = crc32.Update(sum, crcTable, p)
+	}
+	return sum
+}
+
+// Frame returns the concatenation of parts framed as a checkpoint file
+// is — Magic, the body, its Sum — for a snapshot that travels in memory
+// rather than through a Store; Verify checks it.
+func Frame(parts ...[]byte) []byte {
+	n := len(Magic) + 4
+	for _, p := range parts {
+		n += len(p)
+	}
+	b := append(make([]byte, 0, n), Magic...)
+	for _, p := range parts {
+		b = append(b, p...)
+	}
+	return binary.LittleEndian.AppendUint32(b, Sum(parts...))
+}
+
+// Verify frame-checks one checkpoint file's bytes and returns the body
+// on success.
 func Verify(data []byte) ([]byte, error) {
 	if len(data) < len(Magic)+4 {
 		return nil, fmt.Errorf("%w: file too short (%d bytes)", ErrCorrupt, len(data))
@@ -236,12 +259,11 @@ func Verify(data []byte) ([]byte, error) {
 	if string(data[:len(Magic)]) != Magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	want := uint32(trailer[0]) | uint32(trailer[1])<<8 | uint32(trailer[2])<<16 | uint32(trailer[3])<<24
-	if got := crc32.Checksum(body, crcTable); got != want {
+	body, trailer := data[len(Magic):len(data)-4], data[len(data)-4:]
+	if got, want := Sum(body), binary.LittleEndian.Uint32(trailer); got != want {
 		return nil, fmt.Errorf("%w: checksum mismatch (got %08x, want %08x)", ErrCorrupt, got, want)
 	}
-	return body[len(Magic):], nil
+	return body, nil
 }
 
 // Load returns the body of the newest checkpoint generation whose

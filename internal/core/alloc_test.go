@@ -575,10 +575,7 @@ func testNoHotPathAllocsReorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := NewRuntime()
-	if err := rt.SetReorderSlack(8); err != nil {
-		t.Fatal(err)
-	}
+	rt := NewRuntime(WithReorderSlack(8))
 	st, err := rt.Register(plan, StmtConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -639,8 +636,8 @@ func testNoHotPathAllocsCheckpoint(t *testing.T) {
 		"RETURN MIN(S.price), MAX(S.price) PATTERN Stock S+ " +
 			"WHERE [company] AND S.price > NEXT(S).price GROUP-BY company WITHIN 1000 SLIDE 1000",
 	}
-	newRT := func() (*Runtime, []*Stmt) {
-		rt := NewRuntime()
+	newRT := func(ck Option) (*Runtime, []*Stmt) {
+		rt := NewRuntime(ck)
 		stmts := make([]*Stmt, len(srcs))
 		for i, src := range srcs {
 			plan, err := NewPlan(query.MustParse(src), aggregate.ModeNative)
@@ -675,16 +672,12 @@ func testNoHotPathAllocsCheckpoint(t *testing.T) {
 		}
 	}
 
-	rt, stmts := newRT()
 	var snap []byte
 	saves := 0
-	err := rt.SetCheckpoint(1000, -1, NewTestSink(t, func(body []byte) {
+	rt, stmts := newRT(WithCheckpoint(1000, NewTestSink(t, func(body []byte) {
 		saves++
 		snap = body
-	}), func(err error) { t.Errorf("checkpoint save: %v", err) })
-	if err != nil {
-		t.Fatal(err)
-	}
+	}), func(err error) { t.Errorf("checkpoint save: %v", err) }))
 
 	// Warmup crosses the 1000 and 2000 boundaries: snapshots fire there,
 	// panes expire and charge the pools; the measured window (2100..2399)
@@ -708,17 +701,13 @@ func testNoHotPathAllocsCheckpoint(t *testing.T) {
 	}
 	measure(rt, stmts, evs, "armed")
 
-	// Restore the boundary-2000 snapshot and re-arm the same schedule.
-	rtR, info, err := RestoreRuntime(snap)
+	// Restore the boundary-2000 snapshot under the same schedule.
+	rtR, info, err := RestoreRuntime(snap, WithCheckpoint(1000, NewTestSink(t, nil), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.ReplayFrom != 2000 {
 		t.Fatalf("replay bound %d, want 2000", info.ReplayFrom)
-	}
-	err = rtR.SetCheckpoint(1000, info.ReplayFrom, NewTestSink(t, nil), nil)
-	if err != nil {
-		t.Fatal(err)
 	}
 	// Churn through two more window closes (3000, 4000) so expiring
 	// panes recharge the restored runtime's pools, then measure inside

@@ -59,11 +59,8 @@ import (
 func (rt *Runtime) ProcessBatch(b *event.Batch) (int, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if rt.closed {
-		return 0, ErrClosed
-	}
-	if rt.running {
-		return 0, ErrRunning
+	if err := rt.usable(); err != nil {
+		return 0, err
 	}
 	n := b.Len()
 	if n == 0 {

@@ -194,19 +194,14 @@ func registerCollect(t *testing.T, rt *core.Runtime, queries []string) ([]*core.
 
 // armSnapshots schedules checkpoints every 25 ticks, capturing each
 // snapshot's bytes.
-func armSnapshots(t *testing.T, rt *core.Runtime, snaps *[][]byte) {
-	t.Helper()
-	armSnapshotsEvery(t, rt, 25, snaps)
+func armSnapshots(t *testing.T, snaps *[][]byte) core.Option {
+	return armSnapshotsEvery(t, 25, snaps)
 }
 
-func armSnapshotsEvery(t *testing.T, rt *core.Runtime, every event.Time, snaps *[][]byte) {
-	t.Helper()
-	err := rt.SetCheckpoint(every, -1, core.NewTestSink(t, func(body []byte) {
+func armSnapshotsEvery(t *testing.T, every event.Time, snaps *[][]byte) core.Option {
+	return core.WithCheckpoint(every, core.NewTestSink(t, func(body []byte) {
 		*snaps = append(*snaps, body)
 	}), func(err error) { t.Errorf("checkpoint: %v", err) })
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func compareSnaps(t *testing.T, label string, got, want [][]byte) {
@@ -244,9 +239,8 @@ func TestBatchIngestDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		evs := batchDiffStream(rand.New(rand.NewSource(seed)), 400, 12, 20)
 
-		refRt := core.NewRuntime()
 		var refSnaps [][]byte
-		armSnapshots(t, refRt, &refSnaps)
+		refRt := core.NewRuntime(armSnapshots(t, &refSnaps))
 		var refCur feedCursor
 		cursorMeta(refRt, &refCur)
 		refStmts, refResults := registerCollect(t, refRt, batchDiffQueries)
@@ -260,9 +254,8 @@ func TestBatchIngestDifferential(t *testing.T) {
 
 		for _, size := range []int{1, 7, 64, len(evs)} {
 			label := fmt.Sprintf("seed %d size %d", seed, size)
-			rt := core.NewRuntime()
 			var snaps [][]byte
-			armSnapshots(t, rt, &snaps)
+			rt := core.NewRuntime(armSnapshots(t, &snaps))
 			var cur feedCursor
 			cursorMeta(rt, &cur)
 			stmts, results := registerCollect(t, rt, batchDiffQueries)
@@ -378,16 +371,17 @@ func TestBatchReorderDifferential(t *testing.T) {
 	} {
 		name, withCk := tc.name, tc.withCk
 		t.Run(name, func(t *testing.T) {
-			refRt := core.NewRuntime()
-			var refSnaps [][]byte
-			var refCur feedCursor
-			if withCk {
-				armSnapshots(t, refRt, &refSnaps)
-				cursorMeta(refRt, &refCur)
+			build := func(snaps *[][]byte, cur *feedCursor) *core.Runtime {
+				if !withCk {
+					return core.NewRuntime(core.WithReorderSlack(tc.slack))
+				}
+				rt := core.NewRuntime(core.WithReorderSlack(tc.slack), armSnapshots(t, snaps))
+				cursorMeta(rt, cur)
+				return rt
 			}
-			if err := refRt.SetReorderSlack(tc.slack); err != nil {
-				t.Fatal(err)
-			}
+			var refSnaps, snaps [][]byte
+			var refCur, cur feedCursor
+			refRt := build(&refSnaps, &refCur)
 			refStmts, refResults := registerCollect(t, refRt, queries)
 			refAccepted := feedEach(t, refRt, arr, &refCur)
 			if err := refRt.Close(); err != nil {
@@ -397,16 +391,7 @@ func TestBatchReorderDifferential(t *testing.T) {
 				t.Fatal("no arrival exceeded the slack; drop accounting is untested")
 			}
 
-			rt := core.NewRuntime()
-			var snaps [][]byte
-			var cur feedCursor
-			if withCk {
-				armSnapshots(t, rt, &snaps)
-				cursorMeta(rt, &cur)
-			}
-			if err := rt.SetReorderSlack(tc.slack); err != nil {
-				t.Fatal(err)
-			}
+			rt := build(&snaps, &cur)
 			stmts, results := registerCollect(t, rt, queries)
 			accepted := feedBatches(t, rt, arr, 16, nil, &cur)
 			if err := rt.Close(); err != nil {
@@ -446,9 +431,8 @@ func TestBatchUnsortedFallback(t *testing.T) {
 		batchStockSchema.Bind(evs[i])
 	}
 
-	refRt := core.NewRuntime()
 	var refSnaps [][]byte
-	armSnapshotsEvery(t, refRt, 4, &refSnaps)
+	refRt := core.NewRuntime(armSnapshotsEvery(t, 4, &refSnaps))
 	var refCur feedCursor
 	cursorMeta(refRt, &refCur)
 	refStmts, refResults := registerCollect(t, refRt, queries)
@@ -460,9 +444,8 @@ func TestBatchUnsortedFallback(t *testing.T) {
 		t.Fatal("fixture has no late rows")
 	}
 
-	rt := core.NewRuntime()
 	var snaps [][]byte
-	armSnapshotsEvery(t, rt, 4, &snaps)
+	rt := core.NewRuntime(armSnapshotsEvery(t, 4, &snaps))
 	var at []string
 	rt.SetCheckpointMeta(func(rows, accepted int) []byte {
 		at = append(at, fmt.Sprintf("%d/%d", rows, accepted))

@@ -79,32 +79,18 @@ type ckState struct {
 	lastDur time.Duration
 }
 
-// SetCheckpoint arms watermark-aligned checkpointing: before applying
+// WithCheckpoint arms watermark-aligned checkpointing: before applying
 // the first event with Time >= the next multiple of every, the runtime
 // advances all engines to that boundary, encodes a snapshot and hands
 // it to sink.Start. The write is waited for at the next boundary,
-// CheckpointNow, Close or re-arm, where its trace, metrics and any onErr
-// call (onErr may be nil) are delivered, rt.mu held; one write is in
-// flight at most. from < 0 means a fresh runtime (first boundary at
-// every); a restored runtime passes its replayFrom so the schedule
-// resumes where it left off. Failures do not stop ingestion — the
-// previous checkpoint generation remains valid.
-func (rt *Runtime) SetCheckpoint(every, from event.Time, sink SnapshotSink, onErr func(error)) error {
-	if sink == nil {
-		return errors.New("greta: checkpoint sink is nil")
-	}
-	if every <= 0 {
-		return errors.New("greta: checkpoint interval must be positive")
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.settleCheckpoint()
-	ck := &ckState{every: every, next: every, sink: sink, onErr: onErr}
-	if from >= 0 {
-		ck.next = from/every*every + every
-	}
-	rt.ck = ck
-	return nil
+// CheckpointNow or Close, where its trace, metrics and any onErr call
+// (onErr may be nil) are delivered, rt.mu held; one write is in flight
+// at most. A restored runtime's schedule resumes where its snapshot
+// left off, and every 0 keeps the interval the snapshot was written
+// under. Failures do not stop ingestion — the previous checkpoint
+// generation remains valid.
+func WithCheckpoint(every event.Time, sink SnapshotSink, onErr func(error)) Option {
+	return func(rt *Runtime) { rt.ck = &ckState{every: every, sink: sink, onErr: onErr} }
 }
 
 // SetCheckpointMeta registers an opaque session-meta provider: f is
@@ -214,11 +200,8 @@ func (rt *Runtime) endCheckpoint(ck *ckState, replayFrom event.Time, n int64, en
 func (rt *Runtime) CheckpointNow() error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if rt.closed {
-		return ErrClosed
-	}
-	if rt.running {
-		return ErrRunning
+	if err := rt.usable(); err != nil {
+		return err
 	}
 	ck := rt.ck
 	if ck == nil {
@@ -1232,11 +1215,6 @@ type RestoreInfo struct {
 	// Meta is the opaque session-meta blob the snapshot was written
 	// with (SetCheckpointMeta); nil when none.
 	Meta []byte
-	// ReorderSlack and ReorderPending describe the rehydrated disorder
-	// window: the armed slack (0 when off) and how many in-flight
-	// events were restored into the buffer.
-	ReorderSlack   event.Time
-	ReorderPending int
 }
 
 // RestoreRuntime rebuilds a Runtime from checkpoint body bytes (as
@@ -1245,20 +1223,20 @@ type RestoreInfo struct {
 // info.ReplayFrom reproduces the uninterrupted run bit for bit.
 // Statement plans are recompiled from their canonical query text and
 // subscribe in their original order, so union payload slot layouts
-// match; result callbacks are not restored
-// (re-register them via Stmt.OnResult), and checkpointing is not
-// re-armed (call SetCheckpoint with info.Every, info.ReplayFrom and a
-// sink). Corrupt input — a
+// match; result callbacks are not restored (re-register them via
+// Stmt.OnResult). opts configure the runtime as NewRuntime's do (an
+// invalid one panics), and a WithCheckpoint schedule resumes at
+// info.ReplayFrom. Corrupt input — a
 // snapshot taken under a plan this build would not choose included —
 // yields an error wrapping checkpoint.ErrCorrupt, never a panic.
-func RestoreRuntime(data []byte) (*Runtime, RestoreInfo, error) {
+func RestoreRuntime(data []byte, opts ...Option) (*Runtime, RestoreInfo, error) {
 	c := ckWalk{Walker: checkpoint.Decode(data)}
 	var h ckHeader
 	h.walk(&c.Walker)
 	c.tab.walkSchemas(&c.Walker)
 	c.tab.walkEvents(&c.Walker)
 
-	rt := NewRuntime()
+	rt := newRuntime(opts, &h)
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	info, err := rt.restoreLocked(&c, &h)
@@ -1346,8 +1324,6 @@ func (rt *Runtime) restoreLocked(c *ckWalk, h *ckHeader) (RestoreInfo, error) {
 				rt.replayDedup[ev.ID] = struct{}{}
 			}
 		}
-		info.ReorderSlack = snap.Slack
-		info.ReorderPending = len(snap.Pending)
 	}
 	rt.nextID = h.nextID
 	if meta := h.meta; meta != nil {

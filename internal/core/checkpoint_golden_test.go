@@ -89,10 +89,15 @@ func goldenEvents() []*event.Event {
 // arrival sequence.
 func goldenRun(t *testing.T, sink SnapshotSink) *Runtime {
 	t.Helper()
-	rt := NewRuntime()
-	if err := rt.SetReorderSlack(goldenSlack); err != nil {
-		t.Fatal(err)
-	}
+	var rt *Runtime
+	rt = NewRuntime(
+		WithReorderSlack(goldenSlack),
+		WithTraceHook(func(te TraceEvent) {
+			if te.Kind == TraceCheckpointBegin {
+				goldenZeroEmitted(rt)
+			}
+		}),
+		WithCheckpoint(goldenEvery, sink, func(err error) { t.Errorf("checkpoint save: %v", err) }))
 	rt.SetCheckpointMeta(func(int, int) []byte { return []byte(`{"sess":"golden","cursor":41}`) })
 	const trend = "PATTERN Stock S+ WHERE [desk] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5"
 	rcRegister(t, rt, "kleene", "RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price GROUP-BY sector WITHIN 20 SLIDE 5", aggregate.ModeNative, StmtConfig{})
@@ -101,14 +106,6 @@ func goldenRun(t *testing.T, sink SnapshotSink) *Runtime {
 	rcRegister(t, rt, "sh2", "RETURN SUM(S.price), MIN(S.price) "+trend, aggregate.ModeNative, StmtConfig{Share: true})
 	if s := rt.Stats(); s.SharedStatements != 2 || s.SharedGraphs != 1 {
 		t.Fatalf("scenario lost its shared graph: %+v", s)
-	}
-	rt.SetTraceHook(func(te TraceEvent) {
-		if te.Kind == TraceCheckpointBegin {
-			goldenZeroEmitted(rt)
-		}
-	})
-	if err := rt.SetCheckpoint(goldenEvery, -1, sink, func(err error) { t.Errorf("checkpoint save: %v", err) }); err != nil {
-		t.Fatal(err)
 	}
 	rcFeed(rt, goldenEvents(), 0)
 	return rt
@@ -159,29 +156,31 @@ func TestCheckpointGolden(t *testing.T) {
 			len(fresh), len(want), firstDiff(fresh, want))
 	}
 
-	rt, info, err := RestoreRuntime(want)
+	rt, info, err := RestoreRuntime(want, rcDiscard(t, 0))
 	if err != nil {
 		t.Fatalf("restore golden: %v", err)
 	}
-	if info.Every != goldenEvery || info.ReorderSlack != goldenSlack || info.ReorderPending == 0 {
+	if m := rt.Metrics(); info.Every != goldenEvery || m.ReorderSlack != goldenSlack || m.ReorderPending == 0 {
 		t.Fatalf("golden restored as %+v, want interval %d, slack %d and a non-empty disorder window",
 			info, goldenEvery, goldenSlack)
 	}
 	if n := len(rt.stmts); n != 4 {
 		t.Fatalf("golden restored %d statements, want 4", n)
 	}
-	rcDiscard(t, rt, info.Every, info.ReplayFrom)
 	if re := ckEncode(t, rt, info.ReplayFrom); !bytes.Equal(re, want) {
 		t.Fatalf("restore + re-encode yields %d bytes that differ from the %d golden ones (first difference at byte %d)",
 			len(re), len(want), firstDiff(re, want))
 	}
 
 	// The store frames exactly what the runtime handed it: the scenario
-	// written through a real one loads back as the golden body. Re-arming
-	// settles the last boundary's write; Close would release the
-	// disorder window first, across one more boundary.
+	// written through a real one loads back as the golden body once the
+	// last boundary's write is settled; Close would release the disorder
+	// window first, across one more boundary.
 	store := &checkpoint.Store{Dir: t.TempDir()}
-	rcDiscard(t, goldenRun(t, store), goldenEvery, -1)
+	rt = goldenRun(t, store)
+	rt.mu.Lock()
+	rt.settleCheckpoint()
+	rt.mu.Unlock()
 	body, _, err := store.Load()
 	if err != nil {
 		t.Fatalf("load the scenario's store: %v", err)

@@ -22,12 +22,8 @@ func TestCheckpointStorageReuse(t *testing.T) {
 		rate  = 4   // events a time unit
 		slack = 3
 	)
-	rt := NewRuntime()
+	rt := NewRuntime(WithReorderSlack(slack), rcDiscard(t, every))
 	rcRegister(t, rt, "a", "RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price WITHIN 400 SLIDE 100", aggregate.ModeNative, StmtConfig{NoRetain: true})
-	if err := rt.SetReorderSlack(slack); err != nil {
-		t.Fatal(err)
-	}
-	rcArm(t, rt, every, -1, nil)
 	t.Cleanup(func() { _ = rt.Close() })
 
 	// The stream is made before anything is measured: the runtime keeps

@@ -141,7 +141,9 @@ type shardHostMeta struct {
 // the caller ships them to the merger tagged with the slot's home
 // index w.
 func NewShardHost(w int, onPartial func(w, si int, r Result)) *ShardHost {
-	return &ShardHost{rt: NewRuntime(), w: w, onPartial: onPartial}
+	h := &ShardHost{rt: NewRuntime(), w: w, onPartial: onPartial}
+	h.rt.ckMeta = h.metaBytes
+	return h
 }
 
 // W returns the slot's home worker index.
@@ -321,17 +323,17 @@ func (h *ShardHost) CloseUnit(si int) (Stats, error) {
 
 // Snapshot serializes the slot's full engine state (open windows,
 // pane summaries, watermark) plus the unit/group binding meta, for a
-// rebalance handoff. The caller must have quiesced the slot (no
+// rebalance handoff, framed and checksummed as a checkpoint file is
+// (checkpoint.Frame). The caller must have quiesced the slot (no
 // events in flight past the snapshot's watermark).
 func (h *ShardHost) Snapshot() ([]byte, error) {
 	h.rt.mu.Lock()
-	h.rt.ckMeta = h.metaBytes
+	defer h.rt.mu.Unlock()
 	parts, err := h.rt.snapshotLocked(h.rt.watermark + 1)
-	h.rt.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	return slices.Concat(parts[:]...), nil
+	return checkpoint.Frame(parts[:]...), nil
 }
 
 // Discard drops the slot without emitting anything: callbacks are
@@ -352,9 +354,14 @@ func (h *ShardHost) Discard() {
 // restored, and every statement is rebound to its unit index in
 // worker mode. The slot keeps its original home index, so the
 // coordinator's merge and stats fold are undisturbed by the
-// migration.
+// migration. A blob whose frame does not verify is refused with an
+// error wrapping checkpoint.ErrCorrupt before anything is decoded.
 func AdoptShardHost(data []byte, onPartial func(w, si int, r Result)) (*ShardHost, error) {
-	rt, info, err := RestoreRuntime(data)
+	body, err := checkpoint.Verify(data)
+	if err != nil {
+		return nil, err
+	}
+	rt, info, err := RestoreRuntime(body)
 	if err != nil {
 		return nil, err
 	}
@@ -366,6 +373,7 @@ func AdoptShardHost(data []byte, onPartial func(w, si int, r Result)) (*ShardHos
 		return nil, fmt.Errorf("greta: bad shard-host meta: %w", err)
 	}
 	h := &ShardHost{rt: rt, w: m.W, onPartial: onPartial}
+	rt.ckMeta = h.metaBytes
 	for _, st := range rt.Statements() {
 		bind, ok := m.Units[st.ID()]
 		if !ok {

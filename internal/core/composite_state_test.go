@@ -17,22 +17,22 @@ import (
 // taken at event 200 000 is no bigger than the one at event 10 000.
 func TestCompositeBoundedState(t *testing.T) {
 	const n = 200_000
-	rt := NewRuntime()
-	st := rcRegister(t, rt, "q", "RETURN COUNT(*) PATTERN Stock S+ OR Halt H+ WITHIN 20 SLIDE 20",
+	var st *Stmt
+	sizes := map[event.Time]int{} // boundary → body bytes
+	rt := NewRuntime(
+		WithTraceHook(func(te TraceEvent) {
+			if te.Kind != TraceCheckpointBegin {
+				return
+			}
+			if p := st.src.eng.merge.Pending(); p != 0 {
+				t.Errorf("boundary %d: merger holds %d windows at the snapshot", te.Boundary, p)
+			}
+		}),
+		rcArm(t, 500, func(body []byte) { sizes[ckReplayFrom(body)] = len(body) }))
+	st = rcRegister(t, rt, "q", "RETURN COUNT(*) PATTERN Stock S+ OR Halt H+ WITHIN 20 SLIDE 20",
 		aggregate.ModeNative, StmtConfig{NoRetain: true})
 	delivered := 0
 	st.OnResult(func(Result) { delivered++ })
-
-	sizes := map[event.Time]int{} // boundary → body bytes
-	rt.SetTraceHook(func(te TraceEvent) {
-		if te.Kind != TraceCheckpointBegin {
-			return
-		}
-		if p := st.src.eng.merge.Pending(); p != 0 {
-			t.Errorf("boundary %d: merger holds %d windows at the snapshot", te.Boundary, p)
-		}
-	})
-	rcArm(t, rt, 500, -1, func(body []byte) { sizes[ckReplayFrom(body)] = len(body) })
 
 	// Two events a tick, every tenth a Halt: event i has time i/2.
 	for i := 0; i < n; i++ {

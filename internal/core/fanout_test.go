@@ -45,11 +45,12 @@ type fanoutRun struct {
 // ticks when ck is set, and feeds it through feed.
 func runFanout(t *testing.T, ck bool, feed func(*core.Runtime) int) *fanoutRun {
 	t.Helper()
-	rt := core.NewRuntime()
 	run := &fanoutRun{results: make([][]core.Result, len(fanoutQueries))}
+	var opts []core.Option
 	if ck {
-		armSnapshotsEvery(t, rt, 100, &run.snaps)
+		opts = append(opts, armSnapshotsEvery(t, 100, &run.snaps))
 	}
+	rt := core.NewRuntime(opts...)
 	for i, src := range fanoutQueries {
 		plan, err := core.NewPlan(query.MustParse(src), aggregate.ModeNative)
 		if err != nil {

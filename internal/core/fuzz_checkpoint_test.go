@@ -58,18 +58,14 @@ var fuzzShapes = []struct {
 func fuzzBuild(t testing.TB, shape int, seed int64, nEv int, every event.Time) []rcSnap {
 	t.Helper()
 	sh := fuzzShapes[shape]
-	rt := NewRuntime()
+	var snaps []rcSnap
+	rt := NewRuntime(WithReorderSlack(event.Time(sh.slack)), rcCapture(t, every, &snaps))
 	if sh.slack > 0 {
-		if err := rt.SetReorderSlack(event.Time(sh.slack)); err != nil {
-			t.Fatal(err)
-		}
 		rt.SetCheckpointMeta(func(int, int) []byte { return []byte(`{"sess":"fuzz","cursor":7}`) })
 	}
 	for _, q := range sh.queries {
 		rcRegister(t, rt, "", q, sh.mode, StmtConfig{Share: sh.share})
 	}
-	var snaps []rcSnap
-	rcCapture(t, rt, every, -1, &snaps)
 	evs := rcStream(rand.New(rand.NewSource(seed)), nEv, sh.mode != aggregate.ModeExact, 8, 20)
 	if sh.slack > 0 {
 		rcJitter(rand.New(rand.NewSource(seed^0x5eed)), evs, sh.slack)
@@ -105,16 +101,15 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 
 		snaps := fuzzBuild(t, shape, seed, nEv, every)
 		for i, sn := range snaps {
-			rtR, info, err := RestoreRuntime(sn.data)
+			// Arm the same schedule so the re-encoded header carries the
+			// same interval, then re-serialize with the original bound.
+			rtR, info, err := RestoreRuntime(sn.data, rcDiscard(t, every))
 			if err != nil {
 				t.Fatalf("snapshot %d: restore: %v", i, err)
 			}
 			if info.ReplayFrom != sn.replayFrom || info.Every != every {
 				t.Fatalf("snapshot %d: info %+v, want replay %d every %d", i, info, sn.replayFrom, every)
 			}
-			// Arm the same schedule so the re-encoded header carries the
-			// same interval, then re-serialize with the original bound.
-			rcDiscard(t, rtR, every, info.ReplayFrom)
 			re := ckEncode(t, rtR, sn.replayFrom)
 			if !bytes.Equal(sn.data, re) {
 				t.Fatalf("snapshot %d: round trip diverges (%d bytes vs %d)",
@@ -252,6 +247,33 @@ func FuzzAdoptShardHost(f *testing.F) {
 	})
 }
 
+// TestAdoptShardHostRefusesDamage: a handoff blob is framed and
+// checksummed, so every single-bit flip and every truncation of a seed
+// blob is refused as corrupt before anything is decoded (unframed, the
+// blobs adopted about a third of such mutations as altered state).
+func TestAdoptShardHostRefusesDamage(t *testing.T) {
+	adopt := func(what string, data []byte) {
+		t.Helper()
+		if _, err := AdoptShardHost(data, func(int, int, Result) {}); !errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Fatalf("%s: adopt returned %v, want checkpoint.ErrCorrupt", what, err)
+		}
+	}
+	for i, blob := range fuzzShardHostBlobs(t) {
+		if _, err := AdoptShardHost(blob, func(int, int, Result) {}); err != nil {
+			t.Fatalf("blob %d: adopt: %v", i, err)
+		}
+		mut := slices.Clone(blob)
+		for bit := range 8 * len(blob) {
+			mut[bit/8] ^= 1 << (bit % 8)
+			adopt(fmt.Sprintf("blob %d, bit %d flipped", i, bit), mut)
+			mut[bit/8] ^= 1 << (bit % 8)
+		}
+		for n := range len(blob) {
+			adopt(fmt.Sprintf("blob %d cut to %d of %d bytes", i, n, len(blob)), blob[:n])
+		}
+	}
+}
+
 // TestRestoreCorruptErrors pins a few specific corruptions to the
 // error (not panic) contract without relying on the fuzz engine.
 func TestRestoreCorruptErrors(t *testing.T) {
@@ -357,12 +379,8 @@ func TestRestoreCorruptErrors(t *testing.T) {
 // with the generation before.
 func TestRestorePlanMismatch(t *testing.T) {
 	store := &checkpoint.Store{Dir: t.TempDir()}
-	rt := NewRuntime()
+	rt := NewRuntime(WithCheckpoint(8, store, func(err error) { t.Errorf("checkpoint save: %v", err) }))
 	rcRegister(t, rt, "q", "RETURN COUNT(*) PATTERN Stock S+ WHERE S.price > NEXT(S).price WITHIN 20 SLIDE 5", aggregate.ModeNative, StmtConfig{})
-	err := rt.SetCheckpoint(8, -1, store, func(err error) { t.Errorf("checkpoint save: %v", err) })
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Prices no counter, window id or result value can be mistaken for.
 	price := func(i int) float64 { return 1000.25 + float64(i*5%7) }
 	for i := 0; i < 40; i++ {

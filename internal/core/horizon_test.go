@@ -81,13 +81,8 @@ func TestHorizonProperty(t *testing.T) {
 
 func checkHorizon(t *testing.T, seed int64, sh horizonShape, evs []*event.Event) {
 	t.Helper()
-	rt := core.NewRuntime()
+	rt := core.NewRuntime(core.WithReorderSlack(sh.slack))
 	defer rt.Close()
-	if sh.slack > 0 {
-		if err := rt.SetReorderSlack(sh.slack); err != nil {
-			t.Fatal(err)
-		}
-	}
 	register := func(queries []string) {
 		for _, src := range queries {
 			plan, err := core.NewPlan(query.MustParse(src), sh.mode)

@@ -280,16 +280,14 @@ type TraceEvent struct {
 	Err       error
 }
 
-// SetTraceHook installs the lifecycle trace hook (nil clears it). The
-// hook fires on the path that caused the event with the runtime lock
-// held — it must return quickly and must not call back into the
-// Runtime or its statements. Statement registration/close and
-// checkpoint begin/commit/fail fire here; serving layers add their own
-// kinds through their own hook options.
-func (rt *Runtime) SetTraceHook(fn func(TraceEvent)) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.trace = fn
+// WithTraceHook installs the lifecycle trace hook. The hook fires on
+// the path that caused the event with the runtime lock held — it must
+// return quickly and must not call back into the Runtime or its
+// statements. Statement registration/close and checkpoint
+// begin/commit/fail fire here; serving layers add their own kinds
+// through their own hook options.
+func WithTraceHook(fn func(TraceEvent)) Option {
+	return func(rt *Runtime) { rt.trace = fn }
 }
 
 // fireTrace invokes the hook if set; rt.mu held.

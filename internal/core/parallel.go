@@ -32,7 +32,7 @@ import (
 // reader sees it live to within one chunk.
 func (rt *Runtime) RunParallel(ctx context.Context, s event.Stream, workers int) error {
 	rt.mu.Lock()
-	if err := rt.registrable(); err != nil {
+	if err := rt.usable(); err != nil {
 		rt.mu.Unlock()
 		return err
 	}

@@ -88,30 +88,25 @@ type rcSnap struct {
 	data       []byte
 }
 
-// rcCapture arms rt to capture every scheduled checkpoint in memory.
-func rcCapture(t testing.TB, rt *Runtime, every, from event.Time, snaps *[]rcSnap) {
-	t.Helper()
-	rcArm(t, rt, every, from, func(body []byte) {
+// rcCapture is a checkpoint schedule capturing every snapshot in
+// memory.
+func rcCapture(t testing.TB, every event.Time, snaps *[]rcSnap) Option {
+	return rcArm(t, every, func(body []byte) {
 		*snaps = append(*snaps, rcSnap{replayFrom: ckReplayFrom(body), data: body})
 	})
 }
 
-// rcDiscard arms rt with the same boundary schedule but discards the
-// snapshots — restored runs re-arm with it so their AdvanceTo cadence
-// matches the interrupted run's.
-func rcDiscard(t testing.TB, rt *Runtime, every, from event.Time) {
-	t.Helper()
-	rcArm(t, rt, every, from, nil)
+// rcDiscard is the same boundary schedule discarding the snapshots —
+// restored runs take it so their AdvanceTo cadence matches the
+// interrupted run's.
+func rcDiscard(t testing.TB, every event.Time) Option {
+	return rcArm(t, every, nil)
 }
 
-// rcArm arms rt's checkpoint schedule with a test sink handing each
-// snapshot to keep.
-func rcArm(t testing.TB, rt *Runtime, every, from event.Time, keep func(body []byte)) {
-	t.Helper()
-	err := rt.SetCheckpoint(every, from, NewTestSink(t, keep), func(err error) { t.Errorf("checkpoint save: %v", err) })
-	if err != nil {
-		t.Fatal(err)
-	}
+// rcArm is a checkpoint schedule with a test sink handing each snapshot
+// to keep.
+func rcArm(t testing.TB, every event.Time, keep func(body []byte)) Option {
+	return WithCheckpoint(every, NewTestSink(t, keep), func(err error) { t.Errorf("checkpoint save: %v", err) })
 }
 
 // ckReplayFrom reads the replay bound from a snapshot's header.
@@ -371,9 +366,8 @@ func TestRecoveryDifferential(t *testing.T) {
 				// reference — boundary AdvanceTo may split summary folds,
 				// so Stats are compared within the checkpointed pair only).
 				var snaps []rcSnap
-				rtB := NewRuntime()
+				rtB := NewRuntime(rcCapture(t, every, &snaps))
 				stB := rcRegister(t, rtB, "q", tc.q, tc.mode, cfg)
-				rcCapture(t, rtB, every, -1, &snaps)
 				rcFeed(rtB, evs, 0)
 				preB := rcCaptureState([]*Stmt{stB})
 				rcStatesEqual(t, fmt.Sprintf("seed %d: plain vs checkpointed", seed), preA, preB, false)
@@ -388,7 +382,7 @@ func TestRecoveryDifferential(t *testing.T) {
 				// Kill + restore at every boundary: replay the suffix and
 				// demand bit-identity with the uninterrupted run.
 				for i, sn := range snaps {
-					rtR, info, err := RestoreRuntime(sn.data)
+					rtR, info, err := RestoreRuntime(sn.data, rcDiscard(t, every))
 					if err != nil {
 						t.Fatalf("seed %d: restore checkpoint %d: %v", seed, i, err)
 					}
@@ -400,7 +394,6 @@ func TestRecoveryDifferential(t *testing.T) {
 					if info.Every != every {
 						t.Fatalf("seed %d: checkpoint %d interval %d, want %d", seed, i, info.Every, every)
 					}
-					rcDiscard(t, rtR, every, replayFrom)
 					rcFeed(rtR, evs, replayFrom)
 					stmts := append([]*Stmt(nil), rtR.stmts...)
 					preR := rcCaptureState(stmts)
@@ -458,11 +451,8 @@ func TestReorderRecoveryDifferential(t *testing.T) {
 				evs := rcStream(rand.New(rand.NewSource(seed)), 300, false, 12, 0)
 				rcJitter(rand.New(rand.NewSource(seed^0x5eed)), evs, tc.slack)
 
-				build := func() (*Runtime, []*Stmt) {
-					rt := NewRuntime()
-					if err := rt.SetReorderSlack(event.Time(tc.slack)); err != nil {
-						t.Fatal(err)
-					}
+				build := func(opts ...Option) (*Runtime, []*Stmt) {
+					rt := NewRuntime(append(opts, WithReorderSlack(event.Time(tc.slack)))...)
 					stmts := make([]*Stmt, len(tc.queries))
 					for i, q := range tc.queries {
 						stmts[i] = rcRegister(t, rt, fmt.Sprintf("q%d", i), q,
@@ -496,10 +486,9 @@ func TestReorderRecoveryDifferential(t *testing.T) {
 				// a boundary snapshot fired inside Process must still
 				// point at the previous event.
 				var snaps []rcSnap
-				rtB, stB := build()
+				rtB, stB := build(rcCapture(t, every, &snaps))
 				cur := 0
 				rtB.SetCheckpointMeta(func(int, int) []byte { return []byte(strconv.Itoa(cur)) })
-				rcCapture(t, rtB, every, -1, &snaps)
 				dropsB := feed(rtB, evs, func(i int) { cur = i + 1 })
 				nFeed := len(snaps) // Close's barrier below may emit more
 				if dropsB == 0 {
@@ -528,11 +517,11 @@ func TestReorderRecoveryDifferential(t *testing.T) {
 
 				withPending := 0
 				for i, sn := range snaps {
-					rtR, info, err := RestoreRuntime(sn.data)
+					rtR, info, err := RestoreRuntime(sn.data, rcDiscard(t, every))
 					if err != nil {
 						t.Fatalf("seed %d: restore snapshot %d: %v", seed, i, err)
 					}
-					if info.Every != every || info.ReorderSlack != event.Time(tc.slack) {
+					if info.Every != every || rtR.Metrics().ReorderSlack != event.Time(tc.slack) {
 						t.Fatalf("seed %d: snapshot %d info %+v, want every %d slack %d",
 							seed, i, info, every, tc.slack)
 					}
@@ -540,10 +529,9 @@ func TestReorderRecoveryDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatalf("seed %d: snapshot %d meta %q: %v", seed, i, info.Meta, err)
 					}
-					if info.ReorderPending > 0 {
+					if rtR.Metrics().ReorderPending > 0 {
 						withPending++
 					}
-					rcDiscard(t, rtR, every, info.ReplayFrom)
 					if i >= nFeed {
 						// Emitted by Close's end-of-stream barrier: the
 						// cursor already covers the whole stream, so there
@@ -649,8 +637,7 @@ func TestRecoveryTopology(t *testing.T) {
 
 	// Uninterrupted checkpointed run.
 	var snaps []rcSnap
-	rtB := NewRuntime()
-	rcCapture(t, rtB, every, -1, &snaps)
+	rtB := NewRuntime(rcCapture(t, every, &snaps))
 	rsB := script(t, rtB)
 	preB := rcCaptureState(live(rsB))
 
@@ -670,13 +657,11 @@ func TestRecoveryTopology(t *testing.T) {
 			continue // mid-script snapshots need the script's actions replayed too
 		}
 		tested++
-		rtR, info, err := RestoreRuntime(sn.data)
+		rtR, info, err := RestoreRuntime(sn.data, rcDiscard(t, every))
 		if err != nil {
 			t.Fatalf("restore checkpoint %d: %v", i, err)
 		}
-		replayFrom := info.ReplayFrom
-		rcDiscard(t, rtR, every, replayFrom)
-		rcFeed(rtR, evs, replayFrom)
+		rcFeed(rtR, evs, info.ReplayFrom)
 		preR := rcCaptureState(rtR.stmts)
 		rcStatesEqual(t, fmt.Sprintf("checkpoint %d restored", i), preB, preR, true)
 
@@ -707,13 +692,12 @@ func TestCheckpointNow(t *testing.T) {
 		ev.Time = tt
 	}
 
-	var snaps []rcSnap
-	rtB := NewRuntime()
-	stB := rcRegister(t, rtB, "q", q, aggregate.ModeNative, StmtConfig{})
-	if err := rtB.CheckpointNow(); err == nil {
+	if err := NewRuntime().CheckpointNow(); err == nil {
 		t.Fatal("CheckpointNow succeeded without checkpointing configured")
 	}
-	rcCapture(t, rtB, 1<<40, -1, &snaps) // interval too long to self-trigger
+	var snaps []rcSnap
+	rtB := NewRuntime(rcCapture(t, 1<<40, &snaps)) // interval too long to self-trigger
+	stB := rcRegister(t, rtB, "q", q, aggregate.ModeNative, StmtConfig{})
 	for i, ev := range evs {
 		rtB.Process(ev)
 		if i == 127 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -94,13 +95,13 @@ type Runtime struct {
 	// goroutines (batch.go); between segments it holds only scratch.
 	fan segFan
 
-	// ck is the armed checkpoint schedule, nil when checkpointing is
-	// off (see checkpoint.go). The trigger in process is two loads and
-	// a compare — nothing on the steady path allocates or syscalls.
+	// ck is the checkpoint schedule (WithCheckpoint), nil when it is
+	// off (see checkpoint.go). The trigger in process is two loads and a
+	// compare — nothing on the steady path allocates or syscalls.
 	ck *ckState
 
 	// reorder, when non-nil, buffers bounded out-of-order arrivals
-	// (SetReorderSlack): Process feeds the buffer, released events flow
+	// (WithReorderSlack): Process feeds the buffer, released events flow
 	// through applyLocked in time order, and registrations, statement
 	// closes, and Runtime.Close act as barriers. Events behind the
 	// buffer's horizon are dropped with an OrderError before touching
@@ -139,7 +140,7 @@ type Runtime struct {
 	// metrics.go for the 0-alloc contract.
 	met    *rtMetrics
 	obsReg *obs.Registry
-	// trace is the lifecycle hook (SetTraceHook); fires under rt.mu on
+	// trace is the lifecycle hook (WithTraceHook); fires under rt.mu on
 	// lifecycle paths only, never per event.
 	trace func(TraceEvent)
 }
@@ -190,13 +191,61 @@ type Stmt struct {
 // mode's contract is bounded memory: a reader further behind loses the oldest.
 const tailMax = 4096
 
-// NewRuntime builds an empty runtime. Metrics are armed from birth:
-// the cells exist before the first event, so arming costs nothing on
-// the hot path beyond the atomics themselves.
-func NewRuntime() *Runtime {
+// NewRuntime builds an empty runtime configured by opts, which stay
+// fixed for its life; it panics on an invalid option (a programming
+// error). Metrics are armed from birth: the cells exist before the
+// first event, so arming costs nothing on the hot path beyond the
+// atomics themselves.
+func NewRuntime(opts ...Option) *Runtime { return newRuntime(opts, nil) }
+
+// Option configures a Runtime when it is built (NewRuntime) or restored
+// (RestoreRuntime).
+type Option func(*Runtime)
+
+// WithReorderSlack arms a bounded reorder buffer in front of the
+// engines: events may arrive up to slack time units behind the maximum
+// timestamp seen and are re-sorted (equal timestamps keep arrival
+// order) before application; later arrivals are dropped with an
+// OrderError. Registrations, statement closes, Barrier, and Close
+// flush the buffer first; scheduled checkpoints persist the pending
+// events inside the snapshot, whose buffer a restore takes instead.
+// Slack 0 is the direct path. A runtime with slack armed runs
+// RunParallel sequentially.
+func WithReorderSlack(slack event.Time) Option {
+	return func(rt *Runtime) {
+		if slack != 0 {
+			rt.reorder = reorder.New(slack, rt.applyReleased)
+		}
+	}
+}
+
+// newRuntime builds a runtime configured by opts. A restore passes its
+// snapshot's header (nil for a new runtime): the checkpoint schedule
+// resumes at its replay bound, and an interval of 0 means the one it
+// was written under — none when that is 0 too.
+func newRuntime(opts []Option, h *ckHeader) *Runtime {
 	rt := &Runtime{watermark: -1, shared: map[string]*source{}, obsReg: obs.NewRegistry()}
 	rt.met = newRTMetrics(rt.obsReg)
 	rt.registerCollector()
+	for _, opt := range opts {
+		opt(rt)
+	}
+	switch ck := rt.ck; {
+	case rt.reorder != nil && rt.reorder.Slack() < 0:
+		panic(errors.New("greta: reorder slack must be non-negative"))
+	case ck == nil:
+	case ck.sink == nil:
+		panic(errors.New("greta: checkpoint sink is nil"))
+	case ck.every < 0 || ck.every == 0 && h == nil:
+		panic(errors.New("greta: checkpoint interval must be positive"))
+	case h == nil:
+		ck.next = ck.every
+	case cmp.Or(ck.every, h.every) > 0:
+		ck.every = cmp.Or(ck.every, h.every)
+		ck.next = max(h.replayFrom, 0)/ck.every*ck.every + ck.every
+	default:
+		rt.ck = nil // restored with no interval given or written
+	}
 	return rt
 }
 
@@ -232,7 +281,7 @@ type StmtConfig struct {
 func (rt *Runtime) Register(plan *Plan, cfg StmtConfig) (*Stmt, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if err := rt.registrable(); err != nil {
+	if err := rt.usable(); err != nil {
 		return nil, err
 	}
 	if cfg.ID != "" && rt.hasID(cfg.ID) {
@@ -255,7 +304,9 @@ func (rt *Runtime) Register(plan *Plan, cfg StmtConfig) (*Stmt, error) {
 	return st, nil
 }
 
-func (rt *Runtime) registrable() error {
+// usable reports why a closed runtime, or one RunParallel owns, refuses
+// a call; rt.mu held.
+func (rt *Runtime) usable() error {
 	if rt.closed {
 		return ErrClosed
 	}
@@ -394,49 +445,14 @@ func (rt *Runtime) applyReleased(ev *event.Event) {
 	rt.inflight = nil
 }
 
-// SetReorderSlack arms a bounded reorder buffer in front of the
-// engines: events may arrive up to slack time units behind the maximum
-// timestamp seen and are re-sorted (equal timestamps keep arrival
-// order) before application; later arrivals are dropped with an
-// OrderError. Registrations, statement closes, Barrier, and Close
-// flush the buffer first; scheduled checkpoints instead persist the
-// pending events inside the snapshot, so a restored runtime rehydrates
-// its disorder window. Must be called before the first event; slack 0
-// disarms. A runtime with slack armed runs RunParallel sequentially.
-func (rt *Runtime) SetReorderSlack(slack event.Time) error {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.closed {
-		return ErrClosed
-	}
-	if rt.running {
-		return ErrRunning
-	}
-	if slack < 0 {
-		return errors.New("greta: reorder slack must be non-negative")
-	}
-	if rt.watermark >= 0 || (rt.reorder != nil && rt.reorder.Pending() > 0) {
-		return errors.New("greta: reorder slack must be configured before the first event")
-	}
-	if slack == 0 {
-		rt.reorder = nil
-		return nil
-	}
-	rt.reorder = reorder.New(slack, rt.applyReleased)
-	return nil
-}
-
 // Barrier flushes the reorder buffer, applying every pending event in
 // order. A no-op without slack. Use it to force alignment before
 // reading results mid-stream; lifecycle operations barrier implicitly.
 func (rt *Runtime) Barrier() error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if rt.closed {
-		return ErrClosed
-	}
-	if rt.running {
-		return ErrRunning
+	if err := rt.usable(); err != nil {
+		return err
 	}
 	rt.reorderBarrierLocked()
 	return nil

@@ -142,20 +142,18 @@ func windowCountPayloads(t *testing.T, src string, eng *Engine) (vertexPayloads 
 func windowCountRoundTrip(t *testing.T, src string, evs []*event.Event) {
 	t.Helper()
 	const every = 24
-	rt := NewRuntime()
-	rcRegister(t, rt, "q", src, aggregate.ModeNative, StmtConfig{})
 	var snaps []rcSnap
-	rcCapture(t, rt, every, -1, &snaps)
+	rt := NewRuntime(rcCapture(t, every, &snaps))
+	rcRegister(t, rt, "q", src, aggregate.ModeNative, StmtConfig{})
 	rcFeed(rt, evs, 0)
 	if err := rt.CheckpointNow(); err != nil {
 		t.Fatal(err)
 	}
 	for i, sn := range snaps {
-		rtR, info, err := RestoreRuntime(sn.data)
+		rtR, _, err := RestoreRuntime(sn.data, rcDiscard(t, every))
 		if err != nil {
 			t.Fatalf("%s: snapshot %d: restore: %v", src, i, err)
 		}
-		rcDiscard(t, rtR, every, info.ReplayFrom)
 		re := ckEncode(t, rtR, sn.replayFrom)
 		if !bytes.Equal(sn.data, re) {
 			t.Fatalf("%s: snapshot %d: round trip diverges (%d bytes vs %d)", src, i, len(sn.data), len(re))

@@ -106,18 +106,16 @@ func (rt *Runtime) MetricsHandler() http.Handler {
 	return obs.NewMux(rt.inner.MetricsRegistry())
 }
 
-// armObs applies the observability options (trace hook, metrics
-// listener) to a built runtime.
-func (rt *Runtime) armObs(cfg *runtimeConfig) error {
-	if cfg.trace != nil {
-		rt.inner.SetTraceHook(cfg.trace)
+// serveMetrics starts the WithMetricsAddr listener on addr ("" for
+// none).
+func (rt *Runtime) serveMetrics(addr string) error {
+	if addr == "" {
+		return nil
 	}
-	if cfg.metricsAddr != "" {
-		ln, err := obs.Serve(cfg.metricsAddr, rt.inner.MetricsRegistry())
-		if err != nil {
-			return err
-		}
-		rt.metLn = ln
+	ln, err := obs.Serve(addr, rt.inner.MetricsRegistry())
+	if err != nil {
+		return err
 	}
+	rt.metLn = ln
 	return nil
 }

@@ -19,7 +19,9 @@ import (
 
 // Client streams events to a netstream server and receives results. It
 // is the one client half of the session protocol: ordinary producers
-// and the cluster coordinator's shard links both run on it.
+// and the cluster coordinator's shard links both run on it. A Client
+// holds its connection from Dial, DialContext or NewClient on; only
+// Resume replaces it.
 //
 // One write rule: Send's event lines and SendBatch's and
 // SendBatchFrame's batch frames collect in a pending buffer that goes
@@ -50,8 +52,7 @@ type Client struct {
 	// SendWindow events unwritten. Set it before EnableResume.
 	SendWindow int
 
-	// addr is remembered by Dial/DialContext/LazyDial so Resume (and a
-	// lazily-created client's first use) can establish a connection.
+	// addr is remembered by Dial/DialContext so Resume can redial.
 	addr string
 
 	// mu guards the send half: the connection as writers see it, the
@@ -129,12 +130,6 @@ func DialContext(ctx context.Context, addr string) (*Client, error) {
 	return c, nil
 }
 
-// LazyDial returns a client with no connection yet: RegisterContext,
-// SendContext, and friends establish it on first use under their
-// context, with the DialContext retry/backoff. Useful when the
-// producer starts before the server is reachable.
-func LazyDial(addr string) *Client { return &Client{addr: addr} }
-
 // NewClient wraps an established connection.
 func NewClient(conn net.Conn) *Client {
 	return &Client{conn: conn, dec: json.NewDecoder(bufio.NewReader(conn))}
@@ -173,24 +168,6 @@ func transientDial(err error) bool {
 	}
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// ensureLocked establishes a lazily-dialed client's connection (mu
-// held; nothing else can be using a client that never connected).
-func (c *Client) ensureLocked(ctx context.Context) error {
-	if c.conn != nil {
-		return nil
-	}
-	if c.addr == "" {
-		return errors.New("netstream: client has no connection and no address")
-	}
-	conn, err := dialBackoff(ctx, c.addr)
-	if err != nil {
-		return err
-	}
-	c.conn = conn
-	c.dec = json.NewDecoder(bufio.NewReader(conn))
-	return nil
 }
 
 // errDown is what a write returns while the connection is known to be
@@ -280,16 +257,13 @@ func (c *Client) lingerWrite() {
 }
 
 // encodeLocked is the first half of the one path every generic client
-// line takes (mu held; writeLocked is the second): dial a
-// lazily-created client and encode we — stamped with the next seq and
-// retained in the resend ring when it is a sequenced frame of a
-// resumable session, before any write, so a frame lost to the write
-// error that reveals a break is still replayable. An error leaves the
-// ring untouched. (queue does the same steps for the pending buffer.)
-func (c *Client) encodeLocked(ctx context.Context, we *WireEvent, sequenced bool) ([]byte, error) {
-	if err := c.ensureLocked(ctx); err != nil {
-		return nil, err
-	}
+// line takes (mu held; writeLocked is the second): encode we — stamped
+// with the next seq and retained in the resend ring when it is a
+// sequenced frame of a resumable session, before any write, so a frame
+// lost to the write error that reveals a break is still replayable. An
+// error leaves the ring untouched. (queue does the same steps for the
+// pending buffer.)
+func (c *Client) encodeLocked(we *WireEvent, sequenced bool) ([]byte, error) {
 	if sequenced && c.session != "" {
 		we.Seq = c.ring.Next()
 		return c.ring.PushJSON(we)
@@ -302,10 +276,10 @@ func (c *Client) encodeLocked(ctx context.Context, we *WireEvent, sequenced bool
 }
 
 // writeFrame sends one generic line.
-func (c *Client) writeFrame(ctx context.Context, we *WireEvent, sequenced bool) error {
+func (c *Client) writeFrame(we *WireEvent, sequenced bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	line, err := c.encodeLocked(ctx, we, sequenced)
+	line, err := c.encodeLocked(we, sequenced)
 	if err != nil {
 		return err
 	}
@@ -321,12 +295,12 @@ func (c *Client) writeFrame(ctx context.Context, we *WireEvent, sequenced bool) 
 // frame's encoded length. A failed write is not an error: it closes the
 // connection, which ReadLine's caller sees and heals with Resume, and
 // the ring replays this and every later sequenced frame. The error is
-// for a frame that could not be sent at all — not encodable, or no
-// connection to send it on — and then no sequence number is consumed.
+// for a frame that could not be encoded, and then no sequence number
+// is consumed.
 func (c *Client) SendFrame(we *WireEvent) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	line, err := c.encodeLocked(context.Background(), we, sequencedFrame(we.Cmd))
+	line, err := c.encodeLocked(we, sequencedFrame(we.Cmd))
 	if err != nil {
 		return 0, err
 	}
@@ -348,9 +322,6 @@ func (c *Client) ReadLine() (*WireLine, error) {
 		*o = WireLine{Resumed: c.resumed}
 		c.resumed = nil
 		return o, nil
-	}
-	if c.dec == nil {
-		return nil, errors.New("netstream: client has no connection")
 	}
 	for {
 		*o = WireLine{}
@@ -395,50 +366,14 @@ func (c *Client) await(what string, accept func(*WireLine) bool) (*WireLine, err
 	}
 }
 
-// RegisterContext is Register for lazily-dialed clients: it first
-// establishes the connection (retrying transient dial failures with
-// backoff under ctx), then registers the statement.
-func (c *Client) RegisterContext(ctx context.Context, query string) (string, error) {
-	if err := c.writeFrame(ctx, &WireEvent{Cmd: "register", Query: query}, false); err != nil {
-		return "", err
-	}
-	o, err := c.await("register", func(o *WireLine) bool { return o.Registered != nil })
-	if err != nil {
-		return "", err
-	}
-	return o.Registered.ID, nil
-}
-
-// SendContext is Send for lazily-dialed clients, establishing the
-// connection under ctx first if needed. In a resumable session the
-// event is stamped with the next sequence number and its encoded line
-// retained (bounded by SendWindow) for replay after Resume — retained
-// first, so an event lost to the write error that reveals the break is
-// still replayable. An event that cannot be encoded (a NaN or infinite
-// attribute) is rejected without consuming a sequence number.
-//
-// The line joins the pending buffer (see Client), so a nil error means
-// the event was queued, and an error may be that of a write carrying
-// earlier lines. Outside a resumable session lines pending at a failed
-// write are lost with it.
-func (c *Client) SendContext(ctx context.Context, typ string, t int64, attrs map[string]float64, strs map[string]string) error {
-	_, queued, err := c.queue(ctx, func(out []byte, seq uint64) ([]byte, error) {
-		return c.evEnc.appendLine(out, seq, typ, t, attrs, strs)
-	})
-	return cmp.Or(err, queued)
-}
-
-// queue is the one path of event lines and batch frames: dial a lazily
-// created client, encode onto the pending buffer — stamped with the next
-// seq and ringed first in a resumable session — and queueLocked. It
-// returns the line's length and the error of a write it performed or
-// found (queued); an encode error leaves buffer and ring untouched.
-func (c *Client) queue(ctx context.Context, encode func(out []byte, seq uint64) ([]byte, error)) (n int, queued, err error) {
+// queue is the one path of event lines and batch frames: encode onto
+// the pending buffer — stamped with the next seq and ringed first in a
+// resumable session — and queueLocked. It returns the line's length and
+// the error of a write it performed or found (queued); an encode error
+// leaves buffer and ring untouched.
+func (c *Client) queue(encode func(out []byte, seq uint64) ([]byte, error)) (n int, queued, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.ensureLocked(ctx); err != nil {
-		return 0, nil, err
-	}
 	seq := uint64(0)
 	if c.session != "" {
 		seq = c.ring.Next()
@@ -463,15 +398,29 @@ func (c *Client) queue(ctx context.Context, encode func(out []byte, seq uint64) 
 // with a sequence number and retains the newest SendWindow of them for
 // replay, and a broken connection can be healed with Resume instead of
 // losing the stream. Returns the server-issued session id. Requires
-// the server to arm Linger.
+// the server to arm Linger. ctx bounds the wait for the server's reply:
+// once it is done the call returns an error wrapping ctx.Err(), and the
+// client, whose read it interrupted, is only good for Close.
 func (c *Client) EnableResume(ctx context.Context) (string, error) {
 	if c.session != "" {
 		return c.session, nil
 	}
-	if err := c.writeFrame(ctx, &WireEvent{Cmd: "session"}, false); err != nil {
+	if err := c.writeFrame(&WireEvent{Cmd: "session"}, false); err != nil {
 		return "", err
 	}
+	woken := make(chan struct{})
+	stop := context.AfterFunc(ctx, func() {
+		_ = c.conn.SetReadDeadline(time.Now()) // wakes the read below; its error is the one to report
+		close(woken)
+	})
 	o, err := c.await("session", func(o *WireLine) bool { return o.Session != nil })
+	if !stop() {
+		<-woken
+		if err != nil {
+			return "", fmt.Errorf("netstream: session: %w (%v)", ctx.Err(), err)
+		}
+		_ = c.conn.SetReadDeadline(time.Time{}) // the reply beat the wake-up: reads go on
+	}
 	if err != nil {
 		return "", err
 	}
@@ -579,9 +528,22 @@ func (c *Client) handshake(conn net.Conn) (ack uint64, err error) {
 	}
 }
 
-// Send streams one event (SendContext without a dial deadline).
+// Send streams one event. In a resumable session the event is stamped
+// with the next sequence number and its encoded line retained (bounded
+// by SendWindow) for replay after Resume — retained first, so an event
+// lost to the write error that reveals the break is still replayable.
+// An event that cannot be encoded (a NaN or infinite attribute) is
+// rejected without consuming a sequence number.
+//
+// The line joins the pending buffer (see Client), so a nil error means
+// the event was queued, and an error may be that of a write carrying
+// earlier lines. Outside a resumable session lines pending at a failed
+// write are lost with it.
 func (c *Client) Send(typ string, t int64, attrs map[string]float64, strs map[string]string) error {
-	return c.SendContext(context.Background(), typ, t, attrs, strs)
+	_, queued, err := c.queue(func(out []byte, seq uint64) ([]byte, error) {
+		return c.evEnc.appendLine(out, seq, typ, t, attrs, strs)
+	})
+	return cmp.Or(err, queued)
 }
 
 // SendBatch streams a columnar batch frame: n rows of one type, times
@@ -593,7 +555,7 @@ func (c *Client) Send(typ string, t int64, attrs map[string]float64, strs map[st
 // a Resume — so batches stay columnar end to end instead of degrading
 // to per-event sends. The frame joins the pending buffer as an event
 // line does, so an error may be that of a write carrying earlier lines
-// (see SendContext). The caller may reuse its arrays after SendBatch
+// (see Send). The caller may reuse its arrays after SendBatch
 // returns.
 func (c *Client) SendBatch(typ string, times []int64, cols map[string][]float64, scols map[string][]string) error {
 	f := BatchFrame{Type: typ, Times: times, Nums: slices.Sorted(maps.Keys(cols)), Strs: slices.Sorted(maps.Keys(scols))}
@@ -611,7 +573,7 @@ func (c *Client) SendBatch(typ string, times []int64, cols map[string][]float64,
 // route info included, under SendFrame's contract: it returns the
 // encoded length, a failed write is not an error (Resume replays the
 // frame), and a frame that could not be sent at all — malformed, a NaN
-// or infinite value, no connection — consumes no sequence number. The
+// or infinite value — consumes no sequence number. The
 // frame is queued (see Client), not written.
 func (c *Client) SendBatchFrame(f *BatchFrame) (int, error) {
 	n, _, err := c.sendBatch(f)
@@ -623,7 +585,7 @@ func (c *Client) sendBatch(f *BatchFrame) (n int, queued, err error) {
 	if err := f.check(); err != nil {
 		return 0, nil, fmt.Errorf("netstream: batch: %w", err)
 	}
-	return c.queue(context.Background(), func(out []byte, seq uint64) ([]byte, error) {
+	return c.queue(func(out []byte, seq uint64) ([]byte, error) {
 		return appendBatchFrame(out, seq, f)
 	})
 }
@@ -631,13 +593,20 @@ func (c *Client) sendBatch(f *BatchFrame) (n int, queued, err error) {
 // Register attaches a new statement mid-stream and returns its id.
 // Results already in flight are buffered for Flush.
 func (c *Client) Register(query string) (string, error) {
-	return c.RegisterContext(context.Background(), query)
+	if err := c.writeFrame(&WireEvent{Cmd: "register", Query: query}, false); err != nil {
+		return "", err
+	}
+	o, err := c.await("register", func(o *WireLine) bool { return o.Registered != nil })
+	if err != nil {
+		return "", err
+	}
+	return o.Registered.ID, nil
 }
 
 // CloseStatement closes one statement mid-stream; its open windows
 // flush first (those results are buffered for Flush).
 func (c *Client) CloseStatement(id string) error {
-	if err := c.writeFrame(context.Background(), &WireEvent{Cmd: "close", ID: id}, false); err != nil {
+	if err := c.writeFrame(&WireEvent{Cmd: "close", ID: id}, false); err != nil {
 		return err
 	}
 	_, err := c.await("close", func(o *WireLine) bool { return o.Closed == id })
@@ -650,7 +619,7 @@ func (c *Client) CloseStatement(id string) error {
 // an error carrying the server's diagnostic; the session itself keeps
 // serving, so the caller may continue sending events either way.
 func (c *Client) Checkpoint() error {
-	if err := c.writeFrame(context.Background(), &WireEvent{Cmd: "checkpoint"}, false); err != nil {
+	if err := c.writeFrame(&WireEvent{Cmd: "checkpoint"}, false); err != nil {
 		return err
 	}
 	warned := len(c.warnings)
@@ -673,7 +642,7 @@ func (c *Client) Checkpoint() error {
 // Results arriving interleaved with the reply are buffered for the
 // next Flush.
 func (c *Client) Stats() (*WireSessStats, error) {
-	if err := c.writeFrame(context.Background(), &WireEvent{Cmd: "stats"}, false); err != nil {
+	if err := c.writeFrame(&WireEvent{Cmd: "stats"}, false); err != nil {
 		return nil, err
 	}
 	o, err := c.await("stats", func(o *WireLine) bool { return o.SessStats != nil })
@@ -686,7 +655,7 @@ func (c *Client) Stats() (*WireSessStats, error) {
 // Flush ends the stream and collects all remaining results plus the
 // session summary (Summary retains the full set of counters).
 func (c *Client) Flush() ([]WireResult, uint64, error) {
-	if err := c.writeFrame(context.Background(), &WireEvent{Cmd: "flush"}, false); err != nil {
+	if err := c.writeFrame(&WireEvent{Cmd: "flush"}, false); err != nil {
 		return nil, 0, err
 	}
 	o, err := c.await("flush", func(o *WireLine) bool { return o.Done })
@@ -703,17 +672,13 @@ func (c *Client) Flush() ([]WireResult, uint64, error) {
 	return results, o.Events, nil
 }
 
-// Close writes the pending lines and closes the connection (a
-// no-op on a lazily-dialed client that never connected). A failed write
-// is returned; it has closed the connection already.
+// Close writes the pending lines and closes the connection. A failed
+// write is returned; it has closed the connection already.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.linger != nil {
 		c.linger.Stop()
-	}
-	if c.conn == nil {
-		return nil
 	}
 	if c.outN > 0 {
 		if err := c.writeLocked(nil); err != nil {

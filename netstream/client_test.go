@@ -65,6 +65,39 @@ func TestClientWriteFailure(t *testing.T) {
 	}
 }
 
+// TestEnableResumeDeadline: EnableResume's context bounds the wait for
+// the server's session reply, so a peer that accepts and never answers
+// costs the caller the context's deadline, not a hang.
+func TestEnableResumeDeadline(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		_, _ = io.Copy(io.Discard, conn) // reads the request, never answers
+	}()
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if _, err := c.EnableResume(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("EnableResume against a silent peer returned %v, want context.DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("EnableResume returned after %v, want about the context's 100ms", d)
+	}
+}
+
 // TestClientConcurrentSendResume drives one Client the way a cluster
 // link does — one goroutine sending sequenced frames, another reading
 // lines and healing breaks with Resume — while the server side of the

@@ -652,33 +652,6 @@ func TestDialContextBackoff(t *testing.T) {
 	}
 }
 
-// TestLazyDialRetry checks a lazily-dialed client connects on first
-// use, retrying under the operation's context.
-func TestLazyDialRetry(t *testing.T) {
-	addr := reserveAddr(t)
-	srv := &Server{AllowRegister: true}
-	startLateServer(t, srv, addr, 60*time.Millisecond)
-
-	c := LazyDial(addr)
-	defer c.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	id, err := c.RegisterContext(ctx, "RETURN COUNT(*) PATTERN A+")
-	if err != nil {
-		t.Fatalf("RegisterContext over lazy dial: %v", err)
-	}
-	if id != "q0" {
-		t.Errorf("registered id = %q, want q0", id)
-	}
-	if err := c.SendContext(ctx, "A", 1, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	results, events, err := c.Flush()
-	if err != nil || events != 1 || len(results) != 1 {
-		t.Errorf("lazy session: results=%+v events=%d err=%v", results, events, err)
-	}
-}
-
 // TestRegisterAfterDropNotMisattributed locks in the warn/error split:
 // a register command issued right after an out-of-order drop must see
 // its own acknowledgement, not the drop diagnostic.

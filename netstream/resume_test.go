@@ -762,7 +762,7 @@ func TestSessionProtocolErrors(t *testing.T) {
 		}
 		// Bypass Send's stamping: a session event without a seq is a
 		// protocol error the server must report.
-		if err := c.writeFrame(ctx, &WireEvent{Type: "Stock", Time: 1}, false); err != nil {
+		if err := c.writeFrame(&WireEvent{Type: "Stock", Time: 1}, false); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.Checkpoint(); err == nil {
@@ -796,7 +796,7 @@ func TestSessionProtocolErrors(t *testing.T) {
 			{Cmd: "sreg", SI: -1, GI: 0, Query: q, ID: "u2"},
 		} {
 			we.Seq = uint64(i + 1)
-			if err := c.writeFrame(ctx, &we, false); err != nil {
+			if err := c.writeFrame(&we, false); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -822,7 +822,7 @@ func TestSessionProtocolErrors(t *testing.T) {
 		}
 		send := func(we WireEvent) {
 			t.Helper()
-			if err := c.writeFrame(ctx, &we, false); err != nil {
+			if err := c.writeFrame(&we, false); err != nil {
 				t.Fatal(err)
 			}
 		}

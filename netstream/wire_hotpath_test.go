@@ -394,46 +394,3 @@ func BenchmarkBatchFrameDecode(b *testing.B) {
 }
 
 var sinkBatch *greta.Batch
-
-// TestLazyClientDialsOnEveryCall: each client call reaches the
-// connection through the one write path, so a LazyDial client that
-// never connected dials on whichever call comes first — or returns the
-// dial error — instead of dereferencing a nil connection.
-func TestLazyClientDialsOnEveryCall(t *testing.T) {
-	calls := map[string]func(c *Client) error{
-		"Send":           func(c *Client) error { return c.Send("A", 1, nil, nil) },
-		"SendBatch":      func(c *Client) error { return c.SendBatch("A", []int64{1}, nil, nil) },
-		"Register":       func(c *Client) error { _, err := c.Register("RETURN COUNT(*) PATTERN A+"); return err },
-		"CloseStatement": func(c *Client) error { return c.CloseStatement("q0") },
-		"Checkpoint": func(c *Client) error {
-			if err := c.Checkpoint(); err == nil || !strings.Contains(err.Error(), "not configured") {
-				return fmt.Errorf("checkpoint on an unarmed server: %v", err)
-			}
-			return nil
-		},
-		"Stats": func(c *Client) error { _, err := c.Stats(); return err },
-		"Flush": func(c *Client) error { _, _, err := c.Flush(); return err },
-	}
-	addr := startOptServer(t, &Server{AllowRegister: true}, "RETURN COUNT(*) PATTERN A+")
-	for name, call := range calls {
-		t.Run(name, func(t *testing.T) {
-			c := LazyDial(addr)
-			defer c.Close()
-			if err := call(c); err != nil {
-				t.Fatalf("first call on a lazy client: %v", err)
-			}
-			if c.conn == nil {
-				t.Fatal("call returned without dialing")
-			}
-			if err := call(&Client{}); err == nil {
-				t.Fatal("a client with no connection and no address must return an error")
-			}
-		})
-	}
-	c := LazyDial("256.0.0.1:bad") // a permanent dial failure, so no backoff wait
-	for name, call := range calls {
-		if err := call(c); err == nil {
-			t.Errorf("%s on an undialable lazy client returned no error", name)
-		}
-	}
-}

@@ -8,6 +8,7 @@ import (
 	"net"
 
 	"github.com/greta-cep/greta/internal/aggregate"
+	"github.com/greta-cep/greta/internal/checkpoint"
 	"github.com/greta-cep/greta/internal/core"
 )
 
@@ -83,18 +84,12 @@ func NewRuntime(opts ...RuntimeOption) *Runtime {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	rt := &Runtime{inner: core.NewRuntime()}
+	copts := []core.Option{core.WithReorderSlack(cfg.slack), core.WithTraceHook(cfg.trace)}
 	if cfg.ckDir != "" {
-		if err := rt.armCheckpoint(cfg.ckDir, cfg.ckEvery, -1, cfg.ckErr); err != nil {
-			panic(err)
-		}
+		copts = append(copts, core.WithCheckpoint(cfg.ckEvery, &checkpoint.Store{Dir: cfg.ckDir, FS: checkpointFS}, cfg.ckErr))
 	}
-	if cfg.slack != 0 {
-		if err := rt.inner.SetReorderSlack(cfg.slack); err != nil {
-			panic(err)
-		}
-	}
-	if err := rt.armObs(&cfg); err != nil {
+	rt := &Runtime{inner: core.NewRuntime(copts...)}
+	if err := rt.serveMetrics(cfg.metricsAddr); err != nil {
 		panic(err)
 	}
 	return rt
