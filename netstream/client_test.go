@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -95,6 +96,58 @@ func TestEnableResumeDeadline(t *testing.T) {
 	}
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("EnableResume returned after %v, want about the context's 100ms", d)
+	}
+}
+
+// TestClientCallsUseTheDialedConnection: every client call goes out on
+// the connection Dial made. Against a live server each call succeeds
+// and leaves the session open for a Flush that counts its events; on a
+// closed client each call — or, for a buffered send, the command after
+// it — returns an error instead of hanging or writing into the dead
+// socket.
+func TestClientCallsUseTheDialedConnection(t *testing.T) {
+	calls := map[string]struct {
+		call   func(c *Client) error
+		events uint64
+	}{
+		"Send":           {func(c *Client) error { return c.Send("A", 1, nil, nil) }, 1},
+		"SendBatch":      {func(c *Client) error { return c.SendBatch("A", []int64{1, 2}, nil, nil) }, 2},
+		"Register":       {func(c *Client) error { _, err := c.Register("RETURN COUNT(*) PATTERN A+"); return err }, 0},
+		"CloseStatement": {func(c *Client) error { return c.CloseStatement("q0") }, 0},
+		"Checkpoint": {func(c *Client) error {
+			if err := c.Checkpoint(); err == nil || !strings.Contains(err.Error(), "not configured") {
+				return fmt.Errorf("checkpoint on an unarmed server: %v", err)
+			}
+			return nil
+		}, 0},
+		"Stats": {func(c *Client) error { _, err := c.Stats(); return err }, 0},
+		"Flush": {func(c *Client) error { _, _, err := c.Flush(); return err }, 0},
+	}
+	addr := startOptServer(t, &Server{AllowRegister: true}, "RETURN COUNT(*) PATTERN A+")
+	for name, tc := range calls {
+		t.Run(name, func(t *testing.T) {
+			c, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.call(c); err != nil {
+				t.Fatalf("%s on a dialed client: %v", name, err)
+			}
+			if name != "Flush" {
+				_, events, err := c.Flush()
+				if err != nil || events != tc.events {
+					t.Fatalf("flush after %s: events=%d err=%v, want %d events", name, events, err, tc.events)
+				}
+			}
+			_ = c.Close()
+			err = tc.call(c)
+			if err == nil {
+				_, _, err = c.Flush() // a buffered send's write error surfaces on the next command
+			}
+			if err == nil {
+				t.Fatalf("%s on a closed client returned no error", name)
+			}
+		})
 	}
 }
 
