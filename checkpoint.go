@@ -119,26 +119,16 @@ type Restored struct {
 // survives). The checkpoint schedule resumes at ReplayFrom with the
 // interval the snapshot was written under, into the same dir — pass
 // WithCheckpoint to override both (a non-positive interval turns it
-// off). Statement ids, options, shared
-// sub-plan topology, partition state, and watermarks are restored;
-// feeding events with Time >= ReplayFrom resumes the run exactly.
+// off). WithReorderSlack arms a buffer as in NewRuntime, but a snapshot
+// written with one brings it back, slack and pending events, in its
+// place. Statement ids, options, shared sub-plan topology, partition
+// state, and watermarks are restored; feeding events with Time >=
+// ReplayFrom resumes the run exactly.
 func Restore(dir string, opts ...RuntimeOption) (*Restored, error) {
-	var cfg runtimeConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+	cfg, copts := configure(opts, dir)
 	body, _, err := (&checkpoint.Store{Dir: dir, FS: checkpointFS}).Load()
 	if err != nil {
 		return nil, err
-	}
-	// The schedule resumes into dir at the snapshot's interval (core's
-	// 0), unless WithCheckpoint names both; a non-positive one leaves it off.
-	copts := []core.Option{core.WithTraceHook(cfg.trace)}
-	switch {
-	case cfg.ckDir == "":
-		copts = append(copts, core.WithCheckpoint(0, &checkpoint.Store{Dir: dir, FS: checkpointFS}, cfg.ckErr))
-	case cfg.ckEvery > 0:
-		copts = append(copts, core.WithCheckpoint(cfg.ckEvery, &checkpoint.Store{Dir: cfg.ckDir, FS: checkpointFS}, cfg.ckErr))
 	}
 	inner, info, err := core.RestoreRuntime(body, copts...)
 	if err != nil {

@@ -355,6 +355,44 @@ func TestManualCheckpoint(t *testing.T) {
 	ckResultsEqual(t, "manual checkpoint", ckDrain(h), ckDrain(res.Handles[0]))
 }
 
+// TestRestoreReorderSlack: WithReorderSlack arms a reorder buffer on a
+// runtime restored from a snapshot written without one, and a negative
+// slack panics there as it does in NewRuntime.
+func TestRestoreReorderSlack(t *testing.T) {
+	dir := t.TempDir()
+	rt := greta.NewRuntime(greta.WithCheckpoint(dir, 1<<40)) // never self-triggers
+	if _, err := rt.Register(greta.MustCompile("RETURN COUNT(*) PATTERN Stock S+ WHERE [company] WITHIN 10 SLIDE 5")); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range ckStockStream(40) {
+		if err := rt.Process(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rt.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := greta.Restore(dir, greta.WithReorderSlack(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Metrics().ReorderSlack; got != 5 {
+		t.Errorf("restored ReorderSlack = %d, want 5", got)
+	}
+	if err := res.Close(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Restore with a negative slack did not panic")
+		}
+	}()
+	greta.Restore(dir, greta.WithReorderSlack(-1))
+}
+
 // TestRestoredDeliveryOrder pins what a restored handle holds: the
 // results delivered before the checkpoint, in the order they were
 // delivered — ascending (window, group), which is not (group, window)

@@ -1,15 +1,23 @@
-// Package baseline defines the shared result and statistics types of
-// the state-of-the-art two-step engines the paper evaluates against
-// (§10.1): SASE, CET, and Flink-style flattening. Each engine lives in
-// its own sub-package; all construct event trends explicitly before
-// aggregating them, which is exactly the exponential cost GRETA avoids.
+// Package baseline is the two-step architecture the paper evaluates
+// GRETA against (§10.1, Fig. 1): construct every event trend per
+// partition and per window, then aggregate them. EachWindow is its one
+// loop, and each sub-package plugs a trend construction strategy into
+// it: sase a DFS over stacked predecessor pointers, cet shared
+// sub-trend nodes, flat Flink-style fixed-length sequence queries (sase
+// and flat hand their trends to a TrendAgg through Fold), and enum, the
+// brute-force oracle, folds a window's distinct trends in TrendKey
+// order. All of them construct trends explicitly, which is exactly the
+// exponential cost GRETA avoids; matchgraph builds the explicit graph
+// of (event, state) vertices and stored edges they walk.
 package baseline
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math"
 	"slices"
+	"strconv"
 
 	"github.com/greta-cep/greta/internal/aggregate"
 	"github.com/greta-cep/greta/internal/event"
@@ -76,7 +84,7 @@ func NewTrendAgg(q *query.Query, dedup bool) *TrendAgg {
 // Add folds one materialized trend into the aggregates.
 func (a *TrendAgg) Add(tr []*event.Event) {
 	if a.seen != nil {
-		key := trendKey(tr)
+		key := TrendKey(tr)
 		if a.seen[key] {
 			return
 		}
@@ -127,8 +135,7 @@ func (a *TrendAgg) Finish() (vals []float64, count uint64, ok bool) {
 	if a.n == 0 {
 		return nil, 0, false
 	}
-	out := make([]float64, len(a.vals))
-	copy(out, a.vals)
+	out := slices.Clone(a.vals)
 	for i, spec := range a.q.Aggs {
 		if spec.Kind != aggregate.Avg {
 			continue
@@ -148,115 +155,106 @@ type avgPair struct {
 	n   uint64
 }
 
-func trendKey(tr []*event.Event) string {
+// TrendKey is the identity of a trend: its events' IDs in order, in
+// decimal, comma-separated. Cross-branch dedup and the enumerator's
+// fold order both read it.
+func TrendKey(tr []*event.Event) string {
 	b := make([]byte, 0, len(tr)*4)
-	for _, e := range tr {
-		id := e.ID
-		b = append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24), ',')
+	for i, e := range tr {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendUint(b, e.ID, 10)
 	}
 	return string(b)
 }
 
-// Partition splits events by grouping and equivalence attributes in
-// stream order (shared by all two-step engines) and lists the
-// partitions in key order, so the engines merge a group's partitions in
-// the same order on every run and a float SUM reads the same bits.
-func Partition(q *query.Query, evs []*event.Event) [][]*event.Event {
-	attrs := append(append([]string{}, q.GroupBy...), q.Equivalence...)
+// Cell addresses one output row: an output group and a window id.
+type Cell struct {
+	Group string
+	Wid   int64
+}
+
+// SortedCells lists the cells of m ordered by (group, wid).
+func SortedCells[A any](m map[Cell]A) []Cell {
+	return slices.SortedFunc(maps.Keys(m), func(a, b Cell) int {
+		return cmp.Or(cmp.Compare(a.Group, b.Group), cmp.Compare(a.Wid, b.Wid))
+	})
+}
+
+// EachWindow is the skeleton's loop: it partitions evs by the grouping
+// and equivalence attributes, in stream order, and calls fn for each
+// window of each partition — partitions in key order, wids ascending —
+// with the window's output cell (only GROUP-BY attributes name the
+// group, Definition 2), its events wevs, and the whole partition part
+// (contiguous semantics read stream adjacency there). The fixed order
+// makes a float SUM over a group's partitions read the same bits on
+// every run. An error from fn stops the loop and is returned.
+func EachWindow(q *query.Query, evs []*event.Event, fn func(c Cell, wevs, part []*event.Event) error) error {
+	attrs := append(slices.Clone(q.GroupBy), q.Equivalence...)
 	parts := map[string][]*event.Event{}
 	for _, e := range evs {
-		key := ""
-		for i, a := range attrs {
-			if i > 0 {
-				key += "\x1f"
-			}
-			if s, ok := e.Str[a]; ok {
-				key += s
-			} else if v, ok := e.Attrs[a]; ok {
-				key += formatNum(v)
+		k := attrKey(e, attrs)
+		parts[k] = append(parts[k], e)
+	}
+	for _, k := range slices.Sorted(maps.Keys(parts)) {
+		part := parts[k]
+		group := attrKey(part[0], q.GroupBy)
+		var wids []int64
+		for _, e := range part {
+			lo, hi := q.Window.Wids(e.Time)
+			for wid := lo; wid <= hi; wid++ {
+				wids = append(wids, wid)
 			}
 		}
-		parts[key] = append(parts[key], e)
+		slices.Sort(wids)
+		for _, wid := range slices.Compact(wids) {
+			wevs := slices.DeleteFunc(slices.Clone(part), func(e *event.Event) bool { return !q.Window.Contains(wid, e.Time) })
+			if err := fn(Cell{group, wid}, wevs, part); err != nil {
+				return err
+			}
+		}
 	}
-	out := make([][]*event.Event, 0, len(parts))
-	for _, k := range slices.Sorted(maps.Keys(parts)) {
-		out = append(out, parts[k])
-	}
-	return out
+	return nil
 }
 
-func formatNum(v float64) string {
-	return fmt.Sprintf("%g", v)
+// Fold runs the skeleton for an engine that hands each trend it builds
+// to a TrendAgg: trends is called for each window of each partition
+// with the TrendAgg of the window's cell (dedup as in NewTrendAgg), and
+// the cells' aggregates come back ordered by (group, wid).
+func Fold(q *query.Query, evs []*event.Event, dedup bool, trends func(agg *TrendAgg, wevs, part []*event.Event) error) ([]Result, error) {
+	aggs := map[Cell]*TrendAgg{}
+	err := EachWindow(q, evs, func(c Cell, wevs, part []*event.Event) error {
+		if aggs[c] == nil {
+			aggs[c] = NewTrendAgg(q, dedup)
+		}
+		return trends(aggs[c], wevs, part)
+	})
+	if err != nil {
+		return nil, err
+	}
+	var out []Result
+	for _, c := range SortedCells(aggs) {
+		if vals, _, ok := aggs[c].Finish(); ok {
+			out = append(out, Result{Group: c.Group, Wid: c.Wid, Values: vals})
+		}
+	}
+	return out, nil
 }
 
-// GroupOf computes the output grouping key (GROUP-BY attributes only)
-// of a partition, per Definition 2: equivalence attributes partition
-// trend formation but are not part of the output grouping.
-func GroupOf(q *query.Query, part []*event.Event) string {
-	if len(part) == 0 || len(q.GroupBy) == 0 {
-		return ""
-	}
-	e := part[0]
+// attrKey joins e's values of attrs with \x1f: a string value as is, a
+// number in %g form, a missing attribute as the empty string.
+func attrKey(e *event.Event, attrs []string) string {
 	key := ""
-	for i, a := range q.GroupBy {
+	for i, a := range attrs {
 		if i > 0 {
 			key += "\x1f"
 		}
 		if s, ok := e.Str[a]; ok {
 			key += s
 		} else if v, ok := e.Attrs[a]; ok {
-			key += formatNum(v)
+			key += fmt.Sprintf("%g", v)
 		}
 	}
 	return key
-}
-
-// Wids lists all window ids any event of part falls into, ascending.
-func Wids(q *query.Query, part []*event.Event) []int64 {
-	seen := map[int64]bool{}
-	var out []int64
-	for _, e := range part {
-		lo, hi := q.Window.Wids(e.Time)
-		for wid := lo; wid <= hi; wid++ {
-			if !seen[wid] {
-				seen[wid] = true
-				out = append(out, wid)
-			}
-		}
-	}
-	SortInt64s(out)
-	return out
-}
-
-// InWindow filters part to the events of window wid.
-func InWindow(q *query.Query, wid int64, part []*event.Event) []*event.Event {
-	var out []*event.Event
-	for _, e := range part {
-		if q.Window.Contains(wid, e.Time) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// SortInt64s sorts in place (insertion sort; wid lists are short).
-func SortInt64s(xs []int64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
-// SortResults orders results by (group, wid).
-func SortResults(rs []Result) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0; j-- {
-			a, b := &rs[j-1], &rs[j]
-			if a.Group < b.Group || (a.Group == b.Group && a.Wid <= b.Wid) {
-				break
-			}
-			rs[j-1], rs[j] = rs[j], rs[j-1]
-		}
-	}
 }

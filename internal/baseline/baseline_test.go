@@ -84,51 +84,59 @@ func TestBaselinesMatchOracle(t *testing.T) {
 	for _, qsrc := range crossQueries {
 		q := query.MustParse(qsrc)
 		for iter := 0; iter < 25; iter++ {
-			evs := randStream(rng, 3+rng.Intn(9))
-			oracle, err := enum.Run(q, evs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := resMap{}
-			for _, r := range oracle {
-				if r.Count > 0 {
-					want[key(r.Group, r.Wid)] = r.Values
-				}
-			}
-			sr, _, err := sase.Run(q, evs, sase.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := resMap{}
-			for _, r := range sr {
-				got[key(r.Group, r.Wid)] = r.Values
-			}
-			compare(t, "sase", qsrc, evs, got, want)
-
-			cr, _, err := cet.Run(q, evs, cet.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = resMap{}
-			for _, r := range cr {
-				got[key(r.Group, r.Wid)] = r.Values
-			}
-			compare(t, "cet", qsrc, evs, got, want)
-
-			fr, fstats, err := flat.Run(q, evs, flat.Options{MaxLen: len(evs) + 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fstats.Truncated {
-				t.Fatalf("flat truncated with MaxLen=%d", len(evs)+1)
-			}
-			got = resMap{}
-			for _, r := range fr {
-				got[key(r.Group, r.Wid)] = r.Values
-			}
-			compare(t, "flat", qsrc, evs, got, want)
+			matchOracle(t, qsrc, q, randStream(rng, 3+rng.Intn(9)))
 		}
 	}
+	// A trend is told apart by its events' whole IDs: two events whose
+	// IDs share their low 32 bits still form three trends of A+.
+	wide := []*event.Event{{ID: 1, Type: "A", Time: 1}, {ID: 1<<32 | 1, Type: "A", Time: 2}}
+	matchOracle(t, crossQueries[0], query.MustParse(crossQueries[0]), wide)
+}
+
+func matchOracle(t *testing.T, qsrc string, q *query.Query, evs []*event.Event) {
+	t.Helper()
+	oracle, err := enum.Run(q, evs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := resMap{}
+	for _, r := range oracle {
+		if r.Count > 0 {
+			want[key(r.Group, r.Wid)] = r.Values
+		}
+	}
+	sr, _, err := sase.Run(q, evs, sase.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := resMap{}
+	for _, r := range sr {
+		got[key(r.Group, r.Wid)] = r.Values
+	}
+	compare(t, "sase", qsrc, evs, got, want)
+
+	cr, _, err := cet.Run(q, evs, cet.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = resMap{}
+	for _, r := range cr {
+		got[key(r.Group, r.Wid)] = r.Values
+	}
+	compare(t, "cet", qsrc, evs, got, want)
+
+	fr, fstats, err := flat.Run(q, evs, flat.Options{MaxLen: len(evs) + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fstats.Truncated {
+		t.Fatalf("flat truncated with MaxLen=%d", len(evs)+1)
+	}
+	got = resMap{}
+	for _, r := range fr {
+		got[key(r.Group, r.Wid)] = r.Values
+	}
+	compare(t, "flat", qsrc, evs, got, want)
 }
 
 // TestFlatTruncation: with a cap below the longest trend, flattening
@@ -234,16 +242,7 @@ func TestBaselineStatsMonotone(t *testing.T) {
 // reads the same bits on every run — the partitions of one group are
 // merged in key order, and the enumerator folds its trends in key order.
 func TestOraclesBitStable(t *testing.T) {
-	const qsrc = "RETURN COUNT(*), SUM(A.x), AVG(A.x) PATTERN A+ WHERE [h] GROUP-BY g WITHIN 12 SLIDE 4"
-	q := query.MustParse(qsrc)
-	rng := rand.New(rand.NewSource(3))
-	var b event.Builder
-	for i := 0; i < 80; i++ {
-		b.AddStr("A", event.Time(1+i/2),
-			map[string]float64{"x": float64(rng.Intn(1000)) / 7},
-			map[string]string{"g": fmt.Sprintf("g%d", rng.Intn(2)), "h": fmt.Sprintf("h%d", rng.Intn(3))})
-	}
-	evs := b.Events()
+	q, evs := bitStableCase()
 	bits := func(group string, wid int64, vals []float64) string {
 		s := key(group, wid)
 		for _, v := range vals {
@@ -292,4 +291,18 @@ func TestOraclesBitStable(t *testing.T) {
 			}
 		}
 	}
+}
+
+// bitStableCase is a grouped, windowed fractional SUM over 80 events in
+// three partitions of two groups: fold order shows in its last bits.
+func bitStableCase() (*query.Query, []*event.Event) {
+	q := query.MustParse("RETURN COUNT(*), SUM(A.x), AVG(A.x) PATTERN A+ WHERE [h] GROUP-BY g WITHIN 12 SLIDE 4")
+	rng := rand.New(rand.NewSource(3))
+	var b event.Builder
+	for i := 0; i < 80; i++ {
+		b.AddStr("A", event.Time(1+i/2),
+			map[string]float64{"x": float64(rng.Intn(1000)) / 7},
+			map[string]string{"g": fmt.Sprintf("g%d", rng.Intn(2)), "h": fmt.Sprintf("h%d", rng.Intn(3))})
+	}
+	return q, b.Events()
 }

@@ -55,37 +55,31 @@ func Run(q *query.Query, evs []*event.Event, opt Options) ([]baseline.Result, ba
 		return nil, baseline.Stats{}, errMultiBranch
 	}
 	var stats baseline.Stats
-	type gw struct {
-		group string
-		wid   int64
-	}
-	accs := map[gw]*acc{}
-	for _, part := range baseline.Partition(q, evs) {
-		group := baseline.GroupOf(q, part)
-		for _, wid := range baseline.Wids(q, part) {
-			wevs := baseline.InWindow(q, wid, part)
-			g, err := matchgraph.BuildForBranch(q, branches[0], wevs, part)
-			if err != nil {
-				return nil, stats, err
-			}
-			a, truncated := runWindow(q, g, opt, &stats)
-			stats.Truncated = stats.Truncated || truncated
-			if a.count == 0 {
-				continue
-			}
-			k := gw{group, wid}
-			if cur := accs[k]; cur == nil {
-				accs[k] = a
-			} else {
-				cur.merge(q, a)
-			}
+	accs := map[baseline.Cell]*acc{}
+	err = baseline.EachWindow(q, evs, func(c baseline.Cell, wevs, part []*event.Event) error {
+		g, err := matchgraph.BuildForBranch(q, branches[0], wevs, part)
+		if err != nil {
+			return err
 		}
+		a, truncated := runWindow(q, g, opt, &stats)
+		stats.Truncated = stats.Truncated || truncated
+		if a.count == 0 {
+			return nil
+		}
+		if cur := accs[c]; cur == nil {
+			accs[c] = a
+		} else {
+			cur.merge(q, a)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, stats, err
 	}
 	var out []baseline.Result
-	for k, a := range accs {
-		out = append(out, baseline.Result{Group: k.group, Wid: k.wid, Values: a.finish(q)})
+	for _, c := range baseline.SortedCells(accs) {
+		out = append(out, baseline.Result{Group: c.Group, Wid: c.Wid, Values: accs[c].finish(q)})
 	}
-	baseline.SortResults(out)
 	return out, stats, nil
 }
 

@@ -4,14 +4,20 @@
 // §5) and aggregates them one by one. Its cost is exponential in the
 // number of events, so it is usable only on small streams; the test
 // suite cross-validates the GRETA runtime against it.
+//
+// It runs on the two-step skeleton of package baseline: per window of
+// each partition it collects the distinct trends of every branch, and
+// per (group, wid) it folds them in baseline.TrendKey order, so a float
+// SUM reads the same bits on every run.
 package enum
 
 import (
-	"fmt"
 	"maps"
 	"slices"
 	"strings"
 
+	"github.com/greta-cep/greta/internal/baseline"
+	"github.com/greta-cep/greta/internal/baseline/matchgraph"
 	"github.com/greta-cep/greta/internal/event"
 	"github.com/greta-cep/greta/internal/pattern"
 	"github.com/greta-cep/greta/internal/query"
@@ -25,23 +31,10 @@ type Result struct {
 	Wid    int64
 	Count  uint64
 	Values []float64 // aligned with the query's RETURN aggregates
-	Trends int       // distinct trends (== Count; kept for clarity)
 }
 
 // Trend is a materialized trend: the matched events in order.
 type Trend []*event.Event
-
-// Key is the identity of a trend (its event id sequence).
-func (t Trend) Key() string {
-	var b strings.Builder
-	for i, e := range t {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", e.ID)
-	}
-	return b.String()
-}
 
 func (t Trend) String() string {
 	parts := make([]string, len(t))
@@ -51,147 +44,112 @@ func (t Trend) String() string {
 	return "(" + strings.Join(parts, ",") + ")"
 }
 
+// trendSet holds a cell's distinct trends by baseline.TrendKey.
+type trendSet map[string]Trend
+
 // Run enumerates and aggregates all trends of q over evs.
 func Run(q *query.Query, evs []*event.Event) ([]Result, error) {
 	if q.Pattern.Kind == pattern.KindAnd {
 		return runConjunction(q, evs)
 	}
-	branches, err := pattern.Expand(q.Pattern)
+	cells, err := trendSets(q, q.Pattern, q.MinLen, evs)
 	if err != nil {
 		return nil, err
 	}
-	// Trends are formed per partition (group-by + equivalence attributes)
-	// and aggregated per output group (GROUP-BY attributes only),
-	// matching Definition 2.
-	results := map[string]map[int64]map[string]Trend{} // group -> wid -> trendKey -> trend
-	for _, part := range partition(q, evs) {
-		group := groupOf(q, part)
-		for _, wid := range widsOf(q.Window, part) {
-			wevs := inWindow(q.Window, wid, part)
-			for _, b := range branches {
-				trends, err := EnumerateBranch(q, b, wevs, part)
-				if err != nil {
-					return nil, err
-				}
-				for _, tr := range trends {
-					if q.MinLen > 1 && len(tr) < q.MinLen {
-						continue
-					}
-					if results[group] == nil {
-						results[group] = map[int64]map[string]Trend{}
-					}
-					if results[group][wid] == nil {
-						results[group][wid] = map[string]Trend{}
-					}
-					results[group][wid][tr.Key()] = tr
-				}
-			}
+	var out []Result
+	for _, c := range baseline.SortedCells(cells) {
+		set := cells[c]
+		agg := baseline.NewTrendAgg(q, false)
+		for _, k := range slices.Sorted(maps.Keys(set)) {
+			agg.Add(set[k])
 		}
-	}
-	return aggregateResults(q, results), nil
-}
-
-// groupOf computes the output grouping key of a partition.
-func groupOf(q *query.Query, part []*event.Event) string {
-	if len(part) == 0 || len(q.GroupBy) == 0 {
-		return ""
-	}
-	e := part[0]
-	var b strings.Builder
-	for i, a := range q.GroupBy {
-		if i > 0 {
-			b.WriteByte('\x1f')
-		}
-		if s, ok := e.Str[a]; ok {
-			b.WriteString(s)
-		} else if v, ok := e.Attrs[a]; ok {
-			fmt.Fprintf(&b, "%g", v)
-		}
-	}
-	return b.String()
-}
-
-// Trends enumerates the distinct trends of q over evs in the global
-// window (no windowing), for tests that inspect trends directly.
-func Trends(q *query.Query, evs []*event.Event) ([]Trend, error) {
-	branches, err := pattern.Expand(q.Pattern)
-	if err != nil {
-		return nil, err
-	}
-	seen := map[string]Trend{}
-	for _, part := range partition(q, evs) {
-		for _, b := range branches {
-			trends, err := EnumerateBranch(q, b, part, part)
-			if err != nil {
-				return nil, err
-			}
-			for _, tr := range trends {
-				seen[tr.Key()] = tr
-			}
-		}
-	}
-	out := make([]Trend, 0, len(seen))
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		out = append(out, seen[k])
+		vals, n, _ := agg.Finish()
+		out = append(out, Result{Group: c.Group, Wid: c.Wid, Count: n, Values: vals})
 	}
 	return out, nil
 }
 
-// partition splits events by grouping and equivalence attributes, in
-// stream order (the oracle twin of the runtime partitioner), and lists
-// the partitions in key order.
-func partition(q *query.Query, evs []*event.Event) [][]*event.Event {
-	attrs := append(append([]string{}, q.GroupBy...), q.Equivalence...)
-	parts := map[string][]*event.Event{}
-	for _, e := range evs {
-		var b strings.Builder
-		for i, a := range attrs {
-			if i > 0 {
-				b.WriteByte('\x1f')
-			}
-			if s, ok := e.Str[a]; ok {
-				b.WriteString(s)
-			} else if v, ok := e.Attrs[a]; ok {
-				fmt.Fprintf(&b, "%g", v)
-			}
-		}
-		parts[b.String()] = append(parts[b.String()], e)
+// Trends enumerates the distinct trends of q over evs in the global
+// window (no windowing), ordered by key, for tests that inspect trends
+// directly.
+func Trends(q *query.Query, evs []*event.Event) ([]Trend, error) {
+	global := *q
+	global.Window = window.Global
+	cells, err := trendSets(&global, q.Pattern, 0, evs)
+	if err != nil {
+		return nil, err
 	}
-	out := make([][]*event.Event, 0, len(parts))
-	for _, k := range slices.Sorted(maps.Keys(parts)) {
-		out = append(out, parts[k])
+	all := trendSet{}
+	for _, c := range baseline.SortedCells(cells) {
+		maps.Copy(all, cells[c])
 	}
-	return out
+	out := make([]Trend, 0, len(all))
+	for _, k := range slices.Sorted(maps.Keys(all)) {
+		out = append(out, all[k])
+	}
+	return out, nil
 }
 
-// widsOf lists all window ids any event of part falls into.
-func widsOf(w window.Spec, part []*event.Event) []int64 {
-	seen := map[int64]bool{}
-	var out []int64
-	for _, e := range part {
-		lo, hi := w.Wids(e.Time)
-		for wid := lo; wid <= hi; wid++ {
-			if !seen[wid] {
-				seen[wid] = true
-				out = append(out, wid)
-			}
-		}
+// trendSets enumerates, per (group, wid) cell, the distinct trends of
+// pattern p of at least minLen events, over q's partitions and windows.
+// A cell without trends is absent.
+func trendSets(q *query.Query, p *pattern.Node, minLen int, evs []*event.Event) (map[baseline.Cell]trendSet, error) {
+	branches, err := pattern.Expand(p)
+	if err != nil {
+		return nil, err
 	}
-	slices.Sort(out)
-	return out
+	cells := map[baseline.Cell]trendSet{}
+	err = baseline.EachWindow(q, evs, func(c baseline.Cell, wevs, part []*event.Event) error {
+		for _, b := range branches {
+			g, err := matchgraph.BuildForBranch(q, b, wevs, part)
+			if err != nil {
+				return err
+			}
+			g.WalkTrends(func(path []matchgraph.VertexRef) bool {
+				if len(path) >= minLen {
+					if cells[c] == nil {
+						cells[c] = trendSet{}
+					}
+					tr := matchgraph.Events(path)
+					cells[c][baseline.TrendKey(tr)] = tr
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	return cells, err
 }
 
-func inWindow(w window.Spec, wid int64, part []*event.Event) []*event.Event {
-	var out []*event.Event
-	for _, e := range part {
-		if w.Contains(wid, e.Time) {
-			out = append(out, e)
-		}
+// runConjunction enumerates both conjunct sets and applies the paper's
+// pair-count formula (§9).
+func runConjunction(q *query.Query, evs []*event.Event) ([]Result, error) {
+	setA, err := trendSets(q, q.Pattern.Children[0], 0, evs)
+	if err != nil {
+		return nil, err
 	}
-	return out
+	setB, err := trendSets(q, q.Pattern.Children[1], 0, evs)
+	if err != nil {
+		return nil, err
+	}
+	union := maps.Clone(setA)
+	maps.Copy(union, setB)
+	var out []Result
+	for _, c := range baseline.SortedCells(union) {
+		a, b := setA[c], setB[c]
+		var cij uint64
+		for k := range a {
+			if _, ok := b[k]; ok {
+				cij++
+			}
+		}
+		ci := uint64(len(a)) - cij
+		cj := uint64(len(b)) - cij
+		count := ci*cj + ci*cij + cj*cij + cij*(cij-1)/2
+		if count == 0 {
+			continue
+		}
+		out = append(out, Result{Group: c.Group, Wid: c.Wid, Count: count, Values: []float64{float64(count)}})
+	}
+	return out, nil
 }

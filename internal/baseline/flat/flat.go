@@ -43,66 +43,44 @@ func Run(q *query.Query, evs []*event.Event, opt Options) ([]baseline.Result, ba
 		return nil, baseline.Stats{}, err
 	}
 	var stats baseline.Stats
-	type gw struct {
-		group string
-		wid   int64
-	}
-	aggs := map[gw]*baseline.TrendAgg{}
-	for _, part := range baseline.Partition(q, evs) {
-		group := baseline.GroupOf(q, part)
-		for _, wid := range baseline.Wids(q, part) {
-			wevs := baseline.InWindow(q, wid, part)
-			agg := aggs[gw{group, wid}]
-			if agg == nil {
-				agg = baseline.NewTrendAgg(q, true) // dedup across lengths & branches
-				aggs[gw{group, wid}] = agg
+	// Dedup across lengths and branches.
+	out, err := baseline.Fold(q, evs, true, func(agg *baseline.TrendAgg, wevs, part []*event.Event) error {
+		var stored [][]*event.Event
+		// The flattening runs MaxLen fixed-length sub-queries; their
+		// union of matches equals one length-bounded walk, which is how
+		// we execute it (each stored sequence still belongs to exactly
+		// one sub-query). The work cap bounds the exponential walk
+		// itself, not just the stored matches.
+		var walked uint64
+		for _, b := range branches {
+			g, err := matchgraph.BuildForBranch(q, b, wevs, part)
+			if err != nil {
+				return err
 			}
-			var stored [][]*event.Event
-			// The flattening runs MaxLen fixed-length sub-queries; their
-			// union of matches equals one length-bounded walk, which is how
-			// we execute it (each stored sequence still belongs to exactly
-			// one sub-query). The work cap bounds the exponential walk
-			// itself, not just the stored matches.
-			var walked uint64
-			for _, b := range branches {
-				g, err := matchgraph.BuildForBranch(q, b, wevs, part)
-				if err != nil {
-					return nil, stats, err
-				}
-				stats.Queries += uint64(opt.MaxLen)
-				g.WalkTrendsMaxLen(opt.MaxLen, func(path []matchgraph.VertexRef) bool {
-					walked++
-					if opt.MaxSequences > 0 && walked > opt.MaxSequences {
-						stats.Truncated = true
-						return false
-					}
-					// Flink materializes the sequence before aggregation.
-					seq := make([]*event.Event, len(path))
-					for i, v := range path {
-						seq[i] = v.Ev
-					}
-					stored = append(stored, seq)
-					stats.Trends++
-					stats.TrendNodes += uint64(len(seq))
-					return true
-				})
-				if !stats.Truncated && g.HasLongerTrends(opt.MaxLen) {
+			stats.Queries += uint64(opt.MaxLen)
+			g.WalkTrendsMaxLen(opt.MaxLen, func(path []matchgraph.VertexRef) bool {
+				walked++
+				if opt.MaxSequences > 0 && walked > opt.MaxSequences {
 					stats.Truncated = true
+					return false
 				}
-			}
-			stats.StoredBytes += uint64(len(stored)) * 24
-			for _, seq := range stored {
-				stats.StoredBytes += uint64(len(seq)) * 8
-				agg.Add(seq)
+				// Flink materializes the sequence before aggregation.
+				seq := matchgraph.Events(path)
+				stored = append(stored, seq)
+				stats.Trends++
+				stats.TrendNodes += uint64(len(seq))
+				return true
+			})
+			if !stats.Truncated && g.HasLongerTrends(opt.MaxLen) {
+				stats.Truncated = true
 			}
 		}
-	}
-	var out []baseline.Result
-	for k, agg := range aggs {
-		if vals, _, ok := agg.Finish(); ok {
-			out = append(out, baseline.Result{Group: k.group, Wid: k.wid, Values: vals})
+		stats.StoredBytes += uint64(len(stored)) * 24
+		for _, seq := range stored {
+			stats.StoredBytes += uint64(len(seq)) * 8
+			agg.Add(seq)
 		}
-	}
-	baseline.SortResults(out)
-	return out, stats, nil
+		return nil
+	})
+	return out, stats, err
 }

@@ -274,6 +274,13 @@ func (g *Graph) IsStart(i int) bool {
 // "trend construction" step of the two-step approach — exponential in
 // the number of events.
 func (g *Graph) WalkTrends(visit func(tr []VertexRef) bool) {
+	g.WalkTrendsMaxLen(0, visit)
+}
+
+// WalkTrendsMaxLen is WalkTrends bounded to paths of at most maxLen
+// vertices (0 = unbounded), used by the Flink-style flattening
+// baseline. visit returns false to abort.
+func (g *Graph) WalkTrendsMaxLen(maxLen int, visit func(tr []VertexRef) bool) {
 	path := make([]VertexRef, 0, 16)
 	var dfs func(i int) bool
 	dfs = func(i int) bool {
@@ -281,6 +288,9 @@ func (g *Graph) WalkTrends(visit func(tr []VertexRef) bool) {
 		defer func() { path = path[:len(path)-1] }()
 		if g.EndAllowed(i) && !visit(path) {
 			return false
+		}
+		if maxLen > 0 && len(path) >= maxLen {
+			return true
 		}
 		for _, j := range g.Succ[i] {
 			if !dfs(j) {
@@ -296,32 +306,13 @@ func (g *Graph) WalkTrends(visit func(tr []VertexRef) bool) {
 	}
 }
 
-// WalkTrendsMaxLen is WalkTrends bounded to paths of at most maxLen
-// vertices, used by the Flink-style flattening baseline. visit returns
-// false to abort.
-func (g *Graph) WalkTrendsMaxLen(maxLen int, visit func(tr []VertexRef) bool) {
-	path := make([]VertexRef, 0, maxLen)
-	var dfs func(i int) bool
-	dfs = func(i int) bool {
-		path = append(path, g.Verts[i])
-		defer func() { path = path[:len(path)-1] }()
-		if g.EndAllowed(i) && !visit(path) {
-			return false
-		}
-		if len(path) < maxLen {
-			for _, j := range g.Succ[i] {
-				if !dfs(j) {
-					return false
-				}
-			}
-		}
-		return true
+// Events copies a walked path's events into a new trend.
+func Events(path []VertexRef) []*event.Event {
+	tr := make([]*event.Event, len(path))
+	for i, v := range path {
+		tr[i] = v.Ev
 	}
-	for i := range g.Verts {
-		if g.IsStart(i) && !dfs(i) {
-			return
-		}
-	}
+	return tr
 }
 
 // HasLongerTrends conservatively reports whether the flattening up to

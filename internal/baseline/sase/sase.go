@@ -34,58 +34,34 @@ func Run(q *query.Query, evs []*event.Event, opt Options) ([]baseline.Result, ba
 		return nil, baseline.Stats{}, err
 	}
 	var stats baseline.Stats
-	type gw struct {
-		group string
-		wid   int64
-	}
-	aggs := map[gw]*baseline.TrendAgg{}
-	for _, part := range baseline.Partition(q, evs) {
-		group := baseline.GroupOf(q, part)
-		for _, wid := range baseline.Wids(q, part) {
-			wevs := baseline.InWindow(q, wid, part)
-			agg := aggs[gw{group, wid}]
-			if agg == nil {
-				agg = baseline.NewTrendAgg(q, len(branches) > 1)
-				aggs[gw{group, wid}] = agg
+	out, err := baseline.Fold(q, evs, len(branches) > 1, func(agg *baseline.TrendAgg, wevs, part []*event.Event) error {
+		var windowTrends uint64
+		for _, b := range branches {
+			// Step 1a: build stacks and predecessor pointers.
+			g, err := matchgraph.BuildForBranch(q, b, wevs, part)
+			if err != nil {
+				return err
 			}
-			var windowTrends uint64
-			for _, b := range branches {
-				// Step 1a: build stacks and predecessor pointers.
-				g, err := matchgraph.BuildForBranch(q, b, wevs, part)
-				if err != nil {
-					return nil, stats, err
+			stats.StoredEdges += uint64(g.CountEdges())
+			// Step 1b + 2: DFS constructs each trend, then the trend is
+			// aggregated and discarded.
+			g.WalkTrends(func(path []matchgraph.VertexRef) bool {
+				if opt.MaxTrends > 0 && windowTrends >= opt.MaxTrends {
+					stats.Truncated = true
+					return false
 				}
-				stats.StoredEdges += uint64(g.CountEdges())
-				// Step 1b + 2: DFS constructs each trend, then the trend is
-				// aggregated and discarded.
-				g.WalkTrends(func(path []matchgraph.VertexRef) bool {
-					if opt.MaxTrends > 0 && windowTrends >= opt.MaxTrends {
-						stats.Truncated = true
-						return false
-					}
-					windowTrends++
-					stats.Trends++
-					stats.TrendNodes += uint64(len(path))
-					if uint64(len(path))*16 > stats.StoredBytes {
-						// Peak memory: one trend at a time.
-						stats.StoredBytes = uint64(len(path)) * 16
-					}
-					tr := make([]*event.Event, len(path))
-					for i, v := range path {
-						tr[i] = v.Ev
-					}
-					agg.Add(tr)
-					return true
-				})
-			}
+				windowTrends++
+				stats.Trends++
+				stats.TrendNodes += uint64(len(path))
+				if uint64(len(path))*16 > stats.StoredBytes {
+					// Peak memory: one trend at a time.
+					stats.StoredBytes = uint64(len(path)) * 16
+				}
+				agg.Add(matchgraph.Events(path))
+				return true
+			})
 		}
-	}
-	var out []baseline.Result
-	for k, agg := range aggs {
-		if vals, _, ok := agg.Finish(); ok {
-			out = append(out, baseline.Result{Group: k.group, Wid: k.wid, Values: vals})
-		}
-	}
-	baseline.SortResults(out)
-	return out, stats, nil
+		return nil
+	})
+	return out, stats, err
 }

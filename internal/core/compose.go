@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/big"
+	"math/bits"
 
 	"github.com/greta-cep/greta/internal/aggregate"
 )
@@ -33,7 +34,7 @@ func (e *Engine) compose(parts []*aggregate.Payload) *aggregate.Payload {
 		}
 		for i, mask := range e.plan.Masks {
 			sign := 1
-			if popcount(mask)%2 == 0 {
+			if bits.OnesCount(mask)%2 == 0 {
 				sign = -1
 			}
 			def.AddSigned(payload, parts[e.branches+i], sign)

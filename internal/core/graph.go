@@ -231,10 +231,10 @@ type edgePred struct {
 // per (engine, spec) and shared by that spec's graphs across all
 // partitions, so partition creation does not recompile.
 //
-// Sharing is race-free: within one engine, events are processed
-// sequentially, and the §7 scheduler's only concurrency is across
-// graphs of *different* specs inside one partition — each with its own
-// compiledSpec. Distinct engines (RunParallel workers) build their own.
+// Sharing is race-free: an engine processes its events sequentially,
+// and what runs concurrently — the sources a batch segment's fan-out
+// sweeps on helper goroutines, the ShardHosts of RunParallel's workers
+// — are different engines, each with compiledSpecs of its own.
 type compiledSpec struct {
 	cVert    [][]*predicate.Compiled // vertex predicates per state
 	epsBySrc [][][]*edgePred         // [toState][fromState] applicable edge predicates

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/greta-cep/greta/internal/aggregate"
 	"github.com/greta-cep/greta/internal/pattern"
@@ -220,14 +221,6 @@ func newDisjunctionPlan(q *query.Query, branches []*pattern.Node, mode aggregate
 // maxBranches bounds inclusion–exclusion blow-up (2^maxBranches plans).
 const maxBranches = 4
 
-func popcount(x uint) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
-}
-
 // newConjunctionPlan compiles a top-level AND of positive patterns
 // (paper §9). Counts are composed from the two branch counts and their
 // intersection count — the two-branch composite, whose one product has
@@ -273,7 +266,7 @@ func newCompositePlan(q *query.Query, branches []*pattern.Node, mode aggregate.M
 		return nil, err
 	}
 	for mask := uint(1); mask < 1<<uint(len(branches)); mask++ {
-		if popcount(mask) < 2 {
+		if bits.OnesCount(mask) < 2 {
 			continue
 		}
 		var prod *template.Template

@@ -80,14 +80,7 @@ type Runtime struct {
 // interval or a negative reorder slack), which is a programming error,
 // not a runtime condition.
 func NewRuntime(opts ...RuntimeOption) *Runtime {
-	var cfg runtimeConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	copts := []core.Option{core.WithReorderSlack(cfg.slack), core.WithTraceHook(cfg.trace)}
-	if cfg.ckDir != "" {
-		copts = append(copts, core.WithCheckpoint(cfg.ckEvery, &checkpoint.Store{Dir: cfg.ckDir, FS: checkpointFS}, cfg.ckErr))
-	}
+	cfg, copts := configure(opts, "")
 	rt := &Runtime{inner: core.NewRuntime(copts...)}
 	if err := rt.serveMetrics(cfg.metricsAddr); err != nil {
 		panic(err)
@@ -109,6 +102,23 @@ type runtimeConfig struct {
 	trace       func(TraceEvent)
 }
 
+// configure applies opts and returns them with core's options for
+// NewRuntime (restoreDir "") or a Restore from restoreDir, whose schedule
+// resumes there at the snapshot's interval (core's 0) unless opts name both.
+func configure(opts []RuntimeOption, restoreDir string) (cfg runtimeConfig, copts []core.Option) {
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	copts = []core.Option{core.WithReorderSlack(cfg.slack), core.WithTraceHook(cfg.trace)}
+	switch {
+	case restoreDir != "" && cfg.ckDir == "":
+		copts = append(copts, core.WithCheckpoint(0, &checkpoint.Store{Dir: restoreDir, FS: checkpointFS}, cfg.ckErr))
+	case cfg.ckDir != "" && (restoreDir == "" || cfg.ckEvery > 0):
+		copts = append(copts, core.WithCheckpoint(cfg.ckEvery, &checkpoint.Store{Dir: cfg.ckDir, FS: checkpointFS}, cfg.ckErr))
+	}
+	return cfg, copts
+}
+
 // WithReorderSlack arms a bounded reorder buffer in front of the
 // engines (the out-of-order handling the paper delegates upstream,
 // §2): events may arrive up to slack time units behind the maximum
@@ -119,7 +129,7 @@ type runtimeConfig struct {
 // scheduled checkpoints persist the pending events inside the
 // snapshot, so a restored runtime rehydrates its disorder window. A
 // runtime with slack armed runs RunParallel sequentially. Slack 0 is
-// the default direct path; NewRuntime panics on a negative slack.
+// the default direct path; NewRuntime and Restore panic on a negative one.
 func WithReorderSlack(slack Time) RuntimeOption {
 	return func(c *runtimeConfig) { c.slack = slack }
 }
