@@ -120,15 +120,21 @@ type Restored struct {
 // interval the snapshot was written under, into the same dir — pass
 // WithCheckpoint to override both (a non-positive interval turns it
 // off). WithReorderSlack arms a buffer as in NewRuntime, but a snapshot
-// written with one brings it back, slack and pending events, in its
-// place. Statement ids, options, shared sub-plan topology, partition
-// state, and watermarks are restored; feeding events with Time >=
-// ReplayFrom resumes the run exactly.
+// written with one brings back its own, slack and pending events.
+// Statement ids, options, shared sub-plan topology, partition state and
+// watermarks are restored; feeding Time >= ReplayFrom resumes exactly.
 func Restore(dir string, opts ...RuntimeOption) (*Restored, error) {
-	cfg, copts := configure(opts, dir)
+	cfg, copts := newRuntimeConfig(opts)
 	body, _, err := (&checkpoint.Store{Dir: dir, FS: checkpointFS}).Load()
 	if err != nil {
 		return nil, err
+	}
+	// Interval 0 resumes the snapshot's; a non-positive override stays off.
+	switch {
+	case cfg.ckDir == "":
+		copts = append(copts, core.WithCheckpoint(0, &checkpoint.Store{Dir: dir, FS: checkpointFS}, cfg.ckErr))
+	case cfg.ckEvery > 0:
+		copts = append(copts, core.WithCheckpoint(cfg.ckEvery, &checkpoint.Store{Dir: cfg.ckDir, FS: checkpointFS}, cfg.ckErr))
 	}
 	inner, info, err := core.RestoreRuntime(body, copts...)
 	if err != nil {

@@ -159,7 +159,7 @@ type avgPair struct {
 // decimal, comma-separated. Cross-branch dedup and the enumerator's
 // fold order both read it.
 func TrendKey(tr []*event.Event) string {
-	b := make([]byte, 0, len(tr)*4)
+	b := make([]byte, 0, len(tr)*8)
 	for i, e := range tr {
 		if i > 0 {
 			b = append(b, ',')
@@ -177,9 +177,11 @@ type Cell struct {
 
 // SortedCells lists the cells of m ordered by (group, wid).
 func SortedCells[A any](m map[Cell]A) []Cell {
-	return slices.SortedFunc(maps.Keys(m), func(a, b Cell) int {
+	cells := slices.AppendSeq(make([]Cell, 0, len(m)), maps.Keys(m))
+	slices.SortFunc(cells, func(a, b Cell) int {
 		return cmp.Or(cmp.Compare(a.Group, b.Group), cmp.Compare(a.Wid, b.Wid))
 	})
+	return cells
 }
 
 // EachWindow is the skeleton's loop: it partitions evs by the grouping
@@ -200,16 +202,25 @@ func EachWindow(q *query.Query, evs []*event.Event, fn func(c Cell, wevs, part [
 	for _, k := range slices.Sorted(maps.Keys(parts)) {
 		part := parts[k]
 		group := attrKey(part[0], q.GroupBy)
+		seen := map[int64]bool{}
 		var wids []int64
 		for _, e := range part {
 			lo, hi := q.Window.Wids(e.Time)
 			for wid := lo; wid <= hi; wid++ {
-				wids = append(wids, wid)
+				if !seen[wid] {
+					seen[wid] = true
+					wids = append(wids, wid)
+				}
 			}
 		}
 		slices.Sort(wids)
-		for _, wid := range slices.Compact(wids) {
-			wevs := slices.DeleteFunc(slices.Clone(part), func(e *event.Event) bool { return !q.Window.Contains(wid, e.Time) })
+		for _, wid := range wids {
+			var wevs []*event.Event
+			for _, e := range part {
+				if q.Window.Contains(wid, e.Time) {
+					wevs = append(wevs, e)
+				}
+			}
 			if err := fn(Cell{group, wid}, wevs, part); err != nil {
 				return err
 			}
@@ -233,7 +244,7 @@ func Fold(q *query.Query, evs []*event.Event, dedup bool, trends func(agg *Trend
 	if err != nil {
 		return nil, err
 	}
-	var out []Result
+	out := make([]Result, 0, len(aggs))
 	for _, c := range SortedCells(aggs) {
 		if vals, _, ok := aggs[c].Finish(); ok {
 			out = append(out, Result{Group: c.Group, Wid: c.Wid, Values: vals})

@@ -76,7 +76,7 @@ func Run(q *query.Query, evs []*event.Event, opt Options) ([]baseline.Result, ba
 	if err != nil {
 		return nil, stats, err
 	}
-	var out []baseline.Result
+	out := make([]baseline.Result, 0, len(accs))
 	for _, c := range baseline.SortedCells(accs) {
 		out = append(out, baseline.Result{Group: c.Group, Wid: c.Wid, Values: accs[c].finish(q)})
 	}

@@ -1,11 +1,11 @@
 package baseline_test
 
 import (
-	"flag"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -20,15 +20,15 @@ import (
 
 const baselineGoldenPath = "testdata/baseline.golden"
 
-var updateGolden = flag.Bool("update", false, "rewrite "+baselineGoldenPath)
-
 // TestBaselineGolden holds every engine's result rows, as float bit
 // patterns, and the baselines' Stats to a committed file, over the
 // query/stream pairs of TestBaselinesMatchOracle and the stream of
 // TestOraclesBitStable. The other tests compare values within a
 // tolerance and read a few Stats; this one fails on any change of a
 // value's last bit, of a fold order, or of the cost accounting.
-// Run with -update to rewrite the file after a deliberate change.
+// A deliberate change replaces the file: delete it and run the test
+// once — a missing file is written, and the run fails so the new rows
+// get reviewed.
 func TestBaselineGolden(t *testing.T) {
 	var b strings.Builder
 	emit := func(label string, q *query.Query, evs []*event.Event, flatLen int) {
@@ -69,13 +69,16 @@ func TestBaselineGolden(t *testing.T) {
 	emit("bitstable", q, evs, 64)
 
 	got := b.String()
-	if *updateGolden {
+	want, err := os.ReadFile(baselineGoldenPath)
+	if os.IsNotExist(err) {
+		if err := os.MkdirAll(filepath.Dir(baselineGoldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
 		if err := os.WriteFile(baselineGoldenPath, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return
+		t.Fatalf("%s did not exist: wrote %d lines, review and commit them", baselineGoldenPath, strings.Count(got, "\n"))
 	}
-	want, err := os.ReadFile(baselineGoldenPath)
 	if err != nil {
 		t.Fatal(err)
 	}

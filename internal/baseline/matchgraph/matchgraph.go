@@ -8,6 +8,8 @@
 package matchgraph
 
 import (
+	"cmp"
+
 	"github.com/greta-cep/greta/internal/event"
 	"github.com/greta-cep/greta/internal/pattern"
 	"github.com/greta-cep/greta/internal/predicate"
@@ -281,7 +283,7 @@ func (g *Graph) WalkTrends(visit func(tr []VertexRef) bool) {
 // vertices (0 = unbounded), used by the Flink-style flattening
 // baseline. visit returns false to abort.
 func (g *Graph) WalkTrendsMaxLen(maxLen int, visit func(tr []VertexRef) bool) {
-	path := make([]VertexRef, 0, 16)
+	path := make([]VertexRef, 0, cmp.Or(maxLen, 16))
 	var dfs func(i int) bool
 	dfs = func(i int) bool {
 		path = append(path, g.Verts[i])

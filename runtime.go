@@ -80,7 +80,10 @@ type Runtime struct {
 // interval or a negative reorder slack), which is a programming error,
 // not a runtime condition.
 func NewRuntime(opts ...RuntimeOption) *Runtime {
-	cfg, copts := configure(opts, "")
+	cfg, copts := newRuntimeConfig(opts)
+	if cfg.ckDir != "" {
+		copts = append(copts, core.WithCheckpoint(cfg.ckEvery, &checkpoint.Store{Dir: cfg.ckDir, FS: checkpointFS}, cfg.ckErr))
+	}
 	rt := &Runtime{inner: core.NewRuntime(copts...)}
 	if err := rt.serveMetrics(cfg.metricsAddr); err != nil {
 		panic(err)
@@ -102,21 +105,12 @@ type runtimeConfig struct {
 	trace       func(TraceEvent)
 }
 
-// configure applies opts and returns them with core's options for
-// NewRuntime (restoreDir "") or a Restore from restoreDir, whose schedule
-// resumes there at the snapshot's interval (core's 0) unless opts name both.
-func configure(opts []RuntimeOption, restoreDir string) (cfg runtimeConfig, copts []core.Option) {
+// newRuntimeConfig applies opts; copts are core's options both constructors pass.
+func newRuntimeConfig(opts []RuntimeOption) (cfg runtimeConfig, copts []core.Option) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	copts = []core.Option{core.WithReorderSlack(cfg.slack), core.WithTraceHook(cfg.trace)}
-	switch {
-	case restoreDir != "" && cfg.ckDir == "":
-		copts = append(copts, core.WithCheckpoint(0, &checkpoint.Store{Dir: restoreDir, FS: checkpointFS}, cfg.ckErr))
-	case cfg.ckDir != "" && (restoreDir == "" || cfg.ckEvery > 0):
-		copts = append(copts, core.WithCheckpoint(cfg.ckEvery, &checkpoint.Store{Dir: cfg.ckDir, FS: checkpointFS}, cfg.ckErr))
-	}
-	return cfg, copts
+	return cfg, []core.Option{core.WithReorderSlack(cfg.slack), core.WithTraceHook(cfg.trace)}
 }
 
 // WithReorderSlack arms a bounded reorder buffer in front of the
