@@ -182,7 +182,7 @@ func (co *Coordinator) onPartialLocked(l *link, p *netstream.WirePartial) {
 		co.fail(fmt.Errorf("cluster: shard %d: bad partial payload: %w", l.idx, err))
 		return
 	}
-	pl, err := core.UnmarshalPayload(raw)
+	pl, err := core.UnmarshalPayload(u.st.Def(), raw)
 	if err != nil {
 		co.fail(fmt.Errorf("cluster: shard %d: partial decode: %w", l.idx, err))
 		return

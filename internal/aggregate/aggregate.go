@@ -12,6 +12,15 @@
 // model of the paper's Java implementation (long arithmetic). ModeExact
 // uses math/big integers/floats and is used by correctness tests that
 // compare GRETA against a brute-force trend enumerator.
+//
+// A Payload is 24 bytes in every definition: the native trend count, the
+// latest trend start and a pointer to its slot values. The Def fixes how
+// many values that array holds (Def.Width): one per attribute slot and,
+// in ModeExact, one more after them whose X is the exact trend count. A
+// slotless native payload has no array at all, so a vertex's block of K
+// windows is one 24·K-byte object. Only the Def reads a payload's slot
+// values (Def.Vals), so code outside this package that encodes or merges
+// payloads takes the payload's Def along.
 package aggregate
 
 import (
@@ -19,6 +28,7 @@ import (
 	"math"
 	"math/big"
 	"math/bits"
+	"unsafe"
 
 	"github.com/greta-cep/greta/internal/event"
 )
@@ -98,7 +108,8 @@ func (d *Def) AddSlot(s Slot) int {
 const NoStart = math.MinInt64
 
 // SlotVal is the runtime value of one slot. CountE uses N (native) or X
-// (exact); Sum uses F (native) or XF (exact); Min/Max always use F.
+// (exact); Sum uses F (native) or XF (exact); Min/Max always use F. The
+// trailing exact count of a ModeExact payload is a SlotVal too, in X.
 type SlotVal struct {
 	N  uint64
 	F  float64
@@ -107,38 +118,55 @@ type SlotVal struct {
 }
 
 // Payload carries the intermediate aggregates of one vertex in one
-// window: the trend count (Theorem 4.3), the attribute slots
-// (Theorem 9.1), and the latest trend start time (negation support).
+// window: the trend count (Theorem 4.3), the latest trend start time
+// (negation support) and the attribute slots (Theorem 9.1). It is three
+// words: the slot values sit in an array of the Def's Width, which vals
+// points at, so a payload reads and writes them only through its Def.
 type Payload struct {
 	Count    uint64
-	XCount   *big.Int
 	MaxStart int64
-	Slots    []SlotVal
+	vals     *SlotVal
 }
+
+// Width returns the number of slot values a payload of d holds: one per
+// slot and, in ModeExact, the exact trend count after them.
+func (d *Def) Width() int {
+	if d.Mode == ModeExact {
+		return len(d.Slots) + 1
+	}
+	return len(d.Slots)
+}
+
+// Vals returns p's slot values, indexed as d.Slots. In ModeExact the
+// exact trend count follows them, in Vals(p)[len(d.Slots)].X.
+func (d *Def) Vals(p *Payload) []SlotVal { return unsafe.Slice(p.vals, d.Width()) }
+
+// xcount returns p's exact trend count; d is in ModeExact.
+func (d *Def) xcount(p *Payload) *big.Int { return d.Vals(p)[len(d.Slots)].X }
 
 // New returns a zero payload for the definition.
 func (d *Def) New() *Payload {
 	p := &Payload{}
-	if len(d.Slots) > 0 {
-		p.Slots = make([]SlotVal, len(d.Slots))
+	if w := d.Width(); w > 0 {
+		p.vals = &make([]SlotVal, w)[0]
 	}
 	d.prepare(p)
 	return p
 }
 
 // NewBlock returns k zero payloads of the definition as values in one
-// slice — a graph vertex's per-window block — their Slots cut from one
-// backing array.
+// slice — a graph vertex's per-window block, 24 bytes a window — their
+// slot values cut from one backing array.
 func (d *Def) NewBlock(k int) []Payload {
 	b := make([]Payload, k)
-	n := len(d.Slots)
-	var slots []SlotVal
-	if n > 0 {
-		slots = make([]SlotVal, k*n)
+	w := d.Width()
+	var vals []SlotVal
+	if w > 0 {
+		vals = make([]SlotVal, k*w)
 	}
 	for i := range b {
-		if n > 0 {
-			b[i].Slots = slots[i*n : (i+1)*n : (i+1)*n]
+		if w > 0 {
+			b[i].vals = &vals[i*w]
 		}
 		d.prepare(&b[i])
 	}
@@ -203,27 +231,27 @@ func (p *Presence) Clear() {
 	}
 }
 
-// prepare makes p, whose Slots already have the definition's length, a
-// zero payload: min/max at their identities, exact-mode numbers
-// allocated.
+// prepare makes p, whose slot values are fresh, a zero payload: min/max
+// at their identities, exact-mode numbers allocated.
 func (d *Def) prepare(p *Payload) {
 	p.MaxStart = NoStart
+	vals := d.Vals(p)
 	for i, s := range d.Slots {
 		switch s.Kind {
 		case SlotMin:
-			p.Slots[i].F = math.Inf(1)
+			vals[i].F = math.Inf(1)
 		case SlotMax:
-			p.Slots[i].F = math.Inf(-1)
+			vals[i].F = math.Inf(-1)
 		}
 	}
 	if d.Mode == ModeExact {
-		p.XCount = new(big.Int)
+		vals[len(d.Slots)].X = new(big.Int)
 		for i, s := range d.Slots {
 			switch s.Kind {
 			case SlotCountE:
-				p.Slots[i].X = new(big.Int)
+				vals[i].X = new(big.Int)
 			case SlotSum:
-				p.Slots[i].XF = new(big.Float).SetPrec(sumPrec)
+				vals[i].XF = new(big.Float).SetPrec(sumPrec)
 			}
 		}
 	}
@@ -239,23 +267,29 @@ const sumPrec = 256
 // (the Σ / min / max terms of Theorems 4.3 and 9.1).
 func (d *Def) AddPred(dst, p *Payload) {
 	dst.Count += p.Count
-	if d.Mode == ModeExact {
-		dst.XCount.Add(dst.XCount, p.XCount)
-	}
 	if p.MaxStart > dst.MaxStart {
 		dst.MaxStart = p.MaxStart
 	}
+	if dst.vals == nil { // a slotless native payload: nothing more to fold
+		return
+	}
+	exact := d.Mode == ModeExact
+	dvals, pvals := d.Vals(dst), d.Vals(p)
+	if exact {
+		n := len(d.Slots)
+		dvals[n].X.Add(dvals[n].X, pvals[n].X)
+	}
 	for i, s := range d.Slots {
-		dv, pv := &dst.Slots[i], &p.Slots[i]
+		dv, pv := &dvals[i], &pvals[i]
 		switch s.Kind {
 		case SlotCountE:
 			dv.N += pv.N
-			if d.Mode == ModeExact {
+			if exact {
 				dv.X.Add(dv.X, pv.X)
 			}
 		case SlotSum:
 			dv.F += pv.F
-			if d.Mode == ModeExact {
+			if exact {
 				dv.XF.Add(dv.XF, pv.XF)
 			}
 		case SlotMin:
@@ -275,7 +309,8 @@ func (d *Def) AddPred(dst, p *Payload) {
 func (d *Def) OnStart(dst *Payload, t event.Time) {
 	dst.Count++
 	if d.Mode == ModeExact {
-		dst.XCount.Add(dst.XCount, bigOne)
+		x := d.xcount(dst)
+		x.Add(x, bigOne)
 	}
 	if d.TrackStart && int64(t) > dst.MaxStart {
 		dst.MaxStart = int64(t)
@@ -286,17 +321,17 @@ var bigOne = big.NewInt(1)
 
 // applySelf folds the self-contribution of one event into slot i.
 func (d *Def) applySelf(dst *Payload, i int, kind SlotKind, attr float64) {
-	dv := &dst.Slots[i]
+	dv := &d.Vals(dst)[i]
 	switch kind {
 	case SlotCountE:
 		dv.N += dst.Count
 		if d.Mode == ModeExact {
-			dv.X.Add(dv.X, dst.XCount)
+			dv.X.Add(dv.X, d.xcount(dst))
 		}
 	case SlotSum:
 		dv.F += attr * float64(dst.Count)
 		if d.Mode == ModeExact {
-			t := new(big.Float).SetPrec(sumPrec).SetInt(dst.XCount)
+			t := new(big.Float).SetPrec(sumPrec).SetInt(d.xcount(dst))
 			t.Mul(t, big.NewFloat(attr))
 			dv.XF.Add(dv.XF, t)
 		}
@@ -329,20 +364,23 @@ func (d *Def) AddSigned(dst, src *Payload, sign int) {
 		return
 	}
 	dst.Count -= src.Count
-	if d.Mode == ModeExact {
-		dst.XCount.Sub(dst.XCount, src.XCount)
+	exact := d.Mode == ModeExact
+	dvals, svals := d.Vals(dst), d.Vals(src)
+	if exact {
+		n := len(d.Slots)
+		dvals[n].X.Sub(dvals[n].X, svals[n].X)
 	}
 	for i, s := range d.Slots {
-		dv, sv := &dst.Slots[i], &src.Slots[i]
+		dv, sv := &dvals[i], &svals[i]
 		switch s.Kind {
 		case SlotCountE:
 			dv.N -= sv.N
-			if d.Mode == ModeExact {
+			if exact {
 				dv.X.Sub(dv.X, sv.X)
 			}
 		case SlotSum:
 			dv.F -= sv.F
-			if d.Mode == ModeExact {
+			if exact {
 				dv.XF.Sub(dv.XF, sv.XF)
 			}
 		}
@@ -351,34 +389,41 @@ func (d *Def) AddSigned(dst, src *Payload, sign int) {
 
 // Clone returns a deep copy of p.
 func (d *Def) Clone(p *Payload) *Payload {
-	c := &Payload{Count: p.Count, MaxStart: p.MaxStart}
-	if p.Slots != nil {
-		c.Slots = make([]SlotVal, len(p.Slots))
-		copy(c.Slots, p.Slots)
-	}
-	if d.Mode == ModeExact {
-		c.XCount = new(big.Int).Set(p.XCount)
-		for i, s := range d.Slots {
-			switch s.Kind {
-			case SlotCountE:
-				c.Slots[i].X = new(big.Int).Set(p.Slots[i].X)
-			case SlotSum:
-				c.Slots[i].XF = new(big.Float).SetPrec(sumPrec).Set(p.Slots[i].XF)
-			}
+	c := d.New()
+	c.Count, c.MaxStart = p.Count, p.MaxStart
+	cvals, pvals := d.Vals(c), d.Vals(p)
+	for i := range cvals {
+		cv, pv := &cvals[i], &pvals[i]
+		cv.N, cv.F = pv.N, pv.F
+		if pv.X != nil {
+			cv.X.Set(pv.X)
+		}
+		if pv.XF != nil {
+			cv.XF.Set(pv.XF)
 		}
 	}
 	return c
 }
 
-// Zero reports whether the payload carries no trends.
-func (p *Payload) Zero() bool {
+// Zero reports whether the payload carries no trends; a nil payload
+// carries none.
+func (d *Def) Zero(p *Payload) bool {
 	if p == nil {
 		return true
 	}
-	if p.XCount != nil {
-		return p.XCount.Sign() == 0
+	if d.Mode == ModeExact {
+		return d.xcount(p).Sign() == 0
 	}
 	return p.Count == 0
+}
+
+// SetCount sets p's trend count to x, the exact count in ModeExact and
+// its low 64 bits in the native count.
+func (d *Def) SetCount(p *Payload, x *big.Int) {
+	p.Count = x.Uint64()
+	if d.Mode == ModeExact {
+		d.xcount(p).Set(x)
+	}
 }
 
 // Spec is a RETURN-clause aggregate request.
@@ -500,24 +545,24 @@ func (d *Def) Value(p *Payload, spec Spec, slot, slot2 int) float64 {
 	switch spec.Kind {
 	case CountStar:
 		if d.Mode == ModeExact {
-			f, _ := new(big.Float).SetInt(p.XCount).Float64()
+			f, _ := new(big.Float).SetInt(d.xcount(p)).Float64()
 			return f
 		}
 		return float64(p.Count)
 	case CountType:
 		if d.Mode == ModeExact {
-			f, _ := new(big.Float).SetInt(p.Slots[slot].X).Float64()
+			f, _ := new(big.Float).SetInt(d.Vals(p)[slot].X).Float64()
 			return f
 		}
-		return float64(p.Slots[slot].N)
+		return float64(d.Vals(p)[slot].N)
 	case Min, Max:
-		return p.Slots[slot].F
+		return d.Vals(p)[slot].F
 	case Sum:
 		if d.Mode == ModeExact {
-			f, _ := p.Slots[slot].XF.Float64()
+			f, _ := d.Vals(p)[slot].XF.Float64()
 			return f
 		}
-		return p.Slots[slot].F
+		return d.Vals(p)[slot].F
 	case Avg:
 		sum := d.Value(p, Spec{Kind: Sum, Type: spec.Type, Attr: spec.Attr}, slot, -1)
 		cnt := d.Value(p, Spec{Kind: CountType, Type: spec.Type}, slot2, -1)
@@ -536,7 +581,7 @@ func (d *Def) ExactCount(p *Payload) *big.Int {
 		return new(big.Int)
 	}
 	if d.Mode == ModeExact {
-		return new(big.Int).Set(p.XCount)
+		return new(big.Int).Set(d.xcount(p))
 	}
 	return new(big.Int).SetUint64(p.Count)
 }
@@ -547,7 +592,7 @@ func (d *Def) ExactSlotInt(p *Payload, slot int) *big.Int {
 		return new(big.Int)
 	}
 	if d.Mode == ModeExact {
-		return new(big.Int).Set(p.Slots[slot].X)
+		return new(big.Int).Set(d.Vals(p)[slot].X)
 	}
-	return new(big.Int).SetUint64(p.Slots[slot].N)
+	return new(big.Int).SetUint64(d.Vals(p)[slot].N)
 }

@@ -156,28 +156,59 @@ func TestAddSigned(t *testing.T) {
 	if u.Count != 1 {
 		t.Errorf("count = %d, want 1", u.Count)
 	}
-	if u.Slots[slot].F != 5 {
-		t.Errorf("sum = %v, want 5", u.Slots[slot].F)
+	if d.Vals(u)[slot].F != 5 {
+		t.Errorf("sum = %v, want 5", d.Vals(u)[slot].F)
 	}
 	// min folded from positive terms only: min(5,3) = 3 remains.
-	if u.Slots[mslot].F != 3 {
-		t.Errorf("min = %v, want 3", u.Slots[mslot].F)
+	if d.Vals(u)[mslot].F != 3 {
+		t.Errorf("min = %v, want 3", d.Vals(u)[mslot].F)
 	}
 }
 
 func TestZero(t *testing.T) {
 	d := &Def{}
 	p := d.New()
-	if !p.Zero() {
+	if !d.Zero(p) {
 		t.Error("fresh payload not zero")
 	}
 	d.OnStart(p, 1)
-	if p.Zero() {
+	if d.Zero(p) {
 		t.Error("started payload is zero")
 	}
 	var nilP *Payload
-	if !nilP.Zero() {
+	if !d.Zero(nilP) {
 		t.Error("nil payload not zero")
+	}
+	// Every slot kind in both modes: a payload is zero by its count —
+	// in ModeExact the trailing exact count, which a native count that
+	// wrapped to 0 does not fool — and Reset makes it zero again.
+	for _, mode := range []Mode{ModeNative, ModeExact} {
+		d, _ := defWithAll(mode)
+		p := d.New()
+		if !d.Zero(p) || d.ExactCount(p).Sign() != 0 {
+			t.Errorf("mode %v: fresh payload not zero", mode)
+		}
+		d.OnStart(p, 1)
+		d.OnEventAcc(p, &event.Event{Type: "A", Time: 1, Attrs: map[string]float64{"x": 3}}, d.NewAccessors())
+		if d.Zero(p) {
+			t.Errorf("mode %v: started payload is zero", mode)
+		}
+		d.AddSigned(p, d.Clone(p), -1)
+		if !d.Zero(p) || d.ExactCount(p).Sign() != 0 {
+			t.Errorf("mode %v: payload minus itself not zero: %v", mode, d.ExactCount(p))
+		}
+		wrap := new(big.Int).Lsh(big.NewInt(1), 64)
+		d.SetCount(p, wrap)
+		if p.Count != 0 || d.Zero(p) != (mode == ModeNative) {
+			t.Errorf("mode %v: count 2^64 reads Count %d, Zero %v", mode, p.Count, d.Zero(p))
+		}
+		if mode == ModeExact && d.ExactCount(p).Cmp(wrap) != 0 {
+			t.Errorf("exact count = %v, want 2^64", d.ExactCount(p))
+		}
+		d.Reset(p)
+		if !d.Zero(p) || d.ExactCount(p).Sign() != 0 {
+			t.Errorf("mode %v: reset payload not zero", mode)
+		}
 	}
 }
 
@@ -230,6 +261,50 @@ func TestCloneIndependence(t *testing.T) {
 	if got := d.ExactSlotInt(c, slots[CountType][0]); got.Int64() != 1 {
 		t.Errorf("clone countE = %v", got)
 	}
+	// Every slot kind in both modes, both directions: a clone shares no
+	// slot value — the trailing exact count included — with its origin.
+	for _, mode := range []Mode{ModeNative, ModeExact} {
+		d, slots := defWithAll(mode)
+		p := d.New()
+		d.OnStart(p, 1)
+		d.OnEventAcc(p, &event.Event{Type: "A", Time: 1, Attrs: map[string]float64{"x": 2}}, d.NewAccessors())
+		want := allValues(d, slots, p)
+		c := d.Clone(p)
+		if got := allValues(d, slots, c); !slices.Equal(got, want) {
+			t.Errorf("mode %v: clone reads %v, origin %v", mode, got, want)
+		}
+		pv, cv := d.Vals(p), d.Vals(c)
+		if len(cv) != d.Width() || &pv[0] == &cv[0] {
+			t.Fatalf("mode %v: clone has %d slot values, shared %v", mode, len(cv), &pv[0] == &cv[0])
+		}
+		for i := range cv {
+			if (cv[i].X != nil && cv[i].X == pv[i].X) || (cv[i].XF != nil && cv[i].XF == pv[i].XF) {
+				t.Errorf("mode %v: slot value %d aliases its origin's big number", mode, i)
+			}
+		}
+		fold := func(q *Payload) {
+			d.OnStart(q, 2)
+			d.OnEventAcc(q, &event.Event{Type: "A", Time: 2, Attrs: map[string]float64{"x": 9}}, d.NewAccessors())
+		}
+		if fold(p); !slices.Equal(allValues(d, slots, c), want) {
+			t.Errorf("mode %v: folding into the origin moved the clone to %v", mode, allValues(d, slots, c))
+		}
+		if fold(c); !slices.Equal(allValues(d, slots, c), allValues(d, slots, p)) {
+			t.Errorf("mode %v: equal folds read %v and %v", mode, allValues(d, slots, c), allValues(d, slots, p))
+		}
+		if d.ExactCount(c).Int64() != 2 || d.ExactCount(p).Int64() != 2 {
+			t.Errorf("mode %v: exact counts after a second start = %v, %v, want 2", mode, d.ExactCount(c), d.ExactCount(p))
+		}
+	}
+}
+
+// allValues reads every spec kind of defWithAll's definition out of p.
+func allValues(d *Def, slots map[SpecKind][2]int, p *Payload) []float64 {
+	var out []float64
+	for _, k := range []SpecKind{CountStar, CountType, Min, Max, Sum, Avg} {
+		out = append(out, d.Value(p, Spec{Kind: k, Type: "A", Attr: "x"}, slots[k][0], slots[k][1]))
+	}
+	return out
 }
 
 // TestAddSignedExact mirrors TestAddSigned in exact mode.
@@ -244,20 +319,48 @@ func TestAddSignedExact(t *testing.T) {
 	d.AddSigned(u, a, 1)
 	d.AddSigned(u, a, 1)
 	d.AddSigned(u, a, -1)
-	if u.XCount.Int64() != 1 {
-		t.Errorf("exact count = %v", u.XCount)
+	if d.ExactCount(u).Int64() != 1 {
+		t.Errorf("exact count = %v", d.ExactCount(u))
 	}
 	if got := d.ExactSlotInt(u, cslot); got.Int64() != 1 {
 		t.Errorf("exact countE = %v", got)
 	}
-	f, _ := u.Slots[slot].XF.Float64()
+	f, _ := d.Vals(u)[slot].XF.Float64()
 	if f != 5 {
 		t.Errorf("exact sum = %v", f)
 	}
 	// AddSigned with nil src is a no-op.
 	d.AddSigned(u, nil, -1)
-	if u.XCount.Int64() != 1 {
+	if d.ExactCount(u).Int64() != 1 {
 		t.Error("nil AddSigned changed the payload")
+	}
+	// Every slot kind in both modes: a + a − a reads a's additive values,
+	// and a negative term drives the exact count — the trailing slot —
+	// below zero where the native count wraps.
+	for _, mode := range []Mode{ModeNative, ModeExact} {
+		d, slots := defWithAll(mode)
+		a := d.New()
+		d.OnStart(a, 1)
+		d.OnEventAcc(a, &event.Event{Type: "A", Time: 1, Attrs: map[string]float64{"x": 5}}, d.NewAccessors())
+		u := d.New()
+		d.AddSigned(u, a, 1)
+		d.AddSigned(u, a, 1)
+		d.AddSigned(u, a, -1)
+		if got, want := allValues(d, slots, u), allValues(d, slots, a); !slices.Equal(got, want) {
+			t.Errorf("mode %v: a + a - a reads %v, a %v", mode, got, want)
+		}
+		if d.ExactCount(u).Cmp(d.ExactCount(a)) != 0 || d.ExactSlotInt(u, slots[CountType][0]).Int64() != 1 {
+			t.Errorf("mode %v: a + a - a counts %v (countE %v)", mode, d.ExactCount(u), d.ExactSlotInt(u, slots[CountType][0]))
+		}
+		n := d.New()
+		d.AddSigned(n, a, -1)
+		want := big.NewInt(-1)
+		if mode == ModeNative {
+			want.SetUint64(math.MaxUint64)
+		}
+		if d.ExactCount(n).Cmp(want) != 0 || n.Count != math.MaxUint64 || d.Zero(n) {
+			t.Errorf("mode %v: 0 - a counts %v (native %d), want %v", mode, d.ExactCount(n), n.Count, want)
+		}
 	}
 }
 
@@ -292,6 +395,16 @@ func TestQuickNativeMatchesExact(t *testing.T) {
 		if sn != sx {
 			return false
 		}
+		// The other slot kinds ride along, planned after SUM's.
+		others := []Spec{{Kind: CountType, Type: "A"}, {Kind: Min, Type: "A", Attr: "x"}, {Kind: Max, Type: "A", Attr: "x"}, {Kind: Avg, Type: "A", Attr: "x"}}
+		var idx [][2]int
+		for _, sp := range others {
+			s1, s2 := dn.Plan(sp)
+			if x1, x2 := dx.Plan(sp); x1 != s1 || x2 != s2 {
+				return false
+			}
+			idx = append(idx, [2]int{s1, s2})
+		}
 		var npool, xpool []*Payload
 		pn, px := dn.New(), dx.New()
 		tm := event.Time(0)
@@ -320,8 +433,35 @@ func TestQuickNativeMatchesExact(t *testing.T) {
 		if float64(pn.Count) != exact {
 			return false
 		}
-		xf, _ := px.Slots[sx].XF.Float64()
-		return math.Abs(pn.Slots[sn].F-xf) < 1e-6*(1+math.Abs(xf))
+		xf, _ := dx.Vals(px)[sx].XF.Float64()
+		if math.Abs(dn.Vals(pn)[sn].F-xf) >= 1e-6*(1+math.Abs(xf)) {
+			return false
+		}
+		// The other slot kinds agree too, and a payload recycled through
+		// its pool (Reset) reads zero in both modes, exact count included.
+		for i, sp := range others {
+			vn := dn.Value(pn, sp, idx[i][0], idx[i][1])
+			vx := dx.Value(px, sp, idx[i][0], idx[i][1])
+			if vn != vx && math.Abs(vn-vx) >= 1e-6*(1+math.Abs(vx)) && !(math.IsNaN(vn) && math.IsNaN(vx)) {
+				return false
+			}
+		}
+		if dx.ExactCount(px).Cmp(dn.ExactCount(pn)) != 0 {
+			return false
+		}
+		for _, d := range []*Def{dn, dx} {
+			p := pn
+			if d == dx {
+				p = px
+			}
+			pool := NewPool(d)
+			pool.Put(p)
+			r := pool.Get()
+			if r != p || !d.Zero(r) || d.ExactCount(r).Sign() != 0 || d.Value(r, others[1], idx[1][0], -1) != math.Inf(1) || d.Value(r, others[0], idx[0][0], -1) != 0 {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -342,7 +482,7 @@ func TestSummaryFilteredFolds(t *testing.T) {
 		b, pres := d.NewBlock(len(windows)), NewPresence(len(windows))
 		for i, w := range windows {
 			if w[0] >= 0 {
-				b[i].Count, b[i].Slots[slot].F = uint64(w[0]), w[1]
+				b[i].Count, d.Vals(&b[i])[slot].F = uint64(w[0]), w[1]
 				pres.Set(i)
 			}
 		}
@@ -383,11 +523,11 @@ func TestSummaryFilteredFolds(t *testing.T) {
 	if got := s.EdgesFrom(1); got != 1 {
 		t.Fatalf("EdgesFrom(1) = %d, want 1", got)
 	}
-	if s.Sums[0].Count != 3 || s.Sums[0].Slots[slot].F != 11 {
-		t.Fatalf("window 0 fold = (%d, %g), want (3, 11)", s.Sums[0].Count, s.Sums[0].Slots[slot].F)
+	if s.Sums[0].Count != 3 || d.Vals(s.Sums[0])[slot].F != 11 {
+		t.Fatalf("window 0 fold = (%d, %g), want (3, 11)", s.Sums[0].Count, d.Vals(s.Sums[0])[slot].F)
 	}
-	if s.Sums[1].Count != 5 || s.Sums[1].Slots[slot].F != 50 {
-		t.Fatalf("window 1 fold = (%d, %g), want (5, 50)", s.Sums[1].Count, s.Sums[1].Slots[slot].F)
+	if s.Sums[1].Count != 5 || d.Vals(s.Sums[1])[slot].F != 50 {
+		t.Fatalf("window 1 fold = (%d, %g), want (5, 50)", s.Sums[1].Count, d.Vals(s.Sums[1])[slot].F)
 	}
 	if created != 2 {
 		t.Fatalf("created = %d, want 2 (one payload per window)", created)
@@ -417,18 +557,18 @@ func TestSummaryFilteredFolds(t *testing.T) {
 }
 
 // TestBlockPresence: a block's entries are independent payloads — an
-// append to one entry's Slots reaches no neighbour — and its presence
+// append to one entry's slot values reaches no neighbour — and its presence
 // bits work across word boundaries (a vertex may fall into more than 64
 // windows).
 func TestBlockPresence(t *testing.T) {
 	d := &Def{Mode: ModeNative}
 	d.AddSlot(Slot{SlotMin, "A", "v"})
 	b := d.NewBlock(150)
-	if len(b) != 150 || b[149].Slots[0].F != math.Inf(1) || b[0].MaxStart != NoStart {
-		t.Fatalf("NewBlock(150): %d entries, last min %v, first MaxStart %d", len(b), b[149].Slots[0].F, b[0].MaxStart)
+	if len(b) != 150 || d.Vals(&b[149])[0].F != math.Inf(1) || b[0].MaxStart != NoStart {
+		t.Fatalf("NewBlock(150): %d entries, last min %v, first MaxStart %d", len(b), d.Vals(&b[149])[0].F, b[0].MaxStart)
 	}
-	_ = append(b[0].Slots, SlotVal{F: -1})
-	if b[1].Slots[0].F != math.Inf(1) {
+	_ = append(d.Vals(&b[0]), SlotVal{F: -1})
+	if d.Vals(&b[1])[0].F != math.Inf(1) {
 		t.Fatal("an append to entry 0's slots overwrote entry 1")
 	}
 	p := NewPresence(150)
@@ -471,8 +611,8 @@ func TestOutputFanout(t *testing.T) {
 	}
 	p := def.New()
 	p.Count = 7
-	p.Slots[subA[1].Slot].F = 42.5
-	p.Slots[subB[1].Slot].F = 3.25
+	def.Vals(p)[subA[1].Slot].F = 42.5
+	def.Vals(p)[subB[1].Slot].F = 3.25
 	if got := def.Values(p, subA); got[0] != 7 || got[1] != 42.5 {
 		t.Errorf("subscriber A values = %v, want [7 42.5]", got)
 	}

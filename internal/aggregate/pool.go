@@ -6,7 +6,7 @@ import (
 	"github.com/greta-cep/greta/internal/event"
 )
 
-// Pool recycles Payloads (and their Slots backing arrays) of one Def.
+// Pool recycles Payloads (and their slot values) of one Def.
 // The graph runtime creates one payload per vertex per window; without
 // recycling, every event allocates. Panes return their payloads here
 // when they expire, so the steady-state per-event path reuses instead
@@ -48,13 +48,14 @@ func (p *Pool) Put(pl *Payload) {
 func (p *Pool) Len() int { return len(p.free) }
 
 // Reset reinitializes p to the zero state of the definition, reusing
-// the Slots array and any exact-mode big numbers in place. The payload
-// must have been produced by d.New (slot layout matches d.Slots).
+// its slot values and any exact-mode big numbers in place. The payload
+// must have been produced by d (New or NewBlock).
 func (d *Def) Reset(p *Payload) {
 	p.Count = 0
 	p.MaxStart = NoStart
+	vals := d.Vals(p)
 	for i, s := range d.Slots {
-		sv := &p.Slots[i]
+		sv := &vals[i]
 		sv.N = 0
 		switch s.Kind {
 		case SlotMin:
@@ -74,7 +75,7 @@ func (d *Def) Reset(p *Payload) {
 		}
 	}
 	if d.Mode == ModeExact {
-		p.XCount.SetInt64(0)
+		d.xcount(p).SetInt64(0)
 	}
 }
 

@@ -81,8 +81,12 @@ func NewTrendAgg(q *query.Query, dedup bool) *TrendAgg {
 	return a
 }
 
-// Add folds one materialized trend into the aggregates.
+// Add folds one materialized trend into the aggregates. A trend of
+// fewer events than the query's MINLEN is not one of its trends.
 func (a *TrendAgg) Add(tr []*event.Event) {
+	if len(tr) < a.q.MinLen {
+		return
+	}
 	if a.seen != nil {
 		key := TrendKey(tr)
 		if a.seen[key] {

@@ -91,6 +91,20 @@ func TestBaselinesMatchOracle(t *testing.T) {
 	// IDs share their low 32 bits still form three trends of A+.
 	wide := []*event.Event{{ID: 1, Type: "A", Time: 1}, {ID: 1<<32 | 1, Type: "A", Time: 2}}
 	matchOracle(t, crossQueries[0], query.MustParse(crossQueries[0]), wide)
+	// A MINLEN query's trends are those of at least MINLEN events, in
+	// every engine.
+	rng = rand.New(rand.NewSource(12))
+	for _, qsrc := range minLenQueries {
+		q := query.MustParse(qsrc)
+		for iter := 0; iter < 25; iter++ {
+			matchOracle(t, qsrc, q, randStream(rng, 3+rng.Intn(9)))
+		}
+	}
+}
+
+var minLenQueries = []string{
+	"RETURN COUNT(*), COUNT(A), MIN(A.x), MAX(A.x), SUM(A.x), AVG(A.x) PATTERN A+ MINLEN 3",
+	"RETURN COUNT(*), SUM(A.x), AVG(A.x) PATTERN SEQ(A+, B) MINLEN 3",
 }
 
 func matchOracle(t *testing.T, qsrc string, q *query.Query, evs []*event.Event) {

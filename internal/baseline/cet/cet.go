@@ -239,7 +239,9 @@ func runWindow(q *query.Query, g *matchgraph.Graph, opt Options, stats *baseline
 		}
 		if g.EndAllowed(i) {
 			for _, n := range lists[i] {
-				complete(n)
+				if int(n.length) >= q.MinLen {
+					complete(n)
+				}
 			}
 		}
 	}
@@ -262,7 +264,8 @@ func runWindow(q *query.Query, g *matchgraph.Graph, opt Options, stats *baseline
 func avgDen(q *query.Query, g *matchgraph.Graph, aggIdx int) float64 {
 	spec := q.Aggs[aggIdx]
 	type cnode struct {
-		c float64
+		c      float64
+		length int
 	}
 	lists := make([][]cnode, len(g.Verts))
 	den := 0.0
@@ -273,16 +276,18 @@ func avgDen(q *query.Query, g *matchgraph.Graph, aggIdx int) float64 {
 			self = 1
 		}
 		if g.IsStart(i) {
-			lists[i] = append(lists[i], cnode{self})
+			lists[i] = append(lists[i], cnode{self, 1})
 		}
 		for _, p := range g.Pred[i] {
 			for _, pn := range lists[p] {
-				lists[i] = append(lists[i], cnode{pn.c + self})
+				lists[i] = append(lists[i], cnode{pn.c + self, pn.length + 1})
 			}
 		}
 		if g.EndAllowed(i) {
 			for _, n := range lists[i] {
-				den += n.c
+				if n.length >= q.MinLen {
+					den += n.c
+				}
 			}
 		}
 	}

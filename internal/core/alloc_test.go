@@ -69,6 +69,27 @@ func testNoHotPathAllocsVertexBlocks(t *testing.T) {
 	if size := reflect.TypeFor[Vertex]().Size(); size > 64 {
 		t.Fatalf("a Vertex is %d bytes, want at most 64 (one size class, one cache line)", size)
 	}
+	if size := reflect.TypeFor[aggregate.Payload]().Size(); size != 24 {
+		t.Fatalf("an aggregate.Payload is %d bytes, want 24 (count, start, slot values)", size)
+	}
+	// A slotless native definition's block holds its payloads and nothing
+	// else: one object of 24 bytes a window.
+	def := &aggregate.Def{}
+	if avg := testing.AllocsPerRun(100, func() { blockSink = def.NewBlock(4) }); avg != 1 {
+		t.Fatalf("a fresh 4-window block allocates %.2f objects, want 1", avg)
+	}
+	const blocks = 1000
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	total := ms.TotalAlloc
+	for range blocks {
+		blockSink = def.NewBlock(4)
+	}
+	runtime.ReadMemStats(&ms)
+	if per := (ms.TotalAlloc - total) / blocks; per != 96 {
+		t.Fatalf("a fresh 4-window block takes %d bytes, want 96", per)
+	}
 	const parts = 64
 	q := query.MustParse("RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ " +
 		"WHERE [company] AND S.price > NEXT(S).price GROUP-BY company WITHIN 10 SLIDE 4")
@@ -190,6 +211,10 @@ func testNoHotPathAllocsBoundaryVisit(t *testing.T) {
 	}
 }
 
+// blockSink keeps the blocks testNoHotPathAllocsVertexBlocks makes on
+// the heap.
+var blockSink []aggregate.Payload
+
 // testNoHotPathAllocsWindowClose guards the window close: over warm pools,
 // a steady-state close of a window with more groups than a map on the
 // stack holds (8) allocates no more objects than the Results it emits —
@@ -283,7 +308,7 @@ func TestSnapshotEncodeAllocs(t *testing.T) {
 	}
 	p := aggregate.NewPool(plan.Def()).Get()
 	if avg := testing.AllocsPerRun(100, func() {
-		if _, err := MarshalPayload(p); err != nil {
+		if _, err := MarshalPayload(plan.Def(), p); err != nil {
 			t.Fatal(err)
 		}
 	}); avg > 1 {

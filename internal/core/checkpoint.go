@@ -482,17 +482,22 @@ func (t *evTable) slotOrders() []int32 {
 }
 
 // opt walks the presence byte in front of an optional value and reports
-// whether the value follows. Decoding allocates a blob-shaped value; a
-// pool-shaped one already has its definition's shape, which the byte
-// must agree with.
-func opt[T any](w *checkpoint.Walker, p **T, shaped bool) bool {
+// whether the value follows; decoding allocates it.
+func opt[T any](w *checkpoint.Walker, p **T) bool {
 	has := *p != nil
-	if w.Bool(&has); w.Decoding() && has != (*p != nil) {
-		if shaped {
-			w.Corrupt("exact-value shape mismatch")
-			return false
-		}
+	if w.Bool(&has); w.Decoding() && has && *p == nil {
 		*p = new(T)
+	}
+	return has
+}
+
+// shape walks the presence byte in front of an exact-mode value that a
+// payload's definition has (has) or has not, and reports whether the
+// value follows. A decoded byte must agree with the definition.
+func shape(w *checkpoint.Walker, has bool) bool {
+	b := has
+	if w.Bool(&b); w.Decoding() && b != has {
+		w.Corrupt("exact-value shape mismatch")
 	}
 	return has
 }
@@ -542,42 +547,73 @@ func walkBigFloat(w *checkpoint.Walker, x *big.Float) {
 	}
 }
 
-// walkPayload walks a payload self-describingly (exact-mode big slots
-// are flagged), so one routine serves pooled graph payloads and
-// standalone ones. A shaped payload came from a pool and is filled in
-// place, the blob validated against the definition's shape; otherwise
-// the blob shapes it (emitted results and wire partials own their
-// payloads; no pool or def is in play). No aggregation entry point is
+// walkPayload walks a payload of def. The bytes describe their own
+// shape — a slot count, and a flag in front of each exact-mode big value
+// (the exact trend count, a COUNT(E) slot's integer, a SUM slot's float)
+// — and a decoded one must be def's: the payload, a pool's or a block's
+// or def.New's, is filled in place. No aggregation entry point is
 // called, so restore has no stats side effects (GraphStats are restored
 // wholesale).
-func walkPayload(w *checkpoint.Walker, p *aggregate.Payload, shaped bool) {
+func walkPayload(w *checkpoint.Walker, def *aggregate.Def, p *aggregate.Payload) {
+	vals := def.Vals(p)
+	slots := vals[:len(def.Slots)]
+	var xcount *big.Int
+	if len(vals) > len(slots) {
+		xcount = vals[len(slots)].X
+	}
 	w.U64(&p.Count)
-	if opt(w, &p.XCount, shaped) {
-		walkBigInt(w, p.XCount)
+	if shape(w, xcount != nil) {
+		walkBigInt(w, xcount)
 	}
 	w.I64(&p.MaxStart)
-	n := w.Len(len(p.Slots), 10)
-	if w.Decoding() && n != len(p.Slots) {
-		if shaped {
-			w.Corrupt("payload has %d slots, definition has %d", n, len(p.Slots))
-			return
-		}
-		p.Slots = make([]aggregate.SlotVal, n)
+	if n := w.Len(len(slots), 10); w.Decoding() && n != len(slots) {
+		w.Corrupt("payload has %d slots, definition has %d", n, len(slots))
+		return
 	}
-	for i := 0; i < n && w.Err() == nil; i++ {
-		s := &p.Slots[i]
+	for i := 0; i < len(slots) && w.Err() == nil; i++ {
+		s := &slots[i]
 		w.U64(&s.N)
 		w.F64(&s.F)
-		if opt(w, &s.X, shaped) {
+		if shape(w, s.X != nil) {
 			walkBigInt(w, s.X)
 		}
-		if opt(w, &s.XF, shaped) {
+		if shape(w, s.XF != nil) {
 			walkBigFloat(w, s.XF)
 		}
 	}
 }
 
-func walkResults(w *checkpoint.Walker, rs *[]Result) {
+// skipPayload reads past one payload in walkPayload's layout without a
+// definition to check it against.
+func skipPayload(w *checkpoint.Walker) {
+	var (
+		u  uint64
+		f  float64
+		x  big.Int
+		xf big.Float
+		b  bool
+	)
+	w.U64(&u)
+	if w.Bool(&b); b {
+		walkBigInt(w, &x)
+	}
+	w.U64(&u)
+	for i, n := 0, w.Len(0, 10); i < n && w.Err() == nil; i++ {
+		w.U64(&u)
+		w.F64(&f)
+		if w.Bool(&b); b {
+			walkBigInt(w, &x)
+		}
+		if w.Bool(&b); b {
+			walkBigFloat(w, &xf)
+		}
+	}
+}
+
+// walkResults walks a delivery record's results, their payloads of def.
+// Decoding with a nil def reads past the payloads and leaves them nil; a
+// record encoded with a nil def must list no payload.
+func walkResults(w *checkpoint.Walker, def *aggregate.Def, rs *[]Result) {
 	n := w.Len(len(*rs), 41)
 	if w.Decoding() && n > 0 {
 		*rs = make([]Result, n)
@@ -595,8 +631,15 @@ func walkResults(w *checkpoint.Walker, rs *[]Result) {
 		for j := range r.Values {
 			w.F64(&r.Values[j])
 		}
-		if opt(w, &r.Payload, false) {
-			walkPayload(w, r.Payload, false)
+		has := r.Payload != nil
+		switch w.Bool(&has); {
+		case has && def == nil:
+			skipPayload(w)
+		case has:
+			if w.Decoding() {
+				r.Payload = def.New()
+			}
+			walkPayload(w, def, r.Payload)
 		}
 		at := r.Emitted.UnixNano()
 		if w.I64(&at); w.Decoding() {
@@ -615,7 +658,7 @@ func (g *Graph) walkPooled(w *checkpoint.Walker, p **aggregate.Payload) {
 	if w.Decoding() {
 		*p = g.cs.pool.Get()
 	}
-	walkPayload(w, *p, true)
+	walkPayload(w, g.def, *p)
 }
 
 func (g *Graph) walkSum(w *checkpoint.Walker, s *vertexSum) {
@@ -687,7 +730,7 @@ func (g *Graph) walkVertex(c *ckWalk, state int, pv **Vertex) {
 		if c.Decoding() {
 			v.Present.Set(i)
 		}
-		walkPayload(&c.Walker, &v.Aggs[i], true)
+		walkPayload(&c.Walker, g.def, &v.Aggs[i])
 	}
 }
 
@@ -717,7 +760,7 @@ func (g *Graph) walkNode(c *ckWalk, state int, augmented bool, items *[]vitem, s
 	if c.U32(&nc); c.Decoding() {
 		*children = int(nc)
 	}
-	if augmented && opt(&c.Walker, sum, false) {
+	if augmented && opt(&c.Walker, sum) {
 		g.walkSum(&c.Walker, *sum)
 	}
 }
@@ -814,7 +857,7 @@ func (g *Graph) walkFinals(c *ckWalk) {
 			g.finals = append(g.finals, f)
 		}
 		if f.p != nil { // nil once a decode failed
-			walkPayload(&c.Walker, f.p, true)
+			walkPayload(&c.Walker, g.def, f.p)
 		}
 	}
 	j = 0
@@ -979,7 +1022,7 @@ func (e *Engine) walk(c *ckWalk, count *int, results *[]Result) {
 	c.U64(&s.PeakPayloads)
 	c.Int(&s.Partitions)
 	c.Int(count)
-	walkResults(&c.Walker, results)
+	walkResults(&c.Walker, e.plan.Def(), results)
 	if simple {
 		parts := e.parts.all()
 		np := c.Len(len(parts), 8)
@@ -1042,12 +1085,12 @@ func (h *ckHeader) walk(w *checkpoint.Walker) {
 }
 
 // stmtRec is one statement's record: how to register it again, and what
-// it has delivered. The subscribers of a union source say which (entry
-// >= 0, numbered in first-subscriber order), and the entries' engines are
-// written after the statements. Any other statement (entry -1) is
-// followed by its source's engine, and what it has delivered is written
-// there — where an engine's own emission count and retained results
-// go — not in the record.
+// it has delivered, its results following the record. The subscribers of
+// a union source say which (entry >= 0, numbered in first-subscriber
+// order), and the entries' engines are written after the statements. Any
+// other statement (entry -1) lists no results and is followed by its
+// source's engine, and what it has delivered is written there — where an
+// engine's own emission count and retained results go.
 type stmtRec struct {
 	id, query               string
 	mode                    uint8
@@ -1066,7 +1109,6 @@ func (r *stmtRec) walk(w *checkpoint.Walker) {
 	w.Bool(&r.noRetain)
 	w.I64(&r.entry)
 	w.Int(&r.resultCount)
-	walkResults(w, &r.results)
 }
 
 // walkReorder walks the reorder section: the disorder window travels
@@ -1074,7 +1116,7 @@ func (r *stmtRec) walk(w *checkpoint.Walker) {
 // like any vertex reference, in canonical release order (time,
 // arrival). nil is a runtime without a buffer.
 func (c *ckWalk) walkReorder(s **reorder.Snapshot) {
-	if !opt(&c.Walker, s, false) {
+	if !opt(&c.Walker, s) {
 		return
 	}
 	sn := *s
@@ -1150,6 +1192,7 @@ func (rt *Runtime) snapshotLocked(replayFrom event.Time) ([2][]byte, error) {
 		n, rs, _ := st.record()
 		if !src.union {
 			rec.walk(&c.Walker)
+			walkResults(&c.Walker, nil, &rec.results)
 			src.eng.walk(&c, &n, &rs)
 			continue
 		}
@@ -1159,6 +1202,7 @@ func (rt *Runtime) snapshotLocked(replayFrom event.Time) ([2][]byte, error) {
 		}
 		rec.resultCount, rec.results = n, rs
 		rec.walk(&c.Walker)
+		walkResults(&c.Walker, src.eng.plan.Def(), &rec.results)
 	}
 	c.Len(len(entries), 5)
 	for _, src := range entries {
@@ -1255,9 +1299,19 @@ func (rt *Runtime) restoreLocked(c *ckWalk, h *ckHeader) (RestoreInfo, error) {
 	info := RestoreInfo{ReplayFrom: h.replayFrom, Every: h.every, Meta: h.meta}
 	rt.watermark = h.watermark
 	var entries []*source
+	// A union subscriber's results are payloads of the union's definition,
+	// which is final once its last subscriber is in: they are read past
+	// here and read again, from where they start, after the statements.
+	type unionResults struct {
+		st *Stmt
+		at checkpoint.Walker
+	}
+	var unions []unionResults
 	for i, n := 0, c.Len(0, 1); i < n && c.Err() == nil; i++ {
 		var rec stmtRec
-		if rec.walk(&c.Walker); c.Err() != nil {
+		rec.walk(&c.Walker)
+		at := c.Walker
+		if walkResults(&c.Walker, nil, &rec.results); c.Err() != nil {
 			break
 		}
 		_, plan, err := Compile(rec.query, rec.mode == uint8(aggregate.ModeExact))
@@ -1291,11 +1345,20 @@ func (rt *Runtime) restoreLocked(c *ckWalk, h *ckHeader) (RestoreInfo, error) {
 		}
 		if rec.entry < 0 {
 			st.src.eng.walk(c, &rec.resultCount, &rec.results)
+		} else {
+			unions = append(unions, unionResults{st, at})
 		}
 		if rec.resultCount < len(rec.results) {
 			c.Corrupt("statement %q counts %d deliveries and lists %d", rec.id, rec.resultCount, len(rec.results))
 		}
 		st.base, st.results = rec.resultCount-len(rec.results), rec.results
+	}
+	for _, u := range unions {
+		if c.Err() != nil {
+			break
+		}
+		walkResults(&u.at, u.st.Def(), &u.st.results)
+		c.Fail(u.at.Err())
 	}
 
 	if n := c.Len(0, 5); c.Decoding() && n != len(entries) {

@@ -18,25 +18,30 @@ import (
 // code on both transports, so a multi-process run is bit-identical to
 // RunParallel with the same slot count by construction.
 
-// MarshalPayload serializes a partial (or final) aggregate payload
-// with the checkpoint codec: float slots travel as IEEE bit patterns
+// MarshalPayload serializes a partial (or final) aggregate payload of
+// def with the checkpoint codec: float slots travel as IEEE bit patterns
 // and exact-mode big values verbatim, so a merge over the wire is
 // bit-identical to an in-process one.
-func MarshalPayload(p *aggregate.Payload) ([]byte, error) {
+func MarshalPayload(def *aggregate.Def, p *aggregate.Payload) ([]byte, error) {
 	// 21 bytes and 18 a slot is the whole blob unless exact-mode values
 	// follow their flags.
-	w := checkpoint.Encode(make([]byte, 0, 21+18*len(p.Slots)))
-	if walkPayload(&w, p, false); w.Err() != nil {
+	w := checkpoint.Encode(make([]byte, 0, 21+18*len(def.Slots)))
+	if walkPayload(&w, def, p); w.Err() != nil {
 		return nil, w.Err()
 	}
 	return w.Out(), nil
 }
 
-// UnmarshalPayload reverses MarshalPayload.
-func UnmarshalPayload(b []byte) (*aggregate.Payload, error) {
+// UnmarshalPayload reverses MarshalPayload. A blob that is not one whole
+// payload of def's shape is refused with an error wrapping
+// checkpoint.ErrCorrupt.
+func UnmarshalPayload(def *aggregate.Def, b []byte) (*aggregate.Payload, error) {
 	w := checkpoint.Decode(b)
-	p := &aggregate.Payload{}
-	if walkPayload(&w, p, false); w.Err() != nil {
+	p := def.New()
+	if walkPayload(&w, def, p); w.Err() == nil && w.Remaining() != 0 {
+		w.Corrupt("%d trailing bytes after payload", w.Remaining())
+	}
+	if w.Err() != nil {
 		return nil, w.Err()
 	}
 	return p, nil
@@ -302,6 +307,16 @@ func (h *ShardHost) UnitStats(si int) (Stats, bool) {
 		return Stats{}, false
 	}
 	return st.Stats(), true
+}
+
+// MarshalPartial serializes a partial of unit si — a payload onPartial
+// received — with the unit's definition (MarshalPayload).
+func (h *ShardHost) MarshalPartial(si int, p *aggregate.Payload) ([]byte, error) {
+	st := h.unit(si)
+	if st == nil {
+		return nil, fmt.Errorf("unit %d not registered", si)
+	}
+	return MarshalPayload(st.Def(), p)
 }
 
 // CloseUnit closes unit si mid-stream: its open windows flush as

@@ -40,7 +40,7 @@ func (e *Engine) compose(parts []*aggregate.Payload) *aggregate.Payload {
 			def.AddSigned(payload, parts[e.branches+i], sign)
 		}
 	}
-	if payload.Zero() {
+	if def.Zero(payload) {
 		return nil
 	}
 	return payload
@@ -61,8 +61,7 @@ func (e *Engine) composeConjunction(def *aggregate.Def, pi, pj, pij *aggregate.P
 		choose2 := new(big.Int).Mul(cij, new(big.Int).Sub(cij, big.NewInt(1)))
 		choose2.Rsh(choose2, 1)
 		total.Add(total, choose2)
-		out.XCount.Set(total)
-		out.Count = total.Uint64()
+		def.SetCount(out, total)
 		return out
 	}
 	var ci, cj, cij uint64

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/greta-cep/greta/internal/aggregate"
 	"github.com/greta-cep/greta/internal/baseline/enum"
 	"github.com/greta-cep/greta/internal/core"
 	"github.com/greta-cep/greta/internal/event"
@@ -52,7 +53,7 @@ func compositeRun(t *testing.T, src string) (*core.Runtime, *[]core.Result) {
 
 // compositeDigest renders a result sequence as the golden line: every
 // key, value (IEEE bits) and payload byte, in order.
-func compositeDigest(t *testing.T, rs []core.Result) string {
+func compositeDigest(t *testing.T, def *aggregate.Def, rs []core.Result) string {
 	t.Helper()
 	h := sha256.New()
 	for _, r := range rs {
@@ -60,7 +61,7 @@ func compositeDigest(t *testing.T, rs []core.Result) string {
 		for _, v := range r.Values {
 			binary.Write(h, binary.BigEndian, math.Float64bits(v))
 		}
-		pl, err := core.MarshalPayload(r.Payload)
+		pl, err := core.MarshalPayload(def, r.Payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,6 +90,11 @@ func TestCompositeStreams(t *testing.T) {
 		for _, w := range compositeWindows {
 			name, src := tc.name+"/"+w.name, tc.q+w.clause
 			t.Run(name, func(t *testing.T) {
+				plan, err := core.NewPlan(query.MustParse(src), aggregate.ModeNative)
+				if err != nil {
+					t.Fatal(err)
+				}
+				def := plan.Def()
 				// Run 1, per event: the reference sequence.
 				rt, ref := compositeRun(t, src)
 				closedBy := func(tm event.Time) int { // reference results whose window tm has closed
@@ -113,7 +119,7 @@ func TestCompositeStreams(t *testing.T) {
 				}
 				sorted := slices.Clone(*ref)
 				slices.SortStableFunc(sorted, byWidGroup)
-				fmt.Fprintf(&fresh, "%s %s\n", name, compositeDigest(t, sorted))
+				fmt.Fprintf(&fresh, "%s %s\n", name, compositeDigest(t, def, sorted))
 
 				// Run 2, per event: after every event, exactly the windows
 				// its time has closed are out, the same sequence as run 1.
@@ -129,7 +135,7 @@ func TestCompositeStreams(t *testing.T) {
 				if err := rt.Close(); err != nil {
 					t.Fatal(err)
 				}
-				compareSequences(t, "second per-event run", *got, *ref)
+				compareSequences(t, "second per-event run", def, *got, *ref)
 
 				// Run 3, batches: the same holds at every batch edge.
 				rt, got = compositeRun(t, src)
@@ -145,7 +151,7 @@ func TestCompositeStreams(t *testing.T) {
 				if err := rt.Close(); err != nil {
 					t.Fatal(err)
 				}
-				compareSequences(t, "batch run", *got, *ref)
+				compareSequences(t, "batch run", def, *got, *ref)
 
 				// The enumerator, on a stream it can afford.
 				q := query.MustParse(src)
@@ -196,9 +202,9 @@ func TestCompositeStreams(t *testing.T) {
 
 // compareSequences demands the same results in the same order, values
 // by IEEE bit pattern and payloads by their encoding.
-func compareSequences(t *testing.T, label string, got, want []core.Result) {
+func compareSequences(t *testing.T, label string, def *aggregate.Def, got, want []core.Result) {
 	t.Helper()
-	if g, w := compositeDigest(t, got), compositeDigest(t, want); g != w {
+	if g, w := compositeDigest(t, def, got), compositeDigest(t, def, want); g != w {
 		t.Fatalf("%s: sequence differs from the first run's (%s vs %s)", label, g, w)
 	}
 }

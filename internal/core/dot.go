@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 
-	"github.com/greta-cep/greta/internal/aggregate"
 	"github.com/greta-cep/greta/internal/btree"
 )
 
@@ -62,12 +61,7 @@ func (g *Graph) dotVertices(b *strings.Builder, prefix string) {
 		st := g.spec.Tmpl.States[v.State]
 		count := "-"
 		if len(v.Aggs) > 0 && v.Present.Has(0) {
-			p := &v.Aggs[0]
-			if g.def.Mode == aggregate.ModeExact {
-				count = g.def.ExactCount(p).String()
-			} else {
-				count = fmt.Sprintf("%d", p.Count)
-			}
+			count = g.def.ExactCount(&v.Aggs[0]).String()
 		}
 		peri := 1
 		if st.End {

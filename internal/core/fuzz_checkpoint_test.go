@@ -368,6 +368,54 @@ func TestRestoreCorruptErrors(t *testing.T) {
 			}
 		})
 	}
+	// A retained result's payload is read with its statement's definition
+	// — a union subscriber's with the union's — so a record whose results
+	// carry more slots than the definition, written here by renaming the
+	// statement's RETURN clause in the body, is refused as corrupt.
+	const (
+		withSum = "RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5"
+		bare    = "RETURN COUNT(*) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5"
+	)
+	for _, tc := range []struct {
+		name    string
+		queries []string
+		from    string
+		to      string
+		cfg     StmtConfig
+	}{
+		{"result-slot-count", []string{withSum}, withSum, bare, StmtConfig{}},
+		{"union-result-slot-count", []string{bare, withSum}, withSum, bare, StmtConfig{Share: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := NewRuntime()
+			var st *Stmt
+			for i, q := range tc.queries {
+				st = rcRegister(t, rt, fmt.Sprint("q", i), q, aggregate.ModeNative, tc.cfg)
+			}
+			rcFeed(rt, rcStream(rand.New(rand.NewSource(1)), 120, false, 8, 0), 0)
+			st.Engine().AdvanceTo(rt.Watermark() + 100) // the results are the body's only payloads
+			if len(st.Delivered()) == 0 {
+				t.Fatal("no result retained")
+			}
+			body := ckEncode(t, rt, rt.Watermark()+1)
+			if _, _, err := RestoreRuntime(body); err != nil {
+				t.Fatalf("restore of the unchanged runtime: %v", err)
+			}
+			// A query is written as its canonical text behind its length.
+			field := func(q string) []byte {
+				text := query.MustParse(q).String()
+				return append(binary.LittleEndian.AppendUint32(nil, uint32(len(text))), text...)
+			}
+			from, to := field(tc.from), field(tc.to)
+			if bytes.Count(body, from) != 1 {
+				t.Fatalf("body holds the statement's query text %d times, want once", bytes.Count(body, from))
+			}
+			_, _, err := RestoreRuntime(bytes.Replace(body, from, to, 1))
+			if !errors.Is(err, checkpoint.ErrCorrupt) || !strings.Contains(err.Error(), "payload has 1 slots, definition has 0") {
+				t.Fatalf("restore: %v, want ErrCorrupt (payload has 1 slots, definition has 0)", err)
+			}
+		})
+	}
 }
 
 // TestRestorePlanMismatch: a Vertex Tree item carries the key the

@@ -52,7 +52,7 @@ func gapStream(rng *rand.Rand, n int) []*event.Event {
 // advances every statement's engine to each window boundary the event's
 // time passes. It returns every statement's results in delivery order and
 // its stats.
-func gapRun(t *testing.T, evs []*event.Event, leave int, stepped bool) ([][]core.Result, []core.Stats) {
+func gapRun(t *testing.T, evs []*event.Event, leave int, stepped bool) ([][]core.Result, []core.Stats, []*aggregate.Def) {
 	t.Helper()
 	rt := core.NewRuntime()
 	stmts, got := registerCollect(t, rt, gapCloseQueries)
@@ -96,10 +96,11 @@ func gapRun(t *testing.T, evs []*event.Event, leave int, stepped bool) ([][]core
 	}
 	results := make([][]core.Result, len(got))
 	stats := make([]core.Stats, len(stmts))
+	defs := make([]*aggregate.Def, len(stmts))
 	for i := range stmts {
-		results[i], stats[i] = *got[i], stmts[i].Stats()
+		results[i], stats[i], defs[i] = *got[i], stmts[i].Stats(), stmts[i].Def()
 	}
-	return results, stats
+	return results, stats, defs
 }
 
 // TestMultiWindowClose: one event whose time gap closes k ≥ 2 windows
@@ -123,13 +124,13 @@ func TestMultiWindowClose(t *testing.T) {
 		for evs[leave].Time%gapSlide == 0 { // mid-window
 			leave++
 		}
-		once, onceStats := gapRun(t, evs, leave, false)
-		steps, stepsStats := gapRun(t, evs, leave, true)
+		once, onceStats, defs := gapRun(t, evs, leave, false)
+		steps, stepsStats, _ := gapRun(t, evs, leave, true)
 		for i, label := range slices.Concat(gapCloseQueries, gapSharedQueries) {
 			if len(once[i]) < 10 {
 				t.Fatalf("seed %d, %s: %d results; the stream closes too few windows", seed, label, len(once[i]))
 			}
-			compareSequences(t, label, once[i], steps[i])
+			compareSequences(t, label, defs[i], once[i], steps[i])
 			if onceStats[i] != stepsStats[i] {
 				t.Fatalf("seed %d, %s: stats differ\none close %+v\nstepped   %+v", seed, label, onceStats[i], stepsStats[i])
 			}

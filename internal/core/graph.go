@@ -773,7 +773,7 @@ func (g *Graph) onEndVertex(v *Vertex, lo int64) {
 		rec := invalRecord{end: v.Time, firstWid: lo, starts: g.parentLink.getStarts(len(v.Aggs))}
 		any := false
 		for i := range v.Aggs {
-			if !v.Present.Has(i) || v.Aggs[i].Zero() {
+			if !v.Present.Has(i) || g.def.Zero(&v.Aggs[i]) {
 				rec.starts[i] = aggregate.NoStart
 				continue
 			}
@@ -1265,7 +1265,7 @@ func (g *Graph) expireVisit(it vitem) bool {
 func (g *Graph) take(f final, peek bool) *aggregate.Payload {
 	r := f.p
 	if peek {
-		if r == nil || r.Zero() {
+		if g.def.Zero(r) {
 			return nil
 		}
 		return g.def.Clone(r)
@@ -1274,7 +1274,7 @@ func (g *Graph) take(f final, peek bool) *aggregate.Payload {
 	if g.lazyFinal {
 		r = g.lazyResult(f.wid)
 	}
-	if r != nil && r.Zero() {
+	if r != nil && g.def.Zero(r) {
 		g.cs.pool.Put(r)
 		return nil
 	}

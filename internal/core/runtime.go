@@ -625,6 +625,11 @@ func (st *Stmt) ID() string { return st.id }
 // Stmt.Stats are the per-statement view.
 func (st *Stmt) Engine() *Engine { return st.src.eng }
 
+// Def returns the aggregation definition of the payloads the
+// statement's results carry: its source engine's, a union's for a
+// shared statement.
+func (st *Stmt) Def() *aggregate.Def { return st.src.eng.plan.Def() }
+
 // OnResult registers the statement's result callback; nil clears it. A
 // result goes to the callback installed when it is delivered.
 func (st *Stmt) OnResult(f func(Result)) {

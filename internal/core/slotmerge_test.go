@@ -96,11 +96,12 @@ func TestSlotMerge(t *testing.T) {
 			newPartial := func(o op) *aggregate.Payload {
 				p := def.New()
 				p.Count = uint64(o.slot + 1)
+				vals := def.Vals(p)
 				for i, s := range def.Slots {
 					if s.Kind == aggregate.SlotSum {
-						p.Slots[i].F = o.sum
+						vals[i].F = o.sum
 					} else {
-						p.Slots[i].N = uint64(o.slot + 1)
+						vals[i].N = uint64(o.slot + 1)
 					}
 				}
 				return p

@@ -268,7 +268,7 @@ func (sess *session) applyShardFrameLocked(we *WireEvent) {
 // flush, close), so the durable partial is ordered before the covering
 // ack on the wire.
 func (sess *session) emitPartial(w, si int, r greta.Result) {
-	b, err := core.MarshalPayload(r.Payload)
+	b, err := sess.shard.hosts[w].MarshalPartial(si, r.Payload)
 	if err != nil {
 		sess.sendLocked(WireLine{Error: fmt.Sprintf("partial encode: %v", err)}, false)
 		return
