@@ -19,10 +19,14 @@ import (
 // TestClusterLinkRefusesMisshapenPartial: a shard's partial is read with
 // its unit's definition, so one whose payload has another shape — a slot
 // the statement does not have, exact-mode values for a native statement,
-// bytes after the payload — is refused and fails the cluster, while a
-// well-shaped one is filed.
+// a count where the statement's slot keeps a float, bytes after the
+// payload — is refused and fails the cluster, while a well-shaped one is
+// filed.
 func TestClusterLinkRefusesMisshapenPartial(t *testing.T) {
-	const src = "RETURN COUNT(*) PATTERN Measurement M+ WHERE [job] WITHIN 30 seconds SLIDE 10 seconds"
+	const (
+		src    = "RETURN COUNT(*) PATTERN Measurement M+ WHERE [job] WITHIN 30 seconds SLIDE 10 seconds"
+		sumSrc = "RETURN COUNT(*), SUM(M.cpu) PATTERN Measurement M+ WHERE [job] WITHIN 30 seconds SLIDE 10 seconds"
+	)
 	native := &aggregate.Def{}
 	p := native.New()
 	p.Count = 3
@@ -37,15 +41,27 @@ func TestClusterLinkRefusesMisshapenPartial(t *testing.T) {
 		}
 		return b
 	}
+	// A COUNT(M) partial whose slot counts 3, read by a SUM(M.cpu)
+	// statement: the same bytes but a count where a float belongs.
+	countE := &aggregate.Def{Slots: []aggregate.Slot{{Kind: aggregate.SlotCountE, Type: "Measurement"}}}
+	pc := countE.New()
+	pc.Count = 3
+	countE.Val(pc, 0).SetN(3)
+	counted, err := core.MarshalPayload(countE, pc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name    string
 		payload []byte
 		want    string // "" if the partial is filed
+		src     string // src if ""
 	}{
-		{"well-shaped", good, ""},
-		{"extra-slot", marshal(&aggregate.Def{Slots: []aggregate.Slot{{Kind: aggregate.SlotSum, Type: "Measurement", Attr: "cpu"}}}), "payload has 1 slots, definition has 0"},
-		{"exact-count", marshal(&aggregate.Def{Mode: aggregate.ModeExact}), "exact-value shape mismatch"},
-		{"trailing-bytes", append(slices.Clone(good), 0), "trailing bytes"},
+		{"well-shaped", good, "", ""},
+		{"extra-slot", marshal(&aggregate.Def{Slots: []aggregate.Slot{{Kind: aggregate.SlotSum, Type: "Measurement", Attr: "cpu"}}}), "payload has 1 slots, definition has 0", ""},
+		{"exact-count", marshal(&aggregate.Def{Mode: aggregate.ModeExact}), "exact-value shape mismatch", ""},
+		{"trailing-bytes", append(slices.Clone(good), 0), "trailing bytes", ""},
+		{"count-as-sum", counted, "SUM slot holds a count", sumSrc},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tcp, err := net.Listen("tcp", "127.0.0.1:0")
@@ -66,7 +82,11 @@ func TestClusterLinkRefusesMisshapenPartial(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer co.Close()
-			if _, err := co.Register(src); err != nil {
+			q := tc.src
+			if q == "" {
+				q = src
+			}
+			if _, err := co.Register(q); err != nil {
 				t.Fatal(err)
 			}
 			co.mu.Lock()

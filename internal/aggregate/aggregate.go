@@ -17,10 +17,17 @@
 // latest trend start and a pointer to its slot values. The Def fixes how
 // many values that array holds (Def.Width): one per attribute slot and,
 // in ModeExact, one more after them whose X is the exact trend count. A
-// slotless native payload has no array at all, so a vertex's block of K
-// windows is one 24·K-byte object. Only the Def reads a payload's slot
-// values (Def.Vals), so code outside this package that encodes or merges
-// payloads takes the payload's Def along.
+// slot value is laid out by the mode. In ModeNative it is one 8-byte
+// word (SlotVal): a COUNT(E) slot's count or a SUM, MIN or MAX slot's
+// float64 bits, so a payload's values are one pointer-free array the
+// collector does not scan. In ModeExact each is 24 bytes: the same word
+// and, beside it, the X and XF big numbers. A slotless native payload
+// has no array at all, so a vertex's block of K windows is one 24·K-byte
+// object, and a Width-slot native block adds one K·Width·8-byte one.
+// Only the Def knows the stride between slot values and reads them
+// (Def.Val for the word, Def.Exact for the big numbers), so code outside
+// this package that encodes or merges payloads takes the payload's Def
+// along.
 package aggregate
 
 import (
@@ -107,14 +114,30 @@ func (d *Def) AddSlot(s Slot) int {
 // NoStart is the MaxStart value of a payload with no trends.
 const NoStart = math.MinInt64
 
-// SlotVal is the runtime value of one slot. CountE uses N (native) or X
-// (exact); Sum uses F (native) or XF (exact); Min/Max always use F. The
-// trailing exact count of a ModeExact payload is a SlotVal too, in X.
-type SlotVal struct {
-	N  uint64
-	F  float64
-	X  *big.Int
-	XF *big.Float
+// SlotVal is the native value of one slot, one word: a COUNT(E) slot's
+// count (N) or the float64 bits of a SUM, MIN or MAX slot (F).
+type SlotVal uint64
+
+// N reads v as a COUNT(E) slot's count.
+func (v SlotVal) N() uint64 { return uint64(v) }
+
+// F reads v as a SUM, MIN or MAX slot's value.
+func (v SlotVal) F() float64 { return math.Float64frombits(uint64(v)) }
+
+// SetN stores a COUNT(E) slot's count in v.
+func (v *SlotVal) SetN(n uint64) { *v = SlotVal(n) }
+
+// SetF stores a SUM, MIN or MAX slot's value in v.
+func (v *SlotVal) SetF(f float64) { *v = SlotVal(math.Float64bits(f)) }
+
+// exactVal is one slot value of a ModeExact payload: the native word,
+// which Def.Val reaches at the element's start, and beside it the exact
+// number — X of a COUNT(E) slot or of the trailing exact trend count, XF
+// of a SUM slot.
+type exactVal struct {
+	_  SlotVal
+	x  *big.Int
+	xf *big.Float
 }
 
 // Payload carries the intermediate aggregates of one vertex in one
@@ -125,7 +148,7 @@ type SlotVal struct {
 type Payload struct {
 	Count    uint64
 	MaxStart int64
-	vals     *SlotVal
+	vals     unsafe.Pointer // *SlotVal, or *exactVal in ModeExact
 }
 
 // Width returns the number of slot values a payload of d holds: one per
@@ -137,36 +160,81 @@ func (d *Def) Width() int {
 	return len(d.Slots)
 }
 
-// Vals returns p's slot values, indexed as d.Slots. In ModeExact the
-// exact trend count follows them, in Vals(p)[len(d.Slots)].X.
-func (d *Def) Vals(p *Payload) []SlotVal { return unsafe.Slice(p.vals, d.Width()) }
+// stride returns the bytes from one of a payload's slot values to the
+// next.
+func (d *Def) stride() uintptr {
+	if d.Mode == ModeExact {
+		return unsafe.Sizeof(exactVal{})
+	}
+	return unsafe.Sizeof(SlotVal(0))
+}
+
+// PayloadBytes returns the bytes a payload of d lays out: the Payload
+// itself and its slot values. It counts no big number of ModeExact.
+func (d *Def) PayloadBytes() int {
+	return int(unsafe.Sizeof(Payload{}) + uintptr(d.Width())*d.stride())
+}
+
+// Val returns slot i's value in p, indexed as d.Slots.
+func (d *Def) Val(p *Payload, i int) *SlotVal {
+	_ = d.Slots[i] // past the slots lies another payload's value
+	return (*SlotVal)(unsafe.Add(p.vals, uintptr(i)*d.stride()))
+}
+
+// Exact returns slot i's exact numbers in p: X of a COUNT(E) slot, XF of
+// a SUM slot, and at i = len(d.Slots) the exact trend count in X. Both
+// are nil in ModeNative and where the kind has none.
+func (d *Def) Exact(p *Payload, i int) (*big.Int, *big.Float) {
+	if d.Mode != ModeExact {
+		return nil, nil
+	}
+	e := &d.exact(p)[i]
+	return e.x, e.xf
+}
+
+// words returns the slot values of p, a ModeNative payload.
+func (d *Def) words(p *Payload) []SlotVal { return unsafe.Slice((*SlotVal)(p.vals), len(d.Slots)) }
+
+// exact returns the slot values of p, a ModeExact payload, the exact
+// trend count last.
+func (d *Def) exact(p *Payload) []exactVal {
+	return unsafe.Slice((*exactVal)(p.vals), d.Width())
+}
 
 // xcount returns p's exact trend count; d is in ModeExact.
-func (d *Def) xcount(p *Payload) *big.Int { return d.Vals(p)[len(d.Slots)].X }
+func (d *Def) xcount(p *Payload) *big.Int { return d.exact(p)[len(d.Slots)].x }
+
+// newVals returns fresh zero storage for n payloads' slot values, nil
+// when d has none.
+func (d *Def) newVals(n int) unsafe.Pointer {
+	switch w := d.Width(); {
+	case w == 0 || n == 0:
+		return nil
+	case d.Mode == ModeExact:
+		return unsafe.Pointer(&make([]exactVal, n*w)[0])
+	default:
+		return unsafe.Pointer(&make([]SlotVal, n*w)[0])
+	}
+}
 
 // New returns a zero payload for the definition.
 func (d *Def) New() *Payload {
-	p := &Payload{}
-	if w := d.Width(); w > 0 {
-		p.vals = &make([]SlotVal, w)[0]
-	}
+	p := &Payload{vals: d.newVals(1)}
 	d.prepare(p)
 	return p
 }
 
 // NewBlock returns k zero payloads of the definition as values in one
 // slice — a graph vertex's per-window block, 24 bytes a window — their
-// slot values cut from one backing array.
+// slot values cut from one backing array: in ModeNative a pointer-free
+// one of 8 bytes a slot value.
 func (d *Def) NewBlock(k int) []Payload {
 	b := make([]Payload, k)
-	w := d.Width()
-	var vals []SlotVal
-	if w > 0 {
-		vals = make([]SlotVal, k*w)
-	}
+	vals := d.newVals(k)
+	step := uintptr(d.Width()) * d.stride()
 	for i := range b {
-		if w > 0 {
-			b[i].vals = &vals[i*w]
+		if vals != nil {
+			b[i].vals = unsafe.Add(vals, uintptr(i)*step)
 		}
 		d.prepare(&b[i])
 	}
@@ -235,26 +303,34 @@ func (p *Presence) Clear() {
 // at their identities, exact-mode numbers allocated.
 func (d *Def) prepare(p *Payload) {
 	p.MaxStart = NoStart
-	vals := d.Vals(p)
 	for i, s := range d.Slots {
-		switch s.Kind {
-		case SlotMin:
-			vals[i].F = math.Inf(1)
-		case SlotMax:
-			vals[i].F = math.Inf(-1)
-		}
+		*d.Val(p, i) = identity(s.Kind)
 	}
 	if d.Mode == ModeExact {
-		vals[len(d.Slots)].X = new(big.Int)
+		xs := d.exact(p)
+		xs[len(d.Slots)].x = new(big.Int)
 		for i, s := range d.Slots {
 			switch s.Kind {
 			case SlotCountE:
-				vals[i].X = new(big.Int)
+				xs[i].x = new(big.Int)
 			case SlotSum:
-				vals[i].XF = new(big.Float).SetPrec(sumPrec)
+				xs[i].xf = new(big.Float).SetPrec(sumPrec)
 			}
 		}
 	}
+}
+
+// identity returns the value of a slot of kind k over no trends: +Inf
+// for MIN, -Inf for MAX, zero otherwise.
+func identity(k SlotKind) SlotVal {
+	var v SlotVal
+	switch k {
+	case SlotMin:
+		v.SetF(math.Inf(1))
+	case SlotMax:
+		v.SetF(math.Inf(-1))
+	}
+	return v
 }
 
 // sumPrec is the mantissa precision of exact-mode sums. 256 bits keep
@@ -273,33 +349,47 @@ func (d *Def) AddPred(dst, p *Payload) {
 	if dst.vals == nil { // a slotless native payload: nothing more to fold
 		return
 	}
-	exact := d.Mode == ModeExact
-	dvals, pvals := d.Vals(dst), d.Vals(p)
-	if exact {
-		n := len(d.Slots)
-		dvals[n].X.Add(dvals[n].X, pvals[n].X)
+	if d.Mode == ModeExact {
+		for i, s := range d.Slots {
+			fold(s.Kind, d.Val(dst, i), *d.Val(p, i))
+		}
+		d.foldExact(dst, p, (*big.Int).Add, (*big.Float).Add)
+		return
 	}
+	dw, pw := d.words(dst), d.words(p)
 	for i, s := range d.Slots {
-		dv, pv := &dvals[i], &pvals[i]
-		switch s.Kind {
-		case SlotCountE:
-			dv.N += pv.N
-			if exact {
-				dv.X.Add(dv.X, pv.X)
-			}
-		case SlotSum:
-			dv.F += pv.F
-			if exact {
-				dv.XF.Add(dv.XF, pv.XF)
-			}
-		case SlotMin:
-			if pv.F < dv.F {
-				dv.F = pv.F
-			}
-		case SlotMax:
-			if pv.F > dv.F {
-				dv.F = pv.F
-			}
+		fold(s.Kind, &dw[i], pw[i])
+	}
+}
+
+// fold folds v into dv, a slot value of kind k. It is small enough to
+// inline into AddPred's loop.
+func fold(k SlotKind, dv *SlotVal, v SlotVal) {
+	switch lo, hi := v.F(), dv.F(); k {
+	case SlotCountE:
+		*dv += v
+	case SlotSum:
+		dv.SetF(hi + lo)
+	case SlotMax:
+		lo, hi = hi, lo
+		fallthrough
+	case SlotMin:
+		if lo < hi {
+			*dv = v
+		}
+	}
+}
+
+// foldExact applies addX to the exact trend counts and COUNT(E) numbers
+// of dst and src, and addXF to their SUM numbers; d is in ModeExact.
+func (d *Def) foldExact(dst, src *Payload, addX func(z, x, y *big.Int) *big.Int, addXF func(z, x, y *big.Float) *big.Float) {
+	dx, sx := d.exact(dst), d.exact(src)
+	for i := range dx {
+		if dx[i].x != nil {
+			addX(dx[i].x, dx[i].x, sx[i].x)
+		}
+		if dx[i].xf != nil {
+			addXF(dx[i].xf, dx[i].xf, sx[i].xf)
 		}
 	}
 }
@@ -321,27 +411,29 @@ var bigOne = big.NewInt(1)
 
 // applySelf folds the self-contribution of one event into slot i.
 func (d *Def) applySelf(dst *Payload, i int, kind SlotKind, attr float64) {
-	dv := &d.Vals(dst)[i]
+	dv := d.Val(dst, i)
 	switch kind {
 	case SlotCountE:
-		dv.N += dst.Count
+		*dv += SlotVal(dst.Count)
 		if d.Mode == ModeExact {
-			dv.X.Add(dv.X, d.xcount(dst))
+			x := d.exact(dst)[i].x
+			x.Add(x, d.xcount(dst))
 		}
 	case SlotSum:
-		dv.F += attr * float64(dst.Count)
+		dv.SetF(dv.F() + attr*float64(dst.Count))
 		if d.Mode == ModeExact {
 			t := new(big.Float).SetPrec(sumPrec).SetInt(d.xcount(dst))
 			t.Mul(t, big.NewFloat(attr))
-			dv.XF.Add(dv.XF, t)
+			xf := d.exact(dst)[i].xf
+			xf.Add(xf, t)
 		}
 	case SlotMin:
-		if attr < dv.F {
-			dv.F = attr
+		if attr < dv.F() {
+			dv.SetF(attr)
 		}
 	case SlotMax:
-		if attr > dv.F {
-			dv.F = attr
+		if attr > dv.F() {
+			dv.SetF(attr)
 		}
 	}
 }
@@ -364,26 +456,17 @@ func (d *Def) AddSigned(dst, src *Payload, sign int) {
 		return
 	}
 	dst.Count -= src.Count
-	exact := d.Mode == ModeExact
-	dvals, svals := d.Vals(dst), d.Vals(src)
-	if exact {
-		n := len(d.Slots)
-		dvals[n].X.Sub(dvals[n].X, svals[n].X)
-	}
 	for i, s := range d.Slots {
-		dv, sv := &dvals[i], &svals[i]
+		dv, sv := d.Val(dst, i), *d.Val(src, i)
 		switch s.Kind {
 		case SlotCountE:
-			dv.N -= sv.N
-			if exact {
-				dv.X.Sub(dv.X, sv.X)
-			}
+			*dv -= sv
 		case SlotSum:
-			dv.F -= sv.F
-			if exact {
-				dv.XF.Sub(dv.XF, sv.XF)
-			}
+			dv.SetF(dv.F() - sv.F())
 		}
+	}
+	if d.Mode == ModeExact {
+		d.foldExact(dst, src, (*big.Int).Sub, (*big.Float).Sub)
 	}
 }
 
@@ -391,16 +474,12 @@ func (d *Def) AddSigned(dst, src *Payload, sign int) {
 func (d *Def) Clone(p *Payload) *Payload {
 	c := d.New()
 	c.Count, c.MaxStart = p.Count, p.MaxStart
-	cvals, pvals := d.Vals(c), d.Vals(p)
-	for i := range cvals {
-		cv, pv := &cvals[i], &pvals[i]
-		cv.N, cv.F = pv.N, pv.F
-		if pv.X != nil {
-			cv.X.Set(pv.X)
-		}
-		if pv.XF != nil {
-			cv.XF.Set(pv.XF)
-		}
+	for i := range d.Slots {
+		*d.Val(c, i) = *d.Val(p, i)
+	}
+	if d.Mode == ModeExact {
+		d.foldExact(c, p, func(z, _, y *big.Int) *big.Int { return z.Set(y) },
+			func(z, _, y *big.Float) *big.Float { return z.Set(y) })
 	}
 	return c
 }
@@ -550,19 +629,19 @@ func (d *Def) Value(p *Payload, spec Spec, slot, slot2 int) float64 {
 		}
 		return float64(p.Count)
 	case CountType:
-		if d.Mode == ModeExact {
-			f, _ := new(big.Float).SetInt(d.Vals(p)[slot].X).Float64()
+		if x, _ := d.Exact(p, slot); x != nil {
+			f, _ := new(big.Float).SetInt(x).Float64()
 			return f
 		}
-		return float64(d.Vals(p)[slot].N)
+		return float64(d.Val(p, slot).N())
 	case Min, Max:
-		return d.Vals(p)[slot].F
+		return d.Val(p, slot).F()
 	case Sum:
-		if d.Mode == ModeExact {
-			f, _ := d.Vals(p)[slot].XF.Float64()
+		if _, xf := d.Exact(p, slot); xf != nil {
+			f, _ := xf.Float64()
 			return f
 		}
-		return d.Vals(p)[slot].F
+		return d.Val(p, slot).F()
 	case Avg:
 		sum := d.Value(p, Spec{Kind: Sum, Type: spec.Type, Attr: spec.Attr}, slot, -1)
 		cnt := d.Value(p, Spec{Kind: CountType, Type: spec.Type}, slot2, -1)
@@ -591,8 +670,8 @@ func (d *Def) ExactSlotInt(p *Payload, slot int) *big.Int {
 	if p == nil {
 		return new(big.Int)
 	}
-	if d.Mode == ModeExact {
-		return new(big.Int).Set(d.Vals(p)[slot].X)
+	if x, _ := d.Exact(p, slot); x != nil {
+		return new(big.Int).Set(x)
 	}
-	return new(big.Int).SetUint64(d.Vals(p)[slot].N)
+	return new(big.Int).SetUint64(d.Val(p, slot).N())
 }

@@ -1,6 +1,7 @@
 package aggregate
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"slices"
@@ -156,12 +157,12 @@ func TestAddSigned(t *testing.T) {
 	if u.Count != 1 {
 		t.Errorf("count = %d, want 1", u.Count)
 	}
-	if d.Vals(u)[slot].F != 5 {
-		t.Errorf("sum = %v, want 5", d.Vals(u)[slot].F)
+	if d.Val(u, slot).F() != 5 {
+		t.Errorf("sum = %v, want 5", d.Val(u, slot).F())
 	}
 	// min folded from positive terms only: min(5,3) = 3 remains.
-	if d.Vals(u)[mslot].F != 3 {
-		t.Errorf("min = %v, want 3", d.Vals(u)[mslot].F)
+	if d.Val(u, mslot).F() != 3 {
+		t.Errorf("min = %v, want 3", d.Val(u, mslot).F())
 	}
 }
 
@@ -208,6 +209,9 @@ func TestZero(t *testing.T) {
 		d.Reset(p)
 		if !d.Zero(p) || d.ExactCount(p).Sign() != 0 {
 			t.Errorf("mode %v: reset payload not zero", mode)
+		}
+		if diff := diffVals(d, p, d.New()); diff != "" {
+			t.Errorf("mode %v: reset payload differs from a new one: %s", mode, diff)
 		}
 	}
 }
@@ -273,14 +277,18 @@ func TestCloneIndependence(t *testing.T) {
 		if got := allValues(d, slots, c); !slices.Equal(got, want) {
 			t.Errorf("mode %v: clone reads %v, origin %v", mode, got, want)
 		}
-		pv, cv := d.Vals(p), d.Vals(c)
-		if len(cv) != d.Width() || &pv[0] == &cv[0] {
-			t.Fatalf("mode %v: clone has %d slot values, shared %v", mode, len(cv), &pv[0] == &cv[0])
+		if d.Val(p, 0) == d.Val(c, 0) {
+			t.Fatalf("mode %v: clone shares its origin's slot values", mode)
 		}
-		for i := range cv {
-			if (cv[i].X != nil && cv[i].X == pv[i].X) || (cv[i].XF != nil && cv[i].XF == pv[i].XF) {
+		for i := 0; i < d.Width(); i++ {
+			px, pxf := d.Exact(p, i)
+			cx, cxf := d.Exact(c, i)
+			if (cx != nil && cx == px) || (cxf != nil && cxf == pxf) {
 				t.Errorf("mode %v: slot value %d aliases its origin's big number", mode, i)
 			}
+		}
+		if diff := diffVals(d, c, p); diff != "" {
+			t.Errorf("mode %v: clone differs from its origin: %s", mode, diff)
 		}
 		fold := func(q *Payload) {
 			d.OnStart(q, 2)
@@ -296,6 +304,31 @@ func TestCloneIndependence(t *testing.T) {
 			t.Errorf("mode %v: exact counts after a second start = %v, %v, want 2", mode, d.ExactCount(c), d.ExactCount(p))
 		}
 	}
+}
+
+// diffVals compares p's and q's slot values one by one — the native
+// word of each slot and, in ModeExact, the exact numbers beside it, the
+// trailing exact count included — and describes the first difference,
+// or a value whose exact numbers are not its kind's, or "" if none.
+func diffVals(d *Def, p, q *Payload) string {
+	for i := 0; i < d.Width(); i++ {
+		if i < len(d.Slots) && *d.Val(p, i) != *d.Val(q, i) {
+			return fmt.Sprintf("slot %d's word %#x vs %#x", i, *d.Val(p, i), *d.Val(q, i))
+		}
+		px, pxf := d.Exact(p, i)
+		qx, qxf := d.Exact(q, i)
+		wantX, wantXF := d.Mode == ModeExact && (i == len(d.Slots) || d.Slots[i].Kind == SlotCountE),
+			d.Mode == ModeExact && i < len(d.Slots) && d.Slots[i].Kind == SlotSum
+		switch {
+		case (px != nil) != wantX || (qx != nil) != wantX || (pxf != nil) != wantXF || (qxf != nil) != wantXF:
+			return fmt.Sprintf("value %d's exact numbers are (%v, %v) and (%v, %v)", i, px, pxf, qx, qxf)
+		case wantX && px.Cmp(qx) != 0:
+			return fmt.Sprintf("value %d's X %v vs %v", i, px, qx)
+		case wantXF && pxf.Cmp(qxf) != 0:
+			return fmt.Sprintf("value %d's XF %v vs %v", i, pxf, qxf)
+		}
+	}
+	return ""
 }
 
 // allValues reads every spec kind of defWithAll's definition out of p.
@@ -325,7 +358,8 @@ func TestAddSignedExact(t *testing.T) {
 	if got := d.ExactSlotInt(u, cslot); got.Int64() != 1 {
 		t.Errorf("exact countE = %v", got)
 	}
-	f, _ := d.Vals(u)[slot].XF.Float64()
+	_, xf := d.Exact(u, slot)
+	f, _ := xf.Float64()
 	if f != 5 {
 		t.Errorf("exact sum = %v", f)
 	}
@@ -348,6 +382,9 @@ func TestAddSignedExact(t *testing.T) {
 		d.AddSigned(u, a, -1)
 		if got, want := allValues(d, slots, u), allValues(d, slots, a); !slices.Equal(got, want) {
 			t.Errorf("mode %v: a + a - a reads %v, a %v", mode, got, want)
+		}
+		if diff := diffVals(d, u, a); diff != "" {
+			t.Errorf("mode %v: a + a - a differs from a: %s", mode, diff)
 		}
 		if d.ExactCount(u).Cmp(d.ExactCount(a)) != 0 || d.ExactSlotInt(u, slots[CountType][0]).Int64() != 1 {
 			t.Errorf("mode %v: a + a - a counts %v (countE %v)", mode, d.ExactCount(u), d.ExactSlotInt(u, slots[CountType][0]))
@@ -433,9 +470,17 @@ func TestQuickNativeMatchesExact(t *testing.T) {
 		if float64(pn.Count) != exact {
 			return false
 		}
-		xf, _ := dx.Vals(px)[sx].XF.Float64()
-		if math.Abs(dn.Vals(pn)[sn].F-xf) >= 1e-6*(1+math.Abs(xf)) {
+		_, xxf := dx.Exact(px, sx)
+		xf, _ := xxf.Float64()
+		if math.Abs(dn.Val(pn, sn).F()-xf) >= 1e-6*(1+math.Abs(xf)) {
 			return false
+		}
+		// Exact mode keeps the native words beside its big numbers, with
+		// the same arithmetic: they agree bit for bit.
+		for i := range dn.Slots {
+			if *dn.Val(pn, i) != *dx.Val(px, i) {
+				return false
+			}
 		}
 		// The other slot kinds agree too, and a payload recycled through
 		// its pool (Reset) reads zero in both modes, exact count included.
@@ -457,7 +502,7 @@ func TestQuickNativeMatchesExact(t *testing.T) {
 			pool := NewPool(d)
 			pool.Put(p)
 			r := pool.Get()
-			if r != p || !d.Zero(r) || d.ExactCount(r).Sign() != 0 || d.Value(r, others[1], idx[1][0], -1) != math.Inf(1) || d.Value(r, others[0], idx[0][0], -1) != 0 {
+			if r != p || !d.Zero(r) || d.ExactCount(r).Sign() != 0 || diffVals(d, r, d.New()) != "" || d.Value(r, others[1], idx[1][0], -1) != math.Inf(1) || d.Value(r, others[0], idx[0][0], -1) != 0 {
 				return false
 			}
 		}
@@ -482,7 +527,8 @@ func TestSummaryFilteredFolds(t *testing.T) {
 		b, pres := d.NewBlock(len(windows)), NewPresence(len(windows))
 		for i, w := range windows {
 			if w[0] >= 0 {
-				b[i].Count, d.Vals(&b[i])[slot].F = uint64(w[0]), w[1]
+				b[i].Count = uint64(w[0])
+				d.Val(&b[i], slot).SetF(w[1])
 				pres.Set(i)
 			}
 		}
@@ -523,11 +569,11 @@ func TestSummaryFilteredFolds(t *testing.T) {
 	if got := s.EdgesFrom(1); got != 1 {
 		t.Fatalf("EdgesFrom(1) = %d, want 1", got)
 	}
-	if s.Sums[0].Count != 3 || d.Vals(s.Sums[0])[slot].F != 11 {
-		t.Fatalf("window 0 fold = (%d, %g), want (3, 11)", s.Sums[0].Count, d.Vals(s.Sums[0])[slot].F)
+	if s.Sums[0].Count != 3 || d.Val(s.Sums[0], slot).F() != 11 {
+		t.Fatalf("window 0 fold = (%d, %g), want (3, 11)", s.Sums[0].Count, d.Val(s.Sums[0], slot).F())
 	}
-	if s.Sums[1].Count != 5 || d.Vals(s.Sums[1])[slot].F != 50 {
-		t.Fatalf("window 1 fold = (%d, %g), want (5, 50)", s.Sums[1].Count, d.Vals(s.Sums[1])[slot].F)
+	if s.Sums[1].Count != 5 || d.Val(s.Sums[1], slot).F() != 50 {
+		t.Fatalf("window 1 fold = (%d, %g), want (5, 50)", s.Sums[1].Count, d.Val(s.Sums[1], slot).F())
 	}
 	if created != 2 {
 		t.Fatalf("created = %d, want 2 (one payload per window)", created)
@@ -564,11 +610,13 @@ func TestBlockPresence(t *testing.T) {
 	d := &Def{Mode: ModeNative}
 	d.AddSlot(Slot{SlotMin, "A", "v"})
 	b := d.NewBlock(150)
-	if len(b) != 150 || d.Vals(&b[149])[0].F != math.Inf(1) || b[0].MaxStart != NoStart {
-		t.Fatalf("NewBlock(150): %d entries, last min %v, first MaxStart %d", len(b), d.Vals(&b[149])[0].F, b[0].MaxStart)
+	if len(b) != 150 || d.Val(&b[149], 0).F() != math.Inf(1) || b[0].MaxStart != NoStart {
+		t.Fatalf("NewBlock(150): %d entries, last min %v, first MaxStart %d", len(b), d.Val(&b[149], 0).F(), b[0].MaxStart)
 	}
-	_ = append(d.Vals(&b[0]), SlotVal{F: -1})
-	if d.Vals(&b[1])[0].F != math.Inf(1) {
+	var neg SlotVal
+	neg.SetF(-1)
+	_ = append(d.words(&b[0]), neg)
+	if d.Val(&b[1], 0).F() != math.Inf(1) {
 		t.Fatal("an append to entry 0's slots overwrote entry 1")
 	}
 	p := NewPresence(150)
@@ -611,8 +659,8 @@ func TestOutputFanout(t *testing.T) {
 	}
 	p := def.New()
 	p.Count = 7
-	def.Vals(p)[subA[1].Slot].F = 42.5
-	def.Vals(p)[subB[1].Slot].F = 3.25
+	def.Val(p, subA[1].Slot).SetF(42.5)
+	def.Val(p, subB[1].Slot).SetF(3.25)
 	if got := def.Values(p, subA); got[0] != 7 || got[1] != 42.5 {
 		t.Errorf("subscriber A values = %v, want [7 42.5]", got)
 	}

@@ -1,8 +1,6 @@
 package aggregate
 
 import (
-	"math"
-
 	"github.com/greta-cep/greta/internal/event"
 )
 
@@ -53,29 +51,18 @@ func (p *Pool) Len() int { return len(p.free) }
 func (d *Def) Reset(p *Payload) {
 	p.Count = 0
 	p.MaxStart = NoStart
-	vals := d.Vals(p)
 	for i, s := range d.Slots {
-		sv := &vals[i]
-		sv.N = 0
-		switch s.Kind {
-		case SlotMin:
-			sv.F = math.Inf(1)
-		case SlotMax:
-			sv.F = math.Inf(-1)
-		default:
-			sv.F = 0
-		}
-		if d.Mode == ModeExact {
-			switch s.Kind {
-			case SlotCountE:
-				sv.X.SetInt64(0)
-			case SlotSum:
-				sv.XF.SetInt64(0)
-			}
-		}
+		*d.Val(p, i) = identity(s.Kind)
 	}
 	if d.Mode == ModeExact {
-		d.xcount(p).SetInt64(0)
+		for _, e := range d.exact(p) {
+			if e.x != nil {
+				e.x.SetInt64(0)
+			}
+			if e.xf != nil {
+				e.xf.SetInt64(0)
+			}
+		}
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"runtime"
 	"strings"
 	"time"
+	"unsafe"
 
 	"github.com/greta-cep/greta/internal/aggregate"
 	"github.com/greta-cep/greta/internal/baseline/cet"
@@ -94,6 +95,15 @@ type Caps struct {
 	FlatMaxLen int    // Flink flattening length
 }
 
+// stateBytes prices GRETA's structural peak memory by the code's own
+// layout: a core.Vertex for each vertex (event pointer, time, payload
+// block, presence bits, state) and, for each window payload, the bytes
+// def lays one out in (the payload and its slot values).
+func stateBytes(st core.Stats, def *aggregate.Def) float64 {
+	return float64(st.PeakVertices)*float64(unsafe.Sizeof(core.Vertex{})) +
+		float64(st.PeakPayloads)*float64(def.PayloadBytes())
+}
+
 // RunEngine executes the query with one engine over evs and measures.
 func RunEngine(kind EngineKind, q *query.Query, evs []*event.Event, caps Caps) (Metric, error) {
 	var m Metric
@@ -113,10 +123,7 @@ func RunEngine(kind EngineKind, q *query.Query, evs []*event.Event, caps Caps) (
 		}
 		eng := core.NewEngine(plan)
 		eng.Run(event.NewSliceStream(evs))
-		st := eng.Stats()
-		// Structural peak memory: vertices (event pointer, state, window
-		// base) + per-window payloads (count, countE/sum/min/max slots).
-		m.MemBytes = float64(st.PeakVertices)*56 + float64(st.PeakPayloads)*72
+		m.MemBytes = stateBytes(eng.Stats(), plan.Def())
 		if rs := eng.Results(); len(rs) > 0 {
 			m.Check = rs[0].Values[0]
 		}

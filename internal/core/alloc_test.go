@@ -72,6 +72,9 @@ func testNoHotPathAllocsVertexBlocks(t *testing.T) {
 	if size := reflect.TypeFor[aggregate.Payload]().Size(); size != 24 {
 		t.Fatalf("an aggregate.Payload is %d bytes, want 24 (count, start, slot values)", size)
 	}
+	if size := reflect.TypeFor[aggregate.SlotVal]().Size(); size != 8 {
+		t.Fatalf("an aggregate.SlotVal is %d bytes, want 8 (one word: a count or a float)", size)
+	}
 	// A slotless native definition's block holds its payloads and nothing
 	// else: one object of 24 bytes a window.
 	def := &aggregate.Def{}
@@ -89,6 +92,26 @@ func testNoHotPathAllocsVertexBlocks(t *testing.T) {
 	runtime.ReadMemStats(&ms)
 	if per := (ms.TotalAlloc - total) / blocks; per != 96 {
 		t.Fatalf("a fresh 4-window block takes %d bytes, want 96", per)
+	}
+	// A native two-slot definition's block adds one pointer-free object
+	// of its slot values, 8 bytes each: 4 windows × 2 slots = 64 bytes.
+	two := &aggregate.Def{Slots: []aggregate.Slot{
+		{Kind: aggregate.SlotSum, Type: "Stock", Attr: "price"},
+		{Kind: aggregate.SlotCountE, Type: "Stock"},
+	}}
+	if avg := testing.AllocsPerRun(100, func() { blockSink = two.NewBlock(4) }); avg != 2 {
+		t.Fatalf("a fresh 4-window two-slot block allocates %.2f objects, want 2", avg)
+	}
+	runtime.ReadMemStats(&ms)
+	from := ms.BySize
+	for range blocks {
+		blockSink = two.NewBlock(4)
+	}
+	runtime.ReadMemStats(&ms)
+	for i, c := range ms.BySize {
+		if n := c.Mallocs - from[i].Mallocs; (c.Size == 64 || c.Size == 96) && n/blocks != 1 {
+			t.Fatalf("%d fresh 4-window two-slot blocks made %d objects of %d bytes, want one a block", blocks, n, c.Size)
+		}
 	}
 	const parts = 64
 	q := query.MustParse("RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ " +

@@ -555,31 +555,54 @@ func walkBigFloat(w *checkpoint.Walker, x *big.Float) {
 // called, so restore has no stats side effects (GraphStats are restored
 // wholesale).
 func walkPayload(w *checkpoint.Walker, def *aggregate.Def, p *aggregate.Payload) {
-	vals := def.Vals(p)
-	slots := vals[:len(def.Slots)]
-	var xcount *big.Int
-	if len(vals) > len(slots) {
-		xcount = vals[len(slots)].X
-	}
+	xcount, _ := def.Exact(p, len(def.Slots))
 	w.U64(&p.Count)
 	if shape(w, xcount != nil) {
 		walkBigInt(w, xcount)
 	}
 	w.I64(&p.MaxStart)
-	if n := w.Len(len(slots), 10); w.Decoding() && n != len(slots) {
-		w.Corrupt("payload has %d slots, definition has %d", n, len(slots))
+	if n := w.Len(len(def.Slots), 10); w.Decoding() && n != len(def.Slots) {
+		w.Corrupt("payload has %d slots, definition has %d", n, len(def.Slots))
 		return
 	}
-	for i := 0; i < len(slots) && w.Err() == nil; i++ {
-		s := &slots[i]
-		w.U64(&s.N)
-		w.F64(&s.F)
-		if shape(w, s.X != nil) {
-			walkBigInt(w, s.X)
+	for i := 0; i < len(def.Slots) && w.Err() == nil; i++ {
+		walkSlotVal(w, def.Slots[i].Kind, def.Val(p, i))
+		x, xf := def.Exact(p, i)
+		if shape(w, x != nil) {
+			walkBigInt(w, x)
 		}
-		if shape(w, s.XF != nil) {
-			walkBigFloat(w, s.XF)
+		if shape(w, xf != nil) {
+			walkBigFloat(w, xf)
 		}
+	}
+}
+
+// walkSlotVal walks a slot value of kind k as the pair (count, float):
+// (v, 0) for a COUNT(E) slot, (0, v) for a SUM, MIN or MAX slot. A
+// decoded pair must have a zero where its kind keeps none.
+func walkSlotVal(w *checkpoint.Walker, k aggregate.SlotKind, v *aggregate.SlotVal) {
+	var (
+		n uint64
+		f float64
+	)
+	if k == aggregate.SlotCountE {
+		n = v.N()
+	} else {
+		f = v.F()
+	}
+	w.U64(&n)
+	if w.F64(&f); !w.Decoding() {
+		return
+	}
+	switch {
+	case k == aggregate.SlotCountE && math.Float64bits(f) != 0:
+		w.Corrupt("%v slot holds a float value", k)
+	case k != aggregate.SlotCountE && n != 0:
+		w.Corrupt("%v slot holds a count", k)
+	case k == aggregate.SlotCountE:
+		v.SetN(n)
+	default:
+		v.SetF(f)
 	}
 }
 

@@ -371,10 +371,13 @@ func TestRestoreCorruptErrors(t *testing.T) {
 	// A retained result's payload is read with its statement's definition
 	// — a union subscriber's with the union's — so a record whose results
 	// carry more slots than the definition, written here by renaming the
-	// statement's RETURN clause in the body, is refused as corrupt.
+	// statement's RETURN clause in the body, is refused as corrupt. So is
+	// one whose slot value has a count where its kind keeps a float, or a
+	// float where it keeps a count: a slot value is one word of its kind.
 	const (
-		withSum = "RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5"
-		bare    = "RETURN COUNT(*) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5"
+		withSum   = "RETURN COUNT(*), SUM(S.price) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5"
+		withCount = "RETURN COUNT(*), COUNT(S) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5"
+		bare      = "RETURN COUNT(*) PATTERN Stock S+ WHERE [company] AND S.price > NEXT(S).price WITHIN 20 SLIDE 5"
 	)
 	for _, tc := range []struct {
 		name    string
@@ -382,9 +385,12 @@ func TestRestoreCorruptErrors(t *testing.T) {
 		from    string
 		to      string
 		cfg     StmtConfig
+		want    string
 	}{
-		{"result-slot-count", []string{withSum}, withSum, bare, StmtConfig{}},
-		{"union-result-slot-count", []string{bare, withSum}, withSum, bare, StmtConfig{Share: true}},
+		{"result-slot-count", []string{withSum}, withSum, bare, StmtConfig{}, "payload has 1 slots, definition has 0"},
+		{"union-result-slot-count", []string{bare, withSum}, withSum, bare, StmtConfig{Share: true}, "payload has 1 slots, definition has 0"},
+		{"result-sum-as-count", []string{withSum}, withSum, withCount, StmtConfig{}, "COUNT slot holds a float value"},
+		{"result-count-as-sum", []string{withCount}, withCount, withSum, StmtConfig{}, "SUM slot holds a count"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rt := NewRuntime()
@@ -411,8 +417,8 @@ func TestRestoreCorruptErrors(t *testing.T) {
 				t.Fatalf("body holds the statement's query text %d times, want once", bytes.Count(body, from))
 			}
 			_, _, err := RestoreRuntime(bytes.Replace(body, from, to, 1))
-			if !errors.Is(err, checkpoint.ErrCorrupt) || !strings.Contains(err.Error(), "payload has 1 slots, definition has 0") {
-				t.Fatalf("restore: %v, want ErrCorrupt (payload has 1 slots, definition has 0)", err)
+			if !errors.Is(err, checkpoint.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("restore: %v, want ErrCorrupt (%s)", err, tc.want)
 			}
 		})
 	}

@@ -96,12 +96,11 @@ func TestSlotMerge(t *testing.T) {
 			newPartial := func(o op) *aggregate.Payload {
 				p := def.New()
 				p.Count = uint64(o.slot + 1)
-				vals := def.Vals(p)
 				for i, s := range def.Slots {
 					if s.Kind == aggregate.SlotSum {
-						vals[i].F = o.sum
+						def.Val(p, i).SetF(o.sum)
 					} else {
-						vals[i].N = uint64(o.slot + 1)
+						def.Val(p, i).SetN(uint64(o.slot + 1))
 					}
 				}
 				return p
